@@ -346,6 +346,10 @@ func cmdSort(args []string) error {
 	if *workers == "" {
 		return fmt.Errorf("sort: -workers is required")
 	}
+	shardAlg, err := repro.ParseAlgorithm(*alg)
+	if err != nil {
+		return fmt.Errorf("sort: -alg: %w", err)
+	}
 
 	keys, err := (&repro.WorkloadSpec{Kind: *kind, N: *n, Seed: *seed}).Generate()
 	if err != nil {
@@ -361,7 +365,7 @@ func cmdSort(args []string) error {
 		PageKeys:       *page,
 		Concurrency:    *conc,
 		RequestTimeout: *timeout,
-		Alg:            *alg,
+		Alg:            shardAlg,
 		Kernel:         *kernel,
 		BlockLatencyUS: *latencyUS,
 		Label:          *label,

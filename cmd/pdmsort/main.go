@@ -55,6 +55,9 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/core"
+	"repro/internal/par"
+	"repro/internal/pdm"
 )
 
 // usageError marks a flag-validation failure: main prints the usage text
@@ -111,7 +114,7 @@ func main() {
 	flag.StringVar(&o.out, "out", "", "output file (defaults to <input>.sorted)")
 	flag.IntVar(&o.mem, "mem", 65536, "internal memory M in keys (perfect square)")
 	flag.IntVar(&o.disks, "disks", 0, "number of disks D (0 = sqrt(M)/4)")
-	flag.StringVar(&o.alg, "alg", "auto", "algorithm: auto|mesh3|mesh2e|lmm3|exp2|exp3|seven|six|sevenmesh|radix")
+	flag.StringVar(&o.alg, "alg", "auto", "algorithm: "+core.AlgNames())
 	flag.Int64Var(&o.universe, "universe", 1<<32, "key universe for -alg radix")
 	flag.StringVar(&o.scratch, "scratch", "", "directory for the disk files (default: temp dir)")
 	flag.StringVar(&o.backend, "backend", "", "disk backend: file (read/write syscalls, default) or mmap (zero-copy memory-mapped)")
@@ -143,10 +146,8 @@ func main() {
 // validate rejects unusable flag combinations before any work (file I/O,
 // key generation, machine construction) happens.
 func validate(o options) error {
-	if o.alg != "radix" {
-		if _, err := repro.ParseAlgorithm(o.alg); err != nil {
-			return usageError{fmt.Errorf("-alg: %w", err)}
-		}
+	if _, err := repro.ParseAlgorithm(o.alg); err != nil {
+		return usageError{fmt.Errorf("-alg: %w", err)}
 	}
 	inputs := 0
 	if o.in != "" {
@@ -183,10 +184,13 @@ func validate(o options) error {
 		return usageError{fmt.Errorf("-workers %d: want >= 0", o.workers)}
 	case o.latency < 0:
 		return usageError{fmt.Errorf("-latency %v: want >= 0", o.latency)}
-	case o.backend != "" && o.backend != repro.BackendFile && o.backend != repro.BackendMmap:
-		return usageError{fmt.Errorf("-backend %q: want %q or %q", o.backend, repro.BackendFile, repro.BackendMmap)}
-	case o.kernel != "" && o.kernel != repro.KernelAuto && o.kernel != repro.KernelComparison && o.kernel != repro.KernelRadix:
-		return usageError{fmt.Errorf("-kernel %q: want %q, %q, or %q", o.kernel, repro.KernelAuto, repro.KernelComparison, repro.KernelRadix)}
+	}
+	// pdmsort machines are always file-backed (-scratch or a temp dir).
+	if _, err := pdm.ParseBackend(o.backend, true); err != nil {
+		return usageError{fmt.Errorf("-backend: %w", err)}
+	}
+	if _, err := par.ParseKernel(o.kernel); err != nil {
+		return usageError{fmt.Errorf("-kernel: %w", err)}
 	}
 	scenarios := 0
 	for _, on := range []bool{o.topk > 0, o.quantile > 0, o.ingest != ""} {
@@ -287,6 +291,10 @@ func run(o options) error {
 		return nil
 	}
 
+	alg, err := repro.ParseAlgorithm(o.alg) // cannot fail: validate ran first
+	if err != nil {
+		return err
+	}
 	var rep *repro.Report
 	t0 := time.Now()
 	switch {
@@ -294,18 +302,10 @@ func run(o options) error {
 		// Every line is one record whose whole byte content is the
 		// payload, so the permutation pass moves the actual file data
 		// through the simulated disks.
-		alg, aerr := parseAlg(o.alg) // cannot fail: validate ran first
-		if aerr != nil {
-			return aerr
-		}
 		rep, err = m.SortRecords(keys, lines, alg)
 	case o.alg == "radix":
 		rep, err = m.SortInts(keys, o.universe)
 	default:
-		alg, aerr := parseAlg(o.alg)
-		if aerr != nil {
-			return aerr
-		}
 		rep, err = m.Sort(keys, alg)
 	}
 	if err != nil {
@@ -519,12 +519,6 @@ func printReport(rep *repro.Report, out, backend, kernel string, wall time.Durat
 		fmt.Printf("backend: %s — kernel: %s\n", backend, kernel)
 	}
 	fmt.Printf("output: %s\n", out)
-}
-
-// parseAlg delegates to the facade's shared name table (pdmd uses the
-// same one, so the CLI and the service accept identical spellings).
-func parseAlg(name string) (repro.Algorithm, error) {
-	return repro.ParseAlgorithm(name)
 }
 
 // readCSV parses the file into one record per line: the integer key from

@@ -54,12 +54,12 @@ func TestParseAlg(t *testing.T) {
 		"six":    repro.SixPassExpected,
 	}
 	for name, want := range cases {
-		got, err := parseAlg(name)
+		got, err := repro.ParseAlgorithm(name)
 		if err != nil || got != want {
-			t.Fatalf("parseAlg(%q) = %v, %v", name, got, err)
+			t.Fatalf("ParseAlgorithm(%q) = %v, %v", name, got, err)
 		}
 	}
-	if _, err := parseAlg("bogus"); err == nil {
+	if _, err := repro.ParseAlgorithm("bogus"); err == nil {
 		t.Fatal("unknown algorithm accepted")
 	}
 }

@@ -119,7 +119,7 @@ func TestBackendDeterminism(t *testing.T) {
 			if alg == MemOnePass {
 				n = mem
 			}
-			keys := workload.Uniform(n-257, -1<<40, 1<<40, 11+int64(alg)<<8)
+			keys := workload.Uniform(n-257, -1<<40, 1<<40, 11+algSeed(alg)<<8)
 			sort := func(m *Machine, k []int64) (*Report, error) { return m.Sort(k, alg) }
 			ref := sortWithBackend(t, BackendFile, 1, keys, sort)
 			if !slices.IsSorted(ref.out) {
@@ -225,7 +225,7 @@ func TestWorkerCountDeterminism(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.alg.String(), func(t *testing.T) {
 			for seed := int64(0); seed < 3; seed++ {
-				keys := workload.Uniform(tc.n-257, -1<<40, 1<<40, seed+int64(tc.alg)<<8)
+				keys := workload.Uniform(tc.n-257, -1<<40, 1<<40, seed+algSeed(tc.alg)<<8)
 				sort := func(m *Machine, k []int64) (*Report, error) { return m.Sort(k, tc.alg) }
 				serial := sortWithWorkers(t, 1, keys, sort)
 				parallel := sortWithWorkers(t, 8, keys, sort)
@@ -374,7 +374,7 @@ func TestKernelDeterminism(t *testing.T) {
 			if alg == MemOnePass {
 				n = mem
 			}
-			keys := workload.Uniform(n-257, -1<<40, 1<<40, 23+int64(alg)<<8)
+			keys := workload.Uniform(n-257, -1<<40, 1<<40, 23+algSeed(alg)<<8)
 			sort := func(m *Machine, k []int64) (*Report, error) { return m.Sort(k, alg) }
 			ref := sortWithKernel(t, KernelComparison, 1, keys, sort)
 			if !slices.IsSorted(ref.out) {

@@ -2,39 +2,17 @@ package repro
 
 import (
 	"context"
-	"net/http"
-	"time"
 
 	"repro/internal/dist"
 )
 
 // DistConfig configures a DistSorter: the pdmd worker fleet one
-// distributed sort job runs across, and the per-shard job knobs.
-type DistConfig struct {
-	// Workers are pdmd base URLs, one per node.
-	Workers []string
-	// Client is the shared HTTP client; nil selects http.DefaultClient.
-	Client *http.Client
-	// PageKeys bounds one upload/download page in keys (0 = 8192).
-	PageKeys int
-	// Concurrency bounds in-flight page uploads across shards (0 = 4).
-	Concurrency int
-	// RequestTimeout is the per-request deadline (0 = 30s).
-	RequestTimeout time.Duration
-	// Retries bounds retries of transient worker failures (0 = 3, < 0 =
-	// none).
-	Retries int
-	// Alpha is the splitter-sampling confidence (0 = 1).
-	Alpha float64
-	// Alg, Kernel, Memory, Backend, BlockLatencyUS and Label pass through
-	// to every shard job (zero values defer to worker defaults).
-	Alg            string
-	Kernel         string
-	Memory         int
-	Backend        string
-	BlockLatencyUS int64
-	Label          string
-}
+// distributed sort job runs across (Workers, Client, PageKeys,
+// Concurrency, RequestTimeout, Retries, Alpha) and the per-shard job knobs
+// (Alg, Kernel, Memory, Backend, BlockLatencyUS, Label) that pass through
+// to every shard's job descriptor; zero values select the documented
+// defaults.
+type DistConfig = dist.Config
 
 // DistReport is the aggregated accounting of one distributed job: the
 // per-shard passes and I/O as each worker measured them, the keys-weighted
@@ -55,21 +33,7 @@ type DistSorter struct {
 
 // NewDistSorter validates the config and builds the coordinator.
 func NewDistSorter(cfg DistConfig) (*DistSorter, error) {
-	c, err := dist.New(dist.Config{
-		Workers:        cfg.Workers,
-		Client:         cfg.Client,
-		PageKeys:       cfg.PageKeys,
-		Concurrency:    cfg.Concurrency,
-		RequestTimeout: cfg.RequestTimeout,
-		Retries:        cfg.Retries,
-		Alpha:          cfg.Alpha,
-		Alg:            cfg.Alg,
-		Kernel:         cfg.Kernel,
-		Memory:         cfg.Memory,
-		Backend:        cfg.Backend,
-		BlockLatencyUS: cfg.BlockLatencyUS,
-		Label:          cfg.Label,
-	})
+	c, err := dist.New(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // docsFiles are the user-facing documents the CI docs leg link-checks.
@@ -90,6 +92,29 @@ func TestDocsFlagReferencesResolve(t *testing.T) {
 						t.Errorf("%s:%d passes -%s to %s, which declares no such flag", doc, ln+1, m[1], bin)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestDocsAlgorithmListMatchesTable: the -alg lists a reader copies from —
+// README's and pdmsort's usage comment — must be exactly the algorithm
+// table's short names (pdmsort's flag help and ParseAlgorithm's error are
+// generated from the table, so they cannot drift).
+func TestDocsAlgorithmListMatchesTable(t *testing.T) {
+	list := regexp.MustCompile(`-alg ((?:[a-z0-9]+\|)+[a-z0-9]+)`)
+	for _, doc := range []string{"README.md", "cmd/pdmsort/main.go"} {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := list.FindAllStringSubmatch(string(raw), -1)
+		if len(found) == 0 {
+			t.Errorf("%s spells no -alg list; the extraction regexp rotted", doc)
+		}
+		for _, m := range found {
+			if m[1] != core.AlgNames() {
+				t.Errorf("%s lists -alg %s, the algorithm table says %s", doc, m[1], core.AlgNames())
 			}
 		}
 	}

@@ -5,12 +5,16 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/journal"
 	"repro/internal/pdm"
+	"repro/internal/sched"
+	"repro/internal/wire/wiretest"
 )
 
 // A journaled scheduler must make jobs durable across lives: Drain parks a
@@ -18,7 +22,7 @@ import (
 // NewScheduler over the same JournalDir and Dir resumes it from that pass —
 // with an end state bit-identical to an uninterrupted run — while queued
 // jobs re-admit in their original FIFO order.  These tests exercise the
-// whole facade path (journalSpec round-trip, manifest arming, resume,
+// whole facade path (journaled-descriptor round-trip, manifest arming, resume,
 // restart-from-input fallback) in-process; the daemon-level SIGKILL
 // variant lives in cmd/pdmd's e2e test.
 
@@ -40,12 +44,12 @@ func durabilityConfig(dir, jdir string) SchedulerConfig {
 func durabilitySpecs() []JobSpec {
 	return []JobSpec{
 		{Workload: &WorkloadSpec{Kind: "perm", N: 16 * schedJobMem, Seed: 11},
-			Algorithm: ThreePassLMM, BlockLatency: 2 * time.Millisecond,
+			Alg: ThreePassLMM, BlockLatencyUS: 2000,
 			KeepKeys: true, Label: "interrupted"},
 		{Workload: &WorkloadSpec{Kind: "sortedruns", N: 8 * schedJobMem, Seed: 12},
-			Algorithm: TwoPassExpected, KeepKeys: true, Label: "queued-a"},
+			Alg: TwoPassExpected, KeepKeys: true, Label: "queued-a"},
 		{Workload: &WorkloadSpec{Kind: "uniform", N: 16 * schedJobMem, Seed: 13},
-			Algorithm: ThreePassMesh, KeepKeys: true, Label: "queued-b"},
+			Alg: ThreePassMesh, KeepKeys: true, Label: "queued-b"},
 	}
 }
 
@@ -57,7 +61,7 @@ func soloDurabilityRun(t *testing.T, spec JobSpec) ([]int64, *Report) {
 		Memory:       schedJobMem,
 		Pipeline:     PipelineConfig{Prefetch: 2, WriteBehind: 2},
 		Workers:      4,
-		BlockLatency: spec.BlockLatency,
+		BlockLatency: time.Duration(spec.BlockLatencyUS) * time.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +71,7 @@ func soloDurabilityRun(t *testing.T, spec JobSpec) ([]int64, *Report) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := m.Sort(keys, spec.Algorithm)
+	rep, err := m.Sort(keys, spec.Alg)
 	if err != nil {
 		t.Fatalf("%s solo: %v", spec.Label, err)
 	}
@@ -288,5 +292,125 @@ func TestSchedulerRecoveryRestartFromInput(t *testing.T) {
 	}
 	if stats := s2.Stats(); stats.JobsRestarted != 1 || stats.JobsResumed != 0 {
 		t.Fatalf("recovery stats: %+v", stats)
+	}
+}
+
+// TestJournalRecordRoundTripsEveryField is the journal leg of the
+// descriptor round trip: a submission record built from a descriptor with
+// every field set goes through the real engine — journal append, drain,
+// a second life's replay — and must decode back to the same descriptor,
+// so a per-job option cannot be lost between a submission and its
+// recovery.  The stored algorithm is the resolved one; the replay shim
+// resets it only on the shapes a live caller could not have submitted.
+func TestJournalRecordRoundTripsEveryField(t *testing.T) {
+	full := wiretest.FullJobSpec()
+	plain := full // no scenario, no universe: the shim leaves its algorithm alone
+	plain.Scenario, plain.Universe = "", 0
+	want := map[string]JobSpec{"full": full, "plain": plain}
+
+	jdir := t.TempDir()
+	life := func() *sched.Scheduler {
+		jr, err := journal.Open(jdir, journal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := sched.New(sched.Config{MemKeys: 1, Journal: jr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+	eng := life()
+	// The blocker holds the whole budget until the drain stops it at a
+	// checkpoint, so the two descriptors stay queued in the journal.
+	running := make(chan struct{})
+	if _, err := eng.Submit(sched.Request{Label: "blocker", MemKeys: 1,
+		Run: func(ctx context.Context, env sched.Env) error {
+			close(running)
+			for {
+				if err := env.Checkpoint([]byte(`{}`)); err != nil {
+					return err
+				}
+				select {
+				case <-ctx.Done():
+					return ctx.Err()
+				case <-time.After(time.Millisecond):
+				}
+			}
+		}}); err != nil {
+		t.Fatal(err)
+	}
+	for label, spec := range want {
+		raw, err := journalRecord(spec, SevenPass)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Submit(sched.Request{Label: label, MemKeys: 1, Spec: raw,
+			Run: func(context.Context, sched.Env) error { return nil }}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-running
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := eng.Drain(ctx); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+
+	eng = life()
+	defer eng.Close()
+	seen := 0
+	for _, rec := range eng.Recovered() {
+		spec, ok := want[rec.Label]
+		if !ok {
+			continue
+		}
+		seen++
+		spec.Alg = SevenPass
+		if rec.Label == "full" {
+			spec.Alg = Auto // a scenario job's fallback sort is re-derived
+		}
+		got, err := recoveredSpec(rec.Spec)
+		if err != nil {
+			t.Fatalf("%s: %v", rec.Label, err)
+		}
+		if !reflect.DeepEqual(got, spec) {
+			t.Errorf("%s: the journal lost fields:\n got %+v\nwant %+v", rec.Label, got, spec)
+		}
+	}
+	if seen != len(want) {
+		t.Fatalf("recovered %d of %d queued descriptors", seen, len(want))
+	}
+}
+
+// TestRecoveredSpecReadsParentJournals pins replay of submission records
+// as the previous layout wrote them: the resolved algorithm under "alg",
+// the latency under "blockLatencyUS", a radix job as a bare universe, and
+// a scenario job carrying its resolved fallback sort — each must decode
+// into a descriptor Validate accepts, meaning the same job.
+func TestRecoveredSpecReadsParentJournals(t *testing.T) {
+	cases := []struct {
+		record string
+		alg    Algorithm
+	}{
+		{`{"keys":[3,1,2],"keepKeys":true,"label":"a","alg":"lmm3","blockLatencyUS":2000}`, ThreePassLMM},
+		{`{"workload":{"kind":"uniform","n":9000,"seed":1},"universe":1048576,"blockLatencyUS":2000}`, core.AlgRadix},
+		{`{"workload":{"kind":"perm","n":4096,"seed":1},"scenario":"topk","topK":5,"alg":"exp2","blockLatencyUS":2000}`, Auto},
+		{`{"workload":{"kind":"perm","n":64,"seed":1},"pipeline":{"Prefetch":1,"WriteBehind":3},"alg":"one","blockLatencyUS":2000}`, MemOnePass},
+	}
+	for _, tc := range cases {
+		spec, err := recoveredSpec([]byte(tc.record))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.record, err)
+		}
+		if spec.Alg != tc.alg || spec.BlockLatencyUS != 2000 {
+			t.Errorf("%s: decoded alg %q, latency %dus", tc.record, string(spec.Alg), spec.BlockLatencyUS)
+		}
+		if err := spec.Validate(); err != nil {
+			t.Errorf("%s: replay produced a descriptor Validate rejects: %v", tc.record, err)
+		}
+	}
+	if spec, _ := recoveredSpec([]byte(cases[3].record)); spec.Pipeline == nil || spec.Pipeline.WriteBehind != 3 {
+		t.Errorf("pipeline override lost: %+v", spec.Pipeline)
 	}
 }

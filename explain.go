@@ -5,6 +5,9 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/par"
+	"repro/internal/pdm"
 	"repro/internal/plan"
 )
 
@@ -109,9 +112,8 @@ type PlanReport struct {
 	// The table order is the calibrated ranking, which may place a
 	// marginally cheaper candidate above Chosen on latency-heavy shapes.
 	Chosen string `json:"chosen"`
-	// ChosenAlgorithm is Chosen as an Algorithm value; valid only when
-	// ChosenRadix is false (the radix path has no Algorithm — SortInts is
-	// its entry point).
+	// ChosenAlgorithm is Chosen as an Algorithm value; ChosenRadix marks
+	// the Section 7 RadixSort, whose entry point is SortInts, not Sort.
 	ChosenAlgorithm Algorithm `json:"-"`
 	ChosenRadix     bool      `json:"chosenRadix,omitempty"`
 
@@ -135,53 +137,58 @@ func (r *PlanReport) Candidate(name string) *PlanCandidate {
 	return nil
 }
 
-// planContext assembles the planner's machine shape and its (cached)
-// micro-calibration — a one-shot probe on a throwaway array of the same
-// geometry and backend kind, shared process-wide per shape.  It is the
-// single assembly point for both: Machine.Explain, Scheduler.Explain,
-// and the per-job prediction all build here, so the shape fields and the
-// calibration cache key can never drift apart.
-func planContext(mem, d, b, workers int, alpha float64, latency time.Duration,
-	backend plan.Backend, kernel plan.Kernel, pipe PipelineConfig) (plan.Shape, plan.Calibration) {
-	shape := planShape(mem, d, alpha)
+// explainOn prices spec on a machine of the given resolved configuration:
+// the planner's machine shape and its (cached) micro-calibration — a
+// one-shot probe on a throwaway array of the same geometry and backend
+// kind, shared process-wide per shape — plus the backend and kernel
+// rankings.  It is the single assembly point: Machine.Explain,
+// Scheduler.Explain, and the per-job prediction all build here, so the
+// shape fields and the calibration cache key can never drift apart.
+func explainOn(pcfg pdm.Config, workers int, alpha float64, latency time.Duration,
+	backend pdm.Backend, spec SortSpec) (*PlanReport, error) {
+	probe := plan.ProbeConfig{
+		D: pcfg.D, B: pcfg.B, Workers: workers,
+		BlockLatency: latency,
+		Backend:      backend,
+		Kernel:       pcfg.Kernel,
+	}
+	shape := planShape(pcfg.Mem, pcfg.D, alpha)
 	shape.Workers = workers
 	shape.BlockLatency = latency
 	shape.Backend = backend
-	shape.Kernel = kernel
-	shape.Prefetch = pipe.Prefetch
-	shape.WriteBehind = pipe.WriteBehind
-	cal := plan.Calibrate(plan.ProbeConfig{
-		D: d, B: b, Workers: workers,
-		BlockLatency: latency,
-		Backend:      backend,
-		Kernel:       kernel,
-	})
-	return shape, cal
+	shape.Kernel = pcfg.Kernel
+	shape.Prefetch = pcfg.Pipeline.Prefetch
+	shape.WriteBehind = pcfg.Pipeline.WriteBehind
+	r, err := plan.Explain(shape, spec.planWorkload(), plan.Calibrate(probe))
+	if err != nil {
+		return nil, err
+	}
+	out := convertPlan(spec, r)
+	out.Backends = rankBackends(probe)
+	out.Kernels = rankKernels(probe)
+	return out, nil
 }
 
-// rankBackends builds the backend ranking for a machine of the given
-// geometry: every backend kind available for its storage mode is
-// calibrated (one cached micro-probe per kind) and sorted by measured
-// round-trip step cost, cheapest first.
-func rankBackends(d, b, workers int, latency time.Duration, current plan.Backend, kernel plan.Kernel) []BackendPlan {
-	kinds := []plan.Backend{plan.BackendMem}
-	if current != plan.BackendMem {
-		kinds = []plan.Backend{plan.BackendFile, plan.BackendMmap}
+// rankBackends builds the backend ranking for the probed machine: every
+// backend kind available for its storage mode is calibrated (one cached
+// micro-probe per kind) and sorted by measured round-trip step cost,
+// cheapest first.
+func rankBackends(probe plan.ProbeConfig) []BackendPlan {
+	kinds := []pdm.Backend{pdm.BackendMem}
+	if probe.Backend != pdm.BackendMem {
+		kinds = []pdm.Backend{pdm.BackendFile, pdm.BackendMmap}
 	}
 	rows := make([]BackendPlan, 0, len(kinds))
 	for _, k := range kinds {
-		cal := plan.Calibrate(plan.ProbeConfig{
-			D: d, B: b, Workers: workers,
-			BlockLatency: latency,
-			Backend:      k,
-			Kernel:       kernel,
-		})
+		pc := probe
+		pc.Backend = k
+		cal := plan.Calibrate(pc)
 		rows = append(rows, BackendPlan{
 			Backend:          string(k),
 			ReadStepSeconds:  cal.ReadStepSeconds,
 			WriteStepSeconds: cal.WriteStepSeconds,
 			Probed:           cal.Probed,
-			Chosen:           k == current,
+			Chosen:           k == probe.Backend,
 		})
 	}
 	sort.SliceStable(rows, func(i, j int) bool {
@@ -192,25 +199,22 @@ func rankBackends(d, b, workers int, latency time.Duration, current plan.Backend
 }
 
 // rankKernels builds the kernel ranking the same way rankBackends ranks
-// disk backends: every kernel is calibrated on this machine's geometry and
+// disk backends: every kernel is calibrated on the probed geometry and
 // backend (one cached micro-probe per kernel) and sorted by measured
 // per-key sort cost, cheapest first.  The stable sort keeps the canonical
-// plan.Kernels order on exact ties, so the table is deterministic under
+// par.Kernels order on exact ties, so the table is deterministic under
 // probe noise ties just like the candidate ranking.
-func rankKernels(d, b, workers int, latency time.Duration, backend plan.Backend, current plan.Kernel) []KernelPlan {
-	rows := make([]KernelPlan, 0, len(plan.Kernels))
-	for _, k := range plan.Kernels {
-		cal := plan.Calibrate(plan.ProbeConfig{
-			D: d, B: b, Workers: workers,
-			BlockLatency: latency,
-			Backend:      backend,
-			Kernel:       k,
-		})
+func rankKernels(probe plan.ProbeConfig) []KernelPlan {
+	rows := make([]KernelPlan, 0, len(par.Kernels))
+	for _, k := range par.Kernels {
+		pc := probe
+		pc.Kernel = k
+		cal := plan.Calibrate(pc)
 		rows = append(rows, KernelPlan{
 			Kernel:            string(k),
 			SortSecondsPerKey: cal.SortSecondsPerKey,
 			Probed:            cal.Probed,
-			Chosen:            k == current,
+			Chosen:            k == probe.Kernel,
 		})
 	}
 	sort.SliceStable(rows, func(i, j int) bool {
@@ -233,17 +237,10 @@ func (m *Machine) Explain(spec SortSpec) (*PlanReport, error) {
 	if spec.N <= 0 {
 		return nil, fmt.Errorf("repro: SortSpec.N = %d, want > 0", spec.N)
 	}
-	backend := backendKind(m.cfg.Dir != "", m.cfg.Backend)
-	kernel := kernelKind(m.cfg.Kernel, m.a.Mem())
-	shape, cal := planContext(m.a.Mem(), m.a.D(), m.a.B(), m.a.Workers(), m.alpha,
-		m.cfg.BlockLatency, backend, kernel, m.cfg.Pipeline)
-	r, err := plan.Explain(shape, spec.planWorkload(), cal)
+	out, err := explainOn(m.a.Config(), m.a.Workers(), m.alpha, m.cfg.BlockLatency, m.backend, spec)
 	if err != nil {
 		return nil, err
 	}
-	out := convertPlan(spec, r)
-	out.Backends = rankBackends(m.a.D(), m.a.B(), m.a.Workers(), m.cfg.BlockLatency, backend, kernel)
-	out.Kernels = rankKernels(m.a.D(), m.a.B(), m.a.Workers(), m.cfg.BlockLatency, backend, kernel)
 	if spec.Universe == 0 {
 		// Pin the choice to the Auto path: what Sort(keys, Auto) on this
 		// machine will actually run, whatever the calibrated ranking says.
@@ -252,19 +249,18 @@ func (m *Machine) Explain(spec SortSpec) (*PlanReport, error) {
 	return out, nil
 }
 
-// setChosen points the report's choice at alg (the Auto path's pick, or
-// a forced algorithm).
+// setChosen points the report's choice at alg (the Auto path's pick, a
+// forced algorithm, or Radix for universe specs).
 func (r *PlanReport) setChosen(alg Algorithm) {
-	r.Chosen = string(alg.planAlg())
+	r.Chosen = string(alg)
 	r.ChosenAlgorithm = alg
-	r.ChosenRadix = false
+	r.ChosenRadix = alg == core.AlgRadix
 }
 
 // convertPlan maps the internal report onto the facade types.
 func convertPlan(spec SortSpec, r *plan.Report) *PlanReport {
 	out := &PlanReport{
-		Spec:   spec,
-		Chosen: string(r.Chosen),
+		Spec: spec,
 		Calibration: PlanCalibration{
 			ReadStepSeconds:   r.Cal.ReadStepSeconds,
 			WriteStepSeconds:  r.Cal.WriteStepSeconds,
@@ -273,11 +269,7 @@ func convertPlan(spec SortSpec, r *plan.Report) *PlanReport {
 			ProbeSeconds:      r.Cal.ProbeSeconds,
 		},
 	}
-	if alg, ok := algFromPlan(r.Chosen); ok {
-		out.ChosenAlgorithm = alg
-	} else {
-		out.ChosenRadix = true
-	}
+	out.setChosen(r.Chosen)
 	for _, c := range r.Candidates {
 		out.Candidates = append(out.Candidates, PlanCandidate{
 			Algorithm:      string(c.Alg),

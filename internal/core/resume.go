@@ -7,15 +7,6 @@ import (
 	"repro/internal/pdm"
 )
 
-// Resume tags.  They name the pass structure a checkpoint belongs to;
-// pdm.Array.TakeResume only matches a manifest whose tag (and padded N)
-// equals the algorithm that claims it, so a manifest written by one
-// algorithm can never corrupt another.
-const (
-	algMesh3 = "mesh3" // ThreePass1
-	algLMM3  = "lmm3"  // ThreePass2
-)
-
 // ErrResumeInvalid marks a checkpoint manifest that does not describe a
 // resumable state for the algorithm claiming it.  The scheduler treats
 // it (like any other resume-attempt failure) as "restart from input".

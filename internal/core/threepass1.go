@@ -56,7 +56,7 @@ func threePass1Range(a *pdm.Array, in *pdm.Stripe, off, n int, emit emitFunc, ck
 	var cols, bands []*pdm.Stripe
 	startPass := 0
 	if ckpt {
-		if cp := a.TakeResume(algMesh3, n); cp != nil {
+		if cp := a.TakeResume(string(AlgMesh3), n); cp != nil {
 			if cp.Pass < 1 || cp.Pass > 2 {
 				return nil, fmt.Errorf("%w: ThreePass1 manifest at pass %d", ErrResumeInvalid, cp.Pass)
 			}
@@ -96,7 +96,7 @@ func threePass1Range(a *pdm.Array, in *pdm.Stripe, off, n int, emit emitFunc, ck
 			return nil, err
 		}
 		if ckpt {
-			if err := a.PassDone(pdm.Checkpoint{Alg: algMesh3, Pass: 1, N: n,
+			if err := a.PassDone(pdm.Checkpoint{Alg: string(AlgMesh3), Pass: 1, N: n,
 				Stripes: map[string][]pdm.StripeRef{"cols": stripeRefs(cols)}}); err != nil {
 				return nil, err
 			}
@@ -122,7 +122,7 @@ func threePass1Range(a *pdm.Array, in *pdm.Stripe, off, n int, emit emitFunc, ck
 			return nil, err
 		}
 		if ckpt {
-			if err := a.PassDone(pdm.Checkpoint{Alg: algMesh3, Pass: 2, N: n,
+			if err := a.PassDone(pdm.Checkpoint{Alg: string(AlgMesh3), Pass: 2, N: n,
 				Stripes: map[string][]pdm.StripeRef{
 					"cols":  stripeRefs(cols),
 					"bands": stripeRefs(bands),

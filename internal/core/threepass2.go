@@ -53,7 +53,7 @@ func threePass2Range(a *pdm.Array, in *pdm.Stripe, off, n int, emit emitFunc, ck
 		startPass int
 	)
 	if ckpt {
-		if cp := a.TakeResume(algLMM3, n); cp != nil {
+		if cp := a.TakeResume(string(AlgLMM3), n); cp != nil {
 			switch cp.Pass {
 			case 1:
 				runs, err = adoptStripes(a, cp.Stripes["runs"])
@@ -78,7 +78,7 @@ func threePass2Range(a *pdm.Array, in *pdm.Stripe, off, n int, emit emitFunc, ck
 			return nil, err
 		}
 		if ckpt {
-			if err := a.PassDone(pdm.Checkpoint{Alg: algLMM3, Pass: 1, N: n,
+			if err := a.PassDone(pdm.Checkpoint{Alg: string(AlgLMM3), Pass: 1, N: n,
 				Stripes: map[string][]pdm.StripeRef{"runs": stripeRefs(runs)}}); err != nil {
 				freeAll(runs)
 				return nil, err
@@ -96,7 +96,7 @@ func threePass2Range(a *pdm.Array, in *pdm.Stripe, off, n int, emit emitFunc, ck
 		if ckpt {
 			vrefs, verr := viewRefs(merged, backing)
 			if verr == nil {
-				verr = a.PassDone(pdm.Checkpoint{Alg: algLMM3, Pass: 2, N: n,
+				verr = a.PassDone(pdm.Checkpoint{Alg: string(AlgLMM3), Pass: 2, N: n,
 					Stripes: map[string][]pdm.StripeRef{"backing": stripeRefs(backing)},
 					Views:   vrefs})
 			}

@@ -9,7 +9,7 @@ import (
 	"net/http"
 	"time"
 
-	"repro/internal/pdm"
+	"repro/internal/wire"
 )
 
 // client is the coordinator's view of one pdmd worker: a thin typed layer
@@ -22,69 +22,6 @@ type client struct {
 	http    *http.Client
 	timeout time.Duration
 	retries int
-}
-
-// Mirror types for the worker's JSON.  dist deliberately does not import
-// the root repro package (the facade there wraps this package), so the
-// wire shapes are restated here; jobStatus matches repro.JobStatus's tags
-// and workerReport matches repro.Report's untagged Go field names.
-
-type jobStatus struct {
-	ID        int           `json:"id"`
-	Label     string        `json:"label,omitempty"`
-	State     string        `json:"state"`
-	Algorithm string        `json:"algorithm"`
-	N         int           `json:"n"`
-	Error     string        `json:"error,omitempty"`
-	Report    *workerReport `json:"report,omitempty"`
-}
-
-// Job states as the scheduler serializes them.
-const (
-	stateQueued   = "queued"
-	stateRunning  = "running"
-	stateDone     = "done"
-	stateFailed   = "failed"
-	stateCanceled = "canceled"
-)
-
-type workerReport struct {
-	N           int
-	Passes      float64
-	ReadPasses  float64
-	WritePasses float64
-	PaddedN     int
-	IO          pdm.Stats
-}
-
-type health struct {
-	Status    string  `json:"status"`
-	JobMemory int     `json:"jobMemory"`
-	BlockSize int     `json:"blockSize"`
-	Disks     int     `json:"disks"`
-	Alpha     float64 `json:"alpha"`
-	Workers   int     `json:"workers"`
-	Queued    int     `json:"queued"`
-	Running   int     `json:"running"`
-}
-
-// jobSpec is the commit (and submit) body: pdmdapi.SubmitRequest minus the
-// inline input, which arrives as staged pages.
-type jobSpec struct {
-	Alg            string `json:"alg,omitempty"`
-	Kernel         string `json:"kernel,omitempty"`
-	Memory         int    `json:"memory,omitempty"`
-	BlockLatencyUS int64  `json:"blockLatencyUs,omitempty"`
-	Backend        string `json:"backend,omitempty"`
-	KeepKeys       bool   `json:"keepKeys,omitempty"`
-	Label          string `json:"label,omitempty"`
-}
-
-type page struct {
-	N        int      `json:"n"`
-	Offset   int      `json:"offset"`
-	Keys     []int64  `json:"keys"`
-	Payloads [][]byte `json:"payloads"`
 }
 
 // statusError is a non-2xx worker answer: terminal for the request (the
@@ -202,8 +139,8 @@ func errorMessage(raw []byte) string {
 	return string(raw)
 }
 
-func (c *client) health(ctx context.Context) (health, error) {
-	var h health
+func (c *client) health(ctx context.Context) (wire.Health, error) {
+	var h wire.Health
 	err := c.do(ctx, http.MethodGet, "/healthz", nil, &h)
 	return h, err
 }
@@ -220,8 +157,8 @@ func (c *client) uploadPage(ctx context.Context, id string, seq int, keys []int6
 	return c.do(ctx, http.MethodPost, fmt.Sprintf("/uploads/%s/pages?seq=%d", id, seq), body, nil)
 }
 
-func (c *client) uploadCommit(ctx context.Context, id string, spec jobSpec) (jobStatus, error) {
-	var st jobStatus
+func (c *client) uploadCommit(ctx context.Context, id string, spec wire.JobSpec) (wire.JobStatus, error) {
+	var st wire.JobStatus
 	err := c.do(ctx, http.MethodPost, "/uploads/"+id+"/commit", spec, &st)
 	return st, err
 }
@@ -230,8 +167,8 @@ func (c *client) uploadAbort(ctx context.Context, id string) error {
 	return c.do(ctx, http.MethodDelete, "/uploads/"+id, nil, nil)
 }
 
-func (c *client) status(ctx context.Context, jobID int) (jobStatus, error) {
-	var st jobStatus
+func (c *client) status(ctx context.Context, jobID int) (wire.JobStatus, error) {
+	var st wire.JobStatus
 	err := c.do(ctx, http.MethodGet, fmt.Sprintf("/jobs/%d", jobID), nil, &st)
 	return st, err
 }
@@ -240,14 +177,14 @@ func (c *client) cancel(ctx context.Context, jobID int) error {
 	return c.do(ctx, http.MethodPost, fmt.Sprintf("/jobs/%d/cancel", jobID), nil, nil)
 }
 
-func (c *client) keysPage(ctx context.Context, jobID, offset, limit int) (page, error) {
-	var p page
+func (c *client) keysPage(ctx context.Context, jobID, offset, limit int) (wire.Page, error) {
+	var p wire.Page
 	err := c.do(ctx, http.MethodGet, fmt.Sprintf("/jobs/%d/keys?offset=%d&limit=%d", jobID, offset, limit), nil, &p)
 	return p, err
 }
 
-func (c *client) recordsPage(ctx context.Context, jobID, offset, limit int) (page, error) {
-	var p page
+func (c *client) recordsPage(ctx context.Context, jobID, offset, limit int) (wire.Page, error) {
+	var p wire.Page
 	err := c.do(ctx, http.MethodGet, fmt.Sprintf("/jobs/%d/records?offset=%d&limit=%d", jobID, offset, limit), nil, &p)
 	return p, err
 }

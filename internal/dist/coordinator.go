@@ -10,10 +10,12 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/memsort"
 	"repro/internal/pdm"
 	"repro/internal/plan"
 	"repro/internal/records"
+	"repro/internal/wire"
 )
 
 // Config describes one coordinator: the worker fleet and the knobs for the
@@ -44,9 +46,9 @@ type Config struct {
 	// keys); <= 0 selects 1.
 	Alpha float64
 	// Alg, Kernel, Memory, Backend and BlockLatencyUS pass through to
-	// every shard job's spec (zero values defer to each worker's
+	// every shard job's descriptor (zero values defer to each worker's
 	// defaults).
-	Alg            string
+	Alg            core.Alg
 	Kernel         string
 	Memory         int
 	Backend        string
@@ -189,7 +191,7 @@ func (c *Coordinator) run(ctx context.Context, keys []int64, payloads [][]byte) 
 	// (possible when the sample had few distinct keys) skip the worker
 	// round-trip entirely and merge as exhausted lanes.
 	jobSeq := c.seq.Add(1)
-	statuses := make([]jobStatus, w)
+	statuses := make([]wire.JobStatus, w)
 	var (
 		mu   sync.Mutex
 		jobs []shardJob
@@ -318,11 +320,11 @@ func (c *Coordinator) splitters(keys []int64, w int) ([]int64, int) {
 // protocol — bounded-concurrency page uploads, each independently retried
 // — commits it into a job, and polls that job to completion.  track is
 // called as soon as the job exists so a failure elsewhere can cancel it.
-func (c *Coordinator) runShard(ctx context.Context, worker int, jobSeq int64, shard []int, keys []int64, payloads [][]byte, track func(worker, jobID int)) (jobStatus, error) {
+func (c *Coordinator) runShard(ctx context.Context, worker int, jobSeq int64, shard []int, keys []int64, payloads [][]byte, track func(worker, jobID int)) (wire.JobStatus, error) {
 	cl := c.clients[worker]
 	uploadID, err := c.createUpload(ctx, cl, jobSeq, worker)
 	if err != nil {
-		return jobStatus{}, err
+		return wire.JobStatus{}, err
 	}
 
 	// Gather the shard's keys (and payloads) in partition order and cut
@@ -370,11 +372,11 @@ func (c *Coordinator) runShard(ctx context.Context, worker int, jobSeq int64, sh
 	select {
 	case err := <-errCh:
 		c.abandonUpload(cl, uploadID)
-		return jobStatus{}, fmt.Errorf("upload %s: %w", uploadID, err)
+		return wire.JobStatus{}, fmt.Errorf("upload %s: %w", uploadID, err)
 	default:
 	}
 
-	st, err := cl.uploadCommit(ctx, uploadID, jobSpec{
+	st, err := cl.uploadCommit(ctx, uploadID, wire.JobSpec{
 		Alg:            c.cfg.Alg,
 		Kernel:         c.cfg.Kernel,
 		Memory:         c.cfg.Memory,
@@ -385,7 +387,7 @@ func (c *Coordinator) runShard(ctx context.Context, worker int, jobSeq int64, sh
 	})
 	if err != nil {
 		c.abandonUpload(cl, uploadID)
-		return jobStatus{}, fmt.Errorf("commit %s: %w", uploadID, err)
+		return wire.JobStatus{}, fmt.Errorf("commit %s: %w", uploadID, err)
 	}
 	track(worker, st.ID)
 	return c.await(ctx, cl, st.ID)
@@ -422,7 +424,7 @@ func (c *Coordinator) abandonUpload(cl *client, id string) {
 }
 
 // await polls one shard job to a terminal state.
-func (c *Coordinator) await(ctx context.Context, cl *client, jobID int) (jobStatus, error) {
+func (c *Coordinator) await(ctx context.Context, cl *client, jobID int) (wire.JobStatus, error) {
 	delay := 2 * time.Millisecond
 	for {
 		st, err := cl.status(ctx, jobID)
@@ -430,11 +432,11 @@ func (c *Coordinator) await(ctx context.Context, cl *client, jobID int) (jobStat
 			return st, err
 		}
 		switch st.State {
-		case stateDone:
+		case wire.JobDone:
 			return st, nil
-		case stateFailed:
+		case wire.JobFailed:
 			return st, fmt.Errorf("job %d failed: %s", jobID, st.Error)
-		case stateCanceled:
+		case wire.JobCanceled:
 			return st, fmt.Errorf("job %d canceled: %s", jobID, st.Error)
 		}
 		select {
@@ -482,7 +484,7 @@ type mergeLane struct {
 // merge's lane-order tie-break reproduces exactly the single-machine
 // stable order: equal keys never straddle shards, and within a shard the
 // worker already emitted them in stable order.
-func (c *Coordinator) merge(ctx context.Context, statuses []jobStatus, shards [][]int, withPayloads bool) ([]int64, [][]byte, error) {
+func (c *Coordinator) merge(ctx context.Context, statuses []wire.JobStatus, shards [][]int, withPayloads bool) ([]int64, [][]byte, error) {
 	w := len(c.clients)
 	lanes := make([]*mergeLane, w)
 	total := 0
@@ -509,7 +511,7 @@ func (c *Coordinator) merge(ctx context.Context, statuses []jobStatus, shards []
 			return nil, nil
 		}
 		var (
-			p   page
+			p   wire.Page
 			err error
 		)
 		if withPayloads {

@@ -1,12 +1,18 @@
 package dist
 
 import (
+	"context"
+	"encoding/json"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
+
+	"repro/internal/wire"
+	"repro/internal/wire/wiretest"
 )
 
 func testCoordinator(t *testing.T, workers int) *Coordinator {
@@ -154,5 +160,42 @@ func TestClientRetriesTransient(t *testing.T) {
 	}
 	if hits != 1 {
 		t.Fatalf("404 was retried %d times, want 1 attempt", hits)
+	}
+}
+
+// TestCommitBodyReachesWorkerIntact is the distributed leg of the
+// descriptor round trip: the commit body the client sends a worker is the
+// job descriptor itself, so one with every field set must arrive at the
+// worker's decoder (strict, like pdmd's) exactly as it left.
+func TestCommitBodyReachesWorkerIntact(t *testing.T) {
+	full := wiretest.FullJobSpec()
+	var got wire.JobSpec
+	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost || r.URL.Path != "/uploads/u1/commit" {
+			http.Error(w, "unexpected "+r.Method+" "+r.URL.Path, http.StatusNotFound)
+			return
+		}
+		dec := json.NewDecoder(r.Body)
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&got); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		json.NewEncoder(w).Encode(wire.JobStatus{ID: 7, State: wire.JobQueued}) //nolint:errcheck // test server
+	}))
+	defer worker.Close()
+	c, err := New(Config{Workers: []string{worker.URL}, Retries: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := c.clients[0].uploadCommit(context.Background(), "u1", full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.ID != 7 || st.State != wire.JobQueued {
+		t.Fatalf("commit answered %+v", st)
+	}
+	if !reflect.DeepEqual(got, full) {
+		t.Fatalf("commit body lost fields:\n got %+v\nwant %+v", got, full)
 	}
 }

@@ -9,7 +9,8 @@ import (
 // radix kernel (vs stdlib slices.Sort as the external baseline) on
 // uniform random int64 keys at memory-load sizes, and the branchy vs
 // galloping binary merge.  CI runs every BenchmarkKernel* with -benchtime
-// 100x as a smoke test; the real numbers land in BENCH_pr7.json.
+// 100x as a smoke test; bench/ records the kernels' rates per run as the
+// memsort.probe.* metrics.
 
 // benchSizes are memory-load sizes: the default machine M (4096) and a
 // larger load where the radix win is cache-bound rather than
@@ -103,11 +104,33 @@ func benchMerge(b *testing.B, runny bool, merge func(dst, a, c []int64)) {
 }
 
 func BenchmarkKernelMergeBranchy(b *testing.B) {
-	b.Run("random", func(b *testing.B) { benchMerge(b, false, MergeBinaryBranchy) })
-	b.Run("runs", func(b *testing.B) { benchMerge(b, true, MergeBinaryBranchy) })
+	b.Run("random", func(b *testing.B) { benchMerge(b, false, mergeBinaryBranchy) })
+	b.Run("runs", func(b *testing.B) { benchMerge(b, true, mergeBinaryBranchy) })
 }
 
 func BenchmarkKernelMergeGallop(b *testing.B) {
 	b.Run("random", func(b *testing.B) { benchMerge(b, false, MergeBinary) })
 	b.Run("runs", func(b *testing.B) { benchMerge(b, true, MergeBinary) })
+}
+
+// mergeBinaryBranchy is the pre-gallop element-at-a-time merge, kept as the
+// ablation and benchmark baseline for MergeBinary (BenchmarkKernelMerge*).
+// Identical output, one data-dependent branch per key.
+func mergeBinaryBranchy(dst, a, b []int64) {
+	if len(dst) != len(a)+len(b) {
+		panic("memsort: mergeBinaryBranchy destination size mismatch")
+	}
+	i, j, k := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		if b[j] < a[i] {
+			dst[k] = b[j]
+			j++
+		} else {
+			dst[k] = a[i]
+			i++
+		}
+		k++
+	}
+	k += copy(dst[k:], a[i:])
+	copy(dst[k:], b[j:])
 }

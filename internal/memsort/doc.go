@@ -17,7 +17,7 @@
 // one-sided runs with a single comparison per round — the inputs are
 // sorted, so "the next k keys of b all beat a's head" is one compare —
 // and gallops past them with a binary search and a bulk copy;
-// MergeBinaryBranchy keeps the plain element loop as the benchmark
+// the plain element loop survives in bench_test.go as the benchmark
 // baseline (BenchmarkKernelMerge* pairs them on random and runs-shaped
 // inputs).
 //

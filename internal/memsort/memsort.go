@@ -152,7 +152,7 @@ const mergeMinGallop = 8
 // len(a)+len(b).  The merge is stable with ties taken from a first.  After
 // mergeMinGallop consecutive keys from the same input it gallops: the end of
 // the current run is found by exponential + binary search and the run is bulk
-// copied (see MergeBinaryBranchy for the plain-loop ablation baseline).
+// copied (bench_test.go keeps the plain-loop ablation baseline).
 func MergeBinary(dst, a, b []int64) {
 	if len(dst) != len(a)+len(b) {
 		panic("memsort: MergeBinary destination size mismatch")
@@ -187,28 +187,6 @@ func MergeBinary(dst, a, b []int64) {
 			}
 			k++
 		}
-	}
-	k += copy(dst[k:], a[i:])
-	copy(dst[k:], b[j:])
-}
-
-// MergeBinaryBranchy is the pre-gallop element-at-a-time merge, kept as the
-// ablation and benchmark baseline for MergeBinary (BenchmarkKernelMerge*).
-// Identical output, one data-dependent branch per key.
-func MergeBinaryBranchy(dst, a, b []int64) {
-	if len(dst) != len(a)+len(b) {
-		panic("memsort: MergeBinaryBranchy destination size mismatch")
-	}
-	i, j, k := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		if b[j] < a[i] {
-			dst[k] = b[j]
-			j++
-		} else {
-			dst[k] = a[i]
-			i++
-		}
-		k++
 	}
 	k += copy(dst[k:], a[i:])
 	copy(dst[k:], b[j:])

@@ -88,7 +88,7 @@ func TestMergeBinaryGallopMatchesBranchy(t *testing.T) {
 	for i, tc := range cases {
 		a, b := tc[0], tc[1]
 		want := make([]int64, len(a)+len(b))
-		MergeBinaryBranchy(want, a, b)
+		mergeBinaryBranchy(want, a, b)
 		got := make([]int64, len(a)+len(b))
 		MergeBinary(got, a, b)
 		if !slices.Equal(got, want) {

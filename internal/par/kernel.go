@@ -1,44 +1,59 @@
 package par
 
 import (
+	"fmt"
 	"sync"
 
 	"repro/internal/memsort"
 )
 
-// Kernel selects the in-memory sort kernel a Pool uses for load sorts
-// (SortKeys, SortKeysScratch, SortSegment).  The kernel changes only how a
-// memory load gets sorted — wall-clock and allocation behaviour — never the
-// resulting keys, so every choice is bit-identical on output, stats, and
-// traces (the root determinism suite proves it per algorithm).
-type Kernel int
+// Kernel names the in-memory sort kernel a Pool uses for load sorts
+// (SortKeys, SortKeysScratch, SortSegment).  It is the one kernel identity
+// in the repository: the value is the canonical name the CLI flags, the job
+// descriptor, and the planner's tables spell, parsed once by ParseKernel.
+// The kernel changes only how a memory load gets sorted — wall-clock and
+// allocation behaviour — never the resulting keys, so every choice is
+// bit-identical on output, stats, and traces (the root determinism suite
+// proves it per algorithm).
+type Kernel string
 
 const (
-	// KernelAuto resolves per call via AutoKernel: a pure function of the
-	// load size, so the pick is deterministic across workers, backends, and
+	// KernelAuto resolves per load via Resolve: a pure function of the load
+	// size, so the pick is deterministic across workers, backends, and
 	// probe noise.  The zero value, so unconfigured pools get it.
-	KernelAuto Kernel = iota
+	KernelAuto Kernel = ""
 	// KernelComparison is the cache-aware comparison introsort
 	// (memsort.Keys) plus symmetric-merge combining: no scratch, no
 	// assumptions about key distribution.
-	KernelComparison
+	KernelComparison Kernel = "comparison"
 	// KernelRadix is the LSD byte-radix sort (memsort.RadixKeys serial,
 	// Pool.radixSortScratch parallel): O(active bytes) moves per key, needs
 	// len(a) scratch, wins on uniform keys at memory-load sizes.
-	KernelRadix
+	KernelRadix Kernel = "radix"
 )
 
-// String returns the canonical kernel name used by the facade, the planner,
-// and the CLI flags.
+// Kernels lists the concrete kernels in canonical order — the order the
+// planner's ranked table keeps on exact ties.
+var Kernels = []Kernel{KernelComparison, KernelRadix}
+
+// String returns the canonical kernel name ("auto" for the zero value).
 func (k Kernel) String() string {
-	switch k {
-	case KernelComparison:
-		return "comparison"
-	case KernelRadix:
-		return "radix"
-	default:
+	if k == KernelAuto {
 		return "auto"
 	}
+	return string(k)
+}
+
+// ParseKernel maps a selector (a CLI flag, a config or job-descriptor
+// field) onto a Kernel; the empty string and "auto" both mean KernelAuto.
+func ParseKernel(name string) (Kernel, error) {
+	switch k := Kernel(name); k {
+	case KernelAuto, KernelComparison, KernelRadix:
+		return k, nil
+	case "auto":
+		return KernelAuto, nil
+	}
+	return "", fmt.Errorf("unknown kernel %q (want %q, %q, or %q)", name, KernelAuto, KernelComparison, KernelRadix)
 }
 
 // autoRadixMinKeys is the load size at which AutoKernel switches from the
@@ -48,9 +63,9 @@ func (k Kernel) String() string {
 const autoRadixMinKeys = 4096
 
 // AutoKernel resolves KernelAuto for a load of n keys.  It is the single
-// Auto rule in the repository: the planner's ChooseKernel applies it to the
-// machine shape's memory-load size, and unconfigured pools apply it per
-// call, so every layer agrees on the pick.  It depends only on n — never on
+// Auto rule in the repository: the facade applies it (through Resolve) to
+// the machine's memory-load size, and unconfigured pools apply it per call,
+// so every layer agrees on the pick.  It depends only on n — never on
 // worker count, backend, or probe measurements — which keeps the choice
 // bit-stable (mirroring how plan.Choose prices with fixed DefaultCalibration
 // constants rather than probed rates).
@@ -64,13 +79,17 @@ func AutoKernel(n int) Kernel {
 // Kernel returns the pool's configured kernel (KernelAuto if unset).
 func (p *Pool) Kernel() Kernel { return p.kernel }
 
-// kernelFor resolves the pool's kernel for a load of n keys.
-func (p *Pool) kernelFor(n int) Kernel {
-	if p.kernel == KernelAuto {
+// Resolve returns the concrete kernel k sorts a load of n keys with: k
+// itself, or AutoKernel(n) for KernelAuto.
+func (k Kernel) Resolve(n int) Kernel {
+	if k == KernelAuto {
 		return AutoKernel(n)
 	}
-	return p.kernel
+	return k
 }
+
+// kernelFor resolves the pool's kernel for a load of n keys.
+func (p *Pool) kernelFor(n int) Kernel { return p.kernel.Resolve(n) }
 
 // maxPooledScratchKeys caps the capacity of radix scratch buffers retained
 // by the free list.  sync.Pool keeps one entry per P between collections, so

@@ -7,8 +7,8 @@ import (
 
 // Backend micro-benchmarks: one block read or write per iteration on each
 // disk backend, at a block size typical of the facade's default geometry.
-// CI's short-bench leg runs these; the end-to-end pairing lives in
-// cmd/benchjson's backends series.
+// CI's short-bench leg runs these; the end-to-end pairing is bench/'s
+// sort-file and sort-mmap workloads.
 
 const benchBlockKeys = 1024 // 8 KiB blocks
 

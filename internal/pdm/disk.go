@@ -42,6 +42,55 @@ type ZeroCopyDisk interface {
 	WriteBlockZero(off int) ([]int64, error)
 }
 
+// Backend names a disk implementation.  It is the one backend identity in
+// the repository — the CLI flags, the job descriptor, and the planner's
+// per-block software-overhead pricing all spell these values — and it
+// changes wall-clock only: the PDM cost model (passes, steps, words) is
+// backend-oblivious and the scratch files are byte-identical.
+type Backend string
+
+const (
+	// BackendMem is the in-memory block store (MemDisk).
+	BackendMem Backend = "mem"
+	// BackendFile is read/write-syscall file disks (FileDisk): each block
+	// pays a syscall plus an encode/decode round through a staging buffer.
+	BackendFile Backend = "file"
+	// BackendMmap is memory-mapped file disks (MmapDisk): each block is a
+	// page-cache copy, with zero-copy views on the streaming paths.
+	BackendMmap Backend = "mmap"
+)
+
+// ParseBackend resolves a backend selector ("file", "mmap", or "" for the
+// default) for a machine that is or is not file-backed: in-memory machines
+// have only BackendMem and reject a file backend.
+func ParseBackend(name string, fileBacked bool) (Backend, error) {
+	switch k := Backend(name); {
+	case name != "" && k != BackendFile && k != BackendMmap:
+		return "", fmt.Errorf("unknown backend %q (want %q or %q)", name, BackendFile, BackendMmap)
+	case !fileBacked && name != "":
+		return "", fmt.Errorf("backend %q requires a scratch directory (in-memory machines have no disk backend)", name)
+	case !fileBacked:
+		return BackendMem, nil
+	case k == BackendMmap:
+		return BackendMmap, nil
+	default:
+		return BackendFile, nil
+	}
+}
+
+// NewDisks creates d fresh (truncated) disks of block size b on this
+// backend; dir is ignored by BackendMem.
+func (k Backend) NewDisks(dir string, d, b int) ([]Disk, error) {
+	switch k {
+	case BackendFile:
+		return NewFileDisks(dir, d, b)
+	case BackendMmap:
+		return NewMmapDisks(dir, d, b)
+	default:
+		return NewMemDisks(d, b), nil
+	}
+}
+
 // MemDisk is an in-memory Disk: a growable store of B-key blocks.  It is the
 // default backend for tests and benchmarks — exact, deterministic, and fast.
 type MemDisk struct {

@@ -80,13 +80,15 @@ type Config struct {
 // stripes (D·B keys each); the staging buffers come out of the arena, so
 // the capacity formula grows by PipelineStaging() — the memory cost of
 // overlapping transfer with computation is charged like any other buffer.
+// The JSON names are the job descriptor's "pipeline" object (decoding is
+// case-insensitive, so journals that spelled the Go names still replay).
 type PipelineConfig struct {
 	// Prefetch is the number of stripe buffers a stream.Reader may fill
 	// ahead of the consumer.  Zero means synchronous reads.
-	Prefetch int
+	Prefetch int `json:"prefetch"`
 	// WriteBehind is the number of stripe buffers a stream.Writer may
 	// hold in flight behind the producer.  Zero means synchronous writes.
-	WriteBehind int
+	WriteBehind int `json:"writeBehind"`
 }
 
 // PipelineStaging returns the extra arena capacity, in keys, the pipeline
@@ -127,8 +129,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("pdm: pipeline depths %+v, want >= 0", c.Pipeline)
 	case c.Workers < 0:
 		return fmt.Errorf("pdm: Workers = %d, want >= 0", c.Workers)
-	case c.Kernel < par.KernelAuto || c.Kernel > par.KernelRadix:
-		return fmt.Errorf("pdm: Kernel = %d, want a par.Kernel value", c.Kernel)
+	case c.Kernel != par.KernelAuto && c.Kernel != par.KernelComparison && c.Kernel != par.KernelRadix:
+		return fmt.Errorf("pdm: Kernel = %q, want a par.Kernel value", string(c.Kernel))
 	}
 	return nil
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/wire"
 )
 
 // Options sizes the handler's own limits (everything else is budgeted by
@@ -31,45 +32,11 @@ type Options struct {
 }
 
 // SubmitRequest is the POST /jobs body (and, minus the inline input, the
-// POST /uploads/{id}/commit body).
-type SubmitRequest struct {
-	Keys []int64 `json:"keys,omitempty"`
-	// Payloads (base64-encoded byte strings, one per key) make the job a
-	// full-record sort; so does a workload with a "payload" spec.
-	Payloads [][]byte            `json:"payloads,omitempty"`
-	Workload *repro.WorkloadSpec `json:"workload,omitempty"`
-	// Alg names the algorithm (auto|one|mesh3|mesh2e|lmm3|exp2|exp3|seven|
-	// six|sevenmesh); "radix" selects the Section 7 RadixSort, whose key
-	// universe defaults to 2^32 unless set.
-	Alg      string `json:"alg,omitempty"`
-	Universe int64  `json:"universe,omitempty"`
-	Memory   int    `json:"memory,omitempty"`
-	Disks    int    `json:"disks,omitempty"`
-	Workers  int    `json:"workers,omitempty"`
-	// BlockLatencyUS models per-block device latency in microseconds.
-	BlockLatencyUS int64 `json:"blockLatencyUs,omitempty"`
-	// Backend overrides the scheduler's disk backend for this job ("file"
-	// or "mmap"); valid only on a file-backed scheduler.
-	Backend string `json:"backend,omitempty"`
-	// Kernel overrides the scheduler's in-memory sort kernel for this job
-	// ("auto", "comparison", or "radix"); output is identical either way.
-	Kernel   string `json:"kernel,omitempty"`
-	KeepKeys bool   `json:"keepKeys,omitempty"`
-	Label    string `json:"label,omitempty"`
-
-	// Scenario makes the job a query scenario instead of a sort: "topk",
-	// "quantile", "groupby", or "ingest", parameterized by the fields
-	// below (see repro.JobSpec).  Results come back from GET
-	// /jobs/{id}/result (and /groups for groupby).
-	Scenario string `json:"scenario,omitempty"`
-	TopK     int    `json:"topK,omitempty"`
-	Rank     int    `json:"rank,omitempty"`
-	Groups   int    `json:"groups,omitempty"`
-	// GroupPayloads is the group-by aggregation column, paired with Keys.
-	GroupPayloads []int64 `json:"groupPayloads,omitempty"`
-	// IngestBatch is the batch folded into the sorted Keys dataset.
-	IngestBatch []int64 `json:"ingestBatch,omitempty"`
-}
+// POST /uploads/{id}/commit body): the one job descriptor, decoded as-is.
+// Its "alg" takes the short names repro.ParseAlgorithm lists; "radix"
+// selects the Section 7 RadixSort, whose key universe defaults to 2^32
+// unless set.
+type SubmitRequest = repro.JobSpec
 
 // server wraps the scheduler with the HTTP surface.
 type server struct {
@@ -157,73 +124,14 @@ func (s *server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool 
 	return true
 }
 
-// specFromRequest validates a SubmitRequest into a JobSpec.  The scheduler
-// budgets every byte a job holds; the decode must not be the unbudgeted
-// exception, so callers decode through decodeBody's hard cap first.
-func specFromRequest(w http.ResponseWriter, req SubmitRequest) (repro.JobSpec, bool) {
-	spec := repro.JobSpec{
-		Keys:          req.Keys,
-		Payloads:      req.Payloads,
-		Workload:      req.Workload,
-		Universe:      req.Universe,
-		Memory:        req.Memory,
-		Disks:         req.Disks,
-		Workers:       req.Workers,
-		BlockLatency:  time.Duration(req.BlockLatencyUS) * time.Microsecond,
-		Backend:       req.Backend,
-		Kernel:        req.Kernel,
-		KeepKeys:      req.KeepKeys,
-		Label:         req.Label,
-		Scenario:      req.Scenario,
-		TopK:          req.TopK,
-		Rank:          req.Rank,
-		Groups:        req.Groups,
-		GroupPayloads: req.GroupPayloads,
-		IngestBatch:   req.IngestBatch,
-	}
-	if req.Scenario != "" {
-		// Scenario routes plan their own (fallback) sort; a forced
-		// algorithm or radix universe contradicts that.
-		if req.Alg != "" && req.Alg != "auto" {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("alg %q is not valid on a scenario job (the planner picks)", req.Alg))
-			return repro.JobSpec{}, false
-		}
-		if req.Universe != 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("universe is not valid on a scenario job"))
-			return repro.JobSpec{}, false
-		}
-		return spec, true
-	}
-	if req.Alg == "radix" {
-		if spec.Universe < 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("universe %d: want > 0", spec.Universe))
-			return repro.JobSpec{}, false
-		}
-		if spec.Universe == 0 {
-			spec.Universe = 1 << 32
-		}
-	} else {
-		if spec.Universe != 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("universe is only valid with alg=radix"))
-			return repro.JobSpec{}, false
-		}
-		alg, err := repro.ParseAlgorithm(req.Alg)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return repro.JobSpec{}, false
-		}
-		spec.Algorithm = alg
-	}
-	return spec, true
-}
-
-// decodeSpec reads and validates a submit (or plan) body into a JobSpec.
+// decodeSpec reads a submit (or plan) body into the job descriptor.  The
+// scheduler budgets every byte a job holds; the decode must not be the
+// unbudgeted exception, hence decodeBody's hard cap.  Validation is the
+// scheduler's (JobSpec.Validate plus its own defaults), the same as for a
+// library caller.
 func (s *server) decodeSpec(w http.ResponseWriter, r *http.Request) (repro.JobSpec, bool) {
-	var req SubmitRequest
-	if !s.decodeBody(w, r, &req) {
-		return repro.JobSpec{}, false
-	}
-	return specFromRequest(w, req)
+	var spec repro.JobSpec
+	return spec, s.decodeBody(w, r, &spec)
 }
 
 // submitSpec runs the shared admission path: submit, classify the error,
@@ -323,11 +231,7 @@ func (s *server) keys(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"n":      len(keys),
-		"offset": offset,
-		"keys":   keys[offset : offset+limit],
-	})
+	writeJSON(w, http.StatusOK, wire.Page{N: len(keys), Offset: offset, Keys: keys[offset : offset+limit]})
 }
 
 // records serves a completed records job's sorted output — keys paired
@@ -347,12 +251,8 @@ func (s *server) records(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"n":        len(keys),
-		"offset":   offset,
-		"keys":     keys[offset : offset+limit],
-		"payloads": payloads[offset : offset+limit],
-	})
+	writeJSON(w, http.StatusOK, wire.Page{N: len(keys), Offset: offset,
+		Keys: keys[offset : offset+limit], Payloads: payloads[offset : offset+limit]})
 }
 
 // planScenario dry-runs the scenario planner: the same body as a scenario

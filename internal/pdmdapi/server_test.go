@@ -675,3 +675,53 @@ func TestSubmitKernel(t *testing.T) {
 		t.Fatalf("bad kernel = %d, want 400", resp.StatusCode)
 	}
 }
+
+// TestSubmitPipeline checks that a submit body's "pipeline" object reaches
+// the job under its lowerCamel keys: the staging it asks for is charged to
+// the job's memory envelope, and a negative depth fails the job.
+func TestSubmitPipeline(t *testing.T) {
+	ts, _ := testServer(t) // scheduler default: 2 prefetch + 2 write-behind stripes
+	reserved := func(pipeline any) int {
+		t.Helper()
+		body := map[string]any{"workload": map[string]any{"kind": "perm", "n": 4096, "seed": 9}}
+		if pipeline != nil {
+			body["pipeline"] = pipeline
+		}
+		resp, obj := postJSON(t, ts.URL+"/jobs", body)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit pipeline=%v = %d: %s", pipeline, resp.StatusCode, obj["error"])
+		}
+		var st repro.JobStatus
+		if err := json.Unmarshal(obj["id"], &st.ID); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(obj["memReserved"], &st.MemReserved); err != nil {
+			t.Fatal(err)
+		}
+		pollUntil(t, ts.URL, st.ID, repro.JobDone)
+		return st.MemReserved
+	}
+	def := reserved(nil)
+	if sync := reserved(map[string]int{"prefetch": 0, "writeBehind": 0}); sync >= def {
+		t.Fatalf("synchronous job reserved %d keys, default-depth job %d: the override did not arrive", sync, def)
+	}
+	if same := reserved(map[string]int{"prefetch": 3, "writeBehind": 1}); same != def {
+		t.Fatalf("3+1 stripes reserved %d keys, the default 2+2 reserved %d", same, def)
+	}
+	// A negative depth never builds a machine: pdm's own config check fails
+	// the job, exactly as it does for a library caller's JobSpec.Pipeline.
+	resp, obj := postJSON(t, ts.URL+"/jobs", map[string]any{
+		"workload": map[string]any{"kind": "perm", "n": 1024},
+		"pipeline": map[string]int{"prefetch": -1},
+	})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("negative prefetch = %d: %s", resp.StatusCode, obj["error"])
+	}
+	var id int
+	if err := json.Unmarshal(obj["id"], &id); err != nil {
+		t.Fatal(err)
+	}
+	if st := pollUntil(t, ts.URL, id, repro.JobFailed); !strings.Contains(st.Error, "pipeline depths") {
+		t.Fatalf("negative prefetch failed with %q, want pdm's pipeline-depth check", st.Error)
+	}
+}

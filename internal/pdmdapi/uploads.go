@@ -222,11 +222,7 @@ func (s *server) uploadCommit(w http.ResponseWriter, r *http.Request) {
 	// Submit outside the store lock: admission may block on the queue.
 	req.Keys = keys
 	req.Payloads = payloads
-	var jobID int
-	spec, ok := specFromRequest(w, req)
-	if ok {
-		jobID, ok = s.submitSpec(w, spec)
-	}
+	jobID, ok := s.submitSpec(w, req)
 
 	u.mu.Lock()
 	if up2, still := u.ups[id]; still {

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/par"
 	"repro/internal/pdm"
 )
 
@@ -35,16 +36,16 @@ type Calibration struct {
 func DefaultCalibration(shape Shape) Calibration {
 	var perWord float64
 	switch shape.Backend {
-	case BackendFile:
+	case pdm.BackendFile:
 		perWord = 12e-9 // page-cache file I/O plus syscall and encode per block
-	case BackendMmap:
+	case pdm.BackendMmap:
 		perWord = 4e-9 // page-cache copy through the mapping, no syscall
 	default:
 		perWord = 2e-9 // in-memory block store: one copy per word
 	}
 	step := shape.BlockLatency.Seconds() + float64(shape.B)*perWord + 5e-6
 	sortRate := 60e-9 // comparison introsort: ~n·log n with branchy compares
-	if shape.Kernel == KernelRadix {
+	if shape.Kernel == par.KernelRadix {
 		sortRate = 20e-9 // radix: a handful of branch-free passes per key
 	}
 	return Calibration{
@@ -61,8 +62,8 @@ type ProbeConfig struct {
 	D, B         int
 	Workers      int
 	BlockLatency time.Duration
-	Backend      Backend
-	Kernel       Kernel
+	Backend      pdm.Backend
+	Kernel       par.Kernel
 }
 
 // probeStripes is the probe transfer length in stripes: long enough to
@@ -130,25 +131,18 @@ func probe(pc ProbeConfig) (cal Calibration, err error) {
 	}
 	t0 := time.Now()
 	stripe := pc.D * pc.B
-	cfg := pdm.Config{D: pc.D, B: pc.B, Mem: stripe, Workers: pc.Workers, Kernel: parKernel(pc.Kernel)}
-	var disks []pdm.Disk
+	cfg := pdm.Config{D: pc.D, B: pc.B, Mem: stripe, Workers: pc.Workers, Kernel: pc.Kernel}
 	var dir string
-	if pc.Backend == BackendFile || pc.Backend == BackendMmap {
+	if pc.Backend == pdm.BackendFile || pc.Backend == pdm.BackendMmap {
 		dir, err = os.MkdirTemp("", "plan-probe-")
 		if err != nil {
 			return cal, err
 		}
 		defer os.RemoveAll(dir)
-		if pc.Backend == BackendMmap {
-			disks, err = pdm.NewMmapDisks(dir, pc.D, pc.B)
-		} else {
-			disks, err = pdm.NewFileDisks(dir, pc.D, pc.B)
-		}
-		if err != nil {
-			return cal, err
-		}
-	} else {
-		disks = pdm.NewMemDisks(pc.D, pc.B)
+	}
+	disks, err := pc.Backend.NewDisks(dir, pc.D, pc.B)
+	if err != nil {
+		return cal, err
 	}
 	if pc.BlockLatency > 0 {
 		for i, d := range disks {

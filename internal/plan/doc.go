@@ -32,6 +32,7 @@
 //
 // Accounting contract: the planner only predicts; it charges nothing.
 // Predictions are in the paper's currency (passes over the padded length)
-// plus seconds; the measured Report remains the source of truth, and
-// cmd/benchjson records predicted-vs-measured drift per algorithm.
+// plus seconds; the measured Report remains the source of truth, and the
+// bench/ workloads record the predicted-vs-measured drift as
+// plan.prediction_rel_error.
 package plan

@@ -10,90 +10,33 @@ import (
 	"repro/internal/core"
 	"repro/internal/memsort"
 	"repro/internal/par"
+	"repro/internal/pdm"
 )
 
-// Alg names a candidate algorithm with the short spelling the CLI and the
-// pdmd service already use (repro.ParseAlgorithm's table), plus "one" for
-// the planner-introduced single-pass memory-load sort and "radix" for the
-// Section 7 integer sort.
-type Alg string
+// Alg is the repository's one algorithm identity (core.Alg): the short
+// spelling the CLI and the pdmd service use, which is also how the planner
+// names its candidates.
+type Alg = core.Alg
 
-// The candidate algorithms, in canonical preference order: when two
-// candidates predict identical cost (ThreePass1 vs ThreePass2 always do),
-// the earlier one wins, which keeps Auto deterministic.
+// The candidate algorithms under the planner's names, in canonical
+// preference order: when two candidates predict identical cost (ThreePass1
+// vs ThreePass2 always do), the earlier one wins, which keeps Auto
+// deterministic.
 const (
-	OnePass   Alg = "one"       // load-sort-store, N ≤ M
-	Exp2      Alg = "exp2"      // §5 ExpectedTwoPass
-	Mesh2e    Alg = "mesh2e"    // §3.2 two-pass mesh variant
-	LMM3      Alg = "lmm3"      // §4 ThreePass2 (LMM)
-	Mesh3     Alg = "mesh3"     // §3.1 ThreePass1 (mesh)
-	Exp3      Alg = "exp3"      // §6 ExpectedThreePass
-	Six       Alg = "six"       // §6.2 ExpectedSixPass
-	Seven     Alg = "seven"     // §6.1 SevenPass
-	SevenMesh Alg = "sevenmesh" // §6.2 Remark mesh variant
-	Radix     Alg = "radix"     // §7 RadixSort (integer keys)
+	OnePass   = core.AlgOne
+	Exp2      = core.AlgExp2
+	Mesh2e    = core.AlgMesh2e
+	LMM3      = core.AlgLMM3
+	Mesh3     = core.AlgMesh3
+	Exp3      = core.AlgExp3
+	Six       = core.AlgSix
+	Seven     = core.AlgSeven
+	SevenMesh = core.AlgSevenMesh
+	Radix     = core.AlgRadix
 )
 
 // Candidates is the canonical candidate order Explain evaluates.
 var Candidates = []Alg{OnePass, Exp2, Mesh2e, LMM3, Mesh3, Exp3, Six, Seven, SevenMesh, Radix}
-
-// Backend names the disk backend a shape runs on.  It only prices the
-// per-block software overhead in the calibration — the PDM cost model
-// (passes, steps, words) is backend-oblivious.
-type Backend string
-
-const (
-	// BackendMem is the in-memory block store (tests, benchmarks).
-	BackendMem Backend = "mem"
-	// BackendFile is read/write-syscall file disks (pdm.FileDisk): each
-	// block pays a syscall plus an encode/decode round through a staging
-	// buffer.
-	BackendFile Backend = "file"
-	// BackendMmap is memory-mapped file disks (pdm.MmapDisk): each block
-	// is a page-cache copy, with zero-copy views on the streaming paths.
-	BackendMmap Backend = "mmap"
-)
-
-// Kernel names the in-memory sort kernel a shape runs its memory loads
-// through (par.Kernel resolved to a concrete choice).  Like Backend it only
-// prices compute in the calibration — pass counts, I/O words, and steps are
-// kernel-oblivious, and output is bit-identical across kernels.
-type Kernel string
-
-const (
-	// KernelComparison is the cache-aware comparison introsort plus
-	// symmetric-merge combining (memsort.Keys / par symmetric merges).
-	KernelComparison Kernel = "comparison"
-	// KernelRadix is the LSD byte-radix kernel (memsort.RadixKeys and the
-	// par parallel counting/scatter path).
-	KernelRadix Kernel = "radix"
-)
-
-// Kernels is the canonical kernel order Explain's ranked table evaluates.
-var Kernels = []Kernel{KernelComparison, KernelRadix}
-
-// parKernel maps the planner's kernel name to the pool enum ("" prices the
-// comparison kernel, the conservative default).
-func parKernel(k Kernel) par.Kernel {
-	if k == KernelRadix {
-		return par.KernelRadix
-	}
-	return par.KernelComparison
-}
-
-// ChooseKernel is the Auto path's deterministic kernel choice: a pure
-// function of the bare shape — the memory-load size alone — with no probe,
-// worker-count, or backend dependence, mirroring how Choose picks the
-// algorithm from fixed analytic rates.  It applies par.AutoKernel, the
-// single Auto rule every layer shares, to M (the size of the loads run
-// formation sorts).  Ties cannot arise: the rule is a threshold, and the
-// canonical order in Kernels breaks any future tie the same way everywhere.
-func ChooseKernel(shape Shape) Kernel {
-	if par.AutoKernel(shape.Mem) == par.KernelRadix {
-		return KernelRadix
-	}
-	return KernelComparison
-}
 
 // Shape is the machine half of a planning question.
 type Shape struct {
@@ -106,11 +49,13 @@ type Shape struct {
 	Workers int
 	// BlockLatency is the modeled per-block device latency (pdm.LatencyDisk).
 	BlockLatency time.Duration
-	// Backend is the disk backend kind ("" means BackendMem).
-	Backend Backend
-	// Kernel is the resolved in-memory sort kernel ("" prices the
-	// comparison kernel).
-	Kernel Kernel
+	// Backend is the disk backend kind ("" prices pdm.BackendMem).  It only
+	// prices the per-block software overhead in the calibration.
+	Backend pdm.Backend
+	// Kernel is the in-memory sort kernel memory loads run through.  Like
+	// Backend it only prices compute in the calibration; the analytic
+	// default prices anything but par.KernelRadix as the comparison kernel.
+	Kernel par.Kernel
 	// Prefetch and WriteBehind are the streaming depths; nonzero depths let
 	// the wall model overlap I/O with compute.
 	Prefetch, WriteBehind int
@@ -264,7 +209,7 @@ func PadFor(mem int, alg Alg, n int) (int, error) {
 			}
 		}
 		if l > sq {
-			return 0, fmt.Errorf("plan: %d keys exceed the %s capacity %d", n, alg, mem*sq)
+			return 0, fmt.Errorf("plan: %d keys exceed the %s capacity %d", n, string(alg), mem*sq)
 		}
 		return l * mem, nil
 	case Exp3, Seven, Six, SevenMesh:
@@ -277,11 +222,11 @@ func PadFor(mem int, alg Alg, n int) (int, error) {
 			l++
 		}
 		if l > sq {
-			return 0, fmt.Errorf("plan: %d keys exceed the %s capacity %d", n, alg, mem*mem)
+			return 0, fmt.Errorf("plan: %d keys exceed the %s capacity %d", n, string(alg), mem*mem)
 		}
 		return l * l * mem, nil
 	default:
-		return 0, fmt.Errorf("plan: unknown algorithm %q", alg)
+		return 0, fmt.Errorf("plan: unknown algorithm %q", string(alg))
 	}
 }
 

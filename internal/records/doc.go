@@ -11,8 +11,9 @@
 // are placed and the chunk is written out sequentially.  Every level is two
 // sequential passes over the payload volume (one read, one write), so the
 // total cost is 2·(levels+1) passes regardless of record width — against
-// which NaiveGather, the obvious per-record random gather, charges one
-// vectored read per record.
+// which the obvious per-record random gather (the baseline the package's
+// paired benchmarks keep in bench_test.go) charges one vectored read per
+// record.
 //
 // All reads run through the streaming layer (stream.Reader), so gather and
 // scatter prefetch ahead of the consumer when the array's pipeline is

@@ -152,13 +152,13 @@ func TestNaiveGatherMatchesPermute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := NaiveGather(a, payloads, perm)
+	got, err := naiveGather(a, payloads, perm)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkPermuted(t, payloads, perm, got.Out)
 	if a.Arena().InUse() != 0 {
-		t.Fatalf("arena leak after NaiveGather: %d", a.Arena().InUse())
+		t.Fatalf("arena leak after naiveGather: %d", a.Arena().InUse())
 	}
 	// The distribution pass must charge far fewer parallel steps than the
 	// per-record gather on small records.

@@ -182,15 +182,15 @@ func TestPdmdKillRestartBitIdentical(t *testing.T) {
 	// Control: the interrupted job's spec, uninterrupted on a dedicated
 	// machine with the daemon's job geometry.
 	spec := JobSpec{
-		Workload:     &WorkloadSpec{Kind: "perm", N: 16 * 1024, Seed: 31},
-		Algorithm:    ThreePassLMM,
-		BlockLatency: 2 * time.Millisecond,
+		Workload:       &WorkloadSpec{Kind: "perm", N: 16 * 1024, Seed: 31},
+		Alg:            ThreePassLMM,
+		BlockLatencyUS: 2000,
 	}
 	ctrl, err := NewMachine(MachineConfig{
 		Memory:       1024,
 		Workers:      2,
 		Pipeline:     PipelineConfig{Prefetch: 2, WriteBehind: 2},
-		BlockLatency: spec.BlockLatency,
+		BlockLatency: time.Duration(spec.BlockLatencyUS) * time.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +199,7 @@ func TestPdmdKillRestartBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRep, err := ctrl.Sort(wantKeys, spec.Algorithm)
+	wantRep, err := ctrl.Sort(wantKeys, spec.Alg)
 	ctrl.Close()
 	if err != nil {
 		t.Fatal(err)

@@ -36,7 +36,7 @@ func TestPlanExactnessProperty(t *testing.T) {
 		keys := workload.Uniform(n, -1<<40, 1<<40, int64(100+i))
 		shape := planShape(sc.mem, sc.d, 1)
 		for _, alg := range algs {
-			read, write, exact := plan.ExactPasses(shape, plan.Workload{N: n}, alg.planAlg())
+			read, write, exact := plan.ExactPasses(shape, plan.Workload{N: n}, alg)
 			if !exact {
 				continue
 			}

@@ -117,7 +117,7 @@ func (m *Machine) SortRecords(keys []int64, payloads [][]byte, alg Algorithm) (*
 	rep.IO = rep.IO.Add(m.a.Stats().Sub(before))
 	rep.PayloadWords = res.Words
 	rep.PermutePasses = res.Passes
-	rep.pipelineMetrics(rep.IO, m.a.Workers())
+	rep.Observe(rep.IO, m.a.Workers())
 	return rep, nil
 }
 

@@ -307,12 +307,12 @@ func TestSortRecordsMillionBitIdentical(t *testing.T) {
 	}
 	defer s.Close()
 	id, err := s.Submit(JobSpec{
-		Keys:      append([]int64(nil), keys...),
-		Payloads:  append([][]byte(nil), payloads...),
-		Algorithm: ThreePassLMM,
-		Workers:   8,
-		KeepKeys:  true,
-		Label:     "records-acceptance",
+		Keys:     append([]int64(nil), keys...),
+		Payloads: append([][]byte(nil), payloads...),
+		Alg:      ThreePassLMM,
+		Workers:  8,
+		KeepKeys: true,
+		Label:    "records-acceptance",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -377,8 +377,8 @@ func TestSortPairsAllAlgorithms(t *testing.T) {
 	m := newTestMachine(t, 256)
 	n := 1024
 	for _, alg := range []Algorithm{ThreePassMesh, ThreePassLMM, SevenPass, SevenPassMesh} {
-		keys := workload.Uniform(n, 0, 9, int64(alg))
-		payloads := workload.Perm(n, int64(alg)+100)
+		keys := workload.Uniform(n, 0, 9, algSeed(alg))
+		payloads := workload.Perm(n, algSeed(alg)+100)
 		pairSum := int64(0)
 		for i := range keys {
 			pairSum += keys[i] ^ payloads[i]

@@ -28,10 +28,15 @@ import (
 	"repro/internal/par"
 	"repro/internal/pdm"
 	"repro/internal/plan"
+	"repro/internal/wire"
 )
 
-// Algorithm selects which of the paper's sorting algorithms to run.
-type Algorithm int
+// Algorithm selects which of the paper's sorting algorithms to run.  It is
+// the repository's one algorithm identity (internal/core's Alg): its text
+// form is the CLI/service short name ("lmm3", "exp2", …; the table behind
+// ParseAlgorithm lists them) and String names the algorithm as in the
+// paper.
+type Algorithm = core.Alg
 
 const (
 	// Auto picks the algorithm the cost model (internal/plan) predicts
@@ -40,142 +45,43 @@ const (
 	// when N ≤ M, ExpectedTwoPass, ThreePass2, and so on up to SevenPass.
 	// The choice is deterministic for a given (N, M, D, alpha);
 	// Machine.Explain shows the ranked table behind it.
-	Auto Algorithm = iota
+	Auto = core.AlgAuto
 	// ThreePassMesh is the Section 3.1 mesh algorithm (3 passes, ≤ M·√M).
-	ThreePassMesh
+	ThreePassMesh = core.AlgMesh3
 	// TwoPassMeshExpected is the Section 3.2 variant (2 passes w.h.p.).
-	TwoPassMeshExpected
+	TwoPassMeshExpected = core.AlgMesh2e
 	// ThreePassLMM is the Section 4 LMM algorithm (3 passes, ≤ M·√M).
-	ThreePassLMM
+	ThreePassLMM = core.AlgLMM3
 	// TwoPassExpected is the Section 5 algorithm (2 passes w.h.p.).
-	TwoPassExpected
+	TwoPassExpected = core.AlgExp2
 	// ThreePassExpected is the Section 6 algorithm (3 passes w.h.p.,
 	// ~M^1.75 keys).
-	ThreePassExpected
+	ThreePassExpected = core.AlgExp3
 	// SevenPass is the Section 6.1 algorithm (7 passes, ≤ M² keys).
-	SevenPass
+	SevenPass = core.AlgSeven
 	// SixPassExpected is the Section 6.2 algorithm (6 passes w.h.p.).
-	SixPassExpected
+	SixPassExpected = core.AlgSix
 	// SevenPassMesh is the mesh-based seven-pass variant realizing the
 	// paper's Section 6.2 Remark (mesh superruns under the LMM outer
 	// merge; 7 passes, ≤ M² keys).
-	SevenPassMesh
+	SevenPassMesh = core.AlgSevenMesh
 	// MemOnePass is the planner's degenerate regime: N ≤ M sorts in a
 	// single load-sort-store (one read pass, one write pass).  The paper
 	// takes this case as given; Auto chooses it whenever the input fits in
 	// internal memory instead of running a multi-pass algorithm on one run.
-	MemOnePass
+	MemOnePass = core.AlgOne
 )
 
-// String names the algorithm as in the paper.
-func (alg Algorithm) String() string {
-	switch alg {
-	case Auto:
-		return "Auto"
-	case ThreePassMesh:
-		return "ThreePass1"
-	case TwoPassMeshExpected:
-		return "ExpThreePass1 (2-pass mesh)"
-	case ThreePassLMM:
-		return "ThreePass2"
-	case TwoPassExpected:
-		return "ExpectedTwoPass"
-	case ThreePassExpected:
-		return "ExpectedThreePass"
-	case SevenPass:
-		return "SevenPass"
-	case SixPassExpected:
-		return "ExpectedSixPass"
-	case SevenPassMesh:
-		return "SevenPassMesh (Remark 6.2)"
-	case MemOnePass:
-		return "OnePass (memory load)"
-	default:
-		return fmt.Sprintf("Algorithm(%d)", int(alg))
-	}
-}
-
-// ParseAlgorithm maps the CLI/service short names (auto, mesh3, mesh2e,
-// lmm3, exp2, exp3, seven, six) to Algorithm values.
+// ParseAlgorithm maps the CLI/service short names (auto, one, mesh3,
+// mesh2e, lmm3, exp2, exp3, seven, six, sevenmesh, radix) to Algorithm
+// values.  "radix" names the Section 7 RadixSort, which JobSpec.Alg and
+// pdmsort -alg accept; Machine.SortInts is its entry point, not Sort.
 func ParseAlgorithm(name string) (Algorithm, error) {
-	switch name {
-	case "auto", "":
-		return Auto, nil
-	case "mesh3":
-		return ThreePassMesh, nil
-	case "mesh2e":
-		return TwoPassMeshExpected, nil
-	case "lmm3":
-		return ThreePassLMM, nil
-	case "exp2":
-		return TwoPassExpected, nil
-	case "exp3":
-		return ThreePassExpected, nil
-	case "seven":
-		return SevenPass, nil
-	case "six":
-		return SixPassExpected, nil
-	case "sevenmesh":
-		return SevenPassMesh, nil
-	case "one":
-		return MemOnePass, nil
-	default:
-		return 0, fmt.Errorf("repro: unknown algorithm %q (want auto|one|mesh3|mesh2e|lmm3|exp2|exp3|seven|six|sevenmesh)", name)
+	alg, err := core.ParseAlg(name)
+	if err != nil {
+		return alg, fmt.Errorf("repro: %w", err)
 	}
-}
-
-// planAlg maps the facade enum onto the planner's candidate names (the
-// same short spellings ParseAlgorithm accepts).
-func (alg Algorithm) planAlg() plan.Alg {
-	switch alg {
-	case ThreePassMesh:
-		return plan.Mesh3
-	case TwoPassMeshExpected:
-		return plan.Mesh2e
-	case ThreePassLMM:
-		return plan.LMM3
-	case TwoPassExpected:
-		return plan.Exp2
-	case ThreePassExpected:
-		return plan.Exp3
-	case SevenPass:
-		return plan.Seven
-	case SixPassExpected:
-		return plan.Six
-	case SevenPassMesh:
-		return plan.SevenMesh
-	case MemOnePass:
-		return plan.OnePass
-	default:
-		return ""
-	}
-}
-
-// algFromPlan is planAlg's inverse; ok is false for plan.Radix, which is
-// not an Algorithm (SortInts is its entry point).
-func algFromPlan(a plan.Alg) (Algorithm, bool) {
-	switch a {
-	case plan.Mesh3:
-		return ThreePassMesh, true
-	case plan.Mesh2e:
-		return TwoPassMeshExpected, true
-	case plan.LMM3:
-		return ThreePassLMM, true
-	case plan.Exp2:
-		return TwoPassExpected, true
-	case plan.Exp3:
-		return ThreePassExpected, true
-	case plan.Seven:
-		return SevenPass, true
-	case plan.Six:
-		return SixPassExpected, true
-	case plan.SevenMesh:
-		return SevenPassMesh, true
-	case plan.OnePass:
-		return MemOnePass, true
-	default:
-		return 0, false
-	}
+	return alg, nil
 }
 
 // MachineConfig describes the simulated PDM.
@@ -234,89 +140,42 @@ type MachineConfig struct {
 }
 
 // PipelineConfig sizes the streaming I/O layer.  Depths are in stripes
-// (Disks·√Memory keys each); the staging comes out of the machine's metered
-// internal memory, on top of the algorithms' own envelope.  Zero depths
-// mean fully synchronous I/O.
-type PipelineConfig struct {
-	// Prefetch is the number of stripe buffers a streamed read may run
-	// ahead of the consumer.
-	Prefetch int
-	// WriteBehind is the number of stripe buffers a streamed write may lag
-	// behind the producer.
-	WriteBehind int
-}
+// (Disks·√Memory keys each): Prefetch is how many stripe buffers a streamed
+// read may run ahead of the consumer, WriteBehind how many a streamed write
+// may lag behind the producer.  The staging comes out of the machine's
+// metered internal memory, on top of the algorithms' own envelope.  Zero
+// depths mean fully synchronous I/O.
+type PipelineConfig = pdm.PipelineConfig
 
 // Disk backend names for MachineConfig.Backend, SchedulerConfig.Backend,
-// and JobSpec.Backend.
+// and JobSpec.Backend (internal/pdm's Backend values, parsed in one place
+// when the machine geometry is resolved).
 const (
 	// BackendFile is the read/write-syscall file backend (pdm.FileDisk).
-	BackendFile = "file"
+	BackendFile = string(pdm.BackendFile)
 	// BackendMmap is the memory-mapped file backend (pdm.MmapDisk).
-	BackendMmap = "mmap"
+	BackendMmap = string(pdm.BackendMmap)
 )
 
-// validBackend reports whether name is a recognized backend selector
-// (empty means the default for the machine's Dir setting).
-func validBackend(name string) bool {
-	return name == "" || name == BackendFile || name == BackendMmap
-}
-
-// backendKind maps a facade backend selector onto the planner's kind.
-func backendKind(fileBacked bool, backend string) plan.Backend {
-	if !fileBacked {
-		return plan.BackendMem
-	}
-	if backend == BackendMmap {
-		return plan.BackendMmap
-	}
-	return plan.BackendFile
-}
-
 // Compute kernel names for MachineConfig.Kernel, SchedulerConfig.Kernel,
-// and JobSpec.Kernel.
+// and JobSpec.Kernel (internal/par's Kernel values, parsed in one place
+// when the machine geometry is resolved).
 const (
 	// KernelAuto picks deterministically from the machine shape (the
 	// memory-load size); the empty string means the same.
 	KernelAuto = "auto"
 	// KernelComparison is the comparison introsort kernel.
-	KernelComparison = "comparison"
+	KernelComparison = string(par.KernelComparison)
 	// KernelRadix is the LSD byte-radix kernel.
-	KernelRadix = "radix"
+	KernelRadix = string(par.KernelRadix)
 )
-
-// validKernel reports whether name is a recognized kernel selector (empty
-// means Auto).
-func validKernel(name string) bool {
-	return name == "" || name == KernelAuto || name == KernelComparison || name == KernelRadix
-}
-
-// kernelKind resolves a facade kernel selector onto the planner's concrete
-// kernel: Auto (and the empty string) resolve through plan.ChooseKernel, the
-// single deterministic Auto rule, from the memory-load size alone.
-func kernelKind(kernel string, mem int) plan.Kernel {
-	switch kernel {
-	case KernelComparison:
-		return plan.KernelComparison
-	case KernelRadix:
-		return plan.KernelRadix
-	default:
-		return plan.ChooseKernel(plan.Shape{Mem: mem})
-	}
-}
-
-// parKernelOf maps the planner's kernel onto the worker pool's enum.
-func parKernelOf(k plan.Kernel) par.Kernel {
-	if k == plan.KernelRadix {
-		return par.KernelRadix
-	}
-	return par.KernelComparison
-}
 
 // Machine is a PDM plus the paper's algorithm suite.
 type Machine struct {
-	a     *pdm.Array
-	alpha float64
-	cfg   MachineConfig
+	a       *pdm.Array
+	alpha   float64
+	backend pdm.Backend
+	cfg     MachineConfig
 }
 
 // ErrKeyRange is returned when input keys collide with the reserved
@@ -332,34 +191,22 @@ func NewMachine(cfg MachineConfig) (*Machine, error) {
 // shared cross-job limiter — the constructor the scheduler builds per-job
 // machines with.
 func newMachine(cfg MachineConfig, lim *par.Limiter) (*Machine, error) {
-	pcfg, alpha, err := resolveConfig(cfg)
+	pcfg, backend, alpha, err := resolveConfig(cfg)
 	if err != nil {
 		return nil, err
 	}
 	pcfg.Limiter = lim
 	var disks []pdm.Disk
-	if cfg.Dir != "" {
-		switch {
-		case cfg.ReuseDisks && cfg.Backend == BackendMmap:
-			return nil, fmt.Errorf("repro: ReuseDisks requires the file backend, not %q", cfg.Backend)
-		case cfg.ReuseDisks:
-			disks, err = pdm.OpenFileDisks(cfg.Dir, pcfg.D, pcfg.B)
-		case cfg.Backend == BackendMmap:
-			disks, err = pdm.NewMmapDisks(cfg.Dir, pcfg.D, pcfg.B)
-		default:
-			disks, err = pdm.NewFileDisks(cfg.Dir, pcfg.D, pcfg.B)
-		}
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		if cfg.ReuseDisks {
-			return nil, fmt.Errorf("repro: ReuseDisks requires Dir")
-		}
-		if cfg.Backend != "" {
-			return nil, fmt.Errorf("repro: Backend = %q requires Dir (in-memory machines have no disk backend)", cfg.Backend)
-		}
-		disks = pdm.NewMemDisks(pcfg.D, pcfg.B)
+	switch {
+	case !cfg.ReuseDisks:
+		disks, err = backend.NewDisks(cfg.Dir, pcfg.D, pcfg.B)
+	case backend != pdm.BackendFile:
+		return nil, fmt.Errorf("repro: ReuseDisks requires Dir and the file backend, not %q", backend)
+	default:
+		disks, err = pdm.OpenFileDisks(cfg.Dir, pcfg.D, pcfg.B)
+	}
+	if err != nil {
+		return nil, err
 	}
 	if cfg.BlockLatency > 0 {
 		for i, d := range disks {
@@ -370,45 +217,39 @@ func newMachine(cfg MachineConfig, lim *par.Limiter) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Machine{a: a, alpha: alpha, cfg: cfg}, nil
+	return &Machine{a: a, alpha: alpha, backend: backend, cfg: cfg}, nil
 }
 
 // resolveConfig validates cfg and resolves it to the pdm configuration
-// (without backend-specific fields) plus the effective alpha.  The
-// scheduler uses it at submit time to size a job's memory envelope before
-// any resources exist.
-func resolveConfig(cfg MachineConfig) (pdm.Config, float64, error) {
+// (kernel resolved from the memory-load size, no disks yet), the disk
+// backend kind, and the effective alpha.  It is the one place the Backend
+// and Kernel selector strings are parsed.  The scheduler uses it at submit
+// time to size a job's memory envelope before any resources exist.
+func resolveConfig(cfg MachineConfig) (pcfg pdm.Config, backend pdm.Backend, alpha float64, err error) {
 	b := memsort.Isqrt(cfg.Memory)
 	if b*b != cfg.Memory {
-		return pdm.Config{}, 0, fmt.Errorf("repro: Memory = %d is not a perfect square", cfg.Memory)
+		return pcfg, "", 0, fmt.Errorf("repro: Memory = %d is not a perfect square", cfg.Memory)
 	}
 	d := cfg.Disks
 	if d == 0 {
-		d = b / 4
-		if d == 0 {
-			d = 1
-		}
+		d = max(b/4, 1)
 	}
 	if b%d != 0 {
-		return pdm.Config{}, 0, fmt.Errorf("repro: Disks = %d does not divide sqrt(Memory) = %d", d, b)
+		return pcfg, "", 0, fmt.Errorf("repro: Disks = %d does not divide sqrt(Memory) = %d", d, b)
 	}
-	if !validBackend(cfg.Backend) {
-		return pdm.Config{}, 0, fmt.Errorf("repro: unknown backend %q (want %q or %q)", cfg.Backend, BackendFile, BackendMmap)
+	if backend, err = pdm.ParseBackend(cfg.Backend, cfg.Dir != ""); err != nil {
+		return pcfg, "", 0, fmt.Errorf("repro: %w", err)
 	}
-	if !validKernel(cfg.Kernel) {
-		return pdm.Config{}, 0, fmt.Errorf("repro: unknown kernel %q (want %q, %q, or %q)", cfg.Kernel, KernelAuto, KernelComparison, KernelRadix)
+	kernel, err := par.ParseKernel(cfg.Kernel)
+	if err != nil {
+		return pcfg, "", 0, fmt.Errorf("repro: %w", err)
 	}
-	alpha := cfg.Alpha
+	alpha = cfg.Alpha
 	if alpha == 0 {
 		alpha = 1
 	}
-	return pdm.Config{D: d, B: b, Mem: cfg.Memory,
-		Pipeline: pdm.PipelineConfig{
-			Prefetch:    cfg.Pipeline.Prefetch,
-			WriteBehind: cfg.Pipeline.WriteBehind,
-		},
-		Workers: cfg.Workers,
-		Kernel:  parKernelOf(kernelKind(cfg.Kernel, cfg.Memory))}, alpha, nil
+	return pdm.Config{D: d, B: b, Mem: cfg.Memory, Pipeline: cfg.Pipeline,
+		Workers: cfg.Workers, Kernel: kernel.Resolve(cfg.Memory)}, backend, alpha, nil
 }
 
 // Array exposes the underlying PDM array for harnesses that need direct
@@ -424,94 +265,19 @@ func (m *Machine) Kernel() string { return m.a.Pool().Kernel().String() }
 // disk for inspection).
 func (m *Machine) Close() error { return m.a.Close() }
 
-// Report describes one sorting run.
-type Report struct {
-	// Algorithm is the algorithm that produced the result (the concrete
-	// choice when Auto was requested).
-	Algorithm Algorithm
-	// N is the number of user keys sorted (before padding).
-	N int
-	// Passes, ReadPasses and WritePasses are measured in the paper's
-	// currency over the padded length.
-	Passes      float64
-	ReadPasses  float64
-	WritePasses float64
-	// FellBack reports that a probabilistic algorithm detected a cleanup
-	// overflow and re-sorted with its deterministic fallback.
-	FellBack bool
-	// IO is the raw I/O accounting.
-	IO pdm.Stats
-	// PaddedN is the on-disk length after padding to the algorithm's
-	// geometry (sentinel keys are stripped from the returned data).
-	PaddedN int
-	// Pipeline observability (all zero when the machine runs synchronous
-	// I/O).  PrefetchHits counts streamed read chunks whose data had
-	// already landed when the algorithm asked for them, PrefetchStalls
-	// those it had to wait for; WriteStalls counts streamed writes that
-	// waited for staging.  Overlap = hits/(hits+stalls) — the fraction of
-	// read latency the pipeline hid (1 when nothing streamed).
-	PrefetchHits   int64
-	PrefetchStalls int64
-	WriteStalls    int64
-	Overlap        float64
-	// Compute observability (all zero/1 when the machine runs a single
-	// worker or the inputs are too small to parallelize).  Workers is the
-	// machine's resolved worker-pool width; ComputeSeconds the wall time
-	// spent inside parallel compute sections; WorkerUtilization the busy
-	// fraction of the pool over those sections.  Like the pipeline
-	// counters, these are scheduling-dependent and excluded from the
-	// bit-identical determinism guarantee.
-	Workers           int
-	ComputeSeconds    float64
-	WorkerUtilization float64
-	// Scenario names the query scenario that produced this report ("topk",
-	// "quantile", "groupby", "ingest"; empty for plain sorts) and
-	// ScenarioRoute the strategy it ran ("filter", "onepass", "partition",
-	// "merge", or "fullsort" when the planner priced the scenario out or a
-	// sampling miss fell back — the FellBack flag distinguishes the two).
-	Scenario      string
-	ScenarioRoute string
-	// Records observability (SortRecords and SortPairs only; zero for the
-	// key-only entry points).  KeyRounds counts the packed key+index sorts
-	// the record sort ran (1 unless keys needed all 64 bits, in which case
-	// it is the number of LSD digit rounds); PayloadWords is the payload
-	// volume, in 8-byte words, the external permutation moved; and
-	// PermutePasses prices that movement in the paper's currency — charged
-	// parallel steps times the stripe width over the padded payload store.
-	// The permutation's raw I/O is folded into IO; Passes/ReadPasses/
-	// WritePasses remain the key sort's counts.
-	KeyRounds     int
-	PayloadWords  int
-	PermutePasses float64
-}
-
-// pipelineMetrics fills the Report's overlap and compute counters from the
-// measured I/O delta.
-func (r *Report) pipelineMetrics(io pdm.Stats, workers int) {
-	r.PrefetchHits = io.PrefetchHits
-	r.PrefetchStalls = io.PrefetchStalls
-	r.WriteStalls = io.WriteBehindStalls
-	r.Overlap = io.Overlap()
-	r.Workers = workers
-	r.ComputeSeconds = io.ComputeSeconds()
-	r.WorkerUtilization = io.WorkerUtilization(workers)
-}
+// Report describes one sorting run (see internal/wire for the fields);
+// Algorithm serializes as its short name.
+type Report = wire.Report
 
 // Capacity returns the largest number of keys the given algorithm sorts on
 // this machine within its advertised pass count (for the probabilistic
 // algorithms, the largest size whose Lemma 4.2 window still fits, i.e. the
 // reliable regime at the machine's α).
 func (m *Machine) Capacity(alg Algorithm) int {
-	return capacityFor(m.a.Mem(), m.alpha, alg)
-}
-
-// capacityFor is Capacity as a pure function of the geometry, shared with
-// the scheduler's submit-time planning.
-func capacityFor(mem int, alpha float64, alg Algorithm) int {
 	if alg == Auto {
-		return mem * mem
+		return m.a.Mem() * m.a.Mem()
 	}
-	return plan.Capacity(mem, alpha, alg.planAlg())
+	return plan.Capacity(m.a.Mem(), m.alpha, alg)
 }
 
 // Plan returns the algorithm Auto would choose for n keys: the candidate
@@ -527,18 +293,13 @@ func (m *Machine) Plan(n int) Algorithm {
 // planFor is Plan as a pure function of the geometry, shared with the
 // scheduler's submit-time planning.
 func planFor(mem, d int, alpha float64, n int) Algorithm {
-	shape := planShape(mem, d, alpha)
-	chosen, err := plan.Choose(shape, plan.Workload{N: n})
+	chosen, err := plan.Choose(planShape(mem, d, alpha), plan.Workload{N: n})
 	if err != nil {
 		// Beyond every capacity; Sort will fail with the M² message.  The
 		// seven-pass algorithm is the paper's last resort either way.
 		return SevenPass
 	}
-	alg, ok := algFromPlan(chosen)
-	if !ok {
-		return SevenPass
-	}
-	return alg
+	return chosen
 }
 
 // planShape builds the planner's machine shape from the resolved geometry.
@@ -551,57 +312,49 @@ func planShape(mem, d int, alpha float64) plan.Shape {
 // MaxInt64 sentinels (hence ErrKeyRange if any key equals MaxInt64) and the
 // padding is stripped before returning.
 func (m *Machine) Sort(keys []int64, alg Algorithm) (*Report, error) {
-	for _, k := range keys {
-		if k == math.MaxInt64 {
-			return nil, ErrKeyRange
-		}
+	if err := checkKeys(keys); err != nil {
+		return nil, err
 	}
 	if alg == Auto {
 		alg = m.Plan(len(keys))
 	}
-	padded, err := m.padFor(alg, len(keys))
+	padded, err := padForSize(m.a.Mem(), alg, len(keys))
 	if err != nil {
 		return nil, err
 	}
 	if padded > m.a.Mem()*m.a.Mem() {
 		return nil, fmt.Errorf("repro: %d keys exceed the machine's M^2 = %d capacity", len(keys), m.a.Mem()*m.a.Mem())
 	}
-	data := make([]int64, padded)
-	copy(data, keys)
-	for i := len(keys); i < padded; i++ {
-		data[i] = math.MaxInt64
+	return m.sortPadded(keys, padded, math.MaxInt64, alg, alg.Run)
+}
+
+// SortInts sorts nonnegative integer keys below universe with the paper's
+// Section 7 RadixSort (O(1) passes for any input size).
+func (m *Machine) SortInts(keys []int64, universe int64) (*Report, error) {
+	for _, k := range keys {
+		if k < 0 || k >= universe {
+			return nil, fmt.Errorf("repro: key %d outside [0, %d)", k, universe)
+		}
 	}
-	in, err := m.a.NewStripe(padded)
+	// Pad with universe-1 sentinels (largest value) to a block multiple.
+	b := m.a.B()
+	padded := memsort.CeilDiv(len(keys), b) * b
+	return m.sortPadded(keys, padded, universe-1, Auto, func(a *pdm.Array, in *pdm.Stripe) (*core.Result, error) {
+		return core.RadixSort(a, in, universe)
+	})
+}
+
+// sortPadded is the body Sort and SortInts share: stage keys on a fresh
+// stripe padded to padded with sentinel, run the sort, and copy the sorted
+// prefix back over keys.  alg is what the Report names.
+func (m *Machine) sortPadded(keys []int64, padded int, sentinel int64, alg Algorithm,
+	run func(*pdm.Array, *pdm.Stripe) (*core.Result, error)) (*Report, error) {
+	in, err := m.loadPadded(keys, padded, sentinel)
 	if err != nil {
 		return nil, err
 	}
 	defer in.Free()
-	if err := in.Load(data); err != nil {
-		return nil, err
-	}
-	var res *core.Result
-	switch alg {
-	case ThreePassMesh:
-		res, err = core.ThreePass1(m.a, in)
-	case TwoPassMeshExpected:
-		res, err = core.ExpTwoPassMesh(m.a, in)
-	case ThreePassLMM:
-		res, err = core.ThreePass2(m.a, in)
-	case TwoPassExpected:
-		res, err = core.ExpectedTwoPass(m.a, in)
-	case ThreePassExpected:
-		res, err = core.ExpectedThreePass(m.a, in)
-	case SevenPass:
-		res, err = core.SevenPass(m.a, in)
-	case SixPassExpected:
-		res, err = core.ExpectedSixPass(m.a, in)
-	case SevenPassMesh:
-		res, err = core.SevenPassMesh(m.a, in)
-	case MemOnePass:
-		res, err = core.OnePass(m.a, in)
-	default:
-		return nil, fmt.Errorf("repro: unknown algorithm %v", alg)
-	}
+	res, err := run(m.a, in)
 	if err != nil {
 		return nil, err
 	}
@@ -621,73 +374,17 @@ func (m *Machine) Sort(keys []int64, alg Algorithm) (*Report, error) {
 		IO:          res.IO,
 		PaddedN:     padded,
 	}
-	rep.pipelineMetrics(res.IO, m.a.Workers())
+	rep.Observe(res.IO, m.a.Workers())
 	return rep, nil
 }
 
-// SortInts sorts nonnegative integer keys below universe with the paper's
-// Section 7 RadixSort (O(1) passes for any input size).
-func (m *Machine) SortInts(keys []int64, universe int64) (*Report, error) {
-	for _, k := range keys {
-		if k < 0 || k >= universe {
-			return nil, fmt.Errorf("repro: key %d outside [0, %d)", k, universe)
-		}
-	}
-	// Pad with universe-1 sentinels (largest value) to a stripe multiple.
-	b := m.a.B()
-	padded := memsort.CeilDiv(len(keys), b) * b
-	data := make([]int64, padded)
-	copy(data, keys)
-	for i := len(keys); i < padded; i++ {
-		data[i] = universe - 1
-	}
-	in, err := m.a.NewStripe(padded)
-	if err != nil {
-		return nil, err
-	}
-	defer in.Free()
-	if err := in.Load(data); err != nil {
-		return nil, err
-	}
-	res, err := core.RadixSort(m.a, in, universe)
-	if err != nil {
-		return nil, err
-	}
-	defer res.Out.Free()
-	out, err := res.Out.Unload()
-	if err != nil {
-		return nil, err
-	}
-	copy(keys, out[:len(keys)])
-	rep := &Report{
-		Algorithm:   Auto,
-		N:           len(keys),
-		Passes:      res.Passes,
-		ReadPasses:  res.ReadPasses,
-		WritePasses: res.WritePasses,
-		IO:          res.IO,
-		PaddedN:     padded,
-	}
-	rep.pipelineMetrics(res.IO, m.a.Workers())
-	return rep, nil
-}
-
-// padFor returns the smallest on-disk length ≥ n satisfying the
-// algorithm's geometry.
-func (m *Machine) padFor(alg Algorithm, n int) (int, error) {
-	return padForSize(m.a.Mem(), alg, n)
-}
-
-// padForSize is padFor as a pure function of the geometry, shared with the
-// scheduler's submit-time disk-envelope sizing.  The geometry rules live
-// in the planner (internal/plan), which predicts cost from the same padded
-// lengths the sort will actually use.
+// padForSize returns the smallest on-disk length ≥ n satisfying alg's
+// geometry on an M-key machine, shared with the scheduler's submit-time
+// disk-envelope sizing.  The geometry rules live in the planner
+// (internal/plan), which predicts cost from the same padded lengths the
+// sort will actually use.
 func padForSize(mem int, alg Algorithm, n int) (int, error) {
-	pa := alg.planAlg()
-	if pa == "" {
-		return 0, fmt.Errorf("repro: unknown algorithm %v", alg)
-	}
-	padded, err := plan.PadFor(mem, pa, n)
+	padded, err := plan.PadFor(mem, alg, n)
 	if err != nil {
 		return 0, fmt.Errorf("repro: %d keys do not fit %v: %w", n, alg, err)
 	}

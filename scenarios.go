@@ -207,17 +207,17 @@ func (m *Machine) scenarioReport(kind, route string, n, paddedN int, io pdm.Stat
 		Scenario:      kind,
 		ScenarioRoute: route,
 	}
-	rep.pipelineMetrics(io, m.a.Workers())
+	rep.Observe(io, m.a.Workers())
 	return rep
 }
 
 // loadPadded loads data onto a fresh stripe padded to pad keys with
-// MaxInt64 sentinels (uncharged, like Sort's input staging).
-func (m *Machine) loadPadded(data []int64, pad int) (*pdm.Stripe, error) {
+// sentinel (uncharged input staging, for Sort and the scenarios alike).
+func (m *Machine) loadPadded(data []int64, pad int, sentinel int64) (*pdm.Stripe, error) {
 	buf := make([]int64, pad)
 	copy(buf, data)
 	for i := len(data); i < pad; i++ {
-		buf[i] = math.MaxInt64
+		buf[i] = sentinel
 	}
 	s, err := m.a.NewStripe(pad)
 	if err != nil {
@@ -252,7 +252,7 @@ func (m *Machine) TopK(keys []int64, k int) ([]int64, *Report, error) {
 	threshold := thresholdAt(sampleKeys(keys), n, k+plan.SelectDelta(n, k))
 
 	st0 := m.a.Stats()
-	in, err := m.loadPadded(keys, p.PaddedN)
+	in, err := m.loadPadded(keys, p.PaddedN, math.MaxInt64)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -342,7 +342,7 @@ func (m *Machine) Quantile(keys []int64, r int) (int64, *Report, error) {
 	hi := thresholdAt(sample, n, r+delta)
 
 	st0 := m.a.Stats()
-	in, err := m.loadPadded(keys, p.PaddedN)
+	in, err := m.loadPadded(keys, p.PaddedN, math.MaxInt64)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -415,7 +415,7 @@ func (m *Machine) GroupBy(keys, payloads []int64, groups int) ([]GroupAgg, *Repo
 	cap := plan.GroupCap(m.a.Mem())
 
 	st0 := m.a.Stats()
-	in, err := m.loadPadded(pairs, p.PaddedN)
+	in, err := m.loadPadded(pairs, p.PaddedN, math.MaxInt64)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -545,12 +545,12 @@ func (m *Machine) Ingest(dataset, batch []int64) ([]int64, *Report, error) {
 		return nil, nil, err
 	}
 	stripe := m.a.StripeWidth()
-	x, err := m.loadPadded(dataset, padStripeUp(n, stripe))
+	x, err := m.loadPadded(dataset, padStripeUp(n, stripe), math.MaxInt64)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer x.Free()
-	y, err := m.loadPadded(sortedBatch, padStripeUp(len(batch), stripe))
+	y, err := m.loadPadded(sortedBatch, padStripeUp(len(batch), stripe), math.MaxInt64)
 	if err != nil {
 		return nil, nil, err
 	}

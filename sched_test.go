@@ -40,7 +40,7 @@ func schedCases() []schedCase {
 		{name: "mesh2e/sortedruns", alg: TwoPassMeshExpected, keys: workload.SortedRuns(8*m, 256, 7)},
 		{name: "sevenmesh/zipf", alg: SevenPassMesh, keys: workload.ZipfSkewed(16*m, 1.5, 4000, 8)},
 		{name: "auto/nearlysorted", alg: Auto, keys: workload.NearlySorted(16*m, 64, 9)},
-		{name: "radix/uniform", universe: 1 << 20, keys: workload.Uniform(9000, 0, (1<<20)-1, 10)},
+		{name: "radix/uniform", alg: "radix", universe: 1 << 20, keys: workload.Uniform(9000, 0, (1<<20)-1, 10)},
 	}
 }
 
@@ -108,11 +108,11 @@ func TestSchedulerBitIdenticalConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			id, err := s.Submit(JobSpec{
-				Keys:      append([]int64(nil), tc.keys...),
-				Algorithm: tc.alg,
-				Universe:  tc.universe,
-				KeepKeys:  true,
-				Label:     tc.name,
+				Keys:     append([]int64(nil), tc.keys...),
+				Alg:      tc.alg,
+				Universe: tc.universe,
+				KeepKeys: true,
+				Label:    tc.name,
 			})
 			if err != nil {
 				t.Errorf("%s: submit: %v", tc.name, err)
@@ -190,19 +190,19 @@ func TestSchedulerCancelReleasesEnvelope(t *testing.T) {
 	defer s.Close()
 
 	slow, err := s.Submit(JobSpec{
-		Workload:     &WorkloadSpec{Kind: "perm", N: 16 * schedJobMem, Seed: 1},
-		Algorithm:    ThreePassLMM,
-		BlockLatency: 500 * time.Microsecond,
-		Label:        "slow",
+		Workload:       &WorkloadSpec{Kind: "perm", N: 16 * schedJobMem, Seed: 1},
+		Alg:            ThreePassLMM,
+		BlockLatencyUS: 500,
+		Label:          "slow",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	queued, err := s.Submit(JobSpec{
-		Workload:  &WorkloadSpec{Kind: "sortedruns", N: 8 * schedJobMem, Seed: 2},
-		Algorithm: TwoPassExpected,
-		KeepKeys:  true,
-		Label:     "queued",
+		Workload: &WorkloadSpec{Kind: "sortedruns", N: 8 * schedJobMem, Seed: 2},
+		Alg:      TwoPassExpected,
+		KeepKeys: true,
+		Label:    "queued",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -283,14 +283,14 @@ func TestSchedulerThroughputMixed(t *testing.T) {
 	defer s.Close()
 
 	specs := []JobSpec{
-		{Workload: &WorkloadSpec{Kind: "zipf", N: 16 * schedJobMem, Seed: 1, S: 1.2, Distinct: 900}, Algorithm: ThreePassLMM},
-		{Workload: &WorkloadSpec{Kind: "sortedruns", N: 16 * schedJobMem, Seed: 2, RunLen: 1024}, Algorithm: ThreePassMesh},
-		{Workload: &WorkloadSpec{Kind: "zipf", N: 8 * schedJobMem, Seed: 3, S: 2.0}, Algorithm: TwoPassExpected},
-		{Workload: &WorkloadSpec{Kind: "sortedruns", N: 16 * schedJobMem, Seed: 4}, Algorithm: SevenPass},
-		{Workload: &WorkloadSpec{Kind: "uniform", N: 16 * schedJobMem, Seed: 5}, Algorithm: SixPassExpected},
-		{Workload: &WorkloadSpec{Kind: "perm", N: 16 * schedJobMem, Seed: 6}, Algorithm: Auto},
-		{Workload: &WorkloadSpec{Kind: "organ", N: 8 * schedJobMem, Seed: 7}, Algorithm: TwoPassMeshExpected},
-		{Workload: &WorkloadSpec{Kind: "fewdistinct", N: 16 * schedJobMem, Seed: 8, Distinct: 40}, Algorithm: ThreePassExpected},
+		{Workload: &WorkloadSpec{Kind: "zipf", N: 16 * schedJobMem, Seed: 1, S: 1.2, Distinct: 900}, Alg: ThreePassLMM},
+		{Workload: &WorkloadSpec{Kind: "sortedruns", N: 16 * schedJobMem, Seed: 2, RunLen: 1024}, Alg: ThreePassMesh},
+		{Workload: &WorkloadSpec{Kind: "zipf", N: 8 * schedJobMem, Seed: 3, S: 2.0}, Alg: TwoPassExpected},
+		{Workload: &WorkloadSpec{Kind: "sortedruns", N: 16 * schedJobMem, Seed: 4}, Alg: SevenPass},
+		{Workload: &WorkloadSpec{Kind: "uniform", N: 16 * schedJobMem, Seed: 5}, Alg: SixPassExpected},
+		{Workload: &WorkloadSpec{Kind: "perm", N: 16 * schedJobMem, Seed: 6}, Alg: Auto},
+		{Workload: &WorkloadSpec{Kind: "organ", N: 8 * schedJobMem, Seed: 7}, Alg: TwoPassMeshExpected},
+		{Workload: &WorkloadSpec{Kind: "fewdistinct", N: 16 * schedJobMem, Seed: 8, Distinct: 40}, Alg: ThreePassExpected},
 	}
 	// The three-pass family has exact bounds; the superrun-recursive
 	// family costs more than its headline bound at these small N/M ratios
@@ -371,5 +371,23 @@ func TestSchedulerSubmitValidation(t *testing.T) {
 	}
 	if _, err := NewScheduler(SchedulerConfig{}); err == nil {
 		t.Fatal("zero memory budget accepted")
+	}
+	// JobMemory = 81 has no usable default Disks (√M/4 = 2 does not divide
+	// 9); that is a per-job matter, so the scheduler constructs and runs a
+	// job that names its own Disks.
+	odd, err := NewScheduler(SchedulerConfig{Memory: 2000, JobMemory: 81})
+	if err != nil {
+		t.Fatalf("JobMemory = 81 rejected at construction: %v", err)
+	}
+	defer odd.Close()
+	if _, err := odd.Submit(JobSpec{Keys: []int64{3, 1, 2}}); err == nil {
+		t.Fatal("default Disks = 2 accepted on a 9-key block")
+	}
+	id, err := odd.Submit(JobSpec{Keys: []int64{3, 1, 2}, Disks: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := odd.Wait(context.Background(), id); err != nil || st.State != JobDone {
+		t.Fatalf("Disks = 3 job on JobMemory = 81: %+v, %v", st, err)
 	}
 }

@@ -5,18 +5,16 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
-	"math/rand"
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/journal"
-	"repro/internal/memsort"
 	"repro/internal/pdm"
 	"repro/internal/plan"
 	"repro/internal/records"
 	"repro/internal/sched"
-	"repro/internal/workload"
+	"repro/internal/wire"
 )
 
 // Scheduler sentinel errors, re-exported from the engine so service
@@ -81,274 +79,44 @@ type SchedulerConfig struct {
 	JournalCompactBytes int64
 }
 
-// WorkloadSpec asks the service to generate a job's input instead of
-// shipping keys inline, naming a generator from the workload suite.
-type WorkloadSpec struct {
-	// Kind selects the distribution: "perm" (random permutation),
-	// "uniform", "zipf" (skewed duplicates over a scattered hot-key set),
-	// "sortedruns" (concatenation of pre-sorted runs), "sorted",
-	// "reverse", "nearlysorted", "fewdistinct", or "organ".
-	Kind string `json:"kind"`
-	// N is the number of keys.
-	N int `json:"n"`
-	// Seed makes the input reproducible.
-	Seed int64 `json:"seed"`
-	// S is the Zipf exponent for "zipf" (0 selects 1.2).
-	S float64 `json:"s,omitempty"`
-	// Distinct bounds the distinct values for "zipf" and "fewdistinct"
-	// (0 selects N/16+1).
-	Distinct int `json:"distinct,omitempty"`
-	// RunLen is the presorted-run length for "sortedruns" and the window
-	// for "nearlysorted" (0 selects √N, min 2).
-	RunLen int `json:"runlen,omitempty"`
-	// Payload, when set, attaches a generated byte payload to every key:
-	// the job becomes a full-record sort (SortRecords) whose payloads move
-	// through the external permutation pass.
-	Payload *PayloadSpec `json:"payload,omitempty"`
-}
-
-// PayloadSpec describes generated per-record payloads: each record gets a
-// deterministic pseudo-random byte string whose length is uniform in
-// [MinBytes, MaxBytes] (fixed-width when they are equal).
-type PayloadSpec struct {
-	MinBytes int `json:"minBytes"`
-	MaxBytes int `json:"maxBytes"`
-}
-
-// validate rejects unusable payload bounds at submit time.  MaxBytes also
-// bounds the job's disk envelope, so it must be explicit.
-func (ps *PayloadSpec) validate() error {
-	switch {
-	case ps.MinBytes < 0:
-		return fmt.Errorf("repro: payload minBytes = %d, want >= 0", ps.MinBytes)
-	case ps.MaxBytes < ps.MinBytes:
-		return fmt.Errorf("repro: payload maxBytes = %d below minBytes = %d", ps.MaxBytes, ps.MinBytes)
-	case ps.MaxBytes > 1<<20:
-		return fmt.Errorf("repro: payload maxBytes = %d exceeds the 1 MiB per-record cap", ps.MaxBytes)
-	}
-	return nil
-}
-
-// Materialize builds n payloads from the spec, deterministically in
-// (n, seed) — the generator records jobs use server-side, exported for
-// harnesses and benchmarks.
-func (ps *PayloadSpec) Materialize(n int, seed int64) [][]byte {
-	rng := rand.New(rand.NewSource(seed ^ 0x7061796c6f616421)) // "payload!"
-	out := make([][]byte, n)
-	for i := range out {
-		ln := ps.MinBytes
-		if ps.MaxBytes > ps.MinBytes {
-			ln += rng.Intn(ps.MaxBytes - ps.MinBytes + 1)
-		}
-		p := make([]byte, ln)
-		rng.Read(p)
-		out[i] = p
-	}
-	return out
-}
-
-// Generate materializes the described input.
-func (w *WorkloadSpec) Generate() ([]int64, error) {
-	if w.N <= 0 {
-		return nil, fmt.Errorf("repro: workload n = %d, want > 0", w.N)
-	}
-	distinct := w.Distinct
-	if distinct <= 0 {
-		distinct = w.N/16 + 1
-	}
-	runLen := w.RunLen
-	if runLen <= 0 {
-		runLen = memsort.Isqrt(w.N)
-		if runLen < 2 {
-			runLen = 2
-		}
-	}
-	s := w.S
-	if !(s > 1) {
-		s = 1.2 // rand.NewZipf requires s > 1; clamp untrusted input
-	}
-	switch w.Kind {
-	case "perm", "":
-		return workload.Perm(w.N, w.Seed), nil
-	case "uniform":
-		return workload.Uniform(w.N, -1<<40, 1<<40, w.Seed), nil
-	case "zipf":
-		return workload.ZipfSkewed(w.N, s, distinct, w.Seed), nil
-	case "sortedruns":
-		return workload.SortedRuns(w.N, runLen, w.Seed), nil
-	case "sorted":
-		return workload.Sorted(w.N), nil
-	case "reverse":
-		return workload.ReverseSorted(w.N), nil
-	case "nearlysorted":
-		return workload.NearlySorted(w.N, runLen, w.Seed), nil
-	case "fewdistinct":
-		return workload.FewDistinct(w.N, distinct, w.Seed), nil
-	case "organ":
-		return workload.Organ(w.N), nil
-	default:
-		return nil, fmt.Errorf("repro: unknown workload kind %q", w.Kind)
-	}
-}
-
-// JobSpec describes one sort job.
-type JobSpec struct {
-	// Keys is the inline input.  The scheduler takes ownership and sorts
-	// it in place (no private copy), so callers must not touch the slice
-	// until the job finishes.  Exactly one of Keys and Workload is set.
-	Keys []int64 `json:"keys,omitempty"`
-	// Payloads, when set alongside Keys, makes the job a full-record sort:
-	// Payloads[i] rides with Keys[i] through SortRecords and the external
-	// permutation pass.  len(Payloads) must equal len(Keys).  The
-	// scheduler takes ownership, exactly as with Keys.
-	Payloads [][]byte `json:"payloads,omitempty"`
-	// Workload generates the input server-side (including per-record
-	// payloads when Workload.Payload is set).
-	Workload *WorkloadSpec `json:"workload,omitempty"`
-	// Algorithm selects the paper algorithm (Auto plans from N).  Ignored
-	// when Universe is set.
-	Algorithm Algorithm `json:"-"`
-	// Universe, when positive, sorts with the Section 7 RadixSort over
-	// [0, Universe) instead of a comparison algorithm.
-	Universe int64 `json:"universe,omitempty"`
-	// Memory and Disks give the job its machine geometry (0 = scheduler
-	// defaults).
-	Memory int `json:"memory,omitempty"`
-	Disks  int `json:"disks,omitempty"`
-	// Workers is the job's fan-out width (0 = the scheduler's Workers);
-	// execution is arbitrated by the shared limiter either way.
-	Workers int `json:"workers,omitempty"`
-	// Pipeline overrides the scheduler's default streaming depth.
-	Pipeline *PipelineConfig `json:"pipeline,omitempty"`
-	// Backend overrides the scheduler's disk backend for this job ("file"
-	// or "mmap"); only valid on a file-backed scheduler.
-	Backend string `json:"backend,omitempty"`
-	// Kernel overrides the scheduler's compute kernel for this job
-	// ("auto", "comparison", or "radix").  Wall-clock only: the sorted
-	// output and every statistic are bit-identical across kernels.
-	Kernel string `json:"kernel,omitempty"`
-	// BlockLatency models per-block device latency on the job's disks.
-	BlockLatency time.Duration `json:"-"`
-	// KeepKeys retains the sorted output for SortedKeys until the
-	// scheduler is closed.
-	KeepKeys bool `json:"keepKeys,omitempty"`
-	// Label tags the job in status reports.
-	Label string `json:"label,omitempty"`
-
-	// Scenario, when set, makes this a query-scenario job instead of a
-	// sort: "topk", "quantile", "groupby", or "ingest" over Keys (or the
-	// workload-generated input).  The machine prices the scenario route
-	// against the full sort and runs whichever is cheaper; the result is
-	// read back with ScenarioResult.  Scenario jobs exclude Universe and
-	// byte Payloads.
-	Scenario string `json:"scenario,omitempty"`
-	// TopK is the top-K count (Scenario "topk").
-	TopK int `json:"topK,omitempty"`
-	// Rank is the 1-indexed target rank (Scenario "quantile").
-	Rank int `json:"rank,omitempty"`
-	// Groups hints the distinct group count for route planning (Scenario
-	// "groupby"; <= 0 plans for the worst case).
-	Groups int `json:"groups,omitempty"`
-	// GroupPayloads is the optional aggregation payload column (Scenario
-	// "groupby"): GroupPayloads[i] rides with Keys[i].  Requires inline
-	// Keys of the same length.
-	GroupPayloads []int64 `json:"groupPayloads,omitempty"`
-	// IngestBatch is the new batch folded into the sorted Keys dataset
-	// (Scenario "ingest").  Keys must already be ascending.
-	IngestBatch []int64 `json:"ingestBatch,omitempty"`
-}
-
-// JobState is a job's lifecycle position as the service reports it.
-type JobState string
+// The job descriptor and the status shapes are declared once, in
+// internal/wire, and re-exported here under their public names.
+type (
+	// JobSpec describes one job — a sort or a query scenario: the value
+	// Submit takes, the POST /jobs body, and the journal's submission
+	// record.  JobSpec.Validate holds the cross-field rules.
+	JobSpec = wire.JobSpec
+	// WorkloadSpec asks the service to generate a job's input instead of
+	// shipping keys inline, naming a generator from the workload suite.
+	WorkloadSpec = wire.WorkloadSpec
+	// PayloadSpec describes generated per-record payloads.
+	PayloadSpec = wire.PayloadSpec
+	// JobState is a job's lifecycle position as the service reports it.
+	JobState = wire.JobState
+	// JobStatus is a point-in-time snapshot of one job.
+	JobStatus = wire.JobStatus
+	// RecoveryInfo records a job's provenance when it came out of the
+	// journal instead of a live submission.
+	RecoveryInfo = wire.RecoveryInfo
+	// PlannedJob summarizes the planner's view of a job.
+	PlannedJob = wire.PlannedJob
+	// SchedHealth is the cheap liveness snapshot pdmd serves as GET
+	// /healthz, carrying the default job geometry a distributed-sort
+	// coordinator needs to plan shards for this node.
+	SchedHealth = wire.Health
+)
 
 // The job states.
 const (
-	JobQueued   JobState = "queued"
-	JobRunning  JobState = "running"
-	JobDone     JobState = "done"
-	JobFailed   JobState = "failed"
-	JobCanceled JobState = "canceled"
+	JobQueued   = wire.JobQueued
+	JobRunning  = wire.JobRunning
+	JobDone     = wire.JobDone
+	JobFailed   = wire.JobFailed
+	JobCanceled = wire.JobCanceled
 	// JobSuspended marks a job Drain stopped at a pass checkpoint; its
 	// scratch and journal records survive for the next life to resume.
-	JobSuspended JobState = "suspended"
+	JobSuspended = wire.JobSuspended
 )
-
-// RecoveryInfo records a job's provenance when it came out of the
-// journal instead of a live submission.
-type RecoveryInfo struct {
-	// RecoveredAt is when this scheduler life replayed the job.
-	RecoveredAt time.Time `json:"recoveredAt"`
-	// WasRunning reports the job had been admitted before the previous
-	// life ended.
-	WasRunning bool `json:"wasRunning"`
-	// ResumedFromPass is the checkpointed pass the rerun actually resumed
-	// from (0 until the rerun consumes the manifest, or when it never
-	// does).
-	ResumedFromPass int `json:"resumedFromPass,omitempty"`
-	// RestartedFromInput reports that a formerly-running job could not use
-	// its manifest — missing, invalid, or pointing at unusable scratch —
-	// and was re-sorted from the input instead.
-	RestartedFromInput bool `json:"restartedFromInput,omitempty"`
-}
-
-// JobStatus is a point-in-time snapshot of one job.
-type JobStatus struct {
-	ID        int      `json:"id"`
-	Label     string   `json:"label,omitempty"`
-	State     JobState `json:"state"`
-	Algorithm string   `json:"algorithm"`
-	// Scenario names the query-scenario kind for scenario jobs ("" for
-	// sorts); Algorithm then names the sort the job would fall back to.
-	Scenario string `json:"scenario,omitempty"`
-	N        int    `json:"n"`
-	Error    string `json:"error,omitempty"`
-
-	Submitted time.Time `json:"submitted"`
-	Started   time.Time `json:"started,omitzero"`
-	Finished  time.Time `json:"finished,omitzero"`
-
-	// Report is the final sorting report (Done jobs only).
-	Report *Report `json:"report,omitempty"`
-
-	// MemReserved and DiskReserved are the admitted envelope;
-	// DiskFootprint is the high-water scratch the job actually touched,
-	// and ArenaLeak the job machine's arena in-use count at exit — always
-	// zero, including for canceled jobs, or the envelope accounting is
-	// broken.
-	MemReserved   int `json:"memReserved"`
-	DiskReserved  int `json:"diskReserved"`
-	DiskFootprint int `json:"diskFootprint,omitempty"`
-	ArenaLeak     int `json:"arenaLeak,omitempty"`
-
-	// CleanupError reports a scratch-directory removal failure at job
-	// teardown: the envelope was released but the directory leaked.
-	CleanupError string `json:"cleanupError,omitempty"`
-
-	// Planned is the cost model's prediction for the algorithm the job
-	// runs, recorded when the job starts; MeasuredSeconds is the sort's
-	// actual wall time and PredictionError the signed relative drift
-	// (measured − predicted)/predicted, both set when the job completes.
-	// Together they make calibration drift visible per job (aggregate
-	// drift is in cmd/benchjson's prediction series).
-	Planned         *PlannedJob `json:"planned,omitempty"`
-	MeasuredSeconds float64     `json:"measuredSeconds,omitempty"`
-	PredictionError float64     `json:"predictionError,omitempty"`
-
-	// Recovery is set on jobs this scheduler life replayed from the
-	// journal: whether they had been running, and whether the rerun
-	// resumed from a checkpointed pass or restarted from the input.
-	Recovery *RecoveryInfo `json:"recovery,omitempty"`
-}
-
-// PlannedJob summarizes the planner's view of a job: the algorithm it
-// runs, the predicted wall seconds and read passes, and whether the
-// pricing came from a measured probe (vs the analytic default).
-type PlannedJob struct {
-	Algorithm        string  `json:"algorithm"`
-	PredictedSeconds float64 `json:"predictedSeconds"`
-	PredictedPasses  float64 `json:"predictedPasses"`
-	Probed           bool    `json:"probed"`
-}
 
 // SchedStats aggregates the scheduler's state and the finished jobs'
 // reports for the service's stats and metrics endpoints.
@@ -424,12 +192,9 @@ type aggregate struct {
 
 // schedJob pairs the engine handle with the facade-side result state.
 type schedJob struct {
-	spec      JobSpec
-	alg       Algorithm
-	n         int
-	isRecords bool
-	presorted float64
-	handle    *sched.Job
+	spec JobSpec
+	*jobResolution
+	handle *sched.Job
 	// resume is the validated checkpoint manifest a recovered job's rerun
 	// should try to resume from; nil means run from the input.
 	resume *pdm.Checkpoint
@@ -451,17 +216,13 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 	if cfg.JobMemory == 0 {
 		cfg.JobMemory = 4096
 	}
-	if b := memsort.Isqrt(cfg.JobMemory); b*b != cfg.JobMemory {
-		return nil, fmt.Errorf("repro: JobMemory = %d is not a perfect square", cfg.JobMemory)
-	}
-	if !validBackend(cfg.Backend) {
-		return nil, fmt.Errorf("repro: unknown backend %q (want %q or %q)", cfg.Backend, BackendFile, BackendMmap)
-	}
-	if cfg.Backend != "" && cfg.Dir == "" {
-		return nil, fmt.Errorf("repro: Backend = %q requires Dir (in-memory schedulers have no disk backend)", cfg.Backend)
-	}
-	if !validKernel(cfg.Kernel) {
-		return nil, fmt.Errorf("repro: unknown kernel %q (want %q, %q, or %q)", cfg.Kernel, KernelAuto, KernelComparison, KernelRadix)
+	// The defaults must resolve to a machine: JobMemory a perfect square,
+	// Backend and Kernel known, a file backend only with Dir.  Disks: 1
+	// keeps the default-Disks divisibility rule per job, where a spec may
+	// name its own Disks.
+	if _, _, _, err := resolveConfig(MachineConfig{Memory: cfg.JobMemory, Disks: 1, Dir: cfg.Dir,
+		Backend: cfg.Backend, Kernel: cfg.Kernel}); err != nil {
+		return nil, fmt.Errorf("%w (SchedulerConfig's JobMemory/Backend/Kernel defaults)", err)
 	}
 	var jr *journal.Journal
 	if cfg.JournalDir != "" {
@@ -494,44 +255,24 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 	return s, nil
 }
 
-// journalSpec is the JobSpec wire form stored in the journal's submission
-// record: the spec's own JSON shape plus the fields JobSpec deliberately
-// keeps out of its API encoding.  The resolved algorithm (not the
-// submitted Auto) is stored, so a recovered job reruns exactly what the
-// first life planned.
-type journalSpec struct {
-	JobSpec
-	Alg            string `json:"alg,omitempty"`
-	BlockLatencyUS int64  `json:"blockLatencyUS,omitempty"`
-}
-
 // resubmitRecovered replays the engine's recovered set in original FIFO
-// order: each job's spec is decoded and resubmitted under its old id,
-// with its checkpoint manifest armed when it can actually be resumed.
-// Jobs whose spec no longer parses or resolves are retired with a
-// terminal record instead of crashing the scheduler in a replay loop.
+// order: each job's journaled descriptor is decoded and resubmitted under
+// its old id, with its checkpoint manifest armed when it can actually be
+// resumed.  Jobs whose spec no longer parses or resolves are retired with
+// a terminal record instead of crashing the scheduler in a replay loop.
 func (s *Scheduler) resubmitRecovered() {
 	for _, rec := range s.eng.Recovered() {
-		rec := rec
-		var js journalSpec
-		if err := json.Unmarshal(rec.Spec, &js); err != nil {
-			s.eng.DropRecovered(rec.ID, fmt.Errorf("repro: recovered spec: %w", err))
-			continue
-		}
-		spec := js.JobSpec
-		alg, err := ParseAlgorithm(js.Alg)
+		spec, err := recoveredSpec(rec.Spec)
 		if err != nil {
 			s.eng.DropRecovered(rec.ID, err)
 			continue
 		}
-		spec.Algorithm = alg
-		spec.BlockLatency = time.Duration(js.BlockLatencyUS) * time.Microsecond
 		r, err := s.resolveJobSpec(spec)
 		if err != nil {
 			s.eng.DropRecovered(rec.ID, err)
 			continue
 		}
-		j := &schedJob{spec: spec, alg: r.alg, n: r.n, isRecords: r.payloadWords >= 0, presorted: r.presorted}
+		j := &schedJob{spec: spec, jobResolution: r}
 		j.recovery = &RecoveryInfo{RecoveredAt: time.Now(), WasRunning: rec.WasRunning}
 		// Resume needs re-openable scratch with exact block addressing:
 		// the file backend, a bare-keys comparison sort, and a manifest
@@ -540,45 +281,85 @@ func (s *Scheduler) resubmitRecovered() {
 		// alone cannot reconstruct the run.  Anything else reruns from the
 		// input (the journal still pins the job's identity and FIFO
 		// position).
-		if rec.WasRunning && len(rec.Checkpoint) > 0 && !r.radix && !j.isRecords &&
-			r.scenario == "" && s.cfg.Dir != "" && r.mc.Backend != BackendMmap {
+		if rec.WasRunning && len(rec.Checkpoint) > 0 && r.alg != core.AlgRadix && !r.isRecords &&
+			r.scenario == "" && r.backend == pdm.BackendFile {
 			var cp pdm.Checkpoint
 			if err := json.Unmarshal(rec.Checkpoint, &cp); err == nil && cp.Pass > 0 {
 				j.resume = &cp
 			}
 		}
-		handle, err := s.eng.Submit(sched.Request{
+		if _, err := s.admit(j, sched.Request{
 			ID:       rec.ID,
 			Label:    rec.Label,
 			MemKeys:  rec.MemKeys,
 			DiskKeys: rec.DiskKeys,
-			Run: func(ctx context.Context, env sched.Env) error {
-				return s.runJob(ctx, env, j, r.mc)
-			},
-		})
-		if err != nil {
+		}); err != nil {
 			s.eng.DropRecovered(rec.ID, err)
-			continue
 		}
-		j.handle = handle
-		s.mu.Lock()
-		s.jobs[handle.ID()] = j
-		s.mu.Unlock()
 	}
 }
 
-// jobResolution is a validated JobSpec: the machine configuration the job
-// will run with, the resolved algorithm and geometry, and the envelope
-// inputs — shared by Submit (admission) and Explain (dry-run planning).
+// journalRecord is the submission record the journal stores: the
+// descriptor as-is, with the resolved algorithm in place of a submitted
+// Auto, so a recovered job reruns exactly what the first life planned.
+func journalRecord(spec JobSpec, alg Algorithm) ([]byte, error) {
+	spec.Alg = alg
+	return json.Marshal(spec)
+}
+
+// recoveredSpec decodes a submission record back into the descriptor a
+// live caller would have submitted.  The stored algorithm is the resolved
+// one, which leaves two shapes Validate rejects from a live caller: a
+// scenario job names its fallback sort (resolution re-derives it,
+// deterministically), and journals written before RadixSort had an Alg
+// spell a radix job as a bare universe.
+func recoveredSpec(raw []byte) (spec JobSpec, err error) {
+	if err = json.Unmarshal(raw, &spec); err != nil {
+		return spec, fmt.Errorf("repro: recovered spec: %w", err)
+	}
+	switch {
+	case spec.Scenario != "":
+		spec.Alg = Auto
+	case spec.Universe > 0:
+		spec.Alg = core.AlgRadix
+	}
+	return spec, nil
+}
+
+// admit hands a resolved job to the engine and registers it for status
+// queries, returning its id.
+func (s *Scheduler) admit(j *schedJob, req sched.Request) (int, error) {
+	req.Run = func(ctx context.Context, env sched.Env) error {
+		return s.runJob(ctx, env, j)
+	}
+	handle, err := s.eng.Submit(req)
+	if err != nil {
+		return 0, err
+	}
+	j.handle = handle
+	s.mu.Lock()
+	s.jobs[handle.ID()] = j
+	s.mu.Unlock()
+	return handle.ID(), nil
+}
+
+// jobResolution is a validated JobSpec resolved against this scheduler's
+// defaults: the machine configuration the job will run with, the resolved
+// algorithm and geometry, and the envelope inputs — shared by Submit
+// (admission), Explain (dry-run planning), and the job body.
 type jobResolution struct {
-	mc    MachineConfig
-	pcfg  pdm.Config
-	alpha float64
-	n     int
-	alg   Algorithm
-	radix bool
-	// payloadWords bounds the payload store a records job spills; -1 means
-	// the job sorts bare keys.
+	mc      MachineConfig
+	pcfg    pdm.Config
+	backend pdm.Backend
+	alpha   float64
+	n       int
+	// alg is the algorithm the job runs (Auto resolved by the planner;
+	// core.AlgRadix for RadixSort jobs, over [0, universe)).
+	alg      Algorithm
+	universe int64
+	// isRecords marks a full-record sort; payloadWords then bounds the
+	// payload store it spills.
+	isRecords    bool
 	payloadWords int
 	padded       int
 	disk         int
@@ -591,190 +372,90 @@ type jobResolution struct {
 	scenPairWords int
 }
 
-// resolveJobSpec validates spec and resolves everything admission and
+// resolveJobSpec validates spec (JobSpec.Validate, then everything that
+// depends on this scheduler's defaults) and resolves what admission and
 // planning need, without materializing any data.
 func (s *Scheduler) resolveJobSpec(spec JobSpec) (*jobResolution, error) {
-	r := &jobResolution{n: len(spec.Keys), payloadWords: -1}
-	if spec.Payloads != nil {
-		if spec.Workload != nil {
-			return nil, fmt.Errorf("repro: inline payloads require inline keys, not a workload")
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	r := &jobResolution{
+		n:             spec.N(),
+		alg:           spec.Alg,
+		universe:      spec.RadixUniverse(),
+		isRecords:     spec.IsRecords(),
+		scenario:      spec.Scenario,
+		scenBatch:     len(spec.IngestBatch),
+		scenPairWords: 1,
+	}
+	if spec.GroupPayloads != nil {
+		r.scenPairWords = 2
+	}
+	if w := spec.Workload; w != nil {
+		r.presorted = presortedHint(w.Kind)
+		if w.Payload != nil {
+			r.payloadWords = r.n * ((w.Payload.MaxBytes + 7) / 8)
 		}
-		if len(spec.Payloads) != r.n {
-			return nil, fmt.Errorf("repro: %d keys but %d payloads", r.n, len(spec.Payloads))
-		}
+	} else if r.isRecords {
 		r.payloadWords = records.PayloadWords(spec.Payloads)
-	}
-	if spec.Workload != nil {
-		if r.n > 0 {
-			return nil, fmt.Errorf("repro: JobSpec has both inline keys and a workload")
-		}
-		if _, err := (&WorkloadSpec{Kind: spec.Workload.Kind, N: 1}).Generate(); err != nil {
-			return nil, err // unknown kind, reported at submit time
-		}
-		r.n = spec.Workload.N
-		r.presorted = presortedHint(spec.Workload.Kind)
-		if ps := spec.Workload.Payload; ps != nil {
-			if err := ps.validate(); err != nil {
-				return nil, err
-			}
-			r.payloadWords = r.n * ((ps.MaxBytes + 7) / 8)
-		}
-	}
-	if spec.Scenario != "" {
-		if err := resolveScenario(spec, r); err != nil {
-			return nil, err
-		}
-	} else if len(spec.IngestBatch) > 0 || spec.GroupPayloads != nil {
-		return nil, fmt.Errorf("repro: ingestBatch/groupPayloads are only valid on scenario jobs")
-	}
-	if r.n <= 0 {
-		return nil, fmt.Errorf("repro: empty job (no keys, no workload)")
-	}
-	if r.payloadWords >= 0 && spec.Universe > 0 {
-		return nil, fmt.Errorf("repro: record payloads need a comparison sort, not RadixSort (universe)")
-	}
-	backend := spec.Backend
-	if backend == "" {
-		backend = s.cfg.Backend
-	}
-	if !validBackend(backend) {
-		return nil, fmt.Errorf("repro: unknown backend %q (want %q or %q)", backend, BackendFile, BackendMmap)
-	}
-	if backend != "" && s.cfg.Dir == "" {
-		return nil, fmt.Errorf("repro: backend %q requires a file-backed scheduler (no Dir configured)", backend)
-	}
-	kernel := spec.Kernel
-	if kernel == "" {
-		kernel = s.cfg.Kernel
-	}
-	if !validKernel(kernel) {
-		return nil, fmt.Errorf("repro: unknown kernel %q (want %q, %q, or %q)", kernel, KernelAuto, KernelComparison, KernelRadix)
 	}
 	r.mc = MachineConfig{
 		Memory:       spec.Memory,
 		Disks:        spec.Disks,
 		Alpha:        s.cfg.Alpha,
 		Workers:      spec.Workers,
-		Backend:      backend,
-		Kernel:       kernel,
+		Dir:          s.cfg.Dir, // the storage mode; runJob points it at the job's own scratch
+		Backend:      spec.Backend,
+		Kernel:       spec.Kernel,
 		Pipeline:     s.cfg.Pipeline,
-		BlockLatency: spec.BlockLatency,
+		BlockLatency: time.Duration(spec.BlockLatencyUS) * time.Microsecond,
 	}
 	if r.mc.Memory == 0 {
 		r.mc.Memory = s.cfg.JobMemory
+	}
+	if r.mc.Backend == "" {
+		r.mc.Backend = s.cfg.Backend
+	}
+	if r.mc.Kernel == "" {
+		r.mc.Kernel = s.cfg.Kernel
 	}
 	if spec.Pipeline != nil {
 		r.mc.Pipeline = *spec.Pipeline
 	}
 	var err error
-	r.pcfg, r.alpha, err = resolveConfig(r.mc)
+	r.pcfg, r.backend, r.alpha, err = resolveConfig(r.mc)
 	if err != nil {
 		return nil, err
 	}
-	if spec.Universe < 0 {
-		return nil, fmt.Errorf("repro: universe %d, want > 0", spec.Universe)
+	if r.alg == Auto {
+		r.alg = planFor(r.pcfg.Mem, r.pcfg.D, r.alpha, r.n)
 	}
-	r.alg = spec.Algorithm
-	if spec.Universe > 0 {
-		if spec.Universe > math.MaxInt64-1 {
-			return nil, fmt.Errorf("repro: universe %d out of range", spec.Universe)
-		}
-		r.radix = true
-		r.padded = memsort.CeilDiv(r.n, r.pcfg.B) * r.pcfg.B
-	} else {
-		if r.alg == Auto {
-			r.alg = planFor(r.pcfg.Mem, r.pcfg.D, r.alpha, r.n)
-		}
-		r.padded, err = padForSize(r.pcfg.Mem, r.alg, r.n)
-		if err != nil {
-			return nil, err
-		}
+	r.padded, err = padForSize(r.pcfg.Mem, r.alg, r.n)
+	if err != nil {
+		return nil, err
 	}
 	// The disk envelope is the planner's per-algorithm scratch prediction —
 	// tighter than the old per-family worst case, so a large job blocks the
 	// FIFO head for less budget than before.  A records job's payload spill
 	// runs after the key sort's stripes are freed, so its scratch
 	// high-water is the larger of the two phases.
-	planAlg := r.alg.planAlg()
-	if r.radix {
-		planAlg = plan.Radix
-	}
-	r.disk = plan.DiskEnvelope(planAlg, r.padded, r.pcfg.D*r.pcfg.B)
-	if r.payloadWords >= 0 {
-		if env := records.DiskEnvelope(r.n, r.payloadWords, r.pcfg.Mem, r.pcfg.D, r.pcfg.B); env > r.disk {
-			r.disk = env
-		}
+	r.disk = plan.DiskEnvelope(r.alg, r.padded, r.pcfg.D*r.pcfg.B)
+	if r.isRecords {
+		r.disk = max(r.disk, records.DiskEnvelope(r.n, r.payloadWords, r.pcfg.Mem, r.pcfg.D, r.pcfg.B))
 	}
 	if r.scenario != "" {
 		// A scenario job's scratch high-water is the larger of its scenario
 		// route and the full-sort route it may fall back to (computed above).
 		shape := planShape(r.pcfg.Mem, r.pcfg.D, r.alpha)
 		nData := r.n - r.scenBatch
-		if env := plan.ScenarioDiskEnvelope(r.scenario, shape, nData, r.scenBatch, r.scenPairWords); env > r.disk {
-			r.disk = env
-		}
+		r.disk = max(r.disk, plan.ScenarioDiskEnvelope(r.scenario, shape, nData, r.scenBatch, r.scenPairWords))
 		if r.scenPairWords == 2 {
 			// The group-by sort route carries the payload column as one
 			// 8-byte record payload per key.
-			if env := records.DiskEnvelope(nData, nData, r.pcfg.Mem, r.pcfg.D, r.pcfg.B); env > r.disk {
-				r.disk = env
-			}
+			r.disk = max(r.disk, records.DiskEnvelope(nData, nData, r.pcfg.Mem, r.pcfg.D, r.pcfg.B))
 		}
 	}
 	return r, nil
-}
-
-// resolveScenario validates the scenario fields of spec into r: the kind,
-// its parameters against the resolved input size, and the geometry inputs
-// envelope sizing needs.  For ingest the batch joins r.n — the job's full
-// working set (and what the re-sort fallback would sort).
-func resolveScenario(spec JobSpec, r *jobResolution) error {
-	if spec.Universe != 0 {
-		return fmt.Errorf("repro: scenario %q jobs use comparison sorts, not RadixSort (universe)", spec.Scenario)
-	}
-	if r.payloadWords >= 0 {
-		return fmt.Errorf("repro: scenario %q jobs take no byte payloads (group-by aggregates groupPayloads)", spec.Scenario)
-	}
-	if len(spec.IngestBatch) > 0 && spec.Scenario != "ingest" {
-		return fmt.Errorf("repro: ingestBatch is only valid with scenario \"ingest\", not %q", spec.Scenario)
-	}
-	if spec.GroupPayloads != nil && spec.Scenario != "groupby" {
-		return fmt.Errorf("repro: groupPayloads are only valid with scenario \"groupby\", not %q", spec.Scenario)
-	}
-	r.scenario = spec.Scenario
-	r.scenPairWords = 1
-	switch spec.Scenario {
-	case "topk":
-		if spec.TopK < 1 || spec.TopK > r.n {
-			return fmt.Errorf("repro: topK = %d outside [1, %d]", spec.TopK, r.n)
-		}
-	case "quantile":
-		if spec.Rank < 1 || spec.Rank > r.n {
-			return fmt.Errorf("repro: rank = %d outside [1, %d]", spec.Rank, r.n)
-		}
-	case "groupby":
-		if spec.GroupPayloads != nil {
-			if spec.Workload != nil {
-				return fmt.Errorf("repro: groupPayloads require inline keys, not a workload")
-			}
-			if len(spec.GroupPayloads) != r.n {
-				return fmt.Errorf("repro: %d keys but %d groupPayloads", r.n, len(spec.GroupPayloads))
-			}
-			r.scenPairWords = 2
-		}
-	case "ingest":
-		if spec.Workload != nil && spec.Workload.Kind != "sorted" {
-			return fmt.Errorf("repro: ingest needs a sorted dataset; workload kind %q is not %q", spec.Workload.Kind, "sorted")
-		}
-		if len(spec.IngestBatch) == 0 {
-			return fmt.Errorf("repro: ingest needs a non-empty ingestBatch")
-		}
-		r.scenBatch = len(spec.IngestBatch)
-		r.n += r.scenBatch
-	default:
-		return fmt.Errorf("repro: unknown scenario %q (want topk|quantile|groupby|ingest)", spec.Scenario)
-	}
-	return nil
 }
 
 // presortedHint maps a workload kind onto the planner's presortedness
@@ -801,35 +482,18 @@ func (s *Scheduler) Submit(spec JobSpec) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	j := &schedJob{spec: spec, alg: r.alg, n: r.n, isRecords: r.payloadWords >= 0, presorted: r.presorted}
 	var specBytes []byte
 	if s.jr != nil {
-		specBytes, err = json.Marshal(journalSpec{
-			JobSpec:        spec,
-			Alg:            string(r.alg.planAlg()),
-			BlockLatencyUS: spec.BlockLatency.Microseconds(),
-		})
-		if err != nil {
+		if specBytes, err = journalRecord(spec, r.alg); err != nil {
 			return 0, fmt.Errorf("repro: journal spec: %w", err)
 		}
 	}
-	handle, err := s.eng.Submit(sched.Request{
+	return s.admit(&schedJob{spec: spec, jobResolution: r}, sched.Request{
 		Label:    spec.Label,
 		MemKeys:  r.pcfg.ArenaCapacity(),
 		DiskKeys: r.disk,
 		Spec:     specBytes,
-		Run: func(ctx context.Context, env sched.Env) error {
-			return s.runJob(ctx, env, j, r.mc)
-		},
 	})
-	if err != nil {
-		return 0, err
-	}
-	j.handle = handle
-	s.mu.Lock()
-	s.jobs[handle.ID()] = j
-	s.mu.Unlock()
-	return handle.ID(), nil
 }
 
 // Explain dry-runs the planner for a JobSpec without admitting anything:
@@ -841,10 +505,6 @@ func (s *Scheduler) Explain(spec JobSpec) (*PlanReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	sortSpec := SortSpec{N: r.n, Universe: spec.Universe, Presorted: r.presorted}
-	if r.payloadWords > 0 {
-		sortSpec.PayloadWords = r.payloadWords
-	}
 	// The workers the job machine would resolve to (runJob falls back to
 	// the engine's global width), so this dry-run keys the same
 	// calibration-cache entry as the job's own recorded prediction.
@@ -852,24 +512,15 @@ func (s *Scheduler) Explain(spec JobSpec) (*PlanReport, error) {
 	if workers == 0 {
 		workers = s.eng.Stats().Workers
 	}
-	backend := backendKind(s.cfg.Dir != "", r.mc.Backend)
-	kernel := kernelKind(r.mc.Kernel, r.pcfg.Mem)
-	shape, cal := planContext(r.pcfg.Mem, r.pcfg.D, r.pcfg.B, workers, r.alpha,
-		spec.BlockLatency, backend, kernel, r.mc.Pipeline)
-	rep, err := plan.Explain(shape, sortSpec.planWorkload(), cal)
+	out, err := explainOn(r.pcfg, workers, r.alpha, r.mc.BlockLatency, r.backend,
+		SortSpec{N: r.n, Universe: r.universe, Presorted: r.presorted, PayloadWords: r.payloadWords})
 	if err != nil {
 		return nil, err
 	}
-	out := convertPlan(sortSpec, rep)
-	out.Backends = rankBackends(r.pcfg.D, r.pcfg.B, workers, spec.BlockLatency, backend, kernel)
-	out.Kernels = rankKernels(r.pcfg.D, r.pcfg.B, workers, spec.BlockLatency, backend, kernel)
-	if !r.radix {
-		// Pin the choice to what the submitted job actually runs: the
-		// resolved algorithm (the Auto path's deterministic pick, or the
-		// spec's forced one).  The table still ranks what the calibrated
-		// model would prefer.
-		out.setChosen(r.alg)
-	}
+	// Pin the choice to what the submitted job actually runs: the resolved
+	// algorithm (the Auto path's deterministic pick, or the spec's forced
+	// one).  The table still ranks what the calibrated model would prefer.
+	out.setChosen(r.alg)
 	return out, nil
 }
 
@@ -878,7 +529,8 @@ func (s *Scheduler) Explain(spec JobSpec) (*PlanReport, error) {
 // its surviving scratch files; if that attempt fails for any reason other
 // than cancellation or a drain, the scratch is considered unusable and
 // the job restarts from the input on a fresh machine.
-func (s *Scheduler) runJob(ctx context.Context, env sched.Env, j *schedJob, mc MachineConfig) error {
+func (s *Scheduler) runJob(ctx context.Context, env sched.Env, j *schedJob) error {
+	mc := j.mc
 	keys := j.spec.Keys
 	payloads := j.spec.Payloads
 	if j.spec.Workload != nil {
@@ -995,8 +647,8 @@ func (s *Scheduler) sortAttempt(ctx context.Context, env sched.Env, j *schedJob,
 	switch {
 	case j.spec.Scenario != "":
 		rep, err = s.runScenario(ctx, m, j, keys)
-	case j.spec.Universe > 0:
-		rep, err = m.SortIntsContext(ctx, keys, j.spec.Universe)
+	case j.alg == core.AlgRadix:
+		rep, err = m.SortIntsContext(ctx, keys, j.universe)
 	case j.isRecords:
 		rep, err = m.SortRecordsContext(ctx, keys, payloads, j.alg)
 	default:
@@ -1130,7 +782,7 @@ func (j *schedJob) recordPlan(m *Machine, keys []int64, payloads [][]byte) {
 		j.recordScenarioPlan(m, len(keys))
 		return
 	}
-	spec := SortSpec{N: len(keys), Universe: j.spec.Universe, Presorted: j.presorted}
+	spec := SortSpec{N: len(keys), Universe: j.universe, Presorted: j.presorted}
 	if j.isRecords {
 		spec.PayloadWords = records.PayloadWords(payloads)
 	}
@@ -1138,10 +790,7 @@ func (j *schedJob) recordPlan(m *Machine, keys []int64, payloads [][]byte) {
 	if err != nil {
 		return
 	}
-	name := "radix"
-	if j.spec.Universe == 0 {
-		name = string(j.alg.planAlg())
-	}
+	name := string(j.alg)
 	c := rep.Candidate(name)
 	if c == nil || !c.Feasible {
 		return
@@ -1235,11 +884,7 @@ func (s *Scheduler) statusOf(j *schedJob) JobStatus {
 		MemReserved:  h.MemKeys(),
 		DiskReserved: h.DiskKeys(),
 	}
-	if j.spec.Universe > 0 {
-		st.Algorithm = "RadixSort"
-	} else {
-		st.Algorithm = j.alg.String()
-	}
+	st.Algorithm = j.alg.String()
 	st.Scenario = j.spec.Scenario
 	if cerr := h.CleanupErr(); cerr != nil {
 		st.CleanupError = cerr.Error()
@@ -1343,34 +988,6 @@ func (s *Scheduler) SortedRecords(id int) ([]int64, [][]byte, error) {
 	return j.keys, j.payloads, nil
 }
 
-// SchedHealth is the cheap liveness snapshot pdmd serves as GET /healthz:
-// alive, plus the resolved default job geometry a distributed-sort
-// coordinator needs to plan shards for this node before submitting any.
-type SchedHealth struct {
-	Status string `json:"status"`
-	// JobMemory, BlockSize, and Disks are the geometry a default job runs
-	// with (a JobSpec may override them); Alpha is the machine confidence
-	// parameter and Workers the global compute width.
-	JobMemory int     `json:"jobMemory"`
-	BlockSize int     `json:"blockSize"`
-	Disks     int     `json:"disks"`
-	Alpha     float64 `json:"alpha"`
-	Workers   int     `json:"workers"`
-	// Backend is the default disk backend ("" on in-memory schedulers);
-	// FileBacked reports whether jobs spill to real files.
-	Backend    string `json:"backend,omitempty"`
-	FileBacked bool   `json:"fileBacked"`
-	// Queued and Running give the coordinator a load hint.
-	Queued  int `json:"queued"`
-	Running int `json:"running"`
-	// Durable reports whether a journal is attached; Recovered and
-	// Suspended are this life's recovery counts (jobs replayed live at
-	// startup, and jobs parked at a checkpoint by a drain).
-	Durable   bool `json:"durable,omitempty"`
-	Recovered int  `json:"recovered,omitempty"`
-	Suspended int  `json:"suspended,omitempty"`
-}
-
 // Health returns the liveness snapshot.  It never fails: a scheduler that
 // answers is healthy (jobs may still be rejected individually at submit).
 func (s *Scheduler) Health() SchedHealth {
@@ -1392,7 +1009,7 @@ func (s *Scheduler) Health() SchedHealth {
 		h.Alpha = 1
 	}
 	// Resolve the default geometry exactly as a default job would.
-	if pcfg, _, err := resolveConfig(MachineConfig{Memory: s.cfg.JobMemory, Alpha: s.cfg.Alpha}); err == nil {
+	if pcfg, _, _, err := resolveConfig(MachineConfig{Memory: s.cfg.JobMemory}); err == nil {
 		h.BlockSize = pcfg.B
 		h.Disks = pcfg.D
 	}
