@@ -330,8 +330,9 @@ func mergePartGroups(a *pdm.Array, runs []*pdm.Stripe, partLen, m int) ([]seqVie
 			return fail(err)
 		}
 		// Merge each group in the batch: a single resident group gets the
-		// partitioned (splitter-cut) merge, several split across the workers
-		// group-wise — either way bit-identical to the serial loser tree.
+		// pool's merge (splitter-cut across the workers when it is large
+		// enough to pay), several split across the workers group-wise —
+		// either way bit-identical to the serial loser tree.
 		if gcnt == 1 {
 			for i := range runs {
 				lanes[i] = in[i*partLen : (i+1)*partLen]
@@ -344,7 +345,7 @@ func mergePartGroups(a *pdm.Array, runs []*pdm.Stripe, partLen, m int) ([]seqVie
 					for i := 0; i < l; i++ {
 						glanes[i] = in[gj*group+i*partLen : gj*group+(i+1)*partLen]
 					}
-					memsort.MultiMerge(out[gj*group:(gj+1)*group], glanes)
+					pool.MergeSegment(out[gj*group:(gj+1)*group], glanes)
 				}
 			})
 		}

@@ -19,7 +19,15 @@
 // and gallops past them with a binary search and a bulk copy;
 // the plain element loop survives in bench_test.go as the benchmark
 // baseline (BenchmarkKernelMerge* pairs them on random and runs-shaped
-// inputs).
+// inputs).  The k-way merge (MultiMerge, over a LoserTree whose nodes
+// store the losers' keys) is adaptive the way TimSort's min-gallop is:
+// MergeRuns gallops with PopRun — one runner-up search, one gallop, one
+// bulk copy per run — while the lanes hand over long runs, and gives up
+// for good when a window of calls emits under two keys per call, which is
+// what uniformly interleaved lanes do; MultiMerge then pops key by key
+// (PopAll), and internal/par's radix kernel instead takes the lanes'
+// unconsumed suffixes (Rest) and radix-sorts them in the output tail.
+// BenchmarkKernelMultiMerge in internal/par pairs the shapes.
 //
 // Accounting contract: nothing here touches the pdm Array — no I/O is
 // charged and no arena memory is allocated; callers sort buffers they

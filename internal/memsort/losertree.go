@@ -10,84 +10,85 @@ const infKey = math.MaxInt64
 // LoserTree merges k sorted lanes with ⌈log₂ k⌉ comparisons per emitted key.
 // It is the kernel of every one-pass k-way merge phase in the repository
 // (the (l,m)-merge's group merges, multiway merge sort, and the k-way merge
-// ablation).
+// ablation).  Each internal node stores the loser's key beside its lane, so
+// a replay up the root path reads one contiguous node per level and never
+// chases the lane slices.
 type LoserTree struct {
-	k     int
-	tree  []int // internal nodes: lane index of the loser at that node
 	lanes [][]int64
 	pos   []int
-	heads []int64
+	// node[0] is the overall winner; node[1:] hold each match's loser.
+	node []treeNode
+}
+
+// treeNode is one entrant of a match: a lane and its current head key
+// (infKey once the lane is exhausted).
+type treeNode struct {
+	key  int64
+	lane int
+}
+
+// beats reports whether a wins a match against b: smaller key, ties to the
+// lower lane, which makes the merge stable in lane order.
+func (a treeNode) beats(b treeNode) bool {
+	return a.key < b.key || (a.key == b.key && a.lane < b.lane)
 }
 
 // NewLoserTree builds a loser tree over the given sorted lanes.  Empty lanes
-// are allowed.
+// are allowed.  The lanes are only ever read.
 func NewLoserTree(lanes [][]int64) *LoserTree {
-	k := len(lanes)
-	if k == 0 {
-		k = 1
+	if len(lanes) == 0 {
+		lanes = [][]int64{nil}
 	}
+	k := len(lanes)
 	t := &LoserTree{
-		k:     k,
-		tree:  make([]int, k),
 		lanes: lanes,
 		pos:   make([]int, k),
-		heads: make([]int64, k),
+		node:  make([]treeNode, k),
 	}
-	for i := range t.heads {
-		t.heads[i] = infKey
-		if i < len(lanes) && len(lanes[i]) > 0 {
-			t.heads[i] = lanes[i][0]
+	for i := range t.node {
+		t.node[i].lane = -1
+	}
+	// Play every lane up the tree: the first entrant to reach a match waits
+	// there, the second plays it and the winner moves on.
+	for lane := range lanes {
+		win := treeNode{t.head(lane), lane}
+		n := (lane + k) / 2
+		for ; n >= 1; n /= 2 {
+			if t.node[n].lane == -1 {
+				t.node[n] = win
+				break
+			}
+			if t.node[n].beats(win) {
+				t.node[n], win = win, t.node[n]
+			}
+		}
+		if n == 0 {
+			t.node[0] = win
 		}
 	}
-	t.build()
 	return t
 }
 
-// build initializes the loser tree by playing every lane up the tree.
-func (t *LoserTree) build() {
-	for i := range t.tree {
-		t.tree[i] = -1
+// head returns the lane's next unconsumed key, or infKey when it has none.
+func (t *LoserTree) head(lane int) int64 {
+	if l := t.lanes[lane]; t.pos[lane] < len(l) {
+		return l[t.pos[lane]]
 	}
-	for lane := 0; lane < t.k; lane++ {
-		t.replay(lane)
-	}
-}
-
-// replay pushes lane up from its leaf, recording losers, leaving the overall
-// winner at tree[0].
-func (t *LoserTree) replay(lane int) {
-	winner := lane
-	for node := (lane + t.k) / 2; node >= 1; node /= 2 {
-		if t.tree[node] == -1 {
-			t.tree[node] = winner
-			return
-		}
-		if t.heads[t.tree[node]] < t.heads[winner] ||
-			(t.heads[t.tree[node]] == t.heads[winner] && t.tree[node] < winner) {
-			winner, t.tree[node] = t.tree[node], winner
-		}
-	}
-	t.tree[0] = winner
+	return infKey
 }
 
 // Empty reports whether all lanes are exhausted.
 func (t *LoserTree) Empty() bool {
-	return t.heads[t.tree[0]] == infKey
+	return t.node[0].key == infKey
 }
 
 // Pop removes and returns the smallest head.  Ties resolve to the
 // lowest-numbered lane, making the merge stable in lane order.
 func (t *LoserTree) Pop() int64 {
-	w := t.tree[0]
-	v := t.heads[w]
-	t.pos[w]++
-	if w < len(t.lanes) && t.pos[w] < len(t.lanes[w]) {
-		t.heads[w] = t.lanes[w][t.pos[w]]
-	} else {
-		t.heads[w] = infKey
-	}
-	t.sift(w)
-	return v
+	w := t.node[0]
+	t.pos[w.lane]++
+	t.sift(treeNode{t.head(w.lane), w.lane})
+	return w.key
 }
 
 // PopRun pops a maximal run of consecutive keys from the current winning lane
@@ -102,31 +103,26 @@ func (t *LoserTree) PopRun(dst []int64) int {
 	if len(dst) == 0 {
 		return 0
 	}
-	w := t.tree[0]
-	var lane []int64
-	if w < len(t.lanes) && t.pos[w] < len(t.lanes[w]) {
-		lane = t.lanes[w][t.pos[w]:]
-	}
+	w := t.node[0].lane
+	lane := t.lanes[w][t.pos[w]:]
 	if len(lane) == 0 {
-		// Exhausted (or padding) lane: behave like Pop and emit the sentinel.
-		dst[0] = t.heads[w]
-		t.sift(w)
+		// Exhausted lane: behave like Pop and emit the sentinel.
+		dst[0] = infKey
 		return 1
 	}
-	ru := -1
-	for node := (w + t.k) / 2; node >= 1; node /= 2 {
-		l := t.tree[node]
-		if ru == -1 || t.heads[l] < t.heads[ru] ||
-			(t.heads[l] == t.heads[ru] && l < ru) {
-			ru = l
-		}
-	}
+	k := len(t.node)
 	n := len(lane)
-	if ru >= 0 {
-		if w < ru {
-			n = gallopLessEq(lane, t.heads[ru])
+	if k > 1 {
+		ru := t.node[(w+k)/2]
+		for p := (w + k) / 4; p >= 1; p /= 2 {
+			if t.node[p].beats(ru) {
+				ru = t.node[p]
+			}
+		}
+		if w < ru.lane {
+			n = gallopLessEq(lane, ru.key)
 		} else {
-			n = gallopLess(lane, t.heads[ru])
+			n = gallopLess(lane, ru.key)
 		}
 	}
 	if n > len(dst) {
@@ -137,31 +133,74 @@ func (t *LoserTree) PopRun(dst []int64) int {
 	}
 	copy(dst[:n], lane[:n])
 	t.pos[w] += n
-	if t.pos[w] < len(t.lanes[w]) {
-		t.heads[w] = t.lanes[w][t.pos[w]]
-	} else {
-		t.heads[w] = infKey
-	}
-	t.sift(w)
+	t.sift(treeNode{t.head(w), w})
 	return n
 }
 
-// sift replays lane w against the losers on its root path after its head
-// changed.
-func (t *LoserTree) sift(lane int) {
-	winner := lane
-	for node := (lane + t.k) / 2; node >= 1; node /= 2 {
-		loser := t.tree[node]
-		if t.heads[loser] < t.heads[winner] ||
-			(t.heads[loser] == t.heads[winner] && loser < winner) {
-			winner, t.tree[node] = loser, winner
+// sift replays a lane whose head changed against the losers on its root
+// path, leaving the new overall winner at node[0].
+func (t *LoserTree) sift(win treeNode) {
+	for n := (win.lane + len(t.node)) / 2; n >= 1; n /= 2 {
+		if t.node[n].beats(win) {
+			t.node[n], win = win, t.node[n]
 		}
 	}
-	t.tree[0] = winner
+	t.node[0] = win
+}
+
+// Galloping pays while the lanes hand over long runs and loses once they
+// interleave key by key: a PopRun call costs about two plain Pops whatever
+// it emits.  MergeRuns therefore watches the mean run length over windows of
+// gallopWindow calls — TimSort's min-gallop, applied to the k-way tree — and
+// gives up when a window emits fewer than gallopMinRun keys per call.
+const (
+	gallopWindow = 32
+	gallopMinRun = 2
+)
+
+// MergeRuns emits into dst by PopRun for as long as that pays and returns
+// how many keys it emitted.  A result short of len(dst) means the lanes
+// interleave too finely to gallop (uniform keys: about one key per run); the
+// caller finishes with PopAll, or with Rest and a sort of the tail.  The
+// decision depends only on the lanes' keys.  len(dst) must not exceed the
+// number of keys left in the tree.
+func (t *LoserTree) MergeRuns(dst []int64) int {
+	i := 0
+	for i < len(dst) {
+		start := i
+		for c := 0; c < gallopWindow && i < len(dst); c++ {
+			i += t.PopRun(dst[i:])
+		}
+		if i < len(dst) && i-start < gallopWindow*gallopMinRun {
+			break
+		}
+	}
+	return i
+}
+
+// PopAll fills dst with the next len(dst) keys, one Pop each: the merge for
+// finely interleaved lanes, where every key costs exactly one replay.
+func (t *LoserTree) PopAll(dst []int64) {
+	for i := range dst {
+		dst[i] = t.Pop()
+	}
+}
+
+// Rest copies the lanes' unconsumed suffixes into dst (len = the number of
+// keys left in the tree), lane after lane.  All of them are ≥ every key
+// emitted so far, so sorting dst completes the merge.
+func (t *LoserTree) Rest(dst []int64) {
+	n := 0
+	for i, l := range t.lanes {
+		n += copy(dst[n:], l[t.pos[i]:])
+	}
 }
 
 // MultiMerge merges the sorted lanes into dst, which must have length equal
-// to the total lane length.  For k ≤ 2 it falls back to copy/MergeBinary.
+// to the total lane length.  For k ≤ 2 it falls back to copy/MergeBinary;
+// otherwise the loser tree gallops while the lanes hand over runs and pops
+// key by key once they stop (see MergeRuns).  It allocates no key buffers
+// and only reads the lanes.
 func MultiMerge(dst []int64, lanes [][]int64) {
 	total := 0
 	for _, l := range lanes {
@@ -181,9 +220,7 @@ func MultiMerge(dst []int64, lanes [][]int64) {
 		return
 	}
 	t := NewLoserTree(lanes)
-	for i := 0; i < len(dst); {
-		i += t.PopRun(dst[i:])
-	}
+	t.PopAll(dst[t.MergeRuns(dst):])
 }
 
 // MultiMergeBinary merges k sorted lanes by repeated pairwise binary merging

@@ -79,7 +79,7 @@ func TestLoserTreeStability(t *testing.T) {
 	order := make([]int, 0, 6)
 	for !tree.Empty() {
 		// Identify the winning lane before popping by inspecting heads.
-		w := tree.tree[0]
+		w := tree.node[0].lane
 		order = append(order, w)
 		tree.Pop()
 	}

@@ -8,7 +8,8 @@ import (
 )
 
 // Kernel names the in-memory sort kernel a Pool uses for load sorts
-// (SortKeys, SortKeysScratch, SortSegment).  It is the one kernel identity
+// (SortKeys, SortKeysScratch, SortSegment) and for the tail of its k-way
+// merges (MultiMerge, MergeSegment).  It is the one kernel identity
 // in the repository: the value is the canonical name the CLI flags, the job
 // descriptor, and the planner's tables spell, parsed once by ParseKernel.
 // The kernel changes only how a memory load gets sorted — wall-clock and
@@ -26,9 +27,10 @@ const (
 	// (memsort.Keys) plus symmetric-merge combining: no scratch, no
 	// assumptions about key distribution.
 	KernelComparison Kernel = "comparison"
-	// KernelRadix is the LSD byte-radix sort (memsort.RadixKeys serial,
-	// Pool.radixSortScratch parallel): O(active bytes) moves per key, needs
-	// len(a) scratch, wins on uniform keys at memory-load sizes.
+	// KernelRadix is the LSD byte-radix sort (memsort.RadixKeys):
+	// O(active bytes) moves per key, needs len(a) scratch, wins on uniform
+	// keys at memory-load sizes.  It is also what finishes a k-way merge
+	// whose lanes interleave too finely to gallop (MergeSegment).
 	KernelRadix Kernel = "radix"
 )
 
@@ -88,6 +90,14 @@ func (k Kernel) Resolve(n int) Kernel {
 	return k
 }
 
+// sortGrain returns the (concrete) kernel's sort grain.
+func (k Kernel) sortGrain() int {
+	if k == KernelRadix {
+		return radixSortGrain
+	}
+	return comparisonSortGrain
+}
+
 // kernelFor resolves the pool's kernel for a load of n keys.
 func (p *Pool) kernelFor(n int) Kernel { return p.kernel.Resolve(n) }
 
@@ -133,11 +143,12 @@ func putScratch(bp *[]int64) {
 // it inside a For callback — and is safe to call concurrently: radix scratch
 // comes from the capped free list, never shared state.
 func (p *Pool) SortSegment(a []int64) {
-	p.sortSegmentKernel(a, p.kernelFor(len(a)))
+	sortSegmentKernel(a, p.kernelFor(len(a)))
 }
 
-// sortSegmentKernel sorts a serially with kernel k.
-func (p *Pool) sortSegmentKernel(a []int64, k Kernel) {
+// sortSegmentKernel sorts a serially with kernel k, borrowing the radix
+// kernel's scratch from the free list.
+func sortSegmentKernel(a []int64, k Kernel) {
 	if k == KernelRadix && len(a) >= memsort.RadixMinKeys {
 		bp := getScratch(len(a))
 		memsort.RadixKeys(a, *bp)
@@ -147,114 +158,11 @@ func (p *Pool) sortSegmentKernel(a []int64, k Kernel) {
 	memsort.Keys(a)
 }
 
-// radixSignBit mirrors memsort's sign-flip: XORing it maps signed key order
-// onto unsigned digit order (only the top byte is affected).
-const radixSignBit = uint64(1) << 63
-
-// radixSkipDigit reports whether every key shares this digit value, making
-// the scatter pass an identity permutation worth skipping.
-func radixSkipDigit(c *[256]int, n int) bool {
-	for _, cnt := range c {
-		if cnt == n {
-			return true
-		}
-		if cnt > 0 {
-			return false
-		}
-	}
-	return false
-}
-
-// radixSortScratch is the parallel LSD radix sort: a ping-pong between a and
-// scratch (len ≥ len(a)) over the active byte digits.  Each pass is the
-// Histogram primitive's shape specialized to byte digits — per-worker
-// private counts over contiguous spans, reduced serially — followed by a
-// stable parallel scatter: offsets are laid out in (digit, worker) order, so
-// every worker writes a disjoint dst range and the key order is exactly the
-// serial LSD order for any worker count.  The counting work is cache-blocked
-// the same way as memsort.RadixKeys: the first scan accumulates all eight
-// digit histograms at once, and digits on which all keys agree never scatter.
-func (p *Pool) radixSortScratch(a, scratch []int64) {
-	n := len(a)
-	if p.workers == 1 || n < minParallel {
+// sortSerial sorts a serially with kernel k, given scratch (len ≥ len(a)).
+func sortSerial(a, scratch []int64, k Kernel) {
+	if k == KernelRadix {
 		memsort.RadixKeys(a, scratch)
 		return
 	}
-	scratch = scratch[:n]
-	s := p.workers
-	counts8 := make([][8][256]int, s)
-	p.parDo(s, func(_, lo, hi int) {
-		for w := lo; w < hi; w++ {
-			c := &counts8[w]
-			for _, v := range a[w*n/s : (w+1)*n/s] {
-				u := uint64(v) ^ radixSignBit
-				c[0][u&0xff]++
-				c[1][u>>8&0xff]++
-				c[2][u>>16&0xff]++
-				c[3][u>>24&0xff]++
-				c[4][u>>32&0xff]++
-				c[5][u>>40&0xff]++
-				c[6][u>>48&0xff]++
-				c[7][u>>56]++
-			}
-		}
-	})
-	var global [8][256]int
-	for w := range counts8 {
-		for pass := 0; pass < 8; pass++ {
-			for d, cnt := range counts8[w][pass] {
-				global[pass][d] += cnt
-			}
-		}
-	}
-	src, dst := a, scratch
-	cnt := make([][256]int, s)
-	off := make([][256]int, s)
-	first := true
-	for pass := 0; pass < 8; pass++ {
-		if radixSkipDigit(&global[pass], n) {
-			continue
-		}
-		shift := uint(8 * pass)
-		if first {
-			// The initial scan already counted this digit over a == src.
-			for w := range cnt {
-				cnt[w] = counts8[w][pass]
-			}
-			first = false
-		} else {
-			p.parDo(s, func(_, lo, hi int) {
-				for w := lo; w < hi; w++ {
-					c := &cnt[w]
-					*c = [256]int{}
-					for _, v := range src[w*n/s : (w+1)*n/s] {
-						c[(uint64(v)^radixSignBit)>>shift&0xff]++
-					}
-				}
-			})
-		}
-		sum := 0
-		for d := 0; d < 256; d++ {
-			for w := 0; w < s; w++ {
-				off[w][d] = sum
-				sum += cnt[w][d]
-			}
-		}
-		p.parDo(s, func(_, lo, hi int) {
-			for w := lo; w < hi; w++ {
-				o := &off[w]
-				for _, v := range src[w*n/s : (w+1)*n/s] {
-					d := (uint64(v) ^ radixSignBit) >> shift & 0xff
-					dst[o[d]] = v
-					o[d]++
-				}
-			}
-		})
-		src, dst = dst, src
-	}
-	if &src[0] != &a[0] {
-		p.parDo(n, func(_, lo, hi int) {
-			copy(a[lo:hi], src[lo:hi])
-		})
-	}
+	memsort.Keys(a)
 }

@@ -22,35 +22,6 @@ func TestAutoKernel(t *testing.T) {
 	}
 }
 
-// TestSortKeysKernelsMatch pins the kernel determinism invariant at the pool
-// level: every kernel × worker-count combination sorts to the identical
-// array, including negative keys and the MaxInt64 padding sentinel.
-func TestSortKeysKernelsMatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, n := range []int{0, 1, 500, minParallel, minParallel + 13, 20000} {
-		src := randKeys(rng, n, 1<<40)
-		if n > 2 {
-			src[0], src[1] = int64(1)<<62, -(int64(1) << 62)
-		}
-		want := append([]int64(nil), src...)
-		memsort.Keys(want)
-		for _, k := range []Kernel{KernelAuto, KernelComparison, KernelRadix} {
-			for _, w := range testWidths {
-				a := append([]int64(nil), src...)
-				NewWithKernel(w, nil, k).SortKeys(a)
-				if !slices.Equal(a, want) {
-					t.Fatalf("n=%d w=%d kernel=%s: SortKeys differs from serial", n, w, k)
-				}
-				a = append([]int64(nil), src...)
-				NewWithKernel(w, nil, k).SortKeysScratch(a, make([]int64, n))
-				if !slices.Equal(a, want) {
-					t.Fatalf("n=%d w=%d kernel=%s: SortKeysScratch differs from serial", n, w, k)
-				}
-			}
-		}
-	}
-}
-
 func TestSortSegmentMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for _, n := range []int{0, 100, memsort.RadixMinKeys, 5000} {
@@ -78,15 +49,20 @@ func TestScratchPoolCap(t *testing.T) {
 		}
 	}
 
-	drain()
-	small := getScratch(maxPooledScratchKeys)
-	base := &(*small)[0]
-	putScratch(small)
-	again := getScratch(1024)
-	if &(*again)[0] != base {
+	// Under the race detector sync.Pool drops a quarter of its Puts at
+	// random, so reuse is required within a few tries, not on the first.
+	reused := false
+	for try := 0; try < 10 && !reused; try++ {
+		drain()
+		small := getScratch(maxPooledScratchKeys)
+		base := &(*small)[0]
+		putScratch(small)
+		again := getScratch(1024)
+		reused = &(*again)[0] == base
+	}
+	if !reused {
 		t.Fatal("scratch under the cap was not reused from the free list")
 	}
-	putScratch(again)
 
 	drain()
 	big := getScratch(maxPooledScratchKeys + 1)

@@ -7,10 +7,55 @@ import (
 	"time"
 )
 
-// minParallel is the work size, in keys, below which every operation runs
-// serially: fork/join overhead swamps the win on smaller inputs, and the
-// simulator's small test geometries should not pay it.
-const minParallel = 1024
+// Grains: the share of an operation, in keys, one worker must get before
+// the pool forks it.  Parallelism inside one sort or merge is taken only
+// when every worker's share amortises the fork/join, the work the parallel
+// form adds (splitter searches, an extra merge and copy pass) and the
+// cross-core traffic; below the grain the pool calls the serial kernel
+// directly, and above it an operation is as wide as its size pays for
+// (width), never wider.  A memory load is M keys and M is 4Ki–64Ki on the
+// machines the suite and bench/ build, so load-sized kernels run serially
+// and the workers go to what is parallel at a coarser level: the streaming
+// layer's I/O beside the compute, several jobs per scheduler.
+//
+// One constant per kernel, each chosen from the paired benchmarks in
+// bench_test.go (BenchmarkWorkersSortKeys, BenchmarkKernelMultiMerge,
+// BenchmarkWorkersPrimitives) on a 2-vCPU host whose second vCPU is
+// sometimes quick to wake and sometimes not.  Awake, a fork wins from the
+// sizes quoted below; asleep, every fork loses about a quarter.  So a grain
+// sits where the awake win is clear and never under one load (64Ki keys),
+// the size that runs hundreds of times per sort.  They are not knobs — a
+// result never depends on them — and there is no flag, field or variable
+// behind them.
+const (
+	// radixSortGrain: the serial LSD kernel sorts 64Ki keys in 0.8 ms.  Two
+	// workers on 32Ki-key segments lost to it (1.03 against 0.83 ms), on
+	// 64Ki-key segments they won 1.24× (1.8 against 2.3 ms), on 128Ki-key
+	// segments 1.4× (4.0 against 5.5 ms), and at 1Mi 1.3× (23.6 against
+	// 29–31 ms).  The 1Ki-key grain this replaces lost 3.5× at 4Ki, 3.5× at
+	// 16Ki and 4.1× at 64Ki (workers=2: 160, 682 and 3600 µs against 45,
+	// 196 and 879 serial).
+	radixSortGrain = 1 << 17
+	// comparisonSortGrain: the introsort costs 60 ns/key, so its fork pays
+	// sooner than the radix kernel's — but only with the second vCPU awake
+	// (64Ki keys: 2.9 against 4.0 ms), and loses as much when it is not
+	// (5.2 against 4.1 ms).  A load-sized sort therefore stays serial and
+	// 1Mi forks (52 against 83 ms).
+	comparisonSortGrain = 1 << 16
+	// mergeGrain is MultiMerge's and SymMerge's grain.  A merge share also
+	// pays CutLanes' k binary searches per cut and a loser tree per worker;
+	// under the radix kernel two workers on a 64Ki-key group won 1.27×
+	// (0.67 against 0.85 ms) and lost on 32Ki (0.40 against 0.35), and the
+	// fork cost runs-shaped and disjoint groups 2–5× (64×1024 keys: 102 and
+	// 57 µs forked against 47 and 15 serial).
+	mergeGrain = 1 << 16
+	// forGrain is For's and Histogram's grain, in the caller's work units
+	// (keys touched).  It is set for their lightest bodies, a memmove or a
+	// transpose: forked across two workers those lost at 64Ki keys (31
+	// against 17 µs, 93 against 81) and won at 256Ki and above (transpose
+	// at 1Mi: 4.1 against 11.3 ms).
+	forGrain = 1 << 16
+)
 
 // Limiter is a shared compute budget across pools: every unit of worker
 // work (each busyDo leaf) on every attached pool must hold one of its slots
@@ -125,11 +170,24 @@ func (p *Pool) spawn(wg *sync.WaitGroup, f func()) {
 	}()
 }
 
-// parDo fans f(w, lo, hi) out over at most p.workers contiguous spans of
-// [0, n) and waits.  Callers guard for parallel-worthiness; parDo itself
-// records no section.
-func (p *Pool) parDo(n int, f func(w, lo, hi int)) {
-	w := p.workers
+// width returns how many workers an operation over n keys is forked
+// across: as many as get a full grain each, at most the pool's width, and 1
+// — run it serially — when no two do.
+func (p *Pool) width(n, grain int) int {
+	w := n / grain
+	if w > p.workers {
+		w = p.workers
+	}
+	if w < 1 {
+		w = 1
+	}
+	return w
+}
+
+// parDo fans f(i, lo, hi) out over w contiguous spans of [0, n) (fewer when
+// n < w) and waits.  Callers pick w with width; parDo itself records no
+// section.
+func (p *Pool) parDo(w, n int, f func(i, lo, hi int)) {
 	if w > n {
 		w = n
 	}
@@ -143,25 +201,16 @@ func (p *Pool) parDo(n int, f func(w, lo, hi int)) {
 }
 
 // For runs f(w, lo, hi) over a partition of [0, n) into at most Workers
-// contiguous spans, in parallel when the total work (in keys) warrants it
-// and serially — one call f(0, 0, n) — otherwise.  f must only touch state
-// owned by its span; the span index w is informational.
+// contiguous spans, in parallel when the total work (in keys) gives every
+// span a full grain and serially — one call f(0, 0, n) — otherwise.  f must
+// only touch state owned by its span; the span index w is informational.
 func (p *Pool) For(work, n int, f func(w, lo, hi int)) {
-	if p.workers == 1 || n < 2 || work < minParallel {
+	w := p.width(work, forGrain)
+	if w < 2 || n < 2 {
 		f(0, 0, n)
 		return
 	}
 	done := p.section()
-	p.parDo(n, f)
+	p.parDo(w, n, f)
 	done()
-}
-
-// Copy copies src into dst (lengths must match) across the workers.
-func (p *Pool) Copy(dst, src []int64) {
-	if len(dst) != len(src) {
-		panic("par: Copy length mismatch")
-	}
-	p.For(len(dst), len(dst), func(_, lo, hi int) {
-		copy(dst[lo:hi], src[lo:hi])
-	})
 }

@@ -1,6 +1,7 @@
 package par
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"sync/atomic"
@@ -10,6 +11,12 @@ import (
 )
 
 var testWidths = []int{1, 2, 3, 4, 8}
+
+// forkWidths are the widths the parallel bodies are driven at directly.  The
+// grain rule keeps the exported operations serial at test-friendly sizes, so
+// the bodies' tests bypass it: any width must give the serial result at any
+// size.
+var forkWidths = []int{2, 3, 8}
 
 func randKeys(rng *rand.Rand, n int, span int64) []int64 {
 	a := make([]int64, n)
@@ -31,7 +38,7 @@ func TestNewDefaultsToGOMAXPROCS(t *testing.T) {
 func TestForCoversRangeOnce(t *testing.T) {
 	for _, w := range testWidths {
 		p := New(w)
-		const n = 5000
+		const n = 8*forGrain + 13 // every width forks
 		hits := make([]int32, n)
 		p.For(n, n, func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
@@ -46,62 +53,133 @@ func TestForCoversRangeOnce(t *testing.T) {
 	}
 }
 
-func TestForSmallWorkRunsSerial(t *testing.T) {
+// TestForBelowGrainRunsSerial pins the grain rule on For: work that does not
+// give two workers a full grain each is one inline call, and the pool is only
+// as wide as the work pays for.
+func TestForBelowGrainRunsSerial(t *testing.T) {
 	p := New(8)
-	calls := 0
-	p.For(10, 10, func(w, lo, hi int) {
-		calls++
-		if w != 0 || lo != 0 || hi != 10 {
-			t.Fatalf("serial call = (%d, %d, %d)", w, lo, hi)
+	for _, work := range []int{10, 2*forGrain - 1} {
+		calls := 0
+		p.For(work, 10, func(w, lo, hi int) {
+			calls++
+			if w != 0 || lo != 0 || hi != 10 {
+				t.Fatalf("work %d: serial call = (%d, %d, %d)", work, w, lo, hi)
+			}
+		})
+		if calls != 1 {
+			t.Fatalf("work %d: %d calls, want 1", work, calls)
 		}
-	})
-	if calls != 1 {
-		t.Fatalf("%d calls, want 1", calls)
+	}
+	if s, _, _ := p.Counters(); s != 0 {
+		t.Fatalf("serial For recorded %d sections", s)
+	}
+	var calls atomic.Int32
+	p.For(3*forGrain, 10, func(_, _, _ int) { calls.Add(1) })
+	if calls.Load() != 3 {
+		t.Fatalf("3 grains of work forked %d ways, want 3", calls.Load())
 	}
 }
 
 func TestSortKeysMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, n := range []int{0, 1, 500, minParallel, minParallel + 13, 20000} {
-		want := randKeys(rng, n, 50) // duplicates likely
-		got := append([]int64(nil), want...)
+	for _, n := range []int{0, 1, 500, 5000, 20000} {
+		src := randKeys(rng, n, 50) // duplicates likely
+		if n > 2 {
+			src[0], src[1] = math.MaxInt64, math.MinInt64
+		}
+		want := append([]int64(nil), src...)
 		memsort.Keys(want)
-		for _, w := range testWidths {
-			a := append([]int64(nil), got...)
-			New(w).SortKeys(a)
-			if !slices.Equal(a, want) {
-				t.Fatalf("n=%d w=%d: SortKeys differs from serial", n, w)
+		for _, k := range []Kernel{KernelAuto, KernelComparison, KernelRadix} {
+			for _, w := range testWidths {
+				p := NewWithKernel(w, nil, k)
+				a := append([]int64(nil), src...)
+				p.SortKeys(a)
+				if !slices.Equal(a, want) {
+					t.Fatalf("n=%d w=%d kernel=%s: SortKeys differs from serial", n, w, k)
+				}
+				a = append([]int64(nil), src...)
+				p.SortKeysScratch(a, make([]int64, n))
+				if !slices.Equal(a, want) {
+					t.Fatalf("n=%d w=%d kernel=%s: SortKeysScratch differs from serial", n, w, k)
+				}
+				// Undersized scratch must fall back, not fail.
+				a = append([]int64(nil), src...)
+				p.SortKeysScratch(a, make([]int64, n/2))
+				if !slices.Equal(a, want) {
+					t.Fatalf("n=%d w=%d kernel=%s: fallback path differs from serial", n, w, k)
+				}
 			}
 		}
 	}
 }
 
-func TestSortKeysScratchMatchesSerial(t *testing.T) {
+// TestSortBodiesMatchSerial drives the two parallel sort bodies at forced
+// widths and small sizes (segments of a few keys, widths above the key
+// count's grain) for both kernels.
+func TestSortBodiesMatchSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	for _, n := range []int{500, minParallel, 20000} {
+	for _, n := range []int{8, 500, 1037, 20000} {
 		src := randKeys(rng, n, 1<<40)
+		src[0], src[1] = math.MaxInt64, math.MinInt64
 		want := append([]int64(nil), src...)
 		memsort.Keys(want)
-		for _, w := range testWidths {
+		for _, w := range forkWidths {
+			p := New(w)
+			for _, k := range Kernels {
+				a := append([]int64(nil), src...)
+				p.sortSegmentsMerge(a, make([]int64, n), k, w)
+				if !slices.Equal(a, want) {
+					t.Fatalf("n=%d w=%d kernel=%s: sortSegmentsMerge differs from serial", n, w, k)
+				}
+			}
 			a := append([]int64(nil), src...)
-			New(w).SortKeysScratch(a, make([]int64, n))
+			p.sortSymMerge(a, w)
 			if !slices.Equal(a, want) {
-				t.Fatalf("n=%d w=%d: SortKeysScratch differs from serial", n, w)
+				t.Fatalf("n=%d w=%d: sortSymMerge differs from serial", n, w)
 			}
-			// Undersized scratch must fall back, not fail.
-			a = append([]int64(nil), src...)
-			New(w).SortKeysScratch(a, make([]int64, n/2))
+		}
+	}
+}
+
+// TestSortKeysAboveGrainForks checks the exported entry points really take
+// the parallel path once two workers get a grain each, and agree with the
+// serial kernels there.
+func TestSortKeysAboveGrainForks(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, k := range Kernels {
+		grain := k.sortGrain()
+		n := 2*grain + 5
+		src := randKeys(rng, n, 1<<50)
+		want := append([]int64(nil), src...)
+		memsort.Keys(want)
+		for _, scratch := range [][]int64{nil, make([]int64, n)} {
+			p := NewWithKernel(3, nil, k)
+			a := append([]int64(nil), src...)
+			p.SortKeysScratch(a, scratch) // nil scratch: the SortKeys path
 			if !slices.Equal(a, want) {
-				t.Fatalf("n=%d w=%d: fallback path differs from serial", n, w)
+				t.Fatalf("kernel=%s scratch=%v: differs from serial", k, scratch != nil)
 			}
+			if s, _, _ := p.Counters(); s != 1 {
+				t.Fatalf("kernel=%s scratch=%v: %d sections, want 1", k, scratch != nil, s)
+			}
+		}
+		p := NewWithKernel(3, nil, k)
+		a := append([]int64(nil), src[:2*grain-1]...)
+		p.SortKeys(a)
+		if s, _, _ := p.Counters(); s != 0 || !memsort.IsSorted(a) {
+			t.Fatalf("kernel=%s: a load under two grains forked (%d sections)", k, s)
 		}
 	}
 }
 
 func TestSymMergeMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for _, n := range []int{16, minParallel, 8192} {
-		for trial := 0; trial < 10; trial++ {
+	for _, n := range []int{16, 8192, 3 * mergeGrain} {
+		trials := 10
+		if n > 8192 {
+			trials = 2 // above the grain: the forked recursion really splits
+		}
+		for trial := 0; trial < trials; trial++ {
 			m := rng.Intn(n + 1)
 			src := randKeys(rng, n, 40)
 			memsort.Keys(src[:m])
@@ -119,36 +197,9 @@ func TestSymMergeMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestMultiMergeMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 50; trial++ {
-		k := 1 + rng.Intn(8)
-		lanes := make([][]int64, k)
-		total := 0
-		for i := range lanes {
-			n := rng.Intn(1200)
-			if trial%5 == 0 && i == 0 {
-				n = 0 // empty lanes must be handled
-			}
-			lanes[i] = randKeys(rng, n, 30)
-			memsort.Keys(lanes[i])
-			total += n
-		}
-		want := make([]int64, total)
-		memsort.MultiMerge(want, lanes)
-		for _, w := range testWidths {
-			got := make([]int64, total)
-			New(w).MultiMerge(got, lanes)
-			if !slices.Equal(got, want) {
-				t.Fatalf("trial %d w=%d: MultiMerge differs from serial", trial, w)
-			}
-		}
-	}
-}
-
 func TestTranspose(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	for _, dims := range [][2]int{{1, 1}, {4, 7}, {64, 64}, {128, 33}} {
+	for _, dims := range [][2]int{{1, 1}, {4, 7}, {64, 64}, {128, 33}, {2100, 64}} { // the last forks
 		rows, cols := dims[0], dims[1]
 		src := randKeys(rng, rows*cols, 1<<30)
 		for _, w := range testWidths {
@@ -165,22 +216,10 @@ func TestTranspose(t *testing.T) {
 	}
 }
 
-func TestCopy(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	src := randKeys(rng, 9000, 1<<30)
-	for _, w := range testWidths {
-		dst := make([]int64, len(src))
-		New(w).Copy(dst, src)
-		if !slices.Equal(dst, src) {
-			t.Fatalf("w=%d: Copy mangled data", w)
-		}
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const buckets = 16
-	keys := make([]int64, 8000)
+	keys := make([]int64, 3*forGrain+7)
 	want := make([]int, buckets)
 	for i := range keys {
 		keys[i] = rng.Int63n(buckets)
@@ -201,7 +240,7 @@ func TestHistogram(t *testing.T) {
 
 func TestCountersAdvanceAndReset(t *testing.T) {
 	p := New(4)
-	a := randKeys(rand.New(rand.NewSource(8)), 4*minParallel, 1<<30)
+	a := randKeys(rand.New(rand.NewSource(8)), 2*radixSortGrain, 1<<30)
 	p.SortKeys(a)
 	sections, wall, busy := p.Counters()
 	if sections == 0 || wall <= 0 || busy <= 0 {

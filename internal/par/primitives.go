@@ -26,7 +26,8 @@ func (p *Pool) Transpose(dst, src []int64, rows, cols int) {
 // reduced, so the result is exact and order-independent.  ok is false if
 // any key maps outside [0, buckets); the counts are then meaningless.
 func (p *Pool) Histogram(keys []int64, buckets int, bucketOf func(int64) int) (counts []int, ok bool) {
-	if p.workers == 1 || len(keys) < minParallel {
+	w := p.width(len(keys), forGrain)
+	if w == 1 {
 		counts = make([]int, buckets)
 		for _, k := range keys {
 			b := bucketOf(k)
@@ -39,10 +40,9 @@ func (p *Pool) Histogram(keys []int64, buckets int, bucketOf func(int64) int) (c
 	}
 	done := p.section()
 	defer done()
-	w := p.workers
 	local := make([][]int, w)
 	var bad atomic.Bool
-	p.parDo(len(keys), func(wi, lo, hi int) {
+	p.parDo(w, len(keys), func(wi, lo, hi int) {
 		c := make([]int, buckets)
 		for _, k := range keys[lo:hi] {
 			b := bucketOf(k)

@@ -6,40 +6,45 @@ import (
 	"repro/internal/memsort"
 )
 
-// SortKeys sorts a in place across the workers, dispatching on the pool's
-// Kernel.  The comparison kernel runs per-worker memsort.Keys on contiguous
-// segments, then parallel in-place merge rounds (symmetric merges of
-// adjacent segment pairs, each pair's merge itself forked by SymMergeSplit);
-// it allocates no key buffers, so it is safe inside any memory envelope.
-// The radix kernel borrows ping-pong scratch from the capped free list (see
-// maxPooledScratchKeys) — still Go heap, never simulated-arena memory — and
-// runs radixSortScratch.  The result is identical to memsort.Keys for any
-// kernel and worker count; when a scratch buffer is already available,
-// SortKeysScratch avoids the borrow.
+// SortKeys sorts a in place, dispatching on the pool's Kernel, across as
+// many workers as the load gives a full grain each (see the grain constants)
+// and serially below that.  The comparison kernel forks per-worker
+// memsort.Keys on contiguous segments, then parallel in-place merge rounds
+// (symmetric merges of adjacent segment pairs, each pair's merge itself
+// forked by SymMergeSplit); it allocates no key buffers, so it is safe inside
+// any memory envelope.  The radix kernel borrows ping-pong scratch from the
+// capped free list (see maxPooledScratchKeys) — still Go heap, never
+// simulated-arena memory — for SortKeysScratch's parallel path.  The result is
+// identical to memsort.Keys for any kernel and worker count; when a scratch
+// buffer is already available, SortKeysScratch avoids the borrow.
 func (p *Pool) SortKeys(a []int64) {
 	n := len(a)
 	k := p.kernelFor(n)
-	if p.workers == 1 || n < minParallel {
-		p.sortSegmentKernel(a, k)
+	s := p.width(n, k.sortGrain())
+	if s == 1 {
+		sortSegmentKernel(a, k)
 		return
 	}
 	done := p.section()
 	if k == KernelRadix {
 		bp := getScratch(n)
-		p.radixSortScratch(a, *bp)
+		p.sortSegmentsMerge(a, *bp, k, s)
 		putScratch(bp)
-		done()
-		return
+	} else {
+		p.sortSymMerge(a, s)
 	}
-	s := p.workers
+	done()
+}
+
+// sortSymMerge is the scratch-free parallel comparison sort over s segments.
+func (p *Pool) sortSymMerge(a []int64, s int) {
+	n := len(a)
 	bounds := make([]int, s+1)
 	for i := range bounds {
 		bounds[i] = i * n / s
 	}
-	p.parDo(s, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			memsort.Keys(a[bounds[i]:bounds[i+1]])
-		}
+	p.parDo(s, s, func(i, _, _ int) {
+		memsort.Keys(a[bounds[i]:bounds[i+1]])
 	})
 	// Merge rounds: width doubles each round; every pair merge gets an
 	// equal share of the workers to fork its symmetric merge with.
@@ -53,7 +58,7 @@ func (p *Pool) SortKeys(a []int64) {
 			}
 			pairs = append(pairs, pair{bounds[i], bounds[i+width], bounds[hiIdx]})
 		}
-		budget := p.workers / len(pairs)
+		budget := s / len(pairs)
 		if budget < 1 {
 			budget = 1
 		}
@@ -72,66 +77,75 @@ func (p *Pool) SortKeys(a []int64) {
 		p.symMergeRec(a, pairs[0].lo, pairs[0].mid, pairs[0].hi, budget)
 		wg.Wait()
 	}
-	done()
 }
 
 // SortKeysScratch sorts a in place using scratch (len ≥ len(a)) as work
-// space, dispatching on the pool's Kernel.  The comparison kernel runs
-// per-worker memsort.Keys on contiguous segments, one splitter-partitioned
-// k-way merge of the segments into scratch, and a parallel copy back; the
-// radix kernel uses scratch directly as its ping-pong buffer (no borrow, no
-// merge).  Falls back to SortKeys when scratch is too small or the input
-// too short to parallelize.
+// space, dispatching on the pool's Kernel.  Below the kernel's grain it is
+// the serial kernel, the radix one ping-ponging through scratch directly (no
+// borrow).  Above it, both kernels take the same one parallel path: each
+// worker sorts a contiguous segment serially (radix segments ping-pong
+// through their own span of scratch, so every worker's traffic stays in its
+// own cache), one splitter-partitioned k-way merge joins the segments into
+// scratch, and a parallel copy brings them back.  Falls back to SortKeys
+// when scratch is too small.
 func (p *Pool) SortKeysScratch(a, scratch []int64) {
 	n := len(a)
-	if p.workers == 1 || n < minParallel || len(scratch) < n {
+	if len(scratch) < n {
 		p.SortKeys(a)
 		return
 	}
-	if p.kernelFor(n) == KernelRadix {
-		done := p.section()
-		p.radixSortScratch(a, scratch[:n])
-		done()
+	k := p.kernelFor(n)
+	s := p.width(n, k.sortGrain())
+	if s == 1 {
+		sortSerial(a, scratch, k)
 		return
 	}
 	done := p.section()
-	s := p.workers
+	p.sortSegmentsMerge(a, scratch[:n], k, s)
+	done()
+}
+
+// sortSegmentsMerge is the parallel sort over s segments: serial kernel
+// sorts, a partitioned merge into scratch, a copy back.
+func (p *Pool) sortSegmentsMerge(a, scratch []int64, k Kernel, s int) {
+	n := len(a)
 	lanes := make([][]int64, s)
-	p.parDo(s, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			seg := a[i*n/s : (i+1)*n/s]
-			memsort.Keys(seg)
-			lanes[i] = seg
-		}
+	p.parDo(s, s, func(i, _, _ int) {
+		lo, hi := i*n/s, (i+1)*n/s
+		sortSerial(a[lo:hi], scratch[lo:hi], k)
+		lanes[i] = a[lo:hi]
 	})
-	p.multiMergeBody(scratch[:n], lanes, n)
-	p.parDo(n, func(_, lo, hi int) {
+	// The segments of a uniform load interleave key by key, and there are
+	// only s of them: the comparison merge's plain pops are the right tail
+	// here whatever the kernel (re-sorting the tail would sort twice).
+	p.multiMergeBody(scratch, lanes, KernelComparison, s)
+	p.parDo(s, n, func(_, lo, hi int) {
 		copy(a[lo:hi], scratch[lo:hi])
 	})
-	done()
 }
 
 // SymMerge merges the sorted halves a[:m] and a[m:] in place across the
 // workers; identical to memsort.SymMerge for any worker count.
 func (p *Pool) SymMerge(a []int64, m int) {
-	if p.workers == 1 || len(a) < minParallel {
+	w := p.width(len(a), mergeGrain)
+	if w == 1 {
 		memsort.SymMerge(a, m)
 		return
 	}
 	done := p.section()
-	p.symMergeRec(a, 0, m, len(a), p.workers)
+	p.symMergeRec(a, 0, m, len(a), w)
 	done()
 }
 
 // symMergeRec is the forked symmetric merge: each SymMergeSplit step yields
 // two independent subproblems, run concurrently while the goroutine budget
-// lasts and serially below it (or below the parallel grain).  Busy time is
-// recorded around the actual work — the split steps and the serial leaf
-// merges — never around a wait, so WorkerUtilization counts each merged
-// key exactly once.
+// lasts and serially below it (or once a subproblem is under the grain).
+// Busy time is recorded around the actual work — the split steps and the
+// serial leaf merges — never around a wait, so WorkerUtilization counts each
+// merged key exactly once.
 func (p *Pool) symMergeRec(data []int64, a, m, b, budget int) {
 	for {
-		if budget <= 1 || b-a < minParallel {
+		if budget <= 1 || b-a < mergeGrain {
 			p.busyDo(func() { memsort.SymMergeRange(data, a, m, b) })
 			return
 		}

@@ -180,22 +180,77 @@ func (s *Stripe) Load(data []int64) error {
 	if len(data) != s.n {
 		return fmt.Errorf("pdm: Load of %d keys into stripe of %d", len(data), s.n)
 	}
-	addrs, err := s.addrRange(0, len(data))
+	return s.LoadPadded(data, 0)
+}
+
+// LoadPadded is Load for an input that may be shorter than the stripe: data
+// fills the first len(data) keys and sentinel every key after them.  Whole
+// blocks go to the disks straight from data, which is only read; just the
+// block data ends in and one block of sentinels (shared by every padding
+// block) are staged, so no copy of the input is made.
+func (s *Stripe) LoadPadded(data []int64, sentinel int64) error {
+	if len(data) > s.n {
+		return fmt.Errorf("pdm: Load of %d keys into stripe of %d", len(data), s.n)
+	}
+	addrs, err := s.addrRange(0, s.n)
 	if err != nil {
 		return err
 	}
-	return s.a.TransferV(addrs, s.a.splitBlocks(data), true)
+	b := s.a.cfg.B
+	whole := len(data) / b * b
+	bufs := s.a.splitBlocks(data[:whole])
+	fill := func(blk []int64, from int) []int64 {
+		for i := from; i < len(blk); i++ {
+			blk[i] = sentinel
+		}
+		return blk
+	}
+	if whole < len(data) {
+		last := make([]int64, b)
+		bufs = append(bufs, fill(last, copy(last, data[whole:])))
+	}
+	if len(bufs) < len(addrs) {
+		pad := fill(make([]int64, b), 0)
+		for len(bufs) < len(addrs) {
+			bufs = append(bufs, pad)
+		}
+	}
+	return s.a.TransferV(addrs, bufs, true)
 }
 
 // Unload reads the whole stripe without touching the I/O statistics or the
 // trace, for verification in harnesses.
 func (s *Stripe) Unload() ([]int64, error) {
 	out := make([]int64, s.n)
-	addrs, err := s.addrRange(0, len(out))
-	if err != nil {
+	if err := s.UnloadInto(out); err != nil {
 		return nil, err
 	}
-	return out, s.a.TransferV(addrs, s.a.splitBlocks(out), false)
+	return out, nil
+}
+
+// UnloadInto is Unload of the stripe's first len(dst) keys straight into
+// dst: whole blocks land in place and only the block dst ends in is staged.
+func (s *Stripe) UnloadInto(dst []int64) error {
+	if len(dst) > s.n {
+		return fmt.Errorf("pdm: Unload of %d keys from stripe of %d", len(dst), s.n)
+	}
+	b := s.a.cfg.B
+	whole := len(dst) / b * b
+	bufs := s.a.splitBlocks(dst[:whole])
+	var last []int64
+	if whole < len(dst) {
+		last = make([]int64, b)
+		bufs = append(bufs, last)
+	}
+	addrs, err := s.addrRange(0, len(bufs)*b)
+	if err != nil {
+		return err
+	}
+	if err := s.a.TransferV(addrs, bufs, false); err != nil {
+		return err
+	}
+	copy(dst[whole:], last)
+	return nil
 }
 
 // Reader streams a stripe (or a sub-range of one) sequentially.

@@ -162,6 +162,73 @@ func TestLoadUnloadDoNotCount(t *testing.T) {
 	}
 }
 
+// TestLoadPaddedUnloadInto pins the facade's copy-free staging: inputs that
+// end on a block boundary, mid-block, or are empty load with sentinel
+// padding and leave data untouched; a prefix unloads straight into its
+// destination at every alignment; neither is charged.
+func TestLoadPaddedUnloadInto(t *testing.T) {
+	a, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := a.B()
+	s, err := a.NewStripe(2 * a.StripeWidth())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sentinel = int64(-99)
+	for _, n := range []int{0, 1, b - 1, b, b + 1, 3 * b, s.Len() - 1, s.Len()} {
+		data := make([]int64, n)
+		for i := range data {
+			data[i] = int64(1000*n + i)
+		}
+		orig := append([]int64(nil), data...)
+		if err := s.LoadPadded(data, sentinel); err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.Unload()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range got {
+			want := sentinel
+			if i < n {
+				want = orig[i]
+			}
+			if v != want {
+				t.Fatalf("n=%d: key %d = %d, want %d", n, i, v, want)
+			}
+		}
+		for i := range data {
+			if data[i] != orig[i] {
+				t.Fatalf("n=%d: LoadPadded modified its input at %d", n, i)
+			}
+		}
+		prefix := make([]int64, n+1) // one guard key past the prefix
+		prefix[n] = 7
+		if err := s.UnloadInto(prefix[:n]); err != nil {
+			t.Fatal(err)
+		}
+		for i := range data {
+			if prefix[i] != orig[i] {
+				t.Fatalf("n=%d: UnloadInto key %d = %d, want %d", n, i, prefix[i], orig[i])
+			}
+		}
+		if prefix[n] != 7 {
+			t.Fatalf("n=%d: UnloadInto wrote past its destination", n)
+		}
+	}
+	if st := a.Stats(); st != (Stats{}) {
+		t.Fatalf("LoadPadded/UnloadInto changed stats: %+v", st)
+	}
+	if err := s.LoadPadded(make([]int64, s.Len()+1), sentinel); err == nil {
+		t.Fatal("oversized LoadPadded accepted")
+	}
+	if err := s.UnloadInto(make([]int64, s.Len()+1)); err == nil {
+		t.Fatal("oversized UnloadInto accepted")
+	}
+}
+
 func TestReaderWriterStreaming(t *testing.T) {
 	a, err := New(testConfig())
 	if err != nil {

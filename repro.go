@@ -359,11 +359,9 @@ func (m *Machine) sortPadded(keys []int64, padded int, sentinel int64, alg Algor
 		return nil, err
 	}
 	defer res.Out.Free()
-	out, err := res.Out.Unload()
-	if err != nil {
+	if err := res.Out.UnloadInto(keys); err != nil {
 		return nil, err
 	}
-	copy(keys, out[:len(keys)])
 	rep := &Report{
 		Algorithm:   alg,
 		N:           len(keys),

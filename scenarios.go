@@ -213,17 +213,13 @@ func (m *Machine) scenarioReport(kind, route string, n, paddedN int, io pdm.Stat
 
 // loadPadded loads data onto a fresh stripe padded to pad keys with
 // sentinel (uncharged input staging, for Sort and the scenarios alike).
+// data is only read, and not copied: see pdm.Stripe.LoadPadded.
 func (m *Machine) loadPadded(data []int64, pad int, sentinel int64) (*pdm.Stripe, error) {
-	buf := make([]int64, pad)
-	copy(buf, data)
-	for i := len(data); i < pad; i++ {
-		buf[i] = sentinel
-	}
 	s, err := m.a.NewStripe(pad)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.Load(buf); err != nil {
+	if err := s.LoadPadded(data, sentinel); err != nil {
 		s.Free()
 		return nil, err
 	}
