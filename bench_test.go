@@ -1,4 +1,4 @@
-// Benchmarks regenerating every experiment of EXPERIMENTS.md (E01–E16, one
+// Benchmarks regenerating every experiment of `go run ./cmd/experiments` (E01–E16, one
 // per theorem/lemma/observation of the paper, plus the A1–A5 design
 // ablations) and micro-benchmarks of the kernels.  Run:
 //

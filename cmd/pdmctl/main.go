@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/plan"
 )
 
 func main() {
@@ -53,7 +54,7 @@ func main() {
 		err = cmdCancel(os.Args[2:])
 	case "sort":
 		err = cmdSort(os.Args[2:])
-	case "topk", "quantile", "groupby", "ingest":
+	case plan.KindTopK, plan.KindQuantile, plan.KindGroupBy, plan.KindIngest:
 		err = cmdScenario(os.Args[1], os.Args[2:])
 	default:
 		usage()
@@ -265,16 +266,16 @@ func cmdScenario(kind string, args []string) error {
 		Label:    *label,
 	}
 	switch kind {
-	case "topk":
+	case plan.KindTopK:
 		spec.TopK = *k
-	case "quantile":
+	case plan.KindQuantile:
 		if *rank == 0 {
 			*rank = (*n + 1) / 2
 		}
 		spec.Rank = *rank
-	case "groupby":
+	case plan.KindGroupBy:
 		spec.Groups = *groups
-	case "ingest":
+	case plan.KindIngest:
 		spec.Workload.Kind = "sorted"
 		bk, err := (&repro.WorkloadSpec{Kind: "uniform", N: *batch, Seed: *seed}).Generate()
 		if err != nil {
@@ -317,7 +318,7 @@ func cmdScenario(kind string, args []string) error {
 		return fmt.Errorf("%s: job %d ended %s: %s", kind, st.ID, st.State, st.Error)
 	}
 	path := fmt.Sprintf("%s/jobs/%d/result?limit=%d", *worker, st.ID, *limit)
-	if kind == "groupby" {
+	if kind == plan.KindGroupBy {
 		path = fmt.Sprintf("%s/jobs/%d/groups?limit=%d", *worker, st.ID, *limit)
 	}
 	res, err := call(http.MethodGet, path, nil)

@@ -58,6 +58,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/par"
 	"repro/internal/pdm"
+	"repro/internal/plan"
 )
 
 // usageError marks a flag-validation failure: main prints the usage text
@@ -96,11 +97,11 @@ type options struct {
 func (o *options) scenarioKind() string {
 	switch {
 	case o.topk > 0:
-		return "topk"
+		return plan.KindTopK
 	case o.quantile > 0:
-		return "quantile"
+		return plan.KindQuantile
 	case o.ingest != "":
-		return "ingest"
+		return plan.KindIngest
 	}
 	return ""
 }
@@ -333,17 +334,17 @@ func run(o options) error {
 // competes with), otherwise it runs the scenario and reports the measured
 // passes in the same currency.
 func runScenario(o options, m *repro.Machine, kind string, keys []int64, out string) error {
-	var batch []int64
-	var err error
-	if kind == "ingest" {
-		if batch, err = readKeys(o.ingest); err != nil {
+	// The flags as the job descriptor a pdmd client would submit; KeepKeys
+	// because an ingest's merged output is what pdmsort writes.
+	spec := repro.JobSpec{Keys: keys, Scenario: kind, TopK: o.topk, Rank: o.quantile, KeepKeys: true}
+	if o.ingest != "" {
+		var err error
+		if spec.IngestBatch, err = readKeys(o.ingest); err != nil {
 			return err
 		}
 	}
 	if o.explain {
-		p, err := m.ExplainScenario(repro.ScenarioSpec{
-			Kind: kind, N: len(keys), K: o.topk, Rank: o.quantile, Batch: len(batch),
-		})
+		p, err := m.ExplainScenario(spec.ScenarioQuery())
 		if err != nil {
 			return err
 		}
@@ -351,29 +352,14 @@ func runScenario(o options, m *repro.Machine, kind string, keys []int64, out str
 		return nil
 	}
 	t0 := time.Now()
-	var rep *repro.Report
-	switch kind {
-	case "topk":
-		var top []int64
-		top, rep, err = m.TopK(keys, o.topk)
-		if err == nil {
-			err = writeKeys(out, top)
-		}
-	case "quantile":
-		var v int64
-		v, rep, err = m.Quantile(keys, o.quantile)
-		if err == nil {
-			fmt.Printf("rank %d key: %d\n", o.quantile, v)
-			out = ""
-		}
-	case "ingest":
-		var merged []int64
-		merged, rep, err = m.Ingest(keys, batch)
-		if err == nil {
-			err = writeKeys(out, merged)
-		}
-	}
+	res, rep, err := m.RunScenario(&spec, keys)
 	if err != nil {
+		return err
+	}
+	if res.Value != nil {
+		fmt.Printf("rank %d key: %d\n", o.quantile, *res.Value)
+		out = ""
+	} else if err := writeKeys(out, res.Keys); err != nil {
 		return err
 	}
 	printScenarioReport(rep, out, time.Since(t0))
@@ -395,7 +381,7 @@ func printScenarioPlan(w io.Writer, p *repro.ScenarioPlanReport) {
 	if p.Sample > 0 {
 		fmt.Fprintf(w, "sample: %d keys, survivor budget %d\n", p.Sample, p.Budget)
 	}
-	fmt.Fprintf(w, "full sort (%s): %.3f read passes\n", p.FullSortAlgorithm, p.FullSortReadPasses)
+	fmt.Fprintf(w, "full sort (%s): %.3f read passes\n", string(p.FullSortAlgorithm), p.FullSortReadPasses)
 	decision := "full sort"
 	if p.UseScenario {
 		decision = "scenario route"
@@ -435,12 +421,13 @@ func printExplain(w io.Writer, rep *repro.PlanReport) {
 	fmt.Fprintf(w, "  %-10s %-8s %8s %10s %12s %8s %12s\n",
 		"ALGORITHM", "FEASIBLE", "PASSES", "PADDED", "IOWORDS", "PERMUTE", "PREDICTED")
 	for _, c := range rep.Candidates {
+		name := string(c.Algorithm) // the short name, not the paper's
 		mark := " "
-		if c.Algorithm == rep.Chosen {
+		if name == rep.Chosen {
 			mark = "*"
 		}
 		if !c.Feasible {
-			fmt.Fprintf(w, "%s %-10s no       %s\n", mark, c.Algorithm, c.Reason)
+			fmt.Fprintf(w, "%s %-10s no       %s\n", mark, name, c.Reason)
 			continue
 		}
 		permute := "-"
@@ -448,7 +435,7 @@ func printExplain(w io.Writer, rep *repro.PlanReport) {
 			permute = fmt.Sprintf("%.1f", c.PermutePasses)
 		}
 		fmt.Fprintf(w, "%s %-10s yes      %8.3f %10d %12d %8s %11.3fs\n",
-			mark, c.Algorithm, c.ReadPasses, c.PaddedN, c.IOWords, permute, c.Seconds)
+			mark, name, c.ReadPasses, c.PaddedN, c.IOWords, permute, c.Seconds)
 	}
 	cal := "analytic defaults"
 	if rep.Calibration.Probed {

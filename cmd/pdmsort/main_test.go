@@ -274,11 +274,26 @@ func TestRunCSVEndToEnd(t *testing.T) {
 // normalizeExplain replaces the calibrated seconds column with a fixed
 // token: every other column (passes, padded lengths, I/O words, permute
 // passes, feasibility reasons) is deterministic for a fixed input and
-// machine shape, which is what the gold pins.
+// machine shape, which is what the gold pins.  The advisory backends: and
+// kernels: lines are ranked by a timing probe, whose order flips when the
+// box is loaded, so their entries are compared as a sorted set ("|"-joined
+// in the gold, so it does not read as a ranking).
 func normalizeExplain(s string) string {
 	s = regexp.MustCompile(`\d+\.\d{3}s`).ReplaceAllString(s, "<T>")
 	s = regexp.MustCompile(`\d+\.\d+us`).ReplaceAllString(s, "<U>")
-	return regexp.MustCompile(`\d+\.\d+ns`).ReplaceAllString(s, "<N>")
+	s = regexp.MustCompile(`\d+\.\d+ns`).ReplaceAllString(s, "<N>")
+	lines := strings.Split(s, "\n")
+	for i, ln := range lines {
+		head, rest, _ := strings.Cut(ln, ": ")
+		if head != "backends" && head != "kernels" {
+			continue
+		}
+		ranked, tail, _ := strings.Cut(rest, " (")
+		entries := strings.Split(ranked, " > ")
+		slices.Sort(entries)
+		lines[i] = head + ": " + strings.Join(entries, " | ") + " (" + tail
+	}
+	return strings.Join(lines, "\n")
 }
 
 // TestExplainGold pins the -explain output (the CI docs leg runs this):

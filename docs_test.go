@@ -53,6 +53,46 @@ func TestDocsFileReferencesResolve(t *testing.T) {
 	}
 }
 
+// TestDocsGoCommentReferencesResolve: Go comments rot the same way — every
+// *.md a comment names must exist, at the repository root or beside the
+// file (package comments used to point at design documents that were never
+// committed).
+func TestDocsGoCommentReferencesResolve(t *testing.T) {
+	mdName := regexp.MustCompile(`[A-Za-z0-9_./-]+\.md\b`)
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for ln, line := range strings.Split(string(raw), "\n") {
+			_, comment, ok := strings.Cut(line, "//")
+			if !ok {
+				continue
+			}
+			for _, name := range mdName.FindAllString(comment, -1) {
+				_, atRoot := os.Stat(filepath.FromSlash(name))
+				_, beside := os.Stat(filepath.Join(filepath.Dir(path), filepath.FromSlash(name)))
+				if atRoot != nil && beside != nil {
+					t.Errorf("%s:%d: comment names %s, which does not exist", path, ln+1, name)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestDocsFlagReferencesResolve: every -flag a README/ARCHITECTURE
 // command line passes to pdmsort or pdmd must be declared by that
 // binary, so the docs never teach flags the CLIs dropped.

@@ -62,7 +62,7 @@ func ExampleMachine_Explain() {
 	fmt.Println("chosen:", rep.Chosen)
 	top := rep.Candidates[0]
 	fmt.Printf("%s: %.0f read passes over %d padded keys\n",
-		top.Algorithm, top.ReadPasses, top.PaddedN)
+		string(top.Algorithm), top.ReadPasses, top.PaddedN) // the short name; %s alone prints the paper's
 	// Output:
 	// chosen: exp2
 	// exp2: 2 read passes over 2048 padded keys

@@ -11,69 +11,18 @@ import (
 	"repro/internal/plan"
 )
 
-// SortSpec describes a prospective sort for planning: the workload shape
-// the cost model needs, without the data.
-type SortSpec struct {
-	// N is the key (record) count.
-	N int `json:"n"`
-	// PayloadBytes, when positive, plans a full-record sort whose records
-	// carry payloads of (up to) this many bytes each: the external
-	// permutation's distribution levels enter every candidate's prediction.
-	PayloadBytes int `json:"payloadBytes,omitempty"`
-	// PayloadWords, when positive, gives the exact total payload volume in
-	// 8-byte words and overrides the PayloadBytes estimate (the scheduler
-	// uses it once a job's payloads are materialized).
-	PayloadWords int `json:"payloadWords,omitempty"`
-	// Universe, when positive, hints integer keys in [0, Universe): the
-	// Section 7 RadixSort becomes a candidate and is chosen (it is what
-	// SortInts and universe-bearing jobs run).
-	Universe int64 `json:"universe,omitempty"`
-	// Presorted ∈ [0, 1] hints existing order (1 = fully sorted).  It
-	// scales predicted compute time — the algorithms are oblivious, so
-	// passes never change — and never changes the chosen algorithm.
-	Presorted float64 `json:"presorted,omitempty"`
-}
-
-// planWorkload converts the spec to the planner's workload.
-func (s SortSpec) planWorkload() plan.Workload {
-	words := s.PayloadWords
-	if words == 0 && s.PayloadBytes > 0 {
-		words = s.N * ((s.PayloadBytes + 7) / 8)
-	}
-	return plan.Workload{N: s.N, PayloadWords: words, Universe: s.Universe, Presorted: s.Presorted}
-}
-
-// PlanCandidate is one row of the ranked plan table.  Algorithm is the
-// short name ("exp2", "lmm3", "one", "radix", …) shared with
-// ParseAlgorithm and the CLI; the analytic columns (passes, padded length,
-// I/O words) are deterministic while the seconds columns come from the
-// machine's calibration.
-type PlanCandidate struct {
-	Algorithm string `json:"algorithm"`
-	Feasible  bool   `json:"feasible"`
-	Reason    string `json:"reason,omitempty"`
-
-	PaddedN       int     `json:"paddedN,omitempty"`
-	ReadPasses    float64 `json:"readPasses,omitempty"`
-	WritePasses   float64 `json:"writePasses,omitempty"`
-	PermuteLevels int     `json:"permuteLevels,omitempty"`
-	PermutePasses float64 `json:"permutePasses,omitempty"`
-	IOWords       int64   `json:"ioWords,omitempty"`
-	Steps         int64   `json:"steps,omitempty"`
-
-	IOSeconds      float64 `json:"ioSeconds,omitempty"`
-	ComputeSeconds float64 `json:"computeSeconds,omitempty"`
-	Seconds        float64 `json:"seconds,omitempty"`
-}
-
-// PlanCalibration reports the measured rates a PlanReport priced with.
-type PlanCalibration struct {
-	ReadStepSeconds   float64 `json:"readStepSeconds"`
-	WriteStepSeconds  float64 `json:"writeStepSeconds"`
-	SortSecondsPerKey float64 `json:"sortSecondsPerKey"`
-	Probed            bool    `json:"probed"`
-	ProbeSeconds      float64 `json:"probeSeconds,omitempty"`
-}
+// The planner's vocabulary is declared once, in internal/plan, and
+// re-exported here under its public names.
+type (
+	// SortSpec describes a prospective sort for planning: the workload
+	// shape the cost model needs (N, PayloadBytes or PayloadWords, Universe,
+	// Presorted), without the data.
+	SortSpec = plan.Workload
+	// PlanCandidate is one row of the ranked plan table.
+	PlanCandidate = plan.Candidate
+	// PlanCalibration reports the measured rates a PlanReport priced with.
+	PlanCalibration = plan.Calibration
+)
 
 // BackendPlan is one row of Explain's backend ranking: the calibrated
 // per-step cost of this machine's geometry on one available disk backend.
@@ -130,7 +79,7 @@ type PlanReport struct {
 // Candidate returns the row for the short algorithm name, nil when absent.
 func (r *PlanReport) Candidate(name string) *PlanCandidate {
 	for i := range r.Candidates {
-		if r.Candidates[i].Algorithm == name {
+		if string(r.Candidates[i].Algorithm) == name {
 			return &r.Candidates[i]
 		}
 	}
@@ -159,13 +108,13 @@ func explainOn(pcfg pdm.Config, workers int, alpha float64, latency time.Duratio
 	shape.Kernel = pcfg.Kernel
 	shape.Prefetch = pcfg.Pipeline.Prefetch
 	shape.WriteBehind = pcfg.Pipeline.WriteBehind
-	r, err := plan.Explain(shape, spec.planWorkload(), plan.Calibrate(probe))
+	r, err := plan.Explain(shape, spec, plan.Calibrate(probe))
 	if err != nil {
 		return nil, err
 	}
-	out := convertPlan(spec, r)
-	out.Backends = rankBackends(probe)
-	out.Kernels = rankKernels(probe)
+	out := &PlanReport{Spec: spec, Candidates: r.Candidates, Calibration: r.Cal,
+		Backends: rankBackends(probe), Kernels: rankKernels(probe)}
+	out.setChosen(r.Chosen)
 	return out, nil
 }
 
@@ -255,37 +204,4 @@ func (r *PlanReport) setChosen(alg Algorithm) {
 	r.Chosen = string(alg)
 	r.ChosenAlgorithm = alg
 	r.ChosenRadix = alg == core.AlgRadix
-}
-
-// convertPlan maps the internal report onto the facade types.
-func convertPlan(spec SortSpec, r *plan.Report) *PlanReport {
-	out := &PlanReport{
-		Spec: spec,
-		Calibration: PlanCalibration{
-			ReadStepSeconds:   r.Cal.ReadStepSeconds,
-			WriteStepSeconds:  r.Cal.WriteStepSeconds,
-			SortSecondsPerKey: r.Cal.SortSecondsPerKey,
-			Probed:            r.Cal.Probed,
-			ProbeSeconds:      r.Cal.ProbeSeconds,
-		},
-	}
-	out.setChosen(r.Chosen)
-	for _, c := range r.Candidates {
-		out.Candidates = append(out.Candidates, PlanCandidate{
-			Algorithm:      string(c.Alg),
-			Feasible:       c.Feasible,
-			Reason:         c.Reason,
-			PaddedN:        c.PaddedN,
-			ReadPasses:     c.ReadPasses,
-			WritePasses:    c.WritePasses,
-			PermuteLevels:  c.PermuteLevels,
-			PermutePasses:  c.PermutePasses,
-			IOWords:        c.IOWords,
-			Steps:          c.Steps,
-			IOSeconds:      c.IOSeconds,
-			ComputeSeconds: c.ComputeSeconds,
-			Seconds:        c.Seconds,
-		})
-	}
-	return out
 }

@@ -10,7 +10,7 @@ import (
 	"repro/internal/workload"
 )
 
-// A1CleanupWindow ablates the rolling-cleanup window (DESIGN.md A1): the
+// A1CleanupWindow ablates the rolling-cleanup window (ablation A1): the
 // window must cover the displacement bound; half windows fail exactly when
 // the dirtiness exceeds them, which is why ThreePass2's chunk is M and why
 // the memory envelope is 2M.
@@ -38,7 +38,7 @@ func A1CleanupWindow(trials int) (*report.Table, error) {
 }
 
 // A2SnakeDirection ablates ThreePass1's alternating submesh row direction
-// (DESIGN.md A2): without alternation the Shearsort pairing argument is
+// (ablation A2): without alternation the Shearsort pairing argument is
 // lost and the post-column-sort dirty band can exceed √M/2 rows.
 func A2SnakeDirection(trials int) (*report.Table, error) {
 	t := report.NewTable("A2  Ablation: ThreePass1 submesh row alternation (0-1 inputs)",
@@ -72,7 +72,7 @@ func A2SnakeDirection(trials int) (*report.Table, error) {
 	return t, nil
 }
 
-// A4MergeKernel ablates the k-way merge kernel (DESIGN.md A4): loser tree
+// A4MergeKernel ablates the k-way merge kernel (ablation A4): loser tree
 // vs repeated binary merging, CPU time for the same output.
 func A4MergeKernel() (*report.Table, error) {
 	t := report.NewTable("A4  Ablation: k-way merge kernel (CPU only; I/O identical)",
@@ -99,7 +99,7 @@ func A4MergeKernel() (*report.Table, error) {
 	return t, nil
 }
 
-// A3IntegerStriping ablates IntegerSort's block placement (DESIGN.md A3):
+// A3IntegerStriping ablates IntegerSort's block placement (ablation A3):
 // per-bucket round-robin rotation (the LMM striping) vs every bucket
 // starting at disk 0, comparing per-phase write steps analytically.
 func A3IntegerStriping() (*report.Table, error) {
@@ -133,7 +133,7 @@ func A3IntegerStriping() (*report.Table, error) {
 	return t, nil
 }
 
-// A5Detection quantifies the failure-detection choice (DESIGN.md A5): the
+// A5Detection quantifies the failure-detection choice (ablation A5): the
 // paper's largest-key tracking is free, while a separate verification pass
 // would cost a full extra pass even on success.
 func A5Detection() (*report.Table, error) {

@@ -3,7 +3,7 @@ package experiments
 import "repro/internal/report"
 
 // Scale selects the experiment sizes: Quick keeps cmd/experiments and the
-// benchmark suite snappy; Full is the configuration EXPERIMENTS.md records.
+// benchmark suite snappy; Full is what go run ./cmd/experiments prints.
 type Scale struct {
 	MemSmall int // M for sweep-style experiments
 	MemLarge int // M for the headline single runs
@@ -13,7 +13,7 @@ type Scale struct {
 // QuickScale runs in a few seconds.
 var QuickScale = Scale{MemSmall: 256, MemLarge: 1024, Trials: 5}
 
-// FullScale is what EXPERIMENTS.md records.
+// FullScale is the default of go run ./cmd/experiments.
 var FullScale = Scale{MemSmall: 1024, MemLarge: 4096, Trials: 20}
 
 // All runs every experiment and ablation at the given scale, in index

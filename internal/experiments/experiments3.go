@@ -177,7 +177,7 @@ func E14Subblock(m int) (*report.Table, error) {
 		report.Fixed(res.ReadPasses, 3), report.Fixed(res.WritePasses, 3), sortedOK(res, data))
 	res.Out.Free()
 	in.Free()
-	t.Note = "paper: 4 passes at B = Theta(M^2/5); this simulator's block model needs 5 (see DESIGN.md); capacity matches up to power-of-4 rounding"
+	t.Note = "paper: 4 passes at B = Theta(M^2/5); this simulator's block model needs 5 (see baseline.SubblockColumnsort); capacity matches up to power-of-4 rounding"
 	return t, nil
 }
 

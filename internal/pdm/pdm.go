@@ -224,10 +224,13 @@ func NewWithDisks(cfg Config, disks []Disk) (*Array, error) {
 // BindContext ties subsequent I/O on the array to ctx: once ctx is
 // canceled, every ReadV, WriteV, and TransferV — and therefore every pass
 // helper and streaming transfer built on them — fails with an error
-// wrapping ctx.Err().  The facade's SortContext binds the job's context
-// for the duration of one sort; a nil ctx unbinds.  Accounting stays
-// honest: a request rejected here charges no steps and records no trace,
-// exactly like any other validation failure.
+// wrapping ctx.Err(), and every pass helper releases its buffers on that
+// error path, so a canceled run leaves the arena fully drained and its
+// memory envelope immediately reusable.  The binding lasts until the next
+// BindContext (a nil ctx unbinds); an array runs one sort at a time, so the
+// scheduler binds each job's context once, before the job's entry point.
+// Accounting stays honest: a request rejected here charges no steps and
+// records no trace, exactly like any other validation failure.
 func (a *Array) BindContext(ctx context.Context) {
 	if ctx == nil {
 		a.ctx.Store(nil)

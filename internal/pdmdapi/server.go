@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/plan"
 	"repro/internal/wire"
 )
 
@@ -316,7 +317,7 @@ func (s *server) groups(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, err)
 		return
 	}
-	if res.Kind != "groupby" {
+	if res.Kind != plan.KindGroupBy {
 		writeError(w, http.StatusNotFound, fmt.Errorf("job %d is a %q scenario, not groupby", id, res.Kind))
 		return
 	}

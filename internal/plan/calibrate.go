@@ -13,20 +13,21 @@ import (
 // Calibration prices the model: seconds per parallel I/O step (one block
 // per disk) on each side, and seconds per key of in-memory compute.  A
 // zero value is unusable; obtain one from DefaultCalibration (analytic
-// nominal rates) or Calibrate (measured on the real backend).
+// nominal rates) or Calibrate (measured on the real backend).  A plan
+// report carries the one it priced with (repro.PlanCalibration).
 type Calibration struct {
 	// ReadStepSeconds and WriteStepSeconds are the effective wall cost of
 	// one parallel I/O step — modeled block latency, transfer, and (for
 	// file disks) syscall overhead included.
-	ReadStepSeconds  float64
-	WriteStepSeconds float64
+	ReadStepSeconds  float64 `json:"readStepSeconds"`
+	WriteStepSeconds float64 `json:"writeStepSeconds"`
 	// SortSecondsPerKey is the in-memory compute rate: the wall cost per
 	// key of one load's worth of sorting/merging on the configured pool.
-	SortSecondsPerKey float64
+	SortSecondsPerKey float64 `json:"sortSecondsPerKey"`
 	// Probed reports a measured calibration (false for the analytic
 	// default); ProbeSeconds is what the one-shot probe cost.
-	Probed       bool
-	ProbeSeconds float64
+	Probed       bool    `json:"probed"`
+	ProbeSeconds float64 `json:"probeSeconds,omitempty"`
 }
 
 // DefaultCalibration returns the analytic seed: the modeled block latency

@@ -67,17 +67,25 @@ func (s Shape) Stripe() int { return s.D * s.B }
 // pipelined reports whether transfers overlap computation.
 func (s Shape) pipelined() bool { return s.Prefetch > 0 || s.WriteBehind > 0 }
 
-// Workload is the workload half of a planning question.
+// Workload is the workload half of a planning question: the shape of a
+// prospective sort the cost model needs, without the data.  It is also the
+// spec the facade's Explain takes (repro.SortSpec) and echoes on GET /plan.
 type Workload struct {
 	// N is the record (key) count.
-	N int
-	// PayloadWords is the total payload volume, in 8-byte words, a
-	// full-record sort will move through the external permutation
-	// (internal/records); zero plans a bare key sort.
-	PayloadWords int
-	// Universe, when positive, hints integer keys in [0, Universe) so the
-	// Radix candidate becomes feasible.
-	Universe int64
+	N int `json:"n"`
+	// PayloadBytes, when positive, plans a full-record sort whose records
+	// carry payloads of (up to) this many bytes each: the external
+	// permutation's distribution levels enter every candidate's prediction.
+	PayloadBytes int `json:"payloadBytes,omitempty"`
+	// PayloadWords, when positive, is the exact total payload volume, in
+	// 8-byte words, the external permutation (internal/records) will move;
+	// it overrides the PayloadBytes estimate (the scheduler sets it once a
+	// job's payloads are materialized).  Both zero plans a bare key sort.
+	PayloadWords int `json:"payloadWords,omitempty"`
+	// Universe, when positive, hints integer keys in [0, Universe): the
+	// Section 7 RadixSort becomes feasible and is chosen (it is what
+	// SortInts and universe-bearing jobs run).
+	Universe int64 `json:"universe,omitempty"`
 	// Presorted ∈ [0, 1] hints how much existing order the input carries
 	// (1 = fully sorted).  The paper's algorithms are oblivious — passes
 	// don't change — but in-memory run formation on presorted data runs
@@ -85,39 +93,51 @@ type Workload struct {
 	// Because it shifts the compute/I/O balance it can reorder the
 	// calibrated ranking at the margin; the facade pins its Chosen to the
 	// Auto path's fixed-calibration choice, which ignores the hint.
-	Presorted float64
+	Presorted float64 `json:"presorted,omitempty"`
 }
 
-// Candidate is one row of the ranked plan table.
+// payloadWords resolves the payload volume the permutation will move.
+func (w Workload) payloadWords() int {
+	if w.PayloadWords == 0 && w.PayloadBytes > 0 {
+		return w.N * ((w.PayloadBytes + 7) / 8)
+	}
+	return w.PayloadWords
+}
+
+// Candidate is one row of the ranked plan table (repro.PlanCandidate).
+// Algorithm serializes as the short name ("exp2", "lmm3", "one", "radix",
+// …); the analytic columns (passes, padded length, I/O words) are
+// deterministic while the seconds columns come from the calibration.
 type Candidate struct {
-	Alg      Alg
-	Feasible bool
+	Algorithm Alg  `json:"algorithm"`
+	Feasible  bool `json:"feasible"`
 	// Reason says why an infeasible candidate is out (capacity, geometry,
 	// payload constraints).
-	Reason string
+	Reason string `json:"reason,omitempty"`
 
 	// PaddedN is the on-disk key length the candidate's geometry forces —
 	// the cost the capacity-threshold planner ignored.
-	PaddedN int
+	PaddedN int `json:"paddedN,omitempty"`
 	// ReadPasses/WritePasses are the predicted pass counts over PaddedN,
 	// seeded from the paper's closed forms plus the expected-fallback
 	// surcharge M^−α·(fallback passes) for the probabilistic algorithms.
-	ReadPasses, WritePasses float64
+	ReadPasses  float64 `json:"readPasses,omitempty"`
+	WritePasses float64 `json:"writePasses,omitempty"`
 	// PermuteLevels and PermutePasses describe the payload permutation
 	// (zero for bare key sorts): levels of distribution scatter, and
 	// 2·(levels+1) passes over the padded payload store.
-	PermuteLevels int
-	PermutePasses float64
+	PermuteLevels int     `json:"permuteLevels,omitempty"`
+	PermutePasses float64 `json:"permutePasses,omitempty"`
 	// IOWords is the total predicted transfer volume (reads + writes,
 	// keys + payload store) in words; Steps the parallel I/O steps.
-	IOWords int64
-	Steps   int64
+	IOWords int64 `json:"ioWords,omitempty"`
+	Steps   int64 `json:"steps,omitempty"`
 
 	// Seconds predicted by the calibration: I/O, compute, and the wall
 	// combining them (overlapped when the shape pipelines).
-	IOSeconds      float64
-	ComputeSeconds float64
-	Seconds        float64
+	IOSeconds      float64 `json:"ioSeconds,omitempty"`
+	ComputeSeconds float64 `json:"computeSeconds,omitempty"`
+	Seconds        float64 `json:"seconds,omitempty"`
 }
 
 // Report is a ranked plan: every candidate, best first, plus the choice.
@@ -142,7 +162,7 @@ type Report struct {
 // Candidate returns the row for alg (nil when absent).
 func (r *Report) Candidate(alg Alg) *Candidate {
 	for i := range r.Candidates {
-		if r.Candidates[i].Alg == alg {
+		if r.Candidates[i].Algorithm == alg {
 			return &r.Candidates[i]
 		}
 	}
@@ -335,7 +355,7 @@ func feasible(shape Shape, w Workload, alg Alg) (int, error) {
 		if w.Universe <= 0 {
 			return 0, fmt.Errorf("integer keys only (no universe hint)")
 		}
-		if w.PayloadWords > 0 {
+		if w.payloadWords() > 0 {
 			return 0, fmt.Errorf("record payloads need a comparison sort")
 		}
 		if r := shape.Mem / shape.B; r < 2 || r&(r-1) != 0 {
@@ -355,7 +375,7 @@ func feasible(shape Shape, w Workload, alg Alg) (int, error) {
 
 // evaluate builds one candidate row.
 func evaluate(shape Shape, w Workload, cal Calibration, alg Alg) Candidate {
-	c := Candidate{Alg: alg}
+	c := Candidate{Algorithm: alg}
 	padded, err := feasible(shape, w, alg)
 	if err != nil {
 		c.Reason = err.Error()
@@ -369,8 +389,9 @@ func evaluate(shape Shape, w Workload, cal Calibration, alg Alg) Candidate {
 	stripe := shape.Stripe()
 	readWords := c.ReadPasses * float64(padded)
 	writeWords := c.WritePasses * float64(padded)
-	if w.PayloadWords > 0 {
-		paddedW, levels, passes := PermutePlan(w.PayloadWords, shape.Mem, shape.B, stripe)
+	// All zero for a bare key sort.
+	paddedW, levels, passes := PermutePlan(w.payloadWords(), shape.Mem, shape.B, stripe)
+	if paddedW > 0 {
 		c.PermuteLevels = levels
 		c.PermutePasses = passes
 		readWords += float64(levels+1) * float64(paddedW)
@@ -386,12 +407,7 @@ func evaluate(shape Shape, w Workload, cal Calibration, alg Alg) Candidate {
 	// write pass), the output unload (one read pass), and the payload
 	// store's load and gather-back.  IOWords/Steps stay in the charged
 	// currency so they line up with the measured Report.
-	stagingWords := float64(padded)
-	if w.PayloadWords > 0 {
-		paddedW, _, _ := PermutePlan(w.PayloadWords, shape.Mem, shape.B, stripe)
-		stagingWords += float64(paddedW)
-	}
-	stagingSteps := math.Ceil(stagingWords / float64(stripe))
+	stagingSteps := math.Ceil(float64(padded+paddedW) / float64(stripe))
 	c.IOSeconds = (readSteps+stagingSteps)*cal.ReadStepSeconds +
 		(writeSteps+stagingSteps)*cal.WriteStepSeconds
 	presorted := w.Presorted
@@ -446,7 +462,7 @@ func Explain(shape Shape, w Workload, cal Calibration) (*Report, error) {
 		return nil, fmt.Errorf("plan: no feasible algorithm for %d keys on M = %d (largest capacity %d): %s",
 			w.N, shape.Mem, shape.Mem*shape.Mem, cands[0].Reason)
 	}
-	r.Chosen = cands[0].Alg
+	r.Chosen = cands[0].Algorithm
 	return r, nil
 }
 
@@ -457,7 +473,7 @@ func less(a, b Candidate, order map[Alg]int) bool {
 	if a.Feasible && a.Seconds != b.Seconds {
 		return a.Seconds < b.Seconds
 	}
-	return order[a.Alg] < order[b.Alg]
+	return order[a.Algorithm] < order[b.Algorithm]
 }
 
 func validate(shape Shape, w Workload) error {

@@ -166,8 +166,8 @@ func TestTieBreakCanonical(t *testing.T) {
 	}
 	var order []Alg
 	for _, c := range r.Candidates {
-		if c.Feasible && (c.Alg == LMM3 || c.Alg == Mesh3) {
-			order = append(order, c.Alg)
+		if c.Feasible && (c.Algorithm == LMM3 || c.Algorithm == Mesh3) {
+			order = append(order, c.Algorithm)
 		}
 	}
 	if len(order) != 2 || order[0] != LMM3 || order[1] != Mesh3 {

@@ -18,47 +18,30 @@ import (
 	"repro/internal/journal"
 	"repro/internal/par"
 	"repro/internal/pdm"
+	"repro/internal/wire"
 )
 
-// State is a job's lifecycle position.
-type State int
+// State is a job's lifecycle position: the wire's JobState, so the service
+// reports the engine's states as they are and a terminal journal record
+// stores the same word.
+type State = wire.JobState
 
 const (
 	// Queued jobs wait for admission in FIFO order.
-	Queued State = iota
+	Queued = wire.JobQueued
 	// Running jobs hold their memory/disk envelopes and execute.
-	Running
+	Running = wire.JobRunning
 	// Done jobs completed successfully.
-	Done
+	Done = wire.JobDone
 	// Failed jobs returned an error other than cancellation.
-	Failed
+	Failed = wire.JobFailed
 	// Canceled jobs were canceled before or during execution.
-	Canceled
+	Canceled = wire.JobCanceled
 	// Suspended jobs were interrupted at a pass boundary by Drain: the
 	// envelope is released and the scratch directory kept, and no terminal
 	// record is journaled, so a restarted scheduler recovers them.
-	Suspended
+	Suspended = wire.JobSuspended
 )
-
-// String names the state as the service reports it.
-func (s State) String() string {
-	switch s {
-	case Queued:
-		return "queued"
-	case Running:
-		return "running"
-	case Done:
-		return "done"
-	case Failed:
-		return "failed"
-	case Canceled:
-		return "canceled"
-	case Suspended:
-		return "suspended"
-	default:
-		return fmt.Sprintf("State(%d)", int(s))
-	}
-}
 
 // Errors returned by the scheduler.
 var (
@@ -149,8 +132,9 @@ type Request struct {
 	// directory); no new submission record is written.
 	ID int
 	// Run is the job body.  It must honor ctx — the pdm layer turns a
-	// bound context into failing I/O, so a sorting Run that uses
-	// SortContext aborts promptly when canceled.
+	// bound context into failing I/O, so a sorting Run that binds ctx to
+	// its machine's array (pdm.Array.BindContext) aborts promptly when
+	// canceled.
 	Run func(ctx context.Context, env Env) error
 }
 
@@ -322,7 +306,7 @@ type submittedData struct {
 
 // terminalData is the JSON payload of a Terminal journal record.
 type terminalData struct {
-	State string `json:"state"`
+	State State  `json:"state"`
 	Error string `json:"error,omitempty"`
 }
 
@@ -891,7 +875,7 @@ func (s *Scheduler) journalTerminal(id int, state State, err error) {
 	if jr == nil {
 		return
 	}
-	td := terminalData{State: state.String()}
+	td := terminalData{State: state}
 	if err != nil {
 		td.Error = err.Error()
 	}

@@ -20,6 +20,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/memsort"
 	"repro/internal/pdm"
+	"repro/internal/plan"
 	"repro/internal/workload"
 )
 
@@ -183,26 +184,26 @@ type JobSpec struct {
 	Label string `json:"label,omitempty"`
 
 	// Scenario, when set, makes this a query-scenario job instead of a
-	// sort: "topk", "quantile", "groupby", or "ingest" over Keys (or the
-	// workload-generated input).  The machine prices the scenario route
+	// sort: one of internal/plan's scenario kinds (topk, quantile, groupby,
+	// ingest) over Keys (or the workload-generated input).  The machine prices the scenario route
 	// against the full sort and runs whichever is cheaper; the result is
 	// read back with ScenarioResult (GET /jobs/{id}/result, and /groups
 	// for groupby).  Scenario jobs exclude a forced Alg, Universe, and
 	// byte Payloads.
 	Scenario string `json:"scenario,omitempty"`
-	// TopK is the top-K count (Scenario "topk").
+	// TopK is the top-K count (Scenario topk).
 	TopK int `json:"topK,omitempty"`
-	// Rank is the 1-indexed target rank (Scenario "quantile").
+	// Rank is the 1-indexed target rank (Scenario quantile).
 	Rank int `json:"rank,omitempty"`
 	// Groups hints the distinct group count for route planning (Scenario
-	// "groupby"; <= 0 plans for the worst case).
+	// groupby; <= 0 plans for the worst case).
 	Groups int `json:"groups,omitempty"`
 	// GroupPayloads is the optional aggregation payload column (Scenario
-	// "groupby"): GroupPayloads[i] rides with Keys[i].  Requires inline
+	// groupby): GroupPayloads[i] rides with Keys[i].  Requires inline
 	// Keys of the same length.
 	GroupPayloads []int64 `json:"groupPayloads,omitempty"`
 	// IngestBatch is the new batch folded into the sorted Keys dataset
-	// (Scenario "ingest").  Keys must already be ascending.
+	// (Scenario ingest).  Keys must already be ascending.
 	IngestBatch []int64 `json:"ingestBatch,omitempty"`
 }
 
@@ -310,40 +311,42 @@ func (s *JobSpec) validateScenario() error {
 	if s.IsRecords() {
 		return fmt.Errorf("repro: scenario %q jobs take no byte payloads (group-by aggregates groupPayloads)", s.Scenario)
 	}
-	if len(s.IngestBatch) > 0 && s.Scenario != "ingest" {
-		return fmt.Errorf("repro: ingestBatch is only valid with scenario \"ingest\", not %q", s.Scenario)
+	if len(s.IngestBatch) > 0 && s.Scenario != plan.KindIngest {
+		return fmt.Errorf("repro: ingestBatch is only valid with scenario %q, not %q", plan.KindIngest, s.Scenario)
 	}
-	if s.GroupPayloads != nil && s.Scenario != "groupby" {
-		return fmt.Errorf("repro: groupPayloads are only valid with scenario \"groupby\", not %q", s.Scenario)
+	if s.GroupPayloads != nil {
+		switch {
+		case s.Scenario != plan.KindGroupBy:
+			return fmt.Errorf("repro: groupPayloads are only valid with scenario %q, not %q", plan.KindGroupBy, s.Scenario)
+		case s.Workload != nil:
+			return fmt.Errorf("repro: groupPayloads require inline keys, not a workload")
+		case len(s.GroupPayloads) != len(s.Keys):
+			return fmt.Errorf("repro: %d keys but %d groupPayloads", len(s.Keys), len(s.GroupPayloads))
+		}
 	}
-	n := s.N()
-	switch s.Scenario {
-	case "topk":
-		if s.TopK < 1 || s.TopK > n {
-			return fmt.Errorf("repro: topK = %d outside [1, %d]", s.TopK, n)
-		}
-	case "quantile":
-		if s.Rank < 1 || s.Rank > n {
-			return fmt.Errorf("repro: rank = %d outside [1, %d]", s.Rank, n)
-		}
-	case "groupby":
-		if s.GroupPayloads != nil {
-			if s.Workload != nil {
-				return fmt.Errorf("repro: groupPayloads require inline keys, not a workload")
-			}
-			if len(s.GroupPayloads) != n {
-				return fmt.Errorf("repro: %d keys but %d groupPayloads", n, len(s.GroupPayloads))
-			}
-		}
-	case "ingest":
-		if s.Workload != nil && s.Workload.Kind != "sorted" {
-			return fmt.Errorf("repro: ingest needs a sorted dataset; workload kind %q is not %q", s.Workload.Kind, "sorted")
-		}
-		if len(s.IngestBatch) == 0 {
-			return fmt.Errorf("repro: ingest needs a non-empty ingestBatch")
-		}
-	default:
-		return fmt.Errorf("repro: unknown scenario %q (want topk|quantile|groupby|ingest)", s.Scenario)
+	if s.Scenario == plan.KindIngest && s.Workload != nil && s.Workload.Kind != "sorted" {
+		return fmt.Errorf("repro: ingest needs a sorted dataset; workload kind %q is not %q", s.Workload.Kind, "sorted")
+	}
+	// The kind itself and its parameters against the input size: the
+	// planner's scenario table holds those rules.
+	if err := s.ScenarioQuery().Validate(); err != nil {
+		return fmt.Errorf("repro: %w", err)
 	}
 	return nil
+}
+
+// ScenarioQuery is the planner's view of a scenario job: the kind, the
+// dataset size (the ingest batch counted apart) and the kind's parameters.
+// Validation, envelope sizing, the dry-run plan and the recorded
+// prediction all price this one value.
+func (s *JobSpec) ScenarioQuery() plan.ScenarioQuery {
+	q := plan.ScenarioQuery{
+		Kind: s.Scenario, N: s.N() - len(s.IngestBatch),
+		K: s.TopK, Rank: s.Rank, Groups: s.Groups,
+		PairWords: 1, Batch: len(s.IngestBatch),
+	}
+	if s.GroupPayloads != nil {
+		q.PairWords = 2
+	}
+	return q
 }

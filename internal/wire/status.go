@@ -141,11 +141,11 @@ type Report struct {
 	Workers           int
 	ComputeSeconds    float64
 	WorkerUtilization float64
-	// Scenario names the query scenario that produced this report ("topk",
-	// "quantile", "groupby", "ingest"; empty for plain sorts) and
-	// ScenarioRoute the strategy it ran ("filter", "onepass", "partition",
-	// "merge", or "fullsort" when the planner priced the scenario out or a
-	// sampling miss fell back — the FellBack flag distinguishes the two).
+	// Scenario names the query scenario that produced this report (one of
+	// internal/plan's Kind constants; empty for plain sorts) and
+	// ScenarioRoute the strategy it ran (one of its Route constants:
+	// RouteFullSort when the planner priced the scenario out or a sampling
+	// miss fell back — the FellBack flag distinguishes the two).
 	Scenario      string
 	ScenarioRoute string
 	// Records observability (SortRecords and SortPairs only; zero for the

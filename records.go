@@ -253,6 +253,13 @@ func (m *Machine) SortPairs(keys, payloads []int64, alg Algorithm) (*Report, err
 			return nil, fmt.Errorf("repro: key %d at index %d outside [0, 2^%d)", k, i, pairKeyBits)
 		}
 	}
+	return m.sortWordRecords(keys, payloads, alg)
+}
+
+// sortWordRecords is SortRecords for single-word payloads: each int64
+// rides as an 8-byte record payload and is read back in sorted order.  Both
+// slices are sorted in place; on error both are left untouched.
+func (m *Machine) sortWordRecords(keys, payloads []int64, alg Algorithm) (*Report, error) {
 	raw := make([]byte, 8*len(payloads))
 	blobs := make([][]byte, len(payloads))
 	for i, p := range payloads {

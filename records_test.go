@@ -181,7 +181,8 @@ func TestSortRecordsErrorLeavesInputUntouched(t *testing.T) {
 	wantK := append([]int64(nil), keys...)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := m.SortRecordsContext(ctx, keys, payloads, Auto); err == nil {
+	m.Array().BindContext(ctx)
+	if _, err := m.SortRecords(keys, payloads, Auto); err == nil {
 		t.Fatal("canceled sort succeeded")
 	}
 	if !slices.Equal(keys, wantK) {

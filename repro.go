@@ -13,8 +13,8 @@
 //
 // The underlying pieces (the pdm simulator, the individual algorithms, the
 // baselines, the zero-one principle machinery) live in internal/ packages
-// and are exercised by the experiment harness (cmd/experiments) that
-// regenerates every empirical claim in EXPERIMENTS.md.
+// and are exercised by the experiment harness that regenerates every
+// empirical claim: go run ./cmd/experiments.
 package repro
 
 import (
@@ -252,8 +252,10 @@ func resolveConfig(cfg MachineConfig) (pcfg pdm.Config, backend pdm.Backend, alp
 		Workers: cfg.Workers, Kernel: kernel.Resolve(cfg.Memory)}, backend, alpha, nil
 }
 
-// Array exposes the underlying PDM array for harnesses that need direct
-// access (statistics, stripes).
+// Array exposes the underlying PDM array for callers that need direct
+// access: statistics, stripes, and cancellation — Array().BindContext(ctx)
+// makes every run that follows on this machine abort at its next I/O once
+// ctx is canceled, with the arena drained.
 func (m *Machine) Array() *pdm.Array { return m.a }
 
 // Kernel returns the resolved compute kernel this machine sorts memory

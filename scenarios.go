@@ -1,11 +1,10 @@
 package repro
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/pdm"
 	"repro/internal/plan"
@@ -22,60 +21,71 @@ import (
 // client-side metadata work (sampling, partition-size counting, input
 // validation) is uncharged, exactly like Load/Unload.
 
-// ScenarioSpec describes a prospective scenario run for planning.
-type ScenarioSpec struct {
-	// Kind selects the scenario: "topk", "quantile", "groupby", "ingest".
+// The scenario vocabulary is declared once, beside the kinds table in
+// internal/plan (and the aggregate beside its kernel), and re-exported here.
+type (
+	// ScenarioSpec describes a prospective scenario run for planning: the
+	// kind, the dataset size N, and the kind's parameters (K, Rank, Groups
+	// and PairWords, Batch).
+	ScenarioSpec = plan.ScenarioQuery
+	// ScenarioPlanReport is the planner's answer for one scenario: the
+	// predicted steps and passes of the scenario route, the full-sort
+	// alternative it competes with, and the Auto decision between them.
+	// When Exact is true a non-fallback run charges exactly
+	// ReadSteps/WriteSteps.
+	ScenarioPlanReport = plan.ScenarioPlan
+	// GroupAgg is one group's aggregate from Machine.GroupBy: Count
+	// records carried Key, and Sum/Min/Max summarize their payloads (the
+	// key itself when the input has no payload column).
+	GroupAgg = scenario.Agg
+)
+
+// ScenarioResult is a scenario run's answer: what Machine.RunScenario
+// returns and Scheduler.ScenarioResult serves for a completed job.
+type ScenarioResult struct {
+	// Kind is the scenario that ran.
 	Kind string `json:"kind"`
-	// N is the dataset size in keys (records for groupby).
-	N int `json:"n"`
-	// K is the top-K count (topk only).
-	K int `json:"k,omitempty"`
-	// Rank is the 1-indexed target rank (quantile only).
-	Rank int `json:"rank,omitempty"`
-	// Groups hints the distinct group count (groupby only); ≤ 0 means
-	// unknown, which plans for the worst case of N distinct groups.
-	Groups int `json:"groups,omitempty"`
-	// PairWords is the group-by record width: 1 for bare keys, 2 for
-	// key+payload pairs.  Zero means 1.
-	PairWords int `json:"pairWords,omitempty"`
-	// Batch is the new-batch size (ingest only).
-	Batch int `json:"batch,omitempty"`
+	// Keys is the top-K result in ascending order, or (for specs with
+	// KeepKeys) the merged ingest output.
+	Keys []int64 `json:"keys,omitempty"`
+	// Value is the selected quantile key.
+	Value *int64 `json:"value,omitempty"`
+	// Groups is the group-by aggregation, sorted by key.
+	Groups []GroupAgg `json:"groups,omitempty"`
 }
 
-// ScenarioPlanReport is the planner's answer for one scenario: the
-// predicted steps and passes of the scenario route, the full-sort
-// alternative it competes with, and the Auto decision between them.  When
-// Exact is true a non-fallback run charges exactly ReadSteps/WriteSteps.
-type ScenarioPlanReport struct {
-	Kind     string `json:"kind"`
-	Feasible bool   `json:"feasible"`
-	Reason   string `json:"reason,omitempty"`
-
-	PaddedN     int     `json:"paddedN,omitempty"`
-	ReadSteps   int64   `json:"readSteps,omitempty"`
-	WriteSteps  int64   `json:"writeSteps,omitempty"`
-	ReadPasses  float64 `json:"readPasses,omitempty"`
-	WritePasses float64 `json:"writePasses,omitempty"`
-	Exact       bool    `json:"exact,omitempty"`
-
-	Sample int    `json:"sample,omitempty"`
-	Budget int    `json:"budget,omitempty"`
-	Route  string `json:"route"`
-
-	FullSortAlgorithm  string  `json:"fullSortAlgorithm,omitempty"`
-	FullSortReadPasses float64 `json:"fullSortReadPasses,omitempty"`
-	UseScenario        bool    `json:"useScenario"`
-}
-
-// GroupAgg is one group's aggregate from Machine.GroupBy: Count records
-// carried Key, and Sum/Min/Max summarize their payloads (the key itself
-// when the input has no payload column).
-type GroupAgg struct {
-	Key   int64 `json:"key"`
-	Count int64 `json:"count"`
-	Sum   int64 `json:"sum"`
-	Min   int64 `json:"min"`
-	Max   int64 `json:"max"`
+// RunScenario answers spec's query scenario over keys, the materialized
+// dataset (spec.Keys, or its generated workload): the one dispatch from a
+// scenario kind to its entry point, shared by the scheduler and pdmsort.
+// Top-K, quantile, and group-by results are always returned (they are
+// bounded by the scenario budget, not the input size); the merged ingest
+// output only under spec.KeepKeys, like a sort's.
+func (m *Machine) RunScenario(spec *JobSpec, keys []int64) (*ScenarioResult, *Report, error) {
+	res := &ScenarioResult{Kind: spec.Scenario}
+	var rep *Report
+	var err error
+	switch spec.Scenario {
+	case plan.KindTopK:
+		res.Keys, rep, err = m.TopK(keys, spec.TopK)
+	case plan.KindQuantile:
+		var v int64
+		v, rep, err = m.Quantile(keys, spec.Rank)
+		res.Value = &v
+	case plan.KindGroupBy:
+		res.Groups, rep, err = m.GroupBy(keys, spec.GroupPayloads, spec.Groups)
+	case plan.KindIngest:
+		var merged []int64
+		merged, rep, err = m.Ingest(keys, spec.IngestBatch)
+		if spec.KeepKeys {
+			res.Keys = merged
+		}
+	default:
+		err = fmt.Errorf("repro: unknown scenario %q", spec.Scenario)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, rep, nil
 }
 
 // scenarioShape is the planner shape scenario pricing uses: the pure
@@ -86,47 +96,11 @@ func (m *Machine) scenarioShape() plan.Shape {
 
 // ExplainScenario prices spec's scenario route against the full sort.
 func (m *Machine) ExplainScenario(spec ScenarioSpec) (*ScenarioPlanReport, error) {
-	p, err := scenarioPlanFor(m.scenarioShape(), spec)
+	p, err := plan.Scenario(m.scenarioShape(), spec)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("repro: %w", err)
 	}
-	return convertScenarioPlan(p), nil
-}
-
-// scenarioPlanFor is ExplainScenario as a pure function of the geometry,
-// shared with the scheduler's submit-time planning.
-func scenarioPlanFor(shape plan.Shape, spec ScenarioSpec) (plan.ScenarioPlan, error) {
-	if spec.N <= 0 {
-		return plan.ScenarioPlan{}, fmt.Errorf("repro: ScenarioSpec.N = %d, want > 0", spec.N)
-	}
-	w := plan.Workload{N: spec.N}
-	switch spec.Kind {
-	case "topk":
-		return plan.TopKPlan(shape, w, spec.K), nil
-	case "quantile":
-		return plan.QuantilePlan(shape, w, spec.Rank), nil
-	case "groupby":
-		pw := spec.PairWords
-		if pw == 0 {
-			pw = 1
-		}
-		return plan.GroupByPlan(shape, spec.N, spec.Groups, pw), nil
-	case "ingest":
-		return plan.IngestPlan(shape, w, spec.Batch), nil
-	}
-	return plan.ScenarioPlan{}, fmt.Errorf("repro: unknown scenario kind %q (want topk|quantile|groupby|ingest)", spec.Kind)
-}
-
-// convertScenarioPlan maps the internal plan onto the facade type.
-func convertScenarioPlan(p plan.ScenarioPlan) *ScenarioPlanReport {
-	return &ScenarioPlanReport{
-		Kind: p.Kind, Feasible: p.Feasible, Reason: p.Reason,
-		PaddedN: p.PaddedN, ReadSteps: p.ReadSteps, WriteSteps: p.WriteSteps,
-		ReadPasses: p.ReadPasses, WritePasses: p.WritePasses, Exact: p.Exact,
-		Sample: p.Sample, Budget: p.Budget, Route: p.Route,
-		FullSortAlgorithm: string(p.FullSortAlg), FullSortReadPasses: p.FullSortReadPasses,
-		UseScenario: p.UseScenario,
-	}
+	return &p, nil
 }
 
 // checkKeys rejects the padding sentinel, like Sort.
@@ -165,7 +139,7 @@ func sampleKeys(keys []int64) []int64 {
 			out[i] = keys[x%uint64(n)]
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -192,8 +166,8 @@ func thresholdAt(sample []int64, n, target int) int64 {
 	return sample[idx]
 }
 
-// scenarioReport assembles a Report from the I/O delta of a scenario run,
-// with passes over the scenario plan's padded length.
+// scenarioReport assembles a Report from the I/O delta of a scenario run
+// that took route, with passes over the scenario plan's padded length.
 func (m *Machine) scenarioReport(kind, route string, n, paddedN int, io pdm.Stats) *Report {
 	stripe := m.a.StripeWidth()
 	rep := &Report{
@@ -226,6 +200,54 @@ func (m *Machine) loadPadded(data []int64, pad int, sentinel int64) (*pdm.Stripe
 	return s, nil
 }
 
+// selectPlan is the shared front of the selection kinds (top-K, quantile):
+// reject the sentinel, check the target against the input size with the
+// scenario table's rule, and price the filter route against the full sort.
+func (m *Machine) selectPlan(keys []int64, q ScenarioSpec) (*ScenarioPlanReport, error) {
+	if err := checkKeys(keys); err != nil {
+		return nil, err
+	}
+	if err := q.Validate(); err != nil {
+		return nil, fmt.Errorf("repro: %w", err)
+	}
+	return m.ExplainScenario(q)
+}
+
+// filterPass is the selection kinds' one charged pass: keys staged on a
+// stripe padded to the plan's length, streamed once through
+// scenario.Filter at the sampled window.  A survivor overflow past the
+// plan's budget is a detected sampling miss, reported as a nil result.
+func (m *Machine) filterPass(keys []int64, p *ScenarioPlanReport, lo, hi int64, hasLo bool) (*scenario.FilterResult, error) {
+	in, err := m.loadPadded(keys, p.PaddedN, math.MaxInt64)
+	if err != nil {
+		return nil, err
+	}
+	fr, err := scenario.Filter(m.a, in, lo, hi, hasLo, p.Budget)
+	in.Free()
+	if errors.Is(err, scenario.ErrOverflow) {
+		return nil, nil
+	}
+	return fr, err
+}
+
+// sortRoute is every scenario's full-sort route: keys — the caller's
+// private copy, with payloads riding along as one-word records when
+// non-nil — sorted in place with the planner's algorithm, the report
+// labelled.  fellBack marks a run that tried its scenario route first.
+func (m *Machine) sortRoute(kind string, fellBack bool, keys, payloads []int64) (rep *Report, err error) {
+	if payloads != nil {
+		rep, err = m.sortWordRecords(keys, payloads, Auto)
+	} else {
+		rep, err = m.Sort(keys, Auto)
+	}
+	if err != nil {
+		return nil, err
+	}
+	rep.Scenario, rep.ScenarioRoute = kind, plan.RouteFullSort
+	rep.FellBack = rep.FellBack || fellBack
+	return rep, nil
+}
+
 // TopK returns the k smallest keys in ascending order.  When the planner
 // prices the filter route cheaper than the full sort (ExplainScenario
 // shows the comparison), one charged filtering pass at a sampled
@@ -235,42 +257,35 @@ func (m *Machine) loadPadded(data []int64, pad int, sentinel int64) (*pdm.Stripe
 // slice is never modified.
 func (m *Machine) TopK(keys []int64, k int) ([]int64, *Report, error) {
 	n := len(keys)
-	if err := checkKeys(keys); err != nil {
-		return nil, nil, err
-	}
-	if k < 1 || k > n {
-		return nil, nil, fmt.Errorf("repro: TopK k = %d outside [1, %d]", k, n)
-	}
-	p := plan.TopKPlan(m.scenarioShape(), plan.Workload{N: n}, k)
-	if !p.Feasible || !p.UseScenario {
-		return m.topKBySort(keys, k, false)
-	}
-	threshold := thresholdAt(sampleKeys(keys), n, k+plan.SelectDelta(n, k))
-
-	st0 := m.a.Stats()
-	in, err := m.loadPadded(keys, p.PaddedN, math.MaxInt64)
+	p, err := m.selectPlan(keys, ScenarioSpec{Kind: plan.KindTopK, N: n, K: k})
 	if err != nil {
 		return nil, nil, err
 	}
-	fr, err := scenario.Filter(m.a, in, 0, threshold, false, p.Budget)
-	in.Free()
-	if errors.Is(err, scenario.ErrOverflow) {
-		return m.topKBySort(keys, k, true)
+	filtered := p.Feasible && p.UseScenario
+	if filtered {
+		threshold := thresholdAt(sampleKeys(keys), n, k+plan.SelectDelta(n, k))
+		st0 := m.a.Stats()
+		fr, err := m.filterPass(keys, p, 0, threshold, false)
+		if err != nil {
+			return nil, nil, err
+		}
+		// Fewer than k survivors means the sampled threshold cut too deep:
+		// detected, like the overflow, and sorted outright below.
+		if fr != nil && len(fr.Kept) >= k {
+			m.a.Pool().SortKeys(fr.Kept)
+			top := slices.Clone(fr.Kept[:k])
+			if err := m.writeResult(top); err != nil {
+				return nil, nil, err
+			}
+			return top, m.scenarioReport(p.Kind, p.Route, n, p.PaddedN, m.a.Stats().Sub(st0)), nil
+		}
 	}
+	sorted := slices.Clone(keys)
+	rep, err := m.sortRoute(p.Kind, filtered, sorted, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	if len(fr.Kept) < k {
-		// The sampled threshold cut too deep: detected, fall back.
-		return m.topKBySort(keys, k, true)
-	}
-	m.a.Pool().SortKeys(fr.Kept)
-	top := append([]int64(nil), fr.Kept[:k]...)
-	if err := m.writeResult(top); err != nil {
-		return nil, nil, err
-	}
-	rep := m.scenarioReport("topk", "filter", n, p.PaddedN, m.a.Stats().Sub(st0))
-	return top, rep, nil
+	return sorted[:k:k], rep, nil
 }
 
 // writeResult streams a scenario's result keys to a fresh output stripe
@@ -299,18 +314,6 @@ func (m *Machine) writeResult(out []int64) error {
 	return s.WriteAt(0, flat)
 }
 
-// topKBySort is TopK's full-sort route.
-func (m *Machine) topKBySort(keys []int64, k int, fellBack bool) ([]int64, *Report, error) {
-	cp := append([]int64(nil), keys...)
-	rep, err := m.Sort(cp, Auto)
-	if err != nil {
-		return nil, nil, err
-	}
-	rep.Scenario, rep.ScenarioRoute = "topk", "fullsort"
-	rep.FellBack = rep.FellBack || fellBack
-	return cp[:k:k], rep, nil
-}
-
 // Quantile returns the key of 1-indexed rank r (r = 1 is the minimum,
 // r = n the maximum).  The filter route keeps one charged pass's worth of
 // keys around the sampled rank window and reads the answer out of the
@@ -318,58 +321,39 @@ func (m *Machine) topKBySort(keys []int64, k int, fellBack bool) ([]int64, *Repo
 // sorts outright.  The input slice is never modified.
 func (m *Machine) Quantile(keys []int64, r int) (int64, *Report, error) {
 	n := len(keys)
-	if err := checkKeys(keys); err != nil {
-		return 0, nil, err
-	}
-	if r < 1 || r > n {
-		return 0, nil, fmt.Errorf("repro: Quantile rank = %d outside [1, %d]", r, n)
-	}
-	p := plan.QuantilePlan(m.scenarioShape(), plan.Workload{N: n}, r)
-	if !p.Feasible || !p.UseScenario {
-		return m.quantileBySort(keys, r, false)
-	}
-	sample := sampleKeys(keys)
-	delta := plan.SelectDelta(n, r)
-	hasLo := r-delta > 1
-	var lo int64
-	if hasLo {
-		lo = thresholdAt(sample, n, r-delta)
-	}
-	hi := thresholdAt(sample, n, r+delta)
-
-	st0 := m.a.Stats()
-	in, err := m.loadPadded(keys, p.PaddedN, math.MaxInt64)
+	p, err := m.selectPlan(keys, ScenarioSpec{Kind: plan.KindQuantile, N: n, Rank: r})
 	if err != nil {
 		return 0, nil, err
 	}
-	fr, err := scenario.Filter(m.a, in, lo, hi, hasLo, p.Budget)
-	in.Free()
-	if errors.Is(err, scenario.ErrOverflow) {
-		return m.quantileBySort(keys, r, true)
+	filtered := p.Feasible && p.UseScenario
+	if filtered {
+		sample := sampleKeys(keys)
+		delta := plan.SelectDelta(n, r)
+		hasLo := r-delta > 1
+		var lo int64
+		if hasLo {
+			lo = thresholdAt(sample, n, r-delta)
+		}
+		st0 := m.a.Stats()
+		fr, err := m.filterPass(keys, p, lo, thresholdAt(sample, n, r+delta), hasLo)
+		if err != nil {
+			return 0, nil, err
+		}
+		// A window that missed the target rank is detected, like the
+		// overflow, and sorted outright below.
+		if fr != nil {
+			if idx := r - 1 - fr.Below; idx >= 0 && idx < len(fr.Kept) {
+				m.a.Pool().SortKeys(fr.Kept)
+				return fr.Kept[idx], m.scenarioReport(p.Kind, p.Route, n, p.PaddedN, m.a.Stats().Sub(st0)), nil
+			}
+		}
 	}
+	sorted := slices.Clone(keys)
+	rep, err := m.sortRoute(p.Kind, filtered, sorted, nil)
 	if err != nil {
 		return 0, nil, err
 	}
-	idx := r - 1 - fr.Below
-	if idx < 0 || idx >= len(fr.Kept) {
-		// The window missed the target rank: detected, fall back.
-		return m.quantileBySort(keys, r, true)
-	}
-	m.a.Pool().SortKeys(fr.Kept)
-	rep := m.scenarioReport("quantile", "filter", n, p.PaddedN, m.a.Stats().Sub(st0))
-	return fr.Kept[idx], rep, nil
-}
-
-// quantileBySort is Quantile's full-sort route.
-func (m *Machine) quantileBySort(keys []int64, r int, fellBack bool) (int64, *Report, error) {
-	cp := append([]int64(nil), keys...)
-	rep, err := m.Sort(cp, Auto)
-	if err != nil {
-		return 0, nil, err
-	}
-	rep.Scenario, rep.ScenarioRoute = "quantile", "fullsort"
-	rep.FellBack = rep.FellBack || fellBack
-	return cp[r-1], rep, nil
+	return sorted[r-1], rep, nil
 }
 
 // GroupBy aggregates records by key: count, sum, min, and max of the
@@ -392,15 +376,26 @@ func (m *Machine) GroupBy(keys, payloads []int64, groups int) ([]GroupAgg, *Repo
 		}
 		pairWords = 2
 	}
-	shape := m.scenarioShape()
-	p := plan.GroupByPlan(shape, n, groups, pairWords)
+	p := plan.GroupByPlan(m.scenarioShape(), n, groups, pairWords)
 	if !p.Feasible {
 		return nil, nil, fmt.Errorf("repro: group-by infeasible: %s", p.Reason)
 	}
-	route := p.Route
-	if route == "fullsort" {
-		return m.groupBySort(keys, payloads, pairWords, false)
+	hashed := p.Route != plan.RouteFullSort
+	if hashed {
+		aggs, rep, err := m.groupByHash(keys, payloads, pairWords, p)
+		if err != nil || rep != nil {
+			return aggs, rep, err
+		}
 	}
+	return m.groupBySort(keys, payloads, hashed)
+}
+
+// groupByHash runs GroupBy's hash routes: the one-pass table, escalating
+// to the partition round trip when the hint undercounted the groups.  A
+// partition that still holds too many distinct keys leaves only the
+// sort-then-scan route: reported as a nil Report.
+func (m *Machine) groupByHash(keys, payloads []int64, pairWords int, p plan.ScenarioPlan) ([]GroupAgg, *Report, error) {
+	n := len(keys)
 	pairs := make([]int64, 0, n*pairWords)
 	for i, k := range keys {
 		pairs = append(pairs, k)
@@ -417,93 +412,66 @@ func (m *Machine) GroupBy(keys, payloads []int64, groups int) ([]GroupAgg, *Repo
 	}
 	defer in.Free()
 
-	fellBack := false
-	var aggs []scenario.Agg
-	if route == "onepass" {
+	route, fellBack := p.Route, false
+	var aggs []GroupAgg
+	if route == plan.RouteOnePass {
 		aggs, err = scenario.GroupOnePass(m.a, in, pairWords, cap)
 		if errors.Is(err, scenario.ErrOverflow) {
 			// The hint undercounted the groups: escalate to the partition
 			// strategy at the worst-case fanout.
-			route, fellBack, err = "partition", true, nil
+			route, fellBack, err = plan.RoutePartition, true, nil
 		} else if err != nil {
 			return nil, nil, err
 		}
 	}
-	if route == "partition" {
-		parts := plan.PartitionFanout(n, shape)
+	if route == plan.RoutePartition {
+		parts := plan.PartitionFanout(n, m.scenarioShape())
 		sizes := make([]int, parts)
 		for _, k := range keys {
 			sizes[scenario.PartitionIndex(k, parts)]++
 		}
 		aggs, err = scenario.GroupPartition(m.a, in, pairWords, sizes, cap)
 		if errors.Is(err, scenario.ErrOverflow) {
-			// A partition still held too many distinct keys: the last
-			// resort is the sort-then-scan route.
-			return m.groupBySort(keys, payloads, pairWords, true)
+			return nil, nil, nil
 		}
 		if err != nil {
 			return nil, nil, fmt.Errorf("repro: partitioned group-by: %w", err)
 		}
 	}
-	out := make([]GroupAgg, len(aggs))
-	for i, a := range aggs {
-		out[i] = GroupAgg(a)
-	}
-	rep := m.scenarioReport("groupby", route, n, p.PaddedN, m.a.Stats().Sub(st0))
+	rep := m.scenarioReport(p.Kind, route, n, p.PaddedN, m.a.Stats().Sub(st0))
 	rep.FellBack = fellBack
 	rep.PayloadWords = (pairWords - 1) * n
-	return out, rep, nil
+	return aggs, rep, nil
 }
 
 // groupBySort is GroupBy's sort-then-scan route: a record sort carries
 // the payload column with the keys, and the aggregation scans the sorted
 // output run by run (no group-count limit — equal keys are adjacent, so
 // one accumulator suffices).
-func (m *Machine) groupBySort(keys, payloads []int64, pairWords int, fellBack bool) ([]GroupAgg, *Report, error) {
-	kc := append([]int64(nil), keys...)
-	var rep *Report
-	var err error
-	pc := kc
-	if pairWords == 2 {
-		raw := make([]byte, 8*len(payloads))
-		blobs := make([][]byte, len(payloads))
-		for i, p := range payloads {
-			b := raw[8*i : 8*i+8]
-			binary.LittleEndian.PutUint64(b, uint64(p))
-			blobs[i] = b
-		}
-		rep, err = m.SortRecords(kc, blobs, Auto)
-		if err != nil {
-			return nil, nil, err
-		}
-		pc = make([]int64, len(payloads))
-		for i := range pc {
-			pc[i] = int64(binary.LittleEndian.Uint64(blobs[i]))
-		}
-	} else {
-		rep, err = m.Sort(kc, Auto)
-		if err != nil {
-			return nil, nil, err
-		}
+func (m *Machine) groupBySort(keys, payloads []int64, fellBack bool) ([]GroupAgg, *Report, error) {
+	kc := slices.Clone(keys)
+	var pc []int64 // stays nil without a payload column: the keys are the values
+	vals := kc
+	if payloads != nil {
+		pc = slices.Clone(payloads)
+		vals = pc
+	}
+	rep, err := m.sortRoute(plan.KindGroupBy, fellBack, kc, pc)
+	if err != nil {
+		return nil, nil, err
 	}
 	var out []GroupAgg
-	for i := 0; i < len(kc); i++ {
-		v := pc[i]
-		if len(out) == 0 || out[len(out)-1].Key != kc[i] {
-			out = append(out, GroupAgg{Key: kc[i], Min: v, Max: v})
+	for i, k := range kc {
+		v := vals[i]
+		if len(out) == 0 || out[len(out)-1].Key != k {
+			out = append(out, GroupAgg{Key: k, Min: v, Max: v})
 		}
 		a := &out[len(out)-1]
 		a.Count++
 		a.Sum += v
-		if v < a.Min {
-			a.Min = v
-		}
-		if v > a.Max {
-			a.Max = v
-		}
+		a.Min = min(a.Min, v)
+		a.Max = max(a.Max, v)
 	}
-	rep.Scenario, rep.ScenarioRoute = "groupby", "fullsort"
-	rep.FellBack = rep.FellBack || fellBack
 	return out, rep, nil
 }
 
@@ -520,22 +488,26 @@ func (m *Machine) Ingest(dataset, batch []int64) ([]int64, *Report, error) {
 	if err := checkKeys(batch); err != nil {
 		return nil, nil, err
 	}
-	if !sort.SliceIsSorted(dataset, func(i, j int) bool { return dataset[i] < dataset[j] }) {
+	if !slices.IsSorted(dataset) {
 		return nil, nil, fmt.Errorf("repro: Ingest dataset is not sorted")
 	}
 	if len(batch) == 0 {
-		out := append([]int64(nil), dataset...)
-		rep := m.scenarioReport("ingest", "merge", len(dataset), 0, pdm.Stats{})
-		return out, rep, nil
+		rep := m.scenarioReport(plan.KindIngest, plan.RouteMerge, len(dataset), 0, pdm.Stats{})
+		return slices.Clone(dataset), rep, nil
 	}
 	n := len(dataset)
 	p := plan.IngestPlan(m.scenarioShape(), plan.Workload{N: n}, len(batch))
 	if !p.Feasible || !p.UseScenario {
-		return m.ingestBySort(dataset, batch)
+		all := slices.Concat(dataset, batch)
+		rep, err := m.sortRoute(p.Kind, false, all, nil)
+		if err != nil {
+			return nil, nil, err
+		}
+		return all, rep, nil
 	}
 
 	st0 := m.a.Stats()
-	sortedBatch := append([]int64(nil), batch...)
+	sortedBatch := slices.Clone(batch)
 	brep, err := m.Sort(sortedBatch, Auto)
 	if err != nil {
 		return nil, nil, err
@@ -561,7 +533,7 @@ func (m *Machine) Ingest(dataset, batch []int64) ([]int64, *Report, error) {
 		return nil, nil, err
 	}
 	out := flat[:n+len(batch)]
-	rep := m.scenarioReport("ingest", "merge", n+len(batch), p.PaddedN, m.a.Stats().Sub(st0))
+	rep := m.scenarioReport(p.Kind, p.Route, n+len(batch), p.PaddedN, m.a.Stats().Sub(st0))
 	rep.Algorithm = brep.Algorithm
 	rep.FellBack = brep.FellBack
 	return out, rep, nil
@@ -574,17 +546,4 @@ func padStripeUp(n, stripe int) int {
 		pad = stripe
 	}
 	return pad
-}
-
-// ingestBySort is Ingest's re-sort-everything route.
-func (m *Machine) ingestBySort(dataset, batch []int64) ([]int64, *Report, error) {
-	all := make([]int64, 0, len(dataset)+len(batch))
-	all = append(all, dataset...)
-	all = append(all, batch...)
-	rep, err := m.Sort(all, Auto)
-	if err != nil {
-		return nil, nil, err
-	}
-	rep.Scenario, rep.ScenarioRoute = "ingest", "fullsort"
-	return all, rep, nil
 }

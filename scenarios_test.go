@@ -501,3 +501,43 @@ func isqrtInt(n int) int {
 	}
 	return r
 }
+
+// TestScenarioDiskEnvelopeBoundsFootprint: for every kind (and each
+// group-by route), the scenario table's disk envelope bounds the scratch
+// high-water a run on the scenario route actually touches — the number
+// the scheduler reserves before admitting the job.
+func TestScenarioDiskEnvelopeBoundsFootprint(t *testing.T) {
+	const mem, n = 1024, 65536
+	sorted := workload.Sorted(n)
+	for _, tc := range []struct {
+		name  string
+		route string
+		spec  JobSpec
+	}{
+		{"topk", plan.RouteFilter, JobSpec{Scenario: plan.KindTopK, TopK: 64, Keys: workload.Uniform(n, 0, 1<<40, 1)}},
+		{"quantile", plan.RouteFilter, JobSpec{Scenario: plan.KindQuantile, Rank: 2 * mem, Keys: workload.Uniform(4*mem, 0, 1<<40, 2)}},
+		{"groupby-onepass", plan.RouteOnePass, JobSpec{Scenario: plan.KindGroupBy, Groups: 400, Keys: workload.FewDistinct(n, 400, 3)}},
+		{"groupby-pairs", plan.RouteOnePass, JobSpec{Scenario: plan.KindGroupBy, Groups: 400,
+			Keys: workload.FewDistinct(n, 400, 4), GroupPayloads: workload.Uniform(n, 0, 1000, 5)}},
+		{"groupby-partition", plan.RoutePartition, JobSpec{Scenario: plan.KindGroupBy, Groups: 4000, Keys: workload.FewDistinct(n, 4000, 6)}},
+		{"ingest", plan.RouteMerge, JobSpec{Scenario: plan.KindIngest, Keys: sorted, IngestBatch: workload.Uniform(n/32, 0, n, 7)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.spec.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			m := newScenarioMachine(t)
+			_, rep, err := m.RunScenario(&tc.spec, tc.spec.Keys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.ScenarioRoute != tc.route || rep.FellBack {
+				t.Fatalf("ran %s (fellBack=%v), want the %s route", rep.ScenarioRoute, rep.FellBack, tc.route)
+			}
+			env := plan.ScenarioDiskEnvelope(m.scenarioShape(), tc.spec.ScenarioQuery())
+			if foot := m.Array().DiskFootprint(); foot > env || env == 0 {
+				t.Fatalf("footprint %d keys exceeds the %s envelope %d", foot, tc.name, env)
+			}
+		})
+	}
+}

@@ -282,7 +282,7 @@ func (s *Scheduler) resubmitRecovered() {
 		// input (the journal still pins the job's identity and FIFO
 		// position).
 		if rec.WasRunning && len(rec.Checkpoint) > 0 && r.alg != core.AlgRadix && !r.isRecords &&
-			r.scenario == "" && r.backend == pdm.BackendFile {
+			spec.Scenario == "" && r.backend == pdm.BackendFile {
 			var cp pdm.Checkpoint
 			if err := json.Unmarshal(rec.Checkpoint, &cp); err == nil && cp.Pass > 0 {
 				j.resume = &cp
@@ -352,24 +352,21 @@ type jobResolution struct {
 	pcfg    pdm.Config
 	backend pdm.Backend
 	alpha   float64
-	n       int
+	// work is the planner's view of the job's sort: the working-set size,
+	// the RadixSort universe, the presortedness hint, and — for a
+	// full-record sort (isRecords) — the bound on the payload store it
+	// spills.
+	work      SortSpec
+	isRecords bool
 	// alg is the algorithm the job runs (Auto resolved by the planner;
-	// core.AlgRadix for RadixSort jobs, over [0, universe)).
-	alg      Algorithm
-	universe int64
-	// isRecords marks a full-record sort; payloadWords then bounds the
-	// payload store it spills.
-	isRecords    bool
-	payloadWords int
-	padded       int
-	disk         int
-	presorted    float64
-	// scenario names the query-scenario kind ("" for plain sorts);
-	// scenBatch and scenPairWords carry the ingest batch size and the
-	// group-by record width for envelope sizing and planning.
-	scenario      string
-	scenBatch     int
-	scenPairWords int
+	// core.AlgRadix for RadixSort jobs, over [0, work.Universe)).
+	alg    Algorithm
+	padded int
+	disk   int
+	// query is the planner's view of a scenario job (JobSpec.ScenarioQuery;
+	// the zero value for plain sorts): what the envelope, the dry-run plan
+	// and the recorded prediction price.
+	query plan.ScenarioQuery
 }
 
 // resolveJobSpec validates spec (JobSpec.Validate, then everything that
@@ -379,25 +376,19 @@ func (s *Scheduler) resolveJobSpec(spec JobSpec) (*jobResolution, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
+	n := spec.N()
 	r := &jobResolution{
-		n:             spec.N(),
-		alg:           spec.Alg,
-		universe:      spec.RadixUniverse(),
-		isRecords:     spec.IsRecords(),
-		scenario:      spec.Scenario,
-		scenBatch:     len(spec.IngestBatch),
-		scenPairWords: 1,
-	}
-	if spec.GroupPayloads != nil {
-		r.scenPairWords = 2
+		work:      SortSpec{N: n, Universe: spec.RadixUniverse()},
+		isRecords: spec.IsRecords(),
+		alg:       spec.Alg,
 	}
 	if w := spec.Workload; w != nil {
-		r.presorted = presortedHint(w.Kind)
+		r.work.Presorted = presortedHint(w.Kind)
 		if w.Payload != nil {
-			r.payloadWords = r.n * ((w.Payload.MaxBytes + 7) / 8)
+			r.work.PayloadWords = n * ((w.Payload.MaxBytes + 7) / 8)
 		}
 	} else if r.isRecords {
-		r.payloadWords = records.PayloadWords(spec.Payloads)
+		r.work.PayloadWords = records.PayloadWords(spec.Payloads)
 	}
 	r.mc = MachineConfig{
 		Memory:       spec.Memory,
@@ -428,9 +419,9 @@ func (s *Scheduler) resolveJobSpec(spec JobSpec) (*jobResolution, error) {
 		return nil, err
 	}
 	if r.alg == Auto {
-		r.alg = planFor(r.pcfg.Mem, r.pcfg.D, r.alpha, r.n)
+		r.alg = planFor(r.pcfg.Mem, r.pcfg.D, r.alpha, n)
 	}
-	r.padded, err = padForSize(r.pcfg.Mem, r.alg, r.n)
+	r.padded, err = padForSize(r.pcfg.Mem, r.alg, n)
 	if err != nil {
 		return nil, err
 	}
@@ -441,18 +432,17 @@ func (s *Scheduler) resolveJobSpec(spec JobSpec) (*jobResolution, error) {
 	// high-water is the larger of the two phases.
 	r.disk = plan.DiskEnvelope(r.alg, r.padded, r.pcfg.D*r.pcfg.B)
 	if r.isRecords {
-		r.disk = max(r.disk, records.DiskEnvelope(r.n, r.payloadWords, r.pcfg.Mem, r.pcfg.D, r.pcfg.B))
+		r.disk = max(r.disk, records.DiskEnvelope(n, r.work.PayloadWords, r.pcfg.Mem, r.pcfg.D, r.pcfg.B))
 	}
-	if r.scenario != "" {
+	if spec.Scenario != "" {
 		// A scenario job's scratch high-water is the larger of its scenario
 		// route and the full-sort route it may fall back to (computed above).
-		shape := planShape(r.pcfg.Mem, r.pcfg.D, r.alpha)
-		nData := r.n - r.scenBatch
-		r.disk = max(r.disk, plan.ScenarioDiskEnvelope(r.scenario, shape, nData, r.scenBatch, r.scenPairWords))
-		if r.scenPairWords == 2 {
+		r.query = spec.ScenarioQuery()
+		r.disk = max(r.disk, plan.ScenarioDiskEnvelope(planShape(r.pcfg.Mem, r.pcfg.D, r.alpha), r.query))
+		if r.query.PairWords == 2 {
 			// The group-by sort route carries the payload column as one
 			// 8-byte record payload per key.
-			r.disk = max(r.disk, records.DiskEnvelope(nData, nData, r.pcfg.Mem, r.pcfg.D, r.pcfg.B))
+			r.disk = max(r.disk, records.DiskEnvelope(r.query.N, r.query.N, r.pcfg.Mem, r.pcfg.D, r.pcfg.B))
 		}
 	}
 	return r, nil
@@ -512,8 +502,7 @@ func (s *Scheduler) Explain(spec JobSpec) (*PlanReport, error) {
 	if workers == 0 {
 		workers = s.eng.Stats().Workers
 	}
-	out, err := explainOn(r.pcfg, workers, r.alpha, r.mc.BlockLatency, r.backend,
-		SortSpec{N: r.n, Universe: r.universe, Presorted: r.presorted, PayloadWords: r.payloadWords})
+	out, err := explainOn(r.pcfg, workers, r.alpha, r.mc.BlockLatency, r.backend, r.work)
 	if err != nil {
 		return nil, err
 	}
@@ -641,70 +630,29 @@ func (s *Scheduler) sortAttempt(ctx context.Context, env sched.Env, j *schedJob,
 	if resume != nil {
 		m.Array().SetResume(resume)
 	}
-	j.recordPlan(m, keys, payloads)
+	j.recordPlan(m, payloads)
+	// The scheduler owns this machine for the job's whole life, so the job
+	// context is bound once: cancellation aborts whichever entry point runs
+	// at its next I/O, with the arena drained.
+	m.Array().BindContext(ctx)
 	t0 := time.Now()
 	var rep *Report
 	switch {
 	case j.spec.Scenario != "":
-		rep, err = s.runScenario(ctx, m, j, keys)
+		var res *ScenarioResult
+		if res, rep, err = m.RunScenario(&j.spec, keys); err == nil {
+			j.mu.Lock()
+			j.scen = res
+			j.mu.Unlock()
+		}
 	case j.alg == core.AlgRadix:
-		rep, err = m.SortIntsContext(ctx, keys, j.universe)
+		rep, err = m.SortInts(keys, j.work.Universe)
 	case j.isRecords:
-		rep, err = m.SortRecordsContext(ctx, keys, payloads, j.alg)
+		rep, err = m.SortRecords(keys, payloads, j.alg)
 	default:
-		rep, err = m.SortContext(ctx, keys, j.alg)
+		rep, err = m.Sort(keys, j.alg)
 	}
 	return m, rep, time.Since(t0).Seconds(), err
-}
-
-// ScenarioResult is a completed scenario job's answer, readable with
-// Scheduler.ScenarioResult until the scheduler is closed.
-type ScenarioResult struct {
-	// Kind is the scenario that ran.
-	Kind string `json:"kind"`
-	// Keys is the top-K result in ascending order, or (for jobs submitted
-	// with KeepKeys) the merged ingest output.
-	Keys []int64 `json:"keys,omitempty"`
-	// Value is the selected quantile key.
-	Value *int64 `json:"value,omitempty"`
-	// Groups is the group-by aggregation, sorted by key.
-	Groups []GroupAgg `json:"groups,omitempty"`
-}
-
-// runScenario dispatches a scenario job to its Machine entry point and
-// stores the result on the job.  Top-K, quantile, and group-by results are
-// always retained (they are bounded by the scenario budget, not the input
-// size); the merged ingest output is retained only under KeepKeys, like a
-// sort's.
-func (s *Scheduler) runScenario(ctx context.Context, m *Machine, j *schedJob, keys []int64) (*Report, error) {
-	res := &ScenarioResult{Kind: j.spec.Scenario}
-	var rep *Report
-	var err error
-	switch j.spec.Scenario {
-	case "topk":
-		res.Keys, rep, err = m.TopKContext(ctx, keys, j.spec.TopK)
-	case "quantile":
-		var v int64
-		v, rep, err = m.QuantileContext(ctx, keys, j.spec.Rank)
-		res.Value = &v
-	case "groupby":
-		res.Groups, rep, err = m.GroupByContext(ctx, keys, j.spec.GroupPayloads, j.spec.Groups)
-	case "ingest":
-		var merged []int64
-		merged, rep, err = m.IngestContext(ctx, keys, j.spec.IngestBatch)
-		if j.spec.KeepKeys {
-			res.Keys = merged
-		}
-	default:
-		return nil, fmt.Errorf("repro: unknown scenario %q", j.spec.Scenario)
-	}
-	if err != nil {
-		return rep, err
-	}
-	j.mu.Lock()
-	j.scen = res
-	j.mu.Unlock()
-	return rep, nil
 }
 
 // ScenarioResult returns the retained result of a completed scenario job.
@@ -735,22 +683,14 @@ func (s *Scheduler) ExplainScenario(spec JobSpec) (*ScenarioPlanReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	if r.scenario == "" {
+	if spec.Scenario == "" {
 		return nil, fmt.Errorf("repro: JobSpec has no scenario")
 	}
-	p, err := scenarioPlanFor(planShape(r.pcfg.Mem, r.pcfg.D, r.alpha), ScenarioSpec{
-		Kind:      r.scenario,
-		N:         r.n - r.scenBatch,
-		K:         spec.TopK,
-		Rank:      spec.Rank,
-		Groups:    spec.Groups,
-		PairWords: r.scenPairWords,
-		Batch:     r.scenBatch,
-	})
+	p, err := plan.Scenario(planShape(r.pcfg.Mem, r.pcfg.D, r.alpha), r.query)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("repro: %w", err)
 	}
-	return convertScenarioPlan(p), nil
+	return &p, nil
 }
 
 // noteRecovery records how a recovered job's rerun actually proceeded:
@@ -777,13 +717,14 @@ func (s *Scheduler) noteRecovery(j *schedJob, pass int) {
 // job runs, priced with the job machine's cached calibration; JobStatus
 // reports it alongside the measured wall so per-job prediction drift is
 // visible.  Planning failures are non-fatal — the sort proceeds unplanned.
-func (j *schedJob) recordPlan(m *Machine, keys []int64, payloads [][]byte) {
+func (j *schedJob) recordPlan(m *Machine, payloads [][]byte) {
 	if j.spec.Scenario != "" {
-		j.recordScenarioPlan(m, len(keys))
+		j.recordScenarioPlan(m)
 		return
 	}
-	spec := SortSpec{N: len(keys), Universe: j.universe, Presorted: j.presorted}
+	spec := j.work
 	if j.isRecords {
+		// The exact volume, now that the payloads are materialized.
 		spec.PayloadWords = records.PayloadWords(payloads)
 	}
 	rep, err := m.Explain(spec)
@@ -809,20 +750,8 @@ func (j *schedJob) recordPlan(m *Machine, keys []int64, payloads [][]byte) {
 // scenario plan's read passes under its named route (no wall-seconds model
 // exists for scenario routes, so PredictedSeconds stays zero and the drift
 // field is not computed).
-func (j *schedJob) recordScenarioPlan(m *Machine, n int) {
-	pairWords := 1
-	if j.spec.GroupPayloads != nil {
-		pairWords = 2
-	}
-	p, err := m.ExplainScenario(ScenarioSpec{
-		Kind:      j.spec.Scenario,
-		N:         n,
-		K:         j.spec.TopK,
-		Rank:      j.spec.Rank,
-		Groups:    j.spec.Groups,
-		PairWords: pairWords,
-		Batch:     len(j.spec.IngestBatch),
-	})
+func (j *schedJob) recordScenarioPlan(m *Machine) {
+	p, err := m.ExplainScenario(j.query)
 	if err != nil {
 		return
 	}
@@ -833,7 +762,7 @@ func (j *schedJob) recordScenarioPlan(m *Machine, n int) {
 		if p.FullSortAlgorithm == "" {
 			return
 		}
-		passes, route = p.FullSortReadPasses, "fullsort"
+		passes, route = p.FullSortReadPasses, plan.RouteFullSort
 	}
 	j.mu.Lock()
 	j.planned = &PlannedJob{
@@ -877,7 +806,7 @@ func (s *Scheduler) statusOf(j *schedJob) JobStatus {
 	st := JobStatus{
 		ID:           h.ID(),
 		Label:        h.Label(),
-		N:            j.n,
+		N:            j.work.N,
 		Submitted:    submitted,
 		Started:      started,
 		Finished:     finished,
@@ -889,20 +818,7 @@ func (s *Scheduler) statusOf(j *schedJob) JobStatus {
 	if cerr := h.CleanupErr(); cerr != nil {
 		st.CleanupError = cerr.Error()
 	}
-	switch h.State() {
-	case sched.Queued:
-		st.State = JobQueued
-	case sched.Running:
-		st.State = JobRunning
-	case sched.Done:
-		st.State = JobDone
-	case sched.Failed:
-		st.State = JobFailed
-	case sched.Canceled:
-		st.State = JobCanceled
-	case sched.Suspended:
-		st.State = JobSuspended
-	}
+	st.State = h.State()
 	if err := h.Err(); err != nil {
 		st.Error = err.Error()
 	}
