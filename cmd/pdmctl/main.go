@@ -337,7 +337,6 @@ func cmdSort(args []string) error {
 	payloadMin := fs.Int("payloadmin", 0, "payload min bytes (records sort when max > 0)")
 	payloadMax := fs.Int("payloadmax", 0, "payload max bytes")
 	alg := fs.String("alg", "", "per-shard algorithm (empty = worker auto)")
-	kernel := fs.String("kernel", "", "per-shard in-memory kernel")
 	latencyUS := fs.Int64("latency", 0, "modeled per-block latency in microseconds")
 	page := fs.Int("page", 0, "upload/download page size in keys (0 = default)")
 	conc := fs.Int("conc", 0, "concurrent page uploads (0 = default)")
@@ -367,7 +366,6 @@ func cmdSort(args []string) error {
 		Concurrency:    *conc,
 		RequestTimeout: *timeout,
 		Alg:            shardAlg,
-		Kernel:         *kernel,
 		BlockLatencyUS: *latencyUS,
 		Label:          *label,
 	})

@@ -38,7 +38,6 @@ func main() {
 	jobMem := flag.Int("jobmem", 65536, "default per-job internal memory M in keys (perfect square)")
 	scratch := flag.String("scratch", "", "scratch directory for file-backed job disks (default: in-memory disks)")
 	backend := flag.String("backend", "", "default disk backend for file-backed jobs: file or mmap (requires -scratch)")
-	kernel := flag.String("kernel", "", "default in-memory sort kernel: auto, comparison, or radix")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof handlers under /debug/pprof/")
 	queue := flag.Int("queue", 0, "admission queue bound (0 = 1024)")
 	prefetch := flag.Int("prefetch", 2, "default per-job prefetch depth in stripes")
@@ -56,7 +55,6 @@ func main() {
 		JobMemory:  *jobMem,
 		Dir:        *scratch,
 		Backend:    *backend,
-		Kernel:     *kernel,
 		MaxQueue:   *queue,
 		Pipeline:   repro.PipelineConfig{Prefetch: *prefetch, WriteBehind: *writeBehind},
 		JournalDir: *journalDir,

@@ -6,8 +6,7 @@
 //
 //	pdmsort -in keys.bin -out sorted.bin [-mem 65536] [-disks 0] \
 //	        [-alg auto|one|mesh3|mesh2e|lmm3|exp2|exp3|seven|six|sevenmesh|radix] \
-//	        [-universe 4294967296] [-scratch DIR] [-backend file|mmap] \
-//	        [-kernel auto|comparison|radix] [-gen N] \
+//	        [-universe 4294967296] [-scratch DIR] [-backend file|mmap] [-gen N] \
 //	        [-seed 1] [-prefetch 2] [-writebehind 2] [-workers 0] [-latency 0] [-explain]
 //	pdmsort -csv table.csv -keycol 0 [-sep ,] [-out sorted.csv] ...
 //
@@ -56,7 +55,6 @@ import (
 
 	"repro"
 	"repro/internal/core"
-	"repro/internal/par"
 	"repro/internal/pdm"
 	"repro/internal/plan"
 )
@@ -81,7 +79,6 @@ type options struct {
 	universe int64
 	scratch  string
 	backend  string
-	kernel   string
 	gen      int
 	seed     int64
 	pipe     repro.PipelineConfig
@@ -119,7 +116,6 @@ func main() {
 	flag.Int64Var(&o.universe, "universe", 1<<32, "key universe for -alg radix")
 	flag.StringVar(&o.scratch, "scratch", "", "directory for the disk files (default: temp dir)")
 	flag.StringVar(&o.backend, "backend", "", "disk backend: file (read/write syscalls, default) or mmap (zero-copy memory-mapped)")
-	flag.StringVar(&o.kernel, "kernel", "", "in-memory sort kernel: auto (default, picked from the machine shape), comparison, or radix; output is identical for any choice")
 	flag.IntVar(&o.gen, "gen", 0, "generate this many random keys instead of reading -in")
 	flag.Int64Var(&o.seed, "seed", 1, "seed for -gen")
 	flag.IntVar(&o.pipe.Prefetch, "prefetch", 2, "prefetch depth in stripes (0 = synchronous reads)")
@@ -189,9 +185,6 @@ func validate(o options) error {
 	// pdmsort machines are always file-backed (-scratch or a temp dir).
 	if _, err := pdm.ParseBackend(o.backend, true); err != nil {
 		return usageError{fmt.Errorf("-backend: %w", err)}
-	}
-	if _, err := par.ParseKernel(o.kernel); err != nil {
-		return usageError{fmt.Errorf("-kernel: %w", err)}
 	}
 	scenarios := 0
 	for _, on := range []bool{o.topk > 0, o.quantile > 0, o.ingest != ""} {
@@ -264,8 +257,7 @@ func run(o options) error {
 	}
 	m, err := repro.NewMachine(repro.MachineConfig{
 		Memory: o.mem, Disks: o.disks, Dir: scratch, Backend: o.backend,
-		Kernel: o.kernel, Pipeline: o.pipe, Workers: o.workers,
-		BlockLatency: o.latency,
+		Pipeline: o.pipe, Workers: o.workers, BlockLatency: o.latency,
 	})
 	if err != nil {
 		return err
@@ -325,7 +317,7 @@ func run(o options) error {
 	if backend == "" {
 		backend = repro.BackendFile
 	}
-	printReport(rep, out, backend, m.Kernel(), wall)
+	printReport(rep, out, backend, wall)
 	return nil
 }
 
@@ -457,24 +449,9 @@ func printExplain(w io.Writer, rep *repro.PlanReport) {
 		}
 		fmt.Fprintf(w, " (ranked by probe; * = this machine)\n")
 	}
-	if len(rep.Kernels) > 0 {
-		fmt.Fprintf(w, "kernels:")
-		for i, k := range rep.Kernels {
-			if i > 0 {
-				fmt.Fprintf(w, " >")
-			}
-			mark := ""
-			if k.Chosen {
-				mark = "*"
-			}
-			fmt.Fprintf(w, " %s%s %.1fns/key", mark, k.Kernel,
-				k.SortSecondsPerKey*1e9)
-		}
-		fmt.Fprintf(w, " (ranked by probe; * = this machine)\n")
-	}
 }
 
-func printReport(rep *repro.Report, out, backend, kernel string, wall time.Duration) {
+func printReport(rep *repro.Report, out, backend string, wall time.Duration) {
 	fmt.Printf("sorted %d keys with %s: %.3f read passes, %.3f write passes",
 		rep.N, rep.Algorithm, rep.ReadPasses, rep.WritePasses)
 	if rep.FellBack {
@@ -500,10 +477,10 @@ func printReport(rep *repro.Report, out, backend, kernel string, wall time.Durat
 	}
 	words := rep.N + rep.PayloadWords
 	if secs := wall.Seconds(); secs > 0 {
-		fmt.Printf("backend: %s — kernel: %s — %.2fM words/sec (%d words in %v)\n",
-			backend, kernel, float64(words)/secs/1e6, words, wall.Round(time.Millisecond))
+		fmt.Printf("backend: %s — %.2fM words/sec (%d words in %v)\n",
+			backend, float64(words)/secs/1e6, words, wall.Round(time.Millisecond))
 	} else {
-		fmt.Printf("backend: %s — kernel: %s\n", backend, kernel)
+		fmt.Printf("backend: %s\n", backend)
 	}
 	fmt.Printf("output: %s\n", out)
 }

@@ -156,7 +156,6 @@ func TestValidateRejectsBadFlags(t *testing.T) {
 		{"negative prefetch", with(func(o *options) { o.in = "x.bin"; o.pipe = repro.PipelineConfig{Prefetch: -1} })},
 		{"negative workers", with(func(o *options) { o.in = "x.bin"; o.workers = -2 })},
 		{"unknown backend", with(func(o *options) { o.in = "x.bin"; o.backend = "ram" })},
-		{"unknown kernel", with(func(o *options) { o.in = "x.bin"; o.kernel = "simd" })},
 	}
 	for _, tc := range cases {
 		err := validate(tc.o)
@@ -178,9 +177,6 @@ func TestValidateRejectsBadFlags(t *testing.T) {
 	}
 	if err := validate(with(func(o *options) { o.csv = "y.csv"; o.keyCol = 2 })); err != nil {
 		t.Fatalf("valid csv flags rejected: %v", err)
-	}
-	if err := validate(with(func(o *options) { o.in = "x.bin"; o.kernel = "radix" })); err != nil {
-		t.Fatalf("valid kernel rejected: %v", err)
 	}
 	// run surfaces the usageError without touching the filesystem: the
 	// input file does not exist, yet the algorithm error comes first.
@@ -274,18 +270,17 @@ func TestRunCSVEndToEnd(t *testing.T) {
 // normalizeExplain replaces the calibrated seconds column with a fixed
 // token: every other column (passes, padded lengths, I/O words, permute
 // passes, feasibility reasons) is deterministic for a fixed input and
-// machine shape, which is what the gold pins.  The advisory backends: and
-// kernels: lines are ranked by a timing probe, whose order flips when the
-// box is loaded, so their entries are compared as a sorted set ("|"-joined
-// in the gold, so it does not read as a ranking).
+// machine shape, which is what the gold pins.  The advisory backends: line
+// is ranked by a timing probe, whose order flips when the box is loaded,
+// so its entries are compared as a sorted set ("|"-joined in the gold, so
+// it does not read as a ranking).
 func normalizeExplain(s string) string {
 	s = regexp.MustCompile(`\d+\.\d{3}s`).ReplaceAllString(s, "<T>")
 	s = regexp.MustCompile(`\d+\.\d+us`).ReplaceAllString(s, "<U>")
-	s = regexp.MustCompile(`\d+\.\d+ns`).ReplaceAllString(s, "<N>")
 	lines := strings.Split(s, "\n")
 	for i, ln := range lines {
 		head, rest, _ := strings.Cut(ln, ": ")
-		if head != "backends" && head != "kernels" {
+		if head != "backends" {
 			continue
 		}
 		ranked, tail, _ := strings.Cut(rest, " (")

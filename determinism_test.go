@@ -2,10 +2,12 @@ package repro
 
 import (
 	"bytes"
+	"cmp"
 	"math/rand"
 	"slices"
 	"testing"
 
+	"repro/internal/par"
 	"repro/internal/pdm"
 	"repro/internal/workload"
 )
@@ -35,8 +37,16 @@ type detRun struct {
 
 func sortWithWorkers(t *testing.T, workers int, keys []int64, sort func(m *Machine, keys []int64) (*Report, error)) detRun {
 	t.Helper()
+	return sortAtMemory(t, 1024, workers, keys, sort)
+}
+
+// sortAtMemory runs one sort on an in-memory machine of the given M and
+// worker count and captures everything the determinism guarantee covers.
+func sortAtMemory(t *testing.T, mem, workers int, keys []int64,
+	sort func(m *Machine, keys []int64) (*Report, error)) detRun {
+	t.Helper()
 	m, err := NewMachine(MachineConfig{
-		Memory:   1024,
+		Memory:   mem,
 		Pipeline: PipelineConfig{Prefetch: 2, WriteBehind: 2},
 		Workers:  workers,
 	})
@@ -251,7 +261,16 @@ func TestWorkerCountDeterminismRadix(t *testing.T) {
 // stats, and the I/O trace — key sort plus permutation — must be
 // bit-identical.
 func TestWorkerCountDeterminismRecords(t *testing.T) {
-	n := 6000
+	assertRecordsRuns(t, 1024)
+}
+
+// assertRecordsRuns sorts 6·mem tie-heavy records with random payloads at
+// M = mem with one and eight workers: the sorted keys and permuted payload
+// bytes must equal a stable reference sort, and the two runs each other —
+// payloads and the records accounting included.
+func assertRecordsRuns(t *testing.T, mem int) {
+	t.Helper()
+	n := 6*mem - 144
 	keys := workload.Uniform(n, 0, 1<<16, 5) // narrow universe forces ties
 	rng := rand.New(rand.NewSource(31))
 	payloads := make([][]byte, n)
@@ -260,12 +279,17 @@ func TestWorkerCountDeterminismRecords(t *testing.T) {
 		rng.Read(p)
 		payloads[i] = p
 	}
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(keys[a], keys[b]) })
 	type recRun struct {
 		detRun
 		payloads [][]byte
 	}
 	run := func(workers int) recRun {
-		m, err := NewMachine(MachineConfig{Memory: 1024, Workers: workers,
+		m, err := NewMachine(MachineConfig{Memory: mem, Workers: workers,
 			Pipeline: PipelineConfig{Prefetch: 2, WriteBehind: 2}})
 		if err != nil {
 			t.Fatal(err)
@@ -285,16 +309,21 @@ func TestWorkerCountDeterminismRecords(t *testing.T) {
 		}
 	}
 	serial, parallel := run(1), run(8)
+	for i, src := range order {
+		if serial.out[i] != keys[src] || !bytes.Equal(serial.payloads[i], payloads[src]) {
+			t.Fatalf("M = %d: record %d differs from the stable reference sort", mem, i)
+		}
+	}
 	assertIdenticalRuns(t, serial.detRun, parallel.detRun)
 	for i := range serial.payloads {
 		if !bytes.Equal(serial.payloads[i], parallel.payloads[i]) {
-			t.Fatalf("payload %d differs between worker counts", i)
+			t.Fatalf("M = %d: payload %d differs between worker counts", mem, i)
 		}
 	}
 	if serial.rep.PermutePasses != parallel.rep.PermutePasses ||
 		serial.rep.PayloadWords != parallel.rep.PayloadWords ||
 		serial.rep.KeyRounds != parallel.rep.KeyRounds {
-		t.Fatalf("records accounting differs: serial %+v, parallel %+v", serial.rep, parallel.rep)
+		t.Fatalf("M = %d: records accounting differs: serial %+v, parallel %+v", mem, serial.rep, parallel.rep)
 	}
 }
 
@@ -334,131 +363,68 @@ func TestWorkerCountDeterminismPairs(t *testing.T) {
 	}
 }
 
-// sortWithKernel runs one sort pinned to the named compute kernel and
-// captures everything the determinism guarantee covers.
-func sortWithKernel(t *testing.T, kernel string, workers int, keys []int64,
-	sort func(m *Machine, keys []int64) (*Report, error)) detRun {
-	t.Helper()
-	m, err := NewMachine(MachineConfig{
-		Memory:   1024,
-		Kernel:   kernel,
-		Pipeline: PipelineConfig{Prefetch: 2, WriteBehind: 2},
-		Workers:  workers,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	out := append([]int64(nil), keys...)
-	m.Array().EnableTrace()
-	rep, err := sort(m, out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return detRun{out: out, rep: rep, stats: normalizeStats(m.Array().Stats()), trace: m.Array().Trace()}
-}
+// kernelMems straddles par.AutoKernel's threshold: a machine at M = 1024
+// sorts its memory loads with the comparison kernel, one at M = 4096 with
+// radix.  No option selects a kernel, so the geometry does.
+var kernelMems = []int{1024, 4096}
 
-// TestKernelDeterminism proves the compute kernel is invisible to
-// everything but the wall clock: for every algorithm, the comparison
-// introsort and the LSD radix kernel — at one and eight workers —
-// produce bit-identical output, pass counts, stats, and I/O traces.
+// TestKernelDeterminism runs every algorithm under both compute kernels —
+// picked by geometry, see kernelMems — at one and eight workers: the output
+// is the slices.Sort oracle's, and pass counts, stats, and I/O traces are
+// bit-identical across worker counts, so every pass helper runs under
+// either kernel (and under -race in CI).
 func TestKernelDeterminism(t *testing.T) {
-	const mem = 1024
+	if par.AutoKernel(kernelMems[0]) == par.AutoKernel(kernelMems[1]) {
+		t.Fatalf("kernelMems %v no longer straddle par.AutoKernel's threshold", kernelMems)
+	}
 	algs := []Algorithm{
 		MemOnePass, ThreePassMesh, TwoPassMeshExpected, ThreePassLMM,
 		TwoPassExpected, ThreePassExpected, SevenPass, SixPassExpected, SevenPassMesh,
 	}
 	for _, alg := range algs {
 		t.Run(alg.String(), func(t *testing.T) {
-			n := 8 * mem
-			if alg == MemOnePass {
-				n = mem
-			}
-			keys := workload.Uniform(n-257, -1<<40, 1<<40, 23+algSeed(alg)<<8)
-			sort := func(m *Machine, k []int64) (*Report, error) { return m.Sort(k, alg) }
-			ref := sortWithKernel(t, KernelComparison, 1, keys, sort)
-			if !slices.IsSorted(ref.out) {
-				t.Fatal("output not sorted")
-			}
-			for _, run := range []struct {
-				kernel  string
-				workers int
-			}{
-				{KernelComparison, 8},
-				{KernelRadix, 1},
-				{KernelRadix, 8},
-			} {
-				got := sortWithKernel(t, run.kernel, run.workers, keys, sort)
-				assertIdenticalRuns(t, ref, got)
+			for _, mem := range kernelMems {
+				n := 8 * mem
+				if alg == MemOnePass {
+					n = mem
+				}
+				keys := workload.Uniform(n-257, -1<<40, 1<<40, 23+algSeed(alg)<<8)
+				sort := func(m *Machine, k []int64) (*Report, error) { return m.Sort(k, alg) }
+				assertKernelRuns(t, mem, keys, sort)
 			}
 		})
 	}
 }
 
+// assertKernelRuns sorts keys at M = mem with one and eight workers and
+// checks the output against slices.Sort and the two runs against each
+// other.
+func assertKernelRuns(t *testing.T, mem int, keys []int64, sort func(m *Machine, keys []int64) (*Report, error)) {
+	t.Helper()
+	want := slices.Clone(keys)
+	slices.Sort(want)
+	serial := sortAtMemory(t, mem, 1, keys, sort)
+	if !slices.Equal(serial.out, want) {
+		t.Fatalf("M = %d: output differs from slices.Sort", mem)
+	}
+	assertIdenticalRuns(t, serial, sortAtMemory(t, mem, 8, keys, sort))
+}
+
 // TestKernelDeterminismRadix covers the Section 7 RadixSort path (the
 // external distribution sort, not the in-memory kernel of the same name).
 func TestKernelDeterminismRadix(t *testing.T) {
-	keys := workload.Uniform(9000, 0, (1<<20)-1, 77)
-	sort := func(m *Machine, k []int64) (*Report, error) { return m.SortInts(k, 1<<20) }
-	ref := sortWithKernel(t, KernelComparison, 1, keys, sort)
-	for _, kernel := range []string{KernelComparison, KernelRadix} {
-		for _, workers := range []int{1, 8} {
-			assertIdenticalRuns(t, ref, sortWithKernel(t, kernel, workers, keys, sort))
-		}
+	for _, mem := range kernelMems {
+		keys := workload.Uniform(9*mem-216, 0, (1<<20)-1, 77)
+		assertKernelRuns(t, mem, keys, func(m *Machine, k []int64) (*Report, error) { return m.SortInts(k, 1<<20) })
 	}
 }
 
-// TestKernelDeterminismRecords pins the full-record path across kernels:
-// sorted keys, permuted payload bytes, and the full accounting must match
-// the comparison kernel bit for bit.  The narrow universe forces ties, so
-// this also proves the radix run formation preserves the stable order the
-// permutation layer depends on.
+// TestKernelDeterminismRecords pins the full-record path under both
+// kernels.  The narrow universe forces ties, so this also proves the radix
+// run formation preserves the stable order the permutation layer depends
+// on.
 func TestKernelDeterminismRecords(t *testing.T) {
-	n := 6000
-	keys := workload.Uniform(n, 0, 1<<16, 5) // narrow universe forces ties
-	rng := rand.New(rand.NewSource(31))
-	payloads := make([][]byte, n)
-	for i := range payloads {
-		p := make([]byte, rng.Intn(25))
-		rng.Read(p)
-		payloads[i] = p
-	}
-	type recRun struct {
-		detRun
-		payloads [][]byte
-	}
-	run := func(kernel string, workers int) recRun {
-		m, err := NewMachine(MachineConfig{Memory: 1024, Kernel: kernel, Workers: workers,
-			Pipeline: PipelineConfig{Prefetch: 2, WriteBehind: 2}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer m.Close()
-		k := append([]int64(nil), keys...)
-		p := make([][]byte, n)
-		copy(p, payloads)
-		m.Array().EnableTrace()
-		rep, err := m.SortRecords(k, p, Auto)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return recRun{
-			detRun:   detRun{out: k, rep: rep, stats: normalizeStats(m.Array().Stats()), trace: m.Array().Trace()},
-			payloads: p,
-		}
-	}
-	ref := run(KernelComparison, 1)
-	for _, cmp := range []recRun{run(KernelComparison, 8), run(KernelRadix, 1), run(KernelRadix, 8)} {
-		assertIdenticalRuns(t, ref.detRun, cmp.detRun)
-		for i := range ref.payloads {
-			if !bytes.Equal(ref.payloads[i], cmp.payloads[i]) {
-				t.Fatalf("payload %d differs between kernels", i)
-			}
-		}
-		if ref.rep.PermutePasses != cmp.rep.PermutePasses ||
-			ref.rep.PayloadWords != cmp.rep.PayloadWords ||
-			ref.rep.KeyRounds != cmp.rep.KeyRounds {
-			t.Fatalf("records accounting differs: ref %+v, got %+v", ref.rep, cmp.rep)
-		}
+	for _, mem := range kernelMems {
+		assertRecordsRuns(t, mem)
 	}
 }

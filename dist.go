@@ -4,10 +4,9 @@ import "repro/internal/dist"
 
 // DistConfig configures a DistSorter: the pdmd worker fleet one
 // distributed sort job runs across (Workers, Client, PageKeys,
-// Concurrency, RequestTimeout, Retries, Alpha) and the per-shard job knobs
-// (Alg, Kernel, Memory, Backend, BlockLatencyUS, Label) that pass through
-// to every shard's job descriptor; zero values select the documented
-// defaults.
+// Concurrency, RequestTimeout) and the three per-shard job knobs (Alg,
+// BlockLatencyUS, Label) that pass through to every shard's job
+// descriptor; zero values select the documented defaults.
 type DistConfig = dist.Config
 
 // DistReport is the aggregated accounting of one distributed job: the

@@ -262,7 +262,6 @@ func TestDistPartialWorkerFailure(t *testing.T) {
 		Workers:        f.urls,
 		Alg:            "seven",
 		BlockLatencyUS: 500,
-		Retries:        -1, // fail fast: the point is the failure path
 		Label:          "partial-fail",
 	})
 	if err != nil {
@@ -354,7 +353,6 @@ func TestDistWorkerDownAtSubmit(t *testing.T) {
 	dead.Close()
 	ds, err := repro.NewDistSorter(repro.DistConfig{
 		Workers: []string{f.urls[0], dead.URL},
-		Retries: -1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,9 +1,13 @@
 package repro
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -155,6 +159,172 @@ func TestDocsAlgorithmListMatchesTable(t *testing.T) {
 		for _, m := range found {
 			if m[1] != core.AlgNames() {
 				t.Errorf("%s lists -alg %s, the algorithm table says %s", doc, m[1], core.AlgNames())
+			}
+		}
+	}
+}
+
+// optionStructs are the configuration surfaces a caller fills in: where
+// each is declared and the spellings its composite literals take across
+// the module ("dir:Name" is the unqualified spelling inside dir).
+var optionStructs = []struct {
+	file, name string
+	literals   []string
+}{
+	{"repro.go", "MachineConfig", []string{".:MachineConfig", "repro.MachineConfig"}},
+	{"scheduler.go", "SchedulerConfig", []string{".:SchedulerConfig", "repro.SchedulerConfig"}},
+	{"internal/dist/coordinator.go", "Config", []string{"internal/dist:Config", "dist.Config", ".:DistConfig", "repro.DistConfig"}},
+	{"internal/pdmdapi/server.go", "Options", []string{"internal/pdmdapi:Options", "pdmdapi.Options"}},
+}
+
+// TestConfigFieldsHaveSetters: an option nothing sets is a constant with a
+// field's upkeep (docs, defaulting, a validation arm, a wire spelling).
+// Every exported field of the option structs must be written by non-test
+// Go outside its declaring file — a composite-literal key of that type, or
+// an assignment or flag.*Var target selecting the field by name — so the
+// next option arrives with its caller (cmd/, bench/, examples/ and the
+// facade's own wiring all count).
+func TestConfigFieldsHaveSetters(t *testing.T) {
+	fset := token.NewFileSet()
+	files := map[string]*ast.File{}
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		files[filepath.ToSlash(path)] = f
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	typeName := func(dir string, e ast.Expr) string {
+		switch e := e.(type) {
+		case *ast.Ident:
+			return dir + ":" + e.Name
+		case *ast.SelectorExpr:
+			if pkg, ok := e.X.(*ast.Ident); ok {
+				return pkg.Name + "." + e.Sel.Name
+			}
+		}
+		return ""
+	}
+	for _, st := range optionStructs {
+		// The struct's exported fields, from its declaration.
+		var fields []string
+		ast.Inspect(files[st.file], func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok || ts.Name.Name != st.name {
+				return true
+			}
+			for _, f := range ts.Type.(*ast.StructType).Fields.List {
+				for _, name := range f.Names {
+					if name.IsExported() {
+						fields = append(fields, name.Name)
+					}
+				}
+			}
+			return false
+		})
+		if len(fields) == 0 {
+			t.Fatalf("%s declares no struct %s with exported fields; optionStructs rotted", st.file, st.name)
+		}
+		written := map[string]bool{}
+		for path, f := range files {
+			if path == st.file {
+				continue
+			}
+			dir := filepath.ToSlash(filepath.Dir(path))
+			isOption := func(e ast.Expr) bool {
+				if star, ok := e.(*ast.StarExpr); ok {
+					e = star.X
+				}
+				return slices.Contains(st.literals, typeName(dir, e))
+			}
+			// The names this file binds to the struct: fields, parameters
+			// and variables declared with its type or from its literal.
+			bound := map[string]bool{}
+			bind := func(typ ast.Expr, names ...*ast.Ident) {
+				if isOption(typ) {
+					for _, name := range names {
+						bound[name.Name] = true
+					}
+				}
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.Field:
+					bind(n.Type, n.Names...)
+				case *ast.ValueSpec:
+					bind(n.Type, n.Names...)
+				case *ast.AssignStmt:
+					for i, rhs := range n.Rhs {
+						if addr, ok := rhs.(*ast.UnaryExpr); ok {
+							rhs = addr.X
+						}
+						lit, isLit := rhs.(*ast.CompositeLit)
+						if name, isIdent := n.Lhs[i].(*ast.Ident); isLit && isIdent {
+							bind(lit.Type, name)
+						}
+					}
+				}
+				return true
+			})
+			// x.F, r.x.F: a selection of F from a name bound to the struct.
+			selects := func(e ast.Expr) {
+				sel, ok := e.(*ast.SelectorExpr)
+				if !ok {
+					return
+				}
+				var base *ast.Ident
+				switch x := sel.X.(type) {
+				case *ast.Ident:
+					base = x
+				case *ast.SelectorExpr:
+					base = x.Sel
+				}
+				if base != nil && bound[base.Name] {
+					written[sel.Sel.Name] = true
+				}
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					if !isOption(n.Type) {
+						return true
+					}
+					for _, el := range n.Elts {
+						if kv, ok := el.(*ast.KeyValueExpr); ok {
+							if key, ok := kv.Key.(*ast.Ident); ok {
+								written[key.Name] = true
+							}
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						selects(lhs)
+					}
+				case *ast.CallExpr:
+					fun, ok := n.Fun.(*ast.SelectorExpr)
+					if !ok || !strings.HasSuffix(fun.Sel.Name, "Var") || len(n.Args) == 0 {
+						return true
+					}
+					if addr, ok := n.Args[0].(*ast.UnaryExpr); ok && addr.Op == token.AND {
+						selects(addr.X)
+					}
+				}
+				return true
+			})
+		}
+		for _, field := range fields {
+			if !written[field] {
+				t.Errorf("%s.%s (%s) is set by no non-test Go outside its declaring file: make it a constant, or land it with its caller", st.name, field, st.file)
 			}
 		}
 	}

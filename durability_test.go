@@ -386,14 +386,16 @@ func TestJournalRecordRoundTripsEveryField(t *testing.T) {
 // TestRecoveredSpecReadsParentJournals pins replay of submission records
 // as the previous layout wrote them: the resolved algorithm under "alg",
 // the latency under "blockLatencyUS", a radix job as a bare universe, and
-// a scenario job carrying its resolved fallback sort — each must decode
-// into a descriptor Validate accepts, meaning the same job.
+// a scenario job carrying its resolved fallback sort, a record from when
+// the descriptor still had a "kernel" selector — each must decode into a
+// descriptor Validate accepts, meaning the same job.
 func TestRecoveredSpecReadsParentJournals(t *testing.T) {
 	cases := []struct {
 		record string
 		alg    Algorithm
 	}{
 		{`{"keys":[3,1,2],"keepKeys":true,"label":"a","alg":"lmm3","blockLatencyUS":2000}`, ThreePassLMM},
+		{`{"keys":[3,1,2],"keepKeys":true,"kernel":"radix","alg":"lmm3","blockLatencyUS":2000}`, ThreePassLMM},
 		{`{"workload":{"kind":"uniform","n":9000,"seed":1},"universe":1048576,"blockLatencyUS":2000}`, core.AlgRadix},
 		{`{"workload":{"kind":"perm","n":4096,"seed":1},"scenario":"topk","topK":5,"alg":"exp2","blockLatencyUS":2000}`, Auto},
 		{`{"workload":{"kind":"perm","n":64,"seed":1},"pipeline":{"Prefetch":1,"WriteBehind":3},"alg":"one","blockLatencyUS":2000}`, MemOnePass},
@@ -410,7 +412,25 @@ func TestRecoveredSpecReadsParentJournals(t *testing.T) {
 			t.Errorf("%s: replay produced a descriptor Validate rejects: %v", tc.record, err)
 		}
 	}
-	if spec, _ := recoveredSpec([]byte(cases[3].record)); spec.Pipeline == nil || spec.Pipeline.WriteBehind != 3 {
+	if spec, _ := recoveredSpec([]byte(cases[4].record)); spec.Pipeline == nil || spec.Pipeline.WriteBehind != 3 {
 		t.Errorf("pipeline override lost: %+v", spec.Pipeline)
+	}
+	// The "kernel" record also reruns: the selector is ignored, the job
+	// resolves and sorts like any other.
+	spec, _ := recoveredSpec([]byte(cases[1].record))
+	s, err := NewScheduler(SchedulerConfig{Memory: 1 << 16, JobMemory: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	id, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := s.Wait(context.Background(), id); err != nil || st.State != JobDone {
+		t.Fatalf("rerun: state %q, error %q, %v", st.State, st.Error, err)
+	}
+	if got, err := s.SortedKeys(id); err != nil || !slices.Equal(got, []int64{1, 2, 3}) {
+		t.Fatalf("rerun sorted %v, %v", got, err)
 	}
 }

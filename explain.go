@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/par"
 	"repro/internal/pdm"
 	"repro/internal/plan"
 )
@@ -38,19 +37,6 @@ type BackendPlan struct {
 	Chosen bool `json:"chosen,omitempty"`
 }
 
-// KernelPlan is one row of Explain's kernel ranking: the calibrated
-// in-memory sort rate of one compute kernel on this machine's pool width.
-// Both kernels are probed (once, cached); the ranking is advisory —
-// switching kernels never changes results, only seconds.
-type KernelPlan struct {
-	Kernel            string  `json:"kernel"`
-	SortSecondsPerKey float64 `json:"sortSecondsPerKey"`
-	Probed            bool    `json:"probed"`
-	// Chosen marks the kernel this machine actually runs: the configured
-	// one, or Auto's deterministic pick from the bare shape.
-	Chosen bool `json:"chosen,omitempty"`
-}
-
 // PlanReport is Machine.Explain's answer: every candidate algorithm
 // ranked by predicted wall time (feasible first), the calibration used,
 // and the choice the stack will run.
@@ -71,9 +57,6 @@ type PlanReport struct {
 	// Backends ranks the disk backends available for this machine's
 	// geometry, cheapest measured step cost first.
 	Backends []BackendPlan `json:"backends,omitempty"`
-	// Kernels ranks the compute kernels on this machine's pool width,
-	// cheapest measured per-key sort cost first.
-	Kernels []KernelPlan `json:"kernels,omitempty"`
 }
 
 // Candidate returns the row for the short algorithm name, nil when absent.
@@ -89,33 +72,32 @@ func (r *PlanReport) Candidate(name string) *PlanCandidate {
 // explainOn prices spec on a machine of the given resolved configuration:
 // the planner's machine shape and its (cached) micro-calibration — a
 // one-shot probe on a throwaway array of the same geometry and backend
-// kind, shared process-wide per shape — plus the backend and kernel
-// rankings.  It is the single assembly point: Machine.Explain,
-// Scheduler.Explain, and the per-job prediction all build here, so the
-// shape fields and the calibration cache key can never drift apart.
-func explainOn(pcfg pdm.Config, workers int, alpha float64, latency time.Duration,
-	backend pdm.Backend, spec SortSpec) (*PlanReport, error) {
+// kind, shared process-wide per shape.  It is the single assembly point:
+// Machine.Explain, Scheduler.Explain, and the per-job prediction all build
+// here, so the shape fields and the calibration cache key can never drift
+// apart.  The report carries the candidate table only; the callers that
+// print or serve it attach the advisory backend ranking with
+// rankBackends(probe).
+func explainOn(pcfg pdm.Config, workers int, latency time.Duration, backend pdm.Backend,
+	spec SortSpec) (*PlanReport, plan.ProbeConfig, error) {
 	probe := plan.ProbeConfig{
 		D: pcfg.D, B: pcfg.B, Workers: workers,
 		BlockLatency: latency,
 		Backend:      backend,
-		Kernel:       pcfg.Kernel,
 	}
-	shape := planShape(pcfg.Mem, pcfg.D, alpha)
+	shape := planShape(pcfg.Mem, pcfg.D, planAlpha)
 	shape.Workers = workers
 	shape.BlockLatency = latency
 	shape.Backend = backend
-	shape.Kernel = pcfg.Kernel
 	shape.Prefetch = pcfg.Pipeline.Prefetch
 	shape.WriteBehind = pcfg.Pipeline.WriteBehind
 	r, err := plan.Explain(shape, spec, plan.Calibrate(probe))
 	if err != nil {
-		return nil, err
+		return nil, probe, err
 	}
-	out := &PlanReport{Spec: spec, Candidates: r.Candidates, Calibration: r.Cal,
-		Backends: rankBackends(probe), Kernels: rankKernels(probe)}
+	out := &PlanReport{Spec: spec, Candidates: r.Candidates, Calibration: r.Cal}
 	out.setChosen(r.Chosen)
-	return out, nil
+	return out, probe, nil
 }
 
 // rankBackends builds the backend ranking for the probed machine: every
@@ -147,31 +129,6 @@ func rankBackends(probe plan.ProbeConfig) []BackendPlan {
 	return rows
 }
 
-// rankKernels builds the kernel ranking the same way rankBackends ranks
-// disk backends: every kernel is calibrated on the probed geometry and
-// backend (one cached micro-probe per kernel) and sorted by measured
-// per-key sort cost, cheapest first.  The stable sort keeps the canonical
-// par.Kernels order on exact ties, so the table is deterministic under
-// probe noise ties just like the candidate ranking.
-func rankKernels(probe plan.ProbeConfig) []KernelPlan {
-	rows := make([]KernelPlan, 0, len(par.Kernels))
-	for _, k := range par.Kernels {
-		pc := probe
-		pc.Kernel = k
-		cal := plan.Calibrate(pc)
-		rows = append(rows, KernelPlan{
-			Kernel:            string(k),
-			SortSecondsPerKey: cal.SortSecondsPerKey,
-			Probed:            cal.Probed,
-			Chosen:            k == probe.Kernel,
-		})
-	}
-	sort.SliceStable(rows, func(i, j int) bool {
-		return rows[i].SortSecondsPerKey < rows[j].SortSecondsPerKey
-	})
-	return rows
-}
-
 // Explain answers "what would this machine run, and why": it evaluates
 // every candidate algorithm for the spec — predicted passes, the padded
 // length each geometry forces, I/O words, permutation levels for record
@@ -186,16 +143,24 @@ func (m *Machine) Explain(spec SortSpec) (*PlanReport, error) {
 	if spec.N <= 0 {
 		return nil, fmt.Errorf("repro: SortSpec.N = %d, want > 0", spec.N)
 	}
-	out, err := explainOn(m.a.Config(), m.a.Workers(), m.alpha, m.cfg.BlockLatency, m.backend, spec)
+	out, probe, err := m.explain(spec)
 	if err != nil {
 		return nil, err
 	}
+	out.Backends = rankBackends(probe)
 	if spec.Universe == 0 {
 		// Pin the choice to the Auto path: what Sort(keys, Auto) on this
 		// machine will actually run, whatever the calibrated ranking says.
 		out.setChosen(m.Plan(spec.N))
 	}
 	return out, nil
+}
+
+// explain is explainOn on this machine's resolved configuration: the
+// candidate table without the ranking, which is all a scheduler job's
+// recorded prediction reads.
+func (m *Machine) explain(spec SortSpec) (*PlanReport, plan.ProbeConfig, error) {
+	return explainOn(m.a.Config(), m.a.Workers(), m.cfg.BlockLatency, m.backend, spec)
 }
 
 // setChosen points the report's choice at alg (the Auto path's pick, a

@@ -38,24 +38,23 @@ type Config struct {
 	// RequestTimeout is the hard deadline for one worker request; <= 0
 	// selects 30 seconds.
 	RequestTimeout time.Duration
-	// Retries is how many times a transient worker failure is retried
-	// (with exponential backoff) before the job fails; < 0 means none,
-	// 0 selects 3.
-	Retries int
-	// Alpha is the splitter-sampling confidence (Θ(k·α·log n) sample
-	// keys); <= 0 selects 1.
-	Alpha float64
-	// Alg, Kernel, Memory, Backend and BlockLatencyUS pass through to
-	// every shard job's descriptor (zero values defer to each worker's
-	// defaults).
+	// Alg and BlockLatencyUS pass through to every shard job's descriptor
+	// (zero values defer to each worker's defaults); machine geometry and
+	// backend are always the worker's own.
 	Alg            core.Alg
-	Kernel         string
-	Memory         int
-	Backend        string
 	BlockLatencyUS int64
 	// Label prefixes every shard job's label on the workers.
 	Label string
 }
+
+const (
+	// retries is how many times a transient worker failure is retried
+	// (with exponential backoff) before the job fails.
+	retries = 3
+	// splitterAlpha is the splitter-sampling confidence (Θ(k·α·log n)
+	// sample keys).
+	splitterAlpha = 1
+)
 
 // Coordinator executes sort jobs across a fixed worker fleet.  It is safe
 // for concurrent use; each Sort call is one distributed job.
@@ -83,15 +82,6 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = 30 * time.Second
 	}
-	switch {
-	case cfg.Retries == 0:
-		cfg.Retries = 3
-	case cfg.Retries < 0:
-		cfg.Retries = 0
-	}
-	if cfg.Alpha <= 0 {
-		cfg.Alpha = 1
-	}
 	if cfg.Label == "" {
 		cfg.Label = "dist"
 	}
@@ -101,7 +91,7 @@ func New(cfg Config) (*Coordinator, error) {
 			base:    w,
 			http:    cfg.Client,
 			timeout: cfg.RequestTimeout,
-			retries: cfg.Retries,
+			retries: retries,
 		})
 	}
 	return c, nil
@@ -303,7 +293,7 @@ func (c *Coordinator) splitters(keys []int64, w int) ([]int64, int) {
 		return nil, 0
 	}
 	n := len(keys)
-	s := plan.SplitterSample(n, w, c.cfg.Alpha)
+	s := plan.SplitterSample(n, w, splitterAlpha)
 	sample := make([]int64, s)
 	for i := range sample {
 		sample[i] = keys[i*n/s]
@@ -378,9 +368,6 @@ func (c *Coordinator) runShard(ctx context.Context, worker int, jobSeq int64, sh
 
 	st, err := cl.uploadCommit(ctx, uploadID, wire.JobSpec{
 		Alg:            c.cfg.Alg,
-		Kernel:         c.cfg.Kernel,
-		Memory:         c.cfg.Memory,
-		Backend:        c.cfg.Backend,
 		BlockLatencyUS: c.cfg.BlockLatencyUS,
 		KeepKeys:       true,
 		Label:          fmt.Sprintf("%s/shard%d", c.cfg.Label, worker),

@@ -36,20 +36,12 @@ func TestNewValidatesConfig(t *testing.T) {
 	if got := c.WorkerURLs(); len(got) != 2 {
 		t.Fatalf("WorkerURLs = %v, want 2 entries", got)
 	}
-	// Defaults fill in: page size, concurrency, timeout, retries, label.
+	// Defaults fill in: page size, concurrency, timeout, label.
 	if c.cfg.PageKeys <= 0 || c.cfg.Concurrency <= 0 || c.cfg.RequestTimeout <= 0 {
 		t.Fatalf("defaults not applied: %+v", c.cfg)
 	}
-	if c.cfg.Retries != 3 {
-		t.Fatalf("default retries = %d, want 3", c.cfg.Retries)
-	}
-	// Retries < 0 means none at all.
-	c2, err := New(Config{Workers: []string{"http://w.invalid"}, Retries: -1})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if c2.cfg.Retries != 0 {
-		t.Fatalf("Retries=-1 resolved to %d, want 0", c2.cfg.Retries)
+	if got := c.clients[0].retries; got != retries {
+		t.Fatalf("client retries = %d, want %d", got, retries)
 	}
 }
 
@@ -184,7 +176,7 @@ func TestCommitBodyReachesWorkerIntact(t *testing.T) {
 		json.NewEncoder(w).Encode(wire.JobStatus{ID: 7, State: wire.JobQueued}) //nolint:errcheck // test server
 	}))
 	defer worker.Close()
-	c, err := New(Config{Workers: []string{worker.URL}, Retries: -1})
+	c, err := New(Config{Workers: []string{worker.URL}})
 	if err != nil {
 		t.Fatal(err)
 	}

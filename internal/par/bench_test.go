@@ -41,7 +41,7 @@ var benchLoadSizes = []struct {
 // the serial one.
 func BenchmarkWorkersSortKeys(b *testing.B) {
 	widths := []int{1, runtime.GOMAXPROCS(0)}
-	for _, k := range Kernels {
+	for _, k := range kernels {
 		for _, sz := range benchLoadSizes {
 			for _, w := range widths {
 				b.Run(fmt.Sprintf("%s/%s/workers=%d", k, sz.name, w), func(b *testing.B) {
@@ -101,7 +101,7 @@ func BenchmarkKernelMultiMerge(b *testing.B) {
 	const k = 64
 	for _, shape := range []string{"uniform", "runs", "disjoint"} {
 		for _, per := range []int{256, 1024} {
-			for _, kern := range Kernels {
+			for _, kern := range kernels {
 				b.Run(fmt.Sprintf("%s/%dx%d/%s", shape, k, per, kern), func(b *testing.B) {
 					pool := NewWithKernel(0, nil, kern)
 					lanes := mergeBenchLanes(shape, k, per)

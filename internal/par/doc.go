@@ -25,10 +25,10 @@
 // run collapses to about a key, as it does on uniform keys; the radix
 // kernel then copies the lanes' suffixes to the output tail and radix-sorts
 // it, the comparison kernel pops the loser tree key by key.  KernelAuto
-// picks radix at and above a fixed size threshold (AutoKernel).  The
-// kernel is priced by internal/plan's per-kernel probe and surfaced
-// through every config layer; like the worker count, it may change only
-// the wall clock.
+// picks radix at and above a fixed size threshold (AutoKernel), which
+// pdm.NewWithDisks applies to the machine's memory-load size; no layer
+// above this package carries a kernel option, and like the worker count
+// the kernel may change only the wall clock.
 //
 // The layer is invisible to the PDM cost model and to the algorithms'
 // results: every operation produces output bit-identical to its serial

@@ -1,7 +1,6 @@
 package par
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/memsort"
@@ -9,13 +8,14 @@ import (
 
 // Kernel names the in-memory sort kernel a Pool uses for load sorts
 // (SortKeys, SortKeysScratch, SortSegment) and for the tail of its k-way
-// merges (MultiMerge, MergeSegment).  It is the one kernel identity
-// in the repository: the value is the canonical name the CLI flags, the job
-// descriptor, and the planner's tables spell, parsed once by ParseKernel.
-// The kernel changes only how a memory load gets sorted — wall-clock and
-// allocation behaviour — never the resulting keys, so every choice is
-// bit-identical on output, stats, and traces (the root determinism suite
-// proves it per algorithm).
+// merges (MultiMerge, MergeSegment).  Nothing above this package selects
+// one: pdm.NewWithDisks asks AutoKernel for the machine's memory-load size,
+// and only this package's tests and benchmarks force a kernel (as the
+// reference for the other).  The kernel changes only how a memory load gets
+// sorted — wall-clock and allocation behaviour — never the resulting keys,
+// so both are bit-identical on output, stats, and traces (the root
+// determinism suite proves it per algorithm on either side of AutoKernel's
+// threshold).
 type Kernel string
 
 const (
@@ -34,30 +34,6 @@ const (
 	KernelRadix Kernel = "radix"
 )
 
-// Kernels lists the concrete kernels in canonical order — the order the
-// planner's ranked table keeps on exact ties.
-var Kernels = []Kernel{KernelComparison, KernelRadix}
-
-// String returns the canonical kernel name ("auto" for the zero value).
-func (k Kernel) String() string {
-	if k == KernelAuto {
-		return "auto"
-	}
-	return string(k)
-}
-
-// ParseKernel maps a selector (a CLI flag, a config or job-descriptor
-// field) onto a Kernel; the empty string and "auto" both mean KernelAuto.
-func ParseKernel(name string) (Kernel, error) {
-	switch k := Kernel(name); k {
-	case KernelAuto, KernelComparison, KernelRadix:
-		return k, nil
-	case "auto":
-		return KernelAuto, nil
-	}
-	return "", fmt.Errorf("unknown kernel %q (want %q, %q, or %q)", name, KernelAuto, KernelComparison, KernelRadix)
-}
-
 // autoRadixMinKeys is the load size at which AutoKernel switches from the
 // comparison introsort to the radix kernel.  Below it the counting pass and
 // bucket tables cost more than they save; at and above it radix wins on the
@@ -65,10 +41,10 @@ func ParseKernel(name string) (Kernel, error) {
 const autoRadixMinKeys = 4096
 
 // AutoKernel resolves KernelAuto for a load of n keys.  It is the single
-// Auto rule in the repository: the facade applies it (through Resolve) to
-// the machine's memory-load size, and unconfigured pools apply it per call,
-// so every layer agrees on the pick.  It depends only on n — never on
-// worker count, backend, or probe measurements — which keeps the choice
+// kernel rule in the repository: pdm.NewWithDisks applies it to the
+// machine's memory-load size, and unconfigured pools apply it per call, so
+// every layer agrees on the pick.  It depends only on n — never on worker
+// count, backend, or probe measurements — which keeps the choice
 // bit-stable (mirroring how plan.Choose prices with fixed DefaultCalibration
 // constants rather than probed rates).
 func AutoKernel(n int) Kernel {

@@ -91,7 +91,7 @@ func checkMerges(t *testing.T, name string, lanes [][]int64, widths []int) {
 		}
 		clear(dst)
 	}
-	for _, k := range Kernels {
+	for _, k := range kernels {
 		for _, w := range widths {
 			p := NewWithKernel(w, nil, k)
 			p.MultiMerge(dst, lanes)
@@ -123,7 +123,7 @@ func TestMultiMergeDifferential(t *testing.T) {
 // TestMultiMergeAboveGrainForks checks the exported merge takes the
 // partitioned path once two workers get a grain each — and not before.
 func TestMultiMergeAboveGrainForks(t *testing.T) {
-	for _, k := range Kernels {
+	for _, k := range kernels {
 		lanes := shapedLanes("uniform", 64, 2*mergeGrain/64)
 		p := NewWithKernel(3, nil, k)
 		dst := make([]int64, 2*mergeGrain)

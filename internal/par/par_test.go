@@ -125,7 +125,7 @@ func TestSortBodiesMatchSerial(t *testing.T) {
 		memsort.Keys(want)
 		for _, w := range forkWidths {
 			p := New(w)
-			for _, k := range Kernels {
+			for _, k := range kernels {
 				a := append([]int64(nil), src...)
 				p.sortSegmentsMerge(a, make([]int64, n), k, w)
 				if !slices.Equal(a, want) {
@@ -146,7 +146,7 @@ func TestSortBodiesMatchSerial(t *testing.T) {
 // serial kernels there.
 func TestSortKeysAboveGrainForks(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for _, k := range Kernels {
+	for _, k := range kernels {
 		grain := k.sortGrain()
 		n := 2*grain + 5
 		src := randKeys(rng, n, 1<<50)

@@ -15,8 +15,8 @@
 // internal/stream), zero-copy block borrowing where the backend supports
 // it (ZeroCopyDisk, Array.BorrowReadV / Array.BorrowWrite — physical
 // transfers the caller pairs with ChargeV, so accounting stays identical
-// across backends), striped logical arrays (Stripe), sequential striped
-// streams (Reader, Writer), and a metered internal-memory arena (Arena).
+// across backends), striped logical arrays (Stripe), and a metered
+// internal-memory arena (Arena).
 //
 // The unit of data is the key, an int64.  Records are keys, as in the paper.
 package pdm

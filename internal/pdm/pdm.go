@@ -38,13 +38,6 @@ type Config struct {
 	// Mem is the internal memory size M in keys.  The paper assumes
 	// M = C·D·B for a small constant C.
 	Mem int
-	// MemSlack scales the arena capacity: capacity = MemSlack·M + D·B.
-	// The paper's cleanup phases hold two length-M chunks simultaneously
-	// (Section 5, step 2), i.e. the paper implicitly allows a small
-	// constant multiple of M during local sorting; the D·B term is one
-	// stripe of I/O staging for scatter/gather writes.  Zero means the
-	// default of 2.
-	MemSlack float64
 
 	// SeekTime and TransferPerKey parameterize the optional simulated-time
 	// model: each parallel I/O step costs SeekTime + B·TransferPerKey time
@@ -67,13 +60,6 @@ type Config struct {
 	// every concurrent job's array so their pools share a single global
 	// compute width instead of multiplying it.  Results are unaffected.
 	Limiter *par.Limiter
-
-	// Kernel selects the pool's in-memory sort kernel (par.KernelAuto,
-	// par.KernelComparison, par.KernelRadix).  Like Workers, it changes
-	// wall-clock only: output, pass counts, statistics, and I/O traces are
-	// bit-identical for every kernel.  The zero value (Auto) resolves per
-	// load size via par.AutoKernel.
-	Kernel par.Kernel
 }
 
 // PipelineConfig sizes the pipelined I/O layer.  Depths are measured in
@@ -97,17 +83,19 @@ func (c Config) PipelineStaging() int {
 	return (c.Pipeline.Prefetch + c.Pipeline.WriteBehind) * c.D * c.B
 }
 
+// memSlack scales the arena's algorithm envelope: the paper's cleanup
+// phases hold two length-M chunks simultaneously (Section 5, step 2), i.e.
+// the paper implicitly allows a small constant multiple of M during local
+// sorting.
+const memSlack = 2
+
 // ArenaCapacity returns the arena capacity, in keys, an Array built from
-// this configuration provisions: MemSlack·M of algorithm envelope (the
-// paper's cleanup phases hold two M-key chunks), one stripe of scatter/
-// gather staging, and the pipeline's staging.  The scheduler reserves
-// exactly this amount per job on its global memory ledger.
+// this configuration provisions: memSlack·M of algorithm envelope, one
+// stripe of scatter/gather staging, and the pipeline's staging.  The
+// scheduler reserves exactly this amount per job on its global memory
+// ledger.
 func (c Config) ArenaCapacity() int {
-	slack := c.MemSlack
-	if slack == 0 {
-		slack = 2
-	}
-	return int(float64(c.Mem)*slack) + c.D*c.B + c.PipelineStaging()
+	return memSlack*c.Mem + c.D*c.B + c.PipelineStaging()
 }
 
 // C returns the memory-to-stripe ratio M/(D·B), the constant the paper
@@ -123,14 +111,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("pdm: B = %d, want >= 1", c.B)
 	case c.Mem < c.D*c.B:
 		return fmt.Errorf("pdm: M = %d smaller than one stripe D*B = %d", c.Mem, c.D*c.B)
-	case c.MemSlack < 0:
-		return fmt.Errorf("pdm: MemSlack = %v, want >= 0", c.MemSlack)
 	case c.Pipeline.Prefetch < 0 || c.Pipeline.WriteBehind < 0:
 		return fmt.Errorf("pdm: pipeline depths %+v, want >= 0", c.Pipeline)
 	case c.Workers < 0:
 		return fmt.Errorf("pdm: Workers = %d, want >= 0", c.Workers)
-	case c.Kernel != par.KernelAuto && c.Kernel != par.KernelComparison && c.Kernel != par.KernelRadix:
-		return fmt.Errorf("pdm: Kernel = %q, want a par.Kernel value", string(c.Kernel))
 	}
 	return nil
 }
@@ -194,7 +178,9 @@ func New(cfg Config) (*Array, error) {
 }
 
 // NewWithDisks creates an Array from caller-provided disks (for example
-// FileDisk instances).  len(disks) must equal cfg.D.
+// FileDisk instances).  len(disks) must equal cfg.D.  The compute pool's
+// sort kernel is resolved here, once, from the memory-load size
+// (par.AutoKernel(cfg.Mem)): it is a function of M, not an option.
 func NewWithDisks(cfg Config, disks []Disk) (*Array, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -206,7 +192,7 @@ func NewWithDisks(cfg Config, disks []Disk) (*Array, error) {
 		cfg:   cfg,
 		disks: disks,
 		arena: NewArena(cfg.ArenaCapacity()),
-		pool:  par.NewWithKernel(cfg.Workers, cfg.Limiter, cfg.Kernel),
+		pool:  par.NewWithKernel(cfg.Workers, cfg.Limiter, par.AutoKernel(cfg.Mem)),
 	}
 	zc := make([]ZeroCopyDisk, len(disks))
 	for i, d := range disks {

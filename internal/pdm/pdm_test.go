@@ -3,6 +3,8 @@ package pdm
 import (
 	"errors"
 	"testing"
+
+	"repro/internal/par"
 )
 
 func testConfig() Config {
@@ -19,7 +21,6 @@ func TestConfigValidate(t *testing.T) {
 		{"zero disks", Config{D: 0, B: 8, Mem: 128}, false},
 		{"zero block", Config{D: 4, B: 0, Mem: 128}, false},
 		{"memory below one stripe", Config{D: 4, B: 8, Mem: 16}, false},
-		{"negative slack", Config{D: 4, B: 8, Mem: 128, MemSlack: -1}, false},
 		{"single disk", Config{D: 1, B: 1, Mem: 1}, true},
 	}
 	for _, tc := range cases {
@@ -29,6 +30,25 @@ func TestConfigValidate(t *testing.T) {
 				t.Fatalf("Validate() = %v, want ok=%v", err, tc.ok)
 			}
 		})
+	}
+}
+
+// TestPoolKernelFollowsMemory pins the one place the compute kernel is
+// resolved: a function of M (par.AutoKernel), comparison below the
+// threshold and radix at and above it, exactly what the facade's resolved
+// selector handed the pool when the kernel was still an option.
+func TestPoolKernelFollowsMemory(t *testing.T) {
+	for _, tc := range []struct {
+		b    int
+		want par.Kernel
+	}{{32, par.KernelComparison}, {64, par.KernelRadix}, {256, par.KernelRadix}} {
+		a, err := New(Config{D: 4, B: tc.b, Mem: tc.b * tc.b})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := a.Pool().Kernel(); got != tc.want {
+			t.Errorf("M = %d: pool kernel %q, want %q", tc.b*tc.b, got, tc.want)
+		}
 	}
 }
 

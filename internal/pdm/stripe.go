@@ -252,58 +252,3 @@ func (s *Stripe) UnloadInto(dst []int64) error {
 	copy(dst[whole:], last)
 	return nil
 }
-
-// Reader streams a stripe (or a sub-range of one) sequentially.
-type Reader struct {
-	s   *Stripe
-	pos int
-	end int
-}
-
-// NewReader returns a Reader over keys [start, start+n) of the stripe.
-func (s *Stripe) NewReader(start, n int) *Reader {
-	return &Reader{s: s, pos: start, end: start + n}
-}
-
-// Remaining returns the number of keys not yet read.
-func (r *Reader) Remaining() int { return r.end - r.pos }
-
-// Next fills dst (len a multiple of B) with the next keys and returns the
-// number read, which is less than len(dst) only at the end of the range.
-func (r *Reader) Next(dst []int64) (int, error) {
-	n := len(dst)
-	if rem := r.end - r.pos; n > rem {
-		n = rem
-	}
-	if n == 0 {
-		return 0, nil
-	}
-	if err := r.s.ReadAt(r.pos, dst[:n]); err != nil {
-		return 0, err
-	}
-	r.pos += n
-	return n, nil
-}
-
-// Writer streams keys into a stripe sequentially.
-type Writer struct {
-	s   *Stripe
-	pos int
-}
-
-// NewWriter returns a Writer appending from key offset start.
-func (s *Stripe) NewWriter(start int) *Writer {
-	return &Writer{s: s, pos: start}
-}
-
-// Write appends src (len a multiple of B) to the stripe.
-func (w *Writer) Write(src []int64) error {
-	if err := w.s.WriteAt(w.pos, src); err != nil {
-		return err
-	}
-	w.pos += len(src)
-	return nil
-}
-
-// Pos returns the key offset the next Write will land at.
-func (w *Writer) Pos() int { return w.pos }

@@ -229,55 +229,6 @@ func TestLoadPaddedUnloadInto(t *testing.T) {
 	}
 }
 
-func TestReaderWriterStreaming(t *testing.T) {
-	a, err := New(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := a.StripeWidth() * 3
-	s, err := a.NewStripe(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := s.NewWriter(0)
-	chunk := a.B() * 2
-	next := int64(0)
-	for w.Pos() < n {
-		buf := make([]int64, chunk)
-		for i := range buf {
-			buf[i] = next
-			next++
-		}
-		if err := w.Write(buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-	r := s.NewReader(0, n)
-	if r.Remaining() != n {
-		t.Fatalf("Remaining = %d, want %d", r.Remaining(), n)
-	}
-	var out []int64
-	buf := make([]int64, chunk)
-	for {
-		k, err := r.Next(buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if k == 0 {
-			break
-		}
-		out = append(out, buf[:k]...)
-	}
-	if len(out) != n {
-		t.Fatalf("read %d keys, want %d", len(out), n)
-	}
-	for i, v := range out {
-		if v != int64(i) {
-			t.Fatalf("key %d = %d, want %d", i, v, i)
-		}
-	}
-}
-
 func TestStripeQuickRoundTrip(t *testing.T) {
 	// Property: for any block-aligned write inside the stripe, reading the
 	// same range returns the written data.

@@ -40,7 +40,6 @@ func TestValidationSameByBothDoors(t *testing.T) {
 		{"memory not a square", repro.JobSpec{Keys: []int64{1}, Memory: 1000}},
 		{"unknown backend", repro.JobSpec{Keys: []int64{1}, Backend: "ram"}},
 		{"file backend on an in-memory scheduler", repro.JobSpec{Keys: []int64{1}, Backend: repro.BackendMmap}},
-		{"unknown kernel", repro.JobSpec{Keys: []int64{1}, Kernel: "simd"}},
 		{"input beyond a forced algorithm", repro.JobSpec{Workload: w, Alg: repro.MemOnePass}},
 
 		{"scenario with forced alg", repro.JobSpec{Scenario: "topk", TopK: 1, Workload: w, Alg: repro.ThreePassLMM}},
@@ -72,6 +71,27 @@ func TestValidationSameByBothDoors(t *testing.T) {
 		json.Unmarshal(obj["error"], &httpErr) //nolint:errcheck // a missing error fails the comparison below
 		if resp.StatusCode != http.StatusBadRequest || httpErr != libErr.Error() {
 			t.Errorf("%s: Submit said %q, POST /jobs answered %d %q", tc.name, libErr, resp.StatusCode, httpErr)
+		}
+	}
+	// The retired "kernel" selector is not a descriptor field any more, so
+	// every door that decodes a descriptor answers it exactly as it answers
+	// any other key it does not know (a library caller cannot even spell it).
+	for _, path := range []string{"/jobs", "/plan", "/uploads/u/commit"} {
+		answer := func(key string) string {
+			resp, err := testClient.Post(ts.URL+path, "application/json",
+				strings.NewReader(`{"alg":"lmm3","`+key+`":"radix"}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var httpErr string
+			json.Unmarshal(decodeObject(t, resp)["error"], &httpErr) //nolint:errcheck // a missing error fails the comparison below
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(httpErr, `unknown field "`+key+`"`) {
+				t.Errorf("POST %s with %q answered %d %q, want 400 naming the unknown field", path, key, resp.StatusCode, httpErr)
+			}
+			return strings.ReplaceAll(httpErr, key, "<key>")
+		}
+		if kernel, other := answer("kernel"), answer("colour"); kernel != other {
+			t.Errorf("POST %s: \"kernel\" answered %q, any unknown field %q", path, kernel, other)
 		}
 	}
 	if n := len(sch.Jobs()); n != 0 {

@@ -22,15 +22,15 @@ type Options struct {
 	// MaxStagedBytes caps the total bytes held by in-flight staged uploads
 	// across all clients; <= 0 selects 256 MiB.
 	MaxStagedBytes int64
-	// UploadTTL drops staged uploads (and commit tombstones) not touched
-	// for this long, so a dead coordinator cannot pin staging forever;
-	// <= 0 selects 15 minutes.
-	UploadTTL time.Duration
 	// Pprof mounts the net/http/pprof handlers under /debug/pprof/ —
 	// opt-in, because profiling endpoints on a job API are an operator
 	// decision, not a default.
 	Pprof bool
 }
+
+// uploadTTL drops staged uploads (and commit tombstones) not touched for
+// this long, so a dead coordinator cannot pin staging forever.
+const uploadTTL = 15 * time.Minute
 
 // SubmitRequest is the POST /jobs body (and, minus the inline input, the
 // POST /uploads/{id}/commit body): the one job descriptor, decoded as-is.
@@ -56,10 +56,7 @@ func New(sch *repro.Scheduler, opts Options) http.Handler {
 	if opts.MaxStagedBytes <= 0 {
 		opts.MaxStagedBytes = 256 << 20
 	}
-	if opts.UploadTTL <= 0 {
-		opts.UploadTTL = 15 * time.Minute
-	}
-	s := &server{sch: sch, opts: opts, ups: newUploadStore(opts.MaxStagedBytes, opts.UploadTTL)}
+	s := &server{sch: sch, opts: opts, ups: newUploadStore(opts.MaxStagedBytes, uploadTTL)}
 	mux := http.NewServeMux()
 	if opts.Pprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)

@@ -626,56 +626,6 @@ func TestPprofOptIn(t *testing.T) {
 	}
 }
 
-// TestSubmitKernel checks that a submit body's "kernel" reaches the job:
-// both kernels produce identical sorted keys, and a bad name is a 400.
-func TestSubmitKernel(t *testing.T) {
-	ts, _ := testServer(t)
-	sortWith := func(kernel string) []int64 {
-		t.Helper()
-		resp, obj := postJSON(t, ts.URL+"/jobs", map[string]any{
-			"workload": map[string]any{"kind": "perm", "n": 4096, "seed": 9},
-			"kernel":   kernel, "keepKeys": true,
-		})
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("submit kernel=%q = %d", kernel, resp.StatusCode)
-		}
-		var id int
-		if err := json.Unmarshal(obj["id"], &id); err != nil {
-			t.Fatal(err)
-		}
-		pollUntil(t, ts.URL, id, repro.JobDone)
-		keysResp, err := testClient.Get(fmt.Sprintf("%s/jobs/%d/keys", ts.URL, id))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if keysResp.StatusCode != http.StatusOK {
-			keysResp.Body.Close()
-			t.Fatalf("GET keys kernel=%q = %d", kernel, keysResp.StatusCode)
-		}
-		var page struct {
-			Keys []int64 `json:"keys"`
-		}
-		err = json.NewDecoder(keysResp.Body).Decode(&page)
-		keysResp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return page.Keys
-	}
-	comparison := sortWith("comparison")
-	radix := sortWith("radix")
-	if !slices.Equal(comparison, radix) {
-		t.Fatalf("kernel outputs differ: comparison %d keys vs radix %d keys",
-			len(comparison), len(radix))
-	}
-	if resp, _ := postJSON(t, ts.URL+"/jobs", map[string]any{
-		"workload": map[string]any{"kind": "perm", "n": 1024},
-		"kernel":   "simd",
-	}); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad kernel = %d, want 400", resp.StatusCode)
-	}
-}
-
 // TestSubmitPipeline checks that a submit body's "pipeline" object reaches
 // the job under its lowerCamel keys: the staging it asks for is charged to
 // the job's memory envelope, and a negative depth fails the job.

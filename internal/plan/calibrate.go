@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/par"
 	"repro/internal/pdm"
 )
 
@@ -45,14 +44,10 @@ func DefaultCalibration(shape Shape) Calibration {
 		perWord = 2e-9 // in-memory block store: one copy per word
 	}
 	step := shape.BlockLatency.Seconds() + float64(shape.B)*perWord + 5e-6
-	sortRate := 60e-9 // comparison introsort: ~n·log n with branchy compares
-	if shape.Kernel == par.KernelRadix {
-		sortRate = 20e-9 // radix: a handful of branch-free passes per key
-	}
 	return Calibration{
 		ReadStepSeconds:   step,
 		WriteStepSeconds:  step,
-		SortSecondsPerKey: sortRate,
+		SortSecondsPerKey: 60e-9, // nominal in-memory sort: ~n·log n with branchy compares
 	}
 }
 
@@ -64,7 +59,6 @@ type ProbeConfig struct {
 	Workers      int
 	BlockLatency time.Duration
 	Backend      pdm.Backend
-	Kernel       par.Kernel
 }
 
 // probeStripes is the probe transfer length in stripes: long enough to
@@ -109,7 +103,6 @@ func Calibrate(pc ProbeConfig) Calibration {
 			cal = DefaultCalibration(Shape{
 				Mem: pc.B * pc.B, B: pc.B, D: pc.D,
 				BlockLatency: pc.BlockLatency, Backend: pc.Backend,
-				Kernel: pc.Kernel,
 			})
 		}
 		e.cal = cal
@@ -132,7 +125,9 @@ func probe(pc ProbeConfig) (cal Calibration, err error) {
 	}
 	t0 := time.Now()
 	stripe := pc.D * pc.B
-	cfg := pdm.Config{D: pc.D, B: pc.B, Mem: stripe, Workers: pc.Workers, Kernel: pc.Kernel}
+	// Mem is the probed machine's M (the facade's machines have B = √M), so
+	// the pool sorts with the kernel that machine's memory loads run through.
+	cfg := pdm.Config{D: pc.D, B: pc.B, Mem: max(stripe, pc.B*pc.B), Workers: pc.Workers}
 	var dir string
 	if pc.Backend == pdm.BackendFile || pc.Backend == pdm.BackendMmap {
 		dir, err = os.MkdirTemp("", "plan-probe-")

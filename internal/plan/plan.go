@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/memsort"
-	"repro/internal/par"
 	"repro/internal/pdm"
 )
 
@@ -52,10 +51,6 @@ type Shape struct {
 	// Backend is the disk backend kind ("" prices pdm.BackendMem).  It only
 	// prices the per-block software overhead in the calibration.
 	Backend pdm.Backend
-	// Kernel is the in-memory sort kernel memory loads run through.  Like
-	// Backend it only prices compute in the calibration; the analytic
-	// default prices anything but par.KernelRadix as the comparison kernel.
-	Kernel par.Kernel
 	// Prefetch and WriteBehind are the streaming depths; nonzero depths let
 	// the wall model overlap I/O with compute.
 	Prefetch, WriteBehind int

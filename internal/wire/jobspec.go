@@ -170,10 +170,6 @@ type JobSpec struct {
 	// Backend overrides the scheduler's disk backend for this job ("file"
 	// or "mmap"); only valid on a file-backed scheduler.
 	Backend string `json:"backend,omitempty"`
-	// Kernel overrides the scheduler's compute kernel for this job
-	// ("auto", "comparison", or "radix").  Wall-clock only: the sorted
-	// output and every statistic are bit-identical across kernels.
-	Kernel string `json:"kernel,omitempty"`
 	// BlockLatencyUS models per-block device latency on the job's disks,
 	// in microseconds.
 	BlockLatencyUS int64 `json:"blockLatencyUs,omitempty"`
@@ -244,8 +240,8 @@ func (s *JobSpec) RadixUniverse() int64 {
 // rules between alg, universe, scenario, payloads, and the scenario
 // parameters.  Every door a job comes through — Scheduler.Submit, POST
 // /jobs, an upload commit, journal replay — runs this one function, so
-// they cannot disagree.  (Geometry, backend, and kernel are checked where
-// the scheduler's defaults are known.)  Alg is canonicalised in place, so
+// they cannot disagree.  (Geometry and backend are checked where the
+// scheduler's defaults are known.)  Alg is canonicalised in place, so
 // a Go caller's Alg: "auto" means what it means on the wire.
 func (s *JobSpec) Validate() error {
 	alg, err := core.ParseAlg(string(s.Alg))

@@ -43,7 +43,7 @@ const (
 	// cheapest for the input: it weighs each candidate's pass count against
 	// the padded length its geometry forces — the one-pass memory-load sort
 	// when N ≤ M, ExpectedTwoPass, ThreePass2, and so on up to SevenPass.
-	// The choice is deterministic for a given (N, M, D, alpha);
+	// The choice is deterministic for a given (N, M, D);
 	// Machine.Explain shows the ranked table behind it.
 	Auto = core.AlgAuto
 	// ThreePassMesh is the Section 3.1 mesh algorithm (3 passes, ≤ M·√M).
@@ -92,9 +92,6 @@ type MachineConfig struct {
 	// Disks is D; it must divide √M (so M = C·D·B with integer C).
 	// Zero selects √M/4, the paper's running example C = 4.
 	Disks int
-	// Alpha is the confidence parameter of the probabilistic algorithms
-	// (failure probability ≤ M^−α).  Zero means 1.
-	Alpha float64
 	// Dir, when non-empty, backs each disk with a real file in that
 	// directory (one goroutine per disk performs the parallel I/O);
 	// otherwise disks are simulated in memory.
@@ -124,14 +121,6 @@ type MachineConfig struct {
 	// unaffected; wall-clock slows, which the scheduler tests use to
 	// exercise cancellation promptness and the benchmarks to show overlap.
 	BlockLatency time.Duration
-	// Kernel selects the in-memory sort kernel run formation and the
-	// planner price: KernelComparison (introsort + symmetric merges),
-	// KernelRadix (LSD byte radix), or KernelAuto (the default — a
-	// deterministic pick from the memory-load size alone, independent of
-	// workers, backend, and probe noise).  Like Workers and Backend, the
-	// kernel changes wall-clock only: output, pass counts, statistics, and
-	// I/O traces are bit-identical for every choice.
-	Kernel string
 	// ReuseDisks opens the disk files already in Dir instead of truncating
 	// them — the resume path: a machine rebuilt over the scratch a crashed
 	// or suspended job left behind, so a checkpoint manifest can re-adopt
@@ -157,26 +146,16 @@ const (
 	BackendMmap = string(pdm.BackendMmap)
 )
 
-// Compute kernel names for MachineConfig.Kernel, SchedulerConfig.Kernel,
-// and JobSpec.Kernel (internal/par's Kernel values, parsed in one place
-// when the machine geometry is resolved).
-const (
-	// KernelAuto picks deterministically from the machine shape (the
-	// memory-load size); the empty string means the same.
-	KernelAuto = "auto"
-	// KernelComparison is the comparison introsort kernel.
-	KernelComparison = string(par.KernelComparison)
-	// KernelRadix is the LSD byte-radix kernel.
-	KernelRadix = string(par.KernelRadix)
-)
-
 // Machine is a PDM plus the paper's algorithm suite.
 type Machine struct {
 	a       *pdm.Array
-	alpha   float64
 	backend pdm.Backend
 	cfg     MachineConfig
 }
+
+// planAlpha is the confidence parameter α the planner's capacity windows
+// assume for the probabilistic algorithms (failure probability ≤ M^−α).
+const planAlpha = 1
 
 // ErrKeyRange is returned when input keys collide with the reserved
 // sentinel (MaxInt64, used for padding partial blocks).
@@ -191,7 +170,7 @@ func NewMachine(cfg MachineConfig) (*Machine, error) {
 // shared cross-job limiter — the constructor the scheduler builds per-job
 // machines with.
 func newMachine(cfg MachineConfig, lim *par.Limiter) (*Machine, error) {
-	pcfg, backend, alpha, err := resolveConfig(cfg)
+	pcfg, backend, err := resolveConfig(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -217,39 +196,30 @@ func newMachine(cfg MachineConfig, lim *par.Limiter) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Machine{a: a, alpha: alpha, backend: backend, cfg: cfg}, nil
+	return &Machine{a: a, backend: backend, cfg: cfg}, nil
 }
 
-// resolveConfig validates cfg and resolves it to the pdm configuration
-// (kernel resolved from the memory-load size, no disks yet), the disk
-// backend kind, and the effective alpha.  It is the one place the Backend
-// and Kernel selector strings are parsed.  The scheduler uses it at submit
-// time to size a job's memory envelope before any resources exist.
-func resolveConfig(cfg MachineConfig) (pcfg pdm.Config, backend pdm.Backend, alpha float64, err error) {
+// resolveConfig validates cfg and resolves it to the pdm configuration (no
+// disks yet) and the disk backend kind.  It is the one place the Backend
+// selector string is parsed.  The scheduler uses it at submit time to size
+// a job's memory envelope before any resources exist.
+func resolveConfig(cfg MachineConfig) (pcfg pdm.Config, backend pdm.Backend, err error) {
 	b := memsort.Isqrt(cfg.Memory)
 	if b*b != cfg.Memory {
-		return pcfg, "", 0, fmt.Errorf("repro: Memory = %d is not a perfect square", cfg.Memory)
+		return pcfg, "", fmt.Errorf("repro: Memory = %d is not a perfect square", cfg.Memory)
 	}
 	d := cfg.Disks
 	if d == 0 {
 		d = max(b/4, 1)
 	}
 	if b%d != 0 {
-		return pcfg, "", 0, fmt.Errorf("repro: Disks = %d does not divide sqrt(Memory) = %d", d, b)
+		return pcfg, "", fmt.Errorf("repro: Disks = %d does not divide sqrt(Memory) = %d", d, b)
 	}
 	if backend, err = pdm.ParseBackend(cfg.Backend, cfg.Dir != ""); err != nil {
-		return pcfg, "", 0, fmt.Errorf("repro: %w", err)
-	}
-	kernel, err := par.ParseKernel(cfg.Kernel)
-	if err != nil {
-		return pcfg, "", 0, fmt.Errorf("repro: %w", err)
-	}
-	alpha = cfg.Alpha
-	if alpha == 0 {
-		alpha = 1
+		return pcfg, "", fmt.Errorf("repro: %w", err)
 	}
 	return pdm.Config{D: d, B: b, Mem: cfg.Memory, Pipeline: cfg.Pipeline,
-		Workers: cfg.Workers, Kernel: kernel.Resolve(cfg.Memory)}, backend, alpha, nil
+		Workers: cfg.Workers}, backend, nil
 }
 
 // Array exposes the underlying PDM array for callers that need direct
@@ -257,11 +227,6 @@ func resolveConfig(cfg MachineConfig) (pcfg pdm.Config, backend pdm.Backend, alp
 // makes every run that follows on this machine abort at its next I/O once
 // ctx is canceled, with the arena drained.
 func (m *Machine) Array() *pdm.Array { return m.a }
-
-// Kernel returns the resolved compute kernel this machine sorts memory
-// loads with ("comparison" or "radix"): the configured one, or Auto's
-// deterministic pick from the memory-load size.
-func (m *Machine) Kernel() string { return m.a.Pool().Kernel().String() }
 
 // Close releases the disks (removing nothing; file-backed disks stay on
 // disk for inspection).
@@ -279,7 +244,7 @@ func (m *Machine) Capacity(alg Algorithm) int {
 	if alg == Auto {
 		return m.a.Mem() * m.a.Mem()
 	}
-	return plan.Capacity(m.a.Mem(), m.alpha, alg)
+	return plan.Capacity(m.a.Mem(), planAlpha, alg)
 }
 
 // Plan returns the algorithm Auto would choose for n keys: the candidate
@@ -289,13 +254,13 @@ func (m *Machine) Capacity(alg Algorithm) int {
 // are reproducible; Explain exposes the full ranked table with calibrated
 // wall-time predictions.
 func (m *Machine) Plan(n int) Algorithm {
-	return planFor(m.a.Mem(), m.a.D(), m.alpha, n)
+	return planFor(m.a.Mem(), m.a.D(), n)
 }
 
 // planFor is Plan as a pure function of the geometry, shared with the
 // scheduler's submit-time planning.
-func planFor(mem, d int, alpha float64, n int) Algorithm {
-	chosen, err := plan.Choose(planShape(mem, d, alpha), plan.Workload{N: n})
+func planFor(mem, d, n int) Algorithm {
+	chosen, err := plan.Choose(planShape(mem, d, planAlpha), plan.Workload{N: n})
 	if err != nil {
 		// Beyond every capacity; Sort will fail with the M² message.  The
 		// seven-pass algorithm is the paper's last resort either way.

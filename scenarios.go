@@ -91,7 +91,7 @@ func (m *Machine) RunScenario(spec *JobSpec, keys []int64) (*ScenarioResult, *Re
 // scenarioShape is the planner shape scenario pricing uses: the pure
 // geometry, like Plan (deterministic — no calibration probes).
 func (m *Machine) scenarioShape() plan.Shape {
-	return planShape(m.a.Mem(), m.a.D(), m.alpha)
+	return planShape(m.a.Mem(), m.a.D(), planAlpha)
 }
 
 // ExplainScenario prices spec's scenario route against the full sort.

@@ -18,10 +18,12 @@ import (
 // planner's closed-form step predictions to the measured charges.
 
 // scenarioCase is one scenario invocation whose result flattens to a key
-// slice for the shared determinism comparison.
+// slice for the shared determinism comparison; want is the sort- or
+// map-based oracle's answer, flattened the same way.
 type scenarioCase struct {
 	name string
 	run  func(m *Machine) ([]int64, *Report, error)
+	want []int64
 }
 
 // flattenAggs folds a group-by result into the determinism comparison's
@@ -35,41 +37,49 @@ func flattenAggs(aggs []GroupAgg) []int64 {
 }
 
 // scenarioSuite builds one case per scenario kind and route over fixed
-// deterministic inputs sized for the mem=1024 test machines: topk and
-// quantile filter routes, all three group-by routes (one-pass at 97
-// groups, partition at 8192, sort-then-scan at 20000), and the ingest
-// merge.
-func scenarioSuite() []scenarioCase {
-	const n = 20000
+// deterministic inputs sized for a machine of M = mem (a multiple of
+// 1024; the sizes below are the mem = 1024 ones and scale with it): topk
+// and quantile, the three group-by shapes (97 groups for the one-pass
+// table, 8192 and 20000 for the partition and sort-then-scan routes), and
+// the ingest merge.  The planner prices the routes per machine, so the
+// larger shapes change route with M — at 4096 the quantile takes the
+// filter and the widest group-by partitions — which only widens what the
+// determinism suites cover.
+func scenarioSuite(mem int) []scenarioCase {
+	scale := mem / 1024
+	n := 20000 * scale
 	keys := workload.Uniform(n, 0, 1<<40, 7)
 	gkeysFew := workload.FewDistinct(n, 97, 11)
-	gkeysPart := workload.Perm(8192, 13)
+	gkeysPart := workload.Perm(8192*scale, 13)
 	gkeysWide := workload.Perm(n, 17)
 	payloads := workload.Uniform(n, -1000, 1000, 19)
 	dataset := append([]int64(nil), keys...)
 	slices.Sort(dataset)
-	batch := workload.Uniform(1024, 0, 1<<40, 23)
+	batch := workload.Uniform(mem, 0, 1<<40, 23)
+	merged := append(slices.Clone(dataset), batch...)
+	slices.Sort(merged)
+	groupBy := func(name string, gkeys, payloads []int64, hint int) scenarioCase {
+		return scenarioCase{
+			name: name,
+			run: func(m *Machine) ([]int64, *Report, error) {
+				aggs, rep, err := m.GroupBy(gkeys, payloads, hint)
+				return flattenAggs(aggs), rep, err
+			},
+			want: flattenAggs(groupOracle(gkeys, payloads)),
+		}
+	}
 	return []scenarioCase{
-		{"topk", func(m *Machine) ([]int64, *Report, error) {
+		{name: "topk", want: dataset[:64], run: func(m *Machine) ([]int64, *Report, error) {
 			return m.TopK(keys, 64)
 		}},
-		{"quantile", func(m *Machine) ([]int64, *Report, error) {
+		{name: "quantile", want: dataset[n/3-1 : n/3], run: func(m *Machine) ([]int64, *Report, error) {
 			v, rep, err := m.Quantile(keys, n/3)
 			return []int64{v}, rep, err
 		}},
-		{"groupby-onepass", func(m *Machine) ([]int64, *Report, error) {
-			aggs, rep, err := m.GroupBy(gkeysFew, payloads, 97)
-			return flattenAggs(aggs), rep, err
-		}},
-		{"groupby-partition", func(m *Machine) ([]int64, *Report, error) {
-			aggs, rep, err := m.GroupBy(gkeysPart, payloads[:len(gkeysPart)], len(gkeysPart))
-			return flattenAggs(aggs), rep, err
-		}},
-		{"groupby-fullsort", func(m *Machine) ([]int64, *Report, error) {
-			aggs, rep, err := m.GroupBy(gkeysWide, payloads, n)
-			return flattenAggs(aggs), rep, err
-		}},
-		{"ingest", func(m *Machine) ([]int64, *Report, error) {
+		groupBy("groupby-onepass", gkeysFew, payloads, 97),
+		groupBy("groupby-partition", gkeysPart, payloads[:len(gkeysPart)], len(gkeysPart)),
+		groupBy("groupby-fullsort", gkeysWide, payloads, n),
+		{name: "ingest", want: merged, run: func(m *Machine) ([]int64, *Report, error) {
 			return m.Ingest(dataset, batch)
 		}},
 	}
@@ -79,7 +89,9 @@ func scenarioSuite() []scenarioCase {
 // tracing on, and captures everything the determinism guarantee covers.
 func runScenarioCase(t *testing.T, cfg MachineConfig, sc scenarioCase) detRun {
 	t.Helper()
-	cfg.Memory = 1024
+	if cfg.Memory == 0 {
+		cfg.Memory = 1024
+	}
 	cfg.Pipeline = PipelineConfig{Prefetch: 2, WriteBehind: 2}
 	m, err := NewMachine(cfg)
 	if err != nil {
@@ -100,7 +112,7 @@ func runScenarioCase(t *testing.T, cfg MachineConfig, sc scenarioCase) detRun {
 // TestScenarioWorkerDeterminism pits Workers=1 against Workers=8 on every
 // scenario route: results, pass counts, stats, and traces must match.
 func TestScenarioWorkerDeterminism(t *testing.T) {
-	for _, sc := range scenarioSuite() {
+	for _, sc := range scenarioSuite(1024) {
 		t.Run(sc.name, func(t *testing.T) {
 			serial := runScenarioCase(t, MachineConfig{Workers: 1}, sc)
 			parallel := runScenarioCase(t, MachineConfig{Workers: 8}, sc)
@@ -112,7 +124,7 @@ func TestScenarioWorkerDeterminism(t *testing.T) {
 // TestScenarioBackendDeterminism pits the file backend against mmap, at
 // one and eight workers.
 func TestScenarioBackendDeterminism(t *testing.T) {
-	for _, sc := range scenarioSuite() {
+	for _, sc := range scenarioSuite(1024) {
 		t.Run(sc.name, func(t *testing.T) {
 			for _, workers := range []int{1, 8} {
 				file := runScenarioCase(t, MachineConfig{Workers: workers, Dir: t.TempDir(), Backend: BackendFile}, sc)
@@ -123,13 +135,22 @@ func TestScenarioBackendDeterminism(t *testing.T) {
 	}
 }
 
-// TestScenarioKernelDeterminism pits the comparison kernel against radix.
+// TestScenarioKernelDeterminism runs every scenario route under both
+// compute kernels — picked by geometry, see kernelMems — at one and eight
+// workers: the result is the oracle's, and everything else matches across
+// worker counts.
 func TestScenarioKernelDeterminism(t *testing.T) {
-	for _, sc := range scenarioSuite() {
+	suites := [][]scenarioCase{scenarioSuite(kernelMems[0]), scenarioSuite(kernelMems[1])}
+	for i, sc := range suites[0] {
 		t.Run(sc.name, func(t *testing.T) {
-			cmp := runScenarioCase(t, MachineConfig{Workers: 8, Kernel: KernelComparison}, sc)
-			rad := runScenarioCase(t, MachineConfig{Workers: 8, Kernel: KernelRadix}, sc)
-			assertIdenticalRuns(t, cmp, rad)
+			for j, mem := range kernelMems {
+				sc := suites[j][i]
+				serial := runScenarioCase(t, MachineConfig{Memory: mem, Workers: 1}, sc)
+				if !slices.Equal(serial.out, sc.want) {
+					t.Fatalf("M = %d: result differs from the oracle (route %s)", mem, serial.rep.ScenarioRoute)
+				}
+				assertIdenticalRuns(t, serial, runScenarioCase(t, MachineConfig{Memory: mem, Workers: 8}, sc))
+			}
 		})
 	}
 }

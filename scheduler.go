@@ -57,14 +57,8 @@ type SchedulerConfig struct {
 	// (zero value) or BackendMmap.  Requires Dir; a JobSpec may override it
 	// per job.
 	Backend string
-	// Kernel is the default compute kernel for every job: KernelAuto
-	// (zero value), KernelComparison, or KernelRadix.  A JobSpec may
-	// override it per job; results are identical either way.
-	Kernel string
 	// MaxQueue bounds the admission queue; zero selects 1024.
 	MaxQueue int
-	// Alpha is the confidence parameter passed to each job's machine.
-	Alpha float64
 	// Pipeline is the default per-job streaming depth.
 	Pipeline PipelineConfig
 	// JournalDir, when non-empty, makes jobs durable: every submission,
@@ -74,10 +68,11 @@ type SchedulerConfig struct {
 	// from their last completed pass (falling back to a restart from the
 	// input when the surviving scratch does not validate).
 	JournalDir string
-	// JournalCompactBytes triggers a compacting journal snapshot once the
-	// log grows past this size; zero selects 4 MiB.
-	JournalCompactBytes int64
 }
+
+// journalCompactBytes triggers a compacting journal snapshot once the log
+// grows past this size, so the log stays proportional to the live job set.
+const journalCompactBytes = 4 << 20
 
 // The job descriptor and the status shapes are declared once, in
 // internal/wire, and re-exported here under their public names.
@@ -217,12 +212,12 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 		cfg.JobMemory = 4096
 	}
 	// The defaults must resolve to a machine: JobMemory a perfect square,
-	// Backend and Kernel known, a file backend only with Dir.  Disks: 1
-	// keeps the default-Disks divisibility rule per job, where a spec may
-	// name its own Disks.
-	if _, _, _, err := resolveConfig(MachineConfig{Memory: cfg.JobMemory, Disks: 1, Dir: cfg.Dir,
-		Backend: cfg.Backend, Kernel: cfg.Kernel}); err != nil {
-		return nil, fmt.Errorf("%w (SchedulerConfig's JobMemory/Backend/Kernel defaults)", err)
+	// Backend known, a file backend only with Dir.  Disks: 1 keeps the
+	// default-Disks divisibility rule per job, where a spec may name its
+	// own Disks.
+	if _, _, err := resolveConfig(MachineConfig{Memory: cfg.JobMemory, Disks: 1, Dir: cfg.Dir,
+		Backend: cfg.Backend}); err != nil {
+		return nil, fmt.Errorf("%w (SchedulerConfig's JobMemory/Backend defaults)", err)
 	}
 	var jr *journal.Journal
 	if cfg.JournalDir != "" {
@@ -230,9 +225,6 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 		jr, err = journal.Open(cfg.JournalDir, journal.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("repro: open journal: %w", err)
-		}
-		if cfg.JournalCompactBytes == 0 {
-			cfg.JournalCompactBytes = 4 << 20
 		}
 	}
 	eng, err := sched.New(sched.Config{
@@ -242,7 +234,7 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 		Dir:          cfg.Dir,
 		MaxQueue:     cfg.MaxQueue,
 		Journal:      jr,
-		CompactBytes: cfg.JournalCompactBytes,
+		CompactBytes: journalCompactBytes,
 	})
 	if err != nil {
 		if jr != nil {
@@ -312,7 +304,9 @@ func journalRecord(spec JobSpec, alg Algorithm) ([]byte, error) {
 // one, which leaves two shapes Validate rejects from a live caller: a
 // scenario job names its fallback sort (resolution re-derives it,
 // deterministically), and journals written before RadixSort had an Alg
-// spell a radix job as a bare universe.
+// spell a radix job as a bare universe.  Decoding is deliberately not
+// strict: a record from before the descriptor lost a field (a "kernel"
+// selector) still replays, the field ignored.
 func recoveredSpec(raw []byte) (spec JobSpec, err error) {
 	if err = json.Unmarshal(raw, &spec); err != nil {
 		return spec, fmt.Errorf("repro: recovered spec: %w", err)
@@ -351,7 +345,6 @@ type jobResolution struct {
 	mc      MachineConfig
 	pcfg    pdm.Config
 	backend pdm.Backend
-	alpha   float64
 	// work is the planner's view of the job's sort: the working-set size,
 	// the RadixSort universe, the presortedness hint, and — for a
 	// full-record sort (isRecords) — the bound on the payload store it
@@ -393,11 +386,9 @@ func (s *Scheduler) resolveJobSpec(spec JobSpec) (*jobResolution, error) {
 	r.mc = MachineConfig{
 		Memory:       spec.Memory,
 		Disks:        spec.Disks,
-		Alpha:        s.cfg.Alpha,
 		Workers:      spec.Workers,
 		Dir:          s.cfg.Dir, // the storage mode; runJob points it at the job's own scratch
 		Backend:      spec.Backend,
-		Kernel:       spec.Kernel,
 		Pipeline:     s.cfg.Pipeline,
 		BlockLatency: time.Duration(spec.BlockLatencyUS) * time.Microsecond,
 	}
@@ -407,19 +398,16 @@ func (s *Scheduler) resolveJobSpec(spec JobSpec) (*jobResolution, error) {
 	if r.mc.Backend == "" {
 		r.mc.Backend = s.cfg.Backend
 	}
-	if r.mc.Kernel == "" {
-		r.mc.Kernel = s.cfg.Kernel
-	}
 	if spec.Pipeline != nil {
 		r.mc.Pipeline = *spec.Pipeline
 	}
 	var err error
-	r.pcfg, r.backend, r.alpha, err = resolveConfig(r.mc)
+	r.pcfg, r.backend, err = resolveConfig(r.mc)
 	if err != nil {
 		return nil, err
 	}
 	if r.alg == Auto {
-		r.alg = planFor(r.pcfg.Mem, r.pcfg.D, r.alpha, n)
+		r.alg = planFor(r.pcfg.Mem, r.pcfg.D, n)
 	}
 	r.padded, err = padForSize(r.pcfg.Mem, r.alg, n)
 	if err != nil {
@@ -438,7 +426,7 @@ func (s *Scheduler) resolveJobSpec(spec JobSpec) (*jobResolution, error) {
 		// A scenario job's scratch high-water is the larger of its scenario
 		// route and the full-sort route it may fall back to (computed above).
 		r.query = spec.ScenarioQuery()
-		r.disk = max(r.disk, plan.ScenarioDiskEnvelope(planShape(r.pcfg.Mem, r.pcfg.D, r.alpha), r.query))
+		r.disk = max(r.disk, plan.ScenarioDiskEnvelope(planShape(r.pcfg.Mem, r.pcfg.D, planAlpha), r.query))
 		if r.query.PairWords == 2 {
 			// The group-by sort route carries the payload column as one
 			// 8-byte record payload per key.
@@ -502,10 +490,11 @@ func (s *Scheduler) Explain(spec JobSpec) (*PlanReport, error) {
 	if workers == 0 {
 		workers = s.eng.Stats().Workers
 	}
-	out, err := explainOn(r.pcfg, workers, r.alpha, r.mc.BlockLatency, r.backend, r.work)
+	out, probe, err := explainOn(r.pcfg, workers, r.mc.BlockLatency, r.backend, r.work)
 	if err != nil {
 		return nil, err
 	}
+	out.Backends = rankBackends(probe)
 	// Pin the choice to what the submitted job actually runs: the resolved
 	// algorithm (the Auto path's deterministic pick, or the spec's forced
 	// one).  The table still ranks what the calibrated model would prefer.
@@ -686,7 +675,7 @@ func (s *Scheduler) ExplainScenario(spec JobSpec) (*ScenarioPlanReport, error) {
 	if spec.Scenario == "" {
 		return nil, fmt.Errorf("repro: JobSpec has no scenario")
 	}
-	p, err := plan.Scenario(planShape(r.pcfg.Mem, r.pcfg.D, r.alpha), r.query)
+	p, err := plan.Scenario(planShape(r.pcfg.Mem, r.pcfg.D, planAlpha), r.query)
 	if err != nil {
 		return nil, fmt.Errorf("repro: %w", err)
 	}
@@ -727,7 +716,7 @@ func (j *schedJob) recordPlan(m *Machine, payloads [][]byte) {
 		// The exact volume, now that the payloads are materialized.
 		spec.PayloadWords = records.PayloadWords(payloads)
 	}
-	rep, err := m.Explain(spec)
+	rep, _, err := m.explain(spec)
 	if err != nil {
 		return
 	}
@@ -911,7 +900,7 @@ func (s *Scheduler) Health() SchedHealth {
 	h := SchedHealth{
 		Status:     "ok",
 		JobMemory:  s.cfg.JobMemory,
-		Alpha:      s.cfg.Alpha,
+		Alpha:      planAlpha,
 		Workers:    st.Workers,
 		Backend:    s.cfg.Backend,
 		FileBacked: s.cfg.Dir != "",
@@ -921,11 +910,8 @@ func (s *Scheduler) Health() SchedHealth {
 		Recovered:  st.Recovered,
 		Suspended:  st.Suspended,
 	}
-	if h.Alpha == 0 {
-		h.Alpha = 1
-	}
 	// Resolve the default geometry exactly as a default job would.
-	if pcfg, _, _, err := resolveConfig(MachineConfig{Memory: s.cfg.JobMemory}); err == nil {
+	if pcfg, _, err := resolveConfig(MachineConfig{Memory: s.cfg.JobMemory}); err == nil {
 		h.BlockSize = pcfg.B
 		h.Disks = pcfg.D
 	}
