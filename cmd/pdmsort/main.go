@@ -1,6 +1,6 @@
 // Command pdmsort sorts a file on a simulated Parallel Disk Model backed
-// by real files (one per disk, with one goroutine per disk performing the
-// parallel I/O), using the paper's algorithms.
+// by real files (one per disk, one pread/pwrite per block), using the
+// paper's algorithms.
 //
 // Usage:
 //

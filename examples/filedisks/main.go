@@ -1,6 +1,6 @@
-// File-backed disks: the same algorithms running against D real files with
-// one goroutine per disk doing the I/O — the closest a single machine gets
-// to the paper's D independent disks.  The pass accounting is identical to
+// File-backed disks: the same algorithms running against D real files, one
+// pread/pwrite per block — the closest a single machine gets to the paper's
+// D independent disks.  The pass accounting is identical to
 // the in-memory simulator; what changes is that you can watch the disk
 // files on the filesystem.
 package main

@@ -9,7 +9,7 @@ import (
 )
 
 // TestAllAlgorithmsOnFileDisks runs every algorithm end-to-end against
-// real file-backed disks (one goroutine per disk), asserting identical
+// real file-backed disks, asserting identical
 // results and identical pass accounting to the in-memory backend.
 func TestAllAlgorithmsOnFileDisks(t *testing.T) {
 	const m = 256

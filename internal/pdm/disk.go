@@ -7,10 +7,10 @@ import (
 
 // Disk is one disk of a PDM array.  Offsets are in blocks; every transfer
 // moves exactly one block of B keys.  Implementations must be safe for
-// fully concurrent use: besides the array's per-disk I/O goroutines, the
-// streaming layer (internal/stream) overlaps prefetch and write-behind
-// transfers with the algorithm's own requests, so one disk may see several
-// concurrent operations (always on distinct blocks).
+// fully concurrent use: the streaming layer (internal/stream) overlaps
+// prefetch and write-behind transfers with the algorithm's own requests,
+// so one disk may see several concurrent operations (always on distinct
+// blocks).
 type Disk interface {
 	// ReadBlock copies block off into dst (len(dst) == B).
 	ReadBlock(off int, dst []int64) error
@@ -53,7 +53,7 @@ const (
 	// BackendMem is the in-memory block store (MemDisk).
 	BackendMem Backend = "mem"
 	// BackendFile is read/write-syscall file disks (FileDisk): each block
-	// pays a syscall plus an encode/decode round through a staging buffer.
+	// pays one pread/pwrite of the caller's words in place.
 	BackendFile Backend = "file"
 	// BackendMmap is memory-mapped file disks (MmapDisk): each block is a
 	// page-cache copy, with zero-copy views on the streaming paths.

@@ -5,10 +5,11 @@
 // keys is N/(DB) parallel read steps plus the same number of write steps.
 //
 // The package provides disk backends — an in-memory block store (MemDisk),
-// which is exact and deterministic, a real-file backend (FileDisk) safe for
-// fully concurrent per-disk I/O, a memory-mapped backend (MmapDisk) that
-// serves blocks as in-place word views with the same on-disk format, and a
-// latency-modeling decorator (LatencyDisk) — plus the machinery every PDM
+// which is exact and deterministic, a real-file backend (FileDisk) that
+// preads/pwrites the caller's words in place, a memory-mapped backend
+// (MmapDisk) that serves blocks as in-place word views with the same
+// on-disk format, and a latency-modeling decorator (LatencyDisk), the one
+// disk an Array forks per-disk goroutines for — plus the machinery every PDM
 // algorithm in this repository is written against: vectored block I/O with
 // step accounting (Array.ReadV / Array.WriteV), the transfer/charge split
 // the streaming layer builds on (Array.TransferV / Array.ChargeV, see

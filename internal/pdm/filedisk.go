@@ -1,7 +1,6 @@
 package pdm
 
 import (
-	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,11 +9,12 @@ import (
 )
 
 // FileDisk is a Disk backed by a single ordinary file, with blocks stored as
-// little-endian int64s at offset off·B·8.  All I/O goes through ReadAt /
-// WriteAt on one persistent handle — no seek-then-read — so any number of
-// goroutines may operate on the disk concurrently: an Array built from D
-// FileDisks overlaps its per-disk operations, and the streaming layer's
-// prefetchers and write-behind flushers can run alongside the algorithm.
+// little-endian int64s at offset off·B·8.  A block call is one pread or
+// pwrite of the caller's words in place (readWordsAt / writeWordsAt: no
+// staging buffer, and no codec on little-endian hosts) on one persistent
+// handle — no seek-then-read — so any number of goroutines may operate on
+// the disk concurrently: the streaming layer's prefetchers and write-behind
+// flushers run alongside the algorithm's own requests.
 //
 // The backing file is grown in chunks of growBlocks blocks ahead of the
 // write frontier, so steady sequential writes extend the file's metadata
@@ -25,27 +25,11 @@ type FileDisk struct {
 	blocks atomic.Int64 // block count = write frontier
 	grown  atomic.Int64 // preallocated size of the file, in blocks
 	growMu sync.Mutex   // serializes Truncate growth
-	bufs   sync.Pool    // *[]byte encode/decode buffers of 8·b bytes
 }
 
 // growBlocks is the file-preallocation chunk: the file is extended this many
 // blocks at a time.
 const growBlocks = 256
-
-// maxPooledBufBytes caps the encode/decode buffers the pool retains.
-// sync.Pool holds one entry per P between collections, so at large B the
-// pool would pin GOMAXPROCS × 8·B bytes for the disk's whole lifetime;
-// oversized buffers are used once and dropped instead.
-const maxPooledBufBytes = 1 << 16
-
-// putBuf returns an encode/decode buffer to the pool unless it exceeds the
-// retention cap.
-func (d *FileDisk) putBuf(bp *[]byte) {
-	if len(*bp) > maxPooledBufBytes {
-		return
-	}
-	d.bufs.Put(bp)
-}
 
 // NewFileDisk creates (truncating) a file-backed disk at path with block
 // size b keys.
@@ -54,12 +38,7 @@ func NewFileDisk(path string, b int) (*FileDisk, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pdm: creating file disk: %w", err)
 	}
-	d := &FileDisk{f: f, b: b}
-	d.bufs.New = func() any {
-		buf := make([]byte, 8*b)
-		return &buf
-	}
-	return d, nil
+	return &FileDisk{f: f, b: b}, nil
 }
 
 // OpenFileDisk reopens an existing file-backed disk at path without
@@ -80,44 +59,36 @@ func OpenFileDisk(path string, b int) (*FileDisk, error) {
 	blocks := st.Size() / (int64(b) * 8)
 	d.blocks.Store(blocks)
 	d.grown.Store(blocks)
-	d.bufs.New = func() any {
-		buf := make([]byte, 8*b)
-		return &buf
-	}
 	return d, nil
 }
 
 // OpenFileDisks reopens d existing file disks named disk0000.bin …
 // inside dir without truncating them (see OpenFileDisk).
 func OpenFileDisks(dir string, d, b int) ([]Disk, error) {
-	disks := make([]Disk, d)
-	for i := range disks {
-		fd, err := OpenFileDisk(filepath.Join(dir, fmt.Sprintf("disk%04d.bin", i)), b)
-		if err != nil {
-			for _, prev := range disks[:i] {
-				prev.Close() //nolint:errcheck // best-effort cleanup
-			}
-			return nil, err
-		}
-		disks[i] = fd
-	}
-	return disks, nil
+	return makeDisks(dir, d, b, OpenFileDisk)
 }
 
 // NewFileDisks creates d file-backed disks named disk0000.bin … inside
-// dir, with block size b keys, closing any already-created disks on
-// failure.  NewFileArray and the facade's machine constructor share it.
+// dir, with block size b keys.  NewFileArray and the facade's machine
+// constructor share it.
 func NewFileDisks(dir string, d, b int) ([]Disk, error) {
+	return makeDisks(dir, d, b, NewFileDisk)
+}
+
+// makeDisks opens disk0000.bin … inside dir with open — the one naming
+// scheme, so every backend produces interchangeable scratch directories —
+// closing any already-opened disks on failure.
+func makeDisks[T Disk](dir string, d, b int, open func(path string, b int) (T, error)) ([]Disk, error) {
 	disks := make([]Disk, d)
 	for i := range disks {
-		fd, err := NewFileDisk(filepath.Join(dir, fmt.Sprintf("disk%04d.bin", i)), b)
+		dk, err := open(filepath.Join(dir, fmt.Sprintf("disk%04d.bin", i)), b)
 		if err != nil {
 			for _, prev := range disks[:i] {
 				prev.Close() //nolint:errcheck // best-effort cleanup
 			}
 			return nil, err
 		}
-		disks[i] = fd
+		disks[i] = dk
 	}
 	return disks, nil
 }
@@ -143,14 +114,8 @@ func (d *FileDisk) ReadBlock(off int, dst []int64) error {
 	if off < 0 || int64(off) >= d.blocks.Load() {
 		return fmt.Errorf("%w: read of block %d (disk holds %d)", ErrOutOfRange, off, d.blocks.Load())
 	}
-	bp := d.bufs.Get().(*[]byte)
-	buf := *bp
-	defer d.putBuf(bp)
-	if _, err := d.f.ReadAt(buf, int64(off)*int64(d.b)*8); err != nil {
+	if err := readWordsAt(d.f, dst, int64(off)*int64(d.b)*8); err != nil {
 		return fmt.Errorf("pdm: file disk read: %w", err)
-	}
-	for i := range dst {
-		dst[i] = int64(binary.LittleEndian.Uint64(buf[8*i:]))
 	}
 	return nil
 }
@@ -166,13 +131,7 @@ func (d *FileDisk) WriteBlock(off int, src []int64) error {
 	if err := d.grow(off + 1); err != nil {
 		return err
 	}
-	bp := d.bufs.Get().(*[]byte)
-	buf := *bp
-	defer d.putBuf(bp)
-	for i, v := range src {
-		binary.LittleEndian.PutUint64(buf[8*i:], uint64(v))
-	}
-	if _, err := d.f.WriteAt(buf, int64(off)*int64(d.b)*8); err != nil {
+	if err := writeWordsAt(d.f, src, int64(off)*int64(d.b)*8); err != nil {
 		return fmt.Errorf("pdm: file disk write: %w", err)
 	}
 	// Advance the frontier to cover off.

@@ -1,10 +1,14 @@
 package pdm
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
-	"runtime/debug"
+	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
-	"sync/atomic"
 	"testing"
 )
 
@@ -42,51 +46,91 @@ func TestFileDiskRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFileDiskBufPoolCap pins the pool-retention fix: small blocks reuse
-// one pooled encode buffer across operations, while blocks above
-// maxPooledBufBytes are allocated per operation and dropped — the pool
-// must not pin GOMAXPROCS × 8·B bytes for the disk's lifetime at large B.
-func TestFileDiskBufPoolCap(t *testing.T) {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // no GC: pool entries survive
-	const iters = 16
-	for _, tc := range []struct {
-		name   string
-		b      int
-		pooled bool
-	}{
-		{"small-pooled", 512, true},         // 4 KiB buffer, under the cap
-		{"large-dropped", 16 * 1024, false}, // 128 KiB buffer, over the cap
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			d, err := NewFileDisk(t.TempDir()+"/d0.bin", tc.b)
+// TestFileDiskFormatPinned pins the scratch-file format — little-endian
+// int64s, block off at byte offset off·B·8 — against an independent
+// encoding/binary reader and writer, in both directions.  It is what lets
+// a Checkpoint manifest re-attach scratch written by another build of this
+// program, whatever FileDisk does between the caller's words and the file.
+func TestFileDiskFormatPinned(t *testing.T) {
+	cfg := Config{D: 3, B: 4, Mem: 48}
+	words := func(disk, off int) []int64 {
+		w := make([]int64, cfg.B)
+		for i := range w {
+			w[i] = int64(disk+1)<<56 - int64(off)<<24 - int64(i) // every byte lane live, both signs
+		}
+		return w
+	}
+	offs := []int{0, 2, 5} // out of order below, with holes
+
+	t.Run("written-decodes", func(t *testing.T) {
+		dir := t.TempDir()
+		a, err := NewFileArray(cfg, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var addrs []BlockAddr
+		var bufs [][]int64
+		for _, off := range []int{5, 0, 2} {
+			for d := 0; d < cfg.D; d++ {
+				addrs = append(addrs, BlockAddr{Disk: d, Off: off})
+				bufs = append(bufs, words(d, off))
+			}
+		}
+		if err := a.WriteV(addrs, bufs); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for d := 0; d < cfg.D; d++ {
+			raw, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("disk%04d.bin", d)))
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer d.Close()
-			var allocs atomic.Int64
-			base := d.bufs.New
-			d.bufs.New = func() any {
-				allocs.Add(1)
-				return base()
+			if want := (offs[len(offs)-1] + 1) * cfg.B * 8; len(raw) != want {
+				t.Fatalf("disk %d: file is %d bytes, want %d", d, len(raw), want)
 			}
-			blk := make([]int64, tc.b)
-			for i := 0; i < iters; i++ {
-				if err := d.WriteBlock(i, blk); err != nil {
+			for _, off := range offs {
+				got := make([]int64, cfg.B)
+				if err := binary.Read(bytes.NewReader(raw[off*cfg.B*8:]), binary.LittleEndian, got); err != nil {
 					t.Fatal(err)
 				}
-				if err := d.ReadBlock(i, blk); err != nil {
-					t.Fatal(err)
+				if !slices.Equal(got, words(d, off)) {
+					t.Fatalf("disk %d block %d decodes to %v, want %v", d, off, got, words(d, off))
 				}
 			}
-			got := allocs.Load()
-			if tc.pooled && got > 2 {
-				t.Fatalf("pooled case allocated %d buffers over %d ops, want <= 2", got, 2*iters)
+		}
+	})
+
+	t.Run("encoded-reopens", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "disk0000.bin")
+		var raw bytes.Buffer
+		for off := 0; off <= offs[len(offs)-1]; off++ {
+			if err := binary.Write(&raw, binary.LittleEndian, words(0, off)); err != nil {
+				t.Fatal(err)
 			}
-			if !tc.pooled && got < 2*iters {
-				t.Fatalf("oversized case allocated %d buffers over %d ops, want one per op", got, 2*iters)
+		}
+		if err := os.WriteFile(path, raw.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		d, err := OpenFileDisk(path, cfg.B)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		if got, want := d.Blocks(), offs[len(offs)-1]+1; got != want {
+			t.Fatalf("Blocks = %d, want %d", got, want)
+		}
+		got := make([]int64, cfg.B)
+		for off := 0; off < d.Blocks(); off++ {
+			if err := d.ReadBlock(off, got); err != nil {
+				t.Fatal(err)
 			}
-		})
-	}
+			if !slices.Equal(got, words(0, off)) {
+				t.Fatalf("block %d reads back %v, want %v", off, got, words(0, off))
+			}
+		}
+	})
 }
 
 // TestFileDiskErrors drives the failure paths: a backing file shorter

@@ -5,37 +5,23 @@ import (
 	"sync"
 )
 
-// ioOp pairs a block address with the buffer it reads into or writes from.
-type ioOp struct {
-	addr BlockAddr
-	buf  []int64
-}
-
 // ReadV reads addrs[i] into bufs[i] for all i.  The request is charged
 // max_d(#blocks on disk d) parallel I/O steps — the PDM cost of a vectored
-// transfer — and the per-disk operations execute concurrently, one goroutine
-// per participating disk.  Buffers must each have length B.
+// transfer — whatever the physical execution: the blocks move in request
+// order on the calling goroutine, except on disks that park their caller
+// (see transferV).  Buffers must each have length B.
 func (a *Array) ReadV(addrs []BlockAddr, bufs [][]int64) error {
 	return a.execV(addrs, bufs, false)
 }
 
 // WriteV writes bufs[i] to addrs[i] for all i, with the same cost accounting
-// and concurrency as ReadV.
+// and execution as ReadV.
 func (a *Array) WriteV(addrs []BlockAddr, bufs [][]int64) error {
 	return a.execV(addrs, bufs, true)
 }
 
 func (a *Array) execV(addrs []BlockAddr, bufs [][]int64, write bool) error {
-	if err := a.CtxErr(); err != nil {
-		return err
-	}
-	if err := a.validateV(addrs, bufs); err != nil {
-		return err
-	}
-	if len(addrs) == 0 {
-		return nil
-	}
-	if err := a.transferV(addrs, bufs, write); err != nil {
+	if err := a.TransferV(addrs, bufs, write); err != nil {
 		return err
 	}
 	a.ChargeV(addrs, write)
@@ -47,11 +33,6 @@ func (a *Array) execV(addrs []BlockAddr, bufs [][]int64, write bool) error {
 // accounting.  The streaming layer validates before charging so that a
 // rejected request leaves no trace, exactly like ReadV/WriteV.
 func (a *Array) ValidateV(addrs []BlockAddr, bufs [][]int64) error {
-	return a.validateV(addrs, bufs)
-}
-
-// validateV checks a vectored request without touching the disks.
-func (a *Array) validateV(addrs []BlockAddr, bufs [][]int64) error {
 	if len(addrs) != len(bufs) {
 		return fmt.Errorf("pdm: %d addrs but %d buffers", len(addrs), len(bufs))
 	}
@@ -75,46 +56,57 @@ func (a *Array) TransferV(addrs []BlockAddr, bufs [][]int64, write bool) error {
 	if err := a.CtxErr(); err != nil {
 		return err
 	}
-	if err := a.validateV(addrs, bufs); err != nil {
+	if err := a.ValidateV(addrs, bufs); err != nil {
 		return err
-	}
-	if len(addrs) == 0 {
-		return nil
 	}
 	return a.transferV(addrs, bufs, write)
 }
 
+// transferV moves the request's blocks in order on the calling goroutine:
+// the streaming layer's prefetch and write-behind goroutines already are the
+// overlap.  Only when the disks park their caller (LatencyDisk) does it fork,
+// one goroutine per participating disk, so that a request waits max_d(#blocks
+// on disk d) service times — one per parallel I/O step, as the model charges
+// — instead of their sum.
 func (a *Array) transferV(addrs []BlockAddr, bufs [][]int64, write bool) error {
-	perDisk := make([][]ioOp, a.cfg.D)
-	for i, ad := range addrs {
-		perDisk[ad.Disk] = append(perDisk[ad.Disk], ioOp{ad, bufs[i]})
+	if !a.fanOut {
+		return a.transferOn(-1, addrs, bufs, write)
 	}
 	var wg sync.WaitGroup
 	errs := make([]error, a.cfg.D)
-	for d, ops := range perDisk {
-		if len(ops) == 0 {
-			continue
+	forked := make([]bool, a.cfg.D)
+	for _, ad := range addrs {
+		if d := ad.Disk; !forked[d] {
+			forked[d] = true
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[d] = a.transferOn(d, addrs, bufs, write)
+			}()
 		}
-		wg.Add(1)
-		go func(d int, ops []ioOp) {
-			defer wg.Done()
-			disk := a.disks[d]
-			for _, op := range ops {
-				var err error
-				if write {
-					err = disk.WriteBlock(op.addr.Off, op.buf)
-				} else {
-					err = disk.ReadBlock(op.addr.Off, op.buf)
-				}
-				if err != nil {
-					errs[d] = err
-					return
-				}
-			}
-		}(d, ops)
 	}
 	wg.Wait()
 	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// transferOn moves, in request order, the request's blocks that live on
+// disk d — all of them when d < 0.
+func (a *Array) transferOn(d int, addrs []BlockAddr, bufs [][]int64, write bool) error {
+	for i, ad := range addrs {
+		if d >= 0 && ad.Disk != d {
+			continue
+		}
+		var err error
+		if write {
+			err = a.disks[ad.Disk].WriteBlock(ad.Off, bufs[i])
+		} else {
+			err = a.disks[ad.Disk].ReadBlock(ad.Off, bufs[i])
+		}
 		if err != nil {
 			return err
 		}

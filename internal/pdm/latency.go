@@ -5,9 +5,10 @@ import "time"
 // LatencyDisk decorates a Disk with a fixed service time per block
 // operation, modeling a device with real positioning and transfer latency
 // (a spinning disk, a network volume).  The wait parks the calling
-// goroutine, so overlapped transfers — the array's per-disk fan-out and the
-// streaming layer's prefetch/write-behind — genuinely hide it, exactly as
-// they would on hardware.  Intended for benchmarks and tests; the cost
+// goroutine, so overlapped transfers genuinely hide it, exactly as they
+// would on hardware: the streaming layer's prefetch/write-behind, and the
+// per-disk fan-out an Array keeps for this one disk type (NewWithDisks
+// looks for it, unwrapped).  Intended for benchmarks and tests; the cost
 // accounting (Stats, SimTime) is unaffected.
 type LatencyDisk struct {
 	Disk

@@ -1,32 +1,16 @@
 package pdm
 
-import (
-	"errors"
-	"fmt"
-	"path/filepath"
-)
+import "errors"
 
 // errNoZeroCopy is returned by the borrow APIs on disks (or platforms)
 // that cannot serve direct block views.
 var errNoZeroCopy = errors.New("pdm: disk does not support zero-copy block views")
 
 // NewMmapDisks creates d mmap-backed disks named disk0000.bin … inside
-// dir, with block size b keys, closing any already-created disks on
-// failure.  The file naming matches NewFileDisks, so the two backends
-// produce byte-identical scratch directories.
+// dir, with block size b keys.  The file naming matches NewFileDisks, so
+// the two backends produce byte-identical scratch directories.
 func NewMmapDisks(dir string, d, b int) ([]Disk, error) {
-	disks := make([]Disk, d)
-	for i := range disks {
-		md, err := NewMmapDisk(filepath.Join(dir, fmt.Sprintf("disk%04d.bin", i)), b)
-		if err != nil {
-			for _, prev := range disks[:i] {
-				prev.Close() //nolint:errcheck // best-effort cleanup
-			}
-			return nil, err
-		}
-		disks[i] = md
-	}
-	return disks, nil
+	return makeDisks(dir, d, b, NewMmapDisk)
 }
 
 // NewMmapArray creates a PDM array of cfg.D mmap-backed disks named

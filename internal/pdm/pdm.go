@@ -147,6 +147,10 @@ type Array struct {
 	// nothing so a vectored request never mixes borrowed and copied blocks.
 	zc []ZeroCopyDisk
 
+	// fanOut is true iff some disk parks its caller (LatencyDisk): only
+	// then does transferV fork one goroutine per participating disk.
+	fanOut bool
+
 	mu    sync.Mutex
 	stats Stats
 	alloc rowAllocator
@@ -194,16 +198,18 @@ func NewWithDisks(cfg Config, disks []Disk) (*Array, error) {
 		arena: NewArena(cfg.ArenaCapacity()),
 		pool:  par.NewWithKernel(cfg.Workers, cfg.Limiter, par.AutoKernel(cfg.Mem)),
 	}
-	zc := make([]ZeroCopyDisk, len(disks))
-	for i, d := range disks {
-		z, ok := d.(ZeroCopyDisk)
-		if !ok || !z.ZeroCopy() {
-			zc = nil
-			break
+	zc := make([]ZeroCopyDisk, 0, len(disks))
+	for _, d := range disks {
+		if _, parks := d.(LatencyDisk); parks {
+			a.fanOut = true
 		}
-		zc[i] = z
+		if z, ok := d.(ZeroCopyDisk); ok && z.ZeroCopy() {
+			zc = append(zc, z)
+		}
 	}
-	a.zc = zc
+	if len(zc) == len(disks) {
+		a.zc = zc
+	}
 	return a, nil
 }
 

@@ -37,7 +37,7 @@ func DefaultCalibration(shape Shape) Calibration {
 	var perWord float64
 	switch shape.Backend {
 	case pdm.BackendFile:
-		perWord = 12e-9 // page-cache file I/O plus syscall and encode per block
+		perWord = 12e-9 // page-cache file I/O plus one syscall per block
 	case pdm.BackendMmap:
 		perWord = 4e-9 // page-cache copy through the mapping, no syscall
 	default:

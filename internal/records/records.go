@@ -1,6 +1,7 @@
 package records
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -723,22 +724,29 @@ func (bb *blockBatch) release() {
 	bb.a.Arena().Free(bb.stage)
 }
 
-// packWords encodes bytes little-endian into words (the last word
-// zero-padded); unpackWords is its inverse for a known byte length.
+// packWords encodes bytes little-endian into wordsFor(len(src)) words, the
+// last one zero-padded: whole words at a time, bytes only for the tail.
+// unpackWords is its inverse for a known byte length.
 func packWords(dst []int64, src []byte) {
-	for w := range dst {
+	full := len(src) / 8
+	for w := 0; w < full; w++ {
+		dst[w] = int64(binary.LittleEndian.Uint64(src[8*w:]))
+	}
+	if tail := src[8*full:]; len(tail) > 0 {
 		var v uint64
-		for k := 0; k < 8; k++ {
-			if i := w*8 + k; i < len(src) {
-				v |= uint64(src[i]) << (8 * k)
-			}
+		for k, c := range tail {
+			v |= uint64(c) << (8 * k)
 		}
-		dst[w] = int64(v)
+		dst[full] = int64(v)
 	}
 }
 
 func unpackWords(dst []byte, src []int64) {
-	for i := range dst {
-		dst[i] = byte(uint64(src[i/8]) >> (8 * (i % 8)))
+	full := len(dst) / 8
+	for w := 0; w < full; w++ {
+		binary.LittleEndian.PutUint64(dst[8*w:], uint64(src[w]))
+	}
+	for k := 8 * full; k < len(dst); k++ {
+		dst[k] = byte(uint64(src[full]) >> (8 * (k % 8)))
 	}
 }

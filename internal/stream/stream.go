@@ -113,8 +113,8 @@ func NewStripeReader(s *pdm.Stripe, start, n, chunkKeys int) (*Reader, error) {
 // fetch is the prefetch goroutine: it walks the chunk sequence, transferring
 // slot-sized pieces into the ring without charging them.  It grabs as many
 // free slots as are immediately available and moves them in one vectored
-// transfer, so the per-request overhead (one goroutine per disk) is
-// amortized over everything the ring can hold.
+// transfer, so the per-request overhead (validation; the per-disk fork on
+// disks that park) is amortized over everything the ring can hold.
 func (r *Reader) fetch() {
 	defer close(r.done)
 	defer close(r.filled)

@@ -68,11 +68,11 @@ func NewWriter(a *pdm.Array) (*Writer, error) {
 }
 
 // drain is the flusher goroutine.  Queued jobs are coalesced into one
-// vectored transfer per wakeup, amortizing the per-request overhead (one
-// goroutine per disk) over everything the staging holds.  After the first
-// transfer error it keeps consuming jobs and releasing slots — discarding
-// the data — so the producer can never deadlock; the error surfaces at the
-// next Write, Flush, or Close.
+// vectored transfer per wakeup, amortizing the per-request overhead
+// (validation; the per-disk fork on disks that park) over the staging.
+// After the first transfer error it keeps consuming jobs and releasing
+// slots — discarding the data — so the producer can never deadlock; the
+// error surfaces at the next Write, Flush, or Close.
 func (w *Writer) drain() {
 	defer close(w.done)
 	var addrs []pdm.BlockAddr
