@@ -7,13 +7,15 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/wire"
 )
 
 // client is the coordinator's view of one pdmd worker: a thin typed layer
-// over the worker's JSON API with the hygiene every call needs — a hard
+// over the worker's HTTP API with the hygiene every call needs — a hard
 // per-request timeout, bounded retries with backoff on transient failures,
 // and a response body that is read to completion and closed on every path
 // so the shared connection pool never leaks.
@@ -22,6 +24,7 @@ type client struct {
 	http    *http.Client
 	timeout time.Duration
 	retries int
+	binary  atomic.Bool // the last probe saw Accept-Post: application/x-pdm-page
 }
 
 // statusError is a non-2xx worker answer: terminal for the request (the
@@ -48,9 +51,8 @@ func retryable(code int) bool {
 	return false
 }
 
-// do runs one JSON request with the per-call timeout and retry policy.
-// The request body is re-marshaled bytes, so every retry sends a fresh
-// reader; the response body is always drained and closed.
+// do runs one JSON request: in (if any) is the body, out (if any) takes
+// the answer.
 func (c *client) do(ctx context.Context, method, path string, in, out any) error {
 	var body []byte
 	if in != nil {
@@ -59,6 +61,25 @@ func (c *client) do(ctx context.Context, method, path string, in, out any) error
 			return fmt.Errorf("dist: marshal %s %s: %w", method, path, err)
 		}
 	}
+	return c.send(ctx, method, path, "application/json", "", body, func(resp *http.Response) error {
+		return recvJSON(resp, out)
+	})
+}
+
+// recvJSON reads a JSON answer into out (nil: drop it).
+func recvJSON(resp *http.Response, out any) error {
+	raw, err := readBody(resp)
+	if err != nil || out == nil || len(raw) == 0 {
+		return err
+	}
+	return json.Unmarshal(raw, out)
+}
+
+// send runs one request with the per-call timeout and retry policy.  The
+// body is bytes, so every retry sends a fresh reader; recv (if any)
+// consumes a 2xx answer, and an answer it cannot read or decode is retried
+// like a transport failure — every request here is idempotent.
+func (c *client) send(ctx context.Context, method, path, ctype, accept string, body []byte, recv func(*http.Response) error) error {
 	backoff := 20 * time.Millisecond
 	var lastErr error
 	for attempt := 0; attempt <= c.retries; attempt++ {
@@ -72,7 +93,7 @@ func (c *client) do(ctx context.Context, method, path string, in, out any) error
 				backoff *= 2
 			}
 		}
-		code, raw, err := c.once(ctx, method, path, body)
+		code, msg, err := c.once(ctx, method, path, ctype, accept, body, recv)
 		if err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()
@@ -81,15 +102,8 @@ func (c *client) do(ctx context.Context, method, path string, in, out any) error
 			continue
 		}
 		if code >= 200 && code < 300 {
-			if out == nil || len(raw) == 0 {
-				return nil
-			}
-			if err := json.Unmarshal(raw, out); err != nil {
-				return fmt.Errorf("dist: decode %s %s%s: %w", method, c.base, path, err)
-			}
 			return nil
 		}
-		msg := errorMessage(raw)
 		lastErr = fmt.Errorf("dist: %s %s%s: %w", method, c.base, path, &statusError{code: code, msg: msg})
 		if !retryable(code) {
 			return lastErr
@@ -100,7 +114,7 @@ func (c *client) do(ctx context.Context, method, path string, in, out any) error
 
 // once is a single attempt: its own deadline, body drained and closed
 // whatever happens.
-func (c *client) once(ctx context.Context, method, path string, body []byte) (int, []byte, error) {
+func (c *client) once(ctx context.Context, method, path, ctype, accept string, body []byte, recv func(*http.Response) error) (int, string, error) {
 	rctx, cancel := context.WithTimeout(ctx, c.timeout)
 	defer cancel()
 	var rd io.Reader
@@ -109,21 +123,38 @@ func (c *client) once(ctx context.Context, method, path string, body []byte) (in
 	}
 	req, err := http.NewRequestWithContext(rctx, method, c.base+path, rd)
 	if err != nil {
-		return 0, nil, err
+		return 0, "", err
 	}
 	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Content-Type", ctype)
+	}
+	if accept != "" {
+		req.Header.Set("Accept", accept)
 	}
 	resp, err := c.http.Do(req)
 	if err != nil {
-		return 0, nil, err
+		return 0, "", err
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return 0, nil, err
+	defer io.Copy(io.Discard, resp.Body) //nolint:errcheck // keeps the connection reusable
+	if resp.StatusCode >= 200 && resp.StatusCode < 300 {
+		if recv != nil {
+			err = recv(resp)
+		}
+		return resp.StatusCode, "", err
 	}
-	return resp.StatusCode, raw, nil
+	raw, err := readBody(resp)
+	return resp.StatusCode, errorMessage(raw), err
+}
+
+// readBody reads an answer in one allocation when its length was declared.
+func readBody(resp *http.Response) ([]byte, error) {
+	if resp.ContentLength < 0 {
+		return io.ReadAll(resp.Body)
+	}
+	raw := make([]byte, resp.ContentLength)
+	_, err := io.ReadFull(resp.Body, raw)
+	return raw, err
 }
 
 func errorMessage(raw []byte) string {
@@ -139,9 +170,13 @@ func errorMessage(raw []byte) string {
 	return string(raw)
 }
 
+// health probes the worker and notes whether it offers binary upload pages.
 func (c *client) health(ctx context.Context) (wire.Health, error) {
 	var h wire.Health
-	err := c.do(ctx, http.MethodGet, "/healthz", nil, &h)
+	err := c.send(ctx, http.MethodGet, "/healthz", "", "", nil, func(resp *http.Response) error {
+		c.binary.Store(strings.Contains(resp.Header.Get("Accept-Post"), wire.PageContentType))
+		return recvJSON(resp, &h)
+	})
 	return h, err
 }
 
@@ -149,12 +184,17 @@ func (c *client) uploadCreate(ctx context.Context, id string) error {
 	return c.do(ctx, http.MethodPost, "/uploads", map[string]string{"id": id}, nil)
 }
 
-func (c *client) uploadPage(ctx context.Context, id string, seq int, keys []int64, payloads [][]byte) error {
-	body := map[string]any{"keys": keys}
-	if payloads != nil {
-		body["payloads"] = payloads
+func (c *client) uploadPage(ctx context.Context, id string, seq int, pg wire.Page) error {
+	path := fmt.Sprintf("/uploads/%s/pages?seq=%d", id, seq)
+	if c.binary.Load() {
+		body := bytes.NewBuffer(make([]byte, 0, pg.BinaryLen()))
+		pg.WriteBinary(body) //nolint:errcheck // a bytes.Buffer does not fail
+		return c.send(ctx, http.MethodPost, path, wire.PageContentType, "", body.Bytes(), nil)
 	}
-	return c.do(ctx, http.MethodPost, fmt.Sprintf("/uploads/%s/pages?seq=%d", id, seq), body, nil)
+	return c.do(ctx, http.MethodPost, path, struct {
+		Keys     []int64  `json:"keys"`
+		Payloads [][]byte `json:"payloads,omitempty"`
+	}{pg.Keys, pg.Payloads}, nil)
 }
 
 func (c *client) uploadCommit(ctx context.Context, id string, spec wire.JobSpec) (wire.JobStatus, error) {
@@ -177,14 +217,19 @@ func (c *client) cancel(ctx context.Context, jobID int) error {
 	return c.do(ctx, http.MethodPost, fmt.Sprintf("/jobs/%d/cancel", jobID), nil, nil)
 }
 
-func (c *client) keysPage(ctx context.Context, jobID, offset, limit int) (wire.Page, error) {
-	var p wire.Page
-	err := c.do(ctx, http.MethodGet, fmt.Sprintf("/jobs/%d/keys?offset=%d&limit=%d", jobID, offset, limit), nil, &p)
-	return p, err
-}
-
-func (c *client) recordsPage(ctx context.Context, jobID, offset, limit int) (wire.Page, error) {
-	var p wire.Page
-	err := c.do(ctx, http.MethodGet, fmt.Sprintf("/jobs/%d/records?offset=%d&limit=%d", jobID, offset, limit), nil, &p)
-	return p, err
+// page fetches one window of a job's sorted output from endpoint ("keys"
+// or "records"), asking for the binary body and taking whichever encoding
+// the worker answers in.  A binary page's keys decode straight into dst.
+func (c *client) page(ctx context.Context, jobID int, endpoint string, offset int, dst []int64) (wire.Page, error) {
+	var pg wire.Page
+	path := fmt.Sprintf("/jobs/%d/%s?offset=%d&limit=%d", jobID, endpoint, offset, len(dst))
+	err := c.send(ctx, http.MethodGet, path, "", wire.PageContentType, nil, func(resp *http.Response) (err error) {
+		if resp.Header.Get("Content-Type") == wire.PageContentType {
+			pg, err = wire.ReadPage(resp.Body, resp.ContentLength, dst)
+			return err
+		}
+		pg = wire.Page{}
+		return recvJSON(resp, &pg)
+	})
+	return pg, err
 }

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/memsort"
 	"repro/internal/pdm"
 	"repro/internal/plan"
 	"repro/internal/records"
@@ -32,8 +31,8 @@ type Config struct {
 	// 8192.  Smaller pages mean more requests but a smaller largest
 	// message.
 	PageKeys int
-	// Concurrency bounds in-flight page uploads across all shards; <= 0
-	// selects 4.
+	// Concurrency bounds in-flight page requests — uploads, then result
+	// downloads — across all shards; <= 0 selects 4.
 	Concurrency int
 	// RequestTimeout is the hard deadline for one worker request; <= 0
 	// selects 30 seconds.
@@ -61,7 +60,7 @@ const (
 type Coordinator struct {
 	cfg     Config
 	clients []*client
-	sem     chan struct{} // bounds in-flight page uploads
+	sem     chan struct{} // bounds in-flight page uploads and downloads
 	seq     atomic.Int64  // distinguishes this coordinator's upload ids
 }
 
@@ -122,10 +121,22 @@ type Report struct {
 	MaxPasses      float64       `json:"maxPasses"`
 	IO             pdm.Stats     `json:"io"`
 	ElapsedSeconds float64       `json:"elapsedSeconds"`
+	PhaseSeconds   PhaseSeconds  `json:"phaseSeconds"`
+}
+
+// PhaseSeconds splits ElapsedSeconds five ways.  Sample includes the fleet
+// probe; Sort is the slowest shard's commit-to-done wait (what the paper's
+// model charges), Upload the rest of the concurrent upload-and-sort phase.
+type PhaseSeconds struct {
+	Sample    float64 `json:"sample"`
+	Partition float64 `json:"partition"`
+	Upload    float64 `json:"upload"`
+	Sort      float64 `json:"sort"`
+	Download  float64 `json:"download"`
 }
 
 // Sort runs one distributed key sort: sample, range-partition to the
-// workers, per-node sorts, and a streaming merge of the sorted shards.
+// workers, per-node sorts, and a positional download of the sorted shards.
 // The output is exactly the sorted input — bit-identical to a
 // single-machine sort — for any worker count.
 func (c *Coordinator) Sort(ctx context.Context, keys []int64) ([]int64, *Report, error) {
@@ -146,12 +157,6 @@ func (c *Coordinator) SortRecords(ctx context.Context, keys []int64, payloads []
 	return c.run(ctx, keys, payloads)
 }
 
-// shardJob tracks one submitted shard for the cancellation fan-out.
-type shardJob struct {
-	worker int
-	jobID  int
-}
-
 func (c *Coordinator) run(ctx context.Context, keys []int64, payloads [][]byte) ([]int64, [][]byte, *Report, error) {
 	start := time.Now()
 	n := len(keys)
@@ -170,71 +175,52 @@ func (c *Coordinator) run(ctx context.Context, keys []int64, payloads [][]byte) 
 		return nil, nil, nil, err
 	}
 
-	// Choose splitters from a deterministic sample, partition, and drop
-	// the shard index assignment of every record.
-	splitters, sample := c.splitters(keys, w)
-	rep.SampleSize = sample
-	rep.Splitters = splitters
-	shards := records.RangePartition(keys, splitters)
+	// Choose splitters from a deterministic sample and scatter every
+	// record into its shard's buffer.
+	mark, ph := start, &rep.PhaseSeconds
+	lap := func(phase *float64) {
+		now := time.Now()
+		*phase, mark = now.Sub(mark).Seconds(), now
+	}
+	rep.Splitters, rep.SampleSize = c.splitters(keys, w)
+	lap(&ph.Sample)
+	part, partPay, starts := partition(keys, payloads, rep.Splitters)
+	lap(&ph.Partition)
 
 	// Upload and sort every non-empty shard concurrently; empty shards
 	// (possible when the sample had few distinct keys) skip the worker
-	// round-trip entirely and merge as exhausted lanes.
+	// round-trip entirely and own an empty range of the output.
 	jobSeq := c.seq.Add(1)
-	statuses := make([]wire.JobStatus, w)
-	var (
-		mu   sync.Mutex
-		jobs []shardJob
-	)
-	track := func(worker, jobID int) {
-		mu.Lock()
-		jobs = append(jobs, shardJob{worker: worker, jobID: jobID})
-		mu.Unlock()
-	}
-	gctx, gcancel := context.WithCancel(ctx)
-	defer gcancel()
-	errCh := make(chan error, w)
-	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
-		if len(shards[i]) == 0 {
-			continue
+	statuses := make([]wire.JobStatus, w) // ID != 0: the shard's job exists
+	sorts := make([]time.Duration, w)
+	err := c.fan(ctx, w, false, func(ctx context.Context, i int) (err error) {
+		lo, hi := starts[i], starts[i+1]
+		if lo == hi {
+			return nil
 		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			st, err := c.runShard(gctx, i, jobSeq, shards[i], keys, payloads, track)
-			if err != nil {
-				errCh <- fmt.Errorf("dist: shard %d on %s: %w", i, c.cfg.Workers[i], err)
-				gcancel()
-				return
-			}
-			statuses[i] = st
-		}(i)
-	}
-	wg.Wait()
-	select {
-	case err := <-errCh:
+		if sorts[i], err = c.runShard(ctx, i, jobSeq, part[lo:hi], window(partPay, lo, hi), &statuses[i]); err != nil {
+			err = fmt.Errorf("dist: shard %d on %s: %w", i, c.cfg.Workers[i], err)
+		}
+		return err
+	})
+	if err != nil {
 		// One shard failed: cancel every job the others started so no
 		// worker keeps sorting for a dead distributed job, then report
 		// the first failure.
-		c.cancelAll(jobs)
+		c.cancelAll(statuses)
 		if ctx.Err() != nil {
 			err = fmt.Errorf("dist: %w", ctx.Err())
 		}
 		return nil, nil, nil, err
-	default:
 	}
+	ph.Sort = slices.Max(sorts).Seconds()
+	lap(&ph.Upload)
+	ph.Upload -= ph.Sort
 
-	// Merge the sorted shards: a loser-tree streaming merge over the
-	// workers' paginated output, lanes in splitter order so the
-	// concatenation is globally sorted with single-machine tie-breaking.
-	outKeys, outPayloads, err := c.merge(ctx, statuses, shards, payloads != nil)
+	outKeys, outPayloads, err := c.download(ctx, statuses, starts, payloads != nil)
 	if err != nil {
-		c.cancelAll(jobs)
+		c.cancelAll(statuses)
 		return nil, nil, nil, err
-	}
-	if len(outKeys) != n {
-		return nil, nil, nil, fmt.Errorf("dist: merged %d keys, sharded %d", len(outKeys), n)
 	}
 
 	for i, st := range statuses {
@@ -252,35 +238,54 @@ func (c *Coordinator) run(ctx context.Context, keys []int64, payloads [][]byte) 
 		rep.Shards = append(rep.Shards, sr)
 	}
 	rep.Passes /= float64(n)
-	rep.ElapsedSeconds = time.Since(start).Seconds()
+	lap(&ph.Download)
+	rep.ElapsedSeconds = mark.Sub(start).Seconds()
 	return outKeys, outPayloads, rep, nil
+}
+
+// partition scatters keys (and their payloads) into shard order: shard s
+// is part[starts[s]:starts[s+1]], sized by a counting pass, in input order
+// within the shard; ties never straddle shards (records.RangeShard).
+func partition(keys []int64, payloads [][]byte, splitters []int64) (part []int64, partPay [][]byte, starts []int) {
+	starts = make([]int, len(splitters)+2)
+	for _, k := range keys {
+		starts[records.RangeShard(k, splitters)+1]++
+	}
+	for s := 1; s < len(starts); s++ {
+		starts[s] += starts[s-1]
+	}
+	part, partPay, next := make([]int64, len(keys)), make([][]byte, len(payloads)), slices.Clone(starts)
+	for i, k := range keys {
+		s := records.RangeShard(k, splitters)
+		part[next[s]] = k
+		if payloads != nil {
+			partPay[next[s]] = payloads[i]
+		}
+		next[s]++
+	}
+	return part, partPay, starts
+}
+
+// window is payloads[lo:hi], or nil on a keys-only job (no payloads at all).
+func window(payloads [][]byte, lo, hi int) [][]byte {
+	if len(payloads) == 0 {
+		return nil
+	}
+	return payloads[lo:hi]
 }
 
 // probe health-checks every worker concurrently.
 func (c *Coordinator) probe(ctx context.Context) error {
-	errCh := make(chan error, len(c.clients))
-	var wg sync.WaitGroup
-	for i, cl := range c.clients {
-		wg.Add(1)
-		go func(i int, cl *client) {
-			defer wg.Done()
-			h, err := cl.health(ctx)
-			if err != nil {
-				errCh <- fmt.Errorf("dist: worker %s: %w", c.cfg.Workers[i], err)
-				return
-			}
-			if h.Status != "ok" {
-				errCh <- fmt.Errorf("dist: worker %s reports status %q", c.cfg.Workers[i], h.Status)
-			}
-		}(i, cl)
-	}
-	wg.Wait()
-	select {
-	case err := <-errCh:
-		return err
-	default:
+	return c.fan(ctx, len(c.clients), false, func(ctx context.Context, i int) error {
+		h, err := c.clients[i].health(ctx)
+		if err == nil && h.Status != "ok" {
+			err = fmt.Errorf("reports status %q", h.Status)
+		}
+		if err != nil {
+			return fmt.Errorf("dist: worker %s: %w", c.cfg.Workers[i], err)
+		}
 		return nil
-	}
+	})
 }
 
 // splitters picks w−1 range splitters from a deterministic stride sample.
@@ -308,65 +313,27 @@ func (c *Coordinator) splitters(keys []int64, w int) ([]int64, int) {
 
 // runShard ships one shard to its worker through the staged-upload
 // protocol — bounded-concurrency page uploads, each independently retried
-// — commits it into a job, and polls that job to completion.  track is
-// called as soon as the job exists so a failure elsewhere can cancel it.
-func (c *Coordinator) runShard(ctx context.Context, worker int, jobSeq int64, shard []int, keys []int64, payloads [][]byte, track func(worker, jobID int)) (wire.JobStatus, error) {
+// — commits it into a job, and polls that job to completion.  *st is the
+// job's status from the moment it exists, so a failure anywhere can cancel
+// it; the duration is the commit-to-done wait, this shard's sort.
+func (c *Coordinator) runShard(ctx context.Context, worker int, jobSeq int64, keys []int64, payloads [][]byte, st *wire.JobStatus) (time.Duration, error) {
 	cl := c.clients[worker]
 	uploadID, err := c.createUpload(ctx, cl, jobSeq, worker)
 	if err != nil {
-		return wire.JobStatus{}, err
-	}
-
-	// Gather the shard's keys (and payloads) in partition order and cut
-	// them into pages.
-	shardKeys := make([]int64, len(shard))
-	for i, idx := range shard {
-		shardKeys[i] = keys[idx]
-	}
-	var shardPayloads [][]byte
-	if payloads != nil {
-		shardPayloads = make([][]byte, len(shard))
-		for i, idx := range shard {
-			shardPayloads[i] = payloads[idx]
-		}
+		return 0, err
 	}
 	pageKeys := c.cfg.PageKeys
-	pages := (len(shard) + pageKeys - 1) / pageKeys
-
-	uctx, ucancel := context.WithCancel(ctx)
-	defer ucancel()
-	errCh := make(chan error, pages)
-	var wg sync.WaitGroup
-	for seq := 0; seq < pages; seq++ {
-		wg.Add(1)
-		go func(seq int) {
-			defer wg.Done()
-			select {
-			case c.sem <- struct{}{}:
-				defer func() { <-c.sem }()
-			case <-uctx.Done():
-				return
-			}
-			lo, hi := seq*pageKeys, min((seq+1)*pageKeys, len(shardKeys))
-			var pp [][]byte
-			if shardPayloads != nil {
-				pp = shardPayloads[lo:hi]
-			}
-			if err := cl.uploadPage(uctx, uploadID, seq, shardKeys[lo:hi], pp); err != nil {
-				errCh <- err
-				ucancel()
-			}
-		}(seq)
-	}
-	wg.Wait()
-	select {
-	case err := <-errCh:
+	err = c.fan(ctx, (len(keys)+pageKeys-1)/pageKeys, true, func(ctx context.Context, seq int) error {
+		lo, hi := seq*pageKeys, min((seq+1)*pageKeys, len(keys))
+		return cl.uploadPage(ctx, uploadID, seq, wire.Page{N: len(keys), Offset: lo, Keys: keys[lo:hi], Payloads: window(payloads, lo, hi)})
+	})
+	if err != nil {
 		c.abandonUpload(cl, uploadID)
-		return wire.JobStatus{}, fmt.Errorf("upload %s: %w", uploadID, err)
-	default:
+		return 0, fmt.Errorf("upload %s: %w", uploadID, err)
 	}
 
-	st, err := cl.uploadCommit(ctx, uploadID, wire.JobSpec{
+	committed := time.Now()
+	*st, err = cl.uploadCommit(ctx, uploadID, wire.JobSpec{
 		Alg:            c.cfg.Alg,
 		BlockLatencyUS: c.cfg.BlockLatencyUS,
 		KeepKeys:       true,
@@ -374,10 +341,47 @@ func (c *Coordinator) runShard(ctx context.Context, worker int, jobSeq int64, sh
 	})
 	if err != nil {
 		c.abandonUpload(cl, uploadID)
-		return wire.JobStatus{}, fmt.Errorf("commit %s: %w", uploadID, err)
+		return 0, fmt.Errorf("commit %s: %w", uploadID, err)
 	}
-	track(worker, st.ID)
-	return c.await(ctx, cl, st.ID)
+	done, err := c.await(ctx, cl, st.ID)
+	if err == nil {
+		*st = done // a failed poll must not erase the id cancelAll needs
+	}
+	return time.Since(committed), err
+}
+
+// fan runs fn(i) for every i in [0, n) concurrently (bounded: under the
+// Concurrency semaphore); the first error cancels the rest and is returned.
+func (c *Coordinator) fan(ctx context.Context, n int, bounded bool, fn func(ctx context.Context, i int) error) error {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	errCh := make(chan error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if bounded {
+				select {
+				case c.sem <- struct{}{}:
+					defer func() { <-c.sem }()
+				case <-ctx.Done():
+					return
+				}
+			}
+			if err := fn(ctx, i); err != nil {
+				errCh <- err
+				cancel()
+			}
+		}(i)
+	}
+	wg.Wait()
+	select {
+	case err := <-errCh:
+		return err
+	default:
+		return nil
+	}
 }
 
 // createUpload registers a fresh staged upload.  The id is derived from
@@ -410,9 +414,11 @@ func (c *Coordinator) abandonUpload(cl *client, id string) {
 	cl.uploadAbort(ctx, id) //nolint:errcheck // the TTL sweep is the backstop
 }
 
-// await polls one shard job to a terminal state.
+// await polls one shard job to a terminal state, every sixteenth of the
+// time waited so far clamped to [2 ms, 250 ms]: a job is noticed done
+// within ~6% of its own length and a long one is not hammered.
 func (c *Coordinator) await(ctx context.Context, cl *client, jobID int) (wire.JobStatus, error) {
-	delay := 2 * time.Millisecond
+	start := time.Now()
 	for {
 		st, err := cl.status(ctx, jobID)
 		if err != nil {
@@ -429,10 +435,7 @@ func (c *Coordinator) await(ctx context.Context, cl *client, jobID int) (wire.Jo
 		select {
 		case <-ctx.Done():
 			return st, ctx.Err()
-		case <-time.After(delay):
-		}
-		if delay < 50*time.Millisecond {
-			delay *= 2
+		case <-time.After(min(max(time.Since(start)/16, 2*time.Millisecond), 250*time.Millisecond)):
 		}
 	}
 }
@@ -441,97 +444,60 @@ func (c *Coordinator) await(ctx context.Context, cl *client, jobID int) (wire.Jo
 // short-deadline context so cancellation still lands when the job context
 // itself is what died.  Best-effort and concurrent: a worker that is gone
 // cannot be canceled, and that is fine — its scheduler dies with it.
-func (c *Coordinator) cancelAll(jobs []shardJob) {
+func (c *Coordinator) cancelAll(statuses []wire.JobStatus) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	var wg sync.WaitGroup
-	for _, j := range jobs {
-		wg.Add(1)
-		go func(j shardJob) {
-			defer wg.Done()
-			c.clients[j.worker].cancel(ctx, j.jobID) //nolint:errcheck // best-effort fan-out
-		}(j)
-	}
-	wg.Wait()
-}
-
-// mergeLane is one worker's paginated sorted output as a stream.
-type mergeLane struct {
-	cl      *client
-	jobID   int
-	total   int // -1 until the first page reveals n
-	fetched int
-	curKeys []int64
-	curPay  [][]byte
-	eoff    int // emit offset into the current chunk
-}
-
-// merge streams the sorted shards back and interleaves them with the
-// loser-tree merge.  Lanes are indexed by shard (= splitter range), so the
-// merge's lane-order tie-break reproduces exactly the single-machine
-// stable order: equal keys never straddle shards, and within a shard the
-// worker already emitted them in stable order.
-func (c *Coordinator) merge(ctx context.Context, statuses []wire.JobStatus, shards [][]int, withPayloads bool) ([]int64, [][]byte, error) {
-	w := len(c.clients)
-	lanes := make([]*mergeLane, w)
-	total := 0
-	for i := range lanes {
-		lanes[i] = &mergeLane{total: -1}
+	c.fan(ctx, len(statuses), false, func(ctx context.Context, i int) error { //nolint:errcheck // best-effort
 		if statuses[i].ID != 0 {
-			lanes[i].cl = c.clients[i]
-			lanes[i].jobID = statuses[i].ID
+			c.clients[i].cancel(ctx, statuses[i].ID) //nolint:errcheck // best-effort
 		}
-		total += len(shards[i])
-	}
-	outKeys := make([]int64, 0, total)
+		return nil
+	})
+}
+
+// download is phase 4 (see doc.go): every page of every shard is decoded
+// where it belongs in the output, out[starts[i]:starts[i+1]] for shard i,
+// under the Concurrency bound; then the shard boundaries are asserted.
+func (c *Coordinator) download(ctx context.Context, statuses []wire.JobStatus, starts []int, withPayloads bool) ([]int64, [][]byte, error) {
+	total, pageKeys := starts[len(starts)-1], c.cfg.PageKeys
+	out, endpoint := make([]int64, total), "keys"
 	var outPay [][]byte
 	if withPayloads {
-		outPay = make([][]byte, 0, total)
+		outPay, endpoint = make([][]byte, total), "records"
 	}
-
-	refill := func(lane int) ([]int64, error) {
-		l := lanes[lane]
-		if l.cl == nil {
-			return nil, nil // empty shard: exhausted from the start
-		}
-		if l.total >= 0 && l.fetched >= l.total {
-			return nil, nil
-		}
-		var (
-			p   wire.Page
-			err error
-		)
-		if withPayloads {
-			p, err = l.cl.recordsPage(ctx, l.jobID, l.fetched, c.cfg.PageKeys)
-		} else {
-			p, err = l.cl.keysPage(ctx, l.jobID, l.fetched, c.cfg.PageKeys)
-		}
+	err := c.fan(ctx, len(statuses), false, func(ctx context.Context, i int) error {
+		base, n := starts[i], starts[i+1]-starts[i]
+		err := c.fan(ctx, (n+pageKeys-1)/pageKeys, true, func(ctx context.Context, seq int) error {
+			off := seq * pageKeys
+			dst := out[base+off : base+min(off+pageKeys, n)]
+			pg, err := c.clients[i].page(ctx, statuses[i].ID, endpoint, off, dst)
+			if err == nil && (pg.N != n || pg.Offset != off || len(pg.Keys) != len(dst) || withPayloads && len(pg.Payloads) != len(dst)) {
+				err = fmt.Errorf("asked for [%d, +%d) of %d, answered [%d, +%d) of %d with %d payloads",
+					off, len(dst), n, pg.Offset, len(pg.Keys), pg.N, len(pg.Payloads))
+			}
+			if err != nil {
+				return fmt.Errorf("result page: %w", err)
+			}
+			if &pg.Keys[0] != &dst[0] { // a JSON answer decodes into its own slice
+				copy(dst, pg.Keys)
+			}
+			if withPayloads {
+				copy(outPay[base+off:], pg.Payloads)
+			}
+			return nil
+		})
 		if err != nil {
-			return nil, err
+			err = fmt.Errorf("dist: shard %d on %s: %w", i, c.cfg.Workers[i], err)
 		}
-		l.total = p.N
-		l.fetched += len(p.Keys)
-		if len(p.Keys) == 0 {
-			return nil, nil
+		return err
+	})
+	for i := 1; err == nil && i < len(statuses); i++ {
+		if b := starts[i]; 0 < b && b < starts[i+1] && out[b-1] >= out[b] {
+			err = fmt.Errorf("dist: shard %d on %s overlaps its neighbour: first key %d, previous shard ends at %d",
+				i, c.cfg.Workers[i], out[b], out[b-1])
 		}
-		l.curKeys = p.Keys
-		l.curPay = p.Payloads
-		l.eoff = 0
-		return p.Keys, nil
 	}
-	emit := func(lane, n int) error {
-		l := lanes[lane]
-		outKeys = append(outKeys, l.curKeys[l.eoff:l.eoff+n]...)
-		if withPayloads {
-			outPay = append(outPay, l.curPay[l.eoff:l.eoff+n]...)
-		}
-		l.eoff += n
-		return nil
-	}
-	if err := memsort.StreamMerge(w, refill, emit); err != nil {
-		return nil, nil, fmt.Errorf("dist: merge: %w", err)
-	}
-	return outKeys, outPay, nil
+	return out, outPay, err
 }
 
 // WorkerURLs exposes the configured fleet (for CLIs printing reports).

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/records"
 	"repro/internal/wire"
 	"repro/internal/wire/wiretest"
 )
@@ -189,5 +190,68 @@ func TestCommitBodyReachesWorkerIntact(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, full) {
 		t.Fatalf("commit body lost fields:\n got %+v\nwant %+v", got, full)
+	}
+}
+
+// TestPartition checks the invariants the positional download rests on:
+// every record lands in exactly one shard, in the range records.RangeShard
+// names, in input order within it, its payload beside it; equal keys share
+// a shard; and per-shard sorts concatenate to the global sort.
+func TestPartition(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	keys := make([]int64, 500)
+	payloads := make([][]byte, len(keys))
+	for i := range keys {
+		keys[i] = int64(rng.Intn(50))               // heavy duplicates
+		payloads[i] = []byte{byte(i >> 8), byte(i)} // the input position
+	}
+	splitters := []int64{10, 25, 25, 40} // duplicate splitter = empty shard
+	part, partPay, starts := partition(keys, payloads, splitters)
+	if len(starts) != len(splitters)+2 || starts[0] != 0 || starts[len(starts)-1] != len(keys) || len(partPay) != len(part) {
+		t.Fatalf("starts %v, %d keys, %d payloads for %d splitters over %d keys", starts, len(part), len(partPay), len(splitters), len(keys))
+	}
+	shards, shardPayloads := make([][]int64, len(starts)-1), make([][][]byte, len(starts)-1)
+	for s := range shards {
+		shards[s], shardPayloads[s] = part[starts[s]:starts[s+1]], window(partPay, starts[s], starts[s+1])
+	}
+	var concat []int64
+	total := 0
+	for s, sh := range shards {
+		if len(shardPayloads[s]) != len(sh) {
+			t.Fatalf("shard %d: %d payloads for %d keys", s, len(shardPayloads[s]), len(sh))
+		}
+		prev := -1
+		for j, k := range sh {
+			pos := int(shardPayloads[s][j][0])<<8 | int(shardPayloads[s][j][1])
+			if pos <= prev {
+				t.Fatalf("shard %d out of input order: position %d after %d", s, pos, prev)
+			}
+			prev = pos
+			if keys[pos] != k {
+				t.Fatalf("shard %d: key %d travelled with the payload of key %d", s, k, keys[pos])
+			}
+			if got := records.RangeShard(k, splitters); got != s {
+				t.Fatalf("key %d in shard %d, RangeShard says %d", k, s, got)
+			}
+		}
+		total += len(sh)
+		part := slices.Clone(sh)
+		slices.Sort(part)
+		concat = append(concat, part...)
+	}
+	if total != len(keys) {
+		t.Fatalf("partition covers %d of %d keys", total, len(keys))
+	}
+	if len(shards[2]) != 0 {
+		t.Fatalf("degenerate range [25,25) got %d keys", len(shards[2]))
+	}
+	want := slices.Clone(keys)
+	slices.Sort(want)
+	if !slices.Equal(concat, want) {
+		t.Fatal("per-shard sorts do not concatenate to the global sort")
+	}
+	// Keys only: no payloads are built, and every window of them is nil.
+	if _, pp, _ := partition(keys, nil, splitters); len(pp) != 0 || window(pp, 0, 0) != nil {
+		t.Fatalf("keys-only partition built %d payloads", len(pp))
 	}
 }

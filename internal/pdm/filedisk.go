@@ -4,8 +4,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/wordview"
 )
 
 // FileDisk is a Disk backed by a single ordinary file, with blocks stored as
@@ -104,6 +107,25 @@ func NewFileArray(cfg Config, dir string) (*Array, error) {
 		return nil, err
 	}
 	return NewWithDisks(cfg, disks)
+}
+
+// readWordsAt fills dst from the little-endian int64s at byte offset off.
+func readWordsAt(f *os.File, dst []int64, off int64) error {
+	_, err := f.ReadAt(wordview.Bytes(dst), off)
+	if !wordview.Native {
+		wordview.LE(dst)
+	}
+	return err
+}
+
+// writeWordsAt stores src as little-endian int64s at byte offset off.
+func writeWordsAt(f *os.File, src []int64, off int64) error {
+	if !wordview.Native {
+		src = slices.Clone(src) // the caller's words stay in host order
+		wordview.LE(src)
+	}
+	_, err := f.WriteAt(wordview.Bytes(src), off)
+	return err
 }
 
 // ReadBlock implements Disk.

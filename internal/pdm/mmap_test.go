@@ -8,6 +8,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"repro/internal/wordview"
 )
 
 func TestMmapDiskRoundTrip(t *testing.T) {
@@ -97,7 +99,7 @@ func TestMmapDiskGrowthAndTrim(t *testing.T) {
 // remap stays valid and coherent (MAP_SHARED mappings of one file see
 // each other's writes).
 func TestMmapDiskBorrowViews(t *testing.T) {
-	if !canWordView {
+	if !wordview.Native {
 		t.Skip("no in-place word views on this architecture")
 	}
 	const b = 8
@@ -263,7 +265,7 @@ func TestArrayBorrowReadV(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	if !canWordView {
+	if !wordview.Native {
 		if a.ZeroCopy() {
 			t.Fatal("ZeroCopy true without word views")
 		}

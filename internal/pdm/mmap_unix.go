@@ -9,6 +9,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"syscall"
+
+	"repro/internal/wordview"
 )
 
 // MmapDisk is a Disk backed by a single ordinary file that is memory-mapped
@@ -110,12 +112,12 @@ func (d *MmapDisk) advance(off int) {
 
 // ZeroCopy implements ZeroCopyDisk: borrowed views are available whenever
 // the mapping can be reinterpreted as words in place.
-func (d *MmapDisk) ZeroCopy() bool { return canWordView }
+func (d *MmapDisk) ZeroCopy() bool { return wordview.Native }
 
 // ReadBlockZero implements ZeroCopyDisk: it returns a direct view of block
 // off, valid until Close.  The caller must not write through it.
 func (d *MmapDisk) ReadBlockZero(off int) ([]int64, error) {
-	if !canWordView {
+	if !wordview.Native {
 		return nil, errNoZeroCopy
 	}
 	if off < 0 || int64(off) >= d.blocks.Load() {
@@ -130,7 +132,7 @@ func (d *MmapDisk) ReadBlockZero(off int) ([]int64, error) {
 // advances the write frontier, and returns a writable view of block off
 // for the caller to fill, valid until Close.
 func (d *MmapDisk) WriteBlockZero(off int) ([]int64, error) {
-	if !canWordView {
+	if !wordview.Native {
 		return nil, errNoZeroCopy
 	}
 	if off < 0 {
@@ -171,8 +173,8 @@ func (d *MmapDisk) grow(want int) error {
 		return fmt.Errorf("pdm: mmap disk map: %w", err)
 	}
 	m := &mapping{bytes: bs}
-	if canWordView {
-		m.words = bytesToWords(bs)
+	if wordview.Native {
+		m.words = wordview.Words(bs)
 	}
 	if old := d.cur.Load(); old != nil {
 		d.old = append(d.old, old)

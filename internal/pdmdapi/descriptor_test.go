@@ -3,14 +3,18 @@ package pdmdapi
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro"
 	"repro/internal/core"
+	"repro/internal/wire"
 	"repro/internal/wire/wiretest"
 )
 
@@ -160,5 +164,217 @@ func TestSubmitBodyReachesSchedulerIntact(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, full) {
 		t.Fatalf("POST /jobs body lost fields:\n got %+v\nwant %+v", got, full)
+	}
+}
+
+// postPage uploads one page in the named body encoding and returns the
+// status and the answer's error text ("" on success).
+func postPage(t *testing.T, codec, base, id string, seq int, pg wire.Page) (int, string) {
+	t.Helper()
+	var body bytes.Buffer
+	ctype := "application/json"
+	pg.N = len(pg.Keys) // a well-formed header: the window lies inside n
+	if codec == "binary" {
+		ctype = wire.PageContentType
+		if err := pg.WriteBinary(&body); err != nil {
+			t.Fatal(err)
+		}
+	} else if err := json.NewEncoder(&body).Encode(uploadPageBody{pg.Keys, pg.Payloads}); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := testClient.Post(fmt.Sprintf("%s/uploads/%s/pages?seq=%d", base, id, seq), ctype, &body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var msg string
+	json.Unmarshal(decodeObject(t, resp)["error"], &msg) //nolint:errcheck // no error key: success
+	return resp.StatusCode, msg
+}
+
+// uploadPageBody is the documented JSON upload body: keys and payloads.
+type uploadPageBody struct {
+	Keys     []int64  `json:"keys"`
+	Payloads [][]byte `json:"payloads,omitempty"`
+}
+
+// TestUploadPageSameByBothCodecs walks one script of good and bad pages
+// through POST /uploads/{id}/pages twice — JSON bodies, then binary bodies,
+// each against a fresh worker — and requires the same status and the same
+// error text at every step: one Page, two codecs, one validation path.
+func TestUploadPageSameByBothCodecs(t *testing.T) {
+	type answer struct {
+		step string
+		code int
+		msg  string
+	}
+	script := func(codec string) []answer {
+		sch, err := repro.NewScheduler(repro.SchedulerConfig{
+			Memory: 12000, Workers: 1, JobMemory: 1024,
+			Pipeline: repro.PipelineConfig{Prefetch: 2, WriteBehind: 2},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(New(sch, Options{MaxBody: 1 << 16, MaxStagedBytes: 2000}))
+		defer func() {
+			ts.Close()
+			sch.Close()
+		}()
+		var got []answer
+		page := func(step, id string, seq int, pg wire.Page) {
+			code, msg := postPage(t, codec, ts.URL, id, seq, pg)
+			got = append(got, answer{step, code, msg})
+		}
+		commit := func(step, id string) {
+			resp, obj := uploadCommitReq(t, ts.URL, id, map[string]any{"alg": "lmm3", "keepKeys": true})
+			var msg string
+			json.Unmarshal(obj["error"], &msg) //nolint:errcheck // no error key: success
+			got = append(got, answer{step, resp.StatusCode, msg})
+		}
+		for _, id := range []string{"a", "mixed", "full"} {
+			resp := uploadCreateReq(t, ts.URL, id)
+			resp.Body.Close()
+		}
+		page("unknown upload", "ghost", 0, wire.Page{Keys: []int64{1}})
+		page("empty page", "a", 0, wire.Page{Keys: []int64{}})
+		page("payload-count mismatch", "a", 0, wire.Page{Keys: []int64{1, 2}, Payloads: [][]byte{{1}}})
+		page("too many payloads", "a", 0, wire.Page{Keys: []int64{1}, Payloads: [][]byte{{1}, {2}}})
+		page("oversize body", "a", 0, wire.Page{Keys: slices.Repeat([]int64{1 << 62}, 1<<14)}) // past MaxBody in either encoding
+		page("first page", "a", 0, wire.Page{Keys: []int64{3, 1, 2}})
+		page("duplicate seq", "a", 0, wire.Page{Keys: []int64{9, 9, 9, 9}}) // idempotent: the first copy won
+		page("records page 0", "mixed", 0, wire.Page{Keys: []int64{1}, Payloads: [][]byte{[]byte("p")}})
+		page("keys-only page 1", "mixed", 1, wire.Page{Keys: []int64{2}})
+		commit("mixed commit", "mixed")
+		page("under the cap", "full", 0, wire.Page{Keys: make([]int64, 200)})
+		page("staging full", "full", 1, wire.Page{Keys: make([]int64, 50)})
+		commit("commit", "a")
+		page("committed upload", "a", 1, wire.Page{Keys: []int64{4}})
+		return got
+	}
+	viaJSON, viaBinary := script("json"), script("binary")
+	for i, want := range viaJSON {
+		if got := viaBinary[i]; got != want {
+			t.Errorf("%s: JSON body answered %d %q, binary body %d %q", want.step, want.code, want.msg, got.code, got.msg)
+		}
+	}
+	// … and the script met every answer it was written to provoke.
+	wantCodes := []int{404, 400, 400, 400, 413, 200, 200, 200, 200, 400, 200, 507, 202, 409}
+	for i, a := range viaBinary {
+		if a.code != wantCodes[i] {
+			t.Errorf("%s: status %d %q, want %d", a.step, a.code, a.msg, wantCodes[i])
+		}
+	}
+}
+
+// TestPageDownloadNegotiation: /keys and /records answer JSON unless the
+// request's Accept lists the binary body; both bodies carry the same page;
+// /healthz offers the binary body for uploads.
+func TestPageDownloadNegotiation(t *testing.T) {
+	ts, _ := testServer(t)
+	resp, obj := postJSON(t, ts.URL+"/jobs", repro.JobSpec{
+		Keys: []int64{5, 3, 9, 3, 1}, Payloads: [][]byte{[]byte("e"), []byte("c1"), {}, []byte("c2"), []byte("a")},
+		Alg: "lmm3", KeepKeys: true,
+	})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit = %d: %s", resp.StatusCode, obj["error"])
+	}
+	var id int
+	json.Unmarshal(obj["id"], &id) //nolint:errcheck // a zero id fails the poll
+	pollUntil(t, ts.URL, id, repro.JobDone)
+
+	get := func(path, accept string) (string, wire.Page) {
+		req, _ := http.NewRequest(http.MethodGet, ts.URL+path, nil)
+		if accept != "" {
+			req.Header.Set("Accept", accept)
+		}
+		resp, err := testClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s = %d", path, resp.StatusCode)
+		}
+		var pg wire.Page
+		ctype := resp.Header.Get("Content-Type")
+		if ctype == wire.PageContentType {
+			pg, err = wire.ReadPage(resp.Body, resp.ContentLength, nil)
+		} else {
+			err = json.NewDecoder(resp.Body).Decode(&pg)
+		}
+		if err != nil {
+			t.Fatalf("GET %s (%s): %v", path, ctype, err)
+		}
+		return ctype, pg
+	}
+	for _, path := range []string{
+		fmt.Sprintf("/jobs/%d/keys?offset=1&limit=3", id),
+		fmt.Sprintf("/jobs/%d/records?offset=1&limit=3", id),
+		fmt.Sprintf("/jobs/%d/records?offset=5", id), // the empty final page
+	} {
+		ct, def := get(path, "")
+		if ct != "application/json" {
+			t.Errorf("GET %s with no Accept answered %q, want JSON", path, ct)
+		}
+		if ct, _ := get(path, "application/json"); ct != "application/json" {
+			t.Errorf("GET %s accepting JSON answered %q", path, ct)
+		}
+		ct, bin := get(path, wire.PageContentType+", application/json;q=0.5")
+		if ct != wire.PageContentType {
+			t.Errorf("GET %s accepting the binary body answered %q", path, ct)
+		}
+		if bin.N != def.N || bin.Offset != def.Offset || !reflect.DeepEqual(bin.Keys, def.Keys) || len(bin.Payloads) != len(def.Payloads) {
+			t.Errorf("GET %s: JSON page %+v, binary page %+v", path, def, bin)
+		}
+		for i := range def.Payloads {
+			if !bytes.Equal(bin.Payloads[i], def.Payloads[i]) {
+				t.Errorf("GET %s: payload %d is %q in JSON, %q in binary", path, i, def.Payloads[i], bin.Payloads[i])
+			}
+		}
+	}
+	// A bad offset is a JSON 400 whatever was asked for.
+	req, _ := http.NewRequest(http.MethodGet, fmt.Sprintf("%s/jobs/%d/keys?offset=6", ts.URL, id), nil)
+	req.Header.Set("Accept", wire.PageContentType)
+	if resp, err := testClient.Do(req); err != nil || resp.StatusCode != http.StatusBadRequest || resp.Header.Get("Content-Type") != "application/json" {
+		t.Errorf("offset past n with a binary Accept: %v %v", resp, err)
+	} else {
+		resp.Body.Close()
+	}
+
+	hresp, err := testClient.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hresp.Body.Close()
+	if got := hresp.Header.Get("Accept-Post"); got != wire.PageContentType {
+		t.Errorf("/healthz Accept-Post = %q, want %q", got, wire.PageContentType)
+	}
+}
+
+// TestBinaryUploadNeedsLength: the binary body does not travel chunked —
+// its decoder sizes everything from the declared length — so an upload
+// without a Content-Length is a 400 that says so, and stages nothing.
+func TestBinaryUploadNeedsLength(t *testing.T) {
+	ts, _ := testServer(t)
+	resp := uploadCreateReq(t, ts.URL, "chunked")
+	resp.Body.Close()
+	var body bytes.Buffer
+	if err := (wire.Page{N: 2, Keys: []int64{2, 1}}).WriteBinary(&body); err != nil {
+		t.Fatal(err)
+	}
+	// A reader net/http cannot size is sent with Transfer-Encoding: chunked.
+	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/uploads/chunked/pages?seq=0", struct{ io.Reader }{&body})
+	req.Header.Set("Content-Type", wire.PageContentType)
+	resp, err := testClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var msg string
+	json.Unmarshal(decodeObject(t, resp)["error"], &msg) //nolint:errcheck // a missing error fails below
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg, "declared length -1") {
+		t.Fatalf("chunked binary upload answered %d %q", resp.StatusCode, msg)
+	}
+	if cresp, _ := uploadCommitReq(t, ts.URL, "chunked", map[string]any{"alg": "lmm3"}); cresp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("commit after the refused page = %d, want 400 (no pages)", cresp.StatusCode)
 	}
 }

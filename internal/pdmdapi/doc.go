@@ -12,13 +12,15 @@
 //	GET  /jobs                        list all jobs
 //	GET  /jobs/{id}                   poll one job's status
 //	POST /jobs/{id}/cancel            cancel a queued or running job
-//	GET  /jobs/{id}/keys              paginated sorted keys
+//	GET  /jobs/{id}/keys              paginated sorted keys (a page)
 //	GET  /jobs/{id}/records           paginated sorted keys + payloads
+//	                                  (a page)
 //	GET  /stats                       aggregate statistics as JSON
 //	GET  /metrics                     the same in Prometheus text format
 //	POST /uploads                     create a staged upload (idempotent
 //	                                  on the client-chosen id)
 //	POST /uploads/{id}/pages?seq=K    append one page (idempotent on seq)
+//	                                  (a page)
 //	POST /uploads/{id}/commit         turn the staged pages into a job
 //	                                  (idempotent: re-commit returns the
 //	                                  same job)
@@ -30,6 +32,15 @@
 // cap, and expire after a TTL if the coordinator dies mid-upload.  Commit
 // assembles the pages in sequence order into a normal job submission, so
 // the scheduler below never sees a partial input.
+//
+// The three page endpoints carry one type, wire.Page, in either of two
+// bodies.  JSON is the default and what a request that says nothing gets,
+// byte for byte.  The binary body, application/x-pdm-page (layout beside
+// wire.PageContentType: a 32-byte little-endian header, the keys as int64
+// words, length-prefixed payloads), is plain content negotiation: a
+// download answers in it when Accept lists it, and an upload may send it
+// — with a Content-Type saying so — to a worker whose /healthz answer
+// carried it as Accept-Post.  Both bodies pass the same checks and caps.
 //
 // Accounting contract: the handler owns no budgets of its own beyond the
 // submit-body cap and the staging cap — every admitted byte and key is

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
+	"strings"
 	"time"
 
 	"repro"
@@ -100,8 +101,9 @@ func writeError(w http.ResponseWriter, code int, err error) {
 // healthz is the coordinator's liveness probe: cheap (no allocation beyond
 // the snapshot, no locks held across I/O), and carrying the default job
 // geometry so a distributed-sort coordinator can plan shards for this node
-// before submitting anything.
+// before submitting anything.  Accept-Post offers binary upload pages.
 func (s *server) healthz(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Accept-Post", wire.PageContentType)
 	writeJSON(w, http.StatusOK, s.sch.Health())
 }
 
@@ -110,16 +112,42 @@ func (s *server) healthz(w http.ResponseWriter, r *http.Request) {
 func (s *server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxBody))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		code := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			code = http.StatusRequestEntityTooLarge
-		}
-		writeError(w, code, fmt.Errorf("bad request body: %w", err))
-		return false
+	return bodyOK(w, dec.Decode(v))
+}
+
+// readPage is decodeBody for a binary page body.  Its buffers are sized
+// from Content-Length, so the cap is checked before anything is allocated.
+func (s *server) readPage(r *http.Request) (wire.Page, error) {
+	if r.ContentLength > s.opts.MaxBody {
+		return wire.Page{}, &http.MaxBytesError{Limit: s.opts.MaxBody}
 	}
-	return true
+	return wire.ReadPage(r.Body, r.ContentLength, nil)
+}
+
+// bodyOK answers a body that failed to decode: 413 past the cap, else 400.
+func bodyOK(w http.ResponseWriter, err error) bool {
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, code, fmt.Errorf("bad request body: %w", err))
+	return false
+}
+
+// writePage answers a keys or records page in the encoding the request's
+// Accept asked for: the binary body if it lists it, JSON otherwise.
+func writePage(w http.ResponseWriter, r *http.Request, pg wire.Page) {
+	if !strings.Contains(r.Header.Get("Accept"), wire.PageContentType) {
+		writeJSON(w, http.StatusOK, pg)
+		return
+	}
+	w.Header().Set("Content-Type", wire.PageContentType)
+	w.Header().Set("Content-Length", strconv.Itoa(pg.BinaryLen()))
+	pg.WriteBinary(w) //nolint:errcheck // client went away
 }
 
 // decodeSpec reads a submit (or plan) body into the job descriptor.  The
@@ -229,12 +257,12 @@ func (s *server) keys(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, wire.Page{N: len(keys), Offset: offset, Keys: keys[offset : offset+limit]})
+	writePage(w, r, wire.Page{N: len(keys), Offset: offset, Keys: keys[offset : offset+limit]})
 }
 
 // records serves a completed records job's sorted output — keys paired
-// with base64-encoded payloads — with the same pagination contract as
-// keys.
+// with payloads (base64 in the JSON body) — with the same pagination
+// contract as keys.
 func (s *server) records(w http.ResponseWriter, r *http.Request) {
 	id, ok := s.jobID(w, r)
 	if !ok {
@@ -249,7 +277,7 @@ func (s *server) records(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, wire.Page{N: len(keys), Offset: offset,
+	writePage(w, r, wire.Page{N: len(keys), Offset: offset,
 		Keys: keys[offset : offset+limit], Payloads: payloads[offset : offset+limit]})
 }
 

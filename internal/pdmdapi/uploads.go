@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"sync"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // Staged uploads let a coordinator ship one shard as many bounded pages
@@ -111,13 +113,9 @@ func (s *server) uploadCreate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"id": req.ID})
 }
 
-// uploadPageRequest is the POST /uploads/{id}/pages?seq=K body: one slice
-// of the shard, in shard order.
-type uploadPageRequest struct {
-	Keys     []int64  `json:"keys"`
-	Payloads [][]byte `json:"payloads,omitempty"`
-}
-
+// uploadPage stages the POST /uploads/{id}/pages?seq=K body: one window of
+// the shard, a wire.Page in either encoding and checked the same in both.
+// Its n and offset describe the sender's shard; the worker ignores them.
 func (s *server) uploadPage(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	seq, err := strconv.Atoi(r.URL.Query().Get("seq"))
@@ -125,8 +123,12 @@ func (s *server) uploadPage(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad page seq %q", r.URL.Query().Get("seq")))
 		return
 	}
-	var req uploadPageRequest
-	if !s.decodeBody(w, r, &req) {
+	var req wire.Page
+	if r.Header.Get("Content-Type") != wire.PageContentType {
+		if !s.decodeBody(w, r, &req) {
+			return
+		}
+	} else if req, err = s.readPage(r); !bodyOK(w, err) {
 		return
 	}
 	if len(req.Keys) == 0 {
@@ -259,19 +261,22 @@ func assemble(up *upload) ([]int64, [][]byte, error) {
 	if seqs[len(seqs)-1] != len(seqs)-1 {
 		return nil, nil, fmt.Errorf("pages not contiguous: have %d pages, highest seq %d", len(seqs), seqs[len(seqs)-1])
 	}
-	withPayloads := up.pages[0].payloads != nil
-	var keys []int64
+	total := 0
+	for _, pg := range up.pages {
+		total += len(pg.keys)
+	}
+	keys := make([]int64, 0, total)
 	var payloads [][]byte
+	if up.pages[0].payloads != nil {
+		payloads = make([][]byte, 0, total)
+	}
 	for _, seq := range seqs {
 		pg := up.pages[seq]
-		if (pg.payloads != nil) != withPayloads {
+		if (pg.payloads != nil) != (payloads != nil) {
 			return nil, nil, fmt.Errorf("page %d mixes keys-only and records pages", seq)
 		}
 		keys = append(keys, pg.keys...)
 		payloads = append(payloads, pg.payloads...)
-	}
-	if !withPayloads {
-		payloads = nil
 	}
 	return keys, payloads, nil
 }

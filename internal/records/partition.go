@@ -16,30 +16,3 @@ import "sort"
 func RangeShard(key int64, splitters []int64) int {
 	return sort.Search(len(splitters), func(i int) bool { return key < splitters[i] })
 }
-
-// RangePartition buckets keys across len(splitters)+1 shards, preserving
-// input order within each shard: shards[s] lists, in increasing original
-// position, the indices of the keys shard s receives.  Empty shards come
-// back as empty (non-nil) slices so callers can index by shard without
-// nil checks.
-func RangePartition(keys []int64, splitters []int64) [][]int {
-	shards := make([][]int, len(splitters)+1)
-	counts := make([]int, len(shards))
-	which := make([]int, len(keys))
-	for i, k := range keys {
-		s := RangeShard(k, splitters)
-		which[i] = s
-		counts[s]++
-	}
-	backing := make([]int, len(keys))
-	off := 0
-	for s := range shards {
-		shards[s] = backing[off : off : off+counts[s]]
-		off += counts[s]
-	}
-	for i := range keys {
-		s := which[i]
-		shards[s] = append(shards[s], i)
-	}
-	return shards
-}

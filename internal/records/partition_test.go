@@ -1,11 +1,6 @@
 package records
 
-import (
-	"math/rand"
-	"slices"
-	"sort"
-	"testing"
-)
+import "testing"
 
 func TestRangeShard(t *testing.T) {
 	splitters := []int64{10, 20}
@@ -25,75 +20,5 @@ func TestRangeShard(t *testing.T) {
 	}
 	if got := RangeShard(42, nil); got != 0 {
 		t.Fatalf("no splitters: shard %d, want 0", got)
-	}
-}
-
-// TestRangePartition checks the three invariants the distributed sort
-// rests on: every index lands in exactly one shard, shards respect the
-// ranges, order within a shard is original order, and equal keys share a
-// shard.
-func TestRangePartition(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	keys := make([]int64, 500)
-	for i := range keys {
-		keys[i] = int64(rng.Intn(50)) // heavy duplicates
-	}
-	splitters := []int64{10, 25, 25, 40} // duplicate splitter = empty shard
-	shards := RangePartition(keys, splitters)
-	if len(shards) != len(splitters)+1 {
-		t.Fatalf("%d shards for %d splitters", len(shards), len(splitters))
-	}
-	seen := make([]bool, len(keys))
-	total := 0
-	for s, idx := range shards {
-		if idx == nil {
-			t.Fatalf("shard %d is nil, want empty slice", s)
-		}
-		if !slices.IsSorted(idx) {
-			t.Fatalf("shard %d indices out of original order: %v", s, idx)
-		}
-		for _, i := range idx {
-			if seen[i] {
-				t.Fatalf("index %d in two shards", i)
-			}
-			seen[i] = true
-			if got := RangeShard(keys[i], splitters); got != s {
-				t.Fatalf("key %d in shard %d, RangeShard says %d", keys[i], s, got)
-			}
-		}
-		total += len(idx)
-	}
-	if total != len(keys) {
-		t.Fatalf("partition covers %d of %d keys", total, len(keys))
-	}
-	// Shard between the duplicate splitters is necessarily empty.
-	if len(shards[2]) != 0 {
-		t.Fatalf("degenerate range [25,25) got %d keys", len(shards[2]))
-	}
-	// Equal keys all share a shard.
-	byKey := map[int64]int{}
-	for s, idx := range shards {
-		for _, i := range idx {
-			if prev, ok := byKey[keys[i]]; ok && prev != s {
-				t.Fatalf("key %d split across shards %d and %d", keys[i], prev, s)
-			}
-			byKey[keys[i]] = s
-		}
-	}
-	// Concatenating per-shard sorted keys equals the global sort (the
-	// distributed pipeline in miniature).
-	var concat []int64
-	for _, idx := range shards {
-		part := make([]int64, len(idx))
-		for j, i := range idx {
-			part[j] = keys[i]
-		}
-		sort.Slice(part, func(a, b int) bool { return part[a] < part[b] })
-		concat = append(concat, part...)
-	}
-	want := append([]int64(nil), keys...)
-	sort.Slice(want, func(a, b int) bool { return want[a] < want[b] })
-	if !slices.Equal(concat, want) {
-		t.Fatal("per-shard sorts do not concatenate to the global sort")
 	}
 }

@@ -201,14 +201,3 @@ type Health struct {
 	Recovered int  `json:"recovered,omitempty"`
 	Suspended int  `json:"suspended,omitempty"`
 }
-
-// Page is one window of a completed job's sorted output, as GET
-// /jobs/{id}/keys and /records serve it: N is the full result length,
-// Offset where this window starts, and Payloads (base64 on the wire) is
-// present on records pages only.
-type Page struct {
-	N        int      `json:"n"`
-	Offset   int      `json:"offset"`
-	Keys     []int64  `json:"keys"`
-	Payloads [][]byte `json:"payloads,omitempty"`
-}
