@@ -1,12 +1,15 @@
 package repro
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,7 +17,9 @@ import (
 	"repro/internal/journal"
 	"repro/internal/pdm"
 	"repro/internal/sched"
+	"repro/internal/wire"
 	"repro/internal/wire/wiretest"
+	"repro/internal/workload"
 )
 
 // A journaled scheduler must make jobs durable across lives: Drain parks a
@@ -341,11 +346,14 @@ func TestJournalRecordRoundTripsEveryField(t *testing.T) {
 		t.Fatal(err)
 	}
 	for label, spec := range want {
-		raw, err := journalRecord(spec, SevenPass)
+		raw, input, err := journalRecord(spec, SevenPass)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := eng.Submit(sched.Request{Label: label, MemKeys: 1, Spec: raw,
+		if bytes.Contains(raw, []byte(`"keys"`)) || bytes.Contains(raw, []byte(`"payloads"`)) || input == nil {
+			t.Fatalf("%s: the record still carries the inline input: %s", label, raw)
+		}
+		if _, err := eng.Submit(sched.Request{Label: label, MemKeys: 1, Spec: raw, Input: input,
 			Run: func(context.Context, sched.Env) error { return nil }}); err != nil {
 			t.Fatal(err)
 		}
@@ -370,7 +378,7 @@ func TestJournalRecordRoundTripsEveryField(t *testing.T) {
 		if rec.Label == "full" {
 			spec.Alg = Auto // a scenario job's fallback sort is re-derived
 		}
-		got, err := recoveredSpec(rec.Spec)
+		got, err := recoveredJobSpec(rec)
 		if err != nil {
 			t.Fatalf("%s: %v", rec.Label, err)
 		}
@@ -432,5 +440,290 @@ func TestRecoveredSpecReadsParentJournals(t *testing.T) {
 	}
 	if got, err := s.SortedKeys(id); err != nil || !slices.Equal(got, []int64{1, 2, 3}) {
 		t.Fatalf("rerun sorted %v, %v", got, err)
+	}
+}
+
+// inlineDurabilitySpecs is durabilitySpecs with the input shipped inline —
+// the shape whose keys and payloads the journal keeps as page files beside
+// the log: a latency-slowed three-pass sort to interrupt, a keys job and a
+// records job queued behind it.
+func inlineDurabilitySpecs() []JobSpec {
+	recKeys := workload.ZipfSkewed(8*schedJobMem, 1.3, 300, 23)
+	return []JobSpec{
+		{Keys: workload.Perm(16*schedJobMem, 21), Alg: ThreePassLMM, BlockLatencyUS: 2000,
+			KeepKeys: true, Label: "interrupted"},
+		{Keys: workload.Uniform(16*schedJobMem-77, -1<<40, 1<<40, 22), Alg: ThreePassMesh,
+			KeepKeys: true, Label: "queued-keys"},
+		{Keys: recKeys, Payloads: (&PayloadSpec{MinBytes: 0, MaxBytes: 24}).Materialize(len(recKeys), 23),
+			Alg: ThreePassLMM, KeepKeys: true, Label: "queued-records"},
+	}
+}
+
+// soloInlineRun sorts a private copy of an inline spec alone on a dedicated
+// machine with the scheduler's job geometry: the bit-identity control.
+func soloInlineRun(t *testing.T, spec JobSpec) ([]int64, [][]byte, *Report) {
+	t.Helper()
+	m, err := NewMachine(MachineConfig{
+		Memory:       schedJobMem,
+		Pipeline:     PipelineConfig{Prefetch: 2, WriteBehind: 2},
+		Workers:      4,
+		BlockLatency: time.Duration(spec.BlockLatencyUS) * time.Microsecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	keys, payloads := slices.Clone(spec.Keys), slices.Clone(spec.Payloads)
+	var rep *Report
+	if payloads != nil {
+		rep, err = m.SortRecords(keys, payloads, spec.Alg)
+	} else {
+		rep, err = m.Sort(keys, spec.Alg)
+	}
+	if err != nil {
+		t.Fatalf("%s solo: %v", spec.Label, err)
+	}
+	return keys, payloads, rep
+}
+
+// journalDirNames lists the journal directory split into the log's own
+// files (wal-*, snap-*) and everything else.
+func journalDirNames(t *testing.T, jdir string) (log, other []string) {
+	t.Helper()
+	entries, err := os.ReadDir(jdir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if strings.HasPrefix(e.Name(), "wal-") || strings.HasPrefix(e.Name(), "snap-") {
+			log = append(log, e.Name())
+		} else {
+			other = append(other, e.Name())
+		}
+	}
+	return log, other
+}
+
+// drainAtCheckpoint waits for the job's first journaled pass boundary and
+// drains the scheduler there.
+func drainAtCheckpoint(t *testing.T, s *Scheduler, jdir string, id int) {
+	t.Helper()
+	awaitCheckpoint(t, jdir, id)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if err := s.Drain(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+}
+
+// TestSchedulerDrainResumeInlineInputs is the drain/resume contract for
+// jobs whose input arrived inline: the journal holds a reference per job
+// and the keys (and payloads) once, as a page file beside the log.  A drain
+// with one such job running and two queued keeps all three files; the next
+// life reads them back, finishes all three bit-identical to uninterrupted
+// runs, and leaves the journal directory holding nothing but the log.
+func TestSchedulerDrainResumeInlineInputs(t *testing.T) {
+	dir, jdir := t.TempDir(), t.TempDir()
+	specs := inlineDurabilitySpecs()
+	type control struct {
+		keys     []int64
+		payloads [][]byte
+		rep      *Report
+	}
+	want := make([]control, len(specs))
+	inputBytes := int64(0)
+	for i, spec := range specs {
+		want[i].keys, want[i].payloads, want[i].rep = soloInlineRun(t, spec)
+		inputBytes += int64(wire.Page{Keys: spec.Keys, Payloads: spec.Payloads}.BinaryLen())
+	}
+
+	s1, err := NewScheduler(durabilityConfig(dir, jdir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := submitBatch(t, s1, specs)
+	if st := s1.Stats(); st.JournalInputBytes != inputBytes || st.JournalBytes > 8<<10 {
+		t.Fatalf("journal gauges after three inline submits: %d input bytes (want %d), %d log bytes (want records only)",
+			st.JournalInputBytes, inputBytes, st.JournalBytes)
+	}
+	drainAtCheckpoint(t, s1, jdir, ids[0])
+	if _, other := journalDirNames(t, jdir); len(other) != 3 {
+		t.Fatalf("the drain kept %v, want the three input files", other)
+	}
+
+	s2, err := NewScheduler(durabilityConfig(dir, jdir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	for i, id := range ids {
+		fst, err := s2.Wait(context.Background(), id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fst.State != JobDone {
+			t.Fatalf("job %d state %q, error %q", id, fst.State, fst.Error)
+		}
+		var gotKeys []int64
+		var gotPayloads [][]byte
+		if want[i].payloads != nil {
+			gotKeys, gotPayloads, err = s2.SortedRecords(id)
+		} else {
+			gotKeys, err = s2.SortedKeys(id)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(gotKeys, want[i].keys) || !reflect.DeepEqual(gotPayloads, want[i].payloads) {
+			t.Fatalf("%s: recovered output differs from the uninterrupted control", specs[i].Label)
+		}
+		rep, ctl := fst.Report, want[i].rep
+		if rep.Passes != ctl.Passes || rep.PaddedN != ctl.PaddedN || rep.Algorithm != ctl.Algorithm ||
+			normalizeStats(rep.IO) != normalizeStats(ctl.IO) {
+			t.Fatalf("%s: recovered report differs:\nrecovered %+v\ncontrol   %+v", specs[i].Label, rep, ctl)
+		}
+	}
+	if rec := s2.Stats(); rec.Recovered != 3 || rec.JobsResumed != 1 || rec.JournalInputBytes != 0 {
+		t.Fatalf("recovery stats: %+v", rec)
+	}
+	if log, other := journalDirNames(t, jdir); len(other) != 0 || len(log) == 0 {
+		t.Fatalf("journal directory after all three finished: log %v, other %v", log, other)
+	}
+}
+
+// TestSchedulerRecoveryRestartDamagedInput damages queued jobs' input files
+// between lives — one removed, one a byte short, one with a single bit
+// flipped.  Each must be retired Failed with the file named (never run on
+// wrong input), the healthy jobs around them must recover and finish, and
+// the journal must replay cleanly for a third life with nothing left live.
+func TestSchedulerRecoveryRestartDamagedInput(t *testing.T) {
+	dir, jdir := t.TempDir(), t.TempDir()
+	specs := inlineDurabilitySpecs()
+	for _, label := range []string{"missing", "short", "flipped"} {
+		specs = append(specs, JobSpec{Keys: workload.Perm(4*schedJobMem, 31), KeepKeys: true, Label: label})
+	}
+	specs = append(specs, JobSpec{Keys: workload.Perm(4*schedJobMem, 32), KeepKeys: true, Label: "after"})
+
+	s1, err := NewScheduler(durabilityConfig(dir, jdir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := submitBatch(t, s1, specs)
+	drainAtCheckpoint(t, s1, jdir, ids[0])
+	path := func(i int) string { return filepath.Join(jdir, fmt.Sprintf("input-%04d.page", ids[i])) }
+	if err := os.Remove(path(3)); err != nil {
+		t.Fatal(err)
+	}
+	st, err := os.Stat(path(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path(4), st.Size()-1); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)/2] ^= 0x04
+	if err := os.WriteFile(path(5), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := NewScheduler(durabilityConfig(dir, jdir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{0, 1, 2, 6} {
+		fst, err := s2.Wait(context.Background(), ids[i])
+		if err != nil || fst.State != JobDone {
+			t.Fatalf("healthy job %q: state %q, error %q, %v", specs[i].Label, fst.State, fst.Error, err)
+		}
+	}
+	for _, i := range []int{3, 4, 5} {
+		if _, ok := s2.Status(ids[i]); ok {
+			t.Errorf("job %q ran on a damaged input file", specs[i].Label)
+		}
+	}
+	if st := s2.Stats(); st.Recovered != 7 || st.Failed != 3 || st.Completed != 4 {
+		t.Fatalf("life-2 stats: %+v", st)
+	}
+	s2.Close()
+
+	recs, info, err := journal.Replay(jdir)
+	if err != nil || info.ReplayErrors != 0 {
+		t.Fatalf("journal replay after the retirements: %+v, %v", info, err)
+	}
+	retired := map[int]string{}
+	for _, rec := range recs {
+		if rec.Type == journal.Terminal {
+			retired[rec.Job] = string(rec.Data)
+		}
+	}
+	for _, i := range []int{3, 4, 5} {
+		if got := retired[ids[i]]; !strings.Contains(got, `"failed"`) || !strings.Contains(got, filepath.Base(path(i))) {
+			t.Errorf("job %q terminal record %s, want failed and naming %s", specs[i].Label, got, filepath.Base(path(i)))
+		}
+	}
+	s3, err := NewScheduler(durabilityConfig(dir, jdir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s3.Close()
+	if st := s3.Stats(); st.Recovered != 0 || st.JournalReplayErrors != 0 {
+		t.Fatalf("third life: %+v", st)
+	}
+	if _, other := journalDirNames(t, jdir); len(other) != 0 {
+		t.Fatalf("journal directory still holds %v", other)
+	}
+}
+
+// TestJournaledSchedulerAcceptsLargeInline is the regression test for the
+// size limit the journal used to put on submissions: the whole inline input
+// rode in the Submitted record, which must fit one journal frame, so a
+// journaled scheduler refused ("record too large") a 2Mi-key job an
+// unjournaled one accepts.  The job is queued behind a blocker, drained,
+// and finished by a second life from its input file.
+func TestJournaledSchedulerAcceptsLargeInline(t *testing.T) {
+	dir, jdir := t.TempDir(), t.TempDir()
+	const bigMem = 1 << 16
+	cfg := durabilityConfig(dir, jdir)
+	cfg.JobMemory = bigMem
+	pcfg, _, err := resolveConfig(MachineConfig{Memory: bigMem, Dir: dir, Pipeline: cfg.Pipeline})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Memory = pcfg.ArenaCapacity() // one big envelope: the big job queues behind the blocker
+	blocker := durabilitySpecs()[0]
+	blocker.Memory = schedJobMem
+	keys := workload.Uniform(2<<20, -1<<40, 1<<40, 41)
+	want := slices.Clone(keys)
+	slices.Sort(want)
+
+	s1, err := NewScheduler(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := submitBatch(t, s1, []JobSpec{blocker, {Keys: keys, KeepKeys: true, Label: "big"}})
+	drainAtCheckpoint(t, s1, jdir, ids[0])
+	if st, _ := s1.Status(ids[1]); st.State != JobQueued {
+		t.Fatalf("big job after drain: %q, want queued", st.State)
+	}
+
+	s2, err := NewScheduler(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	fst, err := s2.Wait(context.Background(), ids[1])
+	if err != nil || fst.State != JobDone {
+		t.Fatalf("big job: state %q, error %q, %v", fst.State, fst.Error, err)
+	}
+	got, err := s2.SortedKeys(ids[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatal("the recovered 2Mi-key job's output is not slices.Sort of its input")
 	}
 }

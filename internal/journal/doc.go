@@ -8,7 +8,7 @@
 // increasing sequence number, a Type and a job id, carrying an opaque
 // JSON payload owned by the writer:
 //
-//	Submitted  the job spec, as accepted at the API boundary
+//	Submitted  the job's descriptor, as accepted at the API boundary
 //	Admitted   resources reserved, the job started running
 //	Checkpoint a pass-boundary manifest (the resume point)
 //	Terminal   done / failed / canceled
@@ -17,7 +17,9 @@
 // log left to right reconstructs every job's last known state.  A job
 // with a Submitted record and no Terminal record is live: queued if it
 // has no Admitted record, running (resumable from its latest
-// Checkpoint, if any) otherwise.
+// Checkpoint, if any) otherwise.  Records hold descriptors and manifests,
+// not data: a job's input is a file the writer keeps under Dir (sched's
+// input-NNNN.page, durable before the Submitted record that names it).
 //
 // # On-disk format
 //

@@ -362,7 +362,7 @@ func (j *Journal) newSegmentLocked() error {
 		j.allBytes += j.segBytes
 	}
 	j.f, j.active, j.segBytes = f, path, 0
-	syncDir(j.dir)
+	SyncDir(j.dir)
 	return nil
 }
 
@@ -434,7 +434,7 @@ func (j *Journal) Compact(live []Record) error {
 	if err := os.Rename(tmp, final); err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
-	syncDir(j.dir)
+	SyncDir(j.dir)
 	// Everything with seq <= cutoff now lives in the snapshot: the old
 	// segments and any older snapshot are garbage.
 	for _, p := range j.segments {
@@ -453,6 +453,9 @@ func (j *Journal) Compact(live []Record) error {
 	j.m.Compactions++
 	return nil
 }
+
+// Dir returns the journal's directory; sched keeps input files beside the log.
+func (j *Journal) Dir() string { return j.dir }
 
 // LogBytes reports the bytes held by live segments (the compaction
 // trigger input; the snapshot is excluded since compaction can't
@@ -509,9 +512,9 @@ func writeFileSync(path string, data []byte) error {
 	return f.Close()
 }
 
-// syncDir fsyncs a directory so renames/creates within it are durable.
+// SyncDir fsyncs a directory so renames/creates within it are durable.
 // Best-effort: some platforms refuse to fsync directories.
-func syncDir(dir string) {
+func SyncDir(dir string) {
 	d, err := os.Open(dir)
 	if err != nil {
 		return

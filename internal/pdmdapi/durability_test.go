@@ -1,11 +1,14 @@
 package pdmdapi
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -13,6 +16,8 @@ import (
 	"repro"
 	"repro/internal/journal"
 	"repro/internal/pdm"
+	"repro/internal/wire"
+	"repro/internal/workload"
 )
 
 // durableScheduler builds a journaled, file-backed scheduler over the
@@ -189,4 +194,86 @@ func metricPositive(text, prefix string) bool {
 		}
 	}
 	return false
+}
+
+// TestDurabilityOverHTTPLargeUpload commits a 1.5Mi-key staged upload on a
+// journaled daemon.  The committed job's input used to ride in its journal
+// record, which must fit one frame, so the commit was refused ("record too
+// large") where an unjournaled daemon accepts it; now the record references
+// a page file beside the log.  The daemon drains with the job unfinished,
+// and the next life finishes it from that file.
+func TestDurabilityOverHTTPLargeUpload(t *testing.T) {
+	dir, jdir := t.TempDir(), t.TempDir()
+	life := func() (*repro.Scheduler, *httptest.Server) {
+		// One 64Ki-memory job envelope (212,992 keys) fits the budget, two do not.
+		sch, err := repro.NewScheduler(repro.SchedulerConfig{Memory: 300000, Workers: 2, JobMemory: 1 << 16,
+			Dir: dir, JournalDir: jdir, Pipeline: repro.PipelineConfig{Prefetch: 2, WriteBehind: 2}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sch, httptest.NewServer(New(sch, Options{MaxBody: 1 << 20}))
+	}
+	sch1, ts1 := life()
+	defer ts1.Close()
+	const n, page = 3 << 19, 1 << 16
+	keys := workload.Uniform(n, -1<<40, 1<<40, 6)
+	resp := uploadCreateReq(t, ts1.URL, "big")
+	resp.Body.Close()
+	for seq := 0; seq*page < n; seq++ {
+		var body bytes.Buffer
+		if err := (wire.Page{N: page, Keys: keys[seq*page:][:page]}).WriteBinary(&body); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := testClient.Post(fmt.Sprintf("%s/uploads/big/pages?seq=%d", ts1.URL, seq), wire.PageContentType, &body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("page %d = %d", seq, resp.StatusCode)
+		}
+	}
+	// The slow job ahead holds the one envelope, so the commit queues (or,
+	// on a box slow enough for it to finish first, is itself mid-sort) when
+	// the drain comes: either way unfinished, with its input on disk.
+	if resp, obj := postJSON(t, ts1.URL+"/jobs", map[string]any{
+		"workload": map[string]any{"kind": "perm", "n": 1 << 20, "seed": 5},
+		"alg":      "lmm3", "blockLatencyUs": 2000, "label": "blocker",
+	}); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("blocker submit = %d: %v", resp.StatusCode, obj)
+	}
+	cresp, obj := uploadCommitReq(t, ts1.URL, "big", map[string]any{"keepKeys": true})
+	if cresp.StatusCode != http.StatusAccepted {
+		t.Fatalf("commit of %d staged keys on a journaled daemon = %d: %s", n, cresp.StatusCode, obj["error"])
+	}
+	var id int
+	if err := json.Unmarshal(obj["id"], &id); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if err := sch1.Drain(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if st := getStatus(t, ts1.URL, id); st.State != repro.JobQueued && st.State != repro.JobSuspended {
+		t.Fatalf("committed job after drain: %q, want queued or suspended", st.State)
+	}
+	if m := metricsText(t, ts1.URL); !metricPositive(m, "pdmd_journal_input_bytes ") {
+		t.Fatalf("pdmd_journal_input_bytes not positive with a queued inline job:\n%s", m)
+	}
+
+	sch2, ts2 := life()
+	defer func() {
+		ts2.Close()
+		sch2.Close()
+	}()
+	pollUntil(t, ts2.URL, id, repro.JobDone)
+	got, err := sch2.SortedKeys(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slices.Sort(keys)
+	if !slices.Equal(got, keys) {
+		t.Fatal("the recovered upload's output is not slices.Sort of its pages")
+	}
 }

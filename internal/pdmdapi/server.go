@@ -404,6 +404,7 @@ func (s *server) metrics(w http.ResponseWriter, r *http.Request) {
 	p("# TYPE pdmd_jobs_restarted_total counter\npdmd_jobs_restarted_total %d\n", st.JobsRestarted)
 	p("# TYPE pdmd_scratch_orphans_swept_total counter\npdmd_scratch_orphans_swept_total %d\n", st.OrphansSwept)
 	p("# TYPE pdmd_journal_bytes gauge\npdmd_journal_bytes %d\n", st.JournalBytes)
+	p("# TYPE pdmd_journal_input_bytes gauge\npdmd_journal_input_bytes %d\n", st.JournalInputBytes)
 	p("# TYPE pdmd_journal_segments gauge\npdmd_journal_segments %d\n", st.JournalSegments)
 	p("# TYPE pdmd_journal_appends_total counter\npdmd_journal_appends_total %d\n", st.JournalAppends)
 	p("# TYPE pdmd_journal_fsync_errors_total counter\npdmd_journal_fsync_errors_total %d\n", st.JournalFsyncErrors)

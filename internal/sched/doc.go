@@ -15,6 +15,12 @@
 // cancels its context, which the pdm layer turns into a prompt abort of
 // every subsequent I/O.
 //
+// With a journal, a Submitted record holds the envelope, the owner's Spec
+// and, for a Request.Input, the name, length and CRC-32 of input-NNNN.page
+// in the journal directory: fsynced before the record is appended, kept
+// across a drain, removed after the Terminal record, swept at start-up when
+// no live record names it, verified by RecoveredJob.ReadInput.
+//
 // The package is deliberately generic: a job is an envelope plus a Run
 // function.  The repro facade supplies Run functions that build a per-job
 // Machine from the envelope (its arena capacity is exactly the reserved

@@ -4,10 +4,13 @@
 package sched
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -126,6 +129,10 @@ type Request struct {
 	// RecoveredJob.Spec, so the owner can reconstruct Run after a
 	// restart.  Ignored without a journal.
 	Spec []byte
+	// Input is Spec's bulk companion: it writes the job's input, once, to
+	// input-NNNN.page beside the log, fsynced before the submission record
+	// that names it.  Ignored without a journal and on a resubmission.
+	Input func(w io.Writer) error
 	// ID, when nonzero, resubmits the pending recovered job with that
 	// identity instead of assigning a fresh one.  The job keeps its
 	// original journal records (and therefore its original scratch
@@ -264,9 +271,11 @@ type Stats struct {
 	// PendingRecovered is how many have not been resubmitted yet.
 	Recovered        int
 	PendingRecovered int
-	// OrphansSwept counts scratch directories removed at startup because
-	// no live journal entry claimed them.
+	// OrphansSwept counts scratch directories (and input files) removed at
+	// startup because no live journal entry claimed them.
 	OrphansSwept int
+	// JournalInputBytes totals the live jobs' input files beside the log.
+	JournalInputBytes int64
 }
 
 // RecoveredJob describes a job the journal replayed live at startup: it
@@ -287,6 +296,29 @@ type RecoveredJob struct {
 	// Checkpoint is the job's last journaled pass manifest, nil if it
 	// never completed a pass.
 	Checkpoint []byte
+	Input      string // the file Request.Input wrote ("" if none), for ReadInput
+	ref        inputRef
+}
+
+// ReadInput streams the input file through decode, which must consume all
+// size bytes, and fails, naming the file, when it is missing, undecodable,
+// or not the journaled length and CRC-32 — never a run on wrong input.
+func (r RecoveredJob) ReadInput(decode func(r io.Reader, size int64) error) error {
+	f, err := os.Open(r.Input)
+	if err != nil {
+		return fmt.Errorf("sched: job input: %w", err)
+	}
+	defer f.Close()
+	sum := crc32.NewIEEE()
+	if st, serr := f.Stat(); serr != nil || st.Size() != r.ref.Bytes {
+		err = fmt.Errorf("not the %d bytes journaled", r.ref.Bytes)
+	} else if err = decode(io.TeeReader(f, sum), r.ref.Bytes); err == nil && sum.Sum32() != r.ref.CRC {
+		err = errors.New("CRC-32 mismatch")
+	}
+	if err != nil {
+		return fmt.Errorf("sched: job input %s: %w", r.Input, err)
+	}
+	return nil
 }
 
 // recoveredState keeps a pending recovered job's replayed journal
@@ -302,6 +334,15 @@ type submittedData struct {
 	MemKeys  int             `json:"memKeys"`
 	DiskKeys int             `json:"diskKeys"`
 	Spec     json.RawMessage `json:"spec,omitempty"`
+	Input    *inputRef       `json:"input,omitempty"`
+}
+
+// inputRef is what a Submitted record holds of the job's input: the file's
+// name in the journal directory, its length and its CRC-32/IEEE.
+type inputRef struct {
+	File  string `json:"file"`
+	Bytes int64  `json:"bytes"`
+	CRC   uint32 `json:"crc32"`
 }
 
 // terminalData is the JSON payload of a Terminal journal record.
@@ -316,10 +357,10 @@ type Scheduler struct {
 	lim *par.Limiter
 	mem *pdm.Arena // global internal-memory ledger
 
-	// jmu serializes every journal write (and Submit's id assignment), so
-	// journal record order matches queue order and compaction can gather
-	// the live record set without racing a concurrent append.  Lock
-	// order: jmu before mu before any j.mu.
+	// jmu serializes every journal write (Submit holds it from its record
+	// to its enqueue), so journal record order matches queue order and
+	// compaction can gather the live record set without racing a concurrent
+	// append.  Lock order: jmu before mu before any j.mu.
 	jmu sync.Mutex
 
 	mu              sync.Mutex
@@ -340,6 +381,7 @@ type Scheduler struct {
 
 	pending       map[int]*recoveredState
 	recoveredList []RecoveredJob
+	inputs        map[int]int64 // live jobs' input files: id -> bytes
 
 	wg sync.WaitGroup
 }
@@ -365,16 +407,25 @@ func New(cfg Config) (*Scheduler, error) {
 	if cfg.MaxQueue <= 0 {
 		cfg.MaxQueue = 1024
 	}
+	if cfg.RemoveDir == nil {
+		cfg.RemoveDir = os.RemoveAll
+	}
 	s := &Scheduler{
 		cfg:     cfg,
 		lim:     par.NewLimiter(cfg.Workers),
 		mem:     pdm.NewArena(cfg.MemKeys),
 		jobs:    make(map[int]*Job),
 		pending: make(map[int]*recoveredState),
+		inputs:  make(map[int]int64),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.recover()
-	s.sweepOrphans()
+	if cfg.Dir != "" {
+		s.sweep(cfg.Dir, "job-%d", true, s.cfg.RemoveDir)
+	}
+	if cfg.Journal != nil {
+		s.sweep(cfg.Journal.Dir(), "input-%d.page", false, os.Remove)
+	}
 	s.wg.Add(1)
 	go s.admit()
 	return s, nil
@@ -440,43 +491,46 @@ func (s *Scheduler) recover() {
 		if t.ckpt != nil {
 			rj.Checkpoint = t.ckpt.Data
 		}
+		if ref := t.data.Input; ref != nil {
+			rj.Input, rj.ref = filepath.Join(s.cfg.Journal.Dir(), filepath.Base(ref.File)), *ref
+			s.inputs[id] = ref.Bytes
+		}
 		s.recoveredList = append(s.recoveredList, rj)
 		s.pending[id] = &recoveredState{sub: t.sub, ckpt: t.ckpt}
 	}
 }
 
-// sweepOrphans removes job scratch directories with no live journal
-// entry: leftovers of jobs that reached a terminal state right before a
-// crash, or of a previous unjournaled life.
-func (s *Scheduler) sweepOrphans() {
-	if s.cfg.Dir == "" {
-		return
-	}
-	entries, err := os.ReadDir(s.cfg.Dir)
+// sweep removes dir's entries named by pattern (job scratch directories,
+// input files) whose id has no live journal entry: leftovers of jobs that
+// reached a terminal state right before a crash, of a submission that
+// crashed between its input file and its record, or of an unjournaled life.
+func (s *Scheduler) sweep(dir, pattern string, isDir bool, remove func(string) error) {
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return
 	}
-	remove := s.cfg.RemoveDir
-	if remove == nil {
-		remove = os.RemoveAll
-	}
 	for _, e := range entries {
-		if !e.IsDir() {
+		var id int
+		if e.IsDir() != isDir {
 			continue
 		}
-		var id int
-		if _, err := fmt.Sscanf(e.Name(), "job-%d", &id); err != nil {
+		if _, err := fmt.Sscanf(e.Name(), pattern, &id); err != nil {
 			continue
 		}
 		if _, live := s.pending[id]; live {
 			continue
 		}
-		if err := remove(filepath.Join(s.cfg.Dir, e.Name())); err != nil {
+		if err := remove(filepath.Join(dir, e.Name())); err != nil {
 			s.cleanupFailures++
 		} else {
 			s.orphansSwept++
 		}
 	}
+}
+
+// inputPath is where job id's input file lives.
+func (s *Scheduler) inputPath(id int) string {
+	return filepath.Join(s.cfg.Journal.Dir(), fmt.Sprintf("input-%04d.page", id))
 }
 
 // Recovered returns the jobs replayed live from the journal, in original
@@ -493,8 +547,8 @@ func (s *Scheduler) Recovered() []RecoveredJob {
 
 // DropRecovered retires a pending recovered job without rerunning it,
 // journaling a Failed terminal record (so it is not recovered again) and
-// removing its scratch directory.  It reports whether id named a pending
-// recovered job.
+// removing its scratch directory (and input file).  It reports whether id
+// named a pending recovered job.
 func (s *Scheduler) DropRecovered(id int, err error) bool {
 	s.mu.Lock()
 	_, ok := s.pending[id]
@@ -507,16 +561,10 @@ func (s *Scheduler) DropRecovered(id int, err error) bool {
 		return false
 	}
 	s.journalTerminal(id, Failed, err)
-	if s.cfg.Dir != "" {
-		remove := s.cfg.RemoveDir
-		if remove == nil {
-			remove = os.RemoveAll
-		}
-		if rerr := remove(filepath.Join(s.cfg.Dir, fmt.Sprintf("job-%04d", id))); rerr != nil {
-			s.mu.Lock()
-			s.cleanupFailures++
-			s.mu.Unlock()
-		}
+	if s.cfg.Dir != "" && s.cfg.RemoveDir(filepath.Join(s.cfg.Dir, fmt.Sprintf("job-%04d", id))) != nil {
+		s.mu.Lock()
+		s.cleanupFailures++
+		s.mu.Unlock()
 	}
 	return true
 }
@@ -531,10 +579,10 @@ func (s *Scheduler) Ledger() *pdm.Arena { return s.mem }
 // Submit enqueues a job.  It fails fast with ErrTooLarge for envelopes
 // that could never fit and with ErrQueueFull when the queue is at
 // capacity; otherwise the job waits its FIFO turn.  With a journal, the
-// submission record is fsynced before the job is queued, and a journal
-// append failure rejects the submission — a job the log cannot recover
-// is a job the scheduler never accepted.
-func (s *Scheduler) Submit(req Request) (*Job, error) {
+// input file and then the submission record are fsynced before the job is
+// queued, and a failure of either rejects the submission — a job the log
+// cannot recover is a job the scheduler never accepted.
+func (s *Scheduler) Submit(req Request) (j *Job, err error) {
 	if req.Run == nil {
 		return nil, errors.New("sched: Request.Run is nil")
 	}
@@ -545,18 +593,39 @@ func (s *Scheduler) Submit(req Request) (*Job, error) {
 		return nil, fmt.Errorf("%w: mem %d/%d keys, disk %d/%d keys",
 			ErrTooLarge, req.MemKeys, s.cfg.MemKeys, req.DiskKeys, s.cfg.DiskKeys)
 	}
+	// The id is reserved and the lock dropped, so status reads, admission and
+	// other jobs' records proceed while the input file it names is fsynced.
+	s.mu.Lock()
+	err = s.accepting()
+	id := req.ID
+	if err == nil && id == 0 {
+		s.nextID++
+		id = s.nextID
+	}
+	s.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	var ref *inputRef
+	if req.ID == 0 && req.Input != nil && s.cfg.Journal != nil {
+		path := s.inputPath(id)
+		defer func() {
+			if err != nil {
+				os.Remove(path) // no record references it
+			}
+		}()
+		if ref, err = writeInput(path, req.Input); err != nil {
+			return nil, fmt.Errorf("sched: journal input: %w", err)
+		}
+	}
 	s.jmu.Lock()
 	defer s.jmu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return nil, ErrClosed
-	}
-	if len(s.queue) >= s.cfg.MaxQueue {
-		return nil, ErrQueueFull
+	if err := s.accepting(); err != nil {
+		return nil, err
 	}
 	var rs *recoveredState
-	id := 0
 	if req.ID != 0 {
 		var ok bool
 		rs, ok = s.pending[req.ID]
@@ -564,12 +633,8 @@ func (s *Scheduler) Submit(req Request) (*Job, error) {
 			return nil, fmt.Errorf("%w: id %d", ErrUnknownRecovered, req.ID)
 		}
 		delete(s.pending, req.ID)
-		id = req.ID
-	} else {
-		s.nextID++
-		id = s.nextID
 	}
-	j := &Job{
+	j = &Job{
 		id:        id,
 		label:     req.Label,
 		memKeys:   req.MemKeys,
@@ -589,6 +654,7 @@ func (s *Scheduler) Submit(req Request) (*Job, error) {
 			MemKeys:  req.MemKeys,
 			DiskKeys: req.DiskKeys,
 			Spec:     req.Spec,
+			Input:    ref,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("sched: journal spec: %w", err)
@@ -598,11 +664,48 @@ func (s *Scheduler) Submit(req Request) (*Job, error) {
 			return nil, fmt.Errorf("sched: journal submit: %w", err)
 		}
 		j.subRec = &rec
+		if ref != nil {
+			s.inputs[id] = ref.Bytes
+		}
 	}
 	s.jobs[j.id] = j
 	s.queue = append(s.queue, j)
 	s.cond.Broadcast()
 	return j, nil
+}
+
+// accepting reports why nothing can be queued right now.  s.mu held.
+func (s *Scheduler) accepting() error {
+	switch {
+	case s.closed:
+		return ErrClosed
+	case len(s.queue) >= s.cfg.MaxQueue:
+		return ErrQueueFull
+	}
+	return nil
+}
+
+// writeInput makes a job's input file and its directory entry durable and
+// returns the reference its Submitted record carries.
+func writeInput(path string, write func(io.Writer) error) (*inputRef, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	sum := crc32.NewIEEE()
+	bw := bufio.NewWriter(f)
+	if err = write(io.MultiWriter(bw, sum)); err == nil {
+		err = bw.Flush()
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	st, serr := f.Stat()
+	if err = errors.Join(err, serr, f.Close()); err != nil {
+		return nil, err
+	}
+	journal.SyncDir(filepath.Dir(path))
+	return &inputRef{File: filepath.Base(path), Bytes: st.Size(), CRC: sum.Sum32()}, nil
 }
 
 // Job returns the handle for id.
@@ -644,7 +747,7 @@ func (s *Scheduler) Cancel(id int) bool {
 func (s *Scheduler) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return Stats{
+	st := Stats{
 		Submitted:        s.nextID,
 		Completed:        s.completed,
 		Failed:           s.failed,
@@ -662,6 +765,10 @@ func (s *Scheduler) Stats() Stats {
 		PendingRecovered: len(s.pending),
 		OrphansSwept:     s.orphansSwept,
 	}
+	for _, n := range s.inputs {
+		st.JournalInputBytes += n
+	}
+	return st
 }
 
 // Close stops admission, cancels every remaining job (queued jobs are
@@ -868,8 +975,9 @@ func (s *Scheduler) journalAdmitted(j *Job) {
 	}
 }
 
-// journalTerminal records a job's terminal state and compacts the log
-// when it has outgrown CompactBytes.  s.mu and j.mu must NOT be held.
+// journalTerminal records a job's terminal state, compacts the log when
+// it has outgrown CompactBytes and, the record durable, removes the job's
+// input file.  s.mu and j.mu must NOT be held.
 func (s *Scheduler) journalTerminal(id int, state State, err error) {
 	jr := s.cfg.Journal
 	if jr == nil {
@@ -884,11 +992,21 @@ func (s *Scheduler) journalTerminal(id int, state State, err error) {
 		data = nil
 	}
 	s.jmu.Lock()
-	defer s.jmu.Unlock()
-	if _, aerr := jr.Append(journal.Terminal, id, data); aerr != nil {
+	_, aerr := jr.Append(journal.Terminal, id, data)
+	if aerr == nil {
+		s.maybeCompact(id)
+	}
+	s.jmu.Unlock()
+	if aerr != nil {
 		return
 	}
-	s.maybeCompact(id)
+	s.mu.Lock()
+	_, hasInput := s.inputs[id]
+	delete(s.inputs, id)
+	s.mu.Unlock()
+	if hasInput {
+		os.Remove(s.inputPath(id)) // a failure leaves an orphan the next life sweeps
+	}
 }
 
 // maybeCompact snapshots the live record set when the log is big enough.
@@ -989,11 +1107,7 @@ func (s *Scheduler) runJob(j *Job) {
 func (s *Scheduler) release(j *Job, state State, err error, dir string) {
 	var cleanupErr error
 	if dir != "" && state != Suspended {
-		remove := s.cfg.RemoveDir
-		if remove == nil {
-			remove = os.RemoveAll
-		}
-		if rerr := remove(dir); rerr != nil {
+		if rerr := s.cfg.RemoveDir(dir); rerr != nil {
 			cleanupErr = fmt.Errorf("sched: scratch cleanup of job %d: %w", j.id, rerr)
 		}
 	}

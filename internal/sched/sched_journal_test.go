@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -385,5 +388,289 @@ func TestCompactionPreservesLive(t *testing.T) {
 	}
 	if rec[1].WasRunning {
 		t.Fatalf("queued job marked running: %+v", rec[1])
+	}
+}
+
+// bytesInput is a Request.Input that writes b.
+func bytesInput(b []byte) func(io.Writer) error {
+	return func(w io.Writer) error {
+		_, err := w.Write(b)
+		return err
+	}
+}
+
+// readInput reads a recovered job's input back through ReadInput.
+func readInput(r RecoveredJob) ([]byte, error) {
+	var got []byte
+	err := r.ReadInput(func(rd io.Reader, size int64) (err error) {
+		got = make([]byte, size)
+		_, err = io.ReadFull(rd, got)
+		return err
+	})
+	return got, err
+}
+
+// journalFiles lists the journal directory's input files.
+func journalFiles(t *testing.T, jdir string) []string {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(jdir, "input-*.page"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
+}
+
+// TestSubmitInputDoesNotStallReaders parks a Submit inside its input writer
+// and demands the scheduler stays live around it: other jobs' handles and
+// Stats answer, a later submission overtakes it, is admitted and finishes —
+// nothing input-sized is written under the scheduler's locks.
+func TestSubmitInputDoesNotStallReaders(t *testing.T) {
+	jdir := t.TempDir()
+	s, err := New(Config{MemKeys: 100, Journal: openJournal(t, jdir)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	idle := func(ctx context.Context, env Env) error { return nil }
+	first, err := s.Submit(Request{Label: "first", MemKeys: 10, Input: bytesInput([]byte("abc")), Run: idle})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, first, Done)
+
+	inWriter, release := make(chan struct{}), make(chan struct{})
+	type result struct {
+		j   *Job
+		err error
+	}
+	slow := make(chan result, 1)
+	go func() {
+		j, err := s.Submit(Request{Label: "slow", MemKeys: 10, Run: idle,
+			Input: func(w io.Writer) error {
+				close(inWriter)
+				<-release
+				_, err := w.Write([]byte("late"))
+				return err
+			}})
+		slow <- result{j, err}
+	}()
+	<-inWriter
+
+	answered := make(chan struct{})
+	go func() {
+		defer close(answered)
+		if j, ok := s.Job(first.ID()); !ok || j.State() != Done {
+			t.Errorf("Job(%d) while a Submit is in flight: %v, %v", first.ID(), j, ok)
+		}
+		if st := s.Stats(); st.Completed != 1 {
+			t.Errorf("Stats while a Submit is in flight: %+v", st)
+		}
+		over, err := s.Submit(Request{Label: "overtaker", MemKeys: 10, Input: bytesInput([]byte("xyz")), Run: idle})
+		if err != nil {
+			t.Errorf("Submit while another is in flight: %v", err)
+			return
+		}
+		<-over.Done()
+		if over.State() != Done {
+			t.Errorf("overtaker: %v, %v", over.State(), over.Err())
+		}
+	}()
+	select {
+	case <-answered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the scheduler stalled behind a Submit that is writing its input")
+	}
+	close(release)
+	r := <-slow
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	waitState(t, r.j, Done)
+	if left := journalFiles(t, jdir); len(left) != 0 {
+		t.Fatalf("input files outlived their jobs: %v", left)
+	}
+	if st := s.Stats(); st.JournalInputBytes != 0 || st.Completed != 3 {
+		t.Fatalf("stats after all three finished: %+v", st)
+	}
+}
+
+// TestInputFileLifecycle walks one journaled input through the orderings
+// the design relies on: the file exists (and is counted) from before the
+// Submitted record until after the Terminal one, a drain keeps it,
+// compaction keeps its reference valid, recovery reads back the bytes
+// written, and a failed writer leaves neither file nor record.
+func TestInputFileLifecycle(t *testing.T) {
+	jdir := t.TempDir()
+	// CompactBytes 1: every checkpoint and terminal append compacts.
+	s, err := New(Config{MemKeys: 100, Journal: openJournal(t, jdir), CompactBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt := make(chan struct{}, 1)
+	runner := func(ctx context.Context, env Env) error {
+		for {
+			if err := env.Checkpoint([]byte(`{"pass":1}`)); err != nil {
+				return err
+			}
+			select {
+			case ckpt <- struct{}{}:
+			default:
+			}
+			select {
+			case <-ctx.Done():
+				return ctx.Err()
+			case <-time.After(time.Millisecond):
+			}
+		}
+	}
+	idle := func(ctx context.Context, env Env) error { return nil }
+	payload := bytes.Repeat([]byte("0123456789abcdef"), 4096) // spans bufio's buffer
+	if _, err := s.Submit(Request{Label: "runner", MemKeys: 100, Input: bytesInput([]byte("r")), Run: runner}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Submit(Request{Label: "queued", MemKeys: 100, Spec: []byte(`{"x":1}`), Input: bytesInput(payload), Run: idle}); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("boom")
+	if _, err := s.Submit(Request{Label: "bad", MemKeys: 100, Run: idle,
+		Input: func(w io.Writer) error { w.Write([]byte("partial")); return boom }}); !errors.Is(err, boom) {
+		t.Fatalf("Submit with a failing input writer: %v, want boom", err)
+	}
+	if got := journalFiles(t, jdir); len(got) != 2 {
+		t.Fatalf("input files after two good submits and a failed one: %v", got)
+	}
+	if st := s.Stats(); st.JournalInputBytes != int64(1+len(payload)) || st.Queued != 1 {
+		t.Fatalf("stats: %+v", st)
+	}
+	for i := 0; i < 3; i++ { // several compactions with the reference live
+		<-ckpt
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := journalFiles(t, jdir); len(got) != 2 {
+		t.Fatalf("drain did not keep the input files: %v", got)
+	}
+
+	s2, err := New(Config{MemKeys: 100, Journal: openJournal(t, jdir), CompactBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	rec := s2.Recovered()
+	if len(rec) != 2 || rec[1].Label != "queued" || string(rec[1].Spec) != `{"x":1}` ||
+		rec[1].Input != filepath.Join(jdir, "input-0002.page") {
+		t.Fatalf("recovered: %+v", rec)
+	}
+	if got, err := readInput(rec[1]); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("recovered input: %d bytes, %v", len(got), err)
+	}
+	if st := s2.Stats(); st.JournalInputBytes != int64(1+len(payload)) || st.OrphansSwept != 0 {
+		t.Fatalf("life-2 stats: %+v", st)
+	}
+	// One job reruns, the other is retired: both paths remove the file only
+	// after the terminal record.
+	h, err := s2.Submit(Request{ID: rec[1].ID, Label: rec[1].Label, MemKeys: 100, Run: idle})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, h, Done)
+	if !s2.DropRecovered(rec[0].ID, errors.New("retired")) {
+		t.Fatal("DropRecovered = false")
+	}
+	if got := journalFiles(t, jdir); len(got) != 0 {
+		t.Fatalf("input files outlived their terminal records: %v", got)
+	}
+	if st := s2.Stats(); st.JournalInputBytes != 0 {
+		t.Fatalf("gauge after both retired: %+v", st)
+	}
+}
+
+// TestInputCrashWindows builds, by hand, the three on-disk states a crash
+// can leave around an input file, and checks what the next life makes of
+// each: a file with no Submitted record (crash between the file's fsync and
+// the record's) and a file whose job already has its Terminal record (crash
+// before the unlink) are swept and counted; a live record whose file is
+// missing, a byte short, or one bit off fails ReadInput with the file named
+// — and none of that disturbs the healthy job beside them.
+func TestInputCrashWindows(t *testing.T) {
+	jdir := t.TempDir()
+	s, err := New(Config{MemKeys: 100, Journal: openJournal(t, jdir)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The blocker holds the budget, so jobs 2..5 stay queued with live
+	// records and files; the drain then parks everything.
+	started := make(chan struct{})
+	blocker := func(ctx context.Context, env Env) error {
+		close(started)
+		<-ctx.Done()
+		return ctx.Err()
+	}
+	idle := func(ctx context.Context, env Env) error { return nil }
+	body := []byte("the quick brown fox jumps over the lazy dog")
+	if _, err := s.Submit(Request{Label: "blocker", MemKeys: 100, Input: bytesInput(body), Run: blocker}); err != nil {
+		t.Fatal(err)
+	}
+	for _, label := range []string{"healthy", "missing", "short", "flipped"} {
+		if _, err := s.Submit(Request{Label: label, MemKeys: 100, Input: bytesInput(body), Run: idle}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-started
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	s.Drain(ctx) // the blocker never checkpoints: forced, suspended
+
+	path := func(id int) string { return filepath.Join(jdir, fmt.Sprintf("input-%04d.page", id)) }
+	if err := os.Remove(path(3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path(4), int64(len(body)-1)); err != nil {
+		t.Fatal(err)
+	}
+	flipped := bytes.Clone(body)
+	flipped[7] ^= 0x10
+	if err := os.WriteFile(path(5), flipped, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// (a) a file no record names; (c) the blocker's file, kept by the drain,
+	// once its job has a terminal record.
+	if err := os.WriteFile(path(9), body, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	jr := openJournal(t, jdir)
+	if _, err := jr.Append(journal.Terminal, 1, []byte(`{"state":"canceled"}`)); err != nil {
+		t.Fatal(err)
+	}
+	jr.Close()
+
+	s2, err := New(Config{MemKeys: 100, Journal: openJournal(t, jdir)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if st := s2.Stats(); st.OrphansSwept != 2 || st.Recovered != 4 {
+		t.Fatalf("stats: %+v, want 2 orphans swept and 4 recovered", st)
+	}
+	for _, id := range []int{1, 9} {
+		if _, err := os.Stat(path(id)); !os.IsNotExist(err) {
+			t.Errorf("orphan %s not swept: %v", path(id), err)
+		}
+	}
+	for _, r := range s2.Recovered() {
+		got, err := readInput(r)
+		switch r.Label {
+		case "healthy":
+			if err != nil || !bytes.Equal(got, body) {
+				t.Errorf("healthy: %q, %v", got, err)
+			}
+		default:
+			if err == nil || !strings.Contains(err.Error(), filepath.Base(r.Input)) {
+				t.Errorf("%s: ReadInput error %v, want one naming %s", r.Label, err, r.Input)
+			}
+		}
 	}
 }

@@ -136,8 +136,8 @@ func (w *WorkloadSpec) Generate() ([]int64, error) {
 
 // JobSpec is the one job descriptor: what a library caller hands
 // Scheduler.Submit, the POST /jobs body (and, minus the inline input, the
-// POST /uploads/{id}/commit body), the submission record the journal
-// stores, and what the distributed coordinator sends each worker.
+// POST /uploads/{id}/commit body), the journal's submission record (Keys and
+// Payloads apart, in a file), and what the distributed coordinator sends.
 type JobSpec struct {
 	// Keys is the inline input.  The scheduler takes ownership and sorts
 	// it in place (no private copy), so callers must not touch the slice

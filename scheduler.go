@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"time"
 
@@ -78,8 +79,8 @@ const journalCompactBytes = 4 << 20
 // internal/wire, and re-exported here under their public names.
 type (
 	// JobSpec describes one job — a sort or a query scenario: the value
-	// Submit takes, the POST /jobs body, and the journal's submission
-	// record.  JobSpec.Validate holds the cross-field rules.
+	// Submit takes, the POST /jobs body, and (see journalRecord) the journal's
+	// submission record.  JobSpec.Validate holds the cross-field rules.
 	JobSpec = wire.JobSpec
 	// WorkloadSpec asks the service to generate a job's input instead of
 	// shipping keys inline, naming a generator from the workload suite.
@@ -254,7 +255,7 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 // a terminal record instead of crashing the scheduler in a replay loop.
 func (s *Scheduler) resubmitRecovered() {
 	for _, rec := range s.eng.Recovered() {
-		spec, err := recoveredSpec(rec.Spec)
+		spec, err := recoveredJobSpec(rec)
 		if err != nil {
 			s.eng.DropRecovered(rec.ID, err)
 			continue
@@ -291,12 +292,34 @@ func (s *Scheduler) resubmitRecovered() {
 	}
 }
 
-// journalRecord is the submission record the journal stores: the
-// descriptor as-is, with the resolved algorithm in place of a submitted
-// Auto, so a recovered job reruns exactly what the first life planned.
-func journalRecord(spec JobSpec, alg Algorithm) ([]byte, error) {
+// journalRecord is what the journal stores of a submission: the descriptor
+// with the resolved algorithm in place of a submitted Auto, so a recovered
+// job reruns exactly what the first life planned, and, apart, the inline
+// Keys and Payloads as the writer of one binary wire.Page — a file beside
+// the log that the record only references.  The scenario columns
+// (GroupPayloads, IngestBatch) stay in the record for now.
+func journalRecord(spec JobSpec, alg Algorithm) (desc []byte, input func(io.Writer) error, err error) {
 	spec.Alg = alg
-	return json.Marshal(spec)
+	if len(spec.Keys) > 0 {
+		input = wire.Page{N: len(spec.Keys), Keys: spec.Keys, Payloads: spec.Payloads}.WriteBinary
+		spec.Keys, spec.Payloads = nil, nil
+	}
+	desc, err = json.Marshal(spec)
+	return desc, input, err
+}
+
+// recoveredJobSpec is journalRecord's inverse; the input page is verified
+// as it is read.  Records from before the split carry their keys inline.
+func recoveredJobSpec(rec sched.RecoveredJob) (JobSpec, error) {
+	spec, err := recoveredSpec(rec.Spec)
+	if err == nil && rec.Input != "" {
+		err = rec.ReadInput(func(r io.Reader, size int64) error {
+			p, err := wire.ReadPage(r, size, nil)
+			spec.Keys, spec.Payloads = p.Keys, p.Payloads
+			return err
+		})
+	}
+	return spec, err
 }
 
 // recoveredSpec decodes a submission record back into the descriptor a
@@ -460,18 +483,13 @@ func (s *Scheduler) Submit(spec JobSpec) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	var specBytes []byte
+	req := sched.Request{Label: spec.Label, MemKeys: r.pcfg.ArenaCapacity(), DiskKeys: r.disk}
 	if s.jr != nil {
-		if specBytes, err = journalRecord(spec, r.alg); err != nil {
+		if req.Spec, req.Input, err = journalRecord(spec, r.alg); err != nil {
 			return 0, fmt.Errorf("repro: journal spec: %w", err)
 		}
 	}
-	return s.admit(&schedJob{spec: spec, jobResolution: r}, sched.Request{
-		Label:    spec.Label,
-		MemKeys:  r.pcfg.ArenaCapacity(),
-		DiskKeys: r.disk,
-		Spec:     specBytes,
-	})
+	return s.admit(&schedJob{spec: spec, jobResolution: r}, req)
 }
 
 // Explain dry-runs the planner for a JobSpec without admitting anything:
