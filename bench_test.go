@@ -242,6 +242,22 @@ func BenchmarkSortColumnsortBaseline(b *testing.B) {
 // disks (pdm.LatencyDisk); that wait parks goroutines, so prefetch and
 // write-behind hide it just as on real hardware, and Pipe pulls ahead.
 
+// slowFileDisks is the "slowfile" backend: file disks with a modeled 50µs
+// per-block device latency.
+func slowFileDisks(b *testing.B, cfg pdm.Config) []pdm.Disk {
+	b.Helper()
+	dir := b.TempDir()
+	disks := make([]pdm.Disk, cfg.D)
+	for i := range disks {
+		fd, err := pdm.NewFileDisk(fmt.Sprintf("%s/disk%04d.bin", dir, i), cfg.B)
+		if err != nil {
+			b.Fatal(err)
+		}
+		disks[i] = pdm.LatencyDisk{Disk: fd, PerBlock: 50 * time.Microsecond}
+	}
+	return disks
+}
+
 func benchPassArray(b *testing.B, backend string, pipelined bool) *pdm.Array {
 	b.Helper()
 	const m = 4096 // B = 64, D = 16
@@ -259,16 +275,7 @@ func benchPassArray(b *testing.B, backend string, pipelined bool) *pdm.Array {
 	case "file":
 		a, err = pdm.NewFileArray(cfg, b.TempDir())
 	case "slowfile":
-		dir := b.TempDir()
-		disks := make([]pdm.Disk, cfg.D)
-		for i := range disks {
-			fd, ferr := pdm.NewFileDisk(fmt.Sprintf("%s/disk%04d.bin", dir, i), cfg.B)
-			if ferr != nil {
-				b.Fatal(ferr)
-			}
-			disks[i] = pdm.LatencyDisk{Disk: fd, PerBlock: 50 * time.Microsecond}
-		}
-		a, err = pdm.NewWithDisks(cfg, disks)
+		a, err = pdm.NewWithDisks(cfg, slowFileDisks(b, cfg))
 	default:
 		b.Fatalf("unknown backend %q", backend)
 	}
@@ -341,16 +348,7 @@ func benchThreePass2File(b *testing.B, pipe pdm.PipelineConfig) {
 	b.Helper()
 	const m = 1024
 	cfg := pdm.Config{D: 8, B: 32, Mem: m, Pipeline: pipe}
-	dir := b.TempDir()
-	disks := make([]pdm.Disk, cfg.D)
-	for i := range disks {
-		fd, ferr := pdm.NewFileDisk(fmt.Sprintf("%s/disk%04d.bin", dir, i), cfg.B)
-		if ferr != nil {
-			b.Fatal(ferr)
-		}
-		disks[i] = pdm.LatencyDisk{Disk: fd, PerBlock: 50 * time.Microsecond}
-	}
-	a, err := pdm.NewWithDisks(cfg, disks)
+	a, err := pdm.NewWithDisks(cfg, slowFileDisks(b, cfg))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -380,6 +378,67 @@ func BenchmarkSortThreePass2SlowDiskSync(b *testing.B) {
 
 func BenchmarkSortThreePass2SlowDiskPipelined(b *testing.B) {
 	benchThreePass2File(b, pdm.PipelineConfig{Prefetch: 8, WriteBehind: 8})
+}
+
+// The two scattering routes where a step costs time: on latency disks a
+// request waits one service time per parallel step, so wall clock follows
+// the charged steps (reported as steps/op) — which is what a scatter that
+// keeps all D disks busy buys on a real disk array.
+func slowDiskMachine(b *testing.B) *Machine {
+	b.Helper()
+	m, err := NewMachine(MachineConfig{Memory: 4096, Dir: b.TempDir(), BlockLatency: 50 * time.Microsecond,
+		Pipeline: PipelineConfig{Prefetch: 2, WriteBehind: 2}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { m.Close() })
+	return m
+}
+
+func BenchmarkSortRecordsSlowDisk(b *testing.B) {
+	const n = 16 << 10
+	m := slowDiskMachine(b)
+	keys := workload.Uniform(n, 0, 1<<30, 17)
+	blob := make([]byte, 64*n)
+	for i := range blob {
+		blob[i] = byte(i * 131)
+	}
+	payloads := make([][]byte, n)
+	kbuf, pbuf := make([]int64, n), make([][]byte, n)
+	for i := range payloads {
+		payloads[i] = blob[64*i : 64*(i+1)]
+	}
+	b.SetBytes(72 * n)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(kbuf, keys)
+		copy(pbuf, payloads)
+		rep, err := m.SortRecords(kbuf, pbuf, ThreePassLMM)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(rep.IO.ReadSteps+rep.IO.WriteSteps), "steps/op")
+		b.ReportMetric(float64(rep.IO.WriteSteps), "write-steps/op")
+	}
+}
+
+func BenchmarkGroupByPartitionSlowDisk(b *testing.B) {
+	const n = 256 << 10
+	m := slowDiskMachine(b)
+	keys := workload.FewDistinct(n, n/4, 19)
+	b.SetBytes(16 * n)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, rep, err := m.GroupBy(keys, keys, n/4)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rep.ScenarioRoute != "partition" {
+			b.Fatalf("ran the %q route, want partition", rep.ScenarioRoute)
+		}
+		b.ReportMetric(float64(rep.IO.ReadSteps+rep.IO.WriteSteps), "steps/op")
+		b.ReportMetric(float64(rep.IO.WriteSteps), "write-steps/op")
+	}
 }
 
 // --- worker-pool compute benchmarks ---

@@ -120,7 +120,8 @@ type Candidate struct {
 	WritePasses float64 `json:"writePasses,omitempty"`
 	// PermuteLevels and PermutePasses describe the payload permutation
 	// (zero for bare key sorts): levels of distribution scatter, and
-	// 2·(levels+1) passes over the padded payload store.
+	// 2·(levels+1) passes over the padded payload store (a floor: the
+	// segment headers each level also moves are not priced).
 	PermuteLevels int     `json:"permuteLevels,omitempty"`
 	PermutePasses float64 `json:"permutePasses,omitempty"`
 	// IOWords is the total predicted transfer volume (reads + writes,
@@ -273,7 +274,9 @@ func DiskEnvelope(alg Alg, padded, stripe int) int {
 // PermutePlan predicts the payload permutation (internal/records) for
 // `words` payload words on an (M, B, D) machine: the padded store length,
 // the distribution depth, and the pass count 2·(levels+1) — each level is
-// one sequential read and one sequential write of the store.
+// one sequential read and one sequential write of the store.  That is a
+// floor: a scatter level also moves a 2-word header per resident segment,
+// so records of mean width w̄ words measure 2·(1 + levels·(1 + 2/w̄)).
 func PermutePlan(words, mem, b, stripe int) (paddedWords, levels int, passes float64) {
 	if words <= 0 {
 		return 0, 0, 0

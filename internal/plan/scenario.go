@@ -358,8 +358,11 @@ func selectionPlan(kind string, shape Shape, w Workload, bad error, budget, resu
 // (read + scatter write + per-partition read) when they fit the fanout's
 // combined capacity, and the sort-then-scan route beyond that (a record
 // sort carries the payloads; the aggregation scan rides on its output).
-// Only the one-pass route is step-exact: partition padding depends on the
-// hash split, and the sort route inherits the sort's own variability.
+// Only the one-pass route is step-exact.  The partition route's scatter
+// writes one block per disk per step (stream.Scatter), so its write steps
+// measure within a few percent of the price; its read-back pays up to one
+// partial stripe row per partition on top, and the padding depends on the
+// hash split.  The sort route inherits the sort's own variability.
 func GroupByPlan(shape Shape, n, groups, pairWords int) ScenarioPlan {
 	p := ScenarioPlan{Kind: KindGroupBy}
 	stripe := shape.Stripe()
@@ -417,8 +420,9 @@ func GroupByPlan(shape Shape, n, groups, pairWords int) ScenarioPlan {
 // PartitionFanout is the hash fanout of the group-by partition route for
 // this many groups: enough partitions that each holds ≤ GroupCap(M)
 // expected groups, bounded by the block-buffer fanout M/B (one staged block
-// per partition).  The runtime counts partition sizes with exactly the
-// fanout the plan priced.
+// per partition).  GroupByPlan prices PartitionFanout(groups); the facade,
+// which cannot trust the hint, scatters at the worst case PartitionFanout(n):
+// a few more partial blocks and read-back rows than priced.
 func PartitionFanout(groups int, shape Shape) int {
 	maxF := shape.Mem / shape.B
 	if maxF < 2 {

@@ -82,7 +82,9 @@ func DiskEnvelope(n, words, mem, d, b int) int {
 
 // scatterGeometry resolves the distribution parameters: the destination
 // chunk size (one internal memory's worth of words) and the scatter fanout
-// (as many single-block partition buffers as fit in one memory).
+// (as many single-block partition buffers as fit in one memory).  With the
+// stream.Scatter stage (a second memory load) and one stripe of read buffer
+// a level holds 2·M + D·B, the arena's whole algorithm envelope.
 func scatterGeometry(mem, b int) (chunk, maxF int) {
 	maxF = mem / b
 	if maxF < 2 {
@@ -357,10 +359,11 @@ func (p *permuter) nodeWords(lo, hi int) (words, segments int) {
 
 // scatter reads src sequentially and routes every segment into one of the
 // partitions covering [lo, hi), splitting segments at partition
-// boundaries.  Partition block writes are batched into vectored requests
-// of up to D blocks, and each partition stripe is skewed by its index so a
-// mixed batch spreads across the disks.
+// boundaries.  Finished blocks go through a stream.Scatter (one block per
+// disk per step); the partition stripes' skews are spread evenly round the
+// disks, so partitions filling in step do not all queue on the same one.
 func (p *permuter) scatter(lo, hi int, src *nodeSource) (children []*child, err error) {
+	defer src.free()
 	chunks := memsort.CeilDiv(hi-lo, p.chunk)
 	f := chunks
 	if f > p.maxF {
@@ -375,7 +378,6 @@ func (p *permuter) scatter(lo, hi int, src *nodeSource) (children []*child, err 
 	}
 	bufs, err := p.a.Arena().Alloc(f * p.b)
 	if err != nil {
-		src.free()
 		return nil, err
 	}
 	defer p.a.Arena().Free(bufs)
@@ -388,21 +390,19 @@ func (p *permuter) scatter(lo, hi int, src *nodeSource) (children []*child, err 
 		words, _ := p.nodeWords(clo, chi)
 		ch := &child{lo: clo, hi: chi, words: words, buf: bufs[c*p.b : (c+1)*p.b]}
 		if words > 0 {
-			stripe, err := p.a.NewStripeSkew(memsort.CeilDiv(words, p.b)*p.b, c)
+			stripe, err := p.a.NewStripeSkew(memsort.CeilDiv(words, p.b)*p.b, c*max(1, p.a.D()/f))
 			if err != nil {
-				src.free()
 				return children, err
 			}
 			ch.stripe = stripe
 		}
 		children = append(children, ch)
 	}
-	batch, err := newBlockBatch(p.a)
+	sc, err := stream.NewScatter(p.a)
 	if err != nil {
-		src.free()
 		return children, err
 	}
-	defer batch.release()
+	defer sc.Close()
 	route := func(dest, nw int, ws *wordStream) error {
 		for nw > 0 {
 			c := (dest - lo) / span
@@ -411,7 +411,7 @@ func (p *permuter) scatter(lo, hi int, src *nodeSource) (children []*child, err 
 				end = dest + nw
 			}
 			take := end - dest
-			if err := p.emit(children[c], batch, dest, take, ws); err != nil {
+			if err := p.emit(children[c], sc, dest, take, ws); err != nil {
 				return err
 			}
 			dest += take
@@ -420,36 +420,27 @@ func (p *permuter) scatter(lo, hi int, src *nodeSource) (children []*child, err 
 		return nil
 	}
 	if err := src.scan(route); err != nil {
-		src.free()
 		return children, err
 	}
-	src.free()
-	// Flush the partial last block of every partition (zero-padded).
+	// Queue the partial last block of every partition (zero-padded).
 	for _, ch := range children {
 		if ch.fill > 0 {
-			for i := ch.fill; i < p.b; i++ {
-				ch.buf[i] = 0
-			}
-			if err := batch.add(ch.stripe.BlockAddr(ch.blk), ch.buf); err != nil {
+			clear(ch.buf[ch.fill:])
+			if err := sc.Add(ch.stripe.BlockAddr(ch.blk), ch.buf); err != nil {
 				return children, err
 			}
-			ch.fill = 0
-			ch.blk++
 		}
 	}
-	if err := batch.flush(); err != nil {
-		return children, err
-	}
-	return children, nil
+	return children, sc.Flush()
 }
 
 // emit appends one segment (header + take data words pulled from ws) to a
-// partition, flushing full blocks through the batch.
-func (p *permuter) emit(ch *child, batch *blockBatch, dest, take int, ws *wordStream) error {
-	if err := p.put(ch, batch, int64(dest)); err != nil {
+// partition, handing full blocks to the scatter.
+func (p *permuter) emit(ch *child, sc *stream.Scatter, dest, take int, ws *wordStream) error {
+	if err := p.put(ch, sc, int64(dest)); err != nil {
 		return err
 	}
-	if err := p.put(ch, batch, int64(take)); err != nil {
+	if err := p.put(ch, sc, int64(take)); err != nil {
 		return err
 	}
 	for take > 0 {
@@ -462,28 +453,27 @@ func (p *permuter) emit(ch *child, batch *blockBatch, dest, take int, ws *wordSt
 		}
 		ch.fill += room
 		take -= room
-		if ch.fill == p.b {
-			if err := batch.add(ch.stripe.BlockAddr(ch.blk), ch.buf); err != nil {
-				return err
-			}
-			ch.fill = 0
-			ch.blk++
+		if err := p.full(ch, sc); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-func (p *permuter) put(ch *child, batch *blockBatch, w int64) error {
+func (p *permuter) put(ch *child, sc *stream.Scatter, w int64) error {
 	ch.buf[ch.fill] = w
 	ch.fill++
-	if ch.fill == p.b {
-		if err := batch.add(ch.stripe.BlockAddr(ch.blk), ch.buf); err != nil {
-			return err
-		}
-		ch.fill = 0
-		ch.blk++
+	return p.full(ch, sc)
+}
+
+// full hands the partition's block to the scatter once it is full.
+func (p *permuter) full(ch *child, sc *stream.Scatter) error {
+	if ch.fill < p.b {
+		return nil
 	}
-	return nil
+	ch.fill = 0
+	ch.blk++
+	return sc.Add(ch.stripe.BlockAddr(ch.blk-1), ch.buf)
 }
 
 // place is the base case: the whole destination range fits one memory
@@ -652,76 +642,6 @@ func (ws *wordStream) copyN(dst []int64, n int) error {
 func (ws *wordStream) close() {
 	ws.r.Close()
 	ws.a.Arena().Free(ws.buf)
-}
-
-// blockBatch coalesces single-block partition writes into vectored
-// requests of up to D blocks, so a scatter level's write cost stays close
-// to one parallel step per stripe width.  On zero-copy backends each block
-// is copied once, straight into a borrowed destination view, and the batch
-// is charged on flush through ChargeV with the exact address list WriteV
-// would have used — stats and traces are bit-identical across backends.
-type blockBatch struct {
-	a     *pdm.Array
-	zc    bool
-	stage []int64
-	addrs []pdm.BlockAddr
-	bufs  [][]int64
-}
-
-func newBlockBatch(a *pdm.Array) (*blockBatch, error) {
-	// The stage stripe is allocated on both paths: the zero-copy one never
-	// touches it, but reserving it keeps the memory envelope — and any
-	// arena-pressure failure — identical across backends.
-	stage, err := a.Arena().Alloc(a.StripeWidth())
-	if err != nil {
-		return nil, err
-	}
-	return &blockBatch{a: a, zc: a.ZeroCopy(), stage: stage}, nil
-}
-
-func (bb *blockBatch) add(addr pdm.BlockAddr, blk []int64) error {
-	if bb.zc {
-		dst, err := bb.a.BorrowWrite(addr)
-		if err != nil {
-			return err
-		}
-		copy(dst, blk)
-		bb.addrs = append(bb.addrs, addr)
-	} else {
-		b := bb.a.B()
-		i := len(bb.addrs)
-		dst := bb.stage[i*b : (i+1)*b]
-		copy(dst, blk)
-		bb.addrs = append(bb.addrs, addr)
-		bb.bufs = append(bb.bufs, dst)
-	}
-	if len(bb.addrs) == bb.a.D() {
-		return bb.flush()
-	}
-	return nil
-}
-
-func (bb *blockBatch) flush() error {
-	if len(bb.addrs) == 0 {
-		return nil
-	}
-	var err error
-	if bb.zc {
-		// Reject before charging on a canceled context, exactly where the
-		// copying path's WriteV would.
-		if err = bb.a.CtxErr(); err == nil {
-			bb.a.ChargeV(bb.addrs, true)
-		}
-	} else {
-		err = bb.a.WriteV(bb.addrs, bb.bufs)
-	}
-	bb.addrs = bb.addrs[:0]
-	bb.bufs = bb.bufs[:0]
-	return err
-}
-
-func (bb *blockBatch) release() {
-	bb.a.Arena().Free(bb.stage)
 }
 
 // packWords encodes bytes little-endian into wordsFor(len(src)) words, the

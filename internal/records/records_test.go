@@ -121,6 +121,80 @@ func TestPermuteIdentityAndReverse(t *testing.T) {
 	}
 }
 
+// TestPermuteWriteParallelism is the scatter's write-parallelism property:
+// at three geometries (the first three levels deep) and four permutation
+// shapes, the write steps stay within 5% of the read steps plus one stripe
+// row of slack per level (the partitions' partial tail blocks), the arena
+// peaks inside its capacity and drains, and the charged I/O and its trace
+// do not depend on the pipeline depth or the disk backend.
+func TestPermuteWriteParallelism(t *testing.T) {
+	for _, g := range []struct{ d, b, mem, n, levels int }{
+		{4, 8, 64, 1500, 3},
+		{16, 32, 4096, 8192, 1},
+		{64, 256, 65536, 65536, 1},
+	} {
+		payloads := genPayloads(g.n, 1, 64, 5)
+		stride := 1021 // prime, coprime with every n above
+		perms := map[string][]int{"random": randPerm(g.n, 9), "identity": make([]int, g.n),
+			"reverse": make([]int, g.n), "stride": make([]int, g.n)}
+		for j := 0; j < g.n; j++ {
+			perms["identity"][j], perms["reverse"][j], perms["stride"][j] = j, g.n-1-j, j*stride%g.n
+		}
+		for name, perm := range perms {
+			type run struct {
+				io    pdm.Stats
+				trace []pdm.TraceOp
+			}
+			var ref *run
+			for _, backend := range []string{"mem", "file", "mmap"} {
+				for _, pipe := range []pdm.PipelineConfig{{}, {Prefetch: 2, WriteBehind: 2}} {
+					if ref != nil && backend != "mem" && g.d == 64 && pipe.Prefetch == 0 {
+						continue // 64 files per array: one depth per file backend is enough
+					}
+					tag := fmt.Sprintf("D=%d B=%d M=%d %s %s %+v", g.d, g.b, g.mem, name, backend, pipe)
+					cfg := pdm.Config{D: g.d, B: g.b, Mem: g.mem, Pipeline: pipe}
+					var a *pdm.Array
+					var err error
+					switch backend {
+					case "mem":
+						a, err = pdm.New(cfg)
+					case "file":
+						a, err = pdm.NewFileArray(cfg, t.TempDir())
+					case "mmap":
+						a, err = pdm.NewMmapArray(cfg, t.TempDir())
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					a.EnableTrace()
+					res, err := Permute(a, payloads, perm)
+					if err != nil {
+						t.Fatalf("%s: %v", tag, err)
+					}
+					checkPermuted(t, payloads, perm, res.Out)
+					if res.Levels != g.levels {
+						t.Fatalf("%s: %d levels, want %d", tag, res.Levels, g.levels)
+					}
+					if w, r := res.IO.WriteSteps, res.IO.ReadSteps; float64(w) > 1.05*float64(r)+float64(res.Levels*g.d) {
+						t.Errorf("%s: %d write steps against %d read steps (%d blocks each way)", tag, w, r, res.IO.BlocksWritten)
+					}
+					if peak, limit := a.Arena().Peak(), a.Config().ArenaCapacity(); peak > limit || a.Arena().InUse() != 0 {
+						t.Errorf("%s: arena peak %d of %d, %d left in use", tag, peak, limit, a.Arena().InUse())
+					}
+					got := &run{io: pdm.Stats{BlocksRead: res.IO.BlocksRead, BlocksWritten: res.IO.BlocksWritten,
+						ReadSteps: res.IO.ReadSteps, WriteSteps: res.IO.WriteSteps}, trace: a.Trace()}
+					if ref == nil {
+						ref = got
+					} else if got.io != ref.io || !pdm.TracesEqual(got.trace, ref.trace) {
+						t.Errorf("%s: charged %+v, the first run %+v (traces equal: %v)", tag, got.io, ref.io, pdm.TracesEqual(got.trace, ref.trace))
+					}
+					a.Close()
+				}
+			}
+		}
+	}
+}
+
 func TestPermuteAllEmptyPayloads(t *testing.T) {
 	a := newArray(t, 256, 4, 16)
 	defer a.Close()

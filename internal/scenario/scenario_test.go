@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -100,6 +101,48 @@ func TestFilterMatchesOracle(t *testing.T) {
 	}
 }
 
+// pairUp lays keys (and, for pairWords = 2, payloads) out as the group-by
+// kernels' input; vals is the column the aggregates summarize.
+func pairUp(keys, payloads []int64, pairWords int) (pairs, vals []int64) {
+	if pairWords == 1 {
+		return keys, keys
+	}
+	pairs = make([]int64, 0, 2*len(keys))
+	for i, k := range keys {
+		pairs = append(pairs, k, payloads[i])
+	}
+	return pairs, payloads
+}
+
+// checkAggs compares a group-by result with a map-built oracle: every
+// group present once, ascending, with the right aggregates.
+func checkAggs(t *testing.T, got []Agg, keys, vals []int64) map[int64]*Agg {
+	t.Helper()
+	oracle := map[int64]*Agg{}
+	for i, k := range keys {
+		g, ok := oracle[k]
+		if !ok {
+			g = &Agg{Key: k, Min: vals[i], Max: vals[i]}
+			oracle[k] = g
+		}
+		g.Count++
+		g.Sum += vals[i]
+		g.Min, g.Max = min(g.Min, vals[i]), max(g.Max, vals[i])
+	}
+	if len(got) != len(oracle) {
+		t.Fatalf("%d groups, want %d", len(got), len(oracle))
+	}
+	for i, g := range got {
+		if i > 0 && got[i-1].Key >= g.Key {
+			t.Fatalf("groups not ascending at %d", i)
+		}
+		if g != *oracle[g.Key] {
+			t.Fatalf("group %+v, want %+v", g, *oracle[g.Key])
+		}
+	}
+	return oracle
+}
+
 func TestGroupOnePassMatchesOracle(t *testing.T) {
 	a, shape := testArray(t)
 	const n, groups = 6000, 300
@@ -110,14 +153,7 @@ func TestGroupOnePassMatchesOracle(t *testing.T) {
 		if p.Route != plan.RouteOnePass || !p.Exact {
 			t.Fatalf("pairWords=%d: plan %+v, want the exact one-pass route", pairWords, p)
 		}
-		pairs, vals := keys, keys
-		if pairWords == 2 {
-			vals = payloads
-			pairs = make([]int64, 0, 2*n)
-			for i, k := range keys {
-				pairs = append(pairs, k, payloads[i])
-			}
-		}
+		pairs, vals := pairUp(keys, payloads, pairWords)
 		in := stage(t, a, pairs, p.PaddedN)
 		st0 := a.Stats()
 		got, err := GroupOnePass(a, in, pairWords, plan.GroupCap(testMem))
@@ -125,29 +161,7 @@ func TestGroupOnePassMatchesOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		io := a.Stats().Sub(st0)
-
-		oracle := map[int64]*Agg{}
-		for i, k := range keys {
-			g, ok := oracle[k]
-			if !ok {
-				g = &Agg{Key: k, Min: vals[i], Max: vals[i]}
-				oracle[k] = g
-			}
-			g.Count++
-			g.Sum += vals[i]
-			g.Min, g.Max = min(g.Min, vals[i]), max(g.Max, vals[i])
-		}
-		if len(got) != len(oracle) {
-			t.Fatalf("pairWords=%d: %d groups, want %d", pairWords, len(got), len(oracle))
-		}
-		for i, g := range got {
-			if i > 0 && got[i-1].Key >= g.Key {
-				t.Fatalf("pairWords=%d: groups not ascending at %d", pairWords, i)
-			}
-			if g != *oracle[g.Key] {
-				t.Fatalf("pairWords=%d: group %+v, want %+v", pairWords, g, *oracle[g.Key])
-			}
-		}
+		oracle := checkAggs(t, got, keys, vals)
 		if io.ReadSteps != p.ReadSteps || io.WriteSteps != p.WriteSteps {
 			t.Fatalf("pairWords=%d: charged %d/%d steps, plan %d/%d", pairWords, io.ReadSteps, io.WriteSteps, p.ReadSteps, p.WriteSteps)
 		}
@@ -155,6 +169,99 @@ func TestGroupOnePassMatchesOracle(t *testing.T) {
 		if _, err := GroupOnePass(a, in, pairWords, len(oracle)-1); !errors.Is(err, ErrOverflow) {
 			t.Fatalf("pairWords=%d: err = %v, want ErrOverflow", pairWords, err)
 		}
+	}
+}
+
+// cancelDisk cancels the array's context at its n-th block write.
+type cancelDisk struct {
+	pdm.Disk
+	writes *int
+	at     int
+	cancel context.CancelFunc
+}
+
+func (d cancelDisk) WriteBlock(off int, src []int64) error {
+	if *d.writes++; *d.writes == d.at {
+		d.cancel()
+	}
+	return d.Disk.WriteBlock(off, src)
+}
+
+// TestGroupPartition: the partition route equals the oracle, its scatter
+// keeps the disks busy (write steps within 5% of ⌈(blocks+parts)/D⌉, the
+// plan's price), and every way the scatter can fail — arena exhaustion at
+// NewScatter, a context canceled mid-scatter — surfaces, drains the arena
+// (testArray's cleanup) and frees the partition stripes.
+func TestGroupPartition(t *testing.T) {
+	const n, groups = 40000, 4000
+	keys := randomKeys(n, groups, 5)
+	payloads := randomKeys(n, 1000, 6)
+	shape := plan.Shape{Mem: testMem, B: testB, D: testD, Alpha: 1}
+	parts := plan.PartitionFanout(n, shape)
+	sizes := make([]int, parts)
+	for _, k := range keys {
+		sizes[PartitionIndex(k, parts)]++
+	}
+	for _, pairWords := range []int{1, 2} {
+		a, _ := testArray(t)
+		pairs, vals := pairUp(keys, payloads, pairWords)
+		padded := plan.GroupByPlan(shape, n, groups, pairWords).PaddedN
+		in := stage(t, a, pairs, padded)
+		st0 := a.Stats()
+		got, err := GroupPartition(a, in, pairWords, sizes, plan.GroupCap(testMem))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkAggs(t, got, keys, vals)
+		io := a.Stats().Sub(st0)
+		if ideal := (int(io.BlocksWritten) + testD - 1) / testD; float64(io.WriteSteps) > 1.05*float64(ideal) {
+			t.Errorf("pairWords=%d: %d blocks written in %d steps, a full-width scatter takes %d", pairWords, io.BlocksWritten, io.WriteSteps, ideal)
+		}
+		if peak, limit := a.Arena().Peak(), a.Config().ArenaCapacity(); peak > limit {
+			t.Errorf("pairWords=%d: arena peak %d over the capacity %d", pairWords, peak, limit)
+		}
+		foot := a.DiskFootprint()
+
+		// No room for the scatter's stage: the call fails before any I/O.
+		hog := a.Arena().MustAlloc(a.Config().ArenaCapacity() - testMem)
+		st0 = a.Stats()
+		if _, err := GroupPartition(a, in, pairWords, sizes, plan.GroupCap(testMem)); !errors.Is(err, pdm.ErrMemoryExceeded) {
+			t.Fatalf("pairWords=%d: err = %v with the arena hogged, want ErrMemoryExceeded", pairWords, err)
+		}
+		a.Arena().Free(hog)
+		if a.Stats() != st0 || a.DiskFootprint() != foot {
+			t.Errorf("pairWords=%d: the rejected call charged I/O or kept stripes (footprint %d → %d)", pairWords, foot, a.DiskFootprint())
+		}
+	}
+
+	// Cancel at the 100th block write: mid-scatter.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	disks, writes := pdm.NewMemDisks(testD, testB), new(int)
+	for d := range disks {
+		disks[d] = cancelDisk{Disk: disks[d], writes: writes, at: 100, cancel: cancel}
+	}
+	a, err := pdm.NewWithDisks(pdm.Config{D: testD, B: testB, Mem: testMem}, disks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	in := stage(t, a, keys, plan.GroupByPlan(shape, n, groups, 1).PaddedN)
+	*writes = 0
+	a.BindContext(ctx)
+	if _, err := GroupPartition(a, in, 1, sizes, plan.GroupCap(testMem)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v after a mid-scatter cancel, want context.Canceled", err)
+	}
+	if leak := a.Arena().InUse(); leak != 0 {
+		t.Errorf("canceled scatter left %d arena keys", leak)
+	}
+	foot := a.DiskFootprint() // a rerun fits in the rows the canceled one freed
+	a.BindContext(nil)
+	if _, err := GroupPartition(a, in, 1, sizes, plan.GroupCap(testMem)); err != nil {
+		t.Fatal(err)
+	}
+	if again := a.DiskFootprint(); again != foot {
+		t.Errorf("canceled scatter kept its partition stripes: footprint %d → %d", foot, again)
 	}
 }
 

@@ -14,12 +14,17 @@
 // execution, which is what keeps the paper's accounting honest while the
 // wall clock improves.
 //
+// Scatter is the third primitive, for writes whose order the data decides
+// (distribution onto partition stripes): it queues finished blocks by
+// destination disk and guarantees at most one block per disk per request —
+// one parallel step each — at the cost of M keys of arena for the queue.
+//
 // Staging buffers come from the array's Arena: pipelining costs
 // (Prefetch+WriteBehind)·D·B keys of internal memory, charged like any
 // other buffer (the capacity formula in pdm grows by exactly that budget).
 // With a zero pdm.PipelineConfig every constructor degenerates to the
 // synchronous path with no goroutines and no extra memory.
 //
-// A Reader or Writer must be driven from a single goroutine; distinct
-// Readers and Writers on one array may run concurrently.
+// A Reader, Writer or Scatter must be driven from a single goroutine;
+// distinct ones on one array may run concurrently.
 package stream

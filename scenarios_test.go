@@ -469,6 +469,50 @@ func TestScenarioPredictionMatchesMeasured(t *testing.T) {
 	})
 }
 
+// TestGroupByPartitionWriteStepsMatchPlan pins the partition route's
+// charged steps to plan.GroupByPlan, which UseScenario trusts: the scatter
+// write within 5% of ⌈(blocks+parts)/D⌉ (it was one step per block, 16–64×
+// the plan, when each block was written as its partition filled it), the
+// reads within one partial row per partition of the plan's.  The facade
+// partitions at PartitionFanout(n), the plan prices PartitionFanout(groups).
+func TestGroupByPartitionWriteStepsMatchPlan(t *testing.T) {
+	for _, tc := range []struct{ mem, n int }{{65536, 4 << 20}, {4096, 256 << 10}, {4096, 512 << 10}} {
+		if tc.mem > 4096 && testing.Short() {
+			continue
+		}
+		keys := workload.FewDistinct(tc.n, tc.n/4, int64(tc.n))
+		for pairWords, payloads := range map[int][]int64{1: nil, 2: keys} {
+			m, err := NewMachine(MachineConfig{Memory: tc.mem, Pipeline: PipelineConfig{Prefetch: 2, WriteBehind: 2}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := plan.GroupByPlan(m.scenarioShape(), tc.n, tc.n/4, pairWords)
+			_, rep, err := m.GroupBy(keys, payloads, tc.n/4)
+			peak, leak := m.Array().Arena().Peak(), m.Array().Arena().InUse()
+			parts := plan.PartitionFanout(tc.n, m.scenarioShape())
+			arenaCap := m.Array().Config().ArenaCapacity()
+			m.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.Route != plan.RoutePartition || rep.ScenarioRoute != plan.RoutePartition || rep.FellBack {
+				t.Fatalf("M=%d n=%d: planned %q, ran %q (fellBack %v), want the partition route", tc.mem, tc.n, p.Route, rep.ScenarioRoute, rep.FellBack)
+			}
+			t.Logf("M=%d n=%d pairWords=%d: writes %d blocks in %d steps (plan %d), reads %d steps (plan %d, %d parts)",
+				tc.mem, tc.n, pairWords, rep.IO.BlocksWritten, rep.IO.WriteSteps, p.WriteSteps, rep.IO.ReadSteps, p.ReadSteps, parts)
+			if float64(rep.IO.WriteSteps) > 1.05*float64(p.WriteSteps) {
+				t.Errorf("M=%d n=%d pairWords=%d: %d write steps for %d blocks, plan %d", tc.mem, tc.n, pairWords, rep.IO.WriteSteps, rep.IO.BlocksWritten, p.WriteSteps)
+			}
+			if rep.IO.ReadSteps > p.ReadSteps+int64(parts) {
+				t.Errorf("M=%d n=%d pairWords=%d: %d read steps, plan %d + %d partitions", tc.mem, tc.n, pairWords, rep.IO.ReadSteps, p.ReadSteps, parts)
+			}
+			if leak != 0 || peak > arenaCap {
+				t.Errorf("M=%d n=%d pairWords=%d: arena peak %d of %d, %d left in use", tc.mem, tc.n, pairWords, peak, arenaCap, leak)
+			}
+		}
+	}
+}
+
 // TestScenarioPlanProperties fuzzes the scenario planner lightly: for
 // random shapes and sizes, plans must be internally consistent (passes
 // derived from steps, budget/sample positive on feasible selection plans,
