@@ -441,6 +441,34 @@ func BenchmarkGroupByPartitionSlowDisk(b *testing.B) {
 	}
 }
 
+// BenchmarkTopKFile is bench's topk-file shape in-process — TopK(K = 100)
+// over 4Mi uniform keys on file disks at M = 64Ki, pipeline 2/2 — so a CPU
+// profile (-cpuprofile) splits an op into its uncharged selection front
+// (sampleKeys + thresholdAt) and the load and charged filter pass.
+func BenchmarkTopKFile(b *testing.B) {
+	keys, err := (&WorkloadSpec{Kind: "uniform", N: 4 << 20, Seed: 401}).Generate()
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := NewMachine(MachineConfig{Memory: 65536, Dir: b.TempDir(), Backend: BackendFile,
+		Pipeline: PipelineConfig{Prefetch: 2, WriteBehind: 2}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer m.Close()
+	b.SetBytes(8 << 22)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, rep, err := m.TopK(keys, 100)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rep.ScenarioRoute != "filter" || rep.FellBack {
+			b.Fatalf("ran the %q route (fell back: %v), want filter", rep.ScenarioRoute, rep.FellBack)
+		}
+	}
+}
+
 // --- worker-pool compute benchmarks ---
 //
 // Each pair runs the same kernel or algorithm with Workers=1 versus

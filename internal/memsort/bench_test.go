@@ -71,6 +71,19 @@ func BenchmarkKernelSortStdlib(b *testing.B) {
 	}
 }
 
+// BenchmarkSelect pairs Select with slices.Sort on a random sample the size
+// the facade's selection front draws for topk-file (plan.SelectSample of
+// 4Mi keys, 16·⌊∛(2⁴⁴)⌋), at the index TopK(K = 100) reads (target rank
+// 100 + SelectDelta = 204, scaled by s/n) and at the median.  Sorting then
+// reading one index (the same cost at any rank) is what the facade did
+// before Select replaced it.
+func BenchmarkSelect(b *testing.B) {
+	const s = 416_112
+	b.Run("select-topk", func(b *testing.B) { benchSort(b, s, func(a []int64) { Select(a, 20) }) })
+	b.Run("select-median", func(b *testing.B) { benchSort(b, s, func(a []int64) { Select(a, s/2) }) })
+	b.Run("sort", func(b *testing.B) { benchSort(b, s, slices.Sort[[]int64, int64]) })
+}
+
 // benchMerge times one merge shape.  "random" interleaves uniformly — the
 // galloping merge's worst case, where it pays its detection comparisons
 // for nothing.  "runs" block-interleaves (alternating bands of 1024 keys

@@ -1,8 +1,11 @@
 // Package memsort provides the in-core sorting kernels used inside every
 // pass of the PDM algorithms: a comparison introsort (Keys) and an LSD
 // radix sort (RadixKeys) for raw key slices, binary and k-way
-// (loser-tree) merges, and small utilities (sortedness checks, reversal,
-// min/max).
+// (loser-tree) merges, small utilities (sortedness checks, reversal,
+// min/max), and the repository's one selection routine: Select(a, k)
+// leaves a sorted a's k-th key at a[k], a[:k] ≤ a[k] ≤ a[k+1:], in
+// expected O(n) and O(n log n) at worst (the facade's top-K and quantile
+// thresholds are selected from their sample this way, never sorted).
 //
 // The PDM analyses in the paper charge only I/O; these kernels are the
 // "local computation" assumed to be free.  They are nevertheless written to

@@ -7,6 +7,51 @@ import (
 	"testing"
 )
 
+// FuzzSelect checks Select against the slices.Sort oracle on fuzzer-shaped
+// keys.  The first byte picks the key width — odd: one byte per key from a
+// range of 8, so ties and equal-pivot partitions dominate; even: eight bytes
+// per key, full range — the next two bytes the rank (mod n), and the rest
+// are the keys.
+func FuzzSelect(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{1, 0, 0, 7})
+	f.Add([]byte("\x01\x11\x00three-way partitions settle the pivot's equals in one step"))
+	f.Add([]byte("\x00\x02\x00\x00\x00\x00\x00\x00\x00\x00\x80\xff\xff\xff\xff\xff\xff\xff\x7f\x01\x00\x00\x00\x00\x00\x00\x00"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		narrow, rank := data[0]&1 == 1, int(binary.LittleEndian.Uint16(data[1:3]))
+		var keys []int64
+		if narrow {
+			for _, b := range data[3:] {
+				keys = append(keys, int64(b%8)-4)
+			}
+		} else {
+			for raw := data[3:]; len(raw) >= 8; raw = raw[8:] {
+				keys = append(keys, int64(binary.LittleEndian.Uint64(raw)))
+			}
+		}
+		if len(keys) == 0 {
+			return
+		}
+		k := rank % len(keys)
+		want := slices.Clone(keys)
+		slices.Sort(want)
+		got := Select(keys, k)
+		if got != want[k] || keys[k] != got {
+			t.Fatalf("Select(k=%d of %d) = %d (a[k] = %d), want %d", k, len(keys), got, keys[k], want[k])
+		}
+		if slices.Max(keys[:k+1]) != got || slices.Min(keys[k:]) != got {
+			t.Fatalf("k=%d of %d: keys on the wrong side of a[k] = %d", k, len(keys), got)
+		}
+		slices.Sort(keys)
+		if !slices.Equal(keys, want) {
+			t.Fatal("Select changed the multiset")
+		}
+	})
+}
+
 // FuzzStreamMerge feeds StreamMerge fuzzer-shaped lane sets — lane count,
 // per-lane keys, and chunk boundaries (empty chunks included) all derive
 // from the input bytes — and checks the streaming-merge contract: every

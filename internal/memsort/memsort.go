@@ -11,11 +11,83 @@ func Keys(a []int64) {
 	if len(a) < 2 {
 		return
 	}
-	maxDepth := 0
-	for n := len(a); n > 0; n >>= 1 {
-		maxDepth += 2
+	introsort(a, depthBudget(len(a)))
+}
+
+// depthBudget is how many partitioning levels Keys and Select allow n keys
+// before switching to an O(n log n) worst-case finish: 2·(⌊log₂ n⌋+1).
+func depthBudget(n int) (d int) {
+	for ; n > 0; n >>= 1 {
+		d += 2
 	}
-	introsort(a, maxDepth)
+	return d
+}
+
+// selectFallback finishes a Select whose depth budget ran out (a variable
+// only so the tests can observe the fallback).
+var selectFallback = Keys
+
+// Select reorders a so that a[k] (0 ≤ k < len(a)) holds the key a sorted
+// copy holds there, with a[:k] ≤ a[k] ≤ a[k+1:], and returns it: expected
+// O(len(a)) quickselect over three-way partitions, so duplicates stay
+// linear, bounded at O(n log n) by Keys' depth budget and fallback.
+func Select(a []int64, k int) int64 {
+	lo, hi := 0, len(a)
+	for depth := depthBudget(hi); hi-lo > insertionThreshold; depth-- {
+		if depth == 0 {
+			selectFallback(a[lo:hi])
+			return a[k]
+		}
+		lt, gt := partition3(a[lo:hi])
+		switch {
+		case k < lo+lt:
+			hi = lo + lt
+		case k >= lo+gt:
+			lo += gt
+		default:
+			return a[k]
+		}
+	}
+	insertion(a[lo:hi])
+	return a[k]
+}
+
+// partition3 partitions a (len ≥ 3) around the median of a[0], a[len/2]
+// and a[len-1] in Dijkstra's three-way scheme: on return a[:lt] < p,
+// a[lt:gt] == p and a[gt:] > p, with lt < gt.
+func partition3(a []int64) (lt, gt int) {
+	p := median3(a)
+	gt = len(a)
+	for i := 0; i < gt; {
+		switch v := a[i]; {
+		case v < p:
+			a[i], a[lt] = a[lt], v
+			lt++
+			i++
+		case v > p:
+			gt--
+			a[i], a[gt] = a[gt], v
+		default:
+			i++
+		}
+	}
+	return lt, gt
+}
+
+// median3 orders a[0], a[len/2] and a[len-1] (len ≥ 3) and returns the
+// middle one, which it leaves at a[len/2].
+func median3(a []int64) int64 {
+	m, hi := len(a)/2, len(a)-1
+	if a[m] < a[0] {
+		a[m], a[0] = a[0], a[m]
+	}
+	if a[hi] < a[0] {
+		a[hi], a[0] = a[0], a[hi]
+	}
+	if a[hi] < a[m] {
+		a[hi], a[m] = a[m], a[hi]
+	}
+	return a[m]
 }
 
 func introsort(a []int64, depth int) {
@@ -41,19 +113,9 @@ func introsort(a []int64, depth int) {
 // partition picks a median-of-three pivot, partitions a around it, and
 // returns the pivot's final index.
 func partition(a []int64) int {
-	m := len(a) / 2
-	hi := len(a) - 1
+	m, hi := len(a)/2, len(a)-1
 	// Order a[0], a[m], a[hi]; use a[m] as pivot, parked at a[hi-1].
-	if a[m] < a[0] {
-		a[m], a[0] = a[0], a[m]
-	}
-	if a[hi] < a[0] {
-		a[hi], a[0] = a[0], a[hi]
-	}
-	if a[hi] < a[m] {
-		a[hi], a[m] = a[m], a[hi]
-	}
-	pivot := a[m]
+	pivot := median3(a)
 	a[m], a[hi-1] = a[hi-1], a[m]
 	i, j := 0, hi-1
 	for {

@@ -39,10 +39,10 @@
 // Arena: the sorts and merges are in-place or write caller-provided
 // buffers, keeping the paper's memory envelope untouched.  The radix
 // kernel does need one load of Go-heap scratch, for a sort and for the tail
-// of a merge alike; it borrows from a small free list capped at
-// maxPooledScratchKeys per buffer so a single huge sort cannot pin its
-// scratch forever (mirroring the FileDisk buffer pool's cap).  Merge lanes
-// are only ever read.
+// of a merge alike; it borrows from a small mutex-guarded free list capped
+// at maxPooledScratch buffers of at most maxPooledScratchKeys each, so a
+// single huge sort cannot pin its scratch forever (mirroring the FileDisk
+// buffer pool's cap).  Merge lanes are only ever read.
 //
 // A Pool is safe for use from one algorithm goroutine at a time per
 // operation; distinct operations on one pool must not run concurrently

@@ -78,39 +78,50 @@ func (k Kernel) sortGrain() int {
 func (p *Pool) kernelFor(n int) Kernel { return p.kernel.Resolve(n) }
 
 // maxPooledScratchKeys caps the capacity of radix scratch buffers retained
-// by the free list.  sync.Pool keeps one entry per P between collections, so
-// without the cap a large-M load would pin GOMAXPROCS × 8·M bytes of dead
-// scratch after a single sort (the same failure mode PR 6's
-// maxPooledBufBytes fixed for FileDisk's encode buffers).  Oversized
-// scratch is allocated fresh, used once, and left to the GC.
-const maxPooledScratchKeys = 1 << 16
+// by the free list and maxPooledScratch their number, so retained scratch
+// stays under maxPooledScratch × 512 KiB however large M gets (the failure
+// mode PR 6's maxPooledBufBytes fixed for FileDisk's encode buffers).
+const (
+	maxPooledScratchKeys = 1 << 16
+	maxPooledScratch     = 8
+)
 
-// scratchPool is the free list behind getScratch/putScratch.  Entries are
-// *[]int64 to keep Put calls allocation-free.
-var scratchPool sync.Pool
+// scratchFree is the free list behind getScratch/putScratch: a
+// mutex-guarded stack, which unlike a sync.Pool never drops an entry.
+var scratchFree struct {
+	sync.Mutex
+	bufs []*[]int64 // pointers keep puts allocation-free
+}
 
-// getScratch returns a scratch slice of exactly n keys, reusing a pooled
-// buffer when one is large enough.  Contents are unspecified.
+// getScratch returns n keys of scratch (contents unspecified): the most
+// recently freed buffer if large enough, else a fresh one, the old dropped.
 func getScratch(n int) *[]int64 {
-	if bp, ok := scratchPool.Get().(*[]int64); ok {
-		if cap(*bp) >= n {
-			*bp = (*bp)[:n]
-			return bp
-		}
-		// Too small for this load; drop it rather than cycling it back.
+	var bp *[]int64
+	scratchFree.Lock()
+	if top := len(scratchFree.bufs) - 1; top >= 0 {
+		bp = scratchFree.bufs[top]
+		scratchFree.bufs = scratchFree.bufs[:top]
+	}
+	scratchFree.Unlock()
+	if bp != nil && cap(*bp) >= n {
+		*bp = (*bp)[:n]
+		return bp
 	}
 	b := make([]int64, n)
 	return &b
 }
 
 // putScratch returns a scratch buffer to the free list unless it exceeds
-// maxPooledScratchKeys (see that constant for why oversized buffers are
-// dropped instead).
+// maxPooledScratchKeys or the list is full; either way the GC takes it.
 func putScratch(bp *[]int64) {
 	if cap(*bp) > maxPooledScratchKeys {
 		return
 	}
-	scratchPool.Put(bp)
+	scratchFree.Lock()
+	if len(scratchFree.bufs) < maxPooledScratch {
+		scratchFree.bufs = append(scratchFree.bufs, bp)
+	}
+	scratchFree.Unlock()
 }
 
 // SortSegment sorts one contiguous segment with the pool's kernel, serially

@@ -2,8 +2,10 @@ package par
 
 import (
 	"math/rand"
+	"runtime"
 	"runtime/debug"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/memsort"
@@ -40,36 +42,66 @@ func TestSortSegmentMatchesSerial(t *testing.T) {
 
 // TestScratchPoolCap pins the scratch-retention cap: buffers at or under
 // maxPooledScratchKeys cycle through the free list, while oversized ones are
-// used once and dropped — the pool must not pin worker-count × load-size
-// bytes after one large-M sort.
+// used once and dropped, and the list never holds more than
+// maxPooledScratch buffers — the pool must not pin worker-count ×
+// load-size bytes after one large-M sort.
 func TestScratchPoolCap(t *testing.T) {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // no GC: pool entries survive
+	pooled := func() int {
+		scratchFree.Lock()
+		defer scratchFree.Unlock()
+		return len(scratchFree.bufs)
+	}
 	drain := func() {
-		for scratchPool.Get() != nil {
+		for pooled() > 0 {
+			getScratch(0)
 		}
 	}
 
-	// Under the race detector sync.Pool drops a quarter of its Puts at
-	// random, so reuse is required within a few tries, not on the first.
-	reused := false
-	for try := 0; try < 10 && !reused; try++ {
-		drain()
-		small := getScratch(maxPooledScratchKeys)
-		base := &(*small)[0]
-		putScratch(small)
-		again := getScratch(1024)
-		reused = &(*again)[0] == base
-	}
-	if !reused {
+	drain()
+	small := getScratch(maxPooledScratchKeys)
+	base := &(*small)[0]
+	putScratch(small)
+	if again := getScratch(1024); &(*again)[0] != base {
 		t.Fatal("scratch under the cap was not reused from the free list")
 	}
 
 	drain()
-	big := getScratch(maxPooledScratchKeys + 1)
-	putScratch(big)
-	if got := scratchPool.Get(); got != nil {
-		t.Fatalf("oversized scratch retained in pool (cap %d keys)",
-			cap(*got.(*[]int64)))
+	putScratch(getScratch(maxPooledScratchKeys + 1))
+	if n := pooled(); n != 0 {
+		t.Fatalf("oversized scratch retained in the free list (%d entries)", n)
+	}
+
+	for range maxPooledScratch + 3 {
+		b := make([]int64, 1024)
+		putScratch(&b)
+	}
+	if n := pooled(); n != maxPooledScratch {
+		t.Fatalf("free list holds %d buffers, want its cap %d", n, maxPooledScratch)
+	}
+
+	// Concurrent borrowers (columnsort's column sorts, concurrent jobs) each
+	// own their buffer outright until they return it.
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 200 {
+				bp := getScratch(1024)
+				for i := range *bp {
+					(*bp)[i] = int64(g)
+				}
+				runtime.Gosched()
+				if slices.ContainsFunc(*bp, func(v int64) bool { return v != int64(g) }) {
+					t.Error("scratch buffer shared between borrowers")
+				}
+				putScratch(bp)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := pooled(); n > maxPooledScratch {
+		t.Fatalf("free list holds %d buffers past its cap %d", n, maxPooledScratch)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 
+	"repro/internal/memsort"
 	"repro/internal/pdm"
 	"repro/internal/plan"
 	"repro/internal/scenario"
@@ -124,8 +125,9 @@ func splitmix64(x uint64) uint64 {
 }
 
 // sampleKeys draws the planner's SelectSample(n) keys with a fixed
-// splitmix64 stream and returns them sorted.  The draw depends only on n,
-// so a scenario run is reproducible for a given input.
+// splitmix64 stream, in draw order: thresholdAt selects from them, nothing
+// sorts them.  The draw depends only on n, so a scenario run is
+// reproducible for a given input.
 func sampleKeys(keys []int64) []int64 {
 	n := len(keys)
 	s := plan.SelectSample(n)
@@ -139,31 +141,19 @@ func sampleKeys(keys []int64) []int64 {
 			out[i] = keys[x%uint64(n)]
 		}
 	}
-	slices.Sort(out)
 	return out
 }
 
-// thresholdAt returns the sampled key whose estimated rank in the
-// n-key input is target (1-indexed).
+// thresholdAt returns the sampled key whose estimated rank in the n-key
+// input is target (1-indexed), selected in O(s): exactly the key the sorted
+// sample holds at that index.  It reorders sample, keeping the multiset.
 func thresholdAt(sample []int64, n, target int) int64 {
 	s := len(sample)
-	if s >= n {
-		if target < 1 {
-			target = 1
-		}
-		if target > s {
-			target = s
-		}
-		return sample[target-1]
+	idx := target - 1
+	if s < n {
+		idx = int(int64(target) * int64(s) / int64(n))
 	}
-	idx := int(int64(target) * int64(s) / int64(n))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= s {
-		idx = s - 1
-	}
-	return sample[idx]
+	return memsort.Select(sample, min(max(idx, 0), s-1))
 }
 
 // scenarioReport assembles a Report from the I/O delta of a scenario run

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -242,6 +243,69 @@ func TestQuantileOracle(t *testing.T) {
 		}
 		if got != want[r-1] {
 			t.Fatalf("Quantile(%d) = %d, want %d (route %s)", r, got, want[r-1], rep.ScenarioRoute)
+		}
+	}
+}
+
+// sortedSampleThreshold is the reference thresholdAt is held to: the
+// sorted-sample front Select replaced, reading the sorted draw at target's
+// scaled index.
+func sortedSampleThreshold(sorted []int64, n, target int) int64 {
+	s := len(sorted)
+	if s >= n {
+		return sorted[min(max(target, 1), s)-1]
+	}
+	idx := int(int64(target) * int64(s) / int64(n))
+	return sorted[min(max(idx, 0), s-1)]
+}
+
+// TestSelectionThresholdsMatchSortedSample pins the selection front's
+// mechanism: every threshold TopK and Quantile select from an unsorted
+// sampleKeys draw — in sequence, on the one sample Select keeps
+// reordering — is the key the sorted draw holds at the same index, so the
+// filter windows, and every pass, survivor set and answer behind them, are
+// unchanged.  n = 30000 draws a strict subset (s ≈ 15.4k); at n = 3000 the
+// sample clamps to the input and at n = 200 it is the input outright.
+func TestSelectionThresholdsMatchSortedSample(t *testing.T) {
+	inputs := []struct {
+		name string
+		gen  func(n int) []int64
+	}{
+		{"uniform", func(n int) []int64 { return workload.Uniform(n, -1<<40, 1<<40, 3) }},
+		{"zipf", func(n int) []int64 { return workload.ZipfSkewed(n, 1.2, 200, 5) }},
+		{"few-distinct", func(n int) []int64 { return workload.FewDistinct(n, 7, 11) }},
+		{"sorted", workload.Sorted},
+		{"reverse", workload.ReverseSorted},
+		{"organ", workload.Organ},
+	}
+	for _, n := range []int{200, 3000, 30000} {
+		for _, in := range inputs {
+			sample := sampleKeys(in.gen(n))
+			sorted := slices.Clone(sample)
+			slices.Sort(sorted)
+			threshold := func(kind string, param, target int) int64 {
+				got := thresholdAt(sample, n, target)
+				if want := sortedSampleThreshold(sorted, n, target); got != want {
+					t.Fatalf("%s n=%d %s(%d) target %d: selected %d, sorted sample holds %d",
+						in.name, n, kind, param, target, got, want)
+				}
+				return got
+			}
+			for _, k := range []int{1, 64, 700} {
+				if k <= n {
+					threshold("TopK", k, k+plan.SelectDelta(n, k))
+				}
+			}
+			for _, r := range []int{1, 2, n / 2, n - 1, n} {
+				delta := plan.SelectDelta(n, r)
+				lo := int64(math.MinInt64)
+				if r-delta > 1 {
+					lo = threshold("Quantile lower edge", r, r-delta)
+				}
+				if hi := threshold("Quantile upper edge", r, r+delta); lo > hi {
+					t.Fatalf("%s n=%d Quantile(%d): lower edge %d above upper edge %d", in.name, n, r, lo, hi)
+				}
+			}
 		}
 	}
 }
