@@ -441,11 +441,10 @@ func BenchmarkGroupByPartitionSlowDisk(b *testing.B) {
 	}
 }
 
-// BenchmarkTopKFile is bench's topk-file shape in-process — TopK(K = 100)
-// over 4Mi uniform keys on file disks at M = 64Ki, pipeline 2/2 — so a CPU
-// profile (-cpuprofile) splits an op into its uncharged selection front
-// (sampleKeys + thresholdAt) and the load and charged filter pass.
-func BenchmarkTopKFile(b *testing.B) {
+// fileBenchMachine is the machine and input of bench's file workloads:
+// 4Mi uniform keys, file disks at M = 64Ki, pipeline 2/2.
+func fileBenchMachine(b *testing.B) (*Machine, []int64) {
+	b.Helper()
 	keys, err := (&WorkloadSpec{Kind: "uniform", N: 4 << 20, Seed: 401}).Generate()
 	if err != nil {
 		b.Fatal(err)
@@ -455,8 +454,36 @@ func BenchmarkTopKFile(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer m.Close()
+	b.Cleanup(func() { m.Close() }) //nolint:errcheck // bench teardown
 	b.SetBytes(8 << 22)
+	return m, keys
+}
+
+// BenchmarkSortFile is bench's sort-file shape in-process — three-pass LMM
+// on fileBenchMachine — so a CPU profile (-cpuprofile) splits an op into
+// its uncharged load and unload (Stripe.LoadPadded / UnloadInto) and the
+// three charged passes.
+func BenchmarkSortFile(b *testing.B) {
+	m, keys := fileBenchMachine(b)
+	buf := make([]int64, len(keys))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(buf, keys)
+		if _, err := m.Sort(buf, ThreePassLMM); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if !memsort.IsSorted(buf) {
+		b.Fatal("not sorted")
+	}
+}
+
+// BenchmarkTopKFile is bench's topk-file shape in-process — TopK(K = 100)
+// on fileBenchMachine — so a CPU profile (-cpuprofile) splits an op into
+// its uncharged selection front (sampleKeys + thresholdAt) and the load
+// and charged filter pass.
+func BenchmarkTopKFile(b *testing.B) {
+	m, keys := fileBenchMachine(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, rep, err := m.TopK(keys, 100)

@@ -1,6 +1,6 @@
 // Command pdmsort sorts a file on a simulated Parallel Disk Model backed
-// by real files (one per disk, one pread/pwrite per block), using the
-// paper's algorithms.
+// by real files (one per disk; a pass preads/pwrites per block, the load
+// and unload one extent per disk), using the paper's algorithms.
 //
 // Usage:
 //

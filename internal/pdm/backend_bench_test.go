@@ -51,6 +51,38 @@ func BenchmarkBackendWriteBlock(b *testing.B) {
 	}
 }
 
+// BenchmarkBackendLoadUnload is whole-stripe staging at the facade's
+// default geometry for M = 64Ki (D = 64, B = 256): 4Mi keys loaded onto
+// file disks and unloaded again per iteration — one preadv/pwritev run per
+// disk, where passes move one block per call.
+func BenchmarkBackendLoadUnload(b *testing.B) {
+	cfg := Config{D: 64, B: 256, Mem: 1 << 16}
+	a, err := NewFileArray(cfg, b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer a.Close()
+	s, err := a.NewStripe(4 << 20)
+	if err != nil {
+		b.Fatal(err)
+	}
+	data := make([]int64, s.Len())
+	for i := range data {
+		data[i] = int64(i) * 11
+	}
+	out := make([]int64, s.Len())
+	b.SetBytes(2 * 8 * int64(s.Len()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.LoadPadded(data, 0); err != nil {
+			b.Fatal(err)
+		}
+		if err := s.UnloadInto(out); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkBackendReadBlock(b *testing.B) {
 	for _, kind := range []string{"mem", "file", "mmap"} {
 		b.Run(kind, func(b *testing.B) {

@@ -42,6 +42,15 @@ type ZeroCopyDisk interface {
 	WriteBlockZero(off int) ([]int64, error)
 }
 
+// ExtentDisk is the optional capability to move consecutive blocks off,
+// off+1, … in one call, each under the ReadBlock/WriteBlock contract (a read
+// past the frontier fails before anything moves); an empty run is a no-op.
+type ExtentDisk interface {
+	Disk
+	ReadBlocks(off int, dst [][]int64) error
+	WriteBlocks(off int, src [][]int64) error
+}
+
 // Backend names a disk implementation.  It is the one backend identity in
 // the repository — the CLI flags, the job descriptor, and the planner's
 // per-block software-overhead pricing all spell these values — and it
@@ -52,8 +61,8 @@ type Backend string
 const (
 	// BackendMem is the in-memory block store (MemDisk).
 	BackendMem Backend = "mem"
-	// BackendFile is read/write-syscall file disks (FileDisk): each block
-	// pays one pread/pwrite of the caller's words in place.
+	// BackendFile is read/write-syscall file disks (FileDisk): each block a
+	// pass moves pays one pread/pwrite of the caller's words in place.
 	BackendFile Backend = "file"
 	// BackendMmap is memory-mapped file disks (MmapDisk): each block is a
 	// page-cache copy, with zero-copy views on the streaming paths.

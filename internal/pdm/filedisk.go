@@ -17,7 +17,8 @@ import (
 // staging buffer, and no codec on little-endian hosts) on one persistent
 // handle — no seek-then-read — so any number of goroutines may operate on
 // the disk concurrently: the streaming layer's prefetchers and write-behind
-// flushers run alongside the algorithm's own requests.
+// flushers run alongside the algorithm's own requests.  On little-endian
+// Linux it is also an ExtentDisk (filedisk_linux.go).
 //
 // The backing file is grown in chunks of growBlocks blocks ahead of the
 // write frontier, so steady sequential writes extend the file's metadata
@@ -156,11 +157,17 @@ func (d *FileDisk) WriteBlock(off int, src []int64) error {
 	if err := writeWordsAt(d.f, src, int64(off)*int64(d.b)*8); err != nil {
 		return fmt.Errorf("pdm: file disk write: %w", err)
 	}
-	// Advance the frontier to cover off.
+	advanceFrontier(&d.blocks, off)
+	return nil
+}
+
+// advanceFrontier moves a disk's write frontier (its block count) to cover
+// off; concurrent writers race only forward.
+func advanceFrontier(blocks *atomic.Int64, off int) {
 	for {
-		cur := d.blocks.Load()
-		if int64(off) < cur || d.blocks.CompareAndSwap(cur, int64(off)+1) {
-			return nil
+		cur := blocks.Load()
+		if int64(off) < cur || blocks.CompareAndSwap(cur, int64(off)+1) {
+			return
 		}
 	}
 }

@@ -131,6 +131,70 @@ func TestFileDiskFormatPinned(t *testing.T) {
 			}
 		}
 	})
+
+	// The extent methods keep the format: an encoded file reads back as one
+	// run, and two written runs (the second past a hole) decode.
+	t.Run("runs", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "disk0000.bin")
+		var enc bytes.Buffer
+		for off := range 4 {
+			if err := binary.Write(&enc, binary.LittleEndian, words(1, off)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := os.WriteFile(path, enc.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		od, err := OpenFileDisk(path, cfg.B)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := [][]int64{make([]int64, cfg.B), make([]int64, cfg.B), make([]int64, cfg.B)}
+		if err := fileExtent(t, od).ReadBlocks(1, run); err != nil {
+			t.Fatal(err)
+		}
+		for j, blk := range run {
+			if !slices.Equal(blk, words(1, 1+j)) {
+				t.Fatalf("run block %d reads back %v, want %v", 1+j, blk, words(1, 1+j))
+			}
+		}
+		od.Close()
+
+		d, err := NewFileDisk(path, cfg.B)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ext := fileExtent(t, d)
+		if err := ext.WriteBlocks(3, [][]int64{words(0, 3), words(0, 4), words(0, 5)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := ext.WriteBlocks(0, [][]int64{words(0, 0)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := 6 * cfg.B * 8; len(raw) != want {
+			t.Fatalf("file is %d bytes, want %d", len(raw), want)
+		}
+		for off := 0; off < 6; off++ {
+			got := make([]int64, cfg.B)
+			if err := binary.Read(bytes.NewReader(raw[off*cfg.B*8:]), binary.LittleEndian, got); err != nil {
+				t.Fatal(err)
+			}
+			want := words(0, off)
+			if off == 1 || off == 2 {
+				want = make([]int64, cfg.B) // the hole
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("block %d decodes to %v, want %v", off, got, want)
+			}
+		}
+	})
 }
 
 // TestFileDiskErrors drives the failure paths: a backing file shorter

@@ -96,18 +96,8 @@ func (d *MmapDisk) WriteBlock(off int, src []int64) error {
 			binary.LittleEndian.PutUint64(m.bytes[base+8*i:], uint64(v))
 		}
 	}
-	d.advance(off)
+	advanceFrontier(&d.blocks, off)
 	return nil
-}
-
-// advance moves the write frontier to cover off.
-func (d *MmapDisk) advance(off int) {
-	for {
-		cur := d.blocks.Load()
-		if int64(off) < cur || d.blocks.CompareAndSwap(cur, int64(off)+1) {
-			return
-		}
-	}
 }
 
 // ZeroCopy implements ZeroCopyDisk: borrowed views are available whenever
@@ -141,7 +131,7 @@ func (d *MmapDisk) WriteBlockZero(off int) ([]int64, error) {
 	if err := d.grow(off + 1); err != nil {
 		return nil, err
 	}
-	d.advance(off)
+	advanceFrontier(&d.blocks, off)
 	m := d.cur.Load()
 	lo := off * d.b
 	return m.words[lo : lo+d.b : lo+d.b], nil

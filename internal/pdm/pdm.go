@@ -151,6 +151,10 @@ type Array struct {
 	// then does transferV fork one goroutine per participating disk.
 	fanOut bool
 
+	// ext is non-nil iff every disk is an ExtentDisk and none parks its
+	// caller: Stripe.stage then moves one run per disk, not per block.
+	ext []ExtentDisk
+
 	mu    sync.Mutex
 	stats Stats
 	alloc rowAllocator
@@ -199,6 +203,7 @@ func NewWithDisks(cfg Config, disks []Disk) (*Array, error) {
 		pool:  par.NewWithKernel(cfg.Workers, cfg.Limiter, par.AutoKernel(cfg.Mem)),
 	}
 	zc := make([]ZeroCopyDisk, 0, len(disks))
+	ext := make([]ExtentDisk, 0, len(disks))
 	for _, d := range disks {
 		if _, parks := d.(LatencyDisk); parks {
 			a.fanOut = true
@@ -206,9 +211,15 @@ func NewWithDisks(cfg Config, disks []Disk) (*Array, error) {
 		if z, ok := d.(ZeroCopyDisk); ok && z.ZeroCopy() {
 			zc = append(zc, z)
 		}
+		if e, ok := d.(ExtentDisk); ok {
+			ext = append(ext, e)
+		}
 	}
 	if len(zc) == len(disks) {
 		a.zc = zc
+	}
+	if len(ext) == len(disks) && !a.fanOut {
+		a.ext = ext
 	}
 	return a, nil
 }

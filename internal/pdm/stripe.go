@@ -192,10 +192,6 @@ func (s *Stripe) LoadPadded(data []int64, sentinel int64) error {
 	if len(data) > s.n {
 		return fmt.Errorf("pdm: Load of %d keys into stripe of %d", len(data), s.n)
 	}
-	addrs, err := s.addrRange(0, s.n)
-	if err != nil {
-		return err
-	}
 	b := s.a.cfg.B
 	whole := len(data) / b * b
 	bufs := s.a.splitBlocks(data[:whole])
@@ -209,13 +205,13 @@ func (s *Stripe) LoadPadded(data []int64, sentinel int64) error {
 		last := make([]int64, b)
 		bufs = append(bufs, fill(last, copy(last, data[whole:])))
 	}
-	if len(bufs) < len(addrs) {
+	if len(bufs) < s.nb {
 		pad := fill(make([]int64, b), 0)
-		for len(bufs) < len(addrs) {
+		for len(bufs) < s.nb {
 			bufs = append(bufs, pad)
 		}
 	}
-	return s.a.TransferV(addrs, bufs, true)
+	return s.stage(bufs, true)
 }
 
 // Unload reads the whole stripe without touching the I/O statistics or the
@@ -242,13 +238,43 @@ func (s *Stripe) UnloadInto(dst []int64) error {
 		last = make([]int64, b)
 		bufs = append(bufs, last)
 	}
-	addrs, err := s.addrRange(0, len(bufs)*b)
-	if err != nil {
-		return err
-	}
-	if err := s.a.TransferV(addrs, bufs, false); err != nil {
+	if err := s.stage(bufs, false); err != nil {
 		return err
 	}
 	copy(dst[whole:], last)
+	return nil
+}
+
+// stage moves the stripe's first len(bufs) logical blocks into or out of
+// bufs, uncharged: with the array's extent capability one run per disk —
+// disk d holds blocks j ≡ d−skew (mod D) at rows row0, row0+1, … — and
+// otherwise every block through TransferV.
+func (s *Stripe) stage(bufs [][]int64, write bool) error {
+	a := s.a
+	if a.ext == nil {
+		addrs, err := s.addrRange(0, len(bufs)*a.cfg.B)
+		if err != nil {
+			return err
+		}
+		return a.TransferV(addrs, bufs, write)
+	}
+	if err := a.CtxErr(); err != nil {
+		return err
+	}
+	dd := a.cfg.D
+	run := make([][]int64, 0, s.rows)
+	for d, disk := range a.ext {
+		run = run[:0]
+		for j := (d - s.skew + dd) % dd; j < len(bufs); j += dd {
+			run = append(run, bufs[j])
+		}
+		move := disk.ReadBlocks
+		if write {
+			move = disk.WriteBlocks
+		}
+		if err := move(s.row0, run); err != nil {
+			return err
+		}
+	}
 	return nil
 }

@@ -151,9 +151,9 @@ func probe(pc ProbeConfig) (cal Calibration, err error) {
 	}
 	defer a.Close()
 
-	// I/O probe: one store of probeStripes rows, written then read.  Each
-	// disk serves its blocks serially, so wall/rows is the per-step cost —
-	// exactly what the model multiplies by predicted steps.
+	// I/O probe: probeStripes rows written then read one row per request, as
+	// passes move them (not as staging's extents).  Each disk serves its
+	// blocks serially, so wall/rows is the per-step cost of the model.
 	s, err := a.NewStripe(probeStripes * stripe)
 	if err != nil {
 		return cal, err
@@ -162,21 +162,25 @@ func probe(pc ProbeConfig) (cal Calibration, err error) {
 	data := make([]int64, probeStripes*stripe)
 	fillProbeKeys(data)
 	// Warm the store first: the untimed load pays one-time growth cost
-	// (truncate, mmap remaps) so the timed pass measures the steady-state
-	// per-step rate the model multiplies by predicted steps.
+	// (truncate, mmap remaps) so the timed rows measure the steady state.
 	if err := s.Load(data); err != nil {
 		return cal, err
 	}
-	tw := time.Now()
-	if err := s.Load(data); err != nil {
+	stepSeconds := func(move func(keyOff int, keys []int64) error) (float64, error) {
+		t := time.Now()
+		for r := range probeStripes {
+			if err := move(r*stripe, data[r*stripe:(r+1)*stripe]); err != nil {
+				return 0, err
+			}
+		}
+		return time.Since(t).Seconds() / probeStripes, nil
+	}
+	if cal.WriteStepSeconds, err = stepSeconds(s.WriteAt); err != nil {
 		return cal, err
 	}
-	cal.WriteStepSeconds = time.Since(tw).Seconds() / probeStripes
-	tr := time.Now()
-	if _, err := s.Unload(); err != nil {
+	if cal.ReadStepSeconds, err = stepSeconds(s.ReadAt); err != nil {
 		return cal, err
 	}
-	cal.ReadStepSeconds = time.Since(tr).Seconds() / probeStripes
 
 	// Compute probe: sort one buffer on the configured pool.  The per-key
 	// rate prices every pass's in-memory work (run formation, merging,

@@ -93,8 +93,8 @@ type MachineConfig struct {
 	// Zero selects √M/4, the paper's running example C = 4.
 	Disks int
 	// Dir, when non-empty, backs each disk with a real file in that
-	// directory (one pread/pwrite or mapped copy per block); otherwise
-	// disks are simulated in memory.
+	// directory (one pread/pwrite or mapped copy per block a pass moves,
+	// one extent per disk to load and unload); otherwise in memory.
 	Dir string
 	// Backend selects the file-backed disk implementation when Dir is set:
 	// BackendFile (the default, read/write syscalls through pdm.FileDisk)
