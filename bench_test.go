@@ -10,6 +10,7 @@ package repro
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"runtime"
 	"testing"
@@ -442,10 +443,11 @@ func BenchmarkGroupByPartitionSlowDisk(b *testing.B) {
 }
 
 // fileBenchMachine is the machine and input of bench's file workloads:
-// 4Mi uniform keys, file disks at M = 64Ki, pipeline 2/2.
-func fileBenchMachine(b *testing.B) (*Machine, []int64) {
+// n keys of the given kind (4Mi uniform for sort-file and topk-file, 512Ki
+// zipf for records-file), file disks at M = 64Ki, pipeline 2/2.
+func fileBenchMachine(b *testing.B, kind string, n int) (*Machine, []int64) {
 	b.Helper()
-	keys, err := (&WorkloadSpec{Kind: "uniform", N: 4 << 20, Seed: 401}).Generate()
+	keys, err := (&WorkloadSpec{Kind: kind, N: n, Seed: 401}).Generate()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -455,7 +457,7 @@ func fileBenchMachine(b *testing.B) (*Machine, []int64) {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { m.Close() }) //nolint:errcheck // bench teardown
-	b.SetBytes(8 << 22)
+	b.SetBytes(8 * int64(n))
 	return m, keys
 }
 
@@ -464,7 +466,7 @@ func fileBenchMachine(b *testing.B) (*Machine, []int64) {
 // its uncharged load and unload (Stripe.LoadPadded / UnloadInto) and the
 // three charged passes.
 func BenchmarkSortFile(b *testing.B) {
-	m, keys := fileBenchMachine(b)
+	m, keys := fileBenchMachine(b, "uniform", 4<<20)
 	buf := make([]int64, len(keys))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -483,7 +485,7 @@ func BenchmarkSortFile(b *testing.B) {
 // its uncharged selection front (sampleKeys + thresholdAt) and the load
 // and charged filter pass.
 func BenchmarkTopKFile(b *testing.B) {
-	m, keys := fileBenchMachine(b)
+	m, keys := fileBenchMachine(b, "uniform", 4<<20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, rep, err := m.TopK(keys, 100)
@@ -493,6 +495,41 @@ func BenchmarkTopKFile(b *testing.B) {
 		if rep.ScenarioRoute != "filter" || rep.FellBack {
 			b.Fatalf("ran the %q route (fell back: %v), want filter", rep.ScenarioRoute, rep.FellBack)
 		}
+	}
+}
+
+// BenchmarkSortRecordsFile is bench's records-file shape in-process —
+// SortRecords with three-pass LMM of 512Ki zipf-keyed records carrying
+// 64-byte payloads, on fileBenchMachine — so a CPU profile (-cpuprofile)
+// splits an op into the key sort (sortKeyIndex) and the payload
+// permutation (records.Permute).  Zipf values span 63 bits, so this is
+// the wide-key path.
+func BenchmarkSortRecordsFile(b *testing.B) {
+	const n, width = 512 << 10, 64
+	m, keys := fileBenchMachine(b, "zipf", n)
+	blob := make([]byte, n*width)
+	payloads := make([][]byte, n)
+	for i := range payloads {
+		payloads[i] = blob[i*width : (i+1)*width : (i+1)*width]
+		binary.LittleEndian.PutUint64(payloads[i], uint64(i))
+	}
+	kbuf, pbuf := make([]int64, n), make([][]byte, n)
+	var rep *Report
+	b.SetBytes((8 + width) * n)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(kbuf, keys)
+		copy(pbuf, payloads)
+		var err error
+		if rep, err = m.SortRecords(kbuf, pbuf, ThreePassLMM); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(rep.Passes+rep.PermutePasses, "passes/op")
+	b.ReportMetric(float64(rep.KeyRounds), "key-rounds/op")
+	if !memsort.IsSorted(kbuf) {
+		b.Fatal("keys not sorted")
 	}
 }
 

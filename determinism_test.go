@@ -3,6 +3,7 @@ package repro
 import (
 	"bytes"
 	"cmp"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -162,13 +163,37 @@ func TestBackendDeterminismRadix(t *testing.T) {
 	}
 }
 
+// wideTieKeys returns n keys spanning all 64 bits whose most significant
+// digit (at n's packing) ties in runs with different low bits: seven runs
+// of about n/11 records and one of about 4n/11.  On an M-key machine with
+// 3·M < n ≤ 11·M the short runs are refined in memory and the long one
+// takes a second charged key round.
+func wideTieKeys(n int, seed int64) []int64 {
+	pp, _ := planPacking(n)
+	low := int64(1) << (64 - pp.keyBits) // one digit's width over a 64-bit span
+	rng := rand.New(rand.NewSource(seed))
+	bases := make([]int64, 11)
+	for c := range bases {
+		bases[c] = int64(rng.Uint64()) &^ (low - 1)
+	}
+	for c := 1; c < 4; c++ {
+		bases[c] = bases[0]
+	}
+	keys := make([]int64, n)
+	for i := range keys {
+		keys[i] = bases[i%len(bases)] + rng.Int63n(low)
+	}
+	keys[0], keys[1] = math.MinInt64, math.MaxInt64 // pin the span to 64 bits
+	return keys
+}
+
 // TestBackendDeterminismRecords pins the records path, whose batched
 // partition writes take the zero-copy borrow route on mmap disks: sorted
 // keys, permuted payload bytes, and the full accounting must match the
-// file backend bit for bit.
+// file backend bit for bit, for narrow keys (one exact round) and for wide
+// keys whose digit ties are refined in memory and by a second round.
 func TestBackendDeterminismRecords(t *testing.T) {
 	n := 6000
-	keys := workload.Uniform(n, 0, 1<<16, 5) // narrow universe forces ties
 	rng := rand.New(rand.NewSource(31))
 	payloads := make([][]byte, n)
 	for i := range payloads {
@@ -180,39 +205,51 @@ func TestBackendDeterminismRecords(t *testing.T) {
 		detRun
 		payloads [][]byte
 	}
-	run := func(backend string, workers int) recRun {
-		m, err := NewMachine(MachineConfig{Memory: 1024, Dir: t.TempDir(),
-			Backend: backend, Workers: workers,
-			Pipeline: PipelineConfig{Prefetch: 2, WriteBehind: 2}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer m.Close()
-		k := append([]int64(nil), keys...)
-		p := make([][]byte, n)
-		copy(p, payloads)
-		m.Array().EnableTrace()
-		rep, err := m.SortRecords(k, p, Auto)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return recRun{
-			detRun:   detRun{out: k, rep: rep, stats: normalizeStats(m.Array().Stats()), trace: m.Array().Trace()},
-			payloads: p,
-		}
-	}
-	ref := run(BackendFile, 1)
-	for _, cmp := range []recRun{run(BackendFile, 8), run(BackendMmap, 1), run(BackendMmap, 8)} {
-		assertIdenticalRuns(t, ref.detRun, cmp.detRun)
-		for i := range ref.payloads {
-			if !bytes.Equal(ref.payloads[i], cmp.payloads[i]) {
-				t.Fatalf("payload %d differs between backends", i)
+	for _, tc := range []struct {
+		name   string
+		keys   []int64
+		rounds int
+	}{
+		{"narrow", workload.Uniform(n, 0, 1<<16, 5), 1}, // narrow universe forces ties
+		{"wide", wideTieKeys(n, 5), 2},
+	} {
+		run := func(backend string, workers int) recRun {
+			m, err := NewMachine(MachineConfig{Memory: 1024, Dir: t.TempDir(),
+				Backend: backend, Workers: workers,
+				Pipeline: PipelineConfig{Prefetch: 2, WriteBehind: 2}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			k := append([]int64(nil), tc.keys...)
+			p := make([][]byte, n)
+			copy(p, payloads)
+			m.Array().EnableTrace()
+			rep, err := m.SortRecords(k, p, Auto)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return recRun{
+				detRun:   detRun{out: k, rep: rep, stats: normalizeStats(m.Array().Stats()), trace: m.Array().Trace()},
+				payloads: p,
 			}
 		}
-		if ref.rep.PermutePasses != cmp.rep.PermutePasses ||
-			ref.rep.PayloadWords != cmp.rep.PayloadWords ||
-			ref.rep.KeyRounds != cmp.rep.KeyRounds {
-			t.Fatalf("records accounting differs: ref %+v, got %+v", ref.rep, cmp.rep)
+		ref := run(BackendFile, 1)
+		if ref.rep.KeyRounds != tc.rounds {
+			t.Fatalf("%s: %d key rounds, want %d", tc.name, ref.rep.KeyRounds, tc.rounds)
+		}
+		for _, cmp := range []recRun{run(BackendFile, 8), run(BackendMmap, 1), run(BackendMmap, 8)} {
+			assertIdenticalRuns(t, ref.detRun, cmp.detRun)
+			for i := range ref.payloads {
+				if !bytes.Equal(ref.payloads[i], cmp.payloads[i]) {
+					t.Fatalf("%s: payload %d differs between backends", tc.name, i)
+				}
+			}
+			if ref.rep.PermutePasses != cmp.rep.PermutePasses ||
+				ref.rep.PayloadWords != cmp.rep.PayloadWords ||
+				ref.rep.KeyRounds != cmp.rep.KeyRounds {
+				t.Fatalf("%s: records accounting differs: ref %+v, got %+v", tc.name, ref.rep, cmp.rep)
+			}
 		}
 	}
 }
@@ -265,13 +302,20 @@ func TestWorkerCountDeterminismRecords(t *testing.T) {
 }
 
 // assertRecordsRuns sorts 6·mem tie-heavy records with random payloads at
-// M = mem with one and eight workers: the sorted keys and permuted payload
-// bytes must equal a stable reference sort, and the two runs each other —
-// payloads and the records accounting included.
+// M = mem with one and eight workers, once with narrow keys and once with
+// wide keys whose digit ties take both refinements: the sorted keys and
+// permuted payload bytes must equal a stable reference sort, and the two
+// runs each other — payloads and the records accounting included.
 func assertRecordsRuns(t *testing.T, mem int) {
 	t.Helper()
 	n := 6*mem - 144
-	keys := workload.Uniform(n, 0, 1<<16, 5) // narrow universe forces ties
+	assertRecordKeyRuns(t, mem, workload.Uniform(n, 0, 1<<16, 5), 1) // narrow universe forces ties
+	assertRecordKeyRuns(t, mem, wideTieKeys(n, 5), 2)
+}
+
+func assertRecordKeyRuns(t *testing.T, mem int, keys []int64, rounds int) {
+	t.Helper()
+	n := len(keys)
 	rng := rand.New(rand.NewSource(31))
 	payloads := make([][]byte, n)
 	for i := range payloads {
@@ -313,6 +357,9 @@ func assertRecordsRuns(t *testing.T, mem int) {
 		if serial.out[i] != keys[src] || !bytes.Equal(serial.payloads[i], payloads[src]) {
 			t.Fatalf("M = %d: record %d differs from the stable reference sort", mem, i)
 		}
+	}
+	if serial.rep.KeyRounds != rounds {
+		t.Fatalf("M = %d: %d key rounds, want %d", mem, serial.rep.KeyRounds, rounds)
 	}
 	assertIdenticalRuns(t, serial.detRun, parallel.detRun)
 	for i := range serial.payloads {

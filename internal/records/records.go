@@ -17,7 +17,9 @@ const headerWords = 2
 // Result reports one external permutation.
 type Result struct {
 	// Out holds the re-materialized payloads in target order: Out[j] is the
-	// input payload perm[j], read back from the output store.
+	// input payload perm[j], read back from the output store.  The payloads
+	// share one backing array; each is capped at its own length, so an
+	// append to one reallocates rather than overwriting its neighbour.
 	Out [][]byte
 	// Words is the payload volume in 8-byte words (excluding padding);
 	// PaddedWords is the on-disk store length after padding to the block
@@ -236,8 +238,14 @@ func (p *permuter) unload(res *Result) error {
 			return err
 		}
 	}
+	total := 0
+	for _, l := range p.lens {
+		total += l
+	}
+	buf := make([]byte, total)
 	for j, i := range p.perm {
-		out := make([]byte, p.lens[i])
+		out := buf[:p.lens[i]:p.lens[i]]
+		buf = buf[p.lens[i]:]
 		if p.wlen[i] > 0 {
 			unpackWords(out, flat[p.starts[j]:p.starts[j]+p.wlen[i]])
 		}

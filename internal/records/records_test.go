@@ -54,6 +54,11 @@ func checkPermuted(t *testing.T, payloads [][]byte, perm []int, out [][]byte) {
 		if !bytes.Equal(out[j], payloads[i]) {
 			t.Fatalf("output %d: got %x, want payload %d = %x", j, out[j], i, payloads[i])
 		}
+		// Outputs share a backing array: an append to one must reallocate,
+		// never write into its neighbour.
+		if cap(out[j]) != len(out[j]) {
+			t.Fatalf("output %d: cap %d exceeds its length %d", j, cap(out[j]), len(out[j]))
+		}
 	}
 }
 

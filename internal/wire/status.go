@@ -149,9 +149,11 @@ type Report struct {
 	Scenario      string
 	ScenarioRoute string
 	// Records observability (SortRecords and SortPairs only; zero for the
-	// key-only entry points).  KeyRounds counts the packed key+index sorts
-	// the record sort ran (1 unless keys needed all 64 bits, in which case
-	// it is the number of LSD digit rounds); PayloadWords is the payload
+	// key-only entry points).  KeyRounds counts the charged key+index digit
+	// rounds on the deepest path of the record sort: 1, plus one per level
+	// of digit-tie runs longer than M that needed re-sorting (at most
+	// ⌈64/keyBits⌉).  Their passes are folded into Passes, rescaled to
+	// PaddedN, and their I/O into IO.  PayloadWords is the payload
 	// volume, in 8-byte words, the external permutation moved; and
 	// PermutePasses prices that movement in the paper's currency — charged
 	// parallel steps times the stripe width over the padded payload store.

@@ -1,10 +1,11 @@
 package repro
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"sync/atomic"
+	"slices"
 
 	"repro/internal/records"
 )
@@ -65,8 +66,8 @@ func planPacking(n int) (packPlan, error) {
 	}, nil
 }
 
-// rounds returns how many packed sort rounds cover a full 64-bit key at
-// this plan's digit width (1 when keys fit a single round).
+// rounds returns how many packed digit rounds cover a full 64-bit key at
+// this plan's digit width: the bound on a record sort's KeyRounds.
 func (pp packPlan) rounds() int {
 	return (64 + pp.keyBits - 1) / pp.keyBits
 }
@@ -74,16 +75,19 @@ func (pp packPlan) rounds() int {
 // SortRecords sorts full records — 64-bit keys with arbitrary byte
 // payloads — by key, stably and in place: keys[i] pairs with payloads[i],
 // and on return keys is sorted with payloads reordered to match (the
-// payload bytes re-materialized from the simulated disks).  On error —
-// including cancellation — both slices are left untouched, never with
-// keys reordered away from their payloads.
+// payload bytes re-materialized from the simulated disks; the returned
+// payloads may share one backing array, each capped at its own length).
+// On error — including cancellation — both slices are left untouched,
+// never with keys reordered away from their payloads.
 //
-// The run is a key+index sort followed by an external permutation.  When
-// every key is nonnegative and fits the packing's key bits (the common
-// case: any key below 2^32 always fits), one packed sort orders the
-// records; otherwise — keys needing all 64 bits, including negatives — the
-// layer runs LSD rounds of packed digit sorts (Report.KeyRounds), each a
-// full PDM sort, which is the (key, idx) pair representation in the model.
+// The run is a key+index sort followed by an external permutation.  One
+// packed sort of (most significant key digit, index) words, a full PDM
+// sort, orders the records; it is exact whenever the key span fits the
+// packing's key bits (any keys within 2^32 of each other, negatives
+// included).  Wider spans leave runs of tied digits: those already in key
+// order stay, those of at most M records are re-sorted in memory, and
+// only longer ones take another charged digit round over their own keys
+// (Report.KeyRounds counts the rounds on the deepest path).
 // The payloads then move through internal/records' distribution
 // permutation, charged via the normal accounting: Report.IO covers both
 // phases, and Report.PermutePasses prices the payload movement in passes
@@ -124,109 +128,105 @@ func (m *Machine) SortRecords(keys []int64, payloads [][]byte, alg Algorithm) (*
 // sortKeyIndex computes the stable key order without touching keys: it
 // returns the permutation realizing the order (perm[j] is the original
 // index of the record at sorted position j) and the sorted key values.
-// Ties keep original order (stability), because the packed index makes
-// every sort word distinct.  keys is left untouched so a failure in the
-// later permutation phase cannot strand the caller with keys reordered
-// away from their payloads.
+// keys is left untouched so a failure in the later permutation phase
+// cannot strand the caller with keys reordered away from their payloads.
+//
+// One packed sort orders the records by their most significant key digit:
+// the sign-biased key (the flip maps int64 order onto uint64 order) minus
+// the smallest one, shifted right until the span fits the plan's key bits.
+// Ties keep original order, because the packed index makes every sort
+// word distinct.  When the span fits, the shift is 0 and the round is
+// exact; keys already in [0, keyLimit) pack as themselves.  Otherwise only
+// the runs of tied digits need more work (refineTies).
 func (m *Machine) sortKeyIndex(keys []int64, alg Algorithm) ([]int, []int64, *Report, error) {
 	n := len(keys)
 	pp, err := planPacking(n)
 	if err != nil {
 		return nil, nil, nil, err
 	}
+	lo, hi := ^uint64(0), uint64(0)
+	for _, k := range keys {
+		u := uint64(k) ^ 1<<63
+		lo, hi = min(lo, u), max(hi, u)
+	}
+	if lo >= 1<<63 && hi-1<<63 < uint64(pp.keyLimit) {
+		lo = 1 << 63
+	}
+	shift := max(0, bits.Len64(hi-lo)-pp.keyBits)
 	pool := m.a.Pool()
-	// Fused scan: does every key fit one packed round?  Parallel workers
-	// report the lowest out-of-range index only to decide the path.
-	narrow := atomic.Bool{}
-	narrow.Store(true)
-	pool.For(n, n, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if keys[i] < 0 || keys[i] >= pp.keyLimit {
-				narrow.Store(false)
-				return
-			}
+	packed := make([]int64, n)
+	pool.For(n, n, func(_, a, b int) {
+		for i := a; i < b; i++ {
+			packed[i] = int64(((uint64(keys[i])^1<<63)-lo)>>shift)<<pp.idxBits | int64(i)
 		}
 	})
-	packed := make([]int64, n)
-	if narrow.Load() {
-		pool.For(n, n, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				packed[i] = keys[i]<<pp.idxBits | int64(i)
-			}
-		})
-		rep, err := m.Sort(packed, alg)
-		if err != nil {
+	rep, err := m.Sort(packed, alg)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	rep.KeyRounds = 1
+	perm := make([]int, n)
+	// Unpack in place: packed doubles as the sorted-key result.
+	pool.For(n, n, func(_, a, b int) {
+		for j := a; j < b; j++ {
+			perm[j] = int(packed[j] & pp.idxMask)
+			packed[j] = keys[perm[j]]
+		}
+	})
+	if shift > 0 {
+		if err := m.refineTies(keys, perm, packed, lo, shift, alg, rep); err != nil {
 			return nil, nil, nil, err
 		}
-		rep.KeyRounds = 1
-		perm := make([]int, n)
-		// Unpack in place: packed doubles as the sorted-key result.
-		pool.For(n, n, func(_, lo, hi int) {
-			for j := lo; j < hi; j++ {
-				p := packed[j]
-				perm[j] = int(p & pp.idxMask)
-				packed[j] = p >> pp.idxBits
-			}
-		})
-		return perm, packed, rep, nil
 	}
-	return m.sortKeyIndexWide(keys, alg, pp, packed)
+	return perm, packed, rep, nil
 }
 
-// sortKeyIndexWide handles keys that need all 64 bits (including
-// negatives) with LSD rounds over the sign-biased key: round r sorts
-// (digit_r, current position) packed words, and because the position is
-// the tiebreak, each round is a stable refinement — after the last round
-// the order is fully sorted by key with original-index ties.
-func (m *Machine) sortKeyIndexWide(keys []int64, alg Algorithm, pp packPlan, packed []int64) ([]int, []int64, *Report, error) {
-	n := len(keys)
-	pool := m.a.Pool()
-	order := make([]int, n)
-	for j := range order {
-		order[j] = j
-	}
-	next := make([]int, n)
-	digitMask := uint64(pp.keyLimit - 1)
-	var total *Report
-	for r := 0; r < pp.rounds(); r++ {
-		shift := uint(r * pp.keyBits)
-		pool.For(n, n, func(_, lo, hi int) {
-			for j := lo; j < hi; j++ {
-				// The sign-bit flip maps int64 order onto uint64 order.
-				u := uint64(keys[order[j]]) ^ (1 << 63)
-				digit := (u >> shift) & digitMask
-				packed[j] = int64(digit)<<pp.idxBits | int64(j)
+// refineTies finishes a digit round that dropped the low shift bits of the
+// offset key (u − lo): perm and sorted are in digit order, and every run of
+// equal digits holds its records in original order.  A run whose keys are
+// already nondecreasing is final (equal keys are in index order).  A run
+// of at most M records is stably sorted in host memory, uncharged like the
+// packing itself.  A longer run recurses through sortKeyIndex, charged and
+// folded into rep with its passes rescaled to rep's padded length: its key
+// span is below 2^shift, so each level strips at least keyBits more bits
+// and KeyRounds never exceeds packPlan.rounds().
+func (m *Machine) refineTies(keys []int64, perm []int, sorted []int64, lo uint64, shift int, alg Algorithm, rep *Report) error {
+	digit := func(k int64) uint64 { return ((uint64(k) ^ 1<<63) - lo) >> shift }
+	for a := 0; a < len(perm); {
+		b, d := a+1, digit(sorted[a])
+		for b < len(perm) && digit(sorted[b]) == d {
+			b++
+		}
+		run, runKeys := perm[a:b], sorted[a:b]
+		a = b
+		if slices.IsSorted(runKeys) {
+			continue
+		}
+		if len(run) <= m.a.Mem() {
+			slices.SortStableFunc(run, func(x, y int) int { return cmp.Compare(keys[x], keys[y]) })
+			for j, i := range run {
+				runKeys[j] = keys[i]
 			}
-		})
-		rep, err := m.Sort(packed, alg)
+			continue
+		}
+		subPerm, subSorted, subRep, err := m.sortKeyIndex(slices.Clone(runKeys), alg)
 		if err != nil {
-			return nil, nil, nil, err
+			return err
 		}
-		pool.For(n, n, func(_, lo, hi int) {
-			for j := lo; j < hi; j++ {
-				next[j] = order[int(packed[j]&pp.idxMask)]
-			}
-		})
-		order, next = next, order
-		if total == nil {
-			total = rep
-		} else {
-			total.Passes += rep.Passes
-			total.ReadPasses += rep.ReadPasses
-			total.WritePasses += rep.WritePasses
-			total.FellBack = total.FellBack || rep.FellBack
-			total.IO = total.IO.Add(rep.IO)
-			total.Algorithm = rep.Algorithm
+		orig := slices.Clone(run)
+		for j, s := range subPerm {
+			run[j] = orig[s]
 		}
+		copy(runKeys, subSorted)
+		scale := float64(subRep.PaddedN) / float64(rep.PaddedN)
+		rep.Passes += subRep.Passes * scale
+		rep.ReadPasses += subRep.ReadPasses * scale
+		rep.WritePasses += subRep.WritePasses * scale
+		rep.FellBack = rep.FellBack || subRep.FellBack
+		rep.IO = rep.IO.Add(subRep.IO)
+		rep.KeyRounds = max(rep.KeyRounds, 1+subRep.KeyRounds)
 	}
-	total.KeyRounds = pp.rounds()
-	// packed is free after the last round; reuse it for the sorted values.
-	pool.For(n, n, func(_, lo, hi int) {
-		for j := lo; j < hi; j++ {
-			packed[j] = keys[order[j]]
-		}
-	})
-	return order, packed, total, nil
+	return nil
 }
 
 // pairCountOK reports whether n records fit SortPairs' legacy packing:

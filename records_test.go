@@ -2,7 +2,9 @@ package repro
 
 import (
 	"bytes"
+	"cmp"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -121,9 +123,12 @@ func TestSortRecordsVariableWidth(t *testing.T) {
 	checkRecords(t, wantK, wantP, keys, payloads)
 }
 
-// TestSortRecordsWideKeys drives the LSD path: keys spanning the full
+// TestSortRecordsWideKeys drives the wide-key path: keys spanning the full
 // int64 range (negatives included) cannot share a word with the index, so
-// the layer runs multiple packed digit rounds.
+// the first round sorts by the top digit only.  The ≥ 2 rounds come from
+// the 400-key clusters near MinInt64 and MaxInt64: each shares one digit,
+// is larger than M = 256, and is not in key order, so it takes a second
+// charged round.
 func TestSortRecordsWideKeys(t *testing.T) {
 	m := newTestMachine(t, 256)
 	n := 2000
@@ -151,6 +156,117 @@ func TestSortRecordsWideKeys(t *testing.T) {
 		t.Fatalf("full-width keys sorted in %d round(s)", rep.KeyRounds)
 	}
 	checkRecords(t, wantK, wantP, keys, payloads)
+}
+
+// TestSortRecordsWideKeyRounds pins the wide-key path case by case: one
+// packed round on the most significant digit, in-memory refinement of
+// digit-tie runs of at most M records, and a second charged round only for
+// a longer one.  Three-pass LMM's I/O depends on n alone, so pass counts
+// compare exactly against plain sorts of n keys.
+func TestSortRecordsWideKeyRounds(t *testing.T) {
+	const n, alg = 2000, ThreePassLMM
+	m := newTestMachine(t, 256)
+	pp, err := planPacking(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := m.Sort(workload.Uniform(n, 0, 999, 1), alg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Over a 64-bit span a digit covers the low 64 − keyBits bits; clustered
+	// keys put cluster c's records on one shared digit, low bits random.
+	low := int64(1) << (64 - pp.keyBits)
+	rng := rand.New(rand.NewSource(41))
+	clustered := func(cluster func(i int) int) []int64 {
+		bases := map[int]int64{}
+		keys := make([]int64, n)
+		for i := range keys {
+			c := cluster(i)
+			if _, ok := bases[c]; !ok {
+				bases[c] = int64(rng.Uint64()) &^ (low - 1)
+			}
+			keys[i] = bases[c] + rng.Int63n(low)
+		}
+		keys[0], keys[1] = math.MinInt64, math.MaxInt64 // pin the span to 64 bits
+		return keys
+	}
+	random := make([]int64, n)
+	for i := range random {
+		random[i] = rng.Int63()
+	}
+	extremes := make([]int64, n)
+	for i := range extremes {
+		extremes[i] = []int64{math.MinInt64, math.MinInt64 + 1, math.MaxInt64, math.MaxInt64 - 1, 0, -1}[i%6]
+	}
+	for _, tc := range []struct {
+		name   string
+		keys   []int64
+		rounds int
+	}{
+		{"random-63-bit", random, 1},
+		{"mixed-sign-narrow-span", workload.Uniform(n, -1<<40, 1<<40, 3), 1},
+		{"tie-runs-within-M", clustered(func(i int) int { return i % 9 }), 1}, // runs of ≈ 222
+		{"tie-run-above-M", clustered(func(i int) int { // one run of 400, the rest unique
+			if i%5 == 0 {
+				return -1
+			}
+			return i
+		}), 2},
+		{"all-equal", slices.Repeat([]int64{-7}, n), 1},
+		{"int64-extremes", extremes, 2}, // MinInt64 and MinInt64+1 share a digit, 667 of them
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			payloads := genTestPayloads(n, 16, 7)
+			order := make([]int, n)
+			for i := range order {
+				order[i] = i
+			}
+			slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(tc.keys[a], tc.keys[b]) })
+			keys := slices.Clone(tc.keys)
+			got := slices.Clone(payloads)
+			rep, err := m.SortRecords(keys, got, alg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j, i := range order {
+				if keys[j] != tc.keys[i] || !bytes.Equal(got[j], payloads[i]) {
+					t.Fatalf("record %d = (%d, %x), want input record %d (%d, %x)", j, keys[j], got[j], i, tc.keys[i], payloads[i])
+				}
+			}
+			if rep.KeyRounds != tc.rounds || rep.KeyRounds > pp.rounds() {
+				t.Fatalf("%d key rounds, want %d (bound %d)", rep.KeyRounds, tc.rounds, pp.rounds())
+			}
+			if tc.rounds == 1 {
+				// In-memory refinement is uncharged: one plain sort of n.
+				if rep.Passes != plain.Passes || rep.PaddedN != plain.PaddedN {
+					t.Fatalf("one round charged %.4f passes over %d, a plain sort %.4f over %d",
+						rep.Passes, rep.PaddedN, plain.Passes, plain.PaddedN)
+				}
+				return
+			}
+			// The refinement re-sorts only the tie run: more than one plain
+			// sort of n, no more than two.
+			before := m.Array().Stats()
+			_, _, krep, err := m.sortKeyIndex(tc.keys, alg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if io := m.Array().Stats().Sub(before); normalizeStats(io) != normalizeStats(krep.IO) {
+				t.Fatalf("report I/O %+v, array delta %+v", krep.IO, io)
+			}
+			// Rescaled to PaddedN, the folded passes price the summed I/O.
+			if want := krep.IO.Passes(krep.PaddedN, m.Array().StripeWidth()); math.Abs(krep.Passes-want) > 1e-9 {
+				t.Fatalf("refined key sort reports %.6f passes, its I/O prices %.6f", krep.Passes, want)
+			}
+			steps := func(r *Report) int64 { return r.IO.ReadSteps + r.IO.WriteSteps }
+			if krep.Passes != rep.Passes || krep.Passes <= plain.Passes || krep.Passes > 2*plain.Passes ||
+				steps(krep) <= steps(plain) || steps(krep) > 2*steps(plain) {
+				t.Fatalf("refined key sort charged %.4f passes, %d steps; a plain sort %.4f, %d",
+					krep.Passes, steps(krep), plain.Passes, steps(plain))
+			}
+		})
+	}
 }
 
 func TestSortRecordsStabilityOnEqualKeys(t *testing.T) {
@@ -399,4 +515,78 @@ func TestSortPairsAllAlgorithms(t *testing.T) {
 			t.Fatalf("%v: records torn apart", alg)
 		}
 	}
+}
+
+// FuzzSortRecordsKeys drives SortRecords' key rounds on an M = 256 machine
+// with fuzzer-shaped key sets.  The input decodes to a record count (up to
+// 1536, so one digit-tie run can outgrow M), a cluster count, a spread —
+// how many low bits vary inside a cluster — and one 8-byte top per
+// cluster; the remaining bytes assign records to clusters (round-robin
+// once they run out).  Clusters whose spread sits below the round's shift
+// share a top digit, and tops anywhere in int64 make spans from a few bits
+// to all 64.  Oracle: the stable reference order on keys and payloads,
+// KeyRounds within packPlan.rounds(), and Report.IO equal to the array's
+// stats delta.
+func FuzzSortRecordsKeys(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte("\x03\xe8\x02\x05\x00\x00\x00\x00\x00\x00\x00\x80\xff\xff\xff\xff\xff\xff\xff\x7f"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		n := (int(next())<<8|int(next()))%1536 + 1
+		clusters := int(next())%8 + 1
+		mask := uint64(1)<<(int(next())%65) - 1
+		tops := make([]uint64, clusters)
+		for c := range tops {
+			for k := 0; k < 8; k++ {
+				tops[c] |= uint64(next()) << (8 * k)
+			}
+		}
+		rng := rand.New(rand.NewSource(int64(tops[0])))
+		keys := make([]int64, n)
+		payloads := make([][]byte, n)
+		for i := range keys {
+			c := i % clusters
+			if len(data) > 0 {
+				c = int(next()) % clusters
+			}
+			keys[i] = int64(tops[c]&^mask | rng.Uint64()&mask)
+			payloads[i] = binary.AppendUvarint(nil, uint64(i))
+		}
+		order := make([]int, n)
+		for i := range order {
+			order[i] = i
+		}
+		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(keys[a], keys[b]) })
+
+		m := newTestMachine(t, 256)
+		defer m.Close()
+		gotK, gotP := slices.Clone(keys), slices.Clone(payloads)
+		before := m.Array().Stats()
+		rep, err := m.SortRecords(gotK, gotP, Auto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, i := range order {
+			if gotK[j] != keys[i] || !bytes.Equal(gotP[j], payloads[i]) {
+				t.Fatalf("record %d = (%d, %x), want input record %d (%d, %x)", j, gotK[j], gotP[j], i, keys[i], payloads[i])
+			}
+		}
+		pp, err := planPacking(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.KeyRounds < 1 || rep.KeyRounds > pp.rounds() {
+			t.Fatalf("%d key rounds, bound %d", rep.KeyRounds, pp.rounds())
+		}
+		if io := m.Array().Stats().Sub(before); normalizeStats(io) != normalizeStats(rep.IO) {
+			t.Fatalf("report I/O %+v, array delta %+v", rep.IO, io)
+		}
+	})
 }
