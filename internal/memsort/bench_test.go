@@ -1,74 +1,95 @@
 package memsort
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 )
 
 // Paired kernel microbenchmarks: the comparison introsort vs the LSD
-// radix kernel (vs stdlib slices.Sort as the external baseline) on
-// uniform random int64 keys at memory-load sizes, and the branchy vs
-// galloping binary merge.  CI runs every BenchmarkKernel* with -benchtime
-// 100x as a smoke test; bench/ records the kernels' rates per run as the
-// memsort.probe.* metrics.
+// radix kernel (vs stdlib slices.Sort as the external baseline) over key
+// shapes × memory-load sizes, and the branchy vs galloping binary merge.
+// CI runs every BenchmarkKernel* with -benchtime 1x as a smoke test; bench/
+// records the kernels' rates per run as the memsort.probe.* metrics.
 
-// benchSizes are memory-load sizes: the default machine M (4096) and a
-// larger load where the radix win is cache-bound rather than
-// overhead-bound.
-var benchSizes = []struct {
+// benchSizes are memory-load sizes: a serve-sized merge tail (512), the
+// default machine M (4096), and larger loads where the radix kernel is
+// bandwidth-bound rather than overhead-bound.
+var benchSizes = []int{512, 4096, 32768, 65536}
+
+// benchShapes are key shapes that differ in what the radix kernel's pass
+// count depends on: the span of the load and its constant low bits.  key
+// maps one uniform random word to a key.
+var benchShapes = []struct {
 	name string
-	n    int
+	key  func(x uint64) int64
 }{
-	{"4096", 4096},
-	{"65536", 65536},
+	// WorkloadSpec{Kind: "uniform"}: [−2^40, 2^40], the keys bench/ sorts.
+	{"uniform", func(x uint64) int64 { return int64(x%(1<<41+1)) - 1<<40 }},
+	{"pos62", pos62Key},
+	{"narrow", func(x uint64) int64 { return int64(x >> 44) }},              // [0, 2^20)
+	{"strided", func(x uint64) int64 { return int64(x>>2) &^ (1<<12 - 1) }}, // multiples of 2^12
 }
 
-func fillBenchKeys(buf []int64, seed uint64) {
+// pos62Key is the shape of fillBenchKeys: positive 62-bit keys.
+func pos62Key(x uint64) int64 { return int64(x >> 2) }
+
+func fillShapeKeys(buf []int64, seed uint64, key func(uint64) int64) {
 	x := seed*0x9e3779b97f4a7c15 + 0x9e3779b97f4a7c15
 	for i := range buf {
 		x ^= x << 13
 		x ^= x >> 7
 		x ^= x << 17
-		buf[i] = int64(x >> 2)
+		buf[i] = key(x)
 	}
 }
+
+func fillBenchKeys(buf []int64, seed uint64) { fillShapeKeys(buf, seed, pos62Key) }
 
 func benchSort(b *testing.B, n int, sort func(a []int64)) {
+	benchSortShape(b, n, pos62Key, sort)
+}
+
+// benchSortShape times sort on fresh loads of n keys.  Loads are filled a
+// batch of up to 64Ki keys at a time outside the timer: stopping the timer
+// reads the memory stats with the world stopped, which would swamp a 512-key
+// sort if paid per load.
+func benchSortShape(b *testing.B, n int, key func(uint64) int64, sort func(a []int64)) {
 	b.Helper()
-	a := make([]int64, n)
+	batch := max(1, 1<<16/n)
+	buf := make([]int64, batch*n)
 	b.SetBytes(int64(n * 8))
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for i := 0; i < b.N; i += batch {
 		b.StopTimer()
-		fillBenchKeys(a, uint64(i))
+		for j := range batch {
+			fillShapeKeys(buf[j*n:(j+1)*n], uint64(i+j), key)
+		}
 		b.StartTimer()
-		sort(a)
+		for j := 0; j < batch && i+j < b.N; j++ {
+			sort(buf[j*n : (j+1)*n])
+		}
 	}
 }
 
-func BenchmarkKernelSortIntro(b *testing.B) {
-	for _, sz := range benchSizes {
-		b.Run(sz.name, func(b *testing.B) {
-			benchSort(b, sz.n, Keys)
-		})
+// benchKernel runs sort over every shape × size, as <shape>/<size>.
+func benchKernel(b *testing.B, sort func(a, scratch []int64)) {
+	for _, sh := range benchShapes {
+		for _, n := range benchSizes {
+			b.Run(fmt.Sprintf("%s/%d", sh.name, n), func(b *testing.B) {
+				scratch := make([]int64, n)
+				benchSortShape(b, n, sh.key, func(a []int64) { sort(a, scratch) })
+			})
+		}
 	}
 }
 
-func BenchmarkKernelSortRadix(b *testing.B) {
-	for _, sz := range benchSizes {
-		b.Run(sz.name, func(b *testing.B) {
-			scratch := make([]int64, sz.n)
-			benchSort(b, sz.n, func(a []int64) { RadixKeys(a, scratch) })
-		})
-	}
-}
+func BenchmarkKernelSortIntro(b *testing.B) { benchKernel(b, func(a, _ []int64) { Keys(a) }) }
+
+func BenchmarkKernelSortRadix(b *testing.B) { benchKernel(b, RadixKeys) }
 
 func BenchmarkKernelSortStdlib(b *testing.B) {
-	for _, sz := range benchSizes {
-		b.Run(sz.name, func(b *testing.B) {
-			benchSort(b, sz.n, slices.Sort[[]int64, int64])
-		})
-	}
+	benchKernel(b, func(a, _ []int64) { slices.Sort(a) })
 }
 
 // BenchmarkSelect pairs Select with slices.Sort on a random sample the size

@@ -11,12 +11,12 @@
 // "local computation" assumed to be free.  They are nevertheless written to
 // run fast, since the simulator executes them for real.  Two kernel
 // families exist because their costs cross: the introsort is in-place and
-// wins on small loads, while the radix sort buys ~3x on memory-load-sized
-// uniform keys for one load of scratch (internal/par's Kernel enum
-// dispatches between them, and internal/plan prices the choice).  Both
-// are stable on the paths that need stability and produce identical
-// sorted output, so the choice is invisible to everything but the wall
-// clock.  The binary merge (MergeBinary) is adaptive: it detects
+// wins on small loads, while the radix sort, scattering only the 9-bit
+// digits of the load's key span, buys ~5x on 4Ki–64Ki uniform keys for one
+// load of scratch (internal/par's Kernel enum dispatches between them, and
+// internal/plan prices the choice).  Both are stable where stability is
+// needed and sort identically, so only the wall clock sees the choice.
+// The binary merge (MergeBinary) is adaptive: it detects
 // one-sided runs with a single comparison per round — the inputs are
 // sorted, so "the next k keys of b all beat a's head" is one compare —
 // and gallops past them with a binary search and a bulk copy;

@@ -52,6 +52,37 @@ func FuzzSelect(f *testing.F) {
 	})
 }
 
+// FuzzRadixKeys checks RadixKeys against the slices.Sort oracle on loads the
+// fuzzer shapes.  Bytes 0–1 give n (at most 1<<14), byte 2 the span width
+// (0–64), byte 3 a low-bit stride, bytes 4–11 the span's low end and bytes
+// 12–19 the key generator's seed (spanKeys); a span that runs past MaxInt64
+// wraps.  Scratch is one word longer than the load, and that word must come
+// back untouched.
+func FuzzRadixKeys(f *testing.F) {
+	f.Add([]byte("\x00\x10\x29\x00\x00\x00\x00\x00\x00\xff\xff\xff\x07\x00\x00\x00\x00\x00\x00\x00"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 20 {
+			return
+		}
+		n := int(binary.LittleEndian.Uint16(data)) % (1<<14 + 1)
+		width, stride := uint(data[2]%65), uint(data[3]%64)
+		lo := int64(binary.LittleEndian.Uint64(data[4:]))
+		a := make([]int64, n)
+		spanKeys(a, lo, width, stride, binary.LittleEndian.Uint64(data[12:]))
+		want := slices.Clone(a)
+		slices.Sort(want)
+		scratch := make([]int64, n+1)
+		scratch[n] = 12345
+		RadixKeys(a, scratch)
+		if !slices.Equal(a, want) {
+			t.Fatalf("n=%d width=%d stride=%d lo=%d: RadixKeys differs from stdlib sort", n, width, stride, lo)
+		}
+		if scratch[n] != 12345 {
+			t.Fatalf("n=%d: scratch word past the load written", n)
+		}
+	})
+}
+
 // FuzzStreamMerge feeds StreamMerge fuzzer-shaped lane sets — lane count,
 // per-lane keys, and chunk boundaries (empty chunks included) all derive
 // from the input bytes — and checks the streaming-merge contract: every

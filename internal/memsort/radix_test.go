@@ -26,8 +26,70 @@ func TestRadixKeysMatchesStdlib(t *testing.T) {
 	}
 }
 
-// TestRadixKeysNarrowUniverse exercises the digit-skip path: keys that agree
-// on most bytes still sort correctly with fewer scatter passes.
+// spanKeys fills a with keys lo + r, r uniform over [0, 2^width) with its low
+// stride bits cleared, and puts the span's two ends at a[0] and a[1] so that
+// a load of two or more keys has exactly that width (for stride < width).
+// The sum wraps when the span runs past MaxInt64.
+func spanKeys(a []int64, lo int64, width, stride uint, seed uint64) {
+	m := (uint64(1)<<width - 1) &^ (uint64(1)<<stride - 1)
+	x := seed | 1
+	for i := range a {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		a[i] = int64(uint64(lo) + x&m)
+	}
+	if len(a) >= 2 {
+		a[0], a[1] = lo, int64(uint64(lo)+m)
+	}
+}
+
+// TestRadixKeysWidths sorts loads of every span width 0…64 against
+// slices.Sort, with the span at 0, straddling zero, and flush against either
+// int64 extreme, at load sizes from RadixMinKeys to 64Ki.  Scratch is
+// longer than the load: the words past n must come back untouched, and an
+// all-equal load (width 0) must leave all of scratch untouched.
+func TestRadixKeysWidths(t *testing.T) {
+	const sentinel = 0x5a5a5a5a5a5a5a5a
+	for _, n := range []int{RadixMinKeys, 1000, 1 << 13, 1 << 16} {
+		a := make([]int64, n)
+		scratch := make([]int64, n+8)
+		for w := uint(0); w <= 64; w++ {
+			span := uint64(1)<<w - 1
+			// Straddling zero, lo is odd: its low bits, cleared from the offset
+			// base, can push the offsets past the width's digits.
+			los := []int64{math.MinInt64, int64(math.MaxInt64 - span), -int64(span >> 1)}
+			if w < 64 {
+				los = append(los, 0)
+			}
+			for _, lo := range los {
+				spanKeys(a, lo, w, 0, uint64(n)<<8|uint64(w))
+				want := slices.Clone(a)
+				slices.Sort(want)
+				for i := range scratch {
+					scratch[i] = sentinel
+				}
+				RadixKeys(a, scratch)
+				if !slices.Equal(a, want) {
+					t.Fatalf("n=%d width=%d lo=%d: RadixKeys differs from stdlib sort", n, w, lo)
+				}
+				touched := scratch[n:]
+				if w == 0 {
+					touched = scratch
+				}
+				for i, v := range touched {
+					if v != sentinel {
+						t.Fatalf("n=%d width=%d lo=%d: scratch word %d of %d written", n, w, lo, len(scratch)-len(touched)+i, n)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRadixKeysNarrowUniverse exercises the span path: keys confined to a
+// narrow span around zero sort in the few digits their offsets from the
+// span's low end occupy.
 func TestRadixKeysNarrowUniverse(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for _, span := range []int64{1, 255, 1 << 16, 1 << 40} {

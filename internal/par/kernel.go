@@ -27,10 +27,10 @@ const (
 	// (memsort.Keys) plus symmetric-merge combining: no scratch, no
 	// assumptions about key distribution.
 	KernelComparison Kernel = "comparison"
-	// KernelRadix is the LSD byte-radix sort (memsort.RadixKeys):
-	// O(active bytes) moves per key, needs len(a) scratch, wins on uniform
-	// keys at memory-load sizes.  It is also what finishes a k-way merge
-	// whose lanes interleave too finely to gallop (MergeSegment).
+	// KernelRadix is the LSD radix sort (memsort.RadixKeys): one move per
+	// key per 9-bit digit of the load's key span, needs len(a) scratch,
+	// wins on uniform keys at memory-load sizes.  It is also what finishes a
+	// k-way merge whose lanes interleave too finely to gallop (MergeSegment).
 	KernelRadix Kernel = "radix"
 )
 
