@@ -1,6 +1,6 @@
 // Benchmarks regenerating every experiment of `go run ./cmd/experiments` (E01–E16, one
-// per theorem/lemma/observation of the paper, plus the A1–A5 design
-// ablations) and micro-benchmarks of the kernels.  Run:
+// per theorem/lemma/observation of the paper, plus the design ablations
+// A1–A3 and A5) and micro-benchmarks of the kernels.  Run:
 //
 //	go test -bench=. -benchmem
 //
@@ -116,10 +116,6 @@ func BenchmarkAblationA2SnakeDirection(b *testing.B) {
 
 func BenchmarkAblationA3IntegerStriping(b *testing.B) {
 	benchTable(b, experiments.A3IntegerStriping)
-}
-
-func BenchmarkAblationA4MergeKernel(b *testing.B) {
-	benchTable(b, experiments.A4MergeKernel)
 }
 
 func BenchmarkAblationA5Detection(b *testing.B) {

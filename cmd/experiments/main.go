@@ -1,7 +1,8 @@
 // Command experiments regenerates every experiment table: the empirical
 // verification of each theorem, lemma and observation of Rajasekaran &
 // Sen's "PDM Sorting Algorithms That Take A Small Number Of Passes" (IPPS
-// 2005), plus the design-choice ablations A1–A5 (internal/experiments).
+// 2005), plus the design-choice ablations A1–A3 and A5
+// (internal/experiments).
 //
 // Usage:
 //

@@ -393,14 +393,14 @@ func TestWorkerCountDeterminismPairs(t *testing.T) {
 		defer m.Close()
 		k := append([]int64(nil), keys...)
 		p := append([]int64(nil), payloads...)
-		if _, err := m.SortPairs(k, p, Auto); err != nil {
+		if _, err := m.sortWordRecords(k, p, Auto); err != nil {
 			t.Fatal(err)
 		}
 		return pairRun{k, p}
 	}
 	serial, parallel := run(1), run(8)
 	if !slices.Equal(serial.keys, parallel.keys) || !slices.Equal(serial.payloads, parallel.payloads) {
-		t.Fatal("SortPairs result differs between worker counts")
+		t.Fatal("sortWordRecords result differs between worker counts")
 	}
 	// Stability: equal keys keep their original payload order.
 	for i := 1; i < n; i++ {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"errors"
-	"time"
 
 	"repro/internal/memsort"
 	"repro/internal/mesh"
@@ -69,33 +68,6 @@ func A2SnakeDirection(trials int) (*report.Table, error) {
 		t.AddRow(name, trials, worst, cols/2, worst <= cols/2)
 	}
 	t.Note = "the factor-2 saving is exactly what makes the M/2-key cleanup window sufficient in Theorem 3.1"
-	return t, nil
-}
-
-// A4MergeKernel ablates the k-way merge kernel (ablation A4): loser tree
-// vs repeated binary merging, CPU time for the same output.
-func A4MergeKernel() (*report.Table, error) {
-	t := report.NewTable("A4  Ablation: k-way merge kernel (CPU only; I/O identical)",
-		"k", "keys", "loser tree", "binary rounds", "speedup")
-	for _, k := range []int{4, 16, 64} {
-		per := 1 << 14
-		lanes := make([][]int64, k)
-		for i := range lanes {
-			lane := workload.Uniform(per, 0, 1<<30, int64(i))
-			memsort.Keys(lane)
-			lanes[i] = lane
-		}
-		dst := make([]int64, k*per)
-		t0 := time.Now()
-		memsort.MultiMerge(dst, lanes)
-		loser := time.Since(t0)
-		t0 = time.Now()
-		memsort.MultiMergeBinary(dst, lanes)
-		binary := time.Since(t0)
-		t.AddRow(k, k*per, loser.String(), binary.String(),
-			report.Ratio(float64(binary.Nanoseconds()), float64(loser.Nanoseconds()), 2))
-	}
-	t.Note = "the loser tree does ceil(log2 k) comparisons per key; binary rounds copy more but stream caches better, so it wins at large k — I/O passes are identical either way"
 	return t, nil
 }
 

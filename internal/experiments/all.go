@@ -41,7 +41,6 @@ func All(sc Scale) ([]*report.Table, error) {
 		func() (*report.Table, error) { return A1CleanupWindow(sc.Trials) },
 		func() (*report.Table, error) { return A2SnakeDirection(sc.Trials) },
 		func() (*report.Table, error) { return A3IntegerStriping() },
-		func() (*report.Table, error) { return A4MergeKernel() },
 		func() (*report.Table, error) { return A5Detection() },
 		func() (*report.Table, error) { return X1CostModel(sc.MemLarge) },
 	}

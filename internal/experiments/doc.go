@@ -1,6 +1,6 @@
 // Package experiments regenerates every empirical claim of the paper —
 // one experiment per theorem/lemma/observation with quantitative content,
-// indexed E01–E16, plus the A1–A5 design ablations.  The paper has
+// indexed E01–E16, plus the design ablations A1–A3 and A5.  The paper has
 // no numbered tables or figures (it is a theory paper), so these tables ARE
 // its evaluation: pass counts, capacities and failure probabilities,
 // measured on the PDM simulator.

@@ -13,8 +13,8 @@ func TestAllQuickScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tables) != 22 {
-		t.Fatalf("got %d tables, want 22 (E01-E16 + A1-A5 + X1)", len(tables))
+	if len(tables) != 21 {
+		t.Fatalf("got %d tables, want 21 (E01-E16 + A1-A3, A5 + X1)", len(tables))
 	}
 	for _, tb := range tables {
 		if tb.Rows() == 0 {

@@ -8,7 +8,8 @@ import (
 
 // Paired kernel microbenchmarks: the comparison introsort vs the LSD
 // radix kernel (vs stdlib slices.Sort as the external baseline) over key
-// shapes × memory-load sizes, and the branchy vs galloping binary merge.
+// shapes × memory-load sizes, the branchy vs galloping binary merge, and
+// the loser tree vs binary rounds k-way merge.
 // CI runs every BenchmarkKernel* with -benchtime 1x as a smoke test; bench/
 // records the kernels' rates per run as the memsort.probe.* metrics.
 
@@ -145,6 +146,72 @@ func BenchmarkKernelMergeBranchy(b *testing.B) {
 func BenchmarkKernelMergeGallop(b *testing.B) {
 	b.Run("random", func(b *testing.B) { benchMerge(b, false, MergeBinary) })
 	b.Run("runs", func(b *testing.B) { benchMerge(b, true, MergeBinary) })
+}
+
+// BenchmarkKernelMergeKWay pairs MultiMerge's loser tree with binary rounds
+// (mergeBinaryRounds) on k ∈ {4, 16, 64} sorted lanes of 16Ki keys each, as
+// k=<k>/loser-tree and k=<k>/binary-rounds.  It measures the CPU time of the
+// in-memory k-way merge alone; the PDM I/O of a merge pass is the same for
+// either kernel.  Both merges must produce the sorted concatenation before
+// anything is timed.  On a 2-vCPU Intel Xeon VM, six runs of 30 merges
+// each, binary rounds took 0.68–0.83× the loser tree's time at k = 4,
+// 0.79–0.86× at k = 16 and 0.89–1.03× at k = 64.  The loser tree's case is
+// memory, not CPU time: it allocates no key buffers and also merges
+// streams (StreamMerge), where binary rounds allocates a full-size buffer
+// per round.
+func BenchmarkKernelMergeKWay(b *testing.B) {
+	const per = 1 << 14
+	merges := []struct {
+		name  string
+		merge func(dst []int64, lanes [][]int64)
+	}{{"loser-tree", MultiMerge}, {"binary-rounds", mergeBinaryRounds}}
+	for _, k := range []int{4, 16, 64} {
+		lanes := make([][]int64, k)
+		var want []int64
+		for i := range lanes {
+			lanes[i] = make([]int64, per)
+			fillBenchKeys(lanes[i], uint64(i))
+			slices.Sort(lanes[i])
+			want = append(want, lanes[i]...)
+		}
+		slices.Sort(want)
+		dst := make([]int64, k*per)
+		for _, m := range merges {
+			clear(dst)
+			if m.merge(dst, lanes); !slices.Equal(dst, want) {
+				b.Fatalf("k=%d: %s output differs from the sorted concatenation", k, m.name)
+			}
+		}
+		for _, m := range merges {
+			b.Run(fmt.Sprintf("k=%d/%s", k, m.name), func(b *testing.B) {
+				b.SetBytes(int64(k * per * 8))
+				for range b.N {
+					m.merge(dst, lanes)
+				}
+			})
+		}
+	}
+}
+
+// mergeBinaryRounds merges k sorted lanes by ⌈log₂ k⌉ rounds of pairwise
+// MergeBinary over the data, the baseline BenchmarkKernelMergeKWay times
+// the loser tree against.  Identical output, up to ⌈log₂ k⌉ + 1 moves of
+// every key.
+func mergeBinaryRounds(dst []int64, lanes [][]int64) {
+	cur := slices.Clone(lanes)
+	for len(cur) > 1 {
+		next := cur[:0:0]
+		for i := 0; i+1 < len(cur); i += 2 {
+			merged := make([]int64, len(cur[i])+len(cur[i+1]))
+			MergeBinary(merged, cur[i], cur[i+1])
+			next = append(next, merged)
+		}
+		if len(cur)%2 == 1 {
+			next = append(next, cur[len(cur)-1])
+		}
+		cur = next
+	}
+	copy(dst, cur[0])
 }
 
 // mergeBinaryBranchy is the pre-gallop element-at-a-time merge, kept as the

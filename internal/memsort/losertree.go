@@ -9,8 +9,9 @@ const infKey = math.MaxInt64
 
 // LoserTree merges k sorted lanes with ⌈log₂ k⌉ comparisons per emitted key.
 // It is the kernel of every one-pass k-way merge phase in the repository
-// (the (l,m)-merge's group merges, multiway merge sort, and the k-way merge
-// ablation).  Each internal node stores the loser's key beside its lane, so
+// (the (l,m)-merge's group merges and multiway merge sort;
+// BenchmarkKernelMergeKWay times it against binary rounds).  Each internal
+// node stores the loser's key beside its lane, so
 // a replay up the root path reads one contiguous node per level and never
 // chases the lane slices.
 type LoserTree struct {
@@ -221,38 +222,4 @@ func MultiMerge(dst []int64, lanes [][]int64) {
 	}
 	t := NewLoserTree(lanes)
 	t.PopAll(dst[t.MergeRuns(dst):])
-}
-
-// MultiMergeBinary merges k sorted lanes by repeated pairwise binary merging
-// (⌈log₂ k⌉ rounds over the data).  It exists as the baseline for the
-// loser-tree ablation (experiments.A4MergeKernel): identical output, more
-// key moves.
-func MultiMergeBinary(dst []int64, lanes [][]int64) {
-	total := 0
-	for _, l := range lanes {
-		total += len(l)
-	}
-	if len(dst) != total {
-		panic("memsort: MultiMergeBinary destination size mismatch")
-	}
-	if len(lanes) == 0 {
-		return
-	}
-	cur := make([][]int64, len(lanes))
-	for i, l := range lanes {
-		cur[i] = append([]int64(nil), l...)
-	}
-	for len(cur) > 1 {
-		next := cur[:0:0]
-		for i := 0; i+1 < len(cur); i += 2 {
-			merged := make([]int64, len(cur[i])+len(cur[i+1]))
-			MergeBinary(merged, cur[i], cur[i+1])
-			next = append(next, merged)
-		}
-		if len(cur)%2 == 1 {
-			next = append(next, cur[len(cur)-1])
-		}
-		cur = next
-	}
-	copy(dst, cur[0])
 }

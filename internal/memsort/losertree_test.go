@@ -100,32 +100,6 @@ func TestLoserTreeEmpty(t *testing.T) {
 	}
 }
 
-func TestMultiMergeBinaryMatchesLoserTree(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 50; trial++ {
-		k := 1 + rng.Intn(9)
-		lanes := randomLanes(rng, k, 30)
-		want := flattenSorted(lanes)
-		d1 := make([]int64, len(want))
-		d2 := make([]int64, len(want))
-		MultiMerge(d1, lanes)
-		MultiMergeBinary(d2, lanes)
-		if !slices.Equal(d1, want) || !slices.Equal(d2, want) {
-			t.Fatalf("trial %d: loser=%v binary=%v want=%v", trial, d1, d2, want)
-		}
-	}
-	MultiMergeBinary(nil, nil)
-}
-
-func TestMultiMergeBinarySizeMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on size mismatch")
-		}
-	}()
-	MultiMergeBinary(make([]int64, 5), [][]int64{{1}})
-}
-
 func TestMultiMergeQuickProperty(t *testing.T) {
 	// Property: merging any k sorted lanes equals sorting the concatenation.
 	f := func(raw [][]int64) bool {

@@ -189,20 +189,6 @@ func Reverse(a []int64) {
 	}
 }
 
-// MinMax returns the smallest and largest keys of a, which must be nonempty.
-func MinMax(a []int64) (min, max int64) {
-	min, max = a[0], a[0]
-	for _, v := range a[1:] {
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
-		}
-	}
-	return min, max
-}
-
 // mergeMinGallop is how many consecutive wins one input needs before the
 // merge switches from the element-at-a-time loop to galloping: exponential
 // probing for the end of the winner's run followed by a bulk copy.  Clustered

@@ -133,17 +133,6 @@ func TestReverse(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	min, max := MinMax([]int64{3, -1, 7, 0})
-	if min != -1 || max != 7 {
-		t.Fatalf("MinMax = %d,%d", min, max)
-	}
-	min, max = MinMax([]int64{5})
-	if min != 5 || max != 5 {
-		t.Fatalf("MinMax single = %d,%d", min, max)
-	}
-}
-
 func TestMergeBinary(t *testing.T) {
 	a := []int64{1, 3, 5}
 	b := []int64{2, 4, 6, 7}

@@ -16,13 +16,6 @@ func Isqrt(n int) int {
 	return s
 }
 
-// IsPerfectSquare reports whether n is a perfect square, the harness
-// requirement for configurations with B = √M.
-func IsPerfectSquare(n int) bool {
-	s := Isqrt(n)
-	return s*s == n
-}
-
 // CeilDiv returns ⌈a/b⌉ for positive b.
 func CeilDiv(a, b int) int {
 	return (a + b - 1) / b

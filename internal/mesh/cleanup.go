@@ -93,65 +93,3 @@ func PairwiseClean(a []int64, w int) {
 	mergeAdjacent(0)
 	mergeAdjacent(w)
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// MaxDisplacement returns the largest distance between a key's position in a
-// and its position in the stable sort of a — the quantity bounded by the
-// shuffling lemma and assumed by the cleanup routines.
-func MaxDisplacement(a []int64) int {
-	idx := make([]int, len(a))
-	for i := range idx {
-		idx[i] = i
-	}
-	// Simple merge sort on indices for stability.
-	tmp := make([]int, len(a))
-	var ms func(lo, hi int)
-	ms = func(lo, hi int) {
-		if hi-lo < 2 {
-			return
-		}
-		mid := (lo + hi) / 2
-		ms(lo, mid)
-		ms(mid, hi)
-		i, j, k := lo, mid, lo
-		for i < mid && j < hi {
-			if a[idx[j]] < a[idx[i]] {
-				tmp[k] = idx[j]
-				j++
-			} else {
-				tmp[k] = idx[i]
-				i++
-			}
-			k++
-		}
-		for i < mid {
-			tmp[k] = idx[i]
-			i++
-			k++
-		}
-		for j < hi {
-			tmp[k] = idx[j]
-			j++
-			k++
-		}
-		copy(idx[lo:hi], tmp[lo:hi])
-	}
-	ms(0, len(a))
-	maxD := 0
-	for sortedPos, origPos := range idx {
-		d := sortedPos - origPos
-		if d < 0 {
-			d = -d
-		}
-		if d > maxD {
-			maxD = d
-		}
-	}
-	return maxD
-}

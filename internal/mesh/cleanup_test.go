@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/memsort"
+	"repro/internal/shuffle"
 	"repro/internal/workload"
 )
 
@@ -88,20 +89,27 @@ func TestRollingCleanQuickProperty(t *testing.T) {
 	}
 }
 
+// TestMaxDisplacement checks shuffle.MaxDisplacement, the measure a
+// RollingClean window is sized by, and that a window of the measured
+// displacement cleans the input.
 func TestMaxDisplacement(t *testing.T) {
-	if got := MaxDisplacement([]int64{1, 2, 3}); got != 0 {
+	if got := shuffle.MaxDisplacement([]int64{1, 2, 3}); got != 0 {
 		t.Fatalf("sorted displacement = %d", got)
 	}
-	if got := MaxDisplacement([]int64{3, 1, 2}); got != 2 {
+	if got := shuffle.MaxDisplacement([]int64{3, 1, 2}); got != 2 {
 		t.Fatalf("displacement = %d, want 2", got)
 	}
 	// Duplicates: stable order keeps equal keys in place.
-	if got := MaxDisplacement([]int64{5, 5, 5, 5}); got != 0 {
+	if got := shuffle.MaxDisplacement([]int64{5, 5, 5, 5}); got != 0 {
 		t.Fatalf("constant displacement = %d", got)
 	}
 	a := workload.NearlySorted(500, 32, 1)
-	if got := MaxDisplacement(a); got > 32 {
-		t.Fatalf("NearlySorted displacement = %d > 32", got)
+	d := shuffle.MaxDisplacement(a)
+	if d > 32 {
+		t.Fatalf("NearlySorted displacement = %d > 32", d)
+	}
+	if err := RollingClean(a, max(d, 1)); err != nil || !memsort.IsSorted(a) {
+		t.Fatalf("RollingClean at w = %d: err %v, sorted %v", d, err, memsort.IsSorted(a))
 	}
 }
 

@@ -4,6 +4,8 @@
 // dirty-row analysis for 0-1 inputs, and the rolling cleanup of the paper's
 // Step 3 / Observation 4.2.
 //
-// Everything here is in-memory reference machinery: internal/core re-derives
-// the same steps as explicit PDM passes, and the tests cross-check the two.
+// Everything here is in-memory reference machinery; internal/core re-derives
+// the same steps as explicit PDM passes.  The tests here check it against a
+// plain in-memory sort and exhaustive 0-1 inputs, and ablations A1 and A2
+// (internal/experiments) run it.  No test compares it with internal/core.
 package mesh

@@ -12,8 +12,9 @@ import (
 // columns, (3) rolling cleanup with window M/2.  It sorts any input of
 // exactly M·√M keys (Theorem 3.1).
 //
-// internal/core implements the same steps as three accounted PDM passes;
-// the test suite cross-checks the two step by step.
+// internal/core implements the same steps as three accounted PDM passes.
+// This form is checked on its own, against a plain in-memory sort and
+// exhaustive 0-1 inputs; no test compares it with internal/core.
 func ThreePassRef(data []int64, mem int) error {
 	cols := memsort.Isqrt(mem)
 	if cols*cols != mem {

@@ -148,7 +148,7 @@ type Report struct {
 	// miss fell back — the FellBack flag distinguishes the two).
 	Scenario      string
 	ScenarioRoute string
-	// Records observability (SortRecords and SortPairs only; zero for the
+	// Records observability (SortRecords and GroupBy only; zero for the
 	// key-only entry points).  KeyRounds counts the charged key+index digit
 	// rounds on the deepest path of the record sort: 1, plus one per level
 	// of digit-tie runs longer than M that needed re-sorting (at most

@@ -17,25 +17,11 @@ import (
 // distribution permutation (internal/records) whose I/O is charged in the
 // same pass currency.
 //
-// Every packing constant below derives from packedSortBits so the bound,
-// the shift, and the unpack mask cannot drift apart.
-const (
-	// packedSortBits is the usable width of a packed (key, index) sort
-	// word.  62 bits keep every packed value nonnegative and strictly
-	// below MaxInt64, the padding sentinel Sort reserves.
-	packedSortBits = 62
-
-	// pairKeyBits and pairIdxBits describe SortPairs' legacy contract —
-	// 32-bit keys, the paper's Section 7 "practical keys" observation —
-	// now just one instance of the general packing: with 2^30 records the
-	// planner derives exactly this split.
-	pairKeyBits = 32
-	pairIdxBits = packedSortBits - pairKeyBits
-
-	// maxPairRecords is SortPairs' record bound, inclusive: indices
-	// 0..2^30−1 fit the 30-bit index field, so exactly 2^30 records pack.
-	maxPairRecords = 1 << pairIdxBits
-)
+// packedSortBits is the usable width of a packed (key, index) sort word,
+// the one constant the bound, the shift and the unpack mask derive from.
+// 62 bits keep every packed value nonnegative and strictly below MaxInt64,
+// the padding sentinel Sort reserves.
+const packedSortBits = 62
 
 // packPlan resolves the packing for n records: how many low bits index a
 // record and how many high bits remain for a key digit per sort round.
@@ -227,33 +213,6 @@ func (m *Machine) refineTies(keys []int64, perm []int, sorted []int64, lo uint64
 		rep.KeyRounds = max(rep.KeyRounds, 1+subRep.KeyRounds)
 	}
 	return nil
-}
-
-// pairCountOK reports whether n records fit SortPairs' legacy packing:
-// the bound is inclusive, since n records use indices 0..n−1 and exactly
-// 2^pairIdxBits of them fit the index field.
-func pairCountOK(n int) bool { return n <= maxPairRecords }
-
-// SortPairs sorts records (keys[i], payloads[i]) by key, in place and
-// stably.  It is a thin compatibility wrapper over SortRecords that keeps
-// the original narrow contract — keys in [0, 2^32), at most 2^30 records,
-// single-word payloads — matching the paper's Section 7 observation that
-// practical keys ("weather data, market data", social-security numbers)
-// are at most 32 bits.  For wider keys, more records, or byte payloads,
-// call SortRecords directly.
-func (m *Machine) SortPairs(keys, payloads []int64, alg Algorithm) (*Report, error) {
-	if len(keys) != len(payloads) {
-		return nil, fmt.Errorf("repro: %d keys but %d payloads", len(keys), len(payloads))
-	}
-	if !pairCountOK(len(keys)) {
-		return nil, fmt.Errorf("repro: %d records exceed the 2^%d packing limit", len(keys), pairIdxBits)
-	}
-	for i, k := range keys {
-		if k < 0 || k >= 1<<pairKeyBits {
-			return nil, fmt.Errorf("repro: key %d at index %d outside [0, 2^%d)", k, i, pairKeyBits)
-		}
-	}
-	return m.sortWordRecords(keys, payloads, alg)
 }
 
 // sortWordRecords is SortRecords for single-word payloads: each int64

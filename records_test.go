@@ -15,10 +15,26 @@ import (
 	"repro/internal/workload"
 )
 
+// TestSortPairs drives sortWordRecords, the (key, one-word payload) path
+// GroupBy runs, under Auto; TestSortPairsAllAlgorithms does the same under
+// the four deterministic algorithms.
 func TestSortPairs(t *testing.T) {
+	assertSortPairs(t, newTestMachine(t, 256), Auto)
+}
+
+func TestSortPairsAllAlgorithms(t *testing.T) {
 	m := newTestMachine(t, 256)
+	for _, alg := range []Algorithm{ThreePassMesh, ThreePassLMM, SevenPass, SevenPassMesh} {
+		assertSortPairs(t, m, alg)
+	}
+}
+
+// assertSortPairs sorts tie-heavy pairs with alg: they must come out in
+// stable key order with each key still paired with its payload.
+func assertSortPairs(t *testing.T, m *Machine, alg Algorithm) {
+	t.Helper()
 	n := 3000
-	keys := workload.Uniform(n, 0, 99, 4) // many duplicates: stability matters
+	keys := workload.Uniform(n, 0, 99, algSeed(alg)+4) // many duplicates: stability matters
 	payloads := make([]int64, n)
 	for i := range payloads {
 		payloads[i] = int64(i) * 10
@@ -30,31 +46,18 @@ func TestSortPairs(t *testing.T) {
 	}
 	sort.SliceStable(want, func(i, j int) bool { return want[i].k < want[j].k })
 
-	rep, err := m.SortPairs(keys, payloads, Auto)
+	rep, err := m.sortWordRecords(keys, payloads, alg)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%v: %v", alg, err)
 	}
 	if rep.N != n {
-		t.Fatalf("report N = %d", rep.N)
+		t.Fatalf("%v: report N = %d", alg, rep.N)
 	}
 	for i := range want {
 		if keys[i] != want[i].k || payloads[i] != want[i].p {
-			t.Fatalf("record %d = (%d, %d), want (%d, %d) — stability or pairing broken",
-				i, keys[i], payloads[i], want[i].k, want[i].p)
+			t.Fatalf("%v: record %d = (%d, %d), want (%d, %d) — stability or pairing broken",
+				alg, i, keys[i], payloads[i], want[i].k, want[i].p)
 		}
-	}
-}
-
-func TestSortPairsValidation(t *testing.T) {
-	m := newTestMachine(t, 256)
-	if _, err := m.SortPairs([]int64{1}, []int64{1, 2}, Auto); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-	if _, err := m.SortPairs([]int64{-1}, []int64{0}, Auto); err == nil {
-		t.Fatal("negative key accepted")
-	}
-	if _, err := m.SortPairs([]int64{1 << 32}, []int64{0}, Auto); err == nil {
-		t.Fatal("oversized key accepted")
 	}
 }
 
@@ -321,17 +324,15 @@ func TestSortRecordsValidation(t *testing.T) {
 
 // TestPackingBoundary exercises the 2^30-record boundary logic at the
 // unit level (no 8 GiB allocation): the planner must give exactly 2^30
-// records a 30-bit index field and a 32-bit key field — SortPairs' legacy
-// packing — with every packed value below the MaxInt64 sentinel, and the
-// pair-count guard must accept exactly 2^30 but reject one more.
+// records a 30-bit index field and a 32-bit key field, with every packed
+// value below the MaxInt64 sentinel, and one record more a 31-bit index.
 func TestPackingBoundary(t *testing.T) {
 	pp, err := planPacking(1 << 30)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pp.idxBits != pairIdxBits || pp.keyBits != pairKeyBits {
-		t.Fatalf("2^30 records plan = %d idx bits, %d key bits; want %d and %d",
-			pp.idxBits, pp.keyBits, pairIdxBits, pairKeyBits)
+	if pp.idxBits != 30 || pp.keyBits != 32 {
+		t.Fatalf("2^30 records plan = %d idx bits, %d key bits; want 30 and 32", pp.idxBits, pp.keyBits)
 	}
 	maxKey := pp.keyLimit - 1  // 2^32 − 1
 	maxIdx := int64(1)<<30 - 1 // last of exactly 2^30 indices
@@ -345,19 +346,12 @@ func TestPackingBoundary(t *testing.T) {
 	if got := packed >> pp.idxBits; got != maxKey {
 		t.Fatalf("unpacked key %d, want %d", got, maxKey)
 	}
-	// The off-by-one: exactly 2^30 records are inside the contract.
-	if !pairCountOK(1 << 30) {
-		t.Fatal("exactly 2^30 records rejected — the off-by-one is back")
-	}
-	if pairCountOK(1<<30 + 1) {
-		t.Fatal("2^30+1 records accepted")
-	}
-	// One record more halves the key field, never corrupts it.
+	// One record more takes one key bit for the index, never corrupts it.
 	pp2, err := planPacking(1<<30 + 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pp2.idxBits != 31 || pp2.keyBits != packedSortBits-31 {
+	if pp2.idxBits != 31 || pp2.keyBits != 31 {
 		t.Fatalf("2^30+1 records plan = %+v", pp2)
 	}
 	// Single-record degenerate plan: no index bits needed.
@@ -487,33 +481,6 @@ func TestSortRecordsMillionBitIdentical(t *testing.T) {
 	}
 	if st.ArenaLeak != 0 {
 		t.Fatalf("records job leaked %d arena keys", st.ArenaLeak)
-	}
-}
-
-func TestSortPairsAllAlgorithms(t *testing.T) {
-	m := newTestMachine(t, 256)
-	n := 1024
-	for _, alg := range []Algorithm{ThreePassMesh, ThreePassLMM, SevenPass, SevenPassMesh} {
-		keys := workload.Uniform(n, 0, 9, algSeed(alg))
-		payloads := workload.Perm(n, algSeed(alg)+100)
-		pairSum := int64(0)
-		for i := range keys {
-			pairSum += keys[i] ^ payloads[i]
-		}
-		if _, err := m.SortPairs(keys, payloads, alg); err != nil {
-			t.Fatalf("%v: %v", alg, err)
-		}
-		if !slices.IsSorted(keys) {
-			t.Fatalf("%v: keys not sorted", alg)
-		}
-		// The key-payload pairing must survive (checksum of XOR pairs).
-		gotSum := int64(0)
-		for i := range keys {
-			gotSum += keys[i] ^ payloads[i]
-		}
-		if gotSum != pairSum {
-			t.Fatalf("%v: records torn apart", alg)
-		}
 	}
 }
 
