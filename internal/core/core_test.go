@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -489,35 +490,62 @@ func TestCapacityFormulas(t *testing.T) {
 
 func TestIntegerSort(t *testing.T) {
 	const m = 64
-	a := newTestArray(t, m, 4)
 	r := m / memsort.Isqrt(m) // M/B = 8
-	n := 64 * m
-	data := workload.Uniform(n, 0, int64(r-1), 3)
-	in := loadInput(t, a, data)
-	res, err := IntegerSort(a, in, r, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	verifySorted(t, res, data)
-	// Theorem 7.1: 2(1+µ) passes with µ < 1 including step A.
-	if res.ReadPasses >= 4 {
-		t.Fatalf("read passes = %.3f, want < 4 = 2(1+µ) with µ<1", res.ReadPasses)
-	}
-	assertMemoryEnvelope(t, a)
-	res.Out.Free()
-	in.Free()
+	n := 64 * m               // a whole number of stripes
+	// The scatter's pinned write steps sit above the ⌈blocks/D⌉ = 129
+	// floor.  stream.Scatter writes the head of every non-empty disk queue
+	// per step, and the per-bucket rotations now and then leave a queue
+	// empty when the stage fills, and uneven at the final drain; each such
+	// step writes fewer than D blocks.
+	for _, tc := range []struct {
+		name               string
+		data               []int64
+		blocks, writeSteps int64
+	}{
+		{"uniform", workload.Uniform(n, 0, int64(r-1), 3), 515, 131},
+		{"zipf", workload.Zipf(n, 1.3, uint64(r-1), 4), 516, 135},
+	} {
+		a := newTestArray(t, m, 4)
+		in := loadInput(t, a, tc.data)
+		res, err := IntegerSort(a, in, r, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		verifySorted(t, res, tc.data)
+		// Theorem 7.1: 2(1+µ) passes with µ < 1 including step A.
+		if res.ReadPasses >= 4 {
+			t.Fatalf("%s: read passes = %.3f, want < 4 = 2(1+µ) with µ<1", tc.name, res.ReadPasses)
+		}
+		assertMemoryEnvelope(t, a)
+		res.Out.Free()
+		in.Free()
 
-	// Without step A: (1+µ) passes, no output stripe.
-	in2 := loadInput(t, a, data)
-	res2, err := IntegerSort(a, in2, r, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Out != nil {
-		t.Fatal("unexpected output stripe without rearrange")
-	}
-	if res2.ReadPasses >= 2 {
-		t.Fatalf("read passes = %.3f without step A, want < 2 = 1+µ", res2.ReadPasses)
+		// Without step A: no output stripe, and the scatter alone.  It reads
+		// the source one stripe per request, exactly one pass, and writes
+		// through stream.Scatter, at most one block per disk per step.  On a
+		// synchronous array its phase peak is exactly the carries (M), the
+		// Scatter's stage (M) and one stripe of read buffer.
+		a = newSyncArray(t, m, 4)
+		in = loadInput(t, a, tc.data)
+		res, err = IntegerSort(a, in, r, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Out != nil {
+			t.Fatalf("%s: unexpected output stripe without rearrange", tc.name)
+		}
+		if res.ReadPasses != 1 {
+			t.Fatalf("%s: read passes = %.3f without step A, want exactly 1", tc.name, res.ReadPasses)
+		}
+		if res.IO.BlocksWritten != tc.blocks || res.IO.WriteSteps != tc.writeSteps {
+			t.Fatalf("%s: %d blocks in %d write steps, want %d in %d",
+				tc.name, res.IO.BlocksWritten, res.IO.WriteSteps, tc.blocks, tc.writeSteps)
+		}
+		want := fmt.Sprintf("integersort/scatter=%d", 2*m+a.StripeWidth())
+		if !slices.Contains(a.Arena().PhasePeaks(), want) {
+			t.Fatalf("%s: scatter peak not 2M+DB: %v", tc.name, a.Arena().PhasePeaks())
+		}
+		in.Free()
 	}
 }
 
@@ -553,28 +581,39 @@ func TestIntegerSortRejectsOutOfRange(t *testing.T) {
 
 func TestRadixSort(t *testing.T) {
 	const m = 256 // B = 16: large enough for the bucket concentration
-	a := newTestArray(t, m, 4)
-	n := 64 * m
-	universe := int64(1) << 16
-	data := workload.Uniform(n, 0, universe-1, 7)
-	in := loadInput(t, a, data)
-	res, err := RadixSort(a, in, universe)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name     string
+		n        int
+		universe int64
+		maxReads float64
+	}{
+		// Observation 7.2 shape: (1+ν)·log(N/M)/log(M/B) + 1 passes with
+		// ν < 1.  log(N/M)/log(M/B) = log_16(64) → 2 scatter rounds, so
+		// passes must be below 2·2+1 = 5 (ν < 1).
+		{"two rounds", 64 * m, 1 << 16, 5},
+		// 30 key bits are not a multiple of the 4-bit digit: the first round
+		// must still split on the top 4 bits, so N = 8M fits in one round
+		// plus step A.
+		{"ragged key width", 8 * m, 1 << 30, 3},
+	} {
+		a := newTestArray(t, m, 4)
+		data := workload.Uniform(tc.n, 0, tc.universe-1, 7)
+		in := loadInput(t, a, data)
+		res, err := RadixSort(a, in, tc.universe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		verifySorted(t, res, data)
+		if res.ReadPasses >= tc.maxReads {
+			t.Fatalf("%s: read passes = %.3f, want < %g", tc.name, res.ReadPasses, tc.maxReads)
+		}
+		assertMemoryEnvelope(t, a)
+		res.Out.Free()
+		in.Free()
 	}
-	verifySorted(t, res, data)
-	// Observation 7.2 shape: (1+ν)·log(N/M)/log(M/B) + 1 passes with ν < 1.
-	// log(N/M)/log(M/B) = log_16(64) → 2 scatter rounds, so passes must be
-	// below 2·2+1 = 5 (ν < 1) and the prediction with ν = 1/C below that.
-	if res.ReadPasses >= 5 {
-		t.Fatalf("read passes = %.3f, want < 5 (2 rounds with nu < 1, plus step A)", res.ReadPasses)
-	}
-	if pred := RadixSortPredictedPasses(n, m, memsort.Isqrt(m), 4); pred >= 5 {
+	if pred := RadixSortPredictedPasses(64*m, m, memsort.Isqrt(m), 4); pred >= 5 {
 		t.Fatalf("prediction %.3f out of the theorem's range", pred)
 	}
-	assertMemoryEnvelope(t, a)
-	res.Out.Free()
-	in.Free()
 }
 
 func TestRadixSortMoreRoundsForBiggerN(t *testing.T) {

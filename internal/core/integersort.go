@@ -33,13 +33,16 @@ func stripeBlockSeq(s *pdm.Stripe) blockSeq {
 	return seq
 }
 
-// scatterState carries the per-bucket disk-rotation cursors and the stripes
-// backing the scattered runs across scatter passes: every bucket's run is
-// striped round-robin across the disks in its own right, continuing across
-// phases — the LMM striping of [23] the paper prescribes — so later
-// sequential reads of any run achieve full parallelism.
+// scatterState carries what the scatter passes of one sort share.  Every
+// bucket keeps its own disk-rotation cursor, continuing across passes, so
+// each run is striped round-robin across the disks in its own right — the
+// LMM striping of [23] the paper prescribes — and later sequential reads of
+// any run achieve full parallelism.  Each disk keeps a row cursor over the
+// scratch stripes backing the runs, which are allocated one memory load (C
+// rows) at a time and freed together when the sort ends.
 type scatterState struct {
 	nextDisk []int
+	rows     []int
 	stripes  []*pdm.Stripe
 }
 
@@ -50,259 +53,110 @@ func (st *scatterState) freeStripes() {
 	st.stripes = nil
 }
 
-// planScatterReads replays scatterPass's accumulate loop against the source
-// metadata only (block counts, never key values), yielding the {first
-// block, block count} of every vectored read of the pass so the requests
-// can be pre-planned for the prefetcher.
-func planScatterReads(bufLen, b, m int, counts []int) [][2]int {
-	var plan [][2]int
-	for blk := 0; blk < len(counts); {
-		valid := 0
-		for blk < len(counts) {
-			aligned := memsort.CeilDiv(valid, b) * b
-			slots := (bufLen - aligned) / b
-			if slots == 0 || valid >= m {
-				break
-			}
-			batch := len(counts) - blk
-			if batch > slots {
-				batch = slots
-			}
-			plan = append(plan, [2]int{blk, batch})
-			for i := 0; i < batch; i++ {
-				valid += counts[blk+i]
-			}
-			blk += batch
+// place returns the address of bucket's next block: the next free row on
+// the bucket's next rotation disk.
+func (st *scatterState) place(a *pdm.Array, g geometry, bucket int) (pdm.BlockAddr, error) {
+	d := st.nextDisk[bucket]
+	st.nextDisk[bucket] = (d + 1) % g.d
+	row, c := st.rows[d], g.m/g.dxb
+	if row == len(st.stripes)*c {
+		s, err := a.NewStripe(g.m)
+		if err != nil {
+			return pdm.BlockAddr{}, err
 		}
+		st.stripes = append(st.stripes, s)
 	}
-	return plan
+	st.rows[d]++
+	return st.stripes[row/c].BlockAddr(row%c*g.d + d), nil
 }
 
-// scatterPass streams src and distributes its keys into r bucket runs
-// according to bucketOf, which must be monotone nondecreasing in the key
-// (true for identity buckets and for any most-significant-digit extractor).
+// scatterPass streams src one stripe per request and distributes its keys
+// into r bucket runs according to bucketOf, which must be monotone
+// nondecreasing in the key (true for identity buckets and for any
+// most-significant-digit extractor).
 //
-// Each phase reads ~M valid keys, groups them in memory, and writes only
-// FULL blocks: every bucket keeps one partial "carry" block in memory
-// between phases (R·B = M extra keys, inside the paper's memory envelope),
-// so padding appears only in the final flush — at most one non-full block
-// per bucket for the whole pass, which is what keeps the paper's µ < 1.
-// Blocks are placed on each bucket's own round-robin disk rotation (the LMM
-// striping of [23]), so later sequential reads of any run are fully
-// parallel.
+// Every bucket fills one "carry" block in memory (r·B ≤ M keys), and each
+// full carry goes to a stream.Scatter — the write queue records and
+// scenario's partitioned group-by share — at the bucket's next rotation
+// address, so every request writes at most one block per disk.  Padding
+// appears only in the final flush: at most one non-full block per bucket
+// for the whole pass, which is what keeps the paper's µ < 1.  Memory is the
+// carries, the Scatter's stage of M and one stripe of read buffer: 2M + D·B.
 func scatterPass(a *pdm.Array, src blockSeq, r int, bucketOf func(int64) int, st *scatterState) ([]blockSeq, error) {
 	g, err := checkGeometry(a)
 	if err != nil {
 		return nil, err
 	}
-	children := make([]blockSeq, r)
-	if src.total == 0 {
-		return children, nil
-	}
-	buf, err := a.Arena().Alloc(g.m + g.b)
-	if err != nil {
-		return nil, err
-	}
-	defer a.Arena().Free(buf)
-	carry, err := a.Arena().Alloc(r * g.b)
-	if err != nil {
-		return nil, err
-	}
-	defer a.Arena().Free(carry)
-	carryCnt := make([]int, r)
 	if st.nextDisk == nil {
 		st.nextDisk = make([]int, r)
 		for i := range st.nextDisk {
 			st.nextDisk[i] = i % g.d
 		}
+		st.rows = make([]int, g.d)
 	}
-	// The read batching depends only on the source block counts, so the
-	// whole pass pre-plans and the prefetcher streams the next batch while
-	// this one is grouped and scattered.
-	plan := planScatterReads(len(buf), g.b, g.m, src.counts)
-	rd, err := stream.NewReader(a, len(plan), func(t int) []pdm.BlockAddr {
-		return src.addrs[plan[t][0] : plan[t][0]+plan[t][1]]
+	carry, err := a.Arena().Alloc(r * g.b)
+	if err != nil {
+		return nil, err
+	}
+	defer a.Arena().Free(carry)
+	sc, err := stream.NewScatter(a)
+	if err != nil {
+		return nil, err
+	}
+	defer sc.Close()
+	raw, err := a.Arena().Alloc(g.dxb)
+	if err != nil {
+		return nil, err
+	}
+	defer a.Arena().Free(raw)
+
+	children := make([]blockSeq, r)
+	carryCnt := make([]int, r)
+	queue := func(bkt int) error {
+		addr, err := st.place(a, g, bkt)
+		if err != nil {
+			return err
+		}
+		c := &children[bkt]
+		c.addrs = append(c.addrs, addr)
+		c.counts = append(c.counts, carryCnt[bkt])
+		c.total += carryCnt[bkt]
+		carryCnt[bkt] = 0
+		return sc.Add(addr, carry[bkt*g.b:(bkt+1)*g.b])
+	}
+	err = streamBlockSeqs(a, g, []blockSeq{src}, raw, func(_ int, keys []int64) error {
+		for _, k := range keys {
+			bkt := bucketOf(k)
+			if bkt < 0 || bkt >= r {
+				return fmt.Errorf("core: key %d maps to bucket %d outside [0,%d)", k, bkt, r)
+			}
+			carry[bkt*g.b+carryCnt[bkt]] = k
+			if carryCnt[bkt]++; carryCnt[bkt] == g.b {
+				if err := queue(bkt); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	defer rd.Close()
-	w, err := stream.NewWriter(a)
-	if err != nil {
-		return nil, err
-	}
-
-	// placeAndWrite assigns each pending block to its bucket's next
-	// rotation disk, backs them with a fresh stripe sized by the most
-	// loaded disk, performs one vectored write, and records the blocks in
-	// the children directory.
-	type pending struct {
-		bucket, count int
-	}
-	placeAndWrite := func(wviews [][]int64, meta []pending) error {
-		if len(meta) == 0 {
-			return nil
-		}
-		perDisk := make([]int, g.d)
-		targets := make([]int, len(meta))
-		for i, m := range meta {
-			d := st.nextDisk[m.bucket]
-			st.nextDisk[m.bucket] = (d + 1) % g.d
-			targets[i] = d
-			perDisk[d]++
-		}
-		rows := 0
-		for _, c := range perDisk {
-			if c > rows {
-				rows = c
+	for bkt, c := range carryCnt {
+		if c > 0 {
+			if err := queue(bkt); err != nil {
+				return nil, err
 			}
-		}
-		ps, err := a.NewStripe(rows * g.d * g.b)
-		if err != nil {
-			return err
-		}
-		st.stripes = append(st.stripes, ps)
-		addrs := make([]pdm.BlockAddr, len(meta))
-		usedRows := make([]int, g.d)
-		for i, d := range targets {
-			addrs[i] = ps.BlockAddr(usedRows[d]*g.d + d)
-			usedRows[d]++
-		}
-		if err := w.Write(addrs, wviews); err != nil {
-			return err
-		}
-		for i, m := range meta {
-			c := &children[m.bucket]
-			c.addrs = append(c.addrs, addrs[i])
-			c.counts = append(c.counts, m.count)
-			c.total += m.count
-		}
-		return nil
-	}
-	fail := func(err error) ([]blockSeq, error) {
-		w.Close() //nolint:errcheck // the first error takes precedence
-		return nil, err
-	}
-
-	for blk := 0; blk < len(src.addrs); {
-		// Accumulate close to M *valid* keys before scattering, compacting
-		// out the padding of partially-full source blocks after each read.
-		valid := 0
-		for blk < len(src.addrs) {
-			aligned := memsort.CeilDiv(valid, g.b) * g.b
-			slots := (len(buf) - aligned) / g.b
-			if slots == 0 || valid >= g.m {
-				break
-			}
-			batch := len(src.addrs) - blk
-			if batch > slots {
-				batch = slots
-			}
-			// This is, by construction, the next pre-planned request.
-			views := make([][]int64, batch)
-			for i := range views {
-				views[i] = buf[aligned+i*g.b : aligned+(i+1)*g.b]
-			}
-			if err := rd.Fill(views); err != nil {
-				return fail(err)
-			}
-			for i := 0; i < batch; i++ {
-				cnt := src.counts[blk+i]
-				copy(buf[valid:valid+cnt], buf[aligned+i*g.b:aligned+i*g.b+cnt])
-				valid += cnt
-			}
-			blk += batch
-		}
-
-		// Group by bucket: bucketOf is monotone in the key, so a key sort
-		// groups the buckets in value order, and the parallel histogram
-		// yields each bucket's extent without rescanning the keys.
-		pool := a.Pool()
-		pool.SortKeys(buf[:valid])
-		bcounts, ok := pool.Histogram(buf[:valid], r, bucketOf)
-		if !ok {
-			for _, k := range buf[:valid] {
-				if bkt := bucketOf(k); bkt < 0 || bkt >= r {
-					return fail(fmt.Errorf("core: key %d maps to bucket %d outside [0,%d)", k, bkt, r))
-				}
-			}
-			return fail(fmt.Errorf("core: bucket histogram failed without an offending key"))
-		}
-
-		// Assemble this phase's full blocks: carry-completion blocks (the
-		// in-memory partial topped up from the group) followed by direct
-		// full blocks out of buf.  Sub-block remainders are recorded and
-		// moved into the carry after the write (the carry segment may be
-		// serving as a completion-block view until then).
-		var wviews [][]int64
-		var meta []pending
-		type tail struct {
-			bucket, from, to int
-		}
-		var tails []tail
-		pos := 0
-		for bkt := 0; bkt < r; bkt++ {
-			if bcounts[bkt] == 0 {
-				continue
-			}
-			end := pos + bcounts[bkt]
-			c := carryCnt[bkt]
-			seg := carry[bkt*g.b : (bkt+1)*g.b]
-			if c+(end-pos) < g.b {
-				// Not enough for a block: everything joins the carry now
-				// (the segment is not pending a write in this case).
-				copy(seg[c:], buf[pos:end])
-				carryCnt[bkt] += end - pos
-				pos = end
-				continue
-			}
-			if c > 0 {
-				copy(seg[c:], buf[pos:pos+g.b-c])
-				pos += g.b - c
-				wviews = append(wviews, seg)
-				meta = append(meta, pending{bkt, g.b})
-				carryCnt[bkt] = 0
-			}
-			for end-pos >= g.b {
-				wviews = append(wviews, buf[pos:pos+g.b])
-				meta = append(meta, pending{bkt, g.b})
-				pos += g.b
-			}
-			if pos < end {
-				tails = append(tails, tail{bkt, pos, end})
-				pos = end
-			}
-		}
-		if err := placeAndWrite(wviews, meta); err != nil {
-			return fail(err)
-		}
-		for _, tl := range tails {
-			seg := carry[tl.bucket*g.b : (tl.bucket+1)*g.b]
-			copy(seg, buf[tl.from:tl.to])
-			carryCnt[tl.bucket] = tl.to - tl.from
 		}
 	}
-
-	// Final flush: one padded non-full block per bucket still carrying keys
-	// — the only padding of the whole pass.
-	var wviews [][]int64
-	var meta []pending
-	for bkt := 0; bkt < r; bkt++ {
-		if carryCnt[bkt] > 0 {
-			wviews = append(wviews, carry[bkt*g.b:(bkt+1)*g.b])
-			meta = append(meta, pending{bkt, carryCnt[bkt]})
-		}
-	}
-	if err := placeAndWrite(wviews, meta); err != nil {
-		return fail(err)
-	}
-	return children, w.Close()
+	return children, sc.Flush()
 }
 
 // appender streams compacted keys into a stripe through a write-behind
 // writer.  It buffers internally and writes only when its buffer fills, so
 // callers may feed it arbitrarily small pieces without degrading the
-// parallel write efficiency: every submitted request moves ⌊cap/B⌋ blocks.
+// parallel write efficiency: every submitted request moves whole stripes,
+// or whole blocks when the buffer holds less than one stripe (C = 1).
 // The owner of w must Close it after flush to join the in-flight writes.
 type appender struct {
 	out  *pdm.Stripe
@@ -323,7 +177,11 @@ func (ap *appender) append(keys []int64) error {
 		ap.fill += n
 		keys = keys[n:]
 		if ap.fill == len(ap.buf) {
-			full := (ap.fill / ap.b) * ap.b
+			unit := ap.out.Array().StripeWidth()
+			if ap.fill < unit {
+				unit = ap.b
+			}
+			full := ap.fill / unit * unit
 			if err := ap.w.WriteFlat(stripeAddrs(ap.out, ap.pos, full), ap.buf[:full]); err != nil {
 				return err
 			}

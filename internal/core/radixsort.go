@@ -42,7 +42,6 @@ func RadixSort(a *pdm.Array, in *pdm.Stripe, universe int64) (*Result, error) {
 	w := bits.TrailingZeros(uint(r)) // digit width in bits
 	keyBits := bits.Len64(uint64(universe - 1))
 	rounds := memsort.CeilDiv(keyBits, w)
-	totalBits := rounds * w
 
 	start := a.Stats()
 	st := &scatterState{}
@@ -51,7 +50,10 @@ func RadixSort(a *pdm.Array, in *pdm.Stripe, universe int64) (*Result, error) {
 	root := &radixNode{seq: stripeBlockSeq(in)}
 	level := []*radixNode{root}
 	for depth := 0; depth < rounds && len(level) > 0; depth++ {
-		shift := uint(totalBits - (depth+1)*w)
+		// Digits align to the key width, so the first round splits on the
+		// universe's top w bits.  The last digit may overlap bits a node's
+		// keys already share, which keeps it monotone within the node.
+		shift := uint(max(keyBits-(depth+1)*w, 0))
 		mask := int64(r - 1)
 		var next []*radixNode
 		for _, node := range level {

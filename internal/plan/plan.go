@@ -252,9 +252,10 @@ func PadFor(mem int, alg Alg, n int) (int, error) {
 // are tighter than the old per-family worst cases (the three-pass family
 // peaks at 4× padded, so 5× bounds it; OnePass holds only input and
 // output), which shortens head-of-line blocking in the scheduler; the
-// superrun-recursive family keeps its measured 7×+1.  JobStatus's
+// superrun-recursive family keeps its measured 7×+1.  RadixSort is priced
+// from the digit rounds w.Universe allows (radixEnvelope).  JobStatus's
 // DiskFootprint is checked against the reservation in the scheduler tests.
-func DiskEnvelope(alg Alg, padded, stripe int) int {
+func DiskEnvelope(shape Shape, w Workload, alg Alg, padded int) int {
 	mult := 0
 	switch alg {
 	case OnePass:
@@ -264,11 +265,46 @@ func DiskEnvelope(alg Alg, padded, stripe int) int {
 	case Exp3, Six, Seven, SevenMesh:
 		mult = 8
 	case Radix:
-		mult = 6
+		return radixEnvelope(shape, w.Universe, padded)
 	default:
 		mult = 8
 	}
-	return mult*padded + 2*stripe
+	return mult*padded + 2*shape.Stripe()
+}
+
+// radixEnvelope bounds RadixSort's scratch.  Every round's bucket runs stay
+// on disk until step A, and keys skewed onto more than M equal values ride
+// through every digit round the universe allows.  Round k rewrites at most
+// the padded input plus one partial block per bucket of each node it
+// refines: at most (M/B)^k nodes, each over M keys.  The input and output
+// stripes add a row each, the scatter's memory-load stripes round up by
+// one load, and the per-bucket disk rotations leave the most loaded disk at
+// most (M/B)/2 rows above the mean.
+func radixEnvelope(shape Shape, universe int64, padded int) int {
+	r := radixFanout(shape)
+	env := 2*padded + 2*shape.Stripe() + shape.Mem + r*shape.Stripe()/2
+	nodes := 1
+	for k := 0; k < radixRounds(shape, universe); k++ {
+		env += padded + min(nodes*shape.Mem, padded)
+		nodes = min(nodes*r, padded/shape.Mem+1)
+	}
+	return env
+}
+
+// radixFanout is RadixSort's bucket count M/B (at least 2).
+func radixFanout(shape Shape) int {
+	return max(shape.Mem/shape.B, 2)
+}
+
+// radixRounds is the number of digit rounds the universe allows:
+// ⌈log₂(universe)/log₂(M/B)⌉, zero for a universe of at most one key.
+func radixRounds(shape Shape, universe int64) int {
+	if universe <= 1 {
+		return 0
+	}
+	keyBits := bits.Len64(uint64(universe - 1))
+	digit := bits.Len(uint(radixFanout(shape))) - 1 // log₂(M/B), M/B a power of two
+	return memsort.CeilDiv(keyBits, digit)
 }
 
 // PermutePlan predicts the payload permutation (internal/records) for
@@ -322,23 +358,15 @@ func basePasses(shape Shape, w Workload, alg Alg) float64 {
 		// Theorem 7.2: (1+ν)·log(N/M)/log(M/B) scatter rounds w.h.p., plus
 		// the final read-sort-write pass; never more rounds than the key
 		// width needs.
-		r := shape.Mem / shape.B
-		if r < 2 {
-			r = 2
-		}
 		rounds := 0
 		if w.N > shape.Mem {
-			rounds = int(math.Ceil(math.Log(float64(w.N)/float64(shape.Mem)) / math.Log(float64(r))))
+			rounds = int(math.Ceil(math.Log(float64(w.N)/float64(shape.Mem)) / math.Log(float64(radixFanout(shape)))))
 			if rounds < 1 {
 				rounds = 1
 			}
 		}
 		if w.Universe > 1 {
-			keyBits := bits.Len64(uint64(w.Universe - 1))
-			digit := bits.Len(uint(r)) - 1 // log₂(M/B), M/B a power of two
-			if maxRounds := memsort.CeilDiv(keyBits, digit); rounds > maxRounds {
-				rounds = maxRounds
-			}
+			rounds = min(rounds, radixRounds(shape, w.Universe))
 		}
 		return float64(rounds) + 1
 	default:

@@ -212,10 +212,11 @@ func TestPadFor(t *testing.T) {
 // TestDiskEnvelopeOrdering: the per-algorithm envelopes must be tighter
 // than or equal to the old per-family worst cases and ordered by family.
 func TestDiskEnvelopeOrdering(t *testing.T) {
-	padded, stripe := 1<<16, 1<<10
-	one := DiskEnvelope(OnePass, padded, stripe)
-	three := DiskEnvelope(LMM3, padded, stripe)
-	super := DiskEnvelope(Seven, padded, stripe)
+	shape := Shape{Mem: 1 << 12, B: 1 << 6, D: 1 << 4}
+	padded, stripe := 1<<16, shape.Stripe()
+	one := DiskEnvelope(shape, Workload{}, OnePass, padded)
+	three := DiskEnvelope(shape, Workload{}, LMM3, padded)
+	super := DiskEnvelope(shape, Workload{}, Seven, padded)
 	if !(one < three && three < super) {
 		t.Fatalf("envelope ordering broken: one=%d three=%d super=%d", one, three, super)
 	}

@@ -504,7 +504,7 @@ func ingestEnvelope(shape Shape, q ScenarioQuery) int {
 	env := 0
 	if alg, _, _ := fullSortBaseline(shape, Workload{N: q.Batch}); alg != "" {
 		if bp, err := PadFor(shape.Mem, alg, q.Batch); err == nil {
-			env = DiskEnvelope(alg, bp, stripe)
+			env = DiskEnvelope(shape, Workload{N: q.Batch}, alg, bp)
 		}
 	}
 	return 2*pad + env + 2*stripe

@@ -14,10 +14,12 @@
 // execution, which is what keeps the paper's accounting honest while the
 // wall clock improves.
 //
-// Scatter is the third primitive, for writes whose order the data decides
-// (distribution onto partition stripes): it queues finished blocks by
-// destination disk and guarantees at most one block per disk per request —
-// one parallel step each — at the cost of M keys of arena for the queue.
+// Scatter is the third primitive, for writes whose order the data decides:
+// it queues finished blocks by destination disk and guarantees at most one
+// block per disk per request — one parallel step each — at the cost of M
+// keys of arena for the queue.  Its three clients are the distribution
+// routes: the records permutation, the partitioned group-by, and the
+// IntegerSort scatter behind RadixSort's rounds.
 //
 // Staging buffers come from the array's Arena: pipelining costs
 // (Prefetch+WriteBehind)·D·B keys of internal memory, charged like any

@@ -41,6 +41,7 @@ func schedCases() []schedCase {
 		{name: "sevenmesh/zipf", alg: SevenPassMesh, keys: workload.ZipfSkewed(16*m, 1.5, 4000, 8)},
 		{name: "auto/nearlysorted", alg: Auto, keys: workload.NearlySorted(16*m, 64, 9)},
 		{name: "radix/uniform", alg: "radix", universe: 1 << 20, keys: workload.Uniform(9000, 0, (1<<20)-1, 10)},
+		{name: "radix/zipf", alg: "radix", universe: 1 << 20, keys: workload.Zipf(16*m, 1.2, (1<<20)-1, 11)},
 	}
 }
 
@@ -70,7 +71,7 @@ func soloRun(t *testing.T, tc schedCase) ([]int64, *Report) {
 	return keys, rep
 }
 
-// TestSchedulerBitIdenticalConcurrent drives all ten mixed jobs through
+// TestSchedulerBitIdenticalConcurrent drives all eleven mixed jobs through
 // one scheduler concurrently — the memory budget admits only a few at a
 // time, so the run exercises queueing, shared-limiter compute, and
 // concurrent per-job arenas — and demands bit-identical results.

@@ -441,7 +441,8 @@ func (s *Scheduler) resolveJobSpec(spec JobSpec) (*jobResolution, error) {
 	// FIFO head for less budget than before.  A records job's payload spill
 	// runs after the key sort's stripes are freed, so its scratch
 	// high-water is the larger of the two phases.
-	r.disk = plan.DiskEnvelope(r.alg, r.padded, r.pcfg.D*r.pcfg.B)
+	shape := planShape(r.pcfg.Mem, r.pcfg.D, planAlpha)
+	r.disk = plan.DiskEnvelope(shape, r.work, r.alg, r.padded)
 	if r.isRecords {
 		r.disk = max(r.disk, records.DiskEnvelope(n, r.work.PayloadWords, r.pcfg.Mem, r.pcfg.D, r.pcfg.B))
 	}
@@ -449,7 +450,7 @@ func (s *Scheduler) resolveJobSpec(spec JobSpec) (*jobResolution, error) {
 		// A scenario job's scratch high-water is the larger of its scenario
 		// route and the full-sort route it may fall back to (computed above).
 		r.query = spec.ScenarioQuery()
-		r.disk = max(r.disk, plan.ScenarioDiskEnvelope(planShape(r.pcfg.Mem, r.pcfg.D, planAlpha), r.query))
+		r.disk = max(r.disk, plan.ScenarioDiskEnvelope(shape, r.query))
 		if r.query.PairWords == 2 {
 			// The group-by sort route carries the payload column as one
 			// 8-byte record payload per key.
