@@ -25,4 +25,11 @@
 // its read steps whatever the permutation.  All buffers come from the
 // array's arena, so the layer's true internal-memory footprint is metered
 // like every algorithm's.
+//
+// Outside the arena, each permutation holds exactly one payload-sized host
+// buffer: the payload store's little-endian word image, each record
+// starting on an 8-byte boundary.  The payloads are copied into it for the
+// uncharged load, the permuted store is unloaded back into it, and
+// Result.Out's payloads are capped views into it, each retaining at most 7
+// padding bytes.
 package records

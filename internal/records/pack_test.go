@@ -1,15 +1,14 @@
 package records
 
 import (
-	"bytes"
 	"math/rand"
 	"slices"
 	"testing"
 )
 
-// packWordsRef is the byte-at-a-time definition of the payload word format
+// packWordsRef is the byte-at-a-time definition of the payload store format
 // — byte i of the payload is bits 8·(i mod 8) … of word i/8, the last word
-// zero-padded — that packWords must reproduce word for word.
+// zero-padded — that the store loadStore writes must hold word for word.
 func packWordsRef(dst []int64, src []byte) {
 	for w := range dst {
 		var v uint64
@@ -22,59 +21,54 @@ func packWordsRef(dst []int64, src []byte) {
 	}
 }
 
-func TestPackWordsMatchesReference(t *testing.T) {
+// Every payload length 0..40, three records each, shuffled into one record
+// set so short and empty records sit next to each other: the store on disk
+// is packWordsRef record by record with zero block padding, and the
+// permuted payloads come back byte-identical, each capped at its length.
+func TestStoreFormatMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
+	var payloads [][]byte
 	for n := 0; n <= 40; n++ {
-		for trial := 0; trial < 8; trial++ {
+		for trial := 0; trial < 3; trial++ {
 			src := make([]byte, n)
 			rng.Read(src)
-			want := make([]int64, wordsFor(n))
-			packWordsRef(want, src)
-			got := make([]int64, wordsFor(n))
-			for i := range got {
-				got[i] = -1 // stale staging: the tail word must still come out zero-padded
-			}
-			packWords(got, src)
-			if !slices.Equal(got, want) {
-				t.Fatalf("len %d: packWords(%x) = %x, want %x", n, src, got, want)
-			}
-			back := make([]byte, n)
-			unpackWords(back, got)
-			if !bytes.Equal(back, src) {
-				t.Fatalf("len %d: unpackWords(packWords(%x)) = %x", n, src, back)
-			}
+			payloads = append(payloads, src)
 		}
 	}
-}
+	rng.Shuffle(len(payloads), func(i, j int) { payloads[i], payloads[j] = payloads[j], payloads[i] })
 
-// The payload codec runs serially on SortRecords' critical path, once per
-// direction over the whole payload volume; 64 bytes is records-file's record.
-func benchCodec(b *testing.B, payloadBytes int, unpack bool) {
-	const n = 1 << 14
-	src := make([]byte, n*payloadBytes)
-	rand.New(rand.NewSource(1)).Read(src)
-	wl := wordsFor(payloadBytes)
-	words := make([]int64, n*wl)
-	b.SetBytes(int64(len(src)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for r := 0; r < n; r++ {
-			pl, ws := src[r*payloadBytes:(r+1)*payloadBytes], words[r*wl:(r+1)*wl]
-			if unpack {
-				unpackWords(pl, ws)
-			} else {
-				packWords(ws, pl)
-			}
-		}
+	a := newArray(t, 256, 4, 16)
+	defer a.Close()
+	perm := randPerm(len(payloads), 3)
+	p, err := newPermuter(a, payloads, perm)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
+	store, err := p.loadStore(payloads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	words, err := store.Unload()
+	store.Free()
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := 0
+	for i, pl := range payloads {
+		want := make([]int64, wordsFor(len(pl)))
+		packWordsRef(want, pl)
+		if got := words[off : off+len(want)]; !slices.Equal(got, want) {
+			t.Fatalf("record %d (len %d) at word %d: store holds %x, want %x", i, len(pl), off, got, want)
+		}
+		off += len(want)
+	}
+	if pad := words[off:]; slices.ContainsFunc(pad, func(w int64) bool { return w != 0 }) {
+		t.Fatalf("block padding after word %d is not zero: %x", off, pad)
+	}
 
-func BenchmarkPackWords(b *testing.B) {
-	b.Run("64B", func(b *testing.B) { benchCodec(b, 64, false) })
-	b.Run("21B", func(b *testing.B) { benchCodec(b, 21, false) })
-}
-
-func BenchmarkUnpackWords(b *testing.B) {
-	b.Run("64B", func(b *testing.B) { benchCodec(b, 64, true) })
-	b.Run("21B", func(b *testing.B) { benchCodec(b, 21, true) })
+	res, err := Permute(a, payloads, perm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkPermuted(t, payloads, perm, res.Out)
 }

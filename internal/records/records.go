@@ -1,13 +1,13 @@
 package records
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 
 	"repro/internal/memsort"
 	"repro/internal/pdm"
 	"repro/internal/stream"
+	"repro/internal/wordview"
 )
 
 // headerWords is the serialized segment header: absolute destination word
@@ -18,7 +18,9 @@ const headerWords = 2
 type Result struct {
 	// Out holds the re-materialized payloads in target order: Out[j] is the
 	// input payload perm[j], read back from the output store.  The payloads
-	// share one backing array; each is capped at its own length, so an
+	// are capped views into the permutation's one host buffer, the output
+	// store's word image: each starts on an 8-byte boundary (so it retains
+	// at most 7 padding bytes) and is capped at its own length, so an
 	// append to one reallocates rather than overwriting its neighbour.
 	Out [][]byte
 	// Words is the payload volume in 8-byte words (excluding padding);
@@ -117,6 +119,12 @@ type permuter struct {
 	words  int
 	padded int
 
+	// img is the payload store's little-endian word image, the only
+	// payload-sized host buffer: loadStore fills it from the payloads,
+	// unload refills it from the output store, and Result.Out's payloads
+	// are views into it (non-nil even when every payload is empty).
+	img []int64
+
 	out    *pdm.Stripe
 	outw   *stream.Writer
 	levels int
@@ -127,7 +135,8 @@ type permuter struct {
 // perm[j] names the input record that lands at output position j.  The
 // payload store starts on disk (loaded uncharged, like every algorithm's
 // input) and the permuted store is read back uncharged for the returned
-// Result.Out; everything in between — the scatter levels and the final
+// Result.Out (capped views into one host buffer of PaddedWords words);
+// everything in between — the scatter levels and the final
 // placement — is charged through the normal accounting.
 func Permute(a *pdm.Array, payloads [][]byte, perm []int) (*Result, error) {
 	p, err := newPermuter(a, payloads, perm)
@@ -189,23 +198,28 @@ func newPermuter(a *pdm.Array, payloads [][]byte, perm []int) (*permuter, error)
 	p.starts[n] = off
 	p.words = off
 	p.padded = memsort.CeilDiv(off, p.b) * p.b
+	p.img = make([]int64, p.padded)
 	return p, nil
 }
 
 // loadStore materializes the payload bytes as a word store on disk, in
 // original record order, without charging I/O (the input's starting state).
+// The store's format is the payloads' little-endian byte image, each record
+// starting on a word boundary: byte k of a payload is bits 8·(k mod 8) … of
+// its word k/8, and the last word and the block padding are zero.
 func (p *permuter) loadStore(payloads [][]byte) (*pdm.Stripe, error) {
-	data := make([]int64, p.padded)
+	buf := wordview.Bytes(p.img)
 	off := 0
 	for i, pl := range payloads {
-		packWords(data[off:off+p.wlen[i]], pl)
+		copy(buf[8*off:], pl)
 		off += p.wlen[i]
 	}
+	wordview.LE(p.img)
 	st, err := p.a.NewStripe(p.padded)
 	if err != nil {
 		return nil, err
 	}
-	if err := st.Load(data); err != nil {
+	if err := st.Load(p.img); err != nil {
 		st.Free()
 		return nil, err
 	}
@@ -227,29 +241,23 @@ func (p *permuter) result(io pdm.Stats) *Result {
 	return res
 }
 
+// unload reads the output store back into the word image, whose input
+// contents are dead once the store is on disk, and slices the payloads out
+// of it in place.
 func (p *permuter) unload(res *Result) error {
-	var flat []int64
 	if p.out != nil {
-		var err error
-		flat, err = p.out.Unload()
+		err := p.out.UnloadInto(p.img)
 		p.out.Free()
 		p.out = nil
 		if err != nil {
 			return err
 		}
+		wordview.LE(p.img)
 	}
-	total := 0
-	for _, l := range p.lens {
-		total += l
-	}
-	buf := make([]byte, total)
+	buf := wordview.Bytes(p.img)
 	for j, i := range p.perm {
-		out := buf[:p.lens[i]:p.lens[i]]
-		buf = buf[p.lens[i]:]
-		if p.wlen[i] > 0 {
-			unpackWords(out, flat[p.starts[j]:p.starts[j]+p.wlen[i]])
-		}
-		res.Out[j] = out
+		at := 8 * p.starts[j]
+		res.Out[j] = buf[at : at+p.lens[i] : at+p.lens[i]]
 	}
 	return nil
 }
@@ -650,31 +658,4 @@ func (ws *wordStream) copyN(dst []int64, n int) error {
 func (ws *wordStream) close() {
 	ws.r.Close()
 	ws.a.Arena().Free(ws.buf)
-}
-
-// packWords encodes bytes little-endian into wordsFor(len(src)) words, the
-// last one zero-padded: whole words at a time, bytes only for the tail.
-// unpackWords is its inverse for a known byte length.
-func packWords(dst []int64, src []byte) {
-	full := len(src) / 8
-	for w := 0; w < full; w++ {
-		dst[w] = int64(binary.LittleEndian.Uint64(src[8*w:]))
-	}
-	if tail := src[8*full:]; len(tail) > 0 {
-		var v uint64
-		for k, c := range tail {
-			v |= uint64(c) << (8 * k)
-		}
-		dst[full] = int64(v)
-	}
-}
-
-func unpackWords(dst []byte, src []int64) {
-	full := len(dst) / 8
-	for w := 0; w < full; w++ {
-		binary.LittleEndian.PutUint64(dst[8*w:], uint64(src[w]))
-	}
-	for k := 8 * full; k < len(dst); k++ {
-		dst[k] = byte(uint64(src[full]) >> (8 * (k % 8)))
-	}
 }

@@ -60,9 +60,12 @@ func (pp packPlan) rounds() int {
 
 // SortRecords sorts full records — 64-bit keys with arbitrary byte
 // payloads — by key, stably and in place: keys[i] pairs with payloads[i],
-// and on return keys is sorted with payloads reordered to match (the
-// payload bytes re-materialized from the simulated disks; the returned
-// payloads may share one backing array, each capped at its own length).
+// and on return keys is sorted with payloads reordered to match.  The
+// payload bytes are re-materialized from the simulated disks into one
+// payload-sized host buffer per call, and the returned payloads are views
+// into it: each starts on an 8-byte boundary, so it retains at most 7
+// padding bytes, and each is capped at its own length, so an append to one
+// never writes into another.
 // On error — including cancellation — both slices are left untouched,
 // never with keys reordered away from their payloads.
 //

@@ -290,6 +290,62 @@ func TestSortRecordsStabilityOnEqualKeys(t *testing.T) {
 	}
 }
 
+// TestSortRecordsPayloadsOutliveTheRun: the returned payloads are views into
+// the permutation's host buffer, so a later run on the same machine must
+// not reuse it, and growing one payload must not write into its neighbours.
+// Odd widths and empty payloads leave padding between records.
+func TestSortRecordsPayloadsOutliveTheRun(t *testing.T) {
+	m := newTestMachine(t, 256)
+	oddPayloads := func(n int, seed int64) [][]byte {
+		rng := rand.New(rand.NewSource(seed))
+		out := make([][]byte, n)
+		for i := range out {
+			out[i] = []byte{}
+			if i%5 != 0 {
+				out[i] = make([]byte, 2*rng.Intn(12)+1)
+				rng.Read(out[i])
+			}
+		}
+		return out
+	}
+	n := 1500
+	first := oddPayloads(n, 22)
+	if _, err := m.SortRecords(workload.Uniform(n, 0, 999, 21), first, Auto); err != nil {
+		t.Fatal(err)
+	}
+	kept := make([][]byte, n)
+	for i, p := range first {
+		kept[i] = bytes.Clone(p)
+	}
+	// The second input has the first one's widths, so a reused buffer would
+	// fit it, and different bytes and keys.
+	second := oddPayloads(n, 22)
+	for _, p := range second {
+		for k := range p {
+			p[k] ^= 0xFF
+		}
+	}
+	if _, err := m.SortRecords(workload.Uniform(n, 0, 999, 23), second, Auto); err != nil {
+		t.Fatal(err)
+	}
+	for i := range first {
+		if !bytes.Equal(first[i], kept[i]) {
+			t.Fatalf("payload %d changed under a later run: %x, want %x", i, first[i], kept[i])
+		}
+	}
+	tail := bytes.Repeat([]byte{0xAA}, 9) // past any record's padding
+	for i := range first {
+		if grown := append(first[i], tail...); !bytes.Equal(grown, append(kept[i], tail...)) {
+			t.Fatalf("append to payload %d = %x", i, grown)
+		}
+	}
+	for i := range first {
+		if !bytes.Equal(first[i], kept[i]) {
+			t.Fatalf("payload %d changed by an append to a neighbour: %x, want %x", i, first[i], kept[i])
+		}
+	}
+}
+
 // TestSortRecordsErrorLeavesInputUntouched: a failed run must not leave
 // the caller with keys reordered away from their payloads.
 func TestSortRecordsErrorLeavesInputUntouched(t *testing.T) {
