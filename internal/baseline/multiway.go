@@ -40,49 +40,26 @@ func MultiwayMergeSort(a *pdm.Array, in *pdm.Stripe) (*core.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	type run struct {
-		s   *pdm.Stripe
-		len int
-	}
-	var runs []run
-	form := func() error {
-		rd, err := stream.NewStripeReader(in, 0, n, m)
+	var runs []*pdm.Stripe
+	err = stream.Pass(a, n/m, func(t int) []pdm.BlockAddr {
+		addrs, _ := in.AddrRange(t*m, m) // in range: m divides n
+		return addrs
+	}, buf, func(_ int, keys []int64, w *stream.Writer) error {
+		a.Pool().SortKeys(keys)
+		st, err := a.NewStripeSkew(m, len(runs))
 		if err != nil {
 			return err
 		}
-		defer rd.Close()
-		w, err := stream.NewWriter(a)
+		runs = append(runs, st)
+		addrs, err := st.AddrRange(0, m)
 		if err != nil {
 			return err
 		}
-		pool := a.Pool()
-		for off := 0; off < n; off += m {
-			if err := rd.FillFlat(buf); err != nil {
-				w.Close() //nolint:errcheck // the read error takes precedence
-				return err
-			}
-			pool.SortKeys(buf)
-			st, err := a.NewStripeSkew(m, len(runs))
-			if err != nil {
-				w.Close() //nolint:errcheck // the alloc error takes precedence
-				return err
-			}
-			addrs, err := st.AddrRange(0, m)
-			if err != nil {
-				w.Close() //nolint:errcheck // the range error takes precedence
-				return err
-			}
-			if err := w.WriteFlat(addrs, buf); err != nil {
-				w.Close() //nolint:errcheck // the write error takes precedence
-				return err
-			}
-			runs = append(runs, run{st, m})
-		}
-		return w.Close()
-	}
-	err = form()
+		return w.WriteFlat(addrs, keys)
+	})
 	a.Arena().Free(buf)
 	if err != nil {
+		freeStripes(runs)
 		return nil, err
 	}
 
@@ -92,29 +69,21 @@ func MultiwayMergeSort(a *pdm.Array, in *pdm.Stripe) (*core.Result, error) {
 	// to cut by splitters — the measured gap against the oblivious
 	// algorithms' partitioned merges is part of what the baseline shows.
 	for len(runs) > 1 {
-		var next []run
+		var next []*pdm.Stripe
 		for lo := 0; lo < len(runs); lo += fanIn {
-			hi := lo + fanIn
-			if hi > len(runs) {
-				hi = len(runs)
-			}
-			srcs := make([]*pdm.Stripe, hi-lo)
-			for i, r := range runs[lo:hi] {
-				srcs[i] = r.s
-			}
-			merged, err := mergeRuns(a, srcs, len(next))
+			hi := min(lo+fanIn, len(runs))
+			merged, err := mergeRuns(a, runs[lo:hi], len(next))
 			if err != nil {
+				freeStripes(runs[lo:])
+				freeStripes(next)
 				return nil, err
 			}
-			for _, r := range runs[lo:hi] {
-				r.s.Free()
-			}
-			next = append(next, run{merged, merged.Len()})
+			freeStripes(runs[lo:hi])
+			next = append(next, merged)
 		}
 		runs = next
 	}
-	out := runs[0].s
-	return core.Finish(a, out, n, start, false), nil
+	return core.Finish(a, runs[0], n, start, false), nil
 }
 
 // lane is one input of a k-way merge: a source stripe with a two-block
@@ -233,8 +202,8 @@ func mergeRuns(a *pdm.Array, srcs []*pdm.Stripe, skew int) (*pdm.Stripe, error) 
 		out.Free()
 		return nil, err
 	}
+	defer w.Close()
 	fail := func(err error) (*pdm.Stripe, error) {
-		w.Close() //nolint:errcheck // the first error takes precedence
 		out.Free()
 		return nil, err
 	}
@@ -316,8 +285,7 @@ func mergeRuns(a *pdm.Array, srcs []*pdm.Stripe, skew int) (*pdm.Stripe, error) 
 		}
 	}
 	if err := w.Close(); err != nil {
-		out.Free()
-		return nil, err
+		return fail(err)
 	}
 	return out, nil
 }

@@ -57,8 +57,10 @@ func checkGeometry(a *pdm.Array) (geometry, error) {
 	return g, nil
 }
 
-// finish assembles a Result from the stats delta since start.
-func finish(a *pdm.Array, out *pdm.Stripe, n int, start pdm.Stats, fellBack bool) *Result {
+// Finish assembles a Result from the stats delta since start.  The
+// baseline algorithms (internal/baseline) share this Result currency with
+// the paper's algorithms.
+func Finish(a *pdm.Array, out *pdm.Stripe, n int, start pdm.Stats, fellBack bool) *Result {
 	io := a.Stats().Sub(start)
 	return &Result{
 		Out:         out,
@@ -110,12 +112,20 @@ func stripeAddrs(s *pdm.Stripe, keyOff, nKeys int) []pdm.BlockAddr {
 	return addrs
 }
 
+// segments is the read plan of a pass over consecutive seg-key segments of
+// s starting at key off: segment t's block addresses.
+func segments(s *pdm.Stripe, off, seg int) func(int) []pdm.BlockAddr {
+	return func(t int) []pdm.BlockAddr {
+		return stripeAddrs(s, off+t*seg, seg)
+	}
+}
+
 // formRuns reads consecutive runLen-key segments of in[off:off+n], sorts
 // each in memory, and writes run i to its own stripe with skew i — one
-// pass.  The segment reads are prefetched and the run writes staged behind
-// the in-memory sort (stream.Reader/stream.Writer), so with pipelining
-// configured the pass overlaps I/O with sorting.  runLen must be ≤ M and a
-// multiple of B, and n a multiple of runLen.
+// pass driven by stream.Pass, so with pipelining configured the segment
+// reads and run writes overlap the sorting.  runLen must be ≤ M and a
+// multiple of B, and n a multiple of runLen.  On error no run stays
+// allocated.
 func formRuns(a *pdm.Array, in *pdm.Stripe, off, n, runLen int) ([]*pdm.Stripe, error) {
 	g, err := checkGeometry(a)
 	if err != nil {
@@ -129,16 +139,6 @@ func formRuns(a *pdm.Array, in *pdm.Stripe, off, n, runLen int) ([]*pdm.Stripe, 
 		return nil, err
 	}
 	defer a.Arena().Free(buf)
-	rd, err := stream.NewStripeReader(in, off, n, runLen)
-	if err != nil {
-		return nil, err
-	}
-	defer rd.Close()
-	w, err := stream.NewWriter(a)
-	if err != nil {
-		return nil, err
-	}
-	pool := a.Pool()
 	numRuns := n / runLen
 	// A cleanup chunk reads h = √M/numRuns consecutive blocks from every
 	// run, so spacing the run skews by h tiles the disks exactly; unit
@@ -147,25 +147,21 @@ func formRuns(a *pdm.Array, in *pdm.Stripe, off, n, runLen int) ([]*pdm.Stripe, 
 	if numRuns > 0 && g.sqM%numRuns == 0 {
 		skewStep = g.sqM / numRuns
 	}
-	runs := make([]*pdm.Stripe, numRuns)
-	for i := range runs {
-		if err := rd.FillFlat(buf); err != nil {
-			w.Close() //nolint:errcheck // the read error takes precedence
-			return nil, err
-		}
-		pool.SortKeys(buf)
+	runs := make([]*pdm.Stripe, 0, numRuns)
+	err = stream.Pass(a, numRuns, segments(in, off, runLen), buf, func(i int, run []int64, w *stream.Writer) error {
+		a.Pool().SortKeys(run)
 		s, err := a.NewStripeSkew(runLen, i*skewStep)
 		if err != nil {
-			w.Close() //nolint:errcheck // the alloc error takes precedence
-			return nil, err
+			return err
 		}
-		if err := w.WriteFlat(stripeAddrs(s, 0, runLen), buf); err != nil {
-			w.Close() //nolint:errcheck // the write error takes precedence
-			return nil, err
-		}
-		runs[i] = s
+		runs = append(runs, s)
+		return w.WriteFlat(stripeAddrs(s, 0, runLen), run)
+	})
+	if err != nil {
+		freeAll(runs)
+		return nil, err
 	}
-	return runs, w.Close()
+	return runs, nil
 }
 
 // formRunsUnshuffled is formRuns combined with the paper's first unshuffle
@@ -195,42 +191,29 @@ func formRunsUnshuffled(a *pdm.Array, in *pdm.Stripe, off, n, runLen, m int) ([]
 		return nil, err
 	}
 	defer a.Arena().Free(parts)
-	rd, err := stream.NewStripeReader(in, off, n, runLen)
-	if err != nil {
-		return nil, err
-	}
-	defer rd.Close()
-	w, err := stream.NewWriter(a)
-	if err != nil {
-		return nil, err
-	}
 	pool := a.Pool()
 	numRuns := n / runLen
 	skewStep := mergeSkewStep(g, numRuns, partLen/g.b)
-	runs := make([]*pdm.Stripe, numRuns)
-	for i := range runs {
-		if err := rd.FillFlat(buf); err != nil {
-			w.Close() //nolint:errcheck // the read error takes precedence
-			return nil, err
-		}
+	runs := make([]*pdm.Stripe, 0, numRuns)
+	err = stream.Pass(a, numRuns, segments(in, off, runLen), buf, func(i int, run []int64, w *stream.Writer) error {
 		// parts is dead until the unshuffle below, so the sort may use it
 		// as partitioned-merge scratch — no extra arena memory.
-		pool.SortKeysScratch(buf, parts)
+		pool.SortKeysScratch(run, parts)
 		// Gather part p at parts[p*partLen : (p+1)*partLen] — a transpose
 		// of the sorted run viewed as partLen rows of m keys.
-		pool.Transpose(parts, buf, partLen, m)
+		pool.Transpose(parts, run, partLen, m)
 		s, err := a.NewStripeSkew(runLen, i*skewStep)
 		if err != nil {
-			w.Close() //nolint:errcheck // the alloc error takes precedence
-			return nil, err
+			return err
 		}
-		if err := w.WriteFlat(stripeAddrs(s, 0, runLen), parts); err != nil {
-			w.Close() //nolint:errcheck // the write error takes precedence
-			return nil, err
-		}
-		runs[i] = s
+		runs = append(runs, s)
+		return w.WriteFlat(stripeAddrs(s, 0, runLen), parts)
+	})
+	if err != nil {
+		freeAll(runs)
+		return nil, err
 	}
-	return runs, w.Close()
+	return runs, nil
 }
 
 // mergeSkewStep returns the skew spacing (in blocks) between the stripes of
@@ -258,7 +241,7 @@ func mergeSkewStep(g geometry, l, partBlocks int) int {
 // interleaved round-robin on one shared stripe: the batched write is
 // contiguous (full write parallelism) and the returned strided views still
 // expose block t of every L_j on distinct disks (full read parallelism for
-// the following shuffle pass).
+// the following shuffle pass).  On error no backing stripe stays allocated.
 func mergePartGroups(a *pdm.Array, runs []*pdm.Stripe, partLen, m int) ([]seqView, []*pdm.Stripe, error) {
 	g, err := checkGeometry(a)
 	if err != nil {
@@ -287,16 +270,20 @@ func mergePartGroups(a *pdm.Array, runs []*pdm.Stripe, partLen, m int) ([]seqVie
 		return nil, nil, err
 	}
 	defer a.Arena().Free(out)
+	pool := a.Pool()
+	merged := make([]seqView, m)
+	var backing []*pdm.Stripe
+	lanes := make([][]int64, l)
+	groupBlocks := group / g.b
 	// The gather pattern of every batch is pure address arithmetic over the
-	// immutable run stripes, so the whole pass pre-plans for the prefetcher:
-	// batch bi+1 streams in while batch bi is being merged and its output
-	// staged behind the writer.
-	gcnt := batch
-	rd, err := stream.NewReader(a, m/batch, func(bi int) []pdm.BlockAddr {
-		j0 := bi * batch
-		addrs := make([]pdm.BlockAddr, 0, gcnt*l*partBlocks)
-		for gj := 0; gj < gcnt; gj++ {
-			j := j0 + gj
+	// immutable run stripes, so batch bi+1 streams in while batch bi is
+	// being merged and its output staged behind the writer.  Part j of run
+	// i lands at in[gj*group + i*partLen : ...] — exactly the flat order of
+	// the planned chunk.
+	gather := func(bi int) []pdm.BlockAddr {
+		addrs := make([]pdm.BlockAddr, 0, batch*l*partBlocks)
+		for gj := 0; gj < batch; gj++ {
+			j := bi*batch + gj
 			for _, r := range runs {
 				for bidx := 0; bidx < partBlocks; bidx++ {
 					addrs = append(addrs, r.BlockAddr(j*partBlocks+bidx))
@@ -304,74 +291,50 @@ func mergePartGroups(a *pdm.Array, runs []*pdm.Stripe, partLen, m int) ([]seqVie
 			}
 		}
 		return addrs
-	})
-	if err != nil {
-		return nil, nil, err
 	}
-	defer rd.Close()
-	w, err := stream.NewWriter(a)
-	if err != nil {
-		return nil, nil, err
-	}
-	pool := a.Pool()
-	merged := make([]seqView, m)
-	var backing []*pdm.Stripe
-	lanes := make([][]int64, l)
-	groupBlocks := group / g.b
-	fail := func(err error) ([]seqView, []*pdm.Stripe, error) {
-		w.Close() //nolint:errcheck // the first error takes precedence
-		return nil, nil, err
-	}
-	for j0 := 0; j0 < m; j0 += batch {
-		bi := j0 / batch
-		// Gather: part j of run i lands at in[gj*group + i*partLen : ...] —
-		// exactly the flat order of the pre-planned chunk.
-		if err := rd.FillFlat(in); err != nil {
-			return fail(err)
-		}
+	err = stream.Pass(a, m/batch, gather, in, func(bi int, chunk []int64, w *stream.Writer) error {
 		// Merge each group in the batch: a single resident group gets the
 		// pool's merge (splitter-cut across the workers when it is large
 		// enough to pay), several split across the workers group-wise —
 		// either way bit-identical to the serial loser tree.
-		if gcnt == 1 {
+		if batch == 1 {
 			for i := range runs {
-				lanes[i] = in[i*partLen : (i+1)*partLen]
+				lanes[i] = chunk[i*partLen : (i+1)*partLen]
 			}
 			pool.MultiMerge(out[:group], lanes)
 		} else {
-			pool.For(gcnt*group, gcnt, func(_, lo, hi int) {
+			pool.For(batch*group, batch, func(_, lo, hi int) {
 				glanes := make([][]int64, l)
 				for gj := lo; gj < hi; gj++ {
 					for i := 0; i < l; i++ {
-						glanes[i] = in[gj*group+i*partLen : gj*group+(i+1)*partLen]
+						glanes[i] = chunk[gj*group+i*partLen : gj*group+(i+1)*partLen]
 					}
 					pool.MergeSegment(out[gj*group:(gj+1)*group], glanes)
 				}
 			})
 		}
 		// One shared stripe per batch, blocks interleaved round-robin:
-		// stripe block p holds block p/gcnt of group j0 + p%gcnt.
-		bs, err := a.NewStripeSkew(gcnt*group, bi*gcnt)
+		// stripe block p holds block p/batch of group bi·batch + p%batch.
+		bs, err := a.NewStripeSkew(batch*group, bi*batch)
 		if err != nil {
-			return fail(err)
+			return err
 		}
 		backing = append(backing, bs)
-		waddrs := make([]pdm.BlockAddr, gcnt*groupBlocks)
-		wbufs := make([][]int64, gcnt*groupBlocks)
+		waddrs := make([]pdm.BlockAddr, batch*groupBlocks)
+		wbufs := make([][]int64, batch*groupBlocks)
 		for p := range waddrs {
-			gj := p % gcnt
-			blk := p / gcnt
+			gj := p % batch
+			blk := p / batch
 			waddrs[p] = bs.BlockAddr(p)
 			wbufs[p] = out[gj*group+blk*g.b : gj*group+(blk+1)*g.b]
 		}
-		if err := w.Write(waddrs, wbufs); err != nil {
-			return fail(err)
+		for gj := 0; gj < batch; gj++ {
+			merged[bi*batch+gj] = seqView{s: bs, startBlk: gj, strideBlk: batch, keys: group}
 		}
-		for gj := 0; gj < gcnt; gj++ {
-			merged[j0+gj] = seqView{s: bs, startBlk: gj, strideBlk: gcnt, keys: group}
-		}
-	}
-	if err := w.Close(); err != nil {
+		return w.Write(waddrs, wbufs)
+	})
+	if err != nil {
+		freeAll(backing)
 		return nil, nil, err
 	}
 	return merged, backing, nil
@@ -415,12 +378,13 @@ func shuffleCleanup(a *pdm.Array, seqs []seqView, chunk int, emit emitFunc) erro
 	if seqLen%per != 0 {
 		return fmt.Errorf("core: sequence length %d not divisible by per-chunk share %d", seqLen, per)
 	}
-	chunks := seqLen / per
 	perBlocks := per / g.b
 	// The t-th gather touches block t·perBlocks.. of every sequence — pure
 	// address arithmetic, so the shuffle reads are pre-planned and the
-	// prefetcher fetches chunk t+1 while chunk t is sorted and merged.
-	rd, err := stream.NewReader(a, chunks, func(t int) []pdm.BlockAddr {
+	// prefetcher fetches chunk t+1 while chunk t is sorted and merged.  The
+	// chunk layout — sequence i's share at dst[i·per:(i+1)·per] — is exactly
+	// the flat order of the planned gather.
+	return streamedCleanup(a, chunk, seqLen/per, func(t int) []pdm.BlockAddr {
 		addrs := make([]pdm.BlockAddr, 0, nseq*perBlocks)
 		for _, s := range seqs {
 			for bidx := 0; bidx < perBlocks; bidx++ {
@@ -428,25 +392,29 @@ func shuffleCleanup(a *pdm.Array, seqs []seqView, chunk int, emit emitFunc) erro
 			}
 		}
 		return addrs
-	})
+	}, emit)
+}
+
+// streamedCleanup is RollingPass over chunks streamed by a prefetching
+// reader: chunk t is the blocks readAddrs(t).
+func streamedCleanup(a *pdm.Array, chunk, chunks int, readAddrs func(int) []pdm.BlockAddr, emit emitFunc) error {
+	rd, err := stream.NewReader(a, chunks, readAddrs)
 	if err != nil {
 		return err
 	}
 	defer rd.Close()
-	// The chunk layout — sequence i's share at dst[i·per:(i+1)·per] — is
-	// exactly the flat order of the planned gather.
-	readChunk := func(t int, dst []int64) error {
+	return RollingPass(a, chunk, chunks, func(_ int, dst []int64) error {
 		return rd.FillFlat(dst)
-	}
-	return rollingPass(a, chunk, chunks, readChunk, emit)
+	}, emit)
 }
 
-// rollingPass is the carry/merge/emit engine shared by every cleanup pass:
-// chunks arrive through read, each is sorted, symmerged in place with the
-// carried upper half of the previous window (memory: exactly 2·chunk keys),
-// and the lower half is emitted.  Emission order is verified nondecreasing;
-// a violation aborts with ErrCleanupOverflow.
-func rollingPass(a *pdm.Array, chunk, chunks int, read func(t int, dst []int64) error, emit emitFunc) error {
+// RollingPass is the carry/merge/emit engine shared by every cleanup pass,
+// the baseline algorithms' included: chunks arrive through read, each is
+// sorted, symmerged in place with the carried upper half of the previous
+// window (memory: exactly 2·chunk keys), and the lower half is emitted.
+// Emission order is verified nondecreasing; a violation aborts with
+// ErrCleanupOverflow.
+func RollingPass(a *pdm.Array, chunk, chunks int, read func(t int, dst []int64) error, emit func(t int, chunk []int64) error) error {
 	buf, err := a.Arena().Alloc(2 * chunk)
 	if err != nil {
 		return err
@@ -490,14 +458,15 @@ func rollingPass(a *pdm.Array, chunk, chunks int, read func(t int, dst []int64) 
 	return emit(chunks-1, buf[:chunk])
 }
 
-// sequentialEmit returns an emitFunc writing chunks consecutively to out.
-func sequentialEmit(out *pdm.Stripe) emitFunc {
+// SequentialEmit returns an emit function for RollingPass writing chunks
+// consecutively to out.
+func SequentialEmit(out *pdm.Stripe) func(t int, chunk []int64) error {
 	return func(t int, chunk []int64) error {
 		return out.WriteAt(t*len(chunk), chunk)
 	}
 }
 
-// streamEmit is sequentialEmit through the write-behind writer w: the
+// streamEmit is SequentialEmit through the write-behind writer w: the
 // rolling pass hands over a chunk and continues sorting the next one while
 // the writer flushes.  The caller owns w and must Close it before reading
 // or freeing out.
@@ -507,24 +476,46 @@ func streamEmit(w *stream.Writer, out *pdm.Stripe) emitFunc {
 	}
 }
 
-// Finish assembles a Result from the stats delta since start.  It is
-// exported for the baseline algorithms (internal/baseline), which share the
-// Result currency with the paper's algorithms.
-func Finish(a *pdm.Array, out *pdm.Stripe, n int, start pdm.Stats, fellBack bool) *Result {
-	return finish(a, out, n, start, fellBack)
+// sink is where a cleanup pass's sorted chunks go: the caller's emit when
+// there is one, otherwise a fresh n-key stripe written behind.
+type sink struct {
+	emit emitFunc
+	out  *pdm.Stripe
+	w    *stream.Writer
 }
 
-// RollingPass exposes the carry/merge/emit cleanup engine to the baseline
-// algorithms: chunks arrive through read, are sorted and symmerged with the
-// carried upper half of the previous window, and the lower halves are
-// emitted in nondecreasing order (ErrCleanupOverflow otherwise).
-func RollingPass(a *pdm.Array, chunk, chunks int, read func(t int, dst []int64) error, emit func(t int, chunk []int64) error) error {
-	return rollingPass(a, chunk, chunks, read, emit)
+func newSink(a *pdm.Array, n int, emit emitFunc) (*sink, error) {
+	if emit != nil {
+		return &sink{emit: emit}, nil
+	}
+	out, err := a.NewStripe(n)
+	if err != nil {
+		return nil, err
+	}
+	w, err := stream.NewWriter(a)
+	if err != nil {
+		out.Free()
+		return nil, err
+	}
+	return &sink{emit: streamEmit(w, out), out: out, w: w}, nil
 }
 
-// SequentialEmit exposes the consecutive-chunk writer for RollingPass.
-func SequentialEmit(out *pdm.Stripe) func(t int, chunk []int64) error {
-	return sequentialEmit(out)
+// close joins the sink's writes and returns its stripe, nil for a caller's
+// emit.  The cleanup's error, or else a failed flush, frees the stripe and
+// is returned.
+func (s *sink) close(err error) (*pdm.Stripe, error) {
+	if s.w != nil {
+		if cerr := s.w.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		if s.out != nil {
+			s.out.Free()
+		}
+		return nil, err
+	}
+	return s.out, nil
 }
 
 // sortColumns sorts the cnt contiguous colLen-key columns resident in buf:

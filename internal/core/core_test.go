@@ -735,7 +735,7 @@ func TestLowerBoundB13(t *testing.T) {
 }
 
 func TestRollingPassDetectionExactness(t *testing.T) {
-	// White-box: rollingPass must accept displacement exactly at the window
+	// White-box: RollingPass must accept displacement exactly at the window
 	// and reject one past it.
 	const m = 64
 	a := newTestArray(t, m, 4)
@@ -753,7 +753,7 @@ func TestRollingPassDetectionExactness(t *testing.T) {
 		out = append(out, chunk...)
 		return nil
 	}
-	if err := rollingPass(a, m, chunks, read(ok), emit); err != nil {
+	if err := RollingPass(a, m, chunks, read(ok), emit); err != nil {
 		t.Fatalf("window-sized displacement rejected: %v", err)
 	}
 	if !memsort.IsSorted(out) {
@@ -763,7 +763,7 @@ func TestRollingPassDetectionExactness(t *testing.T) {
 	bad := workload.Sorted(n)
 	bad[0], bad[3*m] = bad[3*m], bad[0]
 	out = nil
-	if err := rollingPass(a, m, chunks, read(bad), emit); !errors.Is(err, ErrCleanupOverflow) {
+	if err := RollingPass(a, m, chunks, read(bad), emit); !errors.Is(err, ErrCleanupOverflow) {
 		t.Fatalf("err = %v, want ErrCleanupOverflow", err)
 	}
 }

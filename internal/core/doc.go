@@ -15,4 +15,12 @@
 // in-core buffer comes from the array's Arena, so tests can assert the
 // algorithms respect the memory model (2M peak during cleanup phases — the
 // paper's own Section 5 envelope — and M + DB elsewhere).
+//
+// The passes share three pieces.  Every read–compute–write pass (run
+// formation, the merge and column passes, the outer merge's unshuffle and
+// group merges, OnePass) is a stream.Pass call holding only its read plan
+// and compute.  Every cleanup pass is RollingPass into a sink: the caller's
+// emit, or a fresh stripe written behind (newSink).  SevenPass,
+// SevenPassMesh and ExpectedSixPass are superrunMerge with their own
+// superrun sort.
 package core

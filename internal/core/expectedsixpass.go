@@ -1,10 +1,8 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
-	"repro/internal/memsort"
 	"repro/internal/pdm"
 )
 
@@ -27,52 +25,15 @@ func ExpectedSixPassCapacity(m int, alpha float64) int {
 // bounded by both ExpectedSixPassCapacity and the ExpectedTwoPassRuns
 // window for the segment length l·M.
 func ExpectedSixPass(a *pdm.Array, in *pdm.Stripe) (*Result, error) {
-	g, err := checkGeometry(a)
-	if err != nil {
-		return nil, err
-	}
-	n := in.Len()
-	l := memsort.Isqrt(n / g.m)
-	if l*l*g.m != n || l < 1 || l > g.sqM || g.sqM%l != 0 {
-		return nil, fmt.Errorf("core: ExpectedSixPass needs N = l^2*M with l dividing sqrt(M); N = %d, M = %d", n, g.m)
-	}
 	start := a.Stats()
-
-	// Passes 1-2 (expected): superruns via ExpectedTwoPass, written
-	// unshuffled into the subsequence grid.
-	subseqs, err := makeSubseqStripes(a, l)
+	// Passes 1-2 (expected) form the superruns; passes 3-6 are the outer
+	// merge, shared with SevenPass.
+	out, fellBack, err := superrunMerge(a, in, AlgSix, func(off, n int, emit emitFunc) (bool, error) {
+		_, fb, err := expectedTwoPassRange(a, in, off, n, emit)
+		return fb, err
+	})
 	if err != nil {
 		return nil, err
 	}
-	staging, err := a.Arena().Alloc(g.dxb)
-	if err != nil {
-		freeAll2(subseqs)
-		return nil, err
-	}
-	fellBack := false
-	for i := 0; i < l; i++ {
-		_, fb, err := expectedTwoPassRange(a, in, i*l*g.m, l*g.m, unshuffleEmit(a, subseqs[i], staging))
-		if err != nil {
-			a.Arena().Free(staging)
-			freeAll2(subseqs)
-			return nil, err
-		}
-		fellBack = fellBack || fb
-		// Reporting-only boundary: superrun i complete (recovery
-		// restarts from input).
-		if err := a.PassDone(pdm.Checkpoint{Alg: "six", Pass: i + 1, N: n}); err != nil {
-			a.Arena().Free(staging)
-			freeAll2(subseqs)
-			return nil, err
-		}
-	}
-	a.Arena().Free(staging)
-
-	// Passes 3-6: the outer merge, shared with SevenPass.
-	out, err := outerMerge(a, subseqs, l, n)
-	freeAll2(subseqs)
-	if err != nil {
-		return nil, err
-	}
-	return finish(a, out, n, start, fellBack), nil
+	return Finish(a, out, in.Len(), start, fellBack), nil
 }

@@ -2,10 +2,8 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"math"
 
-	"repro/internal/memsort"
 	"repro/internal/pdm"
 )
 
@@ -36,9 +34,9 @@ func ExpectedThreePass(a *pdm.Array, in *pdm.Stripe) (*Result, error) {
 		return nil, err
 	}
 	n := in.Len()
-	l := memsort.Isqrt(n / g.m)
-	if l*l*g.m != n || l < 1 || l > g.sqM || g.sqM%l != 0 {
-		return nil, fmt.Errorf("core: ExpectedThreePass needs N = l^2*M with l dividing sqrt(M); N = %d, M = %d", n, g.m)
+	l, err := superrunCount(g, n, AlgExp3)
+	if err != nil {
+		return nil, err
 	}
 	start := a.Stats()
 	segLen := l * g.m
@@ -66,11 +64,11 @@ func ExpectedThreePass(a *pdm.Array, in *pdm.Stripe) (*Result, error) {
 		freeAll(longRuns)
 		return nil, err
 	}
-	err = shuffleCleanup(a, viewsOf(longRuns), g.m, sequentialEmit(out))
+	err = shuffleCleanup(a, viewsOf(longRuns), g.m, SequentialEmit(out))
 	freeAll(longRuns)
 	a.Arena().SetPhase("")
 	if err == nil {
-		return finish(a, out, n, start, fellBack), nil
+		return Finish(a, out, n, start, fellBack), nil
 	}
 	out.Free()
 	if !errors.Is(err, ErrCleanupOverflow) {
@@ -82,7 +80,7 @@ func ExpectedThreePass(a *pdm.Array, in *pdm.Stripe) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return finish(a, res.Out, n, start, true), nil
+	return Finish(a, res.Out, n, start, true), nil
 }
 
 // expectedTwoPassSkewed runs expectedTwoPassRange over in[off:off+n] but
@@ -93,7 +91,7 @@ func expectedTwoPassSkewed(a *pdm.Array, in *pdm.Stripe, off, n, skew int) (*pdm
 	if err != nil {
 		return nil, false, err
 	}
-	_, fb, err := expectedTwoPassRange(a, in, off, n, sequentialEmit(out))
+	_, fb, err := expectedTwoPassRange(a, in, off, n, SequentialEmit(out))
 	if err != nil {
 		out.Free()
 		return nil, false, err

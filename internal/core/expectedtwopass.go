@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/memsort"
 	"repro/internal/pdm"
-	"repro/internal/stream"
 )
 
 // ExpectedTwoPassCapacity returns the number of keys Theorem 5.1 certifies
@@ -57,7 +56,7 @@ func ExpectedTwoPass(a *pdm.Array, in *pdm.Stripe) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return finish(a, out, in.Len(), start, fellBack), nil
+	return Finish(a, out, in.Len(), start, fellBack), nil
 }
 
 // expectedTwoPassRange is ExpectedTwoPass over in[off:off+n] with an
@@ -91,48 +90,25 @@ func expectedTwoPassRange(a *pdm.Array, in *pdm.Stripe, off, n int, emit emitFun
 			return nil, false, err
 		}
 	}
-	var out *pdm.Stripe
-	var w *stream.Writer
-	userEmit := emit != nil
-	if !userEmit {
-		out, err = a.NewStripe(n)
-		if err != nil {
-			freeAll(runs)
-			return nil, false, err
-		}
-		w, err = stream.NewWriter(a)
-		if err != nil {
-			out.Free()
-			freeAll(runs)
-			return nil, false, err
-		}
-		emit = streamEmit(w, out)
+	sk, err := newSink(a, n, emit)
+	if err != nil {
+		freeAll(runs)
+		return nil, false, err
 	}
 	a.Arena().SetPhase("expectedtwopass/cleanup")
-	err = shuffleCleanup(a, viewsOf(runs), g.m, emit) // pass 2
-	if w != nil {
-		if cerr := w.Close(); err == nil {
-			err = cerr
-		}
-	}
+	err = shuffleCleanup(a, viewsOf(runs), g.m, sk.emit) // pass 2
 	freeAll(runs)
 	a.Arena().SetPhase("")
+	out, err := sk.close(err)
 	if err == nil {
 		return out, false, nil
-	}
-	if out != nil {
-		out.Free()
 	}
 	if !errors.Is(err, ErrCleanupOverflow) {
 		return nil, false, err
 	}
 	// Problem detected: abort, re-sort the untouched input with the
 	// three-pass LMM algorithm, re-emitting through the caller's emitter.
-	var fbEmit emitFunc
-	if userEmit {
-		fbEmit = emit
-	}
-	fb, err := threePass2Range(a, in, off, n, fbEmit, false)
+	fb, err := threePass2Range(a, in, off, n, emit, false)
 	if err != nil {
 		return nil, true, err
 	}

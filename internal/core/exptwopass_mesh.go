@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/pdm"
-	"repro/internal/stream"
 )
 
 // ExpTwoPassMesh sorts in with the Section 3.2 variant of the mesh
@@ -33,13 +32,9 @@ func ExpTwoPassMesh(a *pdm.Array, in *pdm.Stripe) (*Result, error) {
 		return nil, fmt.Errorf("core: ExpTwoPassMesh needs N a multiple of M with N/M <= sqrt(M); N = %d, M = %d", n, g.m)
 	}
 	start := a.Stats()
-	sq := g.sqM
-	colLen := n / sq // rows of the mesh view; ≤ M since l ≤ √M
+	colLen := n / g.sqM // rows of the mesh view; ≤ M since l ≤ √M
 
-	// Pass 1: sort columns.  Column c = in[c·colLen, (c+1)·colLen); its
-	// segment j (√M keys) goes to block c of band-stripe j.  Columns are
-	// processed G = M/colLen at a time so the pass stays fully parallel
-	// even for short columns (l < D).
+	// Pass 1: sort columns.  Column c = in[c·colLen, (c+1)·colLen).
 	a.Arena().SetPhase("exptwopassmesh/columns")
 	bands := make([]*pdm.Stripe, l)
 	for j := range bands {
@@ -49,54 +44,9 @@ func ExpTwoPassMesh(a *pdm.Array, in *pdm.Stripe) (*Result, error) {
 		}
 		bands[j] = s
 	}
-	batch := g.m / colLen
-	if batch > sq {
-		batch = sq
-	}
-	colBuf, err := a.Arena().Alloc(batch * colLen)
-	if err != nil {
-		freeAll(bands)
-		return nil, err
-	}
-	segs := colLen / sq // band segments per column = l
-	pass1 := func() error {
-		rd, err := stream.NewStripeReader(in, 0, n, batch*colLen)
-		if err != nil {
-			return err
-		}
-		defer rd.Close()
-		w, err := stream.NewWriter(a)
-		if err != nil {
-			return err
-		}
-		for c0 := 0; c0 < sq; c0 += batch {
-			cnt := batch
-			if c0+cnt > sq {
-				cnt = sq - c0
-			}
-			if err := rd.FillFlat(colBuf[:cnt*colLen]); err != nil {
-				w.Close() //nolint:errcheck // the read error takes precedence
-				return err
-			}
-			sortColumns(a.Pool(), colBuf, colLen, cnt)
-			addrs := make([]pdm.BlockAddr, 0, cnt*segs)
-			views := make([][]int64, 0, cnt*segs)
-			for ci := 0; ci < cnt; ci++ {
-				col := colBuf[ci*colLen : (ci+1)*colLen]
-				for j := 0; j < segs; j++ {
-					addrs = append(addrs, bands[j].BlockAddr(c0+ci))
-					views = append(views, col[j*sq:(j+1)*sq])
-				}
-			}
-			if err := w.Write(addrs, views); err != nil {
-				w.Close() //nolint:errcheck // the write error takes precedence
-				return err
-			}
-		}
-		return w.Close()
-	}
-	err = pass1()
-	a.Arena().Free(colBuf)
+	err = columnPass(a, bands, func(c0, cnt int) []pdm.BlockAddr {
+		return stripeAddrs(in, c0*colLen, cnt*colLen)
+	})
 	if err != nil {
 		freeAll(bands)
 		return nil, err
@@ -104,40 +54,18 @@ func ExpTwoPassMesh(a *pdm.Array, in *pdm.Stripe) (*Result, error) {
 
 	// Pass 2: rolling cleanup over the bands, with detection.
 	a.Arena().SetPhase("exptwopassmesh/cleanup")
-	out, err := a.NewStripe(n)
+	sk, err := newSink(a, n, nil)
 	if err != nil {
 		freeAll(bands)
 		return nil, err
 	}
-	cleanup := func() error {
-		w, err := stream.NewWriter(a)
-		if err != nil {
-			return err
-		}
-		rd, err := stream.NewReader(a, l, func(t int) []pdm.BlockAddr {
-			return stripeAddrs(bands[t], 0, g.m)
-		})
-		if err != nil {
-			w.Close() //nolint:errcheck // the alloc error takes precedence
-			return err
-		}
-		defer rd.Close()
-		readBand := func(t int, dst []int64) error {
-			return rd.FillFlat(dst)
-		}
-		err = rollingPass(a, g.m, l, readBand, streamEmit(w, out))
-		if cerr := w.Close(); err == nil {
-			err = cerr
-		}
-		return err
-	}
-	err = cleanup()
+	err = bandCleanup(a, bands, sk.emit)
 	freeAll(bands)
 	a.Arena().SetPhase("")
+	out, err := sk.close(err)
 	if err == nil {
-		return finish(a, out, n, start, false), nil
+		return Finish(a, out, n, start, false), nil
 	}
-	out.Free()
 	if !errors.Is(err, ErrCleanupOverflow) {
 		return nil, err
 	}
@@ -146,5 +74,5 @@ func ExpTwoPassMesh(a *pdm.Array, in *pdm.Stripe) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return finish(a, fallback, n, start, true), nil
+	return Finish(a, fallback, n, start, true), nil
 }

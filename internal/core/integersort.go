@@ -346,5 +346,5 @@ func IntegerSort(a *pdm.Array, in *pdm.Stripe, r int, rearrange bool) (*Result, 
 		}
 	}
 	a.Arena().SetPhase("")
-	return finish(a, out, in.Len(), start, false), nil
+	return Finish(a, out, in.Len(), start, false), nil
 }

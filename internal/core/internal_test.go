@@ -123,7 +123,7 @@ func TestRollingPassSingleChunk(t *testing.T) {
 	a := newTestArray(t, 64, 4)
 	data := workload.ReverseSorted(64)
 	var out []int64
-	err := rollingPass(a, 64, 1,
+	err := RollingPass(a, 64, 1,
 		func(t int, dst []int64) error { copy(dst, data); return nil },
 		func(t int, chunk []int64) error { out = append(out, chunk...); return nil })
 	if err != nil {
@@ -277,7 +277,7 @@ func TestScatterPassEmptySource(t *testing.T) {
 func TestRollingPassErrorPropagation(t *testing.T) {
 	a := newTestArray(t, 64, 4)
 	boom := errors.New("boom")
-	err := rollingPass(a, 64, 2,
+	err := RollingPass(a, 64, 2,
 		func(t int, dst []int64) error { return boom },
 		func(int, []int64) error { return nil })
 	if !errors.Is(err, boom) {

@@ -31,34 +31,22 @@ func OnePass(a *pdm.Array, in *pdm.Stripe) (*Result, error) {
 		return nil, err
 	}
 	defer a.Arena().Free(buf)
-	rd, err := stream.NewStripeReader(in, 0, n, n)
+	var out *pdm.Stripe
+	err = stream.Pass(a, 1, segments(in, 0, n), buf, func(_ int, keys []int64, w *stream.Writer) error {
+		a.Arena().SetPhase("onepass/sort")
+		a.Pool().SortKeys(keys)
+		a.Arena().SetPhase("onepass/store")
+		var err error
+		if out, err = a.NewStripe(n); err != nil {
+			return err
+		}
+		return w.WriteFlat(stripeAddrs(out, 0, n), keys)
+	})
 	if err != nil {
+		if out != nil {
+			out.Free()
+		}
 		return nil, err
 	}
-	defer rd.Close()
-	if err := rd.FillFlat(buf); err != nil {
-		return nil, err
-	}
-	a.Arena().SetPhase("onepass/sort")
-	a.Pool().SortKeys(buf)
-	a.Arena().SetPhase("onepass/store")
-	out, err := a.NewStripe(n)
-	if err != nil {
-		return nil, err
-	}
-	w, err := stream.NewWriter(a)
-	if err != nil {
-		out.Free()
-		return nil, err
-	}
-	if err := w.WriteFlat(stripeAddrs(out, 0, n), buf); err != nil {
-		w.Close() //nolint:errcheck // the write error takes precedence
-		out.Free()
-		return nil, err
-	}
-	if err := w.Close(); err != nil {
-		out.Free()
-		return nil, err
-	}
-	return finish(a, out, n, start, false), nil
+	return Finish(a, out, n, start, false), nil
 }

@@ -160,7 +160,7 @@ func RadixSort(a *pdm.Array, in *pdm.Stripe, universe int64) (*Result, error) {
 		return nil, err
 	}
 	a.Arena().SetPhase("")
-	return finish(a, out, in.Len(), start, false), nil
+	return Finish(a, out, in.Len(), start, false), nil
 }
 
 // collectRadixLeaves appends the tree's leaves in value order.

@@ -24,50 +24,69 @@ import (
 //
 // l must divide √M so every pass stays block-aligned.
 func SevenPass(a *pdm.Array, in *pdm.Stripe) (*Result, error) {
-	g, err := checkGeometry(a)
+	start := a.Stats()
+	out, _, err := superrunMerge(a, in, AlgSeven, func(off, n int, emit emitFunc) (bool, error) {
+		_, err := threePass2Range(a, in, off, n, emit, false)
+		return false, err
+	})
 	if err != nil {
 		return nil, err
 	}
-	n := in.Len()
+	return Finish(a, out, in.Len(), start, false), nil
+}
+
+// superrunCount returns l for the superrun algorithms' input shape
+// N = l²·M with l dividing √M.
+func superrunCount(g geometry, n int, alg Alg) (int, error) {
 	l := memsort.Isqrt(n / g.m)
 	if l*l*g.m != n || l < 1 || l > g.sqM || g.sqM%l != 0 {
-		return nil, fmt.Errorf("core: SevenPass needs N = l^2*M with l dividing sqrt(M); N = %d, M = %d", n, g.m)
+		return 0, fmt.Errorf("core: %v needs N = l^2*M with l dividing sqrt(M); N = %d, M = %d", alg, n, g.m)
 	}
-	start := a.Stats()
+	return l, nil
+}
 
-	// Passes 1-3: superruns via ThreePass2, written unshuffled.
+// superrunMerge is the skeleton SevenPass, SevenPassMesh and
+// ExpectedSixPass share: each of the l superruns in[i·l·M, (i+1)·l·M) is
+// sorted by sortRange, whose final pass emits it unshuffled into row i of
+// the subsequence grid, and the outer merge then sorts the grid into the
+// returned stripe.  Each finished superrun is a reporting-only pass
+// boundary tagged alg (the grid is rebuilt from input on recovery, so
+// there is no resume manifest).  It reports whether any superrun's sort
+// fell back.
+func superrunMerge(a *pdm.Array, in *pdm.Stripe, alg Alg, sortRange func(off, n int, emit emitFunc) (bool, error)) (*pdm.Stripe, bool, error) {
+	g, err := checkGeometry(a)
+	if err != nil {
+		return nil, false, err
+	}
+	n := in.Len()
+	l, err := superrunCount(g, n, alg)
+	if err != nil {
+		return nil, false, err
+	}
 	subseqs, err := makeSubseqStripes(a, l)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
+	defer freeAll2(subseqs)
 	staging, err := a.Arena().Alloc(g.dxb)
 	if err != nil {
-		freeAll2(subseqs)
-		return nil, err
+		return nil, false, err
 	}
+	fellBack := false
 	for i := 0; i < l; i++ {
-		if _, err := threePass2Range(a, in, i*l*g.m, l*g.m, unshuffleEmit(a, subseqs[i], staging), false); err != nil {
-			a.Arena().Free(staging)
-			freeAll2(subseqs)
-			return nil, err
+		fb, err := sortRange(i*l*g.m, l*g.m, unshuffleEmit(a, subseqs[i], staging))
+		if err == nil {
+			err = a.PassDone(pdm.Checkpoint{Alg: string(alg), Pass: i + 1, N: n})
 		}
-		// Reporting-only boundary: superrun i complete.  The superrun
-		// grid is rebuilt from input on recovery (no resume manifest).
-		if err := a.PassDone(pdm.Checkpoint{Alg: "seven", Pass: i + 1, N: n}); err != nil {
+		if err != nil {
 			a.Arena().Free(staging)
-			freeAll2(subseqs)
-			return nil, err
+			return nil, false, err
 		}
+		fellBack = fellBack || fb
 	}
 	a.Arena().Free(staging)
-
-	// Passes 4-7: the outer (√M-way) merge of the superruns.
 	out, err := outerMerge(a, subseqs, l, n)
-	freeAll2(subseqs)
-	if err != nil {
-		return nil, err
-	}
-	return finish(a, out, n, start, false), nil
+	return out, fellBack, err
 }
 
 // makeSubseqStripes allocates the l×√M grid of subsequence stripes: entry
@@ -149,9 +168,12 @@ func outerMerge(a *pdm.Array, subseqs [][]*pdm.Stripe, l, n int) (*pdm.Stripe, e
 	}
 	sq := g.sqM
 	subLen := l * g.b // keys per subsequence
+	pool := a.Pool()
 
 	// Pass 4: unshuffle each subsequence (i,j) into l parts of √M keys;
-	// part p occupies block p of the rewritten stripe.
+	// part p occupies block p of the rewritten stripe.  Subsequences are
+	// consumed whole in (i, j) order, so the next one streams in during the
+	// in-memory scatter.
 	a.Arena().SetPhase("outer/unshuffle")
 	parts := make([][]*pdm.Stripe, len(subseqs))
 	for i := range parts {
@@ -165,52 +187,26 @@ func outerMerge(a *pdm.Array, subseqs [][]*pdm.Stripe, l, n int) (*pdm.Stripe, e
 			parts[i][j] = s
 		}
 	}
-	buf, err := a.Arena().Alloc(subLen)
-	if err != nil {
-		freeAll2(parts)
-		return nil, err
-	}
-	scatter, err := a.Arena().Alloc(subLen)
-	if err != nil {
-		a.Arena().Free(buf)
-		freeAll2(parts)
-		return nil, err
-	}
-	pass4 := func() error {
-		// Subsequences are consumed whole in (i, j) order: pre-plan the
-		// sequence so the next one streams in during the in-memory scatter.
-		rd, err := stream.NewReader(a, len(subseqs)*sq, func(t int) []pdm.BlockAddr {
+	err = func() error {
+		buf, err := a.Arena().Alloc(subLen)
+		if err != nil {
+			return err
+		}
+		defer a.Arena().Free(buf)
+		scatter, err := a.Arena().Alloc(subLen)
+		if err != nil {
+			return err
+		}
+		defer a.Arena().Free(scatter)
+		return stream.Pass(a, len(subseqs)*sq, func(t int) []pdm.BlockAddr {
 			return stripeAddrs(subseqs[t/sq][t%sq], 0, subLen)
+		}, buf, func(t int, sub []int64, w *stream.Writer) error {
+			// Part p at scatter[p·B:(p+1)·B] — a transpose of the
+			// subsequence viewed as B rows of l keys.
+			pool.Transpose(scatter, sub, g.b, l)
+			return w.WriteFlat(stripeAddrs(parts[t/sq][t%sq], 0, subLen), scatter)
 		})
-		if err != nil {
-			return err
-		}
-		defer rd.Close()
-		w, err := stream.NewWriter(a)
-		if err != nil {
-			return err
-		}
-		pool := a.Pool()
-		for i := range subseqs {
-			for j := range subseqs[i] {
-				if err := rd.FillFlat(buf); err != nil {
-					w.Close() //nolint:errcheck // the read error takes precedence
-					return err
-				}
-				// Part p at scatter[p·B:(p+1)·B] — a transpose of the
-				// subsequence viewed as B rows of l keys.
-				pool.Transpose(scatter, buf, g.b, l)
-				if err := w.WriteFlat(stripeAddrs(parts[i][j], 0, subLen), scatter); err != nil {
-					w.Close() //nolint:errcheck // the write error takes precedence
-					return err
-				}
-			}
-		}
-		return w.Close()
-	}
-	err = pass4()
-	a.Arena().Free(buf)
-	a.Arena().Free(scatter)
+	}()
 	if err != nil {
 		freeAll2(parts)
 		return nil, err
@@ -218,71 +214,46 @@ func outerMerge(a *pdm.Array, subseqs [][]*pdm.Stripe, l, n int) (*pdm.Stripe, e
 
 	// Pass 5: inner group merges.  For each (j, p): merge part p of
 	// subsequence j across the l superruns — l lanes of √M keys = l·√M ≤ M
-	// records per merge — into L2(j,p).
+	// records per merge — into L2(j,p).  One group gather per (j, p): block
+	// p of part j from every superrun.
 	a.Arena().SetPhase("outer/groupmerge")
 	l2 := make([][]*pdm.Stripe, sq)
 	for j := range l2 {
 		l2[j] = make([]*pdm.Stripe, l)
 	}
-	inBuf, err := a.Arena().Alloc(subLen)
-	if err != nil {
-		freeAll2(parts)
-		return nil, err
-	}
-	outBuf, err := a.Arena().Alloc(subLen)
-	if err != nil {
-		a.Arena().Free(inBuf)
-		freeAll2(parts)
-		return nil, err
-	}
-	pass5 := func() error {
-		// One group gather per (j, p): block p of part j from every
-		// superrun — pre-planned for the prefetcher like pass 4.
-		rd, err := stream.NewReader(a, sq*l, func(t int) []pdm.BlockAddr {
+	err = func() error {
+		inBuf, err := a.Arena().Alloc(subLen)
+		if err != nil {
+			return err
+		}
+		defer a.Arena().Free(inBuf)
+		outBuf, err := a.Arena().Alloc(subLen)
+		if err != nil {
+			return err
+		}
+		defer a.Arena().Free(outBuf)
+		lanes := make([][]int64, l)
+		return stream.Pass(a, sq*l, func(t int) []pdm.BlockAddr {
 			j, p := t/l, t%l
 			addrs := make([]pdm.BlockAddr, l)
 			for i := 0; i < l; i++ {
 				addrs[i] = parts[i][j].BlockAddr(p)
 			}
 			return addrs
-		})
-		if err != nil {
-			return err
-		}
-		defer rd.Close()
-		w, err := stream.NewWriter(a)
-		if err != nil {
-			return err
-		}
-		pool := a.Pool()
-		lanes := make([][]int64, l)
-		for j := 0; j < sq; j++ {
-			for p := 0; p < l; p++ {
-				for i := 0; i < l; i++ {
-					lanes[i] = inBuf[i*g.b : (i+1)*g.b]
-				}
-				if err := rd.FillFlat(inBuf); err != nil {
-					w.Close() //nolint:errcheck // the read error takes precedence
-					return err
-				}
-				pool.MultiMerge(outBuf, lanes)
-				s, err := a.NewStripeSkew(subLen, j+p)
-				if err != nil {
-					w.Close() //nolint:errcheck // the alloc error takes precedence
-					return err
-				}
-				if err := w.WriteFlat(stripeAddrs(s, 0, subLen), outBuf); err != nil {
-					w.Close() //nolint:errcheck // the write error takes precedence
-					return err
-				}
-				l2[j][p] = s
+		}, inBuf, func(t int, group []int64, w *stream.Writer) error {
+			j, p := t/l, t%l
+			for i := range lanes {
+				lanes[i] = group[i*g.b : (i+1)*g.b]
 			}
-		}
-		return w.Close()
-	}
-	err = pass5()
-	a.Arena().Free(inBuf)
-	a.Arena().Free(outBuf)
+			pool.MultiMerge(outBuf, lanes)
+			s, err := a.NewStripeSkew(subLen, j+p)
+			if err != nil {
+				return err
+			}
+			l2[j][p] = s
+			return w.WriteFlat(stripeAddrs(s, 0, subLen), outBuf)
+		})
+	}()
 	freeAll2(parts)
 	if err != nil {
 		freeAll2(l2)
@@ -292,59 +263,57 @@ func outerMerge(a *pdm.Array, subseqs [][]*pdm.Stripe, l, n int) (*pdm.Stripe, e
 	// Pass 6: per-j shuffle + cleanup of the l merged part sequences into
 	// Q_j.  Inner dirtiness ≤ l·l ≤ l·√M = the chunk size.
 	a.Arena().SetPhase("outer/innerclean")
-	qs := make([]*pdm.Stripe, sq)
-	w6, err := stream.NewWriter(a)
-	if err != nil {
-		freeAll2(l2)
-		return nil, err
-	}
-	for j := 0; j < sq; j++ {
-		q, err := a.NewStripeSkew(l*subLen, j)
-		if err != nil {
-			w6.Close() //nolint:errcheck // the alloc error takes precedence
-			freeAll2(l2)
-			freeAll(qs)
-			return nil, err
-		}
-		qs[j] = q
-		if err := shuffleCleanup(a, viewsOf(l2[j]), l*g.b, streamEmit(w6, q)); err != nil {
-			w6.Close() //nolint:errcheck // the cleanup error takes precedence
-			freeAll2(l2)
-			freeAll(qs)
-			return nil, fmt.Errorf("core: SevenPass inner cleanup: %w", err)
-		}
-	}
-	err = w6.Close()
+	qs, err := innerCleanups(a, l2, l*subLen, l*g.b)
 	freeAll2(l2)
 	if err != nil {
-		freeAll(qs)
 		return nil, err
 	}
 
 	// Pass 7: shuffle Q_1..Q_√M + cleanup; outer dirtiness ≤ l·√M ≤ M.
 	a.Arena().SetPhase("outer/finalclean")
-	out, err := a.NewStripe(n)
+	sk, err := newSink(a, n, nil)
 	if err != nil {
 		freeAll(qs)
 		return nil, err
 	}
-	w7, err := stream.NewWriter(a)
-	if err != nil {
-		freeAll(qs)
-		out.Free()
-		return nil, err
-	}
-	err = shuffleCleanup(a, viewsOf(qs), g.m, streamEmit(w7, out))
-	if cerr := w7.Close(); err == nil {
-		err = cerr
-	}
+	err = shuffleCleanup(a, viewsOf(qs), g.m, sk.emit)
 	freeAll(qs)
+	out, err := sk.close(err)
 	if err != nil {
-		out.Free()
 		return nil, fmt.Errorf("core: SevenPass final cleanup: %w", err)
 	}
 	a.Arena().SetPhase("")
 	return out, nil
+}
+
+// innerCleanups is the outer merge's pass 6: sequence group j of l2 is
+// shuffled and cleaned in chunk-key windows into Q_j, a qLen-key stripe
+// skewed by j, all through one write-behind writer.  On error no Q_j stays
+// allocated.
+func innerCleanups(a *pdm.Array, l2 [][]*pdm.Stripe, qLen, chunk int) ([]*pdm.Stripe, error) {
+	w, err := stream.NewWriter(a)
+	if err != nil {
+		return nil, err
+	}
+	defer w.Close()
+	qs := make([]*pdm.Stripe, len(l2))
+	for j, seqs := range l2 {
+		q, err := a.NewStripeSkew(qLen, j)
+		if err != nil {
+			freeAll(qs)
+			return nil, err
+		}
+		qs[j] = q
+		if err := shuffleCleanup(a, viewsOf(seqs), chunk, streamEmit(w, q)); err != nil {
+			freeAll(qs)
+			return nil, fmt.Errorf("core: SevenPass inner cleanup: %w", err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		freeAll(qs)
+		return nil, err
+	}
+	return qs, nil
 }
 
 // freeAll2 frees a grid of stripes.

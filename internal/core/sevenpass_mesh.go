@@ -1,11 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"repro/internal/memsort"
-	"repro/internal/pdm"
-)
+import "repro/internal/pdm"
 
 // SevenPassMesh realizes the paper's Section 6.2 Remark ("we have designed
 // matching mesh-based algorithms"): a seven-pass sort of up to M² keys
@@ -21,46 +16,13 @@ import (
 // suggestion that "combining mesh-based techniques with those of [23] ...
 // will yield even better results".
 func SevenPassMesh(a *pdm.Array, in *pdm.Stripe) (*Result, error) {
-	g, err := checkGeometry(a)
-	if err != nil {
-		return nil, err
-	}
-	n := in.Len()
-	l := memsort.Isqrt(n / g.m)
-	if l*l*g.m != n || l < 1 || l > g.sqM || g.sqM%l != 0 {
-		return nil, fmt.Errorf("core: SevenPassMesh needs N = l^2*M with l dividing sqrt(M); N = %d, M = %d", n, g.m)
-	}
 	start := a.Stats()
-
-	subseqs, err := makeSubseqStripes(a, l)
+	out, _, err := superrunMerge(a, in, AlgSevenMesh, func(off, n int, emit emitFunc) (bool, error) {
+		_, err := threePass1Range(a, in, off, n, emit, false)
+		return false, err
+	})
 	if err != nil {
 		return nil, err
 	}
-	staging, err := a.Arena().Alloc(g.dxb)
-	if err != nil {
-		freeAll2(subseqs)
-		return nil, err
-	}
-	for i := 0; i < l; i++ {
-		if _, err := threePass1Range(a, in, i*l*g.m, l*g.m, unshuffleEmit(a, subseqs[i], staging), false); err != nil {
-			a.Arena().Free(staging)
-			freeAll2(subseqs)
-			return nil, err
-		}
-		// Reporting-only boundary: superrun i complete (recovery
-		// restarts from input).
-		if err := a.PassDone(pdm.Checkpoint{Alg: "sevenmesh", Pass: i + 1, N: n}); err != nil {
-			a.Arena().Free(staging)
-			freeAll2(subseqs)
-			return nil, err
-		}
-	}
-	a.Arena().Free(staging)
-
-	out, err := outerMerge(a, subseqs, l, n)
-	freeAll2(subseqs)
-	if err != nil {
-		return nil, err
-	}
-	return finish(a, out, n, start, false), nil
+	return Finish(a, out, in.Len(), start, false), nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/memsort"
 	"repro/internal/pdm"
 	"repro/internal/stream"
 )
@@ -30,7 +31,7 @@ func ThreePass1(a *pdm.Array, in *pdm.Stripe) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return finish(a, out, in.Len(), start, false), nil
+	return Finish(a, out, in.Len(), start, false), nil
 }
 
 // threePass1Range runs ThreePass1 over in[off:off+n].  When emit is nil the
@@ -92,7 +93,7 @@ func threePass1Range(a *pdm.Array, in *pdm.Stripe, off, n int, emit emitFunc, ck
 	}
 	defer freeAll(cols)
 	if startPass < 1 {
-		if err := threePass1Submesh(a, in, cols, off, n, l); err != nil {
+		if err := threePass1Submesh(a, in, cols, off, l); err != nil {
 			return nil, err
 		}
 		if ckpt {
@@ -103,8 +104,8 @@ func threePass1Range(a *pdm.Array, in *pdm.Stripe, off, n int, emit emitFunc, ck
 		}
 	}
 
-	// Pass 2: column sort (threePass1Columns).  Band stripes are created
-	// here and freed on exit.
+	// Pass 2: column sort.  Column c is blocks 0..l-1 of column-stripe c.
+	// Band stripes are created here and freed on exit.
 	if startPass < 2 {
 		a.Arena().SetPhase("threepass1/columns")
 		bands = make([]*pdm.Stripe, l)
@@ -118,7 +119,16 @@ func threePass1Range(a *pdm.Array, in *pdm.Stripe, off, n int, emit emitFunc, ck
 	}
 	defer freeAll(bands)
 	if startPass < 2 {
-		if err := threePass1Columns(a, cols, bands, l); err != nil {
+		err := columnPass(a, bands, func(c0, cnt int) []pdm.BlockAddr {
+			addrs := make([]pdm.BlockAddr, 0, cnt*l)
+			for _, col := range cols[c0 : c0+cnt] {
+				for k := 0; k < l; k++ {
+					addrs = append(addrs, col.BlockAddr(k))
+				}
+			}
+			return addrs
+		})
+		if err != nil {
 			return nil, err
 		}
 		if ckpt {
@@ -136,56 +146,31 @@ func threePass1Range(a *pdm.Array, in *pdm.Stripe, off, n int, emit emitFunc, ck
 	// exactly the mesh rows [j·√M, (j+1)·√M) as a set; the rolling pass
 	// re-sorts each chunk, so the within-band order is immaterial.
 	a.Arena().SetPhase("threepass1/cleanup")
-	var out *pdm.Stripe
-	var w *stream.Writer
-	if emit == nil {
-		out, err = a.NewStripe(n)
-		if err != nil {
-			return nil, err
-		}
-		w, err = stream.NewWriter(a)
-		if err != nil {
-			out.Free()
-			return nil, err
-		}
-		emit = streamEmit(w, out)
-	}
-	rd, err := stream.NewReader(a, l, func(t int) []pdm.BlockAddr {
-		return stripeAddrs(bands[t], 0, g.m)
-	})
+	sk, err := newSink(a, n, emit)
 	if err != nil {
-		if w != nil {
-			w.Close() //nolint:errcheck // the alloc error takes precedence
-		}
-		if out != nil {
-			out.Free()
-		}
 		return nil, err
 	}
-	readBand := func(t int, dst []int64) error {
-		return rd.FillFlat(dst)
-	}
-	err = rollingPass(a, g.m, l, readBand, emit)
-	rd.Close()
-	if w != nil {
-		if cerr := w.Close(); err == nil {
-			err = cerr
-		}
-	}
+	out, err := sk.close(bandCleanup(a, bands, sk.emit))
 	if err != nil {
-		if out != nil {
-			out.Free()
-		}
 		return nil, fmt.Errorf("core: ThreePass1 internal error: %w", err)
 	}
 	a.Arena().SetPhase("")
 	return out, nil
 }
 
+// bandCleanup is the mesh algorithms' final pass: the rolling cleanup over
+// the M-key bands in row-major order.
+func bandCleanup(a *pdm.Array, bands []*pdm.Stripe, emit emitFunc) error {
+	m := a.Mem()
+	return streamedCleanup(a, m, len(bands), func(t int) []pdm.BlockAddr {
+		return stripeAddrs(bands[t], 0, m)
+	}, emit)
+}
+
 // threePass1Submesh is pass 1 of ThreePass1: sort each √M×√M submesh and
 // scatter its columns (snake direction) into the per-column skewed
 // stripes.
-func threePass1Submesh(a *pdm.Array, in *pdm.Stripe, cols []*pdm.Stripe, off, n, l int) error {
+func threePass1Submesh(a *pdm.Array, in *pdm.Stripe, cols []*pdm.Stripe, off, l int) error {
 	g, err := checkGeometry(a)
 	if err != nil {
 		return err
@@ -195,137 +180,80 @@ func threePass1Submesh(a *pdm.Array, in *pdm.Stripe, cols []*pdm.Stripe, off, n,
 	if err != nil {
 		return err
 	}
+	defer a.Arena().Free(buf)
 	gather, err := a.Arena().Alloc(g.m)
 	if err != nil {
-		a.Arena().Free(buf)
 		return err
 	}
-	pass1 := func() error {
-		rd, err := stream.NewStripeReader(in, off, n, g.m)
-		if err != nil {
-			return err
-		}
-		defer rd.Close()
-		w, err := stream.NewWriter(a)
-		if err != nil {
-			return err
-		}
-		pool := a.Pool()
-		for k := 0; k < l; k++ {
-			if err := rd.FillFlat(buf); err != nil {
-				w.Close() //nolint:errcheck // the read error takes precedence
-				return err
-			}
-			// gather is dead until the transpose below, so the sort may use
-			// it as partitioned-merge scratch.
-			pool.SortKeysScratch(buf, gather)
-			reversed := k%2 == 1
-			// gather[c*√M + r] = column c, row r of the sorted submesh — the
-			// snake-direction transpose, split across the workers by column.
-			pool.For(g.m, sq, func(_, lo, hi int) {
-				for c := lo; c < hi; c++ {
-					src := c
-					if reversed {
-						src = sq - 1 - c
-					}
-					for r := 0; r < sq; r++ {
-						gather[c*sq+r] = buf[r*sq+src]
-					}
+	defer a.Arena().Free(gather)
+	pool := a.Pool()
+	return stream.Pass(a, l, segments(in, off, g.m), buf, func(k int, sub []int64, w *stream.Writer) error {
+		// gather is dead until the transpose below, so the sort may use it
+		// as partitioned-merge scratch.
+		pool.SortKeysScratch(sub, gather)
+		reversed := k%2 == 1
+		// gather[c*√M + r] = column c, row r of the sorted submesh — the
+		// snake-direction transpose, split across the workers by column.
+		pool.For(g.m, sq, func(_, lo, hi int) {
+			for c := lo; c < hi; c++ {
+				src := c
+				if reversed {
+					src = sq - 1 - c
 				}
-			})
-			addrs := make([]pdm.BlockAddr, sq)
-			for c := 0; c < sq; c++ {
-				addrs[c] = cols[c].BlockAddr(k)
+				for r := 0; r < sq; r++ {
+					gather[c*sq+r] = sub[r*sq+src]
+				}
 			}
-			if err := w.WriteFlat(addrs, gather); err != nil {
-				w.Close() //nolint:errcheck // the write error takes precedence
-				return err
-			}
+		})
+		addrs := make([]pdm.BlockAddr, sq)
+		for c := 0; c < sq; c++ {
+			addrs[c] = cols[c].BlockAddr(k)
 		}
-		return w.Close()
-	}
-	err = pass1()
-	a.Arena().Free(buf)
-	a.Arena().Free(gather)
-	return err
+		return w.WriteFlat(addrs, gather)
+	})
 }
 
-// threePass1Columns is pass 2 of ThreePass1: sort every mesh column,
-// writing each sorted column's band segments into the per-band skewed
-// stripes.  Column c is l·√M ≤ M keys; its sorted segment j (√M keys =
-// the column's share of band j) goes to block c of band-stripe j.
-// Columns are processed G = min(√M, M/colLen) at a time so every I/O
-// request spans ~√M blocks even when the columns are short (l < D),
-// keeping the pass fully parallel at any input size.
-func threePass1Columns(a *pdm.Array, cols, bands []*pdm.Stripe, l int) error {
+// columnPass sorts the √M columns of a mesh with len(bands) M-key bands
+// and writes each sorted column's band segments into the per-band skewed
+// stripes: column c is l·√M ≤ M keys, and its sorted segment j (√M keys =
+// the column's share of band j) goes to block c of band-stripe j.  It is
+// ThreePass1's pass 2 and ExpTwoPassMesh's pass 1, which differ only in
+// where the columns are read from: colAddrs(c0, cnt) lists the blocks of
+// columns [c0, c0+cnt) in order.  Columns are processed G = min(√M,
+// M/colLen) at a time so every I/O request spans ~√M blocks even when the
+// columns are short (l < D), keeping the pass fully parallel at any input
+// size.
+func columnPass(a *pdm.Array, bands []*pdm.Stripe, colAddrs func(c0, cnt int) []pdm.BlockAddr) error {
 	g, err := checkGeometry(a)
 	if err != nil {
 		return err
 	}
-	sq := g.sqM
+	sq, l := g.sqM, len(bands)
 	colLen := l * sq
-	batch := g.m / colLen // = √M/l ≥ 1
-	if batch > sq {
-		batch = sq
-	}
+	batch := min(g.m/colLen, sq) // = √M/l ≥ 1
 	colBuf, err := a.Arena().Alloc(batch * colLen)
 	if err != nil {
 		return err
 	}
-	pass2 := func() error {
-		// The column gathers are pure address arithmetic over the immutable
-		// column stripes: pre-plan them so the next batch of columns streams
-		// in while this one is sorted and its bands staged behind the writer.
-		chunks := (sq + batch - 1) / batch
-		rd, err := stream.NewReader(a, chunks, func(bi int) []pdm.BlockAddr {
-			c0 := bi * batch
-			cnt := batch
-			if c0+cnt > sq {
-				cnt = sq - c0
-			}
-			raddrs := make([]pdm.BlockAddr, 0, cnt*l)
-			for ci := 0; ci < cnt; ci++ {
-				for k := 0; k < l; k++ {
-					raddrs = append(raddrs, cols[c0+ci].BlockAddr(k))
-				}
-			}
-			return raddrs
-		})
-		if err != nil {
-			return err
-		}
-		defer rd.Close()
-		w, err := stream.NewWriter(a)
-		if err != nil {
-			return err
-		}
-		for c0 := 0; c0 < sq; c0 += batch {
-			cnt := batch
-			if c0+cnt > sq {
-				cnt = sq - c0
-			}
-			if err := rd.FillFlat(colBuf[:cnt*colLen]); err != nil {
-				w.Close() //nolint:errcheck // the read error takes precedence
-				return err
-			}
-			sortColumns(a.Pool(), colBuf, colLen, cnt)
-			waddrs := make([]pdm.BlockAddr, 0, cnt*l)
-			wviews := make([][]int64, 0, cnt*l)
-			for ci := 0; ci < cnt; ci++ {
-				col := colBuf[ci*colLen : (ci+1)*colLen]
-				for j := 0; j < l; j++ {
-					waddrs = append(waddrs, bands[j].BlockAddr(c0+ci))
-					wviews = append(wviews, col[j*sq:(j+1)*sq])
-				}
-			}
-			if err := w.Write(waddrs, wviews); err != nil {
-				w.Close() //nolint:errcheck // the write error takes precedence
-				return err
+	defer a.Arena().Free(colBuf)
+	// The column gathers are pure address arithmetic, so the next batch of
+	// columns streams in while this one is sorted and its bands staged
+	// behind the writer.
+	return stream.Pass(a, memsort.CeilDiv(sq, batch), func(bi int) []pdm.BlockAddr {
+		c0 := bi * batch
+		return colAddrs(c0, min(batch, sq-c0))
+	}, colBuf, func(bi int, cols []int64, w *stream.Writer) error {
+		c0, cnt := bi*batch, len(cols)/colLen
+		sortColumns(a.Pool(), cols, colLen, cnt)
+		waddrs := make([]pdm.BlockAddr, 0, cnt*l)
+		wviews := make([][]int64, 0, cnt*l)
+		for ci := 0; ci < cnt; ci++ {
+			col := cols[ci*colLen : (ci+1)*colLen]
+			for j := 0; j < l; j++ {
+				waddrs = append(waddrs, bands[j].BlockAddr(c0+ci))
+				wviews = append(wviews, col[j*sq:(j+1)*sq])
 			}
 		}
-		return w.Close()
-	}
-	err = pass2()
-	a.Arena().Free(colBuf)
-	return err
+		return w.Write(waddrs, wviews)
+	})
 }

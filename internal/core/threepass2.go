@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/pdm"
-	"repro/internal/stream"
 )
 
 // ThreePass2 sorts in with the paper's Section 4 algorithm — the LMM sort
@@ -24,7 +23,7 @@ func ThreePass2(a *pdm.Array, in *pdm.Stripe) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return finish(a, out, in.Len(), start, false), nil
+	return Finish(a, out, in.Len(), start, false), nil
 }
 
 // threePass2Range runs ThreePass2 over in[off:off+n].  When emit is nil the
@@ -90,7 +89,6 @@ func threePass2Range(a *pdm.Array, in *pdm.Stripe, off, n int, emit emitFunc, ck
 		merged, backing, err = mergePartGroups(a, runs, g.sqM, g.sqM) // pass 2
 		freeAll(runs)
 		if err != nil {
-			freeAll(backing)
 			return nil, err
 		}
 		if ckpt {
@@ -107,34 +105,16 @@ func threePass2Range(a *pdm.Array, in *pdm.Stripe, off, n int, emit emitFunc, ck
 		}
 	}
 	defer freeAll(backing)
-	var out *pdm.Stripe
-	var w *stream.Writer
-	if emit == nil {
-		out, err = a.NewStripe(n)
-		if err != nil {
-			return nil, err
-		}
-		w, err = stream.NewWriter(a)
-		if err != nil {
-			out.Free()
-			return nil, err
-		}
-		emit = streamEmit(w, out)
+	sk, err := newSink(a, n, emit)
+	if err != nil {
+		return nil, err
 	}
 	a.Arena().SetPhase("threepass2/cleanup")
 	// Displacement after the shuffle is at most l·m = (N/M)·√M ≤ M, so the
 	// M-chunk rolling clean below never overflows; an overflow would be an
 	// implementation bug, not an input property.
-	err = shuffleCleanup(a, merged, g.m, emit) // pass 3
-	if w != nil {
-		if cerr := w.Close(); err == nil {
-			err = cerr
-		}
-	}
+	out, err := sk.close(shuffleCleanup(a, merged, g.m, sk.emit)) // pass 3
 	if err != nil {
-		if out != nil {
-			out.Free()
-		}
 		return nil, fmt.Errorf("core: ThreePass2 internal error: %w", err)
 	}
 	a.Arena().SetPhase("")

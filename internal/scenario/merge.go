@@ -80,6 +80,7 @@ func Merge(a *pdm.Array, x, y *pdm.Stripe) (*pdm.Stripe, error) {
 	if err != nil {
 		return fail(err)
 	}
+	defer w.Close()
 	wrote := 0 // keys flushed to out
 	nst := 0   // keys staged
 	flush := func() error {
@@ -141,7 +142,6 @@ func Merge(a *pdm.Array, x, y *pdm.Stripe) (*pdm.Stripe, error) {
 		return nil
 	}
 	if err := memsort.StreamMerge(2, refill, emit); err != nil {
-		w.Close() //nolint:errcheck // the merge error takes precedence
 		return fail(err)
 	}
 	// Re-pad the output to the full stripe: the combined sentinel tail the
@@ -157,13 +157,11 @@ func Merge(a *pdm.Array, x, y *pdm.Stripe) (*pdm.Stripe, error) {
 		nst += room
 		if nst == len(staging) {
 			if err := flush(); err != nil {
-				w.Close() //nolint:errcheck // the flush error takes precedence
 				return fail(err)
 			}
 		}
 	}
 	if err := flush(); err != nil {
-		w.Close() //nolint:errcheck // the flush error takes precedence
 		return fail(err)
 	}
 	if err := w.Close(); err != nil {

@@ -2,8 +2,10 @@
 // simulator and the algorithms: a Reader that prefetches upcoming chunks on
 // a background goroutine while the caller consumes the current one, a
 // Writer that stages completed chunks and flushes them write-behind, an
-// Async handle for one overlapped vectored request, and a Pipe helper for
-// the read-transform-write shape every PDM pass has.
+// Async handle for one overlapped vectored request, and Pass, the driver of
+// the read–compute–write shape every PDM pass has: it owns the pass's
+// Reader and Writer, the chunk loop and the error precedence, so a pass is
+// its read plan plus its compute.  Pipe is Pass over two stripes.
 //
 // The layer is invisible to the PDM cost model.  Physical transfers run
 // through Array.TransferV (uncharged) on background goroutines; each

@@ -6,14 +6,44 @@ import (
 	"repro/internal/pdm"
 )
 
-// Pipe is the read-transform-write shape of every PDM pass: it streams src
-// through transform into dst in chunks of len(buf) keys.  With pipelining
-// configured on the array, chunk t+1 is prefetched and chunk t−1 is flushed
-// while transform runs on chunk t; with a zero pipeline configuration it is
-// exactly the synchronous loop it replaces.  transform receives the key
-// offset of the chunk and may modify it in place (a nil transform copies).
-// Both stripes must have equal length, a multiple of B; len(buf) must be a
-// positive multiple of B.
+// Pass drives one read–compute–write pass over chunks chunks.  Chunk t's
+// blocks, readAddrs(t), are read into the head of buf, which must hold the
+// largest chunk; body(t, chunk, w) computes on them and submits the chunk's
+// writes to w.  With pipelining configured on the array, chunk t+1 is
+// prefetched and earlier writes are flushed while body runs, and a zero
+// pipeline configuration makes it the synchronous loop; either way the
+// reads are charged as body receives them and the writes as body submits
+// them.  readAddrs follows NewReader's rules (it may run on the prefetch
+// goroutine) and is called once per chunk.  The writer's staging is taken
+// at body's first write.  The first error — a read, body's, or the final
+// flush — ends the pass; the staging and prefetch ring go back to the arena
+// on every path.
+func Pass(a *pdm.Array, chunks int, readAddrs func(t int) []pdm.BlockAddr, buf []int64,
+	body func(t int, chunk []int64, w *Writer) error) error {
+	r, err := NewReader(a, chunks, readAddrs)
+	if err != nil {
+		return err
+	}
+	defer r.Close()
+	w := &Writer{a: a, lazy: true}
+	defer w.Close()
+	views := splitBlocks(a, buf)
+	for t := 0; t < chunks; t++ {
+		nb, err := r.fill(views, false)
+		if err != nil {
+			return err
+		}
+		if err := body(t, buf[:nb*a.B()], w); err != nil {
+			return err
+		}
+	}
+	return w.Close()
+}
+
+// Pipe is Pass over two stripes of equal length: it streams src through
+// transform into dst in chunks of len(buf) keys.  transform receives the
+// key offset of the chunk and may modify it in place (a nil transform
+// copies).  len(buf) must be a positive multiple of B.
 func Pipe(src, dst *pdm.Stripe, buf []int64, transform func(off int, chunk []int64) error) error {
 	a := src.Array()
 	n := src.Len()
@@ -24,39 +54,17 @@ func Pipe(src, dst *pdm.Stripe, buf []int64, transform func(off int, chunk []int
 	if chunk <= 0 || chunk%a.B() != 0 {
 		return fmt.Errorf("stream: Pipe buffer of %d keys with B = %d", chunk, a.B())
 	}
-	r, err := NewStripeReader(src, 0, n, chunk)
-	if err != nil {
-		return err
-	}
-	defer r.Close()
-	w, err := NewWriter(a)
-	if err != nil {
-		return err
-	}
-	for off := 0; off < n; off += chunk {
-		cn := chunk
-		if off+cn > n {
-			cn = n - off
-		}
-		if err := r.FillFlat(buf[:cn]); err != nil {
-			w.Close() //nolint:errcheck // the read error takes precedence
-			return err
-		}
+	chunks, readAddrs := stripeChunks(src, 0, n, chunk)
+	return Pass(a, chunks, readAddrs, buf, func(t int, keys []int64, w *Writer) error {
 		if transform != nil {
-			if err := transform(off, buf[:cn]); err != nil {
-				w.Close() //nolint:errcheck // the transform error takes precedence
+			if err := transform(t*chunk, keys); err != nil {
 				return err
 			}
 		}
-		addrs, err := dst.AddrRange(off, cn)
+		addrs, err := dst.AddrRange(t*chunk, len(keys))
 		if err != nil {
-			w.Close() //nolint:errcheck // the range error takes precedence
 			return err
 		}
-		if err := w.WriteFlat(addrs, buf[:cn]); err != nil {
-			w.Close() //nolint:errcheck // the write error takes precedence
-			return err
-		}
-	}
-	return w.Close()
+		return w.WriteFlat(addrs, keys)
+	})
 }

@@ -92,22 +92,24 @@ func NewStripeReader(s *pdm.Stripe, start, n, chunkKeys int) (*Reader, error) {
 	if _, err := s.AddrRange(start, n); err != nil {
 		return nil, err
 	}
-	chunks := (n + chunkKeys - 1) / chunkKeys
-	addrsOf := func(t int) []pdm.BlockAddr {
+	chunks, addrsOf := stripeChunks(s, start, n, chunkKeys)
+	return NewReader(s.Array(), chunks, addrsOf)
+}
+
+// stripeChunks plans a sequential read of keys [start, start+n) of s in
+// chunkKeys-key chunks (the last may be shorter): the chunk count and the
+// addresses of chunk t.  The range must be valid.
+func stripeChunks(s *pdm.Stripe, start, n, chunkKeys int) (int, func(int) []pdm.BlockAddr) {
+	return (n + chunkKeys - 1) / chunkKeys, func(t int) []pdm.BlockAddr {
 		off := t * chunkKeys
-		cn := chunkKeys
-		if off+cn > n {
-			cn = n - off
-		}
-		addrs, err := s.AddrRange(start+off, cn)
+		addrs, err := s.AddrRange(start+off, min(chunkKeys, n-off))
 		if err != nil {
-			// The whole range was validated above; a per-chunk failure is
+			// Callers validate the whole range; a per-chunk failure is
 			// unreachable.
 			panic(err)
 		}
 		return addrs
 	}
-	return NewReader(s.Array(), chunks, addrsOf)
 }
 
 // fetch is the prefetch goroutine: it walks the chunk sequence, transferring
@@ -214,27 +216,40 @@ func (r *Reader) send(bt batch) bool {
 // charged on delivery, so stats and traces match the synchronous ReadV the
 // caller replaced.
 func (r *Reader) Fill(bufs [][]int64) error {
+	_, err := r.fill(bufs, true)
+	return err
+}
+
+// fill delivers the next chunk into the head of bufs and returns its block
+// count.  With exact set the chunk must fill bufs completely, as Fill
+// requires; otherwise bufs only has to hold it (Pass sizes its buffer for
+// the largest chunk).
+func (r *Reader) fill(bufs [][]int64, exact bool) (int, error) {
 	if r.err != nil {
-		return r.err
+		return 0, r.err
 	}
 	// A canceled array context aborts here even when the chunk is already
 	// staged: the prefetched data was never charged, so the accounting
 	// still matches an aborted synchronous execution.
 	if err := r.a.CtxErr(); err != nil {
 		r.err = err
-		return err
+		return 0, err
 	}
 	if r.next >= r.chunks {
-		return ErrExhausted
+		return 0, ErrExhausted
 	}
 	t := r.next
 	if r.filled == nil { // synchronous mode
-		if err := r.a.ReadV(r.addrsOf(t), bufs); err != nil {
+		addrs := r.addrsOf(t)
+		if !exact && len(addrs) <= len(bufs) {
+			bufs = bufs[:len(addrs)]
+		}
+		if err := r.a.ReadV(addrs, bufs); err != nil {
 			r.err = err
-			return err
+			return 0, err
 		}
 		r.next++
-		return nil
+		return len(addrs), nil
 	}
 	idx := 0
 	stalled := false
@@ -255,21 +270,21 @@ func (r *Reader) Fill(bufs [][]int64) error {
 		}
 		if !ok {
 			r.err = fmt.Errorf("stream: prefetcher ended early at chunk %d", t)
-			return r.err
+			return 0, r.err
 		}
 		if bt.err != nil {
 			r.err = bt.err
-			return r.err
+			return 0, r.err
 		}
 		if bt.slot >= 0 {
 			if idx+bt.nblocks > len(bufs) {
 				r.err = fmt.Errorf("stream: chunk %d has more blocks than the %d buffers provided", t, len(bufs))
-				return r.err
+				return 0, r.err
 			}
 			for k := 0; k < bt.nblocks; k++ {
 				if len(bufs[idx+k]) != r.a.B() {
 					r.err = pdm.ErrBadBlock
-					return r.err
+					return 0, r.err
 				}
 				src := r.slots[bt.slot][k]
 				if bt.views != nil {
@@ -281,14 +296,14 @@ func (r *Reader) Fill(bufs [][]int64) error {
 			r.free <- bt.slot
 		}
 		if bt.last {
-			if idx != len(bufs) || idx != len(bt.addrs) {
+			if (exact && idx != len(bufs)) || idx != len(bt.addrs) {
 				r.err = fmt.Errorf("stream: chunk %d has %d blocks, %d buffers provided", t, len(bt.addrs), len(bufs))
-				return r.err
+				return 0, r.err
 			}
 			r.a.ChargeV(bt.addrs, false)
 			r.a.RecordPrefetch(!stalled)
 			r.next++
-			return nil
+			return idx, nil
 		}
 	}
 }

@@ -34,20 +34,31 @@ type Writer struct {
 	ferr   error // first flusher error
 	err    error // sticky producer-side error
 	closed bool
+	lazy   bool // staging not taken yet: start runs at the first Write
 }
 
 // NewWriter creates a Writer on a.  Write-behind depth comes from the
 // array's pipeline configuration; depth 0 is fully synchronous.
 func NewWriter(a *pdm.Array) (*Writer, error) {
 	w := &Writer{a: a}
+	if err := w.start(); err != nil {
+		return nil, err
+	}
+	return w, nil
+}
+
+// start takes the write-behind staging from the arena and starts the
+// flusher.
+func (w *Writer) start() error {
+	a := w.a
 	depth := a.Pipeline().WriteBehind
 	if depth == 0 {
-		return w, nil
+		return nil
 	}
 	dxb := a.StripeWidth()
 	ring, err := a.Arena().Alloc(depth * dxb)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	w.ring = ring
 	w.slots = make([][][]int64, depth)
@@ -64,7 +75,7 @@ func NewWriter(a *pdm.Array) (*Writer, error) {
 	w.jobs = make(chan wjob, depth)
 	w.done = make(chan struct{})
 	go w.drain()
-	return w, nil
+	return nil
 }
 
 // drain is the flusher goroutine.  Queued jobs are coalesced into one
@@ -149,6 +160,13 @@ func (w *Writer) Write(addrs []pdm.BlockAddr, bufs [][]int64) error {
 	if err := w.flusherErr(); err != nil {
 		w.err = err
 		return err
+	}
+	if w.lazy {
+		w.lazy = false
+		if err := w.start(); err != nil {
+			w.err = err
+			return err
+		}
 	}
 	if w.jobs == nil { // synchronous mode
 		if err := w.a.WriteV(addrs, bufs); err != nil {
