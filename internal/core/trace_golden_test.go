@@ -1,10 +1,13 @@
 package core_test
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"flag"
 	"fmt"
+	"math"
+	"math/rand"
 	"os"
 	"slices"
 	"strings"
@@ -14,6 +17,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/memsort"
 	"repro/internal/pdm"
+	"repro/internal/records"
+	"repro/internal/scenario"
 	"repro/internal/stream"
 	"repro/internal/workload"
 )
@@ -44,11 +49,79 @@ func algCase(alg core.Alg, n int, keys func(int) []int64) traceCase {
 
 func perm(n int) []int64 { return workload.Perm(n, 7) }
 
+// permuteCase runs records.Permute over n records of 0–40 payload bytes
+// into the order perm(n); the array's input stripe is unused.
+func permuteCase(n int) traceCase {
+	return traceCase{fmt.Sprintf("permute n=%d", n), n, perm, func(a *pdm.Array, _ *pdm.Stripe) (*pdm.Stripe, error) {
+		rng := rand.New(rand.NewSource(11))
+		payloads := make([][]byte, n)
+		for i := range payloads {
+			payloads[i] = make([]byte, rng.Intn(41))
+			rng.Read(payloads[i])
+		}
+		order := make([]int, n)
+		for j, i := range perm(n) {
+			order[j] = int(i)
+		}
+		res, err := records.Permute(a, payloads, order)
+		if err != nil {
+			return nil, err
+		}
+		if res.Levels == 0 {
+			return nil, fmt.Errorf("permute n=%d: no scatter level", n)
+		}
+		for j, i := range order {
+			if !bytes.Equal(res.Out[j], payloads[i]) {
+				return nil, fmt.Errorf("permute n=%d: output %d is not payload %d", n, j, i)
+			}
+		}
+		return nil, nil
+	}}
+}
+
+// groupCase runs scenario.GroupPartition over n pairs of pairWords words
+// drawn from 2m keys, routed to six partitions; the input is the pairs
+// padded with MaxInt64 keys to whole stripes of stripe words.
+func groupCase(m, stripe, n, pairWords int) traceCase {
+	const parts = 6
+	rng := rand.New(rand.NewSource(5))
+	pairs := make([]int64, 0, n*pairWords)
+	sizes := make([]int, parts)
+	for i := 0; i < n; i++ {
+		k := rng.Int63n(int64(2 * m))
+		sizes[scenario.PartitionIndex(k, parts)]++
+		pairs = append(pairs, k)
+		if pairWords == 2 {
+			pairs = append(pairs, rng.Int63n(1000))
+		}
+	}
+	for len(pairs)%stripe != 0 {
+		pairs = append(pairs, math.MaxInt64)
+	}
+	return traceCase{fmt.Sprintf("grouppartition pairWords=%d n=%d", pairWords, n), n,
+		func(int) []int64 { return pairs },
+		func(a *pdm.Array, in *pdm.Stripe) (*pdm.Stripe, error) {
+			aggs, err := scenario.GroupPartition(a, in, pairWords, sizes, m/2)
+			if err != nil {
+				return nil, err
+			}
+			var count int64
+			for _, g := range aggs {
+				count += g.Count
+			}
+			if count != int64(n) {
+				return nil, fmt.Errorf("grouppartition: %d pairs aggregated, want %d", count, n)
+			}
+			return nil, nil
+		}}
+}
+
 // traceCases lists every pass-structured entry point at one geometry: each
 // runnable core.Alg (the expected algorithms also on sorted input, which
 // drives their fallbacks), SevenPass with l < D and l = D, RadixSort,
-// IntegerSort with and without step A, the multiway merge baseline, and
-// stream.Pipe.
+// IntegerSort with and without step A, the multiway merge baseline,
+// stream.Pipe, and the two distribution routes outside core: the records
+// permutation at one and two scatter levels and the partitioned group-by.
 func traceCases(m, d int) []traceCase {
 	sq := memsort.Isqrt(m)
 	lSmall := d / 2   // a superrun count below D
@@ -102,12 +175,15 @@ func traceCases(m, d int) []traceCase {
 				return resultOut(core.IntegerSort(a, in, 0, rearrange))
 			}})
 	}
+	b := memsort.Isqrt(m)
+	cases = append(cases, permuteCase(4*m), permuteCase(20*m),
+		groupCase(m, d*b, 4*m, 1), groupCase(m, d*b, 4*m, 2))
 	return cases
 }
 
 // TestPassTraceGolden pins the I/O schedule of every pass-structured entry
 // point: per case the charged blocks and steps, a SHA-256 of the full request
-// trace, and the arena's per-phase peaks, on two geometries with a depth-2
+// trace, and the arena's overall and per-phase peaks, on two geometries with a depth-2
 // pipeline.  A change to how passes are driven must leave the golden
 // byte-identical.  Regenerate with
 // go test ./internal/core -run TestPassTraceGolden -update.
@@ -191,7 +267,7 @@ func traceRun(t *testing.T, cfg pdm.Config, tc traceCase) string {
 	if leak := a.Arena().InUse(); leak != 0 {
 		t.Fatalf("%s: %d arena keys still in use", tc.name, leak)
 	}
-	return fmt.Sprintf("blocks=%d/%d steps=%d/%d ops=%d trace=%x\npeaks=%s\n",
+	return fmt.Sprintf("blocks=%d/%d steps=%d/%d ops=%d trace=%x\npeak=%d peaks=%s\n",
 		st.BlocksRead, st.BlocksWritten, st.ReadSteps, st.WriteSteps, len(trace), h.Sum(nil),
-		strings.Join(a.Arena().PhasePeaks(), " "))
+		a.Arena().Peak(), strings.Join(a.Arena().PhasePeaks(), " "))
 }
