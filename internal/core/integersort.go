@@ -53,9 +53,10 @@ func (st *scatterState) freeStripes() {
 	st.stripes = nil
 }
 
-// place returns the address of bucket's next block: the next free row on
-// the bucket's next rotation disk.
-func (st *scatterState) place(a *pdm.Array, g geometry, bucket int) (pdm.BlockAddr, error) {
+// place returns the address of bucket's next block, holding words keys —
+// the next free row on the bucket's next rotation disk — and records it at
+// the end of the bucket's run seq.
+func (st *scatterState) place(a *pdm.Array, g geometry, seq *blockSeq, bucket, words int) (pdm.BlockAddr, error) {
 	d := st.nextDisk[bucket]
 	st.nextDisk[bucket] = (d + 1) % g.d
 	row, c := st.rows[d], g.m/g.dxb
@@ -67,7 +68,11 @@ func (st *scatterState) place(a *pdm.Array, g geometry, bucket int) (pdm.BlockAd
 		st.stripes = append(st.stripes, s)
 	}
 	st.rows[d]++
-	return st.stripes[row/c].BlockAddr(row%c*g.d + d), nil
+	addr := st.stripes[row/c].BlockAddr(row%c*g.d + d)
+	seq.addrs = append(seq.addrs, addr)
+	seq.counts = append(seq.counts, words)
+	seq.total += words
+	return addr, nil
 }
 
 // scatterPass streams src one stripe per request and distributes its keys
@@ -75,10 +80,10 @@ func (st *scatterState) place(a *pdm.Array, g geometry, bucket int) (pdm.BlockAd
 // nondecreasing in the key (true for identity buckets and for any
 // most-significant-digit extractor).
 //
-// Every bucket fills one "carry" block in memory (r·B ≤ M keys), and each
-// full carry goes to a stream.Scatter — the write queue records and
-// scenario's partitioned group-by share — at the bucket's next rotation
-// address, so every request writes at most one block per disk.  Padding
+// The keys go to a stream.Scatter of r buckets — the bucket writer records
+// and scenario's partitioned group-by share — which fills one carry block
+// per bucket (r·B ≤ M keys) and writes each full one at the bucket's next
+// rotation address, at most one block per disk per request.  Padding
 // appears only in the final flush: at most one non-full block per bucket
 // for the whole pass, which is what keeps the paper's µ < 1.  Memory is the
 // carries, the Scatter's stage of M and one stripe of read buffer: 2M + D·B.
@@ -94,12 +99,10 @@ func scatterPass(a *pdm.Array, src blockSeq, r int, bucketOf func(int64) int, st
 		}
 		st.rows = make([]int, g.d)
 	}
-	carry, err := a.Arena().Alloc(r * g.b)
-	if err != nil {
-		return nil, err
-	}
-	defer a.Arena().Free(carry)
-	sc, err := stream.NewScatter(a)
+	children := make([]blockSeq, r)
+	sc, err := stream.NewScatter(a, r, func(bkt, words int) (pdm.BlockAddr, error) {
+		return st.place(a, g, &children[bkt], bkt, words)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -110,44 +113,16 @@ func scatterPass(a *pdm.Array, src blockSeq, r int, bucketOf func(int64) int, st
 	}
 	defer a.Arena().Free(raw)
 
-	children := make([]blockSeq, r)
-	carryCnt := make([]int, r)
-	queue := func(bkt int) error {
-		addr, err := st.place(a, g, bkt)
-		if err != nil {
-			return err
-		}
-		c := &children[bkt]
-		c.addrs = append(c.addrs, addr)
-		c.counts = append(c.counts, carryCnt[bkt])
-		c.total += carryCnt[bkt]
-		carryCnt[bkt] = 0
-		return sc.Add(addr, carry[bkt*g.b:(bkt+1)*g.b])
-	}
 	err = streamBlockSeqs(a, g, []blockSeq{src}, raw, func(_ int, keys []int64) error {
-		for _, k := range keys {
-			bkt := bucketOf(k)
-			if bkt < 0 || bkt >= r {
-				return fmt.Errorf("core: key %d maps to bucket %d outside [0,%d)", k, bkt, r)
-			}
-			carry[bkt*g.b+carryCnt[bkt]] = k
-			if carryCnt[bkt]++; carryCnt[bkt] == g.b {
-				if err := queue(bkt); err != nil {
-					return err
-				}
+		for i, k := range keys {
+			if err := sc.Append(bucketOf(k), keys[i:i+1]); err != nil {
+				return err
 			}
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	for bkt, c := range carryCnt {
-		if c > 0 {
-			if err := queue(bkt); err != nil {
-				return nil, err
-			}
-		}
 	}
 	return children, sc.Flush()
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/memsort"
 	"repro/internal/pdm"
+	"repro/internal/records"
 )
 
 // Alg is the repository's one algorithm identity (core.Alg): the short
@@ -318,20 +319,7 @@ func PermutePlan(words, mem, b, stripe int) (paddedWords, levels int, passes flo
 		return 0, 0, 0
 	}
 	paddedWords = memsort.CeilDiv(words, stripe) * stripe
-	chunk := mem // destination chunk: one internal memory of words
-	maxF := mem / b
-	if maxF < 2 {
-		maxF = 2
-	}
-	span := memsort.CeilDiv(paddedWords, chunk)
-	for span > 1 {
-		f := span
-		if f > maxF {
-			f = maxF
-		}
-		span = memsort.CeilDiv(span, f)
-		levels++
-	}
+	levels = records.Levels(paddedWords, mem, b, nil)
 	return paddedWords, levels, 2 * float64(levels+1)
 }
 

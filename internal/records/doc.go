@@ -20,9 +20,10 @@
 //
 // All reads run through the streaming layer (stream.Reader), so gather and
 // scatter prefetch ahead of the consumer when the array's pipeline is
-// configured, and a scatter level's writes go through stream.Scatter, which
-// keeps every disk busy: a level's write steps stay within a few percent of
-// its read steps whatever the permutation.  All buffers come from the
+// configured, and a scatter level's partitions are the buckets of a
+// stream.Scatter, which carries each partition's partial block and keeps
+// every disk busy: a level's write steps stay within a few percent of its
+// read steps whatever the permutation.  All buffers come from the
 // array's arena, so the layer's true internal-memory footprint is metered
 // like every algorithm's.
 //

@@ -67,28 +67,36 @@ func DiskEnvelope(n, words, mem, d, b int) int {
 	row := d * b
 	padded := memsort.CeilDiv(words, row) * row
 	env := 2 * padded // store + output
-	chunk, maxF := scatterGeometry(mem, b)
-	span := memsort.CeilDiv(padded, chunk) // in chunks
-	for span > 1 {
-		f := span
-		if f > maxF {
-			f = maxF
-		}
-		span = memsort.CeilDiv(span, f)
-		nodes := memsort.CeilDiv(padded, span*chunk)
+	Levels(padded, mem, b, func(nodes int) {
 		// One level's partitions all live at once in the worst case: the
 		// data, one header per resident segment (at most one per record
 		// plus one per node boundary), and one row of rounding per node.
 		env += words + headerWords*(n+nodes) + nodes*row
-	}
+	})
 	return env + row
+}
+
+// Levels returns the distribution depth of a permutation whose store pads
+// to padded words on a machine with internal memory mem and blocks of b
+// words, the level walk DiskEnvelope and plan.PermutePlan price, and calls
+// level, if non-nil, with each level's node count.
+func Levels(padded, mem, b int, level func(nodes int)) int {
+	chunk, maxF := scatterGeometry(mem, b)
+	levels := 0
+	for span := memsort.CeilDiv(padded, chunk); span > 1; levels++ { // in chunks
+		span = memsort.CeilDiv(span, min(span, maxF))
+		if level != nil {
+			level(memsort.CeilDiv(padded, span*chunk))
+		}
+	}
+	return levels
 }
 
 // scatterGeometry resolves the distribution parameters: the destination
 // chunk size (one internal memory's worth of words) and the scatter fanout
-// (as many single-block partition buffers as fit in one memory).  With the
-// stream.Scatter stage (a second memory load) and one stripe of read buffer
-// a level holds 2·M + D·B, the arena's whole algorithm envelope.
+// (as many stream.Scatter carry blocks as fit in one memory).  With the
+// Scatter's stage (a second memory load) and one stripe of read buffer a
+// level holds 2·M + D·B, the arena's whole algorithm envelope.
 func scatterGeometry(mem, b int) (chunk, maxF int) {
 	maxF = mem / b
 	if maxF < 2 {
@@ -349,10 +357,7 @@ type child struct {
 	lo, hi int
 	stripe *pdm.Stripe
 	words  int // exact serialized words (headers + data)
-
-	buf  []int64 // current block being filled (view into the shared arena buffer)
-	fill int
-	blk  int // next block index within stripe
+	blk    int // next block index within stripe
 }
 
 // nodeWords returns the exact serialized size of the partition holding
@@ -375,9 +380,10 @@ func (p *permuter) nodeWords(lo, hi int) (words, segments int) {
 
 // scatter reads src sequentially and routes every segment into one of the
 // partitions covering [lo, hi), splitting segments at partition
-// boundaries.  Finished blocks go through a stream.Scatter (one block per
-// disk per step); the partition stripes' skews are spread evenly round the
-// disks, so partitions filling in step do not all queue on the same one.
+// boundaries.  The partitions are the buckets of a stream.Scatter (one
+// block per disk per step), each filling its stripe block by block; the
+// partition stripes' skews are spread evenly round the disks, so
+// partitions filling in step do not all queue on the same one.
 func (p *permuter) scatter(lo, hi int, src *nodeSource) (children []*child, err error) {
 	defer src.free()
 	chunks := memsort.CeilDiv(hi-lo, p.chunk)
@@ -392,11 +398,6 @@ func (p *permuter) scatter(lo, hi int, src *nodeSource) (children []*child, err 
 	if p.fanout == 0 || f > p.fanout {
 		p.fanout = f
 	}
-	bufs, err := p.a.Arena().Alloc(f * p.b)
-	if err != nil {
-		return nil, err
-	}
-	defer p.a.Arena().Free(bufs)
 	for c := 0; c < f; c++ {
 		clo := lo + c*span
 		chi := clo + span
@@ -404,7 +405,7 @@ func (p *permuter) scatter(lo, hi int, src *nodeSource) (children []*child, err 
 			chi = hi
 		}
 		words, _ := p.nodeWords(clo, chi)
-		ch := &child{lo: clo, hi: chi, words: words, buf: bufs[c*p.b : (c+1)*p.b]}
+		ch := &child{lo: clo, hi: chi, words: words}
 		if words > 0 {
 			stripe, err := p.a.NewStripeSkew(memsort.CeilDiv(words, p.b)*p.b, c*max(1, p.a.D()/f))
 			if err != nil {
@@ -414,82 +415,36 @@ func (p *permuter) scatter(lo, hi int, src *nodeSource) (children []*child, err 
 		}
 		children = append(children, ch)
 	}
-	sc, err := stream.NewScatter(p.a)
+	sc, err := stream.NewScatter(p.a, f, func(c, _ int) (pdm.BlockAddr, error) {
+		ch := children[c]
+		ch.blk++
+		return ch.stripe.BlockAddr(ch.blk - 1), nil
+	})
 	if err != nil {
 		return children, err
 	}
 	defer sc.Close()
-	route := func(dest, nw int, ws *wordStream) error {
+	hdr := make([]int64, headerWords)
+	err = src.scan(func(dest, nw int, ws *wordStream) error {
 		for nw > 0 {
 			c := (dest - lo) / span
-			end := children[c].hi
-			if end > dest+nw {
-				end = dest + nw
+			take := min(children[c].hi, dest+nw) - dest
+			hdr[0], hdr[1] = int64(dest), int64(take)
+			if err := sc.Append(c, hdr); err != nil {
+				return err
 			}
-			take := end - dest
-			if err := p.emit(children[c], sc, dest, take, ws); err != nil {
+			if err := ws.each(take, func(v []int64) error { return sc.Append(c, v) }); err != nil {
 				return err
 			}
 			dest += take
 			nw -= take
 		}
 		return nil
-	}
-	if err := src.scan(route); err != nil {
+	})
+	if err != nil {
 		return children, err
 	}
-	// Queue the partial last block of every partition (zero-padded).
-	for _, ch := range children {
-		if ch.fill > 0 {
-			clear(ch.buf[ch.fill:])
-			if err := sc.Add(ch.stripe.BlockAddr(ch.blk), ch.buf); err != nil {
-				return children, err
-			}
-		}
-	}
 	return children, sc.Flush()
-}
-
-// emit appends one segment (header + take data words pulled from ws) to a
-// partition, handing full blocks to the scatter.
-func (p *permuter) emit(ch *child, sc *stream.Scatter, dest, take int, ws *wordStream) error {
-	if err := p.put(ch, sc, int64(dest)); err != nil {
-		return err
-	}
-	if err := p.put(ch, sc, int64(take)); err != nil {
-		return err
-	}
-	for take > 0 {
-		room := p.b - ch.fill
-		if room > take {
-			room = take
-		}
-		if err := ws.copyN(ch.buf[ch.fill:ch.fill+room], room); err != nil {
-			return err
-		}
-		ch.fill += room
-		take -= room
-		if err := p.full(ch, sc); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (p *permuter) put(ch *child, sc *stream.Scatter, w int64) error {
-	ch.buf[ch.fill] = w
-	ch.fill++
-	return p.full(ch, sc)
-}
-
-// full hands the partition's block to the scatter once it is full.
-func (p *permuter) full(ch *child, sc *stream.Scatter) error {
-	if ch.fill < p.b {
-		return nil
-	}
-	ch.fill = 0
-	ch.blk++
-	return sc.Add(ch.stripe.BlockAddr(ch.blk-1), ch.buf)
 }
 
 // place is the base case: the whole destination range fits one memory
@@ -503,7 +458,11 @@ func (p *permuter) place(lo, hi int, src *nodeSource) error {
 	}
 	defer p.a.Arena().Free(buf)
 	err = src.scan(func(dest, nw int, ws *wordStream) error {
-		return ws.copyN(buf[dest-lo:dest-lo+nw], nw)
+		at := dest - lo
+		return ws.each(nw, func(v []int64) error {
+			at += copy(buf[at:], v)
+			return nil
+		})
 	})
 	src.free()
 	if err != nil {
@@ -637,18 +596,19 @@ func (ws *wordStream) next() (int64, error) {
 	return w, nil
 }
 
-func (ws *wordStream) copyN(dst []int64, n int) error {
+// each hands the stream's next n words to fn, as views into the stream's
+// buffer valid only for the call.
+func (ws *wordStream) each(n int, fn func([]int64) error) error {
 	for n > 0 {
 		if ws.pos == ws.n {
 			if err := ws.fill(); err != nil {
 				return err
 			}
 		}
-		take := ws.n - ws.pos
-		if take > n {
-			take = n
+		take := min(ws.n-ws.pos, n)
+		if err := fn(ws.buf[ws.pos : ws.pos+take]); err != nil {
+			return err
 		}
-		copy(dst[len(dst)-n:], ws.buf[ws.pos:ws.pos+take])
 		ws.pos += take
 		n -= take
 	}

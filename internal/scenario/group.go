@@ -147,17 +147,16 @@ func tallyPairs(t *table, flat []int64, pairWords int) error {
 // read back and aggregated.  sizes[p] must be the exact pair count the
 // PartitionIndex route sends to partition p (callers count it on the
 // client side before loading), so each partition stripe is allocated
-// tightly: its capacity is the pair count rounded up to whole blocks,
-// with MaxInt64-key padding in the final block.
+// tightly: its capacity is the pair count rounded up to whole blocks.
 //
-// The scatter stages one block per partition and hands each finished block
-// to a stream.Scatter, which writes one block per disk per step (partition
-// p's stripe is skewed by p, so partitions filling in step spread round the
-// disks): the write costs the ⌈(blocks+parts)/D⌉ steps plan.GroupByPlan
-// prices, within a few percent.  A partition whose distinct keys still
-// exceed maxGroups aborts with ErrOverflow.  Aggregates return sorted by
-// key (partitions hold disjoint key sets, so a global sort of the
-// concatenation is exact).
+// The scatter is a stream.Scatter with one bucket per partition, which
+// writes one block per disk per step (partition p's stripe is skewed by p,
+// so partitions filling in step spread round the disks): the write costs
+// the ⌈(blocks+parts)/D⌉ steps plan.GroupByPlan prices, within a few
+// percent.  The read-back tallies only the words the scatter queued for
+// each partition.  A partition whose distinct keys still exceed maxGroups
+// aborts with ErrOverflow.  Aggregates return sorted by key (partitions
+// hold disjoint key sets, so a global sort of the concatenation is exact).
 func GroupPartition(a *pdm.Array, in *pdm.Stripe, pairWords int, sizes []int, maxGroups int) ([]Agg, error) {
 	if err := pairGeometry(a, in, pairWords); err != nil {
 		return nil, err
@@ -170,7 +169,7 @@ func GroupPartition(a *pdm.Array, in *pdm.Stripe, pairWords int, sizes []int, ma
 	a.Arena().SetPhase("scenario/group")
 	defer a.Arena().SetPhase("")
 
-	// Tight per-partition stripes, one staging block each.
+	// Tight per-partition stripes.
 	pstripes := make([]*pdm.Stripe, parts)
 	free := func() {
 		for _, ps := range pstripes {
@@ -195,48 +194,24 @@ func GroupPartition(a *pdm.Array, in *pdm.Stripe, pairWords int, sizes []int, ma
 		}
 		pstripes[p] = ps
 	}
-	staging, err := a.Arena().Alloc(parts * b)
-	if err != nil {
-		return nil, err
-	}
-	defer a.Arena().Free(staging)
 	buf, err := a.Arena().Alloc(stripe)
 	if err != nil {
 		return nil, err
 	}
 	defer a.Arena().Free(buf)
 
-	sc, err := stream.NewScatter(a)
+	wrote := make([]int, parts) // words queued per partition, whole blocks but the last
+	sc, err := stream.NewScatter(a, parts, func(p, words int) (pdm.BlockAddr, error) {
+		if wrote[p]+words > pstripes[p].Len() {
+			return pdm.BlockAddr{}, fmt.Errorf("scenario: partition %d overflows its declared size", p)
+		}
+		wrote[p] += words
+		return pstripes[p].BlockAddr((wrote[p] - 1) / b), nil
+	})
 	if err != nil {
 		return nil, err
 	}
 	defer sc.Close()
-
-	fill := make([]int, parts)  // staged words per partition
-	wrote := make([]int, parts) // words flushed to the partition stripe
-	queueBlock := func(p int) error {
-		ps := pstripes[p]
-		if wrote[p]+b > ps.Len() {
-			return fmt.Errorf("scenario: partition %d overflows its declared size", p)
-		}
-		wrote[p] += b
-		fill[p] = 0
-		return sc.Add(ps.BlockAddr(wrote[p]/b-1), staging[p*b:(p+1)*b])
-	}
-	scatter := func(key, payload int64) error {
-		p := PartitionIndex(key, parts)
-		base := p * b
-		staging[base+fill[p]] = key
-		fill[p]++
-		if pairWords == 2 {
-			staging[base+fill[p]] = payload
-			fill[p]++
-		}
-		if fill[p] == b {
-			return queueBlock(p)
-		}
-		return nil
-	}
 
 	rd, err := stream.NewStripeReader(in, 0, in.Len(), stripe)
 	if err != nil {
@@ -248,35 +223,14 @@ func GroupPartition(a *pdm.Array, in *pdm.Stripe, pairWords int, sizes []int, ma
 			return nil, err
 		}
 		for i := 0; i < len(buf); i += pairWords {
-			key := buf[i]
-			if key == math.MaxInt64 {
-				continue
-			}
-			payload := key
-			if pairWords == 2 {
-				payload = buf[i+1]
-			}
-			if err := scatter(key, payload); err != nil {
-				return nil, err
+			if key := buf[i]; key != math.MaxInt64 {
+				if err := sc.Append(PartitionIndex(key, parts), buf[i:i+pairWords]); err != nil {
+					return nil, err
+				}
 			}
 		}
 	}
-	// Pad and queue the partial tail blocks, then drain the scatter before
-	// the read-back.
-	for p := 0; p < parts; p++ {
-		if fill[p] == 0 {
-			continue
-		}
-		for i := fill[p]; i < b; i += pairWords {
-			staging[p*b+i] = math.MaxInt64
-			if pairWords == 2 {
-				staging[p*b+i+1] = 0
-			}
-		}
-		if err := queueBlock(p); err != nil {
-			return nil, err
-		}
-	}
+	// Drain the scatter, partial tail blocks included, before the read-back.
 	if err := sc.Flush(); err != nil {
 		return nil, err
 	}
@@ -287,21 +241,19 @@ func GroupPartition(a *pdm.Array, in *pdm.Stripe, pairWords int, sizes []int, ma
 		if wrote[p] == 0 {
 			continue
 		}
-		prd, err := stream.NewStripeReader(ps, 0, wrote[p], stripe)
+		n := (wrote[p] + b - 1) / b * b
+		prd, err := stream.NewStripeReader(ps, 0, n, stripe)
 		if err != nil {
 			return nil, err
 		}
 		t := newTable(maxGroups)
-		for off := 0; off < wrote[p]; off += stripe {
-			c := stripe
-			if c > wrote[p]-off {
-				c = wrote[p] - off
-			}
+		for off := 0; off < n; off += stripe {
+			c := min(stripe, n-off)
 			if err := prd.FillFlat(buf[:c]); err != nil {
 				prd.Close()
 				return nil, err
 			}
-			if err := tallyPairs(t, buf[:c], pairWords); err != nil {
+			if err := tallyPairs(t, buf[:min(c, wrote[p]-off)], pairWords); err != nil {
 				prd.Close()
 				return nil, err
 			}

@@ -16,12 +16,16 @@
 // execution, which is what keeps the paper's accounting honest while the
 // wall clock improves.
 //
-// Scatter is the third primitive, for writes whose order the data decides:
-// it queues finished blocks by destination disk and guarantees at most one
-// block per disk per request — one parallel step each — at the cost of M
-// keys of arena for the queue.  Its three clients are the distribution
-// routes: the records permutation, the partitioned group-by, and the
-// IntegerSort scatter behind RadixSort's rounds.
+// Scatter is the third primitive, the bucket writer for writes whose order
+// the data decides.  It owns one carry block per bucket: Append fills a
+// bucket's carry, every full carry is queued at the address the caller's
+// next function returns, and Flush zero-pads and queues the partial carries
+// in bucket order.  Queued blocks wait by destination disk, and every
+// request holds at most one block per disk — one parallel step each — at
+// the cost of M keys of arena for the queue plus B per bucket for the
+// carries.  Its three clients are the distribution routes, which keep only
+// their routing and addressing: the records permutation, the partitioned
+// group-by, and the IntegerSort scatter behind RadixSort's rounds.
 //
 // Staging buffers come from the array's Arena: pipelining costs
 // (Prefetch+WriteBehind)·D·B keys of internal memory, charged like any

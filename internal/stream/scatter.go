@@ -6,25 +6,33 @@ import (
 	"repro/internal/pdm"
 )
 
-// Scatter is the write combiner for irregular scatters (distribution onto
-// pre-sized partition stripes): finished blocks wait in a stage of one
-// memory load, queued by destination disk, and every request it issues is
+// Scatter is the bucket writer of the distribution passes.  Every bucket
+// fills one carry block in memory; each block a bucket fills goes to the
+// address the caller's next function returns, into a stage of one memory
+// load queued by destination disk, and every request the Scatter issues is
 // the head of each non-empty queue — at most one block per disk, so exactly
-// one parallel step whatever order the partitions filled in.  Requests go
-// out synchronously, only when the stage is full or on Flush, so stats and
-// traces are a pure function of the Add sequence.
+// one parallel step whatever order the buckets filled in.  Flush pads each
+// bucket's partial carry with zeros and queues it after the full blocks, so
+// a pass writes at most one nonfull block per bucket.  Requests go out
+// synchronously, only when the stage is full or on Flush, so stats and
+// traces are a pure function of the Append sequence.
 //
-// On zero-copy arrays a block is copied once, straight into its borrowed
-// destination view, and the request is charged through ChargeV with the
-// address list WriteV would have used; the stage is still reserved, so the
-// memory envelope and any arena-pressure failure match across backends.
+// On zero-copy arrays a block is copied once, from its carry straight into
+// its borrowed destination view, and the request is charged through ChargeV
+// with the address list WriteV would have used; the stage is still
+// reserved, so the memory envelope and any arena-pressure failure match
+// across backends.
 type Scatter struct {
 	a     *pdm.Array
+	b     int
+	next  func(bucket, words int) (pdm.BlockAddr, error)
+	carry []int64 // one block per bucket
+	fill  []int   // words in each bucket's carry
 	stage []int64 // nil on zero-copy arrays: reserved, never touched
 	// Slots are linked through index arrays, so a block costs no allocation:
-	// next chains a slot into its disk's FIFO or the free list (−1 ends).
+	// link chains a slot into its disk's FIFO or the free list (−1 ends).
 	addr       []pdm.BlockAddr
-	next       []int // nil once closed
+	link       []int // nil once closed
 	head, tail []int // per disk
 	free       int
 	queued     int
@@ -33,68 +41,92 @@ type Scatter struct {
 	err        error // sticky
 }
 
-// NewScatter reserves the stage: M/B block slots, a function of the
-// geometry alone (at least D, since a valid configuration has M ≥ D·B).
-func NewScatter(a *pdm.Array) (*Scatter, error) {
-	slots, d := a.Mem()/a.B(), a.D()
-	s := &Scatter{a: a, addr: make([]pdm.BlockAddr, slots), next: make([]int, slots),
+// NewScatter reserves buckets carry blocks and the stage: M/B block slots,
+// a function of the geometry alone (at least D, since a valid configuration
+// has M ≥ D·B), M + buckets·B keys in all.  next returns the address of a
+// bucket's next block when the Scatter queues it; words is the block's
+// valid word count (B, or fewer for the padded block Flush queues).
+func NewScatter(a *pdm.Array, buckets int, next func(bucket, words int) (pdm.BlockAddr, error)) (*Scatter, error) {
+	b, slots, d := a.B(), a.Mem()/a.B(), a.D()
+	if err := a.Arena().Reserve((buckets + slots) * b); err != nil {
+		return nil, err
+	}
+	s := &Scatter{a: a, b: b, next: next, carry: make([]int64, buckets*b), fill: make([]int, buckets),
+		addr: make([]pdm.BlockAddr, slots), link: make([]int, slots),
 		head: make([]int, d), tail: make([]int, d), free: slots - 1,
 		addrs: make([]pdm.BlockAddr, 0, d), bufs: make([][]int64, 0, d)}
-	for i := range s.next {
-		s.next[i] = i - 1
+	if !a.ZeroCopy() {
+		s.stage = make([]int64, slots*b)
+	}
+	for i := range s.link {
+		s.link[i] = i - 1
 	}
 	for i := range s.head {
 		s.head[i] = -1
 	}
-	var err error
-	if a.ZeroCopy() {
-		err = a.Arena().Reserve(slots * a.B())
-	} else {
-		s.stage, err = a.Arena().Alloc(slots * a.B())
-	}
-	if err != nil {
-		return nil, err
-	}
 	return s, nil
 }
 
-// Add queues a copy of blk for addr, first issuing one step if the stage
-// is full.  The caller may reuse blk at once.
-func (s *Scatter) Add(addr pdm.BlockAddr, blk []int64) error {
-	b, d := s.a.B(), addr.Disk
-	if s.err == nil && (d < 0 || d >= len(s.head) || len(blk) != b) {
-		s.err = fmt.Errorf("%w: scatter of %d keys to disk %d", pdm.ErrOutOfRange, len(blk), d)
+// Append copies words onto bucket's carry, queueing every block it fills.
+// The caller may reuse words at once.
+func (s *Scatter) Append(bucket int, words []int64) error {
+	if s.err == nil && uint(bucket) >= uint(len(s.fill)) {
+		s.err = fmt.Errorf("%w: scatter to bucket %d of %d", pdm.ErrOutOfRange, bucket, len(s.fill))
 	}
-	if s.err == nil && s.free < 0 {
-		s.step()
+	for s.err == nil && len(words) > 0 {
+		f := s.fill[bucket]
+		n := copy(s.carry[bucket*s.b+f:(bucket+1)*s.b], words)
+		words = words[n:]
+		if s.fill[bucket] = f + n; f+n == s.b {
+			s.queue(bucket)
+		}
 	}
-	if s.err != nil {
-		return s.err
+	return s.err
+}
+
+// queue moves bucket's carry to the stage at the address next returns,
+// first issuing one step if the stage is full.
+func (s *Scatter) queue(bucket int) {
+	b, words := s.b, s.fill[bucket]
+	s.fill[bucket] = 0
+	addr, err := s.next(bucket, words)
+	if err != nil {
+		s.err = err
+		return
+	}
+	d := addr.Disk
+	if d < 0 || d >= len(s.head) {
+		s.err = fmt.Errorf("%w: scatter to disk %d", pdm.ErrOutOfRange, d)
+		return
+	}
+	if s.free < 0 {
+		if s.step(); s.err != nil {
+			return
+		}
 	}
 	i := s.free
 	var dst []int64
 	if s.stage != nil {
 		dst = s.stage[i*b : i*b+b]
 	} else if dst, s.err = s.a.BorrowWrite(addr); s.err != nil {
-		return s.err
+		return
 	}
-	copy(dst, blk)
-	s.free = s.next[i]
-	s.addr[i], s.next[i] = addr, -1
+	copy(dst, s.carry[bucket*b:(bucket+1)*b])
+	s.free = s.link[i]
+	s.addr[i], s.link[i] = addr, -1
 	if s.head[d] < 0 {
 		s.head[d] = i
 	} else {
-		s.next[s.tail[d]] = i
+		s.link[s.tail[d]] = i
 	}
 	s.tail[d] = i
 	s.queued++
-	return nil
 }
 
 // step issues one request: the head of every non-empty disk queue.  A
 // canceled context rejects it before charging, as WriteV does.
 func (s *Scatter) step() {
-	b := s.a.B()
+	b := s.b
 	s.addrs, s.bufs = s.addrs[:0], s.bufs[:0]
 	for d, i := range s.head {
 		if i < 0 {
@@ -104,8 +136,8 @@ func (s *Scatter) step() {
 		if s.stage != nil {
 			s.bufs = append(s.bufs, s.stage[i*b:i*b+b])
 		}
-		s.head[d] = s.next[i]
-		s.next[i], s.free = s.free, i
+		s.head[d] = s.link[i]
+		s.link[i], s.free = s.free, i
 		s.queued--
 	}
 	if s.stage != nil {
@@ -115,18 +147,28 @@ func (s *Scatter) step() {
 	}
 }
 
-// Flush drains the queues a step at a time (a no-op when they are empty).
+// Flush zero-pads every partial carry and queues it, in bucket order, then
+// drains the queues a step at a time (a no-op when nothing was appended).
 // It must precede any read of the scattered blocks.
 func (s *Scatter) Flush() error {
+	for bkt, f := range s.fill {
+		if s.err == nil && f > 0 {
+			clear(s.carry[bkt*s.b+f : (bkt+1)*s.b])
+			s.queue(bkt)
+		}
+	}
 	for s.err == nil && s.queued > 0 {
 		s.step()
 	}
 	return s.err
 }
 
-// Close returns the stage to the arena without flushing: blocks still
-// queued are dropped (error paths).  It is idempotent.
+// Close returns the carries and the stage to the arena without flushing:
+// blocks still carried or queued are dropped (error paths).  It is
+// idempotent.
 func (s *Scatter) Close() {
-	s.a.Arena().Release(len(s.next) * s.a.B())
-	s.next = nil
+	if s.link != nil {
+		s.a.Arena().Release(len(s.carry) + len(s.link)*s.b)
+		s.link = nil
+	}
 }

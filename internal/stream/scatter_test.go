@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/pdm"
@@ -38,12 +39,13 @@ func scatterArray(t *testing.T, zc bool, wrap func(d int, disk pdm.Disk) pdm.Dis
 	return a
 }
 
-// scatterPlan is a shuffled list of (partition, block) pairs over skewed
-// partition stripes of uneven sizes: the irregular arrival order a
-// distribution pass produces.
+// scatterPlan is a shuffled list of partition blocks over skewed partition
+// stripes of uneven sizes: the irregular arrival order a distribution pass
+// produces.  Each partition's blocks arrive in order; the partitions
+// interleave.
 type scatterPlan struct {
-	sizes []int    // blocks per partition
-	order [][2]int // (partition, block) in Add order
+	sizes []int // blocks per partition
+	order []int // the partition of each appended block
 }
 
 func newScatterPlan(seed int64) scatterPlan {
@@ -51,14 +53,15 @@ func newScatterPlan(seed int64) scatterPlan {
 	p := scatterPlan{sizes: []int{9, 1, 14, 6, 23, 11, 3}}
 	for part, nb := range p.sizes {
 		for blk := 0; blk < nb; blk++ {
-			p.order = append(p.order, [2]int{part, blk})
+			p.order = append(p.order, part)
 		}
 	}
 	rng.Shuffle(len(p.order), func(i, j int) { p.order[i], p.order[j] = p.order[j], p.order[i] })
 	return p
 }
 
-// run scatters the plan onto a: block blk of partition part holds the word
+// run scatters the plan onto a, one bucket per partition, appending each
+// block in two uneven pieces: block blk of partition part holds the word
 // part<<16|blk<<8|i at position i.  It returns the partition stripes.
 func (p scatterPlan) run(t *testing.T, a *pdm.Array) []*pdm.Stripe {
 	t.Helper()
@@ -70,17 +73,29 @@ func (p scatterPlan) run(t *testing.T, a *pdm.Array) []*pdm.Stripe {
 		}
 		stripes[part] = s
 	}
-	sc, err := NewScatter(a)
+	queued := make([]int, len(p.sizes))
+	sc, err := NewScatter(a, len(p.sizes), func(part, words int) (pdm.BlockAddr, error) {
+		if words != a.B() {
+			t.Errorf("partition %d: a full block queued with %d words", part, words)
+		}
+		queued[part]++
+		return stripes[part].BlockAddr(queued[part] - 1), nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sc.Close()
+	appended := make([]int, len(p.sizes))
 	blk := make([]int64, a.B())
-	for _, pb := range p.order {
+	for _, part := range p.order {
 		for i := range blk {
-			blk[i] = int64(pb[0]<<16 | pb[1]<<8 | i)
+			blk[i] = int64(part<<16 | appended[part]<<8 | i)
 		}
-		if err := sc.Add(stripes[pb[0]].BlockAddr(pb[1]), blk); err != nil {
+		appended[part]++
+		if err := sc.Append(part, blk[:3]); err != nil {
+			t.Fatal(err)
+		}
+		if err := sc.Append(part, blk[3:]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -91,7 +106,7 @@ func (p scatterPlan) run(t *testing.T, a *pdm.Array) []*pdm.Stripe {
 }
 
 // Every issued request holds at most one block per disk — one parallel
-// step — and every block reaches its own address whatever the Add order.
+// step — and every block reaches its own address whatever the Append order.
 func TestScatterOneBlockPerDiskAndRightAddresses(t *testing.T) {
 	for _, zc := range []bool{false, true} {
 		for seed := int64(1); seed <= 5; seed++ {
@@ -131,14 +146,14 @@ func TestScatterOneBlockPerDiskAndRightAddresses(t *testing.T) {
 			if leak := a.Arena().InUse(); leak != 0 {
 				t.Fatalf("zc=%v: %d arena keys left", zc, leak)
 			}
-			if peak := a.Arena().Peak(); peak != a.Mem() {
-				t.Fatalf("zc=%v: stage peak %d, want M = %d", zc, peak, a.Mem())
+			if peak, want := a.Arena().Peak(), a.Mem()+len(p.sizes)*a.B(); peak != want {
+				t.Fatalf("zc=%v: peak %d, want M + buckets·B = %d", zc, peak, want)
 			}
 		}
 	}
 }
 
-// The accounting is a pure function of the Add sequence: zero-copy and
+// The accounting is a pure function of the Append sequence: zero-copy and
 // copying backends charge the same stats and record the same trace.
 func TestScatterBackendsChargeIdentically(t *testing.T) {
 	p := newScatterPlan(7)
@@ -155,7 +170,10 @@ func TestScatterBackendsChargeIdentically(t *testing.T) {
 
 func TestScatterFlushOnEmptyIsNoOp(t *testing.T) {
 	a := scatterArray(t, false, nil)
-	sc, err := NewScatter(a)
+	sc, err := NewScatter(a, 3, func(int, int) (pdm.BlockAddr, error) {
+		t.Fatal("next called on an empty scatter")
+		return pdm.BlockAddr{}, nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,6 +187,20 @@ func TestScatterFlushOnEmptyIsNoOp(t *testing.T) {
 	}
 }
 
+// stripeScatter is a one-bucket Scatter filling s block by block.
+func stripeScatter(t *testing.T, s *pdm.Stripe) *Scatter {
+	t.Helper()
+	blk := 0
+	sc, err := NewScatter(s.Array(), 1, func(_, _ int) (pdm.BlockAddr, error) {
+		blk++
+		return s.BlockAddr(blk - 1), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sc
+}
+
 // A canceled context rejects the next step before it is charged, on both
 // backends, and Close still returns the stage.
 func TestScatterCanceledContextChargesNothing(t *testing.T) {
@@ -178,13 +210,10 @@ func TestScatterCanceledContextChargesNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sc, err := NewScatter(a)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sc := stripeScatter(t, s)
 		blk := make([]int64, a.B())
 		for j := 0; j < 20; j++ { // past the 16-slot stage: steps were issued
-			if err := sc.Add(s.BlockAddr(j), blk); err != nil {
+			if err := sc.Append(0, blk); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -198,8 +227,8 @@ func TestScatterCanceledContextChargesNothing(t *testing.T) {
 		if err := sc.Flush(); !errors.Is(err, context.Canceled) {
 			t.Fatalf("zc=%v: Flush after cancel = %v", zc, err)
 		}
-		if err := sc.Add(s.BlockAddr(20), blk); !errors.Is(err, context.Canceled) {
-			t.Fatalf("zc=%v: Add after cancel = %v (the error must stick)", zc, err)
+		if err := sc.Append(0, blk); !errors.Is(err, context.Canceled) {
+			t.Fatalf("zc=%v: Append after cancel = %v (the error must stick)", zc, err)
 		}
 		if a.Stats() != before || len(a.Trace()) != requests {
 			t.Fatalf("zc=%v: the rejected step was charged: %+v → %+v", zc, before, a.Stats())
@@ -211,7 +240,7 @@ func TestScatterCanceledContextChargesNothing(t *testing.T) {
 	}
 }
 
-// A disk write error surfaces from Add or Flush, sticks, charges nothing
+// A disk write error surfaces from Append or Flush, sticks, charges nothing
 // for the failed request, and Close still returns the stage.
 func TestScatterSurfacesDiskError(t *testing.T) {
 	boom := errors.New("boom")
@@ -226,17 +255,14 @@ func TestScatterSurfacesDiskError(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sc, err := NewScatter(a)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sc := stripeScatter(t, s)
 		blk := make([]int64, a.B())
 		var got error
 		for j := 0; j < 32 && got == nil; j++ {
-			got = sc.Add(s.BlockAddr(j), blk)
+			got = sc.Append(0, blk)
 		}
 		if failOff == 7 && got != nil {
-			t.Fatalf("row 7 failed during Add: %v", got)
+			t.Fatalf("row 7 failed during Append: %v", got)
 		}
 		if got == nil {
 			got = sc.Flush()
@@ -264,13 +290,130 @@ func TestScatterSurfacesDiskError(t *testing.T) {
 func TestScatterArenaExhaustion(t *testing.T) {
 	for _, zc := range []bool{false, true} {
 		a := scatterArray(t, zc, nil)
-		hog := a.Arena().MustAlloc(a.Config().ArenaCapacity() - a.Mem() + 1)
-		if _, err := NewScatter(a); !errors.Is(err, pdm.ErrMemoryExceeded) {
-			t.Fatalf("zc=%v: NewScatter with %d keys free = %v", zc, a.Mem()-1, err)
+		const buckets = 5
+		need := a.Mem() + buckets*a.B()
+		hog := a.Arena().MustAlloc(a.Config().ArenaCapacity() - need + 1)
+		if _, err := NewScatter(a, buckets, nil); !errors.Is(err, pdm.ErrMemoryExceeded) {
+			t.Fatalf("zc=%v: NewScatter with %d keys free = %v", zc, need-1, err)
 		}
 		a.Arena().Free(hog)
 		if leak := a.Arena().InUse(); leak != 0 {
 			t.Fatalf("zc=%v: failed NewScatter left %d arena keys", zc, leak)
 		}
+	}
+}
+
+// Flush zero-pads every partial carry and queues it after the full blocks,
+// in bucket order, with its valid word count; Close returns the carries and
+// the stage, whose sum is the peak.
+func TestScatterFlushPadsPartialCarries(t *testing.T) {
+	for _, zc := range []bool{false, true} {
+		a := scatterArray(t, zc, nil)
+		b := a.B()
+		stripes := make([]*pdm.Stripe, 3)
+		for i, nb := range []int{1, 1, 2} {
+			s, err := a.NewStripeSkew(nb*b, i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stripes[i] = s
+		}
+		var calls [][2]int
+		sc, err := NewScatter(a, 3, func(bkt, words int) (pdm.BlockAddr, error) {
+			calls = append(calls, [2]int{bkt, words})
+			blk := 0
+			for _, c := range calls[:len(calls)-1] {
+				if c[0] == bkt {
+					blk++
+				}
+			}
+			return stripes[bkt].BlockAddr(blk), nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if used, want := a.Arena().InUse(), a.Mem()+3*b; used != want {
+			t.Fatalf("zc=%v: NewScatter holds %d keys, want M + buckets·B = %d", zc, used, want)
+		}
+		words := func(base, n int) []int64 {
+			w := make([]int64, n)
+			for i := range w {
+				w[i] = int64(base + i + 1)
+			}
+			return w
+		}
+		// Bucket 2 fills a block, then leaves 3 words over the stale carry;
+		// bucket 0 leaves 5; bucket 1 gets nothing.
+		for _, ap := range []struct{ bkt, base, n int }{{2, 100, b}, {0, 200, 5}, {2, 300, 3}} {
+			if err := sc.Append(ap.bkt, words(ap.base, ap.n)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sc.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if want := [][2]int{{2, b}, {0, 5}, {2, 3}}; !slices.Equal(calls, want) {
+			t.Fatalf("zc=%v: next called with %v, want %v", zc, calls, want)
+		}
+		for bkt, want := range map[int][]int64{
+			0: append(words(200, 5), make([]int64, b-5)...),
+			2: append(append(words(100, b), words(300, 3)...), make([]int64, b-3)...),
+		} {
+			got, err := stripes[bkt].Unload()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("zc=%v: bucket %d holds %v, want %v", zc, bkt, got, want)
+			}
+		}
+		sc.Close()
+		if used := a.Arena().InUse(); used != 0 {
+			t.Fatalf("zc=%v: %d arena keys left after Close", zc, used)
+		}
+		if peak, want := a.Arena().Peak(), a.Mem()+3*b; peak != want {
+			t.Fatalf("zc=%v: peak %d, want M + buckets·B = %d", zc, peak, want)
+		}
+	}
+}
+
+// An error from next sticks: the Append that met it and every later call
+// return it, and next is not called again.
+func TestScatterNextErrorSticks(t *testing.T) {
+	a := scatterArray(t, false, nil)
+	s, err := a.NewStripe(4 * a.B())
+	if err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("boom")
+	calls := 0
+	sc, err := NewScatter(a, 2, func(_, _ int) (pdm.BlockAddr, error) {
+		if calls++; calls == 2 {
+			return pdm.BlockAddr{}, boom
+		}
+		return s.BlockAddr(calls - 1), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	blk := make([]int64, a.B())
+	if err := sc.Append(0, blk); err != nil {
+		t.Fatal(err)
+	}
+	if err := sc.Append(1, blk); !errors.Is(err, boom) {
+		t.Fatalf("Append that met the error = %v", err)
+	}
+	if err := sc.Append(0, blk[:1]); !errors.Is(err, boom) {
+		t.Fatalf("later Append = %v (the error must stick)", err)
+	}
+	if err := sc.Flush(); !errors.Is(err, boom) {
+		t.Fatalf("Flush = %v (the error must stick)", err)
+	}
+	if calls != 2 {
+		t.Fatalf("next called %d times, want 2", calls)
+	}
+	if st := a.Stats(); st.BlocksWritten != 0 {
+		t.Fatalf("a failed scatter wrote %d blocks", st.BlocksWritten)
 	}
 }

@@ -313,9 +313,6 @@ func (r *Reader) FillFlat(dst []int64) error {
 	return r.Fill(splitBlocks(r.a, dst))
 }
 
-// Remaining returns the number of chunks not yet consumed.
-func (r *Reader) Remaining() int { return r.chunks - r.next }
-
 // Close stops the prefetcher and returns the ring to the arena.  It is safe
 // to call mid-stream (e.g. when a pass aborts) and idempotent; prefetched
 // but unconsumed chunks were never charged, so accounting still matches the

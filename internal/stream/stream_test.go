@@ -54,7 +54,7 @@ func TestReaderMatchesSynchronousAccounting(t *testing.T) {
 			defer r.Close()
 			buf := make([]int64, 64)
 			got := make([]int64, 0, n)
-			for r.Remaining() > 0 {
+			for off := 0; off < n; off += len(buf) {
 				if err := r.FillFlat(buf); err != nil {
 					t.Fatal(err)
 				}
@@ -343,7 +343,7 @@ func TestConcurrentReaderWriterUnderRace(t *testing.T) {
 		}
 		defer r.Close()
 		buf := make([]int64, 64)
-		for r.Remaining() > 0 {
+		for off := 0; off < n; off += len(buf) {
 			if err := r.FillFlat(buf); err != nil {
 				errs <- err
 				return
