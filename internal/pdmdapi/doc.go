@@ -42,6 +42,12 @@
 // — with a Content-Type saying so — to a worker whose /healthz answer
 // carried it as Accept-Post.  Both bodies pass the same checks and caps.
 //
+// Every JSON request body is read once under the cap and decoded by
+// wire.DecodeJSON (one value, whitespace after it only, unknown fields
+// refused), whose fast path parses a job descriptor's key columns into
+// exactly-sized slices; its values and errors are encoding/json's.  JSON
+// pages are written by wire.Page.WriteJSON, encoding/json's bytes exactly.
+//
 // Accounting contract: the handler owns no budgets of its own beyond the
 // submit-body cap and the staging cap — every admitted byte and key is
 // budgeted by the scheduler it fronts, and the pagination contract

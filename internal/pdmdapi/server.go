@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -107,12 +108,24 @@ func (s *server) healthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.sch.Health())
 }
 
-// decodeBody reads one JSON request body into v with the size cap and
-// unknown-field rejection every endpoint shares.
+// decodeBody reads one JSON request body into v under the size cap and
+// the rules every endpoint shares (wire.DecodeJSON).  A declared length
+// past the cap is refused before anything is read; one within it sizes
+// the buffer exactly.
 func (s *server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxBody))
-	dec.DisallowUnknownFields()
-	return bodyOK(w, dec.Decode(v))
+	if r.ContentLength > s.opts.MaxBody {
+		return bodyOK(w, &http.MaxBytesError{Limit: s.opts.MaxBody})
+	}
+	rd := http.MaxBytesReader(w, r.Body, s.opts.MaxBody)
+	body := make([]byte, max(r.ContentLength, 0)) // a chunked body: ReadAll's
+	_, err := io.ReadFull(rd, body)
+	if r.ContentLength < 0 {
+		body, err = io.ReadAll(rd)
+	}
+	if err == nil {
+		err = wire.DecodeJSON(body, v)
+	}
+	return bodyOK(w, err)
 }
 
 // readPage is decodeBody for a binary page body.  Its buffers are sized
@@ -142,7 +155,8 @@ func bodyOK(w http.ResponseWriter, err error) bool {
 // Accept asked for: the binary body if it lists it, JSON otherwise.
 func writePage(w http.ResponseWriter, r *http.Request, pg wire.Page) {
 	if !strings.Contains(r.Header.Get("Accept"), wire.PageContentType) {
-		writeJSON(w, http.StatusOK, pg)
+		w.Header().Set("Content-Type", "application/json")
+		pg.WriteJSON(w) //nolint:errcheck // client went away
 		return
 	}
 	w.Header().Set("Content-Type", wire.PageContentType)

@@ -10,6 +10,13 @@
 //
 // Adding a per-job option is one field on JobSpec plus its use: every hop
 // carries the whole descriptor, so nothing else needs to learn the field.
+//
+// The int64 key columns cross one hand-written JSON codec.  DecodeJSON
+// parses a JobSpec's "keys" and "groupPayloads" without reflection and
+// leaves the rest to encoding/json, or the whole body when it is not of
+// that shape: its values and errors are encoding/json's by construction,
+// with FuzzDecodeJobSpec holding it to that oracle.  Page.WriteJSON writes
+// encoding/json's page bytes exactly, allocating nothing per page.
 package wire
 
 import (

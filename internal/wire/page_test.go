@@ -255,6 +255,23 @@ func BenchmarkPageCodec(b *testing.B) {
 		}
 		b.SetBytes(int64(8 * len(p.Keys)))
 	})
+	// The server's JSON encoder, read back the way a client reads it.
+	b.Run("json-door", func(b *testing.B) {
+		b.ReportAllocs()
+		var buf bytes.Buffer
+		for i := 0; i < b.N; i++ {
+			buf.Reset()
+			if err := p.WriteJSON(&buf); err != nil {
+				b.Fatal(err)
+			}
+			pageSink = Page{}
+			if err := json.Unmarshal(buf.Bytes(), &pageSink); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(buf.Len())/float64(len(p.Keys)), "B/key")
+		}
+		b.SetBytes(int64(8 * len(p.Keys)))
+	})
 	b.Run("binary", func(b *testing.B) {
 		b.ReportAllocs()
 		dst := make([]int64, len(p.Keys))
