@@ -164,8 +164,15 @@ func BenchmarkSortThreePass1(b *testing.B) {
 	benchAlgorithm(b, 1024, 1024*32, core.ThreePass1)
 }
 
+// BenchmarkSortThreePass2 runs ThreePass2 on (M, D) = (4096, 16) at
+// l = N/M = 32, 17 and 3: the capacity √M/2 where a merge batch is whole
+// D-block steps anyway, and two run counts that do not divide D.
 func BenchmarkSortThreePass2(b *testing.B) {
-	benchAlgorithm(b, 1024, 1024*32, core.ThreePass2)
+	for _, l := range []int{32, 17, 3} {
+		b.Run(fmt.Sprintf("l=%d", l), func(b *testing.B) {
+			benchAlgorithm(b, 4096, l*4096, core.ThreePass2)
+		})
+	}
 }
 
 func BenchmarkSortExpectedTwoPass(b *testing.B) {

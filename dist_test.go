@@ -14,6 +14,7 @@ import (
 
 	"repro"
 	"repro/internal/pdmdapi"
+	"repro/internal/plan"
 )
 
 // distFleet spins n in-process pdmd workers: each is a real scheduler
@@ -127,6 +128,51 @@ func TestDistSortBitIdentical(t *testing.T) {
 				t.Fatalf("%d splitters for %d workers", len(rep.Splitters), workers)
 			}
 		}
+	}
+}
+
+// TestDistLMMOffDivisorShards forces ThreePass2 on two workers with
+// JobMemory 4096 (√M = 64, D = 16) and sizes the input so that every shard
+// pads to l = 3 runs, an l that does not divide D.  The (l, m)-merge still
+// takes one pass there, so each shard reports exactly the planner's count
+// (3, where a batch of one group per request used to read 7.333), and the
+// output is bit-identical to slices.Sort.
+func TestDistLMMOffDivisorShards(t *testing.T) {
+	const mem, n = 4096, 5 * 4096
+	keys := distWorkload(t, "perm", n, 11)
+	want := slices.Clone(keys)
+	slices.Sort(want)
+	cfg := smallSched()
+	cfg.JobMemory = mem
+	f := startFleet(t, 2, cfg)
+	ds, err := repro.NewDistSorter(repro.DistConfig{Workers: f.urls, Alg: repro.ThreePassLMM, Label: "lmm-off-divisor"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, rep, err := ds.Sort(context.Background(), slices.Clone(keys))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatal("distributed lmm3 output differs from slices.Sort")
+	}
+	shape := plan.Shape{Mem: mem, B: 64, D: 16, Alpha: 1}
+	offDivisor := 0
+	for _, s := range rep.Shards {
+		read, write, exact := plan.ExactPasses(shape, plan.Workload{N: s.N}, plan.LMM3)
+		if !exact {
+			t.Fatalf("shard of %d keys measured %.6f passes; plan.ExactPasses(lmm3) is not exact", s.N, s.Passes)
+		}
+		if s.Algorithm != repro.ThreePassLMM.String() || s.Passes != max(read, write) {
+			t.Errorf("shard of %d keys on %s: %s, %.6f passes, want lmm3 and the planner's %.6f",
+				s.N, s.Worker, s.Algorithm, s.Passes, max(read, write))
+		}
+		if l := (s.N + mem - 1) / mem; 16%l != 0 {
+			offDivisor++
+		}
+	}
+	if offDivisor == 0 {
+		t.Fatalf("no shard padded to an l that does not divide D (shards: %+v)", rep.Shards)
 	}
 }
 

@@ -193,7 +193,7 @@ func formRunsUnshuffled(a *pdm.Array, in *pdm.Stripe, off, n, runLen, m int) ([]
 	defer a.Arena().Free(parts)
 	pool := a.Pool()
 	numRuns := n / runLen
-	skewStep := mergeSkewStep(g, numRuns, partLen/g.b)
+	skewStep := mergeSkewStep(g, numRuns, partLen/g.b, m)
 	runs := make([]*pdm.Stripe, 0, numRuns)
 	err = stream.Pass(a, numRuns, segments(in, off, runLen), buf, func(i int, run []int64, w *stream.Writer) error {
 		// parts is dead until the unshuffle below, so the sort may use it
@@ -217,31 +217,92 @@ func formRunsUnshuffled(a *pdm.Array, in *pdm.Stripe, off, n, runLen, m int) ([]
 }
 
 // mergeSkewStep returns the skew spacing (in blocks) between the stripes of
-// l runs whose parts (partBlocks blocks each) will be read group-wise by
-// mergePartGroups: spacing of batch·partBlocks with batch = ⌈D/(l·pb)⌉
-// makes the l diagonal read windows tile the disks exactly when everything
-// is a power of two, and near-evenly otherwise.
-func mergeSkewStep(g geometry, l, partBlocks int) int {
-	if l <= 0 || partBlocks <= 0 {
+// l runs whose m parts (partBlocks blocks each) mergePartGroups will read
+// group-wise: b·partBlocks for the (l, m)-merge's batch b, the number of
+// part groups pass 2 gathers and merges per memory load.  Run i's stripe
+// is skewed by i·b·partBlocks, so a batch's reads are l·b·partBlocks
+// consecutive disks and its writes fill a stripe from its first block:
+// both cost ⌈b·l·partBlocks/D⌉ steps.  b is therefore the smallest batch
+// that is a whole number of D-block steps (b·l·partBlocks ≡ 0 mod D) and
+// still fits in memory; when no such batch fits, it is the fitting batch
+// with the fewest pass-2 steps in total (mergeSteps, the smallest such b
+// on a tie).  Whenever l·partBlocks divides D this is D/(l·partBlocks).
+func mergeSkewStep(g geometry, l, partBlocks, m int) int {
+	if l <= 0 || partBlocks <= 0 || m <= 0 {
 		return 1
 	}
-	batch := memsort.CeilDiv(g.d, l*partBlocks)
-	if batch < 1 {
-		batch = 1
+	group := l * partBlocks
+	most := min(g.m/(group*g.b), m)
+	for b := 1; b <= most; b++ {
+		if b*group%g.d == 0 {
+			return b * partBlocks
+		}
 	}
-	return batch * partBlocks
+	best, fewest := 1, -1
+	for b := 1; b <= most; b++ {
+		if r, w := mergeSteps(g, l, partBlocks, m, b); fewest < 0 || r+w < fewest {
+			best, fewest = b, r+w
+		}
+	}
+	return best * partBlocks
+}
+
+// mergeSteps counts the read and write steps of mergePartGroups over m part
+// groups of l runs × partBlocks blocks at batch b.  Every full batch costs
+// ⌈b·l·partBlocks/D⌉ each way (see mergeSkewStep).  The last batch may
+// hold only r < b groups; its reads are the first r·partBlocks blocks of
+// each run's b·partBlocks-block window, and its writes keep the full
+// batch's interleave stride b (block t of group gj at stripe block
+// t·b + gj), so both are priced by the disks they actually touch.
+func mergeSteps(g geometry, l, partBlocks, m, b int) (read, write int) {
+	full, r := m/b, m%b
+	steps := memsort.CeilDiv(b*l*partBlocks, g.d)
+	read, write = full*steps, full*steps
+	if r > 0 {
+		read += maxDiskLoad(g.d, l, b*partBlocks, r*partBlocks)
+		write += maxDiskLoad(g.d, l*partBlocks, b, r)
+	}
+	return read, write
+}
+
+// maxDiskLoad is the step cost of one request for n windows of width
+// consecutive blocks, window i starting at block i·stride of a stripe:
+// the most blocks any one of the d disks serves.
+func maxDiskLoad(d, n, stride, width int) int {
+	load := make([]int, d)
+	most := 0
+	for i := 0; i < n; i++ {
+		for k := 0; k < width; k++ {
+			disk := (i*stride + k) % d
+			load[disk]++
+			most = max(most, load[disk])
+		}
+	}
+	return most
+}
+
+// LMMMergeSteps returns the read and write steps of ThreePass2's pass 2 on
+// an l·M-key input on a machine with M = mem keys, B = √M and d disks —
+// the one count the planner adds to passes 1 and 3, which are exactly one
+// pass each.
+func LMMMergeSteps(mem, d, l int) (read, write int) {
+	sq := memsort.Isqrt(mem)
+	g := geometry{m: mem, b: sq, d: d}
+	return mergeSteps(g, l, 1, sq, mergeSkewStep(g, l, 1, sq))
 }
 
 // mergePartGroups performs the (l,m)-merge's middle pass (ThreePass2
 // step 3): for each part index j, gather part j of every run (l·partLen ≤ M
 // keys), k-way merge them into L_j, and write the results out — one pass.
 //
-// When a single group spans fewer blocks than there are disks, several
-// groups are processed per memory load and their output blocks are
-// interleaved round-robin on one shared stripe: the batched write is
-// contiguous (full write parallelism) and the returned strided views still
-// expose block t of every L_j on distinct disks (full read parallelism for
-// the following shuffle pass).  On error no backing stripe stays allocated.
+// Groups are processed mergeSkewStep's batch at a time (the last batch may
+// be short), and a batch's output blocks are interleaved round-robin on one
+// shared stripe: the batched write fills the stripe from its first block
+// (full write parallelism), and the returned strided views still expose
+// block t of every L_j on distinct disks for the following shuffle pass.
+// A short last batch keeps the full batch's stride, leaving holes, so that
+// block t of every L_s sits on disk (s + batch·t) mod D and the shuffle's
+// reads stay evenly spread.  On error no backing stripe stays allocated.
 func mergePartGroups(a *pdm.Array, runs []*pdm.Stripe, partLen, m int) ([]seqView, []*pdm.Stripe, error) {
 	g, err := checkGeometry(a)
 	if err != nil {
@@ -253,13 +314,7 @@ func mergePartGroups(a *pdm.Array, runs []*pdm.Stripe, partLen, m int) ([]seqVie
 		return nil, nil, fmt.Errorf("core: merge group of %d keys exceeds M = %d", group, g.m)
 	}
 	partBlocks := partLen / g.b
-	batch := mergeSkewStep(g, l, partBlocks) / partBlocks
-	for batch > 1 && (batch*group > g.m || batch > m) {
-		batch--
-	}
-	if m%batch != 0 {
-		batch = 1
-	}
+	batch := mergeSkewStep(g, l, partBlocks, m) / partBlocks
 	in, err := a.Arena().Alloc(batch * group)
 	if err != nil {
 		return nil, nil, err
@@ -281,8 +336,9 @@ func mergePartGroups(a *pdm.Array, runs []*pdm.Stripe, partLen, m int) ([]seqVie
 	// i lands at in[gj*group + i*partLen : ...] — exactly the flat order of
 	// the planned chunk.
 	gather := func(bi int) []pdm.BlockAddr {
-		addrs := make([]pdm.BlockAddr, 0, batch*l*partBlocks)
-		for gj := 0; gj < batch; gj++ {
+		gs := min(batch, m-bi*batch)
+		addrs := make([]pdm.BlockAddr, 0, gs*groupBlocks)
+		for gj := 0; gj < gs; gj++ {
 			j := bi*batch + gj
 			for _, r := range runs {
 				for bidx := 0; bidx < partBlocks; bidx++ {
@@ -292,18 +348,19 @@ func mergePartGroups(a *pdm.Array, runs []*pdm.Stripe, partLen, m int) ([]seqVie
 		}
 		return addrs
 	}
-	err = stream.Pass(a, m/batch, gather, in, func(bi int, chunk []int64, w *stream.Writer) error {
+	err = stream.Pass(a, memsort.CeilDiv(m, batch), gather, in, func(bi int, chunk []int64, w *stream.Writer) error {
+		gs := len(chunk) / group
 		// Merge each group in the batch: a single resident group gets the
 		// pool's merge (splitter-cut across the workers when it is large
 		// enough to pay), several split across the workers group-wise —
 		// either way bit-identical to the serial loser tree.
-		if batch == 1 {
+		if gs == 1 {
 			for i := range runs {
 				lanes[i] = chunk[i*partLen : (i+1)*partLen]
 			}
 			pool.MultiMerge(out[:group], lanes)
 		} else {
-			pool.For(batch*group, batch, func(_, lo, hi int) {
+			pool.For(gs*group, gs, func(_, lo, hi int) {
 				glanes := make([][]int64, l)
 				for gj := lo; gj < hi; gj++ {
 					for i := 0; i < l; i++ {
@@ -314,21 +371,22 @@ func mergePartGroups(a *pdm.Array, runs []*pdm.Stripe, partLen, m int) ([]seqVie
 			})
 		}
 		// One shared stripe per batch, blocks interleaved round-robin:
-		// stripe block p holds block p/batch of group bi·batch + p%batch.
-		bs, err := a.NewStripeSkew(batch*group, bi*batch)
+		// stripe block blk·batch + gj holds block blk of group
+		// bi·batch + gj.  A short batch's stripe ends at its last block.
+		bs, err := a.NewStripeSkew(((groupBlocks-1)*batch+gs)*g.b, bi*batch)
 		if err != nil {
 			return err
 		}
 		backing = append(backing, bs)
-		waddrs := make([]pdm.BlockAddr, batch*groupBlocks)
-		wbufs := make([][]int64, batch*groupBlocks)
-		for p := range waddrs {
-			gj := p % batch
-			blk := p / batch
-			waddrs[p] = bs.BlockAddr(p)
-			wbufs[p] = out[gj*group+blk*g.b : gj*group+(blk+1)*g.b]
+		waddrs := make([]pdm.BlockAddr, 0, gs*groupBlocks)
+		wbufs := make([][]int64, 0, gs*groupBlocks)
+		for blk := 0; blk < groupBlocks; blk++ {
+			for gj := 0; gj < gs; gj++ {
+				waddrs = append(waddrs, bs.BlockAddr(blk*batch+gj))
+				wbufs = append(wbufs, out[gj*group+blk*g.b:gj*group+(blk+1)*g.b])
+			}
 		}
-		for gj := 0; gj < batch; gj++ {
+		for gj := 0; gj < gs; gj++ {
 			merged[bi*batch+gj] = seqView{s: bs, startBlk: gj, strideBlk: batch, keys: group}
 		}
 		return w.Write(waddrs, wbufs)

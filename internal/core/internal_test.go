@@ -103,19 +103,74 @@ func TestSeqViewAddressing(t *testing.T) {
 	}
 }
 
+// TestMergeSkewStep pins the (l, m)-merge's batch rule on the five bench
+// and test geometries: wherever l·pb divides D the batch is the old
+// D/(l·pb), a few off-divisor batches are pinned, and no l pays more pass-2
+// steps than under the old rule, which fell back to one group per request
+// whenever its batch ⌈D/(l·pb)⌉ did not divide m.
 func TestMergeSkewStep(t *testing.T) {
-	g := geometry{d: 16}
-	if got := mergeSkewStep(g, 8, 1); got != 2 {
-		t.Fatalf("l=8 pb=1 D=16: step = %d, want 2", got)
+	oldBatch := func(g geometry, l, pb, m int) int {
+		batch := max(memsort.CeilDiv(g.d, l*pb), 1)
+		for batch > 1 && (batch*l*pb*g.b > g.m || batch > m) {
+			batch--
+		}
+		if m%batch != 0 {
+			batch = 1
+		}
+		return batch
 	}
-	if got := mergeSkewStep(g, 32, 1); got != 1 {
-		t.Fatalf("l=32 pb=1 D=16: step = %d, want 1", got)
+	geo := func(mem, d int) geometry {
+		sq := memsort.Isqrt(mem)
+		return geometry{m: mem, b: sq, d: d, sqM: sq, dxb: d * sq}
 	}
-	if got := mergeSkewStep(g, 4, 2); got != 4 {
-		t.Fatalf("l=4 pb=2 D=16: step = %d, want 4 (batch 2 * pb 2)", got)
+	for _, c := range []struct{ mem, d, l, pb, want int }{
+		{256, 16, 8, 1, 2},
+		{256, 16, 16, 1, 1},
+		{256, 16, 4, 2, 4}, // batch 2 · pb 2
+		{65536, 64, 17, 1, 15},
+		{65536, 64, 3, 1, 64},
+		{65536, 64, 12, 1, 16},
+		{144, 4, 3, 1, 4}, // √M = 12 is no power of two
+	} {
+		if got := mergeSkewStep(geo(c.mem, c.d), c.l, c.pb, memsort.Isqrt(c.mem)); got != c.want {
+			t.Errorf("M=%d D=%d l=%d pb=%d: step = %d, want %d", c.mem, c.d, c.l, c.pb, got, c.want)
+		}
 	}
-	if got := mergeSkewStep(g, 0, 1); got != 1 {
+	if got := mergeSkewStep(geo(256, 16), 0, 1, 16); got != 1 {
 		t.Fatalf("degenerate step = %d", got)
+	}
+	for _, c := range []struct{ mem, d int }{{256, 4}, {1024, 8}, {4096, 16}, {16384, 32}, {65536, 64}} {
+		g := geo(c.mem, c.d)
+		m := g.sqM
+		for l := 1; l <= m; l++ {
+			batch := mergeSkewStep(g, l, 1, m)
+			old := oldBatch(g, l, 1, m)
+			if c.d%l == 0 && batch != old {
+				t.Errorf("M=%d D=%d l=%d: batch %d, the old rule's was %d", c.mem, c.d, l, batch, old)
+			}
+			if batch*l*g.b > g.m {
+				t.Errorf("M=%d D=%d l=%d: batch %d of %d-key groups exceeds M", c.mem, c.d, l, batch, l*g.b)
+			}
+			r, w := mergeSteps(g, l, 1, m, batch)
+			oldSteps := m / old * memsort.CeilDiv(old*l, g.d)
+			if r > oldSteps || w > oldSteps {
+				t.Errorf("M=%d D=%d l=%d: %d/%d pass-2 steps, the old rule took %d", c.mem, c.d, l, r, w, oldSteps)
+			}
+		}
+	}
+}
+
+func TestMaxDiskLoad(t *testing.T) {
+	for _, c := range []struct{ d, n, stride, width, want int }{
+		{4, 4, 1, 1, 1},    // one block per disk
+		{4, 3, 4, 1, 3},    // every window starts on disk 0
+		{64, 17, 15, 1, 1}, // 17 distinct multiples of 15 mod 64
+		{8, 2, 4, 3, 1},    // windows [0,3) and [4,7)
+		{8, 3, 4, 3, 2},    // the third window wraps onto [0,3)
+	} {
+		if got := maxDiskLoad(c.d, c.n, c.stride, c.width); got != c.want {
+			t.Errorf("maxDiskLoad(%d, %d, %d, %d) = %d, want %d", c.d, c.n, c.stride, c.width, got, c.want)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"repro/internal/core"
 	"repro/internal/memsort"
 )
 
@@ -17,8 +18,10 @@ import (
 //   - one: always exact — one read and one write step sequence, with the
 //     final partial stripe still costing a whole step when the padded
 //     length is not a stripe multiple.
-//   - lmm3: exactly (3, 3) when l = N/M divides √M, so the (l, m)-merge's
-//     unshuffle writes stay stripe-aligned.
+//   - lmm3: always exact.  Passes 1 and 3 are one pass each; pass 2 costs
+//     the steps core.LMMMergeSteps counts for its batch rule — exactly one
+//     pass when the batch is a whole number of D-block steps that fits in
+//     memory (always when l = N/M divides D), a little more otherwise.
 //   - mesh3: exactly (3, 3) when the column pass is even — the G-column
 //     batches map uniformly onto the disks (l ≡ 0 or G ≡ 0 mod D).
 //   - exp2, mesh2e, exp3: exactly (2, 2) / (2, 2) / (3, 3) on runs that do
@@ -45,14 +48,11 @@ func ExactPasses(shape Shape, w Workload, alg Alg) (read, write float64, exact b
 	d := shape.D
 	switch alg {
 	case OnePass:
-		steps := memsort.CeilDiv(padded/shape.B, d)
-		p := float64(steps) * float64(shape.Stripe()) / float64(padded)
+		p := passesOf(memsort.CeilDiv(padded/shape.B, d), shape, padded)
 		return p, p, true
 	case LMM3:
-		l := padded / shape.Mem
-		if l >= 1 && sq%l == 0 {
-			return 3, 3, true
-		}
+		read, write := lmmSteps(shape, padded)
+		return passesOf(read, shape, padded), passesOf(write, shape, padded), true
 	case Mesh3:
 		l := padded / shape.Mem
 		if meshEven(sq, l, d) {
@@ -125,4 +125,19 @@ func outerMergePasses(padded, mem, sq, d, base int) (float64, bool) {
 		return float64(3*(d/l) + base), true
 	}
 	return 0, false
+}
+
+// lmmSteps is ThreePass2's exact read and write step count on a padded
+// l·M-key input: one pass (padded/(D·B) steps) each for run formation and
+// the shuffle cleanup, plus the (l, m)-merge's pass 2.
+func lmmSteps(shape Shape, padded int) (read, write int) {
+	pass := padded / shape.Stripe()
+	r2, w2 := core.LMMMergeSteps(shape.Mem, shape.D, padded/shape.Mem)
+	return 2*pass + r2, 2*pass + w2
+}
+
+// passesOf converts steps to passes over padded keys exactly as the
+// measured report does (pdm.Stats.ReadPasses), so equal steps compare equal.
+func passesOf(steps int, shape Shape, padded int) float64 {
+	return float64(steps) * float64(shape.Stripe()) / float64(padded)
 }

@@ -333,7 +333,15 @@ func basePasses(shape Shape, w Workload, alg Alg) float64 {
 	case OnePass:
 		return 1
 	case Mesh3, LMM3:
-		return 3
+		// ThreePass2's exact count.  ThreePass1 shares its padding and is
+		// priced the same: where its column pass is even both are exactly
+		// 3, and elsewhere it measures no fewer passes than ThreePass2.
+		padded, err := PadFor(shape.Mem, alg, w.N)
+		if err != nil {
+			return math.Inf(1)
+		}
+		read, _ := lmmSteps(shape, padded)
+		return passesOf(read, shape, padded)
 	case Exp2, Mesh2e:
 		return 2 + pf*3
 	case Exp3:
