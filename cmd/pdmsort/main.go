@@ -23,9 +23,10 @@
 // combinations exit 2 with a usage message before any work happens.
 //
 // With -explain, nothing is sorted: pdmsort prints the cost-model
-// planner's ranked candidate table for the input — predicted passes, the
-// padded length each algorithm's geometry forces, I/O words, and
-// calibrated wall time — and marks the algorithm Auto would choose.
+// planner's candidate table for the input, in the order Auto chooses —
+// predicted passes, the padded length each algorithm's geometry forces,
+// I/O words, and calibrated wall time — and marks the algorithm the run
+// would sort with (Auto's choice, or the forced -alg).
 // -latency models a per-block device latency on the simulated disks (it
 // slows the sort and shifts the explain table exactly as real positioning
 // latency would).
@@ -122,7 +123,7 @@ func main() {
 	flag.IntVar(&o.pipe.WriteBehind, "writebehind", 2, "write-behind depth in stripes (0 = synchronous writes)")
 	flag.IntVar(&o.workers, "workers", 0, "compute worker pool width (0 = GOMAXPROCS; output is identical for any value)")
 	flag.DurationVar(&o.latency, "latency", 0, "modeled per-block device latency on every disk (e.g. 2ms)")
-	flag.BoolVar(&o.explain, "explain", false, "print the planner's ranked candidate table and exit without sorting")
+	flag.BoolVar(&o.explain, "explain", false, "print the planner's candidate table and exit without sorting")
 	flag.IntVar(&o.topk, "topk", 0, "write only the K smallest keys (scenario; planner may filter in one pass)")
 	flag.IntVar(&o.quantile, "quantile", 0, "print the key of this 1-indexed rank (scenario)")
 	flag.StringVar(&o.ingest, "ingest", "", "fold this binary key file into the sorted -in dataset (scenario)")
@@ -268,6 +269,10 @@ func run(o options) error {
 		return runScenario(o, m, kind, keys, out)
 	}
 
+	alg, err := repro.ParseAlgorithm(o.alg) // cannot fail: validate ran first
+	if err != nil {
+		return err
+	}
 	if o.explain {
 		spec := repro.SortSpec{N: len(keys)}
 		if o.alg == "radix" {
@@ -276,7 +281,7 @@ func run(o options) error {
 		for _, line := range lines {
 			spec.PayloadWords += (len(line) + 7) / 8
 		}
-		planRep, err := m.Explain(spec)
+		planRep, err := explain(m, spec, alg)
 		if err != nil {
 			return err
 		}
@@ -284,10 +289,6 @@ func run(o options) error {
 		return nil
 	}
 
-	alg, err := repro.ParseAlgorithm(o.alg) // cannot fail: validate ran first
-	if err != nil {
-		return err
-	}
 	var rep *repro.Report
 	t0 := time.Now()
 	switch {
@@ -398,9 +399,20 @@ func printScenarioReport(rep *repro.Report, out string, wall time.Duration) {
 	}
 }
 
-// printExplain renders the planner's ranked candidate table.  Every
-// column except the predicted seconds is deterministic for a given input
-// and machine shape; the CI gold test normalizes the seconds column.
+// explain plans spec on m.  A forced -alg is what the run sorts with, so
+// it is the chosen row, as GET /plan marks a spec's forced algorithm.
+func explain(m *repro.Machine, spec repro.SortSpec, alg repro.Algorithm) (*repro.PlanReport, error) {
+	rep, err := m.Explain(spec)
+	if err == nil && alg != repro.Auto {
+		rep.Chosen = alg
+	}
+	return rep, err
+}
+
+// printExplain renders the planner's candidate table, in the order Auto
+// chooses.  Every column except the predicted seconds is deterministic for
+// a given input and machine shape; the CI gold test normalizes the seconds
+// column.
 func printExplain(w io.Writer, rep *repro.PlanReport) {
 	fmt.Fprintf(w, "plan for %d keys", rep.Spec.N)
 	if rep.Spec.PayloadWords > 0 {
@@ -409,13 +421,13 @@ func printExplain(w io.Writer, rep *repro.PlanReport) {
 	if rep.Spec.Universe > 0 {
 		fmt.Fprintf(w, " (universe %d)", rep.Spec.Universe)
 	}
-	fmt.Fprintf(w, ": chosen %s\n", rep.Chosen)
+	fmt.Fprintf(w, ": chosen %s\n", string(rep.Chosen))
 	fmt.Fprintf(w, "  %-10s %-8s %8s %10s %12s %8s %12s\n",
 		"ALGORITHM", "FEASIBLE", "PASSES", "PADDED", "IOWORDS", "PERMUTE", "PREDICTED")
 	for _, c := range rep.Candidates {
 		name := string(c.Algorithm) // the short name, not the paper's
 		mark := " "
-		if name == rep.Chosen {
+		if c.Algorithm == rep.Chosen {
 			mark = "*"
 		}
 		if !c.Feasible {
@@ -434,21 +446,6 @@ func printExplain(w io.Writer, rep *repro.PlanReport) {
 		cal = "micro-probe (cached per machine shape)"
 	}
 	fmt.Fprintf(w, "calibration: %s\n", cal)
-	if len(rep.Backends) > 0 {
-		fmt.Fprintf(w, "backends:")
-		for i, b := range rep.Backends {
-			if i > 0 {
-				fmt.Fprintf(w, " >")
-			}
-			mark := ""
-			if b.Chosen {
-				mark = "*"
-			}
-			fmt.Fprintf(w, " %s%s %.1fus/step", mark, b.Backend,
-				(b.ReadStepSeconds+b.WriteStepSeconds)/2*1e6)
-		}
-		fmt.Fprintf(w, " (ranked by probe; * = this machine)\n")
-	}
 }
 
 func printReport(rep *repro.Report, out, backend string, wall time.Duration) {

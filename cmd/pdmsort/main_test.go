@@ -269,30 +269,15 @@ func TestRunCSVEndToEnd(t *testing.T) {
 
 // normalizeExplain replaces the calibrated seconds column with a fixed
 // token: every other column (passes, padded lengths, I/O words, permute
-// passes, feasibility reasons) is deterministic for a fixed input and
-// machine shape, which is what the gold pins.  The advisory backends: line
-// is ranked by a timing probe, whose order flips when the box is loaded,
-// so its entries are compared as a sorted set ("|"-joined in the gold, so
-// it does not read as a ranking).
+// passes, feasibility reasons) and the row order are deterministic for a
+// fixed input and machine shape, which is what the gold pins.
 func normalizeExplain(s string) string {
-	s = regexp.MustCompile(`\d+\.\d{3}s`).ReplaceAllString(s, "<T>")
-	s = regexp.MustCompile(`\d+\.\d+us`).ReplaceAllString(s, "<U>")
-	lines := strings.Split(s, "\n")
-	for i, ln := range lines {
-		head, rest, _ := strings.Cut(ln, ": ")
-		if head != "backends" {
-			continue
-		}
-		ranked, tail, _ := strings.Cut(rest, " (")
-		entries := strings.Split(ranked, " > ")
-		slices.Sort(entries)
-		lines[i] = head + ": " + strings.Join(entries, " | ") + " (" + tail
-	}
-	return strings.Join(lines, "\n")
+	return regexp.MustCompile(`\d+\.\d{3}s`).ReplaceAllString(s, "<T>")
 }
 
 // TestExplainGold pins the -explain output (the CI docs leg runs this):
-// a bare key plan and a records plan, seconds normalized.
+// a bare key plan, a records plan, a universe plan and a forced -alg,
+// seconds normalized.
 func TestExplainGold(t *testing.T) {
 	m, err := repro.NewMachine(repro.MachineConfig{
 		Memory: 1024, Dir: t.TempDir(),
@@ -303,12 +288,16 @@ func TestExplainGold(t *testing.T) {
 	}
 	defer m.Close()
 	var buf bytes.Buffer
-	for _, spec := range []repro.SortSpec{
-		{N: 2048},
-		{N: 1024, PayloadWords: 4096},
-		{N: 40000, Universe: 1 << 16},
+	for _, tc := range []struct {
+		spec repro.SortSpec
+		alg  repro.Algorithm
+	}{
+		{repro.SortSpec{N: 2048}, repro.Auto},
+		{repro.SortSpec{N: 1024, PayloadWords: 4096}, repro.Auto},
+		{repro.SortSpec{N: 40000, Universe: 1 << 16}, repro.Auto},
+		{repro.SortSpec{N: 2048}, repro.ThreePassLMM},
 	} {
-		rep, err := m.Explain(spec)
+		rep, err := explain(m, tc.spec, tc.alg)
 		if err != nil {
 			t.Fatal(err)
 		}

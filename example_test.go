@@ -59,7 +59,7 @@ func ExampleMachine_Explain() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("chosen:", rep.Chosen)
+	fmt.Println("chosen:", string(rep.Chosen)) // the short name, as in the rows below
 	top := rep.Candidates[0]
 	fmt.Printf("%s: %.0f read passes over %d padded keys\n",
 		string(top.Algorithm), top.ReadPasses, top.PaddedN) // the short name; %s alone prints the paper's

@@ -121,6 +121,33 @@ func TestThreePass1SortsAndTakesThreePasses(t *testing.T) {
 	}
 }
 
+// TestThreePass1ZeroOneExhaustive runs every 0-1 input class size k at
+// M = 64, N = M·√M = 512, three placements each: ThreePass1 is oblivious,
+// so by the 0-1 principle sorting all of them means it sorts every input
+// of that size.  Each run must also take exactly three passes.
+func TestThreePass1ZeroOneExhaustive(t *testing.T) {
+	const m = 64
+	a := newTestArray(t, m, 4)
+	n := m * memsort.Isqrt(m)
+	for k := 0; k <= n; k++ {
+		for rep := 0; rep < 3; rep++ {
+			data := workload.ZeroOneK(n, k, int64(k*10+rep))
+			in := loadInput(t, a, data)
+			res, err := ThreePass1(a, in)
+			if err != nil {
+				t.Fatalf("k=%d rep=%d: %v", k, rep, err)
+			}
+			verifySorted(t, res, data)
+			if res.ReadPasses != 3 || res.WritePasses != 3 {
+				t.Fatalf("k=%d rep=%d: passes = %.3f read / %.3f write, want exactly 3",
+					k, rep, res.ReadPasses, res.WritePasses)
+			}
+			res.Out.Free()
+			in.Free()
+		}
+	}
+}
+
 func TestThreePass1SmallerInputStillSorts(t *testing.T) {
 	a := newTestArray(t, 64, 4)
 	n := 4 * 64 // l = 4 < √M

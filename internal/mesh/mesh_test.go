@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/workload"
 )
@@ -29,72 +28,12 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestSortRowsSnake(t *testing.T) {
-	m, _ := New(2, 3, []int64{3, 1, 2, 4, 6, 5})
-	m.SortRowsSnake()
-	if !slices.Equal(m.Row(0), []int64{1, 2, 3}) {
-		t.Fatalf("row 0 = %v", m.Row(0))
-	}
-	if !slices.Equal(m.Row(1), []int64{6, 5, 4}) {
-		t.Fatalf("row 1 = %v (want descending)", m.Row(1))
-	}
-}
-
 func TestSortColumns(t *testing.T) {
 	m, _ := New(3, 2, []int64{5, 0, 3, 2, 1, 4})
 	m.SortColumns()
 	want := []int64{1, 0, 3, 2, 5, 4}
 	if !slices.Equal(m.Data, want) {
 		t.Fatalf("Data = %v, want %v", m.Data, want)
-	}
-}
-
-func TestShearsortSortsRandom(t *testing.T) {
-	for _, dims := range [][2]int{{4, 4}, {8, 8}, {16, 4}, {7, 5}, {1, 8}, {8, 1}} {
-		rows, cols := dims[0], dims[1]
-		data := workload.Perm(rows*cols, int64(rows*100+cols))
-		m, err := New(rows, cols, data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.Shearsort()
-		if !m.IsSnakeSorted() {
-			t.Fatalf("%dx%d mesh not snake-sorted", rows, cols)
-		}
-	}
-}
-
-func TestShearsortQuickProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		rows := 1 + rng.Intn(12)
-		cols := 1 + rng.Intn(12)
-		m, err := New(rows, cols, workload.Perm(rows*cols, seed))
-		if err != nil {
-			return false
-		}
-		m.Shearsort()
-		return m.IsSnakeSorted()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSnakeIndex(t *testing.T) {
-	m, _ := New(2, 3, []int64{0, 1, 2, 5, 4, 3})
-	// Snake order of row-major indices: 0,1,2 then 5,4,3.
-	want := []int{0, 1, 2, 5, 4, 3}
-	for i, w := range want {
-		if got := m.SnakeIndex(i); got != w {
-			t.Fatalf("SnakeIndex(%d) = %d, want %d", i, got, w)
-		}
-	}
-	if !m.IsSnakeSorted() {
-		t.Fatal("snake-sorted mesh rejected")
-	}
-	if m.IsRowMajorSorted() {
-		t.Fatal("non-row-major mesh accepted")
 	}
 }
 
@@ -112,8 +51,8 @@ func TestSubmeshPassSnakeDirtyRows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := m.SubmeshPassSnake(cols); err != nil {
-			t.Fatal(err)
+		for k := 0; k*cols < rows; k++ {
+			m.SortSubmeshRowMajor(k*cols, 0, cols, cols, k%2 == 1)
 		}
 		for k := 0; k < rows/cols; k++ {
 			band := &Mesh{Rows: cols, Cols: cols, Data: m.Data[k*cols*cols : (k+1)*cols*cols]}
@@ -125,35 +64,16 @@ func TestSubmeshPassSnakeDirtyRows(t *testing.T) {
 		if d := m.DirtyRows(); d > cols/2 {
 			t.Fatalf("trial %d: %d dirty rows after Step 2, want <= %d", trial, d, cols/2)
 		}
-		lo, hi := m.DirtySpan()
-		if hi-lo > cols/2 {
-			t.Fatalf("trial %d: dirty span %d rows, want <= %d", trial, hi-lo, cols/2)
-		}
 	}
 }
 
-func TestSubmeshPassSnakeBadBand(t *testing.T) {
-	m, _ := New(6, 3, make([]int64, 18))
-	if err := m.SubmeshPassSnake(4); err == nil {
-		t.Fatal("non-dividing band height accepted")
-	}
-}
-
-func TestDirtyRowsAndSpan(t *testing.T) {
+func TestDirtyRows(t *testing.T) {
 	m, _ := New(3, 2, []int64{0, 0, 0, 1, 1, 1})
 	if got := m.DirtyRows(); got != 1 {
 		t.Fatalf("DirtyRows = %d, want 1", got)
 	}
-	lo, hi := m.DirtySpan()
-	if lo != 1 || hi != 2 {
-		t.Fatalf("DirtySpan = (%d,%d), want (1,2)", lo, hi)
-	}
 	clean, _ := New(2, 2, []int64{0, 0, 1, 1})
 	if got := clean.DirtyRows(); got != 0 {
 		t.Fatalf("clean DirtyRows = %d", got)
-	}
-	lo, hi = clean.DirtySpan()
-	if lo != 0 || hi != 0 {
-		t.Fatalf("clean DirtySpan = (%d,%d)", lo, hi)
 	}
 }

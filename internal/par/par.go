@@ -49,11 +49,11 @@ const (
 	// fork cost runs-shaped and disjoint groups 2–5× (64×1024 keys: 102 and
 	// 57 µs forked against 47 and 15 serial).
 	mergeGrain = 1 << 16
-	// forGrain is For's and Histogram's grain, in the caller's work units
-	// (keys touched).  It is set for their lightest bodies, a memmove or a
-	// transpose: forked across two workers those lost at 64Ki keys (31
-	// against 17 µs, 93 against 81) and won at 256Ki and above (transpose
-	// at 1Mi: 4.1 against 11.3 ms).
+	// forGrain is For's grain, in the caller's work units (keys touched).
+	// It is set for its lightest bodies, a memmove or a transpose: forked
+	// across two workers those lost at 64Ki keys (31 against 17 µs, 93
+	// against 81) and won at 256Ki and above (transpose at 1Mi: 4.1
+	// against 11.3 ms).
 	forGrain = 1 << 16
 )
 

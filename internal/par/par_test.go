@@ -216,28 +216,6 @@ func TestTranspose(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	const buckets = 16
-	keys := make([]int64, 3*forGrain+7)
-	want := make([]int, buckets)
-	for i := range keys {
-		keys[i] = rng.Int63n(buckets)
-		want[keys[i]]++
-	}
-	for _, w := range testWidths {
-		got, ok := New(w).Histogram(keys, buckets, func(k int64) int { return int(k) })
-		if !ok || !slices.Equal(got, want) {
-			t.Fatalf("w=%d: histogram = %v, %v", w, got, ok)
-		}
-		// Out-of-range keys must be reported, not counted or crashed on.
-		badKeys := append(append([]int64(nil), keys...), int64(buckets))
-		if _, ok := New(w).Histogram(badKeys, buckets, func(k int64) int { return int(k) }); ok {
-			t.Fatalf("w=%d: out-of-range bucket accepted", w)
-		}
-	}
-}
-
 func TestCountersAdvanceAndReset(t *testing.T) {
 	p := New(4)
 	a := randKeys(rand.New(rand.NewSource(8)), 2*radixSortGrain, 1<<30)

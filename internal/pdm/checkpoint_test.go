@@ -1,6 +1,7 @@
 package pdm
 
 import (
+	"encoding/json"
 	"errors"
 	"path/filepath"
 	"testing"
@@ -161,7 +162,7 @@ func TestTakeResumeSeedsStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	seed := Stats{BlocksRead: 10, BlocksWritten: 20, ReadSteps: 3, WriteSteps: 5, SimTime: 1.5}
+	seed := Stats{BlocksRead: 10, BlocksWritten: 20, ReadSteps: 3, WriteSteps: 5}
 	a.SetResume(&Checkpoint{Alg: "x", N: 64, Stats: seed, Alloc: AllocState{Next: 7}})
 	cp := a.TakeResume("x", 64)
 	if cp == nil {
@@ -177,6 +178,31 @@ func TestTakeResumeSeedsStats(t *testing.T) {
 	// A second TakeResume finds nothing.
 	if cp := a.TakeResume("x", 64); cp != nil {
 		t.Fatalf("resume claimed twice")
+	}
+}
+
+// TestCheckpointManifestDecode: a journaled manifest decodes with
+// encoding/json, which ignores keys this version no longer has, so a
+// manifest written by an older build still resumes.  Each row is one
+// build's stats encoding.
+func TestCheckpointManifestDecode(t *testing.T) {
+	want := Stats{BlocksRead: 10, BlocksWritten: 20, ReadSteps: 3, WriteSteps: 5}
+	current, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ name, stats string }{
+		{"current", string(current)},
+		{"with SimTime", `{"BlocksRead":10,"BlocksWritten":20,"ReadSteps":3,"WriteSteps":5,"SimTime":1.5}`},
+	} {
+		manifest := `{"alg":"lmm3","pass":1,"n":64,"alloc":{"next":2},"stats":` + tc.stats + `}`
+		var cp Checkpoint
+		if err := json.Unmarshal([]byte(manifest), &cp); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if cp.Alg != "lmm3" || cp.Pass != 1 || cp.N != 64 || cp.Alloc.Next != 2 || cp.Stats != want {
+			t.Fatalf("%s: decoded %+v", tc.name, cp)
+		}
 	}
 }
 

@@ -206,7 +206,6 @@ func (a *Array) account(blocks, steps int, write bool) {
 		a.stats.BlocksRead += int64(blocks)
 		a.stats.ReadSteps += int64(steps)
 	}
-	a.stats.SimTime += float64(steps) * (a.cfg.SeekTime + float64(a.cfg.B)*a.cfg.TransferPerKey)
 }
 
 // RecordPrefetch counts one streamed read chunk: a hit if the prefetcher had

@@ -9,7 +9,7 @@ import "time"
 // would on hardware: the streaming layer's prefetch/write-behind, and the
 // per-disk fan-out an Array keeps for this one disk type (NewWithDisks
 // looks for it, unwrapped).  Intended for benchmarks and tests; the cost
-// accounting (Stats, SimTime) is unaffected.
+// accounting (Stats) is unaffected.
 type LatencyDisk struct {
 	Disk
 	// PerBlock is the added service time of every ReadBlock/WriteBlock.

@@ -39,12 +39,6 @@ type Config struct {
 	// M = C·D·B for a small constant C.
 	Mem int
 
-	// SeekTime and TransferPerKey parameterize the optional simulated-time
-	// model: each parallel I/O step costs SeekTime + B·TransferPerKey time
-	// units.  Zero values disable the respective component.
-	SeekTime       float64
-	TransferPerKey float64
-
 	// Pipeline configures the streaming I/O layer (internal/stream) built
 	// on this array.  The zero value keeps every transfer synchronous.
 	Pipeline PipelineConfig

@@ -192,29 +192,11 @@ func TestReadVValidation(t *testing.T) {
 	}
 }
 
-func TestSimTimeCostModel(t *testing.T) {
-	cfg := testConfig()
-	cfg.SeekTime = 10
-	cfg.TransferPerKey = 0.5
-	a, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := [][]int64{make([]int64, cfg.B)}
-	if err := a.WriteV([]BlockAddr{{0, 0}}, buf); err != nil {
-		t.Fatal(err)
-	}
-	want := 10 + float64(cfg.B)*0.5
-	if got := a.Stats().SimTime; got != want {
-		t.Fatalf("SimTime = %v, want %v", got, want)
-	}
-}
-
 func TestStatsArithmetic(t *testing.T) {
-	s := Stats{BlocksRead: 10, BlocksWritten: 20, ReadSteps: 3, WriteSteps: 5, SimTime: 1.5}
-	tt := Stats{BlocksRead: 1, BlocksWritten: 2, ReadSteps: 1, WriteSteps: 1, SimTime: 0.5}
+	s := Stats{BlocksRead: 10, BlocksWritten: 20, ReadSteps: 3, WriteSteps: 5}
+	tt := Stats{BlocksRead: 1, BlocksWritten: 2, ReadSteps: 1, WriteSteps: 1}
 	sum := s.Add(tt)
-	if sum.BlocksRead != 11 || sum.WriteSteps != 6 || sum.SimTime != 2 {
+	if sum.BlocksRead != 11 || sum.WriteSteps != 6 {
 		t.Fatalf("Add = %+v", sum)
 	}
 	diff := sum.Sub(tt)

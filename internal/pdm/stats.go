@@ -12,9 +12,6 @@ type Stats struct {
 	// touching k_d blocks on disk d costs max_d k_d steps.
 	ReadSteps  int64
 	WriteSteps int64
-	// SimTime is the simulated elapsed time under the configured cost model
-	// (zero if the cost model is disabled).
-	SimTime float64
 
 	// Pipeline observability, maintained by internal/stream.  These do not
 	// affect the cost model: a transfer costs the same steps whether or not
@@ -46,7 +43,6 @@ func (s Stats) Add(t Stats) Stats {
 		BlocksWritten:     s.BlocksWritten + t.BlocksWritten,
 		ReadSteps:         s.ReadSteps + t.ReadSteps,
 		WriteSteps:        s.WriteSteps + t.WriteSteps,
-		SimTime:           s.SimTime + t.SimTime,
 		PrefetchHits:      s.PrefetchHits + t.PrefetchHits,
 		PrefetchStalls:    s.PrefetchStalls + t.PrefetchStalls,
 		WriteBehindHits:   s.WriteBehindHits + t.WriteBehindHits,
@@ -65,7 +61,6 @@ func (s Stats) Sub(t Stats) Stats {
 		BlocksWritten:     s.BlocksWritten - t.BlocksWritten,
 		ReadSteps:         s.ReadSteps - t.ReadSteps,
 		WriteSteps:        s.WriteSteps - t.WriteSteps,
-		SimTime:           s.SimTime - t.SimTime,
 		PrefetchHits:      s.PrefetchHits - t.PrefetchHits,
 		PrefetchStalls:    s.PrefetchStalls - t.PrefetchStalls,
 		WriteBehindHits:   s.WriteBehindHits - t.WriteBehindHits,
@@ -156,6 +151,6 @@ func (s Stats) WriteEfficiency(d int) float64 {
 
 // String renders the statistics compactly for logs and reports.
 func (s Stats) String() string {
-	return fmt.Sprintf("reads=%d blocks/%d steps, writes=%d blocks/%d steps, simTime=%.3f",
-		s.BlocksRead, s.ReadSteps, s.BlocksWritten, s.WriteSteps, s.SimTime)
+	return fmt.Sprintf("reads=%d blocks/%d steps, writes=%d blocks/%d steps",
+		s.BlocksRead, s.ReadSteps, s.BlocksWritten, s.WriteSteps)
 }

@@ -552,7 +552,7 @@ func TestPlanEndpoint(t *testing.T) {
 	if _, rep := plan(map[string]any{
 		"workload": map[string]any{"kind": "uniform", "n": 5000},
 		"alg":      "radix", "universe": 1 << 20,
-	}); rep == nil || rep.Chosen != "radix" || !rep.ChosenRadix {
+	}); rep == nil || rep.Chosen != "radix" {
 		t.Fatalf("radix plan = %+v", rep)
 	}
 

@@ -30,9 +30,9 @@ type Calibration struct {
 }
 
 // DefaultCalibration returns the analytic seed: the modeled block latency
-// plus nominal per-word transfer and per-key compute rates.  Rankings
-// under the default match rankings under any probe (the model is monotone
-// in predicted words), so Choose uses it; only absolute seconds differ.
+// plus nominal per-word transfer and per-key compute rates.  On the bare
+// geometry it is the price Explain orders candidates by; a probe's rates
+// can order them differently, which is why no probe enters that order.
 func DefaultCalibration(shape Shape) Calibration {
 	var perWord float64
 	switch shape.Backend {

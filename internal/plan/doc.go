@@ -16,19 +16,17 @@
 //     one-shot micro-probe (tiny stripe transfers and an in-memory sort on
 //     the real backend) cached per machine shape.
 //
-// Choice and pricing are deliberately split.  Choose — the Auto path —
-// always ranks under the fixed analytic default calibration on the bare
-// geometry, so for a given (N, M, B, D, α) it is a pure function: no
-// probe, no worker-count or backend dependence, and exact ties (e.g.
-// ThreePass1 vs ThreePass2: same passes, same padding) break by a fixed
-// canonical order.  That keeps Auto deterministic — bit-identical
-// scheduler-vs-dedicated and worker-count comparisons stay valid.
-// Explain prices the same candidates with the measured calibration; on a
-// latency-heavy shape its ranking can disagree with Choose at the margin
-// (where the compute/I/O balance flips between a 2-pass candidate with
-// heavier padding and a snug 3-pass one), which the facade leaves
-// visible: repro.Machine.Explain pins Chosen to the Auto choice while the
-// ranked table shows what the calibrated model would prefer.
+// Explain gives one answer.  Its rows come in the order Auto chooses:
+// feasible first, then by the seconds the fixed analytic default
+// calibration prices on the bare (M, B, D, α) geometry for the workload's
+// N and universe, and exact ties (e.g. ThreePass1 vs ThreePass2: same
+// passes, same padding) keep a fixed canonical order.  No probe, worker
+// count or backend enters that order, so Auto — Choose, the first row —
+// is a pure function of the geometry, which keeps bit-identical
+// scheduler-vs-dedicated and worker-count comparisons valid.  The seconds
+// columns are priced with the calibration the caller passes (the facade's
+// measured one), and a row's calibrated seconds may be lower than those of
+// a row above it.
 //
 // Accounting contract: the planner only predicts; it charges nothing.
 // Predictions are in the paper's currency (passes over the padded length)

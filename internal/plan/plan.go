@@ -86,9 +86,7 @@ type Workload struct {
 	// (1 = fully sorted).  The paper's algorithms are oblivious — passes
 	// don't change — but in-memory run formation on presorted data runs
 	// measurably faster, so the hint scales predicted compute seconds.
-	// Because it shifts the compute/I/O balance it can reorder the
-	// calibrated ranking at the margin; the facade pins its Chosen to the
-	// Auto path's fixed-calibration choice, which ignores the hint.
+	// The row order and the choice ignore it.
 	Presorted float64 `json:"presorted,omitempty"`
 }
 
@@ -100,7 +98,7 @@ func (w Workload) payloadWords() int {
 	return w.PayloadWords
 }
 
-// Candidate is one row of the ranked plan table (repro.PlanCandidate).
+// Candidate is one row of the plan table (repro.PlanCandidate).
 // Algorithm serializes as the short name ("exp2", "lmm3", "one", "radix",
 // …); the analytic columns (passes, padded length, I/O words) are
 // deterministic while the seconds columns come from the calibration.
@@ -137,23 +135,18 @@ type Candidate struct {
 	Seconds        float64 `json:"seconds,omitempty"`
 }
 
-// Report is a ranked plan: every candidate, best first, plus the choice.
+// Report is the planner's one answer (repro.PlanReport): every candidate
+// in the order Auto chooses, plus the choice.
 type Report struct {
-	Shape    Shape
-	Workload Workload
-	Cal      Calibration
-	// Candidates is sorted: feasible before infeasible, then by predicted
-	// Seconds, ties by canonical order.
-	Candidates []Candidate
-	// Chosen is the cheapest feasible candidate under THIS report's
-	// calibration, or Radix whenever the workload hints a universe
-	// (integer jobs always take the §7 path).  The facade's Auto path
-	// chooses with Choose — a fixed analytic calibration on the bare
-	// geometry — so a calibrated report's ranking can disagree with the
-	// algorithm Auto runs at the margin; repro.Machine.Explain pins its
-	// Chosen to the Auto choice and leaves the disagreement visible in
-	// the ranked table.
-	Chosen Alg
+	Spec Workload `json:"spec"`
+	// Chosen is the first row, or Radix whenever the workload hints a
+	// universe (integer jobs always take the §7 path).
+	Chosen Alg `json:"chosen"`
+	// Candidates is sorted: feasible before infeasible, then by the
+	// seconds Auto prices (autoPrice), ties by canonical order.  Each row's
+	// own seconds columns are priced with Calibration.
+	Candidates  []Candidate `json:"candidates"`
+	Calibration Calibration `json:"calibration"`
 }
 
 // Candidate returns the row for alg (nil when absent).
@@ -454,23 +447,29 @@ func evaluate(shape Shape, w Workload, cal Calibration, alg Alg) Candidate {
 	return c
 }
 
-// Explain evaluates every candidate and returns the ranked table.  It
-// fails only when no candidate is feasible (N beyond every capacity).
+// Explain evaluates every candidate under cal and returns them in the
+// order Auto chooses.  It fails only when no candidate is feasible (N
+// beyond every capacity).
 func Explain(shape Shape, w Workload, cal Calibration) (*Report, error) {
 	if err := validate(shape, w); err != nil {
 		return nil, err
 	}
-	r := &Report{Shape: shape, Workload: w, Cal: cal}
-	order := make(map[Alg]int, len(Candidates))
-	for i, alg := range Candidates {
-		order[alg] = i
+	r := &Report{Spec: w, Calibration: cal}
+	price := make(map[Alg]float64, len(Candidates))
+	for _, alg := range Candidates {
 		r.Candidates = append(r.Candidates, evaluate(shape, w, cal, alg))
+		price[alg] = autoPrice(shape, w, alg)
 	}
-	// Rank: feasible first, then predicted seconds, ties canonical.  The
-	// sort must be deterministic: seconds ties are exact for analytically
-	// identical candidates because every rate is uniform across them.
+	// Stable over the canonical order, so equal prices keep it.  Ties are
+	// exact for analytically identical candidates because every rate is
+	// uniform across them.
 	cands := r.Candidates
-	sort.SliceStable(cands, func(i, j int) bool { return less(cands[i], cands[j], order) })
+	sort.SliceStable(cands, func(i, j int) bool {
+		if cands[i].Feasible != cands[j].Feasible {
+			return cands[i].Feasible
+		}
+		return cands[i].Feasible && price[cands[i].Algorithm] < price[cands[j].Algorithm]
+	})
 	if w.Universe > 0 {
 		// Integer jobs take the §7 path regardless of rank: SortInts and
 		// universe-bearing JobSpecs never run a comparison sort.
@@ -488,14 +487,13 @@ func Explain(shape Shape, w Workload, cal Calibration) (*Report, error) {
 	return r, nil
 }
 
-func less(a, b Candidate, order map[Alg]int) bool {
-	if a.Feasible != b.Feasible {
-		return a.Feasible
-	}
-	if a.Feasible && a.Seconds != b.Seconds {
-		return a.Seconds < b.Seconds
-	}
-	return order[a.Algorithm] < order[b.Algorithm]
+// autoPrice is the seconds Auto ranks alg by: the bare (Mem, B, D, Alpha)
+// geometry and the workload's N and Universe under DefaultCalibration.  No
+// probe, worker count, backend, latency, payload or presortedness hint
+// enters it, so for a given geometry the order is a pure function.
+func autoPrice(shape Shape, w Workload, alg Alg) float64 {
+	bare := Shape{Mem: shape.Mem, B: shape.B, D: shape.D, Alpha: shape.Alpha}
+	return evaluate(bare, Workload{N: w.N, Universe: w.Universe}, DefaultCalibration(bare), alg).Seconds
 }
 
 func validate(shape Shape, w Workload) error {
@@ -513,13 +511,9 @@ func validate(shape Shape, w Workload) error {
 	return nil
 }
 
-// Choose is the Auto path's deterministic choice: the ranking under the
-// fixed analytic default calibration.  Given the same (Mem, B, D, Alpha)
-// shape and workload it always returns the same algorithm — no probe, no
-// worker-count or backend dependence — which is what keeps Auto runs
-// bit-identical.  A calibrated Explain on a latency-heavy shape may rank
-// a different candidate cheapest at the margin; callers wanting that
-// candidate select it explicitly.
+// Choose is the Auto path's choice: Explain's Chosen.  It depends only on
+// the (Mem, B, D, Alpha) geometry and the workload's N and Universe, which
+// is what keeps Auto runs bit-identical across workers and backends.
 func Choose(shape Shape, w Workload) (Alg, error) {
 	r, err := Explain(shape, w, DefaultCalibration(shape))
 	if err != nil {

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -126,10 +127,9 @@ func TestUniverseRoutesToRadix(t *testing.T) {
 	}
 }
 
-// TestRankingDeterministicUnderCalibration: the choice must not depend on
-// what the probe measured — ranks are monotone in predicted words, so
-// scaling any rate preserves the order (Auto stays deterministic across
-// worker counts and probe noise).
+// TestRankingDeterministicUnderCalibration: the row order and the choice
+// must not depend on what the probe measured, only on the geometry, so
+// Auto stays deterministic across worker counts and probe noise.
 func TestRankingDeterministicUnderCalibration(t *testing.T) {
 	shape := shapeFor(4096)
 	shape.BlockLatency = 3 * time.Millisecond
@@ -138,21 +138,33 @@ func TestRankingDeterministicUnderCalibration(t *testing.T) {
 		{ReadStepSeconds: 1e-3, WriteStepSeconds: 2e-3, SortSecondsPerKey: 1e-9},
 		{ReadStepSeconds: 1e-6, WriteStepSeconds: 1e-6, SortSecondsPerKey: 5e-6},
 	}
-	for _, n := range []int{100, 4096, 5 * 4096, 20 * 4096, 100 * 4096} {
-		want := ""
+	for _, n := range []int{100, 4096, 3 * 4096, 5 * 4096, 20 * 4096, 100 * 4096} {
+		var want []Alg
 		for i, cal := range cals {
 			r, err := Explain(shape, Workload{N: n}, cal)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := string(r.Chosen)
+			got := rowOrder(r)
+			if r.Chosen != got[0] {
+				t.Fatalf("N=%d, calibration %d: Chosen %s is not the first row %v", n, i, r.Chosen, got)
+			}
 			if i == 0 {
 				want = got
-			} else if got != want {
-				t.Fatalf("N=%d: choice flipped with calibration %d: %s vs %s", n, i, got, want)
+			} else if !slices.Equal(got, want) {
+				t.Fatalf("N=%d: order moved with calibration %d: %v vs %v", n, i, got, want)
 			}
 		}
 	}
+}
+
+// rowOrder lists the report's rows by algorithm.
+func rowOrder(r *Report) []Alg {
+	order := make([]Alg, len(r.Candidates))
+	for i, c := range r.Candidates {
+		order[i] = c.Algorithm
+	}
+	return order
 }
 
 // TestTieBreakCanonical: ThreePass1 and ThreePass2 predict identically

@@ -291,18 +291,12 @@ func padStripe(n, stripe int) int {
 // chosen candidate's predicted read passes rescaled to the scenario's
 // padded length, preferring the exact count when the geometry is regular.
 func fullSortBaseline(shape Shape, w Workload) (Alg, float64, int) {
-	alg, err := Choose(shape, w)
-	if err != nil {
-		return "", 0, 0
-	}
 	rep, err := Explain(shape, w, DefaultCalibration(shape))
 	if err != nil {
 		return "", 0, 0
 	}
+	alg := rep.Chosen
 	c := rep.Candidate(alg)
-	if c == nil || !c.Feasible {
-		return "", 0, 0
-	}
 	read := c.ReadPasses
 	if r, _, ok := ExactPasses(shape, w, alg); ok {
 		read = r

@@ -1,9 +1,11 @@
 package repro
 
 import (
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/plan"
 	"repro/internal/workload"
 )
 
@@ -49,8 +51,8 @@ func TestAutoPaddingRegression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Chosen != "lmm3" || r.ChosenAlgorithm != ThreePassLMM {
-		t.Fatalf("Explain chose %q (%v)", r.Chosen, r.ChosenAlgorithm)
+	if r.Chosen != ThreePassLMM {
+		t.Fatalf("Explain chose %v", r.Chosen)
 	}
 	c := r.Candidate("exp2")
 	if c == nil || !c.Feasible || c.PaddedN != 8*mem {
@@ -66,13 +68,12 @@ func TestAutoPaddingRegression(t *testing.T) {
 // top candidates on latency-modeled file disks, and the calibrated
 // prediction must land within bounds of the measured wall.
 type explainRegime struct {
-	name     string
-	mem      int
-	n        int
-	payload  int // payload bytes per record (0 = bare keys)
-	latency  time.Duration
-	wantAlg  Algorithm
-	wantName string
+	name    string
+	mem     int
+	n       int
+	payload int // payload bytes per record (0 = bare keys)
+	latency time.Duration
+	wantAlg Algorithm
 }
 
 // TestExplainMatchesMeasuredOnLatencyDisks is the acceptance criterion:
@@ -87,11 +88,11 @@ func TestExplainMatchesMeasuredOnLatencyDisks(t *testing.T) {
 	}
 	regimes := []explainRegime{
 		{name: "in-memory/4ms", mem: 1024, n: 768, latency: 4 * time.Millisecond,
-			wantAlg: MemOnePass, wantName: "one"},
+			wantAlg: MemOnePass},
 		{name: "two-pass/2ms", mem: 1024, n: 2048, latency: 2 * time.Millisecond,
-			wantAlg: TwoPassExpected, wantName: "exp2"},
+			wantAlg: TwoPassExpected},
 		{name: "records/2ms", mem: 1024, n: 1024, payload: 16, latency: 2 * time.Millisecond,
-			wantAlg: MemOnePass, wantName: "one"},
+			wantAlg: MemOnePass},
 	}
 	for _, rg := range regimes {
 		t.Run(rg.name, func(t *testing.T) {
@@ -112,8 +113,8 @@ func TestExplainMatchesMeasuredOnLatencyDisks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if report.Chosen != rg.wantName || report.ChosenAlgorithm != rg.wantAlg {
-				t.Fatalf("chosen = %q (%v), want %q", report.Chosen, report.ChosenAlgorithm, rg.wantName)
+			if report.Chosen != rg.wantAlg {
+				t.Fatalf("chosen = %v, want %v", report.Chosen, rg.wantAlg)
 			}
 
 			// Run the chosen candidate and the next-ranked candidates with
@@ -143,7 +144,7 @@ func TestExplainMatchesMeasuredOnLatencyDisks(t *testing.T) {
 			chosenSteps, chosenWall := run(rg.wantAlg)
 			rivals := 0
 			for _, c := range report.Candidates {
-				if !c.Feasible || c.Algorithm == report.ChosenAlgorithm || rivals == 2 {
+				if !c.Feasible || c.Algorithm == report.Chosen || rivals == 2 {
 					continue
 				}
 				// Skip analytic ties (e.g. mesh3 vs lmm3): they are
@@ -181,12 +182,11 @@ func TestExplainMatchesMeasuredOnLatencyDisks(t *testing.T) {
 	}
 }
 
-// TestExplainChosenMatchesAutoRun pins the dry-run contract: whatever the
-// calibrated ranking prefers, Explain's Chosen must name the algorithm
-// Sort(keys, Auto) actually runs on the same machine.  The (M=4096,
-// N=3M, 2ms file latency) point is a known margin case where the
-// calibrated table ranks lmm3 above exp2 while Auto's fixed-calibration
-// choice is exp2 — the report must side with reality.
+// TestExplainChosenMatchesAutoRun pins the dry-run contract: Explain's
+// Chosen must name the algorithm Sort(keys, Auto) actually runs on the
+// same machine.  The (M=4096, N=3M, 2ms file latency) point is a margin
+// case where the calibrated seconds put lmm3 below exp2 while Auto runs
+// exp2.
 func TestExplainChosenMatchesAutoRun(t *testing.T) {
 	mem := 4096
 	m, err := NewMachine(MachineConfig{
@@ -203,11 +203,67 @@ func TestExplainChosenMatchesAutoRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := m.Plan(n); rep.ChosenAlgorithm != got {
-			t.Errorf("N=%d: Explain chose %v but Auto runs %v", n, rep.ChosenAlgorithm, got)
+		if got := m.Plan(n); rep.Chosen != got {
+			t.Errorf("N=%d: Explain chose %v but Auto runs %v", n, rep.Chosen, got)
 		}
 		if c := rep.Candidate(rep.Chosen); c == nil || !c.Feasible {
 			t.Errorf("N=%d: chosen %q not a feasible candidate in the table", n, rep.Chosen)
+		}
+	}
+}
+
+// TestExplainOrderIsAutoOrder: Explain's rows come in the order Auto
+// chooses, whatever the machine's latency or calibration.  On file-backed
+// machines at 0 and 2 ms block latency, for every N/M in the sweep the
+// first row is Chosen and Chosen is what Sort(keys, Auto) runs, and the
+// planner orders the rows identically under the default and two skewed
+// calibrations.  (N = 3·M at 2 ms used to put lmm3 above the chosen exp2.)
+func TestExplainOrderIsAutoOrder(t *testing.T) {
+	cals := func(shape plan.Shape) []PlanCalibration {
+		return []PlanCalibration{
+			plan.DefaultCalibration(shape),
+			{ReadStepSeconds: 1e-3, WriteStepSeconds: 2e-3, SortSecondsPerKey: 1e-9},
+			{ReadStepSeconds: 1e-6, WriteStepSeconds: 1e-6, SortSecondsPerKey: 5e-6},
+		}
+	}
+	rows := func(r *PlanReport) []Algorithm {
+		order := make([]Algorithm, len(r.Candidates))
+		for i, c := range r.Candidates {
+			order[i] = c.Algorithm
+		}
+		return order
+	}
+	for _, mem := range []int{1024, 4096} {
+		for _, latency := range []time.Duration{0, 2 * time.Millisecond} {
+			m, err := NewMachine(MachineConfig{Memory: mem, Dir: t.TempDir(), BlockLatency: latency})
+			if err != nil {
+				t.Fatal(err)
+			}
+			shape := planShape(mem, m.a.D(), planAlpha)
+			shape.BlockLatency = latency
+			for _, l := range []int{1, 2, 3, 5, 7, 12, 20, 33, 64} {
+				n := l * mem
+				rep, err := m.Explain(SortSpec{N: n})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := rows(rep)
+				if rep.Chosen != want[0] || rep.Chosen != m.Plan(n) {
+					t.Errorf("M=%d latency=%v N=%d·M: first row %v, Chosen %v, Auto runs %v",
+						mem, latency, l, want[0], rep.Chosen, m.Plan(n))
+				}
+				for i, cal := range cals(shape) {
+					r, err := plan.Explain(shape, SortSpec{N: n}, cal)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := rows(r); !slices.Equal(got, want) {
+						t.Errorf("M=%d latency=%v N=%d·M: calibration %d orders %v, Explain %v",
+							mem, latency, l, i, got, want)
+					}
+				}
+			}
+			m.Close()
 		}
 	}
 }

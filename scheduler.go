@@ -494,9 +494,9 @@ func (s *Scheduler) Submit(spec JobSpec) (int, error) {
 }
 
 // Explain dry-runs the planner for a JobSpec without admitting anything:
-// the ranked candidate table for the job's machine and workload shapes,
-// priced with the (cached) calibration for the scheduler's backend.  pdmd
-// serves it as GET /plan.
+// the candidate table for the job's machine and workload shapes, priced
+// with the (cached) calibration for the scheduler's backend.  pdmd serves
+// it as GET /plan.
 func (s *Scheduler) Explain(spec JobSpec) (*PlanReport, error) {
 	r, err := s.resolveJobSpec(spec)
 	if err != nil {
@@ -509,16 +509,12 @@ func (s *Scheduler) Explain(spec JobSpec) (*PlanReport, error) {
 	if workers == 0 {
 		workers = s.eng.Stats().Workers
 	}
-	out, probe, err := explainOn(r.pcfg, workers, r.mc.BlockLatency, r.backend, r.work)
+	rep, err := explainOn(r.pcfg, workers, r.mc.BlockLatency, r.backend, r.work)
 	if err != nil {
 		return nil, err
 	}
-	out.Backends = rankBackends(probe)
-	// Pin the choice to what the submitted job actually runs: the resolved
-	// algorithm (the Auto path's deterministic pick, or the spec's forced
-	// one).  The table still ranks what the calibrated model would prefer.
-	out.setChosen(r.alg)
-	return out, nil
+	rep.Chosen = r.alg // a spec may force its algorithm
+	return rep, nil
 }
 
 // runJob is the job body executed by the engine once admitted.  A
@@ -735,18 +731,17 @@ func (j *schedJob) recordPlan(m *Machine, payloads [][]byte) {
 		// The exact volume, now that the payloads are materialized.
 		spec.PayloadWords = records.PayloadWords(payloads)
 	}
-	rep, _, err := m.explain(spec)
+	rep, err := m.Explain(spec)
 	if err != nil {
 		return
 	}
-	name := string(j.alg)
-	c := rep.Candidate(name)
+	c := rep.Candidate(j.alg)
 	if c == nil || !c.Feasible {
 		return
 	}
 	j.mu.Lock()
 	j.planned = &PlannedJob{
-		Algorithm:        name,
+		Algorithm:        string(j.alg),
 		PredictedSeconds: c.Seconds,
 		PredictedPasses:  c.ReadPasses,
 		Probed:           rep.Calibration.Probed,
