@@ -12,7 +12,10 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"os"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -464,6 +467,34 @@ func fileBenchMachine(b *testing.B, kind string, n int) (*Machine, []int64) {
 	return m, keys
 }
 
+// ioSyscalls returns the process's read- plus write-family syscall count
+// (syscr + syscw in /proc/self/io), and false where that file is missing
+// (off Linux).
+func ioSyscalls() (int64, bool) {
+	raw, err := os.ReadFile("/proc/self/io")
+	if err != nil {
+		return 0, false
+	}
+	var n int64
+	for _, line := range strings.Split(string(raw), "\n") {
+		key, val, _ := strings.Cut(line, ":")
+		if key == "syscr" || key == "syscw" {
+			v, _ := strconv.ParseInt(strings.TrimSpace(val), 10, 64)
+			n += v
+		}
+	}
+	return n, true
+}
+
+// reportSyscalls reports the read and write syscalls per op since start,
+// which ioSyscalls took before the timed loop: how many blocks each disk
+// call moves shows here.
+func reportSyscalls(b *testing.B, start int64, ok bool) {
+	if end, ok2 := ioSyscalls(); ok && ok2 {
+		b.ReportMetric(float64(end-start)/float64(b.N), "syscalls/op")
+	}
+}
+
 // BenchmarkSortFile is bench's sort-file shape in-process — three-pass LMM
 // on fileBenchMachine — so a CPU profile (-cpuprofile) splits an op into
 // its uncharged load and unload (Stripe.LoadPadded / UnloadInto) and the
@@ -472,12 +503,15 @@ func BenchmarkSortFile(b *testing.B) {
 	m, keys := fileBenchMachine(b, "uniform", 4<<20)
 	buf := make([]int64, len(keys))
 	b.ResetTimer()
+	sys, ok := ioSyscalls()
 	for i := 0; i < b.N; i++ {
 		copy(buf, keys)
 		if _, err := m.Sort(buf, ThreePassLMM); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	reportSyscalls(b, sys, ok)
 	if !memsort.IsSorted(buf) {
 		b.Fatal("not sorted")
 	}
@@ -490,6 +524,7 @@ func BenchmarkSortFile(b *testing.B) {
 func BenchmarkTopKFile(b *testing.B) {
 	m, keys := fileBenchMachine(b, "uniform", 4<<20)
 	b.ResetTimer()
+	sys, ok := ioSyscalls()
 	for i := 0; i < b.N; i++ {
 		_, rep, err := m.TopK(keys, 100)
 		if err != nil {
@@ -499,6 +534,8 @@ func BenchmarkTopKFile(b *testing.B) {
 			b.Fatalf("ran the %q route (fell back: %v), want filter", rep.ScenarioRoute, rep.FellBack)
 		}
 	}
+	b.StopTimer()
+	reportSyscalls(b, sys, ok)
 }
 
 // BenchmarkSortRecordsFile is bench's records-file shape in-process —
@@ -520,6 +557,7 @@ func BenchmarkSortRecordsFile(b *testing.B) {
 	var rep *Report
 	b.SetBytes((8 + width) * n)
 	b.ResetTimer()
+	sys, ok := ioSyscalls()
 	for i := 0; i < b.N; i++ {
 		copy(kbuf, keys)
 		copy(pbuf, payloads)
@@ -529,6 +567,7 @@ func BenchmarkSortRecordsFile(b *testing.B) {
 		}
 	}
 	b.StopTimer()
+	reportSyscalls(b, sys, ok)
 	b.ReportMetric(rep.Passes+rep.PermutePasses, "passes/op")
 	b.ReportMetric(float64(rep.KeyRounds), "key-rounds/op")
 	if !memsort.IsSorted(kbuf) {

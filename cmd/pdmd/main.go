@@ -40,8 +40,8 @@ func main() {
 	backend := flag.String("backend", "", "default disk backend for file-backed jobs: file or mmap (requires -scratch)")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof handlers under /debug/pprof/")
 	queue := flag.Int("queue", 0, "admission queue bound (0 = 1024)")
-	prefetch := flag.Int("prefetch", 2, "default per-job prefetch depth in stripes")
-	writeBehind := flag.Int("writebehind", 2, "default per-job write-behind depth in stripes")
+	prefetch := flag.Int("prefetch", 2, "default per-job prefetch depth in slots of two stripe rows")
+	writeBehind := flag.Int("writebehind", 2, "default per-job write-behind depth in slots of two stripe rows")
 	maxBody := flag.Int64("maxbody", 64<<20, "largest accepted submit body in bytes")
 	maxStaged := flag.Int64("maxstaged", 256<<20, "total bytes held by in-flight staged uploads")
 	journalDir := flag.String("journal", "", "journal directory for durable jobs: submissions and pass checkpoints are fsynced there and replayed on restart")

@@ -119,8 +119,8 @@ func main() {
 	flag.StringVar(&o.backend, "backend", "", "disk backend: file (read/write syscalls, default) or mmap (zero-copy memory-mapped)")
 	flag.IntVar(&o.gen, "gen", 0, "generate this many random keys instead of reading -in")
 	flag.Int64Var(&o.seed, "seed", 1, "seed for -gen")
-	flag.IntVar(&o.pipe.Prefetch, "prefetch", 2, "prefetch depth in stripes (0 = synchronous reads)")
-	flag.IntVar(&o.pipe.WriteBehind, "writebehind", 2, "write-behind depth in stripes (0 = synchronous writes)")
+	flag.IntVar(&o.pipe.Prefetch, "prefetch", 2, "prefetch depth in slots of two stripe rows (0 = synchronous reads)")
+	flag.IntVar(&o.pipe.WriteBehind, "writebehind", 2, "write-behind depth in slots of two stripe rows (0 = synchronous writes)")
 	flag.IntVar(&o.workers, "workers", 0, "compute worker pool width (0 = GOMAXPROCS; output is identical for any value)")
 	flag.DurationVar(&o.latency, "latency", 0, "modeled per-block device latency on every disk (e.g. 2ms)")
 	flag.BoolVar(&o.explain, "explain", false, "print the planner's candidate table and exit without sorting")

@@ -35,7 +35,7 @@ import (
 // running job is always alone and everything behind it queues in order.
 func durabilityConfig(dir, jdir string) SchedulerConfig {
 	return SchedulerConfig{
-		Memory:     4000,
+		Memory:     6 * schedEnvelope / 5,
 		Workers:    4,
 		JobMemory:  schedJobMem,
 		Dir:        dir,

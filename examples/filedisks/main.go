@@ -1,5 +1,6 @@
 // File-backed disks: the same algorithms running against D real files, one
-// pread/pwrite per block a pass moves — the closest a single machine gets
+// pread/pwrite per run of consecutive blocks a disk moves in a pass — the
+// closest a single machine gets
 // to the paper's D independent disks.  The pass accounting is identical to
 // the in-memory simulator; what changes is that you can watch the disk
 // files on the filesystem.

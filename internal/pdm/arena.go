@@ -2,6 +2,7 @@ package pdm
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -18,7 +19,12 @@ type Arena struct {
 	peak     int
 	phases   map[string]int
 	phase    string
+	kept     [][]int64 // buffers Recycle keeps for Take
 }
+
+// keptBuffers bounds what Recycle keeps: a pass's Reader and Writer rings,
+// with room for the extra lanes of a merge.
+const keptBuffers = 4
 
 // NewArena returns an arena with the given capacity in keys.
 func NewArena(capacity int) *Arena {
@@ -48,6 +54,35 @@ func (ar *Arena) MustAlloc(n int) []int64 {
 // matters; the arena does not track identity.
 func (ar *Arena) Free(buf []int64) {
 	ar.Release(len(buf))
+}
+
+// Take is Alloc for staging the caller overwrites before reading it: the n
+// keys are reserved exactly as Alloc reserves them, but the buffer is one
+// Recycle kept when one of length n is on hand, its words not zeroed.
+func (ar *Arena) Take(n int) ([]int64, error) {
+	if err := ar.Reserve(n); err != nil {
+		return nil, err
+	}
+	ar.mu.Lock()
+	defer ar.mu.Unlock()
+	for i, buf := range ar.kept {
+		if len(buf) == n {
+			ar.kept = slices.Delete(ar.kept, i, i+1)
+			return buf, nil
+		}
+	}
+	return make([]int64, n), nil
+}
+
+// Recycle is Free that keeps buf for a later Take, up to keptBuffers of
+// them: the keys are released either way.
+func (ar *Arena) Recycle(buf []int64) {
+	ar.Release(len(buf))
+	ar.mu.Lock()
+	defer ar.mu.Unlock()
+	if len(ar.kept) < keptBuffers {
+		ar.kept = append(ar.kept, buf)
+	}
 }
 
 // Reserve charges n keys against the arena without handing out a buffer —

@@ -149,3 +149,53 @@ func TestArenaReleaseUnderflowPanics(t *testing.T) {
 	}()
 	ar.Release(6)
 }
+
+// TestArenaTakeRecycle: Take reserves like Alloc and hands back a buffer
+// Recycle kept when one of the right length is on hand; Recycle releases
+// the keys whether or not it keeps the buffer, and keeps at most
+// keptBuffers.
+func TestArenaTakeRecycle(t *testing.T) {
+	ar := NewArena(100)
+	a, err := ar.Take(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ar.InUse() != 10 {
+		t.Fatalf("InUse = %d after Take(10), want 10", ar.InUse())
+	}
+	a[0] = 7
+	ar.Recycle(a)
+	if ar.InUse() != 0 {
+		t.Fatalf("InUse = %d after Recycle, want 0", ar.InUse())
+	}
+	if b, _ := ar.Take(12); &b[0] == &a[0] {
+		t.Fatal("Take(12) reused a 10-key buffer")
+	} else {
+		ar.Recycle(b)
+	}
+	b, err := ar.Take(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &b[0] != &a[0] || b[0] != 7 {
+		t.Fatal("Take(10) did not reuse the recycled 10-key buffer as it was")
+	}
+	if _, err := ar.Take(91); err == nil {
+		t.Fatal("Take past capacity succeeded")
+	}
+	ar.Recycle(b)
+	var held [][]int64
+	for n := 1; n <= 2*keptBuffers; n++ { // lengths no kept buffer has
+		buf, err := ar.Take(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, buf)
+	}
+	for _, buf := range held {
+		ar.Recycle(buf)
+	}
+	if len(ar.kept) != keptBuffers || ar.InUse() != 0 {
+		t.Fatalf("kept %d buffers (want %d), InUse %d (want 0)", len(ar.kept), keptBuffers, ar.InUse())
+	}
+}

@@ -54,7 +54,7 @@ func BenchmarkBackendWriteBlock(b *testing.B) {
 // BenchmarkBackendLoadUnload is whole-stripe staging at the facade's
 // default geometry for M = 64Ki (D = 64, B = 256): 4Mi keys loaded onto
 // file disks and unloaded again per iteration — one preadv/pwritev run per
-// disk, where passes move one block per call.
+// disk, where a pipelined pass moves a few slot rows per call.
 func BenchmarkBackendLoadUnload(b *testing.B) {
 	cfg := Config{D: 64, B: 256, Mem: 1 << 16}
 	a, err := NewFileArray(cfg, b.TempDir())

@@ -61,8 +61,10 @@ type Backend string
 const (
 	// BackendMem is the in-memory block store (MemDisk).
 	BackendMem Backend = "mem"
-	// BackendFile is read/write-syscall file disks (FileDisk): each block a
-	// pass moves pays one pread/pwrite of the caller's words in place.
+	// BackendFile is read/write-syscall file disks (FileDisk): each run of
+	// consecutive blocks a request moves on one disk pays one
+	// preadv/pwritev of the caller's words in place (one pread/pwrite per
+	// block where the host has no extent calls).
 	BackendFile Backend = "file"
 	// BackendMmap is memory-mapped file disks (MmapDisk): each block is a
 	// page-cache copy, with zero-copy views on the streaming paths.

@@ -6,8 +6,8 @@
 //
 // The package provides disk backends — an in-memory block store (MemDisk),
 // which is exact and deterministic, a real-file backend (FileDisk) that
-// preads/pwrites the caller's words in place (one block per call in passes,
-// one extent per disk when staging: ExtentDisk), a memory-mapped backend
+// preads/pwrites the caller's words in place (one call per run of a disk's
+// consecutive blocks in a request: ExtentDisk), a memory-mapped backend
 // (MmapDisk) that serves blocks as in-place word views with the same
 // on-disk format, and a latency-modeling decorator (LatencyDisk), the one
 // disk an Array forks per-disk goroutines for — plus the machinery every PDM

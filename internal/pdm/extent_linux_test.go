@@ -2,16 +2,19 @@ package pdm
 
 import (
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 )
 
-// ioCounters reads the process's read- and write-family syscall counts
-// (syscr, syscw) from /proc/self/io.
+// ioCounters reads the calling thread's read- and write-family syscall
+// counts (syscr, syscw) from /proc/thread-self/io.  Callers lock their
+// goroutine to its thread, so the runtime's own threads (netpoll wakeups,
+// the scavenger) cannot add to what they measure.
 func ioCounters(t *testing.T) (syscr, syscw int64) {
 	t.Helper()
-	raw, err := os.ReadFile("/proc/self/io")
+	raw, err := os.ReadFile("/proc/thread-self/io")
 	if err != nil {
 		t.Skipf("no syscall counters: %v", err)
 	}
@@ -42,6 +45,8 @@ func TestExtentLoadSyscalls(t *testing.T) {
 		t.Skip("FileDisk moves no extents on this platform")
 	}
 	const rows = 1100
+	runtime.LockOSThread() // staging runs on this goroutine: count its thread
+	defer runtime.UnlockOSThread()
 	s, err := a.NewStripe(rows * a.StripeWidth())
 	if err != nil {
 		t.Fatal(err)

@@ -18,7 +18,9 @@ import (
 // handle — no seek-then-read — so any number of goroutines may operate on
 // the disk concurrently: the streaming layer's prefetchers and write-behind
 // flushers run alongside the algorithm's own requests.  On little-endian
-// Linux it is also an ExtentDisk (filedisk_linux.go).
+// Linux it is also an ExtentDisk (filedisk_linux.go), and an array of them
+// moves each run of consecutive blocks a request puts on one disk — a
+// pass's slot rows, a whole stripe's load — in one preadv/pwritev instead.
 //
 // The backing file is grown in chunks of growBlocks blocks ahead of the
 // write frontier, so steady sequential writes extend the file's metadata

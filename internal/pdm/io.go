@@ -2,6 +2,7 @@ package pdm
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -62,13 +63,21 @@ func (a *Array) TransferV(addrs []BlockAddr, bufs [][]int64, write bool) error {
 	return a.transferV(addrs, bufs, write)
 }
 
-// transferV moves the request's blocks in order on the calling goroutine:
-// the streaming layer's prefetch and write-behind goroutines already are the
-// overlap.  Only when the disks park their caller (LatencyDisk) does it fork,
-// one goroutine per participating disk, so that a request waits max_d(#blocks
-// on disk d) service times — one per parallel I/O step, as the model charges
-// — instead of their sum.
+// transferV moves the request's blocks on the calling goroutine: the
+// streaming layer's prefetch and write-behind goroutines already are the
+// overlap.  On extent-capable arrays each disk's blocks go out as runs of
+// consecutive offsets, one ReadBlocks/WriteBlocks call per run (see runs);
+// otherwise one block call each, in request order.  Only when the disks
+// park their caller (LatencyDisk) does it fork, one goroutine per
+// participating disk, so that a request waits max_d(#blocks on disk d)
+// service times — one per parallel I/O step, as the model charges —
+// instead of their sum.
 func (a *Array) transferV(addrs []BlockAddr, bufs [][]int64, write bool) error {
+	if a.ext != nil {
+		g := a.takeRuns()
+		defer a.putRuns(g)
+		return g.move(a.ext, addrs, bufs, write)
+	}
 	if !a.fanOut {
 		return a.transferOn(-1, addrs, bufs, write)
 	}
@@ -112,6 +121,79 @@ func (a *Array) transferOn(d int, addrs []BlockAddr, bufs [][]int64, write bool)
 		}
 	}
 	return nil
+}
+
+// runs is one transfer's scratch for moving a request as per-disk runs: the
+// request's blocks stably sorted by disk, so each disk's blocks keep request
+// order, then cut wherever the next offset is not the previous one plus one.
+// A stripe row range thus becomes one run per disk — k rows, k blocks per
+// call.  The array keeps freed scratch for the next transfer (takeRuns,
+// putRuns), so a transfer allocates only while its request outgrows every
+// scratch on hand.
+type runs struct {
+	end   []int       // per disk: the end of its blocks in off and bufs
+	off   []int       // block offsets, grouped by disk
+	bufs  [][]int64   // block buffers, grouped by disk
+	addrs []BlockAddr // Stripe.stage's request
+}
+
+// move transfers bufs[i] to or from addrs[i] on disks, one call per run.
+func (g *runs) move(disks []ExtentDisk, addrs []BlockAddr, bufs [][]int64, write bool) error {
+	n := len(addrs)
+	g.end = slices.Grow(g.end[:0], len(disks))[:len(disks)]
+	g.off = slices.Grow(g.off[:0], n)[:n]
+	g.bufs = slices.Grow(g.bufs[:0], n)[:n]
+	defer clear(g.bufs) // hold no caller memory between transfers
+	clear(g.end)
+	for _, ad := range addrs {
+		g.end[ad.Disk]++
+	}
+	at := 0
+	for d, c := range g.end {
+		g.end[d], at = at, at+c // the start, until placement advances it
+	}
+	for i, ad := range addrs {
+		p := g.end[ad.Disk]
+		g.off[p], g.bufs[p] = ad.Off, bufs[i]
+		g.end[ad.Disk]++
+	}
+	lo := 0
+	for d, disk := range disks {
+		move := disk.ReadBlocks
+		if write {
+			move = disk.WriteBlocks
+		}
+		for hi := g.end[d]; lo < hi; {
+			e := lo + 1
+			for e < hi && g.off[e] == g.off[e-1]+1 {
+				e++
+			}
+			if err := move(g.off[lo], g.bufs[lo:e]); err != nil {
+				return err
+			}
+			lo = e
+		}
+	}
+	return nil
+}
+
+// takeRuns hands the calling transfer a scratch of its own.
+func (a *Array) takeRuns() *runs {
+	a.runsMu.Lock()
+	defer a.runsMu.Unlock()
+	if n := len(a.freeRuns); n > 0 {
+		g := a.freeRuns[n-1]
+		a.freeRuns = a.freeRuns[:n-1]
+		return g
+	}
+	return new(runs)
+}
+
+// putRuns keeps g for a later transfer.
+func (a *Array) putRuns(g *runs) {
+	a.runsMu.Lock()
+	a.freeRuns = append(a.freeRuns, g)
+	a.runsMu.Unlock()
 }
 
 // ZeroCopy reports whether every disk in the array serves borrowed block
@@ -183,7 +265,10 @@ func (a *Array) ChargeV(addrs []BlockAddr, write bool) {
 	if len(addrs) == 0 {
 		return
 	}
-	perDisk := make([]int, a.cfg.D)
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	perDisk := a.perDisk
+	clear(perDisk)
 	steps := 0
 	for _, ad := range addrs {
 		perDisk[ad.Disk]++
@@ -191,8 +276,6 @@ func (a *Array) ChargeV(addrs []BlockAddr, write bool) {
 			steps = perDisk[ad.Disk]
 		}
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	a.account(len(addrs), steps, write)
 	a.recordTrace(addrs, write)
 }

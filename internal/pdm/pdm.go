@@ -57,24 +57,34 @@ type Config struct {
 }
 
 // PipelineConfig sizes the pipelined I/O layer.  Depths are measured in
-// stripes (D·B keys each); the staging buffers come out of the arena, so
-// the capacity formula grows by PipelineStaging() — the memory cost of
-// overlapping transfer with computation is charged like any other buffer.
-// The JSON names are the job descriptor's "pipeline" object (decoding is
-// case-insensitive, so journals that spelled the Go names still replay).
+// staging slots of SlotRows stripe rows (SlotRows·D·B keys) each; the
+// slots come out of the arena, so the capacity formula grows by
+// PipelineStaging() — the memory cost of overlapping transfer with
+// computation is charged like any other buffer.  The JSON names are the
+// job descriptor's "pipeline" object (decoding is case-insensitive, so
+// journals that spelled the Go names still replay).
 type PipelineConfig struct {
-	// Prefetch is the number of stripe buffers a stream.Reader may fill
-	// ahead of the consumer.  Zero means synchronous reads.
+	// Prefetch is the number of slots a stream.Reader may fill ahead of
+	// the consumer.  Zero means synchronous reads.
 	Prefetch int `json:"prefetch"`
-	// WriteBehind is the number of stripe buffers a stream.Writer may
-	// hold in flight behind the producer.  Zero means synchronous writes.
+	// WriteBehind is the number of slots a stream.Writer may hold in
+	// flight behind the producer.  Zero means synchronous writes.
 	WriteBehind int `json:"writeBehind"`
 }
 
+// SlotRows is the stripe rows one pipeline slot holds.  A slot filled or
+// flushed in one transfer moves SlotRows consecutive blocks per disk, one
+// call each on extent-capable arrays, so a sequential pass at depth 2
+// moves up to 2·SlotRows blocks per disk per call.  One row left the
+// write-behind flusher stalling on every write of a file-backed sort;
+// four rows double the staging again for little more speed.
+const SlotRows = 2
+
 // PipelineStaging returns the extra arena capacity, in keys, the pipeline
-// configuration reserves: one stripe per prefetch or write-behind slot.
+// configuration reserves: one slot of SlotRows·D·B keys per prefetch or
+// write-behind slot, (P+W)·SlotRows·D·B in all.
 func (c Config) PipelineStaging() int {
-	return (c.Pipeline.Prefetch + c.Pipeline.WriteBehind) * c.D * c.B
+	return (c.Pipeline.Prefetch + c.Pipeline.WriteBehind) * SlotRows * c.D * c.B
 }
 
 // memSlack scales the arena's algorithm envelope: the paper's cleanup
@@ -85,7 +95,8 @@ const memSlack = 2
 
 // ArenaCapacity returns the arena capacity, in keys, an Array built from
 // this configuration provisions: memSlack·M of algorithm envelope, one
-// stripe of scatter/gather staging, and the pipeline's staging.  The
+// stripe of scatter/gather staging, and the pipeline's staging slots
+// (PipelineStaging).  The
 // scheduler reserves exactly this amount per job on its global memory
 // ledger.
 func (c Config) ArenaCapacity() int {
@@ -146,13 +157,19 @@ type Array struct {
 	fanOut bool
 
 	// ext is non-nil iff every disk is an ExtentDisk and none parks its
-	// caller: Stripe.stage then moves one run per disk, not per block.
+	// caller: transferV then moves each disk's consecutive blocks in one
+	// call, not one call per block.
 	ext []ExtentDisk
 
-	mu    sync.Mutex
-	stats Stats
-	alloc rowAllocator
-	trace []TraceOp
+	// freeRuns is transferV's spare per-disk-run scratch (io.go).
+	runsMu   sync.Mutex
+	freeRuns []*runs
+
+	mu      sync.Mutex
+	stats   Stats
+	alloc   rowAllocator
+	trace   []TraceOp
+	perDisk []int // ChargeV's per-disk block counts
 
 	// ckpt/resume are the pass-boundary durability seam (checkpoint.go):
 	// PassDone hands completed-pass manifests to ckpt, and TakeResume
@@ -191,10 +208,11 @@ func NewWithDisks(cfg Config, disks []Disk) (*Array, error) {
 		return nil, fmt.Errorf("pdm: got %d disks, config says D = %d", len(disks), cfg.D)
 	}
 	a := &Array{
-		cfg:   cfg,
-		disks: disks,
-		arena: NewArena(cfg.ArenaCapacity()),
-		pool:  par.NewWithKernel(cfg.Workers, cfg.Limiter, par.AutoKernel(cfg.Mem)),
+		cfg:     cfg,
+		disks:   disks,
+		arena:   NewArena(cfg.ArenaCapacity()),
+		pool:    par.NewWithKernel(cfg.Workers, cfg.Limiter, par.AutoKernel(cfg.Mem)),
+		perDisk: make([]int, cfg.D),
 	}
 	zc := make([]ZeroCopyDisk, 0, len(disks))
 	ext := make([]ExtentDisk, 0, len(disks))

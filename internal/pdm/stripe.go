@@ -246,35 +246,16 @@ func (s *Stripe) UnloadInto(dst []int64) error {
 }
 
 // stage moves the stripe's first len(bufs) logical blocks into or out of
-// bufs, uncharged: with the array's extent capability one run per disk —
-// disk d holds blocks j ≡ d−skew (mod D) at rows row0, row0+1, … — and
-// otherwise every block through TransferV.
+// bufs, uncharged, as one request: on extent-capable arrays transferV makes
+// it one run per disk — disk d holds blocks j ≡ d−skew (mod D) at rows
+// row0, row0+1, … — and otherwise one block call each.
 func (s *Stripe) stage(bufs [][]int64, write bool) error {
 	a := s.a
-	if a.ext == nil {
-		addrs, err := s.addrRange(0, len(bufs)*a.cfg.B)
-		if err != nil {
-			return err
-		}
-		return a.TransferV(addrs, bufs, write)
+	g := a.takeRuns()
+	defer a.putRuns(g)
+	g.addrs = g.addrs[:0]
+	for j := range bufs {
+		g.addrs = append(g.addrs, s.BlockAddr(j))
 	}
-	if err := a.CtxErr(); err != nil {
-		return err
-	}
-	dd := a.cfg.D
-	run := make([][]int64, 0, s.rows)
-	for d, disk := range a.ext {
-		run = run[:0]
-		for j := (d - s.skew + dd) % dd; j < len(bufs); j += dd {
-			run = append(run, bufs[j])
-		}
-		move := disk.ReadBlocks
-		if write {
-			move = disk.WriteBlocks
-		}
-		if err := move(s.row0, run); err != nil {
-			return err
-		}
-	}
-	return nil
+	return a.TransferV(g.addrs, bufs, write)
 }

@@ -25,13 +25,20 @@ import (
 // job and a queued one after a drain.
 func durableScheduler(t *testing.T, dir, jdir string) *repro.Scheduler {
 	t.Helper()
+	pipeline := repro.PipelineConfig{Prefetch: 2, WriteBehind: 2}
+	m, err := repro.NewMachine(repro.MachineConfig{Memory: 1024, Pipeline: pipeline})
+	if err != nil {
+		t.Fatal(err)
+	}
+	envelope := m.Array().Config().ArenaCapacity() // what the scheduler reserves per job
+	m.Close()
 	sch, err := repro.NewScheduler(repro.SchedulerConfig{
-		Memory:     4000,
+		Memory:     6 * envelope / 5,
 		Workers:    2,
 		JobMemory:  1024,
 		Dir:        dir,
 		JournalDir: jdir,
-		Pipeline:   repro.PipelineConfig{Prefetch: 2, WriteBehind: 2},
+		Pipeline:   pipeline,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -37,7 +37,7 @@ func DefaultCalibration(shape Shape) Calibration {
 	var perWord float64
 	switch shape.Backend {
 	case pdm.BackendFile:
-		perWord = 12e-9 // page-cache file I/O plus one syscall per block
+		perWord = 12e-9 // page-cache file I/O plus up to one syscall per block
 	case pdm.BackendMmap:
 		perWord = 4e-9 // page-cache copy through the mapping, no syscall
 	default:
@@ -151,8 +151,9 @@ func probe(pc ProbeConfig) (cal Calibration, err error) {
 	}
 	defer a.Close()
 
-	// I/O probe: probeStripes rows written then read one row per request, as
-	// passes move them (not as staging's extents).  Each disk serves its
+	// I/O probe: probeStripes rows written then read one row per request —
+	// one block per disk per call, a pass's worst case (not staging's
+	// extents or a pipelined pass's slot runs).  Each disk serves its
 	// blocks serially, so wall/rows is the per-step cost of the model.
 	s, err := a.NewStripe(probeStripes * stripe)
 	if err != nil {

@@ -27,11 +27,20 @@
 // their routing and addressing: the records permutation, the partitioned
 // group-by, and the IntegerSort scatter behind RadixSort's rounds.
 //
-// Staging buffers come from the array's Arena: pipelining costs
-// (Prefetch+WriteBehind)·D·B keys of internal memory, charged like any
-// other buffer (the capacity formula in pdm grows by exactly that budget).
-// With a zero pdm.PipelineConfig every constructor degenerates to the
-// synchronous path with no goroutines and no extra memory.
+// Staging is slots of pdm.SlotRows (two) stripe rows, taken from the
+// array's Arena: pipelining costs (Prefetch+WriteBehind)·2·D·B keys of
+// internal memory, charged like any other buffer (the capacity formula in
+// pdm grows by exactly that budget; pdm.Config.PipelineStaging).  The
+// prefetcher fills every free slot in one transfer with the blocks that
+// come next, across chunk boundaries, and a slot is free again only once
+// its last block is consumed; Writer requests fill slots back to back and
+// the flusher coalesces the queued ones.  On extent-capable arrays a
+// transfer moves each disk's consecutive blocks in one call, so a
+// sequential pass at depth 2 moves up to four blocks per disk per call.
+// The slots' memory is recycled through the arena (Arena.Take/Recycle), so
+// a pass reserves and releases it without allocating.  With a zero
+// pdm.PipelineConfig every constructor degenerates to the synchronous path
+// with no goroutines and no extra memory.
 //
 // A Reader, Writer or Scatter must be driven from a single goroutine;
 // distinct ones on one array may run concurrently.

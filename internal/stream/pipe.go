@@ -27,7 +27,7 @@ func Pass(a *pdm.Array, chunks int, readAddrs func(t int) []pdm.BlockAddr, buf [
 	defer r.Close()
 	w := &Writer{a: a, lazy: true}
 	defer w.Close()
-	views := splitBlocks(a, buf)
+	views := carve(&r.views, buf, a.B())
 	for t := 0; t < chunks; t++ {
 		nb, err := r.fill(views, false)
 		if err != nil {

@@ -3,6 +3,7 @@ package stream
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/pdm"
 )
@@ -11,35 +12,37 @@ import (
 // consumed.
 var ErrExhausted = errors.New("stream: read past the final chunk")
 
-// batch is one slot-sized piece of a chunk travelling from the fetcher to
-// the consumer.
-type batch struct {
-	slot    int // index into Reader.slots; -1 when err != nil or empty chunk
-	nblocks int
-	views   [][]int64       // zero-copy block views; nil on the copying path
+// piece is one run of a chunk's blocks inside one slot, travelling from
+// the fetcher to the consumer.  A slot may hold pieces of several chunks,
+// and a chunk may span several slots.
+type piece struct {
+	slot    int             // index into Reader.slots; -1 for an empty chunk or an error
+	lo, hi  int             // the slot's blocks [lo, hi)
+	release bool            // the slot's last piece: the slot is free once it is consumed
 	last    bool            // final piece of its chunk
-	addrs   []pdm.BlockAddr // full chunk address list, set when last
+	addrs   []pdm.BlockAddr // the chunk's address list, set when last
 	err     error
 }
 
 // Reader streams a fixed sequence of vectored read requests ("chunks") with
 // prefetch: chunk t's addresses are produced by addrsOf(t), its data is
-// fetched ahead on a background goroutine into arena-backed stripe buffers,
-// and Fill hands chunks to the consumer in order, charging each one as it
-// is consumed.
+// fetched ahead on a background goroutine into arena-backed slots of
+// pdm.SlotRows stripe rows, and Fill hands chunks to the consumer in order,
+// charging each one as it is consumed.
 type Reader struct {
 	a       *pdm.Array
 	chunks  int
 	addrsOf func(int) []pdm.BlockAddr
 	next    int
 	err     error
+	views   [][]int64 // block views of the caller's buffer (FillFlat, Pass)
 
 	// pipelined mode (nil channels mean synchronous):
-	ring   []int64
+	ring   []int64     // nil on zero-copy arrays: their slots hold borrowed views
+	words  int         // arena keys the slots reserve
 	slots  [][][]int64 // slot -> block views
-	zc     bool        // disks serve borrowed views; slots pace, not stage
 	free   chan int
-	filled chan batch
+	filled chan piece
 	quit   chan struct{}
 	done   chan struct{}
 	closed bool
@@ -56,29 +59,44 @@ func NewReader(a *pdm.Array, chunks int, addrsOf func(int) []pdm.BlockAddr) (*Re
 	if depth == 0 || chunks == 0 {
 		return r, nil
 	}
-	dxb := a.StripeWidth()
-	ring, err := a.Arena().Alloc(depth * dxb)
+	bps := pdm.SlotRows * a.D() // blocks per slot
+	r.words = depth * bps * a.B()
+	var err error
+	if a.ZeroCopy() {
+		// The disks serve borrowed views, so the slots only pace the
+		// prefetch window; their keys are reserved all the same.
+		err = a.Arena().Reserve(r.words)
+	} else {
+		r.ring, err = a.Arena().Take(r.words)
+	}
 	if err != nil {
 		return nil, err
 	}
-	r.ring = ring
-	r.slots = make([][][]int64, depth)
-	r.free = make(chan int, depth)
-	for i := 0; i < depth; i++ {
-		slot := ring[i*dxb : (i+1)*dxb]
-		views := make([][]int64, a.D())
-		for j := range views {
-			views[j] = slot[j*a.B() : (j+1)*a.B()]
-		}
-		r.slots[i] = views
-		r.free <- i
-	}
-	r.zc = a.ZeroCopy()
-	r.filled = make(chan batch, depth)
+	r.slots, r.free = newSlots(r.ring, depth, bps, a.B())
+	// A slot usually carries at most two pieces (the tail of one chunk and
+	// the head of the next), so the fetcher can hand over a whole fill
+	// without waiting on the consumer.
+	r.filled = make(chan piece, 2*depth)
 	r.quit = make(chan struct{})
 	r.done = make(chan struct{})
 	go r.fetch()
 	return r, nil
+}
+
+// newSlots carves ring into depth slots of bps B-key block views, all of
+// them free; a nil ring leaves the views for the caller to set.
+func newSlots(ring []int64, depth, bps, b int) ([][][]int64, chan int) {
+	views := make([][]int64, depth*bps)
+	if ring != nil {
+		carve(&views, ring, b)
+	}
+	slots := make([][][]int64, depth)
+	free := make(chan int, depth)
+	for i := range slots {
+		slots[i] = views[i*bps : (i+1)*bps : (i+1)*bps]
+		free <- i
+	}
+	return slots, free
 }
 
 // NewStripeReader returns a Reader streaming keys [start, start+n) of s
@@ -112,98 +130,116 @@ func stripeChunks(s *pdm.Stripe, start, n, chunkKeys int) (int, func(int) []pdm.
 	}
 }
 
-// fetch is the prefetch goroutine: it walks the chunk sequence, transferring
-// slot-sized pieces into the ring without charging them.  It grabs as many
-// free slots as are immediately available and moves them in one vectored
-// transfer, so the per-request overhead (validation; the per-disk fork on
-// disks that park) is amortized over everything the ring can hold.
+// fetch is the prefetch goroutine.  It waits for one free slot, takes
+// every other free one, and fills them all in one vectored transfer with
+// the blocks that come next in the stream, across chunk boundaries, so the
+// per-request overhead (validation, one call per disk run) is amortized
+// over everything the ring can hold.  Empty chunks pass without a slot.
 func (r *Reader) fetch() {
 	defer close(r.done)
 	defer close(r.filled)
-	bps := r.a.D() // blocks per slot
-	var slots []int
-	bufs := make([][]int64, 0, len(r.slots)*bps)
-	for t := 0; t < r.chunks; t++ {
-		addrs := r.addrsOf(t)
-		if len(addrs) == 0 {
-			if !r.send(batch{slot: -1, last: true, addrs: addrs}) {
+	bps := len(r.slots[0])
+	var (
+		addrs  []pdm.BlockAddr // chunk t's; its blocks from i on are still to fetch
+		t, i   = -1, 0
+		slots  []int
+		req    []pdm.BlockAddr
+		bufs   [][]int64
+		pieces []piece
+	)
+	// advance moves the cursor to the next chunk, reporting an empty one.
+	advance := func() bool {
+		t++
+		addrs, i = r.addrsOf(t), 0
+		return len(addrs) == 0
+	}
+	for {
+		for i == len(addrs) {
+			if t+1 == r.chunks {
 				return
 			}
-			continue
+			if advance() && !r.send(piece{slot: -1, last: true, addrs: addrs}) {
+				return
+			}
 		}
-		for i := 0; i < len(addrs); {
-			// One blocking slot acquisition, then take whatever else is
-			// free (bounded by what the chunk still needs).
-			slots = slots[:0]
+		slots = slots[:0]
+		select {
+		case s := <-r.free:
+			slots = append(slots, s)
+		case <-r.quit:
+			return
+		}
+	greedy:
+		for {
 			select {
 			case s := <-r.free:
 				slots = append(slots, s)
-			case <-r.quit:
+			default:
+				break greedy
+			}
+		}
+		req, bufs, pieces = req[:0], bufs[:0], pieces[:0]
+		si, k, held := 0, 0, -1 // slot being filled, its blocks so far, its last piece
+		for si < len(slots) && i < len(addrs) {
+			n := min(len(addrs)-i, bps-k)
+			s := slots[si]
+			req = append(req, addrs[i:i+n]...)
+			bufs = append(bufs, r.slots[s][k:k+n]...)
+			p := piece{slot: s, lo: k, hi: k + n}
+			if i += n; i == len(addrs) {
+				p.last, p.addrs = true, addrs
+			}
+			if k += n; k == bps {
+				p.release, si, k = true, si+1, 0
+			}
+			held, pieces = len(pieces), append(pieces, p)
+			for i == len(addrs) && si < len(slots) && t+1 < r.chunks {
+				if advance() {
+					pieces = append(pieces, piece{slot: -1, last: true, addrs: addrs})
+				}
+			}
+		}
+		if k > 0 { // the stream ended inside slot si
+			pieces[held].release = true
+			si++
+		}
+		for _, s := range slots[si:] {
+			r.free <- s
+		}
+		if err := r.transfer(req, bufs, pieces); err != nil {
+			r.send(piece{slot: -1, err: err})
+			return
+		}
+		for _, p := range pieces {
+			if !r.send(p) {
 				return
 			}
-			need := (len(addrs) - i + bps - 1) / bps
-		greedy:
-			for len(slots) < need {
-				select {
-				case s := <-r.free:
-					slots = append(slots, s)
-				default:
-					break greedy
-				}
-			}
-			j := i + len(slots)*bps
-			if j > len(addrs) {
-				j = len(addrs)
-			}
-			var views [][]int64
-			if r.zc {
-				// Zero-copy backends serve the blocks as direct views, so
-				// the ring slots only pace the prefetch window — no staging
-				// transfer happens here.  Borrowing fails exactly where a
-				// TransferV would (unwritten block, canceled context).
-				var err error
-				views, err = r.a.BorrowReadV(addrs[i:j])
-				if err != nil {
-					r.send(batch{slot: -1, err: err})
-					return
-				}
-			} else {
-				bufs = bufs[:0]
-				for k := i; k < j; k++ {
-					s := slots[(k-i)/bps]
-					bufs = append(bufs, r.slots[s][(k-i)%bps])
-				}
-				if err := r.a.TransferV(addrs[i:j], bufs, false); err != nil {
-					r.send(batch{slot: -1, err: err})
-					return
-				}
-			}
-			for si, s := range slots {
-				lo := i + si*bps
-				hi := lo + bps
-				if hi > j {
-					hi = j
-				}
-				bt := batch{slot: s, nblocks: hi - lo}
-				if views != nil {
-					bt.views = views[lo-i : hi-i]
-				}
-				if hi == len(addrs) {
-					bt.last = true
-					bt.addrs = addrs
-				}
-				if !r.send(bt) {
-					return
-				}
-			}
-			i = j
 		}
 	}
 }
 
-func (r *Reader) send(bt batch) bool {
+// transfer moves one fill's request into its slots, uncharged.  Zero-copy
+// arrays borrow the blocks instead, into the slots' views; borrowing fails
+// exactly where a TransferV would (unwritten block, canceled context).
+func (r *Reader) transfer(req []pdm.BlockAddr, bufs [][]int64, pieces []piece) error {
+	if r.ring != nil {
+		return r.a.TransferV(req, bufs, false)
+	}
+	views, err := r.a.BorrowReadV(req)
+	if err != nil {
+		return err
+	}
+	for _, p := range pieces {
+		if p.slot >= 0 {
+			views = views[copy(r.slots[p.slot][p.lo:p.hi], views):]
+		}
+	}
+	return nil
+}
+
+func (r *Reader) send(p piece) bool {
 	select {
-	case r.filled <- bt:
+	case r.filled <- p:
 		return true
 	case <-r.quit:
 		return false
@@ -253,54 +289,50 @@ func (r *Reader) fill(bufs [][]int64, exact bool) (int, error) {
 	}
 	idx := 0
 	stalled := false
-	first := true
-	for {
-		var bt batch
+	for first := true; ; first = false {
+		var p piece
 		var ok bool
 		if first {
 			select {
-			case bt, ok = <-r.filled:
+			case p, ok = <-r.filled:
 			default:
 				stalled = true
-				bt, ok = <-r.filled
+				p, ok = <-r.filled
 			}
-			first = false
 		} else {
-			bt, ok = <-r.filled
+			p, ok = <-r.filled
 		}
 		if !ok {
 			r.err = fmt.Errorf("stream: prefetcher ended early at chunk %d", t)
 			return 0, r.err
 		}
-		if bt.err != nil {
-			r.err = bt.err
+		if p.err != nil {
+			r.err = p.err
 			return 0, r.err
 		}
-		if bt.slot >= 0 {
-			if idx+bt.nblocks > len(bufs) {
+		if p.slot >= 0 {
+			if idx+p.hi-p.lo > len(bufs) {
 				r.err = fmt.Errorf("stream: chunk %d has more blocks than the %d buffers provided", t, len(bufs))
 				return 0, r.err
 			}
-			for k := 0; k < bt.nblocks; k++ {
-				if len(bufs[idx+k]) != r.a.B() {
+			for _, src := range r.slots[p.slot][p.lo:p.hi] {
+				if len(bufs[idx]) != r.a.B() {
 					r.err = pdm.ErrBadBlock
 					return 0, r.err
 				}
-				src := r.slots[bt.slot][k]
-				if bt.views != nil {
-					src = bt.views[k]
-				}
-				copy(bufs[idx+k], src)
+				copy(bufs[idx], src)
+				idx++
 			}
-			idx += bt.nblocks
-			r.free <- bt.slot
+			if p.release {
+				r.free <- p.slot
+			}
 		}
-		if bt.last {
-			if (exact && idx != len(bufs)) || idx != len(bt.addrs) {
-				r.err = fmt.Errorf("stream: chunk %d has %d blocks, %d buffers provided", t, len(bt.addrs), len(bufs))
+		if p.last {
+			if (exact && idx != len(bufs)) || idx != len(p.addrs) {
+				r.err = fmt.Errorf("stream: chunk %d has %d blocks, %d buffers provided", t, len(p.addrs), len(bufs))
 				return 0, r.err
 			}
-			r.a.ChargeV(bt.addrs, false)
+			r.a.ChargeV(p.addrs, false)
 			r.a.RecordPrefetch(!stalled)
 			r.next++
 			return idx, nil
@@ -310,12 +342,13 @@ func (r *Reader) fill(bufs [][]int64, exact bool) (int, error) {
 
 // FillFlat is Fill into a flat buffer carved into B-key block views.
 func (r *Reader) FillFlat(dst []int64) error {
-	return r.Fill(splitBlocks(r.a, dst))
+	return r.Fill(carve(&r.views, dst, r.a.B()))
 }
 
-// Close stops the prefetcher and returns the ring to the arena.  It is safe
-// to call mid-stream (e.g. when a pass aborts) and idempotent; prefetched
-// but unconsumed chunks were never charged, so accounting still matches the
+// Close stops the prefetcher and returns the slots to the arena.  It is
+// safe to call mid-stream (e.g. when a pass aborts, even with a slot shared
+// by a consumed and an unconsumed chunk) and idempotent; prefetched but
+// unconsumed chunks were never charged, so accounting still matches the
 // aborted synchronous execution.
 func (r *Reader) Close() {
 	if r.closed {
@@ -327,15 +360,22 @@ func (r *Reader) Close() {
 	}
 	close(r.quit)
 	<-r.done
-	r.a.Arena().Free(r.ring)
-	r.ring = nil
+	if r.ring != nil {
+		r.a.Arena().Recycle(r.ring)
+		r.ring = nil
+	} else {
+		r.a.Arena().Release(r.words)
+	}
 }
 
-func splitBlocks(a *pdm.Array, flat []int64) [][]int64 {
-	b := a.B()
-	bufs := make([][]int64, len(flat)/b)
-	for i := range bufs {
-		bufs[i] = flat[i*b : (i+1)*b]
+// carve points *views at flat's B-key blocks, reusing its storage, and
+// returns them.
+func carve(views *[][]int64, flat []int64, b int) [][]int64 {
+	n := len(flat) / b
+	v := slices.Grow((*views)[:0], n)[:n]
+	for i := range v {
+		v[i] = flat[i*b : (i+1)*b]
 	}
-	return bufs
+	*views = v
+	return v
 }

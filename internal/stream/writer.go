@@ -7,28 +7,34 @@ import (
 )
 
 // wjob is one unit of work for the flusher: either a staged slot to write
-// out or a flush token to acknowledge.
+// out (its first nblocks blocks, at the slot's addresses) or a flush token
+// to acknowledge.
 type wjob struct {
 	slot    int
 	nblocks int
-	addrs   []pdm.BlockAddr
 	flush   chan error
 }
 
 // Writer performs write-behind: Write charges the request immediately (the
 // point where the synchronous code would have issued it), copies the data
-// into arena-backed staging, and returns while a background goroutine
-// performs the physical transfer.  Requests are flushed in submission
-// order.  The producer must Flush (or Close) before anything reads the
-// written blocks, and must Close on every path to return the staging to
-// the arena.
+// into arena-backed staging slots of pdm.SlotRows stripe rows, and returns
+// while a background goroutine performs the physical transfer.  Requests
+// fill the slots back to back, and a slot goes to the flusher when it is
+// full or at Flush, so consecutive short requests still leave in one call
+// per disk run.  Slots are flushed in submission order.  The producer must
+// Flush (or Close) before anything reads the written blocks, and must
+// Close on every path to return the staging to the arena.
 type Writer struct {
 	a     *pdm.Array
+	views [][]int64 // block views of WriteFlat's source
 	ring  []int64
-	slots [][][]int64
+	slots [][][]int64       // slot -> block views
+	addrs [][]pdm.BlockAddr // slot -> its blocks' addresses
 	free  chan int
 	jobs  chan wjob
 	done  chan struct{}
+	open  int // the slot Write is filling, -1 for none
+	fill  int // blocks in the open slot
 
 	mu     sync.Mutex
 	ferr   error // first flusher error
@@ -55,23 +61,19 @@ func (w *Writer) start() error {
 	if depth == 0 {
 		return nil
 	}
-	dxb := a.StripeWidth()
-	ring, err := a.Arena().Alloc(depth * dxb)
+	bps := pdm.SlotRows * a.D() // blocks per slot
+	ring, err := a.Arena().Take(depth * bps * a.B())
 	if err != nil {
 		return err
 	}
 	w.ring = ring
-	w.slots = make([][][]int64, depth)
-	w.free = make(chan int, depth)
-	for i := 0; i < depth; i++ {
-		slot := ring[i*dxb : (i+1)*dxb]
-		views := make([][]int64, a.D())
-		for j := range views {
-			views[j] = slot[j*a.B() : (j+1)*a.B()]
-		}
-		w.slots[i] = views
-		w.free <- i
+	w.slots, w.free = newSlots(ring, depth, bps, a.B())
+	addrs := make([]pdm.BlockAddr, depth*bps)
+	w.addrs = make([][]pdm.BlockAddr, depth)
+	for i := range w.addrs {
+		w.addrs[i] = addrs[i*bps : (i+1)*bps : (i+1)*bps]
 	}
+	w.open = -1
 	w.jobs = make(chan wjob, depth)
 	w.done = make(chan struct{})
 	go w.drain()
@@ -95,7 +97,7 @@ func (w *Writer) drain() {
 		if job.flush != nil {
 			flush = job.flush
 		} else {
-			addrs = append(addrs, job.addrs...)
+			addrs = append(addrs, w.addrs[job.slot][:job.nblocks]...)
 			bufs = append(bufs, w.slots[job.slot][:job.nblocks]...)
 			held = append(held, job.slot)
 			// Coalesce whatever else is already queued, stopping at a
@@ -112,7 +114,7 @@ func (w *Writer) drain() {
 						flush = next.flush
 						break greedy
 					}
-					addrs = append(addrs, next.addrs...)
+					addrs = append(addrs, w.addrs[next.slot][:next.nblocks]...)
 					bufs = append(bufs, w.slots[next.slot][:next.nblocks]...)
 					held = append(held, next.slot)
 				default:
@@ -185,36 +187,38 @@ func (w *Writer) Write(addrs []pdm.BlockAddr, bufs [][]int64) error {
 		return nil
 	}
 	w.a.ChargeV(addrs, true)
-	bps := w.a.D()
 	stalled := false
-	for i := 0; i < len(addrs); i += bps {
-		j := i + bps
-		if j > len(addrs) {
-			j = len(addrs)
+	for i := 0; i < len(addrs); {
+		if w.open < 0 {
+			select {
+			case w.open = <-w.free:
+			default:
+				stalled = true
+				w.open = <-w.free
+			}
 		}
-		var slot int
-		select {
-		case slot = <-w.free:
-		default:
-			stalled = true
-			slot = <-w.free
+		n := copy(w.addrs[w.open][w.fill:], addrs[i:])
+		for k, buf := range bufs[i : i+n] {
+			copy(w.slots[w.open][w.fill+k], buf)
 		}
-		for k := i; k < j; k++ {
-			copy(w.slots[slot][k-i], bufs[k])
+		i += n
+		if w.fill += n; w.fill == len(w.slots[w.open]) {
+			w.queue()
 		}
-		// The caller may reuse addrs after Write returns; the job keeps its
-		// own copy.
-		sub := make([]pdm.BlockAddr, j-i)
-		copy(sub, addrs[i:j])
-		w.jobs <- wjob{slot: slot, nblocks: j - i, addrs: sub}
 	}
 	w.a.RecordWriteBehind(!stalled)
 	return nil
 }
 
+// queue hands the open slot to the flusher.
+func (w *Writer) queue() {
+	w.jobs <- wjob{slot: w.open, nblocks: w.fill}
+	w.open, w.fill = -1, 0
+}
+
 // WriteFlat is Write from a flat buffer carved into B-key block views.
 func (w *Writer) WriteFlat(addrs []pdm.BlockAddr, src []int64) error {
-	return w.Write(addrs, splitBlocks(w.a, src))
+	return w.Write(addrs, carve(&w.views, src, w.a.B()))
 }
 
 // Flush blocks until every submitted request has reached the disks and
@@ -225,6 +229,9 @@ func (w *Writer) Flush() error {
 	}
 	if w.jobs == nil {
 		return nil
+	}
+	if w.open >= 0 {
+		w.queue()
 	}
 	ack := make(chan error, 1)
 	w.jobs <- wjob{flush: ack}
@@ -246,7 +253,7 @@ func (w *Writer) Close() error {
 	if w.jobs != nil {
 		close(w.jobs)
 		<-w.done
-		w.a.Arena().Free(w.ring)
+		w.a.Arena().Recycle(w.ring)
 		w.ring = nil
 	}
 	if w.err == nil {

@@ -9,6 +9,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -58,8 +59,8 @@ func startDaemon(t *testing.T, bin, addr, scratch, jdir string) *exec.Cmd {
 	t.Helper()
 	cmd := exec.Command(bin,
 		"-addr", addr,
-		"-mem", "4000",
-		"-jobmem", "1024",
+		"-mem", strconv.Itoa(6*schedEnvelope/5), // one job envelope at pdmd's default depth 2/2
+		"-jobmem", strconv.Itoa(schedJobMem),
 		"-workers", "2",
 		"-scratch", scratch,
 		"-journal", jdir,

@@ -93,8 +93,9 @@ type MachineConfig struct {
 	// Zero selects √M/4, the paper's running example C = 4.
 	Disks int
 	// Dir, when non-empty, backs each disk with a real file in that
-	// directory (one pread/pwrite or mapped copy per block a pass moves,
-	// one extent per disk to load and unload); otherwise in memory.
+	// directory (one pread/pwrite per run of consecutive blocks a disk
+	// moves, or a mapped copy per block; one extent per disk to load and
+	// unload); otherwise in memory.
 	Dir string
 	// Backend selects the file-backed disk implementation when Dir is set:
 	// BackendFile (the default, read/write syscalls through pdm.FileDisk)
@@ -128,12 +129,12 @@ type MachineConfig struct {
 	ReuseDisks bool
 }
 
-// PipelineConfig sizes the streaming I/O layer.  Depths are in stripes
-// (Disks·√Memory keys each): Prefetch is how many stripe buffers a streamed
-// read may run ahead of the consumer, WriteBehind how many a streamed write
-// may lag behind the producer.  The staging comes out of the machine's
-// metered internal memory, on top of the algorithms' own envelope.  Zero
-// depths mean fully synchronous I/O.
+// PipelineConfig sizes the streaming I/O layer.  Depths are in slots of
+// two stripe rows (2·Disks·√Memory keys each): Prefetch is how many slots
+// a streamed read may fill ahead of the consumer, WriteBehind how many a
+// streamed write may hold behind the producer.  The staging comes out of
+// the machine's metered internal memory, on top of the algorithms' own
+// envelope.  Zero depths mean fully synchronous I/O.
 type PipelineConfig = pdm.PipelineConfig
 
 // Disk backend names for MachineConfig.Backend, SchedulerConfig.Backend,

@@ -27,7 +27,7 @@ func scenarioJobOracle(t *testing.T, w *WorkloadSpec) []int64 {
 
 func TestSchedulerScenarioJobs(t *testing.T) {
 	s, err := NewScheduler(SchedulerConfig{
-		Memory:    11000,
+		Memory:    33 * schedEnvelope / 10, // roughly three job envelopes
 		Workers:   4,
 		JobMemory: schedJobMem,
 		Pipeline:  PipelineConfig{Prefetch: 2, WriteBehind: 2},

@@ -20,6 +20,17 @@ import (
 
 const schedJobMem = 1024
 
+// schedEnvelope is the memory the scheduler reserves for one schedJobMem
+// job at the tests' pipeline depth 2/2: its array's ArenaCapacity().  The
+// budgets below are stated as multiples of it.
+var schedEnvelope = func() int {
+	pcfg, _, err := resolveConfig(MachineConfig{Memory: schedJobMem, Pipeline: PipelineConfig{Prefetch: 2, WriteBehind: 2}})
+	if err != nil {
+		panic(err)
+	}
+	return pcfg.ArenaCapacity()
+}()
+
 // schedCase is one job: an algorithm (or radix universe) plus an input.
 type schedCase struct {
 	name     string
@@ -90,7 +101,7 @@ func TestSchedulerBitIdenticalConcurrent(t *testing.T) {
 	}
 
 	s, err := NewScheduler(SchedulerConfig{
-		Memory:    11000, // roughly three job envelopes: real contention
+		Memory:    33 * schedEnvelope / 10, // roughly three job envelopes: real contention
 		Workers:   4,
 		JobMemory: schedJobMem,
 		Pipeline:  PipelineConfig{Prefetch: 2, WriteBehind: 2},
@@ -180,7 +191,7 @@ func TestSchedulerBitIdenticalConcurrent(t *testing.T) {
 // whole envelope so the queued job behind it runs.
 func TestSchedulerCancelReleasesEnvelope(t *testing.T) {
 	s, err := NewScheduler(SchedulerConfig{
-		Memory:    4000, // one job envelope: the second job must queue
+		Memory:    6 * schedEnvelope / 5, // one job envelope: the second job must queue
 		Workers:   2,
 		JobMemory: schedJobMem,
 		Pipeline:  PipelineConfig{Prefetch: 2, WriteBehind: 2},
@@ -273,7 +284,7 @@ func TestSchedulerCancelReleasesEnvelope(t *testing.T) {
 // pass count, and the aggregate stats must balance.
 func TestSchedulerThroughputMixed(t *testing.T) {
 	s, err := NewScheduler(SchedulerConfig{
-		Memory:    8000, // two envelopes
+		Memory:    12 * schedEnvelope / 5, // two envelopes
 		Workers:   4,
 		JobMemory: schedJobMem,
 		Pipeline:  PipelineConfig{Prefetch: 2, WriteBehind: 2},
