@@ -293,7 +293,13 @@ func LMMMergeSteps(mem, d, l int) (read, write int) {
 
 // mergePartGroups performs the (l,m)-merge's middle pass (ThreePass2
 // step 3): for each part index j, gather part j of every run (l·partLen ≤ M
-// keys), k-way merge them into L_j, and write the results out — one pass.
+// keys), merge them into L_j, and write the results out — one pass.
+//
+// L_j is block-exact, not sorted: every B-key block of it holds exactly the
+// keys of its ranks, in unspecified order (par.Pool.MergeBlocks).  That is
+// all the shuffle pass reads from it — each of its memory loads is whole
+// blocks of every L_j, sorted from scratch (shuffleCleanup) — so the
+// merge's order inside a block would be thrown away.
 //
 // Groups are processed mergeSkewStep's batch at a time (the last batch may
 // be short), and a batch's output blocks are interleaved round-robin on one
@@ -326,6 +332,7 @@ func mergePartGroups(a *pdm.Array, runs []*pdm.Stripe, partLen, m int) ([]seqVie
 	}
 	defer a.Arena().Free(out)
 	pool := a.Pool()
+	leaf := par.NewWithKernel(1, nil, pool.Kernel())
 	merged := make([]seqView, m)
 	var backing []*pdm.Stripe
 	lanes := make([][]int64, l)
@@ -350,15 +357,16 @@ func mergePartGroups(a *pdm.Array, runs []*pdm.Stripe, partLen, m int) ([]seqVie
 	}
 	err = stream.Pass(a, memsort.CeilDiv(m, batch), gather, in, func(bi int, chunk []int64, w *stream.Writer) error {
 		gs := len(chunk) / group
-		// Merge each group in the batch: a single resident group gets the
-		// pool's merge (splitter-cut across the workers when it is large
-		// enough to pay), several split across the workers group-wise —
-		// either way bit-identical to the serial loser tree.
+		// Merge each group in the batch, block-exactly: a single resident
+		// group gets the pool's merge (cut across the workers when it is
+		// large enough to pay), several split across the workers group-wise,
+		// each merged by a one-worker pool so that no For leaf forks.  The
+		// bytes are the same at every width either way.
 		if gs == 1 {
 			for i := range runs {
 				lanes[i] = chunk[i*partLen : (i+1)*partLen]
 			}
-			pool.MultiMerge(out[:group], lanes)
+			pool.MergeBlocks(out[:group], lanes, g.b)
 		} else {
 			pool.For(gs*group, gs, func(_, lo, hi int) {
 				glanes := make([][]int64, l)
@@ -366,7 +374,7 @@ func mergePartGroups(a *pdm.Array, runs []*pdm.Stripe, partLen, m int) ([]seqVie
 					for i := 0; i < l; i++ {
 						glanes[i] = chunk[gj*group+i*partLen : gj*group+(i+1)*partLen]
 					}
-					pool.MergeSegment(out[gj*group:(gj+1)*group], glanes)
+					leaf.MergeBlocks(out[gj*group:(gj+1)*group], glanes, g.b)
 				}
 			})
 		}
@@ -424,6 +432,9 @@ func shuffleCleanup(a *pdm.Array, seqs []seqView, chunk int, emit emitFunc) erro
 		return fmt.Errorf("core: chunk %d not divisible by %d sequences", chunk, nseq)
 	}
 	per := chunk / nseq
+	// Whole blocks per sequence is also what lets ThreePass2's L_j be
+	// block-exact rather than sorted (mergePartGroups): a load of whole
+	// blocks holds the same keys either way, and it is sorted here.
 	if per%g.b != 0 {
 		return fmt.Errorf("core: per-sequence chunk share %d not a multiple of B = %d", per, g.b)
 	}

@@ -12,9 +12,15 @@ import (
 //	pass 1: form l = N/M sorted runs of M keys, written unshuffled into
 //	        m = √M parts of √M keys each (steps 1–2 combined);
 //	pass 2: for each part index j, merge part j of every run in memory
-//	        (l·√M ≤ M records per merge, step 3);
+//	        (l·√M ≤ M records per merge, step 3) into L_j;
 //	pass 3: shuffle the merged sequences and repair the ≤ l·m ≤ M dirtiness
 //	        with the rolling local sort (step 4).
+//
+// Pass 2 makes each L_j block-exact rather than sorted — every B-key block
+// holds exactly the keys of its ranks, in unspecified order — because pass
+// 3 reads L_j a whole block at a time and sorts what it reads.  Pass counts,
+// I/O and output are those of a sorted L_j; only the order inside pass 2's
+// scratch blocks is left to the merge kernel.
 //
 // Passes 1 and 3 always take exactly one pass.  Pass 2 merges its groups in
 // batches sized to whole D-block steps (mergeSkewStep): exactly one pass

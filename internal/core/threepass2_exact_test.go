@@ -1,7 +1,11 @@
 package core_test
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
+	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -86,4 +90,133 @@ func TestThreePass2ExactAtEveryL(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestThreePass2BlockExactMerge runs ThreePass2 where pass 2 takes the
+// block merge — groups of l·√M ≥ 4096 keys: one group per batch at
+// M = 4096, D = 16, l = 64, two at M = 16Ki, D = 64, l = 32 — on uniform
+// keys, on keys padded with MaxInt64 sentinels the way the facade pads an N
+// that is not a multiple of M, and on seven-valued duplicates, at Workers 1
+// and 8.  The output is slices.Sort's; at the pass-2 boundary every L_j,
+// read uncharged through the manifest's views, is block-exact (each B-key
+// block holds the keys of its ranks); and the backing stripes hash the same
+// at both widths, because a checkpoint may resume at another width.  On
+// uniform keys some block is unsorted, which shows the block kernel ran.
+func TestThreePass2BlockExactMerge(t *testing.T) {
+	for _, g := range []struct{ mem, d, l int }{{4096, 16, 64}, {16384, 64, 32}} {
+		n := g.l * g.mem
+		rng := rand.New(rand.NewSource(5))
+		inputs := map[string][]int64{
+			"uniform": workload.Uniform(n, -1<<40, 1<<40, 5),
+			"padded":  append(workload.Uniform(n-1000, -1<<40, 1<<40, 6), slices.Repeat([]int64{math.MaxInt64}, 1000)...),
+			"dup7":    make([]int64, n),
+		}
+		for i := range inputs["dup7"] {
+			inputs["dup7"][i] = rng.Int63n(7)
+		}
+		for name, data := range inputs {
+			t.Run(fmt.Sprintf("M=%d/l=%d/%s", g.mem, g.l, name), func(t *testing.T) {
+				want := slices.Clone(data)
+				slices.Sort(want)
+				var hashes []uint64
+				for _, workers := range []int{1, 8} {
+					hash, unsorted := runBlockExactPass2(t, g.mem, g.d, workers, data, want)
+					if name == "uniform" && unsorted == 0 {
+						t.Fatal("every pass-2 block came back sorted: the block merge did not run")
+					}
+					hashes = append(hashes, hash)
+				}
+				if hashes[0] != hashes[1] {
+					t.Fatalf("pass-2 backing stripes differ between Workers 1 and 8 (%x, %x)", hashes[0], hashes[1])
+				}
+			})
+		}
+	}
+}
+
+// runBlockExactPass2 is one TestThreePass2BlockExactMerge run: it checks
+// the output and L_j's block exactness, and returns the hash of pass 2's
+// backing stripes and how many of L_j's blocks were unsorted.
+func runBlockExactPass2(t *testing.T, mem, d, workers int, data, want []int64) (hash uint64, unsorted int) {
+	t.Helper()
+	sq := memsort.Isqrt(mem)
+	a, err := pdm.New(pdm.Config{D: d, B: sq, Mem: mem, Workers: workers,
+		Pipeline: pdm.PipelineConfig{Prefetch: 2, WriteBehind: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	in, err := a.NewStripe(len(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := in.Load(data); err != nil {
+		t.Fatal(err)
+	}
+	a.SetCheckpointer(func(cp pdm.Checkpoint) error {
+		if cp.Pass != 2 {
+			return nil
+		}
+		h := fnv.New64a()
+		for _, ref := range cp.Stripes["backing"] {
+			h.Write(wordBytes(readRef(t, a, ref, 0, 1, ref.Keys/sq)))
+		}
+		hash = h.Sum64()
+		for _, v := range cp.Views {
+			lj := readRef(t, a, cp.Stripes["backing"][v.Stripe], v.StartBlk, v.StrideBlk, v.Keys/sq)
+			sorted := slices.Clone(lj)
+			slices.Sort(sorted)
+			for s := 0; s < len(lj); s += sq {
+				blk := slices.Clone(lj[s : s+sq])
+				if !slices.IsSorted(blk) {
+					unsorted++
+				}
+				slices.Sort(blk)
+				if !slices.Equal(blk, sorted[s:s+sq]) {
+					t.Fatalf("workers=%d: L_j block at %d does not hold the keys of its ranks", workers, s)
+				}
+			}
+		}
+		return nil
+	})
+	res, err := core.ThreePass2(a, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := res.Out.Unload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("workers=%d: output is not the sorted input", workers)
+	}
+	return hash, unsorted
+}
+
+// readRef reads, uncharged, blocks start, start+stride, … (count of them)
+// of the stripe ref names.
+func readRef(t *testing.T, a *pdm.Array, ref pdm.StripeRef, start, stride, count int) []int64 {
+	t.Helper()
+	b, d := a.B(), a.D()
+	out := make([]int64, count*b)
+	addrs := make([]pdm.BlockAddr, count)
+	bufs := make([][]int64, count)
+	for k := range addrs {
+		j := start + k*stride
+		addrs[k] = pdm.BlockAddr{Disk: (j + ref.Skew) % d, Off: ref.Row0 + j/d}
+		bufs[k] = out[k*b : (k+1)*b]
+	}
+	if err := a.TransferV(addrs, bufs, false); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// wordBytes is the little-endian encoding of keys, for hashing.
+func wordBytes(keys []int64) []byte {
+	out := make([]byte, 0, 8*len(keys))
+	for _, k := range keys {
+		out = binary.LittleEndian.AppendUint64(out, uint64(k))
+	}
+	return out
 }

@@ -1,6 +1,8 @@
 // Package memsort provides the in-core sorting kernels used inside every
 // pass of the PDM algorithms: a comparison introsort (Keys) and an LSD
-// radix sort (RadixKeys) for raw key slices, binary and k-way
+// radix sort (RadixKeys) for raw key slices, an MSD radix split that stops
+// at block exactness (RadixBlocks: every aligned block holds the keys of
+// its ranks, for consumers that re-sort each block), binary and k-way
 // (loser-tree) merges, small utilities (sortedness checks, reversal,
 // min/max), and the repository's one selection routine: Select(a, k)
 // leaves a sorted a's k-th key at a[k], a[:k] ≤ a[k] ≤ a[k+1:], in

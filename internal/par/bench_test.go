@@ -120,6 +120,34 @@ func BenchmarkKernelMultiMerge(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelMergeBlocks pairs the block merge pass 2 of the
+// (l,m)-merge runs (MergeBlocks at B = 256, the bench machine's block) with
+// the full merge it replaced (MultiMerge), under the radix kernel, at l ∈
+// {16, 64} lanes of 256 keys — uniform, MaxInt64-padded, seven-valued and
+// runs-shaped lanes.  The block column must not lose on any shape.
+func BenchmarkKernelMergeBlocks(b *testing.B) {
+	const per = 256
+	for _, shape := range []string{"uniform", "max-padded", "duplicates-heavy", "runs"} {
+		for _, k := range []int{16, 64} {
+			lanes := shapedLanes(shape, k, per)
+			for _, merge := range []string{"full", "blocks"} {
+				b.Run(fmt.Sprintf("%s/%dx%d/%s", shape, k, per, merge), func(b *testing.B) {
+					pool := NewWithKernel(1, nil, KernelRadix)
+					dst := make([]int64, k*per)
+					b.SetBytes(int64(8 * k * per))
+					for i := 0; i < b.N; i++ {
+						if merge == "full" {
+							pool.MultiMerge(dst, lanes)
+						} else {
+							pool.MergeBlocks(dst, lanes, per)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
 // BenchmarkWorkersPrimitives pairs workers=1 against workers=GOMAXPROCS for
 // the pool's other forked operations at a load size and well above it: For
 // with its lightest body (a memmove), Transpose, and the in-place SymMerge

@@ -24,7 +24,10 @@
 // lanes hand over long runs and leaves gallop mode for good when the mean
 // run collapses to about a key, as it does on uniform keys; the radix
 // kernel then copies the lanes' suffixes to the output tail and radix-sorts
-// it, the comparison kernel pops the loser tree key by key.  KernelAuto
+// it, the comparison kernel pops the loser tree key by key.  MergeBlocks is
+// the merge for callers that re-sort every block they read (the
+// (l,m)-merge's pass 2): under the radix kernel it only splits the tail
+// until every aligned block holds the keys of its ranks.  KernelAuto
 // picks radix at and above a fixed size threshold (AutoKernel), which
 // pdm.NewWithDisks applies to the machine's memory-load size; no layer
 // above this package carries a kernel option, and like the worker count
@@ -35,7 +38,9 @@
 // counterpart for any worker count and any kernel — sorting and merging
 // int64 multisets have a unique result, and the partition boundaries are
 // exact ranks — so parallelism changes wall-clock only, never pass
-// counts, statistics, or I/O traces.  No operation allocates from the pdm
+// counts, statistics, or I/O traces.  MergeBlocks' output is identical at
+// every worker count too (its segments depend on the output size alone);
+// across kernels only the order inside its blocks differs.  No operation allocates from the pdm
 // Arena: the sorts and merges are in-place or write caller-provided
 // buffers, keeping the paper's memory envelope untouched.  The radix
 // kernel does need one load of Go-heap scratch, for a sort and for the tail

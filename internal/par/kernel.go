@@ -8,14 +8,16 @@ import (
 
 // Kernel names the in-memory sort kernel a Pool uses for load sorts
 // (SortKeys, SortKeysScratch, SortSegment) and for the tail of its k-way
-// merges (MultiMerge, MergeSegment).  Nothing above this package selects
+// merges (MultiMerge, MergeBlocks).  Nothing above this package selects
 // one: pdm.NewWithDisks asks AutoKernel for the machine's memory-load size,
 // and only this package's tests and benchmarks force a kernel (as the
 // reference for the other).  The kernel changes only how a memory load gets
 // sorted — wall-clock and allocation behaviour — never the resulting keys,
 // so both are bit-identical on output, stats, and traces (the root
 // determinism suite proves it per algorithm on either side of AutoKernel's
-// threshold).
+// threshold).  The one place the kernels leave different bytes is inside
+// MergeBlocks' blocks, whose order is unspecified by contract: the radix
+// kernel leaves them block-exact, the comparison kernel sorted.
 type Kernel string
 
 const (
@@ -30,7 +32,8 @@ const (
 	// KernelRadix is the LSD radix sort (memsort.RadixKeys): one move per
 	// key per 9-bit digit of the load's key span, needs len(a) scratch,
 	// wins on uniform keys at memory-load sizes.  It is also what finishes a
-	// k-way merge whose lanes interleave too finely to gallop (MergeSegment).
+	// k-way merge whose lanes interleave too finely to gallop (MultiMerge),
+	// and MergeBlocks' block-exact split (memsort.RadixBlocks).
 	KernelRadix Kernel = "radix"
 )
 

@@ -5,7 +5,7 @@ import "repro/internal/memsort"
 // MultiMerge merges k sorted lanes into dst (len = total lane length),
 // across the workers when every worker's share reaches mergeGrain: the
 // output range is cut at exact global ranks by memsort.CutLanes, and each
-// worker runs MergeSegment's serial merge on its own slice of every lane
+// worker runs the serial merge on its own slice of every lane
 // into its own slice of dst.  dst must not alias the lanes, which are only
 // read.  The output is bit-identical to memsort.MultiMerge for any worker
 // count and kernel.
@@ -28,24 +28,103 @@ func (p *Pool) MultiMerge(dst []int64, lanes [][]int64) {
 	done()
 }
 
-// MergeSegment merges the sorted lanes into dst (len = total lane length)
-// serially on the calling goroutine — the leaf for callers that manage their
-// own parallelism, as SortSegment is for sorts.  The merge is adaptive, the
-// way TimSort's min-gallop is: the loser tree gallops (memsort.MergeRuns)
-// while the lanes hand over long runs, so presorted, clustered or disjoint
-// lanes merge at bulk-copy speed; when the mean run collapses to about a key
-// — uniform keys — it leaves gallop mode for good.  Under the radix kernel
-// the lanes' remaining suffixes are then copied to the rest of dst and
-// radix-sorted there (every remaining key is ≥ every emitted one, and bare
-// int64 keys carry no identity, so the bytes are those of the merge), with
-// scratch from the capped free list; under the comparison kernel, which
-// allocates no key buffers, the tree pops key by key.  Safe to call
-// concurrently; the lanes are only read.
-func (p *Pool) MergeSegment(dst []int64, lanes [][]int64) {
-	mergeSegmentKernel(dst, lanes, p.kernelFor(len(dst)))
+// MergeBlocks merges the sorted lanes into dst (len = total lane length)
+// block-exactly: every aligned blk-key block of dst — dst[i·blk:(i+1)·blk],
+// the last one possibly short — receives exactly the keys a full merge puts
+// there, in unspecified order.  It is the merge for consumers that re-sort
+// every block they read (the (l,m)-merge's pass 2, whose blocks the shuffle
+// pass sorts again), and it is cheaper than MultiMerge wherever the lanes
+// interleave: it gallops (memsort's MergeRuns) while the lanes hand over
+// long runs, so presorted, clustered and range-partitioned lanes still merge
+// at copy speed, and hands the unconsumed suffixes to memsort.RadixBlocks,
+// which splits them only as far as the block boundaries need, instead of
+// radix-sorting them whole.
+//
+// The block path runs where the pool's kernel for len(dst) and AutoKernel
+// both are the radix kernel; elsewhere (groups under AutoKernel's threshold,
+// comparison pools) MergeBlocks is MultiMerge, whose sorted output is
+// block-exact too.  Above mergeGrain the output is cut at block-aligned
+// ranks (memsort.CutLanes) into segments whose number depends only on
+// len(dst), and each is merged on its own, spread across the workers: every
+// segment is rank-exact at both ends, and dst's bytes are the same at every
+// worker count.  dst must not alias the lanes, which are only read.
+func (p *Pool) MergeBlocks(dst []int64, lanes [][]int64, blk int) {
+	n := 0
+	for _, l := range lanes {
+		n += len(l)
+	}
+	if len(dst) != n {
+		panic("par: MergeBlocks destination size mismatch")
+	}
+	if p.kernelFor(n) != KernelRadix || AutoKernel(n) != KernelRadix {
+		p.MultiMerge(dst, lanes)
+		return
+	}
+	segs := max(1, n/mergeGrain)
+	if segs == 1 {
+		mergeBlocksSegment(dst, lanes, blk)
+		return
+	}
+	// Segment s is dst[bound(s):bound(s+1)], its start a block boundary.
+	bound := func(s int) int {
+		if s == segs {
+			return n
+		}
+		return s * n / segs / blk * blk
+	}
+	body := func(_, lo, hi int) {
+		cut := memsort.CutLanes(lanes, bound(lo))
+		sub := make([][]int64, len(lanes))
+		for s := lo; s < hi; s++ {
+			next := memsort.CutLanes(lanes, bound(s+1))
+			for i, l := range lanes {
+				sub[i] = l[cut[i]:next[i]]
+			}
+			mergeBlocksSegment(dst[bound(s):bound(s+1)], sub, blk)
+			cut = next
+		}
+	}
+	w := p.width(n, mergeGrain)
+	if w == 1 {
+		body(0, 0, segs)
+		return
+	}
+	done := p.section()
+	p.parDo(w, segs, body)
+	done()
 }
 
-// mergeSegmentKernel is MergeSegment for an explicit kernel.
+// mergeBlocksSegment is MergeBlocks' serial leaf over one segment whose
+// first key sits on a block boundary.
+func mergeBlocksSegment(dst []int64, lanes [][]int64, blk int) {
+	if len(lanes) <= 2 {
+		memsort.MultiMerge(dst, lanes)
+		return
+	}
+	t := memsort.NewLoserTree(lanes)
+	e := t.MergeRuns(dst)
+	rest := dst[e:]
+	if len(rest) < memsort.RadixMinKeys {
+		t.PopAll(rest)
+		return
+	}
+	t.Rest(rest)
+	bp := getScratch(len(rest))
+	memsort.RadixBlocks(rest, *bp, blk, e)
+	putScratch(bp)
+}
+
+// mergeSegmentKernel is MultiMerge's serial leaf for an explicit kernel.
+// The merge is adaptive, the way TimSort's min-gallop is: the loser tree
+// gallops (memsort.MergeRuns) while the lanes hand over long runs, so
+// presorted, clustered or disjoint lanes merge at bulk-copy speed; when the
+// mean run collapses to about a key — uniform keys — it leaves gallop mode
+// for good.  Under the radix kernel the lanes' remaining suffixes are then
+// copied to the rest of dst and radix-sorted there (every remaining key is ≥
+// every emitted one, and bare int64 keys carry no identity, so the bytes are
+// those of the merge), with scratch from the capped free list; under the
+// comparison kernel, which allocates no key buffers, the tree pops key by
+// key.
 func mergeSegmentKernel(dst []int64, lanes [][]int64, k Kernel) {
 	if k != KernelRadix || len(lanes) <= 2 {
 		memsort.MultiMerge(dst, lanes)

@@ -64,11 +64,12 @@ var laneShapes = []string{
 	"empty-lanes", "max-padded", "min-int64",
 }
 
-// checkMerges runs every merge entry point — the exported MultiMerge and
-// MergeSegment, and the partitioned body at each forced width — for both
-// kernels over lanes, asserting each output equals the sorted concatenation
-// and that the lanes come back untouched (bench/'s probe and the mmap
-// backend's borrowed views re-read them).
+// checkMerges runs every merge entry point — the exported MultiMerge, the
+// partitioned body at each forced width, and MergeBlocks at block sizes 16
+// and 64 — for both kernels over lanes, asserting each MultiMerge output
+// equals the sorted concatenation, each MergeBlocks output is block-exact
+// (checkBlocks), and the lanes come back untouched (bench/'s probe and the
+// mmap backend's borrowed views re-read them).
 func checkMerges(t *testing.T, name string, lanes [][]int64, widths []int) {
 	t.Helper()
 	var want []int64
@@ -79,11 +80,10 @@ func checkMerges(t *testing.T, name string, lanes [][]int64, widths []int) {
 	}
 	slices.Sort(want)
 	dst := make([]int64, len(want))
-	check := func(what string) {
+	// check asserts dst is block-exact at blk (blk = len(dst) + 1: sorted).
+	check := func(what string, blk int) {
 		t.Helper()
-		if !slices.Equal(dst, want) {
-			t.Fatalf("%s: %s differs from the sorted concatenation", name, what)
-		}
+		checkBlocks(t, name+": "+what, dst, want, blk)
 		for i := range lanes {
 			if !slices.Equal(lanes[i], orig[i]) {
 				t.Fatalf("%s: %s modified lane %d", name, what, i)
@@ -91,16 +91,67 @@ func checkMerges(t *testing.T, name string, lanes [][]int64, widths []int) {
 		}
 		clear(dst)
 	}
+	sorted := len(dst) + 1
 	for _, k := range kernels {
 		for _, w := range widths {
 			p := NewWithKernel(w, nil, k)
 			p.MultiMerge(dst, lanes)
-			check(fmt.Sprintf("MultiMerge(%s, workers=%d)", k, w))
-			p.MergeSegment(dst, lanes)
-			check(fmt.Sprintf("MergeSegment(%s)", k))
+			check(fmt.Sprintf("MultiMerge(%s, workers=%d)", k, w), sorted)
 			if w > 1 {
 				p.multiMergeBody(dst, lanes, k, w)
-				check(fmt.Sprintf("multiMergeBody(%s, w=%d)", k, w))
+				check(fmt.Sprintf("multiMergeBody(%s, w=%d)", k, w), sorted)
+			}
+			for _, blk := range []int{16, 64} {
+				p.MergeBlocks(dst, lanes, blk)
+				check(fmt.Sprintf("MergeBlocks(%s, workers=%d, blk=%d)", k, w, blk), blk)
+			}
+		}
+	}
+}
+
+// checkBlocks asserts that got is a block-exact arrangement of the sorted
+// want: sorting each aligned blk-key block of got gives the matching slice
+// of want.
+func checkBlocks(t *testing.T, what string, got, want []int64, blk int) {
+	t.Helper()
+	for s := 0; s < len(got); s += blk {
+		e := min(s+blk, len(got))
+		b := slices.Clone(got[s:e])
+		slices.Sort(b)
+		if !slices.Equal(b, want[s:e]) {
+			t.Fatalf("%s: block [%d, %d) does not hold the merge's keys for its ranks", what, s, e)
+		}
+	}
+}
+
+// TestMergeBlocksSameAtEveryWidth checks MergeBlocks above the merge grain,
+// where it cuts the output into segments: the bytes of dst are identical at
+// workers 1, 2, 3 and 8 (a pass-2 checkpoint may resume at another width),
+// block-exact, and the segments really leave blocks unsorted on uniform
+// lanes.  The block size 100 does not divide the grain, so segment bounds
+// round down to it.
+func TestMergeBlocksSameAtEveryWidth(t *testing.T) {
+	for _, shape := range []string{"uniform", "max-padded", "runs", "duplicates-heavy"} {
+		lanes := shapedLanes(shape, 64, 3*mergeGrain/64+37)
+		var want []int64
+		for _, l := range lanes {
+			want = append(want, l...)
+		}
+		slices.Sort(want)
+		for _, blk := range []int{100, 256} {
+			var first []int64
+			for _, w := range []int{1, 2, 3, 8} {
+				dst := make([]int64, len(want))
+				NewWithKernel(w, nil, KernelRadix).MergeBlocks(dst, lanes, blk)
+				checkBlocks(t, fmt.Sprintf("%s/blk=%d/workers=%d", shape, blk, w), dst, want, blk)
+				if first == nil {
+					first = dst
+					if shape == "uniform" && memsort.IsSorted(dst) {
+						t.Fatalf("%s/blk=%d: the block merge sorted in full", shape, blk)
+					}
+				} else if !slices.Equal(dst, first) {
+					t.Fatalf("%s/blk=%d: workers=%d output differs from workers=1", shape, blk, w)
+				}
 			}
 		}
 	}
