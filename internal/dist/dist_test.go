@@ -3,11 +3,13 @@ package dist
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -190,6 +192,78 @@ func TestCommitBodyReachesWorkerIntact(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, full) {
 		t.Fatalf("commit body lost fields:\n got %+v\nwant %+v", got, full)
+	}
+}
+
+// referencePartition is partition as it was first written: a
+// sort.Search per key in the counting pass and again in the scatter.
+func referencePartition(keys []int64, payloads [][]byte, splitters []int64) ([]int64, [][]byte, []int) {
+	shardOf := func(k int64) int {
+		return sort.Search(len(splitters), func(i int) bool { return k < splitters[i] })
+	}
+	starts := make([]int, len(splitters)+2)
+	for _, k := range keys {
+		starts[shardOf(k)+1]++
+	}
+	for s := 1; s < len(starts); s++ {
+		starts[s] += starts[s-1]
+	}
+	part, partPay, next := make([]int64, len(keys)), make([][]byte, len(payloads)), slices.Clone(starts)
+	for i, k := range keys {
+		s := shardOf(k)
+		part[next[s]] = k
+		if payloads != nil {
+			partPay[next[s]] = payloads[i]
+		}
+		next[s]++
+	}
+	return part, partPay, starts
+}
+
+// TestPartitionMatchesReference pins the shard assignment: partition's
+// keys, payloads and shard starts are identical to the reference's on
+// random full-range keys, heavy duplicates and keys equal to a splitter,
+// at 1, 2, 3, 4, 16, 17 and 300 splitters (shard numbers packed 1, 2, 2,
+// 4, 8, 8 and 16 bits a key).
+func TestPartitionMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, nsplit := range []int{1, 2, 3, 4, 16, 17, 300} {
+		for _, shape := range []string{"random", "duplicates", "on-splitters"} {
+			keys := make([]int64, 5000)
+			for i := range keys {
+				switch shape {
+				case "random":
+					keys[i] = int64(rng.Uint64())
+				default:
+					keys[i] = int64(rng.Intn(40)) - 20
+				}
+			}
+			splitters := make([]int64, nsplit)
+			for i := range splitters {
+				splitters[i] = keys[rng.Intn(len(keys))] // every splitter is some key
+			}
+			if shape == "on-splitters" {
+				for i := range keys {
+					keys[i] = splitters[rng.Intn(nsplit)]
+				}
+			}
+			slices.Sort(splitters)
+			payloads := make([][]byte, len(keys))
+			for i := range payloads {
+				payloads[i] = []byte{byte(i >> 8), byte(i)}
+			}
+			name := fmt.Sprintf("%s/splitters=%d", shape, nsplit)
+			part, partPay, starts := partition(keys, payloads, splitters)
+			wantPart, wantPay, wantStarts := referencePartition(keys, payloads, splitters)
+			if !slices.Equal(part, wantPart) || !slices.Equal(starts, wantStarts) {
+				t.Fatalf("%s: partition differs from the reference", name)
+			}
+			for i := range partPay {
+				if !slices.Equal(partPay[i], wantPay[i]) {
+					t.Fatalf("%s: payload %d differs from the reference", name, i)
+				}
+			}
+		}
 	}
 }
 

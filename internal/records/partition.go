@@ -1,7 +1,5 @@
 package records
 
-import "sort"
-
 // Range partitioning for the distributed coordinator (internal/dist): the
 // same order-preserving bucket discipline the external distribution
 // permutation uses for its scatter, applied at record granularity across
@@ -14,5 +12,16 @@ import "sort"
 // shard, which is what keeps a range-partitioned sort stable (ties never
 // straddle a shard boundary).
 func RangeShard(key int64, splitters []int64) int {
-	return sort.Search(len(splitters), func(i int) bool { return key < splitters[i] })
+	// sort.Search's bisection for the first splitter above key, without
+	// the closure call per probe.
+	lo, hi := 0, len(splitters)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if key < splitters[mid] {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
 }
