@@ -112,17 +112,6 @@ func TestRadixBlocksOracle(t *testing.T) {
 	}
 }
 
-// TestRadixBlocksLeavesBlocksUnsorted pins that the kernel does less than a
-// sort: on uniform keys the blocks come back block-exact but not sorted,
-// so a consumer relying on order would be caught by its own tests.
-func TestRadixBlocksLeavesBlocksUnsorted(t *testing.T) {
-	a := blocksKeys("uniform", 1<<14, 3)
-	RadixBlocks(a, make([]int64, len(a)), 256, 0)
-	if IsSorted(a) {
-		t.Fatal("RadixBlocks sorted the whole load: it should stop at block exactness")
-	}
-}
-
 // FuzzRadixBlocks checks RadixBlocks against the slices.Sort oracle on
 // loads the fuzzer shapes: the bytes RadixKeys' fuzz target reads (n, span
 // width, stride, span low end, seed; see FuzzRadixKeys), then byte 20 the
