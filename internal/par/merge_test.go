@@ -80,7 +80,7 @@ func checkMerges(t *testing.T, name string, lanes [][]int64, widths []int) {
 	}
 	slices.Sort(want)
 	dst := make([]int64, len(want))
-	// check asserts dst is block-exact at blk (blk = len(dst) + 1: sorted).
+	// check asserts dst is block-exact at blk (blk = 1: sorted).
 	check := func(what string, blk int) {
 		t.Helper()
 		checkBlocks(t, name+": "+what, dst, want, blk)
@@ -91,7 +91,7 @@ func checkMerges(t *testing.T, name string, lanes [][]int64, widths []int) {
 		}
 		clear(dst)
 	}
-	sorted := len(dst) + 1
+	sorted := 1
 	for _, k := range kernels {
 		for _, w := range widths {
 			p := NewWithKernel(w, nil, k)
