@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/wordview"
@@ -114,9 +113,8 @@ func TestExtentRunContract(t *testing.T) {
 	}
 }
 
-// TestExtentRunAllocs: a pass-sized run (a few blocks) keeps its iovecs on
-// the stack and a staging-sized one reuses an array from the free list, so
-// neither allocates once warm.
+// TestExtentRunAllocs: a pass-sized run (a few blocks) and a staging-sized
+// one both keep their iovecs on the stack, so neither allocates.
 func TestExtentRunAllocs(t *testing.T) {
 	const b = 4
 	fd, err := NewFileDisk(filepath.Join(t.TempDir(), "d0.bin"), b)
@@ -139,49 +137,6 @@ func TestExtentRunAllocs(t *testing.T) {
 			t.Errorf("a %d-block run allocates %v times, want 0", n, allocs)
 		}
 	}
-}
-
-// TestExtentLongRunsConcurrent: four callers stage disjoint stripes of one
-// file array at once, each run longer than the stack's iovecs, so they take
-// and return iovFree's arrays concurrently; every stripe reads back intact.
-func TestExtentLongRunsConcurrent(t *testing.T) {
-	cfg := Config{D: 4, B: 4, Mem: 64}
-	a, err := NewFileArray(cfg, t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	const callers, rows = 4, 48 // runs of 48 blocks per disk: past the stack's 16 iovecs
-	var wg sync.WaitGroup
-	for c := range callers {
-		s, err := a.NewStripe(rows * a.StripeWidth())
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			data, got := make([]int64, s.Len()), make([]int64, s.Len())
-			for round := range 5 {
-				for i := range data {
-					data[i] = int64(c)<<40 | int64(round)<<32 | int64(i)
-				}
-				if err := s.LoadPadded(data, 0); err != nil {
-					t.Error(err)
-					return
-				}
-				if err := s.UnloadInto(got); err != nil {
-					t.Error(err)
-					return
-				}
-				if !slices.Equal(got, data) {
-					t.Errorf("caller %d round %d: stripe read back wrong", c, round)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // TestExtentTornFile: a run over a file truncated beneath the frontier fails

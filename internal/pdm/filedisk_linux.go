@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
-	"sync"
 	"syscall"
 	"unsafe"
 
@@ -18,46 +17,10 @@ import (
 
 const (
 	iovMax = 1024 // Linux's IOV_MAX: the most iovecs one preadv/pwritev takes
-	// iovStack is how many iovecs run keeps on its stack: more than a pass
-	// moves per disk per call (two slot rows at depth 2/2 is four blocks).
-	// Longer runs — whole-stripe staging — borrow an iovMax array from
-	// iovFree, so no call zeroes more iovecs than it can use.
-	iovStack = 16
-	// iovFreeMax caps the arrays iovFree keeps: one per disk staging at
-	// once on a typical array, 16 KiB each.
-	iovFreeMax = 16
+	// iovShort is the most iovecs a pass-sized run needs: a pass moves up to
+	// four blocks per disk per call (two slot rows at depth 2/2).
+	iovShort = 16
 )
-
-// iovFree is the free list of iovec arrays for runs longer than iovStack: a
-// mutex-guarded stack, which unlike a sync.Pool never drops an entry, so a
-// warm staging run allocates nothing.
-var iovFree struct {
-	sync.Mutex
-	arrays []*[iovMax]syscall.Iovec
-}
-
-// takeIov returns an iovec array from the free list, or a new one.
-func takeIov() *[iovMax]syscall.Iovec {
-	iovFree.Lock()
-	defer iovFree.Unlock()
-	if n := len(iovFree.arrays); n > 0 {
-		big := iovFree.arrays[n-1]
-		iovFree.arrays = iovFree.arrays[:n-1]
-		return big
-	}
-	return new([iovMax]syscall.Iovec)
-}
-
-// putIov clears the first used iovecs of big, so the list holds no caller
-// memory, and keeps it unless the list is full.
-func putIov(big *[iovMax]syscall.Iovec, used int) {
-	clear(big[:used])
-	iovFree.Lock()
-	if len(iovFree.arrays) < iovFreeMax {
-		iovFree.arrays = append(iovFree.arrays, big)
-	}
-	iovFree.Unlock()
-}
 
 // ReadBlocks implements ExtentDisk.
 func (d *FileDisk) ReadBlocks(off int, dst [][]int64) error { return d.blocksRun(off, dst, false) }
@@ -97,18 +60,22 @@ func (d *FileDisk) blocksRun(off int, bufs [][]int64, write bool) error {
 }
 
 // run moves bufs, consecutive blocks from block off, by syscall trap
-// (preadv or pwritev): one call per iovMax blocks, retried on EINTR and
-// resumed after a short transfer.  The iovecs sit on the stack for runs of
-// up to iovStack blocks and in an array from iovFree beyond.
+// (preadv or pwritev): one call per iovMax blocks, iovecs on the stack,
+// retried on EINTR and resumed after a short transfer.  The iovec array is
+// sized to the run, so a pass-sized run does not clear the 16 KiB of iovecs
+// only whole-stripe staging uses.
 func (d *FileDisk) run(trap uintptr, off int, bufs [][]int64) error {
-	fd, pos := d.f.Fd(), int64(off)*int64(d.b)*8
-	var small [iovStack]syscall.Iovec
-	iov := small[:]
-	if len(bufs) > iovStack {
-		big := takeIov()
-		defer putIov(big, min(len(bufs), iovMax))
-		iov = big[:]
+	if len(bufs) > iovShort {
+		var iov [iovMax]syscall.Iovec
+		return d.runIov(trap, off, bufs, iov[:])
 	}
+	var iov [iovShort]syscall.Iovec
+	return d.runIov(trap, off, bufs, iov[:])
+}
+
+// runIov is run over the caller's iovec array.
+func (d *FileDisk) runIov(trap uintptr, off int, bufs [][]int64, iov []syscall.Iovec) error {
+	fd, pos := d.f.Fd(), int64(off)*int64(d.b)*8
 	done := 0 // bytes of bufs[0] already moved
 	for len(bufs) > 0 {
 		n := min(len(bufs), len(iov))
