@@ -457,18 +457,6 @@ func assertKernelRuns(t *testing.T, mem int, keys []int64, sort func(m *Machine,
 	assertIdenticalRuns(t, serial, sortAtMemory(t, mem, 8, keys, sort))
 }
 
-// TestKernelDeterminismBlockMerge drives ThreePassLMM through the facade
-// where pass 2 takes the block merge (M = 4096 and l = √M, so groups of
-// 4096 keys), at an N short of a multiple of M — the facade pads it with
-// MaxInt64 sentinels — on uniform and on seven-valued keys.
-func TestKernelDeterminismBlockMerge(t *testing.T) {
-	const mem = 4096
-	n := 64*mem - 1000
-	for _, keys := range [][]int64{workload.Uniform(n, -1<<40, 1<<40, 29), workload.Uniform(n, 0, 6, 31)} {
-		assertKernelRuns(t, mem, keys, func(m *Machine, k []int64) (*Report, error) { return m.Sort(k, ThreePassLMM) })
-	}
-}
-
 // TestKernelDeterminismRadix covers the Section 7 RadixSort path (the
 // external distribution sort, not the in-memory kernel of the same name).
 func TestKernelDeterminismRadix(t *testing.T) {

@@ -93,17 +93,19 @@ func TestThreePass2ExactAtEveryL(t *testing.T) {
 }
 
 // TestThreePass2BlockExactMerge runs ThreePass2 where pass 2 takes the
-// block merge — groups of l·√M ≥ 4096 keys: one group per batch at
-// M = 4096, D = 16, l = 64, two at M = 16Ki, D = 64, l = 32 — on uniform
-// keys, on keys padded with MaxInt64 sentinels the way the facade pads an N
-// that is not a multiple of M, and on seven-valued duplicates, at Workers 1
-// and 8.  The output is slices.Sort's; at the pass-2 boundary every L_j,
-// read uncharged through the manifest's views, is block-exact (each B-key
-// block holds the keys of its ranks); and the backing stripes hash the same
-// at both widths, because a checkpoint may resume at another width.  On
-// uniform keys some block is unsorted, which shows the block kernel ran.
+// block merge, which is every M from AutoKernel's radix threshold up:
+// groups of 4096 keys, one per batch, at M = 4096, D = 16, l = 64; 512-key
+// groups, several per batch, at l = 8; two groups per batch at M = 16Ki,
+// D = 64, l = 32.  Each runs on uniform keys, on keys padded with MaxInt64
+// sentinels the way the facade pads an N that is not a multiple of M, and
+// on seven-valued duplicates, at Workers 1 and 8.  The output is
+// slices.Sort's; at the pass-2 boundary every L_j, read uncharged through
+// the manifest's views, is block-exact (each B-key block holds the keys of
+// its ranks); and the backing stripes hash the same at both widths,
+// because a checkpoint may resume at another width.  On uniform keys some
+// block is unsorted, which shows the block kernel ran.
 func TestThreePass2BlockExactMerge(t *testing.T) {
-	for _, g := range []struct{ mem, d, l int }{{4096, 16, 64}, {16384, 64, 32}} {
+	for _, g := range []struct{ mem, d, l int }{{4096, 16, 64}, {4096, 16, 8}, {16384, 64, 32}} {
 		n := g.l * g.mem
 		rng := rand.New(rand.NewSource(5))
 		inputs := map[string][]int64{

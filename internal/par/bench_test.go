@@ -121,14 +121,16 @@ func BenchmarkKernelMultiMerge(b *testing.B) {
 }
 
 // BenchmarkKernelMergeBlocks pairs the block merge pass 2 of the
-// (l,m)-merge runs (MergeBlocks at B = 256, the bench machine's block) with
-// the full merge it replaced (MultiMerge), under the radix kernel, at l ∈
-// {16, 64} lanes of 256 keys — uniform, MaxInt64-padded, seven-valued and
-// runs-shaped lanes.  The block column must not lose on any shape.
+// (l,m)-merge runs (MergeBlocks, one lane's length per block) with the full
+// merge it replaced (MultiMerge), under the radix kernel, on uniform,
+// MaxInt64-padded, seven-valued and runs-shaped lanes: l ∈ {16, 64} lanes of
+// 256 keys (the bench machine's groups), and groups under AutoKernel's
+// threshold, 8×256 (records-file's) and 16×32.  The block column must not
+// lose on any shape.
 func BenchmarkKernelMergeBlocks(b *testing.B) {
-	const per = 256
 	for _, shape := range []string{"uniform", "max-padded", "duplicates-heavy", "runs"} {
-		for _, k := range []int{16, 64} {
+		for _, dims := range [][2]int{{16, 256}, {64, 256}, {8, 256}, {16, 32}} {
+			k, per := dims[0], dims[1]
 			lanes := shapedLanes(shape, k, per)
 			for _, merge := range []string{"full", "blocks"} {
 				b.Run(fmt.Sprintf("%s/%dx%d/%s", shape, k, per, merge), func(b *testing.B) {
