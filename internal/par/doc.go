@@ -40,9 +40,9 @@
 // exact ranks — so parallelism changes wall-clock only, never pass
 // counts, statistics, or I/O traces.  MergeBlocks' output is identical at
 // every worker count too (its segments depend on the output size alone);
-// across kernels only the order inside its blocks differs.  No operation allocates from the pdm
-// Arena: the sorts and merges are in-place or write caller-provided
-// buffers, keeping the paper's memory envelope untouched.  The radix
+// across kernels only the order inside its blocks differs.  No operation
+// allocates from the pdm Arena: the sorts and merges are in-place or write
+// caller-provided buffers, keeping the paper's memory envelope untouched.  The radix
 // kernel does need one load of Go-heap scratch, for a sort and for the tail
 // of a merge alike; it borrows from a small mutex-guarded free list capped
 // at maxPooledScratch buffers of at most maxPooledScratchKeys each, so a
