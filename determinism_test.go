@@ -8,7 +8,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/par"
 	"repro/internal/pdm"
 	"repro/internal/workload"
 )
@@ -61,7 +60,22 @@ func sortAtMemory(t *testing.T, mem, workers int, keys []int64,
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertArenaAirtight(t, m)
 	return detRun{out: out, rep: rep, stats: normalizeStats(m.Array().Stats()), trace: m.Array().Trace()}
+}
+
+// assertArenaAirtight checks a machine after a successful run: every
+// arena buffer handed back, the peak within the capacity the scheduler
+// reserves for the job, and no reservation refused — the compute kernel
+// borrows its scratch from the arena and, refused, would fall back to the
+// introsort silently.
+func assertArenaAirtight(t *testing.T, m *Machine) {
+	t.Helper()
+	ar, limit := m.Array().Arena(), m.Array().Config().ArenaCapacity()
+	if ar.InUse() != 0 || ar.Peak() > limit || ar.Refused() != 0 {
+		t.Fatalf("M = %d: arena in use %d after the run, peak %d of capacity %d, %d reservations refused (phases: %v)",
+			m.Array().Mem(), ar.InUse(), ar.Peak(), limit, ar.Refused(), ar.PhasePeaks())
+	}
 }
 
 func assertIdenticalRuns(t *testing.T, serial, parallel detRun) {
@@ -109,6 +123,7 @@ func sortWithBackend(t *testing.T, backend string, workers int, keys []int64,
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertArenaAirtight(t, m)
 	return detRun{out: out, rep: rep, stats: normalizeStats(m.Array().Stats()), trace: m.Array().Trace()}
 }
 
@@ -347,6 +362,7 @@ func assertRecordKeyRuns(t *testing.T, mem int, keys []int64, rounds int) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		assertArenaAirtight(t, m)
 		return recRun{
 			detRun:   detRun{out: k, rep: rep, stats: normalizeStats(m.Array().Stats()), trace: m.Array().Trace()},
 			payloads: p,
@@ -410,20 +426,17 @@ func TestWorkerCountDeterminismPairs(t *testing.T) {
 	}
 }
 
-// kernelMems straddles par.AutoKernel's threshold: a machine at M = 1024
-// sorts its memory loads with the comparison kernel, one at M = 4096 with
-// radix.  No option selects a kernel, so the geometry does.
+// kernelMems are two geometries for the compute kernel: at M = 1024 the
+// (l, m)-merge's groups are a few hundred keys and its merge tails short,
+// at M = 4096 they are a few thousand.
 var kernelMems = []int{1024, 4096}
 
-// TestKernelDeterminism runs every algorithm under both compute kernels —
-// picked by geometry, see kernelMems — at one and eight workers: the output
-// is the slices.Sort oracle's, and pass counts, stats, and I/O traces are
-// bit-identical across worker counts, so every pass helper runs under
-// either kernel (and under -race in CI).
+// TestKernelDeterminism runs every algorithm at both kernelMems at one and
+// eight workers: the output is the slices.Sort oracle's, pass counts,
+// stats, and I/O traces are bit-identical across worker counts, and the
+// arena is airtight (assertArenaAirtight), so every pass helper's kernel
+// borrows are priced (and race-clean under -race in CI).
 func TestKernelDeterminism(t *testing.T) {
-	if par.AutoKernel(kernelMems[0]) == par.AutoKernel(kernelMems[1]) {
-		t.Fatalf("kernelMems %v no longer straddle par.AutoKernel's threshold", kernelMems)
-	}
 	algs := []Algorithm{
 		MemOnePass, ThreePassMesh, TwoPassMeshExpected, ThreePassLMM,
 		TwoPassExpected, ThreePassExpected, SevenPass, SixPassExpected, SevenPassMesh,
@@ -444,8 +457,8 @@ func TestKernelDeterminism(t *testing.T) {
 }
 
 // assertKernelRuns sorts keys at M = mem with one and eight workers and
-// checks the output against slices.Sort and the two runs against each
-// other.
+// checks the output against slices.Sort, the two runs against each other,
+// and each machine's arena (assertArenaAirtight).
 func assertKernelRuns(t *testing.T, mem int, keys []int64, sort func(m *Machine, keys []int64) (*Report, error)) {
 	t.Helper()
 	want := slices.Clone(keys)
@@ -466,8 +479,8 @@ func TestKernelDeterminismRadix(t *testing.T) {
 	}
 }
 
-// TestKernelDeterminismRecords pins the full-record path under both
-// kernels.  The narrow universe forces ties, so this also proves the radix
+// TestKernelDeterminismRecords pins the full-record path at both
+// kernelMems.  The narrow universe forces ties, so this also proves the radix
 // run formation preserves the stable order the permutation layer depends
 // on.
 func TestKernelDeterminismRecords(t *testing.T) {

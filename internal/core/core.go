@@ -332,7 +332,7 @@ func mergePartGroups(a *pdm.Array, runs []*pdm.Stripe, partLen, m int) ([]seqVie
 	}
 	defer a.Arena().Free(out)
 	pool := a.Pool()
-	leaf := par.NewWithKernel(1, nil, pool.Kernel())
+	leaf := par.NewLimited(1, nil, a.Arena())
 	merged := make([]seqView, m)
 	var backing []*pdm.Stripe
 	lanes := make([][]int64, l)

@@ -93,8 +93,9 @@ func TestThreePass2ExactAtEveryL(t *testing.T) {
 }
 
 // TestThreePass2BlockExactMerge runs ThreePass2 where pass 2 takes the
-// block merge, which is every M from AutoKernel's radix threshold up:
-// groups of 4096 keys, one per batch, at M = 4096, D = 16, l = 64; 512-key
+// block merge, which is every group whose merge tail reaches
+// memsort.RadixMinKeys: 1024-key groups at M = 1024, D = 8, l = 32; groups
+// of 4096 keys, one per batch, at M = 4096, D = 16, l = 64; 512-key
 // groups, several per batch, at l = 8; two groups per batch at M = 16Ki,
 // D = 64, l = 32.  Each runs on uniform keys, on keys padded with MaxInt64
 // sentinels the way the facade pads an N that is not a multiple of M, and
@@ -105,7 +106,7 @@ func TestThreePass2ExactAtEveryL(t *testing.T) {
 // because a checkpoint may resume at another width.  On uniform keys some
 // block is unsorted, which shows the block kernel ran.
 func TestThreePass2BlockExactMerge(t *testing.T) {
-	for _, g := range []struct{ mem, d, l int }{{4096, 16, 64}, {4096, 16, 8}, {16384, 64, 32}} {
+	for _, g := range []struct{ mem, d, l int }{{1024, 8, 32}, {4096, 16, 64}, {4096, 16, 8}, {16384, 64, 32}} {
 		n := g.l * g.mem
 		rng := rand.New(rand.NewSource(5))
 		inputs := map[string][]int64{

@@ -13,10 +13,12 @@ import (
 // CI runs every BenchmarkKernel* with -benchtime 1x as a smoke test; bench/
 // records the kernels' rates per run as the memsort.probe.* metrics.
 
-// benchSizes are memory-load sizes: a serve-sized merge tail (512), the
-// default machine M (4096), and larger loads where the radix kernel is
-// bandwidth-bound rather than overhead-bound.
-var benchSizes = []int{512, 4096, 32768, 65536}
+// benchSizes are memory-load sizes: the two that bracket RadixMinKeys
+// (at 128 RadixKeys runs the introsort, at 256 its own smallest load), a
+// serve-sized merge tail (512), the default machine M (4096), and larger
+// loads where the radix kernel is bandwidth-bound rather than
+// overhead-bound.
+var benchSizes = []int{128, 256, 512, 4096, 32768, 65536}
 
 // benchShapes are key shapes that differ in what the radix kernel's pass
 // count depends on: the span of the load and its constant low bits.  key

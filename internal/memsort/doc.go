@@ -11,13 +11,13 @@
 //
 // The PDM analyses in the paper charge only I/O; these kernels are the
 // "local computation" assumed to be free.  They are nevertheless written to
-// run fast, since the simulator executes them for real.  Two kernel
-// families exist because their costs cross: the introsort is in-place and
-// wins on small loads, while the radix sort, scattering only the 9-bit
+// run fast, since the simulator executes them for real.  Two sorts exist
+// because their costs cross: the introsort is in-place and wins on loads
+// under RadixMinKeys, while the radix sort, scattering only the 9-bit
 // digits of the load's key span, buys ~5x on 4Ki–64Ki uniform keys for one
-// load of scratch (internal/par's Kernel enum dispatches between them, and
-// internal/plan prices the choice).  Both are stable where stability is
-// needed and sort identically, so only the wall clock sees the choice.
+// load of scratch (RadixKeys takes the introsort below the threshold, and
+// internal/par borrows the scratch from the pdm arena).  Both sort
+// identically, so only the wall clock sees the choice.
 // The binary merge (MergeBinary) is adaptive: it detects
 // one-sided runs with a single comparison per round — the inputs are
 // sorted, so "the next k keys of b all beat a's head" is one compare —

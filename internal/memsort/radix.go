@@ -17,8 +17,10 @@ import (
 
 // RadixMinKeys is the size below which RadixKeys falls back to the comparison
 // introsort: with fewer keys the fixed cost of the counting pass and the
-// bucket tables dominates.  Exported so callers (the par kernel dispatch) can
-// skip acquiring scratch they won't use.
+// bucket tables dominates (BenchmarkKernelSort{Intro,Radix} bracket it at
+// 128 and 256 keys).  It is the one size threshold of the in-memory sort:
+// internal/par borrows scratch only for loads and merge tails at or above
+// it.
 const RadixMinKeys = 256
 
 // radixPos holds the digit boundaries: digit i is bits [radixPos[i],

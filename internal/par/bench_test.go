@@ -3,6 +3,8 @@ package par
 import (
 	"fmt"
 	"runtime"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/memsort"
@@ -26,6 +28,35 @@ func fillBenchKeys(buf []int64, seed uint64) {
 	}
 }
 
+// keptScratch is the Scratch of this package's benchmarks: Take hands out
+// a buffer given back earlier when one is long enough, as pdm.Arena does,
+// so that the benchmarks time the kernel rather than the allocator.
+type keptScratch struct {
+	mu   sync.Mutex
+	bufs [][]int64
+}
+
+func (k *keptScratch) Take(n int) ([]int64, error) {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	for i, b := range k.bufs {
+		if cap(b) >= n {
+			k.bufs = slices.Delete(k.bufs, i, i+1)
+			return b[:n], nil
+		}
+	}
+	return make([]int64, n), nil
+}
+
+func (k *keptScratch) Recycle(buf []int64) {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	k.bufs = append(k.bufs, buf)
+}
+
+// benchPool is a pool of width w borrowing from a keptScratch.
+func benchPool(w int) *Pool { return NewLimited(w, nil, &keptScratch{}) }
+
 var benchLoadSizes = []struct {
 	name string
 	n    int
@@ -36,30 +67,27 @@ var benchLoadSizes = []struct {
 	{"1Mi", 1 << 20},
 }
 
-// BenchmarkWorkersSortKeys pairs workers=1 against workers=GOMAXPROCS for
-// both kernels at every load size: the parallel column must never lose to
-// the serial one.
+// BenchmarkWorkersSortKeys pairs workers=1 against workers=GOMAXPROCS at
+// every load size: the parallel column must never lose to the serial one.
 func BenchmarkWorkersSortKeys(b *testing.B) {
 	widths := []int{1, runtime.GOMAXPROCS(0)}
-	for _, k := range kernels {
-		for _, sz := range benchLoadSizes {
-			for _, w := range widths {
-				b.Run(fmt.Sprintf("%s/%s/workers=%d", k, sz.name, w), func(b *testing.B) {
-					pool := NewWithKernel(w, nil, k)
-					src := make([]int64, sz.n)
-					fillBenchKeys(src, 7)
-					a := make([]int64, sz.n)
-					b.SetBytes(int64(8 * sz.n))
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						copy(a, src)
-						pool.SortKeys(a)
-					}
-					if !memsort.IsSorted(a) {
-						b.Fatal("not sorted")
-					}
-				})
-			}
+	for _, sz := range benchLoadSizes {
+		for _, w := range widths {
+			b.Run(fmt.Sprintf("%s/workers=%d", sz.name, w), func(b *testing.B) {
+				pool := benchPool(w)
+				src := make([]int64, sz.n)
+				fillBenchKeys(src, 7)
+				a := make([]int64, sz.n)
+				b.SetBytes(int64(8 * sz.n))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					copy(a, src)
+					pool.SortKeys(a)
+				}
+				if !memsort.IsSorted(a) {
+					b.Fatal("not sorted")
+				}
+			})
 		}
 	}
 }
@@ -95,21 +123,26 @@ func mergeBenchLanes(shape string, k, per int) [][]int64 {
 }
 
 // BenchmarkKernelMultiMerge times the pool's k-way merge at the group
-// sizes pass 2 runs (64 lanes of 256 and of 1024 keys), per lane shape and
-// kernel, at the host's width.
+// sizes pass 2 runs (64 lanes of 256 and of 1024 keys), per lane shape, at
+// the host's width: the adaptive merge with its radix tail ("radix")
+// against the loser tree's plain pops ("pops").
 func BenchmarkKernelMultiMerge(b *testing.B) {
 	const k = 64
 	for _, shape := range []string{"uniform", "runs", "disjoint"} {
 		for _, per := range []int{256, 1024} {
-			for _, kern := range kernels {
-				b.Run(fmt.Sprintf("%s/%dx%d/%s", shape, k, per, kern), func(b *testing.B) {
-					pool := NewWithKernel(0, nil, kern)
+			for _, tail := range []string{"pops", "radix"} {
+				b.Run(fmt.Sprintf("%s/%dx%d/%s", shape, k, per, tail), func(b *testing.B) {
+					pool := benchPool(0)
 					lanes := mergeBenchLanes(shape, k, per)
 					dst := make([]int64, k*per)
 					b.SetBytes(int64(8 * k * per))
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						pool.MultiMerge(dst, lanes)
+						if tail == "pops" {
+							memsort.MultiMerge(dst, lanes)
+						} else {
+							pool.MultiMerge(dst, lanes)
+						}
 					}
 					if !memsort.IsSorted(dst) {
 						b.Fatal("not sorted")
@@ -122,11 +155,10 @@ func BenchmarkKernelMultiMerge(b *testing.B) {
 
 // BenchmarkKernelMergeBlocks pairs the block merge pass 2 of the
 // (l,m)-merge runs (MergeBlocks, one lane's length per block) with the full
-// merge it replaced (MultiMerge), under the radix kernel, on uniform,
-// MaxInt64-padded, seven-valued and runs-shaped lanes: l ∈ {16, 64} lanes of
-// 256 keys (the bench machine's groups), and groups under AutoKernel's
-// threshold, 8×256 (records-file's) and 16×32.  The block column must not
-// lose on any shape.
+// merge it replaced (MultiMerge), on uniform, MaxInt64-padded, seven-valued
+// and runs-shaped lanes: l ∈ {16, 64} lanes of 256 keys (the bench
+// machine's groups), and smaller groups, 8×256 (records-file's) and 16×32.
+// The block column must not lose on any shape.
 func BenchmarkKernelMergeBlocks(b *testing.B) {
 	for _, shape := range []string{"uniform", "max-padded", "duplicates-heavy", "runs"} {
 		for _, dims := range [][2]int{{16, 256}, {64, 256}, {8, 256}, {16, 32}} {
@@ -134,7 +166,7 @@ func BenchmarkKernelMergeBlocks(b *testing.B) {
 			lanes := shapedLanes(shape, k, per)
 			for _, merge := range []string{"full", "blocks"} {
 				b.Run(fmt.Sprintf("%s/%dx%d/%s", shape, k, per, merge), func(b *testing.B) {
-					pool := NewWithKernel(1, nil, KernelRadix)
+					pool := benchPool(1)
 					dst := make([]int64, k*per)
 					b.SetBytes(int64(8 * k * per))
 					for i := 0; i < b.N; i++ {

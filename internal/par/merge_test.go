@@ -66,7 +66,7 @@ var laneShapes = []string{
 
 // checkMerges runs every merge entry point — the exported MultiMerge, the
 // partitioned body at each forced width, and MergeBlocks at block sizes 16
-// and 64 — for both kernels over lanes, asserting each MultiMerge output
+// and 64 — over lanes, asserting each MultiMerge output
 // equals the sorted concatenation, each MergeBlocks output is block-exact
 // (checkBlocks), and the lanes come back untouched (bench/'s probe and the
 // mmap backend's borrowed views re-read them).
@@ -92,19 +92,19 @@ func checkMerges(t *testing.T, name string, lanes [][]int64, widths []int) {
 		clear(dst)
 	}
 	sorted := 1
-	for _, k := range kernels {
-		for _, w := range widths {
-			p := NewWithKernel(w, nil, k)
-			p.MultiMerge(dst, lanes)
-			check(fmt.Sprintf("MultiMerge(%s, workers=%d)", k, w), sorted)
-			if w > 1 {
-				p.multiMergeBody(dst, lanes, k, w)
-				check(fmt.Sprintf("multiMergeBody(%s, w=%d)", k, w), sorted)
-			}
-			for _, blk := range []int{16, 64} {
-				p.MergeBlocks(dst, lanes, blk)
-				check(fmt.Sprintf("MergeBlocks(%s, workers=%d, blk=%d)", k, w, blk), blk)
-			}
+	for _, w := range widths {
+		p := New(w)
+		p.MultiMerge(dst, lanes)
+		check(fmt.Sprintf("MultiMerge(workers=%d)", w), sorted)
+		if w > 1 {
+			p.multiMergeBody(dst, lanes, w, func(d []int64, l [][]int64) { p.mergeSegment(d, l, 0) })
+			check(fmt.Sprintf("multiMergeBody(w=%d)", w), sorted)
+			p.multiMergeBody(dst, lanes, w, memsort.MultiMerge)
+			check(fmt.Sprintf("multiMergeBody(w=%d, pops)", w), sorted)
+		}
+		for _, blk := range []int{16, 64} {
+			p.MergeBlocks(dst, lanes, blk)
+			check(fmt.Sprintf("MergeBlocks(workers=%d, blk=%d)", w, blk), blk)
 		}
 	}
 }
@@ -142,7 +142,7 @@ func TestMergeBlocksSameAtEveryWidth(t *testing.T) {
 			var first []int64
 			for _, w := range []int{1, 2, 3, 8} {
 				dst := make([]int64, len(want))
-				NewWithKernel(w, nil, KernelRadix).MergeBlocks(dst, lanes, blk)
+				New(w).MergeBlocks(dst, lanes, blk)
 				checkBlocks(t, fmt.Sprintf("%s/blk=%d/workers=%d", shape, blk, w), dst, want, blk)
 				if first == nil {
 					first = dst
@@ -158,7 +158,7 @@ func TestMergeBlocksSameAtEveryWidth(t *testing.T) {
 }
 
 // TestMultiMergeDifferential is the differential test of the adaptive k-way
-// merge: every lane shape × workers {1, 2, 3, 8} × both kernels against
+// merge: every lane shape × workers {1, 2, 3, 8} against
 // slices.Sort, at a pass-2 group's lane count and at a handful of lanes.
 func TestMultiMergeDifferential(t *testing.T) {
 	for _, shape := range laneShapes {
@@ -174,19 +174,17 @@ func TestMultiMergeDifferential(t *testing.T) {
 // TestMultiMergeAboveGrainForks checks the exported merge takes the
 // partitioned path once two workers get a grain each — and not before.
 func TestMultiMergeAboveGrainForks(t *testing.T) {
-	for _, k := range kernels {
-		lanes := shapedLanes("uniform", 64, 2*mergeGrain/64)
-		p := NewWithKernel(3, nil, k)
-		dst := make([]int64, 2*mergeGrain)
-		p.MultiMerge(dst, lanes)
-		if s, _, _ := p.Counters(); s != 1 || !memsort.IsSorted(dst) {
-			t.Fatalf("kernel=%s: two grains gave %d sections, want 1", k, s)
-		}
-		lanes[0] = lanes[0][1:]
-		p.MultiMerge(dst[1:], lanes)
-		if s, _, _ := p.Counters(); s != 1 {
-			t.Fatalf("kernel=%s: a merge under two grains forked", k)
-		}
+	lanes := shapedLanes("uniform", 64, 2*mergeGrain/64)
+	p := New(3)
+	dst := make([]int64, 2*mergeGrain)
+	p.MultiMerge(dst, lanes)
+	if s, _, _ := p.Counters(); s != 1 || !memsort.IsSorted(dst) {
+		t.Fatalf("two grains gave %d sections, want 1", s)
+	}
+	lanes[0] = lanes[0][1:]
+	p.MultiMerge(dst[1:], lanes)
+	if s, _, _ := p.Counters(); s != 1 {
+		t.Fatal("a merge under two grains forked")
 	}
 }
 
@@ -210,7 +208,7 @@ func TestMergeModeSwitch(t *testing.T) {
 // input bytes pick the lane count and, per lane, a length (up to ~1000 keys,
 // so the radix tail is reachable), a key generator (wide, narrow-range for
 // ties, ascending bands, constant) and how many MinInt64/MaxInt64 sentinels
-// bracket it.  Every kernel and width must produce the sorted concatenation
+// bracket it.  Every width must produce the sorted concatenation
 // and leave the lanes alone.
 func FuzzMultiMerge(f *testing.F) {
 	f.Add([]byte{})

@@ -18,8 +18,8 @@ import (
 // and the workers go to what is parallel at a coarser level: the streaming
 // layer's I/O beside the compute, several jobs per scheduler.
 //
-// One constant per kernel, each chosen from the paired benchmarks in
-// bench_test.go (BenchmarkWorkersSortKeys, BenchmarkKernelMultiMerge,
+// Each constant was chosen from the paired benchmarks in bench_test.go
+// (BenchmarkWorkersSortKeys, BenchmarkKernelMultiMerge,
 // BenchmarkWorkersPrimitives) on a 2-vCPU host whose second vCPU is
 // sometimes quick to wake and sometimes not.  Awake, a fork wins from the
 // sizes quoted below; asleep, every fork loses about a quarter.  So a grain
@@ -28,26 +28,20 @@ import (
 // result never depends on them — and there is no flag, field or variable
 // behind them.
 const (
-	// radixSortGrain: the serial LSD kernel sorts 64Ki keys in 0.8 ms.  Two
+	// sortGrain: the serial LSD kernel sorts 64Ki keys in 0.8 ms.  Two
 	// workers on 32Ki-key segments lost to it (1.03 against 0.83 ms), on
 	// 64Ki-key segments they won 1.24× (1.8 against 2.3 ms), on 128Ki-key
 	// segments 1.4× (4.0 against 5.5 ms), and at 1Mi 1.3× (23.6 against
 	// 29–31 ms).  The 1Ki-key grain this replaces lost 3.5× at 4Ki, 3.5× at
 	// 16Ki and 4.1× at 64Ki (workers=2: 160, 682 and 3600 µs against 45,
 	// 196 and 879 serial).
-	radixSortGrain = 1 << 17
-	// comparisonSortGrain: the introsort costs 60 ns/key, so its fork pays
-	// sooner than the radix kernel's — but only with the second vCPU awake
-	// (64Ki keys: 2.9 against 4.0 ms), and loses as much when it is not
-	// (5.2 against 4.1 ms).  A load-sized sort therefore stays serial and
-	// 1Mi forks (52 against 83 ms).
-	comparisonSortGrain = 1 << 16
+	sortGrain = 1 << 17
 	// mergeGrain is MultiMerge's and SymMerge's grain.  A merge share also
 	// pays CutLanes' k binary searches per cut and a loser tree per worker;
-	// under the radix kernel two workers on a 64Ki-key group won 1.27×
-	// (0.67 against 0.85 ms) and lost on 32Ki (0.40 against 0.35), and the
-	// fork cost runs-shaped and disjoint groups 2–5× (64×1024 keys: 102 and
-	// 57 µs forked against 47 and 15 serial).
+	// two workers on a 64Ki-key group won 1.27× (0.67 against 0.85 ms) and
+	// lost on 32Ki (0.40 against 0.35), and the fork cost runs-shaped and
+	// disjoint groups 2–5× (64×1024 keys: 102 and 57 µs forked against 47
+	// and 15 serial).
 	mergeGrain = 1 << 16
 	// forGrain is For's grain, in the caller's work units (keys touched).
 	// It is set for its lightest bodies, a memmove or a transpose: forked
@@ -78,43 +72,47 @@ func NewLimiter(slots int) *Limiter {
 	return &Limiter{sem: make(chan struct{}, slots)}
 }
 
-// Slots returns the limiter's capacity.
-func (l *Limiter) Slots() int { return cap(l.sem) }
+// Scratch is where a pool's sort kernel borrows its work space from: Take
+// reserves n keys and returns a buffer of that length, its contents
+// unspecified, or refuses with an error; Recycle hands the buffer back.
+// pdm.Arena is one, so the kernel's scratch is metered with every other
+// in-core buffer of the array.
+type Scratch interface {
+	Take(n int) ([]int64, error)
+	Recycle(buf []int64)
+}
 
 // Pool is a fixed-width fork/join worker pool.  Workers are spawned per
 // operation (Go's scheduler makes goroutine reuse unnecessary); the pool
-// carries the width, the observability counters, and optionally a shared
-// Limiter arbitrating its execution slots against other pools.
+// carries the width, the observability counters, the Scratch its kernel
+// borrows from, and optionally a shared Limiter arbitrating its execution
+// slots against other pools.
 type Pool struct {
 	workers int
 	lim     *Limiter
-	kernel  Kernel
+	scratch Scratch
 
 	sections  atomic.Int64
 	wallNanos atomic.Int64
 	busyNanos atomic.Int64
 }
 
-// New returns a pool of the given width; workers <= 0 selects GOMAXPROCS.
+// New returns a pool of the given width whose kernel scratch comes from
+// the Go heap, one allocation per borrow; workers <= 0 selects GOMAXPROCS.
 func New(workers int) *Pool {
-	return NewLimited(workers, nil)
+	return NewLimited(workers, nil, nil)
 }
 
 // NewLimited is New with the pool's leaf execution gated by lim (nil means
-// ungated).  Results are identical either way — the limiter only schedules
-// when work runs, never how it is partitioned.
-func NewLimited(workers int, lim *Limiter) *Pool {
-	return NewWithKernel(workers, lim, KernelAuto)
-}
-
-// NewWithKernel is NewLimited with an explicit sort kernel.  Results are
-// identical for every kernel — the kernel changes only how memory loads get
-// sorted, never the sorted keys (see Kernel).
-func NewWithKernel(workers int, lim *Limiter, k Kernel) *Pool {
+// ungated) and its kernel scratch borrowed from scratch (nil means the Go
+// heap).  Results are identical either way — the limiter only schedules
+// when work runs, never how it is partitioned, and a borrow scratch refuses
+// only changes how the load gets sorted (see SortKeys).
+func NewLimited(workers int, lim *Limiter, scratch Scratch) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &Pool{workers: workers, lim: lim, kernel: k}
+	return &Pool{workers: workers, lim: lim, scratch: scratch}
 }
 
 // Workers returns the pool width.

@@ -89,33 +89,46 @@ func TestSortKeysMatchesSerial(t *testing.T) {
 		}
 		want := append([]int64(nil), src...)
 		memsort.Keys(want)
-		for _, k := range []Kernel{KernelAuto, KernelComparison, KernelRadix} {
-			for _, w := range testWidths {
-				p := NewWithKernel(w, nil, k)
-				a := append([]int64(nil), src...)
-				p.SortKeys(a)
-				if !slices.Equal(a, want) {
-					t.Fatalf("n=%d w=%d kernel=%s: SortKeys differs from serial", n, w, k)
-				}
-				a = append([]int64(nil), src...)
-				p.SortKeysScratch(a, make([]int64, n))
-				if !slices.Equal(a, want) {
-					t.Fatalf("n=%d w=%d kernel=%s: SortKeysScratch differs from serial", n, w, k)
-				}
-				// Undersized scratch must fall back, not fail.
-				a = append([]int64(nil), src...)
-				p.SortKeysScratch(a, make([]int64, n/2))
-				if !slices.Equal(a, want) {
-					t.Fatalf("n=%d w=%d kernel=%s: fallback path differs from serial", n, w, k)
-				}
+		for _, w := range testWidths {
+			p := New(w)
+			a := append([]int64(nil), src...)
+			p.SortKeys(a)
+			if !slices.Equal(a, want) {
+				t.Fatalf("n=%d w=%d: SortKeys differs from serial", n, w)
+			}
+			a = append([]int64(nil), src...)
+			p.SortKeysScratch(a, make([]int64, n))
+			if !slices.Equal(a, want) {
+				t.Fatalf("n=%d w=%d: SortKeysScratch differs from serial", n, w)
+			}
+			// Undersized scratch must fall back, not fail.
+			a = append([]int64(nil), src...)
+			p.SortKeysScratch(a, make([]int64, n/2))
+			if !slices.Equal(a, want) {
+				t.Fatalf("n=%d w=%d: fallback path differs from serial", n, w)
 			}
 		}
 	}
 }
 
-// TestSortBodiesMatchSerial drives the two parallel sort bodies at forced
-// widths and small sizes (segments of a few keys, widths above the key
-// count's grain) for both kernels.
+func TestSortSegmentMatchesSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for _, n := range []int{0, 100, memsort.RadixMinKeys, 5000} {
+		src := randKeys(rng, n, 1<<50)
+		want := append([]int64(nil), src...)
+		memsort.Keys(want)
+		a := append([]int64(nil), src...)
+		New(4).SortSegment(a)
+		if !slices.Equal(a, want) {
+			t.Fatalf("n=%d: SortSegment differs from serial", n)
+		}
+	}
+}
+
+// TestSortBodiesMatchSerial drives the parallel sort body at forced widths
+// and small sizes (segments of a few keys, widths above the key count's
+// grain), and the serial leaf without scratch (a refused borrow's
+// introsort).
 func TestSortBodiesMatchSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, n := range []int{8, 500, 1037, 20000} {
@@ -124,51 +137,45 @@ func TestSortBodiesMatchSerial(t *testing.T) {
 		want := append([]int64(nil), src...)
 		memsort.Keys(want)
 		for _, w := range forkWidths {
-			p := New(w)
-			for _, k := range kernels {
-				a := append([]int64(nil), src...)
-				p.sortSegmentsMerge(a, make([]int64, n), k, w)
-				if !slices.Equal(a, want) {
-					t.Fatalf("n=%d w=%d kernel=%s: sortSegmentsMerge differs from serial", n, w, k)
-				}
-			}
 			a := append([]int64(nil), src...)
-			p.sortSymMerge(a, w)
+			New(w).sortSegmentsMerge(a, make([]int64, n), w)
 			if !slices.Equal(a, want) {
-				t.Fatalf("n=%d w=%d: sortSymMerge differs from serial", n, w)
+				t.Fatalf("n=%d w=%d: sortSegmentsMerge differs from serial", n, w)
 			}
+		}
+		a := append([]int64(nil), src...)
+		sortSerial(a, nil)
+		if !slices.Equal(a, want) {
+			t.Fatalf("n=%d: sortSerial without scratch differs from serial", n)
 		}
 	}
 }
 
 // TestSortKeysAboveGrainForks checks the exported entry points really take
 // the parallel path once two workers get a grain each, and agree with the
-// serial kernels there.
+// serial kernel there.
 func TestSortKeysAboveGrainForks(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for _, k := range kernels {
-		grain := k.sortGrain()
-		n := 2*grain + 5
-		src := randKeys(rng, n, 1<<50)
-		want := append([]int64(nil), src...)
-		memsort.Keys(want)
-		for _, scratch := range [][]int64{nil, make([]int64, n)} {
-			p := NewWithKernel(3, nil, k)
-			a := append([]int64(nil), src...)
-			p.SortKeysScratch(a, scratch) // nil scratch: the SortKeys path
-			if !slices.Equal(a, want) {
-				t.Fatalf("kernel=%s scratch=%v: differs from serial", k, scratch != nil)
-			}
-			if s, _, _ := p.Counters(); s != 1 {
-				t.Fatalf("kernel=%s scratch=%v: %d sections, want 1", k, scratch != nil, s)
-			}
+	n := 2*sortGrain + 5
+	src := randKeys(rng, n, 1<<50)
+	want := append([]int64(nil), src...)
+	memsort.Keys(want)
+	for _, scratch := range [][]int64{nil, make([]int64, n)} {
+		p := New(3)
+		a := append([]int64(nil), src...)
+		p.SortKeysScratch(a, scratch) // nil scratch: the SortKeys path
+		if !slices.Equal(a, want) {
+			t.Fatalf("scratch=%v: differs from serial", scratch != nil)
 		}
-		p := NewWithKernel(3, nil, k)
-		a := append([]int64(nil), src[:2*grain-1]...)
-		p.SortKeys(a)
-		if s, _, _ := p.Counters(); s != 0 || !memsort.IsSorted(a) {
-			t.Fatalf("kernel=%s: a load under two grains forked (%d sections)", k, s)
+		if s, _, _ := p.Counters(); s != 1 {
+			t.Fatalf("scratch=%v: %d sections, want 1", scratch != nil, s)
 		}
+	}
+	p := New(3)
+	a := append([]int64(nil), src[:2*sortGrain-1]...)
+	p.SortKeys(a)
+	if s, _, _ := p.Counters(); s != 0 || !memsort.IsSorted(a) {
+		t.Fatalf("a load under two grains forked (%d sections)", s)
 	}
 }
 
@@ -218,7 +225,7 @@ func TestTranspose(t *testing.T) {
 
 func TestCountersAdvanceAndReset(t *testing.T) {
 	p := New(4)
-	a := randKeys(rand.New(rand.NewSource(8)), 2*radixSortGrain, 1<<30)
+	a := randKeys(rand.New(rand.NewSource(8)), 2*sortGrain, 1<<30)
 	p.SortKeys(a)
 	sections, wall, busy := p.Counters()
 	if sections == 0 || wall <= 0 || busy <= 0 {

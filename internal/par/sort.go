@@ -6,119 +6,108 @@ import (
 	"repro/internal/memsort"
 )
 
-// SortKeys sorts a in place, dispatching on the pool's Kernel, across as
-// many workers as the load gives a full grain each (see the grain constants)
-// and serially below that.  The comparison kernel forks per-worker
-// memsort.Keys on contiguous segments, then parallel in-place merge rounds
-// (symmetric merges of adjacent segment pairs, each pair's merge itself
-// forked by SymMergeSplit); it allocates no key buffers, so it is safe inside
-// any memory envelope.  The radix kernel borrows ping-pong scratch from the
-// capped free list (see maxPooledScratchKeys) — still Go heap, never
-// simulated-arena memory — for SortKeysScratch's parallel path.  The result is
-// identical to memsort.Keys for any kernel and worker count; when a scratch
-// buffer is already available, SortKeysScratch avoids the borrow.
+// SortKeys sorts a in place with the LSD radix kernel (memsort.RadixKeys,
+// which takes the introsort below memsort.RadixMinKeys keys), across as
+// many workers as the load gives a full sortGrain each and serially below
+// that.  Its one load of scratch is borrowed from the pool's Scratch for
+// the call; should the Scratch refuse it, the load is sorted by the
+// scratch-free introsort instead.  The result is identical to memsort.Keys
+// for any worker count and either way; when a dead buffer is at hand,
+// SortKeysScratch avoids the borrow.
 func (p *Pool) SortKeys(a []int64) {
-	n := len(a)
-	k := p.kernelFor(n)
-	s := p.width(n, k.sortGrain())
-	if s == 1 {
-		sortSegmentKernel(a, k)
-		return
-	}
-	done := p.section()
-	if k == KernelRadix {
-		bp := getScratch(n)
-		p.sortSegmentsMerge(a, *bp, k, s)
-		putScratch(bp)
-	} else {
-		p.sortSymMerge(a, s)
-	}
-	done()
-}
-
-// sortSymMerge is the scratch-free parallel comparison sort over s segments.
-func (p *Pool) sortSymMerge(a []int64, s int) {
-	n := len(a)
-	bounds := make([]int, s+1)
-	for i := range bounds {
-		bounds[i] = i * n / s
-	}
-	p.parDo(s, s, func(i, _, _ int) {
-		memsort.Keys(a[bounds[i]:bounds[i+1]])
-	})
-	// Merge rounds: width doubles each round; every pair merge gets an
-	// equal share of the workers to fork its symmetric merge with.
-	for width := 1; width < s; width *= 2 {
-		type pair struct{ lo, mid, hi int }
-		var pairs []pair
-		for i := 0; i+width < s; i += 2 * width {
-			hiIdx := i + 2*width
-			if hiIdx > s {
-				hiIdx = s
-			}
-			pairs = append(pairs, pair{bounds[i], bounds[i+width], bounds[hiIdx]})
-		}
-		budget := s / len(pairs)
-		if budget < 1 {
-			budget = 1
-		}
-		// Plain goroutines, not p.spawn: symMergeRec records its own busy
-		// time at the leaves, so timing the whole subtree here would count
-		// its children's work (and the waits for them) twice.
-		var wg sync.WaitGroup
-		for _, pr := range pairs[1:] {
-			pr := pr
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				p.symMergeRec(a, pr.lo, pr.mid, pr.hi, budget)
-			}()
-		}
-		p.symMergeRec(a, pairs[0].lo, pairs[0].mid, pairs[0].hi, budget)
-		wg.Wait()
-	}
+	scratch := p.borrow(len(a))
+	p.sortScratch(a, scratch)
+	p.giveBack(scratch)
 }
 
 // SortKeysScratch sorts a in place using scratch (len ≥ len(a)) as work
-// space, dispatching on the pool's Kernel.  Below the kernel's grain it is
-// the serial kernel, the radix one ping-ponging through scratch directly (no
-// borrow).  Above it, both kernels take the same one parallel path: each
-// worker sorts a contiguous segment serially (radix segments ping-pong
-// through their own span of scratch, so every worker's traffic stays in its
-// own cache), one splitter-partitioned k-way merge joins the segments into
-// scratch, and a parallel copy brings them back.  Falls back to SortKeys
-// when scratch is too small.
+// space.  Below the grain it is the serial kernel ping-ponging through
+// scratch directly.  Above it each worker sorts a contiguous segment
+// serially (through its own span of scratch, so every worker's traffic
+// stays in its own cache), one splitter-partitioned k-way merge joins the
+// segments into scratch, and a parallel copy brings them back.  Falls back
+// to SortKeys when scratch is too small.
 func (p *Pool) SortKeysScratch(a, scratch []int64) {
-	n := len(a)
-	if len(scratch) < n {
+	if len(scratch) < len(a) {
 		p.SortKeys(a)
 		return
 	}
-	k := p.kernelFor(n)
-	s := p.width(n, k.sortGrain())
-	if s == 1 {
-		sortSerial(a, scratch, k)
+	p.sortScratch(a, scratch[:len(a)])
+}
+
+// SortSegment sorts one contiguous segment serially on the calling
+// goroutine, borrowing its scratch as SortKeys does.  It is the
+// per-segment leaf for callers that manage their own parallelism —
+// columnsort's independent column sorts run it inside a For callback — and
+// is safe to call concurrently as long as the pool's Scratch is.
+func (p *Pool) SortSegment(a []int64) {
+	scratch := p.borrow(len(a))
+	sortSerial(a, scratch)
+	p.giveBack(scratch)
+}
+
+// sortScratch is SortKeysScratch for scratch of exactly len(a) keys, or
+// nil for a refused borrow.
+func (p *Pool) sortScratch(a, scratch []int64) {
+	s := p.width(len(a), sortGrain)
+	if s == 1 || scratch == nil {
+		sortSerial(a, scratch)
 		return
 	}
 	done := p.section()
-	p.sortSegmentsMerge(a, scratch[:n], k, s)
+	p.sortSegmentsMerge(a, scratch, s)
 	done()
+}
+
+// sortSerial sorts a serially: the radix kernel given scratch (len ≥
+// len(a)), the introsort given none.
+func sortSerial(a, scratch []int64) {
+	if len(scratch) < len(a) {
+		memsort.Keys(a)
+		return
+	}
+	memsort.RadixKeys(a, scratch)
+}
+
+// borrow takes n keys of kernel scratch from the pool's Scratch, or from
+// the heap when it has none.  It returns nil below memsort.RadixMinKeys,
+// where the kernel needs none, and when the Scratch refuses; the Scratch
+// has counted that (pdm.Arena.Refused), and the caller goes on without.
+func (p *Pool) borrow(n int) []int64 {
+	if n < memsort.RadixMinKeys {
+		return nil
+	}
+	if p.scratch == nil {
+		return make([]int64, n)
+	}
+	buf, err := p.scratch.Take(n)
+	if err != nil {
+		return nil
+	}
+	return buf
+}
+
+// giveBack returns what borrow handed out.
+func (p *Pool) giveBack(buf []int64) {
+	if p.scratch != nil && buf != nil {
+		p.scratch.Recycle(buf)
+	}
 }
 
 // sortSegmentsMerge is the parallel sort over s segments: serial kernel
 // sorts, a partitioned merge into scratch, a copy back.
-func (p *Pool) sortSegmentsMerge(a, scratch []int64, k Kernel, s int) {
+func (p *Pool) sortSegmentsMerge(a, scratch []int64, s int) {
 	n := len(a)
 	lanes := make([][]int64, s)
 	p.parDo(s, s, func(i, _, _ int) {
 		lo, hi := i*n/s, (i+1)*n/s
-		sortSerial(a[lo:hi], scratch[lo:hi], k)
+		sortSerial(a[lo:hi], scratch[lo:hi])
 		lanes[i] = a[lo:hi]
 	})
 	// The segments of a uniform load interleave key by key, and there are
-	// only s of them: the comparison merge's plain pops are the right tail
-	// here whatever the kernel (re-sorting the tail would sort twice).
-	p.multiMergeBody(scratch, lanes, KernelComparison, s)
+	// only s of them: plain pops are the right tail here (re-sorting the
+	// tail would sort twice).
+	p.multiMergeBody(scratch, lanes, s, memsort.MultiMerge)
 	p.parDo(s, n, func(_, lo, hi int) {
 		copy(a[lo:hi], scratch[lo:hi])
 	})

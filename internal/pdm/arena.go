@@ -17,14 +17,13 @@ type Arena struct {
 	capacity int
 	used     int
 	peak     int
+	refused  int
 	phases   map[string]int
 	phase    string
-	kept     [][]int64 // buffers Recycle keeps for Take
+	kept     [][]int64 // buffers Recycle keeps for Take, least recent first
+	keptKeys int       // their summed capacities, at most capacity
+	made     int       // keys Take allocated because nothing kept fit
 }
-
-// keptBuffers bounds what Recycle keeps: a pass's Reader and Writer rings,
-// with room for the extra lanes of a merge.
-const keptBuffers = 4
 
 // NewArena returns an arena with the given capacity in keys.
 func NewArena(capacity int) *Arena {
@@ -56,33 +55,50 @@ func (ar *Arena) Free(buf []int64) {
 	ar.Release(len(buf))
 }
 
-// Take is Alloc for staging the caller overwrites before reading it: the n
-// keys are reserved exactly as Alloc reserves them, but the buffer is one
-// Recycle kept when one of length n is on hand, its words not zeroed.
+// Take is Alloc for staging and scratch the caller overwrites before
+// reading it: the n keys are reserved exactly as Alloc reserves them, but
+// the buffer is the smallest Recycle kept whose capacity holds n keys,
+// resliced to n, its words not zeroed.  Only when none does is a buffer
+// allocated.
 func (ar *Arena) Take(n int) ([]int64, error) {
 	if err := ar.Reserve(n); err != nil {
 		return nil, err
 	}
 	ar.mu.Lock()
 	defer ar.mu.Unlock()
+	best := -1
 	for i, buf := range ar.kept {
-		if len(buf) == n {
-			ar.kept = slices.Delete(ar.kept, i, i+1)
-			return buf, nil
+		if cap(buf) >= n && (best < 0 || cap(buf) < cap(ar.kept[best])) {
+			best = i
 		}
 	}
-	return make([]int64, n), nil
+	if best < 0 {
+		ar.made += n
+		return make([]int64, n), nil
+	}
+	buf := ar.kept[best]
+	ar.kept = slices.Delete(ar.kept, best, best+1)
+	ar.keptKeys -= cap(buf)
+	return buf[:n], nil
 }
 
-// Recycle is Free that keeps buf for a later Take, up to keptBuffers of
-// them: the keys are released either way.
+// Recycle is Free that keeps buf for a later Take: the keys are released
+// either way.  The kept buffers' capacities sum to at most the arena's
+// capacity, the least recently recycled going first to make room, so the
+// memory an arena holds for reuse never exceeds what it meters.
 func (ar *Arena) Recycle(buf []int64) {
 	ar.Release(len(buf))
 	ar.mu.Lock()
 	defer ar.mu.Unlock()
-	if len(ar.kept) < keptBuffers {
-		ar.kept = append(ar.kept, buf)
+	if cap(buf) > ar.capacity {
+		return
 	}
+	for ar.keptKeys+cap(buf) > ar.capacity {
+		ar.keptKeys -= cap(ar.kept[0])
+		ar.kept = slices.Delete(ar.kept, 0, 1)
+	}
+	ar.kept = append(ar.kept, buf)
+	ar.keptKeys += cap(buf)
 }
 
 // Reserve charges n keys against the arena without handing out a buffer —
@@ -98,6 +114,7 @@ func (ar *Arena) Reserve(n int) error {
 	ar.mu.Lock()
 	defer ar.mu.Unlock()
 	if ar.used+n > ar.capacity {
+		ar.refused++
 		return fmt.Errorf("%w: in use %d + reservation %d > capacity %d",
 			ErrMemoryExceeded, ar.used, n, ar.capacity)
 	}
@@ -148,6 +165,17 @@ func (ar *Arena) Peak() int {
 	ar.mu.Lock()
 	defer ar.mu.Unlock()
 	return ar.peak
+}
+
+// Refused returns how many reservations (Reserve, Alloc, Take) the arena
+// has refused.  On an array's arena a run that succeeded refused none
+// unless its compute pool's kernel was denied scratch and fell back to the
+// introsort, which the capacity formula (Config.ArenaCapacity) is sized
+// never to make it do.
+func (ar *Arena) Refused() int {
+	ar.mu.Lock()
+	defer ar.mu.Unlock()
+	return ar.refused
 }
 
 // Capacity returns the arena capacity in keys.

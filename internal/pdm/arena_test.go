@@ -150,10 +150,10 @@ func TestArenaReleaseUnderflowPanics(t *testing.T) {
 	ar.Release(6)
 }
 
-// TestArenaTakeRecycle: Take reserves like Alloc and hands back a buffer
-// Recycle kept when one of the right length is on hand; Recycle releases
-// the keys whether or not it keeps the buffer, and keeps at most
-// keptBuffers.
+// TestArenaTakeRecycle: Take reserves like Alloc and hands back the
+// smallest buffer Recycle kept that holds the request, resliced; Recycle
+// releases the keys whether or not it keeps the buffer, and keeps at most
+// the arena's capacity in buffers, dropping the least recently recycled.
 func TestArenaTakeRecycle(t *testing.T) {
 	ar := NewArena(100)
 	a, err := ar.Take(10)
@@ -183,19 +183,24 @@ func TestArenaTakeRecycle(t *testing.T) {
 	if _, err := ar.Take(91); err == nil {
 		t.Fatal("Take past capacity succeeded")
 	}
+	if ar.Refused() != 1 {
+		t.Fatalf("Refused = %d after one refused Take, want 1", ar.Refused())
+	}
 	ar.Recycle(b)
-	var held [][]int64
-	for n := 1; n <= 2*keptBuffers; n++ { // lengths no kept buffer has
-		buf, err := ar.Take(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		held = append(held, buf)
+	if c, _ := ar.Take(5); len(c) != 5 || &c[0] != &a[0] {
+		t.Fatal("Take(5) did not reuse the smallest kept buffer that holds it")
+	} else {
+		ar.Recycle(c)
 	}
-	for _, buf := range held {
-		ar.Recycle(buf)
+	made := ar.made
+	x, _ := ar.Take(60) // nothing kept holds 60 or 40 keys
+	y, _ := ar.Take(40)
+	if ar.made != made+100 {
+		t.Fatalf("made %d keys for two fresh Takes of 100, want %d", ar.made-made, 100)
 	}
-	if len(ar.kept) != keptBuffers || ar.InUse() != 0 {
-		t.Fatalf("kept %d buffers (want %d), InUse %d (want 0)", len(ar.kept), keptBuffers, ar.InUse())
+	ar.Recycle(x)
+	ar.Recycle(y) // 12 + 10 + 60 + 40 > 100: the 12- and 10-key buffers go
+	if len(ar.kept) != 2 || ar.keptKeys != 100 || &ar.kept[1][0] != &y[0] || ar.InUse() != 0 {
+		t.Fatalf("kept %d buffers of %d keys (want 2 of 100), InUse %d (want 0)", len(ar.kept), ar.keptKeys, ar.InUse())
 	}
 }

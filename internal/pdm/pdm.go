@@ -95,12 +95,13 @@ const memSlack = 2
 
 // ArenaCapacity returns the arena capacity, in keys, an Array built from
 // this configuration provisions: memSlack·M of algorithm envelope, one
+// memory load of scratch for the compute pool's sort kernel (a radix sort
+// or merge tail borrows up to M keys beside the buffers it works on), one
 // stripe of scatter/gather staging, and the pipeline's staging slots
-// (PipelineStaging).  The
-// scheduler reserves exactly this amount per job on its global memory
-// ledger.
+// (PipelineStaging).  The scheduler reserves exactly this amount per job
+// on its global memory ledger.
 func (c Config) ArenaCapacity() int {
-	return memSlack*c.Mem + c.D*c.B + c.PipelineStaging()
+	return memSlack*c.Mem + c.Mem + c.D*c.B + c.PipelineStaging()
 }
 
 // C returns the memory-to-stripe ratio M/(D·B), the constant the paper
@@ -197,9 +198,8 @@ func New(cfg Config) (*Array, error) {
 }
 
 // NewWithDisks creates an Array from caller-provided disks (for example
-// FileDisk instances).  len(disks) must equal cfg.D.  The compute pool's
-// sort kernel is resolved here, once, from the memory-load size
-// (par.AutoKernel(cfg.Mem)): it is a function of M, not an option.
+// FileDisk instances).  len(disks) must equal cfg.D.  The compute pool
+// borrows its kernel scratch from the array's arena.
 func NewWithDisks(cfg Config, disks []Disk) (*Array, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -207,11 +207,12 @@ func NewWithDisks(cfg Config, disks []Disk) (*Array, error) {
 	if len(disks) != cfg.D {
 		return nil, fmt.Errorf("pdm: got %d disks, config says D = %d", len(disks), cfg.D)
 	}
+	arena := NewArena(cfg.ArenaCapacity())
 	a := &Array{
 		cfg:     cfg,
 		disks:   disks,
-		arena:   NewArena(cfg.ArenaCapacity()),
-		pool:    par.NewWithKernel(cfg.Workers, cfg.Limiter, par.AutoKernel(cfg.Mem)),
+		arena:   arena,
+		pool:    par.NewLimited(cfg.Workers, cfg.Limiter, arena),
 		perDisk: make([]int, cfg.D),
 	}
 	zc := make([]ZeroCopyDisk, 0, len(disks))

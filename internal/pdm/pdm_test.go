@@ -2,9 +2,8 @@ package pdm
 
 import (
 	"errors"
+	"slices"
 	"testing"
-
-	"repro/internal/par"
 )
 
 func testConfig() Config {
@@ -33,22 +32,25 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-// TestPoolKernelFollowsMemory pins the one place the compute kernel is
-// resolved: a function of M (par.AutoKernel), comparison below the
-// threshold and radix at and above it, exactly what the facade's resolved
-// selector handed the pool when the kernel was still an option.
-func TestPoolKernelFollowsMemory(t *testing.T) {
-	for _, tc := range []struct {
-		b    int
-		want par.Kernel
-	}{{32, par.KernelComparison}, {64, par.KernelRadix}, {256, par.KernelRadix}} {
-		a, err := New(Config{D: 4, B: tc.b, Mem: tc.b * tc.b})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := a.Pool().Kernel(); got != tc.want {
-			t.Errorf("M = %d: pool kernel %q, want %q", tc.b*tc.b, got, tc.want)
-		}
+// TestPoolBorrowsFromArena pins where the compute pool's kernel scratch
+// comes from: the array's own arena, one load's worth for a load sort,
+// handed back when the sort returns.
+func TestPoolBorrowsFromArena(t *testing.T) {
+	a, err := New(Config{D: 4, B: 64, Mem: 64 * 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	load := make([]int64, a.Mem())
+	for i := range load {
+		load[i] = int64(len(load) - i)
+	}
+	a.Pool().SortKeys(load)
+	if !slices.IsSorted(load) {
+		t.Fatal("load not sorted")
+	}
+	if ar := a.Arena(); ar.Peak() != a.Mem() || ar.InUse() != 0 || ar.Refused() != 0 {
+		t.Fatalf("arena peak %d (want M = %d), in use %d, refused %d after a load sort",
+			ar.Peak(), a.Mem(), ar.InUse(), ar.Refused())
 	}
 }
 

@@ -20,25 +20,33 @@ import (
 	"repro/internal/workload"
 )
 
+// durablePipeline is the pipeline of every scheduler in these tests.
+var durablePipeline = repro.PipelineConfig{Prefetch: 2, WriteBehind: 2}
+
+// jobEnvelope is what a scheduler reserves per job of M = mem keys: the
+// job array's ArenaCapacity().
+func jobEnvelope(t *testing.T, mem int) int {
+	t.Helper()
+	m, err := repro.NewMachine(repro.MachineConfig{Memory: mem, Pipeline: durablePipeline})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	return m.Array().Config().ArenaCapacity()
+}
+
 // durableScheduler builds a journaled, file-backed scheduler over the
 // given directories: one job envelope, so the handler sees a suspended
 // job and a queued one after a drain.
 func durableScheduler(t *testing.T, dir, jdir string) *repro.Scheduler {
 	t.Helper()
-	pipeline := repro.PipelineConfig{Prefetch: 2, WriteBehind: 2}
-	m, err := repro.NewMachine(repro.MachineConfig{Memory: 1024, Pipeline: pipeline})
-	if err != nil {
-		t.Fatal(err)
-	}
-	envelope := m.Array().Config().ArenaCapacity() // what the scheduler reserves per job
-	m.Close()
 	sch, err := repro.NewScheduler(repro.SchedulerConfig{
-		Memory:     6 * envelope / 5,
+		Memory:     6 * jobEnvelope(t, 1024) / 5,
 		Workers:    2,
 		JobMemory:  1024,
 		Dir:        dir,
 		JournalDir: jdir,
-		Pipeline:   pipeline,
+		Pipeline:   durablePipeline,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -211,10 +219,11 @@ func metricPositive(text, prefix string) bool {
 // and the next life finishes it from that file.
 func TestDurabilityOverHTTPLargeUpload(t *testing.T) {
 	dir, jdir := t.TempDir(), t.TempDir()
+	envelope := jobEnvelope(t, 1<<16)
 	life := func() (*repro.Scheduler, *httptest.Server) {
-		// One 64Ki-memory job envelope (212,992 keys) fits the budget, two do not.
-		sch, err := repro.NewScheduler(repro.SchedulerConfig{Memory: 300000, Workers: 2, JobMemory: 1 << 16,
-			Dir: dir, JournalDir: jdir, Pipeline: repro.PipelineConfig{Prefetch: 2, WriteBehind: 2}})
+		// One 64Ki-memory job envelope fits the budget, two do not.
+		sch, err := repro.NewScheduler(repro.SchedulerConfig{Memory: 6 * envelope / 5, Workers: 2, JobMemory: 1 << 16,
+			Dir: dir, JournalDir: jdir, Pipeline: durablePipeline})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -125,8 +125,7 @@ func probe(pc ProbeConfig) (cal Calibration, err error) {
 	}
 	t0 := time.Now()
 	stripe := pc.D * pc.B
-	// Mem is the probed machine's M (the facade's machines have B = √M), so
-	// the pool sorts with the kernel that machine's memory loads run through.
+	// Mem is the probed machine's M (the facade's machines have B = √M).
 	cfg := pdm.Config{D: pc.D, B: pc.B, Mem: max(stripe, pc.B*pc.B), Workers: pc.Workers}
 	var dir string
 	if pc.Backend == pdm.BackendFile || pc.Backend == pdm.BackendMmap {
@@ -183,13 +182,14 @@ func probe(pc ProbeConfig) (cal Calibration, err error) {
 		return cal, err
 	}
 
-	// Compute probe: sort one buffer on the configured pool.  The per-key
-	// rate prices every pass's in-memory work (run formation, merging,
-	// shuffling) — coarse, but uniform across candidates.
-	buf := make([]int64, 1<<15)
+	// Compute probe: sort one buffer on the configured pool, its scratch
+	// passed in (the buffer may exceed what the probe arena lends).  The
+	// per-key rate prices every pass's in-memory work (run formation,
+	// merging, shuffling) — coarse, but uniform across candidates.
+	buf, scratch := make([]int64, 1<<15), make([]int64, 1<<15)
 	fillProbeKeys(buf)
 	tc := time.Now()
-	a.Pool().SortKeys(buf)
+	a.Pool().SortKeysScratch(buf, scratch)
 	cal.SortSecondsPerKey = time.Since(tc).Seconds() / float64(len(buf))
 
 	cal.Probed = true

@@ -8,8 +8,8 @@
 //
 // Every kernel streams its charged I/O through internal/stream, so the
 // oblivious-accounting guarantee carries over: outputs, pass counts,
-// pdm.Stats, and I/O traces are bit-identical across worker counts, disk
-// backends, and compute kernels — only the wall clock changes.  The
+// pdm.Stats, and I/O traces are bit-identical across worker counts and
+// disk backends — only the wall clock changes.  The
 // matching closed-form step predictions live in internal/plan
 // (TopKPlan/QuantilePlan/GroupByPlan/IngestPlan); the deterministic
 // sample/budget formulas are shared so a plan's steps are the steps a run

@@ -31,8 +31,8 @@ type FilterResult struct {
 // allocation); one more aborts with ErrOverflow.
 //
 // The scan is sequential and single-buffered, so the result, the charged
-// steps, and the I/O trace are identical for any worker count, backend,
-// or kernel.
+// steps, and the I/O trace are identical for any worker count or
+// backend.
 func Filter(a *pdm.Array, in *pdm.Stripe, lo, hi int64, hasLo bool, cap int) (*FilterResult, error) {
 	padded := in.Len()
 	stripe := a.StripeWidth()

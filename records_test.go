@@ -463,8 +463,8 @@ func TestSortRecordsMillionBitIdentical(t *testing.T) {
 
 	// Scheduler run: same geometry, same pipeline, same worker width.
 	s, err := NewScheduler(SchedulerConfig{
-		Memory:     80000,
-		DiskBudget: 8 << 20, // the payload spill needs more than 64x mem
+		Memory:     6 * jobEnvelope(mem) / 5, // one job envelope
+		DiskBudget: 8 << 20,                  // the payload spill needs more than 64x mem
 		Workers:    8,
 		JobMemory:  mem,
 		Pipeline:   PipelineConfig{Prefetch: 2, WriteBehind: 2},

@@ -104,9 +104,7 @@ func runScenarioCase(t *testing.T, cfg MachineConfig, sc scenarioCase) detRun {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if leak := m.Array().Arena().InUse(); leak != 0 {
-		t.Fatalf("scenario leaked %d arena keys", leak)
-	}
+	assertArenaAirtight(t, m)
 	return detRun{out: out, rep: rep, stats: normalizeStats(m.Array().Stats()), trace: m.Array().Trace()}
 }
 
@@ -136,10 +134,9 @@ func TestScenarioBackendDeterminism(t *testing.T) {
 	}
 }
 
-// TestScenarioKernelDeterminism runs every scenario route under both
-// compute kernels — picked by geometry, see kernelMems — at one and eight
-// workers: the result is the oracle's, and everything else matches across
-// worker counts.
+// TestScenarioKernelDeterminism runs every scenario route at both
+// kernelMems at one and eight workers: the result is the oracle's, the
+// arena airtight, and everything else matches across worker counts.
 func TestScenarioKernelDeterminism(t *testing.T) {
 	suites := [][]scenarioCase{scenarioSuite(kernelMems[0]), scenarioSuite(kernelMems[1])}
 	for i, sc := range suites[0] {

@@ -21,15 +21,19 @@ import (
 const schedJobMem = 1024
 
 // schedEnvelope is the memory the scheduler reserves for one schedJobMem
-// job at the tests' pipeline depth 2/2: its array's ArenaCapacity().  The
-// budgets below are stated as multiples of it.
-var schedEnvelope = func() int {
-	pcfg, _, err := resolveConfig(MachineConfig{Memory: schedJobMem, Pipeline: PipelineConfig{Prefetch: 2, WriteBehind: 2}})
+// job at the tests' pipeline depth 2/2.  The budgets below are stated as
+// multiples of it.
+var schedEnvelope = jobEnvelope(schedJobMem)
+
+// jobEnvelope is the memory the scheduler reserves for one job of M = mem
+// at the tests' pipeline depth 2/2: its array's ArenaCapacity().
+func jobEnvelope(mem int) int {
+	pcfg, _, err := resolveConfig(MachineConfig{Memory: mem, Pipeline: PipelineConfig{Prefetch: 2, WriteBehind: 2}})
 	if err != nil {
 		panic(err)
 	}
 	return pcfg.ArenaCapacity()
-}()
+}
 
 // schedCase is one job: an algorithm (or radix universe) plus an input.
 type schedCase struct {
