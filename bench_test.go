@@ -519,8 +519,9 @@ func BenchmarkSortFile(b *testing.B) {
 
 // BenchmarkTopKFile is bench's topk-file shape in-process — TopK(K = 100)
 // on fileBenchMachine — so a CPU profile (-cpuprofile) splits an op into
-// its uncharged selection front (sampleKeys + thresholdAt) and the load
-// and charged filter pass.
+// its uncharged selection front (checkKeys + drawThreshold), the
+// uncharged load that runs beside it on its own goroutine, and the
+// charged filter pass.
 func BenchmarkTopKFile(b *testing.B) {
 	m, keys := fileBenchMachine(b, "uniform", 4<<20)
 	b.ResetTimer()

@@ -319,38 +319,6 @@ func TestExtentStagingCanceled(t *testing.T) {
 	}
 }
 
-// TestExtentStagingAllocs: a load and unload allocate a fixed number of
-// slices (block views, the run gather, the staged last block), however many
-// rows the stripe has — no per-call heap iovec.
-func TestExtentStagingAllocs(t *testing.T) {
-	cfg := Config{D: 4, B: 8, Mem: 1024}
-	a, err := NewFileArray(cfg, t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	allocs := map[int]float64{}
-	for _, rows := range []int{16, 256} {
-		s, err := a.NewStripe(rows * a.StripeWidth())
-		if err != nil {
-			t.Fatal(err)
-		}
-		data := make([]int64, s.Len()-3)
-		allocs[rows] = testing.AllocsPerRun(20, func() {
-			if err := s.LoadPadded(data, -1); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.UnloadInto(data); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	if allocs[256] > 10 || allocs[256] != allocs[16] {
-		t.Fatalf("LoadPadded+UnloadInto allocates %v times at 16 rows and %v at 256, want the same constant <= 10",
-			allocs[16], allocs[256])
-	}
-}
-
 // blockCall is one block call a wrapped disk saw.
 type blockCall struct {
 	addr  BlockAddr

@@ -131,10 +131,16 @@ func (a *Array) transferOn(d int, addrs []BlockAddr, bufs [][]int64, write bool)
 // putRuns), so a transfer allocates only while its request outgrows every
 // scratch on hand.
 type runs struct {
-	end   []int       // per disk: the end of its blocks in off and bufs
-	off   []int       // block offsets, grouped by disk
-	bufs  [][]int64   // block buffers, grouped by disk
-	addrs []BlockAddr // Stripe.stage's request
+	end  []int     // per disk: the end of its blocks in off and bufs
+	off  []int     // block offsets, grouped by disk
+	bufs [][]int64 // block buffers, grouped by disk
+
+	// A Stripe transfer's request (stripe.go): its addresses, its block
+	// views, and the staged blocks beyond its whole caller blocks (a tail,
+	// then one sentinel block for all the padding).
+	addrs []BlockAddr
+	views [][]int64
+	blk   []int64
 }
 
 // move transfers bufs[i] to or from addrs[i] on disks, one call per run.
@@ -315,12 +321,11 @@ func (a *Array) RecordWriteBehind(hit bool) {
 	}
 }
 
-// splitBlocks carves flat (len a multiple of B) into B-key block views.
-func (a *Array) splitBlocks(flat []int64) [][]int64 {
-	nb := len(flat) / a.cfg.B
-	bufs := make([][]int64, nb)
-	for i := range bufs {
-		bufs[i] = flat[i*a.cfg.B : (i+1)*a.cfg.B]
+// appendBlocks appends the B-key block views of flat (its length a
+// multiple of b) to views.
+func appendBlocks(views [][]int64, flat []int64, b int) [][]int64 {
+	for i := 0; i < len(flat); i += b {
+		views = append(views, flat[i:i+b])
 	}
-	return bufs
+	return views
 }

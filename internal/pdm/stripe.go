@@ -2,6 +2,7 @@ package pdm
 
 import (
 	"fmt"
+	"slices"
 )
 
 // extent is a run of free rows in the row allocator.
@@ -131,46 +132,62 @@ func (s *Stripe) Skew() int { return s.skew }
 // ReadAt/WriteAt would issue.  The streaming layer uses it to pre-plan
 // chunk requests.
 func (s *Stripe) AddrRange(keyOff, nKeys int) ([]BlockAddr, error) {
-	return s.addrRange(keyOff, nKeys)
+	if err := s.checkRange(keyOff, nKeys); err != nil {
+		return nil, err
+	}
+	b := s.a.cfg.B
+	return s.appendAddrs(make([]BlockAddr, 0, nKeys/b), keyOff/b, nKeys/b), nil
 }
 
-// addrRange returns the addresses of the blocks covering keys
-// [keyOff, keyOff+nKeys).
-func (s *Stripe) addrRange(keyOff, nKeys int) ([]BlockAddr, error) {
+// checkRange rejects a key range [keyOff, keyOff+nKeys) that is not
+// block-aligned or not inside the stripe.
+func (s *Stripe) checkRange(keyOff, nKeys int) error {
 	b := s.a.cfg.B
 	if keyOff%b != 0 || nKeys%b != 0 {
-		return nil, fmt.Errorf("%w: range [%d, %d) with B = %d", ErrUnaligned, keyOff, keyOff+nKeys, b)
+		return fmt.Errorf("%w: range [%d, %d) with B = %d", ErrUnaligned, keyOff, keyOff+nKeys, b)
 	}
 	if keyOff < 0 || keyOff+nKeys > s.n {
-		return nil, fmt.Errorf("%w: range [%d, %d) of stripe with %d keys", ErrOutOfRange, keyOff, keyOff+nKeys, s.n)
+		return fmt.Errorf("%w: range [%d, %d) of stripe with %d keys", ErrOutOfRange, keyOff, keyOff+nKeys, s.n)
 	}
-	first := keyOff / b
-	addrs := make([]BlockAddr, nKeys/b)
-	for i := range addrs {
-		addrs[i] = s.BlockAddr(first + i)
+	return nil
+}
+
+// appendAddrs appends the addresses of logical blocks [first, first+nb) to
+// dst.
+func (s *Stripe) appendAddrs(dst []BlockAddr, first, nb int) []BlockAddr {
+	for j := first; j < first+nb; j++ {
+		dst = append(dst, s.BlockAddr(j))
 	}
-	return addrs, nil
+	return dst
 }
 
 // ReadAt reads keys [keyOff, keyOff+len(dst)) into dst.  Both keyOff and
 // len(dst) must be multiples of B.  D consecutive blocks cost one parallel
 // step.
 func (s *Stripe) ReadAt(keyOff int, dst []int64) error {
-	addrs, err := s.addrRange(keyOff, len(dst))
-	if err != nil {
-		return err
-	}
-	return s.a.ReadV(addrs, s.a.splitBlocks(dst))
+	return s.transferAt(keyOff, dst, false)
 }
 
 // WriteAt writes src to keys [keyOff, keyOff+len(src)), with the same
 // alignment rules as ReadAt.
 func (s *Stripe) WriteAt(keyOff int, src []int64) error {
-	addrs, err := s.addrRange(keyOff, len(src))
-	if err != nil {
+	return s.transferAt(keyOff, src, true)
+}
+
+// transferAt is ReadAt and WriteAt: one charged request for flat's
+// blocks, its addresses and block views built in the array's recycled
+// runs scratch and dropped after the transfer.
+func (s *Stripe) transferAt(keyOff int, flat []int64, write bool) error {
+	if err := s.checkRange(keyOff, len(flat)); err != nil {
 		return err
 	}
-	return s.a.WriteV(addrs, s.a.splitBlocks(src))
+	a, b := s.a, s.a.cfg.B
+	g := a.takeRuns()
+	defer a.putRuns(g)
+	defer clear(g.views) // hold no caller memory between transfers
+	g.addrs = s.appendAddrs(g.addrs[:0], keyOff/b, len(flat)/b)
+	g.views = appendBlocks(g.views[:0], flat, b)
+	return a.execV(g.addrs, g.views, write)
 }
 
 // Load writes data into the stripe without touching the I/O statistics or
@@ -187,31 +204,37 @@ func (s *Stripe) Load(data []int64) error {
 // fills the first len(data) keys and sentinel every key after them.  Whole
 // blocks go to the disks straight from data, which is only read; just the
 // block data ends in and one block of sentinels (shared by every padding
-// block) are staged, so no copy of the input is made.
+// block) are staged, in the array's recycled scratch, so no copy of the
+// input is made and a warm array allocates nothing.
 func (s *Stripe) LoadPadded(data []int64, sentinel int64) error {
 	if len(data) > s.n {
 		return fmt.Errorf("pdm: Load of %d keys into stripe of %d", len(data), s.n)
 	}
-	b := s.a.cfg.B
+	a, b := s.a, s.a.cfg.B
 	whole := len(data) / b * b
-	bufs := s.a.splitBlocks(data[:whole])
-	fill := func(blk []int64, from int) []int64 {
-		for i := from; i < len(blk); i++ {
-			blk[i] = sentinel
+	g := a.takeRuns()
+	defer a.putRuns(g)
+	g.views = appendBlocks(g.views[:0], data[:whole], b)
+	if len(g.views) < s.nb {
+		g.blk = slices.Grow(g.blk[:0], 2*b)[:2*b]
+		fill := func(blk []int64, from int) []int64 {
+			for i := from; i < len(blk); i++ {
+				blk[i] = sentinel
+			}
+			return blk
 		}
-		return blk
-	}
-	if whole < len(data) {
-		last := make([]int64, b)
-		bufs = append(bufs, fill(last, copy(last, data[whole:])))
-	}
-	if len(bufs) < s.nb {
-		pad := fill(make([]int64, b), 0)
-		for len(bufs) < s.nb {
-			bufs = append(bufs, pad)
+		if whole < len(data) {
+			last := g.blk[:b]
+			g.views = append(g.views, fill(last, copy(last, data[whole:])))
+		}
+		if len(g.views) < s.nb {
+			pad := fill(g.blk[b:], 0)
+			for len(g.views) < s.nb {
+				g.views = append(g.views, pad)
+			}
 		}
 	}
-	return s.stage(bufs, true)
+	return s.stage(g, true)
 }
 
 // Unload reads the whole stripe without touching the I/O statistics or the
@@ -225,37 +248,37 @@ func (s *Stripe) Unload() ([]int64, error) {
 }
 
 // UnloadInto is Unload of the stripe's first len(dst) keys straight into
-// dst: whole blocks land in place and only the block dst ends in is staged.
+// dst: whole blocks land in place and only the block dst ends in is
+// staged, in the array's recycled scratch.
 func (s *Stripe) UnloadInto(dst []int64) error {
 	if len(dst) > s.n {
 		return fmt.Errorf("pdm: Unload of %d keys from stripe of %d", len(dst), s.n)
 	}
-	b := s.a.cfg.B
+	a, b := s.a, s.a.cfg.B
 	whole := len(dst) / b * b
-	bufs := s.a.splitBlocks(dst[:whole])
+	g := a.takeRuns()
+	defer a.putRuns(g)
+	g.views = appendBlocks(g.views[:0], dst[:whole], b)
 	var last []int64
 	if whole < len(dst) {
-		last = make([]int64, b)
-		bufs = append(bufs, last)
+		g.blk = slices.Grow(g.blk[:0], b)[:b]
+		last = g.blk
+		g.views = append(g.views, last)
 	}
-	if err := s.stage(bufs, false); err != nil {
+	if err := s.stage(g, false); err != nil {
 		return err
 	}
 	copy(dst[whole:], last)
 	return nil
 }
 
-// stage moves the stripe's first len(bufs) logical blocks into or out of
-// bufs, uncharged, as one request: on extent-capable arrays transferV makes
-// it one run per disk — disk d holds blocks j ≡ d−skew (mod D) at rows
-// row0, row0+1, … — and otherwise one block call each.
-func (s *Stripe) stage(bufs [][]int64, write bool) error {
-	a := s.a
-	g := a.takeRuns()
-	defer a.putRuns(g)
-	g.addrs = g.addrs[:0]
-	for j := range bufs {
-		g.addrs = append(g.addrs, s.BlockAddr(j))
-	}
-	return a.TransferV(g.addrs, bufs, write)
+// stage moves the stripe's first len(g.views) logical blocks into or out
+// of g.views, uncharged, as one request, then drops the views: on
+// extent-capable arrays transferV makes it one run per disk — disk d holds
+// blocks j ≡ d−skew (mod D) at rows row0, row0+1, … — and otherwise one
+// block call each.
+func (s *Stripe) stage(g *runs, write bool) error {
+	defer clear(g.views) // hold no caller memory between transfers
+	g.addrs = s.appendAddrs(g.addrs[:0], 0, len(g.views))
+	return s.a.TransferV(g.addrs, g.views, write)
 }

@@ -229,6 +229,54 @@ func TestLoadPaddedUnloadInto(t *testing.T) {
 	}
 }
 
+// TestStagingAllocatesNothingWarm: once an array has staged a stripe,
+// LoadPadded, UnloadInto, ReadAt and WriteAt build their block views and
+// staged blocks in its recycled scratch, so none allocates again — on file
+// disks (one run per disk) and mmap disks (one block call each) alike,
+// whether the data ends on a block boundary, mid-block or short of the
+// stripe.
+func TestStagingAllocatesNothingWarm(t *testing.T) {
+	cfg := Config{D: 4, B: 8, Mem: 1024}
+	for _, backend := range []struct {
+		name string
+		make func(Config, string) (*Array, error)
+	}{{"file", NewFileArray}, {"mmap", NewMmapArray}} {
+		a, err := backend.make(cfg, t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer a.Close()
+		s, err := a.NewStripe(64 * a.StripeWidth())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{s.Len(), s.Len() - cfg.B, s.Len() - 3, 5} {
+			data := make([]int64, n)
+			whole := data[:n/cfg.B*cfg.B]
+			for _, op := range []struct {
+				name string
+				run  func() error
+			}{
+				{"LoadPadded", func() error { return s.LoadPadded(data, -1) }},
+				{"UnloadInto", func() error { return s.UnloadInto(data) }},
+				{"WriteAt", func() error { return s.WriteAt(0, whole) }},
+				{"ReadAt", func() error { return s.ReadAt(0, whole) }},
+			} {
+				if err := op.run(); err != nil { // warm the scratch
+					t.Fatal(err)
+				}
+				if allocs := testing.AllocsPerRun(20, func() {
+					if err := op.run(); err != nil {
+						t.Fatal(err)
+					}
+				}); allocs != 0 {
+					t.Errorf("%s: %s of %d keys allocates %v times, want 0", backend.name, op.name, n, allocs)
+				}
+			}
+		}
+	}
+}
+
 func TestStripeQuickRoundTrip(t *testing.T) {
 	// Property: for any block-aligned write inside the stripe, reading the
 	// same range returns the written data.

@@ -223,8 +223,9 @@ func SelectCap(mem, stripe int) int {
 // rank r out of n: a Floyd–Rivest-style s = 16·n^(2/3), clamped to
 // [256, n].  The sample is metadata (the coordinator samples the same way
 // in the distributed sort); only the filter pass is charged I/O.  The
-// facade selects the window's order statistics from the sample in O(s)
-// (memsort.Select) and never sorts it.
+// facade never sorts it: top-K streams the draws through a heap of the
+// few smallest, and quantile selects its window edges from the sample in
+// O(s) (memsort.Select).
 func SelectSample(n int) int {
 	if n <= 256 {
 		return n

@@ -3,6 +3,7 @@ package repro
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"math"
 	"slices"
 
@@ -20,7 +21,9 @@ import (
 // Auto deems cheaper.  Like Sort, the charged passes are oblivious: only
 // the disk-resident streaming passes touch the I/O accounting, while
 // client-side metadata work (sampling, partition-size counting, input
-// validation) is uncharged, exactly like Load/Unload.
+// validation) is uncharged, exactly like Load/Unload.  The selection
+// kinds run that uncharged front beside their uncharged input load
+// (loadBeside), so the load's disk writes do not wait for it.
 
 // The scenario vocabulary is declared once, beside the kinds table in
 // internal/plan (and the aggregate beside its kernel), and re-exported here.
@@ -124,36 +127,111 @@ func splitmix64(x uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// sampleKeys draws the planner's SelectSample(n) keys with a fixed
-// splitmix64 stream, in draw order: thresholdAt selects from them, nothing
-// sorts them.  The draw depends only on n, so a scenario run is
-// reproducible for a given input.
-func sampleKeys(keys []int64) []int64 {
-	n := len(keys)
-	s := plan.SelectSample(n)
-	out := make([]int64, s)
-	if s >= n {
-		copy(out, keys)
-	} else {
+// selectDraws yields the planner's SelectSample(n) draws of keys in draw
+// order: the keys themselves when the sample would be all of them,
+// otherwise a fixed splitmix64 stream seeded with n.  The draw depends
+// only on n, so a scenario run is reproducible for a given input.
+func selectDraws(keys []int64) iter.Seq[int64] {
+	return func(yield func(int64) bool) {
+		n := len(keys)
+		s := plan.SelectSample(n)
+		if s >= n {
+			for _, k := range keys {
+				if !yield(k) {
+					return
+				}
+			}
+			return
+		}
 		x := uint64(n)
-		for i := range out {
+		for range s {
 			x = splitmix64(x)
-			out[i] = keys[x%uint64(n)]
+			if !yield(keys[x%uint64(n)]) {
+				return
+			}
 		}
 	}
-	return out
 }
 
-// thresholdAt returns the sampled key whose estimated rank in the n-key
-// input is target (1-indexed), selected in O(s): exactly the key the sorted
-// sample holds at that index.  It reorders sample, keeping the multiset.
-func thresholdAt(sample []int64, n, target int) int64 {
-	s := len(sample)
+// sampleKeys materializes selectDraws for Quantile, whose window edges
+// thresholdAt selects from the one sample; nothing sorts it.
+func sampleKeys(keys []int64) []int64 {
+	return slices.AppendSeq(make([]int64, 0, plan.SelectSample(len(keys))), selectDraws(keys))
+}
+
+// sampleIndex is the 0-indexed position, in the sorted s-key sample of an
+// n-key input, of the key whose estimated input rank is target (1-indexed).
+func sampleIndex(s, n, target int) int {
 	idx := target - 1
 	if s < n {
 		idx = int(int64(target) * int64(s) / int64(n))
 	}
-	return memsort.Select(sample, min(max(idx, 0), s-1))
+	return min(max(idx, 0), s-1)
+}
+
+// thresholdAt returns the sampled key whose estimated rank in the n-key
+// input is target (1-indexed), selected in O(s): exactly the key the sorted
+// sample holds at sampleIndex.  It reorders sample, keeping the multiset.
+func thresholdAt(sample []int64, n, target int) int64 {
+	return memsort.Select(sample, sampleIndex(len(sample), n, target))
+}
+
+// drawThreshold is thresholdAt(sampleKeys(keys), len(keys), target)
+// without the sample: the draws stream through a max-heap that keeps the
+// idx+1 smallest, idx = sampleIndex, so its top is the key the sorted
+// sample holds at idx.  TopK's target k+Δ keeps idx+1 within the filter's
+// survivor budget k+2Δ ≤ SelectCap ≤ M, so the heap is bounded by the
+// route's own feasibility.
+func drawThreshold(keys []int64, target int) int64 {
+	n := len(keys)
+	h := make(maxHeap, 0, sampleIndex(plan.SelectSample(n), n, target)+1)
+	for k := range selectDraws(keys) {
+		if len(h) < cap(h) || k < h[0] { // most draws stop here, without a call
+			h.offer(k)
+		}
+	}
+	return h[0]
+}
+
+// maxHeap is a binary max-heap of at most cap keys: offer keeps the cap
+// smallest keys offered so far.
+type maxHeap []int64
+
+// offer adds k while the heap has room, and otherwise replaces the top
+// when k is smaller.
+func (h *maxHeap) offer(k int64) {
+	a := *h
+	if len(a) < cap(a) {
+		a = append(a, k)
+		for i := len(a) - 1; i > 0; {
+			p := (i - 1) / 2
+			if a[p] >= a[i] {
+				break
+			}
+			a[p], a[i] = a[i], a[p]
+			i = p
+		}
+		*h = a
+		return
+	}
+	if k >= a[0] {
+		return
+	}
+	a[0] = k
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= len(a) {
+			return
+		}
+		if c+1 < len(a) && a[c+1] > a[c] {
+			c++
+		}
+		if a[i] >= a[c] {
+			return
+		}
+		a[i], a[c] = a[c], a[i]
+		i = c
+	}
 }
 
 // scenarioReport assembles a Report from the I/O delta of a scenario run
@@ -190,28 +268,56 @@ func (m *Machine) loadPadded(data []int64, pad int, sentinel int64) (*pdm.Stripe
 	return s, nil
 }
 
-// selectPlan is the shared front of the selection kinds (top-K, quantile):
-// reject the sentinel, check the target against the input size with the
-// scenario table's rule, and price the filter route against the full sort.
+// selectPlan prices the selection kinds (top-K, quantile): check the
+// target against the input size with the scenario table's rule, and price
+// the filter route against the full sort.  The keys are checked later,
+// beside the filter route's load (loadBeside) or by Sort on the full-sort
+// route; a bad target checks them here first, so a sentinel key is still
+// ErrKeyRange whatever the parameters.
 func (m *Machine) selectPlan(keys []int64, q ScenarioSpec) (*ScenarioPlanReport, error) {
-	if err := checkKeys(keys); err != nil {
-		return nil, err
-	}
 	if err := q.Validate(); err != nil {
+		if kerr := checkKeys(keys); kerr != nil {
+			return nil, kerr
+		}
 		return nil, fmt.Errorf("repro: %w", err)
 	}
 	return m.ExplainScenario(q)
 }
 
-// filterPass is the selection kinds' one charged pass: keys staged on a
-// stripe padded to the plan's length, streamed once through
-// scenario.Filter at the sampled window.  A survivor overflow past the
-// plan's budget is a detected sampling miss, reported as a nil result.
-func (m *Machine) filterPass(keys []int64, p *ScenarioPlanReport, lo, hi int64, hasLo bool) (*scenario.FilterResult, error) {
-	in, err := m.loadPadded(keys, p.PaddedN, math.MaxInt64)
-	if err != nil {
-		return nil, err
+// loadBeside is the selection kinds' filter-route staging: keys load onto
+// a fresh stripe padded to pad on a goroutine of their own while the
+// caller's goroutine rejects the sentinel and then runs front (the
+// thresholds).  Both finish before it returns.  Either error frees the
+// stripe, and the key check's wins.
+func (m *Machine) loadBeside(keys []int64, pad int, front func()) (*pdm.Stripe, error) {
+	type loaded struct {
+		s   *pdm.Stripe
+		err error
 	}
+	done := make(chan loaded, 1)
+	go func() {
+		s, err := m.loadPadded(keys, pad, math.MaxInt64)
+		done <- loaded{s, err}
+	}()
+	kerr := checkKeys(keys)
+	if kerr == nil {
+		front()
+	}
+	l := <-done
+	if kerr != nil {
+		if l.err == nil {
+			l.s.Free()
+		}
+		return nil, kerr
+	}
+	return l.s, l.err
+}
+
+// filterPass is the selection kinds' one charged pass: the staged stripe
+// in (freed here) streamed once through scenario.Filter at the sampled
+// window.  A survivor overflow past the plan's budget is a detected
+// sampling miss, reported as a nil result.
+func (m *Machine) filterPass(in *pdm.Stripe, p *ScenarioPlanReport, lo, hi int64, hasLo bool) (*scenario.FilterResult, error) {
 	fr, err := scenario.Filter(m.a, in, lo, hi, hasLo, p.Budget)
 	in.Free()
 	if errors.Is(err, scenario.ErrOverflow) {
@@ -253,9 +359,15 @@ func (m *Machine) TopK(keys []int64, k int) ([]int64, *Report, error) {
 	}
 	filtered := p.Feasible && p.UseScenario
 	if filtered {
-		threshold := thresholdAt(sampleKeys(keys), n, k+plan.SelectDelta(n, k))
+		var threshold int64
+		in, err := m.loadBeside(keys, p.PaddedN, func() {
+			threshold = drawThreshold(keys, k+plan.SelectDelta(n, k))
+		})
+		if err != nil {
+			return nil, nil, err
+		}
 		st0 := m.a.Stats()
-		fr, err := m.filterPass(keys, p, 0, threshold, false)
+		fr, err := m.filterPass(in, p, 0, threshold, false)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -317,15 +429,21 @@ func (m *Machine) Quantile(keys []int64, r int) (int64, *Report, error) {
 	}
 	filtered := p.Feasible && p.UseScenario
 	if filtered {
-		sample := sampleKeys(keys)
 		delta := plan.SelectDelta(n, r)
 		hasLo := r-delta > 1
-		var lo int64
-		if hasLo {
-			lo = thresholdAt(sample, n, r-delta)
+		var lo, hi int64
+		in, err := m.loadBeside(keys, p.PaddedN, func() {
+			sample := sampleKeys(keys)
+			if hasLo {
+				lo = thresholdAt(sample, n, r-delta)
+			}
+			hi = thresholdAt(sample, n, r+delta)
+		})
+		if err != nil {
+			return 0, nil, err
 		}
 		st0 := m.a.Stats()
-		fr, err := m.filterPass(keys, p, lo, thresholdAt(sample, n, r+delta), hasLo)
+		fr, err := m.filterPass(in, p, lo, hi, hasLo)
 		if err != nil {
 			return 0, nil, err
 		}

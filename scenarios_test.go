@@ -3,10 +3,13 @@ package repro
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
+	"time"
 
+	"repro/internal/pdm"
 	"repro/internal/plan"
 	"repro/internal/workload"
 )
@@ -244,9 +247,9 @@ func TestQuantileOracle(t *testing.T) {
 	}
 }
 
-// sortedSampleThreshold is the reference thresholdAt is held to: the
-// sorted-sample front Select replaced, reading the sorted draw at target's
-// scaled index.
+// sortedSampleThreshold is the reference drawThreshold and thresholdAt are
+// held to: the sorted-sample front they replaced, reading the sorted draw
+// at target's scaled index.
 func sortedSampleThreshold(sorted []int64, n, target int) int64 {
 	s := len(sorted)
 	if s >= n {
@@ -256,13 +259,34 @@ func sortedSampleThreshold(sorted []int64, n, target int) int64 {
 	return sorted[min(max(idx, 0), s-1)]
 }
 
+// referenceSample is the selection sample spelled out apart from
+// selectDraws: the input itself when SelectSample(n) covers it, otherwise
+// SelectSample(n) keys drawn by the splitmix64 stream seeded with n.
+func referenceSample(keys []int64) []int64 {
+	n := len(keys)
+	s := plan.SelectSample(n)
+	if s >= n {
+		return slices.Clone(keys)
+	}
+	out := make([]int64, s)
+	x := uint64(n)
+	for i := range out {
+		x = splitmix64(x)
+		out[i] = keys[x%uint64(n)]
+	}
+	return out
+}
+
 // TestSelectionThresholdsMatchSortedSample pins the selection front's
-// mechanism: every threshold TopK and Quantile select from an unsorted
-// sampleKeys draw — in sequence, on the one sample Select keeps
-// reordering — is the key the sorted draw holds at the same index, so the
-// filter windows, and every pass, survivor set and answer behind them, are
-// unchanged.  n = 30000 draws a strict subset (s ≈ 15.4k); at n = 3000 the
-// sample clamps to the input and at n = 200 it is the input outright.
+// mechanism against the sorted reference sample: TopK's draw-stream
+// selector (drawThreshold, no sample kept) and every Quantile edge
+// thresholdAt selects from an unsorted sampleKeys draw — in sequence, on
+// the one sample Select keeps reordering — are the key the sorted draw
+// holds at the same index, so the filter windows, and every pass,
+// survivor set and answer behind them, are unchanged.  n = 30000 draws a
+// strict subset (s ≈ 15.4k); at n = 3000 the sample clamps to the input
+// and at n = 200 it is the input outright.  TopK runs at k ∈ {1, 64, 700}
+// and at the largest k the scenario machine's filter route admits.
 func TestSelectionThresholdsMatchSortedSample(t *testing.T) {
 	inputs := []struct {
 		name string
@@ -275,35 +299,138 @@ func TestSelectionThresholdsMatchSortedSample(t *testing.T) {
 		{"reverse", workload.ReverseSorted},
 		{"organ", workload.Organ},
 	}
+	shape := newScenarioMachine(t).scenarioShape()
+	survivorCap := plan.SelectCap(shape.Mem, shape.Stripe())
 	for _, n := range []int{200, 3000, 30000} {
+		ks := []int{1, 64, 700}
+		for k := n; k > 0; k-- {
+			if plan.TopKBudget(n, k) <= survivorCap {
+				ks = append(ks, k)
+				break
+			}
+		}
 		for _, in := range inputs {
-			sample := sampleKeys(in.gen(n))
-			sorted := slices.Clone(sample)
+			keys := in.gen(n)
+			sample := sampleKeys(keys)
+			sorted := referenceSample(keys)
+			if !slices.Equal(sample, sorted) {
+				t.Fatalf("%s n=%d: sampleKeys is not the reference draw", in.name, n)
+			}
 			slices.Sort(sorted)
-			threshold := func(kind string, param, target int) int64 {
-				got := thresholdAt(sample, n, target)
+			check := func(kind string, param, target int, got int64) int64 {
 				if want := sortedSampleThreshold(sorted, n, target); got != want {
 					t.Fatalf("%s n=%d %s(%d) target %d: selected %d, sorted sample holds %d",
 						in.name, n, kind, param, target, got, want)
 				}
 				return got
 			}
-			for _, k := range []int{1, 64, 700} {
+			for _, k := range ks {
 				if k <= n {
-					threshold("TopK", k, k+plan.SelectDelta(n, k))
+					target := k + plan.SelectDelta(n, k)
+					check("TopK", k, target, drawThreshold(keys, target))
 				}
 			}
 			for _, r := range []int{1, 2, n / 2, n - 1, n} {
 				delta := plan.SelectDelta(n, r)
 				lo := int64(math.MinInt64)
 				if r-delta > 1 {
-					lo = threshold("Quantile lower edge", r, r-delta)
+					lo = check("Quantile lower edge", r, r-delta, thresholdAt(sample, n, r-delta))
 				}
-				if hi := threshold("Quantile upper edge", r, r+delta); lo > hi {
+				hi := check("Quantile upper edge", r, r+delta, thresholdAt(sample, n, r+delta))
+				if lo > hi {
 					t.Fatalf("%s n=%d Quantile(%d): lower edge %d above upper edge %d", in.name, n, r, lo, hi)
 				}
 			}
 		}
+	}
+}
+
+// noLiveStripes fails t unless every row a's allocator ever handed out is
+// free again: one stripe as large as the high-water footprint must fit
+// without raising it.
+func noLiveStripes(t *testing.T, a *pdm.Array) {
+	t.Helper()
+	foot := a.DiskFootprint()
+	if foot == 0 {
+		return
+	}
+	s, err := a.NewStripe(foot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Free()
+	if grown := a.DiskFootprint(); grown != foot {
+		t.Fatalf("a stripe stayed live: the footprint grew from %d to %d keys", foot, grown)
+	}
+}
+
+// TestSentinelBesideLoad pins the error and cleanup path of the selection
+// kinds' overlapped front: a MaxInt64 key at the start, middle or end of
+// the input is ErrKeyRange from TopK and Quantile on their filter routes,
+// whose load has already started beside the key check, and afterwards the
+// arena holds nothing, no stripe stays live and the goroutine count
+// settles back.  A bad parameter over such keys is still ErrKeyRange, and
+// a full-sort route reports it before staging anything.
+func TestSentinelBesideLoad(t *testing.T) {
+	m := newScenarioMachine(t)
+	clean := map[string][]int64{
+		"topk":     workload.Uniform(30000, -1<<40, 1<<40, 3),
+		"quantile": workload.Uniform(3000, -1<<30, 1<<30, 9),
+	}
+	calls := []struct {
+		name string
+		spec func(n int) ScenarioSpec
+		run  func(keys []int64) error
+	}{
+		{"topk", func(n int) ScenarioSpec { return ScenarioSpec{Kind: plan.KindTopK, N: n, K: 64} },
+			func(keys []int64) error { _, _, err := m.TopK(keys, 64); return err }},
+		{"quantile", func(n int) ScenarioSpec { return ScenarioSpec{Kind: plan.KindQuantile, N: n, Rank: n / 2} },
+			func(keys []int64) error { _, _, err := m.Quantile(keys, len(keys)/2); return err }},
+	}
+	for _, c := range calls {
+		n := len(clean[c.name])
+		p, err := m.ExplainScenario(c.spec(n))
+		if err != nil || !p.Feasible || !p.UseScenario {
+			t.Fatalf("%s: plan %+v (%v), want the filter route", c.name, p, err)
+		}
+		for _, at := range []int{0, n / 2, n - 1} {
+			keys := slices.Clone(clean[c.name])
+			keys[at] = math.MaxInt64
+			goroutines := runtime.NumGoroutine()
+			if err := c.run(keys); err != ErrKeyRange {
+				t.Fatalf("%s with the sentinel at %d: err = %v, want ErrKeyRange", c.name, at, err)
+			}
+			if inUse := m.Array().Arena().InUse(); inUse != 0 {
+				t.Fatalf("%s with the sentinel at %d: %d arena words still in use", c.name, at, inUse)
+			}
+			noLiveStripes(t, m.Array())
+			for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > goroutines; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%s with the sentinel at %d: %d goroutines, %d before the call",
+						c.name, at, runtime.NumGoroutine(), goroutines)
+				}
+			}
+		}
+	}
+
+	bad := slices.Clone(clean["quantile"])
+	bad[len(bad)/2] = math.MaxInt64
+	if _, _, err := m.TopK(bad, 0); err != ErrKeyRange {
+		t.Fatalf("TopK(k = 0) over a sentinel: err = %v, want ErrKeyRange", err)
+	}
+	if _, _, err := m.Quantile(bad, len(bad)+1); err != ErrKeyRange {
+		t.Fatalf("Quantile(n+1) over a sentinel: err = %v, want ErrKeyRange", err)
+	}
+
+	fresh := newScenarioMachine(t)
+	if p, _ := fresh.ExplainScenario(ScenarioSpec{Kind: plan.KindTopK, N: len(bad), K: len(bad)}); p.UseScenario {
+		t.Fatalf("TopK(n) plans the %s route, want the full sort", p.Route)
+	}
+	if _, _, err := fresh.TopK(bad, len(bad)); err != ErrKeyRange {
+		t.Fatalf("full-sort TopK over a sentinel: err = %v, want ErrKeyRange", err)
+	}
+	if foot := fresh.Array().DiskFootprint(); foot != 0 {
+		t.Fatalf("full-sort TopK over a sentinel staged %d keys, want none", foot)
 	}
 }
 
