@@ -215,23 +215,21 @@ func (s *Stripe) LoadPadded(data []int64, sentinel int64) error {
 	g := a.takeRuns()
 	defer a.putRuns(g)
 	g.views = appendBlocks(g.views[:0], data[:whole], b)
+	g.blk = slices.Grow(g.blk[:0], 2*b)[:2*b]
+	fill := func(blk []int64, from int) []int64 {
+		for i := from; i < len(blk); i++ {
+			blk[i] = sentinel
+		}
+		return blk
+	}
+	if whole < len(data) {
+		last := g.blk[:b]
+		g.views = append(g.views, fill(last, copy(last, data[whole:])))
+	}
 	if len(g.views) < s.nb {
-		g.blk = slices.Grow(g.blk[:0], 2*b)[:2*b]
-		fill := func(blk []int64, from int) []int64 {
-			for i := from; i < len(blk); i++ {
-				blk[i] = sentinel
-			}
-			return blk
-		}
-		if whole < len(data) {
-			last := g.blk[:b]
-			g.views = append(g.views, fill(last, copy(last, data[whole:])))
-		}
-		if len(g.views) < s.nb {
-			pad := fill(g.blk[b:], 0)
-			for len(g.views) < s.nb {
-				g.views = append(g.views, pad)
-			}
+		pad := fill(g.blk[b:], 0)
+		for len(g.views) < s.nb {
+			g.views = append(g.views, pad)
 		}
 	}
 	return s.stage(g, true)
