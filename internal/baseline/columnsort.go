@@ -106,141 +106,156 @@ func checkColGeometry(a *pdm.Array, in *pdm.Stripe, r, s int, requireTall bool) 
 // the sorted output stripe, or core.ErrCleanupOverflow if the final rolling
 // pass detects dirt beyond its window (only possible when full is false).
 func columnsortTail(a *pdm.Array, in *pdm.Stripe, r, s int, full bool) (*pdm.Stripe, error) {
-	b := a.B()
-	seg := r / s
-	cur := in
+	// Pass 1 (steps 1–2), only in the full algorithm.  With steps 1–2
+	// skipped, the "transposed matrix" is the raw input: its columns are
+	// contiguous ranges of the input stripe.
 	var cols []*pdm.Stripe
-
-	// Pass 1 (steps 1–2), only in the full algorithm: sort source columns
-	// and scatter the transpose.  Transpose sends column-major index p to
-	// (p mod s)·r + p÷s, so source column j writes destination column d's
-	// positions [j·seg, (j+1)·seg) — the d-th residue class of j's keys.
 	if full {
-		tcols := make([]*pdm.Stripe, s)
-		for d := range tcols {
-			st, err := a.NewStripeSkew(r, d)
-			if err != nil {
-				return nil, err
-			}
-			tcols[d] = st
-		}
-		buf, err := a.Arena().Alloc(r)
-		if err != nil {
-			freeStripes(tcols)
+		var err error
+		if cols, err = sortScatterTranspose(a, in, r, s); err != nil {
 			return nil, err
 		}
-		gather, err := a.Arena().Alloc(r)
-		if err != nil {
-			a.Arena().Free(buf)
-			freeStripes(tcols)
-			return nil, err
-		}
-		for j := 0; j < s; j++ {
-			if err := in.ReadAt(j*r, buf); err != nil {
-				a.Arena().Free(buf)
-				a.Arena().Free(gather)
-				freeStripes(tcols)
-				return nil, err
-			}
-			memsort.Keys(buf)
-			// Element i of sorted column j has column-major index p=j·r+i;
-			// destination column d = p mod s, position p/s.  Since
-			// p = j·r + i and consecutive i with i ≡ d−j·r (mod s) map to
-			// consecutive destination positions, each destination column
-			// receives one contiguous segment.
-			addrs := make([]pdm.BlockAddr, 0, r/b)
-			views := make([][]int64, 0, r/b)
-			for d := 0; d < s; d++ {
-				first := ((d-j*r)%s + s) % s // smallest i with (j·r+i) ≡ d (mod s)
-				dstOff := (j*r + first) / s
-				segBuf := gather[d*seg : (d+1)*seg]
-				for k := 0; k < seg; k++ {
-					segBuf[k] = buf[first+k*s]
-				}
-				for blk := 0; blk < seg/b; blk++ {
-					addrs = append(addrs, tcols[d].BlockAddr(dstOff/b+blk))
-					views = append(views, segBuf[blk*b:(blk+1)*b])
-				}
-			}
-			if err := a.WriteV(addrs, views); err != nil {
-				a.Arena().Free(buf)
-				a.Arena().Free(gather)
-				freeStripes(tcols)
-				return nil, err
-			}
-		}
-		a.Arena().Free(buf)
-		a.Arena().Free(gather)
-		cols = tcols
-	} else {
-		// Steps 1–2 skipped: the "transposed matrix" is the raw input;
-		// view its columns as contiguous ranges of the input stripe.
-		cols = nil
 	}
 
 	// Pass 2 (step 3): sort each column of the (possibly skipped-)
-	// transposed matrix in memory and write it to a fresh column stripe.
-	sorted := make([]*pdm.Stripe, s)
-	buf, err := a.Arena().Alloc(r)
+	// transposed matrix.
+	sorted, err := sortColumnsPass(a, cols, in, r, s)
+	freeStripes(cols)
 	if err != nil {
-		freeStripes(cols)
 		return nil, err
 	}
-	for j := 0; j < s; j++ {
-		var err error
-		if cols != nil {
-			err = cols[j].ReadAt(0, buf)
-		} else {
-			err = cur.ReadAt(j*r, buf)
-		}
-		if err == nil {
-			memsort.Keys(buf)
-			var st *pdm.Stripe
-			st, err = a.NewStripeSkew(r, j)
-			if err == nil {
-				err = st.WriteAt(0, buf)
-				sorted[j] = st
-			}
-		}
-		if err != nil {
-			a.Arena().Free(buf)
-			freeStripes(cols)
-			freeStripes(sorted)
-			return nil, err
-		}
-	}
-	a.Arena().Free(buf)
-	freeStripes(cols)
 
 	// Pass 3 (steps 4–8): rolling window over the columns of the
-	// untransposed view.  Untransposed column c gathers, from each sorted
-	// column j, the segment of positions whose untranspose image lies in
-	// column c: destination q = i·s + j for source (i, j), so column c
-	// receives source positions i ∈ [c·seg, (c+1)·seg) of every j.
+	// untransposed view.
 	out, err := a.NewStripe(r * s)
 	if err != nil {
 		freeStripes(sorted)
 		return nil, err
 	}
-	segBlocks := seg / b
-	read := func(c int, dst []int64) error {
-		addrs := make([]pdm.BlockAddr, 0, s*segBlocks)
-		views := make([][]int64, 0, s*segBlocks)
-		for j := 0; j < s; j++ {
-			for blk := 0; blk < segBlocks; blk++ {
-				addrs = append(addrs, sorted[j].BlockAddr(c*segBlocks+blk))
-				views = append(views, dst[j*seg+blk*b:j*seg+(blk+1)*b])
-			}
-		}
-		return a.ReadV(addrs, views)
-	}
-	err = core.RollingPass(a, r, s, read, core.SequentialEmit(out))
+	err = core.RollingPass(a, r, s, rollingRead(a, sorted, r, s), core.SequentialEmit(out))
 	freeStripes(sorted)
 	if err != nil {
 		out.Free()
 		return nil, err
 	}
 	return out, nil
+}
+
+// sortScatterTranspose is columnsort pass 1 (steps 1–2): sort each source
+// column and scatter-write the transpose.  Transpose sends column-major
+// index p to (p mod s)·r + p÷s, so source column j writes destination
+// column d's positions [j·seg, (j+1)·seg) — the d-th residue class of j's
+// keys.
+func sortScatterTranspose(a *pdm.Array, in *pdm.Stripe, r, s int) ([]*pdm.Stripe, error) {
+	b := a.B()
+	seg := r / s
+	tcols := make([]*pdm.Stripe, s)
+	for d := range tcols {
+		st, err := a.NewStripeSkew(r, d)
+		if err != nil {
+			freeStripes(tcols)
+			return nil, err
+		}
+		tcols[d] = st
+	}
+	buf, err := a.Arena().Alloc(r)
+	if err != nil {
+		freeStripes(tcols)
+		return nil, err
+	}
+	defer a.Arena().Free(buf)
+	gather, err := a.Arena().Alloc(r)
+	if err != nil {
+		freeStripes(tcols)
+		return nil, err
+	}
+	defer a.Arena().Free(gather)
+	for j := 0; j < s; j++ {
+		if err := in.ReadAt(j*r, buf); err != nil {
+			freeStripes(tcols)
+			return nil, err
+		}
+		memsort.Keys(buf)
+		// Element i of sorted column j has column-major index p = j·r+i,
+		// bound for destination column d = p mod s; the i ≡ d − j·r
+		// (mod s) form one contiguous segment there.
+		addrs := make([]pdm.BlockAddr, 0, r/b)
+		views := make([][]int64, 0, r/b)
+		for d := 0; d < s; d++ {
+			first := ((d-j*r%s)%s + s) % s // smallest i with (j·r+i) ≡ d (mod s)
+			segBuf := gather[d*seg : (d+1)*seg]
+			for k := 0; k < seg; k++ {
+				segBuf[k] = buf[first+k*s]
+			}
+			for blk := 0; blk < seg/b; blk++ {
+				addrs = append(addrs, tcols[d].BlockAddr(j*seg/b+blk))
+				views = append(views, segBuf[blk*b:(blk+1)*b])
+			}
+		}
+		if err := a.WriteV(addrs, views); err != nil {
+			freeStripes(tcols)
+			return nil, err
+		}
+	}
+	return tcols, nil
+}
+
+// sortColumnsPass reads each of the s columns of r keys, sorts it, and
+// writes it to a fresh skewed stripe — one full pass.  Column j is the
+// stripe cols[j], or with cols nil keys [j·r, (j+1)·r) of in.
+func sortColumnsPass(a *pdm.Array, cols []*pdm.Stripe, in *pdm.Stripe, r, s int) ([]*pdm.Stripe, error) {
+	out := make([]*pdm.Stripe, s)
+	buf, err := a.Arena().Alloc(r)
+	if err != nil {
+		return nil, err
+	}
+	defer a.Arena().Free(buf)
+	for j := 0; j < s; j++ {
+		if cols != nil {
+			err = cols[j].ReadAt(0, buf)
+		} else {
+			err = in.ReadAt(j*r, buf)
+		}
+		if err != nil {
+			freeStripes(out)
+			return nil, err
+		}
+		memsort.Keys(buf)
+		st, err := a.NewStripeSkew(r, j)
+		if err != nil {
+			freeStripes(out)
+			return nil, err
+		}
+		if err := st.WriteAt(0, buf); err != nil {
+			st.Free()
+			freeStripes(out)
+			return nil, err
+		}
+		out[j] = st
+	}
+	return out, nil
+}
+
+// rollingRead is the read plan of the final rolling pass over the
+// untransposed view of the sorted columns cols.  Untransposed column c
+// gathers, from each sorted column j, the segment of positions whose
+// untranspose image lies in column c: destination q = i·s + j for source
+// (i, j), so column c receives source positions i ∈ [c·seg, (c+1)·seg) of
+// every j.
+func rollingRead(a *pdm.Array, cols []*pdm.Stripe, r, s int) func(c int, dst []int64) error {
+	b, seg := a.B(), r/s
+	segBlocks := seg / b
+	return func(c int, dst []int64) error {
+		addrs := make([]pdm.BlockAddr, 0, s*segBlocks)
+		views := make([][]int64, 0, s*segBlocks)
+		for j := 0; j < s; j++ {
+			for blk := 0; blk < segBlocks; blk++ {
+				addrs = append(addrs, cols[j].BlockAddr(c*segBlocks+blk))
+				views = append(views, dst[j*seg+blk*b:j*seg+(blk+1)*b])
+			}
+		}
+		return a.ReadV(addrs, views)
+	}
 }
 
 func freeStripes(ss []*pdm.Stripe) {

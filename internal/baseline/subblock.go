@@ -62,7 +62,6 @@ func SubblockColumnsort(a *pdm.Array, in *pdm.Stripe, r, s int) (*core.Result, e
 		return nil, fmt.Errorf("baseline: bad subblock geometry r=%d s=%d n=%d", r, s, in.Len())
 	}
 	start := a.Stats()
-	seg := r / s
 
 	// Pass 1 (steps 1–2) and pass 2 (step 3) reuse the columnsort passes:
 	// sort columns + scatter transpose, then sort the transposed columns.
@@ -70,7 +69,7 @@ func SubblockColumnsort(a *pdm.Array, in *pdm.Stripe, r, s int) (*core.Result, e
 	if err != nil {
 		return nil, err
 	}
-	resorted, err := sortColumnsPass(a, sorted, r, s)
+	resorted, err := sortColumnsPass(a, sorted, nil, r, s)
 	freeStripes(sorted)
 	if err != nil {
 		return nil, err
@@ -170,7 +169,7 @@ func SubblockColumnsort(a *pdm.Array, in *pdm.Stripe, r, s int) (*core.Result, e
 	freeStripes(resorted)
 
 	// Pass 4: sort the converted columns.
-	convSorted, err := sortColumnsPassStripes(a, conv, r, s)
+	convSorted, err := sortColumnsPass(a, conv, nil, r, s)
 	freeStripes(conv)
 	if err != nil {
 		return nil, err
@@ -182,110 +181,11 @@ func SubblockColumnsort(a *pdm.Array, in *pdm.Stripe, r, s int) (*core.Result, e
 		freeStripes(convSorted)
 		return nil, err
 	}
-	segBlocks := seg / b
-	read := func(c int, dst []int64) error {
-		addrs := make([]pdm.BlockAddr, 0, s*segBlocks)
-		views := make([][]int64, 0, s*segBlocks)
-		for j := 0; j < s; j++ {
-			for blk := 0; blk < segBlocks; blk++ {
-				addrs = append(addrs, convSorted[j].BlockAddr(c*segBlocks+blk))
-				views = append(views, dst[j*seg+blk*b:j*seg+(blk+1)*b])
-			}
-		}
-		return a.ReadV(addrs, views)
-	}
-	err = core.RollingPass(a, r, s, read, core.SequentialEmit(out))
+	err = core.RollingPass(a, r, s, rollingRead(a, convSorted, r, s), core.SequentialEmit(out))
 	freeStripes(convSorted)
 	if err != nil {
 		out.Free()
 		return nil, fmt.Errorf("baseline: subblock columnsort final pass: %w", err)
 	}
 	return core.Finish(a, out, r*s, start, false), nil
-}
-
-// sortScatterTranspose is columnsort pass 1 (steps 1–2) extracted for reuse.
-func sortScatterTranspose(a *pdm.Array, in *pdm.Stripe, r, s int) ([]*pdm.Stripe, error) {
-	b := a.B()
-	seg := r / s
-	tcols := make([]*pdm.Stripe, s)
-	for d := range tcols {
-		st, err := a.NewStripeSkew(r, d)
-		if err != nil {
-			freeStripes(tcols)
-			return nil, err
-		}
-		tcols[d] = st
-	}
-	buf, err := a.Arena().Alloc(r)
-	if err != nil {
-		freeStripes(tcols)
-		return nil, err
-	}
-	defer a.Arena().Free(buf)
-	gather, err := a.Arena().Alloc(r)
-	if err != nil {
-		freeStripes(tcols)
-		return nil, err
-	}
-	defer a.Arena().Free(gather)
-	for j := 0; j < s; j++ {
-		if err := in.ReadAt(j*r, buf); err != nil {
-			freeStripes(tcols)
-			return nil, err
-		}
-		memsort.Keys(buf)
-		addrs := make([]pdm.BlockAddr, 0, r/b)
-		views := make([][]int64, 0, r/b)
-		for d := 0; d < s; d++ {
-			first := ((d-j*r%s)%s + s) % s
-			segBuf := gather[d*seg : (d+1)*seg]
-			for k := 0; k < seg; k++ {
-				segBuf[k] = buf[first+k*s]
-			}
-			for blk := 0; blk < seg/b; blk++ {
-				addrs = append(addrs, tcols[d].BlockAddr(j*seg/b+blk))
-				views = append(views, segBuf[blk*b:(blk+1)*b])
-			}
-		}
-		if err := a.WriteV(addrs, views); err != nil {
-			freeStripes(tcols)
-			return nil, err
-		}
-	}
-	return tcols, nil
-}
-
-// sortColumnsPass reads each column stripe, sorts it, and writes it to a
-// fresh skewed stripe — one full pass.
-func sortColumnsPassStripes(a *pdm.Array, cols []*pdm.Stripe, r, s int) ([]*pdm.Stripe, error) {
-	out := make([]*pdm.Stripe, s)
-	buf, err := a.Arena().Alloc(r)
-	if err != nil {
-		return nil, err
-	}
-	defer a.Arena().Free(buf)
-	for j := 0; j < s; j++ {
-		if err := cols[j].ReadAt(0, buf); err != nil {
-			freeStripes(out)
-			return nil, err
-		}
-		memsort.Keys(buf)
-		st, err := a.NewStripeSkew(r, j)
-		if err != nil {
-			freeStripes(out)
-			return nil, err
-		}
-		if err := st.WriteAt(0, buf); err != nil {
-			st.Free()
-			freeStripes(out)
-			return nil, err
-		}
-		out[j] = st
-	}
-	return out, nil
-}
-
-// sortColumnsPass is sortColumnsPassStripes for columns already on stripes.
-func sortColumnsPass(a *pdm.Array, cols []*pdm.Stripe, r, s int) ([]*pdm.Stripe, error) {
-	return sortColumnsPassStripes(a, cols, r, s)
 }

@@ -347,10 +347,10 @@ func TestExpectedTwoPassAdversarialFallsBack(t *testing.T) {
 
 func TestExpectedTwoPassCapacityFormula(t *testing.T) {
 	// Theorem 5.1 formula sanity: capacity grows with M and shrinks with α.
-	if ExpectedTwoPassCapacity(1<<20, 1) <= ExpectedTwoPassCapacity(1<<16, 1) {
+	if expectedTwoPassCapacity(1<<20, 1) <= expectedTwoPassCapacity(1<<16, 1) {
 		t.Fatal("capacity not increasing in M")
 	}
-	if ExpectedTwoPassCapacity(1<<20, 1) <= ExpectedTwoPassCapacity(1<<20, 3) {
+	if expectedTwoPassCapacity(1<<20, 1) <= expectedTwoPassCapacity(1<<20, 3) {
 		t.Fatal("capacity not decreasing in alpha")
 	}
 	// And the run-count helper respects divisibility.
@@ -509,8 +509,8 @@ func TestExpectedThreePassAdversarial(t *testing.T) {
 
 func TestCapacityFormulas(t *testing.T) {
 	m := 1 << 20
-	if c := ExpectedThreePassCapacity(m, 1); c <= ExpectedTwoPassCapacity(m, 1) {
-		t.Fatalf("M^1.75 capacity %d not above M^1.5 capacity %d", c, ExpectedTwoPassCapacity(m, 1))
+	if c := ExpectedThreePassCapacity(m, 1); c <= expectedTwoPassCapacity(m, 1) {
+		t.Fatalf("M^1.75 capacity %d not above M^1.5 capacity %d", c, expectedTwoPassCapacity(m, 1))
 	}
 	if c := ExpectedSixPassCapacity(m, 1); c <= ExpectedThreePassCapacity(m, 1) {
 		t.Fatalf("M^2 capacity %d not above M^1.75 capacity %d", c, ExpectedThreePassCapacity(m, 1))

@@ -9,10 +9,10 @@ import (
 	"repro/internal/pdm"
 )
 
-// ExpectedTwoPassCapacity returns the number of keys Theorem 5.1 certifies
+// expectedTwoPassCapacity returns the number of keys Theorem 5.1 certifies
 // for two-pass sorting at confidence parameter α:
 // N = M·√M / ((α+2)·ln M + 2).
-func ExpectedTwoPassCapacity(m int, alpha float64) int {
+func expectedTwoPassCapacity(m int, alpha float64) int {
 	return int(float64(m) * math.Sqrt(float64(m)) / ((alpha+2)*math.Log(float64(m)) + 2))
 }
 
@@ -49,7 +49,7 @@ func ExpectedTwoPassRuns(m int, alpha float64) int {
 //
 // N must be a multiple of M with N1 = N/M dividing √M (block alignment of
 // the shuffled reads); Theorem 5.1 reliability needs N within
-// ExpectedTwoPassCapacity.
+// M·√M / ((α+2)·ln M + 2) at confidence parameter α.
 func ExpectedTwoPass(a *pdm.Array, in *pdm.Stripe) (*Result, error) {
 	start := a.Stats()
 	out, fellBack, err := expectedTwoPassRange(a, in, 0, in.Len(), nil)

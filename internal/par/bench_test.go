@@ -28,27 +28,29 @@ func fillBenchKeys(buf []int64, seed uint64) {
 	}
 }
 
-// keptScratch is the Scratch of this package's benchmarks: Take hands out
-// a buffer given back earlier when one is long enough, as pdm.Arena does,
-// so that the benchmarks time the kernel rather than the allocator.
+// keptScratch is the Scratch of this package's benchmarks: Alloc hands out
+// a buffer given back earlier when one is long enough, cleared, as
+// pdm.Arena does, so that the benchmarks time the kernel rather than the
+// allocator.
 type keptScratch struct {
 	mu   sync.Mutex
 	bufs [][]int64
 }
 
-func (k *keptScratch) Take(n int) ([]int64, error) {
+func (k *keptScratch) Alloc(n int) ([]int64, error) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	for i, b := range k.bufs {
 		if cap(b) >= n {
 			k.bufs = slices.Delete(k.bufs, i, i+1)
+			clear(b[:n])
 			return b[:n], nil
 		}
 	}
 	return make([]int64, n), nil
 }
 
-func (k *keptScratch) Recycle(buf []int64) {
+func (k *keptScratch) Free(buf []int64) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	k.bufs = append(k.bufs, buf)

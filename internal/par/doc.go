@@ -36,10 +36,12 @@
 // Scratch.  The sorts and merges work in place or write caller-provided
 // buffers, and merge lanes are only ever read; the one extra buffer is the
 // radix kernel's scratch, up to one load of keys per sort or merge tail.
-// A pool borrows it from its Scratch for the duration of the call — the
-// pdm Array hands its pool the array's Arena, so the scratch is metered
-// with every other in-core buffer and priced by pdm.Config.ArenaCapacity —
-// unless the caller passes a dead buffer of its own (SortKeysScratch).  A
+// A pool borrows it from its Scratch (Alloc, then Free) for the duration
+// of the call — the pdm Array hands its pool the array's Arena, so the
+// scratch is metered with every other in-core buffer, priced by
+// pdm.Config.ArenaCapacity, and comes back out of the buffers the arena
+// kept from earlier borrows — unless the caller passes a dead buffer of
+// its own (SortKeysScratch).  A
 // borrow the Scratch refuses is a pricing bug, but not a wrong answer:
 // the sort falls back to the scratch-free introsort and the merge tail to
 // the loser tree's pops, with the same keys, and the arena counts the

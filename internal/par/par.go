@@ -72,14 +72,13 @@ func NewLimiter(slots int) *Limiter {
 	return &Limiter{sem: make(chan struct{}, slots)}
 }
 
-// Scratch is where a pool's sort kernel borrows its work space from: Take
-// reserves n keys and returns a buffer of that length, its contents
-// unspecified, or refuses with an error; Recycle hands the buffer back.
-// pdm.Arena is one, so the kernel's scratch is metered with every other
-// in-core buffer of the array.
+// Scratch is where a pool's sort kernel borrows its work space from: Alloc
+// reserves n keys and returns a buffer of that length, or refuses with an
+// error; Free hands the buffer back.  pdm.Arena is one, so the kernel's
+// scratch is metered with every other in-core buffer of the array.
 type Scratch interface {
-	Take(n int) ([]int64, error)
-	Recycle(buf []int64)
+	Alloc(n int) ([]int64, error)
+	Free(buf []int64)
 }
 
 // Pool is a fixed-width fork/join worker pool.  Workers are spawned per

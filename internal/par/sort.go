@@ -80,7 +80,7 @@ func (p *Pool) borrow(n int) []int64 {
 	if p.scratch == nil {
 		return make([]int64, n)
 	}
-	buf, err := p.scratch.Take(n)
+	buf, err := p.scratch.Alloc(n)
 	if err != nil {
 		return nil
 	}
@@ -90,7 +90,7 @@ func (p *Pool) borrow(n int) []int64 {
 // giveBack returns what borrow handed out.
 func (p *Pool) giveBack(buf []int64) {
 	if p.scratch != nil && buf != nil {
-		p.scratch.Recycle(buf)
+		p.scratch.Free(buf)
 	}
 }
 

@@ -8,10 +8,13 @@ import (
 )
 
 // Arena meters the internal memory used by an algorithm.  Every in-core
-// buffer a PDM algorithm holds must be obtained from the array's arena, so
-// the peak usage recorded here is the algorithm's true internal-memory
-// footprint in keys, checked against the model's M (times the configured
-// slack) in tests.
+// buffer a PDM algorithm holds — its loads, the streaming rings and
+// stages, the sort kernel's scratch — is obtained from the array's arena
+// with Alloc and handed back with Free, so the peak usage recorded here is
+// the algorithm's true internal-memory footprint in keys, checked against
+// the model's M (times the configured slack) in tests.  Free keeps the
+// buffer for a later Alloc, so a warm array allocates nothing through its
+// arena.
 type Arena struct {
 	mu       sync.Mutex
 	capacity int
@@ -20,9 +23,9 @@ type Arena struct {
 	refused  int
 	phases   map[string]int
 	phase    string
-	kept     [][]int64 // buffers Recycle keeps for Take, least recent first
+	kept     [][]int64 // buffers Free keeps for Alloc
 	keptKeys int       // their summed capacities, at most capacity
-	made     int       // keys Take allocated because nothing kept fit
+	made     int       // keys Alloc allocated because nothing kept fit
 }
 
 // NewArena returns an arena with the given capacity in keys.
@@ -32,11 +35,32 @@ func NewArena(capacity int) *Arena {
 
 // Alloc reserves and returns a zeroed buffer of n keys, or
 // ErrMemoryExceeded if the reservation would exceed the arena capacity.
+// The buffer is the smallest one Free kept whose capacity holds n keys,
+// resliced to n and cleared; only when none does is one allocated.
 func (ar *Arena) Alloc(n int) ([]int64, error) {
 	if err := ar.Reserve(n); err != nil {
 		return nil, err
 	}
+	if buf := ar.reuse(n); buf != nil {
+		clear(buf)
+		return buf, nil
+	}
 	return make([]int64, n), nil
+}
+
+// reuse unkeeps and returns the smallest kept buffer that holds n keys,
+// resliced to n, or nil, having counted the n keys Alloc will make.
+func (ar *Arena) reuse(n int) []int64 {
+	ar.mu.Lock()
+	defer ar.mu.Unlock()
+	i := ar.smallest(n)
+	if i < 0 || n == 0 {
+		ar.made += n
+		return nil
+	}
+	buf := ar.kept[i]
+	ar.unkeep(i)
+	return buf[:n]
 }
 
 // MustAlloc is Alloc for callers (tests, examples) that treat exhaustion as
@@ -49,56 +73,44 @@ func (ar *Arena) MustAlloc(n int) []int64 {
 	return buf
 }
 
-// Free releases a buffer previously returned by Alloc.  Only the length
-// matters; the arena does not track identity.
+// Free releases the len(buf) keys of a buffer Alloc returned and keeps the
+// buffer for a later Alloc, so the caller must not touch it again.  The
+// kept buffers' capacities sum to at most the arena's capacity, so the
+// memory an arena holds for reuse never exceeds what it meters.  Past it,
+// Free drops the smallest kept buffer whose loss alone brings them back
+// within it (buf itself qualifies, the others having fit): the small
+// buffers a run takes many of at once, kernel scratch among them, survive
+// next to its memory loads.
 func (ar *Arena) Free(buf []int64) {
 	ar.Release(len(buf))
-}
-
-// Take is Alloc for staging and scratch the caller overwrites before
-// reading it: the n keys are reserved exactly as Alloc reserves them, but
-// the buffer is the smallest Recycle kept whose capacity holds n keys,
-// resliced to n, its words not zeroed.  Only when none does is a buffer
-// allocated.
-func (ar *Arena) Take(n int) ([]int64, error) {
-	if err := ar.Reserve(n); err != nil {
-		return nil, err
-	}
 	ar.mu.Lock()
 	defer ar.mu.Unlock()
+	if cap(buf) == 0 {
+		return
+	}
+	ar.kept = append(ar.kept, buf)
+	ar.keptKeys += cap(buf)
+	if excess := ar.keptKeys - ar.capacity; excess > 0 {
+		ar.unkeep(ar.smallest(excess))
+	}
+}
+
+// smallest returns the index of the smallest kept buffer whose capacity is
+// at least n keys, or -1 if none is.  ar.mu must be held.
+func (ar *Arena) smallest(n int) int {
 	best := -1
 	for i, buf := range ar.kept {
 		if cap(buf) >= n && (best < 0 || cap(buf) < cap(ar.kept[best])) {
 			best = i
 		}
 	}
-	if best < 0 {
-		ar.made += n
-		return make([]int64, n), nil
-	}
-	buf := ar.kept[best]
-	ar.kept = slices.Delete(ar.kept, best, best+1)
-	ar.keptKeys -= cap(buf)
-	return buf[:n], nil
+	return best
 }
 
-// Recycle is Free that keeps buf for a later Take: the keys are released
-// either way.  The kept buffers' capacities sum to at most the arena's
-// capacity, the least recently recycled going first to make room, so the
-// memory an arena holds for reuse never exceeds what it meters.
-func (ar *Arena) Recycle(buf []int64) {
-	ar.Release(len(buf))
-	ar.mu.Lock()
-	defer ar.mu.Unlock()
-	if cap(buf) > ar.capacity {
-		return
-	}
-	for ar.keptKeys+cap(buf) > ar.capacity {
-		ar.keptKeys -= cap(ar.kept[0])
-		ar.kept = slices.Delete(ar.kept, 0, 1)
-	}
-	ar.kept = append(ar.kept, buf)
-	ar.keptKeys += cap(buf)
+// unkeep removes kept buffer i.  ar.mu must be held.
+func (ar *Arena) unkeep(i int) {
+	ar.keptKeys -= cap(ar.kept[i])
+	ar.kept = slices.Delete(ar.kept, i, i+1)
 }
 
 // Reserve charges n keys against the arena without handing out a buffer —
@@ -128,8 +140,7 @@ func (ar *Arena) Reserve(n int) error {
 	return nil
 }
 
-// Release returns n keys previously charged by Reserve (or by Alloc, whose
-// Free delegates here).
+// Release returns n keys previously charged by Reserve.
 func (ar *Arena) Release(n int) {
 	ar.mu.Lock()
 	defer ar.mu.Unlock()
@@ -167,7 +178,7 @@ func (ar *Arena) Peak() int {
 	return ar.peak
 }
 
-// Refused returns how many reservations (Reserve, Alloc, Take) the arena
+// Refused returns how many reservations (Reserve, Alloc) the arena
 // has refused.  On an array's arena a run that succeeded refused none
 // unless its compute pool's kernel was denied scratch and fell back to the
 // introsort, which the capacity formula (Config.ArenaCapacity) is sized

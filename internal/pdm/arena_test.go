@@ -2,6 +2,7 @@ package pdm
 
 import (
 	"errors"
+	"slices"
 	"testing"
 )
 
@@ -150,57 +151,69 @@ func TestArenaReleaseUnderflowPanics(t *testing.T) {
 	ar.Release(6)
 }
 
-// TestArenaTakeRecycle: Take reserves like Alloc and hands back the
-// smallest buffer Recycle kept that holds the request, resliced; Recycle
-// releases the keys whether or not it keeps the buffer, and keeps at most
-// the arena's capacity in buffers, dropping the least recently recycled.
-func TestArenaTakeRecycle(t *testing.T) {
+// TestArenaAllocReuse: Free releases the keys and keeps the buffer, and
+// Alloc hands back the smallest kept buffer that holds the request,
+// resliced and zeroed; a refused Alloc is counted and takes nothing; the
+// kept buffers never sum past the arena's capacity, the smallest one whose
+// loss suffices going first.
+func TestArenaAllocReuse(t *testing.T) {
 	ar := NewArena(100)
-	a, err := ar.Take(10)
-	if err != nil {
-		t.Fatal(err)
+	a := ar.MustAlloc(10)
+	for i := range a {
+		a[i] = int64(i + 1)
 	}
-	if ar.InUse() != 10 {
-		t.Fatalf("InUse = %d after Take(10), want 10", ar.InUse())
-	}
-	a[0] = 7
-	ar.Recycle(a)
+	ar.Free(a)
 	if ar.InUse() != 0 {
-		t.Fatalf("InUse = %d after Recycle, want 0", ar.InUse())
+		t.Fatalf("InUse = %d after Free, want 0", ar.InUse())
 	}
-	if b, _ := ar.Take(12); &b[0] == &a[0] {
-		t.Fatal("Take(12) reused a 10-key buffer")
+	if b := ar.MustAlloc(12); &b[0] == &a[0] {
+		t.Fatal("Alloc(12) reused a 10-key buffer")
 	} else {
-		ar.Recycle(b)
+		ar.Free(b)
 	}
-	b, err := ar.Take(10)
-	if err != nil {
-		t.Fatal(err)
+	b := ar.MustAlloc(10)
+	if &b[0] != &a[0] {
+		t.Fatal("Alloc(10) did not reuse the freed 10-key buffer")
 	}
-	if &b[0] != &a[0] || b[0] != 7 {
-		t.Fatal("Take(10) did not reuse the recycled 10-key buffer as it was")
+	if slices.ContainsFunc(b, func(v int64) bool { return v != 0 }) {
+		t.Fatalf("reused buffer not zeroed: %v", b)
 	}
-	if _, err := ar.Take(91); err == nil {
-		t.Fatal("Take past capacity succeeded")
+	if _, err := ar.Alloc(91); !errors.Is(err, ErrMemoryExceeded) {
+		t.Fatalf("Alloc past capacity: err = %v, want ErrMemoryExceeded", err)
 	}
-	if ar.Refused() != 1 {
-		t.Fatalf("Refused = %d after one refused Take, want 1", ar.Refused())
+	if ar.Refused() != 1 || ar.InUse() != 10 {
+		t.Fatalf("Refused = %d, InUse = %d after one refused Alloc, want 1 and 10", ar.Refused(), ar.InUse())
 	}
-	ar.Recycle(b)
-	if c, _ := ar.Take(5); len(c) != 5 || &c[0] != &a[0] {
-		t.Fatal("Take(5) did not reuse the smallest kept buffer that holds it")
+	ar.Free(b)
+	if c := ar.MustAlloc(5); len(c) != 5 || &c[0] != &a[0] {
+		t.Fatal("Alloc(5) did not reuse the smallest kept buffer that holds it")
 	} else {
-		ar.Recycle(c)
+		ar.Free(c)
 	}
 	made := ar.made
-	x, _ := ar.Take(60) // nothing kept holds 60 or 40 keys
-	y, _ := ar.Take(40)
+	x := ar.MustAlloc(60) // nothing kept holds 60 or 40 keys
+	y := ar.MustAlloc(40)
 	if ar.made != made+100 {
-		t.Fatalf("made %d keys for two fresh Takes of 100, want %d", ar.made-made, 100)
+		t.Fatalf("made %d keys for two fresh Allocs of 100, want %d", ar.made-made, 100)
 	}
-	ar.Recycle(x)
-	ar.Recycle(y) // 12 + 10 + 60 + 40 > 100: the 12- and 10-key buffers go
-	if len(ar.kept) != 2 || ar.keptKeys != 100 || &ar.kept[1][0] != &y[0] || ar.InUse() != 0 {
-		t.Fatalf("kept %d buffers of %d keys (want 2 of 100), InUse %d (want 0)", len(ar.kept), ar.keptKeys, ar.InUse())
+	keptCaps := func(want ...int) {
+		t.Helper()
+		var caps []int
+		for _, k := range ar.kept {
+			caps = append(caps, cap(k))
+		}
+		slices.Sort(caps)
+		if !slices.Equal(caps, want) || ar.keptKeys > ar.Capacity() || ar.InUse() != 0 {
+			t.Fatalf("kept %v (%d keys), InUse %d; want %v, at most %d keys, InUse 0",
+				caps, ar.keptKeys, ar.InUse(), want, ar.Capacity())
+		}
 	}
+	ar.Free(x)
+	ar.Free(y) // 12 + 10 + 60 + 40 > 100: the 40-key buffer goes, not the small ones
+	keptCaps(10, 12, 60)
+	z := ar.MustAlloc(30) // the 60-key buffer
+	w := ar.MustAlloc(25) // fresh
+	ar.Free(w)
+	ar.Free(z) // 12 + 10 + 25 + 60 > 100: the 10-key buffer is the smallest that suffices
+	keptCaps(12, 25, 60)
 }

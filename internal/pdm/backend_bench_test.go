@@ -22,7 +22,7 @@ func newBenchDisk(b *testing.B, kind string) Disk {
 	case "file":
 		d, err = NewFileDisk(filepath.Join(b.TempDir(), "d0.bin"), benchBlockKeys)
 	case "mmap":
-		d, err = NewMmapDisk(filepath.Join(b.TempDir(), "d0.bin"), benchBlockKeys)
+		d, err = newMmapDisk(filepath.Join(b.TempDir(), "d0.bin"), benchBlockKeys)
 	}
 	if err != nil {
 		b.Fatal(err)

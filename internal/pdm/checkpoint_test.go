@@ -220,7 +220,7 @@ func TestOpenFileDiskPreservesFrontier(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	d2, err := OpenFileDisk(path, 8)
+	d2, err := openFileDisk(path, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,11 +47,11 @@ func NewFileDisk(path string, b int) (*FileDisk, error) {
 	return &FileDisk{f: f, b: b}, nil
 }
 
-// OpenFileDisk reopens an existing file-backed disk at path without
+// openFileDisk reopens an existing file-backed disk at path without
 // truncating it: the write frontier is initialized from the file size,
 // so blocks written by a previous process stay readable.  The resume
 // path uses it to re-attach a job's surviving scratch files.
-func OpenFileDisk(path string, b int) (*FileDisk, error) {
+func openFileDisk(path string, b int) (*FileDisk, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("pdm: opening file disk: %w", err)
@@ -69,9 +69,10 @@ func OpenFileDisk(path string, b int) (*FileDisk, error) {
 }
 
 // OpenFileDisks reopens d existing file disks named disk0000.bin …
-// inside dir without truncating them (see OpenFileDisk).
+// inside dir without truncating them: each disk's write frontier comes
+// from its file size, so blocks a previous process wrote stay readable.
 func OpenFileDisks(dir string, d, b int) ([]Disk, error) {
-	return makeDisks(dir, d, b, OpenFileDisk)
+	return makeDisks(dir, d, b, openFileDisk)
 }
 
 // NewFileDisks creates d file-backed disks named disk0000.bin … inside

@@ -113,7 +113,7 @@ func TestFileDiskFormatPinned(t *testing.T) {
 		if err := os.WriteFile(path, raw.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		d, err := OpenFileDisk(path, cfg.B)
+		d, err := openFileDisk(path, cfg.B)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +145,7 @@ func TestFileDiskFormatPinned(t *testing.T) {
 		if err := os.WriteFile(path, enc.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		od, err := OpenFileDisk(path, cfg.B)
+		od, err := openFileDisk(path, cfg.B)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,9 +8,9 @@ type MmapDisk struct {
 	*FileDisk
 }
 
-// NewMmapDisk creates (truncating) a disk at path with block size b keys,
+// newMmapDisk creates (truncating) a disk at path with block size b keys,
 // falling back to the read/write FileDisk implementation.
-func NewMmapDisk(path string, b int) (*MmapDisk, error) {
+func newMmapDisk(path string, b int) (*MmapDisk, error) {
 	fd, err := NewFileDisk(path, b)
 	if err != nil {
 		return nil, err

@@ -14,7 +14,7 @@ import (
 
 func TestMmapDiskRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	d, err := NewMmapDisk(dir+"/d0.bin", 4)
+	d, err := newMmapDisk(dir+"/d0.bin", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestMmapDiskRoundTrip(t *testing.T) {
 func TestMmapDiskGrowthAndTrim(t *testing.T) {
 	const b = 8
 	path := t.TempDir() + "/d0.bin"
-	d, err := NewMmapDisk(path, b)
+	d, err := newMmapDisk(path, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestMmapDiskBorrowViews(t *testing.T) {
 		t.Skip("no in-place word views on this architecture")
 	}
 	const b = 8
-	d, err := NewMmapDisk(t.TempDir()+"/d0.bin", b)
+	d, err := newMmapDisk(t.TempDir()+"/d0.bin", b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestMmapDiskBytesMatchFileDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	md, err := NewMmapDisk(dir+"/mmap.bin", b)
+	md, err := newMmapDisk(dir+"/mmap.bin", b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestMmapDiskBytesMatchFileDisk(t *testing.T) {
 // under the disk: growth and the Close trim must surface errors instead
 // of corrupting state.
 func TestMmapDiskGrowFailure(t *testing.T) {
-	d, err := NewMmapDisk(t.TempDir()+"/d0.bin", 4)
+	d, err := newMmapDisk(t.TempDir()+"/d0.bin", 4)
 	if err != nil {
 		t.Fatal(err)
 	}

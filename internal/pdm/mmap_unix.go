@@ -46,9 +46,9 @@ type mapping struct {
 	words []int64 // in-place view of bytes; nil on big-endian architectures
 }
 
-// NewMmapDisk creates (truncating) an mmap-backed disk at path with block
+// newMmapDisk creates (truncating) an mmap-backed disk at path with block
 // size b keys.
-func NewMmapDisk(path string, b int) (*MmapDisk, error) {
+func newMmapDisk(path string, b int) (*MmapDisk, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("pdm: creating mmap disk: %w", err)

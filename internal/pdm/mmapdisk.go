@@ -10,7 +10,7 @@ var errNoZeroCopy = errors.New("pdm: disk does not support zero-copy block views
 // dir, with block size b keys.  The file naming matches NewFileDisks, so
 // the two backends produce byte-identical scratch directories.
 func NewMmapDisks(dir string, d, b int) ([]Disk, error) {
-	return makeDisks(dir, d, b, NewMmapDisk)
+	return makeDisks(dir, d, b, newMmapDisk)
 }
 
 // NewMmapArray creates a PDM array of cfg.D mmap-backed disks named

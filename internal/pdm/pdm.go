@@ -98,8 +98,10 @@ const memSlack = 2
 // memory load of scratch for the compute pool's sort kernel (a radix sort
 // or merge tail borrows up to M keys beside the buffers it works on), one
 // stripe of scatter/gather staging, and the pipeline's staging slots
-// (PipelineStaging).  The scheduler reserves exactly this amount per job
-// on its global memory ledger.
+// (PipelineStaging).  Every one of them is an Arena.Alloc, and the same
+// capacity bounds the buffers the arena keeps between a Free and the next
+// Alloc.  The scheduler reserves exactly this amount per job on its
+// global memory ledger.
 func (c Config) ArenaCapacity() int {
 	return memSlack*c.Mem + c.Mem + c.D*c.B + c.PipelineStaging()
 }

@@ -1,6 +1,7 @@
 package pdm_test
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -10,11 +11,16 @@ import (
 
 // TestSortsReuseArenaScratch runs each algorithm twice on one array at
 // M = 64Ki, two workers and pipeline depth 2/2 — the geometry of the bench
-// machine — and checks that the second run allocates no buffer through
-// the arena's Take: the kernel's scratch, whose borrows vary in length
+// machine — and checks that the second run allocates no key through the
+// arena: its loads, the kernel's scratch, whose borrows vary in length
 // (merge tails) and run two at a time (pass 2's groups under For), and the
-// streaming rings all come back out of what the first run recycled.  One
-// stray memory load would be 512 KiB per sort.
+// streaming rings all come back out of what the first run freed.  One
+// stray memory load would be 512 KiB per sort.  The first run must sort,
+// and the second must give the first run's output, I/O counts and trace: a
+// caller that reads a buffer after freeing it would see it reused and
+// change one of them.  Traces are compared without their rows, since a
+// warm array's block allocator may put a stripe on rows a freed one used
+// (ExpectedThreePass's output does): the disks of each request must match.
 func TestSortsReuseArenaScratch(t *testing.T) {
 	const mem = 1 << 16
 	for _, alg := range []core.Alg{core.AlgOne, core.AlgMesh3, core.AlgLMM3, core.AlgExp2,
@@ -33,11 +39,21 @@ func TestSortsReuseArenaScratch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := in.Load(workload.Uniform(n, 0, 1<<30, 9)); err != nil {
+			keys := workload.Uniform(n, 0, 1<<30, 9)
+			if err := in.Load(keys); err != nil {
 				t.Fatal(err)
 			}
-			sort := func() {
+			type run struct {
+				out   []int64
+				res   core.Result
+				trace []pdm.TraceOp
+				made  int
+			}
+			sort := func() run {
 				t.Helper()
+				made := pdm.MadeKeys(a.Arena())
+				a.EnableTrace()
+				defer a.DisableTrace()
 				var res *core.Result
 				if alg == core.AlgRadix {
 					res, err = core.RadixSort(a, in, 1<<30)
@@ -47,15 +63,44 @@ func TestSortsReuseArenaScratch(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res.Out.Free()
+				defer res.Out.Free()
+				trace, made := withoutRows(a.Trace()), pdm.MadeKeys(a.Arena())-made
+				out, err := res.Out.Unload()
+				if err != nil {
+					t.Fatal(err)
+				}
+				r := run{out: out, res: *res, trace: trace, made: made}
+				// Pipeline and compute counters depend on scheduling.
+				r.res.Out, r.res.IO = nil, pdm.Stats{BlocksRead: res.IO.BlocksRead,
+					BlocksWritten: res.IO.BlocksWritten, ReadSteps: res.IO.ReadSteps, WriteSteps: res.IO.WriteSteps}
+				return r
 			}
-			sort()
-			made := pdm.MadeKeys(a.Arena())
-			sort()
-			if extra := pdm.MadeKeys(a.Arena()) - made; extra != 0 || a.Arena().Refused() != 0 {
-				t.Fatalf("the second sort allocated %d keys through Take (want 0), %d reservations refused",
-					extra, a.Arena().Refused())
+			first := sort()
+			if !slices.Equal(first.out, slices.Sorted(slices.Values(keys))) {
+				t.Fatal("the first sort's output is not the sorted input")
+			}
+			second := sort()
+			if second.made != 0 || a.Arena().Refused() != 0 {
+				t.Fatalf("the second sort allocated %d keys through the arena (want 0), %d reservations refused",
+					second.made, a.Arena().Refused())
+			}
+			if !slices.Equal(first.out, second.out) || first.res != second.res ||
+				!pdm.TracesEqual(first.trace, second.trace) {
+				t.Fatalf("the second sort differs from the first: same output %v, result %+v vs %+v, same trace %v",
+					slices.Equal(first.out, second.out), first.res, second.res, pdm.TracesEqual(first.trace, second.trace))
 			}
 		})
 	}
+}
+
+// withoutRows returns trace with every block's row set to 0.
+func withoutRows(trace []pdm.TraceOp) []pdm.TraceOp {
+	out := make([]pdm.TraceOp, len(trace))
+	for i, op := range trace {
+		out[i] = pdm.TraceOp{Write: op.Write, Addrs: make([]pdm.BlockAddr, len(op.Addrs))}
+		for j, ad := range op.Addrs {
+			out[i].Addrs[j].Disk = ad.Disk
+		}
+	}
+	return out
 }

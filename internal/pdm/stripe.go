@@ -192,7 +192,9 @@ func (s *Stripe) transferAt(keyOff int, flat []int64, write bool) error {
 
 // Load writes data into the stripe without touching the I/O statistics or
 // the trace.  It models the input already residing on the disks, which is
-// the starting state of every PDM algorithm; use it only from harnesses.
+// the starting state of every PDM algorithm: harnesses load their inputs
+// with it, and the records layer its payload store, which is the records'
+// input and not the output of a pass.
 func (s *Stripe) Load(data []int64) error {
 	if len(data) != s.n {
 		return fmt.Errorf("pdm: Load of %d keys into stripe of %d", len(data), s.n)

@@ -261,9 +261,9 @@ func TopKBudget(n, k int) int {
 	return k + 2*SelectDelta(n, k)
 }
 
-// QuantileBudget is the worst-case survivor count of a quantile filter
+// quantileBudget is the worst-case survivor count of a quantile filter
 // pass: both window edges carry slack.
-func QuantileBudget(n, r int) int {
+func quantileBudget(n, r int) int {
 	return 4*SelectDelta(n, r) + 64
 }
 
@@ -316,7 +316,7 @@ func TopKPlan(shape Shape, w Workload, k int) ScenarioPlan {
 // charged filtering pass keeping a window around the sampled rank, the
 // answer read out of the sorted window.  No output stripe is written.
 func QuantilePlan(shape Shape, w Workload, r int) ScenarioPlan {
-	return selectionPlan(KindQuantile, shape, w, checkRank("rank", r, w.N), QuantileBudget(w.N, r), 0)
+	return selectionPlan(KindQuantile, shape, w, checkRank("rank", r, w.N), quantileBudget(w.N, r), 0)
 }
 
 // selectionPlan is the filter route both selection kinds share: one read

@@ -37,8 +37,9 @@
 // the flusher coalesces the queued ones.  On extent-capable arrays a
 // transfer moves each disk's consecutive blocks in one call, so a
 // sequential pass at depth 2 moves up to four blocks per disk per call.
-// The slots' memory is recycled through the arena (Arena.Take/Recycle), so
-// a pass reserves and releases it without allocating.  With a zero
+// The slots' memory comes from the arena's Alloc and goes back through its
+// Free, which keeps it for the next pass, so a pass on a warm array
+// reserves and releases it without allocating.  With a zero
 // pdm.PipelineConfig every constructor degenerates to the synchronous path
 // with no goroutines and no extra memory.
 //

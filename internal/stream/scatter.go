@@ -19,20 +19,20 @@ import (
 //
 // On zero-copy arrays a block is copied once, from its carry straight into
 // its borrowed destination view, and the request is charged through ChargeV
-// with the address list WriteV would have used; the stage is still
-// reserved, so the memory envelope and any arena-pressure failure match
+// with the address list WriteV would have used; the stage is allocated all
+// the same, so the memory envelope and any arena-pressure failure match
 // across backends.
 type Scatter struct {
 	a     *pdm.Array
 	b     int
 	next  func(bucket, words int) (pdm.BlockAddr, error)
-	carry []int64 // one block per bucket
+	carry []int64 // one block per bucket; nil once closed
 	fill  []int   // words in each bucket's carry
-	stage []int64 // nil on zero-copy arrays: reserved, never touched
+	stage []int64 // M/B block slots, untouched on zero-copy arrays
 	// Slots are linked through index arrays, so a block costs no allocation:
 	// link chains a slot into its disk's FIFO or the free list (−1 ends).
 	addr       []pdm.BlockAddr
-	link       []int // nil once closed
+	link       []int
 	head, tail []int // per disk
 	free       int
 	queued     int
@@ -41,23 +41,29 @@ type Scatter struct {
 	err        error // sticky
 }
 
-// NewScatter reserves buckets carry blocks and the stage: M/B block slots,
+// NewScatter allocates buckets carry blocks and the stage: M/B block slots,
 // a function of the geometry alone (at least D, since a valid configuration
-// has M ≥ D·B), M + buckets·B keys in all.  next returns the address of a
-// bucket's next block when the Scatter queues it; words is the block's
-// valid word count (B, or fewer for the padded block Flush queues).
+// has M ≥ D·B), M + buckets·B keys in all.  They are two arena buffers: a
+// one-load stage is a size the arena keeps for the other passes anyway,
+// where a single buffer of both would be a size of its own.  next returns
+// the address of a bucket's next block when the Scatter queues it; words
+// is the block's valid word count (B, or fewer for the padded block Flush
+// queues).
 func NewScatter(a *pdm.Array, buckets int, next func(bucket, words int) (pdm.BlockAddr, error)) (*Scatter, error) {
 	b, slots, d := a.B(), a.Mem()/a.B(), a.D()
-	if err := a.Arena().Reserve((buckets + slots) * b); err != nil {
+	carry, err := a.Arena().Alloc(buckets * b)
+	if err != nil {
 		return nil, err
 	}
-	s := &Scatter{a: a, b: b, next: next, carry: make([]int64, buckets*b), fill: make([]int, buckets),
+	stage, err := a.Arena().Alloc(slots * b)
+	if err != nil {
+		a.Arena().Free(carry)
+		return nil, err
+	}
+	s := &Scatter{a: a, b: b, next: next, carry: carry, fill: make([]int, buckets), stage: stage,
 		addr: make([]pdm.BlockAddr, slots), link: make([]int, slots),
 		head: make([]int, d), tail: make([]int, d), free: slots - 1,
 		addrs: make([]pdm.BlockAddr, 0, d), bufs: make([][]int64, 0, d)}
-	if !a.ZeroCopy() {
-		s.stage = make([]int64, slots*b)
-	}
 	for i := range s.link {
 		s.link[i] = i - 1
 	}
@@ -105,11 +111,11 @@ func (s *Scatter) queue(bucket int) {
 		}
 	}
 	i := s.free
-	var dst []int64
-	if s.stage != nil {
-		dst = s.stage[i*b : i*b+b]
-	} else if dst, s.err = s.a.BorrowWrite(addr); s.err != nil {
-		return
+	dst := s.stage[i*b : i*b+b]
+	if s.a.ZeroCopy() {
+		if dst, s.err = s.a.BorrowWrite(addr); s.err != nil {
+			return
+		}
 	}
 	copy(dst, s.carry[bucket*b:(bucket+1)*b])
 	s.free = s.link[i]
@@ -133,14 +139,12 @@ func (s *Scatter) step() {
 			continue
 		}
 		s.addrs = append(s.addrs, s.addr[i])
-		if s.stage != nil {
-			s.bufs = append(s.bufs, s.stage[i*b:i*b+b])
-		}
+		s.bufs = append(s.bufs, s.stage[i*b:i*b+b])
 		s.head[d] = s.link[i]
 		s.link[i], s.free = s.free, i
 		s.queued--
 	}
-	if s.stage != nil {
+	if !s.a.ZeroCopy() {
 		s.err = s.a.WriteV(s.addrs, s.bufs)
 	} else if s.err = s.a.CtxErr(); s.err == nil {
 		s.a.ChargeV(s.addrs, true)
@@ -167,8 +171,9 @@ func (s *Scatter) Flush() error {
 // blocks still carried or queued are dropped (error paths).  It is
 // idempotent.
 func (s *Scatter) Close() {
-	if s.link != nil {
-		s.a.Arena().Release(len(s.carry) + len(s.link)*s.b)
-		s.link = nil
+	if s.carry != nil {
+		s.a.Arena().Free(s.carry)
+		s.a.Arena().Free(s.stage)
+		s.carry, s.stage = nil, nil
 	}
 }

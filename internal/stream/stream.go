@@ -38,8 +38,7 @@ type Reader struct {
 	views   [][]int64 // block views of the caller's buffer (FillFlat, Pass)
 
 	// pipelined mode (nil channels mean synchronous):
-	ring   []int64     // nil on zero-copy arrays: their slots hold borrowed views
-	words  int         // arena keys the slots reserve
+	ring   []int64     // unused on zero-copy arrays: their slots hold borrowed views
 	slots  [][][]int64 // slot -> block views
 	free   chan int
 	filled chan piece
@@ -60,16 +59,8 @@ func NewReader(a *pdm.Array, chunks int, addrsOf func(int) []pdm.BlockAddr) (*Re
 		return r, nil
 	}
 	bps := pdm.SlotRows * a.D() // blocks per slot
-	r.words = depth * bps * a.B()
 	var err error
-	if a.ZeroCopy() {
-		// The disks serve borrowed views, so the slots only pace the
-		// prefetch window; their keys are reserved all the same.
-		err = a.Arena().Reserve(r.words)
-	} else {
-		r.ring, err = a.Arena().Take(r.words)
-	}
-	if err != nil {
+	if r.ring, err = a.Arena().Alloc(depth * bps * a.B()); err != nil {
 		return nil, err
 	}
 	r.slots, r.free = newSlots(r.ring, depth, bps, a.B())
@@ -84,12 +75,10 @@ func NewReader(a *pdm.Array, chunks int, addrsOf func(int) []pdm.BlockAddr) (*Re
 }
 
 // newSlots carves ring into depth slots of bps B-key block views, all of
-// them free; a nil ring leaves the views for the caller to set.
+// them free.
 func newSlots(ring []int64, depth, bps, b int) ([][][]int64, chan int) {
-	views := make([][]int64, depth*bps)
-	if ring != nil {
-		carve(&views, ring, b)
-	}
+	var views [][]int64
+	carve(&views, ring, b)
 	slots := make([][][]int64, depth)
 	free := make(chan int, depth)
 	for i := range slots {
@@ -219,10 +208,11 @@ func (r *Reader) fetch() {
 }
 
 // transfer moves one fill's request into its slots, uncharged.  Zero-copy
-// arrays borrow the blocks instead, into the slots' views; borrowing fails
+// arrays borrow the blocks instead, into the slots' views, so the disks
+// serve them and the ring only paces the prefetch window; borrowing fails
 // exactly where a TransferV would (unwritten block, canceled context).
 func (r *Reader) transfer(req []pdm.BlockAddr, bufs [][]int64, pieces []piece) error {
-	if r.ring != nil {
+	if !r.a.ZeroCopy() {
 		return r.a.TransferV(req, bufs, false)
 	}
 	views, err := r.a.BorrowReadV(req)
@@ -360,12 +350,8 @@ func (r *Reader) Close() {
 	}
 	close(r.quit)
 	<-r.done
-	if r.ring != nil {
-		r.a.Arena().Recycle(r.ring)
-		r.ring = nil
-	} else {
-		r.a.Arena().Release(r.words)
-	}
+	r.a.Arena().Free(r.ring)
+	r.ring = nil
 }
 
 // carve points *views at flat's B-key blocks, reusing its storage, and

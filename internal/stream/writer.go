@@ -62,7 +62,7 @@ func (w *Writer) start() error {
 		return nil
 	}
 	bps := pdm.SlotRows * a.D() // blocks per slot
-	ring, err := a.Arena().Take(depth * bps * a.B())
+	ring, err := a.Arena().Alloc(depth * bps * a.B())
 	if err != nil {
 		return err
 	}
@@ -253,7 +253,7 @@ func (w *Writer) Close() error {
 	if w.jobs != nil {
 		close(w.jobs)
 		<-w.done
-		w.a.Arena().Recycle(w.ring)
+		w.a.Arena().Free(w.ring)
 		w.ring = nil
 	}
 	if w.err == nil {
