@@ -95,12 +95,12 @@ func BenchmarkKernelSortStdlib(b *testing.B) {
 	benchKernel(b, func(a, _ []int64) { slices.Sort(a) })
 }
 
-// BenchmarkSelect pairs Select with slices.Sort on a random sample the size
-// the facade's selection front draws for topk-file (plan.SelectSample of
-// 4Mi keys, 16·⌊∛(2⁴⁴)⌋), at the index TopK(K = 100) reads (target rank
-// 100 + SelectDelta = 204, scaled by s/n) and at the median.  Sorting then
-// reading one index (the same cost at any rank) is what the facade did
-// before Select replaced it.
+// BenchmarkSelect pairs Select with slices.Sort on a random sample of
+// plan.SelectSample(4Mi) = 16·⌊∛(2⁴⁴)⌋ keys, the largest draw the facade's
+// selection front takes (a median quantile at M = 64Ki draws it, since no
+// smaller draw meets the miss bound there), at a low index and at the
+// median.  Sorting then reading one index (the same cost at any rank) is
+// what the facade did before Select replaced it.
 func BenchmarkSelect(b *testing.B) {
 	const s = 416_112
 	b.Run("select-topk", func(b *testing.B) { benchSort(b, s, func(a []int64) { Select(a, 20) }) })

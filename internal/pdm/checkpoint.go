@@ -132,6 +132,7 @@ func (a *Array) TakeResume(alg string, n int) *Checkpoint {
 	a.resume = nil
 	a.resumeConsumed = true
 	a.alloc.next = cp.Alloc.Next
+	a.alloc.peak = max(a.alloc.peak, cp.Alloc.Next)
 	a.alloc.free = a.alloc.free[:0]
 	for _, e := range cp.Alloc.Free {
 		a.alloc.free = append(a.alloc.free, extent{start: e.Start, n: e.Rows})

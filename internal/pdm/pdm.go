@@ -308,14 +308,14 @@ func (a *Array) Stats() Stats {
 	return s
 }
 
-// DiskFootprint returns the high-water on-disk footprint in keys: the rows
-// the block allocator has ever handed out (they are reused but never
-// shrunk) times the stripe width.  The scheduler checks it against each
-// job's admitted disk envelope.
+// DiskFootprint returns the high-water on-disk footprint in keys: the most
+// rows the block allocator has held at once (freed rows are reused, and a
+// freed tail is given back, but the mark stays) times the stripe width.
+// The scheduler checks it against each job's admitted disk envelope.
 func (a *Array) DiskFootprint() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.alloc.next * a.cfg.D * a.cfg.B
+	return a.alloc.peak * a.cfg.D * a.cfg.B
 }
 
 // ResetStats zeroes the I/O statistics and the compute counters (the arena

@@ -18,9 +18,9 @@ import (
 // stray memory load would be 512 KiB per sort.  The first run must sort,
 // and the second must give the first run's output, I/O counts and trace: a
 // caller that reads a buffer after freeing it would see it reused and
-// change one of them.  Traces are compared without their rows, since a
-// warm array's block allocator may put a stripe on rows a freed one used
-// (ExpectedThreePass's output does): the disks of each request must match.
+// change one of them.  Traces are compared with their rows: the block
+// allocator gives a freed tail back, so once the first run has freed its
+// stripes the second lands every block where the first did.
 func TestSortsReuseArenaScratch(t *testing.T) {
 	const mem = 1 << 16
 	for _, alg := range []core.Alg{core.AlgOne, core.AlgMesh3, core.AlgLMM3, core.AlgExp2,
@@ -64,7 +64,7 @@ func TestSortsReuseArenaScratch(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer res.Out.Free()
-				trace, made := withoutRows(a.Trace()), pdm.MadeKeys(a.Arena())-made
+				trace, made := a.Trace(), pdm.MadeKeys(a.Arena())-made
 				out, err := res.Out.Unload()
 				if err != nil {
 					t.Fatal(err)
@@ -91,16 +91,4 @@ func TestSortsReuseArenaScratch(t *testing.T) {
 			}
 		})
 	}
-}
-
-// withoutRows returns trace with every block's row set to 0.
-func withoutRows(trace []pdm.TraceOp) []pdm.TraceOp {
-	out := make([]pdm.TraceOp, len(trace))
-	for i, op := range trace {
-		out[i] = pdm.TraceOp{Write: op.Write, Addrs: make([]pdm.BlockAddr, len(op.Addrs))}
-		for j, ad := range op.Addrs {
-			out[i].Addrs[j].Disk = ad.Disk
-		}
-	}
-	return out
 }

@@ -11,9 +11,13 @@ type extent struct{ start, n int }
 // rowAllocator hands out "rows" of disk space.  A row is one block at the
 // same offset on every disk, i.e. D·B keys of capacity.  Stripes occupy whole
 // rows so that consecutive logical blocks land on consecutive disks —
-// the round-robin striping all of the paper's layouts build on.
+// the round-robin striping all of the paper's layouts build on.  Rows below
+// next are in use or listed free; a freed run that ends at next lowers it
+// instead, so an array whose stripes are all freed is back where it began
+// and hands out the same rows again.
 type rowAllocator struct {
 	next int
+	peak int // the highest next has been: the on-disk high-water mark
 	free []extent
 }
 
@@ -31,6 +35,7 @@ func (ra *rowAllocator) alloc(n int) int {
 	}
 	start := ra.next
 	ra.next += n
+	ra.peak = max(ra.peak, ra.next)
 	return start
 }
 
@@ -51,6 +56,11 @@ func (ra *rowAllocator) release(start, n int) {
 		default:
 			out = append(out, e)
 		}
+	}
+	if merged.start+merged.n == ra.next {
+		ra.next = merged.start
+		ra.free = out
+		return
 	}
 	ra.free = append(out, merged)
 }
@@ -132,16 +142,17 @@ func (s *Stripe) Skew() int { return s.skew }
 // ReadAt/WriteAt would issue.  The streaming layer uses it to pre-plan
 // chunk requests.
 func (s *Stripe) AddrRange(keyOff, nKeys int) ([]BlockAddr, error) {
-	if err := s.checkRange(keyOff, nKeys); err != nil {
+	if err := s.CheckRange(keyOff, nKeys); err != nil {
 		return nil, err
 	}
 	b := s.a.cfg.B
 	return s.appendAddrs(make([]BlockAddr, 0, nKeys/b), keyOff/b, nKeys/b), nil
 }
 
-// checkRange rejects a key range [keyOff, keyOff+nKeys) that is not
-// block-aligned or not inside the stripe.
-func (s *Stripe) checkRange(keyOff, nKeys int) error {
+// CheckRange rejects a key range [keyOff, keyOff+nKeys) that is not
+// block-aligned or not inside the stripe: the check AddrRange makes,
+// without the address list.
+func (s *Stripe) CheckRange(keyOff, nKeys int) error {
 	b := s.a.cfg.B
 	if keyOff%b != 0 || nKeys%b != 0 {
 		return fmt.Errorf("%w: range [%d, %d) with B = %d", ErrUnaligned, keyOff, keyOff+nKeys, b)
@@ -178,7 +189,7 @@ func (s *Stripe) WriteAt(keyOff int, src []int64) error {
 // blocks, its addresses and block views built in the array's recycled
 // runs scratch and dropped after the transfer.
 func (s *Stripe) transferAt(keyOff int, flat []int64, write bool) error {
-	if err := s.checkRange(keyOff, len(flat)); err != nil {
+	if err := s.CheckRange(keyOff, len(flat)); err != nil {
 		return err
 	}
 	a, b := s.a, s.a.cfg.B

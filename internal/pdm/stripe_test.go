@@ -129,6 +129,48 @@ func TestRowAllocatorCoalesce(t *testing.T) {
 	}
 }
 
+// TestRowAllocatorGivesBackFreedTail: a freed run that ends at the
+// frontier lowers it, after coalescing with the free extents below, so an
+// allocator whose rows are all freed is back at row 0 with nothing listed,
+// while the peak (DiskFootprint's mark) stays; a restored checkpoint
+// raises the peak to its frontier.
+func TestRowAllocatorGivesBackFreedTail(t *testing.T) {
+	var ra rowAllocator
+	a, b, c := ra.alloc(2), ra.alloc(3), ra.alloc(4)
+	ra.release(a, 2)
+	ra.release(c, 4) // the tail: next falls to b's end
+	if ra.next != 5 || len(ra.free) != 1 || ra.peak != 9 {
+		t.Fatalf("after freeing the tail: next %d, free %v, peak %d; want 5, [{0 2}], 9", ra.next, ra.free, ra.peak)
+	}
+	ra.release(b, 3) // coalesces with a's extent, then reaches next
+	if ra.next != 0 || len(ra.free) != 0 || ra.peak != 9 {
+		t.Fatalf("after freeing everything: next %d, free %v, peak %d; want 0, [], 9", ra.next, ra.free, ra.peak)
+	}
+	if got := ra.alloc(3); got != 0 || ra.peak != 9 {
+		t.Fatalf("first allocation after the reset at row %d, peak %d; want 0, 9", got, ra.peak)
+	}
+
+	arr, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := arr.NewStripe(arr.StripeWidth() * 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Free()
+	if foot := arr.DiskFootprint(); foot != 3*arr.StripeWidth() {
+		t.Fatalf("footprint %d after freeing every row, want the high-water %d", foot, 3*arr.StripeWidth())
+	}
+	arr.SetResume(&Checkpoint{Alg: "x", N: 64, Alloc: AllocState{Next: 7}})
+	if arr.TakeResume("x", 64) == nil {
+		t.Fatal("resume point not taken")
+	}
+	if foot := arr.DiskFootprint(); foot != 7*arr.StripeWidth() {
+		t.Fatalf("footprint %d after restoring a 7-row checkpoint, want %d", foot, 7*arr.StripeWidth())
+	}
+}
+
 func TestLoadUnloadDoNotCount(t *testing.T) {
 	a, err := New(testConfig())
 	if err != nil {

@@ -3,6 +3,7 @@ package plan
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/memsort"
@@ -76,8 +77,8 @@ type ScenarioPlan struct {
 	Exact bool `json:"exact,omitempty"`
 
 	// Sample and Budget expose the selection scenario's knobs: the client
-	// sample size and the worst-case survivor budget the filter pass must
-	// hold in memory.  Zero for groupby/ingest.
+	// sample size (SelectionDraw's) and the survivor budget the filter
+	// pass holds in memory (SelectCap).  Zero for groupby/ingest.
 	Sample int `json:"sample,omitempty"`
 	Budget int `json:"budget,omitempty"`
 
@@ -219,13 +220,11 @@ func SelectCap(mem, stripe int) int {
 	return c
 }
 
-// SelectSample is the deterministic client-side sample size for selecting
-// rank r out of n: a Floyd–Rivest-style s = 16·n^(2/3), clamped to
-// [256, n].  The sample is metadata (the coordinator samples the same way
-// in the distributed sort); only the filter pass is charged I/O.  The
-// facade never sorts it: top-K streams the draws through a heap of the
-// few smallest, and quantile selects its window edges from the sample in
-// O(s) (memsort.Select).
+// SelectSample caps the client-side sample for selecting out of n keys: a
+// Floyd–Rivest-style 16·n^(2/3), clamped to [256, n].  SelectionDraw
+// draws the fewest keys up to it that meet the route's miss bound.  The
+// sample is metadata (the coordinator samples the same way in the
+// distributed sort); only the filter pass is charged I/O.
 func SelectSample(n int) int {
 	if n <= 256 {
 		return n
@@ -240,11 +239,12 @@ func SelectSample(n int) int {
 	return s
 }
 
-// SelectDelta is the rank slack the threshold window allows around target
-// rank r (1 ≤ r ≤ n): two binomial standard deviations of the sampled
-// rank estimate plus the sample grid granularity, floored at 32.  With
-// s = SelectSample(n) the true rank lands inside ±Δ with overwhelming
-// probability; a miss is detected and falls back to the full sort.
+// SelectDelta is the rank slack of the selection kinds' feasibility rule
+// around target rank r (1 ≤ r ≤ n): two binomial standard deviations of
+// the rank estimate from SelectSample(n) draws plus the sample grid
+// granularity, floored at 32.  TopKBudget and quantileBudget are built
+// from it, and a plan is feasible when they fit SelectCap; the window the
+// route filters with is SelectionDraw's.
 func SelectDelta(n, r int) int {
 	s := SelectSample(n)
 	if s >= n {
@@ -255,16 +255,205 @@ func SelectDelta(n, r int) int {
 	return delta
 }
 
-// TopKBudget is the worst-case survivor count of a top-K filter pass: the
-// K wanted keys plus the threshold window's slack.
+// TopKBudget is the top-K route's feasibility measure: the K wanted keys
+// plus the slack of a SelectDelta window on both sides.
 func TopKBudget(n, k int) int {
 	return k + 2*SelectDelta(n, k)
 }
 
-// quantileBudget is the worst-case survivor count of a quantile filter
-// pass: both window edges carry slack.
+// quantileBudget is the quantile route's feasibility measure: both
+// window edges carry SelectDelta's slack.
 func quantileBudget(n, r int) int {
 	return 4*SelectDelta(n, r) + 64
+}
+
+// Draw is a selection route's sample: how many keys it draws and which
+// order statistics of the sorted draw are its filter window's edges.  The
+// window keeps the keys v with lo ≤ v ≤ hi.
+type Draw struct {
+	// S is the number of draws: the input itself when S ≥ n, otherwise S
+	// keys drawn uniformly with replacement.
+	S int
+	// Lo and Hi are the 0-indexed positions, in the sorted draw, of the
+	// keys that are the window's lower and upper edges.  −1 leaves that
+	// side open: every key below the upper edge, or every key above the
+	// lower one, survives.  Top-K's window is always open below.
+	Lo, Hi int
+	// Miss bounds, for distinct keys, the chance the window misses:
+	// fewer survivors than the K wanted or a quantile outside the window,
+	// or more survivors than SelectCap.  It is the sum of the Chernoff
+	// bounds on the binomial tails behind each edge.
+	Miss float64
+}
+
+// SelectionDraw sizes q's sample (a top-K or quantile query) from the
+// memory the filter pass already holds: each window edge must land in a
+// band of ranks that keeps the answer inside the window and at most
+// SelectCap survivors, and the draw is the smallest S ≤ SelectSample(n)
+// (found by bisection; the bound falls as S grows) whose edges, each at
+// the index minimizing its own bound, put the summed bound Miss at or
+// under M^−α.  When no S meets it, the draw is SelectSample(n) keys at the
+// indexes minimizing the bound — exact, with Miss = 0, when that is the
+// whole input.
+func SelectionDraw(shape Shape, q ScenarioQuery) Draw {
+	n := q.N
+	bands := selectBands(SelectCap(shape.Mem, shape.Stripe()), q)
+	alpha := shape.Alpha
+	if alpha <= 0 {
+		alpha = 1
+	}
+	target := math.Pow(float64(shape.Mem), -alpha)
+	smax := SelectSample(n)
+	random := min(smax, n-1) // S = n draws the input itself
+	if random >= 1 && bands.draw(random, n).Miss <= target {
+		lo, hi := 1, random // bands.draw(hi) meets the target
+		for lo < hi {
+			mid := lo + (hi-lo)/2
+			if bands.draw(mid, n).Miss <= target {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+		return bands.draw(lo, n)
+	}
+	if smax >= n {
+		return bands.exact(n)
+	}
+	return bands.draw(smax, n)
+}
+
+// band is the ranks (a, b] a window edge must land in: the key the sorted
+// draw holds at the edge's index must have rank above a and at most b.
+// open marks an edge the window does without.
+type band struct {
+	a, b int
+	open bool
+}
+
+// bands are the lower and upper edges' bands of one selection window.
+type bands struct{ lo, hi band }
+
+// selectBands splits the survivor capacity between q's window edges.
+// Top-K's upper edge needs rank in (K−1, cap]; its lower side is open.  A
+// quantile of rank r needs its lower edge in (r−cLo−1, r] and its upper
+// edge in (r−1, r+cHi], with cLo + cHi = cap − 1 split evenly; an edge
+// whose band reaches the end of the input is open, and its share goes to
+// the other edge.
+func selectBands(capKeys int, q ScenarioQuery) bands {
+	n := q.N
+	if q.Kind == KindTopK {
+		return bands{lo: band{open: true}, hi: band{a: q.K - 1, b: capKeys, open: capKeys >= n}}
+	}
+	r := q.Rank
+	half := (capKeys - 1) / 2
+	cLo, cHi := half, capKeys-1-half
+	switch {
+	case r-1 <= half:
+		cLo, cHi = r-1, capKeys-r
+	case n-r <= cHi:
+		cLo, cHi = capKeys-1-(n-r), n-r
+	}
+	return bands{
+		lo: band{a: r - cLo - 1, b: r, open: cLo >= r-1},
+		hi: band{a: r - 1, b: r + cHi, open: cHi >= n-r},
+	}
+}
+
+// draw places both edges for s draws out of n, each at the index
+// minimizing its bound, and sums the bounds.
+func (bs bands) draw(s, n int) Draw {
+	d := Draw{S: s, Lo: -1, Hi: -1}
+	if !bs.lo.open {
+		var miss float64
+		d.Lo, miss = bs.lo.index(s, n)
+		d.Miss += miss
+	}
+	if !bs.hi.open {
+		var miss float64
+		d.Hi, miss = bs.hi.index(s, n)
+		d.Miss += miss
+	}
+	return d
+}
+
+// exact is the draw of the whole input: the sorted draw is the sorted
+// input, so each edge sits at the rank its band ends nearest the answer
+// and cannot miss.
+func (bs bands) exact(n int) Draw {
+	d := Draw{S: n, Lo: -1, Hi: -1}
+	if !bs.lo.open {
+		d.Lo = bs.lo.b - 1
+	}
+	if !bs.hi.open {
+		d.Hi = bs.hi.a
+	}
+	return d
+}
+
+// index returns the sorted-draw index whose key lands in the band with
+// the least bounded miss out of s draws from n ranks, and that bound.  The
+// key at idx has rank ≤ a when at least idx+1 draws do, and rank > b when
+// at most idx draws have rank ≤ b: the first bound falls with idx and the
+// second rises, so the least sum sits where they cross.
+func (bd band) index(s, n int) (int, float64) {
+	if bd.b <= bd.a {
+		return min(max(bd.a, 0), s-1), 1 // an empty band always misses
+	}
+	pa, pb := float64(bd.a)/float64(n), float64(bd.b)/float64(n)
+	miss := func(idx int) float64 { return tailAbove(s, pa, idx+1) + tailBelow(s, pb, idx) }
+	lo, hi := 0, s-1 // the first idx whose rising bound reaches the falling one, or s-1
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if tailBelow(s, pb, mid) >= tailAbove(s, pa, mid+1) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	if lo > 0 && miss(lo-1) < miss(lo) {
+		lo--
+	}
+	return lo, min(miss(lo), 1)
+}
+
+// tailAbove bounds P(X ≥ a) for X ~ Binomial(s, p) by the Chernoff bound
+// exp(−s·KL(a/s ‖ p)), or 1 when a/s is not above p.
+func tailAbove(s int, p float64, a int) float64 {
+	if a > s {
+		return 0
+	}
+	q := float64(a) / float64(s)
+	if q <= p {
+		return 1
+	}
+	return math.Exp(-float64(s) * kl(q, p))
+}
+
+// tailBelow bounds P(X ≤ a) for X ~ Binomial(s, p) the same way, or 1
+// when a/s is not below p.
+func tailBelow(s int, p float64, a int) float64 {
+	if a < 0 {
+		return 0
+	}
+	q := float64(a) / float64(s)
+	if q >= p {
+		return 1
+	}
+	return math.Exp(-float64(s) * kl(q, p))
+}
+
+// kl is the Kullback–Leibler divergence of Bernoulli(q) from
+// Bernoulli(p); +Inf where q puts mass p cannot.
+func kl(q, p float64) float64 {
+	d := 0.0
+	if q > 0 {
+		d += q * math.Log(q/p)
+	}
+	if q < 1 {
+		d += (1 - q) * (math.Log1p(-q) - math.Log1p(-p))
+	}
+	return d
 }
 
 // GroupCap is the in-memory aggregation capacity: distinct groups one
@@ -306,24 +495,28 @@ func fullSortBaseline(shape Shape, w Workload) (Alg, float64, int) {
 }
 
 // TopKPlan prices extracting the K smallest keys of n: one charged
-// filtering pass at a sampled threshold, survivors sorted in memory, the
-// K results written out — against the chosen full sort.
+// filtering pass at a sampled threshold, the K smallest survivors sorted
+// in memory and written out — against the chosen full sort.
 func TopKPlan(shape Shape, w Workload, k int) ScenarioPlan {
-	return selectionPlan(KindTopK, shape, w, checkRank("topK", k, w.N), TopKBudget(w.N, k), k)
+	q := ScenarioQuery{Kind: KindTopK, N: w.N, K: k}
+	return selectionPlan(shape, w, q, checkRank("topK", k, w.N), TopKBudget(w.N, k), k)
 }
 
 // QuantilePlan prices selecting the key of 1-indexed rank r out of n: one
 // charged filtering pass keeping a window around the sampled rank, the
-// answer read out of the sorted window.  No output stripe is written.
+// answer selected out of the window.  No output stripe is written.
 func QuantilePlan(shape Shape, w Workload, r int) ScenarioPlan {
-	return selectionPlan(KindQuantile, shape, w, checkRank("rank", r, w.N), quantileBudget(w.N, r), 0)
+	q := ScenarioQuery{Kind: KindQuantile, N: w.N, Rank: r}
+	return selectionPlan(shape, w, q, checkRank("rank", r, w.N), quantileBudget(w.N, r), 0)
 }
 
 // selectionPlan is the filter route both selection kinds share: one read
-// pass over the padded input with at most budget survivors held in memory,
-// then results keys written out.  bad is the kind's parameter rule.
-func selectionPlan(kind string, shape Shape, w Workload, bad error, budget, results int) ScenarioPlan {
-	p := ScenarioPlan{Kind: kind, Route: RouteFilter}
+// pass over the padded input holding up to SelectCap survivors in memory
+// (the Budget), then results keys written out.  The route is feasible when
+// the kind's budget measure fits that capacity; the Sample is
+// SelectionDraw's.  bad is the kind's parameter rule.
+func selectionPlan(shape Shape, w Workload, q ScenarioQuery, bad error, budget, results int) ScenarioPlan {
+	p := ScenarioPlan{Kind: q.Kind, Route: RouteFilter}
 	stripe := shape.Stripe()
 	p.PaddedN = padStripe(w.N, stripe)
 	alg, sortRead, _ := fullSortBaseline(shape, w)
@@ -332,10 +525,10 @@ func selectionPlan(kind string, shape Shape, w Workload, bad error, budget, resu
 		p.Reason = bad.Error()
 		return p
 	}
-	p.Sample = SelectSample(w.N)
-	p.Budget = budget
-	if cap := SelectCap(shape.Mem, stripe); budget > cap {
-		p.Reason = fmt.Sprintf("survivor budget %d exceeds memory capacity %d", budget, cap)
+	p.Sample = SelectionDraw(shape, q).S
+	p.Budget = SelectCap(shape.Mem, stripe)
+	if budget > p.Budget {
+		p.Reason = fmt.Sprintf("survivor budget %d exceeds memory capacity %d", budget, p.Budget)
 		p.Route = RouteFullSort
 		return p
 	}

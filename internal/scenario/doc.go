@@ -11,7 +11,11 @@
 // pdm.Stats, and I/O traces are bit-identical across worker counts and
 // disk backends — only the wall clock changes.  The
 // matching closed-form step predictions live in internal/plan
-// (TopKPlan/QuantilePlan/GroupByPlan/IngestPlan); the deterministic
-// sample/budget formulas are shared so a plan's steps are the steps a run
-// charges.
+// (TopKPlan/QuantilePlan/GroupByPlan/IngestPlan), and so does the
+// selection sample: plan.SelectionDraw sizes the draw and picks the
+// window's edges so that, on distinct keys, the filter pass misses —
+// keeps fewer than the answer needs, or more than its SelectCap budget —
+// with probability at most M^−α, and a plan's steps are the steps a run
+// charges.  Filter and FilterKept report a miss past the budget as
+// ErrOverflow; the caller detects the others and falls back.
 package scenario

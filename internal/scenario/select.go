@@ -28,63 +28,84 @@ type FilterResult struct {
 // v ≥ lo when hasLo is set, counting the keys below lo.  Padding
 // sentinels (MaxInt64) never survive — callers must reject hi = MaxInt64
 // before planning the pass.  At most cap survivors are held (one arena
-// allocation); one more aborts with ErrOverflow.
+// allocation); one more aborts with ErrOverflow.  The result holds a heap
+// copy of the survivors; FilterKept lends them instead.
 //
 // The scan is sequential and single-buffered, so the result, the charged
 // steps, and the I/O trace are identical for any worker count or
 // backend.
 func Filter(a *pdm.Array, in *pdm.Stripe, lo, hi int64, hasLo bool, cap int) (*FilterResult, error) {
+	var res *FilterResult
+	err := FilterKept(a, in, lo, hi, hasLo, cap, func(kept []int64, below int) error {
+		res = &FilterResult{Kept: append([]int64(nil), kept...), Below: below}
+		return nil
+	})
+	return res, err
+}
+
+// FilterKept is Filter without the copy: after the pass, with its stream
+// closed, use gets the survivors in input order in the arena buffer that
+// collected them (use may reorder them; the buffer is freed when use
+// returns) and the count of keys below lo, and its error is FilterKept's.
+func FilterKept(a *pdm.Array, in *pdm.Stripe, lo, hi int64, hasLo bool, cap int, use func(kept []int64, below int) error) error {
 	padded := in.Len()
 	stripe := a.StripeWidth()
 	if padded <= 0 || padded%stripe != 0 {
-		return nil, fmt.Errorf("scenario: filter input %d is not stripe-padded (stripe %d)", padded, stripe)
+		return fmt.Errorf("scenario: filter input %d is not stripe-padded (stripe %d)", padded, stripe)
 	}
 	if hi == math.MaxInt64 {
-		return nil, fmt.Errorf("scenario: filter threshold %d would keep the padding sentinels", hi)
+		return fmt.Errorf("scenario: filter threshold %d would keep the padding sentinels", hi)
 	}
 	if cap < 0 {
 		cap = 0
 	}
 	a.Arena().SetPhase("scenario/filter")
 	defer a.Arena().SetPhase("")
-	buf, err := a.Arena().Alloc(stripe)
-	if err != nil {
-		return nil, err
-	}
-	defer a.Arena().Free(buf)
 	kept, err := a.Arena().Alloc(cap)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer a.Arena().Free(kept)
+	nk, below, err := filterInto(a, in, lo, hi, hasLo, kept)
+	if err != nil {
+		return err
+	}
+	return use(kept[:nk], below)
+}
 
+// filterInto is FilterKept's pass: it streams in through one stripe
+// buffer, collects the survivors into kept, and returns their count and
+// the count below lo.
+func filterInto(a *pdm.Array, in *pdm.Stripe, lo, hi int64, hasLo bool, kept []int64) (nk, below int, err error) {
+	padded, stripe := in.Len(), a.StripeWidth()
+	buf, err := a.Arena().Alloc(stripe)
+	if err != nil {
+		return 0, 0, err
+	}
+	defer a.Arena().Free(buf)
 	rd, err := stream.NewStripeReader(in, 0, padded, stripe)
 	if err != nil {
-		return nil, err
+		return 0, 0, err
 	}
 	defer rd.Close()
-
-	res := &FilterResult{}
-	nk := 0
 	for off := 0; off < padded; off += stripe {
 		if err := rd.FillFlat(buf); err != nil {
-			return nil, err
+			return 0, 0, err
 		}
 		for _, v := range buf {
 			if hasLo && v < lo {
-				res.Below++
+				below++
 				continue
 			}
 			if v > hi {
 				continue
 			}
-			if nk == cap {
-				return nil, ErrOverflow
+			if nk == len(kept) {
+				return 0, 0, ErrOverflow
 			}
 			kept[nk] = v
 			nk++
 		}
 	}
-	res.Kept = append([]int64(nil), kept[:nk]...)
-	return res, nil
+	return nk, below, nil
 }

@@ -96,7 +96,7 @@ func NewStripeReader(s *pdm.Stripe, start, n, chunkKeys int) (*Reader, error) {
 	if chunkKeys <= 0 || chunkKeys%b != 0 {
 		return nil, fmt.Errorf("stream: chunk of %d keys with B = %d", chunkKeys, b)
 	}
-	if _, err := s.AddrRange(start, n); err != nil {
+	if err := s.CheckRange(start, n); err != nil {
 		return nil, err
 	}
 	chunks, addrsOf := stripeChunks(s, start, n, chunkKeys)

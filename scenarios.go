@@ -127,14 +127,13 @@ func splitmix64(x uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// selectDraws yields the planner's SelectSample(n) draws of keys in draw
-// order: the keys themselves when the sample would be all of them,
-// otherwise a fixed splitmix64 stream seeded with n.  The draw depends
-// only on n, so a scenario run is reproducible for a given input.
-func selectDraws(keys []int64) iter.Seq[int64] {
+// selectDraws yields a selection draw's s keys in draw order: the keys
+// themselves when s ≥ n, otherwise a fixed splitmix64 stream seeded with
+// n.  The draw depends only on n and s, so a scenario run is reproducible
+// for a given input.
+func selectDraws(keys []int64, s int) iter.Seq[int64] {
 	return func(yield func(int64) bool) {
 		n := len(keys)
-		s := plan.SelectSample(n)
 		if s >= n {
 			for _, k := range keys {
 				if !yield(k) {
@@ -154,38 +153,19 @@ func selectDraws(keys []int64) iter.Seq[int64] {
 }
 
 // sampleKeys materializes selectDraws for Quantile, whose window edges
-// thresholdAt selects from the one sample; nothing sorts it.
-func sampleKeys(keys []int64) []int64 {
-	return slices.AppendSeq(make([]int64, 0, plan.SelectSample(len(keys))), selectDraws(keys))
+// memsort.Select picks from the one sample; nothing sorts it.
+func sampleKeys(keys []int64, s int) []int64 {
+	return slices.AppendSeq(make([]int64, 0, min(s, len(keys))), selectDraws(keys, s))
 }
 
-// sampleIndex is the 0-indexed position, in the sorted s-key sample of an
-// n-key input, of the key whose estimated input rank is target (1-indexed).
-func sampleIndex(s, n, target int) int {
-	idx := target - 1
-	if s < n {
-		idx = int(int64(target) * int64(s) / int64(n))
-	}
-	return min(max(idx, 0), s-1)
-}
-
-// thresholdAt returns the sampled key whose estimated rank in the n-key
-// input is target (1-indexed), selected in O(s): exactly the key the sorted
-// sample holds at sampleIndex.  It reorders sample, keeping the multiset.
-func thresholdAt(sample []int64, n, target int) int64 {
-	return memsort.Select(sample, sampleIndex(len(sample), n, target))
-}
-
-// drawThreshold is thresholdAt(sampleKeys(keys), len(keys), target)
-// without the sample: the draws stream through a max-heap that keeps the
-// idx+1 smallest, idx = sampleIndex, so its top is the key the sorted
-// sample holds at idx.  TopK's target k+Δ keeps idx+1 within the filter's
-// survivor budget k+2Δ ≤ SelectCap ≤ M, so the heap is bounded by the
-// route's own feasibility.
-func drawThreshold(keys []int64, target int) int64 {
-	n := len(keys)
-	h := make(maxHeap, 0, sampleIndex(plan.SelectSample(n), n, target)+1)
-	for k := range selectDraws(keys) {
+// drawThreshold returns the key the sorted s-key draw holds at idx without
+// keeping the sample: the draws stream through a max-heap that keeps the
+// idx+1 smallest, so its top is that key.  The plan's idx sits below the
+// survivor capacity (SelectCap ≤ M), so the heap is bounded by the
+// route's own memory.
+func drawThreshold(keys []int64, s, idx int) int64 {
+	h := make(maxHeap, 0, idx+1)
+	for k := range selectDraws(keys, s) {
 		if len(h) < cap(h) || k < h[0] { // most draws stop here, without a call
 			h.offer(k)
 		}
@@ -313,17 +293,48 @@ func (m *Machine) loadBeside(keys []int64, pad int, front func()) (*pdm.Stripe, 
 	return l.s, l.err
 }
 
+// selectWindow is the selection kinds' uncharged front: it prices q's
+// draw with the planner, stages keys beside it (loadBeside), and returns
+// the staged stripe with the window [lo, hi] the draw's edges make (lo
+// only when hasLo).  An open upper edge is maxKey, which keeps every key
+// and no padding.
+func (m *Machine) selectWindow(keys []int64, q ScenarioSpec, pad int) (in *pdm.Stripe, lo, hi int64, hasLo bool, err error) {
+	d := plan.SelectionDraw(m.scenarioShape(), q)
+	hasLo, hi = d.Lo >= 0, maxKey
+	in, err = m.loadBeside(keys, pad, func() {
+		switch {
+		case hasLo: // a quantile: both edges come from the one sample
+			sample := sampleKeys(keys, d.S)
+			lo = memsort.Select(sample, d.Lo)
+			if d.Hi >= 0 {
+				hi = memsort.Select(sample, d.Hi)
+			}
+		case d.Hi >= 0:
+			hi = drawThreshold(keys, d.S, d.Hi)
+		}
+	})
+	return in, lo, hi, hasLo, err
+}
+
+// maxKey is the largest key a caller may pass: MaxInt64 is the padding
+// sentinel.
+const maxKey = math.MaxInt64 - 1
+
 // filterPass is the selection kinds' one charged pass: the staged stripe
-// in (freed here) streamed once through scenario.Filter at the sampled
-// window.  A survivor overflow past the plan's budget is a detected
-// sampling miss, reported as a nil result.
-func (m *Machine) filterPass(in *pdm.Stripe, p *ScenarioPlanReport, lo, hi int64, hasLo bool) (*scenario.FilterResult, error) {
-	fr, err := scenario.Filter(m.a, in, lo, hi, hasLo, p.Budget)
+// in (freed here) streamed once through scenario.FilterKept at the
+// sampled window, keeping up to the plan's budget of survivors, which use
+// gets in the arena.  A survivor overflow past the budget is a detected
+// sampling miss: use is not called.
+func (m *Machine) filterPass(in *pdm.Stripe, p *ScenarioPlanReport, lo, hi int64, hasLo bool, use func(kept []int64, below int)) error {
+	err := scenario.FilterKept(m.a, in, lo, hi, hasLo, p.Budget, func(kept []int64, below int) error {
+		use(kept, below)
+		return nil
+	})
 	in.Free()
 	if errors.Is(err, scenario.ErrOverflow) {
-		return nil, nil
+		return nil
 	}
-	return fr, err
+	return err
 }
 
 // sortRoute is every scenario's full-sort route: keys — the caller's
@@ -347,35 +358,38 @@ func (m *Machine) sortRoute(kind string, fellBack bool, keys, payloads []int64) 
 // TopK returns the k smallest keys in ascending order.  When the planner
 // prices the filter route cheaper than the full sort (ExplainScenario
 // shows the comparison), one charged filtering pass at a sampled
-// threshold collects the survivors, they are sorted in memory, and the k
-// results are written out — otherwise, or when the sampled threshold
-// misses (Report.FellBack), the keys are sorted outright.  The input
-// slice is never modified.
+// threshold collects the survivors, the k smallest of them are selected
+// and sorted in memory, and the k results are written out — otherwise,
+// or when the sampled threshold misses (Report.FellBack), the keys are
+// sorted outright.  The input slice is never modified.
 func (m *Machine) TopK(keys []int64, k int) ([]int64, *Report, error) {
 	n := len(keys)
-	p, err := m.selectPlan(keys, ScenarioSpec{Kind: plan.KindTopK, N: n, K: k})
+	q := ScenarioSpec{Kind: plan.KindTopK, N: n, K: k}
+	p, err := m.selectPlan(keys, q)
 	if err != nil {
 		return nil, nil, err
 	}
 	filtered := p.Feasible && p.UseScenario
 	if filtered {
-		var threshold int64
-		in, err := m.loadBeside(keys, p.PaddedN, func() {
-			threshold = drawThreshold(keys, k+plan.SelectDelta(n, k))
-		})
+		in, _, hi, _, err := m.selectWindow(keys, q, p.PaddedN)
 		if err != nil {
 			return nil, nil, err
 		}
 		st0 := m.a.Stats()
-		fr, err := m.filterPass(in, p, 0, threshold, false)
+		var top []int64
+		err = m.filterPass(in, p, 0, hi, false, func(kept []int64, _ int) {
+			// Fewer than k survivors means the sampled threshold cut too
+			// deep: detected, like the overflow, and sorted outright below.
+			if len(kept) >= k {
+				memsort.Select(kept, k-1)
+				m.a.Pool().SortKeys(kept[:k])
+				top = slices.Clone(kept[:k])
+			}
+		})
 		if err != nil {
 			return nil, nil, err
 		}
-		// Fewer than k survivors means the sampled threshold cut too deep:
-		// detected, like the overflow, and sorted outright below.
-		if fr != nil && len(fr.Kept) >= k {
-			m.a.Pool().SortKeys(fr.Kept)
-			top := slices.Clone(fr.Kept[:k])
+		if top != nil {
 			if err := m.writeResult(top); err != nil {
 				return nil, nil, err
 			}
@@ -418,42 +432,37 @@ func (m *Machine) writeResult(out []int64) error {
 
 // Quantile returns the key of 1-indexed rank r (r = 1 is the minimum,
 // r = n the maximum).  The filter route keeps one charged pass's worth of
-// keys around the sampled rank window and reads the answer out of the
-// sorted window; a window miss (Report.FellBack) or an unfavorable plan
+// keys around the sampled rank window and selects the answer out of the
+// window; a window miss (Report.FellBack) or an unfavorable plan
 // sorts outright.  The input slice is never modified.
 func (m *Machine) Quantile(keys []int64, r int) (int64, *Report, error) {
 	n := len(keys)
-	p, err := m.selectPlan(keys, ScenarioSpec{Kind: plan.KindQuantile, N: n, Rank: r})
+	q := ScenarioSpec{Kind: plan.KindQuantile, N: n, Rank: r}
+	p, err := m.selectPlan(keys, q)
 	if err != nil {
 		return 0, nil, err
 	}
 	filtered := p.Feasible && p.UseScenario
 	if filtered {
-		delta := plan.SelectDelta(n, r)
-		hasLo := r-delta > 1
-		var lo, hi int64
-		in, err := m.loadBeside(keys, p.PaddedN, func() {
-			sample := sampleKeys(keys)
-			if hasLo {
-				lo = thresholdAt(sample, n, r-delta)
-			}
-			hi = thresholdAt(sample, n, r+delta)
-		})
+		in, lo, hi, hasLo, err := m.selectWindow(keys, q, p.PaddedN)
 		if err != nil {
 			return 0, nil, err
 		}
 		st0 := m.a.Stats()
-		fr, err := m.filterPass(in, p, lo, hi, hasLo)
+		var v int64
+		found := false
+		err = m.filterPass(in, p, lo, hi, hasLo, func(kept []int64, below int) {
+			// A window that missed the target rank is detected, like the
+			// overflow, and sorted outright below.
+			if idx := r - 1 - below; idx >= 0 && idx < len(kept) {
+				v, found = memsort.Select(kept, idx), true
+			}
+		})
 		if err != nil {
 			return 0, nil, err
 		}
-		// A window that missed the target rank is detected, like the
-		// overflow, and sorted outright below.
-		if fr != nil {
-			if idx := r - 1 - fr.Below; idx >= 0 && idx < len(fr.Kept) {
-				m.a.Pool().SortKeys(fr.Kept)
-				return fr.Kept[idx], m.scenarioReport(p.Kind, p.Route, n, p.PaddedN, m.a.Stats().Sub(st0)), nil
-			}
+		if found {
+			return v, m.scenarioReport(p.Kind, p.Route, n, p.PaddedN, m.a.Stats().Sub(st0)), nil
 		}
 	}
 	sorted := slices.Clone(keys)

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/memsort"
 	"repro/internal/pdm"
 	"repro/internal/plan"
 	"repro/internal/workload"
@@ -247,24 +249,97 @@ func TestQuantileOracle(t *testing.T) {
 	}
 }
 
-// sortedSampleThreshold is the reference drawThreshold and thresholdAt are
-// held to: the sorted-sample front they replaced, reading the sorted draw
-// at target's scaled index.
-func sortedSampleThreshold(sorted []int64, n, target int) int64 {
-	s := len(sorted)
-	if s >= n {
-		return sorted[min(max(target, 1), s)-1]
+// TestSelectionSampleFallback runs the filter route over many seeded
+// uniform inputs at M = 1024 and 4096, and every answer is the sorted
+// input's.  The plan sizes each draw to a miss bound of M^−α, so the
+// fallbacks expected over the run are at most the bounds' sum, ≈ 0.16
+// (at K = 1 the bound is the exact miss, (1 − cap/n)^S; elsewhere it is
+// looser): more than one fails.  An all-equal
+// input still overflows the survivor budget, falls back to the full
+// sort, and answers correctly.
+func TestSelectionSampleFallback(t *testing.T) {
+	type query struct {
+		spec ScenarioSpec
+		run  func(m *Machine, keys []int64) ([]int64, *Report, error)
 	}
-	idx := int(int64(target) * int64(s) / int64(n))
-	return sorted[min(max(idx, 0), s-1)]
+	topK := func(n, k int) query {
+		return query{ScenarioSpec{Kind: plan.KindTopK, N: n, K: k}, func(m *Machine, keys []int64) ([]int64, *Report, error) {
+			return m.TopK(keys, k)
+		}}
+	}
+	quantile := func(n, r int) query {
+		return query{ScenarioSpec{Kind: plan.KindQuantile, N: n, Rank: r}, func(m *Machine, keys []int64) ([]int64, *Report, error) {
+			v, rep, err := m.Quantile(keys, r)
+			return []int64{v}, rep, err
+		}}
+	}
+	want := func(q query, keys []int64) []int64 {
+		sorted := slices.Sorted(slices.Values(keys))
+		if q.spec.Kind == plan.KindTopK {
+			return sorted[:q.spec.K]
+		}
+		return sorted[q.spec.Rank-1 : q.spec.Rank]
+	}
+	fellBack, sumMiss := 0, 0.0
+	for _, tc := range []struct {
+		mem     int
+		queries []query
+	}{
+		{1024, []query{topK(30000, 1), topK(30000, 64), topK(30000, 300),
+			quantile(3000, 1), quantile(3000, 1000), quantile(3000, 1500), quantile(3000, 3000)}},
+		{4096, []query{topK(120000, 1), topK(120000, 64), topK(120000, 1000),
+			quantile(12000, 1), quantile(12000, 6000), quantile(12000, 12000)}},
+	} {
+		m, err := NewMachine(MachineConfig{Memory: tc.mem, Pipeline: PipelineConfig{Prefetch: 2, WriteBehind: 2}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		for _, q := range tc.queries {
+			name := fmt.Sprintf("M=%d %s(k=%d, r=%d)", tc.mem, q.spec.Kind, q.spec.K, q.spec.Rank)
+			if p, err := m.ExplainScenario(q.spec); err != nil || !p.Feasible || !p.UseScenario {
+				t.Fatalf("%s: plan %+v (%v), want the filter route", name, p, err)
+			}
+			miss := plan.SelectionDraw(m.scenarioShape(), q.spec).Miss
+			for seed := range int64(20) {
+				sumMiss += miss
+				keys := workload.Uniform(q.spec.N, -1<<40, 1<<40, 1000+seed)
+				got, rep, err := q.run(m, keys)
+				if err != nil {
+					t.Fatalf("%s seed %d: %v", name, seed, err)
+				}
+				if rep.FellBack {
+					fellBack++
+					t.Logf("%s seed %d: fell back (bound %.3g)", name, seed, miss)
+					if fellBack > 1 {
+						t.Errorf("%s seed %d: fell back, %d in the run", name, seed, fellBack)
+					}
+				} else if rep.ScenarioRoute != plan.RouteFilter {
+					t.Fatalf("%s seed %d: ran the %s route", name, seed, rep.ScenarioRoute)
+				}
+				if !slices.Equal(got, want(q, keys)) {
+					t.Fatalf("%s seed %d: answer differs from the sorted input", name, seed)
+				}
+			}
+			same := slices.Repeat([]int64{7}, q.spec.N)
+			got, rep, err := q.run(m, same)
+			if err != nil {
+				t.Fatalf("%s all-equal: %v", name, err)
+			}
+			if !rep.FellBack || rep.ScenarioRoute != plan.RouteFullSort || !slices.Equal(got, want(q, same)) {
+				t.Fatalf("%s all-equal: route %s, fell back %v, answer %v", name, rep.ScenarioRoute, rep.FellBack, got[:min(len(got), 4)])
+			}
+			assertArenaAirtight(t, m)
+		}
+	}
+	t.Logf("%d fallbacks; the miss bounds sum to %.3g", fellBack, sumMiss)
 }
 
 // referenceSample is the selection sample spelled out apart from
-// selectDraws: the input itself when SelectSample(n) covers it, otherwise
-// SelectSample(n) keys drawn by the splitmix64 stream seeded with n.
-func referenceSample(keys []int64) []int64 {
+// selectDraws: the input itself when s covers it, otherwise s keys drawn
+// by the splitmix64 stream seeded with n.
+func referenceSample(keys []int64, s int) []int64 {
 	n := len(keys)
-	s := plan.SelectSample(n)
 	if s >= n {
 		return slices.Clone(keys)
 	}
@@ -278,15 +353,15 @@ func referenceSample(keys []int64) []int64 {
 }
 
 // TestSelectionThresholdsMatchSortedSample pins the selection front's
-// mechanism against the sorted reference sample: TopK's draw-stream
-// selector (drawThreshold, no sample kept) and every Quantile edge
-// thresholdAt selects from an unsorted sampleKeys draw — in sequence, on
-// the one sample Select keeps reordering — are the key the sorted draw
-// holds at the same index, so the filter windows, and every pass,
-// survivor set and answer behind them, are unchanged.  n = 30000 draws a
-// strict subset (s ≈ 15.4k); at n = 3000 the sample clamps to the input
-// and at n = 200 it is the input outright.  TopK runs at k ∈ {1, 64, 700}
-// and at the largest k the scenario machine's filter route admits.
+// mechanism to the plan's draw (plan.SelectionDraw's S and edge indexes)
+// against the sorted reference sample: TopK's draw-stream selector
+// (drawThreshold, no sample kept) and every Quantile edge memsort.Select
+// picks from an unsorted sampleKeys draw — in sequence, on the one sample
+// Select keeps reordering — are the key the sorted draw holds at the
+// plan's index, so a selector one index off fails here.  At n = 30000 and
+// 3000 the plans draw strict subsets; the largest k the scenario
+// machine's filter route admits draws the whole input.  TopK runs at
+// k ∈ {1, 64, 700} and at that largest k.
 func TestSelectionThresholdsMatchSortedSample(t *testing.T) {
 	inputs := []struct {
 		name string
@@ -301,6 +376,7 @@ func TestSelectionThresholdsMatchSortedSample(t *testing.T) {
 	}
 	shape := newScenarioMachine(t).scenarioShape()
 	survivorCap := plan.SelectCap(shape.Mem, shape.Stripe())
+	exact := false
 	for _, n := range []int{200, 3000, 30000} {
 		ks := []int{1, 64, 700}
 		for k := n; k > 0; k-- {
@@ -309,39 +385,57 @@ func TestSelectionThresholdsMatchSortedSample(t *testing.T) {
 				break
 			}
 		}
+		var queries []ScenarioSpec
+		for _, k := range ks {
+			if k <= n {
+				queries = append(queries, ScenarioSpec{Kind: plan.KindTopK, N: n, K: k})
+			}
+		}
+		for _, r := range []int{1, 2, n / 2, n - 1, n} {
+			queries = append(queries, ScenarioSpec{Kind: plan.KindQuantile, N: n, Rank: r})
+		}
 		for _, in := range inputs {
 			keys := in.gen(n)
-			sample := sampleKeys(keys)
-			sorted := referenceSample(keys)
-			if !slices.Equal(sample, sorted) {
-				t.Fatalf("%s n=%d: sampleKeys is not the reference draw", in.name, n)
-			}
-			slices.Sort(sorted)
-			check := func(kind string, param, target int, got int64) int64 {
-				if want := sortedSampleThreshold(sorted, n, target); got != want {
-					t.Fatalf("%s n=%d %s(%d) target %d: selected %d, sorted sample holds %d",
-						in.name, n, kind, param, target, got, want)
+			for _, q := range queries {
+				d := plan.SelectionDraw(shape, q)
+				exact = exact || d.S >= n
+				sorted := referenceSample(keys, d.S)
+				sample := sampleKeys(keys, d.S)
+				if !slices.Equal(sample, sorted) {
+					t.Fatalf("%s n=%d %+v: sampleKeys is not the reference draw", in.name, n, d)
 				}
-				return got
-			}
-			for _, k := range ks {
-				if k <= n {
-					target := k + plan.SelectDelta(n, k)
-					check("TopK", k, target, drawThreshold(keys, target))
+				slices.Sort(sorted)
+				check := func(edge string, idx int, got int64) int64 {
+					if want := sorted[idx]; got != want {
+						t.Fatalf("%s n=%d %s(k=%d, r=%d) %s edge at %d of %d draws: selected %d, sorted sample holds %d",
+							in.name, n, q.Kind, q.K, q.Rank, edge, idx, d.S, got, want)
+					}
+					return got
 				}
-			}
-			for _, r := range []int{1, 2, n / 2, n - 1, n} {
-				delta := plan.SelectDelta(n, r)
-				lo := int64(math.MinInt64)
-				if r-delta > 1 {
-					lo = check("Quantile lower edge", r, r-delta, thresholdAt(sample, n, r-delta))
+				if q.Kind == plan.KindTopK {
+					if d.Lo >= 0 || (d.Hi < 0) != (n <= survivorCap) {
+						t.Fatalf("n=%d TopK(%d): draw %+v, want an upper edge unless the input fits", n, q.K, d)
+					}
+					if d.Hi >= 0 {
+						check("upper", d.Hi, drawThreshold(keys, d.S, d.Hi))
+					}
+					continue
 				}
-				hi := check("Quantile upper edge", r, r+delta, thresholdAt(sample, n, r+delta))
+				lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
+				if d.Lo >= 0 {
+					lo = check("lower", d.Lo, memsort.Select(sample, d.Lo))
+				}
+				if d.Hi >= 0 {
+					hi = check("upper", d.Hi, memsort.Select(sample, d.Hi))
+				}
 				if lo > hi {
-					t.Fatalf("%s n=%d Quantile(%d): lower edge %d above upper edge %d", in.name, n, r, lo, hi)
+					t.Fatalf("%s n=%d Quantile(%d): lower edge %d above upper edge %d", in.name, n, q.Rank, lo, hi)
 				}
 			}
 		}
+	}
+	if !exact {
+		t.Fatal("no plan drew the whole input")
 	}
 }
 
