@@ -372,7 +372,7 @@ func printScenarioPlan(w io.Writer, p *repro.ScenarioPlanReport) {
 	fmt.Fprintf(w, "scenario %s via %s: %.3f read / %.3f write passes (%s; %d/%d steps over %d padded words)\n",
 		p.Kind, p.Route, p.ReadPasses, p.WritePasses, exact, p.ReadSteps, p.WriteSteps, p.PaddedN)
 	if p.Sample > 0 {
-		fmt.Fprintf(w, "sample: %d keys, survivor budget %d\n", p.Sample, p.Budget)
+		fmt.Fprintf(w, "sample: %d keys, survivor capacity %d\n", p.Sample, p.Budget)
 	}
 	fmt.Fprintf(w, "full sort (%s): %.3f read passes\n", string(p.FullSortAlgorithm), p.FullSortReadPasses)
 	decision := "full sort"

@@ -77,7 +77,7 @@ type ScenarioPlan struct {
 	Exact bool `json:"exact,omitempty"`
 
 	// Sample and Budget expose the selection scenario's knobs: the client
-	// sample size (SelectionDraw's) and the survivor budget the filter
+	// sample size (SelectionDraw's) and the survivor capacity the filter
 	// pass holds in memory (SelectCap).  Zero for groupby/ingest.
 	Sample int `json:"sample,omitempty"`
 	Budget int `json:"budget,omitempty"`
@@ -255,14 +255,15 @@ func SelectDelta(n, r int) int {
 	return delta
 }
 
-// TopKBudget is the top-K route's feasibility measure: the K wanted keys
-// plus the slack of a SelectDelta window on both sides.
+// TopKBudget is the top-K route's window measure, the size feasibility
+// compares with SelectCap: the K wanted keys plus the slack of a
+// SelectDelta window on both sides.
 func TopKBudget(n, k int) int {
 	return k + 2*SelectDelta(n, k)
 }
 
-// quantileBudget is the quantile route's feasibility measure: both
-// window edges carry SelectDelta's slack.
+// quantileBudget is the quantile route's window measure: both window
+// edges carry SelectDelta's slack.
 func quantileBudget(n, r int) int {
 	return 4*SelectDelta(n, r) + 64
 }
@@ -513,9 +514,10 @@ func QuantilePlan(shape Shape, w Workload, r int) ScenarioPlan {
 // selectionPlan is the filter route both selection kinds share: one read
 // pass over the padded input holding up to SelectCap survivors in memory
 // (the Budget), then results keys written out.  The route is feasible when
-// the kind's budget measure fits that capacity; the Sample is
-// SelectionDraw's.  bad is the kind's parameter rule.
-func selectionPlan(shape Shape, w Workload, q ScenarioQuery, bad error, budget, results int) ScenarioPlan {
+// the kind's window measure (TopKBudget or quantileBudget) fits that
+// capacity; the Sample is SelectionDraw's.  bad is the kind's parameter
+// rule.
+func selectionPlan(shape Shape, w Workload, q ScenarioQuery, bad error, measure, results int) ScenarioPlan {
 	p := ScenarioPlan{Kind: q.Kind, Route: RouteFilter}
 	stripe := shape.Stripe()
 	p.PaddedN = padStripe(w.N, stripe)
@@ -527,8 +529,8 @@ func selectionPlan(shape Shape, w Workload, q ScenarioQuery, bad error, budget, 
 	}
 	p.Sample = SelectionDraw(shape, q).S
 	p.Budget = SelectCap(shape.Mem, stripe)
-	if budget > p.Budget {
-		p.Reason = fmt.Sprintf("survivor budget %d exceeds memory capacity %d", budget, p.Budget)
+	if measure > p.Budget {
+		p.Reason = fmt.Sprintf("window measure %d exceeds survivor capacity %d", measure, p.Budget)
 		p.Route = RouteFullSort
 		return p
 	}

@@ -27,7 +27,7 @@ func referenceSelectionPlan(shape Shape, q ScenarioQuery) ScenarioPlan {
 		return p
 	}
 	if c := SelectCap(shape.Mem, stripe); budget > c {
-		p.Reason = fmt.Sprintf("survivor budget %d exceeds memory capacity %d", budget, c)
+		p.Reason = fmt.Sprintf("window measure %d exceeds survivor capacity %d", budget, c)
 		p.Route = RouteFullSort
 		return p
 	}

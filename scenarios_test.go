@@ -251,12 +251,14 @@ func TestQuantileOracle(t *testing.T) {
 
 // TestSelectionSampleFallback runs the filter route over many seeded
 // uniform inputs at M = 1024 and 4096, and every answer is the sorted
-// input's.  The plan sizes each draw to a miss bound of M^−α, so the
-// fallbacks expected over the run are at most the bounds' sum, ≈ 0.16
-// (at K = 1 the bound is the exact miss, (1 − cap/n)^S; elsewhere it is
-// looser): more than one fails.  An all-equal
-// input still overflows the survivor budget, falls back to the full
-// sort, and answers correctly.
+// input's.  The plan sizes each draw to a miss bound of M^−α, not zero,
+// so the run may fall back now and then.  A query whose draw is the whole
+// input (bound 0) never may.  The queries of one seed share its input, so
+// the chance that any of them falls back is at most the sum of their
+// bounds; seeds are independent, so more seeds with a fallback than
+// fallbackAllowance of the run's bound sum has probability under 2%, and
+// fails.  An all-equal input still overflows the survivor capacity,
+// falls back to the full sort, and answers correctly.
 func TestSelectionSampleFallback(t *testing.T) {
 	type query struct {
 		spec ScenarioSpec
@@ -280,7 +282,7 @@ func TestSelectionSampleFallback(t *testing.T) {
 		}
 		return sorted[q.spec.Rank-1 : q.spec.Rank]
 	}
-	fellBack, sumMiss := 0, 0.0
+	fellBack, sumMiss := map[int64]int{}, 0.0
 	for _, tc := range []struct {
 		mem     int
 		queries []query
@@ -309,10 +311,10 @@ func TestSelectionSampleFallback(t *testing.T) {
 					t.Fatalf("%s seed %d: %v", name, seed, err)
 				}
 				if rep.FellBack {
-					fellBack++
+					fellBack[seed]++
 					t.Logf("%s seed %d: fell back (bound %.3g)", name, seed, miss)
-					if fellBack > 1 {
-						t.Errorf("%s seed %d: fell back, %d in the run", name, seed, fellBack)
+					if miss == 0 {
+						t.Errorf("%s seed %d: fell back from an exact draw", name, seed)
 					}
 				} else if rep.ScenarioRoute != plan.RouteFilter {
 					t.Fatalf("%s seed %d: ran the %s route", name, seed, rep.ScenarioRoute)
@@ -332,7 +334,24 @@ func TestSelectionSampleFallback(t *testing.T) {
 			assertArenaAirtight(t, m)
 		}
 	}
-	t.Logf("%d fallbacks; the miss bounds sum to %.3g", fellBack, sumMiss)
+	allowed := fallbackAllowance(sumMiss, 0.02)
+	t.Logf("fallbacks by seed %v; the miss bounds sum to %.3g, allowing %d seeds", fellBack, sumMiss, allowed)
+	if len(fellBack) > allowed {
+		t.Errorf("%d seeds fell back, more than the %d the bounds' sum %.3g allows", len(fellBack), allowed, sumMiss)
+	}
+}
+
+// fallbackAllowance is the smallest t for which more than t misses among
+// independent events whose chances sum to at most lambda has probability
+// at most p: P(X ≥ t+1) ≤ lambda^(t+1)/(t+1)!, the union bound over every
+// set of t+1 events.
+func fallbackAllowance(lambda, p float64) int {
+	t, tail := 0, lambda
+	for tail > p {
+		t++
+		tail *= lambda / float64(t+1)
+	}
+	return t
 }
 
 // referenceSample is the selection sample spelled out apart from
