@@ -73,9 +73,9 @@ func Finish(a *pdm.Array, out *pdm.Stripe, n int, start pdm.Stats, fellBack bool
 	}
 }
 
-// seqView addresses a sorted sequence stored as every strideBlk-th block
-// of a stripe, starting at startBlk.  Interleaving several sequences on one
-// stripe this way lets a pass write small merge outputs with full
+// seqView addresses a sequence stored as every strideBlk-th block of a
+// stripe, starting at startBlk.  Interleaving several sequences on one
+// stripe this way lets a pass write small per-group outputs with full
 // parallelism while a later pass still reads block t of every sequence with
 // full parallelism — the layout trick behind mergePartGroups.
 type seqView struct {
@@ -120,36 +120,47 @@ func segments(s *pdm.Stripe, off, seg int) func(int) []pdm.BlockAddr {
 	}
 }
 
-// formRuns reads consecutive runLen-key segments of in[off:off+n], sorts
-// each in memory, and writes run i to its own stripe with skew i — one
-// pass driven by stream.Pass, so with pipelining configured the segment
-// reads and run writes overlap the sorting.  runLen must be ≤ M and a
-// multiple of B, and n a multiple of runLen.  On error no run stays
-// allocated.
-func formRuns(a *pdm.Array, in *pdm.Stripe, off, n, runLen int) ([]*pdm.Stripe, error) {
+// formRuns reads consecutive runLen-key segments of in[off:off+n] and
+// writes segment i to its own stripe with skew i, block-exact at per keys:
+// every aligned per-key block of a run holds exactly the keys a sort of the
+// segment puts there, in unspecified order (memsort.RadixBlocks).  That is
+// all ExpectedTwoPass's cleanup reads of a run — its t-th memory load is
+// block t of every run, sorted from scratch — so each load holds the keys
+// it would hold over sorted runs, and the output and the overflow decision
+// are those of sorted runs.  One pass driven by stream.Pass, so with
+// pipelining configured the segment reads and run writes overlap the
+// compute.  per must be a multiple of B, runLen a multiple of per and
+// ≤ M, and n a multiple of runLen.  On error no run stays allocated.
+func formRuns(a *pdm.Array, in *pdm.Stripe, off, n, runLen, per int) ([]*pdm.Stripe, error) {
 	g, err := checkGeometry(a)
 	if err != nil {
 		return nil, err
 	}
-	if runLen > g.m || runLen%g.b != 0 || n%runLen != 0 {
-		return nil, fmt.Errorf("core: bad run geometry: n = %d, runLen = %d, M = %d, B = %d", n, runLen, g.m, g.b)
+	if runLen > g.m || n%runLen != 0 || per <= 0 || per%g.b != 0 || runLen%per != 0 {
+		return nil, fmt.Errorf("core: bad run geometry: n = %d, runLen = %d, per = %d, M = %d, B = %d", n, runLen, per, g.m, g.b)
 	}
 	buf, err := a.Arena().Alloc(runLen)
 	if err != nil {
 		return nil, err
 	}
 	defer a.Arena().Free(buf)
-	numRuns := n / runLen
-	// A cleanup chunk reads h = √M/numRuns consecutive blocks from every
-	// run, so spacing the run skews by h tiles the disks exactly; unit
-	// spacing would overlap the runs' diagonal ranges whenever h < D.
-	skewStep := 1
-	if numRuns > 0 && g.sqM%numRuns == 0 {
-		skewStep = g.sqM / numRuns
+	// The split's scratch is the load the radix kernel would have borrowed
+	// to sort the run, so the phase peak is that of sorted runs.
+	var scratch []int64
+	if runLen >= memsort.RadixMinKeys {
+		if scratch, err = a.Arena().Alloc(runLen); err != nil {
+			return nil, err
+		}
+		defer a.Arena().Free(scratch)
 	}
+	numRuns := n / runLen
+	// A cleanup chunk reads per/B consecutive blocks from every run, so
+	// spacing the run skews by per/B tiles the disks exactly; unit spacing
+	// would overlap the runs' diagonal ranges whenever per/B < D.
+	skewStep := per / g.b
 	runs := make([]*pdm.Stripe, 0, numRuns)
 	err = stream.Pass(a, numRuns, segments(in, off, runLen), buf, func(i int, run []int64, w *stream.Writer) error {
-		a.Pool().SortKeys(run)
+		memsort.RadixBlocks(run, scratch, per)
 		s, err := a.NewStripeSkew(runLen, i*skewStep)
 		if err != nil {
 			return err
@@ -164,11 +175,22 @@ func formRuns(a *pdm.Array, in *pdm.Stripe, off, n, runLen int) ([]*pdm.Stripe, 
 	return runs, nil
 }
 
-// formRunsUnshuffled is formRuns combined with the paper's first unshuffle
-// (ThreePass2 step 2): each sorted run is written as m parts, part p holding
-// the run's elements ≡ p (mod m); part p occupies blocks
+// formRunsUnshuffled is run formation combined with the paper's first
+// unshuffle (ThreePass2 step 2): each run is written as m parts, part p
+// holding the run's keys of rank ≡ p (mod m); part p occupies blocks
 // [p·partLen/B, (p+1)·partLen/B) of the run's stripe.  partLen = runLen/m
 // must be a multiple of B.  Still exactly one pass.
+//
+// The run is not sorted, only made block-exact at m keys
+// (memsort.RadixBlocks): block r holds the keys of ranks [r·m, (r+1)·m) in
+// unspecified order, and part p takes the p-th key of every block.  What
+// Lemma 4.1 needs of the parts survives: for any threshold x, the keys
+// below x fill a prefix of the ranks, so every block wholly below x gives
+// each part one key, at most one block straddles x, and it gives each
+// part at most one more — the parts' counts below x stay within one of
+// each other, exactly as for a sorted run.  Summed over the l runs, the
+// counts of the L_j that pass 2 builds differ by at most l, which bounds
+// the shuffle's dirtiness by l·m.
 func formRunsUnshuffled(a *pdm.Array, in *pdm.Stripe, off, n, runLen, m int) ([]*pdm.Stripe, error) {
 	g, err := checkGeometry(a)
 	if err != nil {
@@ -196,11 +218,11 @@ func formRunsUnshuffled(a *pdm.Array, in *pdm.Stripe, off, n, runLen, m int) ([]
 	skewStep := mergeSkewStep(g, numRuns, partLen/g.b, m)
 	runs := make([]*pdm.Stripe, 0, numRuns)
 	err = stream.Pass(a, numRuns, segments(in, off, runLen), buf, func(i int, run []int64, w *stream.Writer) error {
-		// parts is dead until the unshuffle below, so the sort may use it
-		// as partitioned-merge scratch — no extra arena memory.
-		pool.SortKeysScratch(run, parts)
+		// parts is dead until the unshuffle below, so the split uses it
+		// as scatter scratch — no extra arena memory.
+		memsort.RadixBlocks(run, parts, m)
 		// Gather part p at parts[p*partLen : (p+1)*partLen] — a transpose
-		// of the sorted run viewed as partLen rows of m keys.
+		// of the run viewed as partLen blocks (rows) of m keys.
 		pool.Transpose(parts, run, partLen, m)
 		s, err := a.NewStripeSkew(runLen, i*skewStep)
 		if err != nil {
@@ -293,13 +315,18 @@ func LMMMergeSteps(mem, d, l int) (read, write int) {
 
 // mergePartGroups performs the (l,m)-merge's middle pass (ThreePass2
 // step 3): for each part index j, gather part j of every run (l·partLen ≤ M
-// keys), merge them into L_j, and write the results out — one pass.
+// keys) into L_j and write it out — one pass.
 //
 // L_j is block-exact, not sorted: every B-key block of it holds exactly the
-// keys of its ranks, in unspecified order (par.Pool.MergeBlocks).  That is
+// keys of its ranks, in unspecified order (memsort.RadixBlocks).  That is
 // all the shuffle pass reads from it — each of its memory loads is whole
-// blocks of every L_j, sorted from scratch (shuffleCleanup) — so the
-// merge's order inside a block would be thrown away.
+// blocks of every L_j, sorted from scratch (shuffleCleanup) — so order
+// inside a block would be thrown away.  So each gathered group is split in
+// place rather than merged, although its lanes are sorted (part p of a run
+// takes the p-th key of every rank-ordered block, formRunsUnshuffled): a
+// merge of uniform lanes leaves its gallop mode within a few windows and
+// would split its tail the same way.  The split is the same at every
+// worker count.
 //
 // Groups are processed mergeSkewStep's batch at a time (the last batch may
 // be short), and a batch's output blocks are interleaved round-robin on one
@@ -326,20 +353,18 @@ func mergePartGroups(a *pdm.Array, runs []*pdm.Stripe, partLen, m int) ([]seqVie
 		return nil, nil, err
 	}
 	defer a.Arena().Free(in)
-	out, err := a.Arena().Alloc(batch * group)
+	scratch, err := a.Arena().Alloc(batch * group)
 	if err != nil {
 		return nil, nil, err
 	}
-	defer a.Arena().Free(out)
+	defer a.Arena().Free(scratch)
 	pool := a.Pool()
-	leaf := par.NewLimited(1, nil, a.Arena())
 	merged := make([]seqView, m)
 	var backing []*pdm.Stripe
-	lanes := make([][]int64, l)
 	groupBlocks := group / g.b
 	// The gather pattern of every batch is pure address arithmetic over the
 	// immutable run stripes, so batch bi+1 streams in while batch bi is
-	// being merged and its output staged behind the writer.  Part j of run
+	// being split and its output staged behind the writer.  Part j of run
 	// i lands at in[gj*group + i*partLen : ...] — exactly the flat order of
 	// the planned chunk.
 	gather := func(bi int) []pdm.BlockAddr {
@@ -357,27 +382,13 @@ func mergePartGroups(a *pdm.Array, runs []*pdm.Stripe, partLen, m int) ([]seqVie
 	}
 	err = stream.Pass(a, memsort.CeilDiv(m, batch), gather, in, func(bi int, chunk []int64, w *stream.Writer) error {
 		gs := len(chunk) / group
-		// Merge each group in the batch, block-exactly: a single resident
-		// group gets the pool's merge (cut across the workers when it is
-		// large enough to pay), several split across the workers group-wise,
-		// each merged by a one-worker pool so that no For leaf forks.  The
-		// bytes are the same at every width either way.
-		if gs == 1 {
-			for i := range runs {
-				lanes[i] = chunk[i*partLen : (i+1)*partLen]
+		// Split each group in the batch block-exactly, the groups spread
+		// across the workers.
+		pool.For(gs*group, gs, func(_, lo, hi int) {
+			for gj := lo; gj < hi; gj++ {
+				memsort.RadixBlocks(chunk[gj*group:(gj+1)*group], scratch[gj*group:(gj+1)*group], g.b)
 			}
-			pool.MergeBlocks(out[:group], lanes, g.b)
-		} else {
-			pool.For(gs*group, gs, func(_, lo, hi int) {
-				glanes := make([][]int64, l)
-				for gj := lo; gj < hi; gj++ {
-					for i := 0; i < l; i++ {
-						glanes[i] = chunk[gj*group+i*partLen : gj*group+(i+1)*partLen]
-					}
-					leaf.MergeBlocks(out[gj*group:(gj+1)*group], glanes, g.b)
-				}
-			})
-		}
+		})
 		// One shared stripe per batch, blocks interleaved round-robin:
 		// stripe block blk·batch + gj holds block blk of group
 		// bi·batch + gj.  A short batch's stripe ends at its last block.
@@ -391,7 +402,7 @@ func mergePartGroups(a *pdm.Array, runs []*pdm.Stripe, partLen, m int) ([]seqVie
 		for blk := 0; blk < groupBlocks; blk++ {
 			for gj := 0; gj < gs; gj++ {
 				waddrs = append(waddrs, bs.BlockAddr(blk*batch+gj))
-				wbufs = append(wbufs, out[gj*group+blk*g.b:gj*group+(blk+1)*g.b])
+				wbufs = append(wbufs, chunk[gj*group+blk*g.b:gj*group+(blk+1)*g.b])
 			}
 		}
 		for gj := 0; gj < gs; gj++ {
@@ -432,9 +443,10 @@ func shuffleCleanup(a *pdm.Array, seqs []seqView, chunk int, emit emitFunc) erro
 		return fmt.Errorf("core: chunk %d not divisible by %d sequences", chunk, nseq)
 	}
 	per := chunk / nseq
-	// Whole blocks per sequence is also what lets ThreePass2's L_j be
-	// block-exact rather than sorted (mergePartGroups): a load of whole
-	// blocks holds the same keys either way, and it is sorted here.
+	// Whole blocks per sequence is also what lets the sequences be
+	// block-exact rather than sorted (formRuns, mergePartGroups): a load
+	// of whole blocks holds the same keys either way, and it is sorted
+	// here.
 	if per%g.b != 0 {
 		return fmt.Errorf("core: per-sequence chunk share %d not a multiple of B = %d", per, g.b)
 	}

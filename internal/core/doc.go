@@ -17,10 +17,14 @@
 // paper's own Section 5 envelope — and M + DB elsewhere).
 //
 // The passes share three pieces.  Every read–compute–write pass (run
-// formation, the merge and column passes, the outer merge's unshuffle and
-// group merges, OnePass) is a stream.Pass call holding only its read plan
-// and compute.  Every cleanup pass is RollingPass into a sink: the caller's
-// emit, or a fresh stripe written behind (newSink).  SevenPass,
-// SevenPassMesh and ExpectedSixPass are superrunMerge with their own
-// superrun sort.
+// formation, the (l,m)-merge's group pass and the column passes, the outer
+// merge's unshuffle and group merges, OnePass) is a stream.Pass call
+// holding only its read plan and compute.  A pass orders its output only
+// as far as the passes after it need: ThreePass2's and ExpectedTwoPass's
+// runs and ThreePass2's L_j are block-exact (memsort.RadixBlocks), and
+// only their cleanup sorts (see ThreePass2 and ExpectedTwoPass for why
+// that suffices).  Every
+// cleanup pass is RollingPass into a sink: the caller's emit, or a fresh
+// stripe written behind (newSink).  SevenPass, SevenPassMesh and
+// ExpectedSixPass are superrunMerge with their own superrun sort.
 package core

@@ -39,9 +39,15 @@ func ExpectedTwoPassRuns(m int, alpha float64) int {
 
 // ExpectedTwoPass sorts in with the paper's Section 5 algorithm:
 //
-//	pass 1: form N1 = N/M sorted runs of M keys each;
+//	pass 1: form N1 = N/M runs of M keys each;
 //	pass 2: shuffle the runs and repair the Lemma 4.2 displacement with the
 //	        rolling local sort, tracking the largest key shipped out.
+//
+// Pass 2's t-th memory load is the t-th M/N1-key share of every run,
+// sorted from scratch, so pass 1 leaves each run block-exact at that share
+// rather than sorted (formRuns): every load holds the keys it would hold
+// over sorted runs, and the output and the overflow decision are those of
+// the paper's sorted runs, byte for byte.
 //
 // If the displacement ever exceeds the window — the paper's "problem
 // detected" event — the partial output is discarded and the untouched input
@@ -75,7 +81,9 @@ func expectedTwoPassRange(a *pdm.Array, in *pdm.Stripe, off, n int, emit emitFun
 		return nil, false, fmt.Errorf("core: ExpectedTwoPass needs N/M dividing sqrt(M); N/M = %d, sqrt(M) = %d", n1, g.sqM)
 	}
 	a.Arena().SetPhase("expectedtwopass/runs")
-	runs, err := formRuns(a, in, off, n, g.m) // pass 1
+	// Pass 2 reads M/N1 keys of every run per memory load, so the runs need
+	// only be exact at that share.
+	runs, err := formRuns(a, in, off, n, g.m, g.m/n1) // pass 1
 	if err != nil {
 		return nil, false, err
 	}

@@ -34,11 +34,17 @@ func TestFormRunsValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := formRuns(a, in, 0, 128, 65); err == nil {
+	if _, err := formRuns(a, in, 0, 128, 65, 65); err == nil {
 		t.Fatal("runLen > M accepted")
 	}
-	if _, err := formRuns(a, in, 0, 100, 64); err == nil {
+	if _, err := formRuns(a, in, 0, 100, 64, 32); err == nil {
 		t.Fatal("n not multiple of runLen accepted")
+	}
+	if _, err := formRuns(a, in, 0, 128, 64, 24); err == nil {
+		t.Fatal("per not dividing runLen accepted")
+	}
+	if _, err := formRuns(a, in, 0, 128, 64, 4); err == nil {
+		t.Fatal("per below B accepted")
 	}
 	if _, err := formRunsUnshuffled(a, in, 0, 128, 64, 3); err == nil {
 		t.Fatal("non-dividing m accepted")

@@ -9,20 +9,26 @@ import (
 // ThreePass2 sorts in with the paper's Section 4 algorithm — the LMM sort
 // specialized to B = √M, N ≤ M·√M (Lemma 4.1) — in three passes:
 //
-//	pass 1: form l = N/M sorted runs of M keys, written unshuffled into
-//	        m = √M parts of √M keys each (steps 1–2 combined);
-//	pass 2: for each part index j, merge part j of every run in memory
-//	        (l·√M ≤ M records per merge, step 3) into L_j;
-//	pass 3: shuffle the merged sequences and repair the ≤ l·m ≤ M dirtiness
-//	        with the rolling local sort (step 4).
+//	pass 1: form l = N/M runs of M keys, written unshuffled into m = √M
+//	        parts of √M keys each (steps 1–2 combined);
+//	pass 2: for each part index j, gather part j of every run in memory
+//	        (l·√M ≤ M records per group, step 3) into L_j;
+//	pass 3: shuffle the L_j and repair the ≤ l·m ≤ M dirtiness with the
+//	        rolling local sort (step 4).
 //
-// Pass 2 makes each L_j block-exact rather than sorted — every B-key block
-// holds exactly the keys of its ranks, in unspecified order — because pass
-// 3 reads L_j a whole block at a time and sorts what it reads.  Pass counts,
-// I/O and output are those of a sorted L_j; only the order inside pass 2's
-// scratch blocks is left to the merge kernel.
+// No pass before the last sorts anything.  Pass 3 reads every L_j a whole
+// B-key block at a time and sorts each memory load from scratch, so pass 2
+// makes each L_j block-exact rather than merged — every block holds
+// exactly the keys of its ranks, in unspecified order.  Lemma 4.1's
+// dirtiness bound needs only that, for every threshold, the counts of the
+// L_j below it differ by at most l; a run whose √M-key blocks each hold
+// the keys of their ranks unshuffles into parts whose counts differ by at
+// most one, as a sorted run's do (formRunsUnshuffled), so pass 1 makes its
+// runs √M-block-exact instead of sorting them.  Pass counts, I/O and
+// output are those of the sorted algorithm; only the order inside the
+// scratch blocks of passes 1 and 2 is left to the split.
 //
-// Passes 1 and 3 always take exactly one pass.  Pass 2 merges its groups in
+// Passes 1 and 3 always take exactly one pass.  Pass 2 gathers its groups in
 // batches sized to whole D-block steps (mergeSkewStep): exactly one pass
 // whenever such a batch fits in memory (always when l divides D), and
 // otherwise the few extra steps of the cheapest batch that fits — at most

@@ -92,19 +92,19 @@ func TestThreePass2ExactAtEveryL(t *testing.T) {
 	}
 }
 
-// TestThreePass2BlockExactMerge runs ThreePass2 where pass 2 takes the
-// block merge, which is every group whose merge tail reaches
-// memsort.RadixMinKeys: 1024-key groups at M = 1024, D = 8, l = 32; groups
-// of 4096 keys, one per batch, at M = 4096, D = 16, l = 64; 512-key
-// groups, several per batch, at l = 8; two groups per batch at M = 16Ki,
-// D = 64, l = 32.  Each runs on uniform keys, on keys padded with MaxInt64
+// TestThreePass2BlockExactMerge runs ThreePass2 where pass 2 splits its
+// groups with the radix kernel (memsort.RadixBlocks), which is every group
+// of at least memsort.RadixMinKeys keys: 1024-key groups at M = 1024,
+// D = 8, l = 32; groups of 4096 keys, one per batch, at M = 4096, D = 16,
+// l = 64; 512-key groups, several per batch, at l = 8; two groups per
+// batch at M = 16Ki, D = 64, l = 32.  Each runs on uniform keys, on keys padded with MaxInt64
 // sentinels the way the facade pads an N that is not a multiple of M, and
 // on seven-valued duplicates, at Workers 1 and 8.  The output is
 // slices.Sort's; at the pass-2 boundary every L_j, read uncharged through
 // the manifest's views, is block-exact (each B-key block holds the keys of
 // its ranks); and the backing stripes hash the same at both widths,
 // because a checkpoint may resume at another width.  On uniform keys some
-// block is unsorted, which shows the block kernel ran.
+// block is unsorted, which shows the block split ran.
 func TestThreePass2BlockExactMerge(t *testing.T) {
 	for _, g := range []struct{ mem, d, l int }{{1024, 8, 32}, {4096, 16, 64}, {4096, 16, 8}, {16384, 64, 32}} {
 		n := g.l * g.mem
@@ -125,7 +125,7 @@ func TestThreePass2BlockExactMerge(t *testing.T) {
 				for _, workers := range []int{1, 8} {
 					hash, unsorted := runBlockExactPass2(t, g.mem, g.d, workers, data, want)
 					if name == "uniform" && unsorted == 0 {
-						t.Fatal("every pass-2 block came back sorted: the block merge did not run")
+						t.Fatal("every pass-2 block came back sorted: the block split did not run")
 					}
 					hashes = append(hashes, hash)
 				}

@@ -11,10 +11,10 @@ const blocksDigit = 11
 
 // RadixBlocks arranges a block-exactly, using scratch (at least len(a) long
 // once len(a) ≥ RadixMinKeys) as the scatter buffer: for every boundary p
-// with 0 < p < len(a) and (p+phase) % blk == 0, max(a[:p]) ≤ min(a[p:]).
-// Every aligned blk-key block then holds exactly the keys a sort would put
-// there, in unspecified order — all a consumer that re-sorts each block
-// needs.  phase must be ≥ 0; blk must be positive.
+// with 0 < p < len(a) and p % blk == 0, max(a[:p]) ≤ min(a[p:]).  Every
+// aligned blk-key block then holds exactly the keys a sort would put there,
+// in unspecified order — all a consumer that re-sorts each block needs.
+// blk must be positive.
 //
 // It is an MSD radix pass that stops as soon as no bucket straddles a
 // boundary: one min/max sweep, then one count and one scatter on the top
@@ -25,9 +25,9 @@ const blocksDigit = 11
 // introsort, and a bucket of equal keys is done.  On uniform keys that is
 // one scatter plus a few short sorts beside the boundaries, against
 // RadixKeys' one scatter per digit of the span.
-func RadixBlocks(a, scratch []int64, blk, phase int) {
-	if blk <= 0 || phase < 0 {
-		panic("memsort: RadixBlocks needs blk > 0 and phase ≥ 0")
+func RadixBlocks(a, scratch []int64, blk int) {
+	if blk <= 0 {
+		panic("memsort: RadixBlocks needs blk > 0")
 	}
 	if len(a) > math.MaxUint32 { // counts are uint32
 		Keys(a)
@@ -36,10 +36,12 @@ func RadixBlocks(a, scratch []int64, blk, phase int) {
 	if len(a) >= RadixMinKeys && len(scratch) < len(a) {
 		panic("memsort: RadixBlocks scratch too small")
 	}
-	radixBlocks(a, scratch, blk, phase%blk)
+	radixBlocks(a, scratch, blk, 0)
 }
 
-// radixBlocks is RadixBlocks with phase reduced below blk.
+// radixBlocks is RadixBlocks on a sub-load whose first boundary lies
+// blk − phase keys in (0 ≤ phase < blk): a bucket that a refinement level
+// hands down starts wherever the level's scatter put it.
 func radixBlocks(a, scratch []int64, blk, phase int) {
 	switch {
 	case blk-phase >= len(a): // the first boundary is not inside a

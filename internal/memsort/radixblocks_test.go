@@ -80,9 +80,11 @@ func checkBlocks(t *testing.T, name string, got, want []int64, blk, phase int) {
 }
 
 // TestRadixBlocksOracle is the kernel's oracle test: over every key shape,
-// blk ∈ {16, 64, 256}, phase ∈ {0, 1, 37, blk−1} and sizes up to 64Ki,
-// sorting each block of the output gives the matching slice of
-// slices.Sort's output, and the scratch past the load comes back untouched.
+// blk ∈ {16, 64, 256} and sizes up to 64Ki, sorting each block of the
+// output gives the matching slice of slices.Sort's output, and the scratch
+// past the load comes back untouched.  Phase 0 goes through RadixBlocks;
+// phases 1, 37 and blk−1, the offsets a refined bucket starts at, through
+// radixBlocks.
 func TestRadixBlocksOracle(t *testing.T) {
 	const sentinel = 0x5a5a5a5a5a5a5a5a
 	for _, shape := range blocksShapes {
@@ -98,7 +100,11 @@ func TestRadixBlocksOracle(t *testing.T) {
 					for i := range scratch {
 						scratch[i] = sentinel
 					}
-					RadixBlocks(a, scratch, blk, phase)
+					if phase == 0 {
+						RadixBlocks(a, scratch, blk)
+					} else {
+						radixBlocks(a, scratch, blk, phase%blk)
+					}
 					name := fmt.Sprintf("%s/n=%d/blk=%d/phase=%d", shape, n, blk, phase)
 					checkBlocks(t, name, a, want, blk, phase)
 					for _, v := range scratch[n:] {
@@ -115,7 +121,9 @@ func TestRadixBlocksOracle(t *testing.T) {
 // FuzzRadixBlocks checks RadixBlocks against the slices.Sort oracle on
 // loads the fuzzer shapes: the bytes RadixKeys' fuzz target reads (n, span
 // width, stride, span low end, seed; see FuzzRadixKeys), then byte 20 the
-// block size (1–256) and byte 21 the phase.  Scratch is one word longer than
+// block size (1–256) and byte 21 the phase, which reaches the unexported
+// radixBlocks the way a refined bucket does (RadixBlocks itself is phase
+// 0).  Scratch is one word longer than
 // the load, and that word must come back untouched.
 func FuzzRadixBlocks(f *testing.F) {
 	f.Add([]byte("\x00\x10\x29\x00\x00\x00\x00\x00\x00\xff\xff\xff\x07\x00\x00\x00\x00\x00\x00\x00\xff\x25"))
@@ -136,7 +144,11 @@ func FuzzRadixBlocks(f *testing.F) {
 		slices.Sort(want)
 		scratch := make([]int64, n+1)
 		scratch[n] = 12345
-		RadixBlocks(a, scratch, blk, phase)
+		if phase%blk == 0 {
+			RadixBlocks(a, scratch, blk)
+		} else {
+			radixBlocks(a, scratch, blk, phase%blk)
+		}
 		checkBlocks(t, fmt.Sprintf("n=%d width=%d stride=%d lo=%d blk=%d phase=%d", n, width, stride, lo, blk, phase),
 			a, want, blk, phase)
 		if scratch[n] != 12345 {

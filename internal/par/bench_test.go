@@ -155,35 +155,6 @@ func BenchmarkKernelMultiMerge(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelMergeBlocks pairs the block merge pass 2 of the
-// (l,m)-merge runs (MergeBlocks, one lane's length per block) with the full
-// merge it replaced (MultiMerge), on uniform, MaxInt64-padded, seven-valued
-// and runs-shaped lanes: l ∈ {16, 64} lanes of 256 keys (the bench
-// machine's groups), and smaller groups, 8×256 (records-file's) and 16×32.
-// The block column must not lose on any shape.
-func BenchmarkKernelMergeBlocks(b *testing.B) {
-	for _, shape := range []string{"uniform", "max-padded", "duplicates-heavy", "runs"} {
-		for _, dims := range [][2]int{{16, 256}, {64, 256}, {8, 256}, {16, 32}} {
-			k, per := dims[0], dims[1]
-			lanes := shapedLanes(shape, k, per)
-			for _, merge := range []string{"full", "blocks"} {
-				b.Run(fmt.Sprintf("%s/%dx%d/%s", shape, k, per, merge), func(b *testing.B) {
-					pool := benchPool(1)
-					dst := make([]int64, k*per)
-					b.SetBytes(int64(8 * k * per))
-					for i := 0; i < b.N; i++ {
-						if merge == "full" {
-							pool.MultiMerge(dst, lanes)
-						} else {
-							pool.MergeBlocks(dst, lanes, per)
-						}
-					}
-				})
-			}
-		}
-	}
-}
-
 // BenchmarkWorkersPrimitives pairs workers=1 against workers=GOMAXPROCS for
 // the pool's other forked operations at a load size and well above it: For
 // with its lightest body (a memmove), Transpose, and the in-place SymMerge

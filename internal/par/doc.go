@@ -21,17 +21,15 @@
 // over long runs and leaves gallop mode for good when the mean run
 // collapses to about a key, as it does on uniform keys; it then copies the
 // lanes' suffixes to the output tail and radix-sorts them there.
-// MergeBlocks is the merge for callers that re-sort every block they read
-// (the (l,m)-merge's pass 2): it only splits the tail until every aligned
-// block holds the keys of its ranks.
+// Callers that re-sort every block they read need no merge or sort at all:
+// they split their loads block-exactly with memsort.RadixBlocks directly.
 //
 // The layer is invisible to the PDM cost model and to the algorithms'
 // results: every operation produces output bit-identical to its serial
 // counterpart for any worker count — sorting and merging int64 multisets
 // have a unique result, and the partition boundaries are exact ranks — so
 // parallelism changes wall-clock only, never pass counts, statistics, or
-// I/O traces.  MergeBlocks' output is identical at every worker count too
-// (its segments depend on the output size alone).
+// I/O traces.
 //
 // Scratch.  The sorts and merges work in place or write caller-provided
 // buffers, and merge lanes are only ever read; the one extra buffer is the
