@@ -181,8 +181,8 @@ func checkFormRunsUnshuffled(t *testing.T, mem int, keys []int64, l int) {
 	}
 	defer freeAll(backing)
 	stripes := map[*pdm.Stripe][]int64{}
-	for _, s := range backing {
-		stripes[s] = unloadAll(t, []*pdm.Stripe{s})[0]
+	for i, keys := range unloadAll(t, backing) {
+		stripes[backing[i]] = keys
 	}
 	for j, v := range merged {
 		lj := make([]int64, 0, v.keys)
