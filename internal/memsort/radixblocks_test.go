@@ -123,8 +123,8 @@ func TestRadixBlocksOracle(t *testing.T) {
 // width, stride, span low end, seed; see FuzzRadixKeys), then byte 20 the
 // block size (1–256) and byte 21 the phase, which reaches the unexported
 // radixBlocks the way a refined bucket does (RadixBlocks itself is phase
-// 0).  Scratch is one word longer than
-// the load, and that word must come back untouched.
+// 0).  Scratch is one word longer than the load, and that word must come
+// back untouched.
 func FuzzRadixBlocks(f *testing.F) {
 	f.Add([]byte("\x00\x10\x29\x00\x00\x00\x00\x00\x00\xff\xff\xff\x07\x00\x00\x00\x00\x00\x00\x00\xff\x25"))
 	f.Add([]byte("\x00\x40\x40\x00\x00\x00\x00\x00\x00\x00\x00\x80\x01\x00\x00\x00\x00\x00\x00\x00\x0f\x00"))
