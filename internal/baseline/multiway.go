@@ -41,8 +41,8 @@ func MultiwayMergeSort(a *pdm.Array, in *pdm.Stripe) (*core.Result, error) {
 		return nil, err
 	}
 	var runs []*pdm.Stripe
-	err = stream.Pass(a, n/m, func(t int) []pdm.BlockAddr {
-		addrs, _ := in.AddrRange(t*m, m) // in range: m divides n
+	err = stream.Pass(a, n/m, func(t int, dst []pdm.BlockAddr) []pdm.BlockAddr {
+		addrs, _ := in.AppendAddrs(dst, t*m, m) // in range: m divides n
 		return addrs
 	}, buf, func(_ int, keys []int64, w *stream.Writer) error {
 		a.Pool().SortKeys(keys)
@@ -51,11 +51,7 @@ func MultiwayMergeSort(a *pdm.Array, in *pdm.Stripe) (*core.Result, error) {
 			return err
 		}
 		runs = append(runs, st)
-		addrs, err := st.AddrRange(0, m)
-		if err != nil {
-			return err
-		}
-		return w.WriteFlat(addrs, keys)
+		return w.WriteStripe(st, 0, keys)
 	})
 	a.Arena().Free(buf)
 	if err != nil {
@@ -252,11 +248,7 @@ func mergeRuns(a *pdm.Array, srcs []*pdm.Stripe, skew int) (*pdm.Stripe, error) 
 			ln.pos++
 			outFill++
 			if outFill == len(outBuf) {
-				waddrs, err := out.AddrRange(written, outFill)
-				if err != nil {
-					return fail(err)
-				}
-				if err := w.WriteFlat(waddrs, outBuf); err != nil {
+				if err := w.WriteStripe(out, written, outBuf); err != nil {
 					return fail(err)
 				}
 				written += outFill
@@ -276,11 +268,7 @@ func mergeRuns(a *pdm.Array, srcs []*pdm.Stripe, skew int) (*pdm.Stripe, error) 
 		}
 	}
 	if outFill > 0 {
-		waddrs, err := out.AddrRange(written, outFill)
-		if err != nil {
-			return fail(err)
-		}
-		if err := w.WriteFlat(waddrs, outBuf[:outFill]); err != nil {
+		if err := w.WriteStripe(out, written, outBuf[:outFill]); err != nil {
 			return fail(err)
 		}
 	}

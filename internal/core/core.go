@@ -101,11 +101,15 @@ func (v seqView) blockAddr(i int) pdm.BlockAddr {
 	return v.s.BlockAddr(v.startBlk + i*v.strideBlk)
 }
 
-// stripeAddrs returns the block addresses of keys [keyOff, keyOff+nKeys) of
-// s.  The ranges used by the algorithms are valid by construction, so a
-// failure is an internal bug.
-func stripeAddrs(s *pdm.Stripe, keyOff, nKeys int) []pdm.BlockAddr {
-	addrs, err := s.AddrRange(keyOff, nKeys)
+// plan is a pass's read plan, as stream.NewReader takes it: plan(t, dst)
+// appends chunk t's block addresses to dst and returns the result.
+type plan = func(t int, dst []pdm.BlockAddr) []pdm.BlockAddr
+
+// stripeAddrs appends the block addresses of keys [keyOff, keyOff+nKeys)
+// of s to dst.  The ranges used by the algorithms are valid by
+// construction, so a failure is an internal bug.
+func stripeAddrs(dst []pdm.BlockAddr, s *pdm.Stripe, keyOff, nKeys int) []pdm.BlockAddr {
+	addrs, err := s.AppendAddrs(dst, keyOff, nKeys)
 	if err != nil {
 		panic(err)
 	}
@@ -114,9 +118,9 @@ func stripeAddrs(s *pdm.Stripe, keyOff, nKeys int) []pdm.BlockAddr {
 
 // segments is the read plan of a pass over consecutive seg-key segments of
 // s starting at key off: segment t's block addresses.
-func segments(s *pdm.Stripe, off, seg int) func(int) []pdm.BlockAddr {
-	return func(t int) []pdm.BlockAddr {
-		return stripeAddrs(s, off+t*seg, seg)
+func segments(s *pdm.Stripe, off, seg int) plan {
+	return func(t int, dst []pdm.BlockAddr) []pdm.BlockAddr {
+		return stripeAddrs(dst, s, off+t*seg, seg)
 	}
 }
 
@@ -166,7 +170,7 @@ func formRuns(a *pdm.Array, in *pdm.Stripe, off, n, runLen, per int) ([]*pdm.Str
 			return err
 		}
 		runs = append(runs, s)
-		return w.WriteFlat(stripeAddrs(s, 0, runLen), run)
+		return w.WriteStripe(s, 0, run)
 	})
 	if err != nil {
 		freeAll(runs)
@@ -229,7 +233,7 @@ func formRunsUnshuffled(a *pdm.Array, in *pdm.Stripe, off, n, runLen, m int) ([]
 			return err
 		}
 		runs = append(runs, s)
-		return w.WriteFlat(stripeAddrs(s, 0, runLen), parts)
+		return w.WriteStripe(s, 0, parts)
 	})
 	if err != nil {
 		freeAll(runs)
@@ -360,16 +364,15 @@ func mergePartGroups(a *pdm.Array, runs []*pdm.Stripe, partLen, m int) ([]seqVie
 	defer a.Arena().Free(scratch)
 	pool := a.Pool()
 	merged := make([]seqView, m)
-	var backing []*pdm.Stripe
+	backing := make([]*pdm.Stripe, 0, memsort.CeilDiv(m, batch))
 	groupBlocks := group / g.b
 	// The gather pattern of every batch is pure address arithmetic over the
 	// immutable run stripes, so batch bi+1 streams in while batch bi is
 	// being split and its output staged behind the writer.  Part j of run
 	// i lands at in[gj*group + i*partLen : ...] — exactly the flat order of
 	// the planned chunk.
-	gather := func(bi int) []pdm.BlockAddr {
+	gather := func(bi int, addrs []pdm.BlockAddr) []pdm.BlockAddr {
 		gs := min(batch, m-bi*batch)
-		addrs := make([]pdm.BlockAddr, 0, gs*groupBlocks)
 		for gj := 0; gj < gs; gj++ {
 			j := bi*batch + gj
 			for _, r := range runs {
@@ -380,15 +383,19 @@ func mergePartGroups(a *pdm.Array, runs []*pdm.Stripe, partLen, m int) ([]seqVie
 		}
 		return addrs
 	}
+	var waddrs []pdm.BlockAddr
+	var wbufs [][]int64
+	// split splits each group of the batch in the head of in block-exactly;
+	// made once, so a batch costs no closure.
+	split := func(_, lo, hi int) {
+		for gj := lo; gj < hi; gj++ {
+			memsort.RadixBlocks(in[gj*group:(gj+1)*group], scratch[gj*group:(gj+1)*group], g.b)
+		}
+	}
 	err = stream.Pass(a, memsort.CeilDiv(m, batch), gather, in, func(bi int, chunk []int64, w *stream.Writer) error {
 		gs := len(chunk) / group
-		// Split each group in the batch block-exactly, the groups spread
-		// across the workers.
-		pool.For(gs*group, gs, func(_, lo, hi int) {
-			for gj := lo; gj < hi; gj++ {
-				memsort.RadixBlocks(chunk[gj*group:(gj+1)*group], scratch[gj*group:(gj+1)*group], g.b)
-			}
-		})
+		// Split the groups, spread across the workers.
+		pool.For(gs*group, gs, split)
 		// One shared stripe per batch, blocks interleaved round-robin:
 		// stripe block blk·batch + gj holds block blk of group
 		// bi·batch + gj.  A short batch's stripe ends at its last block.
@@ -397,8 +404,7 @@ func mergePartGroups(a *pdm.Array, runs []*pdm.Stripe, partLen, m int) ([]seqVie
 			return err
 		}
 		backing = append(backing, bs)
-		waddrs := make([]pdm.BlockAddr, 0, gs*groupBlocks)
-		wbufs := make([][]int64, 0, gs*groupBlocks)
+		waddrs, wbufs = waddrs[:0], wbufs[:0]
 		for blk := 0; blk < groupBlocks; blk++ {
 			for gj := 0; gj < gs; gj++ {
 				waddrs = append(waddrs, bs.BlockAddr(blk*batch+gj))
@@ -465,8 +471,7 @@ func shuffleCleanup(a *pdm.Array, seqs []seqView, chunk int, emit emitFunc) erro
 	// prefetcher fetches chunk t+1 while chunk t is sorted and merged.  The
 	// chunk layout — sequence i's share at dst[i·per:(i+1)·per] — is exactly
 	// the flat order of the planned gather.
-	return streamedCleanup(a, chunk, seqLen/per, func(t int) []pdm.BlockAddr {
-		addrs := make([]pdm.BlockAddr, 0, nseq*perBlocks)
+	return streamedCleanup(a, chunk, seqLen/per, func(t int, addrs []pdm.BlockAddr) []pdm.BlockAddr {
 		for _, s := range seqs {
 			for bidx := 0; bidx < perBlocks; bidx++ {
 				addrs = append(addrs, s.blockAddr(t*perBlocks+bidx))
@@ -477,9 +482,9 @@ func shuffleCleanup(a *pdm.Array, seqs []seqView, chunk int, emit emitFunc) erro
 }
 
 // streamedCleanup is RollingPass over chunks streamed by a prefetching
-// reader: chunk t is the blocks readAddrs(t).
-func streamedCleanup(a *pdm.Array, chunk, chunks int, readAddrs func(int) []pdm.BlockAddr, emit emitFunc) error {
-	rd, err := stream.NewReader(a, chunks, readAddrs)
+// reader: chunk t is the blocks planned by readPlan(t, dst).
+func streamedCleanup(a *pdm.Array, chunk, chunks int, readPlan plan, emit emitFunc) error {
+	rd, err := stream.NewReader(a, chunks, readPlan)
 	if err != nil {
 		return err
 	}
@@ -553,7 +558,7 @@ func SequentialEmit(out *pdm.Stripe) func(t int, chunk []int64) error {
 // or freeing out.
 func streamEmit(w *stream.Writer, out *pdm.Stripe) emitFunc {
 	return func(t int, chunk []int64) error {
-		return w.WriteFlat(stripeAddrs(out, t*len(chunk), len(chunk)), chunk)
+		return w.WriteStripe(out, t*len(chunk), chunk)
 	}
 }
 

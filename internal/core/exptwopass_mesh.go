@@ -44,8 +44,8 @@ func ExpTwoPassMesh(a *pdm.Array, in *pdm.Stripe) (*Result, error) {
 		}
 		bands[j] = s
 	}
-	err = columnPass(a, bands, func(c0, cnt int) []pdm.BlockAddr {
-		return stripeAddrs(in, c0*colLen, cnt*colLen)
+	err = columnPass(a, bands, func(dst []pdm.BlockAddr, c0, cnt int) []pdm.BlockAddr {
+		return stripeAddrs(dst, in, c0*colLen, cnt*colLen)
 	})
 	if err != nil {
 		freeAll(bands)

@@ -2,6 +2,9 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"sort"
+	"sync"
 
 	"repro/internal/memsort"
 	"repro/internal/pdm"
@@ -18,21 +21,6 @@ type blockSeq struct {
 	total  int
 }
 
-// stripeBlockSeq views a whole stripe as a blockSeq of full blocks.
-func stripeBlockSeq(s *pdm.Stripe) blockSeq {
-	b := s.Array().B()
-	seq := blockSeq{
-		addrs:  make([]pdm.BlockAddr, s.Blocks()),
-		counts: make([]int, s.Blocks()),
-		total:  s.Len(),
-	}
-	for j := range seq.addrs {
-		seq.addrs[j] = s.BlockAddr(j)
-		seq.counts[j] = b
-	}
-	return seq
-}
-
 // scatterState carries what the scatter passes of one sort share.  Every
 // bucket keeps its own disk-rotation cursor, continuing across passes, so
 // each run is striped round-robin across the disks in its own right — the
@@ -44,18 +32,65 @@ type scatterState struct {
 	nextDisk []int
 	rows     []int
 	stripes  []*pdm.Stripe
+	dir      *directory
 }
 
-func (st *scatterState) freeStripes() {
+// directory holds a sort's bucket directories in flat arrays that only
+// grow during the sort: a scatter pass logs every block it places, then
+// files the log by bucket at their ends.  Sorts hand it on through
+// directories, so a warm sort's directories allocate nothing.
+type directory struct {
+	log    []placed
+	per    []int // each bucket's next slot while the log is filed
+	addrs  []pdm.BlockAddr
+	counts []int
+}
+
+// placed is one logged block: its bucket, address and valid key count.
+type placed struct {
+	bucket int
+	addr   pdm.BlockAddr
+	words  int
+}
+
+var directories = sync.Pool{New: func() any { return new(directory) }}
+
+// stripeSeq views a whole stripe as a blockSeq of full blocks, listed in
+// the directory.
+func (st *scatterState) stripeSeq(s *pdm.Stripe) blockSeq {
+	d := st.directory()
+	at := len(d.addrs)
+	for j := range s.Blocks() {
+		d.addrs, d.counts = append(d.addrs, s.BlockAddr(j)), append(d.counts, s.Array().B())
+	}
+	return blockSeq{addrs: d.addrs[at:len(d.addrs):len(d.addrs)], counts: d.counts[at:len(d.counts):len(d.counts)], total: s.Len()}
+}
+
+// directory returns the sort's directory, taking one on first use.
+func (st *scatterState) directory() *directory {
+	if st.dir == nil {
+		st.dir = directories.Get().(*directory)
+	}
+	return st.dir
+}
+
+// release frees the scatter stripes and hands the directory on; no
+// blockSeq the sort built may be read afterwards.
+func (st *scatterState) release() {
 	for _, s := range st.stripes {
 		s.Free()
 	}
 	st.stripes = nil
+	if d := st.dir; d != nil {
+		d.log, d.addrs, d.counts = d.log[:0], d.addrs[:0], d.counts[:0]
+		directories.Put(d)
+		st.dir = nil
+	}
 }
 
 // place returns the address of bucket's next block, holding words keys —
-// the next free row on the bucket's next rotation disk — and records it at
-// the end of the bucket's run seq.
+// the next free row on the bucket's next rotation disk — and logs it for
+// the end of the bucket's run seq (file).
 func (st *scatterState) place(a *pdm.Array, g geometry, seq *blockSeq, bucket, words int) (pdm.BlockAddr, error) {
 	d := st.nextDisk[bucket]
 	st.nextDisk[bucket] = (d + 1) % g.d
@@ -69,10 +104,34 @@ func (st *scatterState) place(a *pdm.Array, g geometry, seq *blockSeq, bucket, w
 	}
 	st.rows[d]++
 	addr := st.stripes[row/c].BlockAddr(row%c*g.d + d)
-	seq.addrs = append(seq.addrs, addr)
-	seq.counts = append(seq.counts, words)
+	dir := st.directory()
+	dir.log = append(dir.log, placed{bucket, addr, words})
 	seq.total += words
 	return addr, nil
+}
+
+// file appends the logged blocks to the directory bucket by bucket, in log
+// order within each, and points each child run at its share.
+func (st *scatterState) file(children []blockSeq) {
+	d := st.directory()
+	d.per = slices.Grow(d.per[:0], len(children))[:len(children)]
+	clear(d.per)
+	for _, p := range d.log {
+		d.per[p.bucket]++
+	}
+	at, end := len(d.addrs), len(d.addrs)+len(d.log)
+	d.addrs, d.counts = slices.Grow(d.addrs, len(d.log))[:end], slices.Grow(d.counts, len(d.log))[:end]
+	for b, n := range d.per {
+		children[b].addrs, children[b].counts = d.addrs[at:at+n:at+n], d.counts[at:at+n:at+n]
+		d.per[b] = at
+		at += n
+	}
+	for _, p := range d.log {
+		i := d.per[p.bucket]
+		d.addrs[i], d.counts[i] = p.addr, p.words
+		d.per[p.bucket]++
+	}
+	d.log = d.log[:0]
 }
 
 // scatterPass streams src one stripe per request and distributes its keys
@@ -124,7 +183,11 @@ func scatterPass(a *pdm.Array, src blockSeq, r int, bucketOf func(int64) int, st
 	if err != nil {
 		return nil, err
 	}
-	return children, sc.Flush()
+	if err := sc.Flush(); err != nil {
+		return nil, err
+	}
+	st.file(children)
+	return children, nil
 }
 
 // appender streams compacted keys into a stripe through a write-behind
@@ -157,7 +220,7 @@ func (ap *appender) append(keys []int64) error {
 				unit = ap.b
 			}
 			full := ap.fill / unit * unit
-			if err := ap.w.WriteFlat(stripeAddrs(ap.out, ap.pos, full), ap.buf[:full]); err != nil {
+			if err := ap.w.WriteStripe(ap.out, ap.pos, ap.buf[:full]); err != nil {
 				return err
 			}
 			ap.pos += full
@@ -175,7 +238,7 @@ func (ap *appender) flush() error {
 	if ap.fill%ap.b != 0 {
 		return fmt.Errorf("core: appender flush with %d keys not block aligned", ap.fill)
 	}
-	err := ap.w.WriteFlat(stripeAddrs(ap.out, ap.pos, ap.fill), ap.buf[:ap.fill])
+	err := ap.w.WriteStripe(ap.out, ap.pos, ap.buf[:ap.fill])
 	ap.pos += ap.fill
 	ap.fill = 0
 	return err
@@ -191,41 +254,45 @@ func streamBlockSeqs(a *pdm.Array, g geometry, runs []blockSeq, raw []int64, sin
 	if batchBlocks == 0 {
 		return fmt.Errorf("core: raw buffer smaller than one block")
 	}
-	var addrs []pdm.BlockAddr
-	var counts []int
-	var owner []int
-	for ri, run := range runs {
-		addrs = append(addrs, run.addrs...)
-		counts = append(counts, run.counts...)
-		for range run.addrs {
-			owner = append(owner, ri)
-		}
+	// The stream is the runs' concatenation; ends[i] is the block count
+	// of runs[:i+1], so a chunk's plan finds its first run by search and
+	// the consumer walks the runs with a cursor — no copy of the
+	// directories.
+	ends := make([]int, len(runs))
+	total := 0
+	for i, run := range runs {
+		total += len(run.addrs)
+		ends[i] = total
 	}
-	chunks := memsort.CeilDiv(len(addrs), batchBlocks)
-	rd, err := stream.NewReader(a, chunks, func(t int) []pdm.BlockAddr {
-		lo := t * batchBlocks
-		hi := lo + batchBlocks
-		if hi > len(addrs) {
-			hi = len(addrs)
+	rd, err := stream.NewReader(a, memsort.CeilDiv(total, batchBlocks), func(t int, dst []pdm.BlockAddr) []pdm.BlockAddr {
+		lo, hi := t*batchBlocks, min((t+1)*batchBlocks, total)
+		ri := sort.SearchInts(ends, lo+1)
+		for j := lo; j < hi; j++ {
+			for ends[ri] <= j {
+				ri++
+			}
+			dst = append(dst, runs[ri].addrs[j-ends[ri]+len(runs[ri].addrs)])
 		}
-		return addrs[lo:hi]
+		return dst
 	})
 	if err != nil {
 		return err
 	}
 	defer rd.Close()
-	for pos := 0; pos < len(addrs); {
-		batch := len(addrs) - pos
-		if batch > batchBlocks {
-			batch = batchBlocks
-		}
+	ri, bi := 0, 0 // the consumer's run and block
+	for pos := 0; pos < total; {
+		batch := min(total-pos, batchBlocks)
 		if err := rd.FillFlat(raw[:batch*g.b]); err != nil {
 			return err
 		}
 		for i := 0; i < batch; i++ {
-			if err := sink(owner[pos+i], raw[i*g.b:i*g.b+counts[pos+i]]); err != nil {
+			for bi == len(runs[ri].addrs) {
+				ri, bi = ri+1, 0
+			}
+			if err := sink(ri, raw[i*g.b:i*g.b+runs[ri].counts[bi]]); err != nil {
 				return err
 			}
+			bi++
 		}
 		pos += batch
 	}
@@ -298,9 +365,9 @@ func IntegerSort(a *pdm.Array, in *pdm.Stripe, r int, rearrange bool) (*Result, 
 	}
 	start := a.Stats()
 	st := &scatterState{}
-	defer st.freeStripes()
+	defer st.release()
 	a.Arena().SetPhase("integersort/scatter")
-	runs, err := scatterPass(a, stripeBlockSeq(in), r, func(k int64) int { return int(k) }, st)
+	runs, err := scatterPass(a, st.stripeSeq(in), r, func(k int64) int { return int(k) }, st)
 	if err != nil {
 		return nil, err
 	}

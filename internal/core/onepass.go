@@ -40,7 +40,7 @@ func OnePass(a *pdm.Array, in *pdm.Stripe) (*Result, error) {
 		if out, err = a.NewStripe(n); err != nil {
 			return err
 		}
-		return w.WriteFlat(stripeAddrs(out, 0, n), keys)
+		return w.WriteStripe(out, 0, keys)
 	})
 	if err != nil {
 		if out != nil {

@@ -45,9 +45,9 @@ func RadixSort(a *pdm.Array, in *pdm.Stripe, universe int64) (*Result, error) {
 
 	start := a.Stats()
 	st := &scatterState{}
-	defer st.freeStripes()
+	defer st.release()
 
-	root := &radixNode{seq: stripeBlockSeq(in)}
+	root := &radixNode{seq: st.stripeSeq(in)}
 	level := []*radixNode{root}
 	for depth := 0; depth < rounds && len(level) > 0; depth++ {
 		// Digits align to the key width, so the first round splits on the

@@ -38,17 +38,17 @@ func adoptStripes(a *pdm.Array, refs []pdm.StripeRef) ([]*pdm.Stripe, error) {
 }
 
 // viewRefs serializes strided merge views against their backing-stripe
-// list for a checkpoint manifest.
+// list for a checkpoint manifest.  Merge views run through their backing
+// stripes in order, so each search starts where the last one ended.
 func viewRefs(views []seqView, backing []*pdm.Stripe) ([]pdm.ViewRef, error) {
-	index := make(map[*pdm.Stripe]int, len(backing))
-	for i, s := range backing {
-		index[s] = i
-	}
 	refs := make([]pdm.ViewRef, len(views))
+	bi := 0
 	for i, v := range views {
-		bi, ok := index[v.s]
-		if !ok {
-			return nil, fmt.Errorf("core: view %d not on a backing stripe", i)
+		for tried := 0; len(backing) == 0 || backing[bi] != v.s; tried++ {
+			if tried >= len(backing) {
+				return nil, fmt.Errorf("core: view %d not on a backing stripe", i)
+			}
+			bi = (bi + 1) % len(backing)
 		}
 		refs[i] = pdm.ViewRef{Stripe: bi, StartBlk: v.startBlk, StrideBlk: v.strideBlk, Keys: v.keys}
 	}

@@ -127,6 +127,8 @@ func unshuffleEmit(a *pdm.Array, subseqs []*pdm.Stripe, staging []int64) emitFun
 	b := a.B()
 	d := a.D()
 	pool := a.Pool()
+	addrs := make([]pdm.BlockAddr, d)
+	views := make([][]int64, d)
 	return func(t int, chunk []int64) error {
 		for j0 := 0; j0 < sq; j0 += d {
 			cnt := d
@@ -144,13 +146,11 @@ func unshuffleEmit(a *pdm.Array, subseqs []*pdm.Stripe, staging []int64) emitFun
 					}
 				}
 			})
-			addrs := make([]pdm.BlockAddr, cnt)
-			views := make([][]int64, cnt)
 			for dj := 0; dj < cnt; dj++ {
 				addrs[dj] = subseqs[j0+dj].BlockAddr(t)
 				views[dj] = staging[dj*b : (dj+1)*b]
 			}
-			if err := a.WriteV(addrs, views); err != nil {
+			if err := a.WriteV(addrs[:cnt], views[:cnt]); err != nil {
 				return err
 			}
 		}
@@ -198,13 +198,13 @@ func outerMerge(a *pdm.Array, subseqs [][]*pdm.Stripe, l, n int) (*pdm.Stripe, e
 			return err
 		}
 		defer a.Arena().Free(scatter)
-		return stream.Pass(a, len(subseqs)*sq, func(t int) []pdm.BlockAddr {
-			return stripeAddrs(subseqs[t/sq][t%sq], 0, subLen)
+		return stream.Pass(a, len(subseqs)*sq, func(t int, dst []pdm.BlockAddr) []pdm.BlockAddr {
+			return stripeAddrs(dst, subseqs[t/sq][t%sq], 0, subLen)
 		}, buf, func(t int, sub []int64, w *stream.Writer) error {
 			// Part p at scatter[p·B:(p+1)·B] — a transpose of the
 			// subsequence viewed as B rows of l keys.
 			pool.Transpose(scatter, sub, g.b, l)
-			return w.WriteFlat(stripeAddrs(parts[t/sq][t%sq], 0, subLen), scatter)
+			return w.WriteStripe(parts[t/sq][t%sq], 0, scatter)
 		})
 	}()
 	if err != nil {
@@ -233,11 +233,10 @@ func outerMerge(a *pdm.Array, subseqs [][]*pdm.Stripe, l, n int) (*pdm.Stripe, e
 		}
 		defer a.Arena().Free(outBuf)
 		lanes := make([][]int64, l)
-		return stream.Pass(a, sq*l, func(t int) []pdm.BlockAddr {
+		return stream.Pass(a, sq*l, func(t int, addrs []pdm.BlockAddr) []pdm.BlockAddr {
 			j, p := t/l, t%l
-			addrs := make([]pdm.BlockAddr, l)
 			for i := 0; i < l; i++ {
-				addrs[i] = parts[i][j].BlockAddr(p)
+				addrs = append(addrs, parts[i][j].BlockAddr(p))
 			}
 			return addrs
 		}, inBuf, func(t int, group []int64, w *stream.Writer) error {
@@ -251,7 +250,7 @@ func outerMerge(a *pdm.Array, subseqs [][]*pdm.Stripe, l, n int) (*pdm.Stripe, e
 				return err
 			}
 			l2[j][p] = s
-			return w.WriteFlat(stripeAddrs(s, 0, subLen), outBuf)
+			return w.WriteStripe(s, 0, outBuf)
 		})
 	}()
 	freeAll2(parts)

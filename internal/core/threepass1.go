@@ -119,8 +119,7 @@ func threePass1Range(a *pdm.Array, in *pdm.Stripe, off, n int, emit emitFunc, ck
 	}
 	defer freeAll(bands)
 	if startPass < 2 {
-		err := columnPass(a, bands, func(c0, cnt int) []pdm.BlockAddr {
-			addrs := make([]pdm.BlockAddr, 0, cnt*l)
+		err := columnPass(a, bands, func(addrs []pdm.BlockAddr, c0, cnt int) []pdm.BlockAddr {
 			for _, col := range cols[c0 : c0+cnt] {
 				for k := 0; k < l; k++ {
 					addrs = append(addrs, col.BlockAddr(k))
@@ -162,8 +161,8 @@ func threePass1Range(a *pdm.Array, in *pdm.Stripe, off, n int, emit emitFunc, ck
 // the M-key bands in row-major order.
 func bandCleanup(a *pdm.Array, bands []*pdm.Stripe, emit emitFunc) error {
 	m := a.Mem()
-	return streamedCleanup(a, m, len(bands), func(t int) []pdm.BlockAddr {
-		return stripeAddrs(bands[t], 0, m)
+	return streamedCleanup(a, m, len(bands), func(t int, dst []pdm.BlockAddr) []pdm.BlockAddr {
+		return stripeAddrs(dst, bands[t], 0, m)
 	}, emit)
 }
 
@@ -187,6 +186,7 @@ func threePass1Submesh(a *pdm.Array, in *pdm.Stripe, cols []*pdm.Stripe, off, l 
 	}
 	defer a.Arena().Free(gather)
 	pool := a.Pool()
+	addrs := make([]pdm.BlockAddr, sq)
 	return stream.Pass(a, l, segments(in, off, g.m), buf, func(k int, sub []int64, w *stream.Writer) error {
 		// gather is dead until the transpose below, so the sort may use it
 		// as partitioned-merge scratch.
@@ -205,7 +205,6 @@ func threePass1Submesh(a *pdm.Array, in *pdm.Stripe, cols []*pdm.Stripe, off, l 
 				}
 			}
 		})
-		addrs := make([]pdm.BlockAddr, sq)
 		for c := 0; c < sq; c++ {
 			addrs[c] = cols[c].BlockAddr(k)
 		}
@@ -223,7 +222,7 @@ func threePass1Submesh(a *pdm.Array, in *pdm.Stripe, cols []*pdm.Stripe, off, l 
 // M/colLen) at a time so every I/O request spans ~√M blocks even when the
 // columns are short (l < D), keeping the pass fully parallel at any input
 // size.
-func columnPass(a *pdm.Array, bands []*pdm.Stripe, colAddrs func(c0, cnt int) []pdm.BlockAddr) error {
+func columnPass(a *pdm.Array, bands []*pdm.Stripe, colAddrs func(dst []pdm.BlockAddr, c0, cnt int) []pdm.BlockAddr) error {
 	g, err := checkGeometry(a)
 	if err != nil {
 		return err
@@ -239,14 +238,15 @@ func columnPass(a *pdm.Array, bands []*pdm.Stripe, colAddrs func(c0, cnt int) []
 	// The column gathers are pure address arithmetic, so the next batch of
 	// columns streams in while this one is sorted and its bands staged
 	// behind the writer.
-	return stream.Pass(a, memsort.CeilDiv(sq, batch), func(bi int) []pdm.BlockAddr {
+	var waddrs []pdm.BlockAddr
+	var wviews [][]int64
+	return stream.Pass(a, memsort.CeilDiv(sq, batch), func(bi int, dst []pdm.BlockAddr) []pdm.BlockAddr {
 		c0 := bi * batch
-		return colAddrs(c0, min(batch, sq-c0))
+		return colAddrs(dst, c0, min(batch, sq-c0))
 	}, colBuf, func(bi int, cols []int64, w *stream.Writer) error {
 		c0, cnt := bi*batch, len(cols)/colLen
 		sortColumns(a.Pool(), cols, colLen, cnt)
-		waddrs := make([]pdm.BlockAddr, 0, cnt*l)
-		wviews := make([][]int64, 0, cnt*l)
+		waddrs, wviews = waddrs[:0], wviews[:0]
 		for ci := 0; ci < cnt; ci++ {
 			col := cols[ci*colLen : (ci+1)*colLen]
 			for j := 0; j < l; j++ {

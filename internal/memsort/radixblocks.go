@@ -21,9 +21,10 @@ const blocksDigit = 11
 // 11-bit digit of the load's own key span.  Only the buckets a boundary
 // cuts are refined, each on its own span — so a load padded with MaxInt64
 // sentinels, whose span is the whole word, still splits its real keys on
-// their span one level down.  Buckets under RadixMinKeys keys go to the
-// introsort, and a bucket of equal keys is done.  On uniform keys that is
-// one scatter plus a few short sorts beside the boundaries, against
+// their span one level down.  Buckets under RadixMinKeys keys are
+// partitioned at their boundaries by Select, and a bucket of equal keys is
+// done.  On uniform keys that is
+// one scatter plus a few short partitions beside the boundaries, against
 // RadixKeys' one scatter per digit of the span.
 func RadixBlocks(a, scratch []int64, blk int) {
 	if blk <= 0 {
@@ -46,7 +47,11 @@ func radixBlocks(a, scratch []int64, blk, phase int) {
 	switch {
 	case blk-phase >= len(a): // the first boundary is not inside a
 	case len(a) < RadixMinKeys:
-		Keys(a)
+		// Only the order across each boundary matters: partition at
+		// every one, each Select in what the one before left above it.
+		for lo, p := 0, blk-phase; p < len(a); lo, p = p, p+blk {
+			Select(a[lo:], p-lo)
+		}
 	default:
 		radixBlocksLevel(a, scratch, blk, phase)
 	}

@@ -15,6 +15,14 @@ import (
 // the model's M (times the configured slack) in tests.  Free keeps the
 // buffer for a later Alloc, so a warm array allocates nothing through its
 // arena.
+//
+// Alloc hands out the smallest kept buffer that holds the request and
+// makes one only when none does, first dropping kept buffers (the smallest
+// whose loss alone makes room, else the largest, until they fit) so that
+// the kept capacities and the keys in use stay within the capacity.  The
+// bound is checked when a buffer is made, not when one is freed, so a run
+// keeps what its busiest moment held, and that serves every moment of the
+// next run (ARCHITECTURE.md, "Scratch from the arena").
 type Arena struct {
 	mu       sync.Mutex
 	capacity int
@@ -24,7 +32,7 @@ type Arena struct {
 	phases   map[string]int
 	phase    string
 	kept     [][]int64 // buffers Free keeps for Alloc
-	keptKeys int       // their summed capacities, at most capacity
+	keptKeys int       // their summed capacities
 	made     int       // keys Alloc allocated because nothing kept fit
 }
 
@@ -49,18 +57,25 @@ func (ar *Arena) Alloc(n int) ([]int64, error) {
 }
 
 // reuse unkeeps and returns the smallest kept buffer that holds n keys,
-// resliced to n, or nil, having counted the n keys Alloc will make.
+// resliced to n, or nil, having made room for and counted the n keys Alloc
+// will make.  The n keys are already reserved.
 func (ar *Arena) reuse(n int) []int64 {
 	ar.mu.Lock()
 	defer ar.mu.Unlock()
-	i := ar.smallest(n)
-	if i < 0 || n == 0 {
-		ar.made += n
-		return nil
+	if i := ar.smallest(n); i >= 0 && n > 0 {
+		buf := ar.kept[i]
+		ar.unkeep(i)
+		return buf[:n]
 	}
-	buf := ar.kept[i]
-	ar.unkeep(i)
-	return buf[:n]
+	for len(ar.kept) > 0 && ar.keptKeys+ar.used > ar.capacity {
+		i := ar.smallest(ar.keptKeys + ar.used - ar.capacity)
+		if i < 0 {
+			i = ar.largest()
+		}
+		ar.unkeep(i)
+	}
+	ar.made += n
+	return nil
 }
 
 // MustAlloc is Alloc for callers (tests, examples) that treat exhaustion as
@@ -74,13 +89,7 @@ func (ar *Arena) MustAlloc(n int) []int64 {
 }
 
 // Free releases the len(buf) keys of a buffer Alloc returned and keeps the
-// buffer for a later Alloc, so the caller must not touch it again.  The
-// kept buffers' capacities sum to at most the arena's capacity, so the
-// memory an arena holds for reuse never exceeds what it meters.  Past it,
-// Free drops the smallest kept buffer whose loss alone brings them back
-// within it (buf itself qualifies, the others having fit): the small
-// buffers a run takes many of at once, kernel scratch among them, survive
-// next to its memory loads.
+// buffer for a later Alloc, so the caller must not touch it again.
 func (ar *Arena) Free(buf []int64) {
 	ar.Release(len(buf))
 	ar.mu.Lock()
@@ -90,9 +99,6 @@ func (ar *Arena) Free(buf []int64) {
 	}
 	ar.kept = append(ar.kept, buf)
 	ar.keptKeys += cap(buf)
-	if excess := ar.keptKeys - ar.capacity; excess > 0 {
-		ar.unkeep(ar.smallest(excess))
-	}
 }
 
 // smallest returns the index of the smallest kept buffer whose capacity is
@@ -101,6 +107,18 @@ func (ar *Arena) smallest(n int) int {
 	best := -1
 	for i, buf := range ar.kept {
 		if cap(buf) >= n && (best < 0 || cap(buf) < cap(ar.kept[best])) {
+			best = i
+		}
+	}
+	return best
+}
+
+// largest returns the index of the largest kept buffer.  ar.mu must be
+// held and a buffer kept.
+func (ar *Arena) largest() int {
+	best := 0
+	for i, buf := range ar.kept {
+		if cap(buf) > cap(ar.kept[best]) {
 			best = i
 		}
 	}

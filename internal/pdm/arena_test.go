@@ -153,9 +153,10 @@ func TestArenaReleaseUnderflowPanics(t *testing.T) {
 
 // TestArenaAllocReuse: Free releases the keys and keeps the buffer, and
 // Alloc hands back the smallest kept buffer that holds the request,
-// resliced and zeroed; a refused Alloc is counted and takes nothing; the
-// kept buffers never sum past the arena's capacity, the smallest one whose
-// loss suffices going first.
+// resliced and zeroed; a refused Alloc is counted and takes nothing; an
+// Alloc that makes a buffer first drops kept ones until they fit the
+// capacity beside the keys in use, the smallest one whose loss suffices
+// going first, else the largest.
 func TestArenaAllocReuse(t *testing.T) {
 	ar := NewArena(100)
 	a := ar.MustAlloc(10)
@@ -203,17 +204,26 @@ func TestArenaAllocReuse(t *testing.T) {
 			caps = append(caps, cap(k))
 		}
 		slices.Sort(caps)
-		if !slices.Equal(caps, want) || ar.keptKeys > ar.Capacity() || ar.InUse() != 0 {
-			t.Fatalf("kept %v (%d keys), InUse %d; want %v, at most %d keys, InUse 0",
+		if !slices.Equal(caps, want) || ar.keptKeys+ar.InUse() > ar.Capacity() {
+			t.Fatalf("kept %v (%d keys), InUse %d; want %v, at most %d keys with those in use",
 				caps, ar.keptKeys, ar.InUse(), want, ar.Capacity())
 		}
 	}
+	// Making y's 40 keys beside x's 60 left no room for the 10- and 12-key
+	// buffers; neither made room alone, so the larger went first.
+	keptCaps()
 	ar.Free(x)
-	ar.Free(y) // 12 + 10 + 60 + 40 > 100: the 40-key buffer goes, not the small ones
-	keptCaps(10, 12, 60)
-	z := ar.MustAlloc(30) // the 60-key buffer
-	w := ar.MustAlloc(25) // fresh
-	ar.Free(w)
-	ar.Free(z) // 12 + 10 + 25 + 60 > 100: the 10-key buffer is the smallest that suffices
-	keptCaps(12, 25, 60)
+	ar.Free(y)
+	keptCaps(40, 60) // Free keeps them all
+	ar = NewArena(100)
+	small := [][]int64{ar.MustAlloc(5), ar.MustAlloc(20), ar.MustAlloc(30)}
+	for _, buf := range small {
+		ar.Free(buf)
+	}
+	x = ar.MustAlloc(60) // 55 kept + 60 > 100: the 20-key buffer alone makes room
+	keptCaps(5, 30)
+	ar.Free(x)
+	y = ar.MustAlloc(90) // 95 kept + 90: none makes room alone; the 60 goes, then the 30
+	keptCaps(5)
+	ar.Free(y)
 }

@@ -90,7 +90,7 @@ func TestInlineTransferConcurrentCallers(t *testing.T) {
 			return err
 		}
 		for r := 0; r < dstRows; r++ {
-			addrs, err := dst.AddrRange(r*dxb, dxb)
+			addrs, err := dst.AppendAddrs(nil, r*dxb, dxb)
 			if err != nil {
 				return err
 			}
@@ -191,7 +191,7 @@ func TestReadVNeitherForksNorAllocates(t *testing.T) {
 			if err := s.WriteAt(0, flat); err != nil {
 				t.Fatal(err)
 			}
-			addrs, err := s.AddrRange(0, s.Len())
+			addrs, err := s.AppendAddrs(nil, 0, s.Len())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -12,17 +12,18 @@ import (
 // order on the calling goroutine, except on disks that park their caller
 // (see transferV).  Buffers must each have length B.
 func (a *Array) ReadV(addrs []BlockAddr, bufs [][]int64) error {
-	return a.execV(addrs, bufs, false)
+	return a.execV(nil, addrs, bufs, false)
 }
 
 // WriteV writes bufs[i] to addrs[i] for all i, with the same cost accounting
 // and execution as ReadV.
 func (a *Array) WriteV(addrs []BlockAddr, bufs [][]int64) error {
-	return a.execV(addrs, bufs, true)
+	return a.execV(nil, addrs, bufs, true)
 }
 
-func (a *Array) execV(addrs []BlockAddr, bufs [][]int64, write bool) error {
-	if err := a.TransferV(addrs, bufs, write); err != nil {
+// execV is a charged transferV.
+func (a *Array) execV(g *runs, addrs []BlockAddr, bufs [][]int64, write bool) error {
+	if err := a.transferV(g, addrs, bufs, write); err != nil {
 		return err
 	}
 	a.ChargeV(addrs, write)
@@ -54,28 +55,31 @@ func (a *Array) ValidateV(addrs []BlockAddr, bufs [][]int64) error {
 // computation while charging each logical request exactly once through
 // ChargeV, so the PDM cost model cannot observe the overlap.
 func (a *Array) TransferV(addrs []BlockAddr, bufs [][]int64, write bool) error {
+	return a.transferV(nil, addrs, bufs, write)
+}
+
+// transferV is TransferV, moving the request's blocks on the calling
+// goroutine: the streaming layer's prefetch and write-behind goroutines
+// already are the overlap.  On extent-capable arrays each disk's blocks go
+// out as runs of consecutive offsets, one ReadBlocks/WriteBlocks call per
+// run (see runs), cut in g or, when g is nil, in a scratch of the
+// request's size; otherwise one block call each, in request order.  Only
+// when the disks park their caller (LatencyDisk) does it fork, one
+// goroutine per participating disk, so that a request waits max_d(#blocks
+// on disk d) service times — one per parallel I/O step, as the model
+// charges — instead of their sum.
+func (a *Array) transferV(g *runs, addrs []BlockAddr, bufs [][]int64, write bool) error {
 	if err := a.CtxErr(); err != nil {
 		return err
 	}
 	if err := a.ValidateV(addrs, bufs); err != nil {
 		return err
 	}
-	return a.transferV(addrs, bufs, write)
-}
-
-// transferV moves the request's blocks on the calling goroutine: the
-// streaming layer's prefetch and write-behind goroutines already are the
-// overlap.  On extent-capable arrays each disk's blocks go out as runs of
-// consecutive offsets, one ReadBlocks/WriteBlocks call per run (see runs);
-// otherwise one block call each, in request order.  Only when the disks
-// park their caller (LatencyDisk) does it fork, one goroutine per
-// participating disk, so that a request waits max_d(#blocks on disk d)
-// service times — one per parallel I/O step, as the model charges —
-// instead of their sum.
-func (a *Array) transferV(addrs []BlockAddr, bufs [][]int64, write bool) error {
 	if a.ext != nil {
-		g := a.takeRuns()
-		defer a.putRuns(g)
+		if g == nil {
+			g = a.takeRuns(len(addrs))
+			defer a.putRuns(g)
+		}
 		return g.move(a.ext, addrs, bufs, write)
 	}
 	if !a.fanOut {
@@ -128,8 +132,10 @@ func (a *Array) transferOn(d int, addrs []BlockAddr, bufs [][]int64, write bool)
 // order, then cut wherever the next offset is not the previous one plus one.
 // A stripe row range thus becomes one run per disk — k rows, k blocks per
 // call.  The array keeps freed scratch for the next transfer (takeRuns,
-// putRuns), so a transfer allocates only while its request outgrows every
-// scratch on hand.
+// putRuns), and a transfer takes the smallest that holds its request, so
+// it allocates only while its request outgrows every scratch on hand: the
+// whole-stripe stages of a sort keep finding the scratch they grew, though
+// the pass transfers between them take and return scratch in any order.
 type runs struct {
 	end  []int     // per disk: the end of its blocks in off and bufs
 	off  []int     // block offsets, grouped by disk
@@ -183,17 +189,36 @@ func (g *runs) move(disks []ExtentDisk, addrs []BlockAddr, bufs [][]int64, write
 	return nil
 }
 
-// takeRuns hands the calling transfer a scratch of its own.
-func (a *Array) takeRuns() *runs {
+// takeRuns hands the calling transfer of nb blocks a scratch of its own:
+// the smallest kept one that holds nb blocks, else the largest.
+func (a *Array) takeRuns(nb int) *runs {
 	a.runsMu.Lock()
 	defer a.runsMu.Unlock()
-	if n := len(a.freeRuns); n > 0 {
-		g := a.freeRuns[n-1]
-		a.freeRuns = a.freeRuns[:n-1]
-		return g
+	if len(a.freeRuns) == 0 {
+		return new(runs)
 	}
-	return new(runs)
+	best := -1
+	for i, g := range a.freeRuns {
+		if g.size() >= nb && (best < 0 || g.size() < a.freeRuns[best].size()) {
+			best = i
+		}
+	}
+	if best < 0 {
+		best = 0
+		for i, g := range a.freeRuns {
+			if g.size() > a.freeRuns[best].size() {
+				best = i
+			}
+		}
+	}
+	g := a.freeRuns[best]
+	a.freeRuns = slices.Delete(a.freeRuns, best, best+1)
+	return g
 }
+
+// size is the longest request g holds without growing: a stage's views or
+// a move's blocks.
+func (g *runs) size() int { return max(cap(g.views), cap(g.bufs)) }
 
 // putRuns keeps g for a later transfer.
 func (a *Array) putRuns(g *runs) {
@@ -208,31 +233,33 @@ func (a *Array) putRuns(g *runs) {
 // them in LatencyDisk) reports false and callers use the copying path.
 func (a *Array) ZeroCopy() bool { return a.zc != nil }
 
-// BorrowReadV returns direct views of the addressed blocks, in request
-// order, WITHOUT copying, charging steps, or recording the trace — the
-// zero-copy analogue of TransferV(write=false).  Callers pair it with
-// ChargeV exactly once per logical request, in program order, so stats
-// and traces are identical to the copying execution.  Views stay valid
-// until the array is closed and must not be written through.
-func (a *Array) BorrowReadV(addrs []BlockAddr) ([][]int64, error) {
+// BorrowReadV points views[i] at a direct view of block addrs[i] WITHOUT
+// copying, charging steps, or recording the trace — the zero-copy analogue
+// of TransferV(write=false).  Callers pair it with ChargeV exactly once
+// per logical request, in program order, so stats and traces are
+// identical to the copying execution.  Views stay valid until the array
+// is closed and must not be written through.
+func (a *Array) BorrowReadV(addrs []BlockAddr, views [][]int64) error {
 	if a.zc == nil {
-		return nil, errNoZeroCopy
+		return errNoZeroCopy
 	}
 	if err := a.CtxErr(); err != nil {
-		return nil, err
+		return err
+	}
+	if len(views) != len(addrs) {
+		return fmt.Errorf("pdm: %d addrs but %d views", len(addrs), len(views))
 	}
 	if err := a.validateAddrs(addrs); err != nil {
-		return nil, err
+		return err
 	}
-	views := make([][]int64, len(addrs))
 	for i, ad := range addrs {
 		v, err := a.zc[ad.Disk].ReadBlockZero(ad.Off)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		views[i] = v
 	}
-	return views, nil
+	return nil
 }
 
 // BorrowWrite returns a writable view of block addr, growing the disk to

@@ -279,8 +279,8 @@ func TestArrayBorrowReadV(t *testing.T) {
 	if err := a.WriteV(addrs, bufs); err != nil {
 		t.Fatal(err)
 	}
-	views, err := a.BorrowReadV(addrs)
-	if err != nil {
+	views := make([][]int64, len(addrs))
+	if err := a.BorrowReadV(addrs, views); err != nil {
 		t.Fatal(err)
 	}
 	for k := range views {
@@ -302,7 +302,7 @@ func TestArrayBorrowReadV(t *testing.T) {
 	if mem.ZeroCopy() {
 		t.Fatal("MemDisk array reports ZeroCopy")
 	}
-	if _, err := mem.BorrowReadV(addrs); !errors.Is(err, errNoZeroCopy) {
+	if err := mem.BorrowReadV(addrs, views); !errors.Is(err, errNoZeroCopy) {
 		t.Fatalf("BorrowReadV on mem array: err = %v, want errNoZeroCopy", err)
 	}
 	if _, err := mem.BorrowWrite(addrs[0]); !errors.Is(err, errNoZeroCopy) {

@@ -83,7 +83,7 @@ func TestTransferVMovesRowsInOneCallPerDisk(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				addrs, err := s.AddrRange(a.StripeWidth(), rows*a.StripeWidth()) // rows 1..rows
+				addrs, err := s.AppendAddrs(nil, a.StripeWidth(), rows*a.StripeWidth()) // rows 1..rows
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -197,7 +197,7 @@ func TestTransferVRunsAllocateNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addrs, err := s.AddrRange(0, s.Len())
+	addrs, err := s.AppendAddrs(nil, 0, s.Len())
 	if err != nil {
 		t.Fatal(err)
 	}

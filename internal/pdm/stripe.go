@@ -137,20 +137,20 @@ func (s *Stripe) BlockAddr(j int) BlockAddr {
 // Skew returns the stripe's disk-rotation offset.
 func (s *Stripe) Skew() int { return s.skew }
 
-// AddrRange returns the addresses of the blocks covering keys
+// AppendAddrs appends to dst the addresses of the blocks covering keys
 // [keyOff, keyOff+nKeys), in logical order — the request the sequential
-// ReadAt/WriteAt would issue.  The streaming layer uses it to pre-plan
-// chunk requests.
-func (s *Stripe) AddrRange(keyOff, nKeys int) ([]BlockAddr, error) {
+// ReadAt/WriteAt would issue — and returns the extended slice.  The
+// streaming layer's plans fill their recycled buffers with it.
+func (s *Stripe) AppendAddrs(dst []BlockAddr, keyOff, nKeys int) ([]BlockAddr, error) {
 	if err := s.CheckRange(keyOff, nKeys); err != nil {
-		return nil, err
+		return dst, err
 	}
 	b := s.a.cfg.B
-	return s.appendAddrs(make([]BlockAddr, 0, nKeys/b), keyOff/b, nKeys/b), nil
+	return s.appendAddrs(dst, keyOff/b, nKeys/b), nil
 }
 
 // CheckRange rejects a key range [keyOff, keyOff+nKeys) that is not
-// block-aligned or not inside the stripe: the check AddrRange makes,
+// block-aligned or not inside the stripe: the check AppendAddrs makes,
 // without the address list.
 func (s *Stripe) CheckRange(keyOff, nKeys int) error {
 	b := s.a.cfg.B
@@ -164,8 +164,9 @@ func (s *Stripe) CheckRange(keyOff, nKeys int) error {
 }
 
 // appendAddrs appends the addresses of logical blocks [first, first+nb) to
-// dst.
+// dst, growing it at most once.
 func (s *Stripe) appendAddrs(dst []BlockAddr, first, nb int) []BlockAddr {
+	dst = slices.Grow(dst, nb)
 	for j := first; j < first+nb; j++ {
 		dst = append(dst, s.BlockAddr(j))
 	}
@@ -193,12 +194,12 @@ func (s *Stripe) transferAt(keyOff int, flat []int64, write bool) error {
 		return err
 	}
 	a, b := s.a, s.a.cfg.B
-	g := a.takeRuns()
+	g := a.takeRuns(len(flat) / b)
 	defer a.putRuns(g)
 	defer clear(g.views) // hold no caller memory between transfers
 	g.addrs = s.appendAddrs(g.addrs[:0], keyOff/b, len(flat)/b)
 	g.views = appendBlocks(g.views[:0], flat, b)
-	return a.execV(g.addrs, g.views, write)
+	return a.execV(g, g.addrs, g.views, write)
 }
 
 // Load writes data into the stripe without touching the I/O statistics or
@@ -225,7 +226,7 @@ func (s *Stripe) LoadPadded(data []int64, sentinel int64) error {
 	}
 	a, b := s.a, s.a.cfg.B
 	whole := len(data) / b * b
-	g := a.takeRuns()
+	g := a.takeRuns(s.nb)
 	defer a.putRuns(g)
 	g.views = appendBlocks(g.views[:0], data[:whole], b)
 	g.blk = slices.Grow(g.blk[:0], 2*b)[:2*b]
@@ -267,7 +268,7 @@ func (s *Stripe) UnloadInto(dst []int64) error {
 	}
 	a, b := s.a, s.a.cfg.B
 	whole := len(dst) / b * b
-	g := a.takeRuns()
+	g := a.takeRuns(s.nb)
 	defer a.putRuns(g)
 	g.views = appendBlocks(g.views[:0], dst[:whole], b)
 	var last []int64
@@ -285,11 +286,11 @@ func (s *Stripe) UnloadInto(dst []int64) error {
 
 // stage moves the stripe's first len(g.views) logical blocks into or out
 // of g.views, uncharged, as one request, then drops the views: on
-// extent-capable arrays transferV makes it one run per disk — disk d holds
-// blocks j ≡ d−skew (mod D) at rows row0, row0+1, … — and otherwise one
-// block call each.
+// extent-capable arrays the move, in g too, makes it one run per disk —
+// disk d holds blocks j ≡ d−skew (mod D) at rows row0, row0+1, … — and
+// otherwise one block call each.
 func (s *Stripe) stage(g *runs, write bool) error {
 	defer clear(g.views) // hold no caller memory between transfers
 	g.addrs = s.appendAddrs(g.addrs[:0], 0, len(g.views))
-	return s.a.TransferV(g.addrs, g.views, write)
+	return s.a.transferV(g, g.addrs, g.views, write)
 }

@@ -113,11 +113,11 @@ func (p *permuter) gatherFrom(store *pdm.Stripe) (err error) {
 	off := 0
 	for i := 0; i < p.n; i++ {
 		srcOff[i] = off
-		off += p.wlen[i]
+		off += p.wlen(i)
 	}
 	maxBlocks := 0
-	for _, w := range p.wlen {
-		if nb := (w + 2*(p.b-1)) / p.b; nb > maxBlocks {
+	for i := range p.n {
+		if nb := (p.wlen(i) + 2*(p.b-1)) / p.b; nb > maxBlocks {
 			maxBlocks = nb
 		}
 	}
@@ -135,7 +135,7 @@ func (p *permuter) gatherFrom(store *pdm.Stripe) (err error) {
 	flushed := 0
 	flush := func(upTo int) error {
 		for flushed+chunkLen <= upTo {
-			addrs, err := p.out.AddrRange(flushed, chunkLen)
+			addrs, err := p.out.AppendAddrs(nil, flushed, chunkLen)
 			if err != nil {
 				return err
 			}
@@ -151,11 +151,11 @@ func (p *permuter) gatherFrom(store *pdm.Stripe) (err error) {
 	}
 	for j := 0; j < p.n; j++ {
 		i := p.perm[j]
-		if p.wlen[i] == 0 {
+		if p.wlen(i) == 0 {
 			continue
 		}
 		first := srcOff[i] / p.b
-		last := (srcOff[i] + p.wlen[i] - 1) / p.b
+		last := (srcOff[i] + p.wlen(i) - 1) / p.b
 		nb := last - first + 1
 		addrs := make([]pdm.BlockAddr, nb)
 		for k := range addrs {
@@ -164,8 +164,8 @@ func (p *permuter) gatherFrom(store *pdm.Stripe) (err error) {
 		if err := p.a.ReadV(addrs, splitFlat(scratch[:nb*p.b], p.b)); err != nil {
 			return fmt.Errorf("records: gather of record %d (output position %d): %w", i, j, err)
 		}
-		words := scratch[srcOff[i]-first*p.b : srcOff[i]-first*p.b+p.wlen[i]]
-		for w := 0; w < p.wlen[i]; w++ {
+		words := scratch[srcOff[i]-first*p.b : srcOff[i]-first*p.b+p.wlen(i)]
+		for w := 0; w < p.wlen(i); w++ {
 			d := p.starts[j] + w
 			for d-flushed >= chunkLen {
 				if err := flush(flushed + chunkLen); err != nil {
@@ -176,7 +176,7 @@ func (p *permuter) gatherFrom(store *pdm.Stripe) (err error) {
 		}
 	}
 	if flushed < p.padded {
-		addrs, err := p.out.AddrRange(flushed, p.padded-flushed)
+		addrs, err := p.out.AppendAddrs(nil, flushed, p.padded-flushed)
 		if err != nil {
 			return err
 		}

@@ -112,17 +112,14 @@ type permuter struct {
 	chunk int
 	maxF  int
 
-	n     int
-	lens  []int // payload byte lengths, original order
-	wlen  []int // payload word lengths, original order
-	perm  []int
-	destw []int // destination word offset of record i (original index)
+	n        int
+	payloads [][]byte // the caller's, original order
+	perm     []int
+	destw    []int // destination word offset of record i (original index)
 
 	// Destination-order extents for analytic partition sizing: starts[j] is
-	// the first output word of sorted position j, nzcnt[j] the number of
-	// non-empty records among sorted positions [0, j).
+	// the first output word of sorted position j.
 	starts []int
-	nzcnt  []int
 
 	words  int
 	padded int
@@ -138,6 +135,9 @@ type permuter struct {
 	levels int
 	fanout int
 }
+
+// wlen returns record i's payload length in words.
+func (p *permuter) wlen(i int) int { return wordsFor(len(p.payloads[i])) }
 
 // Permute moves payloads into perm order through the array's charged I/O:
 // perm[j] names the input record that lands at output position j.  The
@@ -175,33 +175,22 @@ func newPermuter(a *pdm.Array, payloads [][]byte, perm []int) (*permuter, error)
 	if len(perm) != n {
 		return nil, fmt.Errorf("records: %d payloads but %d permutation entries", n, len(perm))
 	}
-	seen := make([]bool, n)
+	seen := make([]uint64, (n+63)/64)
 	for j, i := range perm {
-		if i < 0 || i >= n || seen[i] {
+		if i < 0 || i >= n || seen[i/64]&(1<<(i%64)) != 0 {
 			return nil, fmt.Errorf("records: perm[%d] = %d is not a permutation of %d records", j, i, n)
 		}
-		seen[i] = true
+		seen[i/64] |= 1 << (i % 64)
 	}
-	p := &permuter{a: a, b: a.B(), n: n, perm: perm}
+	p := &permuter{a: a, b: a.B(), n: n, payloads: payloads, perm: perm}
 	p.chunk, p.maxF = scatterGeometry(a.Mem(), a.B())
-	p.lens = make([]int, n)
-	p.wlen = make([]int, n)
-	for i, pl := range payloads {
-		p.lens[i] = len(pl)
-		p.wlen[i] = wordsFor(len(pl))
-	}
 	p.destw = make([]int, n)
 	p.starts = make([]int, n+1)
-	p.nzcnt = make([]int, n+1)
 	off := 0
 	for j, i := range perm {
 		p.starts[j] = off
-		p.nzcnt[j+1] = p.nzcnt[j]
-		if p.wlen[i] > 0 {
-			p.nzcnt[j+1]++
-		}
 		p.destw[i] = off
-		off += p.wlen[i]
+		off += p.wlen(i)
 	}
 	p.starts[n] = off
 	p.words = off
@@ -218,9 +207,9 @@ func newPermuter(a *pdm.Array, payloads [][]byte, perm []int) (*permuter, error)
 func (p *permuter) loadStore(payloads [][]byte) (*pdm.Stripe, error) {
 	buf := wordview.Bytes(p.img)
 	off := 0
-	for i, pl := range payloads {
+	for _, pl := range payloads {
 		copy(buf[8*off:], pl)
-		off += p.wlen[i]
+		off += wordsFor(len(pl))
 	}
 	wordview.LE(p.img)
 	st, err := p.a.NewStripe(p.padded)
@@ -265,7 +254,8 @@ func (p *permuter) unload(res *Result) error {
 	buf := wordview.Bytes(p.img)
 	for j, i := range p.perm {
 		at := 8 * p.starts[j]
-		res.Out[j] = buf[at : at+p.lens[i] : at+p.lens[i]]
+		n := len(p.payloads[i])
+		res.Out[j] = buf[at : at+n : at+n]
 	}
 	return nil
 }
@@ -363,19 +353,21 @@ type child struct {
 // nodeWords returns the exact serialized size of the partition holding
 // every record piece destined for output words [lo, hi): the clipped data
 // plus one header per resident segment.
-func (p *permuter) nodeWords(lo, hi int) (words, segments int) {
+func (p *permuter) nodeWords(lo, hi int) int {
 	if lo >= p.words {
-		return 0, 0
+		return 0
 	}
-	if hi > p.words {
-		hi = p.words
+	hi = min(hi, p.words)
+	// Sorted positions whose extent overlaps [lo, hi) form one run, since
+	// extents tile [0, words) in destination order; each non-empty one is
+	// a segment.  A level sizes its children so: one look per record.
+	words := hi - lo
+	for j := sort.Search(p.n, func(j int) bool { return p.starts[j+1] > lo }); j < p.n && p.starts[j] < hi; j++ {
+		if p.starts[j+1] > p.starts[j] {
+			words += headerWords
+		}
 	}
-	// Sorted positions whose extent overlaps [lo, hi): extents tile
-	// [0, words) in destination order, so they form one contiguous run.
-	a := sort.Search(p.n, func(j int) bool { return p.starts[j+1] > lo })
-	b := sort.Search(p.n, func(j int) bool { return p.starts[j] >= hi })
-	segments = p.nzcnt[b] - p.nzcnt[a]
-	return (hi - lo) + headerWords*segments, segments
+	return words
 }
 
 // scatter reads src sequentially and routes every segment into one of the
@@ -404,7 +396,7 @@ func (p *permuter) scatter(lo, hi int, src *nodeSource) (children []*child, err 
 		if chi > hi {
 			chi = hi
 		}
-		words, _ := p.nodeWords(clo, chi)
+		words := p.nodeWords(clo, chi)
 		ch := &child{lo: clo, hi: chi, words: words}
 		if words > 0 {
 			stripe, err := p.a.NewStripeSkew(memsort.CeilDiv(words, p.b)*p.b, c*max(1, p.a.D()/f))
@@ -468,11 +460,7 @@ func (p *permuter) place(lo, hi int, src *nodeSource) error {
 	if err != nil {
 		return err
 	}
-	addrs, err := p.out.AddrRange(lo, hi-lo)
-	if err != nil {
-		return err
-	}
-	return p.outw.WriteFlat(addrs, buf)
+	return p.outw.WriteStripe(p.out, lo, buf)
 }
 
 // nodeSource yields a node's segments in serialized order: either the root
@@ -506,11 +494,11 @@ func (s *nodeSource) scan(fn func(dest, nw int, ws *wordStream) error) error {
 			return err
 		}
 		defer ws.close()
-		for i := 0; i < p.n; i++ {
-			if p.wlen[i] == 0 {
+		for i, pl := range p.payloads {
+			if len(pl) == 0 {
 				continue
 			}
-			if err := fn(p.destw[i], p.wlen[i], ws); err != nil {
+			if err := fn(p.destw[i], wordsFor(len(pl)), ws); err != nil {
 				return err
 			}
 		}

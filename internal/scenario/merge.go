@@ -87,11 +87,7 @@ func Merge(a *pdm.Array, x, y *pdm.Stripe) (*pdm.Stripe, error) {
 		if nst == 0 {
 			return nil
 		}
-		addrs, err := out.AddrRange(wrote, nst)
-		if err != nil {
-			return err
-		}
-		if err := w.WriteFlat(addrs, staging[:nst]); err != nil {
+		if err := w.WriteStripe(out, wrote, staging[:nst]); err != nil {
 			return err
 		}
 		wrote += nst

@@ -5,10 +5,8 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"runtime"
 	"slices"
 	"testing"
-	"unsafe"
 
 	"repro/internal/pdm"
 	"repro/internal/plan"
@@ -100,40 +98,6 @@ func TestFilterMatchesOracle(t *testing.T) {
 	}
 	if _, err := Filter(a, in, 0, math.MaxInt64, false, n); err == nil {
 		t.Fatal("Filter accepted a threshold that keeps the padding sentinels")
-	}
-}
-
-// TestWarmFilterAllocatesOneAddressList pins what a warm filter pass
-// allocates: the arena hands its buffers back, and the stream's range
-// check is arithmetic, so what is left is the prefetcher's per-chunk
-// address lists — one address per block of the input, and not a second
-// list built only to validate the range.
-func TestWarmFilterAllocatesOneAddressList(t *testing.T) {
-	a, err := pdm.New(pdm.Config{D: testD, B: testB, Mem: testMem, Pipeline: pdm.PipelineConfig{Prefetch: 2, WriteBehind: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	const n = 1 << 18
-	in := stage(t, a, randomKeys(n, 1<<40, 5), n)
-	pass := func() {
-		if err := FilterKept(a, in, 0, -1, false, 64, func([]int64, int) error { return nil }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pass() // warm the arena
-	const runs = 4
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for range runs {
-		pass()
-	}
-	runtime.ReadMemStats(&after)
-	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
-	list := float64(n / testB * int(unsafe.Sizeof(pdm.BlockAddr{})))
-	t.Logf("a warm filter pass allocates %.0f bytes; one address list is %.0f", bytes, list)
-	if bytes > 1.25*list {
-		t.Fatalf("a warm filter pass allocated %.0f bytes, over 1.25 address lists of %.0f bytes", bytes, list)
 	}
 }
 

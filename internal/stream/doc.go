@@ -43,6 +43,20 @@
 // pdm.PipelineConfig every constructor degenerates to the synchronous path
 // with no goroutines and no extra memory.
 //
+// A read plan is address arithmetic into a buffer it is handed:
+// plan(t, dst) appends chunk t's block addresses to the empty dst and
+// returns the result, which the Reader hands back for the next plan.  The
+// prefetcher plans a chunk into its buffer to fetch it and the consumer
+// plans it again into its own to charge it, so a plan is pure and safe on
+// two goroutines at once.  A Writer copies the addresses of every Write
+// into its staging (or has written them when it returns), so a producer
+// rebuilds one write list in place for every chunk, and WriteStripe lists
+// a stripe range in the Writer's own buffer.  Those buffers, the block
+// views of the caller's memory and of the slots, and the transfer lists
+// are a Reader's or Writer's lists, which Close hands to the next
+// constructor through a pool: a warm pass allocates a constant, not a
+// list per chunk.
+//
 // A Reader, Writer or Scatter must be driven from a single goroutine;
 // distinct ones on one array may run concurrently.
 package stream

@@ -7,25 +7,26 @@ import (
 )
 
 // Pass drives one read–compute–write pass over chunks chunks.  Chunk t's
-// blocks, readAddrs(t), are read into the head of buf, which must hold the
-// largest chunk; body(t, chunk, w) computes on them and submits the chunk's
-// writes to w.  With pipelining configured on the array, chunk t+1 is
-// prefetched and earlier writes are flushed while body runs, and a zero
-// pipeline configuration makes it the synchronous loop; either way the
-// reads are charged as body receives them and the writes as body submits
-// them.  readAddrs follows NewReader's rules (it may run on the prefetch
-// goroutine) and is called once per chunk.  The writer's staging is taken
-// at body's first write.  The first error — a read, body's, or the final
-// flush — ends the pass; the staging and prefetch ring go back to the arena
-// on every path.
-func Pass(a *pdm.Array, chunks int, readAddrs func(t int) []pdm.BlockAddr, buf []int64,
+// blocks, planned by plan(t, dst), are read into the head of buf, which
+// must hold the largest chunk; body(t, chunk, w) computes on them and
+// submits the chunk's writes to w, which copies the addresses and blocks
+// of each write, so body may rebuild one write list for every chunk.  With
+// pipelining configured on the array, chunk t+1 is prefetched and earlier
+// writes are flushed while body runs, and a zero pipeline configuration
+// makes it the synchronous loop; either way the reads are charged as body
+// receives them and the writes as body submits them.  plan follows
+// NewReader's rules: pure address arithmetic into the buffer it is
+// handed.  The writer's staging is taken at body's first write.  The first
+// error — a read, body's, or the final flush — ends the pass; the staging
+// and prefetch ring go back to the arena on every path.
+func Pass(a *pdm.Array, chunks int, plan func(t int, dst []pdm.BlockAddr) []pdm.BlockAddr, buf []int64,
 	body func(t int, chunk []int64, w *Writer) error) error {
-	r, err := NewReader(a, chunks, readAddrs)
+	r, err := NewReader(a, chunks, plan)
 	if err != nil {
 		return err
 	}
 	defer r.Close()
-	w := &Writer{a: a, lazy: true}
+	w := &Writer{lists: takeLists(), a: a, lazy: true}
 	defer w.Close()
 	views := carve(&r.views, buf, a.B())
 	for t := 0; t < chunks; t++ {
@@ -54,17 +55,13 @@ func Pipe(src, dst *pdm.Stripe, buf []int64, transform func(off int, chunk []int
 	if chunk <= 0 || chunk%a.B() != 0 {
 		return fmt.Errorf("stream: Pipe buffer of %d keys with B = %d", chunk, a.B())
 	}
-	chunks, readAddrs := stripeChunks(src, 0, n, chunk)
-	return Pass(a, chunks, readAddrs, buf, func(t int, keys []int64, w *Writer) error {
+	chunks, plan := stripeChunks(src, 0, n, chunk)
+	return Pass(a, chunks, plan, buf, func(t int, keys []int64, w *Writer) error {
 		if transform != nil {
 			if err := transform(t*chunk, keys); err != nil {
 				return err
 			}
 		}
-		addrs, err := dst.AddrRange(t*chunk, len(keys))
-		if err != nil {
-			return err
-		}
-		return w.WriteFlat(addrs, keys)
+		return w.WriteStripe(dst, t*chunk, keys)
 	})
 }

@@ -82,7 +82,7 @@ func streamPlan(t *testing.T, a *pdm.Array, nb int, plan func(*pdm.Stripe) [][]p
 			run.data = append(run.data, slices.Concat(bufs...))
 		}
 	} else {
-		r, err := NewReader(a, len(chunks), func(t int) []pdm.BlockAddr { return chunks[t] })
+		r, err := NewReader(a, len(chunks), func(t int, dst []pdm.BlockAddr) []pdm.BlockAddr { return append(dst, chunks[t]...) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +144,7 @@ func TestReaderCloseWithSharedSlot(t *testing.T) {
 					a := slotArray(t, backend, depth, 0)
 					s := loadStripe(t, a, 8*slot*a.B())
 					chunks := chunkPlan(s, size)[1:] // start with a non-empty chunk
-					r, err := NewReader(a, len(chunks), func(t int) []pdm.BlockAddr { return chunks[t] })
+					r, err := NewReader(a, len(chunks), func(t int, dst []pdm.BlockAddr) []pdm.BlockAddr { return append(dst, chunks[t]...) })
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -202,7 +202,7 @@ func TestWriterPacksShortWrites(t *testing.T) {
 			for i := range src {
 				src[i] = int64(at*a.B() + i)
 			}
-			addrs, err := dst.AddrRange(at*a.B(), len(src))
+			addrs, err := dst.AppendAddrs(nil, at*a.B(), len(src))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -251,7 +251,7 @@ func TestWriterWriteFlatAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addrs, err := dst.AddrRange(0, dst.Len())
+	addrs, err := dst.AppendAddrs(nil, 0, dst.Len())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 
 	"repro/internal/pdm"
 )
@@ -12,34 +13,78 @@ import (
 // consumed.
 var ErrExhausted = errors.New("stream: read past the final chunk")
 
+var errClosed = errors.New("stream: use after Close")
+
+// lists is the host bookkeeping of one Reader or Writer: block views of
+// the caller's buffer and of the staging slots, address buffers, and one
+// transfer's lists.  Every size in it is bounded by a chunk or the staging,
+// so it is kept in listsPool from Close to the next constructor, grown to
+// fit, and a warm pass builds none of it.
+type lists struct {
+	views  [][]int64         // block views of the caller's buffer
+	ring   [][]int64         // block views of the staging ring
+	slots  [][][]int64       // slot -> its views of ring
+	addrs  [][]pdm.BlockAddr // a Writer's per-slot addresses
+	chunk  []pdm.BlockAddr   // the prefetcher's chunk
+	out    []pdm.BlockAddr   // the consumer's chunk; a Writer's WriteStripe request
+	req    []pdm.BlockAddr   // one transfer's addresses
+	bufs   [][]int64         // its blocks
+	held   []int             // and its slots
+	pieces []piece           // a Reader fill's pieces
+}
+
+var listsPool = sync.Pool{New: func() any { return new(lists) }}
+
+func takeLists() *lists { return listsPool.Get().(*lists) }
+
+// put drops l's views of caller and staging memory and pools it.
+func (l *lists) put() {
+	clear(l.views[:cap(l.views)])
+	clear(l.ring[:cap(l.ring)])
+	clear(l.slots[:cap(l.slots)])
+	clear(l.bufs[:cap(l.bufs)])
+	listsPool.Put(l)
+}
+
+// carveSlots carves ring into depth slots of bps B-key block views and
+// returns the free list, holding all of them.
+func (l *lists) carveSlots(ring []int64, depth, bps, b int) chan int {
+	views := carve(&l.ring, ring, b)
+	l.slots = slices.Grow(l.slots[:0], depth)[:depth]
+	free := make(chan int, depth)
+	for i := range l.slots {
+		l.slots[i] = views[i*bps : (i+1)*bps : (i+1)*bps]
+		free <- i
+	}
+	return free
+}
+
 // piece is one run of a chunk's blocks inside one slot, travelling from
 // the fetcher to the consumer.  A slot may hold pieces of several chunks,
 // and a chunk may span several slots.
 type piece struct {
-	slot    int             // index into Reader.slots; -1 for an empty chunk or an error
-	lo, hi  int             // the slot's blocks [lo, hi)
-	release bool            // the slot's last piece: the slot is free once it is consumed
-	last    bool            // final piece of its chunk
-	addrs   []pdm.BlockAddr // the chunk's address list, set when last
+	slot    int  // index into Reader.slots; -1 for an empty chunk or an error
+	lo, hi  int  // the slot's blocks [lo, hi)
+	release bool // the slot's last piece: the slot is free once it is consumed
+	last    bool // final piece of its chunk
 	err     error
 }
 
 // Reader streams a fixed sequence of vectored read requests ("chunks") with
-// prefetch: chunk t's addresses are produced by addrsOf(t), its data is
+// prefetch: chunk t's addresses are planned by plan(t, dst), its data is
 // fetched ahead on a background goroutine into arena-backed slots of
 // pdm.SlotRows stripe rows, and Fill hands chunks to the consumer in order,
 // charging each one as it is consumed.
 type Reader struct {
-	a       *pdm.Array
-	chunks  int
-	addrsOf func(int) []pdm.BlockAddr
-	next    int
-	err     error
-	views   [][]int64 // block views of the caller's buffer (FillFlat, Pass)
+	*lists
+	a      *pdm.Array
+	chunks int
+	plan   func(t int, dst []pdm.BlockAddr) []pdm.BlockAddr
+	next   int
+	err    error
 
 	// pipelined mode (nil channels mean synchronous):
-	ring   []int64     // unused on zero-copy arrays: their slots hold borrowed views
-	slots  [][][]int64 // slot -> block views
+	ring   []int64 // unused on zero-copy arrays: their slots hold borrowed views
 	free   chan int
 	filled chan piece
 	quit   chan struct{}
@@ -48,12 +93,15 @@ type Reader struct {
 }
 
 // NewReader creates a Reader over chunks chunks whose block addresses are
-// produced by addrsOf, which must be safe to call from the prefetch
-// goroutine (it runs concurrently with the consumer; pure address
-// arithmetic, as in all in-tree callers, is fine).  Prefetch depth comes
-// from the array's pipeline configuration; depth 0 is fully synchronous.
-func NewReader(a *pdm.Array, chunks int, addrsOf func(int) []pdm.BlockAddr) (*Reader, error) {
-	r := &Reader{a: a, chunks: chunks, addrsOf: addrsOf}
+// planned by plan: plan(t, dst) appends chunk t's addresses to dst, which
+// is empty, and returns the result, which the Reader keeps as its buffer
+// for the next plan, so a warm plan allocates nothing.  The prefetcher
+// plans a chunk to fetch it and the consumer plans it again to charge it,
+// so plan must be pure address arithmetic, safe to call from two
+// goroutines at once, as all in-tree plans are.  Prefetch depth comes from
+// the array's pipeline configuration; depth 0 is fully synchronous.
+func NewReader(a *pdm.Array, chunks int, plan func(t int, dst []pdm.BlockAddr) []pdm.BlockAddr) (*Reader, error) {
+	r := &Reader{lists: takeLists(), a: a, chunks: chunks, plan: plan}
 	depth := a.Pipeline().Prefetch
 	if depth == 0 || chunks == 0 {
 		return r, nil
@@ -61,9 +109,10 @@ func NewReader(a *pdm.Array, chunks int, addrsOf func(int) []pdm.BlockAddr) (*Re
 	bps := pdm.SlotRows * a.D() // blocks per slot
 	var err error
 	if r.ring, err = a.Arena().Alloc(depth * bps * a.B()); err != nil {
+		r.put()
 		return nil, err
 	}
-	r.slots, r.free = newSlots(r.ring, depth, bps, a.B())
+	r.free = r.carveSlots(r.ring, depth, bps, a.B())
 	// A slot usually carries at most two pieces (the tail of one chunk and
 	// the head of the next), so the fetcher can hand over a whole fill
 	// without waiting on the consumer.
@@ -72,20 +121,6 @@ func NewReader(a *pdm.Array, chunks int, addrsOf func(int) []pdm.BlockAddr) (*Re
 	r.done = make(chan struct{})
 	go r.fetch()
 	return r, nil
-}
-
-// newSlots carves ring into depth slots of bps B-key block views, all of
-// them free.
-func newSlots(ring []int64, depth, bps, b int) ([][][]int64, chan int) {
-	var views [][]int64
-	carve(&views, ring, b)
-	slots := make([][][]int64, depth)
-	free := make(chan int, depth)
-	for i := range slots {
-		slots[i] = views[i*bps : (i+1)*bps : (i+1)*bps]
-		free <- i
-	}
-	return slots, free
 }
 
 // NewStripeReader returns a Reader streaming keys [start, start+n) of s
@@ -99,17 +134,17 @@ func NewStripeReader(s *pdm.Stripe, start, n, chunkKeys int) (*Reader, error) {
 	if err := s.CheckRange(start, n); err != nil {
 		return nil, err
 	}
-	chunks, addrsOf := stripeChunks(s, start, n, chunkKeys)
-	return NewReader(s.Array(), chunks, addrsOf)
+	chunks, plan := stripeChunks(s, start, n, chunkKeys)
+	return NewReader(s.Array(), chunks, plan)
 }
 
 // stripeChunks plans a sequential read of keys [start, start+n) of s in
 // chunkKeys-key chunks (the last may be shorter): the chunk count and the
-// addresses of chunk t.  The range must be valid.
-func stripeChunks(s *pdm.Stripe, start, n, chunkKeys int) (int, func(int) []pdm.BlockAddr) {
-	return (n + chunkKeys - 1) / chunkKeys, func(t int) []pdm.BlockAddr {
+// plan of chunk t.  The range must be valid.
+func stripeChunks(s *pdm.Stripe, start, n, chunkKeys int) (int, func(int, []pdm.BlockAddr) []pdm.BlockAddr) {
+	return (n + chunkKeys - 1) / chunkKeys, func(t int, dst []pdm.BlockAddr) []pdm.BlockAddr {
 		off := t * chunkKeys
-		addrs, err := s.AddrRange(start+off, min(chunkKeys, n-off))
+		addrs, err := s.AppendAddrs(dst, start+off, min(chunkKeys, n-off))
 		if err != nil {
 			// Callers validate the whole range; a per-chunk failure is
 			// unreachable.
@@ -128,18 +163,14 @@ func (r *Reader) fetch() {
 	defer close(r.done)
 	defer close(r.filled)
 	bps := len(r.slots[0])
-	var (
-		addrs  []pdm.BlockAddr // chunk t's; its blocks from i on are still to fetch
-		t, i   = -1, 0
-		slots  []int
-		req    []pdm.BlockAddr
-		bufs   [][]int64
-		pieces []piece
-	)
+	addrs, t, i := r.chunk[:0], -1, 0 // chunk t's; its blocks from i on are still to fetch
+	slots, req, bufs, pieces := r.held[:0], r.req[:0], r.bufs[:0], r.pieces[:0]
+	defer func() { r.chunk, r.held, r.req, r.bufs, r.pieces = addrs, slots, req, bufs, pieces }()
 	// advance moves the cursor to the next chunk, reporting an empty one.
+	// Chunk t's blocks are in req by then, so its plan buffer is free.
 	advance := func() bool {
 		t++
-		addrs, i = r.addrsOf(t), 0
+		addrs, i = r.plan(t, addrs[:0]), 0
 		return len(addrs) == 0
 	}
 	for {
@@ -147,7 +178,7 @@ func (r *Reader) fetch() {
 			if t+1 == r.chunks {
 				return
 			}
-			if advance() && !r.send(piece{slot: -1, last: true, addrs: addrs}) {
+			if advance() && !r.send(piece{slot: -1, last: true}) {
 				return
 			}
 		}
@@ -176,7 +207,7 @@ func (r *Reader) fetch() {
 			bufs = append(bufs, r.slots[s][k:k+n]...)
 			p := piece{slot: s, lo: k, hi: k + n}
 			if i += n; i == len(addrs) {
-				p.last, p.addrs = true, addrs
+				p.last = true
 			}
 			if k += n; k == bps {
 				p.release, si, k = true, si+1, 0
@@ -184,7 +215,7 @@ func (r *Reader) fetch() {
 			held, pieces = len(pieces), append(pieces, p)
 			for i == len(addrs) && si < len(slots) && t+1 < r.chunks {
 				if advance() {
-					pieces = append(pieces, piece{slot: -1, last: true, addrs: addrs})
+					pieces = append(pieces, piece{slot: -1, last: true})
 				}
 			}
 		}
@@ -215,13 +246,12 @@ func (r *Reader) transfer(req []pdm.BlockAddr, bufs [][]int64, pieces []piece) e
 	if !r.a.ZeroCopy() {
 		return r.a.TransferV(req, bufs, false)
 	}
-	views, err := r.a.BorrowReadV(req)
-	if err != nil {
+	if err := r.a.BorrowReadV(req, bufs); err != nil {
 		return err
 	}
 	for _, p := range pieces {
 		if p.slot >= 0 {
-			views = views[copy(r.slots[p.slot][p.lo:p.hi], views):]
+			bufs = bufs[copy(r.slots[p.slot][p.lo:p.hi], bufs):]
 		}
 	}
 	return nil
@@ -265,17 +295,17 @@ func (r *Reader) fill(bufs [][]int64, exact bool) (int, error) {
 		return 0, ErrExhausted
 	}
 	t := r.next
+	r.out = r.plan(t, r.out[:0])
 	if r.filled == nil { // synchronous mode
-		addrs := r.addrsOf(t)
-		if !exact && len(addrs) <= len(bufs) {
-			bufs = bufs[:len(addrs)]
+		if !exact && len(r.out) <= len(bufs) {
+			bufs = bufs[:len(r.out)]
 		}
-		if err := r.a.ReadV(addrs, bufs); err != nil {
+		if err := r.a.ReadV(r.out, bufs); err != nil {
 			r.err = err
 			return 0, err
 		}
 		r.next++
-		return len(addrs), nil
+		return len(r.out), nil
 	}
 	idx := 0
 	stalled := false
@@ -318,11 +348,11 @@ func (r *Reader) fill(bufs [][]int64, exact bool) (int, error) {
 			}
 		}
 		if p.last {
-			if (exact && idx != len(bufs)) || idx != len(p.addrs) {
-				r.err = fmt.Errorf("stream: chunk %d has %d blocks, %d buffers provided", t, len(p.addrs), len(bufs))
+			if (exact && idx != len(bufs)) || idx != len(r.out) {
+				r.err = fmt.Errorf("stream: chunk %d has %d blocks, %d buffers provided", t, len(r.out), len(bufs))
 				return 0, r.err
 			}
-			r.a.ChargeV(p.addrs, false)
+			r.a.ChargeV(r.out, false)
 			r.a.RecordPrefetch(!stalled)
 			r.next++
 			return idx, nil
@@ -332,6 +362,9 @@ func (r *Reader) fill(bufs [][]int64, exact bool) (int, error) {
 
 // FillFlat is Fill into a flat buffer carved into B-key block views.
 func (r *Reader) FillFlat(dst []int64) error {
+	if r.closed {
+		return errClosed
+	}
 	return r.Fill(carve(&r.views, dst, r.a.B()))
 }
 
@@ -339,19 +372,23 @@ func (r *Reader) FillFlat(dst []int64) error {
 // safe to call mid-stream (e.g. when a pass aborts, even with a slot shared
 // by a consumed and an unconsumed chunk) and idempotent; prefetched but
 // unconsumed chunks were never charged, so accounting still matches the
-// aborted synchronous execution.
+// aborted synchronous execution.  A Fill after Close fails.
 func (r *Reader) Close() {
 	if r.closed {
 		return
 	}
 	r.closed = true
-	if r.filled == nil {
-		return
+	if r.err == nil {
+		r.err = errClosed
 	}
-	close(r.quit)
-	<-r.done
-	r.a.Arena().Free(r.ring)
-	r.ring = nil
+	if r.filled != nil {
+		close(r.quit)
+		<-r.done
+		r.a.Arena().Free(r.ring)
+		r.ring = nil
+	}
+	r.put()
+	r.lists = nil
 }
 
 // carve points *views at flat's B-key blocks, reusing its storage, and

@@ -105,7 +105,7 @@ func TestWriterMatchesSynchronousAccounting(t *testing.T) {
 				for i := range buf {
 					buf[i] = int64(off + i)
 				}
-				addrs, err := dst.AddrRange(off, 64)
+				addrs, err := dst.AppendAddrs(nil, off, 64)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -283,7 +283,7 @@ func TestWriterSurfacesFlushError(t *testing.T) {
 	buf := make([]int64, 64)
 	var wErr error
 	for off := 0; off < 64*4 && wErr == nil; off += 64 {
-		addrs, err := dst.AddrRange(off, 64)
+		addrs, err := dst.AppendAddrs(nil, off, 64)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -359,7 +359,7 @@ func TestConcurrentReaderWriterUnderRace(t *testing.T) {
 		}
 		buf := make([]int64, 64)
 		for off := 0; off < n; off += 64 {
-			addrs, err := dst.AddrRange(off, 64)
+			addrs, err := dst.AppendAddrs(nil, off, 64)
 			if err != nil {
 				errs <- err
 				return
@@ -389,7 +389,7 @@ func TestReadAsyncOverlapsAndCharges(t *testing.T) {
 		a := newArray(t, depth, 0)
 		s := loadStripe(t, a, 64)
 		a.ResetStats()
-		addrs, err := s.AddrRange(0, 64)
+		addrs, err := s.AppendAddrs(nil, 0, 64)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -430,5 +430,53 @@ func TestReaderRejectsWrongBufferCount(t *testing.T) {
 	defer r.Close()
 	if err := r.FillFlat(make([]int64, 32)); err == nil {
 		t.Fatal("short buffer accepted")
+	}
+}
+
+// TestListsReusedAfterAbandonedReader: a Reader closed with chunks still
+// prefetched hands its lists on through the pool mid-stream.  The Readers
+// and Writers that take those lists next must charge exactly their own
+// addresses: a copy of the stripe traces the source's blocks in order, then
+// the destination's.
+func TestListsReusedAfterAbandonedReader(t *testing.T) {
+	a := newArray(t, 2, 2)
+	const n = 64 * 8
+	src := loadStripe(t, a, n)
+	buf := make([]int64, 8)
+	for round := range 20 {
+		r, err := NewStripeReader(src, 0, n, 8) // one block a chunk: many in flight
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range 3 { // the buffers come back rotated
+			if err := r.FillFlat(buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r.Close()
+		dst, err := a.NewStripe(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.EnableTrace()
+		if err := Pipe(src, dst, make([]int64, 16), nil); err != nil {
+			t.Fatal(err)
+		}
+		var reads, writes []pdm.BlockAddr
+		for _, op := range a.Trace() {
+			if op.Write {
+				writes = append(writes, op.Addrs...)
+			} else {
+				reads = append(reads, op.Addrs...)
+			}
+		}
+		a.DisableTrace()
+		for j := range src.Blocks() {
+			if reads[j] != src.BlockAddr(j) || writes[j] != dst.BlockAddr(j) {
+				t.Fatalf("round %d: block %d charged as read %v and write %v, want %v and %v",
+					round, j, reads[j], writes[j], src.BlockAddr(j), dst.BlockAddr(j))
+			}
+		}
+		dst.Free()
 	}
 }

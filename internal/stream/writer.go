@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/pdm"
@@ -25,16 +26,14 @@ type wjob struct {
 // Flush (or Close) before anything reads the written blocks, and must
 // Close on every path to return the staging to the arena.
 type Writer struct {
-	a     *pdm.Array
-	views [][]int64 // block views of WriteFlat's source
-	ring  []int64
-	slots [][][]int64       // slot -> block views
-	addrs [][]pdm.BlockAddr // slot -> its blocks' addresses
-	free  chan int
-	jobs  chan wjob
-	done  chan struct{}
-	open  int // the slot Write is filling, -1 for none
-	fill  int // blocks in the open slot
+	*lists
+	a    *pdm.Array
+	ring []int64
+	free chan int
+	jobs chan wjob
+	done chan struct{}
+	open int // the slot Write is filling, -1 for none
+	fill int // blocks in the open slot
 
 	mu     sync.Mutex
 	ferr   error // first flusher error
@@ -46,8 +45,9 @@ type Writer struct {
 // NewWriter creates a Writer on a.  Write-behind depth comes from the
 // array's pipeline configuration; depth 0 is fully synchronous.
 func NewWriter(a *pdm.Array) (*Writer, error) {
-	w := &Writer{a: a}
+	w := &Writer{lists: takeLists(), a: a}
 	if err := w.start(); err != nil {
+		w.put()
 		return nil, err
 	}
 	return w, nil
@@ -67,11 +67,10 @@ func (w *Writer) start() error {
 		return err
 	}
 	w.ring = ring
-	w.slots, w.free = newSlots(ring, depth, bps, a.B())
-	addrs := make([]pdm.BlockAddr, depth*bps)
-	w.addrs = make([][]pdm.BlockAddr, depth)
+	w.free = w.carveSlots(ring, depth, bps, a.B())
+	w.addrs = slices.Grow(w.addrs[:0], depth)[:depth]
 	for i := range w.addrs {
-		w.addrs[i] = addrs[i*bps : (i+1)*bps : (i+1)*bps]
+		w.addrs[i] = slices.Grow(w.addrs[i][:0], bps)[:bps]
 	}
 	w.open = -1
 	w.jobs = make(chan wjob, depth)
@@ -88,9 +87,8 @@ func (w *Writer) start() error {
 // error surfaces at the next Write, Flush, or Close.
 func (w *Writer) drain() {
 	defer close(w.done)
-	var addrs []pdm.BlockAddr
-	var bufs [][]int64
-	var held []int
+	addrs, bufs, held := w.req[:0], w.bufs[:0], w.held[:0]
+	defer func() { w.req, w.bufs, w.held = addrs, bufs, held }()
 	for job := range w.jobs {
 		addrs, bufs, held = addrs[:0], bufs[:0], held[:0]
 		var flush chan error
@@ -149,6 +147,9 @@ func (w *Writer) flusherErr() error {
 // caller may immediately reuse both.  If the physical transfer later fails,
 // the error surfaces on a subsequent Write, Flush, or Close.
 func (w *Writer) Write(addrs []pdm.BlockAddr, bufs [][]int64) error {
+	if w.closed {
+		return errClosed
+	}
 	if w.err != nil {
 		return w.err
 	}
@@ -218,7 +219,24 @@ func (w *Writer) queue() {
 
 // WriteFlat is Write from a flat buffer carved into B-key block views.
 func (w *Writer) WriteFlat(addrs []pdm.BlockAddr, src []int64) error {
+	if w.closed {
+		return errClosed
+	}
 	return w.Write(addrs, carve(&w.views, src, w.a.B()))
+}
+
+// WriteStripe is WriteFlat to keys [keyOff, keyOff+len(src)) of s, whose
+// addresses the Writer lists in a buffer of its own, so a warm pass builds
+// no write list.
+func (w *Writer) WriteStripe(s *pdm.Stripe, keyOff int, src []int64) error {
+	if w.closed {
+		return errClosed
+	}
+	var err error
+	if w.out, err = s.AppendAddrs(w.out[:0], keyOff, len(src)); err != nil {
+		return err
+	}
+	return w.WriteFlat(w.out, src)
 }
 
 // Flush blocks until every submitted request has reached the disks and
@@ -256,6 +274,8 @@ func (w *Writer) Close() error {
 		w.a.Arena().Free(w.ring)
 		w.ring = nil
 	}
+	w.put()
+	w.lists = nil
 	if w.err == nil {
 		w.err = ferr
 	}

@@ -169,14 +169,20 @@ func TestExplainMatchesMeasuredOnLatencyDisks(t *testing.T) {
 			// land within [measured/2, measured*2] — sleep-dominated I/O is
 			// the dominant, modeled term.  Best of three walls, so one
 			// descheduled run on a loaded box does not widen the measurement.
+			// A failure names every wall and the edge crossed.
+			walls := []time.Duration{chosenWall}
 			for i := 0; i < 2; i++ {
-				if _, wall := run(rg.wantAlg); wall < chosenWall {
-					chosenWall = wall
-				}
+				_, wall := run(rg.wantAlg)
+				walls = append(walls, wall)
+				chosenWall = min(chosenWall, wall)
 			}
-			if chosenCand.Seconds < chosenWall.Seconds()/2 || chosenCand.Seconds > 2*chosenWall.Seconds() {
-				t.Errorf("predicted %.3fs vs measured %.3fs: outside the factor-2 band",
-					chosenCand.Seconds, chosenWall.Seconds())
+			switch predicted, measured := chosenCand.Seconds, chosenWall.Seconds(); {
+			case predicted < measured/2:
+				t.Errorf("predicted %.3fs is below half the best measured %.3fs (walls %v): under the factor-2 band's lower edge",
+					predicted, measured, walls)
+			case predicted > 2*measured:
+				t.Errorf("predicted %.3fs is above twice the best measured %.3fs (walls %v): over the factor-2 band's upper edge",
+					predicted, measured, walls)
 			}
 		})
 	}

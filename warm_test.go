@@ -1,0 +1,92 @@
+//go:build !race
+
+package repro
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/workload"
+)
+
+// TestWarmSortAllocations checks that a warm Machine.Sort's host
+// allocations are a constant of the machine, not of the input: every
+// algorithm, at every pipeline depth TestSortsReuseArenaScratch covers and
+// at M = 1024, 4096 and 65536, sorts a small and a large input on one warm
+// machine.  Every block address of a pass is arithmetic on a stripe and a
+// chunk index, and every list a pass builds is recycled, so the large sort
+// may allocate more only for the stripes its extra memory loads add: a
+// handle, a slice slot and a checkpoint entry apiece — its runs, and, while
+// runs are fewer than the disks, the narrower merge batches of ThreePass2,
+// each a stripe of its own.  That is at most 12 allocations and 1 KiB per
+// extra load; at M = 65536 one address per block of a load is 4 KiB.  The
+// race detector's own bookkeeping and its random drops from sync.Pool
+// would blur the counts, so the file is built without it.
+func TestWarmSortAllocations(t *testing.T) {
+	depths := []PipelineConfig{{}, {Prefetch: 1, WriteBehind: 1},
+		{Prefetch: 2, WriteBehind: 2}, {Prefetch: 4, WriteBehind: 1}, {Prefetch: 4, WriteBehind: 4}}
+	algs := []Algorithm{MemOnePass, ThreePassMesh, TwoPassMeshExpected, ThreePassLMM,
+		TwoPassExpected, ThreePassExpected, SevenPass, SixPassExpected, SevenPassMesh, core.AlgRadix}
+	for _, mem := range arenaMems {
+		for _, depth := range depths {
+			t.Run(fmt.Sprintf("M=%d/%d-%d", mem, depth.Prefetch, depth.WriteBehind), func(t *testing.T) {
+				m, err := NewMachine(MachineConfig{Memory: mem, Workers: 2, Pipeline: depth})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer m.Close()
+				for _, alg := range algs {
+					small, large := 2*mem, 4*mem
+					if alg == MemOnePass {
+						small, large = mem/2, mem
+					}
+					input := workload.Uniform(large, 0, 1<<40, 7)
+					keys := make([]int64, large)
+					sort := func(n int) {
+						copy(keys, input[:n])
+						if alg == core.AlgRadix {
+							_, err = m.SortInts(keys[:n], 1<<40)
+						} else {
+							_, err = m.Sort(keys[:n], alg)
+						}
+						if err != nil {
+							t.Fatalf("%v at N = %d: %v", alg, n, err)
+						}
+					}
+					// measure returns the bytes and allocations of a warm sort
+					// of n keys, the least of five runs: a goroutine the
+					// scheduler starts late can grow a fill list once.
+					measure := func(n int) (bytes, allocs uint64) {
+						var before, after runtime.MemStats
+						for run := range 5 {
+							runtime.ReadMemStats(&before)
+							sort(n)
+							runtime.ReadMemStats(&after)
+							b, a := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
+							if run == 0 || b < bytes {
+								bytes = b
+							}
+							if run == 0 || a < allocs {
+								allocs = a
+							}
+						}
+						return bytes, allocs
+					}
+					sort(large) // warm the arena and the disks for both sizes
+					sort(small)
+					sb, sa := measure(small)
+					lb, la := measure(large)
+					loads := uint64((large - small) / mem)
+					t.Logf("%v: N = %d: %d B in %d allocs; N = %d: %d B in %d allocs",
+						alg, small, sb, sa, large, lb, la)
+					if lb > sb+1024*loads || la > sa+12*loads {
+						t.Errorf("%v: a warm sort of %d keys allocates %d B in %d allocs, of %d keys %d B in %d allocs: it grows with N",
+							alg, small, sb, sa, large, lb, la)
+					}
+				}
+			})
+		}
+	}
+}
