@@ -62,8 +62,8 @@ func (a *Array) TransferV(addrs []BlockAddr, bufs [][]int64, write bool) error {
 // goroutine: the streaming layer's prefetch and write-behind goroutines
 // already are the overlap.  On extent-capable arrays each disk's blocks go
 // out as runs of consecutive offsets, one ReadBlocks/WriteBlocks call per
-// run (see runs), cut in g or, when g is nil, in a scratch of the
-// request's size; otherwise one block call each, in request order.  Only
+// run (see runs), cut in g or, when g is nil, in a scratch of its own;
+// otherwise one block call each, in request order.  Only
 // when the disks park their caller (LatencyDisk) does it fork, one
 // goroutine per participating disk, so that a request waits max_d(#blocks
 // on disk d) service times — one per parallel I/O step, as the model
@@ -77,7 +77,7 @@ func (a *Array) transferV(g *runs, addrs []BlockAddr, bufs [][]int64, write bool
 	}
 	if a.ext != nil {
 		if g == nil {
-			g = a.takeRuns(len(addrs))
+			g = a.takeRuns()
 			defer a.putRuns(g)
 		}
 		return g.move(a.ext, addrs, bufs, write)
@@ -132,10 +132,9 @@ func (a *Array) transferOn(d int, addrs []BlockAddr, bufs [][]int64, write bool)
 // order, then cut wherever the next offset is not the previous one plus one.
 // A stripe row range thus becomes one run per disk — k rows, k blocks per
 // call.  The array keeps freed scratch for the next transfer (takeRuns,
-// putRuns), and a transfer takes the smallest that holds its request, so
-// it allocates only while its request outgrows every scratch on hand: the
-// whole-stripe stages of a sort keep finding the scratch they grew, though
-// the pass transfers between them take and return scratch in any order.
+// putRuns), so a transfer allocates only while its request outgrows every
+// scratch on hand.  A Stripe stage lists its request and cuts its runs in
+// one scratch, so the two never trade a grown scratch for a small one.
 type runs struct {
 	end  []int     // per disk: the end of its blocks in off and bufs
 	off  []int     // block offsets, grouped by disk
@@ -189,36 +188,17 @@ func (g *runs) move(disks []ExtentDisk, addrs []BlockAddr, bufs [][]int64, write
 	return nil
 }
 
-// takeRuns hands the calling transfer of nb blocks a scratch of its own:
-// the smallest kept one that holds nb blocks, else the largest.
-func (a *Array) takeRuns(nb int) *runs {
+// takeRuns hands the calling transfer a scratch of its own.
+func (a *Array) takeRuns() *runs {
 	a.runsMu.Lock()
 	defer a.runsMu.Unlock()
-	if len(a.freeRuns) == 0 {
-		return new(runs)
+	if n := len(a.freeRuns); n > 0 {
+		g := a.freeRuns[n-1]
+		a.freeRuns = a.freeRuns[:n-1]
+		return g
 	}
-	best := -1
-	for i, g := range a.freeRuns {
-		if g.size() >= nb && (best < 0 || g.size() < a.freeRuns[best].size()) {
-			best = i
-		}
-	}
-	if best < 0 {
-		best = 0
-		for i, g := range a.freeRuns {
-			if g.size() > a.freeRuns[best].size() {
-				best = i
-			}
-		}
-	}
-	g := a.freeRuns[best]
-	a.freeRuns = slices.Delete(a.freeRuns, best, best+1)
-	return g
+	return new(runs)
 }
-
-// size is the longest request g holds without growing: a stage's views or
-// a move's blocks.
-func (g *runs) size() int { return max(cap(g.views), cap(g.bufs)) }
 
 // putRuns keeps g for a later transfer.
 func (a *Array) putRuns(g *runs) {

@@ -194,7 +194,7 @@ func (s *Stripe) transferAt(keyOff int, flat []int64, write bool) error {
 		return err
 	}
 	a, b := s.a, s.a.cfg.B
-	g := a.takeRuns(len(flat) / b)
+	g := a.takeRuns()
 	defer a.putRuns(g)
 	defer clear(g.views) // hold no caller memory between transfers
 	g.addrs = s.appendAddrs(g.addrs[:0], keyOff/b, len(flat)/b)
@@ -226,7 +226,7 @@ func (s *Stripe) LoadPadded(data []int64, sentinel int64) error {
 	}
 	a, b := s.a, s.a.cfg.B
 	whole := len(data) / b * b
-	g := a.takeRuns(s.nb)
+	g := a.takeRuns()
 	defer a.putRuns(g)
 	g.views = appendBlocks(g.views[:0], data[:whole], b)
 	g.blk = slices.Grow(g.blk[:0], 2*b)[:2*b]
@@ -268,7 +268,7 @@ func (s *Stripe) UnloadInto(dst []int64) error {
 	}
 	a, b := s.a, s.a.cfg.B
 	whole := len(dst) / b * b
-	g := a.takeRuns(s.nb)
+	g := a.takeRuns()
 	defer a.putRuns(g)
 	g.views = appendBlocks(g.views[:0], dst[:whole], b)
 	var last []int64
