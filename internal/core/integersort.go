@@ -53,7 +53,14 @@ type placed struct {
 	words  int
 }
 
-var directories = sync.Pool{New: func() any { return new(directory) }}
+// directories holds the directories finished sorts handed on.  Unlike a
+// sync.Pool a collection does not empty it, so a warm sort allocates the
+// same whether or not the GC ran before it; it never holds more
+// directories than were out at once.
+var directories struct {
+	sync.Mutex
+	d []*directory
+}
 
 // stripeSeq views a whole stripe as a blockSeq of full blocks, listed in
 // the directory.
@@ -69,7 +76,14 @@ func (st *scatterState) stripeSeq(s *pdm.Stripe) blockSeq {
 // directory returns the sort's directory, taking one on first use.
 func (st *scatterState) directory() *directory {
 	if st.dir == nil {
-		st.dir = directories.Get().(*directory)
+		directories.Lock()
+		if n := len(directories.d); n > 0 {
+			st.dir = directories.d[n-1]
+			directories.d = directories.d[:n-1]
+		} else {
+			st.dir = new(directory)
+		}
+		directories.Unlock()
 	}
 	return st.dir
 }
@@ -83,7 +97,9 @@ func (st *scatterState) release() {
 	st.stripes = nil
 	if d := st.dir; d != nil {
 		d.log, d.addrs, d.counts = d.log[:0], d.addrs[:0], d.counts[:0]
-		directories.Put(d)
+		directories.Lock()
+		directories.d = append(directories.d, d)
+		directories.Unlock()
 		st.dir = nil
 	}
 }

@@ -1,13 +1,13 @@
 package dist
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -54,12 +54,13 @@ func retryable(code int) bool {
 // do runs one JSON request: in (if any) is the body, out (if any) takes
 // the answer.
 func (c *client) do(ctx context.Context, method, path string, in, out any) error {
-	var body []byte
+	var body *reqBody
 	if in != nil {
-		var err error
-		if body, err = json.Marshal(in); err != nil {
+		raw, err := json.Marshal(in)
+		if err != nil {
 			return fmt.Errorf("dist: marshal %s %s: %w", method, path, err)
 		}
+		body = &reqBody{sections: [3][]byte{raw}, n: int64(len(raw))}
 	}
 	return c.send(ctx, method, path, "application/json", "", body, func(resp *http.Response) error {
 		return recvJSON(resp, out)
@@ -75,11 +76,56 @@ func recvJSON(resp *http.Response, out any) error {
 	return json.Unmarshal(raw, out)
 }
 
+// reqBody is a request body as the byte sections it is sent from, in
+// order, n bytes in all.  Every attempt reads them through a fresh reader,
+// so a retry resends the same bytes.  open, when set, counts the readers
+// not yet closed: net/http may read a body after RoundTrip returns, until
+// it closes it, so sections that view a caller's buffer stay untouched
+// until open is done.
+type reqBody struct {
+	sections [3][]byte
+	n        int64
+	open     *sync.WaitGroup
+}
+
+// reader opens one attempt's reader.
+func (b *reqBody) reader() io.ReadCloser {
+	if b.open != nil {
+		b.open.Add(1)
+	}
+	return &bodyReader{rest: b.sections, open: b.open}
+}
+
+// bodyReader reads a reqBody's sections once.
+type bodyReader struct {
+	rest   [3][]byte
+	open   *sync.WaitGroup
+	closed atomic.Bool
+}
+
+func (r *bodyReader) Read(p []byte) (int, error) {
+	for i := range r.rest {
+		if len(r.rest[i]) > 0 {
+			n := copy(p, r.rest[i])
+			r.rest[i] = r.rest[i][n:]
+			return n, nil
+		}
+	}
+	return 0, io.EOF
+}
+
+func (r *bodyReader) Close() error {
+	if r.open != nil && r.closed.CompareAndSwap(false, true) {
+		r.open.Done()
+	}
+	return nil
+}
+
 // send runs one request with the per-call timeout and retry policy.  The
-// body is bytes, so every retry sends a fresh reader; recv (if any)
+// body is its sections, so every retry sends a fresh reader; recv (if any)
 // consumes a 2xx answer, and an answer it cannot read or decode is retried
 // like a transport failure — every request here is idempotent.
-func (c *client) send(ctx context.Context, method, path, ctype, accept string, body []byte, recv func(*http.Response) error) error {
+func (c *client) send(ctx context.Context, method, path, ctype, accept string, body *reqBody, recv func(*http.Response) error) error {
 	backoff := 20 * time.Millisecond
 	var lastErr error
 	for attempt := 0; attempt <= c.retries; attempt++ {
@@ -114,18 +160,23 @@ func (c *client) send(ctx context.Context, method, path, ctype, accept string, b
 
 // once is a single attempt: its own deadline, body drained and closed
 // whatever happens.
-func (c *client) once(ctx context.Context, method, path, ctype, accept string, body []byte, recv func(*http.Response) error) (int, string, error) {
+func (c *client) once(ctx context.Context, method, path, ctype, accept string, body *reqBody, recv func(*http.Response) error) (int, string, error) {
 	rctx, cancel := context.WithTimeout(ctx, c.timeout)
 	defer cancel()
-	var rd io.Reader
+	var rd io.ReadCloser
 	if body != nil {
-		rd = bytes.NewReader(body)
+		rd = body.reader()
 	}
 	req, err := http.NewRequestWithContext(rctx, method, c.base+path, rd)
 	if err != nil {
+		if rd != nil {
+			rd.Close()
+		}
 		return 0, "", err
 	}
 	if body != nil {
+		req.ContentLength = body.n
+		req.GetBody = func() (io.ReadCloser, error) { return body.reader(), nil }
 		req.Header.Set("Content-Type", ctype)
 	}
 	if accept != "" {
@@ -184,12 +235,14 @@ func (c *client) uploadCreate(ctx context.Context, id string) error {
 	return c.do(ctx, http.MethodPost, "/uploads", map[string]string{"id": id}, nil)
 }
 
-func (c *client) uploadPage(ctx context.Context, id string, seq int, pg wire.Page) error {
+// uploadPage stages one page.  A binary body is sent from the page's
+// sections, its keys a view of pg.Keys; open counts its readers until
+// net/http has closed them all.
+func (c *client) uploadPage(ctx context.Context, id string, seq int, pg wire.Page, open *sync.WaitGroup) error {
 	path := fmt.Sprintf("/uploads/%s/pages?seq=%d", id, seq)
 	if c.binary.Load() {
-		body := bytes.NewBuffer(make([]byte, 0, pg.BinaryLen()))
-		pg.WriteBinary(body) //nolint:errcheck // a bytes.Buffer does not fail
-		return c.send(ctx, http.MethodPost, path, wire.PageContentType, "", body.Bytes(), nil)
+		body := &reqBody{sections: pg.BinarySections(), n: int64(pg.BinaryLen()), open: open}
+		return c.send(ctx, http.MethodPost, path, wire.PageContentType, "", body, nil)
 	}
 	return c.do(ctx, http.MethodPost, path, struct {
 		Keys     []int64  `json:"keys"`

@@ -193,12 +193,13 @@ func (c *Coordinator) run(ctx context.Context, keys []int64, payloads [][]byte) 
 	jobSeq := c.seq.Add(1)
 	statuses := make([]wire.JobStatus, w) // ID != 0: the shard's job exists
 	sorts := make([]time.Duration, w)
+	var open sync.WaitGroup // upload bodies viewing part that are not closed yet
 	err := c.fan(ctx, w, false, func(ctx context.Context, i int) (err error) {
 		lo, hi := starts[i], starts[i+1]
 		if lo == hi {
 			return nil
 		}
-		if sorts[i], err = c.runShard(ctx, i, jobSeq, part[lo:hi], window(partPay, lo, hi), &statuses[i]); err != nil {
+		if sorts[i], err = c.runShard(ctx, i, jobSeq, part[lo:hi], window(partPay, lo, hi), &open, &statuses[i]); err != nil {
 			err = fmt.Errorf("dist: shard %d on %s: %w", i, c.cfg.Workers[i], err)
 		}
 		return err
@@ -217,7 +218,12 @@ func (c *Coordinator) run(ctx context.Context, keys []int64, payloads [][]byte) 
 	lap(&ph.Upload)
 	ph.Upload -= ph.Sort
 
-	outKeys, outPayloads, err := c.download(ctx, statuses, starts, payloads != nil)
+	// The sorted shards decode back into part, once net/http has closed
+	// every upload body that reads from it.
+	err = waitClosed(ctx, &open)
+	if err == nil {
+		err = c.download(ctx, statuses, starts, part, partPay)
+	}
 	if err != nil {
 		c.cancelAll(statuses)
 		return nil, nil, nil, err
@@ -240,15 +246,31 @@ func (c *Coordinator) run(ctx context.Context, keys []int64, payloads [][]byte) 
 	rep.Passes /= float64(n)
 	lap(&ph.Download)
 	rep.ElapsedSeconds = mark.Sub(start).Seconds()
-	return outKeys, outPayloads, rep, nil
+	return part, partPay, rep, nil
 }
 
-// partition scatters keys (and their payloads) into shard order: shard s
-// is part[starts[s]:starts[s+1]], sized by a counting pass, in input order
-// within the shard; ties never straddle shards (records.RangeShard).  Each
-// key's shard is looked up once, by the counting pass, and kept for the
-// scatter in width bits per key — the power of two that holds the largest
-// shard number, so one bit a key for two shards.
+// waitClosed waits until every body open counts is closed, or ctx is done.
+func waitClosed(ctx context.Context, open *sync.WaitGroup) error {
+	closed := make(chan struct{})
+	go func() {
+		open.Wait()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		return nil
+	case <-ctx.Done():
+		return fmt.Errorf("dist: %w", ctx.Err())
+	}
+}
+
+// partition scatters keys (and their payloads; partPay is nil without
+// them) into shard order: shard s is part[starts[s]:starts[s+1]], sized by
+// a counting pass, in input order within the shard; ties never straddle
+// shards (records.RangeShard).  Each key's shard is looked up once, by the
+// counting pass, and kept for the scatter in width bits per key — the
+// power of two that holds the largest shard number, so one bit a key for
+// two shards.
 func partition(keys []int64, payloads [][]byte, splitters []int64) (part []int64, partPay [][]byte, starts []int) {
 	width := 1
 	for 1<<width <= len(splitters) {
@@ -265,7 +287,10 @@ func partition(keys []int64, payloads [][]byte, splitters []int64) (part []int64
 	for s := 1; s < len(starts); s++ {
 		starts[s] += starts[s-1]
 	}
-	part, partPay, next := make([]int64, len(keys)), make([][]byte, len(payloads)), slices.Clone(starts)
+	part, next := make([]int64, len(keys)), slices.Clone(starts)
+	if payloads != nil {
+		partPay = make([][]byte, len(payloads))
+	}
 	for i, k := range keys {
 		s := shard[i*width/64] >> (i * width % 64) & mask
 		part[next[s]] = k
@@ -323,11 +348,12 @@ func (c *Coordinator) splitters(keys []int64, w int) ([]int64, int) {
 }
 
 // runShard ships one shard to its worker through the staged-upload
-// protocol — bounded-concurrency page uploads, each independently retried
-// — commits it into a job, and polls that job to completion.  *st is the
+// protocol — bounded-concurrency page uploads, each independently retried,
+// whose binary bodies view keys (open counts them until closed) — commits
+// it into a job, and polls that job to completion.  *st is the
 // job's status from the moment it exists, so a failure anywhere can cancel
 // it; the duration is the commit-to-done wait, this shard's sort.
-func (c *Coordinator) runShard(ctx context.Context, worker int, jobSeq int64, keys []int64, payloads [][]byte, st *wire.JobStatus) (time.Duration, error) {
+func (c *Coordinator) runShard(ctx context.Context, worker int, jobSeq int64, keys []int64, payloads [][]byte, open *sync.WaitGroup, st *wire.JobStatus) (time.Duration, error) {
 	cl := c.clients[worker]
 	uploadID, err := c.createUpload(ctx, cl, jobSeq, worker)
 	if err != nil {
@@ -336,7 +362,7 @@ func (c *Coordinator) runShard(ctx context.Context, worker int, jobSeq int64, ke
 	pageKeys := c.cfg.PageKeys
 	err = c.fan(ctx, (len(keys)+pageKeys-1)/pageKeys, true, func(ctx context.Context, seq int) error {
 		lo, hi := seq*pageKeys, min((seq+1)*pageKeys, len(keys))
-		return cl.uploadPage(ctx, uploadID, seq, wire.Page{N: len(keys), Offset: lo, Keys: keys[lo:hi], Payloads: window(payloads, lo, hi)})
+		return cl.uploadPage(ctx, uploadID, seq, wire.Page{N: len(keys), Offset: lo, Keys: keys[lo:hi], Payloads: window(payloads, lo, hi)}, open)
 	})
 	if err != nil {
 		c.abandonUpload(cl, uploadID)
@@ -467,14 +493,13 @@ func (c *Coordinator) cancelAll(statuses []wire.JobStatus) {
 }
 
 // download is phase 4 (see doc.go): every page of every shard is decoded
-// where it belongs in the output, out[starts[i]:starts[i+1]] for shard i,
-// under the Concurrency bound; then the shard boundaries are asserted.
-func (c *Coordinator) download(ctx context.Context, statuses []wire.JobStatus, starts []int, withPayloads bool) ([]int64, [][]byte, error) {
-	total, pageKeys := starts[len(starts)-1], c.cfg.PageKeys
-	out, endpoint := make([]int64, total), "keys"
-	var outPay [][]byte
+// where it belongs in the output, out[starts[i]:starts[i+1]] for shard i —
+// the range that shard was uploaded from — under the Concurrency bound;
+// then the shard boundaries are asserted.  outPay is nil on a keys job.
+func (c *Coordinator) download(ctx context.Context, statuses []wire.JobStatus, starts []int, out []int64, outPay [][]byte) error {
+	pageKeys, endpoint, withPayloads := c.cfg.PageKeys, "keys", outPay != nil
 	if withPayloads {
-		outPay, endpoint = make([][]byte, total), "records"
+		endpoint = "records"
 	}
 	err := c.fan(ctx, len(statuses), false, func(ctx context.Context, i int) error {
 		base, n := starts[i], starts[i+1]-starts[i]
@@ -508,7 +533,7 @@ func (c *Coordinator) download(ctx context.Context, statuses []wire.JobStatus, s
 				i, c.cfg.Workers[i], out[b], out[b-1])
 		}
 	}
-	return out, outPay, err
+	return err
 }
 
 // WorkerURLs exposes the configured fleet (for CLIs printing reports).

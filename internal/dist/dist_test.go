@@ -1,15 +1,18 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -327,5 +330,67 @@ func TestPartition(t *testing.T) {
 	// Keys only: no payloads are built, and every window of them is nil.
 	if _, pp, _ := partition(keys, nil, splitters); len(pp) != 0 || window(pp, 0, 0) != nil {
 		t.Fatalf("keys-only partition built %d payloads", len(pp))
+	}
+}
+
+// TestUploadRetryResendsSameBody: a binary upload page is sent from views
+// of the shard's keys, not a copy, so a retry must open a fresh reader over
+// the same bytes.  The first attempt of each page is answered 503 after
+// half its body is read; the retry must carry exactly Page.WriteBinary's
+// body under a Content-Length of BinaryLen, and once uploadPage returns
+// every body it opened must be closed.
+func TestUploadRetryResendsSameBody(t *testing.T) {
+	var attempts int
+	var got []byte
+	var gotLen int64
+	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		attempts++
+		if attempts == 1 {
+			io.CopyN(io.Discard, r.Body, r.ContentLength/2) //nolint:errcheck // test server
+			http.Error(w, `{"error":"busy"}`, http.StatusServiceUnavailable)
+			return
+		}
+		if r.Header.Get("Content-Type") != wire.PageContentType {
+			http.Error(w, "content type "+r.Header.Get("Content-Type"), http.StatusBadRequest)
+			return
+		}
+		got, gotLen = nil, r.ContentLength
+		got, _ = io.ReadAll(r.Body)
+		w.Write([]byte(`{"seq":0,"staged":true}`)) //nolint:errcheck // test server
+	}))
+	defer worker.Close()
+	cl := &client{base: worker.URL, http: worker.Client(), timeout: 5 * time.Second, retries: 3}
+	cl.binary.Store(true)
+	keys := make([]int64, 3000)
+	for i := range keys {
+		keys[i] = int64(i*7919) - 1<<40
+	}
+	payloads := make([][]byte, len(keys))
+	for i := range payloads {
+		payloads[i] = []byte(fmt.Sprint(i))
+	}
+	for _, pg := range []wire.Page{
+		{N: 5000, Offset: 2000, Keys: keys},
+		{N: 5000, Offset: 2000, Keys: keys, Payloads: payloads},
+	} {
+		attempts = 0
+		var open sync.WaitGroup
+		if err := cl.uploadPage(t.Context(), "u", 0, pg, &open); err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(t.Context(), 5*time.Second)
+		err := waitClosed(ctx, &open)
+		cancel()
+		if err != nil {
+			t.Fatalf("upload bodies still open after uploadPage returned: %v", err)
+		}
+		var want bytes.Buffer
+		if err := pg.WriteBinary(&want); err != nil {
+			t.Fatal(err)
+		}
+		if attempts != 2 || gotLen != int64(pg.BinaryLen()) || !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("records=%v: after %d attempts the worker got %d bytes (Content-Length %d), want WriteBinary's %d (equal=%v)",
+				pg.Payloads != nil, attempts, len(got), gotLen, want.Len(), bytes.Equal(got, want.Bytes()))
+		}
 	}
 }

@@ -11,17 +11,22 @@
 //  1. Sample.  A deterministic stride sample of the input keys is sorted
 //     and N−1 splitters are read off at the quantiles.
 //  2. Partition + upload.  One counting pass and one scatter place every
-//     record in its shard's buffer by key range ("equal key goes right",
-//     so ties never straddle shards), input order preserved.  Shards ship
-//     through the staged-upload protocol: bounded-concurrency page uploads
-//     (binary bodies to a worker whose /healthz offers them, JSON
-//     otherwise), each idempotent and independently retried, committed into
-//     one worker job per shard.
+//     record in one coordinator buffer, shard by shard, by key range
+//     ("equal key goes right", so ties never straddle shards), input order
+//     preserved.  Shards ship through the staged-upload protocol:
+//     bounded-concurrency page uploads (binary bodies to a worker whose
+//     /healthz offers them, JSON otherwise), each idempotent and
+//     independently retried, committed into one worker job per shard.  A
+//     binary page body is its header followed by a view of the buffer's
+//     keys, not a copy; every retry reads the same bytes afresh.
 //  3. Local sorts.  Each worker sorts its shard with its ordinary
 //     scheduler stack — the coordinator adds nothing worker-side.
 //  4. Download.  Every page of every sorted shard is fetched, under the
-//     same concurrency bound, straight into its position in the output:
-//     shard i's pages land after the sizes of shards 0..i−1.  No merge
+//     same concurrency bound, straight into its position in the output,
+//     which is the partition buffer again: shard i's pages land where it
+//     was uploaded from, after the sizes of shards 0..i−1.  net/http may
+//     read an upload body after its request returns, so nothing is written
+//     there before every upload body has been closed.  No merge
 //     runs, because merging disjoint ranges in splitter order is
 //     concatenating them — and the premise is asserted: each page must be
 //     the window asked for of a result as long as the shard shipped, and

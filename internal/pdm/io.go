@@ -77,8 +77,8 @@ func (a *Array) transferV(g *runs, addrs []BlockAddr, bufs [][]int64, write bool
 	}
 	if a.ext != nil {
 		if g == nil {
-			g = a.takeRuns()
-			defer a.putRuns(g)
+			g = a.passRuns.take()
+			defer a.passRuns.put(g)
 		}
 		return g.move(a.ext, addrs, bufs, write)
 	}
@@ -131,10 +131,14 @@ func (a *Array) transferOn(d int, addrs []BlockAddr, bufs [][]int64, write bool)
 // request's blocks stably sorted by disk, so each disk's blocks keep request
 // order, then cut wherever the next offset is not the previous one plus one.
 // A stripe row range thus becomes one run per disk — k rows, k blocks per
-// call.  The array keeps freed scratch for the next transfer (takeRuns,
-// putRuns), so a transfer allocates only while its request outgrows every
-// scratch on hand.  A Stripe stage lists its request and cuts its runs in
-// one scratch, so the two never trade a grown scratch for a small one.
+// call.  The array keeps freed scratch for the next transfer (runsList),
+// so a transfer allocates only while its request outgrows every scratch on
+// hand.  A Stripe stage lists its request and cuts its runs in one
+// scratch, so the two never trade a grown scratch for a small one, and
+// stages keep their scratch apart from the passes': a whole-stripe load or
+// unload lists every block of the stripe, and taking a pass's small
+// scratch would regrow it at whichever stage the passes' timing left one
+// on top.
 type runs struct {
 	end  []int     // per disk: the end of its blocks in off and bufs
 	off  []int     // block offsets, grouped by disk
@@ -188,23 +192,29 @@ func (g *runs) move(disks []ExtentDisk, addrs []BlockAddr, bufs [][]int64, write
 	return nil
 }
 
-// takeRuns hands the calling transfer a scratch of its own.
-func (a *Array) takeRuns() *runs {
-	a.runsMu.Lock()
-	defer a.runsMu.Unlock()
-	if n := len(a.freeRuns); n > 0 {
-		g := a.freeRuns[n-1]
-		a.freeRuns = a.freeRuns[:n-1]
+// runsList is spare runs scratch, taken last in, first out.
+type runsList struct {
+	mu   sync.Mutex
+	free []*runs
+}
+
+// take hands the calling transfer a scratch of its own.
+func (l *runsList) take() *runs {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if n := len(l.free); n > 0 {
+		g := l.free[n-1]
+		l.free = l.free[:n-1]
 		return g
 	}
 	return new(runs)
 }
 
-// putRuns keeps g for a later transfer.
-func (a *Array) putRuns(g *runs) {
-	a.runsMu.Lock()
-	a.freeRuns = append(a.freeRuns, g)
-	a.runsMu.Unlock()
+// put keeps g for a later transfer.
+func (l *runsList) put(g *runs) {
+	l.mu.Lock()
+	l.free = append(l.free, g)
+	l.mu.Unlock()
 }
 
 // ZeroCopy reports whether every disk in the array serves borrowed block

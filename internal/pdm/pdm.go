@@ -164,9 +164,9 @@ type Array struct {
 	// call, not one call per block.
 	ext []ExtentDisk
 
-	// freeRuns is transferV's spare per-disk-run scratch (io.go).
-	runsMu   sync.Mutex
-	freeRuns []*runs
+	// passRuns and stageRuns keep spare per-disk-run scratch (io.go):
+	// for the requests of passes, and for whole-stripe loads and unloads.
+	passRuns, stageRuns runsList
 
 	mu      sync.Mutex
 	stats   Stats

@@ -194,8 +194,8 @@ func (s *Stripe) transferAt(keyOff int, flat []int64, write bool) error {
 		return err
 	}
 	a, b := s.a, s.a.cfg.B
-	g := a.takeRuns()
-	defer a.putRuns(g)
+	g := a.passRuns.take()
+	defer a.passRuns.put(g)
 	defer clear(g.views) // hold no caller memory between transfers
 	g.addrs = s.appendAddrs(g.addrs[:0], keyOff/b, len(flat)/b)
 	g.views = appendBlocks(g.views[:0], flat, b)
@@ -226,8 +226,8 @@ func (s *Stripe) LoadPadded(data []int64, sentinel int64) error {
 	}
 	a, b := s.a, s.a.cfg.B
 	whole := len(data) / b * b
-	g := a.takeRuns()
-	defer a.putRuns(g)
+	g := a.stageRuns.take()
+	defer a.stageRuns.put(g)
 	g.views = appendBlocks(g.views[:0], data[:whole], b)
 	g.blk = slices.Grow(g.blk[:0], 2*b)[:2*b]
 	fill := func(blk []int64, from int) []int64 {
@@ -268,8 +268,8 @@ func (s *Stripe) UnloadInto(dst []int64) error {
 	}
 	a, b := s.a, s.a.cfg.B
 	whole := len(dst) / b * b
-	g := a.takeRuns()
-	defer a.putRuns(g)
+	g := a.stageRuns.take()
+	defer a.stageRuns.put(g)
 	g.views = appendBlocks(g.views[:0], dst[:whole], b)
 	var last []int64
 	if whole < len(dst) {

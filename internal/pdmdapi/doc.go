@@ -31,7 +31,9 @@
 // retried by sequence number), are byte-accounted against a global staging
 // cap, and expire after a TTL if the coordinator dies mid-upload.  Commit
 // assembles the pages in sequence order into a normal job submission, so
-// the scheduler below never sees a partial input.
+// the scheduler below never sees a partial input.  The key buffers of
+// committed, aborted and expired uploads are reused by the next binary
+// pages that fit them, up to the staging cap's worth of them.
 //
 // The three page endpoints carry one type, wire.Page, in either of two
 // bodies.  JSON is the default and what a request that says nothing gets,

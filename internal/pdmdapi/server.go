@@ -22,7 +22,8 @@ type Options struct {
 	// MaxBody caps one request body in bytes; <= 0 selects 64 MiB.
 	MaxBody int64
 	// MaxStagedBytes caps the total bytes held by in-flight staged uploads
-	// across all clients; <= 0 selects 256 MiB.
+	// across all clients, and apart from them the key buffers finished
+	// uploads released for the next pages to reuse; <= 0 selects 256 MiB.
 	MaxStagedBytes int64
 	// Pprof mounts the net/http/pprof handlers under /debug/pprof/ —
 	// opt-in, because profiling endpoints on a job API are an operator
@@ -52,6 +53,12 @@ type server struct {
 // tests and benchmarks mount it on httptest to get in-process worker
 // nodes.
 func New(sch *repro.Scheduler, opts Options) http.Handler {
+	_, h := newServer(sch, opts)
+	return h
+}
+
+// newServer is New, with the server behind the handler.
+func newServer(sch *repro.Scheduler, opts Options) (*server, http.Handler) {
 	if opts.MaxBody <= 0 {
 		opts.MaxBody = 64 << 20
 	}
@@ -86,7 +93,7 @@ func New(sch *repro.Scheduler, opts Options) http.Handler {
 	mux.HandleFunc("POST /uploads/{id}/pages", s.uploadPage)
 	mux.HandleFunc("POST /uploads/{id}/commit", s.uploadCommit)
 	mux.HandleFunc("DELETE /uploads/{id}", s.uploadAbort)
-	return mux
+	return s, mux
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -128,13 +135,22 @@ func (s *server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool 
 	return bodyOK(w, err)
 }
 
-// readPage is decodeBody for a binary page body.  Its buffers are sized
-// from Content-Length, so the cap is checked before anything is allocated.
+// readPage is decodeBody for a binary upload page body.  Its buffers are
+// sized from Content-Length, so the cap is checked before anything is
+// allocated, and its keys decode into a released staging buffer when the
+// store holds one as long as a keys page of that size.
 func (s *server) readPage(r *http.Request) (wire.Page, error) {
 	if r.ContentLength > s.opts.MaxBody {
 		return wire.Page{}, &http.MaxBytesError{Limit: s.opts.MaxBody}
 	}
-	return wire.ReadPage(r.Body, r.ContentLength, nil)
+	dst := s.ups.takeKeys(int(r.ContentLength-int64(wire.Page{}.BinaryLen())) / 8)
+	pg, err := wire.ReadPage(r.Body, r.ContentLength, dst)
+	if err != nil {
+		s.ups.mu.Lock()
+		s.ups.putKeys(dst)
+		s.ups.mu.Unlock()
+	}
+	return pg, err
 }
 
 // bodyOK answers a body that failed to decode: 413 past the cap, else 400.

@@ -2,6 +2,7 @@ package pdmdapi
 
 import (
 	"fmt"
+	"math/bits"
 	"net/http"
 	"sort"
 	"strconv"
@@ -20,6 +21,12 @@ import (
 // only budgets bytes it has admitted; staging happens before admission, so
 // the cap is the handler's own responsibility), and uploads a dead client
 // never finishes expire after a TTL.
+//
+// A committed, aborted or expired upload gives its pages' key buffers back
+// to the store, and the next binary pages that fit one decode into it, so
+// a warm worker allocates no staging.  The store keeps at most
+// MaxStagedBytes of released buffers.  Reuse is safe because commit copies
+// the pages into a slice the job owns (assemble) before they are released.
 
 type upload struct {
 	pages      map[int]uploadPage
@@ -36,16 +43,63 @@ type uploadPage struct {
 }
 
 type uploadStore struct {
-	mu      sync.Mutex
-	maxByte int64
-	ttl     time.Duration
-	used    int64
-	ups     map[string]*upload
-	now     func() time.Time // swapped by the TTL tests
+	mu       sync.Mutex
+	maxByte  int64
+	ttl      time.Duration
+	used     int64
+	ups      map[string]*upload
+	free     [64][][]int64    // released key buffers, by capacity's bit length − 1
+	freeByte int64            // their bytes, at most maxByte
+	now      func() time.Time // swapped by the TTL tests
 }
 
 func newUploadStore(maxBytes int64, ttl time.Duration) *uploadStore {
 	return &uploadStore{maxByte: maxBytes, ttl: ttl, ups: make(map[string]*upload), now: time.Now}
+}
+
+// takeKeys hands out a released buffer of at least n keys, at full
+// capacity, or nil.  It looks only among buffers of n's power-of-two
+// class, so it never hands out twice the capacity asked for.
+func (u *uploadStore) takeKeys(n int) []int64 {
+	if n <= 0 {
+		return nil
+	}
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	class := &u.free[bits.Len(uint(n))-1]
+	for i := len(*class) - 1; i >= 0; i-- {
+		if b := (*class)[i]; cap(b) >= n {
+			last := len(*class) - 1
+			(*class)[i], (*class)[last] = (*class)[last], nil
+			*class = (*class)[:last]
+			u.freeByte -= int64(cap(b)) * 8
+			return b
+		}
+	}
+	return nil
+}
+
+// putKeys keeps b for a later takeKeys while the store has room for it.
+// Called under mu.
+func (u *uploadStore) putKeys(b []int64) {
+	c := cap(b)
+	if c == 0 || u.freeByte+int64(c)*8 > u.maxByte {
+		return
+	}
+	class := &u.free[bits.Len(uint(c))-1]
+	*class = append(*class, b[:c])
+	u.freeByte += int64(c) * 8
+}
+
+// release drops up's pages: their key buffers go back to the store and
+// their bytes off the staging count.  Called under mu.
+func (u *uploadStore) release(up *upload) {
+	for _, pg := range up.pages {
+		u.putKeys(pg.keys)
+	}
+	u.used -= up.bytes
+	up.bytes = 0
+	up.pages = nil
 }
 
 // sweep drops expired uploads.  Called under mu on every operation; the
@@ -55,7 +109,7 @@ func (u *uploadStore) sweep() {
 	now := u.now()
 	for id, up := range u.ups {
 		if now.Sub(up.touched) > u.ttl {
-			u.used -= up.bytes
+			u.release(up)
 			delete(u.ups, id)
 		}
 	}
@@ -131,6 +185,15 @@ func (s *server) uploadPage(w http.ResponseWriter, r *http.Request) {
 	} else if req, err = s.readPage(r); !bodyOK(w, err) {
 		return
 	}
+	u := s.ups
+	staged := false
+	defer func() { // a refused page's keys go back to the store
+		if !staged {
+			u.mu.Lock()
+			u.putKeys(req.Keys)
+			u.mu.Unlock()
+		}
+	}()
 	if len(req.Keys) == 0 {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("page %d: no keys", seq))
 		return
@@ -139,7 +202,6 @@ func (s *server) uploadPage(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("page %d: %d payloads for %d keys", seq, len(req.Payloads), len(req.Keys)))
 		return
 	}
-	u := s.ups
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	u.sweep()
@@ -167,6 +229,7 @@ func (s *server) uploadPage(w http.ResponseWriter, r *http.Request) {
 	u.used += sz
 	up.bytes += sz
 	up.pages[seq] = uploadPage{keys: req.Keys, payloads: req.Payloads}
+	staged = true
 	writeJSON(w, http.StatusOK, map[string]any{"seq": seq, "staged": true})
 }
 
@@ -230,13 +293,10 @@ func (s *server) uploadCommit(w http.ResponseWriter, r *http.Request) {
 	if up2, still := u.ups[id]; still {
 		up2.committing = false
 		if ok {
-			// Park the tombstone and free the staged pages — the
-			// scheduler has copied what it admitted into its own
-			// budgeted arena.  On failure the pages stay so the client
-			// can fix the spec and retry the commit.
-			u.used -= up2.bytes
-			up2.bytes = 0
-			up2.pages = nil
+			// Park the tombstone and release the staged pages — the
+			// job owns assemble's copy of them.  On failure the pages
+			// stay so the client can fix the spec and retry the commit.
+			u.release(up2)
 			up2.committed = true
 			up2.jobID = jobID
 		}
@@ -245,7 +305,9 @@ func (s *server) uploadCommit(w http.ResponseWriter, r *http.Request) {
 	u.mu.Unlock()
 }
 
-// assemble concatenates an upload's pages in sequence order.  Sequence
+// assemble concatenates an upload's pages in sequence order into a fresh
+// slice, the job's own: the pages' buffers are reused once released, and
+// a KeepKeys job keeps this slice as its result.  Sequence
 // numbers must be the contiguous range 0..len-1 — a gap means a page the
 // client believes it sent never arrived, and committing around it would
 // silently sort a hole into the data.
@@ -292,7 +354,7 @@ func (s *server) uploadAbort(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("unknown upload %q", id))
 		return
 	}
-	u.used -= up.bytes
+	u.release(up)
 	delete(u.ups, id)
 	w.WriteHeader(http.StatusNoContent)
 }

@@ -15,8 +15,8 @@ import (
 // arithmetic, and the prefetcher plans each chunk into an address buffer
 // it recycles, so what is left is a constant of the pass — a Reader, its
 // channels and goroutine — under 4 KiB, where one address per block of
-// the input would be 128 KiB.  The race detector drops pooled lists at
-// random, so the file is built without it.
+// the input would be 128 KiB.  The race detector's own bookkeeping would
+// blur the count, so the file is built without it.
 func TestWarmFilterAllocatesNoAddressList(t *testing.T) {
 	a, err := pdm.New(pdm.Config{D: testD, B: testB, Mem: testMem, Pipeline: pdm.PipelineConfig{Prefetch: 2, WriteBehind: 2}})
 	if err != nil {

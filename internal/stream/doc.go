@@ -54,8 +54,8 @@
 // a stripe range in the Writer's own buffer.  Those buffers, the block
 // views of the caller's memory and of the slots, and the transfer lists
 // are a Reader's or Writer's lists, which Close hands to the next
-// constructor through a pool: a warm pass allocates a constant, not a
-// list per chunk.
+// constructor through a free list a collection does not empty: a warm
+// pass allocates a constant, not a list per chunk, whenever the GC ran.
 //
 // A Reader, Writer or Scatter must be driven from a single goroutine;
 // distinct ones on one array may run concurrently.

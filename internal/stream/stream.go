@@ -18,7 +18,7 @@ var errClosed = errors.New("stream: use after Close")
 // lists is the host bookkeeping of one Reader or Writer: block views of
 // the caller's buffer and of the staging slots, address buffers, and one
 // transfer's lists.  Every size in it is bounded by a chunk or the staging,
-// so it is kept in listsPool from Close to the next constructor, grown to
+// so it is kept in freeLists from Close to the next constructor, grown to
 // fit, and a warm pass builds none of it.
 type lists struct {
 	views  [][]int64         // block views of the caller's buffer
@@ -33,17 +33,36 @@ type lists struct {
 	pieces []piece           // a Reader fill's pieces
 }
 
-var listsPool = sync.Pool{New: func() any { return new(lists) }}
+// freeLists holds the lists Close handed back.  Unlike a sync.Pool a
+// collection does not empty it, so a warm pass allocates the same whether
+// or not the GC ran before it; it never holds more lists than were out at
+// once.
+var freeLists struct {
+	sync.Mutex
+	l []*lists
+}
 
-func takeLists() *lists { return listsPool.Get().(*lists) }
+func takeLists() *lists {
+	freeLists.Lock()
+	defer freeLists.Unlock()
+	n := len(freeLists.l)
+	if n == 0 {
+		return new(lists)
+	}
+	l := freeLists.l[n-1]
+	freeLists.l = freeLists.l[:n-1]
+	return l
+}
 
-// put drops l's views of caller and staging memory and pools it.
+// put drops l's views of caller and staging memory and hands it back.
 func (l *lists) put() {
 	clear(l.views[:cap(l.views)])
 	clear(l.ring[:cap(l.ring)])
 	clear(l.slots[:cap(l.slots)])
 	clear(l.bufs[:cap(l.bufs)])
-	listsPool.Put(l)
+	freeLists.Lock()
+	freeLists.l = append(freeLists.l, l)
+	freeLists.Unlock()
 }
 
 // carveSlots carves ring into depth slots of bps B-key block views and

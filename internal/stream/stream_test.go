@@ -434,7 +434,7 @@ func TestReaderRejectsWrongBufferCount(t *testing.T) {
 }
 
 // TestListsReusedAfterAbandonedReader: a Reader closed with chunks still
-// prefetched hands its lists on through the pool mid-stream.  The Readers
+// prefetched hands its lists on through the free list mid-stream.  The Readers
 // and Writers that take those lists next must charge exactly their own
 // addresses: a copy of the stripe traces the source's blocks in order, then
 // the destination's.

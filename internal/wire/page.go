@@ -61,6 +61,36 @@ func (p Page) WriteBinary(w io.Writer) (err error) {
 		}
 	}
 	var hdr [pageHeaderLen]byte
+	p.putHeader(hdr[:])
+	write(hdr[:])
+	write(p.keyBytes())
+	for _, pl := range p.Payloads {
+		write(binary.AppendUvarint(hdr[:0], uint64(len(pl))))
+		write(pl)
+	}
+	return err
+}
+
+// BinarySections returns the body WriteBinary writes as the three byte
+// sections it is made of, in order: the header, the keys, and the payload
+// section (empty on a keys page), BinaryLen bytes in all.  On a
+// little-endian host the keys section is a view of p.Keys, not a copy, so
+// a body sent from it stays valid only while p.Keys is left unchanged.
+func (p Page) BinarySections() [3][]byte {
+	hdr := make([]byte, pageHeaderLen)
+	p.putHeader(hdr)
+	var sec []byte
+	if len(p.Payloads) > 0 {
+		sec = make([]byte, 0, p.BinaryLen()-pageHeaderLen-8*len(p.Keys))
+		for _, pl := range p.Payloads {
+			sec = append(binary.AppendUvarint(sec, uint64(len(pl))), pl...)
+		}
+	}
+	return [3][]byte{hdr, p.keyBytes(), sec}
+}
+
+// putHeader fills hdr, pageHeaderLen bytes, with the page's header.
+func (p Page) putHeader(hdr []byte) {
 	le.PutUint32(hdr[0:], pageMagic)
 	if p.Payloads != nil {
 		le.PutUint32(hdr[4:], pageRecords)
@@ -68,18 +98,17 @@ func (p Page) WriteBinary(w io.Writer) (err error) {
 	le.PutUint64(hdr[8:], uint64(p.N))
 	le.PutUint64(hdr[16:], uint64(p.Offset))
 	le.PutUint64(hdr[24:], uint64(len(p.Keys)))
-	write(hdr[:])
+}
+
+// keyBytes is the keys section: a view of p.Keys on a little-endian host,
+// a little-endian clone elsewhere.
+func (p Page) keyBytes() []byte {
 	keys := p.Keys
 	if !wordview.Native {
 		keys = slices.Clone(keys)
 		wordview.LE(keys)
 	}
-	write(wordview.Bytes(keys))
-	for _, pl := range p.Payloads {
-		write(binary.AppendUvarint(hdr[:0], uint64(len(pl))))
-		write(pl)
-	}
-	return err
+	return wordview.Bytes(keys)
 }
 
 // ReadPage decodes a PageContentType body from r.  size is its declared

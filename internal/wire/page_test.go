@@ -10,6 +10,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/wordview"
 )
 
 // encode is WriteBinary into a buffer, with BinaryLen checked on the way.
@@ -112,6 +114,27 @@ func TestPageRoundTrip(t *testing.T) {
 		var viaJSON Page
 		if err := json.Unmarshal(raw, &viaJSON); err != nil || !samePage(viaJSON, got) {
 			t.Fatalf("page %d: JSON carries %+v, binary %+v", i, viaJSON, got)
+		}
+	}
+}
+
+// TestBinarySections: the three sections concatenate to exactly the body
+// WriteBinary writes, for keys pages, records pages and empty pages, and
+// on a little-endian host the keys section is the keys' own storage.
+func TestBinarySections(t *testing.T) {
+	pages := []Page{
+		{N: 0, Offset: 0, Keys: []int64{}},
+		{N: 5, Offset: 5, Keys: []int64{}, Payloads: [][]byte{}},
+		{N: 9, Offset: 2, Keys: []int64{-1 << 63, 0, 1<<63 - 1}},
+		{N: 9, Offset: 4, Keys: []int64{7, 7, 8}, Payloads: [][]byte{nil, {}, bytes.Repeat([]byte{0xab}, 300)}},
+	}
+	for i, p := range pages {
+		secs := p.BinarySections()
+		if got, want := bytes.Join(secs[:], nil), encode(t, p); !bytes.Equal(got, want) {
+			t.Fatalf("page %d: sections join to %x, WriteBinary wrote %x", i, got, want)
+		}
+		if wordview.Native && len(p.Keys) > 0 && &secs[1][0] != &wordview.Bytes(p.Keys)[0] {
+			t.Fatalf("page %d: keys section is a copy, not a view", i)
 		}
 	}
 }

@@ -307,7 +307,7 @@ func (m *Machine) SortInts(keys []int64, universe int64) (*Report, error) {
 	// Pad with universe-1 sentinels (largest value) to a block multiple.
 	b := m.a.B()
 	padded := memsort.CeilDiv(len(keys), b) * b
-	return m.sortPadded(keys, padded, universe-1, Auto, func(a *pdm.Array, in *pdm.Stripe) (*core.Result, error) {
+	return m.sortPadded(keys, padded, universe-1, core.AlgRadix, func(a *pdm.Array, in *pdm.Stripe) (*core.Result, error) {
 		return core.RadixSort(a, in, universe)
 	})
 }

@@ -141,6 +141,9 @@ func TestSortInts(t *testing.T) {
 	if rep.Passes <= 0 {
 		t.Fatalf("passes = %v", rep.Passes)
 	}
+	if rep.Algorithm != core.AlgRadix {
+		t.Fatalf("report names %q, want %q", rep.Algorithm, core.AlgRadix)
+	}
 	if _, err := m.SortInts([]int64{-1}, 10); err == nil {
 		t.Fatal("negative key accepted")
 	}

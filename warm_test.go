@@ -22,8 +22,8 @@ import (
 // runs are fewer than the disks, the narrower merge batches of ThreePass2,
 // each a stripe of its own.  That is at most 12 allocations and 1 KiB per
 // extra load; at M = 65536 one address per block of a load is 4 KiB.  The
-// race detector's own bookkeeping and its random drops from sync.Pool
-// would blur the counts, so the file is built without it.
+// race detector's own bookkeeping would blur the counts, so the file is
+// built without it.
 func TestWarmSortAllocations(t *testing.T) {
 	depths := []PipelineConfig{{}, {Prefetch: 1, WriteBehind: 1},
 		{Prefetch: 2, WriteBehind: 2}, {Prefetch: 4, WriteBehind: 1}, {Prefetch: 4, WriteBehind: 4}}
@@ -87,6 +87,60 @@ func TestWarmSortAllocations(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestWarmSortAllocationsIgnoreGC checks that a warm sort allocates the
+// same bytes whether or not a collection ran just before it: the lists a
+// Reader or Writer hands on and RadixSort's directories are kept on free
+// lists a GC does not empty.  Each side is the least of five warm sorts
+// (a goroutine the scheduler starts late can grow a fill list once), and
+// with two collections before each sort it may exceed the side without
+// them by at most 1 KiB.
+func TestWarmSortAllocationsIgnoreGC(t *testing.T) {
+	const mem, n = 4096, 4 * 4096
+	m, err := NewMachine(MachineConfig{Memory: mem, Workers: 2, Pipeline: PipelineConfig{Prefetch: 2, WriteBehind: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	input := workload.Uniform(n, 0, 1<<40, 9)
+	keys := make([]int64, n)
+	for _, alg := range []Algorithm{ThreePassLMM, core.AlgRadix} {
+		sort := func(gc bool) uint64 {
+			copy(keys, input)
+			if gc {
+				runtime.GC()
+				runtime.GC()
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if alg == core.AlgRadix {
+				_, err = m.SortInts(keys, 1<<40)
+			} else {
+				_, err = m.Sort(keys, alg)
+			}
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return after.TotalAlloc - before.TotalAlloc
+		}
+		sort(false) // warm the arena, the disks and the free lists
+		var plain, collected uint64
+		for run := range 5 {
+			p, c := sort(false), sort(true)
+			if run == 0 || p < plain {
+				plain = p
+			}
+			if run == 0 || c < collected {
+				collected = c
+			}
+		}
+		t.Logf("%v: %d B, %d B right after a collection", alg, plain, collected)
+		if collected > plain+1024 {
+			t.Errorf("%v: a warm sort allocates %d B, but %d B right after a collection", alg, plain, collected)
 		}
 	}
 }
