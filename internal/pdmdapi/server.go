@@ -144,13 +144,7 @@ func (s *server) readPage(r *http.Request) (wire.Page, error) {
 		return wire.Page{}, &http.MaxBytesError{Limit: s.opts.MaxBody}
 	}
 	dst := s.ups.takeKeys(int(r.ContentLength-int64(wire.Page{}.BinaryLen())) / 8)
-	pg, err := wire.ReadPage(r.Body, r.ContentLength, dst)
-	if err != nil {
-		s.ups.mu.Lock()
-		s.ups.putKeys(dst)
-		s.ups.mu.Unlock()
-	}
-	return pg, err
+	return wire.ReadPage(r.Body, r.ContentLength, dst)
 }
 
 // bodyOK answers a body that failed to decode: 413 past the cap, else 400.

@@ -25,7 +25,8 @@ import (
 // A committed, aborted or expired upload gives its pages' key buffers back
 // to the store, and the next binary pages that fit one decode into it, so
 // a warm worker allocates no staging.  The store keeps at most
-// MaxStagedBytes of released buffers.  Reuse is safe because commit copies
+// MaxStagedBytes of released buffers; a page refused after its decode
+// leaves its buffer to the collector.  Reuse is safe because commit copies
 // the pages into a slice the job owns (assemble) before they are released.
 
 type upload struct {
@@ -185,15 +186,6 @@ func (s *server) uploadPage(w http.ResponseWriter, r *http.Request) {
 	} else if req, err = s.readPage(r); !bodyOK(w, err) {
 		return
 	}
-	u := s.ups
-	staged := false
-	defer func() { // a refused page's keys go back to the store
-		if !staged {
-			u.mu.Lock()
-			u.putKeys(req.Keys)
-			u.mu.Unlock()
-		}
-	}()
 	if len(req.Keys) == 0 {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("page %d: no keys", seq))
 		return
@@ -202,6 +194,7 @@ func (s *server) uploadPage(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("page %d: %d payloads for %d keys", seq, len(req.Payloads), len(req.Keys)))
 		return
 	}
+	u := s.ups
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	u.sweep()
@@ -229,7 +222,6 @@ func (s *server) uploadPage(w http.ResponseWriter, r *http.Request) {
 	u.used += sz
 	up.bytes += sz
 	up.pages[seq] = uploadPage{keys: req.Keys, payloads: req.Payloads}
-	staged = true
 	writeJSON(w, http.StatusOK, map[string]any{"seq": seq, "staged": true})
 }
 
