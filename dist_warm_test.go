@@ -17,10 +17,11 @@ import (
 // copy of the keys, the partition buffer: upload page bodies are views of
 // it and the sorted shards decode back into it.  A warm worker holds one,
 // the job's own copy of its shard: binary pages decode into staging
-// buffers the last upload released.  The rest is net/http's (headers,
-// 32 KiB copy buffers) and the two shard jobs' fresh machines, ≈ 2.7
-// copies at this shape, so the bound is six copies of the keys; a copy
-// per page body, staged page and result on top of them makes ≈ 7.8.
+// buffers the last upload released, and its shard job takes the idle
+// machine the last one left.  The rest is net/http's (headers, 32 KiB
+// copy buffers), ≈ 1.6 copies at this shape (≈ 2.7 with a fresh machine
+// per shard job), so the bound is six copies of the keys; a copy per page
+// body, staged page and result on top of them makes ≈ 7.8.
 // The least of four warm sorts is taken: a sort that has to dial a fresh
 // connection allocates its buffers too.
 func TestDistSortAllocations(t *testing.T) {

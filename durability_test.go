@@ -126,18 +126,24 @@ func awaitCheckpoint(t *testing.T, jdir string, job int) int {
 // journaled pass boundary via Drain, restarts the scheduler over the same
 // directories, and demands the resumed job's output and deterministic
 // report match an uninterrupted control run — with the two queued jobs
-// re-admitted behind it in their original order.
+// re-admitted behind it in their original order.  A smaller warm-up job of
+// the same geometry runs first, so the interrupted job runs, and is
+// drained, on the machine the warm-up left idle.
 func TestSchedulerDrainResumeBitIdentical(t *testing.T) {
 	dir, jdir := t.TempDir(), t.TempDir()
 	specs := durabilitySpecs()
+	warm := JobSpec{Workload: &WorkloadSpec{Kind: "uniform", N: 2 * schedJobMem, Seed: 10},
+		Alg: ThreePassLMM, BlockLatencyUS: specs[0].BlockLatencyUS, Label: "warm-up"}
 	wantKeys, wantRep := soloDurabilityRun(t, specs[0])
 
-	// Life 1: submit all three, wait for the first pass boundary to hit
-	// the journal, then drain cleanly.
+	// Life 1: submit the warm-up and all three, wait for the first pass
+	// boundary of the interrupted job to hit the journal, then drain
+	// cleanly.
 	s1, err := NewScheduler(durabilityConfig(dir, jdir))
 	if err != nil {
 		t.Fatal(err)
 	}
+	warmID := submitBatch(t, s1, []JobSpec{warm})[0]
 	ids := submitBatch(t, s1, specs)
 	awaitCheckpoint(t, jdir, ids[0])
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -145,6 +151,12 @@ func TestSchedulerDrainResumeBitIdentical(t *testing.T) {
 	cancel()
 	if err != nil {
 		t.Fatalf("drain: %v", err)
+	}
+	if st, _ := s1.Status(warmID); st.State != JobDone {
+		t.Fatalf("warm-up job state %q, error %q", st.State, st.Error)
+	}
+	if st := s1.Stats(); st.Reused != 1 {
+		t.Fatalf("%d jobs took an idle machine, want the interrupted one", st.Reused)
 	}
 	st, ok := s1.Status(ids[0])
 	if !ok || st.State != JobSuspended {

@@ -12,6 +12,19 @@ import (
 // it (like any other resume-attempt failure) as "restart from input".
 var ErrResumeInvalid = errors.New("core: resume checkpoint invalid")
 
+// passDone reports a top-level pass boundary.  live fills the manifest's
+// stripe and view sets, and runs only when the array's checkpointer wants
+// whole manifests (pdm.Array.Manifests): a facade sort attaches none, and
+// an unjournaled scheduler only marks where a drain may stop.
+func passDone(a *pdm.Array, cp pdm.Checkpoint, live func(*pdm.Checkpoint) error) error {
+	if a.Manifests() {
+		if err := live(&cp); err != nil {
+			return err
+		}
+	}
+	return a.PassDone(cp)
+}
+
 // stripeRefs collects placement records for a checkpoint manifest.
 func stripeRefs(ss []*pdm.Stripe) []pdm.StripeRef {
 	refs := make([]pdm.StripeRef, len(ss))

@@ -97,8 +97,10 @@ func threePass1Range(a *pdm.Array, in *pdm.Stripe, off, n int, emit emitFunc, ck
 			return nil, err
 		}
 		if ckpt {
-			if err := a.PassDone(pdm.Checkpoint{Alg: string(AlgMesh3), Pass: 1, N: n,
-				Stripes: map[string][]pdm.StripeRef{"cols": stripeRefs(cols)}}); err != nil {
+			if err := passDone(a, pdm.Checkpoint{Alg: string(AlgMesh3), Pass: 1, N: n}, func(cp *pdm.Checkpoint) error {
+				cp.Stripes = map[string][]pdm.StripeRef{"cols": stripeRefs(cols)}
+				return nil
+			}); err != nil {
 				return nil, err
 			}
 		}
@@ -131,11 +133,10 @@ func threePass1Range(a *pdm.Array, in *pdm.Stripe, off, n int, emit emitFunc, ck
 			return nil, err
 		}
 		if ckpt {
-			if err := a.PassDone(pdm.Checkpoint{Alg: string(AlgMesh3), Pass: 2, N: n,
-				Stripes: map[string][]pdm.StripeRef{
-					"cols":  stripeRefs(cols),
-					"bands": stripeRefs(bands),
-				}}); err != nil {
+			if err := passDone(a, pdm.Checkpoint{Alg: string(AlgMesh3), Pass: 2, N: n}, func(cp *pdm.Checkpoint) error {
+				cp.Stripes = map[string][]pdm.StripeRef{"cols": stripeRefs(cols), "bands": stripeRefs(bands)}
+				return nil
+			}); err != nil {
 				return nil, err
 			}
 		}

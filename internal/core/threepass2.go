@@ -96,8 +96,10 @@ func threePass2Range(a *pdm.Array, in *pdm.Stripe, off, n int, emit emitFunc, ck
 			return nil, err
 		}
 		if ckpt {
-			if err := a.PassDone(pdm.Checkpoint{Alg: string(AlgLMM3), Pass: 1, N: n,
-				Stripes: map[string][]pdm.StripeRef{"runs": stripeRefs(runs)}}); err != nil {
+			if err := passDone(a, pdm.Checkpoint{Alg: string(AlgLMM3), Pass: 1, N: n}, func(cp *pdm.Checkpoint) error {
+				cp.Stripes = map[string][]pdm.StripeRef{"runs": stripeRefs(runs)}
+				return nil
+			}); err != nil {
 				freeAll(runs)
 				return nil, err
 			}
@@ -111,15 +113,13 @@ func threePass2Range(a *pdm.Array, in *pdm.Stripe, off, n int, emit emitFunc, ck
 			return nil, err
 		}
 		if ckpt {
-			vrefs, verr := viewRefs(merged, backing)
-			if verr == nil {
-				verr = a.PassDone(pdm.Checkpoint{Alg: string(AlgLMM3), Pass: 2, N: n,
-					Stripes: map[string][]pdm.StripeRef{"backing": stripeRefs(backing)},
-					Views:   vrefs})
-			}
-			if verr != nil {
+			if err := passDone(a, pdm.Checkpoint{Alg: string(AlgLMM3), Pass: 2, N: n}, func(cp *pdm.Checkpoint) (err error) {
+				cp.Stripes = map[string][]pdm.StripeRef{"backing": stripeRefs(backing)}
+				cp.Views, err = viewRefs(merged, backing)
+				return err
+			}); err != nil {
 				freeAll(backing)
-				return nil, verr
+				return nil, err
 			}
 		}
 	}

@@ -78,33 +78,53 @@ type Checkpoint struct {
 // cleanly at the boundary it just journaled).
 type Checkpointer func(Checkpoint) error
 
-// SetCheckpointer installs the pass-boundary callback.  A nil
-// checkpointer (the default) makes PassDone a cheap no-op.
-func (a *Array) SetCheckpointer(ck Checkpointer) {
+// SetCheckpointer installs the pass-boundary callback, which receives
+// whole manifests.  A nil checkpointer (the default) makes PassDone a
+// cheap no-op.
+func (a *Array) SetCheckpointer(ck Checkpointer) { a.setCheckpointer(ck, true) }
+
+// SetPassHook installs a pass-boundary callback that wants no manifest: it
+// sees each boundary's Alg, Pass and N only, a place where a run may stop
+// (a drain), and the algorithms build no stripe or view records for it
+// (Manifests).  It replaces any checkpointer.
+func (a *Array) SetPassHook(ck Checkpointer) { a.setCheckpointer(ck, false) }
+
+func (a *Array) setCheckpointer(ck Checkpointer, manifests bool) {
 	a.mu.Lock()
-	a.ckpt = ck
+	a.ckpt, a.manifests = ck, ck != nil && manifests
 	a.mu.Unlock()
 }
 
+// Manifests reports whether the installed checkpointer wants whole
+// manifests: the live stripe, view and parameter sets an algorithm fills
+// in before PassDone.  Without one the algorithms skip building them.
+func (a *Array) Manifests() bool {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.manifests
+}
+
 // PassDone reports a completed pass boundary.  The caller fills Alg,
-// Pass, N and the live stripe/view/param sets; PassDone completes the
-// manifest with the allocator snapshot and cumulative statistics, then
-// hands it to the installed checkpointer, if any.
+// Pass, N and, when Manifests, the live stripe/view/param sets; PassDone
+// completes a whole manifest with the allocator snapshot and cumulative
+// statistics, then hands it to the installed checkpointer, if any.
 func (a *Array) PassDone(cp Checkpoint) error {
 	a.mu.Lock()
-	ck := a.ckpt
+	ck, whole := a.ckpt, a.manifests
+	if whole {
+		cp.Alloc = AllocState{Next: a.alloc.next}
+		for _, e := range a.alloc.free {
+			cp.Alloc.Free = append(cp.Alloc.Free, Extent{Start: e.start, Rows: e.n})
+		}
+		cp.Stats = a.stats
+	}
+	a.mu.Unlock()
 	if ck == nil {
-		a.mu.Unlock()
 		return nil
 	}
-	cp.Alloc = AllocState{Next: a.alloc.next}
-	for _, e := range a.alloc.free {
-		cp.Alloc.Free = append(cp.Alloc.Free, Extent{Start: e.start, Rows: e.n})
+	if whole {
+		cp.Stats.ComputeSections, cp.Stats.ComputeWallNanos, cp.Stats.ComputeBusyNanos = a.pool.Counters()
 	}
-	st := a.stats
-	a.mu.Unlock()
-	st.ComputeSections, st.ComputeWallNanos, st.ComputeBusyNanos = a.pool.Counters()
-	cp.Stats = st
 	return ck(cp)
 }
 

@@ -178,6 +178,7 @@ type Array struct {
 	// PassDone hands completed-pass manifests to ckpt, and TakeResume
 	// lets the owning algorithm claim resume to skip finished passes.
 	ckpt           Checkpointer
+	manifests      bool // ckpt wants the live stripe and view sets
 	resume         *Checkpoint
 	resumeConsumed bool
 }
@@ -325,6 +326,25 @@ func (a *Array) ResetStats() {
 	a.stats = Stats{}
 	a.mu.Unlock()
 	a.pool.ResetCounters()
+}
+
+// Reset readies an array for a new owner as if it were built afresh over
+// the same disks and arena: the statistics and compute counters, the row
+// allocator and its high-water mark (DiskFootprint), the arena's peaks, the
+// checkpointer, the resume point and the bound context are all cleared.
+// The disks keep their open files and the arena the buffers Free kept, so
+// the next run opens and allocates nothing; blocks a disk holds from an
+// earlier run stay readable until overwritten, but no run reads a block it
+// has not written.  No stripe or arena buffer may be live.
+func (a *Array) Reset() {
+	a.ResetStats()
+	a.mu.Lock()
+	a.alloc = rowAllocator{free: a.alloc.free[:0]}
+	a.ckpt, a.manifests = nil, false
+	a.resume, a.resumeConsumed = nil, false
+	a.mu.Unlock()
+	a.arena.ResetPeak()
+	a.BindContext(nil)
 }
 
 // Close closes all disks, returning the first error encountered.

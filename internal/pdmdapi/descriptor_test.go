@@ -16,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/wire"
 	"repro/internal/wire/wiretest"
+	"repro/internal/wordview"
 )
 
 // TestValidationSameByBothDoors pushes each bad descriptor through the
@@ -376,5 +377,41 @@ func TestBinaryUploadNeedsLength(t *testing.T) {
 	}
 	if cresp, _ := uploadCommitReq(t, ts.URL, "chunked", map[string]any{"alg": "lmm3"}); cresp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("commit after the refused page = %d, want 400 (no pages)", cresp.StatusCode)
+	}
+}
+
+// TestDecodedBodyOutlivesItsBuffer decodes two submit bodies of one length
+// through one server: the second is read into the staging buffer the first
+// gave back, and the first decoded spec — its keys and its label — is
+// unchanged by it.
+func TestDecodedBodyOutlivesItsBuffer(t *testing.T) {
+	srv := &server{opts: Options{MaxBody: 1 << 20}, ups: newUploadStore(1<<20, uploadTTL)}
+	keys := make([]int64, 4096)
+	for i := range keys {
+		keys[i] = int64(i*7919%4096) - 2048
+	}
+	decode := func(spec repro.JobSpec) ([]byte, repro.JobSpec) {
+		t.Helper()
+		body, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		got, ok := srv.decodeSpec(rec, httptest.NewRequest(http.MethodPost, "/jobs", bytes.NewReader(body)))
+		if !ok {
+			t.Fatalf("decode failed: %d %s", rec.Code, rec.Body)
+		}
+		return body, got
+	}
+	first := repro.JobSpec{Keys: slices.Clone(keys), Alg: repro.ThreePassLMM, KeepKeys: true, Label: "first"}
+	_, got := decode(first)
+	slices.Reverse(keys) // the same digits: a body of the same length
+	body, _ := decode(repro.JobSpec{Keys: keys, Alg: repro.ThreePassLMM, KeepKeys: true, Label: "other"})
+	buf := srv.ups.takeKeys((len(body) + 7) / 8)
+	if buf == nil || !bytes.HasPrefix(wordview.Bytes(buf), body) {
+		t.Fatal("the second body was not read into the buffer the first gave back")
+	}
+	if !reflect.DeepEqual(got, first) {
+		t.Fatalf("reading the next body changed a decoded spec:\n got %+v\nwant %+v", got, first)
 	}
 }

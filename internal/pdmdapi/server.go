@@ -14,6 +14,7 @@ import (
 	"repro"
 	"repro/internal/plan"
 	"repro/internal/wire"
+	"repro/internal/wordview"
 )
 
 // Options sizes the handler's own limits (everything else is budgeted by
@@ -23,7 +24,8 @@ type Options struct {
 	MaxBody int64
 	// MaxStagedBytes caps the total bytes held by in-flight staged uploads
 	// across all clients, and apart from them the key buffers finished
-	// uploads released for the next pages to reuse; <= 0 selects 256 MiB.
+	// uploads and decoded request bodies released for the next pages and
+	// bodies to reuse; <= 0 selects 256 MiB.
 	MaxStagedBytes int64
 	// Pprof mounts the net/http/pprof handlers under /debug/pprof/ —
 	// opt-in, because profiling endpoints on a job API are an operator
@@ -117,17 +119,28 @@ func (s *server) healthz(w http.ResponseWriter, r *http.Request) {
 
 // decodeBody reads one JSON request body into v under the size cap and
 // the rules every endpoint shares (wire.DecodeJSON).  A declared length
-// past the cap is refused before anything is read; one within it sizes
-// the buffer exactly.
+// past the cap is refused before anything is read; one within it is read
+// into a released staging buffer of the upload store, viewed as bytes,
+// which goes back to the store once the decode has copied everything out
+// of it.  So a warm server allocates no body buffer.
 func (s *server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	if r.ContentLength > s.opts.MaxBody {
 		return bodyOK(w, &http.MaxBytesError{Limit: s.opts.MaxBody})
 	}
 	rd := http.MaxBytesReader(w, r.Body, s.opts.MaxBody)
-	body := make([]byte, max(r.ContentLength, 0)) // a chunked body: ReadAll's
-	_, err := io.ReadFull(rd, body)
+	var body []byte
+	var err error
 	if r.ContentLength < 0 {
-		body, err = io.ReadAll(rd)
+		body, err = io.ReadAll(rd) // a chunked body
+	} else {
+		words := int((r.ContentLength + 7) / 8)
+		buf := s.ups.takeKeys(words)
+		if buf == nil {
+			buf = make([]int64, words)
+		}
+		defer s.ups.giveKeys(buf)
+		body = wordview.Bytes(buf)[:r.ContentLength]
+		_, err = io.ReadFull(rd, body)
 	}
 	if err == nil {
 		err = wire.DecodeJSON(body, v)

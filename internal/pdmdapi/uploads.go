@@ -24,10 +24,13 @@ import (
 //
 // A committed, aborted or expired upload gives its pages' key buffers back
 // to the store, and the next binary pages that fit one decode into it, so
-// a warm worker allocates no staging.  The store keeps at most
-// MaxStagedBytes of released buffers; a page refused after its decode
+// a warm worker allocates no staging.  JSON request bodies borrow from the
+// same buffers, viewed as bytes (decodeBody), and give theirs back once
+// decoded, so one free list serves staging and bodies.  The store keeps at
+// most MaxStagedBytes of released buffers; a page refused after its decode
 // leaves its buffer to the collector.  Reuse is safe because commit copies
-// the pages into a slice the job owns (assemble) before they are released.
+// the pages into a slice the job owns (assemble) before they are released,
+// and a body's decode copies everything out of it.
 
 type upload struct {
 	pages      map[int]uploadPage
@@ -60,9 +63,10 @@ func newUploadStore(maxBytes int64, ttl time.Duration) *uploadStore {
 
 // takeKeys hands out a released buffer of at least n keys, at full
 // capacity, or nil.  It looks only among buffers of n's power-of-two
-// class, so it never hands out twice the capacity asked for.
+// class, so it never hands out twice the capacity asked for.  A nil store
+// (a bare server) lends nothing and keeps nothing.
 func (u *uploadStore) takeKeys(n int) []int64 {
-	if n <= 0 {
+	if u == nil || n <= 0 {
 		return nil
 	}
 	u.mu.Lock()
@@ -80,8 +84,18 @@ func (u *uploadStore) takeKeys(n int) []int64 {
 	return nil
 }
 
-// putKeys keeps b for a later takeKeys while the store has room for it.
-// Called under mu.
+// giveKeys keeps b, a buffer takeKeys lent or one like it, for a later
+// takeKeys while the store has room for it.
+func (u *uploadStore) giveKeys(b []int64) {
+	if u == nil {
+		return
+	}
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	u.putKeys(b)
+}
+
+// putKeys is giveKeys, called under mu.
 func (u *uploadStore) putKeys(b []int64) {
 	c := cap(b)
 	if c == 0 || u.freeByte+int64(c)*8 > u.maxByte {

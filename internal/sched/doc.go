@@ -10,7 +10,15 @@
 // stream of small ones, and budget exhaustion is backpressure rather than
 // failure.  Each admitted job runs on its own goroutine with its own
 // cancellable context and (when the scheduler is file-backed) its own
-// scratch directory, removed when the job finishes.  Canceling a queued
+// scratch directory, removed when the job finishes.  A job with a
+// Request.Shape that finishes Done may instead keep its machine idle
+// (Env.Keep): the directory is renamed Dir/idle-NNNN and the job's memory
+// envelope and the machine's scratch stay charged to the ledgers, so
+// running plus idle never exceeds either budget.  The next job of the
+// same shape takes it at admission (Env.Idle), its directory renamed to
+// that job's; when the head of the queue needs room the idle machines
+// hold, the engine closes them, least recently kept first; Close and
+// Drain close the rest, and New sweeps any a crash left.  Canceling a queued
 // job removes it without ever reserving resources; canceling a running job
 // cancels its context, which the pdm layer turns into a prompt abort of
 // every subsequent I/O.
@@ -22,8 +30,9 @@
 // no live record names it, verified by RecoveredJob.ReadInput.
 //
 // The package is deliberately generic: a job is an envelope plus a Run
-// function.  The repro facade supplies Run functions that build a per-job
-// Machine from the envelope (its arena capacity is exactly the reserved
-// amount, its pool attached to the shared limiter) and sort; this package
-// never needs to know what a pass is.
+// function, and a kept machine is an io.Closer under an opaque shape.  The
+// repro facade supplies Run functions that build a per-job Machine from
+// the envelope (its arena capacity is exactly the reserved amount, its
+// pool attached to the shared limiter), or reset the one they were
+// handed, and sort; this package never needs to know what a pass is.
 package sched

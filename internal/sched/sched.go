@@ -14,6 +14,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -76,9 +77,11 @@ type Config struct {
 	// Workers is the global compute budget: the width of the par.Limiter
 	// every job's worker pool shares.  Zero selects GOMAXPROCS.
 	Workers int
-	// Dir, when non-empty, gives each job a scratch directory
-	// Dir/job-NNNN (created at admission, removed at completion) for
-	// file-backed disks.
+	// Dir, when non-empty, gives each running job a scratch directory
+	// Dir/job-NNNN for file-backed disks: made at admission (or renamed
+	// there from the idle directory of the machine the job takes), and
+	// removed when the job finishes unless it keeps its machine idle in
+	// Dir/idle-NNNN (Env.Keep).
 	Dir string
 	// MaxQueue bounds the number of queued jobs; zero selects 1024.
 	MaxQueue int
@@ -101,17 +104,43 @@ type Config struct {
 
 // Env is what an admitted job receives: its identity, the shared compute
 // budget, its scratch directory ("" when the scheduler is memory-backed),
-// and a Checkpoint sink for durable pass manifests.
+// a Checkpoint sink for durable pass manifests, and the idle-machine
+// hand-over.
 type Env struct {
 	JobID   int
 	Limiter *par.Limiter
 	Workers int
 	Dir     string
-	// Checkpoint journals an opaque pass manifest for this job.  It
-	// returns ErrDraining when the scheduler wants the job to stop at
-	// this boundary; the job should abort with that error so it is
-	// suspended (scratch kept) rather than failed.  Always non-nil.
+	// Checkpoint journals an opaque pass manifest for this job (a nil one
+	// only asks about a drain).  It returns ErrDraining when the scheduler
+	// wants the job to stop at this boundary; the job should abort with
+	// that error so it is suspended (scratch kept) rather than failed.
+	// Always non-nil.
 	Checkpoint func(manifest []byte) error
+	// Idle is the machine an earlier job of the same Request.Shape kept
+	// (Keep), handed to this job at admission with its files renamed into
+	// Dir; nil when the job got none and builds its own.
+	Idle io.Closer
+	// Keep offers the job's machine, whose files hold disk keys of
+	// scratch, to a later job of the same Shape.  If the job ends Done
+	// while the scheduler is open and disk fits its disk envelope, the
+	// machine stays idle: Dir is renamed to Dir/idle-NNNN, and the job's
+	// memory envelope and disk keys stay charged to the ledgers until a
+	// job takes the machine or admission closes it, least recently kept
+	// first, to make room for the queue's head.  Otherwise the scheduler
+	// closes it when it releases the job.  Always non-nil; a no-op for a
+	// job without a Shape.
+	Keep func(m io.Closer, disk int)
+}
+
+// idleMachine is a finished job's machine kept for a later job of the same
+// shape, with its scratch directory and the envelope it holds on the
+// ledgers.
+type idleMachine struct {
+	m         io.Closer
+	shape     string
+	dir       string
+	mem, disk int
 }
 
 // Request describes one job: its resource envelope and its body.
@@ -138,6 +167,12 @@ type Request struct {
 	// original journal records (and therefore its original scratch
 	// directory); no new submission record is written.
 	ID int
+	// Shape, when non-empty, names the machine the job runs on: a job
+	// takes the idle machine of an earlier job of the same Shape whose
+	// memory envelope equals its own and whose scratch fits its disk
+	// envelope (Env.Idle), and may keep its own for a later one
+	// (Env.Keep).
+	Shape string
 	// Run is the job body.  It must honor ctx — the pdm layer turns a
 	// bound context into failing I/O, so a sorting Run that binds ctx to
 	// its machine's array (pdm.Array.BindContext) aborts promptly when
@@ -151,8 +186,13 @@ type Job struct {
 	label    string
 	memKeys  int
 	diskKeys int
+	shape    string
 	run      func(ctx context.Context, env Env) error
 	done     chan struct{}
+	// idle is the machine admission handed the job, until runJob moves it
+	// into Env.Idle; keep is the machine the job offered through Env.Keep.
+	// Both are touched only by the admitter and the job's own goroutine.
+	idle, keep *idleMachine
 
 	mu              sync.Mutex
 	state           State
@@ -255,11 +295,22 @@ type Stats struct {
 	// Suspended counts jobs interrupted at a checkpoint by Drain.
 	Suspended int
 
+	// MemInUse and DiskInUse are the running jobs' envelopes; the idle
+	// machines' charges are apart, and admission keeps the sum of the two
+	// within each capacity.
 	MemInUse     int
 	MemCapacity  int
 	DiskInUse    int
 	DiskCapacity int
 	Workers      int
+
+	// Idle counts the machines finished jobs keep for later jobs of the
+	// same shape, which hold IdleMem keys of the memory ledger and
+	// IdleDisk of the disk budget.  Reused counts the jobs that took one.
+	Idle     int
+	IdleMem  int
+	IdleDisk int
+	Reused   int
 
 	// CleanupFailures counts jobs whose scratch directory could not be
 	// removed when their envelope was released.  Every such failure leaks
@@ -272,7 +323,8 @@ type Stats struct {
 	Recovered        int
 	PendingRecovered int
 	// OrphansSwept counts scratch directories (and input files) removed at
-	// startup because no live journal entry claimed them.
+	// startup because no live journal entry claimed them, and the idle
+	// machines' directories a previous life left.
 	OrphansSwept int
 	// JournalInputBytes totals the live jobs' input files beside the log.
 	JournalInputBytes int64
@@ -355,7 +407,7 @@ type terminalData struct {
 type Scheduler struct {
 	cfg Config
 	lim *par.Limiter
-	mem *pdm.Arena // global internal-memory ledger
+	mem *pdm.Arena // global internal-memory ledger, idle machines included
 
 	// jmu serializes every journal write (Submit holds it from its record
 	// to its enqueue), so journal record order matches queue order and
@@ -368,7 +420,7 @@ type Scheduler struct {
 	queue           []*Job
 	jobs            map[int]*Job
 	nextID          int
-	diskInUse       int
+	diskInUse       int // running and idle
 	running         int
 	completed       int
 	failed          int
@@ -378,6 +430,12 @@ type Scheduler struct {
 	orphansSwept    int
 	closed          bool
 	draining        bool
+
+	// idle holds the kept machines, least recently kept first; idleMem and
+	// idleDisk are their charges within the ledger's use and diskInUse.
+	idle              []*idleMachine
+	idleMem, idleDisk int
+	reused            int
 
 	pending       map[int]*recoveredState
 	recoveredList []RecoveredJob
@@ -422,6 +480,7 @@ func New(cfg Config) (*Scheduler, error) {
 	s.recover()
 	if cfg.Dir != "" {
 		s.sweep(cfg.Dir, "job-%d", true, s.cfg.RemoveDir)
+		s.sweep(cfg.Dir, "idle-%d", true, s.cfg.RemoveDir)
 	}
 	if cfg.Journal != nil {
 		s.sweep(cfg.Journal.Dir(), "input-%d.page", false, os.Remove)
@@ -504,6 +563,7 @@ func (s *Scheduler) recover() {
 // input files) whose id has no live journal entry: leftovers of jobs that
 // reached a terminal state right before a crash, of a submission that
 // crashed between its input file and its record, or of an unjournaled life.
+// An idle machine's directory never outlives its life, so every one goes.
 func (s *Scheduler) sweep(dir, pattern string, isDir bool, remove func(string) error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -517,7 +577,7 @@ func (s *Scheduler) sweep(dir, pattern string, isDir bool, remove func(string) e
 		if _, err := fmt.Sscanf(e.Name(), pattern, &id); err != nil {
 			continue
 		}
-		if _, live := s.pending[id]; live {
+		if _, live := s.pending[id]; live && pattern != "idle-%d" {
 			continue
 		}
 		if err := remove(filepath.Join(dir, e.Name())); err != nil {
@@ -639,6 +699,7 @@ func (s *Scheduler) Submit(req Request) (j *Job, err error) {
 		label:     req.Label,
 		memKeys:   req.MemKeys,
 		diskKeys:  req.DiskKeys,
+		shape:     req.Shape,
 		run:       req.Run,
 		done:      make(chan struct{}),
 		state:     Queued,
@@ -755,11 +816,15 @@ func (s *Scheduler) Stats() Stats {
 		Queued:           len(s.queue),
 		Running:          s.running,
 		Suspended:        s.suspended,
-		MemInUse:         s.mem.InUse(),
+		MemInUse:         s.mem.InUse() - s.idleMem,
 		MemCapacity:      s.mem.Capacity(),
-		DiskInUse:        s.diskInUse,
+		DiskInUse:        s.diskInUse - s.idleDisk,
 		DiskCapacity:     s.cfg.DiskKeys,
 		Workers:          s.cfg.Workers,
+		Idle:             len(s.idle),
+		IdleMem:          s.idleMem,
+		IdleDisk:         s.idleDisk,
+		Reused:           s.reused,
 		CleanupFailures:  s.cleanupFailures,
 		Recovered:        len(s.recoveredList),
 		PendingRecovered: len(s.pending),
@@ -772,8 +837,9 @@ func (s *Scheduler) Stats() Stats {
 }
 
 // Close stops admission, cancels every remaining job (queued jobs are
-// journaled as canceled — a clean Close does not resurrect them), and
-// waits for the running ones to finish.  It is idempotent.
+// journaled as canceled — a clean Close does not resurrect them), waits
+// for the running ones to finish, and closes the idle machines, removing
+// their directories.  It is idempotent.
 func (s *Scheduler) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -795,6 +861,7 @@ func (s *Scheduler) Close() {
 	s.cond.Broadcast()
 	s.mu.Unlock()
 	s.wg.Wait()
+	s.closeIdle()
 	if s.cfg.Journal != nil {
 		_ = s.cfg.Journal.Close()
 	}
@@ -807,9 +874,9 @@ func (s *Scheduler) Close() {
 // it from that pass.  Queued jobs stay queued in the journal and
 // re-admit on restart in their original order.  If ctx expires first,
 // the remaining running jobs are canceled (suspending them at whatever
-// checkpoint they last journaled).  Drain closes the journal and
-// returns ctx.Err() when it had to force cancellation, nil on a clean
-// drain.
+// checkpoint they last journaled).  Drain closes the idle machines
+// (removing their directories) and the journal, and returns ctx.Err()
+// when it had to force cancellation, nil on a clean drain.
 func (s *Scheduler) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	if s.closed {
@@ -843,6 +910,7 @@ func (s *Scheduler) Drain(ctx context.Context) error {
 		}
 		<-done
 	}
+	s.closeIdle()
 	if s.cfg.Journal != nil {
 		_ = s.cfg.Journal.Close()
 	}
@@ -850,11 +918,15 @@ func (s *Scheduler) Drain(ctx context.Context) error {
 }
 
 // admit is the admission goroutine: strict FIFO with head-of-line
-// blocking on the budgets.
+// blocking on the budgets.  The head takes an idle machine of its shape
+// when one is kept, and the room that machine holds counts as the head's;
+// while the head does not fit, the other idle machines are closed, least
+// recently kept first.
 func (s *Scheduler) admit() {
 	defer s.wg.Done()
 	s.mu.Lock()
 	for {
+		var im *idleMachine
 		for !s.closed {
 			if len(s.queue) == 0 {
 				s.cond.Wait()
@@ -873,8 +945,15 @@ func (s *Scheduler) admit() {
 				s.mu.Lock()
 				continue
 			}
-			if s.fits(j) {
+			if im = s.idleFor(j); s.fits(j, im) {
 				break
+			}
+			if victim := s.evictable(im); victim != nil {
+				s.unkeep(victim)
+				s.mu.Unlock()
+				s.closeMachine(victim)
+				s.mu.Lock()
+				continue
 			}
 			s.cond.Wait()
 		}
@@ -898,8 +977,12 @@ func (s *Scheduler) admit() {
 		}
 		j := s.queue[0]
 		s.queue = s.queue[1:]
-		// Only this goroutine reserves, so fits() cannot go stale between
-		// the check and the reservation.
+		if im != nil {
+			s.unkeep(im)
+			j.idle = im
+		}
+		// Only this goroutine reserves or keeps, so fits() cannot go stale
+		// between the check and the reservation.
 		if err := s.mem.Reserve(j.memKeys); err != nil {
 			panic(fmt.Sprintf("sched: ledger reservation failed after fits(): %v", err))
 		}
@@ -913,11 +996,73 @@ func (s *Scheduler) admit() {
 	}
 }
 
-// fits reports whether the head job's envelope fits the free budgets.
-// s.mu must be held.
-func (s *Scheduler) fits(j *Job) bool {
-	return s.mem.InUse()+j.memKeys <= s.mem.Capacity() &&
-		s.diskInUse+j.diskKeys <= s.cfg.DiskKeys
+// fits reports whether the head job's envelope fits the free budgets and
+// the room im, the idle machine it would take (or nil), holds.  s.mu must
+// be held.
+func (s *Scheduler) fits(j *Job, im *idleMachine) bool {
+	mem, disk := s.mem.InUse(), s.diskInUse
+	if im != nil {
+		mem, disk = mem-im.mem, disk-im.disk
+	}
+	return mem+j.memKeys <= s.mem.Capacity() && disk+j.diskKeys <= s.cfg.DiskKeys
+}
+
+// idleFor returns the most recently kept idle machine job j can take, or
+// nil.  s.mu must be held.
+func (s *Scheduler) idleFor(j *Job) *idleMachine {
+	for i := len(s.idle) - 1; i >= 0 && j.shape != ""; i-- {
+		if im := s.idle[i]; im.shape == j.shape && im.mem == j.memKeys && im.disk <= j.diskKeys {
+			return im
+		}
+	}
+	return nil
+}
+
+// evictable returns the least recently kept idle machine other than
+// spare, or nil.  s.mu must be held.
+func (s *Scheduler) evictable(spare *idleMachine) *idleMachine {
+	for _, im := range s.idle {
+		if im != spare {
+			return im
+		}
+	}
+	return nil
+}
+
+// unkeep takes im off the idle list and its charge off the ledgers.  s.mu
+// must be held.
+func (s *Scheduler) unkeep(im *idleMachine) {
+	s.idle = slices.DeleteFunc(s.idle, func(x *idleMachine) bool { return x == im })
+	s.mem.Release(im.mem)
+	s.diskInUse -= im.disk
+	s.idleMem -= im.mem
+	s.idleDisk -= im.disk
+	s.cond.Broadcast()
+}
+
+// closeMachine closes a machine no job will run on and removes its
+// directory, which is its idle one unless a job already took it.  s.mu
+// must NOT be held.
+func (s *Scheduler) closeMachine(im *idleMachine) {
+	im.m.Close() //nolint:errcheck // its files are removed next
+	if im.dir != "" && s.cfg.RemoveDir(im.dir) != nil {
+		s.mu.Lock()
+		s.cleanupFailures++
+		s.mu.Unlock()
+	}
+}
+
+// closeIdle closes every idle machine.  s.mu must NOT be held.
+func (s *Scheduler) closeIdle() {
+	s.mu.Lock()
+	idle := slices.Clone(s.idle)
+	for _, im := range idle {
+		s.unkeep(im)
+	}
+	s.mu.Unlock()
+	for _, im := range idle {
+		s.closeMachine(im)
+	}
 }
 
 // finish moves a never-admitted job to a terminal state.  The job holds
@@ -1063,20 +1208,36 @@ func (s *Scheduler) runJob(j *Job) {
 	j.cancel = cancel
 	j.mu.Unlock()
 
-	dir := ""
+	env := Env{
+		JobID:      j.id,
+		Limiter:    s.lim,
+		Workers:    s.cfg.Workers,
+		Checkpoint: func(manifest []byte) error { return s.checkpoint(j, manifest) },
+		Keep: func(m io.Closer, disk int) {
+			j.keep = &idleMachine{m: m, shape: j.shape, mem: j.memKeys, disk: disk}
+		},
+	}
 	var err error
 	if s.cfg.Dir != "" {
-		dir = filepath.Join(s.cfg.Dir, fmt.Sprintf("job-%04d", j.id))
-		err = os.MkdirAll(dir, 0o755)
+		env.Dir = filepath.Join(s.cfg.Dir, fmt.Sprintf("job-%04d", j.id))
+		// A rename keeps the taken machine's open files and mappings
+		// valid, so it runs in the job's own directory like a new one.
+		if im := j.idle; im != nil {
+			j.idle = nil
+			if os.Rename(im.dir, env.Dir) == nil {
+				env.Idle = im.m
+				s.mu.Lock()
+				s.reused++
+				s.mu.Unlock()
+			} else {
+				s.closeMachine(im)
+			}
+		}
+		if env.Idle == nil {
+			err = os.MkdirAll(env.Dir, 0o755)
+		}
 	}
 	if err == nil {
-		env := Env{
-			JobID:      j.id,
-			Limiter:    s.lim,
-			Workers:    s.cfg.Workers,
-			Dir:        dir,
-			Checkpoint: func(manifest []byte) error { return s.checkpoint(j, manifest) },
-		}
 		err = j.run(ctx, env)
 	}
 	state := Done
@@ -1094,7 +1255,7 @@ func (s *Scheduler) runJob(j *Job) {
 		}
 		j.mu.Unlock()
 	}
-	s.release(j, state, err, dir)
+	s.release(j, state, err, env.Dir)
 }
 
 // release returns an admitted job's envelope (removing its scratch
@@ -1103,10 +1264,22 @@ func (s *Scheduler) runJob(j *Job) {
 // directory that survives its job leaks disk the budget ledger no longer
 // accounts for.  A Suspended job keeps its scratch directory and gets no
 // terminal journal record — its submission and checkpoint records stay
-// live so the next life recovers it.
+// live so the next life recovers it.  A Done job that offered its machine
+// (Env.Keep) leaves it idle instead, its directory renamed and the kept
+// part of its envelope still charged; any other offered machine is closed.
 func (s *Scheduler) release(j *Job, state State, err error, dir string) {
+	if im := j.idle; im != nil { // taken at admission, never run on
+		j.idle = nil
+		s.closeMachine(im)
+	}
+	kept := j.keep
+	j.keep = nil
+	if kept != nil && !s.keepable(j, kept, state, dir) {
+		kept.m.Close() //nolint:errcheck // its directory is removed below
+		kept = nil
+	}
 	var cleanupErr error
-	if dir != "" && state != Suspended {
+	if dir != "" && state != Suspended && kept == nil {
 		if rerr := s.cfg.RemoveDir(dir); rerr != nil {
 			cleanupErr = fmt.Errorf("sched: scratch cleanup of job %d: %w", j.id, rerr)
 		}
@@ -1114,12 +1287,20 @@ func (s *Scheduler) release(j *Job, state State, err error, dir string) {
 	if state != Suspended {
 		s.journalTerminal(j.id, state, err)
 	}
-	s.mem.Release(j.memKeys)
+	if kept == nil {
+		s.mem.Release(j.memKeys)
+	}
 	s.mu.Lock()
 	if cleanupErr != nil {
 		s.cleanupFailures++
 	}
 	s.diskInUse -= j.diskKeys
+	if kept != nil {
+		s.diskInUse += kept.disk
+		s.idleMem += kept.mem
+		s.idleDisk += kept.disk
+		s.idle = append(s.idle, kept)
+	}
 	s.running--
 	switch state {
 	case Done:
@@ -1142,4 +1323,19 @@ func (s *Scheduler) release(j *Job, state State, err error, dir string) {
 	j.cancel = nil
 	j.mu.Unlock()
 	close(j.done)
+}
+
+// keepable reports whether a finished job's offered machine stays idle,
+// renaming its directory to the idle one if so: only a Done job's, with a
+// Shape, while the scheduler is open, and with its scratch within the
+// job's disk envelope, so keeping it never grows the ledgers' use.
+func (s *Scheduler) keepable(j *Job, im *idleMachine, state State, dir string) bool {
+	s.mu.Lock()
+	closed := s.closed
+	s.mu.Unlock()
+	if state != Done || closed || dir == "" || j.shape == "" || im.disk > j.diskKeys {
+		return false
+	}
+	im.dir = filepath.Join(s.cfg.Dir, fmt.Sprintf("idle-%04d", j.id))
+	return os.Rename(dir, im.dir) == nil
 }

@@ -319,18 +319,24 @@ func TestScratchCleanupFailureIsRecorded(t *testing.T) {
 
 // TestStormSubmitCancelPoll is the -race storm: many goroutines submit,
 // cancel, and poll concurrently while jobs allocate from their reserved
-// envelopes, and the budgets must never be oversubscribed and must return
-// to zero.
+// envelopes and hand their machines on to later jobs of their envelope
+// (Env.Keep, Env.Idle), and the budgets, idle machines included, must
+// never be oversubscribed and must return to zero, and every machine must
+// be closed exactly once.
 func TestStormSubmitCancelPoll(t *testing.T) {
 	const (
 		memBudget = 4096
 		jobs      = 60
 	)
-	s, err := New(Config{MemKeys: memBudget, DiskKeys: 1 << 20, Workers: 4, MaxQueue: jobs})
+	s, err := New(Config{MemKeys: memBudget, DiskKeys: 1 << 20, Workers: 4, MaxQueue: jobs, Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var over atomic.Bool
+	var (
+		machinesMu sync.Mutex
+		machines   []*machine // every machine a job built, each to be closed once
+	)
 	handles := make([]*Job, jobs)
 	var subWG, wg sync.WaitGroup
 	for i := 0; i < jobs; i++ {
@@ -343,7 +349,15 @@ func TestStormSubmitCancelPoll(t *testing.T) {
 				Label:    fmt.Sprintf("storm-%d", i),
 				MemKeys:  mem,
 				DiskKeys: 1024,
+				Shape:    fmt.Sprint(mem), // jobs of one envelope share idle machines
 				Run: func(ctx context.Context, env Env) error {
+					m, _ := env.Idle.(*machine)
+					if m == nil {
+						m = &machine{}
+						machinesMu.Lock()
+						machines = append(machines, m)
+						machinesMu.Unlock()
+					}
 					// The job's own arena is its reserved envelope; the
 					// ledger must show the sum of all running envelopes.
 					arena := pdm.NewArena(mem)
@@ -358,8 +372,10 @@ func TestStormSubmitCancelPoll(t *testing.T) {
 					select {
 					case <-time.After(time.Duration(rand.Intn(3)) * time.Millisecond):
 					case <-ctx.Done():
+						m.Close()
 						return ctx.Err()
 					}
+					env.Keep(m, 512)
 					return nil
 				},
 			})
@@ -386,7 +402,7 @@ func TestStormSubmitCancelPoll(t *testing.T) {
 				default:
 				}
 				st := s.Stats()
-				if st.MemInUse > st.MemCapacity || st.DiskInUse > st.DiskCapacity {
+				if st.MemInUse+st.IdleMem > st.MemCapacity || st.DiskInUse+st.IdleDisk > st.DiskCapacity {
 					over.Store(true)
 				}
 				for _, j := range s.Jobs() {
@@ -424,7 +440,15 @@ func TestStormSubmitCancelPoll(t *testing.T) {
 	if st.Failed != 0 {
 		t.Fatalf("%d jobs failed", st.Failed)
 	}
+	if st.Reused == 0 {
+		t.Fatal("no job took an idle machine")
+	}
 	s.Close()
+	for i, m := range machines {
+		if n := m.closed.Load(); n != 1 {
+			t.Fatalf("machine %d of %d closed %d times, want once", i, len(machines), n)
+		}
+	}
 }
 
 func TestCloseCancelsEverything(t *testing.T) {

@@ -152,6 +152,9 @@ type Machine struct {
 	a       *pdm.Array
 	backend pdm.Backend
 	cfg     MachineConfig
+	// scratch is the most scratch, in keys, any scheduler job on this
+	// machine has held: what its disk files occupy while it is idle.
+	scratch int
 }
 
 // planAlpha is the confidence parameter α the planner's capacity windows

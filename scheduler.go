@@ -51,8 +51,15 @@ type SchedulerConfig struct {
 	// perfect square); zero selects 4096.  A JobSpec may override it.
 	JobMemory int
 	// Dir, when non-empty, backs each job's disks with real files under
-	// Dir/job-NNNN (created at admission, removed when the job finishes);
-	// otherwise jobs run on in-memory disks.
+	// Dir/job-NNNN while the job runs; otherwise jobs run on in-memory
+	// disks.  A job that finishes Done leaves its machine (open disk files
+	// and arena) idle under Dir/idle-NNNN, still charged to Memory and
+	// DiskBudget, and the next job of the same geometry takes it, its
+	// directory renamed to that job's; admission closes idle machines,
+	// least recently used first, when a queued job needs their room, and
+	// Close, Drain and the next NewScheduler remove what is left.  Any
+	// other job's directory is removed when it finishes, except a
+	// suspended job's, which its next life resumes from.
 	Dir string
 	// Backend is the default disk backend for file-backed jobs: BackendFile
 	// (zero value) or BackendMmap.  Requires Dir; a JobSpec may override it
@@ -158,8 +165,10 @@ type SchedStats struct {
 // budgets: each admitted job gets its own Machine whose arena capacity is
 // reserved on the global memory ledger, whose disks live in a per-job
 // scratch directory (when file-backed), and whose worker pool shares the
-// global compute limiter.  Admission is FIFO with backpressure; see
-// internal/sched for the engine.
+// global compute limiter.  A file-backed machine outlives a job that
+// finishes Done, idle, for the next job of its geometry (shape), so a
+// warm scheduler opens no disk and fills no fresh arena per job.
+// Admission is FIFO with backpressure; see internal/sched for the engine.
 type Scheduler struct {
 	cfg SchedulerConfig
 	eng *sched.Scheduler
@@ -460,6 +469,19 @@ func (s *Scheduler) resolveJobSpec(spec JobSpec) (*jobResolution, error) {
 	return r, nil
 }
 
+// shape names the machine a job runs on for the engine's idle-machine
+// hand-over (sched.Request.Shape): the resolved M, D and B, the backend,
+// the pipeline, the worker count and the block latency, everything a
+// machine is built from apart from its directory.  Jobs on in-memory disks
+// have none, because their disks are host memory no ledger counts.
+func (r *jobResolution) shape() string {
+	if r.backend == pdm.BackendMem {
+		return ""
+	}
+	return fmt.Sprintf("M%d D%d B%d %s p%d/%d w%d %v", r.pcfg.Mem, r.pcfg.D, r.pcfg.B, r.backend,
+		r.pcfg.Pipeline.Prefetch, r.pcfg.Pipeline.WriteBehind, r.mc.Workers, r.mc.BlockLatency)
+}
+
 // presortedHint maps a workload kind onto the planner's presortedness
 // hint: how much existing order the generator's output carries.
 func presortedHint(kind string) float64 {
@@ -484,7 +506,7 @@ func (s *Scheduler) Submit(spec JobSpec) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	req := sched.Request{Label: spec.Label, MemKeys: r.pcfg.ArenaCapacity(), DiskKeys: r.disk}
+	req := sched.Request{Label: spec.Label, MemKeys: r.pcfg.ArenaCapacity(), DiskKeys: r.disk, Shape: r.shape()}
 	if s.jr != nil {
 		if req.Spec, req.Input, err = journalRecord(spec, r.alg); err != nil {
 			return 0, fmt.Errorf("repro: journal spec: %w", err)
@@ -521,7 +543,9 @@ func (s *Scheduler) Explain(spec JobSpec) (*PlanReport, error) {
 // recovered job with a validated manifest first attempts to resume over
 // its surviving scratch files; if that attempt fails for any reason other
 // than cancellation or a drain, the scratch is considered unusable and
-// the job restarts from the input on a fresh machine.
+// the job restarts from the input on a fresh machine.  Any other job runs
+// on the idle machine the engine handed it, if any, and a job that
+// finishes cleanly offers its machine back for the next one.
 func (s *Scheduler) runJob(ctx context.Context, env sched.Env, j *schedJob) error {
 	mc := j.mc
 	keys := j.spec.Keys
@@ -540,7 +564,8 @@ func (s *Scheduler) runJob(ctx context.Context, env sched.Env, j *schedJob) erro
 	if mc.Workers == 0 {
 		mc.Workers = env.Workers
 	}
-	m, rep, wall, err := s.sortAttempt(ctx, env, j, mc, keys, payloads, j.resume)
+	idle, _ := env.Idle.(*Machine)
+	m, rep, wall, err := s.sortAttempt(ctx, env, j, mc, keys, payloads, j.resume, idle)
 	switch {
 	case j.resume != nil && err == nil:
 		if m.Array().ResumeConsumed() {
@@ -557,16 +582,22 @@ func (s *Scheduler) runJob(ctx context.Context, env sched.Env, j *schedJob) erro
 			m.Close()
 		}
 		s.noteRecovery(j, 0)
-		m, rep, wall, err = s.sortAttempt(ctx, env, j, mc, keys, payloads, nil)
+		m, rep, wall, err = s.sortAttempt(ctx, env, j, mc, keys, payloads, nil, nil)
 	case j.resume == nil && j.recovery != nil && j.recovery.WasRunning:
 		s.noteRecovery(j, 0)
 	}
 	if m == nil {
 		return err
 	}
-	defer m.Close()
 	foot := m.Array().DiskFootprint()
 	leak := m.Array().Arena().InUse()
+	if err == nil && leak == 0 {
+		// Its files hold the most scratch any job on it has written.
+		m.scratch = max(m.scratch, foot)
+		env.Keep(m, m.scratch)
+	} else {
+		defer m.Close()
+	}
 	j.mu.Lock()
 	j.footprint = foot
 	j.arenaLeak = leak
@@ -611,26 +642,37 @@ func (s *Scheduler) runJob(ctx context.Context, env sched.Env, j *schedJob) erro
 	return nil
 }
 
-// sortAttempt runs one machine-building attempt of the job body: fresh
-// truncated disks when resume is nil, reopened surviving scratch (with
-// the manifest armed) otherwise.  Every pass boundary the machine reports
-// is marshaled into the engine's journal through env.Checkpoint.  The
+// sortAttempt runs one attempt of the job body on idle, the machine the
+// engine handed the job, reset for it; or, when idle is nil, on a new
+// machine: fresh truncated disks when resume is nil, reopened surviving
+// scratch (with the manifest armed) otherwise.  Every pass boundary the machine reports
+// goes to env.Checkpoint, marshaled when a journal will keep it.  The
 // machine is returned even on error so the caller can decide between
 // fallback and teardown; it is nil only when construction itself failed.
 func (s *Scheduler) sortAttempt(ctx context.Context, env sched.Env, j *schedJob, mc MachineConfig,
-	keys []int64, payloads [][]byte, resume *pdm.Checkpoint) (*Machine, *Report, float64, error) {
-	mc.ReuseDisks = resume != nil
-	m, err := newMachine(mc, env.Limiter)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	m.Array().SetCheckpointer(func(cp pdm.Checkpoint) error {
-		data, merr := json.Marshal(cp)
-		if merr != nil {
-			return nil // unshippable manifest: skip the boundary, keep sorting
+	keys []int64, payloads [][]byte, resume *pdm.Checkpoint, idle *Machine) (*Machine, *Report, float64, error) {
+	m := idle
+	if m != nil {
+		m.Array().Reset()
+	} else {
+		mc.ReuseDisks = resume != nil
+		var err error
+		if m, err = newMachine(mc, env.Limiter); err != nil {
+			return nil, nil, 0, err
 		}
-		return env.Checkpoint(data)
-	})
+	}
+	if s.jr != nil {
+		m.Array().SetCheckpointer(func(cp pdm.Checkpoint) error {
+			data, merr := json.Marshal(cp)
+			if merr != nil {
+				return nil // unshippable manifest: skip the boundary, keep sorting
+			}
+			return env.Checkpoint(data)
+		})
+	} else {
+		// Nothing will write a manifest: the boundary only asks about a drain.
+		m.Array().SetPassHook(func(pdm.Checkpoint) error { return env.Checkpoint(nil) })
+	}
 	if resume != nil {
 		m.Array().SetResume(resume)
 	}
@@ -640,7 +682,10 @@ func (s *Scheduler) sortAttempt(ctx context.Context, env sched.Env, j *schedJob,
 	// at its next I/O, with the arena drained.
 	m.Array().BindContext(ctx)
 	t0 := time.Now()
-	var rep *Report
+	var (
+		rep *Report
+		err error
+	)
 	switch {
 	case j.spec.Scenario != "":
 		var res *ScenarioResult
