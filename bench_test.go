@@ -723,23 +723,6 @@ func BenchmarkKernelLoserTree(b *testing.B) {
 	}
 }
 
-func BenchmarkKernelSymMerge(b *testing.B) {
-	n := 1 << 16
-	src := make([]int64, n)
-	half := workload.Perm(n/2, 3)
-	memsort.Keys(half)
-	copy(src, half)
-	half2 := workload.Perm(n/2, 4)
-	memsort.Keys(half2)
-	copy(src[n/2:], half2)
-	buf := make([]int64, n)
-	b.SetBytes(int64(8 * n))
-	for i := 0; i < b.N; i++ {
-		copy(buf, src)
-		memsort.SymMerge(buf, n/2)
-	}
-}
-
 func BenchmarkFacadeSortAuto(b *testing.B) {
 	m, err := NewMachine(MachineConfig{Memory: 4096})
 	if err != nil {

@@ -431,14 +431,14 @@ type emitFunc func(t int, chunk []int64) error
 // (ExpectedTwoPass step 2, ThreePass2 step 4): conceptually shuffle the
 // sequences into Z and repair bounded displacement; operationally, read the
 // t-th chunk-worth of every sequence (chunk/len(seqs) keys each), sort it,
-// symmerge with the carried upper half of the previous window, and emit the
+// merge it with the carried upper half of the previous window, and emit the
 // lower half.  Because the rolling clean re-sorts every chunk, the shuffle's
 // interleaving order inside a chunk is immaterial, so no in-memory
 // permutation is needed.
 //
 // The emitted stream is verified nondecreasing across chunk boundaries —
 // the paper's largest-key-shipped check — and ErrCleanupOverflow is returned
-// on violation.  Memory: exactly 2·chunk keys.  One pass.
+// on violation.  Memory: RollingPass's 3·chunk keys.  One pass.
 func shuffleCleanup(a *pdm.Array, seqs []seqView, chunk int, emit emitFunc) error {
 	g, err := checkGeometry(a)
 	if err != nil {
@@ -496,24 +496,40 @@ func streamedCleanup(a *pdm.Array, chunk, chunks int, readPlan plan, emit emitFu
 
 // RollingPass is the carry/merge/emit engine shared by every cleanup pass,
 // the baseline algorithms' included: chunks arrive through read, each is
-// sorted, symmerged in place with the carried upper half of the previous
-// window (memory: exactly 2·chunk keys), and the lower half is emitted.
-// Emission order is verified nondecreasing; a violation aborts with
-// ErrCleanupOverflow.
+// sorted and merged forward with the carried upper half of the previous
+// window, and the lower half is emitted.  Memory: 3·chunk keys — the carry
+// and the incoming chunk, plus the chunk the two merges write into, which
+// is also the sort kernel's scratch, so the kernel borrows nothing.  The
+// two sorted lanes are cut at rank chunk (memsort.CutLanes): their lower
+// parts merge into the spare chunk and are emitted, then their upper parts
+// merge into it and it becomes the next carry.  emit must be done with its
+// chunk when it returns.  Emission order is verified nondecreasing; a
+// violation aborts with ErrCleanupOverflow.
 func RollingPass(a *pdm.Array, chunk, chunks int, read func(t int, dst []int64) error, emit func(t int, chunk []int64) error) error {
+	if chunk <= 0 || chunks < 0 {
+		return fmt.Errorf("core: rolling pass over %d chunks of %d keys", chunks, chunk)
+	}
+	if chunks == 0 {
+		return nil
+	}
 	buf, err := a.Arena().Alloc(2 * chunk)
 	if err != nil {
 		return err
 	}
 	defer a.Arena().Free(buf)
+	out, err := a.Arena().Alloc(chunk)
+	if err != nil {
+		return err
+	}
+	defer a.Arena().Free(out) // out as allocated: the loop swaps it with the carry
 	pool := a.Pool()
-	carry := buf[:chunk]
+	carry, cur := buf[:chunk], buf[chunk:]
 	if err := read(0, carry); err != nil {
 		return err
 	}
-	pool.SortKeys(carry)
+	pool.SortKeysScratch(carry, out)
+	lanes := make([][]int64, 2)
 	var lastMax int64
-	emitted := false
 	for t := 1; t < chunks; t++ {
 		// Canceled jobs abort between chunks even when every read is
 		// served from prefetched staging and every emit is write-behind —
@@ -522,26 +538,29 @@ func RollingPass(a *pdm.Array, chunk, chunks int, read func(t int, dst []int64) 
 		if err := a.CtxErr(); err != nil {
 			return err
 		}
-		cur := buf[chunk:]
 		if err := read(t, cur); err != nil {
 			return err
 		}
-		pool.SortKeys(cur)
-		pool.SymMerge(buf, chunk)
-		if emitted && buf[0] < lastMax {
+		pool.SortKeysScratch(cur, out)
+		lanes[0], lanes[1] = carry, cur
+		cuts := memsort.CutLanes(lanes, chunk)
+		lanes[0], lanes[1] = carry[:cuts[0]], cur[:cuts[1]]
+		pool.MultiMerge(out, lanes)
+		if t > 1 && out[0] < lastMax {
 			return ErrCleanupOverflow
 		}
-		lastMax = buf[chunk-1]
-		emitted = true
-		if err := emit(t-1, buf[:chunk]); err != nil {
+		lastMax = out[chunk-1]
+		if err := emit(t-1, out); err != nil {
 			return err
 		}
-		copy(buf[:chunk], buf[chunk:])
+		lanes[0], lanes[1] = carry[cuts[0]:], cur[cuts[1]:]
+		pool.MultiMerge(out, lanes)
+		carry, out = out, carry
 	}
-	if emitted && buf[0] < lastMax {
+	if chunks > 1 && carry[0] < lastMax {
 		return ErrCleanupOverflow
 	}
-	return emit(chunks-1, buf[:chunk])
+	return emit(chunks-1, carry)
 }
 
 // SequentialEmit returns an emit function for RollingPass writing chunks

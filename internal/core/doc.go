@@ -14,7 +14,8 @@
 // All comparison algorithms use block size B = √M, per the paper.  Every
 // in-core buffer comes from the array's Arena, so tests can assert the
 // algorithms respect the memory model (2M peak during cleanup phases — the
-// paper's own Section 5 envelope — and M + DB elsewhere).
+// paper's own Section 5 envelope — and M + DB elsewhere, each plus the
+// sort kernel's M of scratch).
 //
 // The passes share three pieces.  Every read–compute–write pass (run
 // formation, the (l,m)-merge's group pass and the column passes, the outer

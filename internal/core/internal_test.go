@@ -238,7 +238,8 @@ func TestRadixSortValidation(t *testing.T) {
 
 func TestArenaPhasePeaksAfterRun(t *testing.T) {
 	// The per-phase peaks must reflect the paper's envelope: run formation
-	// within M + DB-ish, cleanup at 2M, each plus the sort kernel's scratch.
+	// within M + DB-ish, cleanup at 2M, each plus the sort kernel's scratch
+	// (in the cleanup, the chunk its merges write into).
 	// A synchronous array keeps the figures exact (pipelining would add its
 	// staging on top).
 	const m = 256
@@ -257,8 +258,8 @@ func TestArenaPhasePeaksAfterRun(t *testing.T) {
 	}
 	found := false
 	for _, p := range peaks {
-		// Exactly 3M: the rolling window's 2M and the M keys the sort
-		// kernel borrows for each chunk.
+		// Exactly 3M: the rolling window's 2M and the M-key chunk its
+		// merges write into, which is the sort kernel's scratch too.
 		if p == fmt.Sprintf("expectedtwopass/cleanup=%d", 2*m+m) {
 			found = true
 		}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"errors"
 
+	"repro/internal/core"
 	"repro/internal/memsort"
 	"repro/internal/mesh"
 	"repro/internal/report"
@@ -12,22 +13,37 @@ import (
 // A1CleanupWindow ablates the rolling-cleanup window (ablation A1): the
 // window must cover the displacement bound; half windows fail exactly when
 // the dirtiness exceeds them, which is why ThreePass2's chunk is M and why
-// the memory envelope is 2M.
+// the memory envelope is 2M.  Each trial runs the product's cleanup,
+// core.RollingPass, with the window as its chunk, over host slices.
 func A1CleanupWindow(trials int) (*report.Table, error) {
 	t := report.NewTable("A1  Ablation: rolling-cleanup window vs displacement",
 		"displacement d", "window", "trials", "successes", "detected overflows")
+	a, err := newArray(1024)
+	if err != nil {
+		return nil, err
+	}
+	const n = 4096
+	out := make([]int64, n)
 	for _, tc := range []struct{ d, w int }{
 		{64, 64}, {64, 32}, {64, 16}, {128, 128}, {128, 64},
 	} {
 		succ, det := 0, 0
 		for trial := 0; trial < trials; trial++ {
-			a := workload.NearlySorted(4096, tc.d, int64(trial*3+tc.d))
-			err := mesh.RollingClean(a, tc.w)
+			in := workload.NearlySorted(n, tc.d, int64(trial*3+tc.d))
+			err := core.RollingPass(a, tc.w, n/tc.w, func(i int, dst []int64) error {
+				copy(dst, in[i*tc.w:])
+				return nil
+			}, func(i int, chunk []int64) error {
+				copy(out[i*tc.w:], chunk)
+				return nil
+			})
 			switch {
-			case err == nil && memsort.IsSorted(a):
+			case err == nil && memsort.IsSorted(out):
 				succ++
-			case errors.Is(err, mesh.ErrDirtyOverflow):
+			case errors.Is(err, core.ErrCleanupOverflow):
 				det++
+			case err != nil:
+				return nil, err
 			}
 		}
 		t.AddRow(tc.d, tc.w, trials, succ, det)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -26,6 +27,35 @@ func TestAllQuickScale(t *testing.T) {
 		}
 		if strings.Contains(out, "false") && strings.Contains(tb.Title, "Theorem 3.1") {
 			t.Fatalf("E02 reports an unsorted run:\n%s", out)
+		}
+		if strings.HasPrefix(tb.Title, "A1 ") {
+			checkA1(t, out)
+		}
+	}
+}
+
+// checkA1 asserts ablation A1's claim on its rendered rows (displacement,
+// window, trials, successes, detected overflows): every trial either sorts
+// or is detected, and every trial sorts where the window covers the
+// displacement.
+func checkA1(t *testing.T, out string) {
+	t.Helper()
+	_, body, _ := strings.Cut(out, "-\n")
+	body, _, _ = strings.Cut(body, "note:")
+	rows := strings.Split(strings.TrimSpace(body), "\n")
+	if len(rows) == 0 || rows[0] == "" {
+		t.Fatalf("A1 has no rows:\n%s", out)
+	}
+	for _, line := range rows {
+		var d, w, trials, succ, det int
+		if _, err := fmt.Sscan(line, &d, &w, &trials, &succ, &det); err != nil {
+			t.Fatalf("A1 row %q does not parse: %v", line, err)
+		}
+		if succ+det != trials {
+			t.Errorf("A1 d=%d w=%d: %d successes + %d detected != %d trials: a failure went undetected", d, w, succ, det, trials)
+		}
+		if w >= d && succ != trials {
+			t.Errorf("A1 d=%d w=%d: %d of %d trials sorted with the window covering the displacement", d, w, succ, trials)
 		}
 	}
 }

@@ -99,56 +99,3 @@ func TestCutLanesTilesMultiMerge(t *testing.T) {
 		}
 	}
 }
-
-func TestSymMergeRange(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 100; trial++ {
-		n := 1 + rng.Intn(200)
-		data := make([]int64, n)
-		for i := range data {
-			data[i] = rng.Int63n(32)
-		}
-		lo := rng.Intn(n)
-		hi := lo + rng.Intn(n-lo+1)
-		mid := lo + rng.Intn(hi-lo+1)
-		Keys(data[lo:mid])
-		Keys(data[mid:hi])
-		want := append([]int64(nil), data...)
-		Keys(want[lo:hi])
-		SymMergeRange(data, lo, mid, hi)
-		if !slices.Equal(data, want) {
-			t.Fatalf("SymMergeRange(%d, %d, %d) incorrect", lo, mid, hi)
-		}
-	}
-}
-
-func TestSymMergeSplitSubproblemsIndependent(t *testing.T) {
-	// Finishing the two returned subproblems in either order must complete
-	// the merge — that independence is what the parallel layer relies on.
-	rng := rand.New(rand.NewSource(10))
-	for trial := 0; trial < 100; trial++ {
-		n := 8 + rng.Intn(300)
-		data := make([]int64, n)
-		for i := range data {
-			data[i] = rng.Int63n(64)
-		}
-		mid := 2 + rng.Intn(n-4)
-		Keys(data[:mid])
-		Keys(data[mid:])
-		want := append([]int64(nil), data...)
-		Keys(want)
-		start, half, end, split := SymMergeSplit(data, 0, mid, n)
-		if split {
-			// Right subproblem first, then left: order must not matter.
-			if half < end && end < n {
-				SymMergeRange(data, half, end, n)
-			}
-			if 0 < start && start < half {
-				SymMergeRange(data, 0, start, half)
-			}
-		}
-		if !slices.Equal(data, want) {
-			t.Fatalf("split merge incorrect (mid=%d)", mid)
-		}
-	}
-}

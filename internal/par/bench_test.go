@@ -157,28 +157,21 @@ func BenchmarkKernelMultiMerge(b *testing.B) {
 
 // BenchmarkWorkersPrimitives pairs workers=1 against workers=GOMAXPROCS for
 // the pool's other forked operations at a load size and well above it: For
-// with its lightest body (a memmove), Transpose, and the in-place SymMerge
-// of two sorted halves of uniform keys.
+// with its lightest body (a memmove) and Transpose.
 func BenchmarkWorkersPrimitives(b *testing.B) {
 	widths := []int{1, runtime.GOMAXPROCS(0)}
 	for _, sz := range benchLoadSizes[2:] {
 		src := make([]int64, sz.n)
 		fillBenchKeys(src, 9)
 		dst := make([]int64, sz.n)
-		halves := make([]int64, sz.n)
-		copy(halves, src)
-		memsort.Keys(halves[:sz.n/2])
-		memsort.Keys(halves[sz.n/2:])
 		ops := []struct {
 			name string
-			prep func() // untimed
 			run  func(p *Pool)
 		}{
-			{"for-copy", func() {}, func(p *Pool) {
+			{"for-copy", func(p *Pool) {
 				p.For(sz.n, sz.n, func(_, lo, hi int) { copy(dst[lo:hi], src[lo:hi]) })
 			}},
-			{"transpose", func() {}, func(p *Pool) { p.Transpose(dst, src, sz.n/64, 64) }},
-			{"symmerge", func() { copy(dst, halves) }, func(p *Pool) { p.SymMerge(dst, sz.n/2) }},
+			{"transpose", func(p *Pool) { p.Transpose(dst, src, sz.n/64, 64) }},
 		}
 		for _, op := range ops {
 			for _, w := range widths {
@@ -186,9 +179,6 @@ func BenchmarkWorkersPrimitives(b *testing.B) {
 					p := New(w)
 					b.SetBytes(int64(8 * sz.n))
 					for i := 0; i < b.N; i++ {
-						b.StopTimer()
-						op.prep()
-						b.StartTimer()
 						op.run(p)
 					}
 				})

@@ -36,12 +36,13 @@ const (
 	// 16Ki and 4.1× at 64Ki (workers=2: 160, 682 and 3600 µs against 45,
 	// 196 and 879 serial).
 	sortGrain = 1 << 17
-	// mergeGrain is MultiMerge's and SymMerge's grain.  A merge share also
-	// pays CutLanes' k binary searches per cut and a loser tree per worker;
-	// two workers on a 64Ki-key group won 1.27× (0.67 against 0.85 ms) and
-	// lost on 32Ki (0.40 against 0.35), and the fork cost runs-shaped and
-	// disjoint groups 2–5× (64×1024 keys: 102 and 57 µs forked against 47
-	// and 15 serial).
+	// mergeGrain is MultiMerge's grain, the rolling cleanup's two merges
+	// per chunk included.  A merge share also pays CutLanes' k binary
+	// searches per cut and a loser tree per worker; two workers on a
+	// 64Ki-key group won 1.27× (0.67 against 0.85 ms) and lost on 32Ki
+	// (0.40 against 0.35), and the fork cost runs-shaped and disjoint
+	// groups 2–5× (64×1024 keys: 102 and 57 µs forked against 47 and 15
+	// serial).
 	mergeGrain = 1 << 16
 	// forGrain is For's grain, in the caller's work units (keys touched).
 	// It is set for its lightest bodies, a memmove or a transpose: forked

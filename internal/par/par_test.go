@@ -179,31 +179,6 @@ func TestSortKeysAboveGrainForks(t *testing.T) {
 	}
 }
 
-func TestSymMergeMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, n := range []int{16, 8192, 3 * mergeGrain} {
-		trials := 10
-		if n > 8192 {
-			trials = 2 // above the grain: the forked recursion really splits
-		}
-		for trial := 0; trial < trials; trial++ {
-			m := rng.Intn(n + 1)
-			src := randKeys(rng, n, 40)
-			memsort.Keys(src[:m])
-			memsort.Keys(src[m:])
-			want := append([]int64(nil), src...)
-			memsort.SymMerge(want, m)
-			for _, w := range testWidths {
-				a := append([]int64(nil), src...)
-				New(w).SymMerge(a, m)
-				if !slices.Equal(a, want) {
-					t.Fatalf("n=%d m=%d w=%d: SymMerge differs from serial", n, m, w)
-				}
-			}
-		}
-	}
-}
-
 func TestTranspose(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, dims := range [][2]int{{1, 1}, {4, 7}, {64, 64}, {128, 33}, {2100, 64}} { // the last forks

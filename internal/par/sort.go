@@ -1,10 +1,6 @@
 package par
 
-import (
-	"sync"
-
-	"repro/internal/memsort"
-)
+import "repro/internal/memsort"
 
 // SortKeys sorts a in place with the LSD radix kernel (memsort.RadixKeys,
 // which takes the introsort below memsort.RadixMinKeys keys), across as
@@ -111,59 +107,4 @@ func (p *Pool) sortSegmentsMerge(a, scratch []int64, s int) {
 	p.parDo(s, n, func(_, lo, hi int) {
 		copy(a[lo:hi], scratch[lo:hi])
 	})
-}
-
-// SymMerge merges the sorted halves a[:m] and a[m:] in place across the
-// workers; identical to memsort.SymMerge for any worker count.
-func (p *Pool) SymMerge(a []int64, m int) {
-	w := p.width(len(a), mergeGrain)
-	if w == 1 {
-		memsort.SymMerge(a, m)
-		return
-	}
-	done := p.section()
-	p.symMergeRec(a, 0, m, len(a), w)
-	done()
-}
-
-// symMergeRec is the forked symmetric merge: each SymMergeSplit step yields
-// two independent subproblems, run concurrently while the goroutine budget
-// lasts and serially below it (or once a subproblem is under the grain).
-// Busy time is recorded around the actual work — the split steps and the
-// serial leaf merges — never around a wait, so WorkerUtilization counts each
-// merged key exactly once.
-func (p *Pool) symMergeRec(data []int64, a, m, b, budget int) {
-	for {
-		if budget <= 1 || b-a < mergeGrain {
-			p.busyDo(func() { memsort.SymMergeRange(data, a, m, b) })
-			return
-		}
-		var start, mid, end int
-		var split bool
-		p.busyDo(func() { start, mid, end, split = memsort.SymMergeSplit(data, a, m, b) })
-		if !split {
-			return
-		}
-		left := a < start && start < mid
-		right := mid < end && end < b
-		switch {
-		case left && right:
-			var wg sync.WaitGroup
-			lo, lm, lhi, lb := a, start, mid, budget/2
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				p.symMergeRec(data, lo, lm, lhi, lb)
-			}()
-			p.symMergeRec(data, mid, end, b, budget-budget/2)
-			wg.Wait()
-			return
-		case left:
-			m, b = start, mid
-		case right:
-			a, m = mid, end
-		default:
-			return
-		}
-	}
 }

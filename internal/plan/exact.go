@@ -10,8 +10,9 @@ import (
 // bit — and whether the prediction is exact at all.
 //
 // basePasses is an expectation: it folds in the M^−α fallback surcharge
-// and uses each algorithm's headline constant, which a run only meets on
-// regular geometry.  Off that geometry the implementations pay real extra
+// and, off the counts below that it shares (lmm3's steps, the superrun
+// family's outer merge), uses each algorithm's headline constant, which a
+// run only meets on regular geometry.  Off that geometry the implementations pay real extra
 // steps (vectored transfers that span fewer than D disks, column batches
 // that straddle the stripe), so exactness is conditional:
 //

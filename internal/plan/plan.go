@@ -246,24 +246,31 @@ func PadFor(mem int, alg Alg, n int) (int, error) {
 // are tighter than the old per-family worst cases (the three-pass family
 // peaks at 4× padded, so 5× bounds it; OnePass holds only input and
 // output), which shortens head-of-line blocking in the scheduler; the
-// superrun-recursive family keeps its measured 7×+1.  RadixSort is priced
-// from the digit rounds w.Universe allows (radixEnvelope).  JobStatus's
-// DiskFootprint is checked against the reservation in the scheduler tests.
+// superrun-recursive family keeps its measured 7×+1.  Below l = D runs
+// (l = N/M for ThreePass1, √(N/M) for the superrun family) two shapes
+// spread over fewer than D disks and peak higher: ThreePass1 at 4× padded
+// plus (D − l)·M, and the superrun family at (3·D/l + 1)× padded.
+// RadixSort is priced from the digit rounds w.Universe allows
+// (radixEnvelope).  JobStatus's DiskFootprint is checked against the
+// reservation in the scheduler tests, and every comparison algorithm's
+// over a grid of geometries in TestDiskEnvelopeBoundsFootprint.
 func DiskEnvelope(shape Shape, w Workload, alg Alg, padded int) int {
-	mult := 0
+	slack := 2 * shape.Stripe()
 	switch alg {
 	case OnePass:
-		mult = 2
-	case Mesh3, LMM3, Exp2, Mesh2e:
-		mult = 5
-	case Exp3, Six, Seven, SevenMesh:
-		mult = 8
+		return 2*padded + slack
+	case Mesh3:
+		return 5*padded + max(shape.D-padded/shape.Mem, 0)*shape.Mem + slack
+	case LMM3, Exp2, Mesh2e:
+		return 5*padded + slack
+	case Six, Seven, SevenMesh:
+		l := memsort.Isqrt(padded / shape.Mem)
+		return max(8, 3*memsort.CeilDiv(shape.D, max(l, 1))+2)*padded + slack
 	case Radix:
 		return radixEnvelope(shape, w.Universe, padded)
 	default:
-		mult = 8
+		return 8*padded + slack
 	}
-	return mult*padded + 2*shape.Stripe()
 }
 
 // radixEnvelope bounds RadixSort's scratch.  Every round's bucket runs stay
@@ -339,10 +346,21 @@ func basePasses(shape Shape, w Workload, alg Alg) float64 {
 		return 2 + pf*3
 	case Exp3:
 		return 3 + pf*7
-	case Six:
-		return 6 + pf*7
-	case Seven, SevenMesh:
-		return 7
+	case Six, Seven, SevenMesh:
+		// The outer merge's exact count where it has one: the paper's 6 / 7
+		// once l ≥ D, 3·D/l more below (outerMergePasses).  Irregular l/D
+		// ratios keep the headline constant, a floor.
+		base, surcharge := 4, 0.0
+		if alg == Six {
+			base, surcharge = 3, pf*7
+		}
+		p := float64(base + 3)
+		if padded, err := PadFor(shape.Mem, alg, w.N); err == nil {
+			if exact, ok := outerMergePasses(padded, shape.Mem, memsort.Isqrt(shape.Mem), shape.D, base); ok {
+				p = exact
+			}
+		}
+		return p + surcharge
 	case Radix:
 		// Theorem 7.2: (1+ν)·log(N/M)/log(M/B) scatter rounds w.h.p., plus
 		// the final read-sort-write pass; never more rounds than the key

@@ -1,10 +1,14 @@
 package plan
 
 import (
+	"math"
 	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/pdm"
+	"repro/internal/workload"
 )
 
 // shapeFor is the test machine: M-key memory, B = √M, D = √M/4 (the
@@ -234,6 +238,92 @@ func TestDiskEnvelopeOrdering(t *testing.T) {
 	}
 	if three > 6*padded+2*stripe {
 		t.Fatalf("three-pass envelope %d looser than the old family bound", three)
+	}
+}
+
+// TestDiskEnvelopeBoundsFootprint: every comparison algorithm, on mem
+// disks at pipeline depth 2/2 and M ∈ {1024, 4096}, D ∈ {4, 8, 16}, keeps
+// the disk high-water of a random permutation (input stripe included)
+// within its DiskEnvelope at every feasible run count l (l ≤ 8 for the
+// l²·M-key algorithms) — below D too, where mesh3's column pass and the
+// superrun family's outer merge spread over fewer disks than D.
+func TestDiskEnvelopeBoundsFootprint(t *testing.T) {
+	for _, mem := range []int{1024, 4096} {
+		sq := isqrt(mem)
+		for _, d := range []int{4, 8, 16} {
+			shape := Shape{Mem: mem, B: sq, D: d, Alpha: 1, Prefetch: 2, WriteBehind: 2}
+			for _, alg := range Candidates {
+				if alg == Radix {
+					continue
+				}
+				for l := 1; l <= sq; l++ {
+					n := l * mem
+					if alg == Exp3 || alg == Six || alg == Seven || alg == SevenMesh {
+						if l > 8 {
+							break
+						}
+						n = l * l * mem
+					}
+					padded, err := feasible(shape, Workload{N: n}, alg)
+					if err != nil || padded != n {
+						continue
+					}
+					foot := diskFootprint(t, shape, alg, padded)
+					if env := DiskEnvelope(shape, Workload{N: padded}, alg, padded); foot > env {
+						t.Errorf("M=%d D=%d %s l=%d: footprint %d keys (%.2f× padded) exceeds the envelope %d (%.2f×)",
+							mem, d, alg, l, foot, float64(foot)/float64(padded), env, float64(env)/float64(padded))
+					}
+				}
+			}
+		}
+	}
+}
+
+// diskFootprint sorts a random permutation of padded keys with alg and
+// returns the run's disk high-water, in keys.
+func diskFootprint(t *testing.T, shape Shape, alg Alg, padded int) int {
+	t.Helper()
+	a, err := pdm.New(pdm.Config{D: shape.D, B: shape.B, Mem: shape.Mem,
+		Pipeline: pdm.PipelineConfig{Prefetch: shape.Prefetch, WriteBehind: shape.WriteBehind}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := a.NewStripe(padded)
+	if err == nil {
+		err = in.Load(workload.Perm(padded, int64(padded)))
+	}
+	if err == nil {
+		_, err = alg.Run(a, in)
+	}
+	if err != nil {
+		t.Fatalf("%s over %d keys: %v", alg, padded, err)
+	}
+	return a.DiskFootprint()
+}
+
+// TestSuperrunPricedAtExactPasses: Auto and -explain price the superrun
+// family at the outer merge's exact count wherever ExactPasses has one,
+// below l = D too, plus ExpectedSixPass's fallback surcharge.
+func TestSuperrunPricedAtExactPasses(t *testing.T) {
+	for _, mem := range []int{1024, 4096} {
+		for _, d := range []int{4, 8, 16} {
+			shape := Shape{Mem: mem, B: isqrt(mem), D: d, Alpha: 1}
+			for _, l := range []int{1, 2, 4, 8} {
+				w := Workload{N: l * l * mem}
+				for _, alg := range []Alg{Six, Seven, SevenMesh} {
+					want, _, exact := ExactPasses(shape, w, alg)
+					if !exact {
+						continue
+					}
+					if alg == Six {
+						want += math.Pow(float64(mem), -shape.Alpha) * 7
+					}
+					if got := basePasses(shape, w, alg); got != want {
+						t.Errorf("M=%d D=%d l=%d %s: priced %.3f passes, exact %.3f", mem, d, l, alg, got, want)
+					}
+				}
+			}
+		}
 	}
 }
 
