@@ -11,10 +11,10 @@ import (
 )
 
 // A1CleanupWindow ablates the rolling-cleanup window (ablation A1): the
-// window must cover the displacement bound; half windows fail exactly when
-// the dirtiness exceeds them, which is why ThreePass2's chunk is M and why
-// the memory envelope is 2M.  Each trial runs the product's cleanup,
-// core.RollingPass, with the window as its chunk, over host slices.
+// window must cover the displacement bound (hence ThreePass2's M-key chunk
+// and 2M envelope).  Its inputs shuffle aligned d-key windows, which a
+// w-key cleanup sorts up to d = 2w, so only quarter windows fail, each by
+// detection.  Each trial runs the product's core.RollingPass, window as chunk.
 func A1CleanupWindow(trials int) (*report.Table, error) {
 	t := report.NewTable("A1  Ablation: rolling-cleanup window vs displacement",
 		"displacement d", "window", "trials", "successes", "detected overflows")

@@ -12,9 +12,9 @@ import (
 // basePasses is an expectation: it folds in the M^−α fallback surcharge
 // and, off the counts below that it shares (lmm3's steps, the superrun
 // family's outer merge), uses each algorithm's headline constant, which a
-// run only meets on regular geometry.  Off that geometry the implementations pay real extra
-// steps (vectored transfers that span fewer than D disks, column batches
-// that straddle the stripe), so exactness is conditional:
+// run only meets on regular geometry.  Off it the implementations pay
+// extra steps (vectored transfers that span fewer than D disks, column
+// batches that straddle the stripe), so exactness is conditional:
 //
 //   - one: always exact — one read and one write step sequence, with the
 //     final partial stripe still costing a whole step when the padded
@@ -72,16 +72,16 @@ func ExactPasses(shape Shape, w Workload, alg Alg) (read, write float64, exact b
 			return 3, 3, true
 		}
 	case Six:
-		if p, ok := outerMergePasses(padded, shape.Mem, sq, d, 3); ok {
+		if p, ok := outerMergePasses(padded, shape.Mem, d, 3); ok {
 			return p, p, true
 		}
 	case Seven:
-		if p, ok := outerMergePasses(padded, shape.Mem, sq, d, 4); ok {
+		if p, ok := outerMergePasses(padded, shape.Mem, d, 4); ok {
 			return p, p, true
 		}
 	case SevenMesh:
 		l := memsort.Isqrt(padded / shape.Mem)
-		if p, ok := outerMergePasses(padded, shape.Mem, sq, d, 4); ok && meshEven(sq, l, d) {
+		if p, ok := outerMergePasses(padded, shape.Mem, d, 4); ok && meshEven(sq, l, d) {
 			return p, p, true
 		}
 	}
@@ -110,11 +110,11 @@ func meshEven(sq, l, d int) bool {
 }
 
 // outerMergePasses is the exact count for the recursive six/seven-pass
-// algorithms: base passes when the l-block subsequence stripes span the
-// disks (l ≥ D), and 3·(D/l) + (base − 3) when they cannot (three of the
-// outer merge's passes shrink to l-disk parallelism).  Irregular ratios
-// (l ∤ D and D ∤ l) are not exact.
-func outerMergePasses(padded, mem, sq, d, base int) (float64, bool) {
+// algorithms, base being their passes outside the outer merge (3 for six,
+// 4 for seven): base + 3 when the l-block subsequence stripes span the
+// disks (D | l), base + 3·(D/l) when three of the outer merge's passes
+// shrink to l-disk parallelism (l | D, l < D).  Other ratios are not exact.
+func outerMergePasses(padded, mem, d, base int) (float64, bool) {
 	l := memsort.Isqrt(padded / mem)
 	if l < 1 || l*l*mem != padded {
 		return 0, false

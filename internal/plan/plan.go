@@ -348,15 +348,15 @@ func basePasses(shape Shape, w Workload, alg Alg) float64 {
 		return 3 + pf*7
 	case Six, Seven, SevenMesh:
 		// The outer merge's exact count where it has one: the paper's 6 / 7
-		// once l ≥ D, 3·D/l more below (outerMergePasses).  Irregular l/D
-		// ratios keep the headline constant, a floor.
+		// once l ≥ D, 3·D/l + 3 / + 4 below (outerMergePasses).  Irregular
+		// l/D ratios keep the headline constant, a floor.
 		base, surcharge := 4, 0.0
 		if alg == Six {
 			base, surcharge = 3, pf*7
 		}
 		p := float64(base + 3)
 		if padded, err := PadFor(shape.Mem, alg, w.N); err == nil {
-			if exact, ok := outerMergePasses(padded, shape.Mem, memsort.Isqrt(shape.Mem), shape.D, base); ok {
+			if exact, ok := outerMergePasses(padded, shape.Mem, shape.D, base); ok {
 				p = exact
 			}
 		}
