@@ -267,22 +267,13 @@ func waitClosed(ctx context.Context, open *sync.WaitGroup) error {
 // partition scatters keys (and their payloads; partPay is nil without
 // them) into shard order: shard s is part[starts[s]:starts[s+1]], sized by
 // a counting pass, in input order within the shard; ties never straddle
-// shards (records.RangeShard).  Each key's shard is looked up once, by the
-// counting pass, and kept for the scatter in width bits per key — the
-// power of two that holds the largest shard number, so one bit a key for
-// two shards.
+// shards (records.RangeShard).  Both passes look each key's shard up
+// afresh: the branch-free lookup inlines, and costs less than storing its
+// answer for the scatter.
 func partition(keys []int64, payloads [][]byte, splitters []int64) (part []int64, partPay [][]byte, starts []int) {
-	width := 1
-	for 1<<width <= len(splitters) {
-		width *= 2
-	}
-	mask := uint64(1)<<width - 1
-	shard := make([]uint64, (len(keys)*width+63)/64)
 	starts = make([]int, len(splitters)+2)
-	for i, k := range keys {
-		s := records.RangeShard(k, splitters)
-		shard[i*width/64] |= uint64(s) << (i * width % 64)
-		starts[s+1]++
+	for _, k := range keys {
+		starts[records.RangeShard(k, splitters)+1]++
 	}
 	for s := 1; s < len(starts); s++ {
 		starts[s] += starts[s-1]
@@ -292,7 +283,7 @@ func partition(keys []int64, payloads [][]byte, splitters []int64) (part []int64
 		partPay = make([][]byte, len(payloads))
 	}
 	for i, k := range keys {
-		s := shard[i*width/64] >> (i * width % 64) & mask
+		s := records.RangeShard(k, splitters)
 		part[next[s]] = k
 		if payloads != nil {
 			partPay[next[s]] = payloads[i]

@@ -226,8 +226,7 @@ func referencePartition(keys []int64, payloads [][]byte, splitters []int64) ([]i
 // TestPartitionMatchesReference pins the shard assignment: partition's
 // keys, payloads and shard starts are identical to the reference's on
 // random full-range keys, heavy duplicates and keys equal to a splitter,
-// at 1, 2, 3, 4, 16, 17 and 300 splitters (shard numbers packed 1, 2, 2,
-// 4, 8, 8 and 16 bits a key).
+// at 1, 2, 3, 4, 16, 17 and 300 splitters.
 func TestPartitionMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, nsplit := range []int{1, 2, 3, 4, 16, 17, 300} {
@@ -272,64 +271,105 @@ func TestPartitionMatchesReference(t *testing.T) {
 
 // TestPartition checks the invariants the positional download rests on:
 // every record lands in exactly one shard, in the range records.RangeShard
-// names, in input order within it, its payload beside it; equal keys share
-// a shard; and per-shard sorts concatenate to the global sort.
+// names, in input order within it, its payload beside it; the shard starts
+// are exact; equal keys share a shard; and per-shard sorts concatenate to
+// the global sort.  Inputs are random, with heavy duplicates and keys equal
+// to splitters, at every splitter count 0–17 (duplicate splitters make
+// empty shards), with and without payloads.
 func TestPartition(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	keys := make([]int64, 500)
-	payloads := make([][]byte, len(keys))
-	for i := range keys {
-		keys[i] = int64(rng.Intn(50))               // heavy duplicates
-		payloads[i] = []byte{byte(i >> 8), byte(i)} // the input position
+	for nsplit := 0; nsplit <= 17; nsplit++ {
+		for trial := 0; trial < 4; trial++ {
+			keys := make([]int64, 500)
+			payloads := make([][]byte, len(keys))
+			for i := range keys {
+				keys[i] = int64(rng.Intn(50))               // heavy duplicates
+				payloads[i] = []byte{byte(i >> 8), byte(i)} // the input position
+			}
+			splitters := make([]int64, nsplit)
+			for i := range splitters {
+				splitters[i] = int64(rng.Intn(50)) // equal to keys, and often to each other
+			}
+			slices.Sort(splitters)
+			name := fmt.Sprintf("splitters %v", splitters)
+			checkPartition(t, name, keys, payloads, splitters)
+			keysOnly, pp, starts := partition(keys, nil, splitters)
+			if pp != nil || window(pp, 0, 0) != nil {
+				t.Fatalf("%s: keys-only partition built %d payloads", name, len(pp))
+			}
+			if part, _, want := partition(keys, payloads, splitters); !slices.Equal(keysOnly, part) || !slices.Equal(starts, want) {
+				t.Fatalf("%s: keys-only partition differs from the records partition", name)
+			}
+		}
 	}
-	splitters := []int64{10, 25, 25, 40} // duplicate splitter = empty shard
+}
+
+// checkPartition partitions keys with their payloads (each the key's input
+// position, two bytes) and checks TestPartition's invariants.
+func checkPartition(t *testing.T, name string, keys []int64, payloads [][]byte, splitters []int64) {
+	t.Helper()
 	part, partPay, starts := partition(keys, payloads, splitters)
 	if len(starts) != len(splitters)+2 || starts[0] != 0 || starts[len(starts)-1] != len(keys) || len(partPay) != len(part) {
-		t.Fatalf("starts %v, %d keys, %d payloads for %d splitters over %d keys", starts, len(part), len(partPay), len(splitters), len(keys))
+		t.Fatalf("%s: starts %v, %d keys, %d payloads over %d keys", name, starts, len(part), len(partPay), len(keys))
 	}
-	shards, shardPayloads := make([][]int64, len(starts)-1), make([][][]byte, len(starts)-1)
-	for s := range shards {
-		shards[s], shardPayloads[s] = part[starts[s]:starts[s+1]], window(partPay, starts[s], starts[s+1])
+	sizes := make([]int, len(splitters)+1)
+	for _, k := range keys {
+		sizes[sort.Search(len(splitters), func(i int) bool { return k < splitters[i] })]++
 	}
 	var concat []int64
-	total := 0
-	for s, sh := range shards {
-		if len(shardPayloads[s]) != len(sh) {
-			t.Fatalf("shard %d: %d payloads for %d keys", s, len(shardPayloads[s]), len(sh))
+	for s := range sizes {
+		if got := starts[s+1] - starts[s]; got != sizes[s] {
+			t.Fatalf("%s: shard %d holds %d keys, want %d", name, s, got, sizes[s])
 		}
+		sh, shPay := part[starts[s]:starts[s+1]], window(partPay, starts[s], starts[s+1])
 		prev := -1
 		for j, k := range sh {
-			pos := int(shardPayloads[s][j][0])<<8 | int(shardPayloads[s][j][1])
+			pos := int(shPay[j][0])<<8 | int(shPay[j][1])
 			if pos <= prev {
-				t.Fatalf("shard %d out of input order: position %d after %d", s, pos, prev)
+				t.Fatalf("%s: shard %d out of input order: position %d after %d", name, s, pos, prev)
 			}
 			prev = pos
 			if keys[pos] != k {
-				t.Fatalf("shard %d: key %d travelled with the payload of key %d", s, k, keys[pos])
+				t.Fatalf("%s: shard %d: key %d travelled with the payload of key %d", name, s, k, keys[pos])
 			}
 			if got := records.RangeShard(k, splitters); got != s {
-				t.Fatalf("key %d in shard %d, RangeShard says %d", k, s, got)
+				t.Fatalf("%s: key %d in shard %d, RangeShard says %d", name, k, s, got)
 			}
 		}
-		total += len(sh)
-		part := slices.Clone(sh)
-		slices.Sort(part)
-		concat = append(concat, part...)
-	}
-	if total != len(keys) {
-		t.Fatalf("partition covers %d of %d keys", total, len(keys))
-	}
-	if len(shards[2]) != 0 {
-		t.Fatalf("degenerate range [25,25) got %d keys", len(shards[2]))
+		sorted := slices.Clone(sh)
+		slices.Sort(sorted)
+		concat = append(concat, sorted...)
 	}
 	want := slices.Clone(keys)
 	slices.Sort(want)
 	if !slices.Equal(concat, want) {
-		t.Fatal("per-shard sorts do not concatenate to the global sort")
+		t.Fatalf("%s: per-shard sorts do not concatenate to the global sort", name)
 	}
-	// Keys only: no payloads are built, and every window of them is nil.
-	if _, pp, _ := partition(keys, nil, splitters); len(pp) != 0 || window(pp, 0, 0) != nil {
-		t.Fatalf("keys-only partition built %d payloads", len(pp))
+}
+
+// BenchmarkPartition times the coordinator's partition of 2 Mi uniform
+// full-range keys, without payloads, at 1 and 7 splitters (2 and 8
+// workers) read off the sorted keys' quantiles.
+func BenchmarkPartition(b *testing.B) {
+	const n = 2 << 20
+	rng := rand.New(rand.NewSource(1))
+	keys := make([]int64, n)
+	for i := range keys {
+		keys[i] = int64(rng.Uint64())
+	}
+	sorted := slices.Clone(keys)
+	slices.Sort(sorted)
+	for _, nsplit := range []int{1, 7} {
+		splitters := make([]int64, nsplit)
+		for i := range splitters {
+			splitters[i] = sorted[(i+1)*n/(nsplit+1)]
+		}
+		b.Run(fmt.Sprintf("splitters=%d", nsplit), func(b *testing.B) {
+			b.SetBytes(n * 8)
+			for range b.N {
+				partition(keys, nil, splitters)
+			}
+		})
 	}
 }
 

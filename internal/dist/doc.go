@@ -11,9 +11,11 @@
 //  1. Sample.  A deterministic stride sample of the input keys is sorted
 //     and N−1 splitters are read off at the quantiles.
 //  2. Partition + upload.  One counting pass and one scatter place every
-//     record in one coordinator buffer, shard by shard, by key range
-//     ("equal key goes right", so ties never straddle shards), input order
-//     preserved.  Shards ship through the staged-upload protocol:
+//     record in one coordinator buffer, shard by shard, by key range: a
+//     key's shard is the number of splitters ≤ it ("equal key goes
+//     right", so ties never straddle shards), counted without a branch on
+//     the key and recounted in the scatter rather than stored.  Input
+//     order is preserved within a shard.  Shards ship through the staged-upload protocol:
 //     bounded-concurrency page uploads (binary bodies to a worker whose
 //     /healthz offers them, JSON otherwise), each idempotent and
 //     independently retried, committed into one worker job per shard.  A

@@ -36,8 +36,8 @@ func TestAllQuickScale(t *testing.T) {
 
 // checkA1 asserts ablation A1's claim on its rendered rows (displacement,
 // window, trials, successes, detected overflows): every trial either sorts
-// or is detected, and every trial sorts where the window covers the
-// displacement.
+// or is detected, every trial sorts where the window covers the
+// displacement, and every row past d = 2w detects at least one overflow.
 func checkA1(t *testing.T, out string) {
 	t.Helper()
 	_, body, _ := strings.Cut(out, "-\n")
@@ -56,6 +56,9 @@ func checkA1(t *testing.T, out string) {
 		}
 		if w >= d && succ != trials {
 			t.Errorf("A1 d=%d w=%d: %d of %d trials sorted with the window covering the displacement", d, w, succ, trials)
+		}
+		if d > 2*w && det == 0 {
+			t.Errorf("A1 d=%d w=%d: no overflow detected past twice the window", d, w)
 		}
 	}
 }

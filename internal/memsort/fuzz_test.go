@@ -83,6 +83,45 @@ func FuzzRadixKeys(f *testing.F) {
 	})
 }
 
+// FuzzMergeBinary checks MergeBinary against the one-branch-per-key
+// baseline (mergeBinaryBranchy) on fuzzer-shaped lanes.  The first byte
+// picks the key width — odd: one byte per key from a range of 8, so ties
+// dominate; even: eight bytes per key, full range — and the second where
+// the keys split into a and b; each lane is sorted before the merge.
+func FuzzMergeBinary(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{1, 3, 0, 1, 2, 3, 4, 5, 6, 7})
+	f.Add([]byte("\x01\x20two lanes of small keys tie at every step of the merge"))
+	f.Add([]byte("\x00\x08\x00\x00\x00\x00\x00\x00\x00\x80\xff\xff\xff\xff\xff\xff\xff\x7f\x01\x00\x00\x00\x00\x00\x00\x00"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		narrow, split := data[0]&1 == 1, int(data[1])
+		var keys []int64
+		if narrow {
+			for _, b := range data[2:] {
+				keys = append(keys, int64(b%8)-4)
+			}
+		} else {
+			for raw := data[2:]; len(raw) >= 8; raw = raw[8:] {
+				keys = append(keys, int64(binary.LittleEndian.Uint64(raw)))
+			}
+		}
+		split = min(split, len(keys))
+		a, b := keys[:split], keys[split:]
+		slices.Sort(a)
+		slices.Sort(b)
+		want := make([]int64, len(keys))
+		mergeBinaryBranchy(want, a, b)
+		got := make([]int64, len(keys))
+		MergeBinary(got, a, b)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%d + %d keys: MergeBinary differs from the branchy merge", len(a), len(b))
+		}
+	})
+}
+
 // FuzzStreamMerge feeds StreamMerge fuzzer-shaped lane sets — lane count,
 // per-lane keys, and chunk boundaries (empty chunks included) all derive
 // from the input bytes — and checks the streaming-merge contract: every

@@ -1,5 +1,7 @@
 package memsort
 
+import "math/bits"
+
 // insertionThreshold is the subarray size below which Keys switches to
 // insertion sort.
 const insertionThreshold = 24
@@ -200,7 +202,10 @@ const mergeMinGallop = 8
 // len(a)+len(b).  The merge is stable with ties taken from a first.  After
 // mergeMinGallop consecutive keys from the same input it gallops: the end of
 // the current run is found by exponential + binary search and the run is bulk
-// copied (bench_test.go keeps the plain-loop ablation baseline).
+// copied.  Between gallops the element loop has no data-dependent branch: it
+// stores the smaller head and advances by the compare's 0 or 1, so
+// interleaved keys cost no mispredictions (bench_test.go keeps the plain-loop
+// ablation baseline).
 func MergeBinary(dst, a, b []int64) {
 	if len(dst) != len(a)+len(b) {
 		panic("memsort: MergeBinary destination size mismatch")
@@ -225,19 +230,26 @@ func MergeBinary(dst, a, b []int64) {
 			i += n
 			continue
 		}
-		for t := 0; t < 4*mergeMinGallop && i < len(a) && j < len(b); t++ {
-			if b[j] < a[i] {
-				dst[k] = b[j]
-				j++
-			} else {
-				dst[k] = a[i]
-				i++
-			}
+		// Neither input runs out within n steps, as each takes one key.
+		n := min(4*mergeMinGallop, len(a)-i, len(b)-j)
+		for range n {
+			x, y := a[i], b[j]
+			t := less(y, x) // 1 takes b's head: ties stay with a
+			dst[k] = x ^ (x^y)&-int64(t)
+			i += 1 - t
+			j += t
 			k++
 		}
 	}
 	k += copy(dst[k:], a[i:])
 	copy(dst[k:], b[j:])
+}
+
+// less is 1 when x < y and 0 otherwise: the borrow of the subtraction in
+// the order-preserving unsigned encoding, so no branch depends on the keys.
+func less(x, y int64) int {
+	_, borrow := bits.Sub64(uint64(x)^1<<63, uint64(y)^1<<63, 0)
+	return int(borrow)
 }
 
 // gallopLess returns how many leading elements of s are < v, probing

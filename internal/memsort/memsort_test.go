@@ -173,3 +173,44 @@ func TestMergeBinarySizeMismatchPanics(t *testing.T) {
 	}()
 	MergeBinary(make([]int64, 1), []int64{1}, []int64{2})
 }
+
+// TestMergeBinaryMatchesBranchy checks the branch-free element loop (and the
+// gallops between its rounds) against the one-branch-per-key baseline on
+// random full-range lanes, tie-heavy lanes of eight values and runny lanes
+// of interleaved bands, at every length of a from 0 to 300 against a
+// random length of b, and at two 32 Ki-key lanes.
+func TestMergeBinaryMatchesBranchy(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	// side is 0 for a and 1 for b: runny lanes hold alternate bands.
+	lane := func(shape string, n, side int) []int64 {
+		s, band := make([]int64, n), 1+rng.Intn(40)
+		for i := range s {
+			switch shape {
+			case "random":
+				s[i] = int64(rng.Uint64()) // negative and positive alike
+			case "ties":
+				s[i] = int64(rng.Intn(8)) - 4
+			case "runny": // bands of band keys, a's and b's interleaved
+				s[i] = int64(2*(i/band)+side)*64 + int64(rng.Intn(64))
+			}
+		}
+		slices.Sort(s)
+		return s
+	}
+	check := func(shape string, a, b []int64) {
+		t.Helper()
+		want := make([]int64, len(a)+len(b))
+		mergeBinaryBranchy(want, a, b)
+		got := make([]int64, len(a)+len(b))
+		MergeBinary(got, a, b)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s, %d + %d keys: MergeBinary differs from the branchy merge", shape, len(a), len(b))
+		}
+	}
+	for _, shape := range []string{"random", "ties", "runny"} {
+		for na := 0; na <= 300; na++ {
+			check(shape, lane(shape, na, 0), lane(shape, rng.Intn(301), 1))
+		}
+		check(shape, lane(shape, 1<<15, 0), lane(shape, 1<<15, 1))
+	}
+}

@@ -283,44 +283,51 @@ func planShape(mem, d int, alpha float64) plan.Shape {
 // MaxInt64 sentinels (hence ErrKeyRange if any key equals MaxInt64) and the
 // padding is stripped before returning.
 func (m *Machine) Sort(keys []int64, alg Algorithm) (*Report, error) {
-	if err := checkKeys(keys); err != nil {
-		return nil, err
-	}
+	check := func() error { return checkKeys(keys) }
 	if alg == Auto {
 		alg = m.Plan(len(keys))
 	}
 	padded, err := padForSize(m.a.Mem(), alg, len(keys))
+	if err == nil && padded > m.a.Mem()*m.a.Mem() {
+		err = fmt.Errorf("repro: %d keys exceed the machine's M^2 = %d capacity", len(keys), m.a.Mem()*m.a.Mem())
+	}
 	if err != nil {
+		// The keys are checked beside the load (sortPadded); a size that
+		// never loads checks them here, so a sentinel is still ErrKeyRange.
+		if kerr := check(); kerr != nil {
+			return nil, kerr
+		}
 		return nil, err
 	}
-	if padded > m.a.Mem()*m.a.Mem() {
-		return nil, fmt.Errorf("repro: %d keys exceed the machine's M^2 = %d capacity", len(keys), m.a.Mem()*m.a.Mem())
-	}
-	return m.sortPadded(keys, padded, math.MaxInt64, alg, alg.Run)
+	return m.sortPadded(keys, padded, math.MaxInt64, alg, check, alg.Run)
 }
 
 // SortInts sorts nonnegative integer keys below universe with the paper's
 // Section 7 RadixSort (O(1) passes for any input size).
 func (m *Machine) SortInts(keys []int64, universe int64) (*Report, error) {
-	for _, k := range keys {
-		if k < 0 || k >= universe {
-			return nil, fmt.Errorf("repro: key %d outside [0, %d)", k, universe)
-		}
-	}
 	// Pad with universe-1 sentinels (largest value) to a block multiple.
 	b := m.a.B()
 	padded := memsort.CeilDiv(len(keys), b) * b
-	return m.sortPadded(keys, padded, universe-1, core.AlgRadix, func(a *pdm.Array, in *pdm.Stripe) (*core.Result, error) {
+	check := func() error {
+		for _, k := range keys {
+			if k < 0 || k >= universe {
+				return fmt.Errorf("repro: key %d outside [0, %d)", k, universe)
+			}
+		}
+		return nil
+	}
+	return m.sortPadded(keys, padded, universe-1, core.AlgRadix, check, func(a *pdm.Array, in *pdm.Stripe) (*core.Result, error) {
 		return core.RadixSort(a, in, universe)
 	})
 }
 
 // sortPadded is the body Sort and SortInts share: stage keys on a fresh
-// stripe padded to padded with sentinel, run the sort, and copy the sorted
-// prefix back over keys.  alg is what the Report names.
-func (m *Machine) sortPadded(keys []int64, padded int, sentinel int64, alg Algorithm,
+// stripe padded to padded with sentinel while check vets them (loadBeside),
+// run the sort, and copy the sorted prefix back over keys.  alg is what the
+// Report names.
+func (m *Machine) sortPadded(keys []int64, padded int, sentinel int64, alg Algorithm, check func() error,
 	run func(*pdm.Array, *pdm.Stripe) (*core.Result, error)) (*Report, error) {
-	in, err := m.loadPadded(keys, padded, sentinel)
+	in, err := m.loadBeside(keys, padded, sentinel, check)
 	if err != nil {
 		return nil, err
 	}

@@ -22,8 +22,9 @@ import (
 // the disk-resident streaming passes touch the I/O accounting, while
 // client-side metadata work (sampling, partition-size counting, input
 // validation) is uncharged, exactly like Load/Unload.  The selection
-// kinds run that uncharged front beside their uncharged input load
-// (loadBeside), so the load's disk writes do not wait for it.
+// kinds, like Sort and SortInts, run that uncharged front beside their
+// uncharged input load (loadBeside), so the load's disk writes do not wait
+// for it.
 
 // The scenario vocabulary is declared once, beside the kinds table in
 // internal/plan (and the aggregate beside its kernel), and re-exported here.
@@ -251,9 +252,9 @@ func (m *Machine) loadPadded(data []int64, pad int, sentinel int64) (*pdm.Stripe
 // selectPlan prices the selection kinds (top-K, quantile): check the
 // target against the input size with the scenario table's rule, and price
 // the filter route against the full sort.  The keys are checked later,
-// beside the filter route's load (loadBeside) or by Sort on the full-sort
-// route; a bad target checks them here first, so a sentinel key is still
-// ErrKeyRange whatever the parameters.
+// beside the load of the filter route or of Sort on the full-sort route
+// (loadBeside); a bad target checks them here first, so a sentinel key is
+// still ErrKeyRange whatever the parameters.
 func (m *Machine) selectPlan(keys []int64, q ScenarioSpec) (*ScenarioPlanReport, error) {
 	if err := q.Validate(); err != nil {
 		if kerr := checkKeys(keys); kerr != nil {
@@ -264,31 +265,28 @@ func (m *Machine) selectPlan(keys []int64, q ScenarioSpec) (*ScenarioPlanReport,
 	return m.ExplainScenario(q)
 }
 
-// loadBeside is the selection kinds' filter-route staging: keys load onto
-// a fresh stripe padded to pad on a goroutine of their own while the
-// caller's goroutine rejects the sentinel and then runs front (the
-// thresholds).  Both finish before it returns.  Either error frees the
-// stripe, and the key check's wins.
-func (m *Machine) loadBeside(keys []int64, pad int, front func()) (*pdm.Stripe, error) {
+// loadBeside stages keys on a fresh stripe padded to pad with sentinel, on
+// a goroutine of its own, while the caller's goroutine runs front: the key
+// check, then whatever else the caller computes before its first charged
+// pass (the selection kinds' thresholds).  Both finish before it returns.
+// Either error frees the stripe, and front's wins.
+func (m *Machine) loadBeside(keys []int64, pad int, sentinel int64, front func() error) (*pdm.Stripe, error) {
 	type loaded struct {
 		s   *pdm.Stripe
 		err error
 	}
 	done := make(chan loaded, 1)
 	go func() {
-		s, err := m.loadPadded(keys, pad, math.MaxInt64)
+		s, err := m.loadPadded(keys, pad, sentinel)
 		done <- loaded{s, err}
 	}()
-	kerr := checkKeys(keys)
-	if kerr == nil {
-		front()
-	}
+	ferr := front()
 	l := <-done
-	if kerr != nil {
+	if ferr != nil {
 		if l.err == nil {
 			l.s.Free()
 		}
-		return nil, kerr
+		return nil, ferr
 	}
 	return l.s, l.err
 }
@@ -301,7 +299,10 @@ func (m *Machine) loadBeside(keys []int64, pad int, front func()) (*pdm.Stripe, 
 func (m *Machine) selectWindow(keys []int64, q ScenarioSpec, pad int) (in *pdm.Stripe, lo, hi int64, hasLo bool, err error) {
 	d := plan.SelectionDraw(m.scenarioShape(), q)
 	hasLo, hi = d.Lo >= 0, maxKey
-	in, err = m.loadBeside(keys, pad, func() {
+	in, err = m.loadBeside(keys, pad, math.MaxInt64, func() error {
+		if err := checkKeys(keys); err != nil {
+			return err
+		}
 		switch {
 		case hasLo: // a quantile: both edges come from the one sample
 			sample := sampleKeys(keys, d.S)
@@ -312,6 +313,7 @@ func (m *Machine) selectWindow(keys []int64, q ScenarioSpec, pad int) (in *pdm.S
 		case d.Hi >= 0:
 			hi = drawThreshold(keys, d.S, d.Hi)
 		}
+		return nil
 	})
 	return in, lo, hi, hasLo, err
 }

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -477,49 +478,63 @@ func noLiveStripes(t *testing.T, a *pdm.Array) {
 	}
 }
 
-// TestSentinelBesideLoad pins the error and cleanup path of the selection
-// kinds' overlapped front: a MaxInt64 key at the start, middle or end of
-// the input is ErrKeyRange from TopK and Quantile on their filter routes,
-// whose load has already started beside the key check, and afterwards the
-// arena holds nothing, no stripe stays live and the goroutine count
-// settles back.  A bad parameter over such keys is still ErrKeyRange, and
-// a full-sort route reports it before staging anything.
+// TestSentinelBesideLoad pins the error and cleanup path of the key check
+// that runs beside the input load (loadBeside): a bad key at the start,
+// middle or end of the input — MaxInt64 for Sort and for TopK and Quantile
+// on their filter routes, a key outside [0, universe) for SortInts — is
+// the check's error, although the load has already started, and
+// afterwards the arena holds nothing, no stripe stays live and the
+// goroutine count settles back.  A bad parameter or an infeasible size
+// over such keys is still ErrKeyRange, reported before anything is
+// staged; a full-sort route reports it with nothing left staged.
 func TestSentinelBesideLoad(t *testing.T) {
 	m := newScenarioMachine(t)
+	const universe = 1 << 20
 	clean := map[string][]int64{
 		"topk":     workload.Uniform(30000, -1<<40, 1<<40, 3),
 		"quantile": workload.Uniform(3000, -1<<30, 1<<30, 9),
+		"sort":     workload.Uniform(30000, -1<<40, 1<<40, 5),
+		"sortints": workload.Uniform(30000, 0, universe-1, 7),
 	}
+	isKeyRange := func(err error) bool { return err == ErrKeyRange }
 	calls := []struct {
-		name string
-		spec func(n int) ScenarioSpec
-		run  func(keys []int64) error
+		name  string
+		spec  func(n int) ScenarioSpec // the filter route's plan; nil for the sorts
+		bad   int64
+		isBad func(error) bool
+		run   func(keys []int64) error
 	}{
-		{"topk", func(n int) ScenarioSpec { return ScenarioSpec{Kind: plan.KindTopK, N: n, K: 64} },
+		{"topk", func(n int) ScenarioSpec { return ScenarioSpec{Kind: plan.KindTopK, N: n, K: 64} }, math.MaxInt64, isKeyRange,
 			func(keys []int64) error { _, _, err := m.TopK(keys, 64); return err }},
-		{"quantile", func(n int) ScenarioSpec { return ScenarioSpec{Kind: plan.KindQuantile, N: n, Rank: n / 2} },
+		{"quantile", func(n int) ScenarioSpec { return ScenarioSpec{Kind: plan.KindQuantile, N: n, Rank: n / 2} }, math.MaxInt64, isKeyRange,
 			func(keys []int64) error { _, _, err := m.Quantile(keys, len(keys)/2); return err }},
+		{"sort", nil, math.MaxInt64, isKeyRange,
+			func(keys []int64) error { _, err := m.Sort(keys, Auto); return err }},
+		{"sortints", nil, universe, func(err error) bool { return err != nil && strings.Contains(err.Error(), "outside [0, 1048576)") },
+			func(keys []int64) error { _, err := m.SortInts(keys, universe); return err }},
 	}
 	for _, c := range calls {
 		n := len(clean[c.name])
-		p, err := m.ExplainScenario(c.spec(n))
-		if err != nil || !p.Feasible || !p.UseScenario {
-			t.Fatalf("%s: plan %+v (%v), want the filter route", c.name, p, err)
+		if c.spec != nil {
+			p, err := m.ExplainScenario(c.spec(n))
+			if err != nil || !p.Feasible || !p.UseScenario {
+				t.Fatalf("%s: plan %+v (%v), want the filter route", c.name, p, err)
+			}
 		}
 		for _, at := range []int{0, n / 2, n - 1} {
 			keys := slices.Clone(clean[c.name])
-			keys[at] = math.MaxInt64
+			keys[at] = c.bad
 			goroutines := runtime.NumGoroutine()
-			if err := c.run(keys); err != ErrKeyRange {
-				t.Fatalf("%s with the sentinel at %d: err = %v, want ErrKeyRange", c.name, at, err)
+			if err := c.run(keys); !c.isBad(err) {
+				t.Fatalf("%s with the bad key at %d: err = %v", c.name, at, err)
 			}
 			if inUse := m.Array().Arena().InUse(); inUse != 0 {
-				t.Fatalf("%s with the sentinel at %d: %d arena words still in use", c.name, at, inUse)
+				t.Fatalf("%s with the bad key at %d: %d arena words still in use", c.name, at, inUse)
 			}
 			noLiveStripes(t, m.Array())
 			for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > goroutines; time.Sleep(time.Millisecond) {
 				if time.Now().After(deadline) {
-					t.Fatalf("%s with the sentinel at %d: %d goroutines, %d before the call",
+					t.Fatalf("%s with the bad key at %d: %d goroutines, %d before the call",
 						c.name, at, runtime.NumGoroutine(), goroutines)
 				}
 			}
@@ -528,23 +543,33 @@ func TestSentinelBesideLoad(t *testing.T) {
 
 	bad := slices.Clone(clean["quantile"])
 	bad[len(bad)/2] = math.MaxInt64
-	if _, _, err := m.TopK(bad, 0); err != ErrKeyRange {
+	fresh := newScenarioMachine(t)
+	if _, _, err := fresh.TopK(bad, 0); err != ErrKeyRange {
 		t.Fatalf("TopK(k = 0) over a sentinel: err = %v, want ErrKeyRange", err)
 	}
-	if _, _, err := m.Quantile(bad, len(bad)+1); err != ErrKeyRange {
+	if _, _, err := fresh.Quantile(bad, len(bad)+1); err != ErrKeyRange {
 		t.Fatalf("Quantile(n+1) over a sentinel: err = %v, want ErrKeyRange", err)
 	}
+	if _, err := fresh.Sort(slices.Clone(bad), MemOnePass); err != ErrKeyRange {
+		t.Fatalf("one-pass Sort of %d keys over a sentinel: err = %v, want ErrKeyRange", len(bad), err)
+	}
+	if _, err := fresh.Sort(slices.Clone(clean["quantile"]), MemOnePass); err == nil || err == ErrKeyRange {
+		t.Fatalf("one-pass Sort of %d clean keys: err = %v, want the capacity error", len(bad), err)
+	}
+	if foot := fresh.Array().DiskFootprint(); foot != 0 {
+		t.Fatalf("bad parameters over a sentinel staged %d keys, want none", foot)
+	}
 
-	fresh := newScenarioMachine(t)
 	if p, _ := fresh.ExplainScenario(ScenarioSpec{Kind: plan.KindTopK, N: len(bad), K: len(bad)}); p.UseScenario {
 		t.Fatalf("TopK(n) plans the %s route, want the full sort", p.Route)
 	}
 	if _, _, err := fresh.TopK(bad, len(bad)); err != ErrKeyRange {
 		t.Fatalf("full-sort TopK over a sentinel: err = %v, want ErrKeyRange", err)
 	}
-	if foot := fresh.Array().DiskFootprint(); foot != 0 {
-		t.Fatalf("full-sort TopK over a sentinel staged %d keys, want none", foot)
+	if inUse := fresh.Array().Arena().InUse(); inUse != 0 {
+		t.Fatalf("full-sort TopK over a sentinel: %d arena words still in use", inUse)
 	}
+	noLiveStripes(t, fresh.Array())
 }
 
 // TestGroupByOracle: every route agrees with the map oracle, with and
