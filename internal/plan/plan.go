@@ -119,8 +119,9 @@ type Candidate struct {
 	WritePasses float64 `json:"writePasses,omitempty"`
 	// PermuteLevels and PermutePasses describe the payload permutation
 	// (zero for bare key sorts): levels of distribution scatter, and
-	// 2·(levels+1) passes over the padded payload store (a floor: the
-	// segment headers each level also moves are not priced).
+	// 2·(1 + levels·(1 + 2/w̄)) passes over the payload store for records
+	// of mean width w̄ words, each level moving a 2-word segment header per
+	// record besides the data.
 	PermuteLevels int     `json:"permuteLevels,omitempty"`
 	PermutePasses float64 `json:"permutePasses,omitempty"`
 	// IOWords is the total predicted transfer volume (reads + writes,
@@ -308,19 +309,22 @@ func radixRounds(shape Shape, universe int64) int {
 	return memsort.CeilDiv(keyBits, digit)
 }
 
-// PermutePlan predicts the payload permutation (internal/records) for
-// `words` payload words on an (M, B, D) machine: the padded store length,
-// the distribution depth, and the pass count 2·(levels+1) — each level is
-// one sequential read and one sequential write of the store.  That is a
-// floor: a scatter level also moves a 2-word header per resident segment,
-// so records of mean width w̄ words measure 2·(1 + levels·(1 + 2/w̄)).
-func PermutePlan(words, mem, b, stripe int) (paddedWords, levels int, passes float64) {
+// PermutePlan predicts the payload permutation (internal/records) of n
+// records totalling `words` payload words on an (M, B, D) machine: the
+// padded store length, the distribution depth, the segment header words
+// each scatter level moves (2 per record), and the pass count
+// 2·(1 + levels·(1 + 2/w̄)) for records of mean width w̄ = words/n — the
+// store is read once and written once, and every level writes and reads
+// back the data plus its headers.  Records split at a partition boundary
+// (one more header each) and partial partition blocks are not priced.
+func PermutePlan(n, words, mem, b, stripe int) (paddedWords, levels, headerWords int, passes float64) {
 	if words <= 0 {
-		return 0, 0, 0
+		return 0, 0, 0, 0
 	}
 	paddedWords = memsort.CeilDiv(words, stripe) * stripe
 	levels = records.Levels(paddedWords, mem, b, nil)
-	return paddedWords, levels, 2 * float64(levels+1)
+	headerWords = 2 * n
+	return paddedWords, levels, headerWords, 2 * (1 + float64(levels)*(1+float64(headerWords)/float64(words)))
 }
 
 // basePasses returns the closed-form read-pass prediction for alg over a
@@ -423,12 +427,13 @@ func evaluate(shape Shape, w Workload, cal Calibration, alg Alg) Candidate {
 	readWords := c.ReadPasses * float64(padded)
 	writeWords := c.WritePasses * float64(padded)
 	// All zero for a bare key sort.
-	paddedW, levels, passes := PermutePlan(w.payloadWords(), shape.Mem, shape.B, stripe)
+	paddedW, levels, hdr, passes := PermutePlan(w.N, w.payloadWords(), shape.Mem, shape.B, stripe)
 	if paddedW > 0 {
 		c.PermuteLevels = levels
 		c.PermutePasses = passes
-		readWords += float64(levels+1) * float64(paddedW)
-		writeWords += float64(levels+1) * float64(paddedW)
+		moved := float64(paddedW + levels*(paddedW+hdr))
+		readWords += moved
+		writeWords += moved
 	}
 	c.IOWords = int64(readWords + writeWords)
 	readSteps := math.Ceil(readWords / float64(stripe))

@@ -367,19 +367,23 @@ func TestExplainValidation(t *testing.T) {
 	}
 }
 
-// TestPermutePlanDepth: the distribution depth grows with the store and
-// the passes are 2·(levels+1).
+// TestPermutePlanDepth: the distribution depth grows with the store, the
+// passes are 2·(1 + levels·(1 + 2/w̄)), and each level's headers are two
+// words per record.
 func TestPermutePlanDepth(t *testing.T) {
 	mem, b, stripe := 1024, 32, 256
-	padded, levels, passes := PermutePlan(512, mem, b, stripe)
-	if padded != 512 || levels != 0 || passes != 2 {
-		t.Fatalf("small store plan = (%d, %d, %.1f)", padded, levels, passes)
+	padded, levels, hdr, passes := PermutePlan(128, 512, mem, b, stripe)
+	if padded != 512 || levels != 0 || hdr != 256 || passes != 2 {
+		t.Fatalf("small store plan = (%d, %d, %d, %.1f)", padded, levels, hdr, passes)
 	}
-	_, levels2, passes2 := PermutePlan(64*mem, mem, b, stripe)
-	if levels2 < 1 || passes2 != 2*float64(levels2+1) {
-		t.Fatalf("large store plan = (%d, %.1f)", levels2, passes2)
+	for _, wbar := range []int{1, 2, 8, 32} {
+		n := 64 * mem / wbar
+		_, levels2, hdr2, passes2 := PermutePlan(n, 64*mem, mem, b, stripe)
+		if want := 2 * (1 + float64(levels2)*(1+2/float64(wbar))); levels2 < 1 || hdr2 != 2*n || passes2 != want {
+			t.Fatalf("w̄ = %d: large store plan = (%d, %d, %.3f), want %.3f passes", wbar, levels2, hdr2, passes2, want)
+		}
 	}
-	if _, _, p := PermutePlan(0, mem, b, stripe); p != 0 {
+	if _, _, _, p := PermutePlan(0, 0, mem, b, stripe); p != 0 {
 		t.Fatal("empty store must plan zero passes")
 	}
 }

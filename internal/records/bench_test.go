@@ -74,28 +74,24 @@ func naiveGather(a *pdm.Array, payloads [][]byte, perm []int) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.words == 0 {
-		res := p.result(pdm.Stats{})
-		return res, p.unload(res)
+	var io pdm.Stats
+	if p.words > 0 {
+		store, err := p.loadStore()
+		if err != nil {
+			return nil, err
+		}
+		before := a.Stats()
+		if err := p.gatherFrom(store, perm); err != nil {
+			return nil, err
+		}
+		io = a.Stats().Sub(before)
 	}
-	store, err := p.loadStore(payloads)
-	if err != nil {
-		return nil, err
-	}
-	before := a.Stats()
-	if err := p.gatherFrom(store); err != nil {
-		return nil, err
-	}
-	res := p.result(a.Stats().Sub(before))
-	if err := p.unload(res); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return finish(p, perm, io)
 }
 
 // gatherFrom reads each record's store blocks with one charged request per
 // record, in output order, flushing assembled output chunks sequentially.
-func (p *permuter) gatherFrom(store *pdm.Stripe) (err error) {
+func (p *permuter) gatherFrom(store *pdm.Stripe, perm []int) (err error) {
 	defer store.Free()
 	out, err := p.a.NewStripe(p.padded)
 	if err != nil {
@@ -108,16 +104,17 @@ func (p *permuter) gatherFrom(store *pdm.Stripe) (err error) {
 			p.out = nil
 		}
 	}()
+	wlen := func(i int) int { return wordsFor(len(p.payloads[i])) }
 	// srcOff[i] is record i's word offset in the store (original order).
-	srcOff := make([]int, p.n)
+	srcOff := make([]int, len(perm))
 	off := 0
-	for i := 0; i < p.n; i++ {
+	for i := range srcOff {
 		srcOff[i] = off
-		off += p.wlen(i)
+		off += wlen(i)
 	}
 	maxBlocks := 0
-	for i := range p.n {
-		if nb := (p.wlen(i) + 2*(p.b-1)) / p.b; nb > maxBlocks {
+	for i := range srcOff {
+		if nb := (wlen(i) + 2*(p.b-1)) / p.b; nb > maxBlocks {
 			maxBlocks = nb
 		}
 	}
@@ -149,13 +146,12 @@ func (p *permuter) gatherFrom(store *pdm.Stripe) (err error) {
 		}
 		return nil
 	}
-	for j := 0; j < p.n; j++ {
-		i := p.perm[j]
-		if p.wlen(i) == 0 {
+	for j, i := range perm {
+		if wlen(i) == 0 {
 			continue
 		}
 		first := srcOff[i] / p.b
-		last := (srcOff[i] + p.wlen(i) - 1) / p.b
+		last := (srcOff[i] + wlen(i) - 1) / p.b
 		nb := last - first + 1
 		addrs := make([]pdm.BlockAddr, nb)
 		for k := range addrs {
@@ -164,15 +160,15 @@ func (p *permuter) gatherFrom(store *pdm.Stripe) (err error) {
 		if err := p.a.ReadV(addrs, splitFlat(scratch[:nb*p.b], p.b)); err != nil {
 			return fmt.Errorf("records: gather of record %d (output position %d): %w", i, j, err)
 		}
-		words := scratch[srcOff[i]-first*p.b : srcOff[i]-first*p.b+p.wlen(i)]
-		for w := 0; w < p.wlen(i); w++ {
-			d := p.starts[j] + w
+		words := scratch[srcOff[i]-first*p.b : srcOff[i]-first*p.b+wlen(i)]
+		for w, v := range words {
+			d := p.destw[i] + w
 			for d-flushed >= chunkLen {
 				if err := flush(flushed + chunkLen); err != nil {
 					return err
 				}
 			}
-			chunk[d-flushed] = words[w]
+			chunk[d-flushed] = v
 		}
 	}
 	if flushed < p.padded {

@@ -13,8 +13,9 @@
 // a headerWords = 2 word header per resident segment, so with mean record
 // width w̄ words the total cost is 2·(1 + levels·(1 + 2/w̄)) passes — 4.5
 // for one level of 64-byte records — plus one header per record split at a
-// partition boundary and one partial block per partition.  2·(levels+1),
-// which plan.PermutePlan predicts, is the floor wide records approach.  The
+// partition boundary and one partial block per partition; plan.PermutePlan
+// predicts the closed form, and 2·(levels+1) is the floor wide records
+// approach.  The
 // obvious per-record random gather (the baseline the package's paired
 // benchmarks keep in bench_test.go) charges one vectored read per record.
 //
@@ -27,10 +28,14 @@
 // array's arena, so the layer's true internal-memory footprint is metered
 // like every algorithm's.
 //
-// Outside the arena, each permutation holds exactly one payload-sized host
+// Outside the arena, each permutation holds one payload-sized host
 // buffer: the payload store's little-endian word image, each record
 // starting on an 8-byte boundary.  The payloads are copied into it for the
-// uncharged load, the permuted store is unloaded back into it, and
-// Result.Out's payloads are capped views into it, each retaining at most 7
-// padding bytes.
+// uncharged load, the permuted store is unloaded back into it, and then
+// the caller's payload slice is reordered in place into capped views of
+// it, each retaining at most 7 padding bytes.  Besides the image a call
+// holds one word per record, the destination offsets (by the end, the
+// byte lengths in target order), and two words per memory-sized
+// destination chunk, which size every partition: nothing it allocates but
+// the image outlives it.
 package records

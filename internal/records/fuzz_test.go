@@ -2,6 +2,7 @@ package records
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/pdm"
@@ -59,19 +60,17 @@ func FuzzRecordsPermutation(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer a.Close()
-		res, err := Permute(a, payloads, perm)
+		out := slices.Clone(payloads)
+		res, err := Permute(a, out, perm)
 		if err != nil {
 			t.Fatalf("Permute: %v", err)
 		}
 		if res.Words != PayloadWords(payloads) {
 			t.Fatalf("accounted %d words, payloads hold %d", res.Words, PayloadWords(payloads))
 		}
-		if len(res.Out) != n {
-			t.Fatalf("got %d outputs for %d records", len(res.Out), n)
-		}
 		for j, i := range perm {
-			if !bytes.Equal(res.Out[j], payloads[i]) {
-				t.Fatalf("output %d: got %x, want payload %d = %x", j, res.Out[j], i, payloads[i])
+			if !bytes.Equal(out[j], payloads[i]) {
+				t.Fatalf("output %d: got %x, want payload %d = %x", j, out[j], i, payloads[i])
 			}
 		}
 		if w, r := res.IO.WriteSteps, res.IO.ReadSteps; float64(w) > 1.05*float64(r)+float64(res.Levels*a.D()) {

@@ -2,7 +2,6 @@ package records
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/memsort"
 	"repro/internal/pdm"
@@ -16,12 +15,8 @@ const headerWords = 2
 
 // Result reports one external permutation.
 type Result struct {
-	// Out holds the re-materialized payloads in target order: Out[j] is the
-	// input payload perm[j], read back from the output store.  The payloads
-	// are capped views into the permutation's one host buffer, the output
-	// store's word image: each starts on an 8-byte boundary (so it retains
-	// at most 7 padding bytes) and is capped at its own length, so an
-	// append to one reallocates rather than overwriting its neighbour.
+	// Out is the caller's payloads slice itself, reordered in place: Out[j]
+	// is the input payload order[j].
 	Out [][]byte
 	// Words is the payload volume in 8-byte words (excluding padding);
 	// PaddedWords is the on-disk store length after padding to the block
@@ -112,21 +107,24 @@ type permuter struct {
 	chunk int
 	maxF  int
 
-	n        int
-	payloads [][]byte // the caller's, original order
-	perm     []int
-	destw    []int // destination word offset of record i (original index)
+	payloads [][]byte // the caller's, original order until the read-back
+	// destw[i] is the destination word offset of record i (original index)
+	// while the root store is scanned; the read-back reuses it for the
+	// payload byte lengths in target order.
+	destw []int
 
-	// Destination-order extents for analytic partition sizing: starts[j] is
-	// the first output word of sorted position j.
-	starts []int
+	// Per destination chunk k (words [k·chunk, (k+1)·chunk)): heads[k]
+	// non-empty records start in it, and spans[k] straddle its first word
+	// (start before it, end after it).  Every distribution node is a run of
+	// whole chunks, so these size its partition (nodeWords).
+	heads, spans []int
 
 	words  int
 	padded int
 
 	// img is the payload store's little-endian word image, the only
 	// payload-sized host buffer: loadStore fills it from the payloads,
-	// unload refills it from the output store, and Result.Out's payloads
+	// readBack refills it from the output store, and the reordered payloads
 	// are views into it (non-nil even when every payload is empty).
 	img []int64
 
@@ -136,65 +134,91 @@ type permuter struct {
 	fanout int
 }
 
-// wlen returns record i's payload length in words.
-func (p *permuter) wlen(i int) int { return wordsFor(len(p.payloads[i])) }
-
-// Permute moves payloads into perm order through the array's charged I/O:
-// perm[j] names the input record that lands at output position j.  The
-// payload store starts on disk (loaded uncharged, like every algorithm's
-// input) and the permuted store is read back uncharged for the returned
-// Result.Out (capped views into one host buffer of PaddedWords words);
-// everything in between — the scatter levels and the final
-// placement — is charged through the normal accounting.
-func Permute(a *pdm.Array, payloads [][]byte, perm []int) (*Result, error) {
-	p, err := newPermuter(a, payloads, perm)
+// Permute moves payloads into target order through the array's charged
+// I/O and reorders the caller's slice to match: order[j] names the input
+// record that lands at output position j, and on success payloads[j] is
+// that record's payload, a capped view into one host buffer of
+// PaddedWords words (Result.Out is payloads itself).  The payload store
+// starts on disk (loaded uncharged, like every algorithm's input) and the
+// permuted store is read back uncharged; everything in between — the
+// scatter levels and the final placement — is charged through the normal
+// accounting.  The views are written only after every transfer and the
+// read-back have succeeded, so on error payloads is untouched.
+//
+// Besides the image, a call holds one word per record (destw) and two
+// words per destination chunk on the host.
+func Permute[I int | int64](a *pdm.Array, payloads [][]byte, order []I) (*Result, error) {
+	p, err := newPermuter(a, payloads, order)
 	if err != nil {
 		return nil, err
 	}
-	if p.words == 0 {
-		res := p.result(pdm.Stats{})
-		return res, p.unload(res)
+	var io pdm.Stats
+	if p.words > 0 {
+		store, err := p.loadStore()
+		if err != nil {
+			return nil, err
+		}
+		before := a.Stats()
+		if err := p.runFrom(store); err != nil {
+			return nil, err
+		}
+		io = a.Stats().Sub(before)
 	}
-	store, err := p.loadStore(payloads)
-	if err != nil {
-		return nil, err
-	}
-	before := a.Stats()
-	if err := p.runFrom(store); err != nil {
-		return nil, err
-	}
-	res := p.result(a.Stats().Sub(before))
-	if err := p.unload(res); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return finish(p, order, io)
 }
 
-func newPermuter(a *pdm.Array, payloads [][]byte, perm []int) (*permuter, error) {
+// finish reads the permuted store back and reorders payloads into views of
+// it.  The views overwrite payloads, which order indexes, so the lengths
+// are taken in target order first, into destw, dead since the root scan.
+func finish[I int | int64](p *permuter, order []I, io pdm.Stats) (*Result, error) {
+	if err := p.readBack(); err != nil {
+		return nil, err
+	}
+	for j, i := range order {
+		p.destw[j] = len(p.payloads[i])
+	}
+	buf := wordview.Bytes(p.img)
+	at := 0
+	for j, nb := range p.destw {
+		p.payloads[j] = buf[at : at+nb : at+nb]
+		at += 8 * wordsFor(nb)
+	}
+	return p.result(io), nil
+}
+
+// newPermuter checks that order is a permutation of the records and lays
+// out their destinations in one walk: destw starts all −1, so a record
+// named twice is caught when its offset is already set.
+func newPermuter[I int | int64](a *pdm.Array, payloads [][]byte, order []I) (*permuter, error) {
 	n := len(payloads)
-	if len(perm) != n {
-		return nil, fmt.Errorf("records: %d payloads but %d permutation entries", n, len(perm))
+	if len(order) != n {
+		return nil, fmt.Errorf("records: %d payloads but %d permutation entries", n, len(order))
 	}
-	seen := make([]uint64, (n+63)/64)
-	for j, i := range perm {
-		if i < 0 || i >= n || seen[i/64]&(1<<(i%64)) != 0 {
-			return nil, fmt.Errorf("records: perm[%d] = %d is not a permutation of %d records", j, i, n)
-		}
-		seen[i/64] |= 1 << (i % 64)
-	}
-	p := &permuter{a: a, b: a.B(), n: n, payloads: payloads, perm: perm}
+	p := &permuter{a: a, b: a.B(), payloads: payloads, words: PayloadWords(payloads)}
 	p.chunk, p.maxF = scatterGeometry(a.Mem(), a.B())
+	chunks := memsort.CeilDiv(p.words, p.chunk)
+	p.heads, p.spans = make([]int, chunks), make([]int, chunks)
 	p.destw = make([]int, n)
-	p.starts = make([]int, n+1)
-	off := 0
-	for j, i := range perm {
-		p.starts[j] = off
-		p.destw[i] = off
-		off += p.wlen(i)
+	for i := range p.destw {
+		p.destw[i] = -1
 	}
-	p.starts[n] = off
-	p.words = off
-	p.padded = memsort.CeilDiv(off, p.b) * p.b
+	off := 0
+	for j, o := range order {
+		i := int(o)
+		if i < 0 || i >= n || p.destw[i] >= 0 {
+			return nil, fmt.Errorf("records: order[%d] = %d is not a permutation of %d records", j, o, n)
+		}
+		p.destw[i] = off
+		end := off + wordsFor(len(payloads[i]))
+		if end > off {
+			p.heads[off/p.chunk]++
+			for k := off/p.chunk + 1; k*p.chunk < end; k++ {
+				p.spans[k]++
+			}
+		}
+		off = end
+	}
+	p.padded = memsort.CeilDiv(p.words, p.b) * p.b
 	p.img = make([]int64, p.padded)
 	return p, nil
 }
@@ -204,10 +228,10 @@ func newPermuter(a *pdm.Array, payloads [][]byte, perm []int) (*permuter, error)
 // The store's format is the payloads' little-endian byte image, each record
 // starting on a word boundary: byte k of a payload is bits 8·(k mod 8) … of
 // its word k/8, and the last word and the block padding are zero.
-func (p *permuter) loadStore(payloads [][]byte) (*pdm.Stripe, error) {
+func (p *permuter) loadStore() (*pdm.Stripe, error) {
 	buf := wordview.Bytes(p.img)
 	off := 0
-	for _, pl := range payloads {
+	for _, pl := range p.payloads {
 		copy(buf[8*off:], pl)
 		off += wordsFor(len(pl))
 	}
@@ -225,6 +249,7 @@ func (p *permuter) loadStore(payloads [][]byte) (*pdm.Stripe, error) {
 
 func (p *permuter) result(io pdm.Stats) *Result {
 	res := &Result{
+		Out:         p.payloads,
 		Words:       p.words,
 		PaddedWords: p.padded,
 		IO:          io,
@@ -234,29 +259,22 @@ func (p *permuter) result(io pdm.Stats) *Result {
 	if p.padded > 0 {
 		res.Passes = float64(io.ReadSteps+io.WriteSteps) * float64(p.a.StripeWidth()) / float64(p.padded)
 	}
-	res.Out = make([][]byte, p.n)
 	return res
 }
 
-// unload reads the output store back into the word image, whose input
-// contents are dead once the store is on disk, and slices the payloads out
-// of it in place.
-func (p *permuter) unload(res *Result) error {
-	if p.out != nil {
-		err := p.out.UnloadInto(p.img)
-		p.out.Free()
-		p.out = nil
-		if err != nil {
-			return err
-		}
-		wordview.LE(p.img)
+// readBack reads the output store back into the word image, whose input
+// contents are dead once the store is on disk.
+func (p *permuter) readBack() error {
+	if p.out == nil {
+		return nil
 	}
-	buf := wordview.Bytes(p.img)
-	for j, i := range p.perm {
-		at := 8 * p.starts[j]
-		n := len(p.payloads[i])
-		res.Out[j] = buf[at : at+n : at+n]
+	err := p.out.UnloadInto(p.img)
+	p.out.Free()
+	p.out = nil
+	if err != nil {
+		return err
 	}
+	wordview.LE(p.img)
 	return nil
 }
 
@@ -352,22 +370,32 @@ type child struct {
 
 // nodeWords returns the exact serialized size of the partition holding
 // every record piece destined for output words [lo, hi): the clipped data
-// plus one header per resident segment.
+// plus one header per resident segment.  lo is a chunk boundary and hi one
+// too unless it is past the data, as for every node split walks, so the
+// segments are the records straddling lo plus those starting in the
+// node's chunks.
 func (p *permuter) nodeWords(lo, hi int) int {
 	if lo >= p.words {
 		return 0
 	}
 	hi = min(hi, p.words)
-	// Sorted positions whose extent overlaps [lo, hi) form one run, since
-	// extents tile [0, words) in destination order; each non-empty one is
-	// a segment.  A level sizes its children so: one look per record.
-	words := hi - lo
-	for j := sort.Search(p.n, func(j int) bool { return p.starts[j+1] > lo }); j < p.n && p.starts[j] < hi; j++ {
-		if p.starts[j+1] > p.starts[j] {
-			words += headerWords
-		}
+	first := lo / p.chunk
+	segs := p.spans[first]
+	for _, h := range p.heads[first:memsort.CeilDiv(hi, p.chunk)] {
+		segs += h
 	}
-	return words
+	return hi - lo + headerWords*segs
+}
+
+// split returns the partitioning of a scatter over output words [lo, hi):
+// f children of span words each (the last clipped at hi), span a whole
+// number of chunks and f at most the fanout.
+func (p *permuter) split(lo, hi int) (span, f int) {
+	chunks := memsort.CeilDiv(hi-lo, p.chunk)
+	span = memsort.CeilDiv(chunks, min(chunks, p.maxF)) * p.chunk
+	// The span rounds up to whole chunks, so fewer children than the fanout
+	// may be needed to cover the range.
+	return span, memsort.CeilDiv(hi-lo, span)
 }
 
 // scatter reads src sequentially and routes every segment into one of the
@@ -378,24 +406,13 @@ func (p *permuter) nodeWords(lo, hi int) int {
 // partitions filling in step do not all queue on the same one.
 func (p *permuter) scatter(lo, hi int, src *nodeSource) (children []*child, err error) {
 	defer src.free()
-	chunks := memsort.CeilDiv(hi-lo, p.chunk)
-	f := chunks
-	if f > p.maxF {
-		f = p.maxF
-	}
-	span := memsort.CeilDiv(chunks, f) * p.chunk
-	// The span rounds up to whole chunks, so fewer children than f may be
-	// needed to cover the range.
-	f = memsort.CeilDiv(hi-lo, span)
+	span, f := p.split(lo, hi)
 	if p.fanout == 0 || f > p.fanout {
 		p.fanout = f
 	}
 	for c := 0; c < f; c++ {
 		clo := lo + c*span
-		chi := clo + span
-		if chi > hi {
-			chi = hi
-		}
+		chi := min(clo+span, hi)
 		words := p.nodeWords(clo, chi)
 		ch := &child{lo: clo, hi: chi, words: words}
 		if words > 0 {

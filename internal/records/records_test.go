@@ -3,10 +3,13 @@ package records
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"repro/internal/pdm"
 )
@@ -43,6 +46,22 @@ func genPayloads(n, minLen, maxLen int, seed int64) [][]byte {
 
 func randPerm(n int, seed int64) []int {
 	return rand.New(rand.NewSource(seed)).Perm(n)
+}
+
+// permuteCopy runs Permute on a copy of payloads' headers, so payloads
+// stays in input order for checkPermuted.
+func permuteCopy[I int | int64](a *pdm.Array, payloads [][]byte, order []I) ([][]byte, *Result, error) {
+	out := slices.Clone(payloads)
+	res, err := Permute(a, out, order)
+	return out, res, err
+}
+
+// sameHeaders reports whether two payload slices hold the same headers:
+// data pointer, length and capacity.
+func sameHeaders(x, y [][]byte) bool {
+	return slices.EqualFunc(x, y, func(p, q []byte) bool {
+		return unsafe.SliceData(p) == unsafe.SliceData(q) && len(p) == len(q) && cap(p) == cap(q)
+	})
 }
 
 func checkPermuted(t *testing.T, payloads [][]byte, perm []int, out [][]byte) {
@@ -82,11 +101,11 @@ func TestPermuteMatchesReference(t *testing.T) {
 			defer a.Close()
 			payloads := genPayloads(tc.n, tc.minLen, tc.maxLen, 42)
 			perm := randPerm(tc.n, 7)
-			res, err := Permute(a, payloads, perm)
+			out, res, err := permuteCopy(a, payloads, perm)
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkPermuted(t, payloads, perm, res.Out)
+			checkPermuted(t, payloads, perm, out)
 			if a.Arena().InUse() != 0 {
 				t.Fatalf("arena leak: %d keys in use after Permute", a.Arena().InUse())
 			}
@@ -118,11 +137,21 @@ func TestPermuteIdentityAndReverse(t *testing.T) {
 		rev[i] = n - 1 - i
 	}
 	for name, perm := range map[string][]int{"identity": id, "reverse": rev} {
-		res, err := Permute(a, payloads, perm)
+		out, _, err := permuteCopy(a, payloads, perm)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		checkPermuted(t, payloads, perm, res.Out)
+		checkPermuted(t, payloads, perm, out)
+		// The facade passes its sort words: an int64 order moves the same.
+		wide := make([]int64, n)
+		for j, i := range perm {
+			wide[j] = int64(i)
+		}
+		out64, _, err := permuteCopy(a, payloads, wide)
+		if err != nil {
+			t.Fatalf("%s (int64 order): %v", name, err)
+		}
+		checkPermuted(t, payloads, perm, out64)
 	}
 }
 
@@ -172,11 +201,11 @@ func TestPermuteWriteParallelism(t *testing.T) {
 						t.Fatal(err)
 					}
 					a.EnableTrace()
-					res, err := Permute(a, payloads, perm)
+					out, res, err := permuteCopy(a, payloads, perm)
 					if err != nil {
 						t.Fatalf("%s: %v", tag, err)
 					}
-					checkPermuted(t, payloads, perm, res.Out)
+					checkPermuted(t, payloads, perm, out)
 					if res.Levels != g.levels {
 						t.Fatalf("%s: %d levels, want %d", tag, res.Levels, g.levels)
 					}
@@ -214,9 +243,9 @@ func TestPermuteAllEmptyPayloads(t *testing.T) {
 	if res.Words != 0 || res.IO.ReadSteps != 0 || res.IO.WriteSteps != 0 {
 		t.Fatalf("empty payloads moved I/O: %+v", res)
 	}
-	for j, p := range res.Out {
-		if len(p) != 0 {
-			t.Fatalf("output %d not empty", j)
+	for j, p := range payloads {
+		if p == nil || len(p) != 0 {
+			t.Fatalf("output %d = %#v, want a non-nil empty payload", j, p)
 		}
 	}
 }
@@ -227,15 +256,16 @@ func TestNaiveGatherMatchesPermute(t *testing.T) {
 	n := 500
 	payloads := genPayloads(n, 0, 24, 11)
 	perm := randPerm(n, 5)
-	want, err := Permute(a, payloads, perm)
+	_, want, err := permuteCopy(a, payloads, perm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := naiveGather(a, payloads, perm)
+	out := slices.Clone(payloads)
+	got, err := naiveGather(a, out, perm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkPermuted(t, payloads, perm, got.Out)
+	checkPermuted(t, payloads, perm, out)
 	if a.Arena().InUse() != 0 {
 		t.Fatalf("arena leak after naiveGather: %d", a.Arena().InUse())
 	}
@@ -317,9 +347,13 @@ func TestPermuteDiskFaultDeterministic(t *testing.T) {
 	run := func() string {
 		a, _, _ := faultArray(t, 256, 4, 16, 40, 0)
 		defer a.Close()
-		_, err := Permute(a, payloads, perm)
+		in := slices.Clone(payloads)
+		_, err := Permute(a, in, perm)
 		if err == nil {
 			t.Fatal("injected read fault did not surface")
+		}
+		if !sameHeaders(in, payloads) {
+			t.Fatal("a failed permutation reordered its payloads")
 		}
 		if got := a.Arena().InUse(); got != 0 {
 			t.Fatalf("arena holds %d keys after a failed permutation", got)
@@ -341,6 +375,34 @@ func TestPermuteDiskFaultDeterministic(t *testing.T) {
 	}
 	if got := a.Arena().InUse(); got != 0 {
 		t.Fatalf("arena holds %d keys after a failed permutation", got)
+	}
+}
+
+// TestPermuteReadBackFaultLeavesPayloads fails the first disk read of the
+// uncharged read-back, after every charged transfer has succeeded: the
+// payloads must still be the caller's, because the views are written
+// only once the read-back is done.
+func TestPermuteReadBackFaultLeavesPayloads(t *testing.T) {
+	payloads := genPayloads(400, 1, 24, 9)
+	perm := randPerm(400, 2)
+	a, reads, _ := faultArray(t, 256, 4, 16, 0, 0)
+	_, res, err := permuteCopy(a, payloads, perm)
+	a.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	firstReadBack := reads.Load() - int64(res.PaddedWords/16) + 1
+	a, _, _ = faultArray(t, 256, 4, 16, firstReadBack, 0)
+	defer a.Close()
+	in := slices.Clone(payloads)
+	if _, err := Permute(a, in, perm); !errors.Is(err, errInjected) {
+		t.Fatalf("read-back fault returned %v", err)
+	}
+	if !sameHeaders(in, payloads) {
+		t.Fatal("a failed read-back reordered the payloads")
+	}
+	if got := a.Arena().InUse(); got != 0 {
+		t.Fatalf("arena holds %d keys after a failed read-back", got)
 	}
 }
 
@@ -384,9 +446,13 @@ func TestPermuteCancellationDrainsArena(t *testing.T) {
 	defer a.BindContext(nil)
 
 	payloads := genPayloads(600, 1, 24, 13)
-	_, err = Permute(a, payloads, randPerm(600, 3))
+	in := slices.Clone(payloads)
+	_, err = Permute(a, in, randPerm(600, 3))
 	if err == nil {
 		t.Fatal("canceled permutation succeeded")
+	}
+	if !sameHeaders(in, payloads) {
+		t.Fatal("a canceled permutation reordered its payloads")
 	}
 	if ctx.Err() == nil {
 		t.Fatal("test never reached the cancellation point")
@@ -409,5 +475,89 @@ func TestPayloadWordsAndEnvelope(t *testing.T) {
 	large := DiskEnvelope(100, 100000, 64, 2, 8)
 	if small <= 0 || large <= small {
 		t.Fatalf("envelope not monotone: %d then %d", small, large)
+	}
+}
+
+// TestNodeWordsMatchesBruteForce: the chunk tables size every node of
+// every level exactly as a walk over the records' destination extents
+// does — the clipped data plus a header per non-empty record overlapping
+// the node — and the permutation then runs through nodeSource.scan's
+// corrupt-partition check.
+func TestNodeWordsMatchesBruteForce(t *testing.T) {
+	const mem, d, b = 256, 4, 16         // chunk 256 words, fanout 16
+	wide := genPayloads(40, 0, 400, 17)  // many records wider than a block
+	wide[23] = make([]byte, 8*(3*mem+5)) // one wider than three chunks
+	varied := genPayloads(3000, 0, 40, 19)
+	for i := range varied {
+		if i%7 == 0 {
+			varied[i] = nil
+		}
+	}
+	for _, tc := range []struct {
+		name      string
+		payloads  [][]byte
+		minLevels int
+	}{
+		{"fixed", genPayloads(600, 24, 24, 13), 1},
+		{"variable", genPayloads(500, 1, 30, 15), 1},
+		{"wide", wide, 1},
+		{"two-levels-with-empty", varied, 2},
+		{"all-empty", make([][]byte, 50), 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := newArray(t, mem, d, b)
+			defer a.Close()
+			n := len(tc.payloads)
+			perm := randPerm(n, 23)
+			p, err := newPermuter(a, tc.payloads, perm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			starts := make([]int, n+1)
+			for j, i := range perm {
+				starts[j+1] = starts[j] + wordsFor(len(tc.payloads[i]))
+			}
+			brute := func(lo, hi int) int {
+				hi = min(hi, p.words)
+				if lo >= hi {
+					return 0
+				}
+				words := hi - lo
+				for j := range n {
+					if s, e := starts[j], starts[j+1]; e > s && s < hi && e > lo {
+						words += headerWords
+					}
+				}
+				return words
+			}
+			nodes, levels := 0, 0
+			var walk func(lo, hi, depth int)
+			walk = func(lo, hi, depth int) {
+				nodes++
+				if got, want := p.nodeWords(lo, hi), brute(lo, hi); got != want {
+					t.Fatalf("node [%d, %d) at depth %d: nodeWords %d, brute force %d", lo, hi, depth, got, want)
+				}
+				if hi-lo <= p.chunk {
+					return
+				}
+				levels = max(levels, depth+1)
+				span, f := p.split(lo, hi)
+				for c := range f {
+					walk(lo+c*span, min(lo+(c+1)*span, hi), depth+1)
+				}
+			}
+			walk(0, p.padded, 0)
+			if levels < tc.minLevels {
+				t.Fatalf("%d scatter levels over %d nodes, want at least %d", levels, nodes, tc.minLevels)
+			}
+			out, res, err := permuteCopy(a, tc.payloads, perm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkPermuted(t, tc.payloads, perm, out)
+			if res.Levels != levels {
+				t.Fatalf("Permute ran %d levels, the walk %d", res.Levels, levels)
+			}
+		})
 	}
 }

@@ -69,6 +69,12 @@ func (pp packPlan) rounds() int {
 // On error — including cancellation — both slices are left untouched,
 // never with keys reordered away from their payloads.
 //
+// Outside the arena a call holds that buffer (Report.PayloadWords rounded
+// up to a block, in words), two words per record — the sort words, which
+// become the key order and then the sorted keys, and the permutation's
+// destination offsets — and two words per memory load of payload.  Only the
+// buffer outlives the call.
+//
 // The run is a key+index sort followed by an external permutation.  One
 // packed sort of (most significant key digit, index) words, a full PDM
 // sort, orders the records; it is exact whenever the key span fits the
@@ -91,22 +97,24 @@ func (m *Machine) SortRecords(keys []int64, payloads [][]byte, alg Algorithm) (*
 	if len(keys) == 0 {
 		return nil, fmt.Errorf("repro: no records to sort")
 	}
-	perm, sorted, rep, err := m.sortKeyIndex(keys, alg)
+	order, rep, err := m.sortKeyIndex(keys, alg)
 	if err != nil {
 		return nil, err
 	}
 	before := m.a.Stats()
-	res, err := records.Permute(m.a, payloads, perm)
+	// Permute reorders payloads only once every transfer has succeeded, and
+	// keys follow below: a failed run (cancellation, a disk fault) leaves
+	// both untouched, never keys permuted away from their payloads.
+	res, err := records.Permute(m.a, payloads, order)
 	if err != nil {
-		// keys and payloads are untouched: a failed run (cancellation, a
-		// disk fault) must not leave the caller with keys permuted away
-		// from their payloads.
 		return nil, err
 	}
-	copy(keys, sorted)
-	for j := range payloads {
-		payloads[j] = res.Out[j]
-	}
+	m.a.Pool().For(len(order), len(order), func(_, a, b int) {
+		for j := a; j < b; j++ {
+			order[j] = keys[order[j]]
+		}
+	})
+	copy(keys, order)
 	rep.IO = rep.IO.Add(m.a.Stats().Sub(before))
 	rep.PayloadWords = res.Words
 	rep.PermutePasses = res.Passes
@@ -115,8 +123,9 @@ func (m *Machine) SortRecords(keys []int64, payloads [][]byte, alg Algorithm) (*
 }
 
 // sortKeyIndex computes the stable key order without touching keys: it
-// returns the permutation realizing the order (perm[j] is the original
-// index of the record at sorted position j) and the sorted key values.
+// returns order, where order[j] is the original index of the record at
+// sorted position j.  order is the packed sort words themselves, their key
+// digits stripped, so it is the only n-word array the key sort leaves.
 // keys is left untouched so a failure in the later permutation phase
 // cannot strand the caller with keys reordered away from their payloads.
 //
@@ -127,11 +136,11 @@ func (m *Machine) SortRecords(keys []int64, payloads [][]byte, alg Algorithm) (*
 // word distinct.  When the span fits, the shift is 0 and the round is
 // exact; keys already in [0, keyLimit) pack as themselves.  Otherwise only
 // the runs of tied digits need more work (refineTies).
-func (m *Machine) sortKeyIndex(keys []int64, alg Algorithm) ([]int, []int64, *Report, error) {
+func (m *Machine) sortKeyIndex(keys []int64, alg Algorithm) ([]int64, *Report, error) {
 	n := len(keys)
 	pp, err := planPacking(n)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	lo, hi := ^uint64(0), uint64(0)
 	for _, k := range keys {
@@ -151,62 +160,62 @@ func (m *Machine) sortKeyIndex(keys []int64, alg Algorithm) ([]int, []int64, *Re
 	})
 	rep, err := m.Sort(packed, alg)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	rep.KeyRounds = 1
-	perm := make([]int, n)
-	// Unpack in place: packed doubles as the sorted-key result.
-	pool.For(n, n, func(_, a, b int) {
-		for j := a; j < b; j++ {
-			perm[j] = int(packed[j] & pp.idxMask)
-			packed[j] = keys[perm[j]]
-		}
-	})
 	if shift > 0 {
-		if err := m.refineTies(keys, perm, packed, lo, shift, alg, rep); err != nil {
-			return nil, nil, nil, err
+		if err := m.refineTies(keys, packed, pp, alg, rep); err != nil {
+			return nil, nil, err
 		}
 	}
-	return perm, packed, rep, nil
+	pool.For(n, n, func(_, a, b int) {
+		for j := a; j < b; j++ {
+			packed[j] &= pp.idxMask
+		}
+	})
+	return packed, rep, nil
 }
 
 // refineTies finishes a digit round that dropped the low shift bits of the
-// offset key (u − lo): perm and sorted are in digit order, and every run of
-// equal digits holds its records in original order.  A run whose keys are
-// already nondecreasing is final (equal keys are in index order).  A run
-// of at most M records is stably sorted in host memory, uncharged like the
-// packing itself.  A longer run recurses through sortKeyIndex, charged and
-// folded into rep with its passes rescaled to rep's padded length: its key
-// span is below 2^shift, so each level strips at least keyBits more bits
-// and KeyRounds never exceeds packPlan.rounds().
-func (m *Machine) refineTies(keys []int64, perm []int, sorted []int64, lo uint64, shift int, alg Algorithm, rep *Report) error {
-	digit := func(k int64) uint64 { return ((uint64(k) ^ 1<<63) - lo) >> shift }
-	for a := 0; a < len(perm); {
-		b, d := a+1, digit(sorted[a])
-		for b < len(perm) && digit(sorted[b]) == d {
+// offset key: packed is in (digit, index) order, so every run of equal
+// digits holds its records in original order.  A run whose keys are already nondecreasing is final
+// (equal keys are in index order).  A run of at most M records is stably
+// sorted by key in host memory, uncharged like the packing itself.  A
+// longer run recurses through sortKeyIndex, charged and folded into rep
+// with its passes rescaled to rep's padded length: its key span is below
+// 2^shift, so each level strips at least keyBits more bits and KeyRounds
+// never exceeds packPlan.rounds().  A run's words keep their digit, or lose
+// it to the recursion; sortKeyIndex strips the rest.
+func (m *Machine) refineTies(keys, packed []int64, pp packPlan, alg Algorithm, rep *Report) error {
+	key := func(w int64) int64 { return keys[w&pp.idxMask] }
+	for a := 0; a < len(packed); {
+		b, d := a+1, packed[a]>>pp.idxBits
+		for b < len(packed) && packed[b]>>pp.idxBits == d {
 			b++
 		}
-		run, runKeys := perm[a:b], sorted[a:b]
+		run := packed[a:b]
 		a = b
-		if slices.IsSorted(runKeys) {
+		if slices.IsSortedFunc(run, func(x, y int64) int { return cmp.Compare(key(x), key(y)) }) {
 			continue
 		}
 		if len(run) <= m.a.Mem() {
-			slices.SortStableFunc(run, func(x, y int) int { return cmp.Compare(keys[x], keys[y]) })
-			for j, i := range run {
-				runKeys[j] = keys[i]
-			}
+			slices.SortStableFunc(run, func(x, y int64) int { return cmp.Compare(key(x), key(y)) })
 			continue
 		}
-		subPerm, subSorted, subRep, err := m.sortKeyIndex(slices.Clone(runKeys), alg)
+		sub := make([]int64, len(run))
+		for j, w := range run {
+			sub[j] = key(w)
+		}
+		subOrder, subRep, err := m.sortKeyIndex(sub, alg)
 		if err != nil {
 			return err
 		}
-		orig := slices.Clone(run)
-		for j, s := range subPerm {
-			run[j] = orig[s]
+		for j, w := range run {
+			sub[j] = w & pp.idxMask // sub's keys are dead: it maps back to indices
 		}
-		copy(runKeys, subSorted)
+		for j, s := range subOrder {
+			run[j] = sub[s]
+		}
 		scale := float64(subRep.PaddedN) / float64(rep.PaddedN)
 		rep.Passes += subRep.Passes * scale
 		rep.ReadPasses += subRep.ReadPasses * scale

@@ -5,13 +5,16 @@ import (
 	"cmp"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"slices"
 	"sort"
 	"testing"
+	"unsafe"
 
+	"repro/internal/pdm"
 	"repro/internal/workload"
 )
 
@@ -251,7 +254,7 @@ func TestSortRecordsWideKeyRounds(t *testing.T) {
 			// The refinement re-sorts only the tie run: more than one plain
 			// sort of n, no more than two.
 			before := m.Array().Stats()
-			_, _, krep, err := m.sortKeyIndex(tc.keys, alg)
+			_, krep, err := m.sortKeyIndex(tc.keys, alg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -346,25 +349,75 @@ func TestSortRecordsPayloadsOutliveTheRun(t *testing.T) {
 	}
 }
 
-// TestSortRecordsErrorLeavesInputUntouched: a failed run must not leave
-// the caller with keys reordered away from their payloads.
+// TestSortRecordsErrorLeavesInputUntouched: a failed run must leave both
+// slices as the caller passed them — keys in their order, every payload
+// header with its data pointer, length and capacity — never keys
+// reordered away from their payloads.  The failure lands before the key
+// sort, at the permutation's scatter boundary, and inside the placement
+// after it; each leaves the arena drained and no stripe live.
 func TestSortRecordsErrorLeavesInputUntouched(t *testing.T) {
-	m := newTestMachine(t, 256)
 	n := 2000
-	keys := workload.Uniform(n, 0, 999, 8)
-	payloads := genTestPayloads(n, 12, 3)
-	wantK := append([]int64(nil), keys...)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	m.Array().BindContext(ctx)
-	if _, err := m.SortRecords(keys, payloads, Auto); err == nil {
-		t.Fatal("canceled sort succeeded")
-	}
-	if !slices.Equal(keys, wantK) {
-		t.Fatal("failed sort mutated the caller's keys")
-	}
-	if m.Array().Arena().InUse() != 0 {
-		t.Fatal("failed sort leaked arena memory")
+	wantK := workload.Uniform(n, 0, 999, 8)
+	wantP := genTestPayloads(n, 12, 3)
+	errBoundary := errors.New("refused at the permutation's boundary")
+	for _, tc := range []struct {
+		name string
+		arm  func(a *pdm.Array, cancel context.CancelFunc, fired *bool)
+		want error
+	}{
+		{"canceled before the key sort", func(_ *pdm.Array, cancel context.CancelFunc, fired *bool) {
+			cancel()
+			*fired = true
+		}, context.Canceled},
+		{"refused at the scatter boundary", func(a *pdm.Array, _ context.CancelFunc, fired *bool) {
+			a.SetPassHook(func(cp pdm.Checkpoint) error {
+				if cp.Alg != "permute" {
+					return nil
+				}
+				*fired = true
+				return errBoundary
+			})
+		}, errBoundary},
+		{"canceled in the placement", func(a *pdm.Array, cancel context.CancelFunc, fired *bool) {
+			a.SetPassHook(func(cp pdm.Checkpoint) error {
+				if cp.Alg == "permute" {
+					*fired = true
+					cancel()
+				}
+				return nil
+			})
+		}, context.Canceled},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := newTestMachine(t, 256)
+			defer m.Close()
+			keys, payloads := slices.Clone(wantK), slices.Clone(wantP)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			m.Array().BindContext(ctx)
+			fired := false
+			tc.arm(m.Array(), cancel, &fired)
+			_, err := m.SortRecords(keys, payloads, Auto)
+			if !fired {
+				t.Fatal("the failure was never injected")
+			}
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("failed sort returned %v, want %v", err, tc.want)
+			}
+			if !slices.Equal(keys, wantK) {
+				t.Fatal("failed sort mutated the caller's keys")
+			}
+			for i, p := range payloads {
+				if q := wantP[i]; unsafe.SliceData(p) != unsafe.SliceData(q) || len(p) != len(q) || cap(p) != cap(q) {
+					t.Fatalf("failed sort replaced payload %d: %p/%d/%d, want %p/%d/%d",
+						i, unsafe.SliceData(p), len(p), cap(p), unsafe.SliceData(q), len(q), cap(q))
+				}
+			}
+			if m.Array().Arena().InUse() != 0 {
+				t.Fatal("failed sort leaked arena memory")
+			}
+			noLiveStripes(t, m.Array())
+		})
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"repro/internal/memsort"
 	"repro/internal/pdm"
 	"repro/internal/plan"
+	"repro/internal/records"
 	"repro/internal/workload"
 )
 
@@ -834,6 +835,50 @@ func TestGroupByPartitionWriteStepsMatchPlan(t *testing.T) {
 			}
 			if leak != 0 || peak > arenaCap {
 				t.Errorf("M=%d n=%d pairWords=%d: arena peak %d of %d, %d left in use", tc.mem, tc.n, pairWords, peak, arenaCap, leak)
+			}
+		}
+	}
+}
+
+// TestSortRecordsPermutePassesMatchPlan pins the records permutation's
+// measured passes to plan.PermutePlan's closed form 2·(1 + levels·(1 +
+// 2/w̄)), segment headers included, at mean widths w̄ of 1, 2, 8 and 32
+// words and one and two scatter levels.  The plan prices the words, so the
+// measure may exceed it only by partial stripe rows: each level's
+// partitions are written and read back in whole rows, one partial row each
+// way per partition at most (which also covers the header of a record
+// split at a partition boundary).
+func TestSortRecordsPermutePassesMatchPlan(t *testing.T) {
+	const words = 64 << 10
+	for _, tc := range []struct{ mem, levels int }{{4096, 1}, {1024, 2}} {
+		for _, wbar := range []int{1, 2, 8, 32} {
+			n := words / wbar
+			m, err := NewMachine(MachineConfig{Memory: tc.mem, Pipeline: PipelineConfig{Prefetch: 2, WriteBehind: 2}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys := workload.Uniform(n, 0, 1<<40, int64(wbar))
+			blob := make([]byte, 8*words)
+			payloads := make([][]byte, n)
+			for i := range payloads {
+				payloads[i] = blob[8*wbar*i : 8*wbar*(i+1) : 8*wbar*(i+1)]
+			}
+			rep, err := m.SortRecords(keys, payloads, Auto)
+			shape := m.scenarioShape()
+			m.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			padded, levels, _, passes := plan.PermutePlan(n, rep.PayloadWords, shape.Mem, shape.B, shape.Stripe())
+			partitions := 0
+			records.Levels(padded, shape.Mem, shape.B, func(nodes int) { partitions += nodes })
+			slack := float64(2*partitions*shape.Stripe()) / float64(padded)
+			t.Logf("M=%d w̄=%d: %d levels, plan %.4f passes, measured %.4f (slack %.4f)", tc.mem, wbar, levels, passes, rep.PermutePasses, slack)
+			if levels != tc.levels {
+				t.Fatalf("M=%d w̄=%d: the plan walks %d levels, want %d", tc.mem, wbar, levels, tc.levels)
+			}
+			if rep.PermutePasses < passes-1e-9 || rep.PermutePasses > passes+slack {
+				t.Errorf("M=%d w̄=%d: measured %.4f permutation passes, plan %.4f (+%.4f partial rows)", tc.mem, wbar, rep.PermutePasses, passes, slack)
 			}
 		}
 	}
