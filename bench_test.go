@@ -25,6 +25,7 @@ import (
 	"repro/internal/memsort"
 	"repro/internal/par"
 	"repro/internal/pdm"
+	"repro/internal/plan"
 	"repro/internal/report"
 	"repro/internal/stream"
 	"repro/internal/workload"
@@ -179,7 +180,7 @@ func BenchmarkSortThreePass2(b *testing.B) {
 }
 
 func BenchmarkSortExpectedTwoPass(b *testing.B) {
-	n1 := core.ExpectedTwoPassRuns(1024, 1)
+	n1 := plan.Capacity(1024, 1, plan.Exp2) / 1024
 	benchAlgorithm(b, 1024, n1*1024, core.ExpectedTwoPass)
 }
 

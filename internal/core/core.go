@@ -307,16 +307,6 @@ func maxDiskLoad(d, n, stride, width int) int {
 	return most
 }
 
-// LMMMergeSteps returns the read and write steps of ThreePass2's pass 2 on
-// an l·M-key input on a machine with M = mem keys, B = √M and d disks —
-// the one count the planner adds to passes 1 and 3, which are exactly one
-// pass each.
-func LMMMergeSteps(mem, d, l int) (read, write int) {
-	sq := memsort.Isqrt(mem)
-	g := geometry{m: mem, b: sq, d: d}
-	return mergeSteps(g, l, 1, sq, mergeSkewStep(g, l, 1, sq))
-}
-
 // mergePartGroups performs the (l,m)-merge's middle pass (ThreePass2
 // step 3): for each part index j, gather part j of every run (l·partLen ≤ M
 // keys) into L_j and write it out — one pass.

@@ -295,7 +295,7 @@ func TestExpTwoPassMeshAdversarialFallsBack(t *testing.T) {
 func TestExpectedTwoPassRandom(t *testing.T) {
 	for _, m := range []int{256, 1024} {
 		a := newTestArray(t, m, 4)
-		n1 := ExpectedTwoPassRuns(m, 1)
+		n1 := expectedTwoPassRuns(m, 1)
 		if n1 < 2 {
 			n1 = 2
 		}
@@ -355,7 +355,7 @@ func TestExpectedTwoPassCapacityFormula(t *testing.T) {
 	}
 	// And the run-count helper respects divisibility.
 	for _, m := range []int{64, 256, 1024} {
-		n1 := ExpectedTwoPassRuns(m, 1)
+		n1 := expectedTwoPassRuns(m, 1)
 		if memsort.Isqrt(m)%n1 != 0 {
 			t.Fatalf("M=%d: N1 = %d does not divide sqrt(M)", m, n1)
 		}

@@ -37,3 +37,16 @@ func ExpectedSixPass(a *pdm.Array, in *pdm.Stripe) (*Result, error) {
 	}
 	return Finish(a, out, in.Len(), start, fellBack), nil
 }
+
+// sixRules: SevenPass's, with 3 expected passes per superrun, so l must
+// fit the ExpectedTwoPass window.
+var sixRules = Rules{
+	Pad: padRule(AlgSix, true, true),
+	Capacity: anyKeys(func(mem int, alpha float64) int {
+		l := expectedTwoPassRuns(mem, alpha) // a divisor of √M
+		return l * l * mem
+	}),
+	Passes:   superrunPasses(3),
+	Fallback: 7,
+	Envelope: superrunEnvelope,
+}

@@ -26,8 +26,9 @@ func ExpectedThreePassCapacity(m int, alpha float64) int {
 // passes over it); an overflow in the final pass falls back to SevenPass on
 // the whole input (+7 passes), the alternate the paper names in Section 6.
 //
-// N must equal l²·M with l dividing √M (so the fallback geometry is always
-// valid); the reliable-regime capacity is ExpectedThreePassCapacity.
+// N must equal l²·M with l dividing √M (padRule, so the fallback
+// geometry is always valid); the reliable-regime capacity is
+// ExpectedThreePassCapacity.
 func ExpectedThreePass(a *pdm.Array, in *pdm.Stripe) (*Result, error) {
 	g, err := checkGeometry(a)
 	if err != nil {
@@ -97,4 +98,19 @@ func expectedTwoPassSkewed(a *pdm.Array, in *pdm.Stripe, off, n, skew int) (*pdm
 		return nil, false, err
 	}
 	return out, fb, nil
+}
+
+// exp3Rules: N = l²·M with l dividing √M, reliable within
+// ExpectedThreePassCapacity, in 3 passes or 7 more via SevenPass.
+var exp3Rules = Rules{
+	Pad: padRule(AlgExp3, true, true),
+	Capacity: anyKeys(func(mem int, alpha float64) int {
+		l := largestDivisor(mem, func(l int) bool {
+			return l*l*mem <= ExpectedThreePassCapacity(mem, alpha)
+		})
+		return l * l * mem
+	}),
+	Passes:   expectedPasses(3),
+	Fallback: 7,
+	Envelope: func(_, _, padded int, _ int64) int { return 8 * padded },
 }

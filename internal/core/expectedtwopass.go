@@ -2,10 +2,8 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"math"
 
-	"repro/internal/memsort"
 	"repro/internal/pdm"
 )
 
@@ -16,25 +14,27 @@ func expectedTwoPassCapacity(m int, alpha float64) int {
 	return int(float64(m) * math.Sqrt(float64(m)) / ((alpha+2)*math.Log(float64(m)) + 2))
 }
 
-// ExpectedTwoPassRuns returns the largest usable run count N1 = N/M for a
+// expectedTwoPassRuns returns the largest usable run count N1 = N/M for a
 // PDM with memory m: the largest divisor of √M such that the Lemma 4.2
 // displacement bound for N = N1·M keys split into M-key runs stays within
 // the M-key cleanup window.  (Divisibility keeps every pass block-aligned.)
-func ExpectedTwoPassRuns(m int, alpha float64) int {
-	sq := memsort.Isqrt(m)
-	best := 1
-	for n1 := 1; n1 <= sq; n1++ {
-		if sq%n1 != 0 {
-			continue
-		}
+func expectedTwoPassRuns(m int, alpha float64) int {
+	return largestDivisor(m, func(n1 int) bool {
 		n := n1 * m
 		bound := float64(n)/math.Sqrt(float64(m))*
 			math.Sqrt((alpha+2)*math.Log(float64(n))+1) + float64(n)/float64(m)
-		if bound <= float64(m) {
-			best = n1
-		}
-	}
-	return best
+		return bound <= float64(m)
+	})
+}
+
+// exp2Rules: N = l·M with l dividing √M, in 2 passes or 3 more via
+// ThreePass2.
+var exp2Rules = Rules{
+	Pad:      padRule(AlgExp2, false, true),
+	Capacity: anyKeys(func(mem int, alpha float64) int { return expectedTwoPassRuns(mem, alpha) * mem }),
+	Passes:   expectedPasses(2),
+	Fallback: 3,
+	Envelope: runsEnvelope,
 }
 
 // ExpectedTwoPass sorts in with the paper's Section 5 algorithm:
@@ -54,7 +54,7 @@ func ExpectedTwoPassRuns(m int, alpha float64) int {
 // is re-sorted with ThreePass2 (Lemma 4.1), for 2+3 passes total.
 //
 // N must be a multiple of M with N1 = N/M dividing √M (block alignment of
-// the shuffled reads); Theorem 5.1 reliability needs N within
+// the shuffled reads; exp2Rules.Pad); Theorem 5.1 reliability needs N within
 // M·√M / ((α+2)·ln M + 2) at confidence parameter α.
 func ExpectedTwoPass(a *pdm.Array, in *pdm.Stripe) (*Result, error) {
 	start := a.Stats()
@@ -73,13 +73,10 @@ func expectedTwoPassRange(a *pdm.Array, in *pdm.Stripe, off, n int, emit emitFun
 	if err != nil {
 		return nil, false, err
 	}
-	if n <= 0 || n%g.m != 0 {
-		return nil, false, fmt.Errorf("core: ExpectedTwoPass needs N a multiple of M; N = %d, M = %d", n, g.m)
+	if err := g.accept(AlgExp2, n, exp2Rules.Pad); err != nil {
+		return nil, false, err
 	}
 	n1 := n / g.m
-	if n1 > g.sqM || g.sqM%n1 != 0 {
-		return nil, false, fmt.Errorf("core: ExpectedTwoPass needs N/M dividing sqrt(M); N/M = %d, sqrt(M) = %d", n1, g.sqM)
-	}
 	a.Arena().SetPhase("expectedtwopass/runs")
 	// Pass 2 reads M/N1 keys of every run per memory load, so the runs need
 	// only be exact at that share.

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/pdm"
 )
@@ -18,8 +17,9 @@ import (
 //
 // The mesh view assigns column c the input range [c·(N/√M), (c+1)·(N/√M));
 // any fixed relabeling is legitimate since the input is an arbitrary
-// striped multiset.  N must be a multiple of M with N/M ≤ √M; the
-// Theorem 3.2 capacity for reliable two-pass behaviour is
+// striped multiset.  N must be a multiple of M with N/M dividing √M, the
+// planner's reliable geometry for both two-pass algorithms (mesh2eRules);
+// the Theorem 3.2 capacity for reliable two-pass behaviour is
 // N ≈ M·√M / (c·α·ln M).
 func ExpTwoPassMesh(a *pdm.Array, in *pdm.Stripe) (*Result, error) {
 	g, err := checkGeometry(a)
@@ -27,10 +27,10 @@ func ExpTwoPassMesh(a *pdm.Array, in *pdm.Stripe) (*Result, error) {
 		return nil, err
 	}
 	n := in.Len()
-	l := n / g.m
-	if n <= 0 || n%g.m != 0 || l > g.sqM {
-		return nil, fmt.Errorf("core: ExpTwoPassMesh needs N a multiple of M with N/M <= sqrt(M); N = %d, M = %d", n, g.m)
+	if err := g.accept(AlgMesh2e, n, mesh2eRules.Pad); err != nil {
+		return nil, err
 	}
+	l := n / g.m
 	start := a.Stats()
 	colLen := n / g.sqM // rows of the mesh view; ≤ M since l ≤ √M
 
@@ -76,3 +76,6 @@ func ExpTwoPassMesh(a *pdm.Array, in *pdm.Stripe) (*Result, error) {
 	}
 	return Finish(a, fallback, n, start, true), nil
 }
+
+// mesh2eRules: ExpectedTwoPass's rules under the mesh variant's name.
+var mesh2eRules = Rules{padRule(AlgMesh2e, false, true), exp2Rules.Capacity, exp2Rules.Passes, exp2Rules.Fallback, runsEnvelope}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/memsort"
 	"repro/internal/pdm"
 	"repro/internal/stream"
 )
@@ -14,15 +15,15 @@ import (
 // planner needs it as an explicit candidate: without it, Auto used to run
 // ThreePass2 degenerately on one run — three passes where one suffices.
 //
-// N must be a positive multiple of B with N ≤ M.
+// N must be a positive multiple of B with N ≤ M (oneRules.Pad).
 func OnePass(a *pdm.Array, in *pdm.Stripe) (*Result, error) {
 	g, err := checkGeometry(a)
 	if err != nil {
 		return nil, err
 	}
 	n := in.Len()
-	if n <= 0 || n > g.m || n%g.b != 0 {
-		return nil, fmt.Errorf("core: OnePass needs 0 < N <= M with B | N; N = %d, M = %d", n, g.m)
+	if err := g.accept(AlgOne, n, oneRules.Pad); err != nil {
+		return nil, err
 	}
 	start := a.Stats()
 	a.Arena().SetPhase("onepass/load")
@@ -49,4 +50,21 @@ func OnePass(a *pdm.Array, in *pdm.Stripe) (*Result, error) {
 		return nil, err
 	}
 	return Finish(a, out, n, start, false), nil
+}
+
+// oneRules: N ≤ M in whole blocks, holding only the input and output.
+var oneRules = Rules{
+	Pad: func(mem, n int) (int, error) {
+		if n > mem {
+			return 0, fmt.Errorf("%d keys exceed the one-pass capacity M = %d", n, mem)
+		}
+		sq := memsort.Isqrt(mem)
+		return memsort.CeilDiv(n, sq) * sq, nil
+	},
+	Capacity: anyKeys(func(mem int, _ float64) int { return mem }),
+	Passes: func(mem, d, _, padded int, _ int64) (float64, float64, bool) {
+		p := passesOf(memsort.CeilDiv(padded/memsort.Isqrt(mem), d), mem, d, padded)
+		return p, p, true
+	},
+	Envelope: func(_, _, padded int, _ int64) int { return 2 * padded },
 }

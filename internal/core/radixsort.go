@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 
 	"repro/internal/memsort"
@@ -24,7 +26,7 @@ type radixNode struct {
 // rounds), sort it in memory, and write the output contiguously.
 //
 // Keys must be integers in [0, universe); universe ≤ 2^62.  M/B must be a
-// power of two.  Theorem 7.2 bounds the pass count by
+// power of two (radixRules.Pad).  Theorem 7.2 bounds the pass count by
 // (1+ν)·log(N/M)/log(M/B) + 1 for random inputs; skewed inputs simply take
 // extra refinement rounds, which the measured Result reflects.
 func RadixSort(a *pdm.Array, in *pdm.Stripe, universe int64) (*Result, error) {
@@ -32,16 +34,16 @@ func RadixSort(a *pdm.Array, in *pdm.Stripe, universe int64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := g.m / g.b
-	if r < 2 || r&(r-1) != 0 {
-		return nil, fmt.Errorf("core: RadixSort needs M/B a power of two >= 2, got %d", r)
+	if err := g.accept(AlgRadix, in.Len(), radixRules.Pad); err != nil {
+		return nil, err
 	}
 	if universe <= 0 {
 		return nil, fmt.Errorf("core: RadixSort needs a positive key universe, got %d", universe)
 	}
+	r := g.m / g.b
 	w := bits.TrailingZeros(uint(r)) // digit width in bits
 	keyBits := bits.Len64(uint64(universe - 1))
-	rounds := memsort.CeilDiv(keyBits, w)
+	rounds := radixRounds(g.m, universe)
 
 	start := a.Stats()
 	st := &scatterState{}
@@ -172,6 +174,75 @@ func collectRadixLeaves(node *radixNode, out *[]blockSeq) {
 		return
 	}
 	*out = append(*out, node.seq)
+}
+
+// radixRules: whole blocks of keys in a stated universe, at any N, in
+// Theorem 7.2's ⌈log(N/M)/log(M/B)⌉ rounds (at most the key width's) + 1.
+var radixRules = Rules{
+	Pad: func(mem, n int) (int, error) {
+		sq := memsort.Isqrt(mem)
+		if sq < 2 || sq&(sq-1) != 0 {
+			return 0, fmt.Errorf("needs M/B a power of two >= 2, got %d", sq)
+		}
+		return memsort.CeilDiv(n, sq) * sq, nil
+	},
+	Capacity: func(mem int, _ float64, universe int64, payloads bool) (int, error) {
+		switch {
+		case universe <= 0:
+			return mem * mem, errors.New("integer keys only (no universe hint)")
+		case payloads:
+			return mem * mem, errors.New("record payloads need a comparison sort")
+		}
+		return math.MaxInt, nil
+	},
+	Passes: func(mem, _, n, _ int, universe int64) (float64, float64, bool) {
+		rounds := 0
+		if n > mem {
+			rounds = max(int(math.Ceil(math.Log(float64(n)/float64(mem))/math.Log(float64(radixFanout(mem))))), 1)
+		}
+		if universe > 1 {
+			rounds = min(rounds, radixRounds(mem, universe))
+		}
+		p := float64(rounds) + 1
+		return p, p, false
+	},
+	Envelope: radixEnvelope,
+}
+
+// radixEnvelope bounds RadixSort's scratch.  Every round's bucket runs stay
+// on disk until step A, and keys skewed onto more than M equal values ride
+// through every digit round the universe allows.  Round k rewrites at most
+// the padded input plus one partial block per bucket of each node it
+// refines: at most (M/B)^k nodes, each over M keys.  The input and output
+// stripes add a row each (the allocator slack the planner adds), the
+// scatter's memory-load stripes round up by one load, and the per-bucket
+// disk rotations leave the most loaded disk at most (M/B)/2 rows above the
+// mean.
+func radixEnvelope(mem, d, padded int, universe int64) int {
+	r := radixFanout(mem)
+	env := 2*padded + mem + r*(d*memsort.Isqrt(mem))/2
+	nodes := 1
+	for k := 0; k < radixRounds(mem, universe); k++ {
+		env += padded + min(nodes*mem, padded)
+		nodes = min(nodes*r, padded/mem+1)
+	}
+	return env
+}
+
+// radixFanout is RadixSort's bucket count M/B (at least 2).
+func radixFanout(mem int) int {
+	return max(memsort.Isqrt(mem), 2)
+}
+
+// radixRounds is the number of digit rounds the universe allows:
+// ⌈log₂(universe)/log₂(M/B)⌉, zero for a universe of at most one key.
+func radixRounds(mem int, universe int64) int {
+	if universe <= 1 {
+		return 0
+	}
+	keyBits := bits.Len64(uint64(universe - 1))
+	digit := bits.Len(uint(radixFanout(mem))) - 1 // log₂(M/B), M/B a power of two
+	return memsort.CeilDiv(keyBits, digit)
 }
 
 // RadixSortPredictedPasses returns the Theorem 7.2 estimate

@@ -22,7 +22,7 @@ import (
 //	pass 6:     shuffle + cleanup per subsequence group, producing the Q_j;
 //	pass 7:     shuffle Q_1..Q_√M + cleanup (steps 4–5, dirtiness ≤ M).
 //
-// l must divide √M so every pass stays block-aligned.
+// l must divide √M so every pass stays block-aligned (padRule).
 func SevenPass(a *pdm.Array, in *pdm.Stripe) (*Result, error) {
 	start := a.Stats()
 	out, _, err := superrunMerge(a, in, AlgSeven, func(off, n int, emit emitFunc) (bool, error) {
@@ -36,13 +36,46 @@ func SevenPass(a *pdm.Array, in *pdm.Stripe) (*Result, error) {
 }
 
 // superrunCount returns l for the superrun algorithms' input shape
-// N = l²·M with l dividing √M.
+// N = l²·M with l dividing √M (their pad rule).
 func superrunCount(g geometry, n int, alg Alg) (int, error) {
-	l := memsort.Isqrt(n / g.m)
-	if l*l*g.m != n || l < 1 || l > g.sqM || g.sqM%l != 0 {
-		return 0, fmt.Errorf("core: %v needs N = l^2*M with l dividing sqrt(M); N = %d, M = %d", alg, n, g.m)
+	if err := g.accept(alg, n, padRule(alg, true, true)); err != nil {
+		return 0, err
 	}
-	return l, nil
+	return memsort.Isqrt(n / g.m), nil
+}
+
+// sevenRules: N = l²·M with l dividing √M, in 4 passes plus the outer
+// merge's.
+var sevenRules = Rules{
+	Pad:      padRule(AlgSeven, true, true),
+	Capacity: anyKeys(func(mem int, _ float64) int { return mem * mem }),
+	Passes:   superrunPasses(4),
+	Envelope: superrunEnvelope,
+}
+
+// superrunPasses is the Passes of a superrun algorithm with base passes
+// before the outer merge: base + 3 when the l-block subsequence stripes
+// span the disks (D | l), base + 3·D/l when three outer-merge passes
+// shrink to l-disk parallelism (l | D), base + 3 as a floor otherwise.
+func superrunPasses(base int) func(mem, d, n, padded int, universe int64) (float64, float64, bool) {
+	return func(mem, d, _, padded int, _ int64) (float64, float64, bool) {
+		p, exact := float64(base+3), true
+		switch l := memsort.Isqrt(padded / mem); {
+		case l < d && d%l == 0:
+			p = float64(3*(d/l) + base)
+		case l%d != 0:
+			exact = false
+		}
+		return p, p, exact
+	}
+}
+
+// superrunEnvelope is the superrun family's measured 7× padded plus one
+// padded length of headroom; below l = D superruns the outer merge spreads
+// over fewer disks and peaks at (3·D/l + 1)× padded.
+func superrunEnvelope(mem, d, padded int, _ int64) int {
+	l := memsort.Isqrt(padded / mem)
+	return max(8, 3*memsort.CeilDiv(d, max(l, 1))+2) * padded
 }
 
 // superrunMerge is the skeleton SevenPass, SevenPassMesh and

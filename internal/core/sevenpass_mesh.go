@@ -1,6 +1,9 @@
 package core
 
-import "repro/internal/pdm"
+import (
+	"repro/internal/memsort"
+	"repro/internal/pdm"
+)
 
 // SevenPassMesh realizes the paper's Section 6.2 Remark ("we have designed
 // matching mesh-based algorithms"): a seven-pass sort of up to M² keys
@@ -25,4 +28,16 @@ func SevenPassMesh(a *pdm.Array, in *pdm.Stripe) (*Result, error) {
 		return nil, err
 	}
 	return Finish(a, out, in.Len(), start, false), nil
+}
+
+// sevenMeshRules: SevenPass's rules, exact only where the inner mesh over
+// the l·M-key superruns is even too.
+var sevenMeshRules = Rules{
+	Pad:      padRule(AlgSevenMesh, true, true),
+	Capacity: sevenRules.Capacity,
+	Passes: func(mem, d, n, padded int, u int64) (float64, float64, bool) {
+		read, write, exact := sevenRules.Passes(mem, d, n, padded, u)
+		return read, write, exact && meshEven(memsort.Isqrt(mem), memsort.Isqrt(padded/mem), d)
+	},
+	Envelope: superrunEnvelope,
 }

@@ -24,7 +24,7 @@ import (
 //	        suffices (Theorem 3.1).
 //
 // N must be a positive multiple of M with N/M ≤ √M (N = M·√M is the
-// paper's headline case).
+// paper's headline case; mesh3Rules.Pad).
 func ThreePass1(a *pdm.Array, in *pdm.Stripe) (*Result, error) {
 	start := a.Stats()
 	out, err := threePass1Range(a, in, 0, in.Len(), nil, true)
@@ -48,10 +48,10 @@ func threePass1Range(a *pdm.Array, in *pdm.Stripe, off, n int, emit emitFunc, ck
 	if err != nil {
 		return nil, err
 	}
-	l := n / g.m // number of √M×√M submeshes (and of M-key bands)
-	if n <= 0 || n%g.m != 0 || l > g.sqM {
-		return nil, fmt.Errorf("core: ThreePass1 needs N a multiple of M with N/M <= sqrt(M); N = %d, M = %d", n, g.m)
+	if err := g.accept(AlgMesh3, n, mesh3Rules.Pad); err != nil {
+		return nil, err
 	}
+	l := n / g.m // number of √M×√M submeshes (and of M-key bands)
 	sq := g.sqM
 
 	var cols, bands []*pdm.Stripe
@@ -257,4 +257,28 @@ func columnPass(a *pdm.Array, bands []*pdm.Stripe, colAddrs func(dst []pdm.Block
 		}
 		return w.Write(waddrs, wviews)
 	})
+}
+
+// mesh3Rules: ThreePass2's, priced at its count off even meshes (the tie
+// keeps lmm3 ahead); below l = D bands the column pass spreads over fewer
+// disks, adding (D − l)·M.
+var mesh3Rules = Rules{
+	Pad:      padRule(AlgMesh3, false, false),
+	Capacity: lmm3Rules.Capacity,
+	Passes: func(mem, d, n, padded int, u int64) (float64, float64, bool) {
+		if meshEven(memsort.Isqrt(mem), padded/mem, d) {
+			return 3, 3, true
+		}
+		read, write, _ := lmm3Rules.Passes(mem, d, n, padded, u)
+		return read, write, false
+	},
+	Envelope: func(mem, d, padded int, _ int64) int { return 5*padded + max(d-padded/mem, 0)*mem },
+}
+
+// meshEven reports whether ThreePass1's column pass maps evenly onto the
+// disks for an l·M-key mesh, 1 ≤ l ≤ √M: the pass reads G = √M/l columns of
+// l blocks per batch from per-column skewed stripes, and the batch covers
+// every disk the same number of times iff l or G is a multiple of D.
+func meshEven(sq, l, d int) bool {
+	return d < sq && (l%d == 0 || sq/l%d == 0)
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/memsort"
 	"repro/internal/pdm"
 )
 
@@ -33,9 +34,9 @@ import (
 // whenever such a batch fits in memory (always when l divides D), and
 // otherwise the few extra steps of the cheapest batch that fits — at most
 // 1.23 passes for l ≤ √M/4 and 1.49 up to √M on the power-of-two
-// geometries from (256, 4) to (64Ki, 64).  plan.ExactPasses prices the
-// exact count at every l.  N must be a positive multiple of M with
-// N/M ≤ √M.
+// geometries from (256, 4) to (64Ki, 64).  lmmSteps counts the exact
+// steps at every l.  N must be a positive multiple of M with N/M ≤ √M
+// (lmm3Rules.Pad).
 func ThreePass2(a *pdm.Array, in *pdm.Stripe) (*Result, error) {
 	start := a.Stats()
 	out, err := threePass2Range(a, in, 0, in.Len(), nil, true)
@@ -61,8 +62,8 @@ func threePass2Range(a *pdm.Array, in *pdm.Stripe, off, n int, emit emitFunc, ck
 	if err != nil {
 		return nil, err
 	}
-	if n <= 0 || n%g.m != 0 || n/g.m > g.sqM {
-		return nil, fmt.Errorf("core: ThreePass2 needs N a multiple of M with N/M <= sqrt(M); N = %d, M = %d", n, g.m)
+	if err := g.accept(AlgLMM3, n, lmm3Rules.Pad); err != nil {
+		return nil, err
 	}
 	var (
 		runs      []*pdm.Stripe
@@ -138,4 +139,57 @@ func threePass2Range(a *pdm.Array, in *pdm.Stripe, off, n int, emit emitFunc, ck
 	}
 	a.Arena().SetPhase("")
 	return out, nil
+}
+
+// lmm3Rules: N = l·M with l ≤ √M, in lmmSteps' steps, within runsEnvelope.
+var lmm3Rules = Rules{
+	Pad:      padRule(AlgLMM3, false, false),
+	Capacity: anyKeys(func(mem int, _ float64) int { return mem * memsort.Isqrt(mem) }),
+	Passes: func(mem, d, _, padded int, _ int64) (float64, float64, bool) {
+		read, write := lmmSteps(mem, d, padded)
+		return passesOf(read, mem, d, padded), passesOf(write, mem, d, padded), true
+	},
+	Envelope: runsEnvelope,
+}
+
+// padRule is the pad rule of the algorithms that sort N = l·M keys as l
+// runs of M, or with superruns N = l²·M as l superruns of l·M: the least
+// l ≥ 1 that covers n, raised to the next divisor of √M where divisor is
+// set, and at most √M.
+func padRule(alg Alg, superruns, divisor bool) func(mem, n int) (int, error) {
+	return func(mem, n int) (int, error) {
+		sq, runs := memsort.Isqrt(mem), max(memsort.CeilDiv(n, mem), 1)
+		l, limit := runs, mem*sq
+		if superruns {
+			if l = memsort.Isqrt(runs); l*l < runs {
+				l++
+			}
+			limit = mem * mem
+		}
+		for divisor && l <= sq && sq%l != 0 {
+			l++
+		}
+		if l > sq {
+			return 0, fmt.Errorf("%d keys exceed the %s capacity %d", n, string(alg), limit)
+		}
+		if superruns {
+			return l * l * mem, nil
+		}
+		return l * mem, nil
+	}
+}
+
+// runsEnvelope is the l·M family's disk envelope: the three-pass sorts
+// peak at 4× the padded input, so 5× bounds them.
+func runsEnvelope(_, _, padded int, _ int64) int { return 5 * padded }
+
+// lmmSteps is ThreePass2's exact read and write step count on a padded
+// l·M-key input with B = √M: one pass (padded/(D·B) steps) each for run
+// formation and the shuffle cleanup, plus mergeSteps for pass 2's batch.
+func lmmSteps(mem, d, padded int) (read, write int) {
+	sq := memsort.Isqrt(mem)
+	g, l := geometry{m: mem, b: sq, d: d}, padded/mem
+	r2, w2 := mergeSteps(g, l, 1, sq, mergeSkewStep(g, l, 1, sq))
+	pass := padded / (d * sq)
+	return 2*pass + r2, 2*pass + w2
 }

@@ -5,6 +5,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/memsort"
 	"repro/internal/pdm"
+	"repro/internal/plan"
 	"repro/internal/report"
 	"repro/internal/workload"
 )
@@ -22,7 +23,7 @@ func X1CostModel(m int) (*report.Table, error) {
 	cfg := pdm.Config{D: b / 4, B: b, Mem: m}
 	const seek, transfer = 5e-3, 2e-5 // seconds per step, per key
 	step := seek + float64(b)*transfer
-	n := core.ExpectedTwoPassRuns(m, 1) * m
+	n := plan.Capacity(m, 1, plan.Exp2)
 	data := workload.Perm(n, 21)
 
 	entries := []struct {

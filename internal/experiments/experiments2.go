@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/memsort"
 	"repro/internal/pdm"
+	"repro/internal/plan"
 	"repro/internal/report"
 	"repro/internal/shuffle"
 	"repro/internal/workload"
@@ -49,7 +50,7 @@ func E07ExpectedTwoPass(mems []int, trials int) (*report.Table, error) {
 			return nil, err
 		}
 		sq := memsort.Isqrt(m)
-		window := core.ExpectedTwoPassRuns(m, 1)
+		window := plan.Capacity(m, 1, plan.Exp2) / m
 		for _, n1 := range []int{2, 4, 8, 16, 32} {
 			if n1 > sq || sq%n1 != 0 {
 				continue
@@ -184,7 +185,7 @@ func E11ExpectedSixPass(m, trials int) (*report.Table, error) {
 		return nil, err
 	}
 	sq := memsort.Isqrt(m)
-	window := core.ExpectedTwoPassRuns(m, 1)
+	window := plan.Capacity(m, 1, plan.Exp2) / m
 	for _, l := range []int{4, 8, 16} {
 		// l ≥ D for full disk occupancy (exact pass counts), l | √M.
 		if l < a.D() || l > sq || sq%l != 0 {

@@ -5,6 +5,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/memsort"
 	"repro/internal/pdm"
+	"repro/internal/plan"
 	"repro/internal/report"
 	"repro/internal/workload"
 )
@@ -230,7 +231,7 @@ func E15Summary(m int) (*report.Table, error) {
 		"algorithm", "B", "capacity (keys)", "passes", "kind")
 	sq := memsort.Isqrt(m)
 	n15 := m * sq
-	w := core.ExpectedTwoPassRuns(m, 1)
+	w := plan.Capacity(m, 1, plan.Exp2) / m
 	rc, sc, err := baseline.ColumnsortGeometry(m, cubeRootPow2(m))
 	if err != nil {
 		return nil, err

@@ -3,7 +3,6 @@ package plan
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"sort"
 	"time"
 
@@ -162,151 +161,35 @@ func (r *Report) Candidate(alg Alg) *Candidate {
 
 // Capacity returns the largest key count alg sorts on an M-key machine
 // within its advertised pass count (the reliable regime at alpha for the
-// probabilistic algorithms).  Radix has no capacity bound in the model and
-// reports M².
+// probabilistic algorithms): its row's Capacity.  Radix reports M².
 func Capacity(mem int, alpha float64, alg Alg) int {
-	sq := memsort.Isqrt(mem)
-	switch alg {
-	case OnePass:
-		return mem
-	case Mesh3, LMM3:
-		return mem * sq
-	case Exp2, Mesh2e:
-		return core.ExpectedTwoPassRuns(mem, alpha) * mem
-	case Exp3:
-		l := largestGoodL(sq, func(l int) bool {
-			return l*l*mem <= core.ExpectedThreePassCapacity(mem, alpha)
-		})
-		return l * l * mem
-	case Six:
-		n1 := core.ExpectedTwoPassRuns(mem, alpha)
-		l := largestGoodL(sq, func(l int) bool { return l <= n1 })
-		return l * l * mem
-	case Seven, SevenMesh, Radix:
-		return mem * mem
-	default:
+	capacity := alg.Rules().Capacity
+	if capacity == nil {
 		return 0
 	}
-}
-
-func largestGoodL(sq int, ok func(int) bool) int {
-	best := 1
-	for l := 1; l <= sq; l++ {
-		if sq%l == 0 && ok(l) {
-			best = l
-		}
-	}
-	return best
+	c, _ := capacity(mem, alpha, 0, false)
+	return c
 }
 
 // PadFor returns the smallest on-disk length ≥ n satisfying alg's geometry
-// on an M-key machine.
+// on an M-key machine: its row's Pad, the rule its run function enforces.
 func PadFor(mem int, alg Alg, n int) (int, error) {
-	sq := memsort.Isqrt(mem)
-	switch alg {
-	case OnePass:
-		if n > mem {
-			return 0, fmt.Errorf("plan: %d keys exceed the one-pass capacity M = %d", n, mem)
-		}
-		return memsort.CeilDiv(n, sq) * sq, nil
-	case Radix:
-		return memsort.CeilDiv(n, sq) * sq, nil
-	case Mesh3, LMM3, Exp2, Mesh2e:
-		// N = l·M, and for the expected algorithms l must divide √M.
-		l := memsort.CeilDiv(n, mem)
-		if alg == Exp2 || alg == Mesh2e {
-			for l <= sq && sq%l != 0 {
-				l++
-			}
-		}
-		if l > sq {
-			return 0, fmt.Errorf("plan: %d keys exceed the %s capacity %d", n, string(alg), mem*sq)
-		}
-		return l * mem, nil
-	case Exp3, Seven, Six, SevenMesh:
-		// N = l²·M with l dividing √M.
-		l := 1
-		for l*l*mem < n {
-			l++
-		}
-		for l <= sq && sq%l != 0 {
-			l++
-		}
-		if l > sq {
-			return 0, fmt.Errorf("plan: %d keys exceed the %s capacity %d", n, string(alg), mem*mem)
-		}
-		return l * l * mem, nil
-	default:
+	pad := alg.Rules().Pad
+	if pad == nil {
 		return 0, fmt.Errorf("plan: unknown algorithm %q", string(alg))
 	}
+	padded, err := pad(mem, n)
+	if err != nil {
+		return 0, fmt.Errorf("plan: %w", err)
+	}
+	return padded, nil
 }
 
-// DiskEnvelope sizes a job's scratch reservation for alg, in keys: the
-// measured per-algorithm high-water multiple of the padded input, one
-// padded length of headroom, and two stripes of allocator slack.  These
-// are tighter than the old per-family worst cases (the three-pass family
-// peaks at 4× padded, so 5× bounds it; OnePass holds only input and
-// output), which shortens head-of-line blocking in the scheduler; the
-// superrun-recursive family keeps its measured 7×+1.  Below l = D runs
-// (l = N/M for ThreePass1, √(N/M) for the superrun family) two shapes
-// spread over fewer than D disks and peak higher: ThreePass1 at 4× padded
-// plus (D − l)·M, and the superrun family at (3·D/l + 1)× padded.
-// RadixSort is priced from the digit rounds w.Universe allows
-// (radixEnvelope).  JobStatus's DiskFootprint is checked against the
-// reservation in the scheduler tests, and every comparison algorithm's
-// over a grid of geometries in TestDiskEnvelopeBoundsFootprint.
+// DiskEnvelope sizes a job's scratch reservation for alg, in keys: its
+// row's Envelope plus two stripes of allocator slack.  The scheduler
+// tests and TestDiskEnvelopeBoundsFootprint check it against DiskFootprint.
 func DiskEnvelope(shape Shape, w Workload, alg Alg, padded int) int {
-	slack := 2 * shape.Stripe()
-	switch alg {
-	case OnePass:
-		return 2*padded + slack
-	case Mesh3:
-		return 5*padded + max(shape.D-padded/shape.Mem, 0)*shape.Mem + slack
-	case LMM3, Exp2, Mesh2e:
-		return 5*padded + slack
-	case Six, Seven, SevenMesh:
-		l := memsort.Isqrt(padded / shape.Mem)
-		return max(8, 3*memsort.CeilDiv(shape.D, max(l, 1))+2)*padded + slack
-	case Radix:
-		return radixEnvelope(shape, w.Universe, padded)
-	default:
-		return 8*padded + slack
-	}
-}
-
-// radixEnvelope bounds RadixSort's scratch.  Every round's bucket runs stay
-// on disk until step A, and keys skewed onto more than M equal values ride
-// through every digit round the universe allows.  Round k rewrites at most
-// the padded input plus one partial block per bucket of each node it
-// refines: at most (M/B)^k nodes, each over M keys.  The input and output
-// stripes add a row each, the scatter's memory-load stripes round up by
-// one load, and the per-bucket disk rotations leave the most loaded disk at
-// most (M/B)/2 rows above the mean.
-func radixEnvelope(shape Shape, universe int64, padded int) int {
-	r := radixFanout(shape)
-	env := 2*padded + 2*shape.Stripe() + shape.Mem + r*shape.Stripe()/2
-	nodes := 1
-	for k := 0; k < radixRounds(shape, universe); k++ {
-		env += padded + min(nodes*shape.Mem, padded)
-		nodes = min(nodes*r, padded/shape.Mem+1)
-	}
-	return env
-}
-
-// radixFanout is RadixSort's bucket count M/B (at least 2).
-func radixFanout(shape Shape) int {
-	return max(shape.Mem/shape.B, 2)
-}
-
-// radixRounds is the number of digit rounds the universe allows:
-// ⌈log₂(universe)/log₂(M/B)⌉, zero for a universe of at most one key.
-func radixRounds(shape Shape, universe int64) int {
-	if universe <= 1 {
-		return 0
-	}
-	keyBits := bits.Len64(uint64(universe - 1))
-	digit := bits.Len(uint(radixFanout(shape))) - 1 // log₂(M/B), M/B a power of two
-	return memsort.CeilDiv(keyBits, digit)
+	return alg.Rules().Envelope(shape.Mem, shape.D, padded, w.Universe) + 2*shape.Stripe()
 }
 
 // PermutePlan predicts the payload permutation (internal/records) of n
@@ -327,84 +210,42 @@ func PermutePlan(n, words, mem, b, stripe int) (paddedWords, levels, headerWords
 	return paddedWords, levels, headerWords, 2 * (1 + float64(levels)*(1+float64(headerWords)/float64(words)))
 }
 
-// basePasses returns the closed-form read-pass prediction for alg over a
-// feasible input, including the expected-fallback surcharge for the
-// probabilistic algorithms (failure probability ≤ M^−α, fallback passes on
-// top of the wasted attempt).
-func basePasses(shape Shape, w Workload, alg Alg) float64 {
-	pf := math.Pow(float64(shape.Mem), -shape.Alpha) // ≤ M^−α failure mass
-	switch alg {
-	case OnePass:
-		return 1
-	case Mesh3, LMM3:
-		// ThreePass2's exact count.  ThreePass1 shares its padding and is
-		// priced the same: where its column pass is even both are exactly
-		// 3, and elsewhere it measures no fewer passes than ThreePass2.
-		padded, err := PadFor(shape.Mem, alg, w.N)
-		if err != nil {
-			return math.Inf(1)
-		}
-		read, _ := lmmSteps(shape, padded)
-		return passesOf(read, shape, padded)
-	case Exp2, Mesh2e:
-		return 2 + pf*3
-	case Exp3:
-		return 3 + pf*7
-	case Six, Seven, SevenMesh:
-		// The outer merge's exact count where it has one: the paper's 6 / 7
-		// once l ≥ D, 3·D/l + 3 / + 4 below (outerMergePasses).  Irregular
-		// l/D ratios keep the headline constant, a floor.
-		base, surcharge := 4, 0.0
-		if alg == Six {
-			base, surcharge = 3, pf*7
-		}
-		p := float64(base + 3)
-		if padded, err := PadFor(shape.Mem, alg, w.N); err == nil {
-			if exact, ok := outerMergePasses(padded, shape.Mem, shape.D, base); ok {
-				p = exact
-			}
-		}
-		return p + surcharge
-	case Radix:
-		// Theorem 7.2: (1+ν)·log(N/M)/log(M/B) scatter rounds w.h.p., plus
-		// the final read-sort-write pass; never more rounds than the key
-		// width needs.
-		rounds := 0
-		if w.N > shape.Mem {
-			rounds = int(math.Ceil(math.Log(float64(w.N)/float64(shape.Mem)) / math.Log(float64(radixFanout(shape)))))
-			if rounds < 1 {
-				rounds = 1
-			}
-		}
-		if w.Universe > 1 {
-			rounds = min(rounds, radixRounds(shape, w.Universe))
-		}
-		return float64(rounds) + 1
-	default:
-		return math.Inf(1)
+// basePasses is the read-pass prediction for alg over a feasible input:
+// its row's Passes plus the expected-fallback surcharge M^−α·Fallback.
+func basePasses(shape Shape, w Workload, alg Alg, padded int) float64 {
+	r := alg.Rules()
+	read, _, _ := r.Passes(shape.Mem, shape.D, w.N, padded, w.Universe)
+	return read + math.Pow(float64(shape.Mem), -shape.Alpha)*r.Fallback
+}
+
+// ExactPasses returns the measured-exact read/write pass counts for alg on
+// this shape — the number a non-fallback forced run reports to the last
+// bit — where its row's Passes say exact (core's table states when).
+// Elsewhere callers must treat the row's Passes as a floor.
+func ExactPasses(shape Shape, w Workload, alg Alg) (read, write float64, exact bool) {
+	padded, err := feasible(shape, w, alg)
+	if err != nil {
+		return 0, 0, false
 	}
+	if read, write, exact = alg.Rules().Passes(shape.Mem, shape.D, w.N, padded, w.Universe); exact {
+		return read, write, true
+	}
+	return 0, 0, false
 }
 
 // feasible reports whether alg can run this workload at all, with the
-// padded length when it can.
+// padded length when it can: its row pads the workload and admits it
+// within its capacity.
 func feasible(shape Shape, w Workload, alg Alg) (int, error) {
-	if alg == Radix {
-		if w.Universe <= 0 {
-			return 0, fmt.Errorf("integer keys only (no universe hint)")
-		}
-		if w.payloadWords() > 0 {
-			return 0, fmt.Errorf("record payloads need a comparison sort")
-		}
-		if r := shape.Mem / shape.B; r < 2 || r&(r-1) != 0 {
-			return 0, fmt.Errorf("needs M/B a power of two >= 2, got %d", r)
-		}
-		return PadFor(shape.Mem, alg, w.N)
-	}
 	padded, err := PadFor(shape.Mem, alg, w.N)
 	if err != nil {
 		return 0, err
 	}
-	if limit := Capacity(shape.Mem, shape.Alpha, alg); padded > limit {
+	limit, err := alg.Rules().Capacity(shape.Mem, shape.Alpha, w.Universe, w.payloadWords() > 0)
+	if err != nil {
+		return 0, err
+	}
+	if padded > limit {
 		return 0, fmt.Errorf("padded length %d exceeds the reliable capacity %d", padded, limit)
 	}
 	return padded, nil
@@ -420,7 +261,7 @@ func evaluate(shape Shape, w Workload, cal Calibration, alg Alg) Candidate {
 	}
 	c.Feasible = true
 	c.PaddedN = padded
-	c.ReadPasses = basePasses(shape, w, alg)
+	c.ReadPasses = basePasses(shape, w, alg, padded)
 	c.WritePasses = c.ReadPasses
 
 	stripe := shape.Stripe()

@@ -318,7 +318,8 @@ func TestSuperrunPricedAtExactPasses(t *testing.T) {
 					if alg == Six {
 						want += math.Pow(float64(mem), -shape.Alpha) * 7
 					}
-					if got := basePasses(shape, w, alg); got != want {
+					padded, _ := feasible(shape, w, alg)
+					if got := basePasses(shape, w, alg, padded); got != want {
 						t.Errorf("M=%d D=%d l=%d %s: priced %.3f passes, exact %.3f", mem, d, l, alg, got, want)
 					}
 				}

@@ -651,7 +651,7 @@ func IngestPlan(shape Shape, w Workload, batch int) ScenarioPlan {
 		return p
 	}
 	// The batch sort, priced exactly when its geometry is regular.
-	batchAlg, batchRead, _ := fullSortBaseline(shape, Workload{N: batch, Universe: w.Universe})
+	batchAlg, batchRead, batchPadded := fullSortBaseline(shape, Workload{N: batch, Universe: w.Universe})
 	if batchAlg == "" {
 		p.Reason = fmt.Sprintf("no candidate sorts the %d-key batch", batch)
 		return p
@@ -659,11 +659,6 @@ func IngestPlan(shape Shape, w Workload, batch int) ScenarioPlan {
 	br, bw, exact := ExactPasses(shape, Workload{N: batch, Universe: w.Universe}, batchAlg)
 	if !exact {
 		br, bw = batchRead, batchRead
-	}
-	batchPadded, err := PadFor(shape.Mem, batchAlg, batch)
-	if err != nil {
-		p.Reason = err.Error()
-		return p
 	}
 	padA := padStripe(n, stripe)
 	padB := padStripe(batch, stripe)
@@ -692,10 +687,8 @@ func ingestEnvelope(shape Shape, q ScenarioQuery) int {
 	stripe := shape.Stripe()
 	pad := padStripe(q.N, stripe) + padStripe(q.Batch, stripe)
 	env := 0
-	if alg, _, _ := fullSortBaseline(shape, Workload{N: q.Batch}); alg != "" {
-		if bp, err := PadFor(shape.Mem, alg, q.Batch); err == nil {
-			env = DiskEnvelope(shape, Workload{N: q.Batch}, alg, bp)
-		}
+	if alg, _, bp := fullSortBaseline(shape, Workload{N: q.Batch}); alg != "" {
+		env = DiskEnvelope(shape, Workload{N: q.Batch}, alg, bp)
 	}
 	return 2*pad + env + 2*stripe
 }
