@@ -135,16 +135,21 @@ func (m *Machine) SortRecords(keys []int64, payloads [][]byte, alg Algorithm) (*
 // Ties keep original order, because the packed index makes every sort
 // word distinct.  When the span fits, the shift is 0 and the round is
 // exact; keys already in [0, keyLimit) pack as themselves.  Otherwise only
-// the runs of tied digits need more work (refineTies).
-func (m *Machine) sortKeyIndex(keys []int64, alg Algorithm) ([]int64, *Report, error) {
+// the runs of tied digits need more work (refineTies).  Given at, the
+// ascending original indices of a tie run, it orders only those records,
+// reading their keys through at, so a recursed run costs one word each.
+func (m *Machine) sortKeyIndex(keys []int64, alg Algorithm, at ...int64) ([]int64, *Report, error) {
 	n := len(keys)
+	if at != nil {
+		n = len(at)
+	}
 	pp, err := planPacking(n)
 	if err != nil {
 		return nil, nil, err
 	}
 	lo, hi := ^uint64(0), uint64(0)
-	for _, k := range keys {
-		u := uint64(k) ^ 1<<63
+	for i := range n {
+		u := uint64(keys[atIndex(at, int64(i))]) ^ 1<<63
 		lo, hi = min(lo, u), max(hi, u)
 	}
 	if lo >= 1<<63 && hi-1<<63 < uint64(pp.keyLimit) {
@@ -155,7 +160,7 @@ func (m *Machine) sortKeyIndex(keys []int64, alg Algorithm) ([]int64, *Report, e
 	packed := make([]int64, n)
 	pool.For(n, n, func(_, a, b int) {
 		for i := a; i < b; i++ {
-			packed[i] = int64(((uint64(keys[i])^1<<63)-lo)>>shift)<<pp.idxBits | int64(i)
+			packed[i] = int64(((uint64(keys[atIndex(at, int64(i))])^1<<63)-lo)>>shift)<<pp.idxBits | int64(i)
 		}
 	})
 	rep, err := m.Sort(packed, alg)
@@ -164,30 +169,38 @@ func (m *Machine) sortKeyIndex(keys []int64, alg Algorithm) ([]int64, *Report, e
 	}
 	rep.KeyRounds = 1
 	if shift > 0 {
-		if err := m.refineTies(keys, packed, pp, alg, rep); err != nil {
-			return nil, nil, err
-		}
+		return packed, rep, m.refineTies(keys, at, packed, pp, alg, rep)
 	}
 	pool.For(n, n, func(_, a, b int) {
 		for j := a; j < b; j++ {
-			packed[j] &= pp.idxMask
+			packed[j] = atIndex(at, packed[j]&pp.idxMask)
 		}
 	})
 	return packed, rep, nil
 }
 
+// atIndex is the original index of the record at position i of at, the
+// identity when at is nil.
+func atIndex(at []int64, i int64) int64 {
+	if at == nil {
+		return i
+	}
+	return at[i]
+}
+
 // refineTies finishes a digit round that dropped the low shift bits of the
 // offset key: packed is in (digit, index) order, so every run of equal
-// digits holds its records in original order.  A run whose keys are already nondecreasing is final
-// (equal keys are in index order).  A run of at most M records is stably
-// sorted by key in host memory, uncharged like the packing itself.  A
-// longer run recurses through sortKeyIndex, charged and folded into rep
-// with its passes rescaled to rep's padded length: its key span is below
-// 2^shift, so each level strips at least keyBits more bits and KeyRounds
-// never exceeds packPlan.rounds().  A run's words keep their digit, or lose
-// it to the recursion; sortKeyIndex strips the rest.
-func (m *Machine) refineTies(keys, packed []int64, pp packPlan, alg Algorithm, rep *Report) error {
-	key := func(w int64) int64 { return keys[w&pp.idxMask] }
+// digits holds its records in original order.  Each run's words become
+// the records' original indices (atIndex).  A run whose keys are already
+// nondecreasing is then final (equal keys are in index order).  A run of
+// at most M records is stably sorted by key in host memory, uncharged like
+// the packing itself.  A longer run recurses through sortKeyIndex over its
+// own indices, charged and folded into rep with its passes rescaled to
+// rep's padded length: its key span is below 2^shift, so each level strips
+// at least keyBits more bits and KeyRounds never exceeds
+// packPlan.rounds().
+func (m *Machine) refineTies(keys, at, packed []int64, pp packPlan, alg Algorithm, rep *Report) error {
+	byKey := func(x, y int64) int { return cmp.Compare(keys[x], keys[y]) }
 	for a := 0; a < len(packed); {
 		b, d := a+1, packed[a]>>pp.idxBits
 		for b < len(packed) && packed[b]>>pp.idxBits == d {
@@ -195,27 +208,21 @@ func (m *Machine) refineTies(keys, packed []int64, pp packPlan, alg Algorithm, r
 		}
 		run := packed[a:b]
 		a = b
-		if slices.IsSortedFunc(run, func(x, y int64) int { return cmp.Compare(key(x), key(y)) }) {
+		for j, w := range run {
+			run[j] = atIndex(at, w&pp.idxMask)
+		}
+		if slices.IsSortedFunc(run, byKey) {
 			continue
 		}
 		if len(run) <= m.a.Mem() {
-			slices.SortStableFunc(run, func(x, y int64) int { return cmp.Compare(key(x), key(y)) })
+			slices.SortStableFunc(run, byKey)
 			continue
 		}
-		sub := make([]int64, len(run))
-		for j, w := range run {
-			sub[j] = key(w)
-		}
-		subOrder, subRep, err := m.sortKeyIndex(sub, alg)
+		subOrder, subRep, err := m.sortKeyIndex(keys, alg, run...)
 		if err != nil {
 			return err
 		}
-		for j, w := range run {
-			sub[j] = w & pp.idxMask // sub's keys are dead: it maps back to indices
-		}
-		for j, s := range subOrder {
-			run[j] = sub[s]
-		}
+		copy(run, subOrder)
 		scale := float64(subRep.PaddedN) / float64(rep.PaddedN)
 		rep.Passes += subRep.Passes * scale
 		rep.ReadPasses += subRep.ReadPasses * scale

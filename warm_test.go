@@ -153,13 +153,18 @@ func TestWarmSortAllocationsIgnoreGC(t *testing.T) {
 // That constant covers the key sort's own lists, the report and, per
 // memory load of payload, a partition's stripe handle and stream reader
 // and two chunk-table words: at most the fanout M/B of them on these
-// one-level stores.  Keys span 63 bits, so the digit-tie refinement runs
-// too, in memory.  Each side is the least of five warm sorts, on mem and
-// file disks at M = 4096, for payloads of 8, 24 and 64 bytes and a
-// variable-width set with empty ones.
+// one-level stores.  Uniform keys span 63 bits, so the digit-tie
+// refinement runs too, in memory.  Zipf keys over 2^62 leave tie runs
+// longer than M, which recurse: each key round past the first may add one
+// word per record (its sort words), no more.  Each side is the least of
+// five warm sorts, on mem and file disks at M = 4096, for payloads of 8,
+// 24 and 64 bytes and a variable-width set with empty ones.
 func TestWarmSortRecordsAllocations(t *testing.T) {
 	const mem, n, constant = 4096, 4 * 4096, 64 << 10
-	keys0 := workload.Uniform(n, -1<<61, 1<<61, 5)
+	keySets := map[string][]int64{
+		"uniform": workload.Uniform(n, -1<<61, 1<<61, 5),
+		"zipf":    workload.Zipf(n, 1.1, 1<<62, 5),
+	}
 	widths := map[string]func(i int) int{
 		"8B":    func(int) int { return 8 },
 		"24B":   func(int) int { return 24 },
@@ -175,39 +180,42 @@ func TestWarmSortRecordsAllocations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, width := range widths {
-			var blob []byte
-			payloads0 := make([][]byte, n)
-			for i := range payloads0 {
-				w := width(i)
-				blob = append(blob, make([]byte, w)...)
-				payloads0[i] = blob[len(blob)-w : len(blob) : len(blob)]
-			}
-			keys, payloads := make([]int64, n), make([][]byte, n)
-			var rep *Report
-			sort := func() uint64 {
-				copy(keys, keys0)
-				copy(payloads, payloads0)
-				var before, after runtime.MemStats
-				runtime.ReadMemStats(&before)
-				rep, err = m.SortRecords(keys, payloads, ThreePassLMM)
-				runtime.ReadMemStats(&after)
-				if err != nil {
-					t.Fatalf("%s disks, %s payloads: %v", disks, name, err)
+		for ks, keys0 := range keySets {
+			for wn, width := range widths {
+				name := ks + " keys, " + wn
+				var blob []byte
+				payloads0 := make([][]byte, n)
+				for i := range payloads0 {
+					w := width(i)
+					blob = append(blob, make([]byte, w)...)
+					payloads0[i] = blob[len(blob)-w : len(blob) : len(blob)]
 				}
-				return after.TotalAlloc - before.TotalAlloc
-			}
-			sort() // warm the arena, the disks and the free lists
-			least := sort()
-			for range 4 {
-				least = min(least, sort())
-			}
-			image := 8 * uint64(memsort.CeilDiv(rep.PayloadWords, m.Array().B())*m.Array().B())
-			bound := image + 16*n + constant
-			t.Logf("%s disks, %s payloads: %d B = image %d + %.1f B per record", disks, name, least, image, float64(int64(least)-int64(image))/n)
-			if least > bound {
-				t.Errorf("%s disks, %s payloads: a warm SortRecords allocates %d B, over the image %d + 16 B per record + %d",
-					disks, name, least, image, constant)
+				keys, payloads := make([]int64, n), make([][]byte, n)
+				var rep *Report
+				sort := func() uint64 {
+					copy(keys, keys0)
+					copy(payloads, payloads0)
+					var before, after runtime.MemStats
+					runtime.ReadMemStats(&before)
+					rep, err = m.SortRecords(keys, payloads, ThreePassLMM)
+					runtime.ReadMemStats(&after)
+					if err != nil {
+						t.Fatalf("%s disks, %s payloads: %v", disks, name, err)
+					}
+					return after.TotalAlloc - before.TotalAlloc
+				}
+				sort() // warm the arena, the disks and the free lists
+				least := sort()
+				for range 4 {
+					least = min(least, sort())
+				}
+				image := 8 * uint64(memsort.CeilDiv(rep.PayloadWords, m.Array().B())*m.Array().B())
+				bound := image + 8*uint64((1+rep.KeyRounds)*n) + constant
+				t.Logf("%s disks, %s payloads: %d B = image %d + %.1f B per record", disks, name, least, image, float64(int64(least)-int64(image))/n)
+				if least > bound {
+					t.Errorf("%s disks, %s payloads: a warm SortRecords allocates %d B, over the image %d + %d words per record + %d",
+						disks, name, least, image, 1+rep.KeyRounds, constant)
+				}
 			}
 		}
 		m.Close()
