@@ -156,8 +156,7 @@ func (g geometry) accept(alg Alg, n int, pad func(mem, n int) (int, error)) erro
 	return nil
 }
 
-// anyKeys is a comparison sort's Capacity: any int64 keys, with or without
-// payloads, up to limit(M, α).
+// anyKeys is a comparison sort's Capacity: any keys and payloads, to limit.
 func anyKeys(limit func(mem int, alpha float64) int) func(int, float64, int64, bool) (int, error) {
 	return func(mem int, alpha float64, _ int64, _ bool) (int, error) { return limit(mem, alpha), nil }
 }
@@ -165,26 +164,21 @@ func anyKeys(limit func(mem int, alpha float64) int) func(int, float64, int64, b
 // expectedPasses is the Passes of an expected algorithm: k without a
 // fallback, exact while D < √M.
 func expectedPasses(k float64) func(mem, d, n, padded int, universe int64) (float64, float64, bool) {
-	return func(mem, d, _, _ int, _ int64) (float64, float64, bool) {
-		return k, k, d < memsort.Isqrt(mem)
-	}
+	return func(mem, d, _, _ int, _ int64) (float64, float64, bool) { return k, k, d < memsort.Isqrt(mem) }
 }
 
-// passesOf converts steps to passes over padded keys exactly as the
-// measured report does (pdm.Stats.ReadPasses), so equal steps compare equal.
+// passesOf converts steps to passes over padded keys as pdm.Stats does.
 func passesOf(steps, mem, d, padded int) float64 {
 	return float64(steps) * float64(d*memsort.Isqrt(mem)) / float64(padded)
 }
 
-// largestDivisor returns the largest divisor l of √M that passes ok, 1 when
-// none does.
+// largestDivisor returns the largest divisor l of √M that passes ok, or 1.
 func largestDivisor(mem int, ok func(l int) bool) int {
 	sq := memsort.Isqrt(mem)
-	best := 1
-	for l := 1; l <= sq; l++ {
+	for l := sq; l > 1; l-- {
 		if sq%l == 0 && ok(l) {
-			best = l
+			return l
 		}
 	}
-	return best
+	return 1
 }

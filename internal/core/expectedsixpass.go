@@ -22,7 +22,7 @@ func ExpectedSixPassCapacity(m int, alpha float64) int {
 // flagged FellBack; the merge phases are unconditional and exact.
 //
 // N must equal l²·M with l dividing √M.  The reliable-regime capacity is
-// bounded by both ExpectedSixPassCapacity and the ExpectedTwoPassRuns
+// bounded by both ExpectedSixPassCapacity and the expectedTwoPassRuns
 // window for the segment length l·M.
 func ExpectedSixPass(a *pdm.Array, in *pdm.Stripe) (*Result, error) {
 	start := a.Stats()

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 
+	"repro/internal/memsort"
 	"repro/internal/pdm"
 )
 
@@ -35,10 +36,10 @@ func ExpectedThreePass(a *pdm.Array, in *pdm.Stripe) (*Result, error) {
 		return nil, err
 	}
 	n := in.Len()
-	l, err := superrunCount(g, n, AlgExp3)
-	if err != nil {
+	if err := g.accept(AlgExp3, n, exp3Rules.Pad); err != nil {
 		return nil, err
 	}
+	l := memsort.Isqrt(n / g.m)
 	start := a.Stats()
 	segLen := l * g.m
 

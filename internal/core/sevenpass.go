@@ -35,15 +35,6 @@ func SevenPass(a *pdm.Array, in *pdm.Stripe) (*Result, error) {
 	return Finish(a, out, in.Len(), start, false), nil
 }
 
-// superrunCount returns l for the superrun algorithms' input shape
-// N = l²·M with l dividing √M (their pad rule).
-func superrunCount(g geometry, n int, alg Alg) (int, error) {
-	if err := g.accept(alg, n, padRule(alg, true, true)); err != nil {
-		return 0, err
-	}
-	return memsort.Isqrt(n / g.m), nil
-}
-
 // sevenRules: N = l²·M with l dividing √M, in 4 passes plus the outer
 // merge's.
 var sevenRules = Rules{
@@ -92,10 +83,10 @@ func superrunMerge(a *pdm.Array, in *pdm.Stripe, alg Alg, sortRange func(off, n 
 		return nil, false, err
 	}
 	n := in.Len()
-	l, err := superrunCount(g, n, alg)
-	if err != nil {
+	if err := g.accept(alg, n, padRule(alg, true, true)); err != nil {
 		return nil, false, err
 	}
+	l := memsort.Isqrt(n / g.m) // N = l²·M with l dividing √M
 	subseqs, err := makeSubseqStripes(a, l)
 	if err != nil {
 		return nil, false, err

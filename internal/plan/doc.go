@@ -7,14 +7,18 @@
 //
 //   - the padded input length its geometry forces (the silent cost the old
 //     capacity-threshold planner ignored),
-//   - read/write passes seeded from the paper's closed forms (§3–§7), with
-//     an expected-fallback surcharge of M^−α·(fallback passes) for the
-//     probabilistic algorithms,
+//   - read/write passes from the paper's closed forms (§3–§7), exact where
+//     the row says so, with an expected-fallback surcharge of
+//     M^−α·(fallback passes) for the probabilistic algorithms,
 //   - I/O words and parallel steps, including the payload permutation's
 //     distribution levels for full-record sorts (internal/records),
 //   - and wall time, by pricing steps and compute with a Calibration — a
 //     one-shot micro-probe (tiny stripe transfers and an in-memory sort on
 //     the real backend) cached per machine shape.
+//
+// Each algorithm's pad rule, capacity, passes and disk envelope are its
+// row of core's algorithm table (core.Rules), declared beside its run
+// function; this package reads the rows and adds the costing around them.
 //
 // Explain gives one answer.  Its rows come in the order Auto chooses:
 // feasible first, then by the seconds the fixed analytic default

@@ -356,9 +356,9 @@ func (m *Machine) sortPadded(keys []int64, padded int, sentinel int64, alg Algor
 
 // padForSize returns the smallest on-disk length ≥ n satisfying alg's
 // geometry on an M-key machine, shared with the scheduler's submit-time
-// disk-envelope sizing.  The geometry rules live in the planner
-// (internal/plan), which predicts cost from the same padded lengths the
-// sort will actually use.
+// disk-envelope sizing.  The geometry rule is the algorithm's row in
+// core's table, which the planner prices and the run function enforces,
+// so cost is predicted from the padded lengths the sort will use.
 func padForSize(mem int, alg Algorithm, n int) (int, error) {
 	padded, err := plan.PadFor(mem, alg, n)
 	if err != nil {
