@@ -23,7 +23,7 @@ type batteryInput struct {
 // MaxInt64 sentinels.  "full-range" holds MinInt64 and MaxInt64 − 1 (the
 // largest key the facade accepts) beside uniform 64-bit keys, so with its
 // padding a load's span is the whole word and wraps RadixBlocks' int64
-// difference.
+// difference.  "empty" pads no keys to one run of sentinels.
 var batteryInputs = []batteryInput{
 	{"sorted", func(mem int) []int64 { return workload.Sorted(8 * mem) }},
 	{"reversed", func(mem int) []int64 { return workload.ReverseSorted(8 * mem) }},
@@ -46,6 +46,7 @@ var batteryInputs = []batteryInput{
 		return keys
 	}},
 	{"uniform-padded", func(mem int) []int64 { return workload.Uniform(8*mem-257, -1<<40, 1<<40, 11) }},
+	{"empty", func(int) []int64 { return []int64{} }},
 }
 
 // TestFacadeInputBattery sorts every batteryInputs shape through the

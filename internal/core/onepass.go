@@ -59,7 +59,7 @@ var oneRules = Rules{
 			return 0, fmt.Errorf("%d keys exceed the one-pass capacity M = %d", n, mem)
 		}
 		sq := memsort.Isqrt(mem)
-		return memsort.CeilDiv(n, sq) * sq, nil
+		return memsort.CeilDiv(max(n, 1), sq) * sq, nil
 	},
 	Capacity: anyKeys(func(mem int, _ float64) int { return mem }),
 	Passes: func(mem, d, _, padded int, _ int64) (float64, float64, bool) {
