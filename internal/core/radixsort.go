@@ -184,7 +184,7 @@ var radixRules = Rules{
 		if sq < 2 || sq&(sq-1) != 0 {
 			return 0, fmt.Errorf("needs M/B a power of two >= 2, got %d", sq)
 		}
-		return memsort.CeilDiv(n, sq) * sq, nil
+		return memsort.CeilDiv(max(n, 1), sq) * sq, nil
 	},
 	Capacity: func(mem int, _ float64, universe int64, payloads bool) (int, error) {
 		switch {

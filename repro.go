@@ -305,9 +305,11 @@ func (m *Machine) Sort(keys []int64, alg Algorithm) (*Report, error) {
 // SortInts sorts nonnegative integer keys below universe with the paper's
 // Section 7 RadixSort (O(1) passes for any input size).
 func (m *Machine) SortInts(keys []int64, universe int64) (*Report, error) {
-	// Pad with universe-1 sentinels (largest value) to a block multiple.
-	b := m.a.B()
-	padded := memsort.CeilDiv(len(keys), b) * b
+	// Pad with universe-1 sentinels (largest value) by RadixSort's rule.
+	padded, err := padForSize(m.a.Mem(), core.AlgRadix, len(keys))
+	if err != nil {
+		return nil, err
+	}
 	check := func() error {
 		for _, k := range keys {
 			if k < 0 || k >= universe {

@@ -150,6 +150,9 @@ func TestSortInts(t *testing.T) {
 	if _, err := m.SortInts([]int64{10}, 10); err == nil {
 		t.Fatal("key = universe accepted")
 	}
+	if _, err := m.SortInts([]int64{}, 10); err != nil {
+		t.Fatalf("empty input: %v", err)
+	}
 }
 
 func TestFileBackedMachine(t *testing.T) {
