@@ -539,6 +539,7 @@ func TestInputFileLifecycle(t *testing.T) {
 	if got := journalFiles(t, jdir); len(got) != 2 {
 		t.Fatalf("input files after two good submits and a failed one: %v", got)
 	}
+	<-ckpt // the runner holds the memory, so the second job stays queued
 	if st := s.Stats(); st.JournalInputBytes != int64(1+len(payload)) || st.Queued != 1 {
 		t.Fatalf("stats: %+v", st)
 	}
