@@ -129,3 +129,36 @@ func TestPlanExactnessProperty(t *testing.T) {
 	}
 	t.Logf("%d exact runs %v, %d floor runs", len(exactRuns), exactRuns, floorRuns)
 }
+
+// TestMesh3PricedAtLMM3Floor backs the planner's pricing of ThreePass1 at
+// ThreePass2's exact count: at run counts l = N/M that divide neither D
+// nor √M, forced ThreePass1 never measures fewer passes than that price,
+// so the tie that keeps lmm3 ahead of mesh3 never hides a cheaper mesh3.
+func TestMesh3PricedAtLMM3Floor(t *testing.T) {
+	for _, sc := range []struct{ mem, d int }{{256, 4}, {1024, 8}, {4096, 16}} {
+		shape := planShape(sc.mem, sc.d, 1)
+		for _, l := range []int{3, 5, 9, 13} {
+			if l*l > sc.mem {
+				continue
+			}
+			n := l * sc.mem
+			rep, err := plan.Explain(shape, plan.Workload{N: n}, plan.DefaultCalibration(shape))
+			if err != nil {
+				t.Fatal(err)
+			}
+			price := rep.Candidate(ThreePassMesh).ReadPasses
+			m, err := NewMachine(MachineConfig{Memory: sc.mem, Disks: sc.d})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := m.Sort(workload.Uniform(n, -1<<40, 1<<40, int64(l)), ThreePassMesh)
+			m.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Passes < price {
+				t.Errorf("mem=%d d=%d l=%d: mesh3 measured %.6f passes, priced %.6f", sc.mem, sc.d, l, got.Passes, price)
+			}
+		}
+	}
+}
