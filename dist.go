@@ -20,9 +20,11 @@ type DistShardReport = dist.ShardReport
 
 // DistSorter executes sort jobs across a fleet of pdmd workers: Sort runs
 // one distributed key sort, SortRecords one distributed full-record sort.
-// The output of either is bit-identical to its single-machine counterpart
-// (Machine.Sort, Machine.SortRecords, stable among equal keys) for any
-// worker count; see internal/dist for the determinism and failure
+// Like Machine.Sort and Machine.SortRecords, both sort the caller's slices
+// in place and leave them untouched on an error; the result is
+// bit-identical to theirs (stable among equal keys) for any worker count.
+// Between jobs the sorter keeps one partition buffer for each job it ran
+// at the same time; see internal/dist for the determinism and failure
 // contracts.
 type DistSorter = dist.Coordinator
 

@@ -9,12 +9,16 @@ import (
 	"os"
 	"runtime"
 	"slices"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro"
 	"repro/internal/pdmdapi"
 	"repro/internal/plan"
+	"repro/internal/wire"
 )
 
 // distFleet spins n in-process pdmd workers: each is a real scheduler
@@ -241,6 +245,134 @@ func clonePayloads(p [][]byte) [][]byte {
 	return out
 }
 
+// TestDistSortRecordsUntouchedOnError: a worker that answers one result
+// page of a records sort short fails the job, and the caller's keys and
+// payloads are exactly as they were — the result moves into them only once
+// every page has arrived.  The next sorts on the same coordinator, of
+// records and of keys, are correct.
+func TestDistSortRecordsUntouchedOnError(t *testing.T) {
+	const n = 7000
+	keys := distWorkload(t, "zipf", n, 17)
+	payloads := (&repro.PayloadSpec{MinBytes: 1, MaxBytes: 16}).Materialize(n, 17)
+	for i := range payloads {
+		payloads[i] = append(payloads[i], byte(i), byte(i>>8))
+	}
+	m, err := repro.NewMachine(repro.MachineConfig{Memory: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantKeys, wantPayloads := slices.Clone(keys), clonePayloads(payloads)
+	if _, err := m.SortRecords(wantKeys, wantPayloads, repro.Auto); err != nil {
+		t.Fatal(err)
+	}
+
+	var tampered atomic.Bool
+	urls := wrappedFleet(t, 2, func(i int, h http.Handler) http.Handler {
+		if i == 0 {
+			return tamperPages(h, "records", func(pg *wire.Page) {
+				if len(pg.Keys) > 0 && tampered.CompareAndSwap(false, true) {
+					pg.Keys, pg.Payloads = pg.Keys[1:], pg.Payloads[1:]
+				}
+			})
+		}
+		return h
+	})
+	ds, err := repro.NewDistSorter(repro.DistConfig{Workers: urls, PageKeys: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inKeys, inPayloads := slices.Clone(keys), clonePayloads(payloads)
+	views := slices.Clone(inPayloads)
+	if _, _, _, err := ds.SortRecords(context.Background(), inKeys, inPayloads); err == nil || !strings.Contains(err.Error(), "result page: asked for") {
+		t.Fatalf("SortRecords with a short result page returned %v, want the short page named", err)
+	}
+	if !slices.Equal(inKeys, keys) {
+		t.Fatal("a failed SortRecords changed the caller's keys")
+	}
+	for i := range inPayloads {
+		if !bytes.Equal(inPayloads[i], payloads[i]) || &inPayloads[i][0] != &views[i][0] {
+			t.Fatalf("a failed SortRecords changed the caller's payload %d", i)
+		}
+	}
+
+	gotKeys, gotPayloads, _, err := ds.SortRecords(context.Background(), inKeys, inPayloads)
+	if err != nil || !slices.Equal(gotKeys, wantKeys) {
+		t.Fatalf("SortRecords after the failure: keys differ from single-machine SortRecords (err %v)", err)
+	}
+	for i := range gotPayloads {
+		if !bytes.Equal(gotPayloads[i], wantPayloads[i]) {
+			t.Fatalf("SortRecords after the failure: payload %d differs", i)
+		}
+	}
+	want := slices.Clone(keys)
+	slices.Sort(want)
+	if got, _, err := ds.Sort(context.Background(), slices.Clone(keys)); err != nil || !slices.Equal(got, want) {
+		t.Fatalf("Sort after the failure differs from slices.Sort (err %v)", err)
+	}
+}
+
+// TestDistConcurrentSorts runs key sorts of three sizes and one records
+// sort at once on one coordinator, for three rounds, so later rounds
+// borrow partition buffers earlier ones handed back, longer or shorter
+// than the job.  Each result must equal its own slices.Sort (the records
+// sort's, single-machine SortRecords), which it could not if the free list
+// lent one buffer to two jobs at once.
+func TestDistConcurrentSorts(t *testing.T) {
+	f := startFleet(t, 2, smallSched())
+	ds, err := repro.NewDistSorter(repro.DistConfig{Workers: f.urls, PageKeys: 1 << 10, Label: "concurrent"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := []int{2500, 6000, 11000}
+	inputs, wants := make([][]int64, len(sizes)), make([][]int64, len(sizes))
+	for i, n := range sizes {
+		inputs[i] = distWorkload(t, "zipf", n, int64(31+i))
+		wants[i] = slices.Clone(inputs[i])
+		slices.Sort(wants[i])
+	}
+	const rn = 4000
+	recKeys := distWorkload(t, "uniform", rn, 37)
+	recPayloads := (&repro.PayloadSpec{MinBytes: 0, MaxBytes: 8}).Materialize(rn, 37)
+	m, err := repro.NewMachine(repro.MachineConfig{Memory: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRecKeys, wantRecPayloads := slices.Clone(recKeys), clonePayloads(recPayloads)
+	if _, err := m.SortRecords(wantRecKeys, wantRecPayloads, repro.Auto); err != nil {
+		t.Fatal(err)
+	}
+
+	for round := range 3 {
+		var wg sync.WaitGroup
+		for i := range sizes {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got, _, err := ds.Sort(context.Background(), slices.Clone(inputs[i]))
+				if err != nil || !slices.Equal(got, wants[i]) {
+					t.Errorf("round %d: Sort of %d keys differs from slices.Sort (err %v)", round, sizes[i], err)
+				}
+			}()
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			gotKeys, gotPayloads, _, err := ds.SortRecords(context.Background(), slices.Clone(recKeys), clonePayloads(recPayloads))
+			if err != nil || !slices.Equal(gotKeys, wantRecKeys) {
+				t.Errorf("round %d: SortRecords keys differ from single-machine SortRecords (err %v)", round, err)
+				return
+			}
+			for j := range gotPayloads {
+				if !bytes.Equal(gotPayloads[j], wantRecPayloads[j]) {
+					t.Errorf("round %d: SortRecords payload %d differs", round, j)
+					return
+				}
+			}
+		}()
+		wg.Wait()
+	}
+}
+
 // TestDistCancellation cancels the caller's context mid-job and checks the
 // fan-out: the coordinator returns promptly with the context error and
 // every shard job on every worker reaches a terminal state, with worker
@@ -314,6 +446,7 @@ func TestDistPartialWorkerFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	keys := distWorkload(t, "perm", 48000, 5)
+	orig := slices.Clone(keys)
 
 	done := make(chan error, 1)
 	go func() {
@@ -339,6 +472,9 @@ func TestDistPartialWorkerFailure(t *testing.T) {
 	}
 	if sortErr == nil {
 		t.Fatal("distributed job succeeded with a dead worker")
+	}
+	if !slices.Equal(keys, orig) {
+		t.Fatal("a failed distributed sort changed its input")
 	}
 
 	// Survivors' jobs were canceled and their budgets drained.

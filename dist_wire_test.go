@@ -122,11 +122,11 @@ func TestDistOldWorkerInterop(t *testing.T) {
 	}
 }
 
-// tamperKeys rewrites every binary /keys answer of one worker through
-// edit, re-encoding whatever page it leaves.
-func tamperKeys(h http.Handler, edit func(*wire.Page)) http.Handler {
+// tamperPages rewrites every binary answer of one worker's endpoint
+// ("keys" or "records") through edit, re-encoding whatever page it leaves.
+func tamperPages(h http.Handler, endpoint string, edit func(*wire.Page)) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !strings.HasSuffix(r.URL.Path, "/keys") {
+		if !strings.HasSuffix(r.URL.Path, "/"+endpoint) {
 			h.ServeHTTP(w, r)
 			return
 		}
@@ -166,7 +166,7 @@ func TestDistDownloadAsserts(t *testing.T) {
 		var cancels atomic.Int64
 		urls := wrappedFleet(t, 2, func(i int, h http.Handler) http.Handler {
 			if i == 1 {
-				return tamperKeys(h, tc.edit)
+				return tamperPages(h, "keys", tc.edit)
 			}
 			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				if strings.HasSuffix(r.URL.Path, "/cancel") {

@@ -270,6 +270,12 @@ func (c *client) cancel(ctx context.Context, jobID int) error {
 	return c.do(ctx, http.MethodPost, fmt.Sprintf("/jobs/%d/cancel", jobID), nil, nil)
 }
 
+// dropResult asks the worker to drop the output a job kept; its status
+// stays.
+func (c *client) dropResult(ctx context.Context, jobID int) error {
+	return c.do(ctx, http.MethodDelete, fmt.Sprintf("/jobs/%d/result", jobID), nil, nil)
+}
+
 // page fetches one window of a job's sorted output from endpoint ("keys"
 // or "records"), asking for the binary body and taking whichever encoding
 // the worker answers in.  A binary page's keys decode straight into dst.

@@ -62,6 +62,46 @@ type Coordinator struct {
 	clients []*client
 	sem     chan struct{} // bounds in-flight page uploads and downloads
 	seq     atomic.Int64  // distinguishes this coordinator's upload ids
+	bufs    bufList       // partition buffers between jobs
+}
+
+// partBuf is one job's partition buffer: the keys in shard order and, on a
+// records job, their payloads beside them.  Upload bodies view it and the
+// sorted shards decode back into it.  Each field keeps the length it was
+// made with (fit replaces a field whole and never shortens it), so put
+// clears all of pay.
+type partBuf struct {
+	keys []int64
+	pay  [][]byte
+}
+
+// bufList holds the partition buffers successful jobs handed back.  Like
+// stream's free lists, and unlike a sync.Pool, a collection does not empty
+// it, so a warm job makes no buffer; it never holds more buffers than
+// were out at once, and it lends each to one job at a time.
+type bufList struct {
+	sync.Mutex
+	free []*partBuf
+}
+
+func (l *bufList) take() *partBuf {
+	l.Lock()
+	defer l.Unlock()
+	n := len(l.free)
+	if n == 0 {
+		return new(partBuf)
+	}
+	b := l.free[n-1]
+	l.free = l.free[:n-1]
+	return b
+}
+
+// put hands b back, its payload views cleared so it pins no caller's bytes.
+func (l *bufList) put(b *partBuf) {
+	clear(b.pay)
+	l.Lock()
+	l.free = append(l.free, b)
+	l.Unlock()
 }
 
 // New validates the config and builds a coordinator.
@@ -135,18 +175,20 @@ type PhaseSeconds struct {
 	Download  float64 `json:"download"`
 }
 
-// Sort runs one distributed key sort: sample, range-partition to the
-// workers, per-node sorts, and a positional download of the sorted shards.
-// The output is exactly the sorted input — bit-identical to a
-// single-machine sort — for any worker count.
+// Sort runs one distributed key sort in place: sample, range-partition to
+// the workers, per-node sorts, and a positional download of the sorted
+// shards.  keys ends up exactly the sorted input — bit-identical to a
+// single-machine sort — for any worker count, and is returned; on an error
+// it is left untouched.
 func (c *Coordinator) Sort(ctx context.Context, keys []int64) ([]int64, *Report, error) {
 	out, _, rep, err := c.run(ctx, keys, nil)
 	return out, rep, err
 }
 
 // SortRecords is Sort for full records: payloads ride with their keys, and
-// the output (keys and payload order among equal keys) is bit-identical to
-// the single-machine stable records sort.
+// both slices are sorted in place — keys, and payload order among equal
+// keys, bit-identical to the single-machine stable records sort — or left
+// untouched on an error.
 func (c *Coordinator) SortRecords(ctx context.Context, keys []int64, payloads [][]byte) ([]int64, [][]byte, *Report, error) {
 	if len(payloads) != len(keys) {
 		return nil, nil, nil, fmt.Errorf("dist: %d payloads for %d keys", len(payloads), len(keys))
@@ -163,10 +205,7 @@ func (c *Coordinator) run(ctx context.Context, keys []int64, payloads [][]byte) 
 	w := len(c.clients)
 	rep := &Report{N: n, Workers: w}
 	if n == 0 {
-		if payloads != nil {
-			return []int64{}, [][]byte{}, rep, nil
-		}
-		return []int64{}, nil, rep, nil
+		return keys, payloads, rep, nil
 	}
 
 	// Probe the fleet before moving any data: a worker that is down now
@@ -176,7 +215,10 @@ func (c *Coordinator) run(ctx context.Context, keys []int64, payloads [][]byte) 
 	}
 
 	// Choose splitters from a deterministic sample and scatter every
-	// record into its shard's buffer.
+	// record into its shard's range of a borrowed partition buffer.  The
+	// buffer goes back to the free list only after a successful run: on a
+	// failure, upload bodies viewing it may still be open, so it is left
+	// to the collector.
 	mark, ph := start, &rep.PhaseSeconds
 	lap := func(phase *float64) {
 		now := time.Now()
@@ -184,7 +226,8 @@ func (c *Coordinator) run(ctx context.Context, keys []int64, payloads [][]byte) 
 	}
 	rep.Splitters, rep.SampleSize = c.splitters(keys, w)
 	lap(&ph.Sample)
-	part, partPay, starts := partition(keys, payloads, rep.Splitters)
+	buf := c.bufs.take()
+	part, partPay, starts := partition(buf, keys, payloads, rep.Splitters)
 	lap(&ph.Partition)
 
 	// Upload and sort every non-empty shard concurrently; empty shards
@@ -208,7 +251,7 @@ func (c *Coordinator) run(ctx context.Context, keys []int64, payloads [][]byte) 
 		// One shard failed: cancel every job the others started so no
 		// worker keeps sorting for a dead distributed job, then report
 		// the first failure.
-		c.cancelAll(statuses)
+		c.release(statuses, true)
 		if ctx.Err() != nil {
 			err = fmt.Errorf("dist: %w", ctx.Err())
 		}
@@ -225,9 +268,19 @@ func (c *Coordinator) run(ctx context.Context, keys []int64, payloads [][]byte) 
 		err = c.download(ctx, statuses, starts, part, partPay)
 	}
 	if err != nil {
-		c.cancelAll(statuses)
+		c.release(statuses, true)
 		return nil, nil, nil, err
 	}
+
+	// Every page arrived and the shard boundaries hold: the workers may
+	// drop their copies, and one copy moves the result into the caller's
+	// slices.
+	c.release(statuses, false)
+	copy(keys, part)
+	if payloads != nil {
+		copy(payloads, partPay)
+	}
+	c.bufs.put(buf)
 
 	for i, st := range statuses {
 		if st.ID == 0 {
@@ -246,7 +299,7 @@ func (c *Coordinator) run(ctx context.Context, keys []int64, payloads [][]byte) 
 	rep.Passes /= float64(n)
 	lap(&ph.Download)
 	rep.ElapsedSeconds = mark.Sub(start).Seconds()
-	return part, partPay, rep, nil
+	return keys, payloads, rep, nil
 }
 
 // waitClosed waits until every body open counts is closed, or ctx is done.
@@ -265,12 +318,13 @@ func waitClosed(ctx context.Context, open *sync.WaitGroup) error {
 }
 
 // partition scatters keys (and their payloads; partPay is nil without
-// them) into shard order: shard s is part[starts[s]:starts[s+1]], sized by
-// a counting pass, in input order within the shard; ties never straddle
-// shards (records.RangeShard).  Both passes look each key's shard up
-// afresh: the branch-free lookup inlines, and costs less than storing its
-// answer for the scatter.
-func partition(keys []int64, payloads [][]byte, splitters []int64) (part []int64, partPay [][]byte, starts []int) {
+// them) into shard order in dst, whose buffers it replaces when they are
+// shorter than the job: part is dst.keys[:len(keys)], and shard s is
+// part[starts[s]:starts[s+1]], sized by a counting pass, in input order
+// within the shard; ties never straddle shards (records.RangeShard).  Both
+// passes look each key's shard up afresh: the branch-free lookup inlines,
+// and costs less than storing its answer for the scatter.
+func partition(dst *partBuf, keys []int64, payloads [][]byte, splitters []int64) (part []int64, partPay [][]byte, starts []int) {
 	starts = make([]int, len(splitters)+2)
 	for _, k := range keys {
 		starts[records.RangeShard(k, splitters)+1]++
@@ -278,9 +332,9 @@ func partition(keys []int64, payloads [][]byte, splitters []int64) (part []int64
 	for s := 1; s < len(starts); s++ {
 		starts[s] += starts[s-1]
 	}
-	part, next := make([]int64, len(keys)), slices.Clone(starts)
+	part, next := fit(&dst.keys, len(keys)), slices.Clone(starts)
 	if payloads != nil {
-		partPay = make([][]byte, len(payloads))
+		partPay = fit(&dst.pay, len(payloads))
 	}
 	for i, k := range keys {
 		s := records.RangeShard(k, splitters)
@@ -291,6 +345,15 @@ func partition(keys []int64, payloads [][]byte, splitters []int64) (part []int64
 		next[s]++
 	}
 	return part, partPay, starts
+}
+
+// fit returns (*buf)[:n], first replacing *buf with a new buffer of n
+// when it is shorter; the old contents are not kept.
+func fit[T any](buf *[]T, n int) []T {
+	if len(*buf) < n {
+		*buf = make([]T, n)
+	}
+	return (*buf)[:n]
 }
 
 // window is payloads[lo:hi], or nil on a keys-only job (no payloads at all).
@@ -373,7 +436,7 @@ func (c *Coordinator) runShard(ctx context.Context, worker int, jobSeq int64, ke
 	}
 	done, err := c.await(ctx, cl, st.ID)
 	if err == nil {
-		*st = done // a failed poll must not erase the id cancelAll needs
+		*st = done // a failed poll must not erase the id release needs
 	}
 	return time.Since(committed), err
 }
@@ -468,17 +531,25 @@ func (c *Coordinator) await(ctx context.Context, cl *client, jobID int) (wire.Jo
 	}
 }
 
-// cancelAll fans a cancel out to every job the run started, on a fresh
-// short-deadline context so cancellation still lands when the job context
+// release ends every job the run started on its worker: a failed run
+// first cancels them, so no worker keeps sorting for a dead distributed
+// job, and then every job's kept result is dropped (its status stays), so
+// no worker holds a shard the coordinator has done with.  It runs on a
+// fresh short-deadline context, so it still lands when the job context
 // itself is what died.  Best-effort and concurrent: a worker that is gone
-// cannot be canceled, and that is fine — its scheduler dies with it.
-func (c *Coordinator) cancelAll(statuses []wire.JobStatus) {
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
+// cannot be reached, and that is fine — its scheduler dies with it.
+func (c *Coordinator) release(statuses []wire.JobStatus, cancel bool) {
+	ctx, stop := context.WithTimeout(context.Background(), 5*time.Second)
+	defer stop()
 	c.fan(ctx, len(statuses), false, func(ctx context.Context, i int) error { //nolint:errcheck // best-effort
-		if statuses[i].ID != 0 {
-			c.clients[i].cancel(ctx, statuses[i].ID) //nolint:errcheck // best-effort
+		cl, id := c.clients[i], statuses[i].ID
+		if id == 0 {
+			return nil
 		}
+		if cancel {
+			cl.cancel(ctx, id) //nolint:errcheck // best-effort
+		}
+		cl.dropResult(ctx, id) //nolint:errcheck // best-effort
 		return nil
 	})
 }

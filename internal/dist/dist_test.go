@@ -255,7 +255,7 @@ func TestPartitionMatchesReference(t *testing.T) {
 				payloads[i] = []byte{byte(i >> 8), byte(i)}
 			}
 			name := fmt.Sprintf("%s/splitters=%d", shape, nsplit)
-			part, partPay, starts := partition(keys, payloads, splitters)
+			part, partPay, starts := partition(new(partBuf), keys, payloads, splitters)
 			wantPart, wantPay, wantStarts := referencePartition(keys, payloads, splitters)
 			if !slices.Equal(part, wantPart) || !slices.Equal(starts, wantStarts) {
 				t.Fatalf("%s: partition differs from the reference", name)
@@ -275,7 +275,9 @@ func TestPartitionMatchesReference(t *testing.T) {
 // are exact; equal keys share a shard; and per-shard sorts concatenate to
 // the global sort.  Inputs are random, with heavy duplicates and keys equal
 // to splitters, at every splitter count 0–17 (duplicate splitters make
-// empty shards), with and without payloads.
+// empty shards), with and without payloads, into a fresh destination and
+// into one left longer than the job and dirty by an earlier one, as a
+// borrowed buffer is.
 func TestPartition(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for nsplit := 0; nsplit <= 17; nsplit++ {
@@ -292,12 +294,20 @@ func TestPartition(t *testing.T) {
 			}
 			slices.Sort(splitters)
 			name := fmt.Sprintf("splitters %v", splitters)
-			checkPartition(t, name, keys, payloads, splitters)
-			keysOnly, pp, starts := partition(keys, nil, splitters)
+			checkPartition(t, name, new(partBuf), keys, payloads, splitters)
+			longer := &partBuf{keys: make([]int64, len(keys)+37), pay: make([][]byte, len(keys)+37)}
+			for i := range longer.keys {
+				longer.keys[i], longer.pay[i] = -1, []byte("stale")
+			}
+			checkPartition(t, name+" (longer destination)", longer, keys, payloads, splitters)
+			if len(longer.keys) != len(keys)+37 || len(longer.pay) != len(keys)+37 {
+				t.Fatalf("%s: partition replaced a destination long enough for the job", name)
+			}
+			keysOnly, pp, starts := partition(new(partBuf), keys, nil, splitters)
 			if pp != nil || window(pp, 0, 0) != nil {
 				t.Fatalf("%s: keys-only partition built %d payloads", name, len(pp))
 			}
-			if part, _, want := partition(keys, payloads, splitters); !slices.Equal(keysOnly, part) || !slices.Equal(starts, want) {
+			if part, _, want := partition(new(partBuf), keys, payloads, splitters); !slices.Equal(keysOnly, part) || !slices.Equal(starts, want) {
 				t.Fatalf("%s: keys-only partition differs from the records partition", name)
 			}
 		}
@@ -305,11 +315,12 @@ func TestPartition(t *testing.T) {
 }
 
 // checkPartition partitions keys with their payloads (each the key's input
-// position, two bytes) and checks TestPartition's invariants.
-func checkPartition(t *testing.T, name string, keys []int64, payloads [][]byte, splitters []int64) {
+// position, two bytes) into dst and checks TestPartition's invariants.
+func checkPartition(t *testing.T, name string, dst *partBuf, keys []int64, payloads [][]byte, splitters []int64) {
 	t.Helper()
-	part, partPay, starts := partition(keys, payloads, splitters)
-	if len(starts) != len(splitters)+2 || starts[0] != 0 || starts[len(starts)-1] != len(keys) || len(partPay) != len(part) {
+	part, partPay, starts := partition(dst, keys, payloads, splitters)
+	if len(starts) != len(splitters)+2 || starts[0] != 0 || starts[len(starts)-1] != len(keys) ||
+		len(part) != len(keys) || len(partPay) != len(part) {
 		t.Fatalf("%s: starts %v, %d keys, %d payloads over %d keys", name, starts, len(part), len(partPay), len(keys))
 	}
 	sizes := make([]int, len(splitters)+1)
@@ -349,7 +360,9 @@ func checkPartition(t *testing.T, name string, keys []int64, payloads [][]byte, 
 
 // BenchmarkPartition times the coordinator's partition of 2 Mi uniform
 // full-range keys, without payloads, at 1 and 7 splitters (2 and 8
-// workers) read off the sorted keys' quantiles.
+// workers) read off the sorted keys' quantiles.  Every iteration scatters
+// into the same destination, as a warm coordinator's borrowed buffer, so
+// it times the routing and the scatter, not a fresh buffer's first touch.
 func BenchmarkPartition(b *testing.B) {
 	const n = 2 << 20
 	rng := rand.New(rand.NewSource(1))
@@ -365,9 +378,12 @@ func BenchmarkPartition(b *testing.B) {
 			splitters[i] = sorted[(i+1)*n/(nsplit+1)]
 		}
 		b.Run(fmt.Sprintf("splitters=%d", nsplit), func(b *testing.B) {
+			dst := new(partBuf)
+			partition(dst, keys, nil, splitters)
 			b.SetBytes(n * 8)
+			b.ResetTimer()
 			for range b.N {
-				partition(keys, nil, splitters)
+				partition(dst, keys, nil, splitters)
 			}
 		})
 	}

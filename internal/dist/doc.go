@@ -11,7 +11,7 @@
 //  1. Sample.  A deterministic stride sample of the input keys is sorted
 //     and N−1 splitters are read off at the quantiles.
 //  2. Partition + upload.  One counting pass and one scatter place every
-//     record in one coordinator buffer, shard by shard, by key range: a
+//     record in one partition buffer, shard by shard, by key range: a
 //     key's shard is the number of splitters ≤ it ("equal key goes
 //     right", so ties never straddle shards), counted without a branch on
 //     the key and recounted in the scatter rather than stored.  Input
@@ -20,19 +20,26 @@
 //     /healthz offers them, JSON otherwise), each idempotent and
 //     independently retried, committed into one worker job per shard.  A
 //     binary page body is its header followed by a view of the buffer's
-//     keys, not a copy; every retry reads the same bytes afresh.
+//     keys, not a copy; every retry reads the same bytes afresh.  The
+//     buffer is borrowed from a free list the coordinator keeps between
+//     jobs (at most as many buffers as were out at once, not emptied by a
+//     collection, each lent to one job at a time), so a warm job makes
+//     none.
 //  3. Local sorts.  Each worker sorts its shard with its ordinary
 //     scheduler stack — the coordinator adds nothing worker-side.
 //  4. Download.  Every page of every sorted shard is fetched, under the
-//     same concurrency bound, straight into its position in the output,
-//     which is the partition buffer again: shard i's pages land where it
-//     was uploaded from, after the sizes of shards 0..i−1.  net/http may
-//     read an upload body after its request returns, so nothing is written
-//     there before every upload body has been closed.  No merge
-//     runs, because merging disjoint ranges in splitter order is
-//     concatenating them — and the premise is asserted: each page must be
-//     the window asked for of a result as long as the shard shipped, and
-//     each shard must start strictly above its predecessor's last key.
+//     same concurrency bound, straight into its position in the partition
+//     buffer again: shard i's pages land where it was uploaded from, after
+//     the sizes of shards 0..i−1.  net/http may read an upload body after
+//     its request returns, so nothing is written there before every upload
+//     body has been closed.  No merge runs, because merging disjoint
+//     ranges in splitter order is concatenating them — and the premise is
+//     asserted: each page must be the window asked for of a result as long
+//     as the shard shipped, and each shard must start strictly above its
+//     predecessor's last key.  Then every worker drops its shard's result
+//     (DELETE /jobs/{id}/result; the job's status stays), one copy moves
+//     the buffer into the caller's keys (and payloads), which is the
+//     in-place sort, and the buffer goes back to the free list.
 //
 // Determinism contract: the distributed output is bit-identical to the
 // single-machine sort for any worker count.  Splitters are a pure function
@@ -41,9 +48,15 @@
 // keys keep exactly the relative order a single stable sort would give
 // them.
 //
-// Failure contract: any shard failure (worker down, job failed, timeout)
-// cancels every job the run started on the surviving workers and returns
-// an error; staged uploads that never committed are aborted, with the
+// Failure contract: any shard failure (worker down, job failed, timeout,
+// a result page that is not the one asked for) cancels every job the run
+// started on the surviving workers, drops what they kept, and returns an
+// error; staged uploads that never committed are aborted, with the
 // workers' TTL sweep as the backstop.  Cancellation of the caller's
-// context fans out the same way.
+// context fans out the same way.  The caller's keys and payloads are left
+// untouched, as Machine.Sort and Machine.SortRecords leave theirs: the
+// result moves into them only after every page has arrived and the shard
+// boundaries hold.  The failed run's partition buffer is not reused —
+// upload bodies viewing it may still be open — and is left to the
+// collector.
 package dist

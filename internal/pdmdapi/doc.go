@@ -15,6 +15,9 @@
 //	GET  /jobs/{id}/keys              paginated sorted keys (a page)
 //	GET  /jobs/{id}/records           paginated sorted keys + payloads
 //	                                  (a page)
+//	DELETE /jobs/{id}/result          drop the output a job keeps (sorted
+//	                                  keys and payloads, or a scenario
+//	                                  result); its status stays
 //	GET  /stats                       aggregate statistics as JSON
 //	GET  /metrics                     the same in Prometheus text format
 //	POST /uploads                     create a staged upload (idempotent

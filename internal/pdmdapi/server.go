@@ -88,6 +88,7 @@ func newServer(sch *repro.Scheduler, opts Options) (*server, http.Handler) {
 	mux.HandleFunc("GET /jobs/{id}/keys", s.keys)
 	mux.HandleFunc("GET /jobs/{id}/records", s.records)
 	mux.HandleFunc("GET /jobs/{id}/result", s.result)
+	mux.HandleFunc("DELETE /jobs/{id}/result", s.dropResult)
 	mux.HandleFunc("GET /jobs/{id}/groups", s.groups)
 	mux.HandleFunc("GET /stats", s.stats)
 	mux.HandleFunc("GET /metrics", s.metrics)
@@ -365,6 +366,21 @@ func (s *server) result(w http.ResponseWriter, r *http.Request) {
 		body["groups"] = len(res.Groups)
 	}
 	writeJSON(w, http.StatusOK, body)
+}
+
+// dropResult drops the output a job keeps and answers its status, which
+// stays.
+func (s *server) dropResult(w http.ResponseWriter, r *http.Request) {
+	id, ok := s.jobID(w, r)
+	if !ok {
+		return
+	}
+	if err := s.sch.DropResult(id); err != nil {
+		writeError(w, http.StatusNotFound, err)
+		return
+	}
+	st, _ := s.sch.Status(id)
+	writeJSON(w, http.StatusOK, st)
 }
 
 // groups serves a completed group-by job's aggregates, sorted by key, with

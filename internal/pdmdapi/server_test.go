@@ -160,6 +160,87 @@ func TestSubmitPollResult(t *testing.T) {
 	}
 }
 
+// TestDropResultOverHTTP: DELETE /jobs/{id}/result drops what a finished
+// job keeps — a records job's sorted keys and payloads, a scenario job's
+// result — and answers the job's status, which stays; the output
+// endpoints then answer 404, and an unknown job is a 404 too.
+func TestDropResultOverHTTP(t *testing.T) {
+	ts, _ := testServer(t)
+	del := func(id int) *http.Response {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodDelete, fmt.Sprintf("%s/jobs/%d/result", ts.URL, id), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := testClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	code := func(path string) int {
+		t.Helper()
+		resp, err := testClient.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck // only the code matters
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, tc := range []struct {
+		name    string
+		spec    map[string]any
+		outputs []string
+	}{
+		{"records", map[string]any{
+			"workload": map[string]any{"kind": "zipf", "n": 4096, "seed": 3, "payload": map[string]any{"minBytes": 1, "maxBytes": 8}},
+			"keepKeys": true,
+		}, []string{"keys", "records"}},
+		{"topk", map[string]any{
+			"scenario": "topk", "topK": 16,
+			"workload": map[string]any{"kind": "uniform", "n": 4096, "seed": 5},
+		}, []string{"result"}},
+	} {
+		resp, obj := postJSON(t, ts.URL+"/jobs", tc.spec)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("%s: submit = %d: %v", tc.name, resp.StatusCode, obj)
+		}
+		var id int
+		if err := json.Unmarshal(obj["id"], &id); err != nil {
+			t.Fatal(err)
+		}
+		pollUntil(t, ts.URL, id, repro.JobDone)
+		for _, out := range tc.outputs {
+			if c := code(fmt.Sprintf("/jobs/%d/%s", id, out)); c != http.StatusOK {
+				t.Fatalf("%s: GET /%s before the drop = %d", tc.name, out, c)
+			}
+		}
+		dresp := del(id)
+		var st repro.JobStatus
+		if err := json.NewDecoder(dresp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		dresp.Body.Close()
+		if dresp.StatusCode != http.StatusOK || st.ID != id || st.State != repro.JobDone || st.Report == nil {
+			t.Fatalf("%s: DELETE /result = %d, %+v; want 200 and the done job's status", tc.name, dresp.StatusCode, st)
+		}
+		for _, out := range tc.outputs {
+			if c := code(fmt.Sprintf("/jobs/%d/%s", id, out)); c != http.StatusNotFound {
+				t.Fatalf("%s: GET /%s after the drop = %d, want 404", tc.name, out, c)
+			}
+		}
+		if st := getStatus(t, ts.URL, id); st.State != repro.JobDone || st.Report == nil {
+			t.Fatalf("%s: status after the drop: %+v", tc.name, st)
+		}
+	}
+	resp := del(999)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("DELETE /result of an unknown job = %d, want 404", resp.StatusCode)
+	}
+}
+
 // TestCancelOverHTTP submits a latency-slowed job and cancels it through
 // the API: the job must abort promptly and report canceled.
 func TestCancelOverHTTP(t *testing.T) {

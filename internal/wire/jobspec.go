@@ -181,7 +181,9 @@ type JobSpec struct {
 	// in microseconds.
 	BlockLatencyUS int64 `json:"blockLatencyUs,omitempty"`
 	// KeepKeys retains the sorted output for SortedKeys until the
-	// scheduler is closed.
+	// scheduler is closed or DropResult (DELETE /jobs/{id}/result) drops
+	// it; a distributed sort's coordinator drops each shard's once it has
+	// downloaded it.
 	KeepKeys bool `json:"keepKeys,omitempty"`
 	// Label tags the job in status reports.
 	Label string `json:"label,omitempty"`

@@ -209,6 +209,7 @@ type schedJob struct {
 	keys      []int64
 	payloads  [][]byte
 	scen      *ScenarioResult
+	dropped   bool // DropResult ran: the job keeps no output
 	footprint int
 	arenaLeak int
 	planned   *PlannedJob
@@ -606,7 +607,7 @@ func (s *Scheduler) runJob(ctx context.Context, env sched.Env, j *schedJob) erro
 		j.report = rep
 		// Scenario jobs retain their (small or KeepKeys-gated) results on
 		// j.scen instead; the input keys are not the output.
-		if j.spec.KeepKeys && j.spec.Scenario == "" {
+		if j.spec.KeepKeys && j.spec.Scenario == "" && !j.dropped {
 			j.keys = keys
 			if j.isRecords {
 				j.payloads = payloads
@@ -691,7 +692,9 @@ func (s *Scheduler) sortAttempt(ctx context.Context, env sched.Env, j *schedJob,
 		var res *ScenarioResult
 		if res, rep, err = m.RunScenario(&j.spec, keys); err == nil {
 			j.mu.Lock()
-			j.scen = res
+			if !j.dropped {
+				j.scen = res
+			}
 			j.mu.Unlock()
 		}
 	case j.alg == core.AlgRadix:
@@ -718,7 +721,7 @@ func (s *Scheduler) ScenarioResult(id int) (*ScenarioResult, error) {
 		return nil, fmt.Errorf("repro: job %d is not a scenario job", id)
 	}
 	if j.scen == nil {
-		return nil, fmt.Errorf("repro: job %d has no result (state %s)", id, j.handle.State())
+		return nil, j.noResult(id)
 	}
 	return j.scen, nil
 }
@@ -920,8 +923,8 @@ func (s *Scheduler) SortedKeys(id int) ([]int64, error) {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.report == nil {
-		return nil, fmt.Errorf("repro: job %d has no result (state %s)", id, j.handle.State())
+	if j.report == nil || j.dropped {
+		return nil, j.noResult(id)
 	}
 	if j.keys == nil {
 		return nil, fmt.Errorf("repro: job %d was not submitted with KeepKeys", id)
@@ -940,8 +943,8 @@ func (s *Scheduler) SortedRecords(id int) ([]int64, [][]byte, error) {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.report == nil {
-		return nil, nil, fmt.Errorf("repro: job %d has no result (state %s)", id, j.handle.State())
+	if j.report == nil || j.dropped {
+		return nil, nil, j.noResult(id)
 	}
 	if !j.isRecords {
 		return nil, nil, fmt.Errorf("repro: job %d is not a records job", id)
@@ -950,6 +953,33 @@ func (s *Scheduler) SortedRecords(id int) ([]int64, [][]byte, error) {
 		return nil, nil, fmt.Errorf("repro: job %d was not submitted with KeepKeys", id)
 	}
 	return j.keys, j.payloads, nil
+}
+
+// DropResult drops the output a job keeps — a KeepKeys job's sorted keys
+// and payloads, or a scenario job's result — and keeps its status.  A job
+// that has not finished yet keeps nothing when it does.  pdmd serves it as
+// DELETE /jobs/{id}/result; a distributed sort's coordinator calls it on
+// every shard job once it has the shard.
+func (s *Scheduler) DropResult(id int) error {
+	s.mu.Lock()
+	j, ok := s.jobs[id]
+	s.mu.Unlock()
+	if !ok {
+		return fmt.Errorf("repro: unknown job %d", id)
+	}
+	j.mu.Lock()
+	j.keys, j.payloads, j.scen, j.dropped = nil, nil, nil, true
+	j.mu.Unlock()
+	return nil
+}
+
+// noResult is the error for a job with no output to read: it has not
+// finished, or its output was dropped.  j.mu is held.
+func (j *schedJob) noResult(id int) error {
+	if j.dropped {
+		return fmt.Errorf("repro: job %d's result was dropped", id)
+	}
+	return fmt.Errorf("repro: job %d has no result (state %s)", id, j.handle.State())
 }
 
 // Health returns the liveness snapshot.  It never fails: a scheduler that
