@@ -23,9 +23,14 @@ type DistShardReport = dist.ShardReport
 // Like Machine.Sort and Machine.SortRecords, both sort the caller's slices
 // in place and leave them untouched on an error; the result is
 // bit-identical to theirs (stable among equal keys) for any worker count.
-// Between jobs the sorter keeps one partition buffer for each job it ran
-// at the same time; see internal/dist for the determinism and failure
-// contracts.
+// Between jobs the sorter keeps one partition buffer (8 bytes a key, and
+// 24 more a record after a records sort) for each job it ran at the same
+// time, so repeated sorts on one DistSorter allocate none; a sorter that
+// runs one sort, as pdmctl sort does, gains nothing from it.  A kept
+// buffer is as large as the largest job that used it, and it lives as long
+// as the sorter unless a job of less than half its size, which lets it go
+// to the collector, uses it.  See internal/dist for the determinism and
+// failure contracts.
 type DistSorter = dist.Coordinator
 
 // NewDistSorter validates the config and builds the coordinator.

@@ -373,6 +373,47 @@ func TestDistConcurrentSorts(t *testing.T) {
 	}
 }
 
+// TestDistSortStuckDropBounded: once every page has arrived, a worker that
+// stops answering cannot hold a successful sort up for long.  Worker 0
+// never answers DELETE /jobs/{id}/result; Sort still returns the sorted
+// keys, after the coordinator's one-second drop deadline at most, not the
+// five seconds a failed job's cancels are given.
+func TestDistSortStuckDropBounded(t *testing.T) {
+	var asked atomic.Int32
+	urls := wrappedFleet(t, 2, func(i int, h http.Handler) http.Handler {
+		if i != 0 {
+			return h
+		}
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodDelete && strings.HasSuffix(r.URL.Path, "/result") {
+				asked.Add(1)
+				<-r.Context().Done()
+				return
+			}
+			h.ServeHTTP(w, r)
+		})
+	})
+	ds, err := repro.NewDistSorter(repro.DistConfig{Workers: urls, PageKeys: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := distWorkload(t, "uniform", 6000, 23)
+	want := slices.Clone(keys)
+	slices.Sort(want)
+	start := time.Now()
+	got, _, err := ds.Sort(context.Background(), keys)
+	elapsed := time.Since(start)
+	if err != nil || !slices.Equal(got, want) {
+		t.Fatalf("Sort with a stuck drop differs from slices.Sort (err %v)", err)
+	}
+	if asked.Load() == 0 {
+		t.Fatal("the coordinator never asked worker 0 to drop its result")
+	}
+	if elapsed > 4*time.Second {
+		t.Fatalf("a stuck drop held a successful Sort up for %v", elapsed)
+	}
+}
+
 // TestDistCancellation cancels the caller's context mid-job and checks the
 // fan-out: the coordinator returns promptly with the context error and
 // every shard job on every worker reaches a terminal state, with worker

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 
+	"repro/internal/freelist"
 	"repro/internal/memsort"
 	"repro/internal/pdm"
 	"repro/internal/stream"
@@ -53,14 +53,9 @@ type placed struct {
 	words  int
 }
 
-// directories holds the directories finished sorts handed on.  Unlike a
-// sync.Pool a collection does not empty it, so a warm sort allocates the
-// same whether or not the GC ran before it; it never holds more
-// directories than were out at once.
-var directories struct {
-	sync.Mutex
-	d []*directory
-}
+// directories holds the directories finished sorts handed on, so a warm
+// sort allocates the same whether or not the GC ran before it.
+var directories freelist.List[directory]
 
 // stripeSeq views a whole stripe as a blockSeq of full blocks, listed in
 // the directory.
@@ -76,14 +71,7 @@ func (st *scatterState) stripeSeq(s *pdm.Stripe) blockSeq {
 // directory returns the sort's directory, taking one on first use.
 func (st *scatterState) directory() *directory {
 	if st.dir == nil {
-		directories.Lock()
-		if n := len(directories.d); n > 0 {
-			st.dir = directories.d[n-1]
-			directories.d = directories.d[:n-1]
-		} else {
-			st.dir = new(directory)
-		}
-		directories.Unlock()
+		st.dir = directories.Take()
 	}
 	return st.dir
 }
@@ -97,9 +85,7 @@ func (st *scatterState) release() {
 	st.stripes = nil
 	if d := st.dir; d != nil {
 		d.log, d.addrs, d.counts = d.log[:0], d.addrs[:0], d.counts[:0]
-		directories.Lock()
-		directories.d = append(directories.d, d)
-		directories.Unlock()
+		directories.Put(d)
 		st.dir = nil
 	}
 }

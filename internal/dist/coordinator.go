@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/freelist"
 	"repro/internal/pdm"
 	"repro/internal/plan"
 	"repro/internal/records"
@@ -47,6 +48,12 @@ type Config struct {
 }
 
 const (
+	// cancelTimeout bounds the cancels and drops a failed job fans out.
+	cancelTimeout = 5 * time.Second
+	// dropTimeout bounds the drops that end a successful job: a live
+	// worker answers one in a round trip, and one that has stopped
+	// answering holds up the sort no longer than this.
+	dropTimeout = time.Second
 	// retries is how many times a transient worker failure is retried
 	// (with exponential backoff) before the job fails.
 	retries = 3
@@ -60,48 +67,33 @@ const (
 type Coordinator struct {
 	cfg     Config
 	clients []*client
-	sem     chan struct{} // bounds in-flight page uploads and downloads
-	seq     atomic.Int64  // distinguishes this coordinator's upload ids
-	bufs    bufList       // partition buffers between jobs
+	sem     chan struct{}          // bounds in-flight page uploads and downloads
+	seq     atomic.Int64           // distinguishes this coordinator's upload ids
+	bufs    freelist.List[partBuf] // partition buffers between jobs
 }
 
 // partBuf is one job's partition buffer: the keys in shard order and, on a
 // records job, their payloads beside them.  Upload bodies view it and the
 // sorted shards decode back into it.  Each field keeps the length it was
-// made with (fit replaces a field whole and never shortens it), so put
-// clears all of pay.
+// made with (fit replaces a field whole and never shortens it).
 type partBuf struct {
 	keys []int64
 	pay  [][]byte
 }
 
-// bufList holds the partition buffers successful jobs handed back.  Like
-// stream's free lists, and unlike a sync.Pool, a collection does not empty
-// it, so a warm job makes no buffer; it never holds more buffers than
-// were out at once, and it lends each to one job at a time.
-type bufList struct {
-	sync.Mutex
-	free []*partBuf
-}
-
-func (l *bufList) take() *partBuf {
-	l.Lock()
-	defer l.Unlock()
-	n := len(l.free)
-	if n == 0 {
-		return new(partBuf)
+// putBuf hands a successful n-key job's buffer back to the free list.  A
+// field more than twice the job is left to the collector instead, so a
+// sorter keeps a large job's buffer only until a job of less than half its
+// size takes it; pay's views are cleared, so it pins no caller's bytes.
+func (c *Coordinator) putBuf(b *partBuf, n int) {
+	if len(b.keys) > 2*n {
+		b.keys = nil
 	}
-	b := l.free[n-1]
-	l.free = l.free[:n-1]
-	return b
-}
-
-// put hands b back, its payload views cleared so it pins no caller's bytes.
-func (l *bufList) put(b *partBuf) {
+	if len(b.pay) > 2*n {
+		b.pay = nil
+	}
 	clear(b.pay)
-	l.Lock()
-	l.free = append(l.free, b)
-	l.Unlock()
+	c.bufs.Put(b)
 }
 
 // New validates the config and builds a coordinator.
@@ -226,7 +218,7 @@ func (c *Coordinator) run(ctx context.Context, keys []int64, payloads [][]byte) 
 	}
 	rep.Splitters, rep.SampleSize = c.splitters(keys, w)
 	lap(&ph.Sample)
-	buf := c.bufs.take()
+	buf := c.bufs.Take()
 	part, partPay, starts := partition(buf, keys, payloads, rep.Splitters)
 	lap(&ph.Partition)
 
@@ -251,7 +243,7 @@ func (c *Coordinator) run(ctx context.Context, keys []int64, payloads [][]byte) 
 		// One shard failed: cancel every job the others started so no
 		// worker keeps sorting for a dead distributed job, then report
 		// the first failure.
-		c.release(statuses, true)
+		c.release(statuses, true, cancelTimeout)
 		if ctx.Err() != nil {
 			err = fmt.Errorf("dist: %w", ctx.Err())
 		}
@@ -268,19 +260,23 @@ func (c *Coordinator) run(ctx context.Context, keys []int64, payloads [][]byte) 
 		err = c.download(ctx, statuses, starts, part, partPay)
 	}
 	if err != nil {
-		c.release(statuses, true)
+		c.release(statuses, true, cancelTimeout)
 		return nil, nil, nil, err
 	}
 
-	// Every page arrived and the shard boundaries hold: the workers may
-	// drop their copies, and one copy moves the result into the caller's
-	// slices.
-	c.release(statuses, false)
+	// Every page arrived and the shard boundaries hold: one copy moves the
+	// result into the caller's slices while the workers drop their copies.
+	dropped := make(chan struct{})
+	go func() {
+		c.release(statuses, false, dropTimeout)
+		close(dropped)
+	}()
 	copy(keys, part)
 	if payloads != nil {
 		copy(payloads, partPay)
 	}
-	c.bufs.put(buf)
+	c.putBuf(buf, n)
+	<-dropped
 
 	for i, st := range statuses {
 		if st.ID == 0 {
@@ -535,11 +531,11 @@ func (c *Coordinator) await(ctx context.Context, cl *client, jobID int) (wire.Jo
 // first cancels them, so no worker keeps sorting for a dead distributed
 // job, and then every job's kept result is dropped (its status stays), so
 // no worker holds a shard the coordinator has done with.  It runs on a
-// fresh short-deadline context, so it still lands when the job context
-// itself is what died.  Best-effort and concurrent: a worker that is gone
-// cannot be reached, and that is fine — its scheduler dies with it.
-func (c *Coordinator) release(statuses []wire.JobStatus, cancel bool) {
-	ctx, stop := context.WithTimeout(context.Background(), 5*time.Second)
+// fresh context with the given deadline, so it still lands when the job
+// context itself is what died.  Best-effort and concurrent: a worker that
+// is gone cannot be reached, and that is fine — its scheduler dies with it.
+func (c *Coordinator) release(statuses []wire.JobStatus, cancel bool, timeout time.Duration) {
+	ctx, stop := context.WithTimeout(context.Background(), timeout)
 	defer stop()
 	c.fan(ctx, len(statuses), false, func(ctx context.Context, i int) error { //nolint:errcheck // best-effort
 		cl, id := c.clients[i], statuses[i].ID

@@ -360,9 +360,11 @@ func checkPartition(t *testing.T, name string, dst *partBuf, keys []int64, paylo
 
 // BenchmarkPartition times the coordinator's partition of 2 Mi uniform
 // full-range keys, without payloads, at 1 and 7 splitters (2 and 8
-// workers) read off the sorted keys' quantiles.  Every iteration scatters
-// into the same destination, as a warm coordinator's borrowed buffer, so
-// it times the routing and the scatter, not a fresh buffer's first touch.
+// workers) read off the sorted keys' quantiles.  "warm" scatters into the
+// same destination every iteration, as a warm coordinator's borrowed
+// buffer, so it times the routing and the scatter; "cold" scatters into a
+// fresh one, as a sorter's first job does, so it adds the buffer's make
+// and first touch.
 func BenchmarkPartition(b *testing.B) {
 	const n = 2 << 20
 	rng := rand.New(rand.NewSource(1))
@@ -377,15 +379,51 @@ func BenchmarkPartition(b *testing.B) {
 		for i := range splitters {
 			splitters[i] = sorted[(i+1)*n/(nsplit+1)]
 		}
-		b.Run(fmt.Sprintf("splitters=%d", nsplit), func(b *testing.B) {
-			dst := new(partBuf)
-			partition(dst, keys, nil, splitters)
-			b.SetBytes(n * 8)
-			b.ResetTimer()
-			for range b.N {
-				partition(dst, keys, nil, splitters)
+		for _, warm := range []bool{true, false} {
+			name := fmt.Sprintf("splitters=%d/cold", nsplit)
+			if warm {
+				name = fmt.Sprintf("splitters=%d/warm", nsplit)
 			}
-		})
+			b.Run(name, func(b *testing.B) {
+				dst := new(partBuf)
+				partition(dst, keys, nil, splitters)
+				b.SetBytes(n * 8)
+				b.ResetTimer()
+				for range b.N {
+					if !warm {
+						dst = new(partBuf)
+					}
+					partition(dst, keys, nil, splitters)
+				}
+			})
+		}
+	}
+}
+
+// TestPutBufKeepsOnlyFittingBuffers: a successful job's buffer goes back
+// to the free list unless a field is more than twice the job, so a large
+// job's buffer is not held through a run of small ones; its payload views
+// are cleared either way.
+func TestPutBufKeepsOnlyFittingBuffers(t *testing.T) {
+	c, err := New(Config{Workers: []string{"http://worker"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := c.bufs.Take()
+	fit(&b.keys, 1000)
+	fit(&b.pay, 1000)[0] = []byte("caller's")
+	c.putBuf(b, 500)
+	if got := c.bufs.Take(); got != b || len(b.keys) != 1000 || len(b.pay) != 1000 || b.pay[0] != nil {
+		t.Fatalf("a job of half the buffer got back %d keys, %d payloads (first %q), want the buffer whole with its views cleared", len(got.keys), len(got.pay), got.pay[0])
+	}
+	c.putBuf(b, 499)
+	if got := c.bufs.Take(); got != b || b.keys != nil || b.pay != nil {
+		t.Fatalf("a job of less than half the buffer kept %d keys and %d payloads of it, want none", len(got.keys), len(got.pay))
+	}
+	fit(&b.keys, 1000)
+	c.putBuf(b, 400)
+	if got := c.bufs.Take(); len(got.keys) != 0 {
+		t.Fatalf("a keys job of 400 kept a 1000-key buffer")
 	}
 }
 

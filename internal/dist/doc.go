@@ -22,9 +22,9 @@
 //     binary page body is its header followed by a view of the buffer's
 //     keys, not a copy; every retry reads the same bytes afresh.  The
 //     buffer is borrowed from a free list the coordinator keeps between
-//     jobs (at most as many buffers as were out at once, not emptied by a
-//     collection, each lent to one job at a time), so a warm job makes
-//     none.
+//     jobs (internal/freelist: at most as many buffers as were out at
+//     once, not emptied by a collection, each lent to one job at a time),
+//     so a warm job makes none; a coordinator's first job makes its own.
 //  3. Local sorts.  Each worker sorts its shard with its ordinary
 //     scheduler stack — the coordinator adds nothing worker-side.
 //  4. Download.  Every page of every sorted shard is fetched, under the
@@ -36,10 +36,14 @@
 //     ranges in splitter order is concatenating them — and the premise is
 //     asserted: each page must be the window asked for of a result as long
 //     as the shard shipped, and each shard must start strictly above its
-//     predecessor's last key.  Then every worker drops its shard's result
-//     (DELETE /jobs/{id}/result; the job's status stays), one copy moves
-//     the buffer into the caller's keys (and payloads), which is the
-//     in-place sort, and the buffer goes back to the free list.
+//     predecessor's last key.  Then one copy moves the buffer into the
+//     caller's keys (and payloads), which is the in-place sort, and the
+//     buffer goes back to the free list, unless it is more than twice the
+//     job, which leaves it to the collector.  Meanwhile every worker is
+//     asked to drop its shard's result (DELETE /jobs/{id}/result; the
+//     job's status stays); Sort waits for those answers a second at most,
+//     so a worker that stops answering after its last page cannot hold a
+//     finished sort up for long.
 //
 // Determinism contract: the distributed output is bit-identical to the
 // single-machine sort for any worker count.  Splitters are a pure function

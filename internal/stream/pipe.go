@@ -26,7 +26,7 @@ func Pass(a *pdm.Array, chunks int, plan func(t int, dst []pdm.BlockAddr) []pdm.
 		return err
 	}
 	defer r.Close()
-	w := &Writer{lists: takeLists(), a: a, lazy: true}
+	w := &Writer{lists: freeLists.Take(), a: a, lazy: true}
 	defer w.Close()
 	views := carve(&r.views, buf, a.B())
 	for t := 0; t < chunks; t++ {

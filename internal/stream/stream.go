@@ -4,8 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 
+	"repro/internal/freelist"
 	"repro/internal/pdm"
 )
 
@@ -33,26 +33,9 @@ type lists struct {
 	pieces []piece           // a Reader fill's pieces
 }
 
-// freeLists holds the lists Close handed back.  Unlike a sync.Pool a
-// collection does not empty it, so a warm pass allocates the same whether
-// or not the GC ran before it; it never holds more lists than were out at
-// once.
-var freeLists struct {
-	sync.Mutex
-	l []*lists
-}
-
-func takeLists() *lists {
-	freeLists.Lock()
-	defer freeLists.Unlock()
-	n := len(freeLists.l)
-	if n == 0 {
-		return new(lists)
-	}
-	l := freeLists.l[n-1]
-	freeLists.l = freeLists.l[:n-1]
-	return l
-}
+// freeLists holds the lists Close handed back, so a warm pass allocates
+// the same whether or not the GC ran before it.
+var freeLists freelist.List[lists]
 
 // put drops l's views of caller and staging memory and hands it back.
 func (l *lists) put() {
@@ -60,9 +43,7 @@ func (l *lists) put() {
 	clear(l.ring[:cap(l.ring)])
 	clear(l.slots[:cap(l.slots)])
 	clear(l.bufs[:cap(l.bufs)])
-	freeLists.Lock()
-	freeLists.l = append(freeLists.l, l)
-	freeLists.Unlock()
+	freeLists.Put(l)
 }
 
 // carveSlots carves ring into depth slots of bps B-key block views and
@@ -120,7 +101,7 @@ type Reader struct {
 // goroutines at once, as all in-tree plans are.  Prefetch depth comes from
 // the array's pipeline configuration; depth 0 is fully synchronous.
 func NewReader(a *pdm.Array, chunks int, plan func(t int, dst []pdm.BlockAddr) []pdm.BlockAddr) (*Reader, error) {
-	r := &Reader{lists: takeLists(), a: a, chunks: chunks, plan: plan}
+	r := &Reader{lists: freeLists.Take(), a: a, chunks: chunks, plan: plan}
 	depth := a.Pipeline().Prefetch
 	if depth == 0 || chunks == 0 {
 		return r, nil

@@ -45,7 +45,7 @@ type Writer struct {
 // NewWriter creates a Writer on a.  Write-behind depth comes from the
 // array's pipeline configuration; depth 0 is fully synchronous.
 func NewWriter(a *pdm.Array) (*Writer, error) {
-	w := &Writer{lists: takeLists(), a: a}
+	w := &Writer{lists: freeLists.Take(), a: a}
 	if err := w.start(); err != nil {
 		w.put()
 		return nil, err
